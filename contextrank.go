@@ -471,8 +471,9 @@ type HotPathStats = core.HotPathStats
 func ReadHotPathStats() HotPathStats { return core.ReadHotPathStats() }
 
 // RulesFingerprint hashes the registered rules; see
-// prefs.Repository.Fingerprint. Combined with the data epoch and context
-// state it keys compiled rank plans.
+// prefs.Repository.Fingerprint. A caller caching compiled rank plans can
+// key them by it together with its data and context versions (the serve
+// layer does not need to: every rule change there bumps its epoch).
 func (s *System) RulesFingerprint() string { return s.repo.Fingerprint() }
 
 // ErrPlanClusterBound marks a plan compilation rejected because the

@@ -30,7 +30,7 @@ func batchServer(t testing.TB, k int) (*Server, string) {
 			ms = append(ms, Measurement{Concept: workload.BenchContextConcept(i), Prob: 0.9})
 		}
 	}
-	if _, err := srv.Sessions().Set(user, ms); err != nil {
+	if _, err := srv.SetSession(user, ms); err != nil {
 		t.Fatal(err)
 	}
 	return srv, user
@@ -214,7 +214,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 
 	// A session update (any user's) bumps the context epoch.
-	if _, err := srv.Sessions().Set("person0001", []Measurement{{Concept: workload.BenchContextConcept(0), Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("person0001", []Measurement{{Concept: workload.BenchContextConcept(0), Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	rank()
@@ -223,18 +223,27 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 	misses = srv.plans.misses.Load()
 
-	// A rule change bumps the facade epoch (and the rules fingerprint).
+	// A rule change bumps the facade epoch — the only thing pinning the
+	// rule set a plan compiled — whether it adds a rule or removes one.
 	if _, _, err := srv.AddRules([]string{"RULE PLANX WHEN BenchCtx0 PREFER TvProgram WITH 0.6"}); err != nil {
 		t.Fatal(err)
 	}
 	rank()
 	if got := srv.plans.misses.Load(); got != misses+1 {
-		t.Fatalf("rule change did not invalidate the plan (misses %d -> %d)", misses, got)
+		t.Fatalf("rule add did not invalidate the plan (misses %d -> %d)", misses, got)
+	}
+	misses = srv.plans.misses.Load()
+	if _, err := srv.RemoveRule("PLANX"); err != nil {
+		t.Fatal(err)
+	}
+	rank()
+	if got := srv.plans.misses.Load(); got != misses+1 {
+		t.Fatalf("rule removal did not invalidate the plan (misses %d -> %d)", misses, got)
 	}
 	misses = srv.plans.misses.Load()
 
 	// A data write bumps the facade epoch.
-	if err := srv.Facade().AssertRole("watched", user, "tv001", 0.9); err != nil {
+	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "watched", Src: user, Dst: "tv001", Prob: 0.9}}); err != nil {
 		t.Fatal(err)
 	}
 	rank()
@@ -279,7 +288,7 @@ func TestRankClusterBoundFallback(t *testing.T) {
 		must(err)
 	}
 	srv := NewServer(sys, Options{})
-	if _, err := srv.Sessions().Set("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// With the context applied (rules active), the coarse footprint
@@ -409,12 +418,12 @@ func TestServeRankBatchChurnSoak(t *testing.T) {
 					}
 				default: // churner: update and occasionally drop the session
 					ms := []Measurement{{Concept: workload.BenchContextConcept(i % k), Prob: 0.5 + float64(i%5)/10}}
-					if _, err := srv.Sessions().Set(user, ms); err != nil {
+					if _, err := srv.SetSession(user, ms); err != nil {
 						errc <- fmt.Errorf("%s set: %w", user, err)
 						return
 					}
 					if i%7 == 0 {
-						if err := srv.Sessions().Drop(user); err != nil {
+						if err := srv.DropSession(user); err != nil {
 							errc <- fmt.Errorf("%s drop: %w", user, err)
 							return
 						}

@@ -13,26 +13,26 @@ import (
 func TestDropRetiresSessionEvents(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	baseline := srv.Stats().Events // the dataset's assertion events
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: 0.8},
 		{Concept: "LocK", Prob: 0.6, Exclusive: "loc"},
 		{Concept: "LocO", Prob: 0.3, Exclusive: "loc"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxB", Prob: 0.5}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxB", Prob: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Stats().Events; got != baseline+4 {
 		t.Fatalf("Events = %d with two sessions, want %d", got, baseline+4)
 	}
-	if err := srv.Sessions().Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Stats().Events; got != baseline+1 {
 		t.Fatalf("Events = %d after dropping peter, want %d", got, baseline+1)
 	}
-	if err := srv.Sessions().Drop("maria"); err != nil {
+	if err := srv.DropSession("maria"); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Stats().Events; got != baseline {
@@ -53,7 +53,7 @@ func TestServeSessionChurnSoak(t *testing.T) {
 	baseline := srv.Stats().Events
 
 	// The sentinel user holds a fixed uncertain context for the whole run.
-	if _, err := srv.Sessions().Set("user000", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
+	if _, err := srv.SetSession("user000", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
 		t.Fatal(err)
 	}
 	before, err := srv.Facade().RankWith("user000", "TvProgram", contextrank.RankOptions{})
@@ -73,7 +73,7 @@ func TestServeSessionChurnSoak(t *testing.T) {
 			{Concept: "LocK", Prob: 0.6, Exclusive: "loc"},
 			{Concept: "LocO", Prob: 0.3, Exclusive: "loc"},
 		}
-		if _, err := srv.Sessions().Set(name, ms); err != nil {
+		if _, err := srv.SetSession(name, ms); err != nil {
 			t.Fatalf("set %s (phase %d): %v", name, phase, err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestServeSessionChurnSoak(t *testing.T) {
 		setUser(u, i/(users-1))
 		if i%250 == 249 {
 			// Session end + re-join: exercises Drop's retirement path.
-			if err := srv.Sessions().Drop(fmt.Sprintf("user%03d", u)); err != nil {
+			if err := srv.DropSession(fmt.Sprintf("user%03d", u)); err != nil {
 				t.Fatal(err)
 			}
 			setUser(u, i)

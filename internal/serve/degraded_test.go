@@ -91,7 +91,7 @@ func TestDiskFaultFirstMutationSheds503(t *testing.T) {
 		t.Fatal("server not degraded after disk fault")
 	}
 	// The server-side error chain carries both sentinels.
-	if _, err := srv.Sessions().Set("dave", []Measurement{{Concept: "Ctx", Prob: 1}}); !errors.Is(err, ErrDegraded) {
+	if _, err := srv.SetSession("dave", []Measurement{{Concept: "Ctx", Prob: 1}}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("degraded Set error = %v, want ErrDegraded", err)
 	}
 	if err := srv.ProbeDisk(); !errors.Is(err, syscall.ENOSPC) {

@@ -379,7 +379,7 @@ func (h *Handler) declare(w http.ResponseWriter, r *http.Request) {
 	}
 	subs := make([]SubConceptDecl, len(req.Subconcepts))
 	for i, sc := range req.Subconcepts {
-		subs[i] = SubConceptDecl{Sub: sc.Sub, Super: sc.Super}
+		subs[i] = SubConceptDecl(sc)
 	}
 	epoch, err := h.srv.Declare(req.Concepts, req.Roles, subs)
 	if err != nil {
@@ -396,11 +396,11 @@ func (h *Handler) assert(w http.ResponseWriter, r *http.Request) {
 	}
 	concepts := make([]ConceptAssertion, len(req.Concepts))
 	for i, a := range req.Concepts {
-		concepts[i] = ConceptAssertion{Concept: a.Concept, ID: a.ID, Prob: a.Prob}
+		concepts[i] = ConceptAssertion(a)
 	}
 	roles := make([]RoleAssertion, len(req.Roles))
 	for i, a := range req.Roles {
-		roles[i] = RoleAssertion{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob}
+		roles[i] = RoleAssertion(a)
 	}
 	epoch, err := h.srv.Assert(concepts, roles)
 	if err != nil {
@@ -462,13 +462,7 @@ func (h *Handler) setSession(w http.ResponseWriter, r *http.Request) {
 	}
 	ms := make([]Measurement, len(req.Measurements))
 	for i, m := range req.Measurements {
-		ms[i] = Measurement{
-			Concept:    m.Concept,
-			Individual: m.Individual,
-			Prob:       m.Prob,
-			Exclusive:  m.Exclusive,
-			Source:     m.Source,
-		}
+		ms[i] = Measurement(m)
 	}
 	fp, err := h.srv.SetSession(user, ms)
 	if err != nil {
@@ -488,13 +482,7 @@ func (h *Handler) getSession(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]measurementJSON, len(ms))
 	for i, m := range ms {
-		out[i] = measurementJSON{
-			Concept:    m.Concept,
-			Individual: m.Individual,
-			Prob:       m.Prob,
-			Exclusive:  m.Exclusive,
-			Source:     m.Source,
-		}
+		out[i] = measurementJSON(m)
 	}
 	writeJSON(w, r, http.StatusOK, map[string]any{
 		"user":         user,
@@ -504,7 +492,9 @@ func (h *Handler) getSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) dropSession(w http.ResponseWriter, r *http.Request) {
-	if err := h.srv.DropSession(r.PathValue("user")); err != nil {
+	user := r.PathValue("user")
+	annotate(r, user, -1)
+	if err := h.srv.DropSession(user); err != nil {
 		writeMutationError(w, r, http.StatusInternalServerError, err)
 		return
 	}

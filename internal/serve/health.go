@@ -209,7 +209,7 @@ func (s *Server) ProbeDisk() error {
 	if !s.health.degradedNow() {
 		return nil
 	}
-	j := s.sessions.Journal()
+	j := s.wal.Load()
 	if j == nil {
 		s.health.clear()
 		return nil

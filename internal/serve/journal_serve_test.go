@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/serve/journal"
@@ -22,47 +23,20 @@ func attachTestJournal(t *testing.T, srv *Server, opts journal.Options) string {
 	return path
 }
 
-// replayInto re-applies a WAL through a server's ordinary serving paths —
-// the unsharded equivalent of shard.Coordinator.Recover's replay.
-// Vocabulary records whose re-apply fails are skipped, mirroring the
-// recovery path's preserve-and-continue policy (a second replay pass over
-// the same WAL hits duplicate-declare style errors by design).
+// replayInto re-applies a WAL by feeding every record to srv.Apply — the
+// unsharded equivalent of shard.Coordinator.Recover's replay. Vocabulary
+// records whose re-apply fails are skipped, mirroring the recovery path's
+// preserve-and-continue policy (a second replay pass over the same WAL
+// hits duplicate-declare style errors by design).
 func replayInto(t *testing.T, srv *Server, path string) journal.ReplayStats {
 	t.Helper()
 	rs, err := journal.Replay(path, func(rec journal.Record) error {
-		switch rec.Op {
-		case journal.OpSet:
-			fp, err := srv.SetSession(rec.User, FromJournalMeasurements(rec.Measurements))
-			if err != nil {
-				return err
-			}
-			if rec.Fingerprint != "" && fp != rec.Fingerprint {
-				return fmt.Errorf("fingerprint for %s: journaled %s, recomputed %s", rec.User, rec.Fingerprint, fp)
-			}
-		case journal.OpDrop:
-			return srv.DropSession(rec.User)
-		case journal.OpDeclare:
-			subs := make([]SubConceptDecl, len(rec.Subs))
-			for i, sd := range rec.Subs {
-				subs[i] = SubConceptDecl{Sub: sd.Sub, Super: sd.Super}
-			}
-			srv.Declare(rec.Concepts, rec.Roles, subs) //nolint:errcheck // preserve-and-continue
-		case journal.OpAssert:
-			concepts := make([]ConceptAssertion, len(rec.ConceptAsserts))
-			for i, a := range rec.ConceptAsserts {
-				concepts[i] = ConceptAssertion{Concept: a.Concept, ID: a.ID, Prob: a.Prob}
-			}
-			roles := make([]RoleAssertion, len(rec.RoleAsserts))
-			for i, a := range rec.RoleAsserts {
-				roles[i] = RoleAssertion{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob}
-			}
-			srv.Assert(concepts, roles) //nolint:errcheck // preserve-and-continue
-		case journal.OpAddRules:
-			srv.AddRules(rec.Rules) //nolint:errcheck // preserve-and-continue
-		case journal.OpRemoveRule:
-			srv.RemoveRule(rec.Rule) //nolint:errcheck // preserve-and-continue
-		case journal.OpExec:
-			srv.Exec(rec.Stmt) //nolint:errcheck // preserve-and-continue
+		out, err := srv.Apply(rec)
+		if err != nil && !rec.Op.IsVocab() {
+			return err
+		}
+		if rec.Op == journal.OpSet && rec.Fingerprint != "" && out.Fingerprint != rec.Fingerprint {
+			return fmt.Errorf("fingerprint for %s: journaled %s, recomputed %s", rec.User, rec.Fingerprint, out.Fingerprint)
 		}
 		return nil
 	})
@@ -95,13 +69,13 @@ func TestJournalReplayIdempotence(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		// ghost churns through many Sets before leaving — all stale.
-		if _, err := src.Sessions().Set("ghost", []Measurement{{Concept: "CtxA", Prob: float64(i%10) / 10}}); err != nil {
+		if _, err := src.SetSession("ghost", []Measurement{{Concept: "CtxA", Prob: float64(i%10) / 10}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wantFP := make(map[string]string)
 	for _, u := range []string{"peter", "maria"} {
-		fp, err := src.Sessions().Set(u, []Measurement{
+		fp, err := src.SetSession(u, []Measurement{
 			{Concept: "CtxA", Prob: 0.8},
 			{Concept: "LocK", Prob: 0.6, Exclusive: "loc"},
 		})
@@ -110,7 +84,7 @@ func TestJournalReplayIdempotence(t *testing.T) {
 		}
 		wantFP[u] = fp
 	}
-	if err := src.Sessions().Drop("ghost"); err != nil {
+	if err := src.DropSession("ghost"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,15 +138,15 @@ func TestJournalReplayIdempotence(t *testing.T) {
 func TestJournalDropRetryNotResurrected(t *testing.T) {
 	src := NewServer(newTestSystem(t), Options{})
 	path := attachTestJournal(t, src, journal.Options{})
-	if _, err := src.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
+	if _, err := src.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Sessions().Drop("peter"); err != nil {
+	if err := src.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	// The retry: peter is already gone in memory, but the drop must
 	// reach the WAL again all the same.
-	if err := src.Sessions().Drop("peter"); err != nil {
+	if err := src.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := journal.Replay(path, func(journal.Record) error { return nil })
@@ -217,11 +191,11 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 	for i := 0; i < applies; i++ {
 		u := i % users
 		name := fmt.Sprintf("user%03d", u)
-		if _, err := src.Sessions().Set(name, ms(u, i/users)); err != nil {
+		if _, err := src.SetSession(name, ms(u, i/users)); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 6 {
-			if err := src.Sessions().Drop(name); err != nil {
+			if err := src.DropSession(name); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,5 +236,58 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 	// O(history).
 	if rs.Records > 4*users+64 {
 		t.Fatalf("replayed %d records for %d live users — compaction not bounding the file", rs.Records, preSessions)
+	}
+}
+
+// TestJournalSubscriptionReplaceOrder: racing replaces of one
+// subscription id (and, every other round, an unsubscribe racing them)
+// must reach the WAL in the order they took effect in memory — Apply
+// submits the record while the registry lock is held — so a crash replays
+// the same winner the live server ended up with.
+func TestJournalSubscriptionReplaceOrder(t *testing.T) {
+	src := NewServer(newTestSystem(t), Options{})
+	path := attachTestJournal(t, src, journal.Options{NoSync: true})
+	const rounds, writers = 200, 4
+	for r := 0; r < rounds; r++ {
+		id := fmt.Sprintf("contested-%03d", r)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if w == 0 && r%2 == 1 {
+					_, err = src.Unsubscribe(id)
+				} else {
+					_, err = src.Subscribe(id, SubscriptionSpec{User: "peter", Target: "TvProgram", Limit: 1 + w})
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	dst := NewServer(newTestSystem(t), Options{})
+	replayInto(t, dst, path)
+	limits := func(srv *Server) map[string]int {
+		out := make(map[string]int)
+		for _, info := range srv.Subscriptions() {
+			out[info.ID] = info.Limit
+		}
+		return out
+	}
+	live, replayed := limits(src), limits(dst)
+	if len(live) < rounds/2 {
+		t.Fatalf("only %d live subscriptions after %d rounds", len(live), rounds)
+	}
+	if len(replayed) != len(live) {
+		t.Fatalf("replay restored %d subscriptions, live server holds %d", len(replayed), len(live))
+	}
+	for id, want := range live {
+		if got, ok := replayed[id]; !ok || got != want {
+			t.Fatalf("subscription %s: replayed limit %d (present %v), live limit %d — journal order != apply order", id, got, ok, want)
+		}
 	}
 }

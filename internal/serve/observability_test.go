@@ -124,14 +124,19 @@ func TestRequestIDs(t *testing.T) {
 func TestAccessLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	ts, _ := newObservedServer(t, nil, &buf)
+	lastLine := func() accessLine {
+		t.Helper()
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		var line accessLine
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
+			t.Fatalf("unparseable log line %q: %v", lines[len(lines)-1], err)
+		}
+		return line
+	}
+
 	call(t, ts, "PUT", "/v1/sessions/bob/context",
 		`{"measurements":[{"concept":"Ctx","prob":1}]}`, http.StatusOK, nil)
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	var line accessLine
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
-		t.Fatalf("unparseable log line %q: %v", lines[len(lines)-1], err)
-	}
+	line := lastLine()
 	if line.Method != "PUT" || line.Route != "PUT /v1/sessions/{user}/context" {
 		t.Errorf("method/route = %q %q", line.Method, line.Route)
 	}
@@ -140,6 +145,13 @@ func TestAccessLogLine(t *testing.T) {
 	}
 	if line.Path != "/v1/sessions/bob/context" || line.Bytes <= 0 || line.TS == "" {
 		t.Errorf("path/bytes/ts = %q %d %q", line.Path, line.Bytes, line.TS)
+	}
+
+	// The drop names its user too.
+	call(t, ts, "DELETE", "/v1/sessions/bob", "", http.StatusOK, nil)
+	line = lastLine()
+	if line.Route != "DELETE /v1/sessions/{user}" || line.Status != http.StatusOK || line.User != "bob" {
+		t.Errorf("DELETE route/status/user = %q %d %q", line.Route, line.Status, line.User)
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,45 +15,24 @@ import (
 // rank-result entries.
 const DefaultPlanCacheSize = 256
 
-// planKey keys one compiled rank plan. The facade epoch invalidates plans
-// on every data/rule/external-context mutation, the context epoch on every
-// merged session apply (which retires and re-declares context events for
-// *all* users, so the updated user's fingerprint alone would not be enough
-// — see Sessions.ctxEpoch), and the rules fingerprint pins the exact rule
-// set the plan compiled. Fields are length-prefixed like rankKey's.
-func planKey(user, rulesFP string, epoch, ctxEpoch int64) string {
-	var b strings.Builder
-	b.Grow(len(user) + len(rulesFP) + 48)
-	field := func(s string) {
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
-	}
-	field(user)
-	field(rulesFP)
-	b.WriteString(strconv.FormatInt(epoch, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(ctxEpoch, 10))
-	return b.String()
+// planBaseKey is the identity under which successive context epochs'
+// plans are predecessors of one another: (user, facade epoch). Every
+// data, vocabulary and rule change is an Apply inside a facade write
+// section that bumps the epoch, so the epoch alone pins the rule set the
+// plan compiled. A cache miss at the full key probes this index for the
+// user's latest plan at the same epoch and incrementally refreshes it
+// instead of recompiling. The user is length-prefixed like rankKey's
+// fields.
+func planBaseKey(user string, epoch int64) string {
+	return strconv.Itoa(len(user)) + ":" + user + strconv.FormatInt(epoch, 10)
 }
 
-// planBaseKey is planKey without the context epoch: the identity under
-// which successive context epochs' plans are predecessors of one another.
-// A cache miss at the full key probes this index for the user's latest
-// plan at the same (rules, data epoch) and incrementally refreshes it
-// instead of recompiling.
-func planBaseKey(user, rulesFP string, epoch int64) string {
-	var b strings.Builder
-	b.Grow(len(user) + len(rulesFP) + 32)
-	field := func(s string) {
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
-	}
-	field(user)
-	field(rulesFP)
-	b.WriteString(strconv.FormatInt(epoch, 10))
-	return b.String()
+// planKey keys one compiled rank plan: the base key plus the context
+// epoch, which moves on every merged session apply (an apply retires and
+// re-declares context events for *all* users, so the updated user's
+// fingerprint alone would not be enough — see Sessions.ctxEpoch).
+func planKey(baseKey string, ctxEpoch int64) string {
+	return baseKey + "|" + strconv.FormatInt(ctxEpoch, 10)
 }
 
 // planEntry is one cached compiled plan. A nil plan is a negative entry:
@@ -120,7 +98,7 @@ func (c *planCache) get(key string) (*contextrank.RankPlan, bool) {
 }
 
 // getLatest returns the most recently added live plan under the base key
-// (user, rules fingerprint, data epoch) regardless of context epoch — the
+// (user, facade epoch) regardless of context epoch — the
 // predecessor an incremental refresh starts from. Negative entries are
 // skipped: the cluster bound is a property of the footprint partition and a
 // refresh would just rediscover it.

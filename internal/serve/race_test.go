@@ -11,7 +11,7 @@ import (
 // TestConcurrentRankersAndMutators is the serving layer's core guarantee
 // under the race detector: many goroutines ranking through the cache while
 // one goroutine mutates facts, rules and session contexts through the
-// facade. Afterwards the cache must agree with a fresh uncached ranking
+// server's mutators. Afterwards the cache must agree with a fresh uncached ranking
 // for every user (invalidation-by-epoch correctness).
 func TestConcurrentRankersAndMutators(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
@@ -21,7 +21,7 @@ func TestConcurrentRankersAndMutators(t *testing.T) {
 		if i%2 == 1 {
 			ctx = "CtxB"
 		}
-		if _, err := srv.Sessions().Set(u, []Measurement{{Concept: ctx, Prob: 1}}); err != nil {
+		if _, err := srv.SetSession(u, []Measurement{{Concept: ctx, Prob: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,22 +52,20 @@ func TestConcurrentRankersAndMutators(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f := srv.Facade()
 		for i := 0; i < mutations; i++ {
 			var err error
 			switch i % 4 {
 			case 0:
-				err = f.AssertRole("hasGenre", fmt.Sprintf("tv%02d", i%10), fmt.Sprintf("g%d", i%2), 0.8)
+				_, err = srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: fmt.Sprintf("tv%02d", i%10), Dst: fmt.Sprintf("g%d", i%2), Prob: 0.8}})
 			case 1:
-				id := fmt.Sprintf("mut%03d", i)
-				err = f.AssertConcept("TvProgram", id, 1)
+				_, err = srv.Assert([]ConceptAssertion{{Concept: "TvProgram", ID: fmt.Sprintf("mut%03d", i), Prob: 1}}, nil)
 			case 2:
-				_, err = f.AddRule(fmt.Sprintf(
+				_, _, err = srv.AddRules([]string{fmt.Sprintf(
 					"RULE mut%03d WHEN MutCtx%d PREFER TvProgram AND EXISTS hasGenre.{g%d} WITH 0.5",
-					i, i, i%2))
+					i, i, i%2)})
 			case 3:
 				user := users[i%len(users)]
-				_, err = srv.Sessions().Set(user, []Measurement{
+				_, err = srv.SetSession(user, []Measurement{
 					{Concept: "CtxA", Prob: 0.5 + 0.4*float64(i%2)},
 					{Concept: "CtxB", Prob: 0.3},
 				})
@@ -126,7 +124,7 @@ func TestConcurrentSessionChurn(t *testing.T) {
 				if (w+i)%2 == 0 {
 					ctx = "CtxB"
 				}
-				if _, err := srv.Sessions().Set(user, []Measurement{{Concept: ctx, Prob: 1}}); err != nil {
+				if _, err := srv.SetSession(user, []Measurement{{Concept: ctx, Prob: 1}}); err != nil {
 					errs <- err
 					return
 				}
@@ -135,7 +133,7 @@ func TestConcurrentSessionChurn(t *testing.T) {
 					return
 				}
 				if i%20 == 19 {
-					if err := srv.Sessions().Drop(user); err != nil {
+					if err := srv.DropSession(user); err != nil {
 						errs <- err
 						return
 					}

@@ -11,7 +11,9 @@
 //     mutation such as SetContext (clear concepts, declare events, assert
 //     memberships) is not atomic with respect to a concurrent Rank. The
 //     facade makes it atomic: rankers and queries take the read lock,
-//     mutators take the write lock and bump a monotonic epoch.
+//     writes take the write lock and bump a monotonic epoch. It is lock +
+//     epoch + read helpers only; every mutation of a live server goes
+//     through Server.Apply.
 //
 //   - Sessions keeps one context per user and merges all user contexts
 //     into a single situation snapshot on every update, so many situated
@@ -31,14 +33,19 @@
 //     membership propagates across role edges and the update degrades to
 //     a full epoch bump (see Sessions).
 //
+// Every mutation — context apply, vocabulary write, subscription — is a
+// journal.Record fed to Server.Apply (apply.go), the one place that
+// applies, journals and pokes the subscription evaluator; the typed
+// Backend mutators are record builders over it.
+//
 // Handler exposes the whole thing over HTTP/JSON through the Backend
 // interface (cmd/carserved is the daemon around it). The shard subpackage
 // scales the layer horizontally: a shard.Coordinator owns N Servers,
-// routes per-user traffic by consistent hash and broadcasts vocabulary
-// writes, behind the same Backend interface. The journal subpackage makes
-// session state crash-durable: with a WAL attached (AttachJournal), every
-// acknowledged Set/Drop is fsynced before the acknowledgement and boot
-// replays it through the ordinary apply path. See DESIGN.md §3/§3.5/§3.6
+// routes per-user records by consistent hash and broadcasts vocabulary
+// records, behind the same Backend interface. The journal subpackage makes
+// state crash-durable: with a WAL attached (AttachJournal), every
+// acknowledged mutation is fsynced before the acknowledgement and boot
+// replays the records through the same Apply. See DESIGN.md §3/§3.5/§3.6
 // for the architecture discussion.
 package serve
 
@@ -52,25 +59,21 @@ import (
 )
 
 // Facade serializes access to a contextrank.System: read operations
-// (ranking, queries) run concurrently under a shared lock, mutating
-// operations (schema, assertions, rules, context, DML) run exclusively and
-// advance the epoch.
+// (ranking, queries) run concurrently under a shared lock, writes
+// (schema, assertions, rules, context, DML) run exclusively and advance
+// the epoch. It is the lock, the epoch and the read helpers; a live
+// server is mutated through Server.Apply, which takes the write side via
+// WithWriteEpoch.
 //
-// The epoch is bumped even when a mutator returns an error, because several
-// mutators apply partially before failing (e.g. AddRule auto-declares
-// context concepts before validating the preference vocabulary). Epoch
-// over-invalidation is harmless — it can never serve a stale ranking.
+// The epoch is bumped even when a write returns an error, because several
+// System mutators apply partially before failing (e.g. AddRule
+// auto-declares context concepts before validating the preference
+// vocabulary). Epoch over-invalidation is harmless — it can never serve a
+// stale ranking.
 type Facade struct {
 	mu    sync.RWMutex
 	sys   *contextrank.System
 	epoch atomic.Int64
-	// externalCtx records that the current situation snapshot was applied
-	// through Facade.SetContext rather than the session manager. The next
-	// session apply clears that snapshot's concepts (situation.Apply
-	// retracts the previous context), changing session-less users'
-	// rankings, so it must bump the epoch — their cache keys carry no
-	// fingerprint that could otherwise invalidate them. Guarded by mu.
-	externalCtx bool
 }
 
 // NewFacade wraps the system. The caller must stop touching sys directly;
@@ -80,8 +83,7 @@ func NewFacade(sys *contextrank.System) *Facade {
 }
 
 // Epoch returns the current mutation epoch. It increases monotonically;
-// two Rank calls observing the same epoch saw the same data, rules and
-// facade-applied context.
+// two Rank calls observing the same epoch saw the same data and rules.
 func (f *Facade) Epoch() int64 { return f.epoch.Load() }
 
 // WithRead runs fn under the shared lock. fn must not mutate the system.
@@ -91,7 +93,11 @@ func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
 	return fn(f.sys)
 }
 
-// WithWrite runs fn under the exclusive lock and bumps the epoch.
+// WithWrite runs fn under the exclusive lock and bumps the epoch. It is
+// the raw escape hatch (tests, diagnostics): what fn changes is not
+// journaled, not gated on degraded mode and does not wake the
+// subscription evaluator — use the Server's mutators for anything that
+// must survive a crash.
 func (f *Facade) WithWrite(fn func(sys *contextrank.System) error) error {
 	_, err := f.WithWriteEpoch(fn)
 	return err
@@ -105,15 +111,6 @@ func (f *Facade) WithWriteEpoch(fn func(sys *contextrank.System) error) (int64, 
 	defer f.mu.Unlock()
 	err := fn(f.sys)
 	return f.epoch.Add(1), err
-}
-
-// bumpEpoch advances the epoch under the write lock without touching the
-// system — used to invalidate rankings that may have been computed (and
-// cached) against transiently inconsistent state.
-func (f *Facade) bumpEpoch() {
-	f.mu.Lock()
-	f.epoch.Add(1)
-	f.mu.Unlock()
 }
 
 // withReadEpoch runs fn under the shared lock, passing the epoch observed
@@ -153,7 +150,8 @@ func (f *Facade) RankQuery(user, sqlQuery string, opts contextrank.RankOptions) 
 }
 
 // Query runs a SQL query under the read lock. Like RankQuery it accepts
-// only SELECT statements; anything that writes must go through Exec.
+// only SELECT statements; anything that writes must go through the
+// server's Exec.
 func (f *Facade) Query(stmt string) (*contextrank.QueryResult, error) {
 	if err := ensureSelect(stmt); err != nil {
 		return nil, err
@@ -181,94 +179,4 @@ func (f *Facade) Rules() []contextrank.Rule {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.sys.Rules().Rules()
-}
-
-// RuleCount returns the number of registered rules without copying them.
-func (f *Facade) RuleCount() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.Rules().Len()
-}
-
-// AnalyzeRules runs the repository analysis under the read lock.
-func (f *Facade) AnalyzeRules() []contextrank.Finding {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.AnalyzeRules()
-}
-
-// --- Write operations (each bumps the epoch) -------------------------------
-
-// DeclareConcept registers atomic concepts.
-func (f *Facade) DeclareConcept(names ...string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.DeclareConcept(names...)
-	})
-}
-
-// DeclareRole registers roles.
-func (f *Facade) DeclareRole(names ...string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.DeclareRole(names...)
-	})
-}
-
-// SubConcept records a TBox axiom sub ⊑ super.
-func (f *Facade) SubConcept(sub, super string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.SubConcept(sub, super)
-	})
-}
-
-// AssertConcept asserts a (possibly uncertain) concept membership.
-func (f *Facade) AssertConcept(concept, id string, prob float64) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.AssertConcept(concept, id, prob)
-	})
-}
-
-// AssertRole asserts a (possibly uncertain) role tuple.
-func (f *Facade) AssertRole(role, src, dst string, prob float64) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.AssertRole(role, src, dst, prob)
-	})
-}
-
-// AddRule parses and registers a scored preference rule.
-func (f *Facade) AddRule(text string) (contextrank.Rule, error) {
-	var rule contextrank.Rule
-	err := f.WithWrite(func(sys *contextrank.System) error {
-		r, err := sys.AddRule(text)
-		rule = r
-		return err
-	})
-	return rule, err
-}
-
-// RemoveRule deletes a rule by name.
-func (f *Facade) RemoveRule(name string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.Rules().Remove(name)
-	})
-}
-
-// SetContext replaces the system's context snapshot. Prefer Sessions for
-// per-user contexts: this facade-level call invalidates every user's cached
-// rankings (epoch bump), a session update only the one user's.
-func (f *Facade) SetContext(ctx *contextrank.Context) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		f.externalCtx = true
-		return sys.SetContext(ctx)
-	})
-}
-
-// Exec runs a SQL statement that may write, under the exclusive lock.
-func (f *Facade) Exec(stmt string) (*contextrank.QueryResult, error) {
-	var res *contextrank.QueryResult
-	err := f.WithWrite(func(sys *contextrank.System) error {
-		r, err := sys.Exec(stmt)
-		res = r
-		return err
-	})
-	return res, err
 }

@@ -54,7 +54,8 @@ func sameResults(t *testing.T, got, want []contextrank.Result) {
 }
 
 func TestFacadeEpochDiscipline(t *testing.T) {
-	f := NewFacade(newTestSystem(t))
+	srv := NewServer(newTestSystem(t), Options{})
+	f := srv.Facade()
 	e0 := f.Epoch()
 
 	// Read operations leave the epoch alone.
@@ -71,17 +72,30 @@ func TestFacadeEpochDiscipline(t *testing.T) {
 		t.Fatalf("reads bumped epoch: %d -> %d", e0, f.Epoch())
 	}
 
-	// Every mutator bumps it exactly once.
+	// Every vocabulary mutator bumps it exactly once — through Apply, the
+	// only writer — and so does the raw escape hatch.
 	steps := []func() error{
-		func() error { return f.DeclareConcept("Documentary") },
-		func() error { return f.DeclareRole("hasSubject") },
-		func() error { return f.AssertConcept("Documentary", "d1", 0.7) },
-		func() error { return f.AssertRole("hasSubject", "d1", "nature", 1) },
-		func() error { _, err := f.AddRule("RULE r2 WHEN CtxC PREFER Documentary WITH 0.5"); return err },
-		func() error { return f.SetContext(contextrank.NewContext("peter").Certain("CtxA")) },
-		func() error { _, err := f.Exec("CREATE TABLE scratch (id TEXT)"); return err },
-		func() error { return f.RemoveRule("r2") },
-		func() error { return f.SubConcept("Documentary", "TvProgram") },
+		func() error { _, err := srv.Declare([]string{"Documentary"}, nil, nil); return err },
+		func() error { _, err := srv.Declare(nil, []string{"hasSubject"}, nil); return err },
+		func() error {
+			_, err := srv.Assert([]ConceptAssertion{{Concept: "Documentary", ID: "d1", Prob: 0.7}}, nil)
+			return err
+		},
+		func() error {
+			_, err := srv.Assert(nil, []RoleAssertion{{Role: "hasSubject", Src: "d1", Dst: "nature", Prob: 1}})
+			return err
+		},
+		func() error {
+			_, _, err := srv.AddRules([]string{"RULE r2 WHEN CtxC PREFER Documentary WITH 0.5"})
+			return err
+		},
+		func() error { _, _, err := srv.Exec("CREATE TABLE scratch (id TEXT)"); return err },
+		func() error { _, err := srv.RemoveRule("r2"); return err },
+		func() error {
+			_, err := srv.Declare(nil, nil, []SubConceptDecl{{Sub: "Documentary", Super: "TvProgram"}})
+			return err
+		},
+		func() error { return f.WithWrite(func(*contextrank.System) error { return nil }) },
 	}
 	for i, step := range steps {
 		before := f.Epoch()
@@ -102,8 +116,8 @@ func TestFacadeEpochDiscipline(t *testing.T) {
 
 	// A failing mutator still bumps (partial effects must invalidate).
 	before := f.Epoch()
-	if _, err := f.AddRule("RULE bad WHEN CtxD PREFER Undeclared WITH 0.5"); err == nil {
-		t.Fatal("expected AddRule error")
+	if _, _, err := srv.AddRules([]string{"RULE bad WHEN CtxD PREFER Undeclared WITH 0.5"}); err == nil {
+		t.Fatal("expected AddRules error")
 	}
 	if f.Epoch() != before+1 {
 		t.Fatalf("failed mutator did not bump epoch")

@@ -34,7 +34,9 @@ type Options struct {
 // behind one facade — and shard.Coordinator, which routes per-user
 // operations to one of N Servers by consistent hash and broadcasts
 // vocabulary writes to all of them. The handler is written against this
-// interface so both serve the identical HTTP API.
+// interface so both serve the identical HTTP API. Both get the mutating
+// methods from the embedded Mutators — record builders over their Apply —
+// and implement only Apply and the reads themselves.
 type Backend interface {
 	// Rank ranks target for user through the backend's cache(s).
 	Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error)
@@ -83,30 +85,25 @@ type Backend interface {
 	Stats() Stats
 }
 
-// SubConceptDecl is one TBox axiom sub ⊑ super in a Declare call.
-type SubConceptDecl struct {
-	Sub   string
-	Super string
-}
-
-// ConceptAssertion is one concept-membership assertion in an Assert call.
-type ConceptAssertion struct {
-	Concept string
-	ID      string
-	Prob    float64
-}
-
-// RoleAssertion is one role-tuple assertion in an Assert call.
-type RoleAssertion struct {
-	Role string
-	Src  string
-	Dst  string
-	Prob float64
-}
+// The declare/assert item types are the journal's wire types: a record
+// is the command, so the typed mutators pass their arguments through
+// without a conversion loop.
+type (
+	// SubConceptDecl is one TBox axiom sub ⊑ super in a Declare call.
+	SubConceptDecl = journal.SubDecl
+	// ConceptAssertion is one concept-membership assertion in an Assert call.
+	ConceptAssertion = journal.ConceptAssert
+	// RoleAssertion is one role-tuple assertion in an Assert call.
+	RoleAssertion = journal.RoleAssert
+)
 
 // Server is the complete serving layer: facade + sessions + rank cache +
 // statistics. It is safe for concurrent use by any number of goroutines.
 type Server struct {
+	// Mutators are Backend's typed write methods, record builders over
+	// Apply (the server's one mutation path).
+	Mutators
+
 	facade   *Facade
 	sessions *Sessions
 	cache    *rankCache // nil when caching is disabled
@@ -116,6 +113,12 @@ type Server struct {
 	subs     *subRegistry
 	start    time.Time
 	requests atomic.Int64
+	// wal, when attached, makes every acknowledged mutation crash-durable:
+	// Apply submits the record inside the critical section that applied it
+	// and waits for the group-commit fsync after the locks are released.
+	// The rank path never touches it. Atomic so the lock-free Stats scrape
+	// can read it.
+	wal atomic.Pointer[journal.Journal]
 }
 
 var _ Backend = (*Server)(nil)
@@ -130,8 +133,8 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 		subs:    newSubRegistry(),
 		start:   time.Now(),
 	}
+	srv.Mutators = MutatorsOver(srv)
 	srv.sessions = newSessions(srv.facade)
-	srv.sessions.health = srv.health
 	if opts.CacheSize >= 0 {
 		srv.cache = newRankCache(opts.CacheSize)
 	}
@@ -144,19 +147,20 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 // Facade returns the locking facade for direct (uncached) operations.
 func (s *Server) Facade() *Facade { return s.facade }
 
-// Sessions returns the per-user session manager.
+// Sessions returns the per-user session manager (read helpers; session
+// writes go through SetSession/DropSession).
 func (s *Server) Sessions() *Sessions { return s.sessions }
 
-// AttachJournal arms the write-ahead log (see Sessions.AttachJournal):
-// every acknowledged mutation — session updates AND vocabulary/data
-// writes (Declare/Assert/AddRules/RemoveRule/Exec) — is then fsynced to
-// the journal inside the critical section that applied it, before the
-// acknowledgement. The server does not own the journal's lifecycle; the
+// AttachJournal arms the write-ahead log: from now on every mutation
+// Apply acknowledges — session, vocabulary/data and subscription writes
+// alike — is durable (fsynced via group commit) first. Attach before
+// serving traffic; attaching replaces any previous journal without
+// closing it. The server does not own the journal's lifecycle; the
 // caller (shard.Coordinator.Recover, or a test) closes it.
-func (s *Server) AttachJournal(j *journal.Journal) { s.sessions.AttachJournal(j) }
+func (s *Server) AttachJournal(j *journal.Journal) { s.wal.Store(j) }
 
 // Journal returns the attached WAL, or nil.
-func (s *Server) Journal() *journal.Journal { return s.sessions.Journal() }
+func (s *Server) Journal() *journal.Journal { return s.wal.Load() }
 
 // RankMeta describes how a Rank call was served.
 type RankMeta struct {
@@ -174,7 +178,7 @@ func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]cont
 	s.requests.Add(1)
 
 	// AppliedFingerprint is lock-free, so it is safe both here and inside
-	// the facade read lock below (Sessions.Set holds its own mutex across
+	// the facade read lock below (a session apply holds its own mutex across
 	// the facade write lock, so Sessions.Fingerprint — which takes that
 	// mutex — would deadlock there). If a session update lands between
 	// this read and the ranking, the compute closure re-reads fingerprint
@@ -226,9 +230,9 @@ func planAlgorithm(alg contextrank.Algorithm) bool {
 
 // rankTarget computes one uncached target ranking. Must run under the
 // facade read lock with e the epoch observed under that lock: the plan
-// fetched (or compiled) here is keyed by (user, rules fingerprint, e,
-// context epoch), all of which are stable while the lock is held, so a
-// cached plan can never be stale for the snapshot being read.
+// fetched (or compiled) here is keyed by (user, e, context epoch), all of
+// which are stable while the lock is held, so a cached plan can never be
+// stale for the snapshot being read.
 func (s *Server) rankTarget(sys *contextrank.System, user, target string, opts contextrank.RankOptions, e int64) ([]contextrank.Result, error) {
 	if !planAlgorithm(opts.Algorithm) {
 		return sys.RankWith(user, target, opts)
@@ -247,25 +251,25 @@ func (s *Server) rankTarget(sys *contextrank.System, user, target string, opts c
 }
 
 // planFor returns the user's compiled rank plan for the current (epoch,
-// context epoch, rule set), compiling and caching it on a miss. Must run
-// under the facade read lock (see rankTarget). A rule set whose footprint
-// partition exceeds the cluster bound is cached as a nil entry — a
-// negative verdict — so repeated requests at the same state fail fast into
-// the per-candidate fallback instead of recompiling.
+// context epoch), compiling and caching it on a miss. Must run under the
+// facade read lock (see rankTarget). A rule set whose footprint partition
+// exceeds the cluster bound is cached as a nil entry — a negative verdict
+// — so repeated requests at the same state fail fast into the
+// per-candidate fallback instead of recompiling.
 //
 // A miss caused purely by a context-epoch advance — the user's plan at the
-// same (rules, data epoch) exists for an older context — is served by
-// incrementally refreshing that predecessor instead of recompiling: the
-// refresh re-resolves only the context side and carries over the
-// preference membership maps, footprints and unaffected document-side
-// distributions (see contextrank.RefreshRankPlan). Refresh failures fall
-// back to a full compile; correctness never depends on the fast path.
+// same epoch exists for an older context — is served by incrementally
+// refreshing that predecessor instead of recompiling: the refresh
+// re-resolves only the context side and carries over the preference
+// membership maps, footprints and unaffected document-side distributions
+// (see contextrank.RefreshRankPlan). Refresh failures fall back to a full
+// compile; correctness never depends on the fast path.
 func (s *Server) planFor(sys *contextrank.System, user string, e int64) (*contextrank.RankPlan, error) {
 	if s.plans == nil {
 		return sys.CompileRankPlan(user)
 	}
-	baseKey := planBaseKey(user, sys.RulesFingerprint(), e)
-	key := planKey(user, sys.RulesFingerprint(), e, s.sessions.ContextEpoch())
+	baseKey := planBaseKey(user, e)
+	key := planKey(baseKey, s.sessions.ContextEpoch())
 	if plan, ok := s.plans.get(key); ok {
 		if plan == nil {
 			return nil, contextrank.ErrPlanClusterBound
@@ -433,227 +437,15 @@ func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankI
 	return out, meta, nil
 }
 
-// --- Backend write/read operations -----------------------------------------
-
-// finishJournal completes a mutator's journal handoff after the facade
-// lock is released: the wait function (from a Submit made inside the
-// write critical section) blocks until the record's group commit is
-// fsynced, so concurrent mutators share one sync. An apply error wins —
-// the client saw no acknowledgement, so durability of the partial prefix
-// is best-effort. A journal error on a successful apply is surfaced as
-// "applied but not journaled" — the state changed in memory but the
-// caller must not treat it as durable — and, with degraded mode armed,
-// engages it: rec is kept on the unjournaled tail so ProbeDisk can
-// re-journal it when the disk recovers.
-func (s *Server) finishJournal(opErr error, wait func() error, rec journal.Record, what string) error {
-	if wait == nil {
-		return opErr
-	}
-	jerr := wait()
-	if opErr != nil {
-		return opErr
-	}
-	if jerr != nil {
-		s.health.noteJournalError(rec, jerr)
-		return fmt.Errorf("serve: %s applied but not journaled: %w", what, notJournaled{jerr})
-	}
-	return nil
-}
-
-// Declare registers concepts, roles and subconcept axioms in one epoch.
-func (s *Server) Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return 0, err
-	}
-	return s.DeclareTagged(0, concepts, roles, subs)
-}
-
-// DeclareTagged is Declare carrying a broadcast id (the shard coordinator
-// tags each broadcast write so every shard journals the same record with
-// the same BID; see journal.Record.BID). Items are applied one at a time
-// and the journal record holds exactly the applied prefix: on a mid-list
-// error the items already applied stay applied (the established
-// partial-mutation policy) and stay durable, while the failed item is
-// neither applied nor journaled — replay never re-fails.
-func (s *Server) DeclareTagged(bid uint64, concepts, roles []string, subs []SubConceptDecl) (int64, error) {
-	var wait func() error
-	rec := journal.Record{Op: journal.OpDeclare, BID: bid}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		var opErr error
-		for _, c := range concepts {
-			if opErr = sys.DeclareConcept(c); opErr != nil {
-				break
-			}
-			rec.Concepts = append(rec.Concepts, c)
-		}
-		if opErr == nil {
-			for _, r := range roles {
-				if opErr = sys.DeclareRole(r); opErr != nil {
-					break
-				}
-				rec.Roles = append(rec.Roles, r)
-			}
-		}
-		if opErr == nil {
-			for _, sc := range subs {
-				if opErr = sys.SubConcept(sc.Sub, sc.Super); opErr != nil {
-					break
-				}
-				rec.Subs = append(rec.Subs, journal.SubDecl{Sub: sc.Sub, Super: sc.Super})
-			}
-		}
-		if len(rec.Concepts)+len(rec.Roles)+len(rec.Subs) > 0 {
-			if j := s.sessions.Journal(); j != nil {
-				rec.Epoch = s.facade.Epoch()
-				wait = j.Submit(rec)
-			}
-		}
-		return opErr
-	})
-	s.pokeSubs() // a partial apply still moved the epoch
-	return epoch, s.finishJournal(err, wait, rec, "declare")
-}
-
-// Assert adds concept and role assertions in one epoch. Concepts that are
-// currently session-context vocabulary are refused: the next context apply
-// would clear the assertion (the check runs inside the write critical
-// section, where session applies also hold the lock, so there is no TOCTOU
-// window).
-func (s *Server) Assert(concepts []ConceptAssertion, roles []RoleAssertion) (int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return 0, err
-	}
-	return s.AssertTagged(0, concepts, roles)
-}
-
-// AssertTagged is Assert carrying a broadcast id; see DeclareTagged for
-// the BID and applied-prefix journaling contract.
-func (s *Server) AssertTagged(bid uint64, concepts []ConceptAssertion, roles []RoleAssertion) (int64, error) {
-	var wait func() error
-	rec := journal.Record{Op: journal.OpAssert, BID: bid}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		var opErr error
-		for _, a := range concepts {
-			if s.sessions.IsSessionConcept(a.Concept) {
-				opErr = fmt.Errorf(
-					"serve: concept %q is session-context vocabulary; the next context apply would clear the assertion — manage it via /v1/sessions instead", a.Concept)
-				break
-			}
-			if opErr = sys.AssertConcept(a.Concept, a.ID, a.Prob); opErr != nil {
-				break
-			}
-			rec.ConceptAsserts = append(rec.ConceptAsserts, journal.ConceptAssert{Concept: a.Concept, ID: a.ID, Prob: a.Prob})
-		}
-		if opErr == nil {
-			for _, a := range roles {
-				if opErr = sys.AssertRole(a.Role, a.Src, a.Dst, a.Prob); opErr != nil {
-					break
-				}
-				rec.RoleAsserts = append(rec.RoleAsserts, journal.RoleAssert{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob})
-			}
-		}
-		if len(rec.ConceptAsserts)+len(rec.RoleAsserts) > 0 {
-			if j := s.sessions.Journal(); j != nil {
-				rec.Epoch = s.facade.Epoch()
-				wait = j.Submit(rec)
-			}
-		}
-		return opErr
-	})
-	s.pokeSubs()
-	return epoch, s.finishJournal(err, wait, rec, "assert")
-}
+// --- Backend read operations ----------------------------------------------
+// (The write half of Backend is the embedded Mutators over Apply.)
 
 // Rules snapshots the registered preference rules.
 func (s *Server) Rules() []contextrank.Rule { return s.facade.Rules() }
 
-// AddRules parses and registers rules, returning the added names. On error
-// the names added before the failure stay registered (matching the facade's
-// partial-mutation policy; the epoch bump invalidates cached rankings) —
-// and, with a journal attached, stay durable: the record holds exactly the
-// applied prefix of rule texts.
-func (s *Server) AddRules(texts []string) ([]string, int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return nil, 0, err
-	}
-	return s.AddRulesTagged(0, texts)
-}
-
-// AddRulesTagged is AddRules carrying a broadcast id; see DeclareTagged.
-func (s *Server) AddRulesTagged(bid uint64, texts []string) ([]string, int64, error) {
-	var added []string
-	var wait func() error
-	rec := journal.Record{Op: journal.OpAddRules, BID: bid}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		var opErr error
-		for _, text := range texts {
-			rule, aerr := sys.AddRule(text)
-			if aerr != nil {
-				opErr = aerr
-				break
-			}
-			added = append(added, rule.Name)
-			rec.Rules = append(rec.Rules, text)
-		}
-		if len(rec.Rules) > 0 {
-			if j := s.sessions.Journal(); j != nil {
-				rec.Epoch = s.facade.Epoch()
-				wait = j.Submit(rec)
-			}
-		}
-		return opErr
-	})
-	s.pokeSubs()
-	return added, epoch, s.finishJournal(err, wait, rec, "add rules")
-}
-
-// RemoveRule deletes a rule by name. The removal is journaled on success
-// only — a failed remove mutated nothing.
-func (s *Server) RemoveRule(name string) (int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return 0, err
-	}
-	return s.RemoveRuleTagged(0, name)
-}
-
-// RemoveRuleTagged is RemoveRule carrying a broadcast id; see DeclareTagged.
-func (s *Server) RemoveRuleTagged(bid uint64, name string) (int64, error) {
-	var wait func() error
-	rec := journal.Record{Op: journal.OpRemoveRule, BID: bid, Rule: name}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		if rerr := sys.Rules().Remove(name); rerr != nil {
-			return rerr
-		}
-		if j := s.sessions.Journal(); j != nil {
-			rec.Epoch = s.facade.Epoch()
-			wait = j.Submit(rec)
-		}
-		return nil
-	})
-	s.pokeSubs()
-	return epoch, s.finishJournal(err, wait, rec, "rule removal")
-}
-
-// SetSession replaces the user's session context. The context apply is
-// what moves subscription scores most often, so it pokes the standing-
-// subscription evaluator on its way out (even on error: a journal
-// failure leaves the context applied in memory — see Sessions.Set).
-func (s *Server) SetSession(user string, ms []Measurement) (string, error) {
-	fp, err := s.sessions.Set(user, ms)
-	s.pokeSubs()
-	return fp, err
-}
-
 // SessionInfo returns the user's measurements and fingerprint.
 func (s *Server) SessionInfo(user string) ([]Measurement, string, bool) {
 	return s.sessions.Snapshot(user)
-}
-
-// DropSession ends the user's session.
-func (s *Server) DropSession(user string) error {
-	err := s.sessions.Drop(user)
-	s.pokeSubs()
-	return err
 }
 
 // Query runs a read-only SELECT through the facade.
@@ -661,60 +453,23 @@ func (s *Server) Query(stmt string) (*contextrank.QueryResult, error) {
 	return s.facade.Query(stmt)
 }
 
-// Exec runs a mutating SQL statement, returning the new epoch. The
-// statement is journaled on success only: a failed statement's partial
-// effects (if any) are not re-created by replay — they are also the one
-// divergence a checkpoint can capture that the WAL does not, which is
-// acceptable because the client was told the statement failed.
-func (s *Server) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return nil, 0, err
-	}
-	return s.ExecTagged(0, stmt)
-}
-
-// ExecTagged is Exec carrying a broadcast id; see DeclareTagged.
-func (s *Server) ExecTagged(bid uint64, stmt string) (*contextrank.QueryResult, int64, error) {
-	var res *contextrank.QueryResult
-	var wait func() error
-	rec := journal.Record{Op: journal.OpExec, BID: bid, Stmt: stmt}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		r, rerr := sys.Exec(stmt)
-		res = r
-		if rerr != nil {
-			return rerr
-		}
-		if j := s.sessions.Journal(); j != nil {
-			rec.Epoch = s.facade.Epoch()
-			wait = j.Submit(rec)
-		}
-		return nil
-	})
-	s.pokeSubs()
-	return res, epoch, s.finishJournal(err, wait, rec, "exec")
-}
-
-// SaveSnapshot dumps the wrapped system as JSON to w with the merged
+// CheckpointDump dumps the wrapped system as JSON to w with the merged
 // session context suspended (see Sessions.SuspendAndDump): the snapshot
 // carries data, vocabulary, views and rules but never session context, so
 // a server restored from it accepts session applies immediately. The dump
-// runs under the write lock — a consistent cut — and bumps the epoch.
-func (s *Server) SaveSnapshot(w io.Writer) error {
-	_, err := s.CheckpointDump(w)
-	return err
-}
-
-// CheckpointDump is SaveSnapshot returning the journal sequence number
-// the snapshot covers: every record with Seq <= the returned value is
-// reflected in the dump, every later record is not. The capture is exact
-// because SuspendAndDump holds both the session mutex and the facade
-// write lock across fn, and every journal Submit happens under the facade
-// write lock — no record can land between the cut and the dump. A server
-// without a journal returns seq 0.
+// runs under the write lock — a consistent cut — and bumps the epoch. It
+// returns the journal sequence number the snapshot covers: every record
+// with Seq <= the returned value is reflected in the dump, every later
+// record is not. The capture is exact because SuspendAndDump holds both
+// the session mutex and the facade write lock across fn, and Apply
+// submits every session and vocabulary record under those locks — none
+// can land between the cut and the dump (subscription records can, but
+// checkpoints never truncate them). A server without a journal returns
+// seq 0.
 func (s *Server) CheckpointDump(w io.Writer) (uint64, error) {
 	var seq uint64
 	err := s.sessions.SuspendAndDump(func(sys *contextrank.System) error {
-		if j := s.sessions.Journal(); j != nil {
+		if j := s.wal.Load(); j != nil {
 			seq = j.Seq()
 		}
 		return sys.SaveSnapshot(w)
@@ -738,9 +493,9 @@ type Stats struct {
 	// snapshot's events) — a growing value here means an event leak.
 	Events int        `json:"events"`
 	Cache  CacheStats `json:"cache"`
-	// Plans is the compiled-rank-plan cache: one entry per (user, rule
-	// set, epoch, context epoch), shared by every target and batch item
-	// that user ranks at that state.
+	// Plans is the compiled-rank-plan cache: one entry per (user, epoch,
+	// context epoch), shared by every target and batch item that user
+	// ranks at that state.
 	Plans   CacheStats   `json:"plan_cache"`
 	Latency LatencyStats `json:"latency"`
 	// Health is the failure-domain state: healthy, degraded (journal
@@ -882,7 +637,7 @@ func (s *Server) Stats() Stats {
 		st.Plans = s.plans.stats()
 	}
 	st.Health = s.health.healthInfo()
-	if j := s.sessions.Journal(); j != nil {
+	if j := s.wal.Load(); j != nil {
 		// Journal counters are atomics; reading them keeps the scrape
 		// lock-free.
 		js := j.Stats()

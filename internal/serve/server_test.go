@@ -9,7 +9,7 @@ import (
 
 func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +31,7 @@ func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 
 	// A data mutation bumps the epoch and must invalidate: the next rank
 	// recomputes and equals a fresh uncached ranking.
-	if err := srv.Facade().AssertRole("hasGenre", "tv01", "g0", 0.9); err != nil {
+	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: "tv01", Dst: "g0", Prob: 0.9}}); err != nil {
 		t.Fatal(err)
 	}
 	r3, m3, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
@@ -67,10 +67,10 @@ func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 
 func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	epochBefore := srv.Facade().Epoch()
@@ -84,7 +84,7 @@ func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 	}
 
 	// Maria's context changes. Session updates must not bump the epoch...
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Facade().Epoch(); got != epochBefore {
@@ -121,18 +121,18 @@ func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 func TestSessionFingerprints(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	s := srv.Sessions()
-	fp1, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
+	fp1, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp2, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 0.5}})
+	fp2, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp1 == fp2 {
 		t.Fatal("different measurements must fingerprint differently")
 	}
-	fp3, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
+	fp3, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,43 +161,43 @@ func TestSessionFingerprints(t *testing.T) {
 	if users := s.Users(); len(users) != 1 || users[0] != "peter" {
 		t.Fatalf("Users = %v", users)
 	}
-	if err := s.Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	if s.Count() != 0 {
 		t.Fatal("session survived Drop")
 	}
-	if err := s.Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal("double Drop should be a no-op, got", err)
 	}
 }
 
 func TestSessionValidation(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("", nil); err == nil {
+	if _, err := srv.SetSession("", nil); err == nil {
 		t.Fatal("empty user accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "", Prob: 1}}); err == nil {
 		t.Fatal("empty concept accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1.5}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1.5}}); err == nil {
 		t.Fatal("probability > 1 accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: math.NaN()}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: math.NaN()}}); err == nil {
 		t.Fatal("NaN probability accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: math.NaN(), Exclusive: "g"},
 		{Concept: "CtxB", Prob: 0.1, Exclusive: "g"},
 	}); err == nil {
 		t.Fatal("NaN exclusive-group probability accepted")
 	}
 	// Only the session's own user may be asserted.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Individual: "maria", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Individual: "maria", Prob: 1}}); err == nil {
 		t.Fatal("foreign individual accepted")
 	}
 	// Exclusive group probabilities must sum to at most 1.
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: 0.7, Exclusive: "loc"},
 		{Concept: "CtxB", Prob: 0.7, Exclusive: "loc"},
 	}); err == nil {
@@ -213,7 +213,7 @@ func TestSessionRefusesDataConcepts(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	// TvProgram holds ten data assertions; a session context naming it
 	// would clear the catalog on apply.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
 		t.Fatal("data concept accepted as session context")
 	}
 	// The catalog must be untouched by the rejected update.
@@ -227,7 +227,7 @@ func TestSessionRefusesDataConcepts(t *testing.T) {
 	// Pure context concepts — even rule-declared ones — stay usable, and
 	// re-use after a prior apply (own rows in the table) stays accepted.
 	for i := 0; i < 2; i++ {
-		if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+		if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestFacadeReadPathRejectsDML(t *testing.T) {
 
 func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
@@ -271,11 +271,11 @@ func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 	// "Ctx-X" sanitizes to the same table as "Ctx_X", so declaring the
 	// latter makes a session on the former fail *inside* Context.Apply,
 	// after it may already have cleared other users' context assertions.
-	if err := srv.Facade().DeclareConcept("Ctx_X"); err != nil {
+	if _, err := srv.Declare([]string{"Ctx_X"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	epochBefore := srv.Facade().Epoch()
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "Ctx-X", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "Ctx-X", Prob: 1}}); err == nil {
 		t.Fatal("colliding concept accepted")
 	}
 	// Two bumps: one from the failed apply, one after the restore so
@@ -298,15 +298,17 @@ func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 
 func TestSessionGuardDetectsForeignAssertions(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Someone injects data into the accepted context concept.
-	if err := srv.Facade().AssertConcept("CtxA", "intruder", 1); err != nil {
+	if err := srv.Facade().WithWrite(func(sys *contextrank.System) error {
+		return sys.AssertConcept("CtxA", "intruder", 1)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// The next apply would clear that row; it must be refused instead.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 0.9}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 0.9}}); err == nil {
 		t.Fatal("apply over foreign assertions accepted")
 	}
 	res, err := srv.Facade().Query("SELECT id FROM c_CtxA")
@@ -329,7 +331,7 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(sys, Options{})
-	if err := srv.Facade().AssertRole("watchesWith", "bob", "ada", 1); err != nil {
+	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "watchesWith", Src: "bob", Dst: "ada", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,7 +347,7 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 	// rule's role filler, so bob's ranking changes: the update must
 	// invalidate globally.
 	before := srv.Facade().Epoch()
-	if _, err := srv.Sessions().Set("ada", []Measurement{{Concept: "InKitchen", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("ada", []Measurement{{Concept: "InKitchen", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Facade().Epoch() == before {
@@ -369,7 +371,7 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 
 	// Role-free vocabulary keeps the per-user fast path.
 	before = srv.Facade().Epoch()
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Facade().Epoch() != before {
@@ -379,20 +381,22 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 
 func TestSessionGuardProtectsRetractedConcepts(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Facade().AssertConcept("CtxA", "intruder", 1); err != nil {
+	if err := srv.Facade().WithWrite(func(sys *contextrank.System) error {
+		return sys.AssertConcept("CtxA", "intruder", 1)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Switching to CtxB retracts CtxA (it leaves the snapshot), which
 	// would clear the intruder row — must be refused even though CtxA is
 	// not in the new measurement list.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxB", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxB", Prob: 1}}); err == nil {
 		t.Fatal("retraction over foreign assertions accepted")
 	}
 	// Dropping the session retracts it just the same.
-	if err := srv.Sessions().Drop("peter"); err == nil {
+	if err := srv.DropSession("peter"); err == nil {
 		t.Fatal("drop over foreign assertions accepted")
 	}
 	res, err := srv.Facade().Query("SELECT id FROM c_CtxA")
@@ -406,7 +410,7 @@ func TestSessionGuardProtectsRetractedConcepts(t *testing.T) {
 
 func TestAlgorithmSpellingsShareCacheEntry(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil {
@@ -421,68 +425,24 @@ func TestAlgorithmSpellingsShareCacheEntry(t *testing.T) {
 	}
 }
 
-func TestSessionApplyInvalidatesFacadeContextUsers(t *testing.T) {
-	srv := NewServer(newTestSystem(t), Options{})
-	f := srv.Facade()
-	// Peter's context arrives through the facade, not a session: his
-	// cache key carries no fingerprint.
-	if err := f.SetContext(contextrank.NewContext("peter").Certain("CtxA")); err != nil {
-		t.Fatal(err)
-	}
-	r1, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, m2, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil || !m2.Cached {
-		t.Fatalf("expected cached hit (err %v)", err)
-	}
-	// Zoe's session apply retracts the facade snapshot, changing peter's
-	// rankings — it must invalidate his fingerprint-less cache entries.
-	if _, err := srv.Sessions().Set("zoe", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	r3, m3, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3.Cached {
-		t.Fatal("stale facade-context ranking served from cache after session apply")
-	}
-	fresh, err := f.RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, r3, fresh)
-	if r1[0].Score == r3[0].Score {
-		t.Fatal("retracting CtxA left peter's top score unchanged — invalidation test is vacuous")
-	}
-	// Subsequent session applies (no external context anymore) keep the
-	// no-bump fast path.
-	before := f.Epoch()
-	if _, err := srv.Sessions().Set("zoe", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Epoch() != before {
-		t.Fatal("session apply without a facade context bumped the epoch")
-	}
-}
-
 func TestSessionGuardCountsDistinctRows(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	// Two measurements of the same (concept, individual) merge into one
 	// table row; the guard must count 1, not 2.
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: 1},
 		{Concept: "CtxA", Prob: 0.9},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Facade().AssertConcept("CtxA", "intruder", 1); err != nil {
+	if err := srv.Facade().WithWrite(func(sys *contextrank.System) error {
+		return sys.AssertConcept("CtxA", "intruder", 1)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Table now holds 2 rows (peter + intruder); with the inflated count
 	// of 2 the foreign row would slip through and be destroyed.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err == nil {
 		t.Fatal("foreign assertion not detected after duplicate measurements")
 	}
 }
@@ -493,7 +453,7 @@ func TestAppliedFingerprintPublication(t *testing.T) {
 	if got := s.AppliedFingerprint("peter"); got != "" {
 		t.Fatalf("fingerprint before any session = %q", got)
 	}
-	fp, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
+	fp, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,13 +461,13 @@ func TestAppliedFingerprintPublication(t *testing.T) {
 		t.Fatalf("applied fingerprint %q != returned %q", got, fp)
 	}
 	// A rejected update leaves the applied fingerprint at the old value.
-	if _, err := s.Set("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
 		t.Fatal("expected rejection")
 	}
 	if got := s.AppliedFingerprint("peter"); got != fp {
 		t.Fatalf("rejected update changed applied fingerprint to %q", got)
 	}
-	if err := s.Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.AppliedFingerprint("peter"); got != "" {
@@ -517,7 +477,7 @@ func TestAppliedFingerprintPublication(t *testing.T) {
 
 func TestServerWithCacheDisabled(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{CacheSize: -1})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -537,7 +497,7 @@ func TestServerWithCacheDisabled(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

@@ -11,7 +11,6 @@ import (
 	contextrank "repro"
 	"repro/internal/dl"
 	"repro/internal/mapping"
-	"repro/internal/serve/journal"
 	"repro/internal/situation"
 )
 
@@ -45,8 +44,7 @@ type Measurement = situation.Measurement
 //   - A session may only assert its own user (Measurement.Individual must
 //     be empty or equal to the session user). Asserting other individuals
 //     could change other users' rankings without invalidating their
-//     cached entries; multi-individual snapshots belong on
-//     Facade.SetContext, whose epoch bump invalidates everyone.
+//     cached entries.
 //   - A session may not use a concept that already holds data assertions
 //     (applying a context clears and re-asserts its concepts, which would
 //     destroy the data — e.g. a session context named "TvProgram" would
@@ -56,14 +54,12 @@ type Measurement = situation.Measurement
 // A *failed* apply does bump the epoch: the snapshot application is
 // multi-step and may have partially destroyed the previous context, so
 // every cached ranking is conservatively invalidated (the same
-// over-invalidation policy as Facade mutators).
+// over-invalidation policy as the facade's write path).
+//
+// Sessions has no exported mutators: set and drop are reached only
+// through Server.Apply, which journals and pokes around them.
 type Sessions struct {
 	f *Facade
-	// health is the owning server's journal failure domain: session
-	// mutations are rejected while degraded, and a journal error on an
-	// applied Set/Drop is reported so degraded mode can engage. Nil-safe
-	// (sessions built outside a Server have no health tracking).
-	health *diskHealth
 
 	mu    sync.Mutex
 	users map[string]*session
@@ -102,14 +98,6 @@ type Sessions struct {
 	// section — checking before taking the lock would leave a TOCTOU
 	// window in which a session could claim the concept first.
 	appliedConcepts sync.Map
-
-	// wal, when attached, makes session state crash-durable: every
-	// successful Set/Drop is submitted to the write-ahead log while s.mu
-	// is still held (so journal order equals apply order) and waited for
-	// *after* the release, so successive applies share one group-commit
-	// fsync instead of serializing on the disk. The rank path never
-	// touches it. Atomic so the lock-free Stats scrape can read it.
-	wal atomic.Pointer[journal.Journal]
 }
 
 type session struct {
@@ -126,29 +114,24 @@ func newSessions(f *Facade) *Sessions {
 	}
 }
 
-// Set replaces the user's session context with the given measurements and
-// applies the merged snapshot. It returns the new context fingerprint.
-// An empty measurement list is a valid "no context" session.
-func (s *Sessions) Set(user string, measurements []Measurement) (string, error) {
+// validateSession checks a session update before any lock is taken.
+func validateSession(user string, measurements []Measurement) error {
 	if user == "" {
-		return "", fmt.Errorf("serve: session user must be non-empty")
-	}
-	if err := s.health.checkWritable(); err != nil {
-		return "", err
+		return fmt.Errorf("serve: session user must be non-empty")
 	}
 	exclusiveSums := make(map[string]float64)
 	for _, m := range measurements {
 		if m.Concept == "" {
-			return "", fmt.Errorf("serve: measurement without a concept")
+			return fmt.Errorf("serve: measurement without a concept")
 		}
 		// Positive form so NaN is rejected too (NaN fails every
 		// comparison, so `< 0 || > 1` would let it through into the
 		// event space).
 		if !(m.Prob >= 0 && m.Prob <= 1) {
-			return "", fmt.Errorf("serve: measurement %s has probability %g outside [0,1]", m.Concept, m.Prob)
+			return fmt.Errorf("serve: measurement %s has probability %g outside [0,1]", m.Concept, m.Prob)
 		}
 		if m.Individual != "" && m.Individual != user {
-			return "", fmt.Errorf("serve: session for %q may not assert individual %q; use the facade's SetContext for multi-individual snapshots", user, m.Individual)
+			return fmt.Errorf("serve: session for %q may not assert individual %q", user, m.Individual)
 		}
 		if m.Exclusive != "" {
 			exclusiveSums[m.Exclusive] += m.Prob
@@ -156,44 +139,27 @@ func (s *Sessions) Set(user string, measurements []Measurement) (string, error) 
 	}
 	for group, sum := range exclusiveSums {
 		if !(sum <= 1+1e-9) {
-			return "", fmt.Errorf("serve: exclusive group %q probabilities sum to %g > 1", group, sum)
+			return fmt.Errorf("serve: exclusive group %q probabilities sum to %g > 1", group, sum)
 		}
 	}
-	fp, wait, err := s.setValidated(user, measurements)
-	if err != nil {
-		return "", err
-	}
-	if wait != nil {
-		if jerr := wait(); jerr != nil {
-			// The session is applied in memory but not durable; the caller
-			// never gets a success acknowledgement, so the recovery
-			// guarantee ("every acknowledged update survives a crash")
-			// holds. A retry re-applies and re-journals idempotently. With
-			// degraded mode armed the record joins the unjournaled tail so
-			// ProbeDisk re-journals it when the disk recovers — the WAL
-			// must end up agreeing with the in-memory state it missed.
-			s.health.noteJournalError(journal.Record{
-				Op:           journal.OpSet,
-				User:         user,
-				Measurements: ToJournalMeasurements(measurements),
-				Fingerprint:  fp,
-			}, jerr)
-			return "", fmt.Errorf("serve: session for %q applied but not journaled: %w", user, notJournaled{jerr})
-		}
-	}
-	return fp, nil
+	return nil
 }
 
-// setValidated is Set's locked body. On success it returns the new
-// fingerprint plus, when a journal is attached, a durability wait function
-// submitted while s.mu was held — the caller invokes it after the lock is
-// released so concurrent session applies batch into one fsync.
-func (s *Sessions) setValidated(user string, measurements []Measurement) (string, func() error, error) {
+// set replaces the user's session context with ms (which it takes
+// ownership of; empty is a valid "no context" session), applies the
+// merged snapshot and returns the new context fingerprint. commit is
+// Server.Apply's journal submit: it runs with the fingerprint after a
+// successful apply, while s.mu and the facade write lock are still held,
+// so the journal's total order is exactly the apply order across session
+// and vocabulary writes. A failed apply commits nothing: the journal
+// records only state that actually took effect.
+func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (string, error) {
+	if err := validateSession(user, ms); err != nil {
+		return "", err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev, had := s.users[user]
-	ms := make([]Measurement, len(measurements))
-	copy(ms, measurements)
 	// The concepts whose assertions this update actually changes: the
 	// user's previous and new vocabulary. Other sessions' measurements
 	// are re-applied with identical probabilities, so they change
@@ -212,12 +178,9 @@ func (s *Sessions) setValidated(user string, measurements []Measurement) (string
 	// Refresh the lock-free count mirror after the map settles (including
 	// the rollback below); runs while s.mu is still held.
 	defer func() { s.count.Store(int64(len(s.users))) }()
-	// Apply and journal inside one facade write critical section: every
-	// mutation — session or vocabulary — submits its record while holding
-	// f.mu, so the journal's total order is exactly the apply order across
-	// both kinds of writes.
 	f := s.f
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if err := s.applyMergedFacadeLocked(changed); err != nil {
 		// Roll back the bookkeeping, then best-effort re-apply the
 		// previous state: a failed apply may have cleared other users'
@@ -227,8 +190,7 @@ func (s *Sessions) setValidated(user string, measurements []Measurement) (string
 		// epoch, but a ranking landing between that bump and the restore
 		// can still cache a torn-context result under the new epoch —
 		// bump once more after the restore so nothing cached inside the
-		// window survives. Nothing is journaled: the journal records only
-		// state that actually took effect.
+		// window survives.
 		if had {
 			s.users[user] = prev
 		} else {
@@ -236,63 +198,25 @@ func (s *Sessions) setValidated(user string, measurements []Measurement) (string
 		}
 		_ = s.applyMergedFacadeLocked(changed)
 		f.epoch.Add(1)
-		f.mu.Unlock()
-		return "", nil, err
+		return "", err
 	}
-	var wait func() error
-	if j := s.wal.Load(); j != nil {
-		wait = j.Submit(journal.Record{
-			Op:           journal.OpSet,
-			User:         user,
-			Measurements: ToJournalMeasurements(ms),
-			Fingerprint:  sess.fingerprint,
-			Epoch:        f.Epoch(),
-		})
-	}
-	f.mu.Unlock()
-	return sess.fingerprint, wait, nil
+	commit(sess.fingerprint)
+	return sess.fingerprint, nil
 }
 
-// Drop ends the user's session and re-applies the remaining sessions'
+// drop ends the user's session and re-applies the remaining sessions'
 // merged context, which retires the dropped user's basic events from the
 // event space along with the rest of the previous snapshot's. Dropping an
-// unknown user is a no-op in memory but is still journaled when a WAL is
-// attached: the previous drop of that user may have been applied and then
-// failed its journal write (the client saw an error and is retrying), and
-// without a Drop record the WAL would still hold a live Set whose crash
-// replay resurrects the acknowledged-dropped session.
-func (s *Sessions) Drop(user string) error {
-	if err := s.health.checkWritable(); err != nil {
-		return err
-	}
-	wait, err := s.dropLocked(user)
-	if err != nil {
-		return err
-	}
-	if wait != nil {
-		if jerr := wait(); jerr != nil {
-			s.health.noteJournalError(journal.Record{Op: journal.OpDrop, User: user}, jerr)
-			return fmt.Errorf("serve: session drop for %q applied but not journaled: %w", user, notJournaled{jerr})
-		}
-	}
-	return nil
-}
-
-// dropLocked is Drop's locked body; see setValidated for the journal
-// submit/wait split.
-func (s *Sessions) dropLocked(user string) (func() error, error) {
+// unknown user is a no-op in memory but still commits (see Server.Apply
+// on the resurrection guard; compaction treats drops of absent users as
+// dead, so these cost nothing durable). See set for commit.
+func (s *Sessions) drop(user string, commit func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess, ok := s.users[user]
 	if !ok {
-		// See Drop: the record must land even without an in-memory
-		// session, or a retried drop could leave a resurrectable Set in
-		// the WAL. Compaction treats drops of absent users as dead, so
-		// these cost nothing durable.
-		if j := s.wal.Load(); j != nil {
-			return j.Submit(journal.Record{Op: journal.OpDrop, User: user, Epoch: s.f.Epoch()}), nil
-		}
-		return nil, nil
+		commit()
+		return nil
 	}
 	changed := make(map[string]bool)
 	for _, m := range sess.measurements {
@@ -300,33 +224,23 @@ func (s *Sessions) dropLocked(user string) (func() error, error) {
 	}
 	delete(s.users, user)
 	defer func() { s.count.Store(int64(len(s.users))) }() // before the s.mu unlock
-	// Same apply+submit-in-one-critical-section discipline as setValidated.
 	f := s.f
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if err := s.applyMergedFacadeLocked(changed); err != nil {
-		// Same restore-and-bump policy as Set: the drop did not take
+		// Same restore-and-bump policy as set: the drop did not take
 		// effect, and anything cached during the torn window dies.
 		s.users[user] = sess
 		_ = s.applyMergedFacadeLocked(changed)
 		f.epoch.Add(1)
-		f.mu.Unlock()
-		return nil, err
+		return err
 	}
-	var wait func() error
-	if j := s.wal.Load(); j != nil {
-		wait = j.Submit(journal.Record{
-			Op:    journal.OpDrop,
-			User:  user,
-			Epoch: f.Epoch(),
-		})
-	}
-	f.mu.Unlock()
-	return wait, nil
+	commit()
+	return nil
 }
 
 // Fingerprint returns the user's current context fingerprint, or "" when
-// the user has no session (ranking then sees whatever context, if any, was
-// applied through the facade directly).
+// the user has no session.
 func (s *Sessions) Fingerprint(user string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,10 +325,10 @@ func (s *Sessions) ContextEpoch() int64 { return s.ctxEpoch.Load() }
 // event space. changed names the concepts whose assertions this operation
 // adds, alters or retracts (the updated user's old and new vocabulary) —
 // used to decide whether the update couples to other users through role
-// edges. Callers hold s.mu AND the facade write lock (setValidated and
-// dropLocked inline the facade lock so the journal submit lands in the
-// same critical section as the apply; SuspendAndDump runs it inside the
-// same critical section as the retraction and the dump). The lock order
+// edges. Callers hold s.mu AND the facade write lock (set and drop take
+// the facade lock directly so the journal commit lands in the same
+// critical section as the apply; SuspendAndDump runs it inside the same
+// critical section as the retraction and the dump). The lock order
 // is always s.mu before facade.mu, and the rank path never takes s.mu
 // while holding the facade lock (it uses AppliedFingerprint).
 func (s *Sessions) applyMergedFacadeLocked(changed map[string]bool) error {
@@ -482,14 +396,7 @@ func (s *Sessions) applyMergedFacadeLocked(changed map[string]bool) error {
 			return fmt.Errorf("serve: concept %q holds %d assertions not made by the session layer; refusing to use it as session context (applying would clear them) — use a dedicated context concept", c, n-s.appliedRows[c])
 		}
 	}
-	// Applying the merged snapshot retracts the previous one. When that
-	// previous snapshot came from Facade.SetContext, session-less users
-	// lose their context here, and no fingerprint of theirs can change —
-	// bump the epoch to invalidate their cached rankings.
-	if f.externalCtx {
-		f.epoch.Add(1)
-		f.externalCtx = false
-	} else if s.rolesCoupleLocked(changed) {
+	if s.rolesCoupleLocked(changed) {
 		// A concept this update changes appears inside a role-restriction
 		// filler of a registered rule (e.g. WHEN ∃watchesWith.InKitchen):
 		// asserting the user's own membership can then flip the rule for
@@ -540,10 +447,10 @@ func (s *Sessions) applyMergedFacadeLocked(changed map[string]bool) error {
 // contain only durable state: session context is never part of a
 // snapshot, and a restored server's session manager starts with clean
 // concept tables instead of refusing its own vocabulary as foreign data.
-// Session persistence is the journal's job (AttachJournal): boot-time
-// replay re-applies the journaled measurements through Set, the same
-// path live traffic takes — or, without a journal, context is simply
-// re-sensed after a restart (the paper's §5 position).
+// Session persistence is the journal's job (Server.AttachJournal):
+// boot-time replay re-applies the journaled records through Apply, the
+// same path live traffic takes — or, without a journal, context is
+// simply re-sensed after a restart (the paper's §5 position).
 //
 // The epoch is bumped on the way out regardless of outcome: a failed
 // re-apply leaves the context torn, and conservative invalidation is the
@@ -605,47 +512,6 @@ func roleFillerConcepts(e *dl.Expr, inFiller bool, out map[string]bool) {
 	for _, a := range e.Args() {
 		roleFillerConcepts(a, inside, out)
 	}
-}
-
-// AttachJournal arms the session write-ahead log: from now on every
-// successful Set/Drop is durable (fsynced via group commit) before it is
-// acknowledged. Attach before serving traffic; attaching replaces any
-// previous journal without closing it.
-func (s *Sessions) AttachJournal(j *journal.Journal) { s.wal.Store(j) }
-
-// Journal returns the attached session WAL, or nil.
-func (s *Sessions) Journal() *journal.Journal { return s.wal.Load() }
-
-// ToJournalMeasurements converts serving-layer measurements to the
-// journal's stable wire shape.
-func ToJournalMeasurements(ms []Measurement) []journal.Measurement {
-	out := make([]journal.Measurement, len(ms))
-	for i, m := range ms {
-		out[i] = journal.Measurement{
-			Concept:    m.Concept,
-			Individual: m.Individual,
-			Prob:       m.Prob,
-			Exclusive:  m.Exclusive,
-			Source:     m.Source,
-		}
-	}
-	return out
-}
-
-// FromJournalMeasurements is ToJournalMeasurements' inverse, used by
-// boot-time replay to feed journaled records back through SetSession.
-func FromJournalMeasurements(ms []journal.Measurement) []Measurement {
-	out := make([]Measurement, len(ms))
-	for i, m := range ms {
-		out[i] = Measurement{
-			Concept:    m.Concept,
-			Individual: m.Individual,
-			Prob:       m.Prob,
-			Exclusive:  m.Exclusive,
-			Source:     m.Source,
-		}
-	}
-	return out
 }
 
 // fingerprint hashes a session's measurements (FNV-64a). The user is mixed

@@ -70,17 +70,11 @@ func maskBit(i int) uint64 {
 	return 1 << uint(i)
 }
 
-// rerouteIndex picks the replacement shard for a user whose home shard
-// is quarantined: jump-hash over the healthy subset, so every rerouted
-// user lands deterministically on the same replica until the mask
-// changes. Allocation-free (the quarantined path is rare but sits under
-// the rank hot path).
-func rerouteIndex(user string, mask uint64, n int) int {
-	healthy := n - bits.OnesCount64(mask)
-	if healthy <= 0 {
-		return ShardIndex(user, n)
-	}
-	k := ShardIndex(user, healthy)
+// nthHealthy returns the k-th (0-based) non-quarantined shard index. The
+// last healthy shard is never quarantined, so k == 0 always resolves.
+// Allocation-free (the quarantined path is rare but sits under the rank
+// hot path).
+func nthHealthy(k int, mask uint64, n int) int {
 	for i := 0; i < n; i++ {
 		if mask&maskBit(i) != 0 {
 			continue
@@ -90,7 +84,15 @@ func rerouteIndex(user string, mask uint64, n int) int {
 		}
 		k--
 	}
-	return ShardIndex(user, n)
+	return 0
+}
+
+// rerouteIndex picks the replacement shard for a user whose home shard
+// is quarantined: jump-hash over the healthy subset, so every rerouted
+// user lands deterministically on the same replica until the mask
+// changes.
+func rerouteIndex(user string, mask uint64, n int) int {
+	return nthHealthy(ShardIndex(user, n-bits.OnesCount64(mask)), mask, n)
 }
 
 // routeFor is ShardFor with quarantine awareness: the user's home shard
@@ -204,18 +206,18 @@ func (c *Coordinator) quarantineLocked(i int, sinceBID uint64, cause error) bool
 // already hold every record with BID > the quarantine point, and no new
 // one can land mid-repair.
 //
-// Records are applied through the shard's Tagged mutators under their
-// original broadcast ids, so the repaired shard's own WAL stays an
-// independently replayable full log. An apply that fails twice is
-// skipped and counted (Stats reports RepairSkipped) rather than wedging
-// the repair — broadcast writes are assert-style and a later broadcast
-// of the same fact converges the replica. A *panic* during the replay is
-// different: the engine is still wedged, so the repair aborts (behind a
-// recover barrier — it must not kill the probe goroutine) and the shard
-// stays quarantined for the next probe round. The attached fault
-// injector fires at broadcast.apply here too, so an armed per-shard
-// fault keeps the shard fenced until it is cleared, exactly like a real
-// still-broken engine.
+// Records are fed to the shard's Apply — the same function live traffic
+// and boot replay use — still carrying their original broadcast ids, so
+// the repaired shard's own WAL stays an independently replayable full
+// log. An apply that fails twice is skipped and counted (Stats reports
+// RepairSkipped) rather than wedging the repair — broadcast writes are
+// assert-style and a later broadcast of the same fact converges the
+// replica. A *panic* during the replay is different: the engine is still
+// wedged, so the repair aborts (behind a recover barrier — it must not
+// kill the probe goroutine) and the shard stays quarantined for the next
+// probe round. The attached fault injector fires at broadcast.apply here
+// too, so an armed per-shard fault keeps the shard fenced until it is
+// cleared, exactly like a real still-broken engine.
 //
 // After the replay, sessions applied on replicas while the shard was out
 // are migrated back to it, and the shard rejoins routing and broadcasts.
@@ -320,49 +322,14 @@ func (c *Coordinator) replayOntoShard(i, src int, target *serve.Server, sinceBID
 				return ferr // shard still faulted: abort, stay quarantined
 			}
 		}
-		aerr := applyVocabToShard(target, rec)
-		if aerr != nil {
-			aerr = applyVocabToShard(target, rec) // one retry: transient (journal hiccup) vs real
-		}
-		if aerr != nil {
-			c.quar.repairSkipped.Add(1)
+		if _, aerr := target.Apply(rec); aerr != nil {
+			// One retry: transient (journal hiccup) vs real.
+			if _, aerr = target.Apply(rec); aerr != nil {
+				c.quar.repairSkipped.Add(1)
+			}
 		}
 		return nil
 	})
-	return err
-}
-
-// applyVocabToShard re-applies one journaled vocabulary record to a
-// single shard under its original broadcast id — the single-shard twin
-// of applyVocabRecord, used by quarantine repair.
-func applyVocabToShard(s *serve.Server, rec journal.Record) error {
-	var err error
-	switch rec.Op {
-	case journal.OpDeclare:
-		subs := make([]serve.SubConceptDecl, len(rec.Subs))
-		for i, sd := range rec.Subs {
-			subs[i] = serve.SubConceptDecl{Sub: sd.Sub, Super: sd.Super}
-		}
-		_, err = s.DeclareTagged(rec.BID, rec.Concepts, rec.Roles, subs)
-	case journal.OpAssert:
-		concepts := make([]serve.ConceptAssertion, len(rec.ConceptAsserts))
-		for i, a := range rec.ConceptAsserts {
-			concepts[i] = serve.ConceptAssertion{Concept: a.Concept, ID: a.ID, Prob: a.Prob}
-		}
-		roles := make([]serve.RoleAssertion, len(rec.RoleAsserts))
-		for i, a := range rec.RoleAsserts {
-			roles[i] = serve.RoleAssertion{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob}
-		}
-		_, err = s.AssertTagged(rec.BID, concepts, roles)
-	case journal.OpAddRules:
-		_, _, err = s.AddRulesTagged(rec.BID, rec.Rules)
-	case journal.OpRemoveRule:
-		_, err = s.RemoveRuleTagged(rec.BID, rec.Rule)
-	case journal.OpExec:
-		_, _, err = s.ExecTagged(rec.BID, rec.Stmt)
-	default:
-		err = fmt.Errorf("shard: not a vocabulary record (op %d)", rec.Op)
-	}
 	return err
 }
 

@@ -30,8 +30,16 @@ func userOnShard(t *testing.T, n, want int) string {
 // threshold, its users reroute to a healthy replica, mutations keep
 // landing on the rest, and repair replays the missed WAL range — the
 // whole streak, including the failures before the threshold crossed —
-// migrates rerouted sessions home and readmits the shard.
+// migrates rerouted sessions home and readmits the shard. It runs once
+// with a middle shard fenced and once with shard 0, which used to be the
+// hard-coded representative replica for reads and broadcast results.
 func TestQuarantineRepairReadmit(t *testing.T) {
+	for _, bad := range []int{1, 0} {
+		t.Run(fmt.Sprintf("bad=%d", bad), func(t *testing.T) { testQuarantineRepairReadmit(t, bad) })
+	}
+}
+
+func testQuarantineRepairReadmit(t *testing.T, bad int) {
 	const n = 3
 	dir := t.TempDir()
 	c := newTestCoordinator(t, n)
@@ -40,7 +48,6 @@ func TestQuarantineRepairReadmit(t *testing.T) {
 	}
 	defer c.CloseJournals()
 
-	const bad = 1
 	c.SetQuarantineAfter(2)
 	in := faultinject.New(1)
 	c.SetFaultInjector(in)
@@ -77,6 +84,29 @@ func TestQuarantineRepairReadmit(t *testing.T) {
 	// would let compaction drop WAL records the repair still needs.
 	if err := c.Checkpoint(t.TempDir()); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("Checkpoint during quarantine = %v, want ErrQuarantined", err)
+	}
+
+	// Broadcast results and shard-agnostic reads come from a replica
+	// still in service — never the fenced one, which missed the writes.
+	added, _, err := c.AddRules([]string{"RULE QFENCE WHEN QFenceCtx PREFER TvProgram WITH 0.5"})
+	if err != nil || len(added) != 1 || added[0] != "QFENCE" {
+		t.Fatalf("AddRules while quarantined = (%v, %v), want [QFENCE]", added, err)
+	}
+	listed := false
+	for _, r := range c.Rules() {
+		listed = listed || r.Name == "QFENCE"
+	}
+	if !listed {
+		t.Fatal("Rules() read the fenced replica: QFENCE missing")
+	}
+	for i := 0; i < 2*n; i++ { // every round-robin position
+		res, err := c.Query("SELECT id FROM c_TvProgram")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Rows); !strings.Contains(got, "Derby") {
+			t.Fatalf("query %d read the fenced replica: %s", i, got)
+		}
 	}
 
 	// A user homed on the quarantined shard reroutes to a healthy
@@ -126,7 +156,7 @@ func TestQuarantineRepairReadmit(t *testing.T) {
 	// Bit-identity: the repaired shard serves the same ranking as a
 	// healthy one — including Quiz and Derby, asserted while it was
 	// failing (Quiz before the threshold crossed, Derby after).
-	ref := userOnShard(t, n, 0)
+	ref := userOnShard(t, n, (bad+1)%n)
 	if _, err := c.SetSession(ref, sessionFor(1)); err != nil {
 		t.Fatal(err)
 	}

@@ -49,17 +49,18 @@ type RecoveryStats = serve.RecoveryStats
 //     (session applies AND vocabulary/data writes) is journaled from
 //     here on.
 //  2. The previous generation (per the journal manifest, if any) is
-//     replayed in per-file sequence order. Session records go through the
-//     coordinator's *routed* SetSession/DropSession: each lands on
-//     whatever shard owns its user at the current shard count, so
-//     recovery at a different -shards value reassigns sessions exactly
-//     like live traffic would. Vocabulary records go through the
-//     *broadcast* apply path under their original broadcast id; because
-//     every shard's WAL carries a copy of every broadcast, the id dedups
-//     them to exactly one apply, and records the restored snapshot
-//     already covers (per the snapshot manifest's checkpoint fields,
-//     matched by journal generation) are skipped outright. Because the
-//     routed/broadcast applies are themselves journaled, the replay
+//     replayed in per-file sequence order by feeding each record to
+//     Coordinator.Apply, the function live traffic goes through. Session
+//     and subscription records are *routed*: each lands on whatever
+//     shard owns its user at the current shard count, so recovery at a
+//     different -shards value reassigns them exactly like live traffic
+//     would. Vocabulary records are *broadcast* under their original
+//     broadcast id (an untagged one — unsharded-server history — under a
+//     fresh id); because every shard's WAL carries a copy of every
+//     broadcast, the id dedups them to exactly one apply, and records the
+//     restored snapshot already covers (per the snapshot manifest's
+//     checkpoint fields, matched by journal generation) are skipped
+//     outright. Because Apply journals what it applies, the replay
 //     simultaneously rewrites the surviving state into the new
 //     generation (a free compaction).
 //  3. The manifest is switched to the new generation by atomic rename and
@@ -191,23 +192,7 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 			}
 			path := journalFile(dir, prev.Gen, i)
 			rs, err := journal.Replay(path, func(rec journal.Record) error {
-				switch rec.Op {
-				case journal.OpSet:
-					fp, err := c.SetSession(rec.User, serve.FromJournalMeasurements(rec.Measurements))
-					if err != nil {
-						preserve(rec)
-						return nil // keep replaying; one bad record must not lose the rest
-					}
-					if rec.Fingerprint != "" && fp != rec.Fingerprint {
-						stats.FingerprintMismatches++
-					}
-				case journal.OpDrop:
-					if err := c.DropSession(rec.User); err != nil {
-						preserve(rec)
-						return nil
-					}
-					stats.Drops++
-				case journal.OpDeclare, journal.OpAssert, journal.OpAddRules, journal.OpRemoveRule, journal.OpExec:
+				if rec.Op.IsVocab() {
 					// Skip what the restored snapshot already contains —
 					// by this shard's sequence cut, or by the broadcast
 					// frontier (both generation-gated above). Preserved
@@ -222,53 +207,45 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 						stats.SkippedDuplicate++
 						return nil
 					}
-					if err := c.applyVocabRecord(rec); err != nil {
-						preserve(rec)
-						return nil
+				}
+				// Replay order within a file matches append order, so a
+				// re-subscribe journals into the new generation (the push
+				// stream resumes without the client re-subscribing) and a
+				// later unsubscribe of the id retires it. A record whose
+				// apply fails — or whose op is from a newer format revision
+				// (serve.ErrUnknownOp) — is preserved verbatim rather than
+				// aborting the replay or being silently dropped: one bad
+				// record must not lose the rest, and a downgrade-then-upgrade
+				// cycle keeps the data.
+				out, err := c.Apply(rec)
+				if err != nil {
+					preserve(rec)
+					return nil
+				}
+				if rec.BID > 0 {
+					seenBID[rec.BID] = true
+				}
+				switch rec.Op {
+				case journal.OpSet:
+					if rec.Fingerprint != "" && out.Fingerprint != rec.Fingerprint {
+						stats.FingerprintMismatches++
 					}
-					if rec.BID > 0 {
-						seenBID[rec.BID] = true
-					}
-					switch rec.Op {
-					case journal.OpDeclare:
-						stats.Declares++
-					case journal.OpAssert:
-						stats.Asserts++
-					case journal.OpAddRules:
-						stats.RuleAdds++
-					case journal.OpRemoveRule:
-						stats.RuleRemoves++
-					case journal.OpExec:
-						stats.Execs++
-					}
+				case journal.OpDrop:
+					stats.Drops++
+				case journal.OpDeclare:
+					stats.Declares++
+				case journal.OpAssert:
+					stats.Asserts++
+				case journal.OpAddRules:
+					stats.RuleAdds++
+				case journal.OpRemoveRule:
+					stats.RuleRemoves++
+				case journal.OpExec:
+					stats.Execs++
 				case journal.OpSubscribe:
-					// Standing subscriptions re-register through the routed
-					// path: the re-subscribe journals into the new generation
-					// and the push stream resumes without the client
-					// re-subscribing (it reconnects to the same id).
-					if rec.Subscription == nil {
-						preserve(rec)
-						return nil
-					}
-					spec := serve.FromJournalSubscription(rec.User, *rec.Subscription)
-					if _, err := c.Subscribe(rec.SubID, spec); err != nil {
-						preserve(rec)
-						return nil
-					}
 					stats.Subscribes++
 				case journal.OpUnsubscribe:
-					// Replay order within a file matches append order, so this
-					// retires any earlier re-subscribe of the id.
-					if _, err := c.Unsubscribe(rec.SubID); err != nil {
-						preserve(rec)
-						return nil
-					}
 					stats.Unsubscribes++
-				default:
-					// A record from a newer format revision: preserve it
-					// verbatim rather than abort (or silently drop) — a
-					// downgrade-then-upgrade cycle keeps the data.
-					preserve(rec)
 				}
 				return nil
 			})
@@ -327,61 +304,6 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 	published := stats
 	c.recovery.Store(&published)
 	return stats, nil
-}
-
-// applyVocabRecord re-applies one journaled vocabulary record through the
-// broadcast path — every shard applies it and journals it into the new
-// generation. A record tagged with a broadcast id keeps it (so the new
-// generation's copies dedup exactly like the old one's); an untagged
-// record (unsharded-server history) is re-broadcast under a fresh id.
-func (c *Coordinator) applyVocabRecord(rec journal.Record) error {
-	var err error
-	apply := func(fn func(i int, s *serve.Server, bid uint64) (int64, error)) {
-		if rec.BID > 0 {
-			_, err = c.broadcastBID(rec.BID, fn)
-		} else {
-			_, err = c.broadcast(fn)
-		}
-	}
-	switch rec.Op {
-	case journal.OpDeclare:
-		subs := make([]serve.SubConceptDecl, len(rec.Subs))
-		for i, sd := range rec.Subs {
-			subs[i] = serve.SubConceptDecl{Sub: sd.Sub, Super: sd.Super}
-		}
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			return s.DeclareTagged(bid, rec.Concepts, rec.Roles, subs)
-		})
-	case journal.OpAssert:
-		concepts := make([]serve.ConceptAssertion, len(rec.ConceptAsserts))
-		for i, a := range rec.ConceptAsserts {
-			concepts[i] = serve.ConceptAssertion{Concept: a.Concept, ID: a.ID, Prob: a.Prob}
-		}
-		roles := make([]serve.RoleAssertion, len(rec.RoleAsserts))
-		for i, a := range rec.RoleAsserts {
-			roles[i] = serve.RoleAssertion{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob}
-		}
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			return s.AssertTagged(bid, concepts, roles)
-		})
-	case journal.OpAddRules:
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			_, e, aerr := s.AddRulesTagged(bid, rec.Rules)
-			return e, aerr
-		})
-	case journal.OpRemoveRule:
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			return s.RemoveRuleTagged(bid, rec.Rule)
-		})
-	case journal.OpExec:
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			_, e, xerr := s.ExecTagged(bid, rec.Stmt)
-			return e, xerr
-		})
-	default:
-		return fmt.Errorf("shard: not a vocabulary record (op %d)", rec.Op)
-	}
-	return err
 }
 
 // removeStaleJournals best-effort deletes WAL files from generations other

@@ -360,3 +360,70 @@ func TestCloseJournalsFailsLateSets(t *testing.T) {
 		t.Fatal("session update after CloseJournals succeeded silently")
 	}
 }
+
+// TestRecoverParentCommitWAL pins cross-version recovery: testdata/wal_pr17
+// is a 2-shard journal generation written by the commit before the single
+// Apply(Record) mutation path, over newTestCoordinator's base vocabulary —
+// four session Sets, a re-Set and a Drop; a declare whose third concept
+// collided (journaled as its two-concept applied prefix); a BID-tagged
+// assert, rule add, rule removal and exec (a copy in each shard's WAL); a
+// surviving subscription and a subscribe/unsubscribe pair; a Preserved Set
+// that can never apply (it names a data concept); and a record with an op
+// from a newer format revision. It must recover through Recover at a
+// smaller and a larger shard count with the stats that commit produced.
+func TestRecoverParentCommitWAL(t *testing.T) {
+	want := RecoveryStats{
+		Files: 2, Records: 21, Users: 3, Drops: 1,
+		Declares: 1, Asserts: 1, RuleAdds: 1, RuleRemoves: 1, Execs: 1,
+		SkippedDuplicate: 5, Subscribes: 2, Unsubscribes: 1, Failed: 2,
+	}
+	wantFP := map[string]string{"ann": "2652843f6771eb8c", "bob": "e6615f299bcef1ba", "cyd": "71c9a4f2a252dd37", "dee": "", "eve": ""}
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS("testdata/wal_pr17")); err != nil {
+				t.Fatal(err)
+			}
+			c := newTestCoordinator(t, n)
+			rs, err := c.Recover(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.CloseJournals()
+			if rs != want {
+				t.Fatalf("recovery stats\n got %+v\nwant %+v", rs, want)
+			}
+			for u, fp := range wantFP {
+				if _, got, _ := c.SessionInfo(u); got != fp {
+					t.Errorf("session %s fingerprint = %q, want %q", u, got, fp)
+				}
+			}
+			subs := c.Subscriptions()
+			if len(subs) != 1 || subs[0].ID != "fix-keep" || subs[0].User != "ann" || subs[0].Limit != 3 || subs[0].Threshold != 0.1 {
+				t.Errorf("subscriptions = %+v, want only fix-keep", subs)
+			}
+			if got := len(c.Rules()); got != 2 {
+				t.Errorf("%d rules, want 2 (R1 + FIXR; FIXGONE removed)", got)
+			}
+			if got, want := rankScores(t, c, "ann"), "Oprah=0.6065;Fixture=0.5660000000000001;BBCNews=0.53;"; got != want {
+				t.Errorf("ann ranks %s, want %s", got, want)
+			}
+			// The two records that could not apply are carried verbatim
+			// into the new generation, marked checkpoint-exempt.
+			preserved := make(map[journal.Op]journal.Record)
+			for i := 0; i < n; i++ {
+				if _, err := journal.Replay(journalFile(dir, c.journalGen, i), func(rec journal.Record) error {
+					if rec.Preserved {
+						preserved[rec.Op] = rec
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rec := preserved[journal.Op(42)]; len(preserved) != 2 || rec.User != "zed" || rec.Stmt != "from the future" || preserved[journal.OpSet].User != "eve" {
+				t.Errorf("preserved records = %+v, want eve's Set and zed's op-42 record", preserved)
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,12 +43,16 @@ import (
 //     broadcast of the same fact (all broadcast operations are
 //     assert-style and idempotent at the vocabulary level) or a restore
 //     from snapshot. The first error is returned to the caller.
-//   - Read-only SQL queries are served by one shard chosen round-robin.
-//     Replicated data is identical everywhere, but session-context
-//     assertions are shard-local: a query over context concepts sees only
-//     the chosen shard's sessions. Use per-user endpoints for
-//     session-coupled reads.
+//   - Read-only SQL queries are served by one non-quarantined shard
+//     chosen round-robin. Replicated data is identical everywhere, but
+//     session-context assertions are shard-local: a query over context
+//     concepts sees only the chosen shard's sessions. Use per-user
+//     endpoints for session-coupled reads.
 type Coordinator struct {
+	// Mutators are serve.Backend's typed write methods, record builders
+	// over Apply — the same ones serve.Server embeds.
+	serve.Mutators
+
 	shards []*serve.Server
 	start  time.Time
 	rr     atomic.Int64 // round-robin cursor for shard-agnostic reads
@@ -116,6 +121,7 @@ func New(n int, build func(shard int) (*contextrank.System, error), opts serve.O
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
 	c := &Coordinator{shards: make([]*serve.Server, n), start: time.Now()}
+	c.Mutators = serve.MutatorsOver(c)
 	c.quar.init(n)
 	for i := 0; i < n; i++ {
 		sys, err := build(i)
@@ -193,104 +199,78 @@ func (c *Coordinator) RankBatch(user string, alg contextrank.Algorithm, items []
 	return res, meta, err
 }
 
-// SetSession applies the user's session context on the user's shard only:
-// the merged apply and its write lock are shard-local. While the home
-// shard is quarantined the session lands on its healthy stand-in and the
-// user is recorded for migration back at repair time; the recording is
-// serialized with the repair's migration sweep, so a session can never
-// fall between the two.
-func (c *Coordinator) SetSession(user string, ms []serve.Measurement) (string, error) {
-	home := ShardIndex(user, len(c.shards))
-	if c.quar.mask.Load()&maskBit(home) == 0 {
-		return c.shards[home].SetSession(user, ms)
-	}
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	mask := c.quar.mask.Load()
-	if mask&maskBit(home) == 0 {
-		// Repaired between the fast-path check and the lock.
-		return c.shards[home].SetSession(user, ms)
-	}
-	fp, err := c.shards[rerouteIndex(user, mask, len(c.shards))].SetSession(user, ms)
-	if err == nil {
-		c.quar.rerouted[user] = home
-	}
-	return fp, err
-}
-
 // SessionInfo reads the user's session from whatever shard currently
 // serves the user (the stand-in while the home shard is quarantined).
 func (c *Coordinator) SessionInfo(user string) ([]serve.Measurement, string, bool) {
 	return c.shards[c.routeFor(user)].SessionInfo(user)
 }
 
-// DropSession ends the user's session on the user's current shard.
-func (c *Coordinator) DropSession(user string) error {
-	home := ShardIndex(user, len(c.shards))
-	if c.quar.mask.Load()&maskBit(home) == 0 {
-		return c.shards[home].DropSession(user)
-	}
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	mask := c.quar.mask.Load()
-	if mask&maskBit(home) == 0 {
-		return c.shards[home].DropSession(user)
-	}
-	err := c.shards[rerouteIndex(user, mask, len(c.shards))].DropSession(user)
-	if err == nil {
-		// Keep the migration record: the home shard may hold a stale
-		// pre-quarantine session that repair must clear.
-		c.quar.rerouted[user] = home
-	}
-	return err
-}
+// --- the mutation path ------------------------------------------------------
 
-// --- standing subscriptions ------------------------------------------------
-
-// Subscribe registers a standing rank subscription on the owner's shard —
-// the subscription's repeated re-rank then shares the user's session,
-// rank cache and compiled plans. While the home shard is quarantined the
-// subscription lands on the healthy stand-in (same reroute and migration
-// record as SetSession; RepairShard moves it home).
-func (c *Coordinator) Subscribe(id string, spec serve.SubscriptionSpec) (serve.SubscriptionInfo, error) {
-	home := ShardIndex(spec.User, len(c.shards))
-	if c.quar.mask.Load()&maskBit(home) == 0 {
-		info, err := c.shards[home].Subscribe(id, spec)
-		info.Shard = home
-		return info, err
-	}
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	mask := c.quar.mask.Load()
-	if mask&maskBit(home) == 0 {
-		info, err := c.shards[home].Subscribe(id, spec)
-		info.Shard = home
-		return info, err
-	}
-	alt := rerouteIndex(spec.User, mask, len(c.shards))
-	info, err := c.shards[alt].Subscribe(id, spec)
-	info.Shard = alt
-	if err == nil {
-		c.quar.rerouted[spec.User] = home
-	}
-	return info, err
-}
-
-// Unsubscribe removes a subscription wherever it lives. There is no
-// id→shard map — ids are client-chosen or minted per subscribe — so the
-// lookup scans each shard's registry; an unknown id is (false, nil)
-// without journaling anything (the per-shard resurrection guard only
-// matters when the shard itself applied a removal, and then the shard's
-// own Unsubscribe journals it).
-func (c *Coordinator) Unsubscribe(id string) (bool, error) {
-	for _, s := range c.shards {
-		for _, info := range s.Subscriptions() {
-			if info.ID == id {
-				return s.Unsubscribe(id)
+// Apply is the coordinator's one mutation entry, the routing twin of
+// serve.Server.Apply: it never changes state itself, it decides which
+// shard(s) apply the record. Live traffic (through the embedded typed
+// Mutators) and boot replay (Recover) both feed it.
+//
+//   - Vocabulary records are broadcast: an untagged one (live traffic, or
+//     unsharded-server history) takes the gate, the degraded pre-check and
+//     a fresh broadcast id; one already carrying a BID is a replay and is
+//     re-applied under it.
+//   - Set/Drop/Subscribe go to the owner's shard (see applyRouted).
+//   - Unsubscribe goes to the shard holding the id. There is no id→shard
+//     map — ids are client-chosen or minted per subscribe — so the lookup
+//     scans each shard's registry; an unknown id is not-found without
+//     journaling anything (the per-shard resurrection guard only matters
+//     when the shard itself applied a removal, and then that shard's own
+//     Apply journals it).
+func (c *Coordinator) Apply(rec journal.Record) (serve.Applied, error) {
+	switch {
+	case rec.Op.IsVocab() && rec.BID == 0:
+		return c.broadcast(rec)
+	case rec.Op.IsVocab():
+		return c.broadcastBID(rec)
+	case rec.Op == journal.OpSet, rec.Op == journal.OpDrop, rec.Op == journal.OpSubscribe:
+		return c.applyRouted(rec)
+	case rec.Op == journal.OpUnsubscribe:
+		for _, s := range c.shards {
+			for _, info := range s.Subscriptions() {
+				if info.ID == rec.SubID {
+					return s.Apply(rec)
+				}
 			}
 		}
+		return serve.Applied{}, nil
+	default:
+		return serve.Applied{}, fmt.Errorf("%w %d", serve.ErrUnknownOp, rec.Op)
 	}
-	return false, nil
+}
+
+// applyRouted applies a per-user record on the user's shard only — the
+// merged apply and its write lock are shard-local, and a subscription's
+// repeated re-rank shares the user's session, rank cache and compiled
+// plans. While the home shard is quarantined the record lands on its
+// healthy stand-in and the user is recorded for migration back at repair
+// time (kept on a drop too: the home shard may hold a stale
+// pre-quarantine session that repair must clear); the recording is
+// serialized with the repair's migration sweep under quar.mu, so a
+// session can never fall between the two.
+func (c *Coordinator) applyRouted(rec journal.Record) (serve.Applied, error) {
+	home := ShardIndex(rec.User, len(c.shards))
+	at := home
+	if c.quar.mask.Load()&maskBit(home) != 0 {
+		c.quar.mu.Lock()
+		defer c.quar.mu.Unlock()
+		// Re-check: the shard may have been repaired before the lock.
+		if mask := c.quar.mask.Load(); mask&maskBit(home) != 0 {
+			at = rerouteIndex(rec.User, mask, len(c.shards))
+		}
+	}
+	out, err := c.shards[at].Apply(rec)
+	out.Sub.Shard = at
+	if err == nil && at != home {
+		c.quar.rerouted[rec.User] = home
+	}
+	return out, err
 }
 
 // Subscriptions lists every shard's subscriptions, tagging each with the
@@ -321,15 +301,11 @@ func (c *Coordinator) SubscriptionStream(id string) (*serve.SubStream, error) {
 
 // --- broadcast writes ------------------------------------------------------
 
-// broadcast assigns the write a fresh broadcast id and applies fn to
+// broadcast assigns the record a fresh broadcast id and applies it to
 // every shard in parallel, holding the broadcast gate's read side for the
 // whole span so a concurrent Checkpoint (which takes the write side)
-// observes the write on either every shard or none. It records the
-// write's wall time (the slowest shard) and returns the highest resulting
-// epoch together with the first error in shard order. Callers that need
-// one representative result capture it when i == 0 — wg.Wait orders that
-// write before the caller's read, so no extra locking is needed.
-func (c *Coordinator) broadcast(fn func(i int, s *serve.Server, bid uint64) (int64, error)) (int64, error) {
+// observes the write on either every shard or none.
+func (c *Coordinator) broadcast(rec journal.Record) (serve.Applied, error) {
 	c.bcastGate.RLock()
 	defer c.bcastGate.RUnlock()
 	// Degraded pre-check, before a BID is assigned or any shard applies:
@@ -344,15 +320,26 @@ func (c *Coordinator) broadcast(fn func(i int, s *serve.Server, bid uint64) (int
 			continue
 		}
 		if s.Degraded() {
-			return 0, fmt.Errorf("shard %d: %w", i, serve.ErrDegraded)
+			return serve.Applied{}, fmt.Errorf("shard %d: %w", i, serve.ErrDegraded)
 		}
 	}
-	return c.broadcastBID(c.bid.Add(1), fn)
+	rec.BID = c.bid.Add(1)
+	return c.broadcastBID(rec)
 }
 
-// broadcastBID is broadcast's body for an already-assigned broadcast id.
-// Recovery calls it directly to re-apply a journaled broadcast under its
-// original BID (no gate needed: replay runs before traffic).
+// broadcastBID is broadcast's body for a record that already carries its
+// broadcast id: every shard journals the same record under the same BID,
+// so each shard's WAL is an independently replayable full log. Recovery
+// reaches it directly to re-apply a journaled broadcast under its
+// original BID (no gate needed: replay runs before traffic). It records
+// the write's wall time (the slowest shard) and returns the outcome of
+// the lowest shard still in service after the write — parsing and
+// replicated data are deterministic, so every healthy shard derives the
+// same rule names and result set — carrying the highest resulting epoch,
+// together with the first error in shard order. (An uncertain assertion
+// declares an independent fresh basic event per shard; the marginal
+// probability every shard computes is identical, so rankings agree across
+// shards even though the event names differ.)
 //
 // Quarantined shards are skipped — repair replays what they miss from a
 // healthy WAL. Each shard's apply runs behind a recover barrier: a panic
@@ -360,10 +347,10 @@ func (c *Coordinator) broadcast(fn func(i int, s *serve.Server, bid uint64) (int
 // carserve_panics_total) instead of killing the daemon, and with a
 // quarantine threshold armed, a shard that keeps failing while the rest
 // succeed is fenced off and its error absorbed.
-func (c *Coordinator) broadcastBID(bid uint64, fn func(i int, s *serve.Server, bid uint64) (int64, error)) (int64, error) {
+func (c *Coordinator) broadcastBID(rec journal.Record) (serve.Applied, error) {
 	started := time.Now()
 	mask := c.quar.mask.Load()
-	epochs := make([]int64, len(c.shards))
+	outs := make([]serve.Applied, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i := range c.shards {
@@ -385,35 +372,33 @@ func (c *Coordinator) broadcastBID(bid uint64, fn func(i int, s *serve.Server, b
 					return
 				}
 			}
-			epochs[i], errs[i] = fn(i, c.shards[i], bid)
+			outs[i], errs[i] = c.shards[i].Apply(rec)
 		}(i)
 	}
 	wg.Wait()
 	c.observeBroadcast(time.Since(started))
 
+	var out serve.Applied
 	var epoch int64
-	for _, e := range epochs {
-		if e > epoch {
-			epoch = e
-		}
-	}
 	var firstErr error
+	chosen := false
 	for i, err := range errs {
 		if mask&maskBit(i) != 0 {
 			continue
 		}
-		if err == nil {
-			c.noteBroadcastResult(i, bid, nil)
-			continue
-		}
-		if c.noteBroadcastResult(i, bid, err) {
+		epoch = max(epoch, outs[i].Epoch)
+		if c.noteBroadcastResult(i, rec.BID, err) {
 			continue // shard quarantined; the write is durable on the rest
 		}
-		if firstErr == nil {
+		if !chosen {
+			out, chosen = outs[i], true
+		}
+		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	return epoch, firstErr
+	out.Epoch = epoch
+	return out, firstErr
 }
 
 func (c *Coordinator) observeBroadcast(d time.Duration) {
@@ -428,73 +413,24 @@ func (c *Coordinator) observeBroadcast(d time.Duration) {
 	}
 }
 
-// Declare broadcasts concept/role/subconcept declarations to every shard.
-// Each shard journals the write under the shared broadcast id, so every
-// shard's WAL is an independently replayable full log.
-func (c *Coordinator) Declare(concepts, roles []string, subs []serve.SubConceptDecl) (int64, error) {
-	return c.broadcast(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-		return s.DeclareTagged(bid, concepts, roles, subs)
-	})
-}
-
-// Assert broadcasts data assertions to every shard. Uncertain assertions
-// declare an independent fresh basic event per shard; the marginal
-// probability every shard computes is identical, so rankings agree across
-// shards even though the event names differ.
-func (c *Coordinator) Assert(concepts []serve.ConceptAssertion, roles []serve.RoleAssertion) (int64, error) {
-	return c.broadcast(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-		return s.AssertTagged(bid, concepts, roles)
-	})
-}
-
-// Rules snapshots the registered rules from one replica (rules are
-// broadcast, so all shards agree after any successful AddRules).
-func (c *Coordinator) Rules() []contextrank.Rule { return c.shards[0].Rules() }
-
-// AddRules broadcasts rule registration to every shard; the added names
-// are reported from shard 0 (parsing is deterministic, so every shard
-// derives the same names).
-func (c *Coordinator) AddRules(texts []string) ([]string, int64, error) {
-	var added []string
-	epoch, err := c.broadcast(func(i int, s *serve.Server, bid uint64) (int64, error) {
-		names, e, err := s.AddRulesTagged(bid, texts)
-		if i == 0 {
-			added = names
-		}
-		return e, err
-	})
-	return added, epoch, err
-}
-
-// RemoveRule broadcasts the removal to every shard.
-func (c *Coordinator) RemoveRule(name string) (int64, error) {
-	return c.broadcast(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-		return s.RemoveRuleTagged(bid, name)
-	})
-}
-
-// Exec broadcasts a mutating SQL statement; the result set is shard 0's
-// (replicated data is identical when the broadcast succeeds).
-func (c *Coordinator) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
-	var res *contextrank.QueryResult
-	epoch, err := c.broadcast(func(i int, s *serve.Server, bid uint64) (int64, error) {
-		r, e, err := s.ExecTagged(bid, stmt)
-		if i == 0 {
-			res = r
-		}
-		return e, err
-	})
-	return res, epoch, err
-}
-
 // --- shard-agnostic reads --------------------------------------------------
 
-// Query serves a read-only SELECT from one shard, chosen round-robin.
-// Replicated data is identical on every shard; session-context assertions
-// are shard-local (see the Coordinator consistency notes).
+// Rules snapshots the registered rules from the lowest non-quarantined
+// replica (rules are broadcast, so all healthy shards agree after any
+// successful AddRules; a fenced replica may have missed writes).
+func (c *Coordinator) Rules() []contextrank.Rule {
+	return c.shards[nthHealthy(0, c.quar.mask.Load(), len(c.shards))].Rules()
+}
+
+// Query serves a read-only SELECT from one non-quarantined shard, chosen
+// round-robin. Replicated data is identical on every healthy shard;
+// session-context assertions are shard-local (see the Coordinator
+// consistency notes).
 func (c *Coordinator) Query(stmt string) (*contextrank.QueryResult, error) {
-	i := int(uint64(c.rr.Add(1)-1) % uint64(len(c.shards)))
-	return c.shards[i].Query(stmt)
+	mask := c.quar.mask.Load()
+	healthy := len(c.shards) - bits.OnesCount64(mask)
+	k := int(uint64(c.rr.Add(1)-1) % uint64(healthy))
+	return c.shards[nthHealthy(k, mask, len(c.shards))].Query(stmt)
 }
 
 // Stats aggregates every shard's counters (the Shards field carries the

@@ -49,7 +49,7 @@ func snapshotFile(dir, id string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%s-%03d.snapshot.json", id, i))
 }
 
-// SaveSnapshots dumps every shard's database (serve.Server.SaveSnapshot:
+// SaveSnapshots dumps every shard's database (serve.Server.CheckpointDump:
 // engine.Dump plus the persisted rule repository, with session context
 // suspended) into dir, one file per shard plus a manifest, creating dir
 // if needed. Each dump runs under that shard's write lock, so it is a

@@ -31,10 +31,10 @@ func waitStats(t *testing.T, srv *Server, deadline time.Duration, lock string) S
 // duration to every scrape's tail latency.
 func TestStatsIsLockFree(t *testing.T) {
 	srv := NewServer(contextrank.NewSystem(), Options{})
-	if err := srv.Facade().DeclareConcept("TvProgram", "CtxA"); err != nil {
+	if _, err := srv.Declare([]string{"TvProgram", "CtxA"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,13 +68,13 @@ func TestStatsIsLockFree(t *testing.T) {
 // counters still report the truth after the locks are released.
 func TestStatsCountersSurviveConcurrency(t *testing.T) {
 	srv := NewServer(contextrank.NewSystem(), Options{})
-	if err := srv.Facade().DeclareConcept("TvProgram", "CtxA"); err != nil {
+	if _, err := srv.Declare([]string{"TvProgram", "CtxA"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Facade().AddRule("RULE R1 WHEN CtxA PREFER TvProgram WITH 0.8"); err != nil {
+	if _, _, err := srv.AddRules([]string{"RULE R1 WHEN CtxA PREFER TvProgram WITH 0.8"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -92,7 +92,7 @@ func TestStatsCountersSurviveConcurrency(t *testing.T) {
 	if st.Latency.Count != 3 || st.Latency.P50Micros <= 0 {
 		t.Fatalf("latency stats = %+v, want 3 observations", st.Latency)
 	}
-	if err := srv.Sessions().Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Stats().Sessions; got != 0 {

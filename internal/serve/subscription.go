@@ -25,10 +25,12 @@
 // applies deltas in order is never silently wrong.
 //
 // Subscriptions are journaled (OpSubscribe/OpUnsubscribe) under the same
-// discipline as sessions: the record is durable before the create/delete
-// is acknowledged, it survives checkpoints (snapshots never contain
+// discipline as sessions: Server.Apply submits the record while the
+// registry lock is held (so racing replaces of one id journal in the
+// order they took effect), it is durable before the create/delete is
+// acknowledged, it survives checkpoints (snapshots never contain
 // subscription state), and boot-time replay re-registers it through the
-// routed Subscribe path — standing queries outlive crashes.
+// routed Apply path — standing queries outlive crashes.
 package serve
 
 import (
@@ -307,27 +309,30 @@ func validateSubscription(spec SubscriptionSpec) error {
 	return nil
 }
 
-// Subscribe registers (or replaces) a standing rank subscription. An
-// empty id mints one. The registration is journaled before it is
-// acknowledged — like a session Set, a subscription that returns without
-// error survives a crash — and the first evaluation is kicked off
-// immediately, so an SSE attach right after the create normally finds
-// its snapshot already queued.
-func (s *Server) Subscribe(id string, spec SubscriptionSpec) (SubscriptionInfo, error) {
+// subscribe is Apply's OpSubscribe body: it registers (or replaces) the
+// subscription rec describes, minting rec.SubID when empty, and calls
+// submit — Apply's journal submit — while the registry lock is held.
+func (s *Server) subscribe(rec *journal.Record, submit func()) (SubscriptionInfo, error) {
+	if rec.Subscription == nil {
+		return SubscriptionInfo{}, fmt.Errorf("serve: subscribe record %q carries no subscription", rec.SubID)
+	}
+	js := rec.Subscription
+	spec := SubscriptionSpec{User: rec.User, Target: js.Target, Candidates: js.Candidates, TopK: js.TopK, Limit: js.Limit}
+	if js.Threshold != nil {
+		spec.Threshold = *js.Threshold
+	}
 	if err := validateSubscription(spec); err != nil {
 		return SubscriptionInfo{}, err
 	}
-	if err := s.health.checkWritable(); err != nil {
-		return SubscriptionInfo{}, err
+	if rec.SubID == "" {
+		rec.SubID = newSubID()
 	}
-	if id == "" {
-		id = newSubID()
-	}
-	sub := newSubscription(id, spec)
+	sub := newSubscription(rec.SubID, spec)
 	s.subs.mu.Lock()
-	old := s.subs.subs[id]
-	s.subs.subs[id] = sub
+	old := s.subs.subs[sub.id]
+	s.subs.subs[sub.id] = sub
 	s.subs.count.Store(int64(len(s.subs.subs)))
+	submit()
 	s.subs.mu.Unlock()
 	if old != nil {
 		// Replace semantics (what journal replay of a re-subscribe does):
@@ -335,60 +340,27 @@ func (s *Server) Subscribe(id string, spec SubscriptionSpec) (SubscriptionInfo, 
 		old.close()
 	}
 	s.ensureEvaluator()
-
-	var rec journal.Record
-	if j := s.sessions.Journal(); j != nil {
-		rec = journal.Record{
-			Op:           journal.OpSubscribe,
-			SubID:        id,
-			User:         spec.User,
-			Subscription: ToJournalSubscription(spec),
-			Epoch:        s.facade.Epoch(),
-		}
-		if err := j.Append(rec); err != nil {
-			// Applied in memory, not durable — same contract as a session
-			// Set: the caller saw no acknowledgement, the record joins the
-			// unjournaled tail, and ProbeDisk re-journals it so WAL and
-			// memory re-agree when the disk comes back.
-			s.health.noteJournalError(rec, err)
-			s.pokeSubs()
-			return SubscriptionInfo{}, fmt.Errorf("serve: subscription %q applied but not journaled: %w", id, notJournaled{err})
-		}
-	}
-	s.pokeSubs()
 	return sub.info(), nil
 }
 
-// Unsubscribe removes a subscription, ending its event stream. Removing
-// an unknown id is a no-op in memory but is still journaled — exactly
-// like dropping an absent session: a previous unsubscribe may have been
-// applied and then failed its journal write, and without the record the
-// WAL would hold a live Subscribe whose replay resurrects it.
-func (s *Server) Unsubscribe(id string) (bool, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return false, err
-	}
+// unsubscribe is Apply's OpUnsubscribe body, reporting whether the id
+// existed; an unknown id still submits (see Apply on the resurrection
+// guard). rec.User is filled with the owner so routed replay can shard
+// the record like a session record.
+func (s *Server) unsubscribe(rec *journal.Record, submit func()) bool {
 	s.subs.mu.Lock()
-	sub, found := s.subs.subs[id]
+	sub, found := s.subs.subs[rec.SubID]
 	if found {
-		delete(s.subs.subs, id)
+		delete(s.subs.subs, rec.SubID)
 		s.subs.count.Store(int64(len(s.subs.subs)))
+		rec.User = sub.spec.User
 	}
+	submit()
 	s.subs.mu.Unlock()
 	if found {
 		sub.close()
 	}
-	if j := s.sessions.Journal(); j != nil {
-		rec := journal.Record{Op: journal.OpUnsubscribe, SubID: id, Epoch: s.facade.Epoch()}
-		if found {
-			rec.User = sub.spec.User
-		}
-		if err := j.Append(rec); err != nil {
-			s.health.noteJournalError(rec, err)
-			return found, fmt.Errorf("serve: unsubscribe of %q applied but not journaled: %w", id, notJournaled{err})
-		}
-	}
-	return found, nil
+	return found
 }
 
 // Subscriptions lists the registered subscriptions.
@@ -614,37 +586,6 @@ func (s *Server) evalSub(sub *Subscription) {
 			s.subs.events.Add(1)
 		}
 	}
-}
-
-// ToJournalSubscription converts a spec to the journal's wire shape.
-func ToJournalSubscription(spec SubscriptionSpec) *journal.SubSpec {
-	js := &journal.SubSpec{
-		Target:     spec.Target,
-		Candidates: spec.Candidates,
-		TopK:       spec.TopK,
-		Limit:      spec.Limit,
-	}
-	if spec.Threshold != 0 {
-		t := spec.Threshold
-		js.Threshold = &t
-	}
-	return js
-}
-
-// FromJournalSubscription is ToJournalSubscription's inverse, used by
-// boot-time replay (the owner travels on Record.User).
-func FromJournalSubscription(user string, js journal.SubSpec) SubscriptionSpec {
-	spec := SubscriptionSpec{
-		User:       user,
-		Target:     js.Target,
-		Candidates: js.Candidates,
-		TopK:       js.TopK,
-		Limit:      js.Limit,
-	}
-	if js.Threshold != nil {
-		spec.Threshold = *js.Threshold
-	}
-	return spec
 }
 
 // subKeepAlive is the SSE comment interval that keeps idle streams from

@@ -37,7 +37,7 @@ func benchServer(b *testing.B, k, sessions int) (*serve.Server, []string) {
 				ms = append(ms, serve.Measurement{Concept: workload.BenchContextConcept(i), Prob: 1})
 			}
 		}
-		if _, err := srv.Sessions().Set(users[u], ms); err != nil {
+		if _, err := srv.SetSession(users[u], ms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkServeRankWithJournal(b *testing.B) {
 		// The session lands after the attach so it takes the journaled
 		// path, mirroring benchServer's session setup.
 		user := "person0000"
-		if _, err := srv.Sessions().Set(user, []serve.Measurement{
+		if _, err := srv.SetSession(user, []serve.Measurement{
 			{Concept: workload.BenchContextConcept(0), Prob: 1},
 			{Concept: workload.BenchContextConcept(2), Prob: 1},
 		}); err != nil {
@@ -200,7 +200,7 @@ func BenchmarkServeRankBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ms[0].Prob = 0.5 + float64(i%50)/100
-				if _, err := srv.Sessions().Set(user, ms); err != nil {
+				if _, err := srv.SetSession(user, ms); err != nil {
 					b.Fatal(err)
 				}
 				res, _, err := srv.RankBatch(user, "", items)
@@ -226,7 +226,7 @@ func BenchmarkServeMutationInvalidation(b *testing.B) {
 	opts := contextrank.RankOptions{Limit: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := srv.Facade().AssertRole("watched", users[0], fmt.Sprintf("tv%03d", i%15), 0.9); err != nil {
+		if _, err := srv.Assert(nil, []serve.RoleAssertion{{Role: "watched", Src: users[0], Dst: fmt.Sprintf("tv%03d", i%15), Prob: 0.9}}); err != nil {
 			b.Fatal(err)
 		}
 		if _, meta, err := srv.Rank(users[0], "TvProgram", opts); err != nil {
