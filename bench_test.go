@@ -31,7 +31,7 @@ func BenchmarkE1Table1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := core.Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules}
+	req := core.Request{User: "peter", Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	for _, r := range []core.Ranker{
 		core.NewNaiveRanker(l), core.NewViewRanker(l), core.NewFactorizedRanker(l),
 	} {
@@ -91,7 +91,9 @@ func BenchmarkE3RuleScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("rules=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ranker.Rank(core.Request{
-					User: d.User, Target: dl.Atom("TvProgram"), Rules: rules,
+					User:        d.User,
+					Rules:       rules,
+					PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -118,7 +120,9 @@ func BenchmarkA1Ablation(b *testing.B) {
 		b.Run(r.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Rank(core.Request{
-					User: d.User, Target: dl.Atom("TvProgram"), Rules: rules,
+					User:        d.User,
+					Rules:       rules,
+					PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -141,7 +145,9 @@ func BenchmarkA1FactorizedManyRules(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ranker.Rank(core.Request{
-					User: d.User, Target: dl.Atom("TvProgram"), Rules: rules,
+					User:        d.User,
+					Rules:       rules,
+					PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -159,7 +165,7 @@ func BenchmarkA4Sampled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := core.Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules}
+	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
 			ranker := core.NewSampledRanker(d.Loader, n, 1)
@@ -347,7 +353,7 @@ func BenchmarkViewBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	vr := core.NewViewRanker(d.Loader)
-	req := core.Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules}
+	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := vr.BuildPreferenceView(req); err != nil {

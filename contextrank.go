@@ -326,20 +326,31 @@ func (s *System) RankWith(user, target string, opts RankOptions) ([]Result, erro
 	if err != nil {
 		return nil, err
 	}
-	req := core.Request{
-		User:      user,
-		Target:    targetExpr,
-		Rules:     s.repo.Rules(),
-		Threshold: opts.Threshold,
-		Limit:     opts.Limit,
-		TopK:      opts.TopK,
-		Explain:   opts.Explain,
-	}
 	ranker, err := s.ranker(opts.Algorithm, false)
 	if err != nil {
 		return nil, err
 	}
-	return ranker.Rank(req)
+	return ranker.Rank(s.request(user, opts.planRequest(targetExpr, nil)))
+}
+
+// planRequest shapes the options as the core request for one target or
+// candidate list — the one place the root package's request shape becomes
+// core's.
+func (o RankOptions) planRequest(target *dl.Expr, candidates []string) core.PlanRequest {
+	return core.PlanRequest{
+		Target:     target,
+		Candidates: candidates,
+		Threshold:  o.Threshold,
+		Limit:      o.Limit,
+		TopK:       o.TopK,
+		Explain:    o.Explain,
+	}
+}
+
+// request completes a plan request with what a Ranker needs beside it: the
+// user and the repository's current rules.
+func (s *System) request(user string, req core.PlanRequest) core.Request {
+	return core.Request{User: user, Rules: s.repo.Rules(), PlanRequest: req}
 }
 
 // KnownAlgorithm reports whether alg names a ranking implementation (the
@@ -386,7 +397,10 @@ func (s *System) ranker(alg Algorithm, noView bool) (core.Ranker, error) {
 type RankPlan = core.Plan
 
 // CompileRankPlan compiles the repository's rules for one situated user
-// into a reusable RankPlan.
+// into a reusable RankPlan. A rule set whose candidate-independent
+// correlation clusters are too large to enumerate still compiles: the plan
+// then clusters per candidate (slower, same scores), and callers need not
+// care which mode they got.
 func (s *System) CompileRankPlan(user string) (*RankPlan, error) {
 	return core.CompilePlan(s.loader, user, s.repo.Rules())
 }
@@ -405,7 +419,8 @@ func (s *System) CompileRankPlan(user string) (*RankPlan, error) {
 // compiled, under the same rule set. After data or rule mutations the plan
 // is invalid and must be recompiled; RefreshRankPlan does not detect that
 // for you. ErrPlanNotRefreshable marks a plan that cannot be maintained
-// (per-request restricted compiles) — fall back to CompileRankPlan.
+// (per-request restricted compiles, per-candidate mode) — fall back to
+// CompileRankPlan.
 func (s *System) RefreshRankPlan(plan *RankPlan) (*RankPlan, error) {
 	return plan.Refresh()
 }
@@ -425,13 +440,7 @@ func (s *System) RankWithPlan(plan *RankPlan, target string, opts RankOptions) (
 	if err != nil {
 		return nil, err
 	}
-	return plan.Rank(core.PlanRequest{
-		Target:    targetExpr,
-		Threshold: opts.Threshold,
-		Limit:     opts.Limit,
-		TopK:      opts.TopK,
-		Explain:   opts.Explain,
-	})
+	return plan.Rank(opts.planRequest(targetExpr, nil))
 }
 
 // RankCandidatesWithPlan ranks an explicit candidate list against an
@@ -441,13 +450,7 @@ func (s *System) RankCandidatesWithPlan(plan *RankPlan, candidates []string, opt
 	if err := planOptsOK(opts); err != nil {
 		return nil, err
 	}
-	return plan.Rank(core.PlanRequest{
-		Candidates: candidates,
-		Threshold:  opts.Threshold,
-		Limit:      opts.Limit,
-		TopK:       opts.TopK,
-		Explain:    opts.Explain,
-	})
+	return plan.Rank(opts.planRequest(nil, candidates))
 }
 
 // planOptsOK rejects options that name a non-factorized algorithm: a plan
@@ -470,60 +473,6 @@ type HotPathStats = core.HotPathStats
 // ReadHotPathStats returns the process-wide rank hot-path counters.
 func ReadHotPathStats() HotPathStats { return core.ReadHotPathStats() }
 
-// RulesFingerprint hashes the registered rules; see
-// prefs.Repository.Fingerprint. A caller caching compiled rank plans can
-// key them by it together with its data and context versions (the serve
-// layer does not need to: every rule change there bumps its epoch).
-func (s *System) RulesFingerprint() string { return s.repo.Fingerprint() }
-
-// ErrPlanClusterBound marks a plan compilation rejected because the
-// candidate-independent footprint partition produced a correlation cluster
-// too large to enumerate exactly. RankWith and RankCandidates fall back
-// internally and may still rank such a rule set; callers compiling plans
-// directly (e.g. a plan cache) should detect this with errors.Is and route
-// the request through RankNoPlan/RankCandidatesNoPlan, which skip the
-// doomed recompile.
-var ErrPlanClusterBound = core.ErrClusterBound
-
-// RankNoPlan ranks the target with the factorized per-candidate path,
-// skipping plan compilation entirely. Scores match RankWith exactly; the
-// only reason to call it is a cached ErrPlanClusterBound verdict.
-// opts.Algorithm must be empty or AlgorithmFactorized.
-func (s *System) RankNoPlan(user, target string, opts RankOptions) ([]Result, error) {
-	if err := planOptsOK(opts); err != nil {
-		return nil, err
-	}
-	targetExpr, err := dl.Parse(target)
-	if err != nil {
-		return nil, err
-	}
-	return s.factorized.RankPerCandidate(core.Request{
-		User:      user,
-		Target:    targetExpr,
-		Rules:     s.repo.Rules(),
-		Threshold: opts.Threshold,
-		Limit:     opts.Limit,
-		TopK:      opts.TopK,
-		Explain:   opts.Explain,
-	})
-}
-
-// RankCandidatesNoPlan is RankNoPlan for an explicit candidate list.
-func (s *System) RankCandidatesNoPlan(user string, candidates []string, opts RankOptions) ([]Result, error) {
-	if err := planOptsOK(opts); err != nil {
-		return nil, err
-	}
-	return s.factorized.RankPerCandidate(core.Request{
-		User:       user,
-		Candidates: candidates,
-		Rules:      s.repo.Rules(),
-		Threshold:  opts.Threshold,
-		Limit:      opts.Limit,
-		TopK:       opts.TopK,
-		Explain:    opts.Explain,
-	})
-}
-
 // RankCandidates scores an explicit candidate list for the user with the
 // repository's rules — RankQuery without the query, for callers that
 // already hold the candidate ids (e.g. the serving layer's batch
@@ -534,15 +483,7 @@ func (s *System) RankCandidates(user string, candidates []string, opts RankOptio
 	if err != nil {
 		return nil, err
 	}
-	return ranker.Rank(core.Request{
-		User:       user,
-		Candidates: candidates,
-		Rules:      s.repo.Rules(),
-		Threshold:  opts.Threshold,
-		Limit:      opts.Limit,
-		TopK:       opts.TopK,
-		Explain:    opts.Explain,
-	})
+	return ranker.Rank(s.request(user, opts.planRequest(nil, candidates)))
 }
 
 // GroupPolicy selects how member scores combine in RankGroup.

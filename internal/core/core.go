@@ -32,24 +32,34 @@ import (
 	"repro/internal/prefs"
 )
 
-// Request describes one ranking task: score the individuals of Target for
-// the situated user under the given scored preference rules.
+// Request describes one ranking task: score the individuals of Target (or
+// the explicit Candidates) for the situated user under the given scored
+// preference rules. What to rank and how to shape the result is the embedded
+// PlanRequest — the part a compiled Plan, which owns user and rules, takes on
+// its own.
 type Request struct {
-	User   string       // the situated user individual
-	Target *dl.Expr     // candidate concept, e.g. TvProgram
-	Rules  []prefs.Rule // the applicable preference rules (repository order)
+	User  string       // the situated user individual
+	Rules []prefs.Rule // the applicable preference rules (repository order)
+	PlanRequest
+}
+
+// PlanRequest is what to rank and how to shape the result: a Request minus
+// the user and rules, which a compiled Plan owns.
+type PlanRequest struct {
+	Target *dl.Expr // candidate concept, e.g. TvProgram; may be nil when Candidates is set
 	// Candidates, when non-nil, restricts scoring to exactly these
 	// individuals instead of the members of Target — the §5 integration
 	// with the user's query, where "the probability of the query-dependent
 	// part is either 1, if the tuple was contained in the user query, or 0
-	// if it was not". Target may then be nil.
+	// if it was not".
 	Candidates []string
 	Threshold  float64 // drop results with Score <= Threshold (0 keeps all)
 	Limit      int     // keep at most Limit results (0 = unlimited)
 	// TopK, when positive, asks for only the best k results. Every ranker
-	// returns exactly the first k of its full result list (the compiled
-	// plan selects them with a bounded heap instead of a full sort); 0
-	// disables, negative is an error.
+	// returns exactly the first k of its full result list (same order, same
+	// tie-breaking); the compiled plan selects them with a bounded heap
+	// instead of a full sort, and a k past the candidate count degrades to
+	// one. 0 disables, negative is an error.
 	TopK    int
 	Explain bool // attach per-rule explanations (traceability, §6)
 }
@@ -109,7 +119,7 @@ type ruleState struct {
 // the relevant events: the user's membership event in each context and
 // every candidate's membership event in each preference.
 func resolve(l *mapping.Loader, req Request) (candidates []string, states []*ruleState, err error) {
-	candidates, err = resolveCandidates(l, req)
+	candidates, err = resolveCandidates(l, req.User, req.PlanRequest)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,8 +152,8 @@ func resolve(l *mapping.Loader, req Request) (candidates []string, states []*rul
 // resolveCandidates determines the sorted, deduplicated candidate ids of a
 // request: the explicit candidate list if given, otherwise the members of
 // the target concept.
-func resolveCandidates(l *mapping.Loader, req Request) ([]string, error) {
-	if req.User == "" {
+func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]string, error) {
+	if user == "" {
 		return nil, fmt.Errorf("core: request without a user")
 	}
 	if req.TopK < 0 {

@@ -62,7 +62,7 @@ func paperRules(t testing.TB) []prefs.Rule {
 }
 
 func paperRequest(t testing.TB) Request {
-	return Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: paperRules(t)}
+	return Request{User: "peter", Rules: paperRules(t), PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}
 }
 
 // wantTable1 holds the paper's hand-computed scores (§4.2).
@@ -136,7 +136,7 @@ func TestNoRulesScoresOne(t *testing.T) {
 	// "ideal" with probability 1 — the degenerate case §4.1 warns about.
 	l := paperSetup(t)
 	for _, r := range rankers(l) {
-		results, err := r.Rank(Request{User: "peter", Target: dl.Atom("TvProgram")})
+		results, err := r.Rank(Request{User: "peter", PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
@@ -158,7 +158,7 @@ func TestInapplicableRulePrunedToFactorOne(t *testing.T) {
 	rules := append(paperRules(t),
 		prefs.MustParseRule("RULE R3 WHEN Workday PREFER TvProgram WITH 0.99"))
 	for _, r := range rankers(l) {
-		results, err := r.Rank(Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules})
+		results, err := r.Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
@@ -174,7 +174,7 @@ func TestDefaultRuleAppliesAlways(t *testing.T) {
 	l := paperSetup(t)
 	rules := []prefs.Rule{prefs.MustParseRule("RULE D WHEN TOP PREFER TvProgram AND EXISTS hasSubject.{News} WITH 0.9")}
 	for _, r := range rankers(l) {
-		results, err := r.Rank(Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules})
+		results, err := r.Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
@@ -247,7 +247,7 @@ func TestDisjointFeaturesViaExclusiveEvents(t *testing.T) {
 		prefs.MustParseRule("RULE T WHEN MorningCtx PREFER Traffic WITH 0.8"),
 		prefs.MustParseRule("RULE W WHEN MorningCtx PREFER Weather WITH 0.6"),
 	}
-	req := Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules}
+	req := Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}
 	// Exact expectation with the exclusive group:
 	// states: traffic (0.5): 0.8·(1−0.6) ; weather (0.4): (1−0.8)·0.6 ;
 	// neither (0.1): 0.2·0.4.
@@ -293,14 +293,17 @@ func TestExplanations(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	l := paperSetup(t)
 	for _, r := range rankers(l) {
-		if _, err := r.Rank(Request{Target: dl.Atom("TvProgram")}); err == nil {
+		if _, err := r.Rank(Request{PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
 			t.Fatalf("%s: missing user accepted", r.Name())
 		}
 		if _, err := r.Rank(Request{User: "peter"}); err == nil {
 			t.Fatalf("%s: missing target accepted", r.Name())
 		}
-		bad := Request{User: "peter", Target: dl.Atom("TvProgram"),
-			Rules: []prefs.Rule{{Name: "bad", Context: dl.Top(), Preference: dl.Atom("TvProgram"), Sigma: 2}}}
+		bad := Request{
+			User:        "peter",
+			Rules:       []prefs.Rule{{Name: "bad", Context: dl.Top(), Preference: dl.Atom("TvProgram"), Sigma: 2}},
+			PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")},
+		}
 		if _, err := r.Rank(bad); err == nil {
 			t.Fatalf("%s: invalid sigma accepted", r.Name())
 		}
@@ -348,7 +351,7 @@ func TestRankersAgreeOnRandomInstances(t *testing.T) {
 				Sigma:      rng.Float64(),
 			})
 		}
-		req := Request{User: "u", Target: dl.Atom("Doc"), Rules: rules}
+		req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
 		var base []Result
 		for i, r := range rankers(l) {
 			results, err := r.Rank(req)
@@ -405,7 +408,7 @@ func TestNaiveRankerRuleCap(t *testing.T) {
 			Preference: dl.Atom("TvProgram"), Sigma: 0.5,
 		})
 	}
-	if _, err := NewNaiveRanker(l).Rank(Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules}); err == nil {
+	if _, err := NewNaiveRanker(l).Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
 		t.Fatal("rule cap not enforced")
 	}
 }

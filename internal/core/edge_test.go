@@ -32,7 +32,7 @@ func TestCorrelatedPreferencesCluster(t *testing.T) {
 		{Name: "r1", Context: dl.Atom("Ctx"), Preference: dl.Atom("F1"), Sigma: 0.9},
 		{Name: "r2", Context: dl.Atom("Ctx"), Preference: dl.Atom("F2"), Sigma: 0.7},
 	}
-	req := Request{User: "u", Target: dl.Atom("Doc"), Rules: rules}
+	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
 	naive, err := NewNaiveRanker(l).Rank(req)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestContextDocCorrelation(t *testing.T) {
 	l.AssertConcept("F", "d", event.Basic("e"))
 	l.AssertConcept("Ctx", "u", event.Basic("e"))
 	rules := []prefs.Rule{{Name: "r", Context: dl.Atom("Ctx"), Preference: dl.Atom("F"), Sigma: 0.8}}
-	req := Request{User: "u", Target: dl.Atom("Doc"), Rules: rules}
+	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
 
 	// Paper formula (independence): Σ_g P(g) Σ_f P(f) factor
 	// = 0.5·(0.5·0.8 + 0.5·0.2) + 0.5·1 = 0.75.
@@ -113,7 +113,7 @@ func TestViewRankerRuleCap(t *testing.T) {
 		})
 	}
 	vr := NewViewRanker(l)
-	if _, err := vr.Rank(Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules}); err == nil {
+	if _, err := vr.Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
 		t.Fatal("view rule cap not enforced")
 	}
 }

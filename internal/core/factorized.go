@@ -55,20 +55,13 @@ func (r *FactorizedRanker) Name() string { return "factorized" }
 const maxClusterRules = 16
 
 // ErrClusterBound marks a correlation cluster too large to enumerate
-// exactly. Rank (and GroupRank, and the serving layer's plan cache) use it
-// to fall back from the coarse footprint partition to per-candidate
-// clustering, which only ever fails this way when a *single candidate's*
-// cluster exceeds the bound.
+// exactly. Only a *single candidate's* cluster past the bound fails with it:
+// when the coarse footprint partition exceeds the bound, the plan scores in
+// per-candidate mode instead (see Plan).
 var ErrClusterBound = errors.New("exceeds the exact-enumeration bound")
 
 // Rank implements Ranker by compiling a Plan for the request's user and
-// rules and scoring every candidate against it. When the plan's
-// candidate-independent partition produces a cluster past the enumeration
-// bound, Rank falls back to the per-candidate path: rules chained together
-// only through different documents' events (doc d couples rules A,B; doc e
-// couples B,C; …) stay in small per-candidate clusters there, so rule sets
-// the bound rejects at compile time may still rank fine — and ones that
-// do not fail with the same error they always did.
+// rules and ranking the request against it.
 func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
 	// An explicit candidate list restricts the footprint partition to those
 	// candidates' events: the plan lives for this request only, and walking
@@ -83,76 +76,34 @@ func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
 	}
 	plan, err := compilePlan(r.loader, req.User, req.Rules, only)
 	if err != nil {
-		if errors.Is(err, ErrClusterBound) {
-			return r.legacyRank(req)
-		}
 		return nil, err
 	}
-	return plan.Rank(PlanRequest{
-		Target:     req.Target,
-		Candidates: req.Candidates,
-		Threshold:  req.Threshold,
-		Limit:      req.Limit,
-		TopK:       req.TopK,
-		Explain:    req.Explain,
-	})
+	return plan.Rank(req.PlanRequest)
 }
 
-// RankPerCandidate is the pre-plan implementation: it re-runs rule
-// clustering and the full within-cluster state enumeration for every
-// candidate. Callers that already know plan compilation fails with
-// ErrClusterBound (e.g. a plan cache holding a negative verdict) route
-// here directly to skip the doomed recompile; it also serves as a second
-// executable reference for the equivalence tests and as
-// BenchmarkPlanScoreLargeCatalog's baseline.
-func (r *FactorizedRanker) RankPerCandidate(req Request) ([]Result, error) {
-	return r.legacyRank(req)
-}
-
-// legacyRank is RankPerCandidate's implementation.
-func (r *FactorizedRanker) legacyRank(req Request) ([]Result, error) {
-	candidates, states, err := resolve(r.loader, req)
+// scorePerCandidate is the plan's per-candidate scoring mode (and, through
+// perCandidatePlan, the equivalence tests' second executable reference): it
+// re-runs rule clustering over the Space's independence relation and the
+// full within-cluster state enumeration for this one candidate. Rules
+// chained together only through different documents' events (doc d couples
+// rules A,B; doc e couples B,C; …) stay in small per-candidate clusters
+// here, so rule sets the footprint partition cannot enumerate still rank —
+// and ones where a single candidate's cluster exceeds the bound fail with
+// the error they always did.
+func (p *Plan) scorePerCandidate(id string) (float64, error) {
+	clusters, err := clusterRules(p.space, p.active, id)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	space := r.loader.DB().Space()
-
-	// Prune rules that cannot apply in the current context.
-	active := make([]*ruleState, 0, len(states))
-	for _, st := range states {
-		p, err := space.Prob(st.ctxEv)
+	score := 1.0
+	for _, cl := range clusters {
+		f, err := clusterFactor(p.space, cl, id)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if p > 0 {
-			active = append(active, st)
-		}
+		score *= f
 	}
-
-	results := make([]Result, 0, len(candidates))
-	for _, id := range candidates {
-		clusters, err := clusterRules(space, active, id)
-		if err != nil {
-			return nil, err
-		}
-		score := 1.0
-		for _, cl := range clusters {
-			f, err := clusterFactor(space, cl, id)
-			if err != nil {
-				return nil, err
-			}
-			score *= f
-		}
-		res := Result{ID: id, Score: score}
-		if req.Explain {
-			res.Explanation, err = explain(space, states, id)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results = append(results, res)
-	}
-	return finalize(req, results), nil
+	return score, nil
 }
 
 // clusterRules partitions the active rules into groups of mutually
@@ -161,7 +112,7 @@ func (r *FactorizedRanker) legacyRank(req Request) ([]Result, error) {
 // retired basic) aborts the clustering: treating the error as "dependent"
 // would silently merge clusters and then fail later — or worse, enumerate a
 // cluster whose probabilities are undefined.
-func clusterRules(space *event.Space, states []*ruleState, id string) ([][]*ruleState, error) {
+func clusterRules(space *event.Space, states []*planRule, id string) ([][]*planRule, error) {
 	n := len(states)
 	parent := make([]int, n)
 	for i := range parent {
@@ -179,7 +130,7 @@ func clusterRules(space *event.Space, states []*ruleState, id string) ([][]*rule
 
 	joint := make([]*event.Expr, n)
 	for i, st := range states {
-		joint[i] = event.And(st.ctxEv, st.docEvs[id])
+		joint[i] = event.And(st.ctxEv, st.docEv(id))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -193,7 +144,7 @@ func clusterRules(space *event.Space, states []*ruleState, id string) ([][]*rule
 			}
 		}
 	}
-	byRoot := make(map[int][]*ruleState)
+	byRoot := make(map[int][]*planRule)
 	var roots []int
 	for i, st := range states {
 		root := find(i)
@@ -202,7 +153,7 @@ func clusterRules(space *event.Space, states []*ruleState, id string) ([][]*rule
 		}
 		byRoot[root] = append(byRoot[root], st)
 	}
-	out := make([][]*ruleState, 0, len(roots))
+	out := make([][]*planRule, 0, len(roots))
 	for _, r := range roots {
 		out = append(out, byRoot[r])
 	}
@@ -217,20 +168,16 @@ func clusterRules(space *event.Space, states []*ruleState, id string) ([][]*rule
 // between a rule's context and a document's features is deliberately
 // marginalized out, exactly as in the paper's formula ("features of the
 // document as context features … is out of scope", §3.2).
-func clusterFactor(space *event.Space, cluster []*ruleState, id string) (float64, error) {
+func clusterFactor(space *event.Space, cluster []*planRule, id string) (float64, error) {
 	m := len(cluster)
 	if m == 1 {
 		// Singleton fast path: factor = (1−pC) + pC·(σ·pX + (1−σ)(1−pX)).
 		st := cluster[0]
-		pC, err := space.Prob(st.ctxEv)
+		pX, err := space.Prob(st.docEv(id))
 		if err != nil {
 			return 0, err
 		}
-		pX, err := space.Prob(st.docEvs[id])
-		if err != nil {
-			return 0, err
-		}
-		s := st.rule.Sigma
+		s, pC := st.rule.Sigma, st.ctxProb
 		return (1 - pC) + pC*(s*pX+(1-s)*(1-pX)), nil
 	}
 	if m > maxClusterRules {
@@ -245,10 +192,10 @@ func clusterFactor(space *event.Space, cluster []*ruleState, id string) (float64
 		for i, st := range cluster {
 			if mask&(1<<i) != 0 {
 				ctxConj[i] = st.ctxEv
-				docConj[i] = st.docEvs[id]
+				docConj[i] = st.docEv(id)
 			} else {
 				ctxConj[i] = event.Not(st.ctxEv)
-				docConj[i] = event.Not(st.docEvs[id])
+				docConj[i] = event.Not(st.docEv(id))
 			}
 		}
 		p, err := space.Prob(event.And(ctxConj...))

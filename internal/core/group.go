@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -69,16 +68,11 @@ func GroupRank(ranker Ranker, req GroupRequest) ([]GroupResult, error) {
 		}
 		perDoc[id][user] = score
 	}
-	recordAll := func(user string, results []Result) {
-		for _, r := range results {
-			record(r.ID, user, r.Score)
-		}
-	}
 	if fr, ok := ranker.(*FactorizedRanker); ok {
 		// Plan fast path: resolve the target's members once for the whole
 		// group, then compile one plan per member instead of re-resolving
 		// target and rules user by user.
-		candidates, err := resolveCandidates(fr.loader, Request{User: req.Users[0], Target: req.Target})
+		candidates, err := resolveCandidates(fr.loader, req.Users[0], PlanRequest{Target: req.Target})
 		if err != nil {
 			return nil, err
 		}
@@ -87,17 +81,6 @@ func GroupRank(ranker Ranker, req GroupRequest) ([]GroupResult, error) {
 		for _, user := range req.Users {
 			plan, err := CompilePlan(fr.loader, user, req.RulesFor[user])
 			if err != nil {
-				if errors.Is(err, ErrClusterBound) {
-					// Same fallback as FactorizedRanker.Rank: this member's
-					// footprint partition is too coarse, but per-candidate
-					// clusters may still be small.
-					results, lerr := fr.legacyRank(Request{User: user, Candidates: candidates, Rules: req.RulesFor[user]})
-					if lerr != nil {
-						return nil, fmt.Errorf("core: group member %s: %w", user, lerr)
-					}
-					recordAll(user, results)
-					continue
-				}
 				return nil, fmt.Errorf("core: group member %s: %w", user, err)
 			}
 			for _, id := range candidates {
@@ -111,14 +94,16 @@ func GroupRank(ranker Ranker, req GroupRequest) ([]GroupResult, error) {
 	} else {
 		for _, user := range req.Users {
 			results, err := ranker.Rank(Request{
-				User:   user,
-				Target: req.Target,
-				Rules:  req.RulesFor[user],
+				User:        user,
+				Rules:       req.RulesFor[user],
+				PlanRequest: PlanRequest{Target: req.Target},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: group member %s: %w", user, err)
 			}
-			recordAll(user, results)
+			for _, r := range results {
+				record(r.ID, user, r.Score)
+			}
 		}
 	}
 	out := make([]GroupResult, 0, len(perDoc))

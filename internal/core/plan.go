@@ -35,6 +35,14 @@ import (
 //  4. Per multi-rule cluster the 2^m context-state probability table is
 //     precomputed; singleton clusters store the scalar context probability.
 //
+// When step 3's candidate-independent partition chains more rules into one
+// cluster than can be enumerated exactly (maxClusterRules), the plan keeps
+// steps 1–2 and scores in per-candidate mode instead: clustering and the
+// state enumeration run per candidate (scorePerCandidate), where the same
+// rules usually fall into small clusters. Callers never see the difference —
+// every method works in both modes and returns the same scores — except
+// that a per-candidate plan cannot be refreshed.
+//
 // Score then evaluates only the document-state distribution per candidate,
 // and memoizes it: each candidate's per-cluster document-side distribution
 // is cached inside the plan (keyed by the event space's invalidation
@@ -61,6 +69,11 @@ type Plan struct {
 	rules    []planRule    // every requested rule, in request order
 	clusters []planCluster // active (unpruned) rules only
 	distLen  int           // floats per candidate in the doc-distribution cache
+	// perCandidate marks per-candidate mode (see the type comment): clusters
+	// is empty and active lists the unpruned rules scorePerCandidate
+	// partitions for each candidate.
+	perCandidate bool
+	active       []*planRule
 
 	// Incremental-maintenance state (see Refresh). restricted marks a plan
 	// compiled with a candidate restriction, which Refresh refuses to
@@ -212,11 +225,51 @@ func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 // RankQuery over a 100k-member preference does not walk 100k events'
 // blocks; cacheable catalog-wide plans pass nil.
 func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool) (*Plan, error) {
+	p, err := resolvePlan(l, user, rules)
+	if err != nil {
+		return nil, err
+	}
+	p.restricted = only != nil
+	if err := p.compileClusters(only); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// perCandidatePlan compiles a plan directly into per-candidate mode, skipping
+// the footprint partition. Production plans get there only through
+// compileClusters hitting the cluster bound; the equivalence tests and
+// BenchmarkPlanScoreLargeCatalog's baseline use this to hold the mode against
+// the compiled one on rule sets that fit both.
+func perCandidatePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
+	p, err := resolvePlan(l, user, rules)
+	if err != nil {
+		return nil, err
+	}
+	p.usePerCandidate()
+	return p, nil
+}
+
+// usePerCandidate switches the plan to per-candidate mode, dropping what only
+// the enumerating mode and its Refresh use.
+func (p *Plan) usePerCandidate() {
+	p.perCandidate, p.clusters, p.docBlocks = true, nil, nil
+	for i := range p.rules {
+		if p.rules[i].ctxProb > 0 {
+			p.active = append(p.active, &p.rules[i])
+		}
+	}
+}
+
+// resolvePlan is the mode-independent half of compilation: every rule's
+// context event and probability for the user and its preference's membership
+// events for the whole catalog.
+func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
 	if user == "" {
 		return nil, fmt.Errorf("core: request without a user")
 	}
 	space := l.DB().Space()
-	p := &Plan{loader: l, space: space, user: user, restricted: only != nil}
+	p := &Plan{loader: l, space: space, user: user}
 	p.appliedCtx, _ = l.AppliedContext()
 	p.domainLen = l.DomainSize()
 
@@ -243,17 +296,15 @@ func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[st
 			domainDep:    domainSensitive(rule.Preference),
 		})
 	}
-
-	if err := p.compileClusters(only); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
 // compileClusters prunes impossible contexts, partitions the active rules
 // by basic-event footprint and precomputes the per-cluster context-state
-// tables. only, when non-nil, restricts the document-side footprint to
-// those candidates (see compilePlan).
+// tables — or, when the partition produces a cluster past the enumeration
+// bound, switches the plan to per-candidate mode. only, when non-nil,
+// restricts the document-side footprint to those candidates (see
+// compilePlan).
 func (p *Plan) compileClusters(only map[string]bool) error {
 	p.blocksGen = p.space.Generation()
 	var active []int
@@ -327,7 +378,8 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 		cl := planCluster{rules: byRoot[root]}
 		m := len(cl.rules)
 		if m > maxClusterRules {
-			return fmt.Errorf("core: correlation cluster of %d rules %w %d", m, ErrClusterBound, maxClusterRules)
+			p.usePerCandidate()
+			return nil
 		}
 		if m > 1 {
 			// Precompute the context-state distribution, exactly as the
@@ -414,7 +466,9 @@ func domainSensitive(e *dl.Expr) bool {
 }
 
 // ErrPlanNotRefreshable marks a plan Refresh cannot maintain incrementally
-// (candidate-restricted compile). Callers fall back to a fresh CompilePlan.
+// (a candidate-restricted compile, or per-candidate mode: the bound is a
+// property of the footprint partition and a refresh would only rediscover
+// it). Callers fall back to a fresh CompilePlan.
 var ErrPlanNotRefreshable = fmt.Errorf("core: plan cannot be refreshed incrementally")
 
 // Refresh compiles a successor plan against the loader's *current* context,
@@ -449,7 +503,7 @@ var ErrPlanNotRefreshable = fmt.Errorf("core: plan cannot be refreshed increment
 //     regrouped or re-declared since they were computed. Re-scoring then
 //     touches only candidates the change actually reached.
 func (p *Plan) Refresh() (*Plan, error) {
-	if p.restricted {
+	if p.restricted || p.perCandidate {
 		return nil, ErrPlanNotRefreshable
 	}
 	curCtx, _ := p.loader.AppliedContext()
@@ -618,8 +672,10 @@ func (p *Plan) Rules() int { return len(p.rules) }
 // ActiveRules returns the number of rules whose context can apply.
 func (p *Plan) ActiveRules() int {
 	n := 0
-	for _, cl := range p.clusters {
-		n += len(cl.rules)
+	for i := range p.rules {
+		if p.rules[i].ctxProb > 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -636,6 +692,9 @@ func (p *Plan) Score(id string) (float64, error) {
 // ScoreWith is Score with a caller-owned scratch arena, for scoring loops
 // that must not allocate. The scratch must not be shared across goroutines.
 func (p *Plan) ScoreWith(sc *PlanScratch, id string) (float64, error) {
+	if p.perCandidate {
+		return p.scorePerCandidate(id)
+	}
 	dist, err := p.docDistFor(sc, id)
 	if err != nil {
 		return 0, err
@@ -790,22 +849,6 @@ func (p *Plan) Explain(id string) (*Explanation, error) {
 	return ex, nil
 }
 
-// PlanRequest describes one ranking task against an already compiled plan:
-// Request minus the user and rules, which the plan owns.
-type PlanRequest struct {
-	Target     *dl.Expr // candidate concept; nil when Candidates is set
-	Candidates []string // explicit candidate list (see Request.Candidates)
-	Threshold  float64
-	Limit      int
-	// TopK, when positive, selects the best k results with a bounded heap
-	// instead of sorting the whole catalog. The output is exactly the
-	// first k of the full-sort result (same order, same tie-breaking); a k
-	// past the candidate count degrades to a full sort. 0 disables;
-	// negative is an error.
-	TopK    int
-	Explain bool
-}
-
 // compareResults is the rank total order: score descending, then ID
 // ascending — strict for distinct candidates, so top-k selection under it
 // is bit-identical to truncating the full sort.
@@ -855,11 +898,7 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 	if req.Candidates == nil && req.Target != nil {
 		candidates, err = p.candidatesFor(req.Target)
 	} else {
-		candidates, err = resolveCandidates(p.loader, Request{
-			User:       p.user,
-			Target:     req.Target,
-			Candidates: req.Candidates,
-		})
+		candidates, err = resolveCandidates(p.loader, p.user, req)
 	}
 	if err != nil {
 		return nil, err
@@ -917,7 +956,7 @@ func (p *Plan) candidatesFor(target *dl.Expr) ([]string, error) {
 		return ids, nil
 	}
 	p.candMu.RUnlock()
-	ids, err := resolveCandidates(p.loader, Request{User: p.user, Target: target})
+	ids, err := resolveCandidates(p.loader, p.user, PlanRequest{Target: target})
 	if err != nil {
 		return nil, err
 	}

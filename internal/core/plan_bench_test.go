@@ -125,11 +125,10 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("legacy/candidates=%d", n), func(b *testing.B) {
 			d, rules := planBenchSetup(b, n, 8)
-			ranker := NewFactorizedRanker(d.Loader)
-			req := Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules}
+			req := Request{User: d.User, Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ranker.legacyRank(req)
+				res, err := perCandidateRank(d.Loader, req)
 				if err != nil {
 					b.Fatal(err)
 				}

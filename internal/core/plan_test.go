@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -82,7 +83,7 @@ func correlatedSetup(t *testing.T) (*mapping.Loader, []prefs.Rule) {
 // group, an independent rule and a pruned rule — including Explain.
 func TestPlanMatchesNaive(t *testing.T) {
 	l, rules := correlatedSetup(t)
-	req := Request{User: "u", Target: dl.Atom("Doc"), Rules: rules, Explain: true}
+	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), Explain: true}}
 
 	naive, err := NewNaiveRanker(l).Rank(req)
 	if err != nil {
@@ -138,10 +139,10 @@ func TestPlanMatchesLegacyFactorized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules, Explain: true}
+	req := Request{User: d.User, Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram"), Explain: true}}
 	ranker := NewFactorizedRanker(d.Loader)
 
-	legacy, err := ranker.legacyRank(req)
+	legacy, err := perCandidateRank(d.Loader, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestPlanMatchesLegacyFactorized(t *testing.T) {
 
 	// Explicit candidate lists rank identically too (the §5 shape).
 	ids := []string{"tv000", "tv003", "tv007", "no-such-doc"}
-	legacy, err = ranker.legacyRank(Request{User: d.User, Candidates: ids, Rules: rules})
+	legacy, err = perCandidateRank(d.Loader, Request{User: d.User, Rules: rules, PlanRequest: PlanRequest{Candidates: ids}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +186,16 @@ func TestPlanMatchesLegacyFactorized(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameScores(t, "plan vs legacy candidates", planned, legacy, 1e-12)
+}
+
+// perCandidateRank ranks req with a plan forced into per-candidate mode —
+// the pre-plan implementation, kept as the second executable reference.
+func perCandidateRank(l *mapping.Loader, req Request) ([]Result, error) {
+	plan, err := perCandidatePlan(l, req.User, req.Rules)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Rank(req.PlanRequest)
 }
 
 // assertSameScores compares two result lists candidate by candidate,
@@ -253,7 +264,7 @@ func TestPlanAfterRetire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NewNaiveRanker(d.Loader).Rank(Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules})
+	naive, err := NewNaiveRanker(d.Loader).Rank(Request{User: d.User, Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,9 @@ func TestPlanAfterRetire(t *testing.T) {
 }
 
 // TestPlanClusterBound: more mutually correlated rules than the exact
-// enumeration bound must fail at compile time, not per candidate.
+// enumeration bound compile into a per-candidate plan, and — every rule
+// genuinely sharing one event — that plan fails per candidate with
+// ErrClusterBound, like the pre-plan path always did.
 func TestPlanClusterBound(t *testing.T) {
 	db := engine.New()
 	l := mapping.NewLoader(db, nil)
@@ -301,22 +314,29 @@ func TestPlanClusterBound(t *testing.T) {
 		}
 		rules = append(rules, prefs.Rule{Name: "r" + c, Context: dl.Atom("Ctx"), Preference: dl.Atom("F" + c), Sigma: 0.6})
 	}
-	if _, err := CompilePlan(l, "u", rules); err == nil {
-		t.Fatal("oversized correlation cluster compiled")
-	} else if !strings.Contains(err.Error(), "exceeds the exact-enumeration bound") {
-		t.Fatalf("unexpected compile error: %v", err)
+	plan, err := CompilePlan(l, "u", rules)
+	if err != nil {
+		t.Fatalf("oversized footprint cluster did not compile into per-candidate mode: %v", err)
 	}
-	// Every rule genuinely shares one event, so the per-candidate fallback
-	// hits the same bound: Rank must fail like the pre-plan path did.
-	if _, err := NewFactorizedRanker(l).Rank(Request{User: "u", Target: dl.Atom("Doc"), Rules: rules}); err == nil {
-		t.Fatal("genuinely oversized cluster ranked")
+	if !plan.perCandidate {
+		t.Fatal("oversized footprint cluster compiled into the enumerating mode")
+	}
+	if _, err := plan.Refresh(); !errors.Is(err, ErrPlanNotRefreshable) {
+		t.Fatalf("per-candidate plan refresh = %v, want ErrPlanNotRefreshable", err)
+	}
+	if _, err := plan.Score("d"); !errors.Is(err, ErrClusterBound) {
+		t.Fatalf("genuinely oversized cluster scored: err = %v, want ErrClusterBound", err)
+	}
+	if _, err := NewFactorizedRanker(l).Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}); !errors.Is(err, ErrClusterBound) {
+		t.Fatalf("genuinely oversized cluster ranked: err = %v, want ErrClusterBound", err)
 	}
 }
 
 // TestPlanClusterBoundFallback: rules chained together only through
 // *different* documents' events exceed the bound under the coarse
-// footprint partition but stay in ≤2-rule clusters per candidate — Rank
-// must fall back to per-candidate clustering and succeed.
+// footprint partition but stay in ≤2-rule clusters per candidate — the plan
+// must compile into per-candidate mode and rank exactly like the reference,
+// for targets, candidate lists, group members and explanations alike.
 func TestPlanClusterBoundFallback(t *testing.T) {
 	db := engine.New()
 	l := mapping.NewLoader(db, nil)
@@ -358,19 +378,53 @@ func TestPlanClusterBoundFallback(t *testing.T) {
 			}
 		}
 	}
-	if _, err := CompilePlan(l, "u", rules); err == nil {
-		t.Fatal("chained footprint cluster compiled")
-	}
-	results, err := NewFactorizedRanker(l).Rank(Request{User: "u", Target: dl.Atom("Doc"), Rules: rules})
+	plan, err := CompilePlan(l, "u", rules)
 	if err != nil {
-		t.Fatalf("fallback rank failed: %v", err)
+		t.Fatalf("chained footprint cluster did not compile: %v", err)
+	}
+	if !plan.perCandidate || plan.ActiveRules() != n {
+		t.Fatalf("chained plan: perCandidate=%v, %d active rules; want per-candidate mode over %d", plan.perCandidate, plan.ActiveRules(), n)
+	}
+	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), Explain: true}}
+	results, err := NewFactorizedRanker(l).Rank(req)
+	if err != nil {
+		t.Fatalf("per-candidate rank failed: %v", err)
 	}
 	if len(results) != n {
 		t.Fatalf("%d results, want %d", len(results), n)
 	}
+	viaPlan, err := plan.Rank(req.PlanRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRanking(t, "cached plan vs per-request plan", viaPlan, results, 0)
 	for _, r := range results {
-		if r.Score <= 0 || r.Score > 1 {
-			t.Fatalf("score %g for %s outside (0,1]", r.Score, r.ID)
+		if r.Explanation == nil || len(r.Explanation.Rules) != n {
+			t.Fatalf("%s: explanation does not cover the %d rules", r.ID, n)
+		}
+	}
+	// The restricted per-request compile (footprints of these candidates
+	// only) fits the bound, so this holds the two modes against each other;
+	// their partitions differ, so only up to float association order.
+	ids := []string{"d00", "d07", "no-such-doc"}
+	got, err := plan.Rank(PlanRequest{Candidates: ids, TopK: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restricted, err := NewFactorizedRanker(l).Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Candidates: ids, TopK: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRanking(t, "candidate list: per-candidate vs restricted compile", got, restricted, 1e-12)
+	group, err := GroupRank(NewFactorizedRanker(l), GroupRequest{
+		Users: []string{"u"}, Target: dl.Atom("Doc"), RulesFor: map[string][]prefs.Rule{"u": rules},
+	})
+	if err != nil {
+		t.Fatalf("group rank over a per-candidate plan: %v", err)
+	}
+	for i, gr := range group {
+		if gr.ID != results[i].ID || gr.Score != results[i].Score {
+			t.Fatalf("group result %d = %s:%g, want %s:%g", i, gr.ID, gr.Score, results[i].ID, results[i].Score)
 		}
 	}
 }
@@ -408,9 +462,8 @@ func TestClusterRulesPropagatesError(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "not declared") {
 		t.Fatalf("compile error = %v, want 'not declared'", err)
 	}
-	ranker := NewFactorizedRanker(l)
-	req := Request{User: "u", Target: dl.Atom("Doc"), Rules: rules}
-	if _, err := ranker.legacyRank(req); err == nil {
+	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
+	if _, err := perCandidateRank(l, req); err == nil {
 		t.Fatal("legacy clustering swallowed the undeclared-event error")
 	} else if !strings.Contains(err.Error(), "not declared") {
 		t.Fatalf("legacy error = %v, want 'not declared'", err)
@@ -441,7 +494,7 @@ func TestPlanGroupRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, user := range req.Users {
-		solo, err := ranker.Rank(Request{User: user, Target: req.Target, Rules: req.RulesFor[user]})
+		solo, err := ranker.Rank(Request{User: user, Rules: req.RulesFor[user], PlanRequest: PlanRequest{Target: req.Target}})
 		if err != nil {
 			t.Fatal(err)
 		}

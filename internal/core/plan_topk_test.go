@@ -135,7 +135,7 @@ func TestTopKRejected(t *testing.T) {
 	}
 	l, rules := correlatedSetup(t)
 	for _, ranker := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l)} {
-		if _, err := ranker.Rank(Request{User: "u", Target: dl.Atom("Doc"), Rules: rules, TopK: -2}); err == nil {
+		if _, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: -2}}); err == nil {
 			t.Fatalf("negative TopK accepted by %s", ranker.Name())
 		}
 	}
@@ -146,12 +146,12 @@ func TestTopKRejected(t *testing.T) {
 func TestRequestTopKAcrossRankers(t *testing.T) {
 	l, rules := correlatedSetup(t)
 	for _, ranker := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l)} {
-		full, err := ranker.Rank(Request{User: "u", Target: dl.Atom("Doc"), Rules: rules})
+		full, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k := 1; k <= len(full)+1; k++ {
-			got, err := ranker.Rank(Request{User: "u", Target: dl.Atom("Doc"), Rules: rules, TopK: k})
+			got, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: k}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,7 +88,7 @@ func TestSampledRankerDefaultsAndExplain(t *testing.T) {
 
 func TestSampledRankerValidation(t *testing.T) {
 	l := paperSetup(t)
-	if _, err := NewSampledRanker(l, 100, 1).Rank(Request{Target: dl.Atom("TvProgram")}); err == nil {
+	if _, err := NewSampledRanker(l, 100, 1).Rank(Request{PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
 		t.Fatal("missing user accepted")
 	}
 }

@@ -98,7 +98,7 @@ func RunE1() (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := core.Request{User: "peter", Target: dl.Atom("TvProgram"), Rules: rules}
+	req := core.Request{User: "peter", Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	rankers := []core.Ranker{
 		core.NewNaiveRanker(l), core.NewViewRanker(l), core.NewFactorizedRanker(l),
 	}
@@ -276,9 +276,9 @@ func RunE3(cfg E3Config) (*E3Result, error) {
 			return "", err
 		}
 		res, err := ranker.Rank(core.Request{
-			User:   d.User,
-			Target: dl.Atom("TvProgram"),
-			Rules:  rules,
+			User:        d.User,
+			Rules:       rules,
+			PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
 		})
 		if err != nil {
 			return "", err
@@ -346,7 +346,7 @@ func RunA1(spec workload.Spec, maxRules int, timeout time.Duration) (*A1Result, 
 			if err != nil {
 				return "", err
 			}
-			_, err = ranker.Rank(core.Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules})
+			_, err = ranker.Rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}})
 			return "", err
 		})
 	}
@@ -417,7 +417,7 @@ func RunA2(seed int64) (*A2Result, error) {
 	if err := d.ApplyBenchContext(3, true); err != nil {
 		return nil, err
 	}
-	truthCtx, err := ranker.Rank(core.Request{User: d.User, Target: target, Rules: rules})
+	truthCtx, err := ranker.Rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: target}})
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +476,7 @@ func RunA2(seed int64) (*A2Result, error) {
 	if err := ctxNoisy.Apply(d.Loader); err != nil {
 		return nil, err
 	}
-	observed, err := ranker.Rank(core.Request{User: d.User, Target: target, Rules: rules})
+	observed, err := ranker.Rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: target}})
 	if err != nil {
 		return nil, err
 	}
@@ -567,7 +567,7 @@ func RunA4(spec workload.Spec, k int, budgets []int, seed int64) (*A4Result, err
 	if err != nil {
 		return nil, err
 	}
-	req := core.Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules}
+	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	exact, err := core.NewFactorizedRanker(d.Loader).Rank(req)
 	if err != nil {
 		return nil, err

@@ -9,8 +9,6 @@ package prefs
 
 import (
 	"fmt"
-	"hash/fnv"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -241,26 +239,6 @@ func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.rules)
-}
-
-// Fingerprint hashes the repository's rules (names, expressions, σ, order)
-// into a short hex digest. Two repositories with the same fingerprint rank
-// identically, so callers can key compiled rank plans by it. Fields are
-// length-prefixed so free-form rule text cannot collide across boundaries.
-func (r *Repository) Fingerprint() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	h := fnv.New64a()
-	field := func(s string) {
-		h.Write([]byte(strconv.Itoa(len(s))))
-		h.Write([]byte{':'})
-		h.Write([]byte(s))
-	}
-	for _, rule := range r.rules {
-		field(rule.Name)
-		field(rule.String())
-	}
-	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // Defaults returns only the default (context-free) rules.

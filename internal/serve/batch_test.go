@@ -252,12 +252,14 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestRankClusterBoundFallback: a rule set whose candidate-independent
-// footprint partition exceeds the plan cluster bound must still rank
-// through the serve layer (single and batch) via the per-candidate
-// fallback instead of erroring.
-func TestRankClusterBoundFallback(t *testing.T) {
-	sys := contextrank.NewSystem()
+// chainSystem builds the bound-exceeding rule set: n = maxClusterRules+1
+// rules over one context concept, where document d_i couples rules i and
+// i+1 through one shared event. The candidate-independent footprint
+// partition chains every rule into one oversized cluster, but any single
+// candidate touches at most two rules.
+func chainSystem(t testing.TB) (sys *contextrank.System, n int) {
+	t.Helper()
+	sys = contextrank.NewSystem()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -265,7 +267,7 @@ func TestRankClusterBoundFallback(t *testing.T) {
 		}
 	}
 	must(sys.DeclareConcept("Doc", "ChainCtx"))
-	n := 17 // maxClusterRules + 1
+	n = 17
 	l, space := sys.Loader(), sys.DB().Space()
 	for i := 0; i < n; i++ {
 		must(sys.DeclareConcept(fmt.Sprintf("F%02d", i)))
@@ -274,9 +276,6 @@ func TestRankClusterBoundFallback(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("d%02d", i)
 		must(l.AssertConcept("Doc", id, nil))
-		// d_i couples rules i and i+1 through one shared event: every rule
-		// chains into one coarse cluster, but any single candidate touches
-		// at most two rules.
 		ev := event.Basic(fmt.Sprintf("chain%02d", i))
 		must(l.AssertConcept(fmt.Sprintf("F%02d", i), id, ev))
 		if i+1 < n {
@@ -287,47 +286,78 @@ func TestRankClusterBoundFallback(t *testing.T) {
 		_, err := sys.AddRule(fmt.Sprintf("RULE r%02d WHEN ChainCtx PREFER F%02d WITH 0.6", i, i))
 		must(err)
 	}
+	return sys, n
+}
+
+// TestRankClusterBoundFallback: a rule set whose candidate-independent
+// footprint partition exceeds the plan cluster bound must still rank
+// through the serve layer (single and batch) — its plan scores per
+// candidate — and that plan is cached like any other.
+func TestRankClusterBoundFallback(t *testing.T) {
+	sys, n := chainSystem(t)
 	srv := NewServer(sys, Options{})
 	if _, err := srv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	// With the context applied (rules active), the coarse footprint
-	// partition chains every rule into one oversized cluster.
+	// With the context applied (rules active), the rule set compiles, but
+	// not into a plan that can be refreshed: the mark of per-candidate mode.
 	err := srv.Facade().WithRead(func(sys *contextrank.System) error {
-		_, cerr := sys.CompileRankPlan("chainuser")
-		return cerr
+		plan, cerr := sys.CompileRankPlan("chainuser")
+		if cerr != nil {
+			return cerr
+		}
+		if plan.ActiveRules() != n {
+			t.Errorf("%d active rules, want %d", plan.ActiveRules(), n)
+		}
+		if _, rerr := sys.RefreshRankPlan(plan); !errors.Is(rerr, contextrank.ErrPlanNotRefreshable) {
+			t.Errorf("refresh of the chained plan = %v, want ErrPlanNotRefreshable", rerr)
+		}
+		return nil
 	})
-	if err == nil {
-		t.Fatal("chained rule set compiled into a plan")
-	} else if !errors.Is(err, contextrank.ErrPlanClusterBound) {
-		t.Fatalf("compile error = %v, want ErrPlanClusterBound", err)
+	if err != nil {
+		t.Fatalf("chained rule set did not compile: %v", err)
 	}
 	res, _, err := srv.Rank("chainuser", "Doc", contextrank.RankOptions{})
 	if err != nil {
-		t.Fatalf("single rank did not fall back: %v", err)
+		t.Fatalf("single rank failed: %v", err)
 	}
 	if len(res) != n {
 		t.Fatalf("%d results, want %d", len(res), n)
+	}
+	// The plan cache holds the real plan, not a verdict about it: one
+	// compile so far, and everything below — distinct requests, so the rank
+	// cache cannot answer — is a plan-cache hit.
+	if st := srv.Stats().Plans; st.Size != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("after the first rank: plan cache %+v, want one compiled entry", st)
 	}
 	batch, _, err := srv.RankBatch("chainuser", "", []RankItem{
 		{Target: "Doc", Limit: 5},
 		{Candidates: []string{"d00", "d01"}},
 	})
 	if err != nil {
-		t.Fatalf("batch did not fall back: %v", err)
+		t.Fatalf("batch failed: %v", err)
 	}
 	for i, item := range batch {
 		if item.Err != nil {
 			t.Fatalf("batch item %d: %v", i, item.Err)
 		}
 	}
-	// The bound verdict is negatively cached: one entry, and the repeat
-	// requests above hit it instead of recompiling.
-	if size := srv.plans.size.Load(); size != 1 {
-		t.Fatalf("plan cache holds %d entries, want 1 negative verdict", size)
+	if _, _, err := srv.Rank("chainuser", "Doc", contextrank.RankOptions{Limit: 3}); err != nil {
+		t.Fatal(err)
 	}
-	if hits := srv.plans.hits.Load(); hits == 0 {
-		t.Fatal("repeat bound-exceeding requests never hit the negative verdict")
+	if st := srv.Stats().Plans; st.Size != 1 || st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("repeat requests: plan cache %+v, want 2 hits on the one compiled entry", st)
+	}
+	// A context apply moves the context epoch; the per-candidate plan is
+	// recompiled, never refreshed.
+	if _, err := srv.SetSession("other", []Measurement{{Concept: "ChainCtx", Prob: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.Rank("chainuser", "Doc", contextrank.RankOptions{Limit: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats().Plans; st.Misses != 2 || st.Refreshed != 0 {
+		t.Fatalf("after a context apply: plan cache %+v, want a second compile and no refresh", st)
 	}
 }
 
@@ -335,7 +365,7 @@ func TestRankClusterBoundFallback(t *testing.T) {
 // sharded coordinator (the batch must land on the user's shard).
 func TestHTTPRankBatch(t *testing.T) {
 	srv, user := batchServer(t, 4)
-	ts := httptest.NewServer(NewHandler(srv))
+	ts := httptest.NewServer(NewHandlerFor(srv))
 	defer ts.Close()
 
 	body := fmt.Sprintf(`{"user":%q,"items":[

@@ -14,20 +14,21 @@ import (
 // DefaultCacheSize is the rank cache capacity when Options leaves it zero.
 const DefaultCacheSize = 1024
 
-// rankKey builds the cache key for one ranking request. The epoch makes
-// every data mutation an implicit full invalidation (stale entries are
-// never hit again and age out of the LRU); the fingerprint does the same
-// per user for session context changes. The empty algorithm is normalized
+// rankKey builds the cache key for one ranking request at one state
+// version. The version's epoch makes every data mutation an implicit full
+// invalidation (stale entries are never hit again and age out of the LRU);
+// its fingerprint does the same per user for session context changes. The
+// empty algorithm is normalized
 // to the default so both spellings share one entry and coalesce.
 // Free-form fields are length-prefixed: a bare separator byte would let
 // values containing that byte collide across fields (JSON strings can
 // carry any byte, including NUL).
-func rankKey(user, target, fingerprint string, epoch int64, opts contextrank.RankOptions) string {
+func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) string {
 	if opts.Algorithm == "" {
 		opts.Algorithm = contextrank.AlgorithmFactorized
 	}
 	var b strings.Builder
-	b.Grow(len(user) + len(target) + len(fingerprint) + 64)
+	b.Grow(len(user) + len(target) + len(v.fp) + 64)
 	field := func(s string) {
 		b.WriteString(strconv.Itoa(len(s)))
 		b.WriteByte(':')
@@ -36,7 +37,7 @@ func rankKey(user, target, fingerprint string, epoch int64, opts contextrank.Ran
 	field(user)
 	field(target)
 	field(string(opts.Algorithm))
-	field(fingerprint)
+	field(v.fp)
 	b.WriteString(strconv.FormatFloat(opts.Threshold, 'g', -1, 64))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(opts.Limit))
@@ -47,7 +48,7 @@ func rankKey(user, target, fingerprint string, epoch int64, opts contextrank.Ran
 		b.WriteByte('e')
 	}
 	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(epoch, 10))
+	b.WriteString(strconv.FormatInt(v.epoch, 10))
 	return b.String()
 }
 
@@ -103,21 +104,24 @@ func newRankCache(capacity int) *rankCache {
 	}
 }
 
-// get returns the cached result for key, marking it most recently used.
+// get looks key up for a caller that computes its own misses (the batch
+// path), marking a hit most recently used and counting either outcome.
 func (c *rankCache) get(key string) ([]contextrank.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
+		c.misses.Add(1)
 		return nil, false
 	}
+	c.hits.Add(1)
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }
 
-// put inserts a computed result under key — the batch path's store, which
-// computes outside the cache (sharing one plan across items) instead of
-// through do's singleflight.
+// put files a computed result under key, with the epoch it was computed at.
+// The read path (Server.rankMisses) is the only caller: it stores under the
+// key it observed, which need not be the key anyone looked up.
 func (c *rankCache) put(key string, res []contextrank.Result, epoch int64) {
 	c.mu.Lock()
 	c.addLocked(key, res, epoch)
@@ -145,15 +149,16 @@ func (c *rankCache) addLocked(key string, res []contextrank.Result, epoch int64)
 // do returns the cached result for key or computes it once, coalescing
 // concurrent identical misses onto a single computation.
 //
-// compute returns the result together with the key it should be stored
-// under and the epoch it was computed at — usually key itself, but the
-// leader re-derives both from what it actually observed under the read
-// lock, so a result computed just after a mutation is filed under the new
-// epoch rather than the stale one. The returned epoch always describes
-// the result (for hits, the epoch the entry was computed at; for
-// coalesced waiters, the leader's). Errors are returned to every
-// coalesced caller and never cached.
-func (c *rankCache) do(key string, compute func() (res []contextrank.Result, storeKey string, epoch int64, err error)) (res []contextrank.Result, epoch int64, cached bool, err error) {
+// do never stores: compute files its result itself (put), under the key it
+// actually observed, which differs from key when the state moved between the
+// caller's look-up and the compute — so a result computed just after a
+// mutation is never filed under the stale key. Waiters coalesced onto the
+// flight receive the result directly and never re-consult the cache, so
+// nothing is lost when the keys differ. The returned epoch always describes
+// the result (for hits, the epoch the entry was computed at; for the leader
+// and coalesced waiters, the one compute reports). Errors are returned to
+// every coalesced caller.
+func (c *rankCache) do(key string, compute func() (res []contextrank.Result, epoch int64, err error)) (res []contextrank.Result, epoch int64, cached bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -177,25 +182,13 @@ func (c *rankCache) do(key string, compute func() (res []contextrank.Result, sto
 	c.misses.Add(1)
 	c.mu.Unlock()
 
-	res, storeKey, epoch, err := compute()
-	fl.res, fl.epoch, fl.err = res, epoch, err
+	fl.res, fl.epoch, fl.err = compute()
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	if err == nil {
-		// Only the key matching what was actually observed is cached.
-		// Never file the result under the originally requested key when
-		// they differ: fingerprints round-trip (context X → Y → X yields
-		// the same key again with no epoch bump), so a stale-key entry
-		// holding a Y-context result would later be served as a hit for
-		// a genuine X-context request. Waiters coalesced onto this
-		// flight receive the result directly and never re-consult the
-		// cache, so nothing is lost.
-		c.addLocked(storeKey, res, epoch)
-	}
 	c.mu.Unlock()
 	fl.wg.Done()
-	return res, epoch, false, err
+	return fl.res, fl.epoch, false, fl.err
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -17,16 +17,16 @@ func res(ids ...string) []contextrank.Result {
 }
 
 func TestRankKeyDistinguishesEveryDimension(t *testing.T) {
-	base := rankKey("u", "T", "fp", 1, contextrank.RankOptions{})
+	base := rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{})
 	variants := []string{
-		rankKey("v", "T", "fp", 1, contextrank.RankOptions{}),
-		rankKey("u", "S", "fp", 1, contextrank.RankOptions{}),
-		rankKey("u", "T", "fq", 1, contextrank.RankOptions{}),
-		rankKey("u", "T", "fp", 2, contextrank.RankOptions{}),
-		rankKey("u", "T", "fp", 1, contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}),
-		rankKey("u", "T", "fp", 1, contextrank.RankOptions{Threshold: 0.1}),
-		rankKey("u", "T", "fp", 1, contextrank.RankOptions{Limit: 5}),
-		rankKey("u", "T", "fp", 1, contextrank.RankOptions{Explain: true}),
+		rankKey("v", "T", stateVersion{1, "fp"}, contextrank.RankOptions{}),
+		rankKey("u", "S", stateVersion{1, "fp"}, contextrank.RankOptions{}),
+		rankKey("u", "T", stateVersion{1, "fq"}, contextrank.RankOptions{}),
+		rankKey("u", "T", stateVersion{2, "fp"}, contextrank.RankOptions{}),
+		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}),
+		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Threshold: 0.1}),
+		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Limit: 5}),
+		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Explain: true}),
 	}
 	seen := map[string]bool{base: true}
 	for i, v := range variants {
@@ -40,13 +40,13 @@ func TestRankKeyDistinguishesEveryDimension(t *testing.T) {
 func TestRankKeyResistsSeparatorInjection(t *testing.T) {
 	// JSON strings may contain any byte; values must not be able to
 	// shift bytes between fields and collide.
-	a := rankKey("a\x00b", "c", "", 1, contextrank.RankOptions{})
-	b := rankKey("a", "b\x00c", "", 1, contextrank.RankOptions{})
+	a := rankKey("a\x00b", "c", stateVersion{1, ""}, contextrank.RankOptions{})
+	b := rankKey("a", "b\x00c", stateVersion{1, ""}, contextrank.RankOptions{})
 	if a == b {
 		t.Fatalf("cross-field collision: %q", a)
 	}
-	c := rankKey("u", "T\x001", "", 1, contextrank.RankOptions{})
-	d := rankKey("u", "T", "\x001", 1, contextrank.RankOptions{})
+	c := rankKey("u", "T\x001", stateVersion{1, ""}, contextrank.RankOptions{})
+	d := rankKey("u", "T", stateVersion{1, "\x001"}, contextrank.RankOptions{})
 	if c == d {
 		t.Fatalf("target/fingerprint collision: %q", c)
 	}
@@ -54,13 +54,7 @@ func TestRankKeyResistsSeparatorInjection(t *testing.T) {
 
 func TestRankCacheLRUEviction(t *testing.T) {
 	c := newRankCache(2)
-	fill := func(key string, ids ...string) {
-		if _, _, _, err := c.do(key, func() ([]contextrank.Result, string, int64, error) {
-			return res(ids...), key, 1, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fill := func(key string, ids ...string) { c.put(key, res(ids...), 1) }
 	fill("a", "x")
 	fill("b", "y")
 	if _, ok := c.get("a"); !ok {
@@ -91,11 +85,11 @@ func TestRankCacheSingleflightCoalesces(t *testing.T) {
 	results := make([][]contextrank.Result, waiters+1)
 	launch := func(i int) {
 		defer wg.Done()
-		r, epoch, _, err := c.do("k", func() ([]contextrank.Result, string, int64, error) {
+		r, epoch, _, err := c.do("k", func() ([]contextrank.Result, int64, error) {
 			computes.Add(1)
 			close(entered)
 			<-gate
-			return res("only"), "k", 42, nil
+			return res("only"), 42, nil
 		})
 		if epoch != 42 {
 			t.Errorf("caller %d reported epoch %d, want the leader's 42", i, epoch)
@@ -134,19 +128,22 @@ func TestRankCacheSingleflightCoalesces(t *testing.T) {
 
 func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
 	// A leader that observes a newer epoch/fingerprint files the result
-	// only under the key it actually computed at. The requested key must
-	// stay empty: fingerprints round-trip, so an entry under the stale
-	// key would later serve a wrong-context result as a hit.
+	// only under the key it actually computed at — do itself stores
+	// nothing. The requested key must stay empty: fingerprints round-trip,
+	// so an entry under the stale key would later serve a wrong-context
+	// result as a hit.
 	c := newRankCache(8)
-	if _, _, _, err := c.do("old", func() ([]contextrank.Result, string, int64, error) {
-		return res("r"), "new", 2, nil
-	}); err != nil {
-		t.Fatal(err)
+	got, epoch, cached, err := c.do("old", func() ([]contextrank.Result, int64, error) {
+		c.put("new", res("r"), 2)
+		return res("r"), 2, nil
+	})
+	if err != nil || cached || epoch != 2 || len(got) != 1 {
+		t.Fatalf("leader got (%v, epoch %d, cached %v, err %v)", got, epoch, cached, err)
 	}
 	if _, ok := c.get("old"); ok {
 		t.Fatal("requested (stale) key was cached")
 	}
-	if _, ok := c.get("new"); !ok {
+	if _, _, cached, _ := c.do("new", nil); !cached {
 		t.Fatal("observed key not cached")
 	}
 }
@@ -154,9 +151,9 @@ func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
 func TestRankCacheErrorsNotCached(t *testing.T) {
 	c := newRankCache(8)
 	calls := 0
-	fail := func() ([]contextrank.Result, string, int64, error) {
+	fail := func() ([]contextrank.Result, int64, error) {
 		calls++
-		return nil, "k", 0, errTest
+		return nil, 0, errTest
 	}
 	if _, _, _, err := c.do("k", fail); err != errTest {
 		t.Fatalf("err = %v", err)

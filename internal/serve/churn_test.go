@@ -56,10 +56,7 @@ func TestServeSessionChurnSoak(t *testing.T) {
 	if _, err := srv.SetSession("user000", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
 		t.Fatal(err)
 	}
-	before, err := srv.Facade().RankWith("user000", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := freshRank(t, srv.Facade(), "user000", "TvProgram")
 
 	const (
 		users   = 100
@@ -104,10 +101,7 @@ func TestServeSessionChurnSoak(t *testing.T) {
 
 	// The sentinel's ranking is untouched by 10k retire/redeclare cycles —
 	// identical scores, not merely approximately equal.
-	after, err := srv.Facade().RankWith("user000", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := freshRank(t, srv.Facade(), "user000", "TvProgram")
 	if len(after) != len(before) {
 		t.Fatalf("result count changed: %d -> %d", len(before), len(after))
 	}

@@ -65,9 +65,6 @@ type Handler struct {
 	chaos     *faultinject.Injector // nil = no /v1/chaos endpoints
 }
 
-// NewHandler builds the HTTP API over a single server.
-func NewHandler(srv *Server) *Handler { return NewHandlerFor(srv) }
-
 // NewHandlerFor builds the HTTP API over any serving backend.
 func NewHandlerFor(srv Backend) *Handler {
 	h := &Handler{srv: srv, mux: http.NewServeMux()}
@@ -251,26 +248,22 @@ type rankOptionsJSON struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// options validates the block and shapes it as RankOptions. field names
-// the top_k field in error messages ("top_k", "items[3].top_k") so batch
-// items report their position. Absent top_k means "full ranking";
-// explicit values must be positive — silently treating 0 as "all" would
-// mask a caller that meant to bound the response and didn't.
-func (o rankOptionsJSON) options(field string) (contextrank.RankOptions, error) {
-	topK := 0
+// item validates the block and shapes it as a RankItem for the caller to
+// point at a target or candidate list (the algorithm travels separately:
+// it belongs to the request, not the item). field names the top_k field in
+// error messages ("top_k", "items[3].top_k") so batch items report their
+// position. Absent top_k means "full ranking"; explicit values must be
+// positive — silently treating 0 as "all" would mask a caller that meant to
+// bound the response and didn't.
+func (o rankOptionsJSON) item(field string) (RankItem, error) {
+	it := RankItem{Threshold: o.Threshold, Limit: o.Limit, Explain: o.Explain}
 	if o.TopK != nil {
 		if *o.TopK <= 0 {
-			return contextrank.RankOptions{}, fmt.Errorf("serve: %s must be positive (got %d)", field, *o.TopK)
+			return RankItem{}, fmt.Errorf("serve: %s must be positive (got %d)", field, *o.TopK)
 		}
-		topK = *o.TopK
+		it.TopK = *o.TopK
 	}
-	return contextrank.RankOptions{
-		Algorithm: contextrank.Algorithm(o.Algorithm),
-		Threshold: o.Threshold,
-		Limit:     o.Limit,
-		TopK:      topK,
-		Explain:   o.Explain,
-	}, nil
+	return it, nil
 }
 
 // rankQueryOptions decodes the same option block from GET query
@@ -537,7 +530,7 @@ func (h *Handler) rank(w http.ResponseWriter, r *http.Request, req rankRequest) 
 		writeError(w, r, http.StatusBadRequest, errors.New("serve: rank needs user and target"))
 		return
 	}
-	opts, err := req.options("top_k")
+	item, err := req.item("top_k")
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -545,7 +538,7 @@ func (h *Handler) rank(w http.ResponseWriter, r *http.Request, req rankRequest) 
 	if !h.admitUser(w, r, req.User) {
 		return
 	}
-	results, meta, err := h.srv.Rank(req.User, req.Target, opts)
+	results, meta, err := h.srv.Rank(req.User, req.Target, item.options(contextrank.Algorithm(req.Algorithm)))
 	annotate(r, req.User, meta.Shard)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
@@ -599,19 +592,12 @@ func (h *Handler) rankBatch(w http.ResponseWriter, r *http.Request) {
 				"serve: items[%d].algorithm must be empty; the batch algorithm applies to every item", i))
 			return
 		}
-		opts, err := it.options(fmt.Sprintf("items[%d].top_k", i))
-		if err != nil {
+		var err error
+		if items[i], err = it.item(fmt.Sprintf("items[%d].top_k", i)); err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		items[i] = RankItem{
-			Target:     it.Target,
-			Candidates: it.Candidates,
-			Threshold:  opts.Threshold,
-			Limit:      opts.Limit,
-			TopK:       opts.TopK,
-			Explain:    opts.Explain,
-		}
+		items[i].Target, items[i].Candidates = it.Target, it.Candidates
 	}
 	results, meta, err := h.srv.RankBatch(req.User, contextrank.Algorithm(req.Algorithm), items)
 	annotate(r, req.User, meta.Shard)
@@ -657,11 +643,12 @@ func (h *Handler) subscribe(w http.ResponseWriter, r *http.Request) {
 			"serve: explain is not supported on subscriptions"))
 		return
 	}
-	opts, err := req.options("top_k")
+	item, err := req.item("top_k")
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	item.Target, item.Candidates = req.Target, req.Candidates
 	if req.User == "" {
 		writeError(w, r, http.StatusBadRequest, errors.New("serve: subscription needs a user"))
 		return
@@ -669,14 +656,7 @@ func (h *Handler) subscribe(w http.ResponseWriter, r *http.Request) {
 	if !h.admitUser(w, r, req.User) {
 		return
 	}
-	info, err := h.srv.Subscribe(req.ID, SubscriptionSpec{
-		User:       req.User,
-		Target:     req.Target,
-		Candidates: req.Candidates,
-		Threshold:  opts.Threshold,
-		Limit:      opts.Limit,
-		TopK:       opts.TopK,
-	})
+	info, err := h.srv.Subscribe(req.ID, SubscriptionSpec{User: req.User, RankItem: item})
 	annotate(r, req.User, info.Shard)
 	if err != nil {
 		writeMutationError(w, r, http.StatusBadRequest, err)

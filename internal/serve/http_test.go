@@ -46,7 +46,7 @@ func call(t *testing.T, ts *httptest.Server, method, path, body string, status i
 // set a session context, rank (twice, second cached), inspect stats.
 func TestHTTPFullFlow(t *testing.T) {
 	srv := NewServer(contextrank.NewSystem(), Options{})
-	ts := httptest.NewServer(NewHandler(srv))
+	ts := httptest.NewServer(NewHandlerFor(srv))
 	defer ts.Close()
 
 	call(t, ts, "GET", "/healthz", "", http.StatusOK, nil)
@@ -183,7 +183,7 @@ func TestHTTPFullFlow(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	srv := NewServer(contextrank.NewSystem(), Options{})
-	ts := httptest.NewServer(NewHandler(srv))
+	ts := httptest.NewServer(NewHandlerFor(srv))
 	defer ts.Close()
 
 	// Malformed body.

@@ -71,17 +71,20 @@ func fsOrOS(fsys FS) FS {
 	return fsys
 }
 
-// SyncDirFS best-effort fsyncs a directory through fsys — the seam-aware
-// form of SyncDir. Errors are ignored for the same reason: some
-// filesystems/platforms reject directory fsync and the next journal-wide
-// sync flushes the metadata anyway.
+// SyncDirFS best-effort fsyncs a directory through fsys, persisting renames
+// and file creations within it (the metadata half of crash durability:
+// without it, a power cut can undo a rename whose *file data* was fsynced).
+// Errors are ignored — some filesystems/platforms reject directory fsync,
+// and the fallback behavior (metadata flushed by the next journal-wide sync)
+// degrades gracefully.
 func SyncDirFS(fsys FS, dir string) {
 	_ = fsOrOS(fsys).SyncDir(dir)
 }
 
 // WriteFileSyncFS writes data to path through fsys with an fsync before
-// close — the seam-aware form of WriteFileSync, for manifest switches
-// that must be testable under injected disk faults.
+// close — the durable sibling of os.WriteFile, for manifest files whose
+// content must survive the rename that publishes them, through the seam so
+// manifest switches are testable under injected disk faults.
 func WriteFileSyncFS(fsys FS, path string, data []byte, perm os.FileMode) error {
 	f, err := fsOrOS(fsys).OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {

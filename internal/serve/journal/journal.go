@@ -77,23 +77,6 @@ import (
 	"sync/atomic"
 )
 
-// SyncDir best-effort fsyncs a directory, persisting renames and file
-// creations within it (the metadata half of crash durability: without
-// it, a power cut can undo a rename whose *file data* was fsynced).
-// Errors are ignored — some filesystems/platforms reject directory
-// fsync, and the fallback behavior (metadata flushed by the next
-// journal-wide sync) degrades gracefully.
-func SyncDir(dir string) {
-	_ = OSFS{}.SyncDir(dir)
-}
-
-// WriteFileSync writes data to path with an fsync before close — the
-// durable sibling of os.WriteFile, for manifest files whose content must
-// survive the rename that publishes them.
-func WriteFileSync(path string, data []byte, perm os.FileMode) error {
-	return WriteFileSyncFS(OSFS{}, path, data, perm)
-}
-
 // magic identifies a journal file (and its framing version). Bump the
 // trailing digit on incompatible frame changes.
 var magic = []byte("CARWAL1\n")
@@ -141,11 +124,6 @@ const (
 // range is bounded explicitly — ops added after OpExec (subscriptions) must
 // opt in here, not inherit vocab semantics by position.
 func (op Op) IsVocab() bool { return op >= OpDeclare && op <= OpExec }
-
-// IsSubscription reports whether the op maintains the standing-subscription
-// set (OpSubscribe/OpUnsubscribe). Like session ops, these are routed per
-// user by the shard coordinator and are retired by their in-log successor.
-func (op Op) IsSubscription() bool { return op == OpSubscribe || op == OpUnsubscribe }
 
 // Measurement is the journal's own wire shape for one session measurement.
 // It mirrors situation.Measurement but carries explicit JSON tags so the

@@ -259,7 +259,7 @@ func TestJournalSubscriptionReplaceOrder(t *testing.T) {
 				if w == 0 && r%2 == 1 {
 					_, err = src.Unsubscribe(id)
 				} else {
-					_, err = src.Subscribe(id, SubscriptionSpec{User: "peter", Target: "TvProgram", Limit: 1 + w})
+					_, err = src.Subscribe(id, SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram", Limit: 1 + w}})
 				}
 				if err != nil {
 					t.Error(err)

@@ -9,11 +9,10 @@ import (
 	contextrank "repro"
 )
 
-// DefaultPlanCacheSize is the compiled-plan LRU capacity when Options
-// leaves it zero. Plans are per-user (not per-target), so a modest
-// capacity covers many more distinct rank requests than the same number of
-// rank-result entries.
-const DefaultPlanCacheSize = 256
+// planCacheSize is the compiled-plan LRU capacity. Plans are per-user (not
+// per-target), so a modest capacity covers many more distinct rank requests
+// than the same number of rank-result entries.
+const planCacheSize = 256
 
 // planBaseKey is the identity under which successive context epochs'
 // plans are predecessors of one another: (user, facade epoch). Every
@@ -35,9 +34,7 @@ func planKey(baseKey string, ctxEpoch int64) string {
 	return baseKey + "|" + strconv.FormatInt(ctxEpoch, 10)
 }
 
-// planEntry is one cached compiled plan. A nil plan is a negative entry:
-// the rule set is known not to compile at this key's state (cluster bound),
-// so callers fail fast into the per-candidate fallback.
+// planEntry is one cached compiled plan.
 type planEntry struct {
 	key     string
 	baseKey string
@@ -71,12 +68,9 @@ type planCache struct {
 	refreshed atomic.Int64
 }
 
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
-	}
+func newPlanCache() *planCache {
 	return &planCache{
-		capacity: capacity,
+		capacity: planCacheSize,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 		latest:   make(map[string]*list.Element),
@@ -98,10 +92,8 @@ func (c *planCache) get(key string) (*contextrank.RankPlan, bool) {
 }
 
 // getLatest returns the most recently added live plan under the base key
-// (user, facade epoch) regardless of context epoch — the
-// predecessor an incremental refresh starts from. Negative entries are
-// skipped: the cluster bound is a property of the footprint partition and a
-// refresh would just rediscover it.
+// (user, facade epoch) regardless of context epoch — the predecessor an
+// incremental refresh starts from.
 func (c *planCache) getLatest(baseKey string) (*contextrank.RankPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -109,11 +101,7 @@ func (c *planCache) getLatest(baseKey string) (*contextrank.RankPlan, bool) {
 	if !ok {
 		return nil, false
 	}
-	plan := el.Value.(*planEntry).plan
-	if plan == nil {
-		return nil, false
-	}
-	return plan, true
+	return el.Value.(*planEntry).plan, true
 }
 
 // add inserts the plan under key, evicting from the LRU tail past

@@ -90,10 +90,7 @@ func TestConcurrentRankersAndMutators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", u, err)
 		}
-		fresh, err := srv.Facade().RankWith(u, "TvProgram", contextrank.RankOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", u, err)
-		}
+		fresh := freshRank(t, srv.Facade(), u, "TvProgram")
 		sameResults(t, cached, fresh)
 	}
 

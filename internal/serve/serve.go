@@ -113,45 +113,13 @@ func (f *Facade) WithWriteEpoch(fn func(sys *contextrank.System) error) (int64, 
 	return f.epoch.Add(1), err
 }
 
-// withReadEpoch runs fn under the shared lock, passing the epoch observed
-// while the lock is held — the exact epoch fn's reads correspond to, since
-// the epoch only changes under the write lock.
-func (f *Facade) withReadEpoch(fn func(sys *contextrank.System, epoch int64) error) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return fn(f.sys, f.epoch.Load())
-}
-
 // --- Read operations -------------------------------------------------------
 
-// Rank ranks the target concept for the user with default options.
-func (f *Facade) Rank(user, target string) ([]contextrank.Result, error) {
-	return f.RankWith(user, target, contextrank.RankOptions{})
-}
-
-// RankWith ranks with explicit options under the read lock.
-func (f *Facade) RankWith(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.RankWith(user, target, opts)
-}
-
-// RankQuery runs the §5 query-integrated ranking under the read lock. The
-// SQL must be a SELECT: the engine executes statements before checking
-// whether they produced rows, so DML smuggled through a shared-lock path
-// would mutate state under concurrent rankers and dodge the epoch bump.
-func (f *Facade) RankQuery(user, sqlQuery string, opts contextrank.RankOptions) ([]contextrank.Result, error) {
-	if err := ensureSelect(sqlQuery); err != nil {
-		return nil, err
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.RankQuery(user, sqlQuery, opts)
-}
-
-// Query runs a SQL query under the read lock. Like RankQuery it accepts
-// only SELECT statements; anything that writes must go through the
-// server's Exec.
+// Query runs a SQL query under the read lock. It accepts only SELECT
+// statements: the engine executes statements before checking whether they
+// produced rows, so DML smuggled through a shared-lock path would mutate
+// state under concurrent rankers and dodge the epoch bump. Anything that
+// writes must go through the server's Exec.
 func (f *Facade) Query(stmt string) (*contextrank.QueryResult, error) {
 	if err := ensureSelect(stmt); err != nil {
 		return nil, err

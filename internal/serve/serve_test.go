@@ -38,6 +38,23 @@ func newTestSystem(t testing.TB) *contextrank.System {
 	return sys
 }
 
+// freshRank ranks under the facade's read lock, bypassing the server and
+// both of its caches — the uncached reference the served path is held
+// against.
+func freshRank(t testing.TB, f *Facade, user, target string) []contextrank.Result {
+	t.Helper()
+	var out []contextrank.Result
+	err := f.WithRead(func(sys *contextrank.System) error {
+		var rerr error
+		out, rerr = sys.RankWith(user, target, contextrank.RankOptions{})
+		return rerr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func sameResults(t *testing.T, got, want []contextrank.Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -59,7 +76,7 @@ func TestFacadeEpochDiscipline(t *testing.T) {
 	e0 := f.Epoch()
 
 	// Read operations leave the epoch alone.
-	if _, err := f.Rank("peter", "TvProgram"); err != nil {
+	if _, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Query("SELECT id FROM c_TvProgram"); err != nil {
@@ -133,12 +150,14 @@ func TestFacadeRankMatchesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFacade(sys)
-	got, err := f.Rank("peter", "TvProgram")
+	// Both ways in: the served path, and a bare rank under the read lock.
+	srv := NewServer(sys, Options{})
+	got, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, got, want)
+	sameResults(t, freshRank(t, srv.Facade(), "peter", "TvProgram"), want)
 	if len(got) != 10 {
 		t.Fatalf("got %d results, want 10", len(got))
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -16,10 +15,6 @@ type Options struct {
 	// CacheSize is the rank-result LRU capacity (entries). 0 means
 	// DefaultCacheSize; negative disables caching entirely.
 	CacheSize int
-	// PlanCacheSize is the compiled-rank-plan LRU capacity (entries). 0
-	// means DefaultPlanCacheSize; negative disables plan caching (every
-	// uncached rank then recompiles its plan).
-	PlanCacheSize int
 	// DegradeOnDiskError arms read-only degraded mode: when an attached
 	// journal sticky-fails, mutations are rejected with ErrDegraded
 	// (ranks keep serving from memory) instead of each returning its own
@@ -107,7 +102,7 @@ type Server struct {
 	facade   *Facade
 	sessions *Sessions
 	cache    *rankCache // nil when caching is disabled
-	plans    *planCache // nil when plan caching is disabled
+	plans    *planCache
 	latency  *latencyRecorder
 	health   *diskHealth
 	subs     *subRegistry
@@ -128,6 +123,7 @@ var _ Backend = (*Server)(nil)
 func NewServer(sys *contextrank.System, opts Options) *Server {
 	srv := &Server{
 		facade:  NewFacade(sys),
+		plans:   newPlanCache(),
 		latency: &latencyRecorder{},
 		health:  &diskHealth{enabled: opts.DegradeOnDiskError},
 		subs:    newSubRegistry(),
@@ -137,9 +133,6 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 	srv.sessions = newSessions(srv.facade)
 	if opts.CacheSize >= 0 {
 		srv.cache = newRankCache(opts.CacheSize)
-	}
-	if opts.PlanCacheSize >= 0 {
-		srv.plans = newPlanCache(opts.PlanCacheSize)
 	}
 	return srv
 }
@@ -170,51 +163,67 @@ type RankMeta struct {
 	Elapsed time.Duration // wall time of this call
 }
 
+// stateVersion is the state a user's ranking is valid for: the facade epoch
+// — bumped by every vocabulary, data and rule write, by a context apply that
+// is role-coupled to other users or fails, and by a checkpoint dump — and the
+// user's own applied session fingerprint. Two ranks of one request at one
+// version return the same scores, so it keys the rank cache and decides
+// whether a subscription needs re-evaluating. It deliberately leaves out the
+// context epoch: another user's apply renames this user's context events
+// (which is why plan-cache keys carry it) but cannot move their scores.
+type stateVersion struct {
+	epoch int64
+	fp    string
+}
+
+// version reads the user's current state version — the only place epoch and
+// fingerprint are paired. Both reads are lock-free: AppliedFingerprint
+// because a session apply holds its mutex across the facade write lock, so
+// taking that mutex under the read lock would deadlock. Both only change
+// under the facade write lock, so a version read while holding the read lock
+// is exactly the state being read; one read outside it is a guess the read
+// path re-checks (see rankMisses).
+func (s *Server) version(user string) stateVersion {
+	return stateVersion{epoch: s.facade.Epoch(), fp: s.sessions.AppliedFingerprint(user)}
+}
+
+// rankReq is one ranking task as the read path carries it: a target or a
+// candidate list, and the options it ranks under.
+type rankReq struct {
+	target     string
+	candidates []string
+	opts       contextrank.RankOptions
+}
+
 // Rank ranks target for user through the cache: a hit under an unchanged
-// (epoch, session fingerprint) is O(1), identical concurrent misses are
-// coalesced onto one computation, and the rest take the facade read path.
+// version is O(1), identical concurrent misses are coalesced onto one
+// computation, and the leader ranks through rankMisses. Coalescing wraps the
+// compute from outside the facade lock: a waiter parked on a flight while
+// holding the read lock would deadlock as soon as a writer queued (new
+// readers block behind a pending write lock, and the leader needs one).
 func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error) {
 	started := time.Now()
 	s.requests.Add(1)
-
-	// AppliedFingerprint is lock-free, so it is safe both here and inside
-	// the facade read lock below (a session apply holds its own mutex across
-	// the facade write lock, so Sessions.Fingerprint — which takes that
-	// mutex — would deadlock there). If a session update lands between
-	// this read and the ranking, the compute closure re-reads fingerprint
-	// and epoch under the read lock and files the result under the pair
-	// it was actually computed at.
-	fp := s.sessions.AppliedFingerprint(user)
-	epoch := s.facade.Epoch()
-
+	rq := rankReq{target: target, opts: opts}
+	compute := func() ([]contextrank.Result, int64, error) {
+		out := make([]RankItemResult, 1)
+		v, err := s.rankMisses(user, []rankReq{rq}, out)
+		if err == nil {
+			err = out[0].Err
+		}
+		return out[0].Results, v.epoch, err
+	}
 	var (
 		res    []contextrank.Result
+		epoch  int64
 		cached bool
 		err    error
 	)
 	if s.cache == nil {
-		err = s.facade.withReadEpoch(func(sys *contextrank.System, e int64) error {
-			epoch = e
-			r, rerr := s.rankTarget(sys, user, target, opts, e)
-			res = r
-			return rerr
-		})
+		res, epoch, err = compute()
 	} else {
-		key := rankKey(user, target, fp, epoch, opts)
-		res, epoch, cached, err = s.cache.do(key, func() ([]contextrank.Result, string, int64, error) {
-			var out []contextrank.Result
-			storeKey, observed := key, epoch
-			cerr := s.facade.withReadEpoch(func(sys *contextrank.System, e int64) error {
-				observed = e
-				storeKey = rankKey(user, target, s.sessions.AppliedFingerprint(user), e, opts)
-				r, rerr := s.rankTarget(sys, user, target, opts, e)
-				out = r
-				return rerr
-			})
-			return out, storeKey, observed, cerr
-		})
+		res, epoch, cached, err = s.cache.do(rankKey(user, target, s.version(user), opts), compute)
 	}
-
 	elapsed := time.Since(started)
 	if err == nil {
 		s.latency.observe(elapsed)
@@ -222,58 +231,81 @@ func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]cont
 	return res, RankMeta{Cached: cached, Epoch: epoch, Elapsed: elapsed}, err
 }
 
-// planAlgorithm reports whether the algorithm is served by compiled rank
-// plans (the factorized default); the others rank through the generic path.
-func planAlgorithm(alg contextrank.Algorithm) bool {
-	return alg == "" || alg == contextrank.AlgorithmFactorized
-}
-
-// rankTarget computes one uncached target ranking. Must run under the
-// facade read lock with e the epoch observed under that lock: the plan
-// fetched (or compiled) here is keyed by (user, e, context epoch), all of
-// which are stable while the lock is held, so a cached plan can never be
-// stale for the snapshot being read.
-func (s *Server) rankTarget(sys *contextrank.System, user, target string, opts contextrank.RankOptions, e int64) ([]contextrank.Result, error) {
-	if !planAlgorithm(opts.Algorithm) {
-		return sys.RankWith(user, target, opts)
-	}
-	plan, err := s.planFor(sys, user, e)
-	if err != nil {
-		if errors.Is(err, contextrank.ErrPlanClusterBound) {
-			// The footprint partition is too coarse for this rule set; go
-			// straight to the per-candidate path (a cached negative verdict
-			// means recompiling would just rediscover the bound).
-			return sys.RankNoPlan(user, target, opts)
+// rankMisses is the one place the server ranks: Rank's singleflight leader,
+// every RankBatch and, through RankBatch, every subscription evaluation end
+// here. Under one facade read-lock hold — one consistent snapshot — it
+// re-reads the user's version, fetches the user's compiled plan once (the
+// factorized algorithm; the others rank through the generic path), ranks
+// every req whose out slot is not already served from the cache, and files
+// each target result in the rank cache under the version observed *here*,
+// never under the caller's pre-read one: fingerprints round-trip (context
+// X → Y → X yields the same key again with no epoch bump), so a Y-context
+// result filed under the stale X key would later be served as a hit for a
+// genuine X request. Candidate-list results are not cached (their keys would
+// have unbounded cardinality). All reqs of one call share one algorithm.
+//
+// A failing req fails its own out slot; the returned error is the shared
+// plan failing to compile (e.g. a rule references vocabulary mid-migration),
+// which no req could have survived. The returned version is the one observed
+// under the lock — what the results are valid for.
+func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (v stateVersion, err error) {
+	err = s.facade.WithRead(func(sys *contextrank.System) error {
+		v = s.version(user)
+		var plan *contextrank.RankPlan
+		if alg := reqs[0].opts.Algorithm; alg == "" || alg == contextrank.AlgorithmFactorized {
+			var perr error
+			if plan, perr = s.planFor(sys, user, v.epoch); perr != nil {
+				return perr
+			}
 		}
-		return nil, err
-	}
-	return sys.RankWithPlan(plan, target, opts)
+		for i, rq := range reqs {
+			if out[i].Cached {
+				continue
+			}
+			var res []contextrank.Result
+			var rerr error
+			switch {
+			case rq.candidates != nil && plan != nil:
+				res, rerr = sys.RankCandidatesWithPlan(plan, rq.candidates, rq.opts)
+			case rq.candidates != nil:
+				res, rerr = sys.RankCandidates(user, rq.candidates, rq.opts)
+			case rq.target == "":
+				rerr = fmt.Errorf("serve: batch item needs a target or a candidate list")
+			case plan != nil:
+				res, rerr = sys.RankWithPlan(plan, rq.target, rq.opts)
+			default:
+				res, rerr = sys.RankWith(user, rq.target, rq.opts)
+			}
+			if rerr == nil && rq.candidates == nil && s.cache != nil {
+				s.cache.put(rankKey(user, rq.target, v, rq.opts), res, v.epoch)
+			}
+			out[i] = RankItemResult{Results: res, Err: rerr}
+		}
+		return nil
+	})
+	return v, err
 }
 
 // planFor returns the user's compiled rank plan for the current (epoch,
 // context epoch), compiling and caching it on a miss. Must run under the
-// facade read lock (see rankTarget). A rule set whose footprint partition
-// exceeds the cluster bound is cached as a nil entry — a negative verdict
-// — so repeated requests at the same state fail fast into the
-// per-candidate fallback instead of recompiling.
+// facade read lock with epoch the one observed under it: the key's parts are
+// then stable, so a cached plan can never be stale for the snapshot being
+// read. Whether the plan enumerates footprint clusters or scores per
+// candidate (see contextrank.CompileRankPlan) is its own business; both are
+// cached alike.
 //
 // A miss caused purely by a context-epoch advance — the user's plan at the
 // same epoch exists for an older context — is served by incrementally
 // refreshing that predecessor instead of recompiling: the refresh
 // re-resolves only the context side and carries over the preference
 // membership maps, footprints and unaffected document-side distributions
-// (see contextrank.RefreshRankPlan). Refresh failures fall back to a full
-// compile; correctness never depends on the fast path.
-func (s *Server) planFor(sys *contextrank.System, user string, e int64) (*contextrank.RankPlan, error) {
-	if s.plans == nil {
-		return sys.CompileRankPlan(user)
-	}
-	baseKey := planBaseKey(user, e)
+// (see contextrank.RefreshRankPlan). Refresh failures (a per-candidate plan
+// is not refreshable) fall back to a full compile; correctness never depends
+// on the fast path.
+func (s *Server) planFor(sys *contextrank.System, user string, epoch int64) (*contextrank.RankPlan, error) {
+	baseKey := planBaseKey(user, epoch)
 	key := planKey(baseKey, s.sessions.ContextEpoch())
 	if plan, ok := s.plans.get(key); ok {
-		if plan == nil {
-			return nil, contextrank.ErrPlanClusterBound
-		}
 		return plan, nil
 	}
 	if prev, ok := s.plans.getLatest(baseKey); ok {
@@ -285,18 +317,15 @@ func (s *Server) planFor(sys *contextrank.System, user string, e int64) (*contex
 	}
 	plan, err := sys.CompileRankPlan(user)
 	if err != nil {
-		if errors.Is(err, contextrank.ErrPlanClusterBound) {
-			s.plans.add(key, baseKey, nil)
-		}
 		return nil, err
 	}
 	s.plans.add(key, baseKey, plan)
 	return plan, nil
 }
 
-// RankItem is one ranking task inside a RankBatch call: either a target
-// concept expression or an explicit candidate list, plus the per-item
-// result shaping.
+// RankItem is one ranking task inside a RankBatch call or a subscription:
+// either a target concept expression or an explicit candidate list, plus the
+// per-item result shaping.
 type RankItem struct {
 	Target     string   // DL concept expression; empty when Candidates is set
 	Candidates []string // explicit candidate ids (the §5 query-integration shape)
@@ -327,114 +356,61 @@ type RankItemResult struct {
 
 // RankBatch ranks every item for one user in a single call. Target items
 // are served from the rank-result cache when possible; all misses share
-// one facade read-lock hold (one consistent snapshot) and — for the
-// factorized algorithm — one compiled rank plan, so a batch of B targets
-// or candidate lists pays the per-(user, rules, context) compilation once
-// instead of B times. Candidate-list items bypass the result cache (their
-// keys would have unbounded cardinality) and always rank through the
-// plan. Identical concurrent batch misses are not singleflight-coalesced;
-// the shared plan already removes the expensive duplicated work.
+// one rankMisses call — one facade read-lock hold and, for the factorized
+// algorithm, one compiled rank plan, so a batch of B targets or candidate
+// lists pays the per-(user, rules, context) compilation once instead of B
+// times. Candidate-list items bypass the result cache and always rank.
+// Identical concurrent batch misses are not singleflight-coalesced; the
+// shared plan already removes the expensive duplicated work.
 func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, error) {
+	out, meta, _, err := s.rankBatch(user, alg, items)
+	return out, meta, err
+}
+
+// rankBatch is RankBatch also returning the version the results are valid
+// for: the one the look-ups hit under, or the one the misses ranked under.
+func (s *Server) rankBatch(user string, alg contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, stateVersion, error) {
 	started := time.Now()
 	s.requests.Add(int64(len(items)))
-	if user == "" {
-		return nil, RankMeta{}, fmt.Errorf("serve: batch rank needs a user")
+	var err error
+	switch {
+	case user == "":
+		err = fmt.Errorf("serve: batch rank needs a user")
+	case len(items) == 0:
+		err = fmt.Errorf("serve: batch rank needs at least one item")
+	case !contextrank.KnownAlgorithm(alg):
+		err = fmt.Errorf("serve: unknown algorithm %q", alg)
 	}
-	if len(items) == 0 {
-		return nil, RankMeta{}, fmt.Errorf("serve: batch rank needs at least one item")
-	}
-	if !contextrank.KnownAlgorithm(alg) {
-		return nil, RankMeta{}, fmt.Errorf("serve: unknown algorithm %q", alg)
+	if err != nil {
+		return nil, RankMeta{}, stateVersion{}, err
 	}
 
-	fp := s.sessions.AppliedFingerprint(user)
-	epoch := s.facade.Epoch()
+	v := s.version(user)
+	reqs := make([]rankReq, len(items))
 	out := make([]RankItemResult, len(items))
-
-	// Pass 1: serve target items straight from the rank-result cache.
-	pending := make([]int, 0, len(items))
+	misses := 0
 	for i, it := range items {
+		reqs[i] = rankReq{target: it.Target, candidates: it.Candidates, opts: it.options(alg)}
 		if it.Candidates == nil && it.Target != "" && s.cache != nil {
-			key := rankKey(user, it.Target, fp, epoch, it.options(alg))
-			if res, ok := s.cache.get(key); ok {
-				s.cache.hits.Add(1)
+			if res, ok := s.cache.get(rankKey(user, it.Target, v, reqs[i].opts)); ok {
 				out[i] = RankItemResult{Results: res, Cached: true}
 				continue
 			}
-			s.cache.misses.Add(1)
 		}
-		pending = append(pending, i)
+		misses++
 	}
 
-	meta := RankMeta{Cached: len(pending) == 0, Epoch: epoch}
-	if len(pending) > 0 {
-		err := s.facade.withReadEpoch(func(sys *contextrank.System, e int64) error {
-			meta.Epoch = e
-			afp := s.sessions.AppliedFingerprint(user)
-			var plan *contextrank.RankPlan
-			boundExceeded := false
-			if planAlgorithm(alg) {
-				p, perr := s.planFor(sys, user, e)
-				switch {
-				case perr == nil:
-					plan = p
-				case errors.Is(perr, contextrank.ErrPlanClusterBound):
-					// Rule set too coarse for a compiled plan; every item
-					// below ranks through the per-candidate path directly
-					// (recompiling per item would rediscover the bound).
-					boundExceeded = true
-				default:
-					return perr
-				}
-			}
-			for _, i := range pending {
-				it := items[i]
-				opts := it.options(alg)
-				var res []contextrank.Result
-				var rerr error
-				switch {
-				case it.Candidates != nil:
-					switch {
-					case plan != nil:
-						res, rerr = sys.RankCandidatesWithPlan(plan, it.Candidates, opts)
-					case boundExceeded:
-						res, rerr = sys.RankCandidatesNoPlan(user, it.Candidates, opts)
-					default:
-						res, rerr = sys.RankCandidates(user, it.Candidates, opts)
-					}
-				case it.Target != "":
-					switch {
-					case plan != nil:
-						res, rerr = sys.RankWithPlan(plan, it.Target, opts)
-					case boundExceeded:
-						res, rerr = sys.RankNoPlan(user, it.Target, opts)
-					default:
-						res, rerr = sys.RankWith(user, it.Target, opts)
-					}
-					if rerr == nil && s.cache != nil {
-						// File under what was actually observed under the
-						// lock, mirroring the single-rank compute path.
-						s.cache.put(rankKey(user, it.Target, afp, e, opts), res, e)
-					}
-				default:
-					rerr = fmt.Errorf("serve: batch item needs a target or a candidate list")
-				}
-				out[i] = RankItemResult{Results: res, Err: rerr}
-			}
-			return nil
-		})
-		if err != nil {
-			// Batch-level failure: the shared plan could not be compiled
-			// (e.g. a rule references vocabulary mid-migration) — no item
-			// could have ranked.
-			return nil, meta, err
-		}
+	meta := RankMeta{Cached: misses == 0}
+	if misses > 0 {
+		v, err = s.rankMisses(user, reqs, out)
 	}
-
-	elapsed := time.Since(started)
-	s.latency.observe(elapsed)
-	meta.Elapsed = elapsed
-	return out, meta, nil
+	meta.Epoch = v.epoch
+	if err != nil {
+		return nil, meta, v, err
+	}
+	meta.Elapsed = time.Since(started)
+	s.latency.observe(meta.Elapsed)
+	return out, meta, v, nil
 }
 
 // --- Backend read operations ----------------------------------------------
@@ -633,9 +609,7 @@ func (s *Server) Stats() Stats {
 	if s.cache != nil {
 		st.Cache = s.cache.stats()
 	}
-	if s.plans != nil {
-		st.Plans = s.plans.stats()
-	}
+	st.Plans = s.plans.stats()
 	st.Health = s.health.healthInfo()
 	if j := s.wal.Load(); j != nil {
 		// Journal counters are atomics; reading them keeps the scrape

@@ -44,10 +44,7 @@ func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 	if m3.Epoch <= m1.Epoch {
 		t.Fatalf("epoch did not advance: %d -> %d", m1.Epoch, m3.Epoch)
 	}
-	fresh, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshRank(t, srv.Facade(), "peter", "TvProgram")
 	sameResults(t, r3, fresh)
 
 	// tv01 gained a probable g0 genre, so its score must have moved.
@@ -100,10 +97,7 @@ func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 		t.Fatal("peter's entry should have survived maria's update")
 	}
 	sameResults(t, rp2, rp)
-	freshP, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	freshP := freshRank(t, srv.Facade(), "peter", "TvProgram")
 	sameResults(t, rp2, freshP)
 
 	// Maria's own next rank is a miss and reflects her new context: under
@@ -242,8 +236,8 @@ func TestFacadeReadPathRejectsDML(t *testing.T) {
 	if _, err := f.Query("  create table sneaky (id TEXT)"); err == nil {
 		t.Fatal("Query accepted CREATE")
 	}
-	if _, err := f.RankQuery("peter", "DELETE FROM c_TvProgram", contextrank.RankOptions{}); err == nil {
-		t.Fatal("RankQuery accepted DELETE")
+	if _, err := f.Query("DELETE FROM c_TvProgram"); err == nil {
+		t.Fatal("Query accepted DELETE")
 	}
 	// Rejection must happen before execution: no rogue row, no epoch move.
 	res, err := f.Query("SELECT id FROM c_TvProgram")
@@ -263,10 +257,7 @@ func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := freshRank(t, srv.Facade(), "peter", "TvProgram")
 
 	// "Ctx-X" sanitizes to the same table as "Ctx_X", so declaring the
 	// latter makes a session on the former fail *inside* Context.Apply,
@@ -289,10 +280,7 @@ func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 
 	// Peter's context must have been restored: a fresh ranking matches
 	// the pre-failure one.
-	got, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := freshRank(t, srv.Facade(), "peter", "TvProgram")
 	sameResults(t, got, want)
 }
 
@@ -360,10 +348,7 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 	if m3.Cached {
 		t.Fatal("bob served a stale ranking after ada's role-coupled update")
 	}
-	fresh, err := srv.Facade().RankWith("bob", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := freshRank(t, srv.Facade(), "bob", "TvProgram")
 	sameResults(t, r3, fresh)
 	if r1[0].Score == r3[0].Score {
 		t.Fatal("rule rc did not change bob's score — coupling test is vacuous")

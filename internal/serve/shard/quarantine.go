@@ -118,9 +118,6 @@ func (c *Coordinator) SetQuarantineAfter(n int) { c.quarAfter.Store(int64(n)) }
 // detaches. The disabled cost is one atomic pointer load per operation.
 func (c *Coordinator) SetFaultInjector(in *faultinject.Injector) { c.chaos.Store(in) }
 
-// FaultInjector returns the attached injector (nil when none).
-func (c *Coordinator) FaultInjector() *faultinject.Injector { return c.chaos.Load() }
-
 // Quarantined returns the quarantined shard indexes in order.
 func (c *Coordinator) Quarantined() []int {
 	mask := c.quar.mask.Load()
@@ -286,10 +283,10 @@ func (c *Coordinator) RepairShard(i int) error {
 			if ShardIndex(info.User, len(c.shards)) != i {
 				continue
 			}
-			spec := serve.SubscriptionSpec{
-				User: info.User, Target: info.Target, Candidates: info.Candidates,
+			spec := serve.SubscriptionSpec{User: info.User, RankItem: serve.RankItem{
+				Target: info.Target, Candidates: info.Candidates,
 				Threshold: info.Threshold, Limit: info.Limit, TopK: info.TopK,
-			}
+			}}
 			if _, err := c.shards[i].Subscribe(info.ID, spec); err == nil {
 				s.Unsubscribe(info.ID)
 			}

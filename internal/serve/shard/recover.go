@@ -283,7 +283,7 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 	// Publish the new generation durably: WAL file data is already
 	// fsynced (per batch, or by the barrier above), so what remains is
 	// metadata — the WAL directory entries, the manifest's *content*
-	// (WriteFileSync; a bare os.WriteFile could leave a zero-length
+	// (WriteFileSyncFS; a bare os.WriteFile could leave a zero-length
 	// manifest after a power cut, bricking every subsequent boot), and
 	// the rename itself. Only after all of that is the old generation
 	// eligible for deletion.

@@ -170,15 +170,23 @@ func jumpHash(key uint64, buckets int) int {
 
 // --- routed per-user operations --------------------------------------------
 
-// Rank routes the rank to the user's shard — or, while that shard is
-// quarantined, to its healthy stand-in — and the returned meta carries
-// the shard index that served it.
-func (c *Coordinator) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, serve.RankMeta, error) {
+// rankShard picks the shard that ranks for the user — the home shard or,
+// while that is quarantined, its healthy stand-in — and fires the rank fault
+// point on it.
+func (c *Coordinator) rankShard(user string) (int, error) {
 	i := c.routeFor(user)
 	if in := c.chaos.Load(); in != nil {
-		if err := in.Fire(faultinject.RankServe, i); err != nil {
-			return nil, serve.RankMeta{Shard: i}, err
-		}
+		return i, in.Fire(faultinject.RankServe, i)
+	}
+	return i, nil
+}
+
+// Rank routes the rank to the user's shard (see rankShard); the returned
+// meta carries the shard index that served it.
+func (c *Coordinator) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, serve.RankMeta, error) {
+	i, err := c.rankShard(user)
+	if err != nil {
+		return nil, serve.RankMeta{Shard: i}, err
 	}
 	res, meta, err := c.shards[i].Rank(user, target, opts)
 	meta.Shard = i
@@ -188,11 +196,9 @@ func (c *Coordinator) Rank(user, target string, opts contextrank.RankOptions) ([
 // RankBatch routes the whole batch to the user's shard — one hop, one
 // consistent snapshot and one compiled rank plan for every item.
 func (c *Coordinator) RankBatch(user string, alg contextrank.Algorithm, items []serve.RankItem) ([]serve.RankItemResult, serve.RankMeta, error) {
-	i := c.routeFor(user)
-	if in := c.chaos.Load(); in != nil {
-		if err := in.Fire(faultinject.RankServe, i); err != nil {
-			return nil, serve.RankMeta{Shard: i}, err
-		}
+	i, err := c.rankShard(user)
+	if err != nil {
+		return nil, serve.RankMeta{Shard: i}, err
 	}
 	res, meta, err := c.shards[i].RankBatch(user, alg, items)
 	meta.Shard = i

@@ -121,7 +121,7 @@ func TestBroadcastConsistency(t *testing.T) {
 			t.Fatalf("shard %d holds %d TvProgram rows, want 2", i, len(res.Rows))
 		}
 		// Neutral ranking (no session context) must agree across shards.
-		out, err := s.Facade().RankWith("nobody", "TvProgram", contextrank.RankOptions{})
+		out, _, err := s.Rank("nobody", "TvProgram", contextrank.RankOptions{})
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}

@@ -51,20 +51,16 @@ func TestRecoverSubscriptionsAfterCrash(t *testing.T) {
 	if _, err := a.SetSession("maria", sessionFor(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Subscribe("keep", serve.SubscriptionSpec{
-		User: "peter", Target: "TvProgram", TopK: 2,
-	}); err != nil {
+	if _, err := a.Subscribe("keep", serve.SubscriptionSpec{User: "peter", RankItem: serve.RankItem{Target: "TvProgram", TopK: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	minted, err := a.Subscribe("", serve.SubscriptionSpec{
-		User: "maria", Candidates: []string{"Oprah", "BBCNews"}, Threshold: 0.1,
-	})
+	minted, err := a.Subscribe("", serve.SubscriptionSpec{User: "maria", RankItem: serve.RankItem{Candidates: []string{"Oprah", "BBCNews"}, Threshold: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One subscription churns and is torn down: its Subscribe record must
 	// not resurrect it on replay.
-	if _, err := a.Subscribe("ghost", serve.SubscriptionSpec{User: "peter", Target: "TvProgram"}); err != nil {
+	if _, err := a.Subscribe("ghost", serve.SubscriptionSpec{User: "peter", RankItem: serve.RankItem{Target: "TvProgram"}}); err != nil {
 		t.Fatal(err)
 	}
 	if found, err := a.Unsubscribe("ghost"); err != nil || !found {
@@ -162,10 +158,10 @@ func TestSubscriptionSurvivesCheckpoint(t *testing.T) {
 	if _, err := a.SetSession("peter", sessionFor(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Subscribe("stand", serve.SubscriptionSpec{User: "peter", Target: "TvProgram"}); err != nil {
+	if _, err := a.Subscribe("stand", serve.SubscriptionSpec{User: "peter", RankItem: serve.RankItem{Target: "TvProgram"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Subscribe("gone", serve.SubscriptionSpec{User: "peter", Target: "TvProgram"}); err != nil {
+	if _, err := a.Subscribe("gone", serve.SubscriptionSpec{User: "peter", RankItem: serve.RankItem{Target: "TvProgram"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Unsubscribe("gone"); err != nil {
@@ -239,7 +235,7 @@ func TestSubscriptionQuarantineRerouteAndMigration(t *testing.T) {
 	if _, err := c.SetSession(u, sessionFor(1)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := c.Subscribe("standby", serve.SubscriptionSpec{User: u, Target: "TvProgram"})
+	info, err := c.Subscribe("standby", serve.SubscriptionSpec{User: u, RankItem: serve.RankItem{Target: "TvProgram"}})
 	if err != nil {
 		t.Fatal(err)
 	}

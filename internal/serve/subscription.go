@@ -8,14 +8,17 @@
 // subscriptions after mutations. It is woken by a buffered poke channel
 // (every mutator pokes on its way out; a poke during a pass stays queued,
 // so the pass after it observes the newest state) and skips any
-// subscription whose state key — (facade epoch, context epoch, the
-// user's applied session fingerprint) — has not moved since its last
-// evaluation, so a context apply for user A never pays a re-rank for
-// user B. Evaluation goes through RankBatch: one facade read-lock hold
-// and one compiled plan per pass — and after a context apply that plan
-// is *refreshed* incrementally from the previous epoch's plan rather
-// than recompiled (see planFor), which is what makes push re-ranking
-// affordable at catalog scale.
+// subscription whose owner's state version — (facade epoch, the owner's
+// applied session fingerprint), the same version the rank cache serves
+// hits on (see stateVersion) — has not moved since its last evaluation, so
+// a context apply for user A never pays a re-rank for user B. (A's apply
+// does rename B's context events, which is why B's *plan* is keyed by the
+// shard-wide context epoch too; B's scores cannot move, and an apply that
+// could move them — role-coupled, or failed — bumps the epoch.) Evaluation
+// goes through RankBatch like any other rank — and after a context apply
+// the owner's plan is *refreshed* incrementally from the previous
+// epoch's plan rather than recompiled (see planFor), which is what makes
+// push re-ranking affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the
@@ -46,16 +49,14 @@ import (
 )
 
 // SubscriptionSpec is the standing rank request a subscription
-// re-evaluates after every relevant state change. Exactly one of Target
-// (a DL concept expression) or Candidates (explicit ids, the §5
-// query-integration shape) must be set.
+// re-evaluates after every relevant state change: a user and the batch
+// item ranked for them. Exactly one of Target (a DL concept expression) or
+// Candidates (explicit ids, the §5 query-integration shape) must be set.
+// Explain is not part of a subscription (explanations would bloat every
+// pushed delta): the journal record does not carry it, so it is dropped.
 type SubscriptionSpec struct {
-	User       string
-	Target     string
-	Candidates []string
-	Threshold  float64
-	Limit      int
-	TopK       int
+	User string
+	RankItem
 }
 
 // SubscriptionInfo is a subscription's observable state, shaped for the
@@ -138,11 +139,10 @@ type Subscription struct {
 	// for the next evaluation and the source of snapshot/resync events.
 	scores map[string]float64
 	last   []SubResult
-	// evaluated + the state key of the last evaluation; see evalSub.
+	// evaluated + the owner's state version at the last evaluation; see
+	// evalSub.
 	evaluated bool
-	lastEpoch int64
-	lastCtx   int64
-	lastFP    string
+	ver       stateVersion
 	lastErr   string
 	events    chan SubEvent
 }
@@ -216,8 +216,8 @@ type SubscriptionStats struct {
 	// Events counts pushed events (snapshots + deltas + errors).
 	Events int64 `json:"events"`
 	// Evals counts subscription re-rank evaluations; Skipped counts
-	// evaluator passes over a subscription whose state key was unchanged
-	// (the per-user fast path working as intended).
+	// evaluator passes over a subscription whose owner's state version was
+	// unchanged (the per-user fast path working as intended).
 	Evals   int64 `json:"evals"`
 	Skipped int64 `json:"skipped"`
 	// Lagged counts events dropped because the consumer was behind; each
@@ -317,7 +317,7 @@ func (s *Server) subscribe(rec *journal.Record, submit func()) (SubscriptionInfo
 		return SubscriptionInfo{}, fmt.Errorf("serve: subscribe record %q carries no subscription", rec.SubID)
 	}
 	js := rec.Subscription
-	spec := SubscriptionSpec{User: rec.User, Target: js.Target, Candidates: js.Candidates, TopK: js.TopK, Limit: js.Limit}
+	spec := SubscriptionSpec{User: rec.User, RankItem: RankItem{Target: js.Target, Candidates: js.Candidates, TopK: js.TopK, Limit: js.Limit}}
 	if js.Threshold != nil {
 		spec.Threshold = *js.Threshold
 	}
@@ -414,7 +414,7 @@ func (st *SubStream) TakeLagged() bool {
 func (st *SubStream) Resync() SubEvent {
 	st.sub.mu.Lock()
 	defer st.sub.mu.Unlock()
-	return st.sub.snapshotEventLocked("resync", st.sub.lastEpoch)
+	return st.sub.snapshotEventLocked("resync", st.sub.ver.epoch)
 }
 
 // Close detaches the consumer.
@@ -458,7 +458,7 @@ func (s *Server) SubscriptionStream(id string) (*SubStream, error) {
 		break
 	}
 	sub.lagged = false
-	snap := sub.snapshotEventLocked("snapshot", sub.lastEpoch)
+	snap := sub.snapshotEventLocked("snapshot", sub.ver.epoch)
 	if sub.lastErr != "" {
 		snap = SubEvent{Type: "error", ID: sub.id, Seq: sub.seq, Error: sub.lastErr}
 	}
@@ -493,19 +493,18 @@ func (s *Server) subEvalLoop() {
 	}
 }
 
-// evalSub re-ranks one subscription if its state key moved, and pushes a
-// snapshot (first evaluation), delta (scores moved) or error event. The
-// key — (facade epoch, context epoch, applied session fingerprint) — is
-// read *before* ranking: if a mutation lands mid-rank, the stored key is
-// stale against it, so that mutation's own poke re-evaluates and the
-// subscriber can never miss a change (at worst it sees an empty diff).
+// evalSub re-ranks one subscription if its owner's state version moved,
+// and pushes a snapshot (first evaluation), delta (scores moved) or error
+// event. What it stores is the version the ranking reports it ran at — not
+// the one read here to decide the skip — so the stored version always
+// describes the pushed scores: a mutation landing after the rank leaves it
+// stale, and that mutation's own poke re-evaluates; one landing just before
+// the rank is already reflected, and a context that round-trips X → Y → X
+// around a rank that saw Y cannot be mistaken for "still X".
 func (s *Server) evalSub(sub *Subscription) {
-	epoch := s.facade.Epoch()
-	ctxE := s.sessions.ContextEpoch()
-	fp := s.sessions.AppliedFingerprint(sub.spec.User)
-
+	v := s.version(sub.spec.User)
 	sub.mu.Lock()
-	if sub.closed || (sub.evaluated && sub.lastEpoch == epoch && sub.lastCtx == ctxE && sub.lastFP == fp) {
+	if sub.closed || (sub.evaluated && sub.ver == v) {
 		sub.mu.Unlock()
 		s.subs.skipped.Add(1)
 		return
@@ -513,15 +512,8 @@ func (s *Server) evalSub(sub *Subscription) {
 	sub.mu.Unlock()
 	s.subs.evals.Add(1)
 
-	item := RankItem{
-		Target:     sub.spec.Target,
-		Candidates: sub.spec.Candidates,
-		Threshold:  sub.spec.Threshold,
-		Limit:      sub.spec.Limit,
-		TopK:       sub.spec.TopK,
-	}
-	res, meta, err := s.RankBatch(sub.spec.User, "", []RankItem{item})
-	if err == nil && len(res) == 1 {
+	res, meta, v, err := s.rankBatch(sub.spec.User, "", []RankItem{sub.spec.RankItem})
+	if err == nil {
 		err = res[0].Err
 	}
 
@@ -530,7 +522,7 @@ func (s *Server) evalSub(sub *Subscription) {
 	if sub.closed {
 		return
 	}
-	sub.lastEpoch, sub.lastCtx, sub.lastFP = epoch, ctxE, fp
+	sub.ver = v
 	first := !sub.evaluated
 	sub.evaluated = true
 	if err != nil {

@@ -102,7 +102,7 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	srv := subTestServer(t)
 	applyCtx(t, srv, "peter", "CtxA", 1)
 
-	info, err := srv.Subscribe("", SubscriptionSpec{User: "peter", Target: "TvProgram"})
+	info, err := srv.Subscribe("", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +184,91 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSubscriptionOtherUsersApplyIsSkipped: a subscription's scores are a
+// function of its owner's state version, so user A's context applies must
+// cost user B's subscriptions nothing — no evaluation, no plan refresh for
+// the candidate-list one (which the rank cache does not cover), no event —
+// while B's own apply costs exactly one evaluation and one delta per
+// subscription. Evaluator passes coalesce, so pass counts are not
+// deterministic; evaluation counts are.
+func TestSubscriptionOtherUsersApplyIsSkipped(t *testing.T) {
+	srv := subTestServer(t)
+	applyCtx(t, srv, "peter", "CtxA", 1)
+	applyCtx(t, srv, "maria", "CtxA", 1)
+	specs := map[string]RankItem{
+		"target":     {Target: "TvProgram"},
+		"candidates": {Candidates: []string{"tv00", "tv01", "tv02", "tv03"}},
+	}
+	streams := make(map[string]*SubStream, len(specs))
+	for id, item := range specs {
+		if _, err := srv.Subscribe(id, SubscriptionSpec{User: "peter", RankItem: item}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.SubscriptionStream(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Snapshot().Type != "snapshot" {
+			t.Fatalf("%s: opening event %+v, want a snapshot", id, st.Snapshot())
+		}
+		streams[id] = st
+	}
+	// peterApplies moves peter's scores and waits for the one delta each of
+	// his streams owes — which is also the drain: once both arrived, every
+	// evaluation the apply (and anything before it) causes has happened, and
+	// whatever passes are still queued can only skip.
+	peterApplies := func(concept string) {
+		t.Helper()
+		applyCtx(t, srv, "peter", concept, 1)
+		for id, st := range streams {
+			if ev := waitEvent(t, st.Events()); ev.Type != "delta" {
+				t.Fatalf("%s: event %q after peter's apply, want a delta", id, ev.Type)
+			}
+		}
+	}
+	peterApplies("CtxB") // settles the subscribe-time evaluations
+	base := srv.Stats()
+
+	const n = 6
+	for i := 0; i < n; i++ {
+		applyCtx(t, srv, "maria", "CtxB", 0.3+0.1*float64(i))
+	}
+	// maria's applies poked the evaluator; wait until a pass has run over
+	// peter's subscriptions and found nothing to do.
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Subs.Skipped == base.Subs.Skipped; {
+		if time.Now().After(deadline) {
+			t.Fatal("no evaluator pass skipped peter's subscriptions after maria's applies")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	peterApplies("CtxA")
+	for id, st := range streams {
+		select {
+		case ev := <-st.Events():
+			t.Fatalf("%s: second event %q (seq %d), want exactly one delta", id, ev.Type, ev.Seq)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+
+	got := srv.Stats()
+	if d := got.Subs.Evals - base.Subs.Evals; d != 2 {
+		t.Errorf("%d evaluations across %d applies for maria and one for peter, want 2 (one per subscription, for peter's)", d, n)
+	}
+	if d := got.Plans.Refreshed - base.Plans.Refreshed; d > 1 {
+		t.Errorf("%d plan refreshes, want at most 1 (peter's plan, once)", d)
+	}
+	sameScoreMaps(t, subScores(streams["target"].Resync().Results), wantScores(t, srv, "peter"), "target subscription after the run")
+}
+
 // TestSubscriptionValidation: the spec shares the rank request's
 // validation rules.
 func TestSubscriptionValidation(t *testing.T) {
 	srv := subTestServer(t)
 	bad := []SubscriptionSpec{
-		{Target: "TvProgram"}, // no user
-		{User: "peter"},       // neither target nor candidates
-		{User: "peter", Target: "TvProgram", Candidates: []string{"tv00"}}, // both
-		{User: "peter", Target: "TvProgram", TopK: -1},                     // negative top_k
+		{RankItem: RankItem{Target: "TvProgram"}}, // no user
+		{User: "peter"}, // neither target nor candidates
+		{User: "peter", RankItem: RankItem{Target: "TvProgram", Candidates: []string{"tv00"}}}, // both
+		{User: "peter", RankItem: RankItem{Target: "TvProgram", TopK: -1}},                     // negative top_k
 	}
 	for i, spec := range bad {
 		if _, err := srv.Subscribe("", spec); err == nil {
@@ -211,7 +287,7 @@ func TestSubscriptionCandidatesTopK(t *testing.T) {
 	srv := subTestServer(t)
 	applyCtx(t, srv, "peter", "CtxA", 1)
 	cands := []string{"tv00", "tv01", "tv02", "tv03"}
-	info, err := srv.Subscribe("pick", SubscriptionSpec{User: "peter", Candidates: cands, TopK: 2})
+	info, err := srv.Subscribe("pick", SubscriptionSpec{User: "peter", RankItem: RankItem{Candidates: cands, TopK: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +321,14 @@ func TestSubscriptionCandidatesTopK(t *testing.T) {
 func TestSubscriptionReplace(t *testing.T) {
 	srv := subTestServer(t)
 	applyCtx(t, srv, "peter", "CtxA", 1)
-	if _, err := srv.Subscribe("s1", SubscriptionSpec{User: "peter", Target: "TvProgram"}); err != nil {
+	if _, err := srv.Subscribe("s1", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram"}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := srv.SubscriptionStream("s1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Subscribe("s1", SubscriptionSpec{User: "peter", Target: "TvProgram", TopK: 3}); err != nil {
+	if _, err := srv.Subscribe("s1", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram", TopK: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	// The old stream must end...
@@ -289,7 +365,7 @@ replaced:
 func TestSubscriptionErrorAndRecovery(t *testing.T) {
 	srv := subTestServer(t)
 	applyCtx(t, srv, "peter", "CtxA", 1)
-	if _, err := srv.Subscribe("doomed", SubscriptionSpec{User: "peter", Target: "Podcast"}); err != nil {
+	if _, err := srv.Subscribe("doomed", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "Podcast"}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := srv.SubscriptionStream("doomed")
@@ -320,7 +396,7 @@ func TestSubscriptionErrorAndRecovery(t *testing.T) {
 func TestSubscriptionLaggedResync(t *testing.T) {
 	srv := subTestServer(t)
 	applyCtx(t, srv, "peter", "CtxA", 1)
-	if _, err := srv.Subscribe("slow", SubscriptionSpec{User: "peter", Target: "TvProgram"}); err != nil {
+	if _, err := srv.Subscribe("slow", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram"}}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := srv.SubscriptionStream("slow")
@@ -407,7 +483,7 @@ func TestSubscriptionChurnRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				id := fmt.Sprintf("churn-%d-%d", g, i)
-				if _, err := srv.Subscribe(id, SubscriptionSpec{User: "peter", Target: "TvProgram", TopK: 3}); err != nil {
+				if _, err := srv.Subscribe(id, SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram", TopK: 3}}); err != nil {
 					t.Error(err)
 					return
 				}

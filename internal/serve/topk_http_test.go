@@ -14,7 +14,7 @@ import (
 func topkServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv := NewServer(contextrank.NewSystem(), Options{})
-	ts := httptest.NewServer(NewHandler(srv))
+	ts := httptest.NewServer(NewHandlerFor(srv))
 	t.Cleanup(ts.Close)
 
 	call(t, ts, "POST", "/v1/declare",

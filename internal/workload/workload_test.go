@@ -123,7 +123,7 @@ func TestEndToEndRankingOnGeneratedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules, _ := d.Rules(3)
-	req := core.Request{User: d.User, Target: dl.Atom("TvProgram"), Rules: rules}
+	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	naive := core.NewNaiveRanker(d.Loader)
 	fact := core.NewFactorizedRanker(d.Loader)
 	rn, err := naive.Rank(req)

@@ -90,26 +90,3 @@ func TestCompileRankPlanAPI(t *testing.T) {
 		t.Fatal("plan accepted the view algorithm")
 	}
 }
-
-// TestRulesFingerprint: the fingerprint must change with the rule set and
-// be stable otherwise.
-func TestRulesFingerprint(t *testing.T) {
-	sys := planSystem(t)
-	fp1 := sys.RulesFingerprint()
-	if fp1 != sys.RulesFingerprint() {
-		t.Fatal("fingerprint not stable")
-	}
-	if _, err := sys.AddRule("RULE extra WHEN Ctx0 PREFER TvProgram WITH 0.6"); err != nil {
-		t.Fatal(err)
-	}
-	fp2 := sys.RulesFingerprint()
-	if fp2 == fp1 {
-		t.Fatal("fingerprint unchanged after rule add")
-	}
-	if err := sys.Rules().Remove("extra"); err != nil {
-		t.Fatal(err)
-	}
-	if sys.RulesFingerprint() != fp1 {
-		t.Fatal("fingerprint did not return to the original after remove")
-	}
-}
