@@ -422,8 +422,8 @@ func runJournalLoadgen(cfg loadgenConfig) error {
 
 // runRankBatchLoadgen measures the /v1/rank/batch amortization curve: for
 // each batch size B, concurrent clients alternate a session-context update
-// (which bumps the context epoch and invalidates every compiled rank plan)
-// with one batch of B candidate-list items. The per-request plan compile is
+// (which moves the user's applied generation and invalidates their compiled
+// rank plan) with one batch of B candidate-list items. The per-request plan compile is
 // the fixed cost batching spreads: items/s should grow with B until
 // per-item scoring dominates. Candidate-list items bypass the rank-result
 // cache, so the curve measures the ranking path, not cache hits.

@@ -311,8 +311,20 @@ func (s *System) validateRuleVocabulary(rule Rule) error {
 }
 
 // SetContext applies the user's current context, replacing the previous
-// one.
+// one — whoever applied it: a System ranks for one situated user at a time
+// unless every context goes through SetUserContext.
 func (s *System) SetContext(ctx *Context) error { return ctx.Apply(s.loader) }
+
+// SetUserContext replaces the context ctx.User applied before and leaves
+// every other user's applied context in place, at a cost independent of how
+// many users have one — the entry point for a system shared by many situated
+// users (internal/serve's sessions). Users must assert disjoint memberships
+// into dedicated context concepts; see situation.Context.ApplyOwned. It
+// returns the apply's generation: a RankPlan compiled for ctx.User is valid
+// until that user's next apply, which returns a different one.
+func (s *System) SetUserContext(ctx *Context) (generation int64, err error) {
+	return ctx.ApplyOwned(s.loader)
+}
 
 // Rank scores the members of the target concept expression (DL syntax) for
 // the user with the repository's rules, using default options.
@@ -386,7 +398,7 @@ func (s *System) ranker(alg Algorithm, noView bool) (core.Ranker, error) {
 }
 
 // RankPlan is a compiled, reusable ranking plan: the per-(user, rule set,
-// context epoch) work of the factorized ranker — rule resolution, context
+// applied context) work of the factorized ranker — rule resolution, context
 // pruning, correlation clustering and the context-state probability tables
 // — hoisted out of the per-candidate loop. Compile one with
 // CompileRankPlan and rank any number of targets or candidate lists
@@ -527,10 +539,14 @@ func (s *System) AnalyzeRules() []prefs.Finding {
 	return s.repo.Analyze(s.loader.TBox())
 }
 
-// SaveSnapshot persists the rule repository into the database and dumps the
-// whole database (event space, tables, views, indexes) as JSON to w.
+// SaveSnapshot persists the rule repository and the applied-context record
+// into the database and dumps the whole database (event space, tables,
+// views, indexes) as JSON to w.
 func (s *System) SaveSnapshot(w io.Writer) error {
 	if err := s.repo.Persist(s.db); err != nil {
+		return err
+	}
+	if err := s.loader.PersistContext(); err != nil {
 		return err
 	}
 	return s.db.Dump(w)

@@ -45,6 +45,43 @@ func TestRestoreRetiresSnapshotContext(t *testing.T) {
 	}
 }
 
+// TestRestoreAdoptsUserContexts: contexts applied per user survive a
+// snapshot as one adopted record — certain memberships included, which no
+// event name carries — and the restored system's first SetContext retracts
+// and retires all of it.
+func TestRestoreAdoptsUserContexts(t *testing.T) {
+	sys := NewSystem()
+	if _, err := sys.SetUserContext(NewContext("u").Add("Rainy", 0.7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SetUserContext(NewContext("v").Certain("Rainy").Add("Cold", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSystem(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.DB().Space().Len(); got != 2 {
+		t.Fatalf("restored space holds %d events, want 2", got)
+	}
+	if total, ctx := restored.Loader().ConceptRows("Rainy"); total != 2 || ctx != 2 {
+		t.Fatalf("restored Rainy holds %d rows, %d adopted as context", total, ctx)
+	}
+	if err := restored.SetContext(NewContext("w").Add("Cold", 0.1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.DB().Space().Len(); got != 1 {
+		t.Fatalf("space holds %d events after the first post-restore apply, want 1", got)
+	}
+	if total, _ := restored.Loader().ConceptRows("Rainy"); total != 0 {
+		t.Fatalf("snapshot context left %d rows in Rainy", total)
+	}
+}
+
 func TestAlgorithmSampledApproximates(t *testing.T) {
 	sys := buildTVTouch(t)
 	exact, err := sys.Rank("peter", "TvProgram")

@@ -14,7 +14,7 @@ import (
 )
 
 // Plan is a compiled ranking plan: everything about a (user, rule set,
-// context epoch) triple that does not depend on the candidate being scored,
+// applied context) triple that does not depend on the candidate being scored,
 // resolved once so that scoring a catalog of n documents costs n× the
 // document-side work only. Compilation performs the §6 "early stages" of
 // the factorized ranker up front:
@@ -59,8 +59,11 @@ import (
 // score); and a Target's resolved candidate list is cached per generation,
 // so data asserted without any event-space change becomes visible only to
 // freshly compiled plans. Callers that reuse plans must therefore
-// invalidate them on every data *and* context epoch — internal/serve's
-// plan cache keys them by exactly those.
+// invalidate them on every data change and on every context apply of the
+// plan's user — internal/serve's plan cache does exactly that. Context
+// applies of *other* users leave a plan valid (they retire only their own
+// events), provided they cannot reach this user's contexts over a role edge
+// or change a preference's membership.
 type Plan struct {
 	loader *mapping.Loader
 	space  *event.Space
@@ -90,9 +93,8 @@ type Plan struct {
 
 	// Document-side distribution cache: candidate id -> flat per-cluster
 	// distribution (planCluster.distOff slices it). Entries are valid for
-	// the space generation docGen was stamped with; any advance wipes the
-	// map wholesale, which re-runs Prob and therefore re-surfaces "not
-	// declared" for retired events instead of masking them.
+	// the space generation docGen was stamped with; on an advance
+	// carryDocDist re-stamps or wipes them.
 	docMu   sync.RWMutex
 	docGen  uint64
 	docDist map[string][]float64
@@ -212,7 +214,7 @@ func getScratch() *PlanScratch {
 func putScratch(sc *PlanScratch) { scratchPool.Put(sc) }
 
 // CompilePlan resolves and compiles the rules for one situated user. The
-// compile cost is paid once per (user, rule set, context epoch) instead of
+// compile cost is paid once per (user, rule set, applied context) instead of
 // once per candidate; see the Plan type comment for what is hoisted.
 func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
 	return compilePlan(l, user, rules, nil)
@@ -270,7 +272,7 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 	}
 	space := l.DB().Space()
 	p := &Plan{loader: l, space: space, user: user}
-	p.appliedCtx, _ = l.AppliedContext()
+	p.appliedCtx = l.ContextConcepts()
 	p.domainLen = l.DomainSize()
 
 	p.rules = make([]planRule, 0, len(rules))
@@ -417,6 +419,7 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 		}
 	}
 	p.distLen = off
+	p.docGen = p.blocksGen
 	p.docDist = make(map[string][]float64)
 	return nil
 }
@@ -506,7 +509,7 @@ func (p *Plan) Refresh() (*Plan, error) {
 	if p.restricted || p.perCandidate {
 		return nil, ErrPlanNotRefreshable
 	}
-	curCtx, _ := p.loader.AppliedContext()
+	curCtx := p.loader.ContextConcepts()
 	touched := make(map[string]bool, len(p.appliedCtx)+len(curCtx))
 	for _, c := range p.appliedCtx {
 		touched[c] = true
@@ -628,21 +631,9 @@ func (np *Plan) adoptDocDist(p *Plan, changedIDs map[string]bool) {
 	if n == 0 {
 		return
 	}
-	changed, asOf, tracked := np.space.ChangedBlocksSince(oldGen)
-	if !tracked {
+	asOf, ok := np.docBlocksUntouchedSince(oldGen)
+	if !ok {
 		return
-	}
-	for _, cl := range np.clusters {
-		for _, ri := range cl.rules {
-			if np.docBlocks[ri] == nil {
-				return
-			}
-			for _, k := range np.docBlocks[ri] {
-				if changed[k] {
-					return
-				}
-			}
-		}
 	}
 	p.docMu.RLock()
 	if p.docGen != oldGen {
@@ -662,8 +653,43 @@ func (np *Plan) adoptDocDist(p *Plan, changedIDs map[string]bool) {
 	np.docMu.Unlock()
 }
 
+// docBlocksUntouchedSince reports whether every invalidation of the event
+// space after generation gen left the document-side footprint of every
+// active rule alone — none of its blocks retired, regrouped or re-declared —
+// and the generation that answer holds as of: document-side distributions
+// computed at gen are then bit-identical to what a computation at asOf would
+// produce. False when the space's change history no longer reaches back to
+// gen or a rule's footprint is not known (a candidate-restricted compile).
+func (p *Plan) docBlocksUntouchedSince(gen uint64) (asOf uint64, ok bool) {
+	changed, asOf, tracked := p.space.ChangedBlocksSince(gen)
+	if !tracked {
+		return asOf, false
+	}
+	for _, cl := range p.clusters {
+		for _, ri := range cl.rules {
+			if p.docBlocks == nil || p.docBlocks[ri] == nil {
+				return asOf, false
+			}
+			// The changed keys are the few a handful of context applies
+			// touched; the footprint is sorted and may span the catalog.
+			for k := range changed {
+				if _, hit := slices.BinarySearch(p.docBlocks[ri], k); hit {
+					return asOf, false
+				}
+			}
+		}
+	}
+	return asOf, true
+}
+
 // User returns the situated user the plan was compiled for.
 func (p *Plan) User() string { return p.user }
+
+// DomainSize returns the number of registered individuals (dl_domain rows)
+// the plan compiled against. The domain only grows, so a cached plan whose
+// value differs from the loader's current one predates a registration and
+// may hold stale memberships of views that read the closed domain.
+func (p *Plan) DomainSize() int { return p.domainLen }
 
 // Rules returns the number of rules the plan was compiled from (including
 // pruned ones).
@@ -707,38 +733,64 @@ func (p *Plan) ScoreWith(sc *PlanScratch, id string) (float64, error) {
 }
 
 // docDistFor returns the candidate's flat per-cluster document-state
-// distribution, cached per space generation. A warm hit is one RLock and
-// zero allocations; a miss computes via Space.Prob and publishes the
-// record for subsequent ranks.
+// distribution from the plan's cache. A warm hit is one RLock and zero
+// allocations; when the space's generation moved since the cache was stamped
+// carryDocDist decides, once, whether the entries survive; a miss computes
+// via Space.Prob and publishes the record for subsequent ranks.
 func (p *Plan) docDistFor(sc *PlanScratch, id string) ([]float64, error) {
 	gen := p.space.Generation()
 	p.docMu.RLock()
-	if p.docGen == gen {
-		if d, ok := p.docDist[id]; ok {
+	current := p.docGen == gen
+	d, ok := p.docDist[id]
+	p.docMu.RUnlock()
+	if !current {
+		if ok = p.carryDocDist(gen); ok {
+			p.docMu.RLock()
+			d, ok = p.docDist[id]
 			p.docMu.RUnlock()
-			docCacheHits.Add(1)
-			return d, nil
 		}
 	}
-	p.docMu.RUnlock()
+	if ok {
+		docCacheHits.Add(1)
+		return d, nil
+	}
 	docCacheMisses.Add(1)
 
-	d := make([]float64, p.distLen)
+	d = make([]float64, p.distLen)
 	if err := p.computeDocDist(sc, id, d); err != nil {
 		return nil, err
 	}
 	p.docMu.Lock()
-	if p.docGen < gen {
-		// The map holds records of an older generation; drop them all so a
-		// later generation match can never read a pre-invalidation value.
-		clear(p.docDist)
-		p.docGen = gen
-	}
 	if p.docGen == gen && len(p.docDist) < docCacheMaxEntries {
 		p.docDist[id] = d
 	}
 	p.docMu.Unlock()
 	return d, nil
+}
+
+// carryDocDist brings the distribution cache to the space's generation gen
+// and reports whether its entries are valid there. They are kept and
+// re-stamped when the invalidations since the stamp provably left every
+// active rule's document footprint alone — another user's context apply
+// retires only that user's context events, so a plan that outlives it keeps
+// its warm distributions. Otherwise the map is wiped wholesale, which re-runs
+// Prob and therefore re-surfaces "not declared" for retired document events
+// instead of masking them.
+func (p *Plan) carryDocDist(gen uint64) bool {
+	p.docMu.Lock()
+	defer p.docMu.Unlock()
+	if p.docGen >= gen {
+		return p.docGen == gen
+	}
+	if len(p.docDist) > 0 {
+		if asOf, ok := p.docBlocksUntouchedSince(p.docGen); ok {
+			p.docGen = asOf
+			return asOf == gen
+		}
+		clear(p.docDist)
+	}
+	p.docGen = gen
+	return true
 }
 
 // computeDocDist fills out with the candidate's document-side distribution

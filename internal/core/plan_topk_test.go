@@ -185,6 +185,52 @@ func TestDocCacheInvalidatesOnRetire(t *testing.T) {
 	}
 }
 
+// TestDocCacheSurvivesUnrelatedRetire: invalidations that leave every active
+// rule's document footprint alone — what another user's context apply is to
+// a plan that outlives it — must not cost the warm distributions: the cache
+// is re-stamped, not wiped, and the next retirement that does reach the
+// footprint still wipes it.
+func TestDocCacheSurvivesUnrelatedRetire(t *testing.T) {
+	l, rules := correlatedSetup(t)
+	space := l.DB().Space()
+	plan, err := CompilePlan(l, "u", rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.Rank(PlanRequest{Target: dl.Atom("Doc")})
+	if err != nil {
+		t.Fatal(err) // warm the cache
+	}
+	for i := 0; i < 3; i++ {
+		other := fmt.Sprintf("ctx_other_%d", i)
+		group := []string{other + "_k", other + "_o"}
+		if err := space.Declare(other, 0.3); err != nil {
+			t.Fatal(err)
+		}
+		if err := space.DeclareExclusive(group, []float64{0.5, 0.4}); err != nil {
+			t.Fatal(err)
+		}
+		if err := space.Retire(append(group, other)...); err != nil {
+			t.Fatal(err)
+		}
+		misses := ReadHotPathStats().DocCacheMisses
+		got, err := plan.Rank(PlanRequest{Target: dl.Atom("Doc")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRanking(t, "rank across an unrelated retirement", got, want, 0)
+		if recomputed := ReadHotPathStats().DocCacheMisses - misses; recomputed != 0 {
+			t.Fatalf("round %d: an unrelated retirement recomputed %d document distributions", i, recomputed)
+		}
+	}
+	if err := space.Retire("solo_a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Rank(PlanRequest{Target: dl.Atom("Doc")}); err == nil || !strings.Contains(err.Error(), "not declared") {
+		t.Fatalf("re-stamped cache outlived the retirement of a document event: %v", err)
+	}
+}
+
 // TestPlanScratchDocCacheSoak hammers one plan from concurrent rankers —
 // some through the pooled-scratch Rank, some through caller-owned
 // RankInto arenas — while the session context churns underneath it,

@@ -9,6 +9,7 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -32,17 +33,34 @@ type Loader struct {
 	viewSQL  map[string]string // view name -> defining SQL (traceability)
 	seq      int
 
-	// Applied-situation bookkeeping, owned by situation.Context.Apply: the
-	// context concepts asserted and the basic events declared by the most
-	// recent apply on this loader. The next apply retracts those assertions
-	// and retires those events, which is what keeps the event space bounded
-	// under context churn. Guarded by its own mutex (reads may come from
-	// goroutines that never touch the vocabulary), though applies themselves
-	// are mutators and must be externally serialized like all others.
-	ctxMu       sync.Mutex
-	ctxConcepts []string
-	ctxEvents   []string
+	// Applied-situation bookkeeping, owned by the situation package: per
+	// owner (a situated user), the assertion rows its last context apply put
+	// into concept tables and the basic events that apply declared. The
+	// owner's next apply retracts exactly those rows and retires exactly
+	// those events, which keeps the event space bounded under context churn
+	// and makes an apply cost its owner's measurements, not everyone's.
+	// ctxRows is the running number of context rows per concept over all
+	// owners. Guarded by its own mutex (reads may come from goroutines that
+	// never touch the vocabulary), though applies themselves are mutators
+	// and must be externally serialized like all others.
+	ctxMu     sync.Mutex
+	ctxOwners map[string]ownerContext
+	ctxRows   map[string]int
 }
+
+// ContextRow is one assertion row a context apply put into a concept table.
+type ContextRow struct{ Concept, Individual string }
+
+// ownerContext is what one owner's last context apply left behind.
+type ownerContext struct {
+	rows   []ContextRow
+	events []string
+}
+
+// restoredOwner owns the applied context a snapshot carried: dl_ctx does not
+// say which user asserted what, and the first whole-loader apply retracts
+// every owner anyway.
+const restoredOwner = ""
 
 // NewLoader creates a loader over db with the given TBox (may be nil; a
 // fresh one is created). If db already holds a DL vocabulary — e.g. it was
@@ -53,12 +71,14 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 		tbox = dl.NewTBox()
 	}
 	l := &Loader{
-		db:       db,
-		tbox:     tbox,
-		concepts: make(map[string]bool),
-		roles:    make(map[string]bool),
-		views:    make(map[string]string),
-		viewSQL:  make(map[string]string),
+		db:        db,
+		tbox:      tbox,
+		concepts:  make(map[string]bool),
+		roles:     make(map[string]bool),
+		views:     make(map[string]string),
+		viewSQL:   make(map[string]string),
+		ctxOwners: make(map[string]ownerContext),
+		ctxRows:   make(map[string]int),
 	}
 	// The domain table holds every known individual; it backs ⊤, nominals
 	// and negation. dl_vocab records declarations so the vocabulary
@@ -76,22 +96,25 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 			}
 		}
 	}
-	// dl_ctx persists the applied-situation record (which concepts the last
-	// context apply asserted, which basic events it declared), so a system
-	// restored from a snapshot retracts and retires the snapshot's context
-	// on its first apply — including concepts asserted with certain
-	// measurements, which declare no events and could not be reconstructed
-	// from event names alone.
+	// dl_ctx persists the applied-situation record (which concepts hold
+	// context rows, which basic events the applies declared; written by
+	// PersistContext when a snapshot is dumped), so a system restored from a
+	// snapshot retracts and retires the snapshot's context on its first
+	// apply — including concepts asserted with certain measurements, which
+	// declare no events and could not be reconstructed from event names
+	// alone.
 	db.MustExec("CREATE TABLE IF NOT EXISTS dl_ctx (kind TEXT, name TEXT)")
 	if res, err := db.Query("SELECT kind, name FROM dl_ctx"); err == nil {
+		var concepts, events []string
 		for _, row := range res.Rows {
 			switch row[0].S {
 			case "concept":
-				l.ctxConcepts = append(l.ctxConcepts, row[1].S)
+				concepts = append(concepts, row[1].S)
 			case "event":
-				l.ctxEvents = append(l.ctxEvents, row[1].S)
+				events = append(events, row[1].S)
 			}
 		}
+		l.AdoptContext(concepts, events)
 	}
 	return l
 }
@@ -262,9 +285,26 @@ func (l *Loader) AssertConcept(concept, id string, ev *event.Expr) error {
 			merged = event.Or(merged, r[1].Ev)
 		}
 		ev = merged
-		tab.Delete(func(r storage.Row) bool { return storage.Equal(r[0], key) })
+		if _, err := tab.DeleteKey("id", key); err != nil {
+			return err
+		}
 	}
 	return l.db.InsertRow(ConceptTable(concept), id, ev)
+}
+
+// RetractConcept removes the assertion of id ∈ concept, touching only that
+// individual's row. Retracting from an undeclared concept is a no-op: it
+// holds no assertions.
+func (l *Loader) RetractConcept(concept, id string) error {
+	if !l.HasConcept(concept) {
+		return nil
+	}
+	tab, err := l.db.Catalog().Get(ConceptTable(concept))
+	if err != nil {
+		return err
+	}
+	_, err = tab.DeleteKey("id", storage.Text(id))
+	return err
 }
 
 // AssertRole asserts (src, dst) ∈ role with the given assertion event (nil
@@ -326,41 +366,138 @@ func (l *Loader) ClearConcept(concept string) error {
 	return nil
 }
 
-// AppliedContext returns copies of the context concepts asserted and the
-// basic events declared by the most recent situation apply on this loader
-// (both empty for a fresh loader; situation.AdoptApplied seeds them after
-// a snapshot restore).
-func (l *Loader) AppliedContext() (concepts, events []string) {
+// OwnerContext returns copies of the assertion rows the owner's last context
+// apply left in concept tables and of the basic events it declared (both
+// empty for an owner that never applied, or whose last apply was empty).
+func (l *Loader) OwnerContext(owner string) (rows []ContextRow, events []string) {
 	l.ctxMu.Lock()
 	defer l.ctxMu.Unlock()
-	concepts = append([]string(nil), l.ctxConcepts...)
-	events = append([]string(nil), l.ctxEvents...)
+	oc := l.ctxOwners[owner]
+	return slices.Clone(oc.rows), slices.Clone(oc.events)
+}
+
+// SetOwnerContext replaces the owner's applied-context record, keeping the
+// per-concept row counts in step. The situation layer calls it at the end of
+// every apply with exactly what the owner then has asserted and declared —
+// after a mid-apply failure that is whatever was not yet retracted plus
+// whatever was already asserted, so the owner's next apply finishes the
+// cleanup. An owner left with nothing is forgotten. The loader keeps the
+// slices; the caller must not use them afterwards.
+func (l *Loader) SetOwnerContext(owner string, rows []ContextRow, events []string) {
+	l.ctxMu.Lock()
+	defer l.ctxMu.Unlock()
+	for _, r := range l.ctxOwners[owner].rows {
+		if l.ctxRows[r.Concept]--; l.ctxRows[r.Concept] <= 0 {
+			delete(l.ctxRows, r.Concept)
+		}
+	}
+	for _, r := range rows {
+		l.ctxRows[r.Concept]++
+	}
+	if len(rows) == 0 && len(events) == 0 {
+		delete(l.ctxOwners, owner)
+		return
+	}
+	l.ctxOwners[owner] = ownerContext{rows: rows, events: events}
+}
+
+// ContextOwners returns the sorted owners that currently have context rows
+// asserted or context events declared.
+func (l *Loader) ContextOwners() []string {
+	l.ctxMu.Lock()
+	defer l.ctxMu.Unlock()
+	owners := make([]string, 0, len(l.ctxOwners))
+	for o := range l.ctxOwners {
+		owners = append(owners, o)
+	}
+	slices.Sort(owners)
+	return owners
+}
+
+// ContextConcepts returns the sorted concepts that currently hold context
+// rows of any owner — O(vocabulary), not O(owners).
+func (l *Loader) ContextConcepts() []string {
+	l.ctxMu.Lock()
+	defer l.ctxMu.Unlock()
+	concepts := make([]string, 0, len(l.ctxRows))
+	for c := range l.ctxRows {
+		concepts = append(concepts, c)
+	}
+	slices.Sort(concepts)
+	return concepts
+}
+
+// AppliedContext returns the applied context over all owners: the concepts
+// holding context rows and the basic events context applies declared (both
+// empty for a fresh loader).
+func (l *Loader) AppliedContext() (concepts, events []string) {
+	concepts = l.ContextConcepts()
+	l.ctxMu.Lock()
+	defer l.ctxMu.Unlock()
+	for _, oc := range l.ctxOwners {
+		events = append(events, oc.events...)
+	}
+	slices.Sort(events)
 	return concepts, events
 }
 
-// SetAppliedContext replaces the applied-situation record. The situation
-// layer calls it at the end of every apply — with the new context's
-// vocabulary on success, or with the union of everything possibly still
-// asserted or declared when an apply fails partway, so the next apply can
-// finish the cleanup. The record is written through to the dl_ctx table so
-// it survives snapshot round trips (best-effort: an unwritable table only
-// degrades post-restore cleanup, never the live process).
-func (l *Loader) SetAppliedContext(concepts, events []string) {
+// ConceptRows returns how many assertion rows the concept's table holds (0
+// for an undeclared concept) and how many rows context applies put there;
+// total > context means the concept also holds data, which a context's rows
+// must not be mixed with.
+func (l *Loader) ConceptRows(concept string) (total, context int) {
 	l.ctxMu.Lock()
-	defer l.ctxMu.Unlock()
-	l.ctxConcepts = append([]string(nil), concepts...)
-	l.ctxEvents = append([]string(nil), events...)
+	context = l.ctxRows[concept]
+	l.ctxMu.Unlock()
+	if !l.HasConcept(concept) {
+		return 0, context
+	}
+	if tab, err := l.db.Catalog().Get(ConceptTable(concept)); err == nil {
+		total = tab.Len()
+	}
+	return total, context
+}
+
+// AdoptContext records an applied context found in a restored database —
+// every row currently in the given concepts' tables and the given events —
+// under one owner of its own, so the first whole-loader apply retracts and
+// retires it. A no-op when both lists are empty.
+func (l *Loader) AdoptContext(concepts, events []string) {
+	var rows []ContextRow
+	for _, c := range concepts {
+		tab, err := l.db.Catalog().Get(ConceptTable(c))
+		if err != nil {
+			continue
+		}
+		_ = tab.Scan(func(r storage.Row) error { // the callback never fails
+			rows = append(rows, ContextRow{Concept: c, Individual: r[0].S})
+			return nil
+		})
+	}
+	l.SetOwnerContext(restoredOwner, rows, events)
+}
+
+// PersistContext writes the applied-context record through to the dl_ctx
+// table so it survives a snapshot round trip. Called when a snapshot is
+// dumped, not on every apply: the table is only ever read by NewLoader.
+func (l *Loader) PersistContext() error {
+	concepts, events := l.AppliedContext()
 	tab, err := l.db.Catalog().Get("dl_ctx")
 	if err != nil {
-		return
+		return err
 	}
 	tab.Delete(func(storage.Row) bool { return true })
 	for _, c := range concepts {
-		_ = l.db.InsertRow("dl_ctx", "concept", c)
+		if err := l.db.InsertRow("dl_ctx", "concept", c); err != nil {
+			return err
+		}
 	}
 	for _, e := range events {
-		_ = l.db.InsertRow("dl_ctx", "event", e)
+		if err := l.db.InsertRow("dl_ctx", "event", e); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // ViewFor compiles a concept expression into a database view and returns

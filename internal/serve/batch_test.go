@@ -188,8 +188,9 @@ func TestRankBatchAlgorithms(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation: session applies (context epoch), rule changes
-// and data writes (facade epoch) must each invalidate cached plans.
+// TestPlanCacheInvalidation: the user's own session applies (applied
+// generation), rule changes and data writes (facade epoch) must each
+// invalidate the user's cached plan — and another user's apply must not.
 func TestPlanCacheInvalidation(t *testing.T) {
 	srv, user := batchServer(t, 4)
 	// Every probe uses a fresh limit so it always misses the rank-result
@@ -213,13 +214,24 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("second target recompiled the plan (misses %d -> %d)", misses, got)
 	}
 
-	// A session update (any user's) bumps the context epoch.
-	if _, err := srv.SetSession("person0001", []Measurement{{Concept: workload.BenchContextConcept(0), Prob: 1}}); err != nil {
+	// Another user's session update touches nothing the plan holds.
+	if _, err := srv.SetSession("person0001", []Measurement{{Concept: workload.BenchContextConcept(0), Prob: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	rank()
+	if got := srv.plans.misses.Load(); got != misses {
+		t.Fatalf("another user's session apply invalidated the plan (misses %d -> %d)", misses, got)
+	}
+
+	// The user's own session update moves their applied generation, even
+	// when the measurements (and so the fingerprint) stay the same.
+	ms, _, _ := srv.SessionInfo(user)
+	if _, err := srv.SetSession(user, ms); err != nil {
 		t.Fatal(err)
 	}
 	rank()
 	if got := srv.plans.misses.Load(); got != misses+1 {
-		t.Fatalf("session apply did not invalidate the plan (misses %d -> %d)", misses, got)
+		t.Fatalf("own session apply did not invalidate the plan (misses %d -> %d)", misses, got)
 	}
 	misses = srv.plans.misses.Load()
 
@@ -348,8 +360,8 @@ func TestRankClusterBoundFallback(t *testing.T) {
 	if st := srv.Stats().Plans; st.Size != 1 || st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("repeat requests: plan cache %+v, want 2 hits on the one compiled entry", st)
 	}
-	// A context apply moves the context epoch; the per-candidate plan is
-	// recompiled, never refreshed.
+	// A first-seen user's apply registers an individual, which stales every
+	// cached plan; the per-candidate plan is recompiled, never refreshed.
 	if _, err := srv.SetSession("other", []Measurement{{Concept: "ChainCtx", Prob: 0.5}}); err != nil {
 		t.Fatal(err)
 	}

@@ -14,39 +14,33 @@ import (
 // than the same number of rank-result entries.
 const planCacheSize = 256
 
-// planBaseKey is the identity under which successive context epochs'
-// plans are predecessors of one another: (user, facade epoch). Every
-// data, vocabulary and rule change is an Apply inside a facade write
-// section that bumps the epoch, so the epoch alone pins the rule set the
-// plan compiled. A cache miss at the full key probes this index for the
-// user's latest plan at the same epoch and incrementally refreshes it
-// instead of recompiling. The user is length-prefixed like rankKey's
-// fields.
-func planBaseKey(user string, epoch int64) string {
+// planKey keys a user's compiled rank plan: (user, facade epoch). Every data,
+// vocabulary and rule change is an Apply inside a facade write section that
+// bumps the epoch, so the epoch alone pins the rule set and the data the
+// plan compiled. What the key leaves out — the user's own context — is the
+// entry's generation. The user is length-prefixed like rankKey's fields.
+func planKey(user string, epoch int64) string {
 	return strconv.Itoa(len(user)) + ":" + user + strconv.FormatInt(epoch, 10)
 }
 
-// planKey keys one compiled rank plan: the base key plus the context
-// epoch, which moves on every merged session apply (an apply retires and
-// re-declares context events for *all* users, so the updated user's
-// fingerprint alone would not be enough — see Sessions.ctxEpoch).
-func planKey(baseKey string, ctxEpoch int64) string {
-	return baseKey + "|" + strconv.FormatInt(ctxEpoch, 10)
-}
-
-// planEntry is one cached compiled plan.
+// planEntry is one user's cached compiled plan at one facade epoch.
 type planEntry struct {
-	key     string
-	baseKey string
-	plan    *contextrank.RankPlan
+	key string
+	// generation is the user's applied generation (see appliedContext) the
+	// plan compiled at: the plan holds the user's context events by name, so
+	// it answers for that apply only. A look-up at another generation
+	// refreshes the plan and replaces it in place.
+	generation int64
+	plan       *contextrank.RankPlan
 }
 
-// planCache is an LRU of compiled rank plans. Invalidation is purely
-// key-based (epochs and fingerprints make stale keys unreachable, exactly
-// like the rank-result cache) plus LRU aging; compiled plans are immutable
-// and safe to share between concurrent rankers. Counters are atomics for
-// the same reason as rankCache's: a stats scrape must never queue behind
-// rank traffic holding the mutex.
+// planCache is an LRU of compiled rank plans, one entry per (user, facade
+// epoch): 256 entries are 256 users, whatever the apply rate. A stale epoch
+// makes its key unreachable, exactly like the rank-result cache, and LRU
+// aging collects it; compiled plans are immutable and safe to share between
+// concurrent rankers. Counters are atomics for the same reason as
+// rankCache's: a stats scrape must never queue behind rank traffic holding
+// the mutex. Server.planFor decides what a look-up counts as.
 //
 // The LRU machinery is deliberately not shared with rankCache: rankCache's
 // eviction list must be mutated atomically with its singleflight map under
@@ -59,7 +53,6 @@ type planCache struct {
 	capacity int
 	ll       *list.List               // front = most recently used
 	items    map[string]*list.Element // key -> *planEntry element
-	latest   map[string]*list.Element // baseKey -> most recently added entry
 
 	size      atomic.Int64
 	hits      atomic.Int64
@@ -73,62 +66,42 @@ func newPlanCache() *planCache {
 		capacity: planCacheSize,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		latest:   make(map[string]*list.Element),
 	}
 }
 
-// get returns the cached plan for key, marking it most recently used.
-func (c *planCache) get(key string) (*contextrank.RankPlan, bool) {
+// get returns the plan cached under key and the generation it compiled at,
+// marking the entry most recently used.
+func (c *planCache) get(key string) (plan *contextrank.RankPlan, generation int64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses.Add(1)
-		return nil, false
+		return nil, 0, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*planEntry).plan, true
+	ent := el.Value.(*planEntry)
+	return ent.plan, ent.generation, true
 }
 
-// getLatest returns the most recently added live plan under the base key
-// (user, facade epoch) regardless of context epoch — the predecessor an
-// incremental refresh starts from.
-func (c *planCache) getLatest(baseKey string) (*contextrank.RankPlan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.latest[baseKey]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*planEntry).plan, true
-}
-
-// add inserts the plan under key, evicting from the LRU tail past
-// capacity. Concurrent compiles of the same key are not coalesced (the
-// compile runs under the facade read lock, where blocking peers on a
-// cache-level flight would serialize the read path); the last writer wins
-// and the duplicates are identical.
-func (c *planCache) add(key, baseKey string, plan *contextrank.RankPlan) {
+// put files the plan under key, replacing the entry's previous plan in place
+// or evicting from the LRU tail past capacity. Concurrent compiles of the
+// same key are not coalesced (the compile runs under the facade read lock,
+// where blocking peers on a cache-level flight would serialize the read
+// path); the last writer wins and the duplicates are identical.
+func (c *planCache) put(key string, generation int64, plan *contextrank.RankPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*planEntry).plan = plan
+		ent := el.Value.(*planEntry)
+		ent.generation, ent.plan = generation, plan
 		c.ll.MoveToFront(el)
-		c.latest[baseKey] = el
 		return
 	}
-	el := c.ll.PushFront(&planEntry{key: key, baseKey: baseKey, plan: plan})
-	c.items[key] = el
-	c.latest[baseKey] = el
+	c.items[key] = c.ll.PushFront(&planEntry{key: key, generation: generation, plan: plan})
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		ent := back.Value.(*planEntry)
-		delete(c.items, ent.key)
-		if c.latest[ent.baseKey] == back {
-			delete(c.latest, ent.baseKey)
-		}
+		delete(c.items, back.Value.(*planEntry).key)
 		c.evicted.Add(1)
 	}
 	c.size.Store(int64(c.ll.Len()))

@@ -15,13 +15,14 @@
 //     epoch + read helpers only; every mutation of a live server goes
 //     through Server.Apply.
 //
-//   - Sessions keeps one context per user and merges all user contexts
-//     into a single situation snapshot on every update, so many situated
-//     users can share one System. Each session carries a fingerprint of
-//     its measurements which keys that user's cache entries. Every merged
-//     apply retires the previous snapshot's basic events from the event
-//     space, so session churn (updates and drops) cannot grow the space
-//     past the live vocabulary.
+//   - Sessions keeps one context per user and applies each update as an
+//     owner-scoped apply that replaces that user's rows and basic events
+//     and nobody else's, so many situated users share one System at a
+//     cost per update that does not grow with their number. Each session
+//     carries a fingerprint of its measurements which keys that user's
+//     cache entries. An update retires the events the user's previous one
+//     declared, so session churn (updates and drops) cannot grow the
+//     event space past the live vocabulary.
 //
 //   - Server adds an LRU rank-result cache keyed by (user, target,
 //     options, context fingerprint, epoch) with singleflight coalescing of
@@ -29,9 +30,10 @@
 //     mutation bumps the epoch and thereby invalidates every cached
 //     ranking; a session context update changes only that user's
 //     fingerprint, so other users' entries stay live — unless the updated
-//     vocabulary appears inside a rule's role-restriction filler, where
-//     membership propagates across role edges and the update degrades to
-//     a full epoch bump (see Sessions).
+//     vocabulary appears inside a rule's role-restriction filler or its
+//     preference, where one user's membership reaches other users'
+//     rankings and the update degrades to a full epoch bump (see
+//     Sessions).
 //
 // Every mutation — context apply, vocabulary write, subscription — is a
 // journal.Record fed to Server.Apply (apply.go), the one place that

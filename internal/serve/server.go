@@ -169,8 +169,9 @@ type RankMeta struct {
 // user's own applied session fingerprint. Two ranks of one request at one
 // version return the same scores, so it keys the rank cache and decides
 // whether a subscription needs re-evaluating. It deliberately leaves out the
-// context epoch: another user's apply renames this user's context events
-// (which is why plan-cache keys carry it) but cannot move their scores.
+// user's applied generation: a re-apply of identical measurements renames
+// the user's context events (which is why a cached plan carries it) but
+// cannot move their scores.
 type stateVersion struct {
 	epoch int64
 	fp    string
@@ -286,40 +287,51 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 	return v, err
 }
 
-// planFor returns the user's compiled rank plan for the current (epoch,
-// context epoch), compiling and caching it on a miss. Must run under the
-// facade read lock with epoch the one observed under it: the key's parts are
-// then stable, so a cached plan can never be stale for the snapshot being
+// planFor returns the user's compiled rank plan for the state being read.
+// Must run under the facade read lock with epoch the one observed under it:
+// the epoch, the user's applied generation and the domain size then all stand
+// still, so a plan found current can never be stale for the snapshot being
 // read. Whether the plan enumerates footprint clusters or scores per
 // candidate (see contextrank.CompileRankPlan) is its own business; both are
 // cached alike.
 //
-// A miss caused purely by a context-epoch advance — the user's plan at the
-// same epoch exists for an older context — is served by incrementally
-// refreshing that predecessor instead of recompiling: the refresh
-// re-resolves only the context side and carries over the preference
+// The cache holds one plan per (user, epoch). It is a hit while the user's
+// applied generation is the one the plan compiled at — other users' applies
+// do not move it — and no individual was registered since (a first-seen
+// user's apply grows dl_domain, which changes the membership of ¬/⊤/nominal
+// preference views without an epoch bump). Otherwise the look-up is a miss
+// served by incrementally refreshing that plan instead of recompiling: the
+// refresh re-resolves only the context side and carries over the preference
 // membership maps, footprints and unaffected document-side distributions
-// (see contextrank.RefreshRankPlan). Refresh failures (a per-candidate plan
-// is not refreshable) fall back to a full compile; correctness never depends
-// on the fast path.
+// (see contextrank.RefreshRankPlan). The generation rather than the
+// fingerprint decides, because a re-apply of identical measurements
+// re-declares the user's events under new names, and a per-candidate-mode
+// plan consults them at score time. Refresh failures (such a plan is not
+// refreshable) fall back to a full compile; correctness never depends on the
+// fast path.
 func (s *Server) planFor(sys *contextrank.System, user string, epoch int64) (*contextrank.RankPlan, error) {
-	baseKey := planBaseKey(user, epoch)
-	key := planKey(baseKey, s.sessions.ContextEpoch())
-	if plan, ok := s.plans.get(key); ok {
-		return plan, nil
+	key := planKey(user, epoch)
+	generation := s.sessions.appliedContext(user).generation
+	prev, prevGeneration, ok := s.plans.get(key)
+	if ok && prevGeneration == generation && prev.DomainSize() == sys.Loader().DomainSize() {
+		s.plans.hits.Add(1)
+		return prev, nil
 	}
-	if prev, ok := s.plans.getLatest(baseKey); ok {
-		if plan, err := sys.RefreshRankPlan(prev); err == nil {
+	s.plans.misses.Add(1)
+	var plan *contextrank.RankPlan
+	if ok {
+		if refreshed, err := sys.RefreshRankPlan(prev); err == nil {
 			s.plans.refreshed.Add(1)
-			s.plans.add(key, baseKey, plan)
-			return plan, nil
+			plan = refreshed
 		}
 	}
-	plan, err := sys.CompileRankPlan(user)
-	if err != nil {
-		return nil, err
+	if plan == nil {
+		var err error
+		if plan, err = sys.CompileRankPlan(user); err != nil {
+			return nil, err
+		}
 	}
-	s.plans.add(key, baseKey, plan)
+	s.plans.put(key, generation, plan)
 	return plan, nil
 }
 
@@ -429,8 +441,8 @@ func (s *Server) Query(stmt string) (*contextrank.QueryResult, error) {
 	return s.facade.Query(stmt)
 }
 
-// CheckpointDump dumps the wrapped system as JSON to w with the merged
-// session context suspended (see Sessions.SuspendAndDump): the snapshot
+// CheckpointDump dumps the wrapped system as JSON to w with every session's
+// context suspended (see Sessions.SuspendAndDump): the snapshot
 // carries data, vocabulary, views and rules but never session context, so
 // a server restored from it accepts session applies immediately. The dump
 // runs under the write lock — a consistent cut — and bumps the epoch. It
@@ -469,9 +481,10 @@ type Stats struct {
 	// snapshot's events) — a growing value here means an event leak.
 	Events int        `json:"events"`
 	Cache  CacheStats `json:"cache"`
-	// Plans is the compiled-rank-plan cache: one entry per (user, epoch,
-	// context epoch), shared by every target and batch item that user
-	// ranks at that state.
+	// Plans is the compiled-rank-plan cache: one entry per (user, epoch),
+	// shared by every target and batch item that user ranks; Refreshed
+	// counts the misses served by refreshing the entry's plan after the
+	// user's own context moved.
 	Plans   CacheStats   `json:"plan_cache"`
 	Latency LatencyStats `json:"latency"`
 	// Health is the failure-domain state: healthy, degraded (journal
@@ -590,7 +603,7 @@ func (rs RecoveryStats) VocabApplied() int {
 // latency ring) and internally synchronized component state (rule
 // repository, event space) without ever taking the facade lock, the
 // session mutex or the cache mutex — scraping /v1/stats during a long
-// write (e.g. a merged context apply) returns immediately instead of
+// write (e.g. a checkpoint dump) returns immediately instead of
 // queueing behind rank traffic. The snapshot is correspondingly not an
 // atomic cut across counters, which monitoring does not need.
 func (s *Server) Stats() Stats {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -10,7 +11,6 @@ import (
 
 	contextrank "repro"
 	"repro/internal/dl"
-	"repro/internal/mapping"
 	"repro/internal/situation"
 )
 
@@ -18,43 +18,50 @@ import (
 // serving-layer mirror of situation.Measurement.
 type Measurement = situation.Measurement
 
-// Sessions manages one context per situated user on top of a shared
-// Facade. Because a System holds a single situation snapshot (dynamic
-// context is acquired anew at each query, §5), every session update merges
-// all live sessions into one snapshot and applies it atomically under the
-// facade's write lock.
+// Sessions keeps one context per situated user on top of a shared Facade.
+// A session write is an owner-scoped apply (contextrank.System.SetUserContext):
+// under the facade's write lock it retracts the rows and retires the basic
+// events that user's previous context left, declares the new events and
+// asserts the new rows — nothing of any other user's is read, re-asserted or
+// renamed, so the write costs that user's measurements however many sessions
+// are live, and the event space stays bounded by the live session vocabulary
+// under arbitrary churn (a drop retires exactly the dropped user's events).
 //
-// Each merged apply also *retires* the previous snapshot's basic events
-// from the event space (situation.Apply tracks per loader what it declared
-// last time): a Set replaces the updated user's events, and a Drop retires
-// the dropped user's events with the same re-apply — dropping the last
-// session retires every session-declared event. The event space therefore
-// stays bounded by the live session vocabulary under arbitrary churn
-// instead of accumulating one epoch of ctx_* declarations per update.
+// A successful session write does not bump the facade epoch: it publishes the
+// user's new context fingerprint — which keys that user's cached rankings —
+// and the generation of the apply — which the user's compiled rank plan is
+// valid for — so only that user's cached state is invalidated. Every way one
+// user's write can reach another user's ranking is therefore named here, and
+// each degrades to a full epoch bump:
 //
-// A successful session update normally does not bump the facade epoch: it
-// changes the updated user's context fingerprint instead, so only that
-// user's cached rankings are invalidated. One exception and two
-// restrictions keep that sound. The exception: when an updated concept
-// appears inside a role-restriction filler of a registered rule (e.g.
-// WHEN ∃watchesWith.InKitchen), the user's own membership can change
-// *other* users' rankings through role edges, so the update degrades to a
-// full epoch bump. The restrictions:
+//   - A concept the write changes occurs inside a role-restriction filler of
+//     a registered rule (e.g. WHEN ∃watchesWith.InKitchen): the user's own
+//     membership flips the rule for users reachable over the role edge.
+//   - A concept the write changes occurs anywhere in a registered rule's
+//     preference (PREFER Person AND InKitchen): membership in it is the
+//     document side of every user's score, and compiled plans hold the
+//     preference's member map.
+//   - The apply fails: it is multi-step and may have torn the user's context,
+//     so the previous one is restored and every cached ranking invalidated
+//     (the same over-invalidation policy as the facade's write path).
+//   - SuspendAndDump retracts and re-applies every session.
+//
+// Two restrictions keep the rest sound:
 //
 //   - A session may only assert its own user (Measurement.Individual must
 //     be empty or equal to the session user). Asserting other individuals
 //     could change other users' rankings without invalidating their
-//     cached entries.
-//   - A session may not use a concept that already holds data assertions
-//     (applying a context clears and re-asserts its concepts, which would
-//     destroy the data — e.g. a session context named "TvProgram" would
-//     wipe the program catalog). Context vocabulary must be dedicated
-//     concepts, as in the paper's Weekend/Morning/InKitchen.
+//     cached entries — and keeps the users' rows disjoint, which the
+//     owner-scoped apply requires.
+//   - A session may not use a concept that holds assertions the session
+//     layer did not make (a data assertion of the same membership merges
+//     into the session's row and is retracted with it, and a context
+//     concept named "TvProgram" would mix sessions into the catalog).
+//     Context vocabulary must be dedicated concepts, as in the paper's
+//     Weekend/Morning/InKitchen.
 //
-// A *failed* apply does bump the epoch: the snapshot application is
-// multi-step and may have partially destroyed the previous context, so
-// every cached ranking is conservatively invalidated (the same
-// over-invalidation policy as the facade's write path).
+// The lock order is always s.mu before the facade lock, and the rank path
+// never takes s.mu: it reads the lock-free applied map.
 //
 // Sessions has no exported mutators: set and drop are reached only
 // through Server.Apply, which journals and pokes around them.
@@ -64,40 +71,16 @@ type Sessions struct {
 	mu    sync.Mutex
 	users map[string]*session
 	// count mirrors len(users) so Count is lock-free: s.mu is held across
-	// the facade write lock during merged applies, and a stats scrape must
-	// not queue behind an apply just to read the session count.
+	// the facade write lock during applies, and a stats scrape must not
+	// queue behind an apply just to read the session count.
 	count atomic.Int64
-	// appliedRows counts, per session-context concept, how many assertion
-	// rows the last successful apply put in its table. The guard in
-	// applyMergedLocked compares the table's current row count against
-	// this: more rows than we asserted means someone injected data into a
-	// context concept (e.g. via /v1/assert), and applying — which clears
-	// the concept — would destroy it.
-	appliedRows map[string]int
 
-	// ctxEpoch counts merged context applies (attempted, not just
-	// successful: a failed apply may already have retired the previous
-	// snapshot's basic events). Every apply invalidates all compiled rank
-	// plans — their context events are retired and re-declared under fresh
-	// names even for users whose own session did not change — without
-	// bumping the facade epoch, so the serve plan cache keys plans by this
-	// counter alongside the epoch. Bumped only while holding the facade
-	// write lock; reading it under the facade read lock is therefore
-	// stable for the duration of the lock hold.
-	ctxEpoch atomic.Int64
-
-	// applied maps user -> fingerprint of the last successfully applied
-	// snapshot. It is written only while holding the facade write lock
-	// and read lock-free (notably under the facade read lock inside
-	// Server.Rank, where taking s.mu would deadlock against Set).
+	// applied maps user -> appliedContext for every user whose session is
+	// applied. It is written only while holding the facade write lock and
+	// read lock-free (notably under the facade read lock inside the rank
+	// path, where taking s.mu would deadlock against set), so a reader
+	// holding the read lock sees exactly the state it is ranking under.
 	applied sync.Map
-	// appliedConcepts is the applied session-context vocabulary
-	// (concept -> true), maintained under the same discipline as
-	// applied. IsSessionConcept reads it lock-free, which lets the
-	// assert endpoint check it *inside* the facade write critical
-	// section — checking before taking the lock would leave a TOCTOU
-	// window in which a session could claim the concept first.
-	appliedConcepts sync.Map
 }
 
 type session struct {
@@ -105,13 +88,21 @@ type session struct {
 	fingerprint  string
 }
 
+// appliedContext is what Sessions publishes about a user's applied session.
+type appliedContext struct {
+	// fingerprint hashes the applied measurements: two applies of the same
+	// measurements rank the same, so it keys the user's cached rankings.
+	fingerprint string
+	// generation is the apply's own number (the epoch in the user's context
+	// event names). A re-apply of identical measurements re-declares the
+	// events under new names, so anything holding them — a compiled rank plan
+	// — is valid for one generation, not for one fingerprint.
+	generation int64
+}
+
 // newSessions builds an empty session manager over the facade.
 func newSessions(f *Facade) *Sessions {
-	return &Sessions{
-		f:           f,
-		users:       make(map[string]*session),
-		appliedRows: make(map[string]int),
-	}
+	return &Sessions{f: f, users: make(map[string]*session)}
 }
 
 // validateSession checks a session update before any lock is taken.
@@ -146,96 +137,130 @@ func validateSession(user string, measurements []Measurement) error {
 }
 
 // set replaces the user's session context with ms (which it takes
-// ownership of; empty is a valid "no context" session), applies the
-// merged snapshot and returns the new context fingerprint. commit is
-// Server.Apply's journal submit: it runs with the fingerprint after a
-// successful apply, while s.mu and the facade write lock are still held,
-// so the journal's total order is exactly the apply order across session
-// and vocabulary writes. A failed apply commits nothing: the journal
-// records only state that actually took effect.
+// ownership of; empty is a valid "no context" session), applies it and
+// returns the new context fingerprint. commit is Server.Apply's journal
+// submit: it runs with the fingerprint after a successful apply, while s.mu
+// and the facade write lock are still held, so the journal's total order is
+// exactly the apply order across session and vocabulary writes. A refused or
+// failed apply commits nothing: the journal records only state that actually
+// took effect.
 func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (string, error) {
 	if err := validateSession(user, ms); err != nil {
 		return "", err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev, had := s.users[user]
-	// The concepts whose assertions this update actually changes: the
-	// user's previous and new vocabulary. Other sessions' measurements
-	// are re-applied with identical probabilities, so they change
-	// nothing observable.
-	changed := make(map[string]bool)
-	for _, m := range ms {
-		changed[m.Concept] = true
-	}
-	if had {
-		for _, m := range prev.measurements {
-			changed[m.Concept] = true
-		}
-	}
 	sess := &session{measurements: ms, fingerprint: fingerprint(user, ms)}
-	s.users[user] = sess
-	// Refresh the lock-free count mirror after the map settles (including
-	// the rollback below); runs while s.mu is still held.
-	defer func() { s.count.Store(int64(len(s.users))) }()
-	f := s.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := s.applyMergedFacadeLocked(changed); err != nil {
-		// Roll back the bookkeeping, then best-effort re-apply the
-		// previous state: a failed apply may have cleared other users'
-		// context assertions before erroring, and without the restore
-		// every user would rank against the torn context until the next
-		// successful session operation. The failed apply bumped the
-		// epoch, but a ranking landing between that bump and the restore
-		// can still cache a torn-context result under the new epoch —
-		// bump once more after the restore so nothing cached inside the
-		// window survives.
-		if had {
-			s.users[user] = prev
-		} else {
-			delete(s.users, user)
-		}
-		_ = s.applyMergedFacadeLocked(changed)
-		f.epoch.Add(1)
+	if err := s.replaceLocked(user, sess, func() { commit(sess.fingerprint) }); err != nil {
 		return "", err
 	}
-	commit(sess.fingerprint)
 	return sess.fingerprint, nil
 }
 
-// drop ends the user's session and re-applies the remaining sessions'
-// merged context, which retires the dropped user's basic events from the
-// event space along with the rest of the previous snapshot's. Dropping an
-// unknown user is a no-op in memory but still commits (see Server.Apply
-// on the resurrection guard; compaction treats drops of absent users as
-// dead, so these cost nothing durable). See set for commit.
+// drop ends the user's session, retracting its rows and retiring its basic
+// events. Dropping an unknown user is a no-op in memory but still commits
+// (see Server.Apply on the resurrection guard; compaction treats drops of
+// absent users as dead, so these cost nothing durable). See set for commit.
 func (s *Sessions) drop(user string, commit func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, ok := s.users[user]
-	if !ok {
+	if s.users[user] == nil {
 		commit()
 		return nil
 	}
-	changed := make(map[string]bool)
-	for _, m := range sess.measurements {
-		changed[m.Concept] = true
+	return s.replaceLocked(user, nil, commit)
+}
+
+// replaceLocked makes next (nil: none) the user's session: inside one facade
+// write section it checks the guard, applies next in place of the user's
+// previous context, settles the session map and runs commit. Caller holds
+// s.mu.
+func (s *Sessions) replaceLocked(user string, next *session, commit func()) error {
+	prev := s.users[user]
+	// The concepts whose assertions this write adds, alters or retracts: the
+	// user's previous and new vocabulary. No other is touched.
+	changed := prev.concepts()
+	for _, c := range next.concepts() {
+		if !slices.Contains(changed, c) {
+			changed = append(changed, c)
+		}
 	}
-	delete(s.users, user)
-	defer func() { s.count.Store(int64(len(s.users))) }() // before the s.mu unlock
 	f := s.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := s.applyMergedFacadeLocked(changed); err != nil {
-		// Same restore-and-bump policy as set: the drop did not take
-		// effect, and anything cached during the torn window dies.
-		s.users[user] = sess
-		_ = s.applyMergedFacadeLocked(changed)
+	if err := s.guardLocked(changed); err != nil {
+		return err
+	}
+	if err := s.applyLocked(user, next, changed); err != nil {
+		// Best-effort restore of the previous context: the failed apply has
+		// retracted it. The failed apply bumped the epoch, but a ranking
+		// landing between that bump and the restore can still cache a
+		// torn-context result under the new epoch — bump once more after the
+		// restore so nothing cached inside the window survives.
+		_ = s.applyLocked(user, prev, changed)
 		f.epoch.Add(1)
 		return err
 	}
+	if next != nil {
+		s.users[user] = next
+	} else {
+		delete(s.users, user)
+	}
+	s.count.Store(int64(len(s.users)))
 	commit()
+	return nil
+}
+
+// concepts lists the session's context vocabulary (nil for no session).
+func (sess *session) concepts() []string {
+	if sess == nil {
+		return nil
+	}
+	return (&situation.Context{Measurements: sess.measurements}).ConceptNames()
+}
+
+// guardLocked refuses a write that would touch a concept holding assertions
+// the session layer did not make (see the type comment): strictly more rows
+// in its table than context applies put there means foreign data; fewer is
+// fine (someone deleted ours). It reads two counters per concept and runs
+// before any mutation, so a refusal leaves the system untouched; it covers
+// the concepts leaving the user's vocabulary as much as those entering it.
+// Caller holds the facade write lock.
+func (s *Sessions) guardLocked(concepts []string) error {
+	for _, c := range concepts {
+		if total, ours := s.f.sys.Loader().ConceptRows(c); total > ours {
+			return fmt.Errorf("serve: concept %q holds %d assertions not made by the session layer; refusing to use it as session context (a context's rows cannot be told from data) — use a dedicated context concept", c, total-ours)
+		}
+	}
+	return nil
+}
+
+// applyLocked applies sess (nil: nothing) as the user's whole context and
+// publishes the result. changed names the concepts the write touches, for
+// the cross-user coupling check. Caller holds s.mu and the facade write lock.
+func (s *Sessions) applyLocked(user string, sess *session, changed []string) error {
+	f := s.f
+	if s.couplesLocked(changed) {
+		f.epoch.Add(1)
+	}
+	ctx := situation.Context{User: user}
+	if sess != nil {
+		ctx.Measurements = sess.measurements
+	}
+	generation, err := f.sys.SetUserContext(&ctx)
+	if err != nil {
+		// The user's context may be half-applied; invalidate every cached
+		// ranking, mirroring the facade's mutator-error policy.
+		f.epoch.Add(1)
+		return err
+	}
+	// Published inside the write critical section: a reader holding the
+	// facade read lock sees exactly the context it is ranking under.
+	if sess != nil {
+		s.applied.Store(user, appliedContext{fingerprint: sess.fingerprint, generation: generation})
+	} else {
+		s.applied.Delete(user)
+	}
 	return nil
 }
 
@@ -254,10 +279,16 @@ func (s *Sessions) Fingerprint(user string) string {
 // successfully applied session context, without taking the session mutex —
 // safe to call while holding the facade lock (either side).
 func (s *Sessions) AppliedFingerprint(user string) string {
+	return s.appliedContext(user).fingerprint
+}
+
+// appliedContext returns what the user's last successful apply published
+// (zero for a user without a session), lock-free like AppliedFingerprint.
+func (s *Sessions) appliedContext(user string) appliedContext {
 	if v, ok := s.applied.Load(user); ok {
-		return v.(string)
+		return v.(appliedContext)
 	}
-	return ""
+	return appliedContext{}
 }
 
 // Measurements returns a copy of the user's session measurements.
@@ -282,15 +313,16 @@ func (s *Sessions) Snapshot(user string) ([]Measurement, string, bool) {
 }
 
 // IsSessionConcept reports whether the concept is part of the currently
-// applied session-context vocabulary. The assert endpoint uses it to
-// refuse data assertions into session concepts: the next context apply
-// clears those concepts, so such an assertion would be silently destroyed
-// (and, when it disjunction-merges into an existing session row, would
-// dodge the row-count guard entirely). Lock-free, so it is safe — and
-// race-free — to call while holding the facade write lock.
+// applied session-context vocabulary, i.e. holds a row some session
+// asserted. The assert endpoint uses it to refuse data assertions into
+// session concepts: every later write of a session using the concept would
+// be refused by the guard (and an assertion that disjunction-merges into an
+// existing session row would dodge the row-count guard entirely and be
+// retracted with it). It does not take s.mu, so it is safe to call while
+// holding the facade write lock.
 func (s *Sessions) IsSessionConcept(concept string) bool {
-	_, ok := s.appliedConcepts.Load(concept)
-	return ok
+	_, ours := s.f.sys.Loader().ConceptRows(concept)
+	return ours > 0
 }
 
 // Users returns the sorted users with live sessions.
@@ -307,154 +339,28 @@ func (s *Sessions) Users() []string {
 
 // Count returns the number of live sessions. It is lock-free (reading a
 // mirror of len(users) maintained under s.mu), so it never queues behind
-// an in-flight merged apply — Stats calls it on the scrape path.
+// an in-flight apply — Stats calls it on the scrape path.
 func (s *Sessions) Count() int {
 	return int(s.count.Load())
 }
 
-// ContextEpoch returns the merged-apply counter. Two reads under the same
-// facade read lock return the same value; a compiled rank plan is valid
-// exactly while (facade epoch, context epoch) both match its compile-time
-// values.
-func (s *Sessions) ContextEpoch() int64 { return s.ctxEpoch.Load() }
-
-// applyMergedFacadeLocked builds one situation snapshot from every live
-// session and applies it. The apply retracts the previous merged snapshot
-// and retires its basic events (see situation.Context.Apply), so sessions
-// that shrank or dropped since the last apply leave nothing behind in the
-// event space. changed names the concepts whose assertions this operation
-// adds, alters or retracts (the updated user's old and new vocabulary) —
-// used to decide whether the update couples to other users through role
-// edges. Callers hold s.mu AND the facade write lock (set and drop take
-// the facade lock directly so the journal commit lands in the same
-// critical section as the apply; SuspendAndDump runs it inside the same
-// critical section as the retraction and the dump). The lock order
-// is always s.mu before facade.mu, and the rank path never takes s.mu
-// while holding the facade lock (it uses AppliedFingerprint).
-func (s *Sessions) applyMergedFacadeLocked(changed map[string]bool) error {
-	// The apply below retires the previous snapshot's basic events, so any
-	// plan compiled before this point is dead even if the apply fails
-	// half-way — count the attempt, not the success.
-	s.ctxEpoch.Add(1)
-	merged := situation.New("_sessions")
-	users := make([]string, 0, len(s.users))
-	for u := range s.users {
-		users = append(users, u)
-	}
-	sort.Strings(users) // deterministic measurement order
-	// Count the distinct (concept, individual) pairs the apply will put
-	// in each concept table: AssertConcept merges repeated assertions of
-	// one individual into a single row, so counting raw measurements
-	// would overstate our rows and let foreign data slip past the guard.
-	conceptRows := make(map[string]int)
-	type assertion struct{ concept, individual string }
-	seen := make(map[assertion]bool)
-	for _, u := range users {
-		for _, m := range s.users[u].measurements {
-			if m.Individual == "" {
-				m.Individual = u
-			}
-			if a := (assertion{m.Concept, m.Individual}); !seen[a] {
-				seen[a] = true
-				conceptRows[m.Concept]++
-			}
-			if m.Exclusive != "" {
-				// Namespace exclusive groups per user so "location" for
-				// peter and "location" for maria stay independent groups.
-				m.Exclusive = u + "\x1f" + m.Exclusive
-			}
-			merged.Measurements = append(merged.Measurements, m)
-		}
-	}
-
-	f := s.f
-	// Refuse concepts holding assertions beyond what our own last apply
-	// put there (see the type comment). Checked before any mutation, so
-	// rejection leaves the system untouched. Strictly more rows than we
-	// asserted means foreign data; fewer is fine (a failed earlier apply
-	// may have cleared our rows before erroring). The check covers the
-	// union of the new snapshot's concepts and the previous one's:
-	// applying clears both sets (situation.Apply retracts the previous
-	// context), so a concept merely *leaving* the snapshot would destroy
-	// foreign rows just as surely as one staying in it.
-	toCheck := make(map[string]bool, len(conceptRows)+len(s.appliedRows))
-	for c := range conceptRows {
-		toCheck[c] = true
-	}
-	for c := range s.appliedRows {
-		toCheck[c] = true
-	}
-	for c := range toCheck {
-		if !f.sys.Loader().HasConcept(c) {
-			continue
-		}
-		res, err := f.sys.Query("SELECT id FROM " + mapping.ConceptTable(c))
-		if err != nil {
-			return err
-		}
-		if n := len(res.Rows); n > s.appliedRows[c] {
-			return fmt.Errorf("serve: concept %q holds %d assertions not made by the session layer; refusing to use it as session context (applying would clear them) — use a dedicated context concept", c, n-s.appliedRows[c])
-		}
-	}
-	if s.rolesCoupleLocked(changed) {
-		// A concept this update changes appears inside a role-restriction
-		// filler of a registered rule (e.g. WHEN ∃watchesWith.InKitchen):
-		// asserting the user's own membership can then flip the rule for
-		// *other* users reachable over the role edge, whose fingerprints
-		// do not change. Degrade to a full epoch bump in exactly this
-		// configuration; role-free vocabularies keep the per-user
-		// fast path.
-		f.epoch.Add(1)
-	}
-	if err := f.sys.SetContext(merged); err != nil {
-		// The snapshot may be half-applied; invalidate every cached
-		// ranking, mirroring the facade's mutator-error policy.
-		f.epoch.Add(1)
-		return err
-	}
-	// Concepts absent from this snapshot were cleared by the apply.
-	s.appliedRows = conceptRows
-	for c := range conceptRows {
-		s.appliedConcepts.Store(c, true)
-	}
-	s.appliedConcepts.Range(func(k, _ any) bool {
-		if _, ok := conceptRows[k.(string)]; !ok {
-			s.appliedConcepts.Delete(k)
-		}
-		return true
-	})
-	// Publish the applied fingerprints inside the write critical section:
-	// a reader holding the facade read lock sees exactly the fingerprints
-	// of the snapshot it is ranking under. Updated in place — a
-	// Clear+rebuild would give lock-free AppliedFingerprint readers a
-	// window of "" for users with live sessions.
-	for u, sess := range s.users {
-		s.applied.Store(u, sess.fingerprint)
-	}
-	s.applied.Range(func(k, _ any) bool {
-		if _, ok := s.users[k.(string)]; !ok {
-			s.applied.Delete(k)
-		}
-		return true
-	})
-	return nil
-}
-
 // SuspendAndDump runs fn (typically a snapshot dump) on the bare system
-// with the merged session context *retracted*, then re-applies the merged
-// context — all inside one facade write critical section, so no reader
-// ever observes the suspended state. Serving-layer snapshots therefore
-// contain only durable state: session context is never part of a
-// snapshot, and a restored server's session manager starts with clean
-// concept tables instead of refusing its own vocabulary as foreign data.
-// Session persistence is the journal's job (Server.AttachJournal):
-// boot-time replay re-applies the journaled records through Apply, the
-// same path live traffic takes — or, without a journal, context is
-// simply re-sensed after a restart (the paper's §5 position).
+// with every session's context *retracted*, then re-applies each live
+// session — all inside one facade write critical section, so no reader ever
+// observes the suspended state. Serving-layer snapshots therefore contain
+// only durable state: session context is never part of a snapshot, and a
+// restored server's session manager starts with clean concept tables instead
+// of refusing its own vocabulary as foreign data. Session persistence is the
+// journal's job (Server.AttachJournal): boot-time replay re-applies the
+// journaled records through Apply, the same path live traffic takes — or,
+// without a journal, context is simply re-sensed after a restart (the
+// paper's §5 position). This is the one O(sessions) operation of the layer,
+// paid once per checkpoint.
 //
-// The epoch is bumped on the way out regardless of outcome: a failed
-// re-apply leaves the context torn, and conservative invalidation is the
-// established policy for every partial mutation.
+// The epoch is bumped on the way out regardless of outcome: every session's
+// events were re-declared, a failed re-apply leaves that context torn, and
+// conservative invalidation is the established policy for every partial
+// mutation.
 func (s *Sessions) SuspendAndDump(fn func(sys *contextrank.System) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,53 +371,60 @@ func (s *Sessions) SuspendAndDump(fn func(sys *contextrank.System) error) error 
 	if err := f.sys.SetContext(situation.New("_snapshot")); err != nil {
 		return fmt.Errorf("serve: suspending session context: %w", err)
 	}
-	// The retraction cleared every session-asserted row; the guard in the
-	// re-apply below must not count them against the new snapshot.
-	s.appliedRows = make(map[string]int)
 	dumpErr := fn(f.sys)
-	if err := s.applyMergedFacadeLocked(nil); err != nil && dumpErr == nil {
-		dumpErr = fmt.Errorf("serve: re-applying session context after dump: %w", err)
+	users := make([]string, 0, len(s.users))
+	for u := range s.users {
+		users = append(users, u)
+	}
+	sort.Strings(users) // deterministic event numbering
+	for _, u := range users {
+		sess := s.users[u]
+		err := s.guardLocked(sess.concepts())
+		if err == nil {
+			err = s.applyLocked(u, sess, nil)
+		}
+		if err != nil && dumpErr == nil {
+			dumpErr = fmt.Errorf("serve: re-applying session context of %q after dump: %w", u, err)
+		}
 	}
 	return dumpErr
 }
 
-// rolesCoupleLocked reports whether any changed concept occurs inside a
-// role-restriction filler of a registered rule's context or preference.
-// Membership in such a concept propagates across role edges, so the
-// per-user fingerprint invalidation is insufficient. Caller holds f.mu.
-func (s *Sessions) rolesCoupleLocked(changed map[string]bool) bool {
+// couplesLocked reports whether a write changing the given concepts can
+// change another user's ranking: a changed concept occurs inside a
+// role-restriction filler of a registered rule's context — membership in it
+// propagates across role edges — or anywhere in a rule's preference, which
+// is every user's document side. Per-user invalidation is then insufficient.
+// Caller holds f.mu.
+func (s *Sessions) couplesLocked(changed []string) bool {
 	if len(changed) == 0 {
 		return false
 	}
-	fillers := make(map[string]bool)
 	for _, rule := range s.f.sys.Rules().Rules() {
-		roleFillerConcepts(rule.Context, false, fillers)
-		roleFillerConcepts(rule.Preference, false, fillers)
-	}
-	for c := range changed {
-		if fillers[c] {
+		if mentions(rule.Context, false, changed) || mentions(rule.Preference, true, changed) {
 			return true
 		}
 	}
 	return false
 }
 
-// roleFillerConcepts collects the atomic concepts occurring anywhere
-// inside a role-restriction filler of expr.
-func roleFillerConcepts(e *dl.Expr, inFiller bool, out map[string]bool) {
+// mentions reports whether one of the concepts occurs in expr inside a
+// role-restriction filler — or anywhere in it, when expr itself counts as
+// being inside one (inFiller).
+func mentions(e *dl.Expr, inFiller bool, concepts []string) bool {
 	if e == nil {
-		return
+		return false
 	}
 	if e.Op() == dl.OpAtom {
-		if inFiller {
-			out[e.Name()] = true
-		}
-		return
+		return inFiller && slices.Contains(concepts, e.Name())
 	}
 	inside := inFiller || e.Op() == dl.OpExists
 	for _, a := range e.Args() {
-		roleFillerConcepts(a, inside, out)
+		if mentions(a, inside, concepts) {
+			return true
+		}
 	}
+	return false
 }
 
 // fingerprint hashes a session's measurements (FNV-64a). The user is mixed

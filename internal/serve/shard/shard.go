@@ -252,7 +252,7 @@ func (c *Coordinator) Apply(rec journal.Record) (serve.Applied, error) {
 }
 
 // applyRouted applies a per-user record on the user's shard only — the
-// merged apply and its write lock are shard-local, and a subscription's
+// apply and its write lock are shard-local, and a subscription's
 // repeated re-rank shares the user's session, rank cache and compiled
 // plans. While the home shard is quarantined the record lands on its
 // healthy stand-in and the user is recorded for migration back at repair

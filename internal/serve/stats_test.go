@@ -53,7 +53,7 @@ func TestStatsIsLockFree(t *testing.T) {
 	}
 	close(release)
 
-	// 2. Session mutex held (a merged apply being prepared).
+	// 2. Session mutex held (an apply being prepared).
 	srv.sessions.mu.Lock()
 	waitStats(t, srv, 2*time.Second, "the session mutex")
 	srv.sessions.mu.Unlock()

@@ -12,13 +12,12 @@
 // applied session fingerprint), the same version the rank cache serves
 // hits on (see stateVersion) — has not moved since its last evaluation, so
 // a context apply for user A never pays a re-rank for user B. (A's apply
-// does rename B's context events, which is why B's *plan* is keyed by the
-// shard-wide context epoch too; B's scores cannot move, and an apply that
-// could move them — role-coupled, or failed — bumps the epoch.) Evaluation
-// goes through RankBatch like any other rank — and after a context apply
-// the owner's plan is *refreshed* incrementally from the previous
-// epoch's plan rather than recompiled (see planFor), which is what makes
-// push re-ranking affordable at catalog scale.
+// touches nothing of B's, and an apply that could move B's scores —
+// coupled through a rule's role filler or preference, or failed — bumps the
+// epoch; see Sessions.) Evaluation goes through RankBatch like any other
+// rank — and after the owner's own context apply their plan is *refreshed*
+// incrementally from the cached one rather than recompiled (see planFor),
+// which is what makes push re-ranking affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the

@@ -193,3 +193,116 @@ func TestApplyChurnSoak(t *testing.T) {
 		t.Fatalf("P(InKitchen) changed across churn: %g -> %g", before, after)
 	}
 }
+
+// TestApplyOwnedChurnTouchesOnlyItsOwner: an owner-scoped apply replaces
+// that owner's rows and events and nobody else's, whatever the interleaving;
+// a whole-loader Apply then retracts every owner.
+func TestApplyOwnedChurnTouchesOnlyItsOwner(t *testing.T) {
+	l := mapping.NewLoader(engine.New(), nil)
+	space := l.DB().Space()
+	maria := New("maria").Add("Breakfast", 0.4).
+		AddExclusive("location", []string{"InKitchen", "InOffice"}, []float64{0.5, 0.5})
+	mariaGen, err := maria.ApplyOwned(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mariaEvents := l.OwnerContext("maria")
+	if len(mariaEvents) != 3 {
+		t.Fatalf("maria declared %v", mariaEvents)
+	}
+	before, err := prob2(l, "InKitchen", "maria")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	last := mariaGen
+	for i := 0; i < 200; i++ {
+		peter := New("peter").Add("Breakfast", 0.5+0.002*float64(i)).Certain("Weekend")
+		if i%3 == 0 {
+			peter.AddExclusive("location", []string{"InKitchen", "InHall"}, []float64{0.6, 0.3})
+		}
+		gen, err := peter.ApplyOwned(l)
+		if err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+		if gen <= last {
+			t.Fatalf("apply %d: generation %d after %d", i, gen, last)
+		}
+		last = gen
+		wantLen, wantGroups := 3+1, 1
+		if i%3 == 0 {
+			wantLen, wantGroups = 3+3, 2
+		}
+		if space.Len() != wantLen || space.Groups() != wantGroups {
+			t.Fatalf("apply %d: Len = %d, Groups = %d, want %d/%d", i, space.Len(), space.Groups(), wantLen, wantGroups)
+		}
+		if total, ctx := l.ConceptRows("Breakfast"); total != 2 || ctx != 2 {
+			t.Fatalf("apply %d: Breakfast holds %d rows, %d from contexts", i, total, ctx)
+		}
+	}
+	for _, n := range mariaEvents {
+		if !space.Declared(n) {
+			t.Fatalf("peter's applies retired maria's event %s", n)
+		}
+	}
+	if after, err := prob2(l, "InKitchen", "maria"); err != nil || after != before {
+		t.Fatalf("P(maria in kitchen) moved across peter's applies: %g -> %g (%v)", before, after, err)
+	}
+	if got := l.ContextOwners(); len(got) != 2 || got[0] != "maria" || got[1] != "peter" {
+		t.Fatalf("owners = %v", got)
+	}
+
+	// Ending peter's context retires exactly his events.
+	if _, err := New("peter").ApplyOwned(l); err != nil {
+		t.Fatal(err)
+	}
+	if space.Len() != 3 || space.Groups() != 1 || len(l.ContextOwners()) != 1 {
+		t.Fatalf("after peter left: Len = %d, Groups = %d, owners %v", space.Len(), space.Groups(), l.ContextOwners())
+	}
+	if total, ctx := l.ConceptRows("Weekend"); total != 0 || ctx != 0 {
+		t.Fatalf("Weekend still holds %d rows (%d from contexts)", total, ctx)
+	}
+	// The library apply is one situated user per loader: it retracts maria.
+	if err := New("zoe").Certain("Weekend").Apply(l); err != nil {
+		t.Fatal(err)
+	}
+	if space.Len() != 0 || space.Groups() != 0 {
+		t.Fatalf("whole-loader apply left Len = %d, Groups = %d", space.Len(), space.Groups())
+	}
+	if p, err := prob2(l, "InKitchen", "maria"); err != nil || p != 0 {
+		t.Fatalf("maria still in the kitchen after zoe's whole-loader apply: %g, %v", p, err)
+	}
+	if concepts := l.ContextConcepts(); len(concepts) != 1 || concepts[0] != "Weekend" {
+		t.Fatalf("context concepts = %v", concepts)
+	}
+}
+
+// TestApplyOwnedFailureIsCleanedUpByNextApply: a mid-apply failure records
+// exactly what is still asserted and declared, for that owner alone.
+func TestApplyOwnedFailureIsCleanedUpByNextApply(t *testing.T) {
+	l := mapping.NewLoader(engine.New(), nil)
+	space := l.DB().Space()
+	if _, err := New("maria").Add("Breakfast", 0.4).ApplyOwned(l); err != nil {
+		t.Fatal(err)
+	}
+	bad := New("peter").
+		Add("Breakfast", 0.8).
+		AddExclusive("location", []string{"InKitchen", "InOffice"}, []float64{0.8, 0.8})
+	if _, err := bad.ApplyOwned(l); err == nil {
+		t.Fatal("overfull exclusive group accepted")
+	}
+	if rows, events := l.OwnerContext("peter"); len(rows) != 1 || len(events) != 1 {
+		t.Fatalf("failed apply recorded %v / %v, want the one row and event it got to", rows, events)
+	}
+	if _, err := New("peter").Add("Breakfast", 0.9).ApplyOwned(l); err != nil {
+		t.Fatalf("apply after failed apply: %v", err)
+	}
+	if space.Len() != 2 || space.Groups() != 0 {
+		t.Fatalf("failure leaked declarations: Len = %d, Groups = %d", space.Len(), space.Groups())
+	}
+	for user, want := range map[string]float64{"peter": 0.9, "maria": 0.4} {
+		if p, err := prob2(l, "Breakfast", user); err != nil || math.Abs(p-want) > 1e-9 {
+			t.Fatalf("P(Breakfast, %s) = %g, want %g (%v)", user, p, want, err)
+		}
+	}
+}

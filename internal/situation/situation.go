@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -93,10 +94,12 @@ func (c *Context) ConceptNames() []string {
 	return out
 }
 
-// epoch provides fresh basic-event names across repeated Apply calls.
+// epoch numbers the applies of this process: all basic events one apply
+// declares carry its number in their names, so names never repeat, and the
+// number doubles as the applied context's generation (see ApplyOwned).
 var epoch atomic.Int64
 
-// ctxEventName parses the basic-event names Apply declares:
+// ctxEventName parses the basic-event names an apply declares:
 // ctx_<epoch>_<measurement index>_<concept>.
 var ctxEventName = regexp.MustCompile(`^ctx_(\d+)_\d+_(.+)$`)
 
@@ -131,27 +134,70 @@ func AdoptApplied(l *mapping.Loader) {
 			concepts = append(concepts, c)
 		}
 	}
-	if prevConcepts, prevEvents := l.AppliedContext(); len(prevConcepts) == 0 && len(prevEvents) == 0 && len(events) > 0 {
-		l.SetAppliedContext(concepts, events)
+	if len(l.ContextOwners()) == 0 {
+		l.AdoptContext(concepts, events)
 	}
 }
 
-// Apply pushes the context into the loader: it declares the context
-// concepts, clears both their previous assertions and those of concepts the
-// previous context asserted (dynamic context is acquired anew at each
-// query, §5), retires the previous apply's basic events from the event
-// space, declares fresh basic events carrying the measurement
-// probabilities, and asserts the memberships.
-//
-// The per-loader record of what the last apply asserted and declared lives
-// on the loader itself (Loader.AppliedContext / SetAppliedContext), so
-// repeated applies on one loader — including an empty context, the
-// "retract everything" case — keep the event space bounded by the live
-// vocabulary instead of accumulating one epoch of ctx_* declarations per
-// apply. On a mid-apply failure the record conservatively keeps the union
-// of everything possibly still asserted or declared; the next apply
-// finishes the cleanup.
+// Apply makes c the loader's whole context — one situated user per loader,
+// the library's semantics (dynamic context is acquired anew at each query,
+// §5): it retracts what every owner applied before, clears the assertions of
+// the concepts the previous and the new context name (so a context concept
+// never keeps stale or foreign rows), and applies c as c.User's context.
+// Repeated applies on one loader — including an empty context, the "retract
+// everything" case — keep the event space bounded by the live vocabulary
+// instead of accumulating one epoch of ctx_* declarations per apply.
 func (c *Context) Apply(l *mapping.Loader) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
+	toClear := append(l.ContextConcepts(), c.ConceptNames()...)
+	for _, owner := range l.ContextOwners() {
+		if err := retract(l, owner); err != nil {
+			return err
+		}
+	}
+	for _, name := range toClear {
+		if !l.HasConcept(name) {
+			continue // not declared yet: nothing to clear
+		}
+		if err := l.ClearConcept(name); err != nil {
+			return err
+		}
+	}
+	return c.assert(l, epoch.Add(1))
+}
+
+// ApplyOwned replaces the context c.User applied before with c and leaves
+// every other owner's applied context in place: it retracts exactly the rows
+// and retires exactly the basic events c.User's previous apply recorded on
+// the loader, declares fresh events carrying the measurement probabilities
+// and asserts the memberships. The cost is that of c.User's own old and new
+// measurements, however many owners share the loader. Owners must assert
+// disjoint (concept, individual) rows — a serving layer gets that by letting
+// a session assert only its own user — and concepts used this way must be
+// dedicated context vocabulary, since nothing is cleared wholesale.
+//
+// It returns the apply's generation: the epoch number in the names of the
+// events it declared. Anything that holds c.User's context events (a compiled
+// rank plan) is valid exactly until c.User's next apply, whose generation
+// differs even when the measurements do not.
+//
+// On a mid-apply failure the owner's record holds exactly what is still
+// asserted and declared; the owner's next apply finishes the cleanup.
+func (c *Context) ApplyOwned(l *mapping.Loader) (generation int64, err error) {
+	if err := c.validate(); err != nil {
+		return 0, err
+	}
+	generation = epoch.Add(1)
+	if err := retract(l, c.User); err != nil {
+		return generation, err
+	}
+	return generation, c.assert(l, generation)
+}
+
+// validate rejects measurements whose probability is not in [0,1].
+func (c *Context) validate() error {
 	for _, m := range c.Measurements {
 		// Positive form so NaN is rejected too (NaN fails every comparison,
 		// so `< 0 || > 1` would let it into the event space).
@@ -159,59 +205,65 @@ func (c *Context) Apply(l *mapping.Loader) error {
 			return fmt.Errorf("situation: measurement %s has probability %g", m.Concept, m.Prob)
 		}
 	}
-	e := epoch.Add(1)
+	return nil
+}
+
+// retract removes what the owner's last apply left on the loader: its
+// assertion rows, then — now unreferenced — its basic events. Events already
+// gone (retired externally) are skipped rather than failing.
+func retract(l *mapping.Loader, owner string) error {
+	rows, events := l.OwnerContext(owner)
+	for _, r := range rows {
+		if err := l.RetractConcept(r.Concept, r.Individual); err != nil {
+			return err
+		}
+	}
 	space := l.DB().Space()
-	prevConcepts, prevEvents := l.AppliedContext()
-	newConcepts := c.ConceptNames()
-	seen := make(map[string]bool, len(prevConcepts)+len(newConcepts))
-	var toClear []string
-	for _, name := range append(append([]string(nil), prevConcepts...), newConcepts...) {
-		if !seen[name] {
-			seen[name] = true
-			toClear = append(toClear, name)
-		}
-	}
-	// record saves the conservative failure state: every concept of the
-	// union that is actually declared (an undeclarable concept — e.g. a
-	// table-name collision — holds no assertions and must not poison later
-	// cleanup applies) plus the given still-declared events.
-	record := func(events []string) {
-		var kept []string
-		for _, name := range toClear {
-			if l.HasConcept(name) {
-				kept = append(kept, name)
-			}
-		}
-		l.SetAppliedContext(kept, events)
-	}
-	for _, name := range toClear {
-		if err := l.DeclareConcept(name); err != nil {
-			record(prevEvents)
-			return err
-		}
-		if err := l.ClearConcept(name); err != nil {
-			record(prevEvents)
-			return err
-		}
-	}
-	// Every previous assertion is gone, so the previous epoch's events are
-	// unreferenced: retire them before declaring this epoch's. Events
-	// already gone (retired externally) are skipped rather than failing the
-	// apply.
-	live := prevEvents[:0]
-	for _, n := range prevEvents {
+	live := events[:0]
+	for _, n := range events {
 		if space.Declared(n) {
 			live = append(live, n)
 		}
 	}
 	if err := space.Retire(live...); err != nil {
-		record(live)
+		l.SetOwnerContext(owner, nil, live)
 		return err
 	}
+	l.SetOwnerContext(owner, nil, nil)
+	return nil
+}
+
+// assert declares the context concepts and one basic event per uncertain
+// measurement — all named after the apply's generation — asserts the
+// memberships and records events and rows as c.User's applied context,
+// whether or not it gets to the end. c.User has nothing applied.
+func (c *Context) assert(l *mapping.Loader, generation int64) error {
+	for _, name := range c.ConceptNames() {
+		if err := l.DeclareConcept(name); err != nil {
+			return err
+		}
+	}
+	space := l.DB().Space()
+	var rows []mapping.ContextRow
 	var declared []string
-	fail := func(err error) error {
-		record(declared)
-		return err
+	defer func() { l.SetOwnerContext(c.User, rows, declared) }()
+	eventName := func(i int) string {
+		return "ctx_" + strconv.FormatInt(generation, 10) + "_" + strconv.Itoa(i) + "_" + c.Measurements[i].Concept
+	}
+	assert := func(i int, ev *event.Expr) error {
+		m := c.Measurements[i]
+		row := mapping.ContextRow{Concept: m.Concept, Individual: m.Individual}
+		if row.Individual == "" {
+			row.Individual = c.User
+		}
+		if err := l.AssertConcept(row.Concept, row.Individual, ev); err != nil {
+			return err
+		}
+		// Repeated measurements of one membership merge into one row.
+		if !slices.Contains(rows, row) {
+			rows = append(rows, row)
+		}
+		return nil
 	}
 	// Group measurements by exclusivity label.
 	groups := make(map[string][]int)
@@ -222,30 +274,22 @@ func (c *Context) Apply(l *mapping.Loader) error {
 			order = append(order, m.Exclusive)
 		}
 	}
-	assert := func(i int, ev *event.Expr) error {
-		m := c.Measurements[i]
-		ind := m.Individual
-		if ind == "" {
-			ind = c.User
-		}
-		return l.AssertConcept(m.Concept, ind, ev)
-	}
 	// Independent measurements.
 	for _, i := range groups[""] {
 		m := c.Measurements[i]
 		if m.Prob == 1 {
 			if err := assert(i, event.True()); err != nil {
-				return fail(err)
+				return err
 			}
 			continue
 		}
-		name := fmt.Sprintf("ctx_%d_%d_%s", e, i, m.Concept)
+		name := eventName(i)
 		if err := space.Declare(name, m.Prob); err != nil {
-			return fail(err)
+			return err
 		}
 		declared = append(declared, name)
 		if err := assert(i, event.Basic(name)); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 	// Exclusive groups.
@@ -254,20 +298,19 @@ func (c *Context) Apply(l *mapping.Loader) error {
 		names := make([]string, len(idxs))
 		probs := make([]float64, len(idxs))
 		for j, i := range idxs {
-			names[j] = fmt.Sprintf("ctx_%d_%d_%s", e, i, c.Measurements[i].Concept)
+			names[j] = eventName(i)
 			probs[j] = c.Measurements[i].Prob
 		}
 		if err := space.DeclareExclusive(names, probs); err != nil {
-			return fail(fmt.Errorf("situation: group %q: %w", g, err))
+			return fmt.Errorf("situation: group %q: %w", g, err)
 		}
 		declared = append(declared, names...)
 		for j, i := range idxs {
 			if err := assert(i, event.Basic(names[j])); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
-	l.SetAppliedContext(newConcepts, declared)
 	return nil
 }
 

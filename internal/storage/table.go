@@ -2,9 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Column describes one table column.
@@ -67,8 +69,12 @@ type Table struct {
 
 	mu      sync.RWMutex
 	rows    []Row
-	indexes map[int]map[string][]int // column -> value key -> row ids
-	deleted map[int]bool
+	indexes map[int]map[string][]int // column -> value key -> live row ids
+	// deleted is parallel to rows: deleted[id] marks row id as a tombstone.
+	// The flags are atomics because Scan reads them without the lock; a
+	// delete sets them in place, so it costs the rows it removes, not the
+	// tombstones the heap already holds.
+	deleted []atomic.Bool
 	nLive   int
 }
 
@@ -78,7 +84,6 @@ func NewTable(name string, schema Schema) *Table {
 		name:    name,
 		schema:  schema,
 		indexes: make(map[int]map[string][]int),
-		deleted: make(map[int]bool),
 	}
 }
 
@@ -112,6 +117,7 @@ func (t *Table) Insert(r Row) error {
 	defer t.mu.Unlock()
 	id := len(t.rows)
 	t.rows = append(t.rows, coerced)
+	t.deleted = append(t.deleted, atomic.Bool{})
 	t.nLive++
 	for col, idx := range t.indexes {
 		key := coerced[col].Key()
@@ -131,15 +137,7 @@ func (t *Table) CreateIndex(column string) error {
 	if _, ok := t.indexes[col]; ok {
 		return nil
 	}
-	idx := make(map[string][]int)
-	for id, r := range t.rows {
-		if t.deleted[id] {
-			continue
-		}
-		key := r[col].Key()
-		idx[key] = append(idx[key], id)
-	}
-	t.indexes[col] = idx
+	t.indexes[col] = t.buildIndexLocked(col)
 	return nil
 }
 
@@ -157,15 +155,16 @@ func (t *Table) HasIndex(column string) bool {
 
 // Scan calls fn for every live row. The row passed to fn must not be
 // retained or modified; clone it if needed. Scan takes a snapshot reference
-// under the read lock, so concurrent inserts during a scan are not observed.
+// under the read lock and iterates without it, so concurrent inserts during
+// a scan are not observed; a row deleted during the scan is skipped if the
+// scan has not reached it yet.
 func (t *Table) Scan(fn func(Row) error) error {
 	t.mu.RLock()
 	rows := t.rows
 	deleted := t.deleted
-	n := len(rows)
 	t.mu.RUnlock()
-	for id := 0; id < n; id++ {
-		if deleted[id] {
+	for id := range rows {
+		if deleted[id].Load() {
 			continue
 		}
 		if err := fn(rows[id]); err != nil {
@@ -188,7 +187,7 @@ func (t *Table) Lookup(column string, v Value) ([]Row, error) {
 		ids := idx[v.Key()]
 		out := make([]Row, 0, len(ids))
 		for _, id := range ids {
-			if !t.deleted[id] {
+			if !t.deleted[id].Load() {
 				out = append(out, t.rows[id].Clone())
 			}
 		}
@@ -208,14 +207,14 @@ func (t *Table) Lookup(column string, v Value) ([]Row, error) {
 
 // Update rewrites every live row for which match returns true by calling
 // apply on a clone; the returned row is coerced to the schema. It reports
-// how many rows changed. Like Delete, it copy-on-writes the row heap: a
-// concurrent lock-free Scan keeps iterating its own consistent snapshot.
+// how many rows changed. It copy-on-writes the row heap: a concurrent
+// lock-free Scan keeps iterating its own consistent snapshot.
 func (t *Table) Update(match func(Row) bool, apply func(Row) (Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	replacement := make(map[int]Row)
 	for id, r := range t.rows {
-		if t.deleted[id] || !match(r) {
+		if t.deleted[id].Load() || !match(r) {
 			continue
 		}
 		updated, err := apply(r.Clone())
@@ -250,69 +249,114 @@ func (t *Table) Update(match func(Row) bool, apply func(Row) (Row, error)) (int,
 
 // Delete removes every live row for which match returns true and reports
 // how many were removed. Once tombstones outnumber live rows the heap is
-// compacted, so a table that is repeatedly cleared and refilled (context
-// concepts under session churn) stays bounded by its live size instead of
-// accumulating its whole delete history.
+// compacted, so a table that is repeatedly cleared and refilled stays
+// bounded by its live size instead of accumulating its whole delete history.
 func (t *Table) Delete(match func(Row) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var marked []int
+	n := 0
 	for id, r := range t.rows {
-		if t.deleted[id] || !match(r) {
+		if t.deleted[id].Load() || !match(r) {
 			continue
 		}
-		marked = append(marked, id)
+		t.deleted[id].Store(true)
+		n++
 	}
-	if len(marked) == 0 {
+	if n == 0 {
 		return 0
 	}
-	// Copy-on-write: Scan iterates lock-free over a snapshot reference to
-	// the deleted map, so tombstones go into a fresh map rather than the
-	// one a concurrent scanner may hold.
-	tombs := make(map[int]bool, len(t.deleted)+len(marked))
-	for id := range t.deleted {
-		tombs[id] = true
+	t.nLive -= n
+	// One rebuild rather than n removals: the heap was scanned anyway, and
+	// removing many ids from one long index list one by one is quadratic.
+	if !t.compactLocked() {
+		t.rebuildIndexesLocked()
 	}
-	for _, id := range marked {
-		tombs[id] = true
-	}
-	t.deleted = tombs
-	t.nLive -= len(marked)
-	if dead := len(t.rows) - t.nLive; dead > t.nLive {
-		t.compactLocked()
-	}
-	t.rebuildIndexesLocked()
-	return len(marked)
+	return n
 }
 
-// compactLocked drops tombstoned rows, renumbering the live ones in
-// insertion order. Fresh slices/maps are allocated rather than filtered in
-// place: Scan iterates lock-free over snapshot references to rows and
-// deleted, which must stay internally consistent. Caller holds t.mu and
-// rebuilds indexes afterwards.
-func (t *Table) compactLocked() {
+// DeleteKey removes the live rows whose column equals v and reports how
+// many were removed. With a hash index on the column it touches only those
+// rows: it tombstones the ids the index returns and takes them out of every
+// index, without scanning the heap — which is what keeps a context apply
+// that replaces one user's rows independent of how many rows other users
+// hold in the same table. Without an index it is Delete with an equality
+// match. Compaction is amortized as in Delete.
+func (t *Table) DeleteKey(column string, v Value) (int, error) {
+	col := t.schema.ColumnIndex(column)
+	if col < 0 {
+		return 0, fmt.Errorf("storage: table %s has no column %q", t.name, column)
+	}
+	t.mu.Lock()
+	idx, ok := t.indexes[col]
+	if !ok {
+		t.mu.Unlock()
+		return t.Delete(func(r Row) bool { return Equal(r[col], v) }), nil
+	}
+	defer t.mu.Unlock()
+	key := v.Key()
+	ids := idx[key]
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	delete(idx, key)
+	for _, id := range ids {
+		t.deleted[id].Store(true)
+		for c, other := range t.indexes {
+			if c == col {
+				continue
+			}
+			k := t.rows[id][c].Key()
+			if rest := slices.DeleteFunc(other[k], func(x int) bool { return x == id }); len(rest) > 0 {
+				other[k] = rest
+			} else {
+				delete(other, k)
+			}
+		}
+	}
+	t.nLive -= len(ids)
+	t.compactLocked()
+	return len(ids), nil
+}
+
+// compactLocked drops the tombstoned rows once they outnumber the live
+// ones, renumbering the live rows in insertion order and rebuilding the
+// indexes over the new ids; it reports whether it did. Fresh slices are
+// allocated rather than filtered in place: Scan iterates lock-free over
+// snapshot references to rows and deleted, which must stay internally
+// consistent. Caller holds t.mu.
+func (t *Table) compactLocked() bool {
+	if dead := len(t.rows) - t.nLive; dead <= t.nLive {
+		return false
+	}
 	live := make([]Row, 0, t.nLive)
 	for id, r := range t.rows {
-		if !t.deleted[id] {
+		if !t.deleted[id].Load() {
 			live = append(live, r)
 		}
 	}
 	t.rows = live
-	t.deleted = make(map[int]bool)
+	t.deleted = make([]atomic.Bool, len(live))
+	t.rebuildIndexesLocked()
+	return true
 }
 
 func (t *Table) rebuildIndexesLocked() {
 	for col := range t.indexes {
-		idx := make(map[string][]int)
-		for id, r := range t.rows {
-			if t.deleted[id] {
-				continue
-			}
-			key := r[col].Key()
-			idx[key] = append(idx[key], id)
-		}
-		t.indexes[col] = idx
+		t.indexes[col] = t.buildIndexLocked(col)
 	}
+}
+
+// buildIndexLocked indexes the live rows by the column's value key.
+func (t *Table) buildIndexLocked(col int) map[string][]int {
+	idx := make(map[string][]int)
+	for id, r := range t.rows {
+		if t.deleted[id].Load() {
+			continue
+		}
+		key := r[col].Key()
+		idx[key] = append(idx[key], id)
+	}
+	return idx
 }
 
 // Catalog maps table names (case-insensitive) to tables.

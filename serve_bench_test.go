@@ -226,6 +226,49 @@ func BenchmarkServeRankBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionApply is the apply-cost-by-session-count curve: one
+// unsharded server, no journal, N live sessions of five BenchCtx
+// measurements each, timing one user's SetSession with a context that never
+// repeats (as in bench/: BenchCtx0 plus four of BenchCtx1..7, fresh
+// probabilities). An apply costs its user's rows and events, not the
+// sessions beside it, so the curve must be flat: CI's bench-regression job
+// gates sessions=4096 at no more than 2x sessions=64 from the same run.
+func BenchmarkSessionApply(b *testing.B) {
+	context := func(n int) []serve.Measurement {
+		ms := make([]serve.Measurement, 5)
+		for j := range ms {
+			concept := 0
+			if j > 0 {
+				concept = 1 + (n+j)%7
+			}
+			// Nine bits of n per measurement: distinct for any n a run reaches.
+			prob := 0.5 + float64((n>>(9*j))&511+1)/1026
+			ms[j] = serve.Measurement{Concept: workload.BenchContextConcept(concept), Prob: prob}
+		}
+		return ms
+	}
+	for _, sessions := range []int{64, 1024, 4096} {
+		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
+			sys := contextrank.NewSystem()
+			if _, err := workload.LoadBench(sys.Loader(), sys.Rules(), workload.SmallSpec(), 8); err != nil {
+				b.Fatal(err)
+			}
+			srv := serve.NewServer(sys, serve.Options{})
+			for u := 0; u < sessions; u++ {
+				if _, err := srv.SetSession(fmt.Sprintf("person%04d", u), context(u)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.SetSession("person0000", context(sessions+i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServeMutationInvalidation measures the worst case for the
 // cache: every rank preceded by an epoch-bumping mutation, so nothing is
 // ever served from cache and each request pays recompute + invalidation.

@@ -55,10 +55,10 @@ func benchMeasurements(k, u, phase int) []serve.Measurement {
 
 // BenchmarkServeRankSharded measures mixed apply+rank throughput across
 // shard counts: one op in eight is a session context rotation (a
-// shard-local write), the rest are ranks. More shards mean fewer sessions
-// per merged apply and fewer ranks stalled behind each apply, so ns/op
-// should fall as shards rise — CI fails if any point regresses >20%
-// against main.
+// shard-local write), the rest are ranks. More shards mean fewer ranks
+// stalled behind each apply's write lock (the apply itself costs its user,
+// whatever the shard holds) — CI fails if any point regresses >20% against
+// main.
 func BenchmarkServeRankSharded(b *testing.B) {
 	const k, sessions = 4, 16
 	opts := contextrank.RankOptions{Limit: 10}
