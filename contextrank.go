@@ -402,10 +402,12 @@ func (s *System) ranker(alg Algorithm, noView bool) (core.Ranker, error) {
 // pruning, correlation clustering and the context-state probability tables
 // — hoisted out of the per-candidate loop. Compile one with
 // CompileRankPlan and rank any number of targets or candidate lists
-// against it; a plan stays valid until the data, rules or applied context
-// change (a context re-apply retires the old context's events, after which
-// the plan's methods fail rather than misrank). internal/serve caches
-// plans keyed by exactly those inputs.
+// against it. A plan answers for the user's context as applied when it
+// compiled (a re-apply retires the old context's events, after which the
+// plan's methods fail rather than misrank) and for the preference
+// memberships it holds, which plan.Current() checks against the tables'
+// write versions; RefreshRankPlan brings a plan that fell behind on either up
+// to date. internal/serve caches one plan per user on exactly those terms.
 type RankPlan = core.Plan
 
 // CompileRankPlan compiles the repository's rules for one situated user
@@ -417,24 +419,20 @@ func (s *System) CompileRankPlan(user string) (*RankPlan, error) {
 	return core.CompilePlan(s.loader, user, s.repo.Rules())
 }
 
-// RefreshRankPlan incrementally maintains a plan across a context change:
-// it compiles a successor of plan for the system's *current* context,
-// reusing the candidate-independent work the change provably left intact —
-// preference membership maps whose concepts the applied context does not
-// touch, the document-side block footprints, and the per-candidate
-// document distributions the footprint diff clears as unaffected. Scores
-// from the refreshed plan are bit-identical to a fresh CompileRankPlan of
-// the same state.
+// RefreshRankPlan incrementally maintains a plan across any change that left
+// the rule list alone — context applies, asserts and retracts, SQL writes: it
+// compiles a successor of plan for the system's *current* state, reusing the
+// candidate-independent work the change left intact — preference memberships
+// whose tables were not written, the document-side block footprints, and the
+// per-candidate document distributions the footprint diff clears as
+// unaffected. Scores from the refreshed plan are bit-identical to a fresh
+// CompileRankPlan of the same state.
 //
-// The contract matches the serving layer's epoch discipline: only context
-// applies (SetContext / session applies) may have happened since plan was
-// compiled, under the same rule set. After data or rule mutations the plan
-// is invalid and must be recompiled; RefreshRankPlan does not detect that
-// for you. ErrPlanNotRefreshable marks a plan that cannot be maintained
-// (per-request restricted compiles, per-candidate mode) — fall back to
-// CompileRankPlan.
+// ErrPlanNotRefreshable marks a plan that cannot be maintained — per-request
+// restricted compiles, per-candidate mode, or a plan compiled from other
+// rules than the repository holds now — fall back to CompileRankPlan.
 func (s *System) RefreshRankPlan(plan *RankPlan) (*RankPlan, error) {
-	return plan.Refresh()
+	return plan.Refresh(s.repo.Rules())
 }
 
 // ErrPlanNotRefreshable marks a plan RefreshRankPlan cannot maintain
@@ -484,6 +482,11 @@ type HotPathStats = core.HotPathStats
 
 // ReadHotPathStats returns the process-wide rank hot-path counters.
 func ReadHotPathStats() HotPathStats { return core.ReadHotPathStats() }
+
+// MembershipStats counts the work of a System's concept-membership memo
+// (Loader().MembershipStats()): view queries run, look-ups answered without
+// one, handles held, handles a DDL statement dropped.
+type MembershipStats = mapping.MembershipStats
 
 // RankCandidates scores an explicit candidate list for the user with the
 // repository's rules — RankQuery without the query, for callers that

@@ -138,7 +138,7 @@ func resolve(l *mapping.Loader, req Request) (candidates []string, states []*rul
 		}
 		docEvs := make(map[string]*event.Expr, len(candidates))
 		for _, id := range candidates {
-			if ev, ok := prefMembers[id]; ok {
+			if ev, ok := prefMembers.Events[id]; ok {
 				docEvs[id] = ev
 			} else {
 				docEvs[id] = event.False()
@@ -151,7 +151,8 @@ func resolve(l *mapping.Loader, req Request) (candidates []string, states []*rul
 
 // resolveCandidates determines the sorted, deduplicated candidate ids of a
 // request: the explicit candidate list if given, otherwise the members of
-// the target concept.
+// the target concept — the loader's shared id list, which the caller must
+// not modify.
 func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]string, error) {
 	if user == "" {
 		return nil, fmt.Errorf("core: request without a user")
@@ -174,10 +175,7 @@ func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]strin
 		if err != nil {
 			return nil, fmt.Errorf("core: target: %w", err)
 		}
-		candidates = make([]string, 0, len(targetMembers))
-		for id := range targetMembers {
-			candidates = append(candidates, id)
-		}
+		return targetMembers.IDs, nil
 	default:
 		return nil, fmt.Errorf("core: request needs a target concept or an explicit candidate list")
 	}

@@ -50,20 +50,27 @@ import (
 // Prob calls entirely and reduce to pure float arithmetic.
 //
 // A Plan is immutable after compilation apart from its internal caches and
-// safe for concurrent use, but it answers for the state it was compiled
-// against: the context-state distribution is frozen at compile time, so a
-// plan used after the context changed keeps ranking under the old context;
-// a plan whose document events were retired (data mutation) fails with
-// "not declared" (the cached distributions are invalidated by the space's
-// generation counter, so retirement surfaces as an error, never as a stale
-// score); and a Target's resolved candidate list is cached per generation,
-// so data asserted without any event-space change becomes visible only to
-// freshly compiled plans. Callers that reuse plans must therefore
-// invalidate them on every data change and on every context apply of the
-// plan's user — internal/serve's plan cache does exactly that. Context
-// applies of *other* users leave a plan valid (they retire only their own
-// events), provided they cannot reach this user's contexts over a role edge
-// or change a preference's membership.
+// safe for concurrent use. What it answers for, and how a holder finds out
+// that it no longer does:
+//
+//   - The user's context side — each rule's context event and probability —
+//     is frozen at compile time. It moves with the user's own context applies
+//     (and with another user's apply that reaches this user's contexts over a
+//     role edge); nothing in the plan notices, so whoever caches a plan keys
+//     it by the user's applied generation, as internal/serve does. A plan used
+//     after its context events were retired fails with "not declared" — the
+//     cached distributions are invalidated by the space's generation counter,
+//     so retirement surfaces as an error, never as a stale score.
+//   - The preference side is a membership handle per rule (mapping.Membership),
+//     valid by the write versions of the tables the preference's view reads.
+//     Current reports whether every handle still is; while it does, no assert,
+//     retract, context row or SQL write has touched anything the plan ranks
+//     by. A stale plan is brought up to date by Refresh, not recompiled.
+//   - The rule list is the caller's: Refresh takes the current rules and
+//     refuses a plan compiled from different ones.
+//   - A Target's candidate list is not plan state at all: every rank resolves
+//     it through the loader's membership memo, so it is as fresh as the
+//     tables, whatever the plan's age.
 type Plan struct {
 	loader *mapping.Loader
 	space  *event.Space
@@ -81,15 +88,12 @@ type Plan struct {
 	// Incremental-maintenance state (see Refresh). restricted marks a plan
 	// compiled with a candidate restriction, which Refresh refuses to
 	// maintain; blocksGen is the space generation the footprints were
-	// computed at; appliedCtx the context concepts applied at compile time;
-	// docBlocks the per-rule document-side block keys (sorted, computed for
-	// active rules during clustering), the half of a rule's footprint that a
-	// context apply provably leaves intact.
+	// computed at; docBlocks the per-rule document-side block keys (sorted,
+	// computed for active rules during clustering), the half of a rule's
+	// footprint that stands while the rule's memberships do.
 	restricted bool
 	blocksGen  uint64
-	appliedCtx []string
 	docBlocks  [][]string
-	domainLen  int // dl_domain size at compile; growth re-checks ¬/⊤/nominal views
 
 	// Document-side distribution cache: candidate id -> flat per-cluster
 	// distribution (planCluster.distOff slices it). Entries are valid for
@@ -98,14 +102,6 @@ type Plan struct {
 	docMu   sync.RWMutex
 	docGen  uint64
 	docDist map[string][]float64
-
-	// Candidate-resolution cache for Target-based requests, same
-	// generation discipline. One slot suffices: a plan is keyed by (user,
-	// rules, epoch) upstream and virtually always ranks one target.
-	candMu     sync.RWMutex
-	candGen    uint64
-	candTarget *dl.Expr
-	candIDs    []string
 }
 
 // docCacheMaxEntries bounds the per-plan distribution cache so a plan
@@ -118,22 +114,16 @@ type planRule struct {
 	rule    prefs.Rule
 	ctxEv   *event.Expr
 	ctxProb float64
-	// members maps candidate id -> preference membership event for every
-	// individual the preference view contains; absent ids are non-members
-	// (event.False()).
-	members map[string]*event.Expr
-	// prefConcepts is the preference expression's concept signature and
-	// domainDep whether the expression's view depends on dl_domain (¬/⊤/
-	// nominal compile against the closed domain) — together they decide
-	// whether a context apply could have changed the preference view, i.e.
-	// whether Refresh must re-fetch members.
-	prefConcepts []string
-	domainDep    bool
+	// members is the preference's membership handle: candidate id ->
+	// membership event for every individual the preference view contains;
+	// absent ids are non-members (event.False()). Shared with every other
+	// plan over the same preference, and read-only.
+	members *mapping.Membership
 }
 
 // docEv returns the candidate's membership event in the rule's preference.
 func (pr *planRule) docEv(id string) *event.Expr {
-	if ev, ok := pr.members[id]; ok {
+	if ev, ok := pr.members.Events[id]; ok {
 		return ev
 	}
 	return event.False()
@@ -272,9 +262,6 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 	}
 	space := l.DB().Space()
 	p := &Plan{loader: l, space: space, user: user}
-	p.appliedCtx = l.ContextConcepts()
-	p.domainLen = l.DomainSize()
-
 	p.rules = make([]planRule, 0, len(rules))
 	for _, rule := range rules {
 		if err := rule.Validate(); err != nil {
@@ -292,11 +279,7 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
 		}
-		p.rules = append(p.rules, planRule{
-			rule: rule, ctxEv: ctxEv, ctxProb: pCtx, members: members,
-			prefConcepts: rule.Preference.Signature().Concepts,
-			domainDep:    domainSensitive(rule.Preference),
-		})
+		p.rules = append(p.rules, planRule{rule: rule, ctxEv: ctxEv, ctxProb: pCtx, members: members})
 	}
 	return p, nil
 }
@@ -349,7 +332,7 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 			}
 		} else {
 			for id := range only {
-				if ev, ok := st.members[id]; ok {
+				if ev, ok := st.members.Events[id]; ok {
 					if err := p.space.Blocks(ev, footprint); err != nil {
 						return fmt.Errorf("core: rule %s preference: %w", st.rule.Name, err)
 					}
@@ -427,7 +410,7 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 // ruleDocBlocks returns rule ri's document-side block keys (sorted),
 // computed from its preference-membership events and cached on the plan.
 // Refresh carries the cache over for rules whose membership events are
-// provably unchanged, which is what makes the refresh partition skip the
+// unchanged, which is what makes the refresh partition skip the
 // per-member Blocks walk — the dominant clustering cost on large catalogs.
 func (p *Plan) ruleDocBlocks(ri int) ([]string, error) {
 	if p.docBlocks == nil {
@@ -437,7 +420,7 @@ func (p *Plan) ruleDocBlocks(ri int) ([]string, error) {
 		return p.docBlocks[ri], nil
 	}
 	fp := make(map[string]bool)
-	for _, ev := range p.rules[ri].members {
+	for _, ev := range p.rules[ri].members.Events {
 		if err := p.space.Blocks(ev, fp); err != nil {
 			return nil, err
 		}
@@ -451,46 +434,55 @@ func (p *Plan) ruleDocBlocks(ri int) ([]string, error) {
 	return keys, nil
 }
 
-// domainSensitive reports whether the concept expression's compiled view
-// reads dl_domain (¬, ⊤ and nominals do), i.e. whether registering a new
-// individual — which a context apply for a first-seen user does — can
-// change the view's membership even though no named concept table changed.
-func domainSensitive(e *dl.Expr) bool {
-	switch e.Op() {
-	case dl.OpTop, dl.OpNot, dl.OpNominal:
-		return true
-	}
-	for _, a := range e.Args() {
-		if domainSensitive(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// ErrPlanNotRefreshable marks a plan Refresh cannot maintain incrementally
-// (a candidate-restricted compile, or per-candidate mode: the bound is a
-// property of the footprint partition and a refresh would only rediscover
-// it). Callers fall back to a fresh CompilePlan.
+// ErrPlanNotRefreshable marks a plan Refresh cannot maintain incrementally:
+// a candidate-restricted compile, per-candidate mode (the bound is a property
+// of the footprint partition and a refresh would only rediscover it), or a
+// plan compiled from other rules than the ones to refresh under. Callers fall
+// back to a fresh CompilePlan.
 var ErrPlanNotRefreshable = fmt.Errorf("core: plan cannot be refreshed incrementally")
 
-// Refresh compiles a successor plan against the loader's *current* context,
-// reusing the candidate-independent work the context change provably left
-// intact instead of recompiling from scratch. The contract mirrors the
-// serving layer's epoch discipline: only context applies (situation.Apply)
-// may have happened since the plan compiled — data and rule mutations
-// invalidate the plan entirely and need CompilePlan.
+// Current reports whether every rule's preference membership is still what
+// the plan compiled: no table a preference's view reads has been written
+// since. A handful of atomic loads per rule; it says nothing about the user's
+// own context or the rule list (see the type comment).
+func (p *Plan) Current() bool {
+	for i := range p.rules {
+		if !p.rules[i].members.Current() {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRules reports whether rules are the ones the plan compiled, in order.
+func (p *Plan) sameRules(rules []prefs.Rule) bool {
+	if len(rules) != len(p.rules) {
+		return false
+	}
+	for i, r := range rules {
+		old := p.rules[i].rule
+		if r.Name != old.Name || r.Sigma != old.Sigma ||
+			!dl.Equal(r.Context, old.Context) || !dl.Equal(r.Preference, old.Preference) {
+			return false
+		}
+	}
+	return true
+}
+
+// Refresh compiles a successor plan against the loader's *current* state,
+// reusing the candidate-independent work that state left intact instead of
+// recompiling from scratch. Anything may have happened since the plan
+// compiled — context applies of any user, asserts and retracts, SQL writes —
+// as long as rules, the rule list to rank under now, is the one the plan
+// compiled from; otherwise it returns ErrPlanNotRefreshable.
 //
 // What is reused, and why it is exact:
 //
-//   - Preference membership maps: a context apply only clears and asserts
-//     context-concept tables (plus dl_domain registrations). A rule whose
-//     preference signature is disjoint from both the compile-time and the
-//     current applied-context concepts — and whose view either does not
-//     read the closed domain or the domain has not grown — cannot have
-//     changed membership, so its members map and document-side block
-//     footprint are carried over without touching the store. Other rules
-//     re-fetch and diff per candidate.
+//   - Preference memberships: a rule whose handle is still current (no table
+//     its view reads was written) keeps it, and its document-side block
+//     footprint with it, without touching the store. Any other rule fetches
+//     the loader's handle — one query per table version, shared by every
+//     user's refresh — and diffs it per candidate against the old one.
 //   - Cluster partition: re-run over fresh context footprints plus the
 //     cached document footprints — the same union-find over the same keys a
 //     fresh compile would walk, so the partition (and hence float
@@ -505,27 +497,13 @@ var ErrPlanNotRefreshable = fmt.Errorf("core: plan cannot be refreshed increment
 //     (ChangedBlocksSince) confirms no document block was retired,
 //     regrouped or re-declared since they were computed. Re-scoring then
 //     touches only candidates the change actually reached.
-func (p *Plan) Refresh() (*Plan, error) {
-	if p.restricted || p.perCandidate {
+func (p *Plan) Refresh(rules []prefs.Rule) (*Plan, error) {
+	if p.restricted || p.perCandidate || !p.sameRules(rules) {
 		return nil, ErrPlanNotRefreshable
 	}
-	curCtx := p.loader.ContextConcepts()
-	touched := make(map[string]bool, len(p.appliedCtx)+len(curCtx))
-	for _, c := range p.appliedCtx {
-		touched[c] = true
-	}
-	for _, c := range curCtx {
-		touched[c] = true
-	}
 	changed, _, tracked := p.space.ChangedBlocksSince(p.blocksGen)
-	// A context apply for a first-seen individual grows dl_domain, which
-	// changes the membership of every view that reads the closed domain
-	// (¬, ⊤, nominals). An unchanged size proves no registration happened,
-	// letting those rules keep their cached memberships too.
-	domainLen := p.loader.DomainSize()
-	domainGrew := domainLen != p.domainLen
 
-	np := &Plan{loader: p.loader, space: p.space, user: p.user, appliedCtx: curCtx, domainLen: domainLen}
+	np := &Plan{loader: p.loader, space: p.space, user: p.user}
 	np.rules = make([]planRule, len(p.rules))
 	np.docBlocks = make([][]string, len(p.rules))
 	// changedIDs collects candidates whose membership event differs in any
@@ -541,10 +519,6 @@ func (p *Plan) Refresh() (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s context: %w", old.rule.Name, err)
 		}
-		nr := planRule{
-			rule: old.rule, ctxEv: ctxEv, ctxProb: pCtx,
-			prefConcepts: old.prefConcepts, domainDep: old.domainDep,
-		}
 		blocksOK := tracked && p.docBlocks != nil && p.docBlocks[i] != nil
 		if blocksOK {
 			for _, k := range p.docBlocks[i] {
@@ -554,29 +528,19 @@ func (p *Plan) Refresh() (*Plan, error) {
 				}
 			}
 		}
-		refetch := old.domainDep && domainGrew
-		for _, c := range old.prefConcepts {
-			if refetch {
-				break
-			}
-			refetch = touched[c]
-		}
-		if refetch {
-			members, err := p.loader.Members(old.rule.Preference)
-			if err != nil {
+		members := old.members
+		if !members.Current() {
+			if members, err = p.loader.Members(old.rule.Preference); err != nil {
 				return nil, fmt.Errorf("core: rule %s preference: %w", old.rule.Name, err)
 			}
-			if !diffMembers(old.members, members, changedIDs) {
+			if !diffMembers(old.members.Events, members.Events, changedIDs) {
 				blocksOK = false
 			}
-			nr.members = members
-		} else {
-			nr.members = old.members
 		}
 		if blocksOK {
 			np.docBlocks[i] = p.docBlocks[i]
 		}
-		np.rules[i] = nr
+		np.rules[i] = planRule{rule: old.rule, ctxEv: ctxEv, ctxProb: pCtx, members: members}
 	}
 	if err := np.compileClusters(nil); err != nil {
 		return nil, err
@@ -684,12 +648,6 @@ func (p *Plan) docBlocksUntouchedSince(gen uint64) (asOf uint64, ok bool) {
 
 // User returns the situated user the plan was compiled for.
 func (p *Plan) User() string { return p.user }
-
-// DomainSize returns the number of registered individuals (dl_domain rows)
-// the plan compiled against. The domain only grows, so a cached plan whose
-// value differs from the loader's current one predates a registration and
-// may hold stale memberships of views that read the closed domain.
-func (p *Plan) DomainSize() int { return p.domainLen }
 
 // Rules returns the number of rules the plan was compiled from (including
 // pruned ones).
@@ -945,13 +903,7 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 	if req.TopK < 0 {
 		return nil, fmt.Errorf("core: top-k must be positive (got %d)", req.TopK)
 	}
-	var candidates []string
-	var err error
-	if req.Candidates == nil && req.Target != nil {
-		candidates, err = p.candidatesFor(req.Target)
-	} else {
-		candidates, err = resolveCandidates(p.loader, p.user, req)
-	}
+	candidates, err := resolveCandidates(p.loader, p.user, req)
 	if err != nil {
 		return nil, err
 	}
@@ -993,33 +945,6 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 		}
 	}
 	return sc.results, nil
-}
-
-// candidatesFor resolves a Target's member list, cached per space
-// generation so warm ranks skip the member walk and its allocations. Data
-// asserted without an event-space change stays invisible to an existing
-// plan (see the Plan freshness contract).
-func (p *Plan) candidatesFor(target *dl.Expr) ([]string, error) {
-	gen := p.space.Generation()
-	p.candMu.RLock()
-	if p.candGen == gen && p.candTarget != nil && dl.Equal(p.candTarget, target) {
-		ids := p.candIDs
-		p.candMu.RUnlock()
-		return ids, nil
-	}
-	p.candMu.RUnlock()
-	ids, err := resolveCandidates(p.loader, p.user, PlanRequest{Target: target})
-	if err != nil {
-		return nil, err
-	}
-	p.candMu.Lock()
-	if p.candGen <= gen {
-		p.candGen = gen
-		p.candTarget = target
-		p.candIDs = ids
-	}
-	p.candMu.Unlock()
-	return ids, nil
 }
 
 // pushTopK offers a result to the bounded selection heap living in

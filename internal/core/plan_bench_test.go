@@ -198,7 +198,7 @@ func BenchmarkPlanIncrementalApply(b *testing.B) {
 			b.StopTimer()
 			applyShifted(d, i)
 			b.StartTimer()
-			plan, err = plan.Refresh()
+			plan, err = plan.Refresh(rules)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -211,6 +211,49 @@ func BenchmarkPlanIncrementalApply(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPlanRefreshAfterAssert prices what one vocabulary write costs the
+// first user to rank after it: one hasGenre tuple is asserted outside the
+// timer (every bench rule's preference reads r_hasGenre, so all 8 memberships
+// go stale), then the warm plan is refreshed — 8 view queries, 8 diffs, the
+// re-partition, the adoption of every unchanged candidate's distribution —
+// and the 1000-document catalog re-ranked. Later users' refreshes share the
+// queries through the loader's memo; BenchmarkVocabWriteRank (root package)
+// prices that.
+func BenchmarkPlanRefreshAfterAssert(b *testing.B) {
+	const n, k = 1000, 8
+	d, rules := planBenchSetup(b, n, k)
+	req := PlanRequest{Target: dl.Atom("TvProgram")}
+	plan, err := CompilePlan(d.Loader, d.User, rules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := plan.Rank(req); err != nil {
+		b.Fatal(err) // warm the doc-distribution cache for adoption
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prog, genre := fmt.Sprintf("tv%03d", i%n), d.Genres[(i/n)%len(d.Genres)]
+		if err := d.Loader.AssertRole("hasGenre", prog, genre, nil); err != nil {
+			b.Fatal(err)
+		}
+		if plan.Current() {
+			b.Fatal("the assert left the plan current")
+		}
+		b.StartTimer()
+		if plan, err = plan.Refresh(rules); err != nil {
+			b.Fatal(err)
+		}
+		res, err := plan.Rank(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res) != n {
+			b.Fatalf("%d results, want %d", len(res), n)
+		}
+	}
 }
 
 // BenchmarkPlanRankTopK prices top-k selection against the full sort over

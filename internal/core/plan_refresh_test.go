@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dl"
@@ -32,10 +34,30 @@ func assertBitIdentical(t *testing.T, label string, got, want []Result) {
 }
 
 // TestRefreshMatchesFreshCompile walks a plan through successive context
-// applies via Refresh and checks every intermediate ranking bit-identical
-// to a from-scratch CompilePlan of the same state.
+// applies and vocabulary writes — certain and uncertain concept and role
+// asserts, a merge into an existing row, a retract, a new candidate, dl_domain
+// growth on its own, a SQL delete — via Refresh, and checks every
+// intermediate ranking bit-identical to a from-scratch CompilePlan of the
+// same state.
 func TestRefreshMatchesFreshCompile(t *testing.T) {
 	l, rules := correlatedSetup(t)
+	db := l.DB()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(l.DeclareRole("about"))
+	must(l.DeclareConcept("Topic"))
+	must(l.DeclareConcept("Other"))
+	must(l.AssertConcept("Topic", "news", nil))
+	must(l.AssertRole("about", "d3", "news", nil))
+	rules = append(rules,
+		// A role-reading preference and one that reads the closed domain.
+		prefs.Rule{Name: "r5", Context: dl.Atom("Weekend"), Preference: dl.Exists("about", dl.Atom("Topic")), Sigma: 0.75},
+		prefs.Rule{Name: "r6", Context: dl.Atom("Kitchen"), Preference: dl.And(dl.Atom("Doc"), dl.Not(dl.Atom("F3"))), Sigma: 0.4},
+	)
 	plan, err := CompilePlan(l, "u", rules)
 	if err != nil {
 		t.Fatal(err)
@@ -44,27 +66,60 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 	if _, err := plan.Rank(PlanRequest{Target: dl.Atom("Doc")}); err != nil {
 		t.Fatal(err)
 	}
-	contexts := []*situation.Context{
-		// Same shape, different probabilities: the single-cluster change.
-		situation.New("u").
-			AddExclusive("location", []string{"Kitchen", "Living"}, []float64{0.2, 0.7}).
-			Add("Weekend", 0.5),
-		// Drop the exclusive group: partition changes, rules re-cluster.
-		situation.New("u").Add("Kitchen", 0.4).Add("Weekend", 0.9),
-		// Prune everything but one rule.
-		situation.New("u").Add("Weekend", 0.3),
-		// And back to the full shape.
-		situation.New("u").
-			AddExclusive("location", []string{"Kitchen", "Living"}, []float64{0.5, 0.4}).
-			Add("Weekend", 0.8),
+	apply := func(ctx *situation.Context) func() { return func() { must(ctx.Apply(l)) } }
+	declare := func(name string, p float64) *event.Expr {
+		must(db.Space().Declare(name, p))
+		return event.Basic(name)
 	}
-	for i, ctx := range contexts {
-		if err := ctx.Apply(l); err != nil {
-			t.Fatal(err)
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		// Same shape, different probabilities: the single-cluster change.
+		{"context: new probabilities", apply(situation.New("u").
+			AddExclusive("location", []string{"Kitchen", "Living"}, []float64{0.2, 0.7}).
+			Add("Weekend", 0.5))},
+		// Drop the exclusive group: partition changes, rules re-cluster.
+		{"context: no exclusive group", apply(situation.New("u").Add("Kitchen", 0.4).Add("Weekend", 0.9))},
+		{"context: one rule left", apply(situation.New("u").Add("Weekend", 0.3))},
+		{"context: the full shape again", apply(situation.New("u").
+			AddExclusive("location", []string{"Kitchen", "Living"}, []float64{0.5, 0.4}).
+			Add("Weekend", 0.8))},
+		{"certain concept assert", func() { must(l.AssertConcept("F3", "d3", nil)) }},
+		{"uncertain concept assert", func() { must(l.AssertConcept("F2", "d2", declare("late", 0.3))) }},
+		// d1's F1 becomes shared ∨ solo_b: r1 now correlates with r3 over d2.
+		{"assert merging into a row", func() { must(l.AssertConcept("F1", "d1", event.Basic("solo_b"))) }},
+		{"retract", func() { must(l.RetractConcept("F1", "d2")) }},
+		{"certain role assert", func() { must(l.AssertRole("about", "d1", "news", nil)) }},
+		{"uncertain role assert", func() { must(l.AssertRole("about", "d2", "news", declare("maybe", 0.5))) }},
+		{"uncertain filler", func() {
+			must(l.AssertConcept("Topic", "sports", declare("sporty", 0.6)))
+			must(l.AssertRole("about", "d3", "sports", nil))
+		}},
+		{"new candidate", func() { must(l.AssertConcept("Doc", "d4", nil)) }},
+		// A first-seen individual in a table no rule reads: only dl_domain,
+		// which r6's ¬ reads, moves.
+		{"dl_domain growth alone", func() { must(l.AssertConcept("Other", "stranger", nil)) }},
+		{"write no rule reads", func() { must(l.AssertConcept("Other", "d1", nil)) }},
+		{"sql delete", func() {
+			_, err := db.Exec("DELETE FROM c_F2 WHERE id = 'd1'")
+			must(err)
+		}},
+		{"context after the writes", apply(situation.New("u").Add("Kitchen", 0.6).Add("Weekend", 0.2))},
+	}
+	for _, s := range steps {
+		s.do()
+		// A context apply and a write to Other leave every preference's
+		// tables alone; every other step writes one.
+		if want := strings.HasPrefix(s.name, "context") || s.name == "write no rule reads"; plan.Current() != want {
+			t.Fatalf("%s: plan.Current() = %v, want %v", s.name, plan.Current(), want)
 		}
-		refreshed, err := plan.Refresh()
+		refreshed, err := plan.Refresh(rules)
 		if err != nil {
-			t.Fatalf("round %d: refresh: %v", i, err)
+			t.Fatalf("%s: refresh: %v", s.name, err)
+		}
+		if !refreshed.Current() {
+			t.Fatalf("%s: the refreshed plan is not current", s.name)
 		}
 		fresh, err := CompilePlan(l, "u", rules)
 		if err != nil {
@@ -72,14 +127,57 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		}
 		got, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc")})
 		if err != nil {
-			t.Fatalf("round %d: refreshed rank: %v", i, err)
+			t.Fatalf("%s: refreshed rank: %v", s.name, err)
 		}
 		want, err := fresh.Rank(PlanRequest{Target: dl.Atom("Doc")})
 		if err != nil {
-			t.Fatalf("round %d: fresh rank: %v", i, err)
+			t.Fatalf("%s: fresh rank: %v", s.name, err)
 		}
-		assertBitIdentical(t, fmt.Sprintf("round %d", i), got, want)
+		assertBitIdentical(t, s.name, got, want)
 		plan = refreshed
+	}
+}
+
+// TestRefreshRefusesOtherRules: Refresh maintains a plan under the rule list
+// it compiled from and nothing else — a rule added, removed, reordered or
+// re-scored is ErrPlanNotRefreshable — while the same rules re-parsed into
+// other expression values are still the same rules.
+func TestRefreshRefusesOtherRules(t *testing.T) {
+	l, rules := correlatedSetup(t)
+	plan, err := CompilePlan(l, "u", rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(rs []prefs.Rule) []prefs.Rule) []prefs.Rule {
+		return edit(slices.Clone(rules))
+	}
+	for name, other := range map[string][]prefs.Rule{
+		"rule added": edited(func(rs []prefs.Rule) []prefs.Rule {
+			return append(rs, prefs.Rule{Name: "r9", Context: dl.Atom("Weekend"), Preference: dl.Atom("F2"), Sigma: 0.5})
+		}),
+		"rule removed":   edited(func(rs []prefs.Rule) []prefs.Rule { return rs[:len(rs)-1] }),
+		"rules swapped":  edited(func(rs []prefs.Rule) []prefs.Rule { rs[0], rs[1] = rs[1], rs[0]; return rs }),
+		"sigma edited":   edited(func(rs []prefs.Rule) []prefs.Rule { rs[2].Sigma = 0.66; return rs }),
+		"context edited": edited(func(rs []prefs.Rule) []prefs.Rule { rs[1].Context = dl.Atom("Weekend"); return rs }),
+		"preference edited": edited(func(rs []prefs.Rule) []prefs.Rule {
+			rs[0].Preference = dl.And(dl.Atom("F1"), dl.Atom("F3"))
+			return rs
+		}),
+		"rule renamed": edited(func(rs []prefs.Rule) []prefs.Rule { rs[3].Name = "r4b"; return rs }),
+	} {
+		if _, err := plan.Refresh(other); !errors.Is(err, ErrPlanNotRefreshable) {
+			t.Errorf("%s: refresh err = %v, want ErrPlanNotRefreshable", name, err)
+		}
+	}
+	reparsed := edited(func(rs []prefs.Rule) []prefs.Rule {
+		for i := range rs {
+			rs[i].Context = dl.MustParse(rs[i].Context.String())
+			rs[i].Preference = dl.MustParse(rs[i].Preference.String())
+		}
+		return rs
+	})
+	if _, err := plan.Refresh(reparsed); err != nil {
+		t.Fatalf("refresh under the same rules re-parsed: %v", err)
 	}
 }
 
@@ -91,20 +189,20 @@ func TestRefreshRestrictedPlanNotRefreshable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Refresh(); !errors.Is(err, ErrPlanNotRefreshable) {
+	if _, err := plan.Refresh(rules); !errors.Is(err, ErrPlanNotRefreshable) {
 		t.Fatalf("refresh of restricted plan: err = %v, want ErrPlanNotRefreshable", err)
 	}
 }
 
 // TestRefreshChurnSoakEquivalence is the randomized churn soak: a catalog
 // with correlated document events, preferences that reference context
-// concepts, domain-reading (¬/nominal) preferences, and a context stream
-// that re-shapes the exclusive-group structure, prunes and unprunes rules,
-// registers fresh individuals mid-stream and occasionally mutates data.
-// After every mutation the delta-maintained plan's scores must be
-// bit-identical to a fresh CompilePlan of the same state; after data
-// mutations (which void the refresh contract) the baseline restarts from a
-// fresh compile exactly like the serving layer's epoch discipline does.
+// concepts, roles and the closed domain (¬/nominal), a context stream that
+// re-shapes the exclusive-group structure, prunes and unprunes rules and
+// registers fresh individuals mid-stream, and a data stream beside it — new
+// documents, certain and uncertain feature and role asserts, retracts. After
+// every mutation of either kind the delta-maintained plan's scores must be
+// bit-identical to a fresh CompilePlan of the same state: one plan is
+// refreshed through the whole history and never recompiled.
 func TestRefreshChurnSoakEquivalence(t *testing.T) {
 	db := engine.New()
 	l := mapping.NewLoader(db, nil)
@@ -114,8 +212,13 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range []string{"Doc", "F1", "F2", "F3", "F4", "Room1", "Room2", "Room3", "Weekend", "Busy"} {
+	for _, c := range []string{"Doc", "F1", "F2", "F3", "F4", "Genre", "Room1", "Room2", "Room3", "Weekend", "Busy"} {
 		must(l.DeclareConcept(c))
+	}
+	must(l.DeclareRole("hasGenre"))
+	genres := []string{"g0", "g1", "g2"}
+	for _, g := range genres {
+		must(l.AssertConcept("Genre", g, nil))
 	}
 	rng := rand.New(rand.NewSource(11))
 	docCount := 0
@@ -155,6 +258,37 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 		// Preference referencing a context concept: membership changes with
 		// the context itself, forcing the re-fetch-and-diff path.
 		{Name: "r5", Context: dl.Atom("Room3"), Preference: dl.Or(dl.Atom("F4"), dl.Atom("Room1")), Sigma: 0.6},
+		// Role-reading preferences, one through a nominal (reads dl_domain).
+		{Name: "r6", Context: dl.Atom("Weekend"), Preference: dl.HasValue("hasGenre", "g0"), Sigma: 0.7},
+		{Name: "r7", Context: dl.Atom("Room2"), Preference: dl.And(dl.Atom("Doc"), dl.Exists("hasGenre", dl.Atom("Genre"))), Sigma: 0.55},
+	}
+	randomDoc := func() string { return fmt.Sprintf("doc%03d", rng.Intn(docCount)) }
+	evSeq := 0
+	maybe := func() *event.Expr {
+		if rng.Intn(2) == 0 {
+			return nil // certain
+		}
+		evSeq++
+		ev := fmt.Sprintf("e_late_%d", evSeq)
+		must(db.Space().Declare(ev, 0.1+0.8*rng.Float64()))
+		return event.Basic(ev)
+	}
+	mutateData := func() {
+		switch rng.Intn(5) {
+		case 0:
+			addDoc()
+		case 1:
+			must(l.AssertConcept([]string{"F1", "F2", "F3", "F4"}[rng.Intn(4)], randomDoc(), maybe()))
+		case 2:
+			must(l.RetractConcept([]string{"F1", "F2", "F3", "F4"}[rng.Intn(4)], randomDoc()))
+		case 3:
+			must(l.AssertRole("hasGenre", randomDoc(), genres[rng.Intn(len(genres))], maybe()))
+		case 4:
+			// A first-seen individual in a table only r7's filler reads.
+			g := fmt.Sprintf("g%d", len(genres))
+			genres = append(genres, g)
+			must(l.AssertConcept("Genre", g, maybe()))
+		}
 	}
 	applyRandomCtx := func() {
 		ctx := situation.New("u")
@@ -191,19 +325,13 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 	if _, err := prev.Rank(req); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 80; round++ {
-		if rng.Intn(10) == 0 {
-			// Data mutation: refresh contract void, restart from a fresh
-			// compile (the serving layer's data-epoch bump).
-			addDoc()
-			prev, err = CompilePlan(l, "u", rules)
-			if err != nil {
-				t.Fatal(err)
-			}
-			continue
+	for round := 0; round < 160; round++ {
+		if rng.Intn(2) == 0 {
+			mutateData()
+		} else {
+			applyRandomCtx()
 		}
-		applyRandomCtx()
-		refreshed, err := prev.Refresh()
+		refreshed, err := prev.Refresh(rules)
 		if err != nil {
 			t.Fatalf("round %d: refresh: %v", round, err)
 		}

@@ -321,7 +321,7 @@ func TestPlanClusterBound(t *testing.T) {
 	if !plan.perCandidate {
 		t.Fatal("oversized footprint cluster compiled into the enumerating mode")
 	}
-	if _, err := plan.Refresh(); !errors.Is(err, ErrPlanNotRefreshable) {
+	if _, err := plan.Refresh(rules); !errors.Is(err, ErrPlanNotRefreshable) {
 		t.Fatalf("per-candidate plan refresh = %v, want ErrPlanNotRefreshable", err)
 	}
 	if _, err := plan.Score("d"); !errors.Is(err, ErrClusterBound) {

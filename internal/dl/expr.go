@@ -169,6 +169,9 @@ func (e *Expr) Filler() *Expr {
 // String renders the expression in the parser's input syntax, so
 // Parse(e.String()) reproduces e.
 func (e *Expr) String() string {
+	if e.op == OpAtom {
+		return e.name // the common look-up key, rendered without a copy
+	}
 	var b strings.Builder
 	e.format(&b)
 	return b.String()

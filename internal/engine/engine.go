@@ -73,6 +73,11 @@ func (db *DB) QueryScalar(stmt string) (storage.Value, error) {
 	return res.Rows[0][0], nil
 }
 
+// Redefinitions counts the DDL statements that dropped or redefined an
+// existing table or view (see sql.Executor.Redefinitions): while it stands
+// still, every name a past query resolved still means the same relation.
+func (db *DB) Redefinitions() uint64 { return db.exec.Redefinitions() }
+
 // HasView reports whether a view with this name exists.
 func (db *DB) HasView(name string) bool { return db.exec.HasView(name) }
 

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dl"
 	"repro/internal/engine"
@@ -32,6 +33,20 @@ type Loader struct {
 	views    map[string]string // canonical expr -> view name
 	viewSQL  map[string]string // view name -> defining SQL (traceability)
 	seq      int
+
+	// The membership memo (see Members): canonical expr -> the last handle
+	// computed for it, all of them computed at memoRedefs redefinitions of the
+	// engine's schema. Its own mutex, so a rank's look-up never waits behind a
+	// view compilation. The counters (and the size mirror) are atomics so
+	// MembershipStats never takes memoMu: a stats scrape must not queue behind
+	// rank traffic.
+	memoMu      sync.Mutex
+	memo        map[string]*Membership
+	memoRedefs  uint64
+	memoEntries atomic.Int64 // mirrors len(memo), maintained under memoMu
+	memoHits    atomic.Int64
+	memoQueries atomic.Int64
+	memoDropped atomic.Int64
 
 	// Applied-situation bookkeeping, owned by the situation package: per
 	// owner (a situated user), the assertion rows its last context apply put
@@ -77,6 +92,7 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 		roles:     make(map[string]bool),
 		views:     make(map[string]string),
 		viewSQL:   make(map[string]string),
+		memo:      make(map[string]*Membership),
 		ctxOwners: make(map[string]ownerContext),
 		ctxRows:   make(map[string]int),
 	}
@@ -211,34 +227,6 @@ func (l *Loader) HasRole(name string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.roles[name]
-}
-
-// vocabulary returns copies of the declared names for dl.Validate.
-func (l *Loader) vocabulary() (concepts, roles map[string]bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	concepts = make(map[string]bool, len(l.concepts))
-	for k := range l.concepts {
-		concepts[k] = true
-	}
-	roles = make(map[string]bool, len(l.roles))
-	for k := range l.roles {
-		roles[k] = true
-	}
-	return concepts, roles
-}
-
-// DomainSize returns the number of registered individuals (dl_domain
-// rows). The domain only grows, so an unchanged size proves that no
-// individual was registered in between — which is what incremental plan
-// maintenance checks before trusting cached memberships of views that read
-// the closed domain (¬, ⊤, nominals).
-func (l *Loader) DomainSize() int {
-	tab, err := l.db.Catalog().Get("dl_domain")
-	if err != nil {
-		return 0
-	}
-	return tab.Len()
 }
 
 // registerIndividual ensures the individual is in the domain table.
@@ -503,12 +491,10 @@ func (l *Loader) PersistContext() error {
 // ViewFor compiles a concept expression into a database view and returns
 // the view's name. The view has columns (id TEXT, ev EVENT): the tuples
 // possibly included in the expression together with their inclusion events.
-// Compilation is cached per canonical expression.
+// Compilation is cached per canonical expression, and only a compilation
+// validates the expression's vocabulary: a cached view was validated when it
+// compiled, and nothing is ever undeclared.
 func (l *Loader) ViewFor(expr *dl.Expr) (string, error) {
-	concepts, roles := l.vocabulary()
-	if err := dl.Validate(expr, concepts, roles); err != nil {
-		return "", err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.viewForLocked(expr)
@@ -517,6 +503,9 @@ func (l *Loader) ViewFor(expr *dl.Expr) (string, error) {
 func (l *Loader) viewForLocked(expr *dl.Expr) (string, error) {
 	// Atomic concepts are backed directly by their base tables.
 	if expr.Op() == dl.OpAtom {
+		if err := dl.Validate(expr, l.concepts, l.roles); err != nil {
+			return "", err
+		}
 		return ConceptTable(expr.Name()), nil
 	}
 	if expr.Op() == dl.OpTop {
@@ -525,6 +514,9 @@ func (l *Loader) viewForLocked(expr *dl.Expr) (string, error) {
 	key := expr.String()
 	if name, ok := l.views[key]; ok {
 		return name, nil
+	}
+	if err := dl.Validate(expr, l.concepts, l.roles); err != nil {
+		return "", err
 	}
 	l.seq++
 	name := fmt.Sprintf("v_dl_%04d", l.seq)
@@ -647,29 +639,209 @@ func (l *Loader) MembershipEvent(expr *dl.Expr, id string) (*event.Expr, error) 
 	return event.Or(evs...), nil
 }
 
+// Membership is who is in a concept expression: every individual possibly
+// included, with its inclusion event. A handle is immutable and shared — by
+// the loader's memo, by every compiled plan that ranks under the expression
+// and by every rank that resolves it as a target — so holders must treat
+// Events and IDs as read-only.
+type Membership struct {
+	Events map[string]*event.Expr // individual -> inclusion event
+	IDs    []string               // the keys of Events, sorted
+
+	// What the handle was computed under: the engine's redefinition count and
+	// the write version of every base table the expression's view reads.
+	db     *engine.DB
+	redefs uint64
+	reads  []tableRead
+}
+
+// tableRead is one base table of a read set at the version it was read at.
+type tableRead struct {
+	tab     *storage.Table
+	version uint64
+}
+
+// Current reports whether the handle still says who is in the expression:
+// no table it read has been written and no name has been redefined since it
+// was computed. The views are pure functions of their base tables, so a
+// current handle is bit-identical to a fresh query. It costs a handful of
+// atomic loads. Versions only move inside the caller's write section
+// (System's locking contract), so an answer obtained while reading holds for
+// the whole read.
+func (m *Membership) Current() bool {
+	if m.db.Redefinitions() != m.redefs {
+		return false
+	}
+	for _, r := range m.reads {
+		if r.tab.Version() != r.version {
+			return false
+		}
+	}
+	return true
+}
+
+// MembershipStats counts the membership memo's work. Per loader, so a test
+// can count one system's queries.
+type MembershipStats struct {
+	// Hits are look-ups answered by a current handle; Queries the look-ups
+	// that evaluated the expression's view.
+	Hits    int64 `json:"hits"`
+	Queries int64 `json:"queries"`
+	// Entries is the number of handles the memo holds.
+	Entries int `json:"entries"`
+	// DroppedByDDL counts handles discarded because a DDL statement dropped
+	// or redefined a table or view.
+	DroppedByDDL int64 `json:"dropped_by_ddl"`
+}
+
+// Merge sums two loaders' counters (the shard coordinator's aggregate).
+func (s MembershipStats) Merge(o MembershipStats) MembershipStats {
+	return MembershipStats{
+		Hits:         s.Hits + o.Hits,
+		Queries:      s.Queries + o.Queries,
+		Entries:      s.Entries + o.Entries,
+		DroppedByDDL: s.DroppedByDDL + o.DroppedByDDL,
+	}
+}
+
+// MembershipStats snapshots the memo's counters, lock-free.
+func (l *Loader) MembershipStats() MembershipStats {
+	return MembershipStats{
+		Hits:         l.memoHits.Load(),
+		Queries:      l.memoQueries.Load(),
+		Entries:      int(l.memoEntries.Load()),
+		DroppedByDDL: l.memoDropped.Load(),
+	}
+}
+
+// maxMemberships bounds the memo. Rule preferences and the targets people
+// rank are a few hundred expressions at most; a client streaming distinct
+// ad-hoc targets past the bound pushes out an arbitrary entry per new one,
+// which costs that expression's next look-up a query and nothing else.
+const maxMemberships = 1024
+
 // Members returns every individual possibly in the concept expression with
-// its inclusion event.
-func (l *Loader) Members(expr *dl.Expr) (map[string]*event.Expr, error) {
+// its inclusion event, as a shared read-only handle. The answer is a function
+// of the base tables the expression's view reads, so it is computed once per
+// version of those tables and memoized per canonical expression: every plan,
+// target resolution and user asking while the tables stand still gets the
+// same handle. Concurrent misses may both query; the last one stays.
+func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
+	key := expr.String()
+	l.memoMu.Lock()
+	redefs := l.db.Redefinitions()
+	if redefs != l.memoRedefs {
+		// A name was dropped or redefined: no handle can be current again.
+		l.memoDropped.Add(int64(len(l.memo)))
+		clear(l.memo)
+		l.memoEntries.Store(0)
+		l.memoRedefs = redefs
+	}
+	m := l.memo[key]
+	l.memoMu.Unlock()
+	if m != nil && m.Current() {
+		l.memoHits.Add(1)
+		return m, nil
+	}
+
+	m, err := l.queryMembers(expr, redefs)
+	if err != nil {
+		return nil, err
+	}
+	l.memoQueries.Add(1)
+	l.memoMu.Lock()
+	if redefs == l.memoRedefs {
+		if _, ok := l.memo[key]; !ok && len(l.memo) >= maxMemberships {
+			for evict := range l.memo {
+				delete(l.memo, evict)
+				break
+			}
+		}
+		l.memo[key] = m
+		l.memoEntries.Store(int64(len(l.memo)))
+	}
+	l.memoMu.Unlock()
+	return m, nil
+}
+
+// queryMembers evaluates the expression's view. The read set's versions are
+// taken before the query, so a write racing it (a caller breaking the locking
+// contract) leaves a handle that reads as stale, never one that validates
+// rows it did not see.
+func (l *Loader) queryMembers(expr *dl.Expr, redefs uint64) (*Membership, error) {
 	view, err := l.ViewFor(expr)
 	if err != nil {
+		return nil, err
+	}
+	m := &Membership{db: l.db, redefs: redefs}
+	if m.reads, err = l.readSet(expr); err != nil {
 		return nil, err
 	}
 	res, err := l.db.Query(fmt.Sprintf("SELECT id, ev FROM %s", view))
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*event.Expr, len(res.Rows))
+	m.Events = make(map[string]*event.Expr, len(res.Rows))
 	for _, r := range res.Rows {
 		ev, err := rowEvent(r[1])
 		if err != nil {
 			return nil, err
 		}
-		if old, ok := out[r[0].S]; ok {
+		if old, ok := m.Events[r[0].S]; ok {
 			ev = event.Or(old, ev)
 		}
-		out[r[0].S] = ev
+		m.Events[r[0].S] = ev
 	}
-	return out, nil
+	m.IDs = make([]string, 0, len(m.Events))
+	for id := range m.Events {
+		m.IDs = append(m.IDs, id)
+	}
+	slices.Sort(m.IDs)
+	return m, nil
+}
+
+// readSet resolves the base tables the expression's view reads — its
+// signature's concept and role tables, and dl_domain when the view compiles
+// against the closed domain — each at its current version. The TBox is not
+// in it: the views are structural and never consult the terminology.
+func (l *Loader) readSet(expr *dl.Expr) ([]tableRead, error) {
+	sig := expr.Signature()
+	names := make([]string, 0, len(sig.Concepts)+len(sig.Roles)+1)
+	for _, c := range sig.Concepts {
+		names = append(names, ConceptTable(c))
+	}
+	for _, r := range sig.Roles {
+		names = append(names, RoleTable(r))
+	}
+	if readsDomain(expr) {
+		names = append(names, "dl_domain")
+	}
+	reads := make([]tableRead, len(names))
+	for i, name := range names {
+		tab, err := l.db.Catalog().Get(name)
+		if err != nil {
+			return nil, err
+		}
+		reads[i] = tableRead{tab: tab, version: tab.Version()}
+	}
+	return reads, nil
+}
+
+// readsDomain reports whether the expression's compiled view reads dl_domain
+// (¬, ⊤ and nominals do), i.e. whether registering a new individual — which
+// a context apply for a first-seen user does — can change who is in it even
+// though no concept or role table changed.
+func readsDomain(e *dl.Expr) bool {
+	switch e.Op() {
+	case dl.OpTop, dl.OpNot, dl.OpNominal:
+		return true
+	}
+	for _, a := range e.Args() {
+		if readsDomain(a) {
+			return true
+		}
+	}
+	return false
 }
 
 func rowEvent(v storage.Value) (*event.Expr, error) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dl"
 	"repro/internal/engine"
@@ -146,11 +147,32 @@ func TestMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(members) != 2 {
-		t.Fatalf("members = %v", members)
+	if len(members.Events) != 2 || len(members.IDs) != 2 {
+		t.Fatalf("members = %v / %v", members.Events, members.IDs)
 	}
-	if _, ok := members["BBCNews"]; !ok {
+	if _, ok := members.Events["BBCNews"]; !ok {
 		t.Fatal("BBCNews missing")
+	}
+}
+
+// TestMembershipStatsIsLockFree: the serving layer's stats scrape reads the
+// memo's counters while ranks hold its mutex.
+func TestMembershipStatsIsLockFree(t *testing.T) {
+	l := newTVLoader(t)
+	if _, err := l.Members(dl.Atom("TvProgram")); err != nil {
+		t.Fatal(err)
+	}
+	l.memoMu.Lock()
+	defer l.memoMu.Unlock()
+	done := make(chan MembershipStats, 1)
+	go func() { done <- l.MembershipStats() }()
+	select {
+	case st := <-done:
+		if st.Queries != 1 || st.Entries != 1 {
+			t.Fatalf("stats = %+v, want the one query", st)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("MembershipStats blocked behind the memo mutex")
 	}
 }
 

@@ -360,16 +360,28 @@ func TestRankClusterBoundFallback(t *testing.T) {
 	if st := srv.Stats().Plans; st.Size != 1 || st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("repeat requests: plan cache %+v, want 2 hits on the one compiled entry", st)
 	}
-	// A first-seen user's apply registers an individual, which stales every
-	// cached plan; the per-candidate plan is recompiled, never refreshed.
+	// A first-seen user's apply registers an individual. That grows
+	// dl_domain, which none of the chain's atomic preferences reads: every
+	// membership the plan holds is still current, so it keeps serving.
 	if _, err := srv.SetSession("other", []Measurement{{Concept: "ChainCtx", Prob: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.Rank("chainuser", "Doc", contextrank.RankOptions{Limit: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Stats().Plans; st.Misses != 2 || st.Refreshed != 0 {
-		t.Fatalf("after a context apply: plan cache %+v, want a second compile and no refresh", st)
+	if st := srv.Stats().Plans; st.Misses != 1 || st.Hits != 3 {
+		t.Fatalf("after another user's first apply: plan cache %+v, want a third hit", st)
+	}
+	// A write to a table a preference reads stales the plan (Current); the
+	// per-candidate plan is recompiled, never refreshed.
+	if _, err := srv.Assert([]ConceptAssertion{{Concept: "F03", ID: "d09", Prob: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.Rank("chainuser", "Doc", contextrank.RankOptions{Limit: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats().Plans; st.Misses != 2 || st.Refreshed != 0 || st.Size != 1 {
+		t.Fatalf("after a data write: plan cache %+v, want a second compile, no refresh, one entry", st)
 	}
 }
 

@@ -170,6 +170,19 @@ func TestHTTPFullFlow(t *testing.T) {
 	if stats.Cache.Hits != 1 || stats.Cache.Misses != 2 {
 		t.Fatalf("cache stats = %+v", stats.Cache)
 	}
+	// The membership memo's counters, by their wire names.
+	var raw struct {
+		Memberships map[string]int64 `json:"memberships"`
+	}
+	call(t, ts, "GET", "/v1/stats", "", http.StatusOK, &raw)
+	for _, field := range []string{"hits", "queries", "entries", "dropped_by_ddl"} {
+		if _, ok := raw.Memberships[field]; !ok {
+			t.Fatalf("/v1/stats memberships = %v, missing %q", raw.Memberships, field)
+		}
+	}
+	if len(raw.Memberships) != 4 || raw.Memberships["queries"] == 0 || raw.Memberships["dropped_by_ddl"] != 0 {
+		t.Fatalf("/v1/stats memberships = %v", raw.Memberships)
+	}
 
 	call(t, ts, "DELETE", "/v1/rules/R2", "", http.StatusOK, nil)
 	call(t, ts, "GET", "/v1/rules", "", http.StatusOK, &rules)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -14,33 +13,28 @@ import (
 // than the same number of rank-result entries.
 const planCacheSize = 256
 
-// planKey keys a user's compiled rank plan: (user, facade epoch). Every data,
-// vocabulary and rule change is an Apply inside a facade write section that
-// bumps the epoch, so the epoch alone pins the rule set and the data the
-// plan compiled. What the key leaves out — the user's own context — is the
-// entry's generation. The user is length-prefixed like rankKey's fields.
-func planKey(user string, epoch int64) string {
-	return strconv.Itoa(len(user)) + ":" + user + strconv.FormatInt(epoch, 10)
-}
-
-// planEntry is one user's cached compiled plan at one facade epoch.
+// planEntry is one user's cached compiled plan.
 type planEntry struct {
-	key string
-	// generation is the user's applied generation (see appliedContext) the
-	// plan compiled at: the plan holds the user's context events by name, so
-	// it answers for that apply only. A look-up at another generation
-	// refreshes the plan and replaces it in place.
+	user string
+	// epoch is the facade epoch and generation the user's applied generation
+	// (see appliedContext) the plan was brought up to date at. The epoch pins
+	// what the plan cannot see for itself — the rule list, and another user's
+	// apply reaching this user's contexts over a role edge; the generation
+	// pins the user's own context events, which the plan holds by name. A
+	// look-up at another epoch or generation, or one that finds a preference
+	// membership written since (plan.Current), refreshes the plan and replaces
+	// it in place.
+	epoch      int64
 	generation int64
 	plan       *contextrank.RankPlan
 }
 
-// planCache is an LRU of compiled rank plans, one entry per (user, facade
-// epoch): 256 entries are 256 users, whatever the apply rate. A stale epoch
-// makes its key unreachable, exactly like the rank-result cache, and LRU
-// aging collects it; compiled plans are immutable and safe to share between
-// concurrent rankers. Counters are atomics for the same reason as
-// rankCache's: a stats scrape must never queue behind rank traffic holding
-// the mutex. Server.planFor decides what a look-up counts as.
+// planCache is an LRU of compiled rank plans, one entry per user: 256
+// entries are 256 users, whatever the write or apply rate. Compiled plans are
+// immutable and safe to share between concurrent rankers. Counters are
+// atomics for the same reason as rankCache's: a stats scrape must never queue
+// behind rank traffic holding the mutex. Server.planFor decides what a
+// look-up counts as.
 //
 // The LRU machinery is deliberately not shared with rankCache: rankCache's
 // eviction list must be mutated atomically with its singleflight map under
@@ -52,7 +46,7 @@ type planCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List               // front = most recently used
-	items    map[string]*list.Element // key -> *planEntry element
+	items    map[string]*list.Element // user -> *planEntry element
 
 	size      atomic.Int64
 	hits      atomic.Int64
@@ -69,39 +63,36 @@ func newPlanCache() *planCache {
 	}
 }
 
-// get returns the plan cached under key and the generation it compiled at,
-// marking the entry most recently used.
-func (c *planCache) get(key string) (plan *contextrank.RankPlan, generation int64, ok bool) {
+// get returns a copy of the user's entry, marking it most recently used.
+func (c *planCache) get(user string) (planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[user]
 	if !ok {
-		return nil, 0, false
+		return planEntry{}, false
 	}
 	c.ll.MoveToFront(el)
-	ent := el.Value.(*planEntry)
-	return ent.plan, ent.generation, true
+	return *el.Value.(*planEntry), true
 }
 
-// put files the plan under key, replacing the entry's previous plan in place
-// or evicting from the LRU tail past capacity. Concurrent compiles of the
-// same key are not coalesced (the compile runs under the facade read lock,
+// put files the entry under its user, replacing the user's previous plan in
+// place or evicting from the LRU tail past capacity. Concurrent compiles for
+// one user are not coalesced (the compile runs under the facade read lock,
 // where blocking peers on a cache-level flight would serialize the read
 // path); the last writer wins and the duplicates are identical.
-func (c *planCache) put(key string, generation int64, plan *contextrank.RankPlan) {
+func (c *planCache) put(ent planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*planEntry)
-		ent.generation, ent.plan = generation, plan
+	if el, ok := c.items[ent.user]; ok {
+		*el.Value.(*planEntry) = ent
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&planEntry{key: key, generation: generation, plan: plan})
+	c.items[ent.user] = c.ll.PushFront(&ent)
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*planEntry).key)
+		delete(c.items, back.Value.(*planEntry).user)
 		c.evicted.Add(1)
 	}
 	c.size.Store(int64(c.ll.Len()))

@@ -289,38 +289,39 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 
 // planFor returns the user's compiled rank plan for the state being read.
 // Must run under the facade read lock with epoch the one observed under it:
-// the epoch, the user's applied generation and the domain size then all stand
-// still, so a plan found current can never be stale for the snapshot being
-// read. Whether the plan enumerates footprint clusters or scores per
+// the epoch, the user's applied generation and every table version then all
+// stand still, so a plan found current can never be stale for the snapshot
+// being read. Whether the plan enumerates footprint clusters or scores per
 // candidate (see contextrank.CompileRankPlan) is its own business; both are
 // cached alike.
 //
-// The cache holds one plan per (user, epoch). It is a hit while the user's
-// applied generation is the one the plan compiled at — other users' applies
-// do not move it — and no individual was registered since (a first-seen
-// user's apply grows dl_domain, which changes the membership of ¬/⊤/nominal
-// preference views without an epoch bump). Otherwise the look-up is a miss
-// served by incrementally refreshing that plan instead of recompiling: the
-// refresh re-resolves only the context side and carries over the preference
-// membership maps, footprints and unaffected document-side distributions
-// (see contextrank.RefreshRankPlan). The generation rather than the
-// fingerprint decides, because a re-apply of identical measurements
-// re-declares the user's events under new names, and a per-candidate-mode
-// plan consults them at score time. Refresh failures (such a plan is not
-// refreshable) fall back to a full compile; correctness never depends on the
-// fast path.
+// The cache holds one plan per user. It is a hit while the facade epoch and
+// the user's applied generation are the ones the plan was brought up to date
+// at — other users' applies move neither — and no table a rule's preference
+// reads has been written since (plan.Current: a first-seen user's apply grows
+// dl_domain, which changes ¬/⊤/nominal preference views without an epoch
+// bump). Anything else is a miss served by refreshing that plan instead of
+// recompiling: the refresh re-resolves the context side, keeps every
+// preference membership whose tables stand still and takes the others from
+// the loader's memo — so after a vocabulary write the first user's refresh
+// queries the written views and every other user's shares the answer (see
+// contextrank.RefreshRankPlan). The generation rather than the fingerprint
+// decides, because a re-apply of identical measurements re-declares the
+// user's events under new names, and a per-candidate-mode plan consults them
+// at score time. A plan that cannot be refreshed — the rules changed, or it
+// scores per candidate — is recompiled; correctness never depends on the fast
+// path.
 func (s *Server) planFor(sys *contextrank.System, user string, epoch int64) (*contextrank.RankPlan, error) {
-	key := planKey(user, epoch)
 	generation := s.sessions.appliedContext(user).generation
-	prev, prevGeneration, ok := s.plans.get(key)
-	if ok && prevGeneration == generation && prev.DomainSize() == sys.Loader().DomainSize() {
+	prev, ok := s.plans.get(user)
+	if ok && prev.epoch == epoch && prev.generation == generation && prev.plan.Current() {
 		s.plans.hits.Add(1)
-		return prev, nil
+		return prev.plan, nil
 	}
 	s.plans.misses.Add(1)
 	var plan *contextrank.RankPlan
 	if ok {
-		if refreshed, err := sys.RefreshRankPlan(prev); err == nil {
+		if refreshed, err := sys.RefreshRankPlan(prev.plan); err == nil {
 			s.plans.refreshed.Add(1)
 			plan = refreshed
 		}
@@ -331,7 +332,7 @@ func (s *Server) planFor(sys *contextrank.System, user string, epoch int64) (*co
 			return nil, err
 		}
 	}
-	s.plans.put(key, generation, plan)
+	s.plans.put(planEntry{user: user, epoch: epoch, generation: generation, plan: plan})
 	return plan, nil
 }
 
@@ -481,12 +482,15 @@ type Stats struct {
 	// snapshot's events) — a growing value here means an event leak.
 	Events int        `json:"events"`
 	Cache  CacheStats `json:"cache"`
-	// Plans is the compiled-rank-plan cache: one entry per (user, epoch),
-	// shared by every target and batch item that user ranks; Refreshed
-	// counts the misses served by refreshing the entry's plan after the
-	// user's own context moved.
-	Plans   CacheStats   `json:"plan_cache"`
-	Latency LatencyStats `json:"latency"`
+	// Plans is the compiled-rank-plan cache: one entry per user, shared by
+	// every target and batch item that user ranks; Refreshed counts the
+	// misses served by refreshing the entry's plan after the user's context
+	// or the vocabulary moved.
+	Plans CacheStats `json:"plan_cache"`
+	// Memberships is the loader's concept-membership memo: view queries run,
+	// look-ups it answered without one, handles held, handles a DDL dropped.
+	Memberships contextrank.MembershipStats `json:"memberships"`
+	Latency     LatencyStats                `json:"latency"`
 	// Health is the failure-domain state: healthy, degraded (journal
 	// down, mutations rejected) or quarantined (coordinator rerouting
 	// around the shard), plus the counters behind it.
@@ -623,6 +627,7 @@ func (s *Server) Stats() Stats {
 		st.Cache = s.cache.stats()
 	}
 	st.Plans = s.plans.stats()
+	st.Memberships = s.facade.sys.Loader().MembershipStats()
 	st.Health = s.health.healthInfo()
 	if j := s.wal.Load(); j != nil {
 		// Journal counters are atomics; reading them keeps the scrape

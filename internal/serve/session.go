@@ -39,8 +39,9 @@ type Measurement = situation.Measurement
 //     membership flips the rule for users reachable over the role edge.
 //   - A concept the write changes occurs anywhere in a registered rule's
 //     preference (PREFER Person AND InKitchen): membership in it is the
-//     document side of every user's score, and compiled plans hold the
-//     preference's member map.
+//     document side of every user's score. (A compiled plan would notice by
+//     itself — its membership handle reads the concept's table — but cached
+//     rank results are keyed by epoch and fingerprint alone.)
 //   - The apply fails: it is multi-step and may have torn the user's context,
 //     so the previous one is restored and every cached ranking invalidated
 //     (the same over-invalidation policy as the facade's write path).

@@ -486,6 +486,7 @@ func (c *Coordinator) Stats() serve.Stats {
 		}
 		agg.Cache = agg.Cache.Merge(st.Cache)
 		agg.Plans = agg.Plans.Merge(st.Plans)
+		agg.Memberships = agg.Memberships.Merge(st.Memberships)
 		agg.Latency = agg.Latency.Merge(st.Latency)
 		if st.Subs != nil {
 			merged := st.Subs.Merge(subsOrZero(agg.Subs))

@@ -210,6 +210,56 @@ func TestStatsAggregation(t *testing.T) {
 	if st.Broadcast.MeanMicros <= 0 || st.Broadcast.MaxMicros < st.Broadcast.MeanMicros {
 		t.Fatalf("broadcast latency not recorded: %+v", st.Broadcast)
 	}
+	var memo contextrank.MembershipStats
+	for _, sh := range st.Shards {
+		memo = memo.Merge(sh.Memberships)
+	}
+	if memo != st.Memberships || memo.Queries == 0 {
+		t.Fatalf("aggregate memberships %+v, per-shard sum %+v — want the sum, with the ranks' view queries in it", st.Memberships, memo)
+	}
+}
+
+// TestVocabWriteCostsOneQueryPerShardView: a broadcast assert reaches every
+// replica, and on each the users' next ranks refresh their plans — never
+// recompile — behind exactly one query per view that reads the written table
+// (R1's preference reads r_hasGenre; the TvProgram target does not), however
+// many users the shard serves.
+func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
+	c := newTestCoordinator(t, 2)
+	users := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	rankAll := func() {
+		t.Helper()
+		for _, u := range users {
+			if _, _, err := c.Rank(u, "TvProgram", contextrank.RankOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, u := range users {
+		if _, err := c.SetSession(u, []serve.Measurement{{Concept: "Weekend", Prob: 0.9}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rankAll()
+	before := c.Stats()
+	if _, err := c.Assert(nil, []serve.RoleAssertion{{Role: "hasGenre", Src: "BBCNews", Dst: "HUMAN-INTEREST", Prob: 0.4}}); err != nil {
+		t.Fatal(err)
+	}
+	rankAll()
+	after := c.Stats()
+	for i := range after.Shards {
+		b, a := before.Shards[i], after.Shards[i]
+		if a.Sessions == 0 {
+			t.Fatalf("shard %d serves no user: pick users that spread", i)
+		}
+		refreshed, misses := a.Plans.Refreshed-b.Plans.Refreshed, a.Plans.Misses-b.Plans.Misses
+		if refreshed != int64(a.Sessions) || misses != refreshed {
+			t.Fatalf("shard %d: %d users, %d plan misses, %d refreshed — want every user's plan refreshed", i, a.Sessions, misses, refreshed)
+		}
+		if q := a.Memberships.Queries - b.Memberships.Queries; q != 1 {
+			t.Fatalf("shard %d: %d view queries behind %d users' ranks, want 1", i, q, a.Sessions)
+		}
+	}
 }
 
 // TestShardSoakConcurrentAppliesAndRanks is the -race soak: concurrent

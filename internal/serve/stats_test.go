@@ -92,6 +92,11 @@ func TestStatsCountersSurviveConcurrency(t *testing.T) {
 	if st.Latency.Count != 3 || st.Latency.P50Micros <= 0 {
 		t.Fatalf("latency stats = %+v, want 3 observations", st.Latency)
 	}
+	// The one uncached rank compiled R1 (its preference is TvProgram: one view
+	// query) and resolved the target TvProgram (the same expression: a hit).
+	if want := (contextrank.MembershipStats{Hits: 1, Queries: 1, Entries: 1}); st.Memberships != want {
+		t.Fatalf("membership stats = %+v, want %+v", st.Memberships, want)
+	}
 	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}

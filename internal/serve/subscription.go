@@ -15,8 +15,9 @@
 // touches nothing of B's, and an apply that could move B's scores —
 // coupled through a rule's role filler or preference, or failed — bumps the
 // epoch; see Sessions.) Evaluation goes through RankBatch like any other
-// rank — and after the owner's own context apply their plan is *refreshed*
-// incrementally from the cached one rather than recompiled (see planFor),
+// rank — and after the owner's own context apply, or a vocabulary write,
+// their plan is *refreshed* incrementally from the cached one rather than
+// recompiled (see planFor),
 // which is what makes push re-ranking affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by

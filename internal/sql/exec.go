@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/event"
 	"repro/internal/storage"
@@ -25,6 +26,9 @@ type Executor struct {
 
 	mu    sync.RWMutex
 	views map[string]*SelectStmt
+	// redefs counts the DDL statements that removed or redefined an existing
+	// name; see Redefinitions.
+	redefs atomic.Uint64
 }
 
 // NewExecutor builds an executor over the given catalog and runtime.
@@ -61,6 +65,14 @@ func (ex *Executor) ViewDefinition(name string) (*SelectStmt, bool) {
 	return sel, ok
 }
 
+// Redefinitions counts the DDL statements that took an existing name away
+// or gave it a new meaning: DROP TABLE, DROP VIEW and CREATE OR REPLACE VIEW
+// over an existing view. A query that ran successfully means the same while
+// the count stands still — creating a table, view or index under a fresh name
+// cannot change what an existing name resolves to (tables and views share one
+// namespace), and row changes are the tables' own versions. Read lock-free.
+func (ex *Executor) Redefinitions() uint64 { return ex.redefs.Load() }
+
 // maxViewDepth bounds view expansion to catch accidental cycles.
 const maxViewDepth = 64
 
@@ -83,7 +95,11 @@ func (ex *Executor) ExecStmt(stmt Statement) (*Result, error) {
 		if !ex.catalog.Exists(s.Name) && s.IfExists {
 			return nil, nil
 		}
-		return nil, ex.catalog.Drop(s.Name)
+		err := ex.catalog.Drop(s.Name)
+		if err == nil {
+			ex.redefs.Add(1)
+		}
+		return nil, err
 	case *CreateViewStmt:
 		return nil, ex.createView(s)
 	case *DropViewStmt:
@@ -135,8 +151,11 @@ func (ex *Executor) createView(s *CreateViewStmt) error {
 	}
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	if _, ok := ex.views[key]; ok && !s.OrReplace {
-		return fmt.Errorf("sql: view %q already exists", s.Name)
+	if _, ok := ex.views[key]; ok {
+		if !s.OrReplace {
+			return fmt.Errorf("sql: view %q already exists", s.Name)
+		}
+		ex.redefs.Add(1)
 	}
 	ex.views[key] = s.Query
 	return nil
@@ -153,6 +172,7 @@ func (ex *Executor) dropView(s *DropViewStmt) error {
 		return fmt.Errorf("sql: no view %q", s.Name)
 	}
 	delete(ex.views, key)
+	ex.redefs.Add(1)
 	return nil
 }
 

@@ -67,6 +67,11 @@ type Table struct {
 	name   string
 	schema Schema
 
+	// version counts the mutations that changed the table's rows. It is
+	// advanced under mu and read without it, so a holder of a result derived
+	// from the table can ask "still true?" with one atomic load.
+	version atomic.Uint64
+
 	mu      sync.RWMutex
 	rows    []Row
 	indexes map[int]map[string][]int // column -> value key -> live row ids
@@ -92,6 +97,15 @@ func (t *Table) Name() string { return t.name }
 
 // Schema returns the table schema.
 func (t *Table) Schema() Schema { return t.schema }
+
+// Version returns the table's write version: a counter every mutation that
+// changes rows advances (Insert, Update, Delete and DeleteKey that matched
+// something; a no-op does not), and Catalog.Drop advances one last time. Two
+// reads of the same *Table that return the same version saw the same rows.
+// The counter is per table, so the pair to remember is (*Table, version): a
+// dropped and recreated table is a different *Table, and the drop's final
+// advance makes every version remembered from the old one stale.
+func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Len returns the number of live rows.
 func (t *Table) Len() int {
@@ -119,6 +133,7 @@ func (t *Table) Insert(r Row) error {
 	t.rows = append(t.rows, coerced)
 	t.deleted = append(t.deleted, atomic.Bool{})
 	t.nLive++
+	t.version.Add(1)
 	for col, idx := range t.indexes {
 		key := coerced[col].Key()
 		idx[key] = append(idx[key], id)
@@ -243,6 +258,7 @@ func (t *Table) Update(match func(Row) bool, apply func(Row) (Row, error)) (int,
 		rows[id] = r
 	}
 	t.rows = rows
+	t.version.Add(1)
 	t.rebuildIndexesLocked()
 	return len(replacement), nil
 }
@@ -266,6 +282,7 @@ func (t *Table) Delete(match func(Row) bool) int {
 		return 0
 	}
 	t.nLive -= n
+	t.version.Add(1)
 	// One rebuild rather than n removals: the heap was scanned anyway, and
 	// removing many ids from one long index list one by one is quadratic.
 	if !t.compactLocked() {
@@ -314,6 +331,7 @@ func (t *Table) DeleteKey(column string, v Value) (int, error) {
 		}
 	}
 	t.nLive -= len(ids)
+	t.version.Add(1)
 	t.compactLocked()
 	return len(ids), nil
 }
@@ -402,15 +420,20 @@ func (c *Catalog) Exists(name string) bool {
 	return ok
 }
 
-// Drop removes the named table.
+// Drop removes the named table and advances its version, so nothing
+// remembered about the dropped *Table validates again.
 func (c *Catalog) Drop(name string) error {
 	key := strings.ToLower(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[key]; !ok {
+	t, ok := c.tables[key]
+	if !ok {
 		return fmt.Errorf("storage: no table %q", name)
 	}
 	delete(c.tables, key)
+	t.mu.Lock()
+	t.version.Add(1)
+	t.mu.Unlock()
 	return nil
 }
 

@@ -269,6 +269,52 @@ func BenchmarkSessionApply(b *testing.B) {
 	}
 }
 
+// BenchmarkVocabWriteRank prices the ranks that follow a vocabulary write:
+// one hasGenre tuple is asserted outside the timer — every bench rule's
+// preference reads r_hasGenre, and the epoch bump voids the rank cache — then
+// each of N users with a warm plan ranks once. ns/op is one such rank. The
+// first user's plan refresh queries the 8 preference views; the others take
+// the memberships from the loader's memo, so users=16 must cost well under
+// users=1 per rank: CI's bench-regression job gates it at half, from the same
+// run.
+func BenchmarkVocabWriteRank(b *testing.B) {
+	const k = 8
+	opts := contextrank.RankOptions{Limit: 10}
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
+			srv, users := benchServer(b, k, n)
+			for _, u := range users {
+				if _, _, err := srv.Rank(u, "TvProgram", opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			before := srv.Stats().Plans
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					b.StopTimer()
+					tuple := serve.RoleAssertion{Role: "hasGenre", Src: fmt.Sprintf("tv%03d", (i/n)%15), Dst: fmt.Sprintf("genre%02d", (i/n/15)%5), Prob: 1}
+					if _, err := srv.Assert(nil, []serve.RoleAssertion{tuple}); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, meta, err := srv.Rank(users[i%n], "TvProgram", opts); err != nil {
+					b.Fatal(err)
+				} else if meta.Cached {
+					b.Fatal("the write failed to invalidate")
+				}
+			}
+			b.StopTimer()
+			after := srv.Stats().Plans
+			if refreshed := after.Refreshed - before.Refreshed; refreshed != int64(b.N) || after.Misses-before.Misses != refreshed {
+				b.Fatalf("%d ranks after writes: %d plan misses, %d refreshed — want every one a refresh",
+					b.N, after.Misses-before.Misses, refreshed)
+			}
+		})
+	}
+}
+
 // BenchmarkServeMutationInvalidation measures the worst case for the
 // cache: every rank preceded by an epoch-bumping mutation, so nothing is
 // ever served from cache and each request pays recompute + invalidation.
