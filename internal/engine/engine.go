@@ -61,6 +61,15 @@ func (db *DB) Query(stmt string) (*sql.Result, error) {
 	return res, nil
 }
 
+// QueryStmt runs an already parsed SELECT: the path for callers that issue
+// one statement shape many times and would otherwise pay the lexer and parser
+// on every call. The statement is only read.
+func (db *DB) QueryStmt(sel *sql.SelectStmt) (*sql.Result, error) { return db.exec.ExecStmt(sel) }
+
+// RowsRead counts the base-table rows SELECTs have read, by full scan and
+// through an index (see sql.Executor.RowsRead).
+func (db *DB) RowsRead() (scan, index int64) { return db.exec.RowsRead() }
+
 // QueryScalar executes a query expected to return exactly one value.
 func (db *DB) QueryScalar(stmt string) (storage.Value, error) {
 	res, err := db.Query(stmt)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dl"
 	"repro/internal/engine"
 	"repro/internal/event"
+	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
@@ -332,9 +333,13 @@ func (l *Loader) AssertRole(role, src, dst string, ev *event.Expr) error {
 			merged = event.Or(merged, d)
 		}
 		ev = merged
-		tab.Delete(func(r storage.Row) bool {
-			return storage.Equal(r[0], srcKey) && storage.Equal(r[1], dstKey)
-		})
+		// Through the src index, with the dst test as the residual: replacing
+		// one pair costs that source's tuples, not the role's.
+		if _, err := tab.DeleteKeyWhere("src", srcKey, func(r storage.Row) bool {
+			return storage.Equal(r[1], dstKey)
+		}); err != nil {
+			return err
+		}
 	}
 	return l.db.InsertRow(RoleTable(role), src, dst, ev)
 }
@@ -621,7 +626,7 @@ func (l *Loader) MembershipEvent(expr *dl.Expr, id string) (*event.Expr, error) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := l.db.Query(fmt.Sprintf("SELECT ev FROM %s WHERE id = %s", view, sqlQuote(id)))
+	res, err := l.db.QueryStmt(eventQuery(view, id))
 	if err != nil {
 		return nil, err
 	}
@@ -637,6 +642,33 @@ func (l *Loader) MembershipEvent(expr *dl.Expr, id string) (*event.Expr, error) 
 		evs = append(evs, ev)
 	}
 	return event.Or(evs...), nil
+}
+
+// The two statements the rank path issues against a compiled view, built as
+// syntax trees so that no SQL text is formatted, lexed or parsed per call.
+var (
+	idItem = sql.SelectItem{Expr: &sql.ColumnRef{Column: "id"}}
+	evItem = sql.SelectItem{Expr: &sql.ColumnRef{Column: "ev"}}
+)
+
+// membersQuery is SELECT id, ev FROM view; eventQuery is SELECT ev FROM view
+// WHERE id = 'id', which the executor answers through the id indexes under
+// the view.
+func membersQuery(view string) *sql.SelectStmt {
+	return &sql.SelectStmt{
+		Items: []sql.SelectItem{idItem, evItem},
+		From:  []sql.TableRef{{Table: view}},
+		Limit: -1,
+	}
+}
+
+func eventQuery(view, id string) *sql.SelectStmt {
+	return &sql.SelectStmt{
+		Items: []sql.SelectItem{evItem},
+		From:  []sql.TableRef{{Table: view}},
+		Where: &sql.Binary{Op: "=", L: idItem.Expr, R: &sql.Literal{Val: storage.Text(id)}},
+		Limit: -1,
+	}
 }
 
 // Membership is who is in a concept expression: every individual possibly
@@ -777,7 +809,7 @@ func (l *Loader) queryMembers(expr *dl.Expr, redefs uint64) (*Membership, error)
 	if m.reads, err = l.readSet(expr); err != nil {
 		return nil, err
 	}
-	res, err := l.db.Query(fmt.Sprintf("SELECT id, ev FROM %s", view))
+	res, err := l.db.QueryStmt(membersQuery(view))
 	if err != nil {
 		return nil, err
 	}

@@ -19,13 +19,37 @@ type Runtime struct {
 type binding struct {
 	table  string // binding name (alias or table name); lower case
 	column string // lower case
+	// typ is the column's static type (see staticType); the zero value on
+	// bindings nothing type-checks against.
+	typ storage.Type
 }
 
-// env is the evaluation environment: the working row plus its bindings.
+// env is the evaluation environment: the working row plus its bindings. One
+// env serves a whole loop over rows — the loop sets row — so evaluation
+// allocates per query, not per row.
 type env struct {
 	cols []binding
 	row  storage.Row
 	rt   *Runtime
+	// agg marks an aggregate context: aggregate calls are computed over group
+	// and everything else over row, the group's representative.
+	agg   bool
+	group []storage.Row
+}
+
+// truth evaluates a condition on row; NULL and non-BOOL results are false. A
+// nil condition holds.
+func (e *env) truth(cond Expr, row storage.Row) (bool, error) {
+	if cond == nil {
+		return true, nil
+	}
+	e.row = row
+	v, err := e.eval(cond)
+	if err != nil {
+		return false, err
+	}
+	t, _ := v.Truth()
+	return t, nil
 }
 
 // lookup resolves a column reference against the bindings. Unqualified names
@@ -307,16 +331,21 @@ func (e *env) evalIn(x *InList) (storage.Value, error) {
 	return storage.Bool(x.Not), nil
 }
 
-// evalFunc dispatches scalar builtins. Aggregates never reach here; the
-// executor rewrites them before projection.
+// evalFunc dispatches scalar builtins, and aggregates in an aggregate
+// context; anywhere else an aggregate is an unknown function.
 func (e *env) evalFunc(x *FuncCall) (storage.Value, error) {
-	args := make([]storage.Value, len(x.Args))
-	for i, a := range x.Args {
+	if e.agg && aggregateNames[x.Name] {
+		return e.aggregate(x)
+	}
+	// callScalar keeps no reference to args, so the usual few live on the stack.
+	var buf [4]storage.Value
+	args := buf[:0]
+	for _, a := range x.Args {
 		v, err := e.eval(a)
 		if err != nil {
 			return storage.Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	return callScalar(e.rt, x.Name, args)
 }

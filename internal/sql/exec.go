@@ -29,6 +29,8 @@ type Executor struct {
 	// redefs counts the DDL statements that removed or redefined an existing
 	// name; see Redefinitions.
 	redefs atomic.Uint64
+	// Base-table rows handed to SELECTs, by access path; see RowsRead.
+	scanRows, indexRows atomic.Int64
 }
 
 // NewExecutor builds an executor over the given catalog and runtime.
@@ -72,6 +74,12 @@ func (ex *Executor) ViewDefinition(name string) (*SelectStmt, bool) {
 // cannot change what an existing name resolves to (tables and views share one
 // namespace), and row changes are the tables' own versions. Read lock-free.
 func (ex *Executor) Redefinitions() uint64 { return ex.redefs.Load() }
+
+// RowsRead counts the base-table rows SELECTs have read so far: by full scan,
+// and through a hash index. Tests read a query's plan shape off the pair.
+func (ex *Executor) RowsRead() (scan, index int64) {
+	return ex.scanRows.Load(), ex.indexRows.Load()
+}
 
 // maxViewDepth bounds view expansion to catch accidental cycles.
 const maxViewDepth = 64
@@ -117,7 +125,7 @@ func (ex *Executor) ExecStmt(stmt Statement) (*Result, error) {
 	case *UpdateStmt:
 		return ex.update(s)
 	case *SelectStmt:
-		return ex.execSelect(s, 0)
+		return ex.execSelect(s, 0, nil)
 	}
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 }
@@ -229,18 +237,13 @@ func (ex *Executor) delete(s *DeleteStmt) (*Result, error) {
 		cols[i] = binding{table: lname, column: strings.ToLower(c.Name)}
 	}
 	var evalErr error
+	e := &env{cols: cols, rt: ex.rt}
 	n := tab.Delete(func(r storage.Row) bool {
-		if s.Where == nil {
-			return true
-		}
-		e := &env{cols: cols, row: r, rt: ex.rt}
-		v, err := e.eval(s.Where)
+		ok, err := e.truth(s.Where, r)
 		if err != nil {
 			evalErr = err
-			return false
 		}
-		truth, _ := v.Truth()
-		return truth
+		return ok
 	})
 	if evalErr != nil {
 		return nil, evalErr
@@ -268,21 +271,16 @@ func (ex *Executor) update(s *UpdateStmt) (*Result, error) {
 		positions[i] = idx
 	}
 	var evalErr error
+	e := &env{cols: cols, rt: ex.rt}
 	match := func(r storage.Row) bool {
-		if s.Where == nil {
-			return true
-		}
-		e := &env{cols: cols, row: r, rt: ex.rt}
-		v, err := e.eval(s.Where)
+		ok, err := e.truth(s.Where, r)
 		if err != nil {
 			evalErr = err
-			return false
 		}
-		truth, _ := v.Truth()
-		return truth
+		return ok
 	}
 	apply := func(r storage.Row) (storage.Row, error) {
-		e := &env{cols: cols, row: r, rt: ex.rt}
+		e.row = r
 		// Evaluate all right-hand sides against the pre-update row first,
 		// so "SET a = b, b = a" swaps.
 		vals := make([]storage.Value, len(s.Set))
@@ -314,31 +312,33 @@ type relation struct {
 	rows []storage.Row
 }
 
-func (ex *Executor) execSelect(sel *SelectStmt, depth int) (*Result, error) {
+// execSelect runs one SELECT. outer holds the sets its consumer derived for
+// its output columns, by position (see constrain); nil for a top-level query.
+func (ex *Executor) execSelect(sel *SelectStmt, depth int, outer colSets) (*Result, error) {
 	if depth > maxViewDepth {
 		return nil, fmt.Errorf("sql: view nesting exceeds %d (cycle?)", maxViewDepth)
 	}
-	rel, err := ex.buildFrom(sel.From, depth)
+	rel, err := ex.buildFrom(sel, depth, outer)
 	if err != nil {
 		return nil, err
 	}
 	// WHERE.
 	if sel.Where != nil {
 		filtered := rel.rows[:0:0]
+		e := &env{cols: rel.cols, rt: ex.rt}
 		for _, r := range rel.rows {
-			e := &env{cols: rel.cols, row: r, rt: ex.rt}
-			v, err := e.eval(sel.Where)
+			ok, err := e.truth(sel.Where, r)
 			if err != nil {
 				return nil, err
 			}
-			if truth, _ := v.Truth(); truth {
+			if ok {
 				filtered = append(filtered, r)
 			}
 		}
 		rel.rows = filtered
 	}
 
-	aggregated := len(sel.GroupBy) > 0 || sel.Having != nil || itemsHaveAggregate(sel.Items)
+	aggregated := isAggregated(sel)
 	var res *Result
 	if aggregated {
 		res, err = ex.execAggregate(sel, rel)
@@ -360,7 +360,9 @@ func (ex *Executor) execSelect(sel *SelectStmt, depth int) (*Result, error) {
 		res.Rows = res.Rows[:sel.Limit]
 	}
 	if sel.Union != nil {
-		rest, err := ex.execSelect(sel.Union, depth)
+		// The branches line up by position, so the consumer's sets hold for
+		// each of them.
+		rest, err := ex.execSelect(sel.Union, depth, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -381,80 +383,179 @@ func itemsHaveAggregate(items []SelectItem) bool {
 	return false
 }
 
-// buildFrom assembles the working relation for a FROM clause; a missing FROM
-// yields a single empty row.
-func (ex *Executor) buildFrom(refs []TableRef, depth int) (*relation, error) {
-	if len(refs) == 0 {
+// buildFrom assembles the working relation of a SELECT's FROM clause; a
+// missing FROM yields a single empty row. Every item is read through the
+// narrowest access path its column sets and its join allow — an unconstrained
+// item that nothing joins to simply gets the full scan — and the joins
+// themselves then run on what was read, in FROM order, so the rows and their
+// order are those of scanning everything.
+func (ex *Executor) buildFrom(sel *SelectStmt, depth int, outer colSets) (*relation, error) {
+	if len(sel.From) == 0 {
 		return &relation{rows: []storage.Row{{}}}, nil
 	}
-	acc, err := ex.resolveRef(refs[0], depth)
+	items, err := ex.describeFrom(sel.From, depth)
 	if err != nil {
 		return nil, err
 	}
-	if refs[0].Join != JoinCross || refs[0].On != nil {
-		return nil, fmt.Errorf("sql: first FROM item cannot have a join condition")
-	}
-	for _, ref := range refs[1:] {
-		right, err := ex.resolveRef(ref, depth)
-		if err != nil {
+	sets := constrain(sel, items, outer)
+
+	var acc, second *relation
+	if l, r, ok := rightFirst(items, sets); ok {
+		// An inner join whose left item is a whole base table with an index on
+		// its join column: evaluate the right item first and fetch only the
+		// left rows it can match.
+		if second, err = ex.resolveRef(items[1], sets, depth); err != nil {
 			return nil, err
 		}
-		acc, err = ex.join(acc, right, ref.Join, ref.On)
-		if err != nil {
+		acc = ex.fetchMatching(items[0], l, second.rows, r)
+	}
+	if acc == nil {
+		if acc, err = ex.resolveRef(items[0], sets, depth); err != nil {
+			return nil, err
+		}
+	}
+	for i, it := range items[1:] {
+		var right *relation
+		if i == 0 {
+			right = second
+		}
+		// Sideways reduction: a whole base table on the right of an equi-join
+		// is read through its index on the join column when the rows joined
+		// so far are few.
+		if l, r, _, ok := equiJoinColumns(it.ref.On, acc.cols, it.cols); right == nil && ok && it.ref.Join != JoinCross && !sets.touch(it) {
+			right = ex.fetchMatching(it, r, acc.rows, l)
+		}
+		if right == nil {
+			if right, err = ex.resolveRef(it, sets, depth); err != nil {
+				return nil, err
+			}
+		}
+		if acc, err = ex.join(acc, right, it.ref.Join, it.ref.On); err != nil {
 			return nil, err
 		}
 	}
 	return acc, nil
 }
 
-// resolveRef materializes one FROM item: base table, view, or subquery.
-func (ex *Executor) resolveRef(ref TableRef, depth int) (*relation, error) {
-	name := strings.ToLower(ref.Name())
-	if ref.Subquery != nil {
-		sub, err := ex.execSelect(ref.Subquery, depth+1)
-		if err != nil {
-			return nil, err
+// touch reports whether any set lands on the item's columns.
+func (s colSets) touch(it fromItem) bool {
+	for col := range s {
+		if it.has(col) {
+			return true
 		}
-		return resultToRelation(sub, name), nil
 	}
-	// View?
-	ex.mu.RLock()
-	viewSel, isView := ex.views[strings.ToLower(ref.Table)]
-	ex.mu.RUnlock()
-	if isView {
-		sub, err := ex.execSelect(viewSel, depth+1)
-		if err != nil {
-			return nil, fmt.Errorf("sql: view %s: %w", ref.Table, err)
-		}
-		return resultToRelation(sub, name), nil
-	}
-	tab, err := ex.catalog.Get(ref.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := tab.Schema()
-	cols := make([]binding, schema.Arity())
-	for i, c := range schema.Columns {
-		cols[i] = binding{table: name, column: strings.ToLower(c.Name)}
-	}
-	var rows []storage.Row
-	tab.Scan(func(r storage.Row) error {
-		rows = append(rows, r)
-		return nil
-	})
-	return &relation{cols: cols, rows: rows}, nil
+	return false
 }
 
-func resultToRelation(res *Result, bindName string) *relation {
-	cols := make([]binding, len(res.Cols))
-	for i, c := range res.Cols {
-		cols[i] = binding{table: bindName, column: strings.ToLower(c)}
+// rightFirst reports whether the first join should evaluate its right item
+// before its left one, and the join's column on each side: the left item is
+// an unconstrained base table with an index on its join column, the join is
+// an inner one (the preserved side of a LEFT JOIN is never narrowed from its
+// right), and the right item is not just a larger whole table.
+func rightFirst(items []fromItem, sets colSets) (l, r int, ok bool) {
+	if len(items) < 2 || items[1].ref.Join != JoinInner || items[0].tab == nil || sets.touch(items[0]) {
+		return 0, 0, false
 	}
-	return &relation{cols: cols, rows: res.Rows}
+	left, right := items[0], items[1]
+	l, r, _, ok = equiJoinColumns(right.ref.On, left.cols, right.cols)
+	if !ok || !left.tab.HasIndex(left.cols[l].column) {
+		return 0, 0, false
+	}
+	if right.tab != nil && !sets.touch(right) && right.tab.Len() >= left.tab.Len() {
+		return 0, 0, false
+	}
+	return l, r, true
+}
+
+// sidewaysShare bounds sideways reduction: the index is probed only when the
+// distinct join values are at most this share of the table's rows; past it a
+// scan reads about as much and costs less per row.
+const sidewaysShare = 4
+
+// fetchMatching reads the base-table item through its index on column col,
+// keeping only the rows that equal some from[i][fromCol]. It returns nil when
+// that is not possible or not worth it (a view, no index, too many distinct
+// values), and the caller resolves the item as usual; with nothing to match
+// it reads nothing. The index read may return rows the join then rejects; it
+// never misses one the join would find.
+func (ex *Executor) fetchMatching(it fromItem, col int, from []storage.Row, fromCol int) *relation {
+	if it.tab == nil || !it.tab.HasIndex(it.cols[col].column) {
+		return nil
+	}
+	limit := it.tab.Len() / sidewaysShare
+	seen := make(map[storage.Key]bool, min(len(from), limit))
+	vals := make([]storage.Value, 0, min(len(from), limit))
+	for _, r := range from {
+		v := r[fromCol]
+		if k := v.Key(); !v.IsNull() && !seen[k] {
+			if len(vals) == limit {
+				return nil
+			}
+			seen[k] = true
+			vals = append(vals, v)
+		}
+	}
+	rel := &relation{cols: it.cols}
+	indexed, _ := it.tab.ScanKeys(it.cols[col].column, vals, func(r storage.Row) error {
+		rel.rows = append(rel.rows, r)
+		return nil
+	})
+	if !indexed {
+		return nil
+	}
+	ex.indexRows.Add(int64(len(rel.rows)))
+	return rel
+}
+
+// resolveRef materializes one FROM item. A view or subquery is run with the
+// sets that land on its output; a base table is read through a hash index on
+// a constrained column when it has one, and scanned otherwise.
+func (ex *Executor) resolveRef(it fromItem, sets colSets, depth int) (*relation, error) {
+	if it.sub != nil {
+		var outer colSets
+		for col, vals := range sets {
+			if it.has(col) {
+				if outer == nil {
+					outer = colSets{}
+				}
+				outer[col-it.off] = vals
+			}
+		}
+		sub, err := ex.execSelect(it.sub, depth+1, outer)
+		if err != nil {
+			if it.ref.Subquery == nil {
+				err = fmt.Errorf("sql: view %s: %w", it.ref.Table, err)
+			}
+			return nil, err
+		}
+		return &relation{cols: it.cols, rows: sub.Rows}, nil
+	}
+	rel := &relation{cols: it.cols}
+	collect := func(r storage.Row) error {
+		rel.rows = append(rel.rows, r)
+		return nil
+	}
+	for j, b := range it.cols {
+		vals, ok := sets[it.off+j]
+		if !ok {
+			continue
+		}
+		// The callback never fails and the column exists.
+		if indexed, _ := it.tab.ScanKeys(b.column, vals, collect); indexed {
+			ex.indexRows.Add(int64(len(rel.rows)))
+			return rel, nil
+		}
+	}
+	_ = it.tab.Scan(collect) // the callback never fails
+	ex.scanRows.Add(int64(len(rel.rows)))
+	return rel, nil
 }
 
 // join combines two relations. Equality joins between one column of each
-// side use a hash join; everything else is a (filtered) nested loop.
+// side use a hash join over the right rows, probed in left order — so a
+// caller that hands it fewer rows on either side (buildFrom's index reads)
+// gets the same rows in the same order as long as it dropped none that
+// match; everything else is a (filtered) nested loop.
 func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relation, error) {
 	outCols := make([]binding, 0, len(left.cols)+len(right.cols))
 	outCols = append(outCols, left.cols...)
@@ -470,23 +571,23 @@ func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relati
 		return out, nil
 	}
 
+	e := &env{cols: out.cols, rt: ex.rt}
 	// Try to extract an equi-join pair for hashing.
 	if lIdx, rIdx, rest, ok := equiJoinColumns(on, left.cols, right.cols); ok {
-		ht := make(map[string][]storage.Row, len(right.rows))
+		ht := make(map[storage.Key][]storage.Row, len(right.rows))
 		for _, rr := range right.rows {
-			v := rr[rIdx]
-			if v.IsNull() {
-				continue
+			if v := rr[rIdx]; !v.IsNull() {
+				k := v.NumericKey()
+				ht[k] = append(ht[k], rr)
 			}
-			ht[v.Key()] = append(ht[v.Key()], rr)
 		}
 		for _, lr := range left.rows {
 			matched := false
 			v := lr[lIdx]
 			if !v.IsNull() {
-				for _, rr := range ht[v.Key()] {
+				for _, rr := range ht[v.NumericKey()] {
 					joined := concatRows(lr, rr)
-					okRest, err := ex.passes(rest, out.cols, joined)
+					okRest, err := e.truth(rest, joined)
 					if err != nil {
 						return nil, err
 					}
@@ -508,7 +609,7 @@ func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relati
 		matched := false
 		for _, rr := range right.rows {
 			joined := concatRows(lr, rr)
-			ok, err := ex.passes(on, out.cols, joined)
+			ok, err := e.truth(on, joined)
 			if err != nil {
 				return nil, err
 			}
@@ -522,19 +623,6 @@ func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relati
 		}
 	}
 	return out, nil
-}
-
-func (ex *Executor) passes(cond Expr, cols []binding, row storage.Row) (bool, error) {
-	if cond == nil {
-		return true, nil
-	}
-	e := &env{cols: cols, row: row, rt: ex.rt}
-	v, err := e.eval(cond)
-	if err != nil {
-		return false, err
-	}
-	truth, _ := v.Truth()
-	return truth, nil
 }
 
 func concatRows(a, b storage.Row) storage.Row {
@@ -630,9 +718,10 @@ func (ex *Executor) execProject(sel *SelectStmt, rel *relation) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cols: outCols}
+	res := &Result{Cols: outCols, Rows: make([]storage.Row, 0, len(rel.rows))}
+	e := &env{cols: rel.cols, rt: ex.rt}
 	for _, r := range rel.rows {
-		e := &env{cols: rel.cols, row: r, rt: ex.rt}
+		e.row = r
 		out := make(storage.Row, len(exprs))
 		for i, x := range exprs {
 			v, err := e.eval(x)
@@ -684,15 +773,14 @@ func expandItems(items []SelectItem, cols []binding) ([]string, []Expr, error) {
 func dedupeRows(rows []storage.Row) []storage.Row {
 	seen := make(map[string]bool, len(rows))
 	out := rows[:0:0]
+	var key []byte
 	for _, r := range rows {
-		var b strings.Builder
+		key = key[:0]
 		for _, v := range r {
-			b.WriteString(v.Key())
-			b.WriteByte('\x01')
+			key = v.Key().AppendTo(key)
 		}
-		k := b.String()
-		if !seen[k] {
-			seen[k] = true
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, r)
 		}
 	}
@@ -713,13 +801,15 @@ func (ex *Executor) orderRows(sel *SelectStmt, rel *relation, res *Result, aggre
 	}
 	canFallback := !aggregated && !sel.Distinct && len(rel.rows) == len(res.Rows)
 	keyedRows := make([]keyed, len(res.Rows))
+	outEnv := &env{cols: outBind, rt: ex.rt}
+	inEnv := &env{cols: rel.cols, rt: ex.rt}
 	for i, r := range res.Rows {
 		keys := make([]storage.Value, len(sel.OrderBy))
 		for j, ob := range sel.OrderBy {
-			outEnv := &env{cols: outBind, row: r, rt: ex.rt}
+			outEnv.row = r
 			v, err := outEnv.eval(ob.Expr)
 			if err != nil && canFallback {
-				inEnv := &env{cols: rel.cols, row: rel.rows[i], rt: ex.rt}
+				inEnv.row = rel.rows[i]
 				v, err = inEnv.eval(ob.Expr)
 			}
 			if err != nil {
@@ -757,47 +847,47 @@ func (ex *Executor) orderRows(sel *SelectStmt, rel *relation, res *Result, aggre
 
 // execAggregate runs GROUP BY / aggregate queries.
 func (ex *Executor) execAggregate(sel *SelectStmt, rel *relation) (*Result, error) {
-	type group struct {
-		keyRow storage.Row // representative input row
-		rows   []storage.Row
-	}
-	groups := make(map[string]*group)
-	var order []string
+	// A group's representative is its first row.
+	groups := make(map[string]int)
+	var order [][]storage.Row
+	e := &env{cols: rel.cols, rt: ex.rt}
+	var key []byte
 	for _, r := range rel.rows {
-		e := &env{cols: rel.cols, row: r, rt: ex.rt}
-		var kb strings.Builder
+		e.row = r
+		key = key[:0]
 		for _, g := range sel.GroupBy {
 			v, err := e.eval(g)
 			if err != nil {
 				return nil, err
 			}
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x01')
+			key = v.Key().AppendTo(key)
 		}
-		k := kb.String()
-		grp, ok := groups[k]
+		i, ok := groups[string(key)]
 		if !ok {
-			grp = &group{keyRow: r}
-			groups[k] = grp
-			order = append(order, k)
+			i = len(order)
+			groups[string(key)] = i
+			order = append(order, nil)
 		}
-		grp.rows = append(grp.rows, r)
+		order[i] = append(order[i], r)
 	}
 	// A global aggregate over zero rows still yields one group.
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
+	if len(sel.GroupBy) == 0 && len(order) == 0 {
+		order = append(order, nil)
 	}
 
 	outCols, exprs, err := expandItems(sel.Items, rel.cols)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Cols: outCols}
-	for _, k := range order {
-		grp := groups[k]
+	res := &Result{Cols: outCols, Rows: make([]storage.Row, 0, len(order))}
+	e.agg = true
+	for _, rows := range order {
+		e.row, e.group = nil, rows
+		if len(rows) > 0 {
+			e.row = rows[0]
+		}
 		if sel.Having != nil {
-			hv, err := ex.evalWithAggregates(sel.Having, rel.cols, grp.keyRow, grp.rows)
+			hv, err := e.eval(sel.Having)
 			if err != nil {
 				return nil, err
 			}
@@ -807,7 +897,7 @@ func (ex *Executor) execAggregate(sel *SelectStmt, rel *relation) (*Result, erro
 		}
 		out := make(storage.Row, len(exprs))
 		for i, x := range exprs {
-			v, err := ex.evalWithAggregates(x, rel.cols, grp.keyRow, grp.rows)
+			v, err := e.eval(x)
 			if err != nil {
 				return nil, err
 			}
@@ -818,122 +908,20 @@ func (ex *Executor) execAggregate(sel *SelectStmt, rel *relation) (*Result, erro
 	return res, nil
 }
 
-// evalWithAggregates evaluates an expression in which aggregate calls are
-// computed over the group's rows and everything else over the group's
-// representative row.
-func (ex *Executor) evalWithAggregates(x Expr, cols []binding, keyRow storage.Row, rows []storage.Row) (storage.Value, error) {
-	rewritten, err := ex.rewriteAggregates(x, cols, rows)
-	if err != nil {
-		return storage.Value{}, err
-	}
-	e := &env{cols: cols, row: keyRow, rt: ex.rt}
-	return e.eval(rewritten)
-}
-
-// rewriteAggregates replaces aggregate calls with literals of their computed
-// values.
-func (ex *Executor) rewriteAggregates(x Expr, cols []binding, rows []storage.Row) (Expr, error) {
-	switch x := x.(type) {
-	case nil, *Literal, *ColumnRef:
-		return x, nil
-	case *Unary:
-		inner, err := ex.rewriteAggregates(x.X, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: x.Op, X: inner}, nil
-	case *Binary:
-		l, err := ex.rewriteAggregates(x.L, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.rewriteAggregates(x.R, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: x.Op, L: l, R: r}, nil
-	case *IsNull:
-		inner, err := ex.rewriteAggregates(x.X, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{X: inner, Not: x.Not}, nil
-	case *Like:
-		inner, err := ex.rewriteAggregates(x.X, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := ex.rewriteAggregates(x.Pattern, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Like{X: inner, Not: x.Not, Pattern: pat}, nil
-	case *InList:
-		inner, err := ex.rewriteAggregates(x.X, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		set := make([]Expr, len(x.Set))
-		for i, s := range x.Set {
-			set[i], err = ex.rewriteAggregates(s, cols, rows)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &InList{X: inner, Not: x.Not, Set: set}, nil
-	case *CaseExpr:
-		out := &CaseExpr{}
-		for _, w := range x.Whens {
-			c, err := ex.rewriteAggregates(w.Cond, cols, rows)
-			if err != nil {
-				return nil, err
-			}
-			t, err := ex.rewriteAggregates(w.Then, cols, rows)
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, CaseWhen{Cond: c, Then: t})
-		}
-		if x.Else != nil {
-			e, err := ex.rewriteAggregates(x.Else, cols, rows)
-			if err != nil {
-				return nil, err
-			}
-			out.Else = e
-		}
-		return out, nil
-	case *FuncCall:
-		if !aggregateNames[x.Name] {
-			args := make([]Expr, len(x.Args))
-			var err error
-			for i, a := range x.Args {
-				args[i], err = ex.rewriteAggregates(a, cols, rows)
-				if err != nil {
-					return nil, err
-				}
-			}
-			return &FuncCall{Name: x.Name, Args: args, Star: x.Star}, nil
-		}
-		v, err := ex.computeAggregate(x, cols, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &Literal{Val: v}, nil
-	}
-	return nil, fmt.Errorf("sql: cannot rewrite %T", x)
-}
-
-func (ex *Executor) computeAggregate(x *FuncCall, cols []binding, rows []storage.Row) (storage.Value, error) {
+// aggregate computes one aggregate call over the env's group.
+func (e *env) aggregate(x *FuncCall) (storage.Value, error) {
+	rows := e.group
 	if x.Name == "COUNT" && x.Star {
 		return storage.Int(int64(len(rows))), nil
 	}
 	if len(x.Args) != 1 {
 		return storage.Value{}, fmt.Errorf("sql: %s expects exactly one argument", x.Name)
 	}
-	var vals []storage.Value
+	vals := make([]storage.Value, 0, len(rows))
+	arg := &env{cols: e.cols, rt: e.rt}
 	for _, r := range rows {
-		e := &env{cols: cols, row: r, rt: ex.rt}
-		v, err := e.eval(x.Args[0])
+		arg.row = r
+		v, err := arg.eval(x.Args[0])
 		if err != nil {
 			return storage.Value{}, err
 		}

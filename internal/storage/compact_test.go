@@ -167,6 +167,29 @@ func TestDeleteKeyChurnKeepsIndexesConsistent(t *testing.T) {
 		if rows, err := tab.Lookup("id", Text("hot")); err != nil || len(rows) != n {
 			t.Fatalf("round %d: lookup before delete = %d rows, %v; want %d", round, len(rows), err, n)
 		}
+		if n == 2 {
+			// The residual form — a duplicate AssertRole's path — takes one of
+			// the two out and leaves both indexes listing the other.
+			grp := int64(round % 2)
+			one, err := tab.DeleteKeyWhere("id", Text("hot"), func(r Row) bool { return r[1].I == grp })
+			if err != nil || one != 1 {
+				t.Fatalf("round %d: DeleteKeyWhere = %d, %v; want 1", round, one, err)
+			}
+			rest, err := tab.Lookup("id", Text("hot"))
+			if err != nil || len(rest) != 1 || rest[0][1].I == grp {
+				t.Fatalf("round %d: after DeleteKeyWhere the id index lists %v (%v)", round, rest, err)
+			}
+			sameGrp, _ := tab.Lookup("grp", Int(grp))
+			for _, r := range sameGrp {
+				if r[0].S == "hot" {
+					t.Fatalf("round %d: the grp index still lists the deleted row", round)
+				}
+			}
+			if none, _ := tab.DeleteKeyWhere("id", Text("hot"), func(r Row) bool { return false }); none != 0 {
+				t.Fatalf("round %d: a residual that rejects every row removed %d", round, none)
+			}
+			n = 1
+		}
 		got, err := tab.DeleteKey("id", Text("hot"))
 		if err != nil || got != n {
 			t.Fatalf("round %d: DeleteKey = %d, %v; want %d", round, got, err, n)

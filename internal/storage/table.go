@@ -74,7 +74,7 @@ type Table struct {
 
 	mu      sync.RWMutex
 	rows    []Row
-	indexes map[int]map[string][]int // column -> value key -> live row ids
+	indexes map[int]map[Key][]int // column -> value key -> live row ids, ascending
 	// deleted is parallel to rows: deleted[id] marks row id as a tombstone.
 	// The flags are atomics because Scan reads them without the lock; a
 	// delete sets them in place, so it costs the rows it removes, not the
@@ -88,7 +88,7 @@ func NewTable(name string, schema Schema) *Table {
 	return &Table{
 		name:    name,
 		schema:  schema,
-		indexes: make(map[int]map[string][]int),
+		indexes: make(map[int]map[Key][]int),
 	}
 }
 
@@ -189,29 +189,65 @@ func (t *Table) Scan(fn func(Row) error) error {
 	return nil
 }
 
+// ScanKeys is the index read: it calls fn for the live rows whose column
+// equals any of vals — under Equal, so an INT probe finds a FLOAT column's
+// 1.0 — in heap order, the order Scan would visit them in. It reports false
+// and visits nothing when the column has no index; the caller then scans.
+// Like Scan it passes rows without cloning; the posting lists are copied out
+// under the read lock, because DeleteKey edits them in place.
+func (t *Table) ScanKeys(column string, vals []Value, fn func(Row) error) (indexed bool, err error) {
+	col := t.schema.ColumnIndex(column)
+	if col < 0 {
+		return false, fmt.Errorf("storage: table %s has no column %q", t.name, column)
+	}
+	var buf [16]int
+	ids := buf[:0]
+	lists := 0
+	t.mu.RLock()
+	idx, ok := t.indexes[col]
+	for i := 0; ok && i < len(vals); i++ {
+		if key, found := probeKey(t.schema.Columns[col].Type, vals[i]); found {
+			if list := idx[key]; len(list) > 0 {
+				ids = append(ids, list...)
+				lists++
+			}
+		}
+	}
+	rows, deleted := t.rows, t.deleted
+	t.mu.RUnlock()
+	if !ok {
+		return false, nil
+	}
+	if lists > 1 {
+		// Each list ascends; together they may interleave, and a value given
+		// twice contributes its list twice.
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
+	for _, id := range ids {
+		if deleted[id].Load() {
+			continue
+		}
+		if err := fn(rows[id]); err != nil {
+			return true, err
+		}
+	}
+	return true, nil
+}
+
 // Lookup returns the live rows whose column equals v, using the hash index
 // if present and a scan otherwise. Returned rows are clones.
 func (t *Table) Lookup(column string, v Value) ([]Row, error) {
-	col := t.schema.ColumnIndex(column)
-	if col < 0 {
-		return nil, fmt.Errorf("storage: table %s has no column %q", t.name, column)
-	}
-	t.mu.RLock()
-	idx, ok := t.indexes[col]
-	if ok {
-		ids := idx[v.Key()]
-		out := make([]Row, 0, len(ids))
-		for _, id := range ids {
-			if !t.deleted[id].Load() {
-				out = append(out, t.rows[id].Clone())
-			}
-		}
-		t.mu.RUnlock()
-		return out, nil
-	}
-	t.mu.RUnlock()
 	var out []Row
-	err := t.Scan(func(r Row) error {
+	indexed, err := t.ScanKeys(column, []Value{v}, func(r Row) error {
+		out = append(out, r.Clone())
+		return nil
+	})
+	if indexed || err != nil {
+		return out, err
+	}
+	col := t.schema.ColumnIndex(column)
+	err = t.Scan(func(r Row) error {
 		if Equal(r[col], v) {
 			out = append(out, r.Clone())
 		}
@@ -299,24 +335,48 @@ func (t *Table) Delete(match func(Row) bool) int {
 // hold in the same table. Without an index it is Delete with an equality
 // match. Compaction is amortized as in Delete.
 func (t *Table) DeleteKey(column string, v Value) (int, error) {
+	return t.DeleteKeyWhere(column, v, nil)
+}
+
+// DeleteKeyWhere is DeleteKey restricted to the rows match accepts (nil
+// accepts all): the index finds the column's rows, match is the residual.
+func (t *Table) DeleteKeyWhere(column string, v Value, match func(Row) bool) (int, error) {
 	col := t.schema.ColumnIndex(column)
 	if col < 0 {
 		return 0, fmt.Errorf("storage: table %s has no column %q", t.name, column)
 	}
 	t.mu.Lock()
 	idx, ok := t.indexes[col]
+	key, found := probeKey(t.schema.Columns[col].Type, v)
 	if !ok {
 		t.mu.Unlock()
-		return t.Delete(func(r Row) bool { return Equal(r[col], v) }), nil
+		return t.Delete(func(r Row) bool { return Equal(r[col], v) && (match == nil || match(r)) }), nil
 	}
 	defer t.mu.Unlock()
-	key := v.Key()
-	ids := idx[key]
-	if len(ids) == 0 {
+	if !found {
 		return 0, nil
 	}
-	delete(idx, key)
-	for _, id := range ids {
+	// The probed column's own list is filtered in place, in the pass that
+	// picks the victims; every other index loses them one by one below.
+	list := idx[key]
+	victims := make([]int, 0, len(list))
+	rest := list[:0]
+	for _, id := range list {
+		if match == nil || match(t.rows[id]) {
+			victims = append(victims, id)
+		} else {
+			rest = append(rest, id)
+		}
+	}
+	if len(victims) == 0 {
+		return 0, nil
+	}
+	if len(rest) > 0 {
+		idx[key] = rest
+	} else {
+		delete(idx, key)
+	}
+	for _, id := range victims {
 		t.deleted[id].Store(true)
 		for c, other := range t.indexes {
 			if c == col {
@@ -330,10 +390,10 @@ func (t *Table) DeleteKey(column string, v Value) (int, error) {
 			}
 		}
 	}
-	t.nLive -= len(ids)
+	t.nLive -= len(victims)
 	t.version.Add(1)
 	t.compactLocked()
-	return len(ids), nil
+	return len(victims), nil
 }
 
 // compactLocked drops the tombstoned rows once they outnumber the live
@@ -365,8 +425,8 @@ func (t *Table) rebuildIndexesLocked() {
 }
 
 // buildIndexLocked indexes the live rows by the column's value key.
-func (t *Table) buildIndexLocked(col int) map[string][]int {
-	idx := make(map[string][]int)
+func (t *Table) buildIndexLocked(col int) map[Key][]int {
+	idx := make(map[Key][]int)
 	for id, r := range t.rows {
 		if t.deleted[id].Load() {
 			continue

@@ -5,7 +5,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/event"
@@ -123,7 +125,7 @@ func (v Value) Truth() (val, ok bool) {
 	return false, false
 }
 
-// String renders the value for display and for use in hash keys.
+// String renders the value for display.
 func (v Value) String() string {
 	switch v.T {
 	case TypeNull:
@@ -145,15 +147,79 @@ func (v Value) String() string {
 	return fmt.Sprintf("<invalid %d>", v.T)
 }
 
-// Key returns a string usable as a map key that is unique per (type, value).
-func (v Value) Key() string {
-	return v.T.String() + "\x00" + v.String()
+// Key is a comparable stand-in for a value: two values have the same Key
+// exactly when they have the same type and Compare calls them equal. It is
+// what hash indexes, hash joins and GROUP BY key on; building one allocates
+// nothing for NULL, INT, FLOAT, TEXT and BOOL.
+type Key struct {
+	T Type
+	N uint64 // INT and FLOAT: the bits of the value as a float64; BOOL: 0 or 1
+	S string // TEXT: the text; EVENT: the canonical expression
 }
 
-// Compare orders two values: NULL sorts first; numeric values compare
-// numerically across INT/FLOAT; otherwise values must have the same type.
-// EVENT values are ordered by their canonical string (deterministic, not
-// semantically meaningful).
+// Key returns the value's Key. Numbers key by the float64 Compare compares
+// them as — so INTs past 2^53 that = cannot tell apart share a key — with
+// negative zero as zero and every NaN as one NaN.
+func (v Value) Key() Key {
+	switch v.T {
+	case TypeInt:
+		return Key{T: TypeInt, N: floatBits(float64(v.I))}
+	case TypeFloat:
+		return Key{T: TypeFloat, N: floatBits(v.F)}
+	case TypeText:
+		return Key{T: TypeText, S: v.S}
+	case TypeBool:
+		if v.B {
+			return Key{T: TypeBool, N: 1}
+		}
+		return Key{T: TypeBool}
+	case TypeEvent:
+		return Key{T: TypeEvent, S: v.Ev.String()}
+	}
+	return Key{T: v.T}
+}
+
+// NumericKey is Key with INT and FLOAT folded into one type: two numbers have
+// the same NumericKey exactly when = holds between them. Hash joins bucket by
+// it, so an INT column meets the FLOAT column it is joined to.
+func (v Value) NumericKey() Key {
+	k := v.Key()
+	if k.T == TypeInt {
+		k.T = TypeFloat
+	}
+	return k
+}
+
+func floatBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0 // negative zero
+	case f != f:
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
+}
+
+// AppendTo appends a self-delimiting encoding of the key to b, for callers
+// that key on several values at once.
+func (k Key) AppendTo(b []byte) []byte {
+	b = append(b, byte(k.T))
+	switch k.T {
+	case TypeText, TypeEvent:
+		b = strconv.AppendInt(b, int64(len(k.S)), 10)
+		b = append(b, ':')
+		b = append(b, k.S...)
+	default:
+		b = strconv.AppendUint(b, k.N, 16)
+		b = append(b, ';')
+	}
+	return b
+}
+
+// Compare orders two values: NULL sorts first; numbers compare numerically
+// across INT/FLOAT as float64s (NaN below every number and equal to itself,
+// negative zero equal to zero); otherwise values must have the same type. EVENT values are ordered by their canonical string (deterministic,
+// not semantically meaningful).
 func Compare(a, b Value) (int, error) {
 	if a.T == TypeNull || b.T == TypeNull {
 		switch {
@@ -168,13 +234,7 @@ func Compare(a, b Value) (int, error) {
 	if isNumeric(a.T) && isNumeric(b.T) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(af, bf), nil
 	}
 	if a.T != b.T {
 		return 0, fmt.Errorf("storage: cannot compare %s with %s", a.T, b.T)
@@ -210,6 +270,17 @@ func Compare(a, b Value) (int, error) {
 }
 
 func isNumeric(t Type) bool { return t == TypeInt || t == TypeFloat }
+
+// probeKey turns "column = v" into the index key of a column of type t,
+// whose stored values were coerced to t on the way in. ok=false means no
+// stored value can equal v: Equal never holds across other types.
+func probeKey(t Type, v Value) (key Key, ok bool) {
+	key = v.Key()
+	if isNumeric(t) && isNumeric(v.T) {
+		key.T = t
+	}
+	return key, key.T == t || v.T == TypeNull
+}
 
 // Equal reports value equality under Compare semantics (NULL equals NULL
 // here; SQL three-valued logic is applied by the expression evaluator, not
