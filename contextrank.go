@@ -334,15 +334,47 @@ func (s *System) Rank(user, target string) ([]Result, error) {
 
 // RankWith is Rank with explicit options.
 func (s *System) RankWith(user, target string, opts RankOptions) ([]Result, error) {
+	res, _, err := s.RankTarget(user, nil, target, opts)
+	return res, err
+}
+
+// Membership is who is in a concept expression — a shared, read-only handle
+// from the loader's memo. Current() reports whether it still is who is in it.
+type Membership = mapping.Membership
+
+// RankTarget is RankWith — or, given a plan compiled for user, RankWithPlan —
+// that also returns the target's membership handle: the candidate list the
+// ranking scored. While the handle is Current() no write has reached the
+// target's members, which is what lets the serving layer keep a ranking whose
+// target mentions other users' session vocabulary only as long as it is true.
+func (s *System) RankTarget(user string, plan *RankPlan, target string, opts RankOptions) ([]Result, *Membership, error) {
+	var ranker core.Ranker
+	var err error
+	if plan != nil {
+		err = planOptsOK(opts)
+	} else {
+		ranker, err = s.ranker(opts.Algorithm, false)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	targetExpr, err := dl.Parse(target)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ranker, err := s.ranker(opts.Algorithm, false)
+	members, err := core.ResolveTarget(s.loader, targetExpr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ranker.Rank(s.request(user, opts.planRequest(targetExpr, nil)))
+	req := opts.planRequest(targetExpr, nil)
+	req.Members = members
+	var res []Result
+	if plan != nil {
+		res, err = plan.Rank(req)
+	} else {
+		res, err = ranker.Rank(s.request(user, req))
+	}
+	return res, members, err
 }
 
 // planRequest shapes the options as the core request for one target or
@@ -443,14 +475,8 @@ var ErrPlanNotRefreshable = core.ErrPlanNotRefreshable
 // an already compiled plan — the factorized algorithm with its compile
 // step amortized away. opts.Algorithm must be empty or AlgorithmFactorized.
 func (s *System) RankWithPlan(plan *RankPlan, target string, opts RankOptions) ([]Result, error) {
-	if err := planOptsOK(opts); err != nil {
-		return nil, err
-	}
-	targetExpr, err := dl.Parse(target)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Rank(opts.planRequest(targetExpr, nil))
+	res, _, err := s.RankTarget(plan.User(), plan, target, opts)
+	return res, err
 }
 
 // RankCandidatesWithPlan ranks an explicit candidate list against an

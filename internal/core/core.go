@@ -53,8 +53,13 @@ type PlanRequest struct {
 	// part is either 1, if the tuple was contained in the user query, or 0
 	// if it was not".
 	Candidates []string
-	Threshold  float64 // drop results with Score <= Threshold (0 keeps all)
-	Limit      int     // keep at most Limit results (0 = unlimited)
+	// Members, when non-nil, is Target already resolved (ResolveTarget): its
+	// ids are the candidates and the rank does not look the target up again —
+	// for a caller that keeps the handle to ask later whether the candidate
+	// list it ranked still stands.
+	Members   *mapping.Membership
+	Threshold float64 // drop results with Score <= Threshold (0 keeps all)
+	Limit     int     // keep at most Limit results (0 = unlimited)
 	// TopK, when positive, asks for only the best k results. Every ranker
 	// returns exactly the first k of its full result list (same order, same
 	// tie-breaking); the compiled plan selects them with a bounded heap
@@ -170,10 +175,12 @@ func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]strin
 				candidates = append(candidates, id)
 			}
 		}
+	case req.Members != nil:
+		return req.Members.IDs, nil
 	case req.Target != nil:
-		targetMembers, err := l.Members(req.Target)
+		targetMembers, err := ResolveTarget(l, req.Target)
 		if err != nil {
-			return nil, fmt.Errorf("core: target: %w", err)
+			return nil, err
 		}
 		return targetMembers.IDs, nil
 	default:
@@ -181,6 +188,16 @@ func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]strin
 	}
 	sort.Strings(candidates)
 	return candidates, nil
+}
+
+// ResolveTarget returns the membership handle of a target concept: who the
+// candidates are, through the loader's memo.
+func ResolveTarget(l *mapping.Loader, target *dl.Expr) (*mapping.Membership, error) {
+	m, err := l.Members(target)
+	if err != nil {
+		return nil, fmt.Errorf("core: target: %w", err)
+	}
+	return m, nil
 }
 
 // finalize sorts, thresholds and truncates results. TopK and Limit both

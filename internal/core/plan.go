@@ -87,12 +87,11 @@ type Plan struct {
 
 	// Incremental-maintenance state (see Refresh). restricted marks a plan
 	// compiled with a candidate restriction, which Refresh refuses to
-	// maintain; blocksGen is the space generation the footprints were
-	// computed at; docBlocks the per-rule document-side block keys (sorted,
-	// computed for active rules during clustering), the half of a rule's
-	// footprint that stands while the rule's memberships do.
+	// maintain; docBlocks holds, for the active rules of an unrestricted
+	// plan, the document-side block keys clustering ran on (sorted) — each
+	// the rule's membership handle's own footprint (Membership.Blocks),
+	// shared with every plan that ranks under the same preference.
 	restricted bool
-	blocksGen  uint64
 	docBlocks  [][]string
 
 	// Document-side distribution cache: candidate id -> flat per-cluster
@@ -291,7 +290,10 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 // restricts the document-side footprint to those candidates (see
 // compilePlan).
 func (p *Plan) compileClusters(only map[string]bool) error {
-	p.blocksGen = p.space.Generation()
+	gen := p.space.Generation()
+	if only == nil {
+		p.docBlocks = make([][]string, len(p.rules))
+	}
 	var active []int
 	for i := range p.rules {
 		if p.rules[i].ctxProb > 0 {
@@ -315,6 +317,14 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 		return x
 	}
 	blockOwner := make(map[string]int)
+	// link merges rule ai with whichever rule mentioned the block first.
+	link := func(ai int, key string) {
+		if owner, ok := blockOwner[key]; ok {
+			parent[find(ai)] = find(owner)
+		} else {
+			blockOwner[key] = ai
+		}
+	}
 	footprint := make(map[string]bool)
 	for ai, ri := range active {
 		clear(footprint)
@@ -323,12 +333,13 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 			return fmt.Errorf("core: rule %s context: %w", st.rule.Name, err)
 		}
 		if only == nil {
-			keys, err := p.ruleDocBlocks(ri)
+			keys, err := st.members.Blocks()
 			if err != nil {
 				return fmt.Errorf("core: rule %s preference: %w", st.rule.Name, err)
 			}
+			p.docBlocks[ri] = keys
 			for _, k := range keys {
-				footprint[k] = true
+				link(ai, k)
 			}
 		} else {
 			for id := range only {
@@ -340,11 +351,7 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 			}
 		}
 		for key := range footprint {
-			if owner, ok := blockOwner[key]; ok {
-				parent[find(ai)] = find(owner)
-			} else {
-				blockOwner[key] = ai
-			}
+			link(ai, key)
 		}
 	}
 
@@ -402,36 +409,9 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 		}
 	}
 	p.distLen = off
-	p.docGen = p.blocksGen
+	p.docGen = gen
 	p.docDist = make(map[string][]float64)
 	return nil
-}
-
-// ruleDocBlocks returns rule ri's document-side block keys (sorted),
-// computed from its preference-membership events and cached on the plan.
-// Refresh carries the cache over for rules whose membership events are
-// unchanged, which is what makes the refresh partition skip the
-// per-member Blocks walk — the dominant clustering cost on large catalogs.
-func (p *Plan) ruleDocBlocks(ri int) ([]string, error) {
-	if p.docBlocks == nil {
-		p.docBlocks = make([][]string, len(p.rules))
-	}
-	if p.docBlocks[ri] != nil {
-		return p.docBlocks[ri], nil
-	}
-	fp := make(map[string]bool)
-	for _, ev := range p.rules[ri].members.Events {
-		if err := p.space.Blocks(ev, fp); err != nil {
-			return nil, err
-		}
-	}
-	keys := make([]string, 0, len(fp))
-	for k := range fp {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	p.docBlocks[ri] = keys
-	return keys, nil
 }
 
 // ErrPlanNotRefreshable marks a plan Refresh cannot maintain incrementally:
@@ -479,14 +459,16 @@ func (p *Plan) sameRules(rules []prefs.Rule) bool {
 // What is reused, and why it is exact:
 //
 //   - Preference memberships: a rule whose handle is still current (no table
-//     its view reads was written) keeps it, and its document-side block
-//     footprint with it, without touching the store. Any other rule fetches
-//     the loader's handle — one query per table version, shared by every
-//     user's refresh — and diffs it per candidate against the old one.
+//     its view reads was written) keeps it without touching the store. Any
+//     other rule fetches the loader's handle — patched or queried once per
+//     table version, shared by every user's refresh — and asks it which
+//     candidates moved since the old one (Membership.ChangedSince); only
+//     across a view query does it compare the two memberships itself.
 //   - Cluster partition: re-run over fresh context footprints plus the
-//     cached document footprints — the same union-find over the same keys a
-//     fresh compile would walk, so the partition (and hence float
-//     association order) is identical by construction.
+//     handles' document footprints, each walked once per handle for all its
+//     plans — the same union-find over the same keys a fresh compile would
+//     walk, so the partition (and hence float association order) is
+//     identical by construction.
 //   - 2^m context-state tables: recomputed through Space.Prob, whose memo
 //     retains entries for expressions that mention no retired event — an
 //     unchanged rule context is a lookup, only genuinely touched clusters
@@ -501,11 +483,8 @@ func (p *Plan) Refresh(rules []prefs.Rule) (*Plan, error) {
 	if p.restricted || p.perCandidate || !p.sameRules(rules) {
 		return nil, ErrPlanNotRefreshable
 	}
-	changed, _, tracked := p.space.ChangedBlocksSince(p.blocksGen)
-
 	np := &Plan{loader: p.loader, space: p.space, user: p.user}
 	np.rules = make([]planRule, len(p.rules))
-	np.docBlocks = make([][]string, len(p.rules))
 	// changedIDs collects candidates whose membership event differs in any
 	// re-fetched rule; their cached distributions are the ones invalidated.
 	changedIDs := make(map[string]bool)
@@ -519,26 +498,18 @@ func (p *Plan) Refresh(rules []prefs.Rule) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s context: %w", old.rule.Name, err)
 		}
-		blocksOK := tracked && p.docBlocks != nil && p.docBlocks[i] != nil
-		if blocksOK {
-			for _, k := range p.docBlocks[i] {
-				if changed[k] {
-					blocksOK = false
-					break
-				}
-			}
-		}
 		members := old.members
 		if !members.Current() {
 			if members, err = p.loader.Members(old.rule.Preference); err != nil {
 				return nil, fmt.Errorf("core: rule %s preference: %w", old.rule.Name, err)
 			}
-			if !diffMembers(old.members.Events, members.Events, changedIDs) {
-				blocksOK = false
+			if ids, tracked := members.ChangedSince(old.members); tracked {
+				for _, id := range ids {
+					changedIDs[id] = true
+				}
+			} else {
+				diffMembers(old.members.Events, members.Events, changedIDs)
 			}
-		}
-		if blocksOK {
-			np.docBlocks[i] = p.docBlocks[i]
 		}
 		np.rules[i] = planRule{rule: old.rule, ctxEv: ctxEv, ctxProb: pCtx, members: members}
 	}
@@ -550,23 +521,20 @@ func (p *Plan) Refresh(rules []prefs.Rule) (*Plan, error) {
 }
 
 // diffMembers records into changed every candidate whose membership event
-// differs between old and new; it reports whether the maps are identical.
-func diffMembers(old, new map[string]*event.Expr, changed map[string]bool) bool {
-	same := true
+// differs between old and new: the refresh's fall-back when the new handle
+// cannot name them (Membership.ChangedSince untracked — a view query, or more
+// patches than a handle remembers, lies between the two).
+func diffMembers(old, new map[string]*event.Expr, changed map[string]bool) {
 	for id, ev := range new {
-		oev, ok := old[id]
-		if !ok || !event.Equal(oev, ev) {
+		if oev, ok := old[id]; !ok || !event.Equal(oev, ev) {
 			changed[id] = true
-			same = false
 		}
 	}
 	for id := range old {
 		if _, ok := new[id]; !ok {
 			changed[id] = true
-			same = false
 		}
 	}
-	return same
 }
 
 // adoptDocDist carries the predecessor's cached document-side

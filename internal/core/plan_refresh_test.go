@@ -14,6 +14,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/prefs"
 	"repro/internal/situation"
+	"repro/internal/storage"
 )
 
 // assertBitIdentical fails unless the two result lists agree exactly —
@@ -33,12 +34,72 @@ func assertBitIdentical(t *testing.T, label string, got, want []Result) {
 	}
 }
 
+// assertHandlesExact holds what a plan ranks by against the store itself,
+// rule by rule: the preference's membership handle — patched, queried or
+// carried, whatever the refreshes made of it — equals an un-memoized query of
+// the preference's view, event for event, and the handle's block footprint
+// equals a walk over those events. A fresh CompilePlan takes its handles from
+// the same memo, so without this the rank comparison would not notice a
+// handle that is wrong for both.
+func assertHandlesExact(t *testing.T, label string, p *Plan) {
+	t.Helper()
+	for i := range p.rules {
+		pr := &p.rules[i]
+		view, err := p.loader.ViewFor(pr.rule.Preference)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.loader.DB().Query("SELECT id, ev FROM " + view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]*event.Expr, len(res.Rows))
+		for _, r := range res.Rows {
+			ev := event.False()
+			if r[1].T == storage.TypeEvent {
+				ev = r[1].Ev
+			}
+			if old, ok := want[r[0].S]; ok {
+				ev = event.Or(old, ev)
+			}
+			want[r[0].S] = ev
+		}
+		got := pr.members
+		if len(got.Events) != len(want) || len(got.IDs) != len(want) || !slices.IsSorted(got.IDs) {
+			t.Fatalf("%s: rule %s: %d events, ids %v, want %d members", label, pr.rule.Name, len(got.Events), got.IDs, len(want))
+		}
+		blocks := map[string]bool{}
+		for _, id := range got.IDs {
+			if !event.Equal(got.Events[id], want[id]) {
+				t.Fatalf("%s: rule %s: member %s has event %s, want %s", label, pr.rule.Name, id, got.Events[id], want[id])
+			}
+			if err := p.space.Blocks(want[id], blocks); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keys, err := got.Blocks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != len(blocks) || !slices.IsSorted(keys) {
+			t.Fatalf("%s: rule %s: block footprint %v, want the %d keys of %v", label, pr.rule.Name, keys, len(blocks), blocks)
+		}
+		for _, k := range keys {
+			if !blocks[k] {
+				t.Fatalf("%s: rule %s: block footprint %v names %s, which no member's event mentions", label, pr.rule.Name, keys, k)
+			}
+		}
+	}
+}
+
 // TestRefreshMatchesFreshCompile walks a plan through successive context
 // applies and vocabulary writes — certain and uncertain concept and role
 // asserts, a merge into an existing row, a retract, a new candidate, dl_domain
-// growth on its own, a SQL delete — via Refresh, and checks every
-// intermediate ranking bit-identical to a from-scratch CompilePlan of the
-// same state.
+// growth on its own, a SQL delete and insert, another user's owner-scoped
+// apply, more patches between two refreshes than a handle remembers — via
+// Refresh, and checks every intermediate ranking bit-identical to a
+// from-scratch CompilePlan of the same state, and every handle it ranks by
+// identical to a query of its view.
 func TestRefreshMatchesFreshCompile(t *testing.T) {
 	l, rules := correlatedSetup(t)
 	db := l.DB()
@@ -105,6 +166,37 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 			_, err := db.Exec("DELETE FROM c_F2 WHERE id = 'd1'")
 			must(err)
 		}},
+		{"loader write onto the queried handle", func() { must(l.AssertConcept("F2", "d3", declare("later", 0.7))) }},
+		{"sql insert between loader writes", func() {
+			must(l.AssertConcept("F3", "d1", nil))
+			_, err := db.Exec("INSERT INTO c_F3 (id, ev) VALUES ('d4', EV_TRUE())")
+			must(err)
+			must(l.RetractConcept("F3", "d3"))
+		}},
+		// Each write is looked up, and so patched into a handle of its own,
+		// before the next: the plan's F1 handle falls off the newest one's
+		// history (16 moving patches) and the refresh must compare the
+		// memberships itself.
+		{"more patches than a handle remembers", func() {
+			for i := 0; i < 40; i++ {
+				if i%2 == 0 {
+					must(l.AssertConcept("F1", "d3", nil))
+				} else {
+					must(l.RetractConcept("F1", "d3"))
+				}
+				for _, r := range rules {
+					_, err := l.Members(r.Preference)
+					must(err)
+				}
+			}
+			must(l.AssertConcept("F1", "d4", declare("last", 0.2)))
+		}},
+		// Another user's owner-scoped apply registers a first-seen individual:
+		// dl_domain moves through the logged path, under r6's ¬.
+		{"another user's apply", func() {
+			_, err := situation.New("visitor").Certain("Weekend").ApplyOwned(l)
+			must(err)
+		}},
 		{"context after the writes", apply(situation.New("u").Add("Kitchen", 0.6).Add("Weekend", 0.2))},
 	}
 	for _, s := range steps {
@@ -114,6 +206,20 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		if want := strings.HasPrefix(s.name, "context") || s.name == "write no rule reads"; plan.Current() != want {
 			t.Fatalf("%s: plan.Current() = %v, want %v", s.name, plan.Current(), want)
 		}
+		// Which way the refresh learns what moved: from the new handles
+		// themselves, except across a view query (SQL wrote) or a history that
+		// outran them — then it has to compare the memberships.
+		tracked := true
+		for i, r := range rules {
+			cur, err := l.Members(r.Preference)
+			must(err)
+			if _, ok := cur.ChangedSince(plan.rules[i].members); !ok {
+				tracked = false
+			}
+		}
+		if want := !strings.Contains(s.name, "sql") && !strings.HasPrefix(s.name, "more patches"); tracked != want {
+			t.Fatalf("%s: the new handles track the plan's = %v, want %v", s.name, tracked, want)
+		}
 		refreshed, err := plan.Refresh(rules)
 		if err != nil {
 			t.Fatalf("%s: refresh: %v", s.name, err)
@@ -121,6 +227,7 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		if !refreshed.Current() {
 			t.Fatalf("%s: the refreshed plan is not current", s.name)
 		}
+		assertHandlesExact(t, s.name, refreshed)
 		fresh, err := CompilePlan(l, "u", rules)
 		if err != nil {
 			t.Fatal(err)
@@ -198,11 +305,14 @@ func TestRefreshRestrictedPlanNotRefreshable(t *testing.T) {
 // with correlated document events, preferences that reference context
 // concepts, roles and the closed domain (¬/nominal), a context stream that
 // re-shapes the exclusive-group structure, prunes and unprunes rules and
-// registers fresh individuals mid-stream, and a data stream beside it — new
-// documents, certain and uncertain feature and role asserts, retracts. After
-// every mutation of either kind the delta-maintained plan's scores must be
-// bit-identical to a fresh CompilePlan of the same state: one plan is
-// refreshed through the whole history and never recompiled.
+// registers fresh individuals mid-stream, another user's owner-scoped applies
+// into a concept a preference reads, and a data stream beside it — new
+// documents, certain and uncertain feature and role asserts, retracts, SQL
+// inserts and deletes — sometimes in bursts that other readers look up write
+// by write, so the plan's handles fall off the newest ones' history. After
+// every round the delta-maintained plan's scores must be bit-identical to a
+// fresh CompilePlan of the same state and its handles to their views: one
+// plan is refreshed through the whole history and never recompiled.
 func TestRefreshChurnSoakEquivalence(t *testing.T) {
 	db := engine.New()
 	l := mapping.NewLoader(db, nil)
@@ -274,7 +384,7 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 		return event.Basic(ev)
 	}
 	mutateData := func() {
-		switch rng.Intn(5) {
+		switch rng.Intn(7) {
 		case 0:
 			addDoc()
 		case 1:
@@ -288,6 +398,23 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 			g := fmt.Sprintf("g%d", len(genres))
 			genres = append(genres, g)
 			must(l.AssertConcept("Genre", g, maybe()))
+		case 5:
+			// SQL writes: nothing the loader logs, so the next look-up queries.
+			stmt := fmt.Sprintf("DELETE FROM c_F%d WHERE id = '%s'", 1+rng.Intn(4), randomDoc())
+			if rng.Intn(2) == 0 {
+				stmt = fmt.Sprintf("INSERT INTO c_F%d (id, ev) VALUES ('%s', EV_TRUE())", 1+rng.Intn(4), randomDoc())
+			}
+			_, err := db.Exec(stmt)
+			must(err)
+		case 6:
+			// Another user's owner-scoped apply into Room1, which r5's
+			// preference reads: logged writes to a context concept.
+			ctx := situation.New(fmt.Sprintf("guest%02d", rng.Intn(50)))
+			if rng.Intn(3) > 0 {
+				ctx.Add("Room1", rng.Float64())
+			}
+			_, err := ctx.ApplyOwned(l)
+			must(err)
 		}
 	}
 	applyRandomCtx := func() {
@@ -325,16 +452,41 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 	if _, err := prev.Rank(req); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 160; round++ {
-		if rng.Intn(2) == 0 {
+	tracked, untracked := 0, 0
+	for round := 0; round < 240; round++ {
+		switch rng.Intn(8) {
+		case 0:
+			// A burst the plan sleeps through while other readers keep every
+			// preference looked up: one patch per write, more than a handle
+			// remembers.
+			for i := 0; i < 24; i++ {
+				mutateData()
+				for _, r := range rules {
+					_, err := l.Members(r.Preference)
+					must(err)
+				}
+			}
+		case 1, 2, 3:
 			mutateData()
-		} else {
+		default:
 			applyRandomCtx()
+		}
+		for i, r := range rules {
+			if old := prev.rules[i].members; !old.Current() {
+				cur, err := l.Members(r.Preference)
+				must(err)
+				if _, ok := cur.ChangedSince(old); ok {
+					tracked++
+				} else {
+					untracked++
+				}
+			}
 		}
 		refreshed, err := prev.Refresh(rules)
 		if err != nil {
 			t.Fatalf("round %d: refresh: %v", round, err)
 		}
+		assertHandlesExact(t, fmt.Sprintf("round %d", round), refreshed)
 		fresh, err := CompilePlan(l, "u", rules)
 		if err != nil {
 			t.Fatal(err)
@@ -355,5 +507,10 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 		}
 		assertBitIdentical(t, fmt.Sprintf("round %d topk", round), gotK, want[:5])
 		prev = refreshed
+	}
+	// Both ways a refresh learns what moved must have carried their share.
+	st := l.MembershipStats()
+	if tracked < 50 || untracked < 50 || st.Patched < 200 || st.Queries < 100 {
+		t.Fatalf("the history refreshed %d stale rules through ChangedSince and %d by comparison, over %+v: it no longer exercises both", tracked, untracked, st)
 	}
 }

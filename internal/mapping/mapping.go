@@ -46,8 +46,16 @@ type Loader struct {
 	memoRedefs  uint64
 	memoEntries atomic.Int64 // mirrors len(memo), maintained under memoMu
 	memoHits    atomic.Int64
+	memoPatched atomic.Int64
 	memoQueries atomic.Int64
 	memoDropped atomic.Int64
+
+	// The write log (see logWrite): per base table, which individual each of
+	// the loader's own writes touched and the table-version interval it moved.
+	// It is what lets Members patch a stale handle instead of re-running its
+	// view.
+	logMu  sync.Mutex
+	writes map[*storage.Table][]loggedWrite
 
 	// Applied-situation bookkeeping, owned by the situation package: per
 	// owner (a situated user), the assertion rows its last context apply put
@@ -94,6 +102,7 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 		views:     make(map[string]string),
 		viewSQL:   make(map[string]string),
 		memo:      make(map[string]*Membership),
+		writes:    make(map[*storage.Table][]loggedWrite),
 		ctxOwners: make(map[string]ownerContext),
 		ctxRows:   make(map[string]int),
 	}
@@ -243,6 +252,7 @@ func (l *Loader) registerIndividual(id string) error {
 	if len(rows) > 0 {
 		return nil
 	}
+	defer l.logWrite(tab, tab.Version(), id)
 	return l.db.InsertRow("dl_domain", id, event.True())
 }
 
@@ -263,6 +273,7 @@ func (l *Loader) AssertConcept(concept, id string, ev *event.Expr) error {
 	if err != nil {
 		return err
 	}
+	defer l.logWrite(tab, tab.Version(), id)
 	key := storage.Text(id)
 	existing, err := tab.Lookup("id", key)
 	if err != nil {
@@ -292,6 +303,7 @@ func (l *Loader) RetractConcept(concept, id string) error {
 	if err != nil {
 		return err
 	}
+	defer l.logWrite(tab, tab.Version(), id)
 	_, err = tab.DeleteKey("id", storage.Text(id))
 	return err
 }
@@ -316,6 +328,7 @@ func (l *Loader) AssertRole(role, src, dst string, ev *event.Expr) error {
 	if err != nil {
 		return err
 	}
+	defer l.logWrite(tab, tab.Version(), src)
 	srcKey, dstKey := storage.Text(src), storage.Text(dst)
 	rows, err := tab.Lookup("src", srcKey)
 	if err != nil {
@@ -651,15 +664,41 @@ var (
 	evItem = sql.SelectItem{Expr: &sql.ColumnRef{Column: "ev"}}
 )
 
-// membersQuery is SELECT id, ev FROM view; eventQuery is SELECT ev FROM view
-// WHERE id = 'id', which the executor answers through the id indexes under
-// the view.
-func membersQuery(view string) *sql.SelectStmt {
-	return &sql.SelectStmt{
+// membersQuery is SELECT id, ev FROM view, restricted by WHERE id IN (only…)
+// when only is non-nil; eventQuery is SELECT ev FROM view WHERE id = 'id'.
+// The executor answers both restrictions through the id indexes under the
+// view, and returns the rows the unrestricted query would — the same rows in
+// the same order — for those ids.
+func membersQuery(view string, only []string) *sql.SelectStmt {
+	stmt := &sql.SelectStmt{
 		Items: []sql.SelectItem{idItem, evItem},
 		From:  []sql.TableRef{{Table: view}},
 		Limit: -1,
 	}
+	if only != nil {
+		set := make([]sql.Expr, len(only))
+		for i, id := range only {
+			set[i] = &sql.Literal{Val: storage.Text(id)}
+		}
+		stmt.Where = &sql.InList{X: idItem.Expr, Set: set}
+	}
+	return stmt
+}
+
+// foldRows files (id, ev) rows into events, disjoining the rows of one
+// individual in the order they come.
+func foldRows(events map[string]*event.Expr, rows []storage.Row) error {
+	for _, r := range rows {
+		ev, err := rowEvent(r[1])
+		if err != nil {
+			return err
+		}
+		if old, ok := events[r[0].S]; ok {
+			ev = event.Or(old, ev)
+		}
+		events[r[0].S] = ev
+	}
+	return nil
 }
 
 func eventQuery(view, id string) *sql.SelectStmt {
@@ -675,7 +714,9 @@ func eventQuery(view, id string) *sql.SelectStmt {
 // included, with its inclusion event. A handle is immutable and shared — by
 // the loader's memo, by every compiled plan that ranks under the expression
 // and by every rank that resolves it as a target — so holders must treat
-// Events and IDs as read-only.
+// Events and IDs as read-only. A handle patched from a predecessor (see
+// Members) shares with it every event the writes in between left alone, and
+// IDs — or all of Events — when they did not move.
 type Membership struct {
 	Events map[string]*event.Expr // individual -> inclusion event
 	IDs    []string               // the keys of Events, sorted
@@ -685,6 +726,17 @@ type Membership struct {
 	db     *engine.DB
 	redefs uint64
 	reads  []tableRead
+
+	// Where the handle stands among the handles patched from one view query
+	// (see ChangedSince): the query's lineage, how many patches that moved a
+	// membership lie between it and this handle, and the individuals each of
+	// the last few of them moved, oldest first.
+	lineage *byte
+	seq     uint64
+	history [][]string
+
+	// blocks memoizes Blocks.
+	blocks atomic.Pointer[memberBlocks]
 }
 
 // tableRead is one base table of a read set at the version it was read at.
@@ -715,9 +767,12 @@ func (m *Membership) Current() bool {
 // MembershipStats counts the membership memo's work. Per loader, so a test
 // can count one system's queries.
 type MembershipStats struct {
-	// Hits are look-ups answered by a current handle; Queries the look-ups
-	// that evaluated the expression's view.
+	// Hits are look-ups answered by a current handle; Patched the look-ups
+	// that brought a stale handle up to date by re-reading the individuals
+	// the loader's logged writes touched; Queries the look-ups that evaluated
+	// the expression's whole view. Every look-up is exactly one of the three.
 	Hits    int64 `json:"hits"`
+	Patched int64 `json:"patched"`
 	Queries int64 `json:"queries"`
 	// Entries is the number of handles the memo holds.
 	Entries int `json:"entries"`
@@ -730,6 +785,7 @@ type MembershipStats struct {
 func (s MembershipStats) Merge(o MembershipStats) MembershipStats {
 	return MembershipStats{
 		Hits:         s.Hits + o.Hits,
+		Patched:      s.Patched + o.Patched,
 		Queries:      s.Queries + o.Queries,
 		Entries:      s.Entries + o.Entries,
 		DroppedByDDL: s.DroppedByDDL + o.DroppedByDDL,
@@ -740,6 +796,7 @@ func (s MembershipStats) Merge(o MembershipStats) MembershipStats {
 func (l *Loader) MembershipStats() MembershipStats {
 	return MembershipStats{
 		Hits:         l.memoHits.Load(),
+		Patched:      l.memoPatched.Load(),
 		Queries:      l.memoQueries.Load(),
 		Entries:      int(l.memoEntries.Load()),
 		DroppedByDDL: l.memoDropped.Load(),
@@ -752,12 +809,28 @@ func (l *Loader) MembershipStats() MembershipStats {
 // which costs that expression's next look-up a query and nothing else.
 const maxMemberships = 1024
 
+// maxLoggedWrites bounds each base table's write log. A handle is looked up —
+// and patched — by the first rank after a write, so the writes between two
+// look-ups of a live expression are a few; an expression nobody asked for
+// while more than this many went by is queried once and is exact again.
+const maxLoggedWrites = 64
+
+// maxMemberHistory bounds how many moving patches back a handle can name the
+// individuals that changed (Membership.ChangedSince). A plan refreshes on its
+// user's next rank; one that slept through more than this many compares the
+// memberships itself, as it does across a view query.
+const maxMemberHistory = 16
+
 // Members returns every individual possibly in the concept expression with
 // its inclusion event, as a shared read-only handle. The answer is a function
 // of the base tables the expression's view reads, so it is computed once per
 // version of those tables and memoized per canonical expression: every plan,
 // target resolution and user asking while the tables stand still gets the
-// same handle. Concurrent misses may both query; the last one stays.
+// same handle. A memoized handle whose tables moved is patched — only the
+// individuals the writes reached are re-read — when the loader's write log
+// accounts for every step they moved by, and the view is queried otherwise
+// (see patchMembers). Concurrent misses may both patch or query; the last one
+// stays.
 func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
 	key := expr.String()
 	l.memoMu.Lock()
@@ -776,11 +849,18 @@ func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
 		return m, nil
 	}
 
-	m, err := l.queryMembers(expr, redefs)
-	if err != nil {
-		return nil, err
+	if m != nil {
+		m = l.patchMembers(expr, m)
 	}
-	l.memoQueries.Add(1)
+	if m != nil {
+		l.memoPatched.Add(1)
+	} else {
+		var err error
+		if m, err = l.queryMembers(expr, redefs); err != nil {
+			return nil, err
+		}
+		l.memoQueries.Add(1)
+	}
 	l.memoMu.Lock()
 	if redefs == l.memoRedefs {
 		if _, ok := l.memo[key]; !ok && len(l.memo) >= maxMemberships {
@@ -805,24 +885,17 @@ func (l *Loader) queryMembers(expr *dl.Expr, redefs uint64) (*Membership, error)
 	if err != nil {
 		return nil, err
 	}
-	m := &Membership{db: l.db, redefs: redefs}
+	m := &Membership{db: l.db, redefs: redefs, lineage: new(byte)}
 	if m.reads, err = l.readSet(expr); err != nil {
 		return nil, err
 	}
-	res, err := l.db.QueryStmt(membersQuery(view))
+	res, err := l.db.QueryStmt(membersQuery(view, nil))
 	if err != nil {
 		return nil, err
 	}
 	m.Events = make(map[string]*event.Expr, len(res.Rows))
-	for _, r := range res.Rows {
-		ev, err := rowEvent(r[1])
-		if err != nil {
-			return nil, err
-		}
-		if old, ok := m.Events[r[0].S]; ok {
-			ev = event.Or(old, ev)
-		}
-		m.Events[r[0].S] = ev
+	if err := foldRows(m.Events, res.Rows); err != nil {
+		return nil, err
 	}
 	m.IDs = make([]string, 0, len(m.Events))
 	for id := range m.Events {

@@ -54,11 +54,32 @@ func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) 
 
 // cacheEntry is one cached ranking together with the epoch it was computed
 // at. The result slice is shared between all readers of the entry and must
-// be treated as immutable.
+// be treated as immutable. members is the target's membership handle the
+// ranking scored: the key covers everything the scores depend on, but who the
+// candidates are moves with any user's apply to session vocabulary the target
+// mentions, which touches neither the epoch nor this user's fingerprint — so
+// an entry is served only while its handle is current.
 type cacheEntry struct {
-	key   string
-	res   []contextrank.Result
-	epoch int64
+	key     string
+	res     []contextrank.Result
+	epoch   int64
+	members *contextrank.Membership
+}
+
+// lookupLocked returns key's entry, marked most recently used, if it is there
+// and its target's members still are who they were: a few atomic loads.
+// Caller holds c.mu.
+func (c *rankCache) lookupLocked(key string) (*cacheEntry, bool) {
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	ent := el.Value.(*cacheEntry)
+	if ent.members != nil && !ent.members.Current() {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return ent, true
 }
 
 // flight is one in-progress computation that concurrent identical misses
@@ -109,34 +130,29 @@ func newRankCache(capacity int) *rankCache {
 func (c *rankCache) get(key string) ([]contextrank.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	ent, ok := c.lookupLocked(key)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return ent.res, true
 }
 
-// put files a computed result under key, with the epoch it was computed at.
-// The read path (Server.rankMisses) is the only caller: it stores under the
-// key it observed, which need not be the key anyone looked up.
-func (c *rankCache) put(key string, res []contextrank.Result, epoch int64) {
+// put files a computed result under key, with the epoch it was computed at
+// and the target's membership handle it scored. The read path
+// (Server.rankMisses) is the only caller: it stores under the key it
+// observed, which need not be the key anyone looked up.
+func (c *rankCache) put(key string, res []contextrank.Result, epoch int64, members *contextrank.Membership) {
 	c.mu.Lock()
-	c.addLocked(key, res, epoch)
-	c.mu.Unlock()
-}
-
-// addLocked inserts under c.mu.
-func (c *rankCache) addLocked(key string, res []contextrank.Result, epoch int64) {
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		ent.res, ent.epoch = res, epoch
+		ent.res, ent.epoch, ent.members = res, epoch, members
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, epoch: epoch})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, epoch: epoch, members: members})
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
@@ -160,12 +176,10 @@ func (c *rankCache) addLocked(key string, res []contextrank.Result, epoch int64)
 // every coalesced caller.
 func (c *rankCache) do(key string, compute func() (res []contextrank.Result, epoch int64, err error)) (res []contextrank.Result, epoch int64, cached bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if ent, ok := c.lookupLocked(key); ok {
 		c.hits.Add(1)
-		// Copy before unlocking: addLocked may rewrite the entry in
-		// place under c.mu, racing an unlocked field read.
-		ent := el.Value.(*cacheEntry)
+		// Copy before unlocking: put may rewrite the entry in place under
+		// c.mu, racing an unlocked field read.
 		res, epoch := ent.res, ent.epoch
 		c.mu.Unlock()
 		return res, epoch, true, nil

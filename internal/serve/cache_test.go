@@ -54,7 +54,7 @@ func TestRankKeyResistsSeparatorInjection(t *testing.T) {
 
 func TestRankCacheLRUEviction(t *testing.T) {
 	c := newRankCache(2)
-	fill := func(key string, ids ...string) { c.put(key, res(ids...), 1) }
+	fill := func(key string, ids ...string) { c.put(key, res(ids...), 1, nil) }
 	fill("a", "x")
 	fill("b", "y")
 	if _, ok := c.get("a"); !ok {
@@ -134,7 +134,7 @@ func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
 	// result as a hit.
 	c := newRankCache(8)
 	got, epoch, cached, err := c.do("old", func() ([]contextrank.Result, int64, error) {
-		c.put("new", res("r"), 2)
+		c.put("new", res("r"), 2, nil)
 		return res("r"), 2, nil
 	})
 	if err != nil || cached || epoch != 2 || len(got) != 1 {

@@ -175,12 +175,12 @@ func TestHTTPFullFlow(t *testing.T) {
 		Memberships map[string]int64 `json:"memberships"`
 	}
 	call(t, ts, "GET", "/v1/stats", "", http.StatusOK, &raw)
-	for _, field := range []string{"hits", "queries", "entries", "dropped_by_ddl"} {
+	for _, field := range []string{"hits", "patched", "queries", "entries", "dropped_by_ddl"} {
 		if _, ok := raw.Memberships[field]; !ok {
 			t.Fatalf("/v1/stats memberships = %v, missing %q", raw.Memberships, field)
 		}
 	}
-	if len(raw.Memberships) != 4 || raw.Memberships["queries"] == 0 || raw.Memberships["dropped_by_ddl"] != 0 {
+	if len(raw.Memberships) != 5 || raw.Memberships["queries"] == 0 || raw.Memberships["dropped_by_ddl"] != 0 {
 		t.Fatalf("/v1/stats memberships = %v", raw.Memberships)
 	}
 

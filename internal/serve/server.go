@@ -242,7 +242,9 @@ func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]cont
 // never under the caller's pre-read one: fingerprints round-trip (context
 // X → Y → X yields the same key again with no epoch bump), so a Y-context
 // result filed under the stale X key would later be served as a hit for a
-// genuine X request. Candidate-list results are not cached (their keys would
+// genuine X request. Each is filed with the target's membership handle it
+// scored, so the entry stops being served the moment anybody's write reaches
+// the target's members. Candidate-list results are not cached (their keys would
 // have unbounded cardinality). All reqs of one call share one algorithm.
 //
 // A failing req fails its own out slot; the returned error is the shared
@@ -264,6 +266,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				continue
 			}
 			var res []contextrank.Result
+			var members *contextrank.Membership
 			var rerr error
 			switch {
 			case rq.candidates != nil && plan != nil:
@@ -272,13 +275,11 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				res, rerr = sys.RankCandidates(user, rq.candidates, rq.opts)
 			case rq.target == "":
 				rerr = fmt.Errorf("serve: batch item needs a target or a candidate list")
-			case plan != nil:
-				res, rerr = sys.RankWithPlan(plan, rq.target, rq.opts)
 			default:
-				res, rerr = sys.RankWith(user, rq.target, rq.opts)
+				res, members, rerr = sys.RankTarget(user, plan, rq.target, rq.opts)
 			}
 			if rerr == nil && rq.candidates == nil && s.cache != nil {
-				s.cache.put(rankKey(user, rq.target, v, rq.opts), res, v.epoch)
+				s.cache.put(rankKey(user, rq.target, v, rq.opts), res, v.epoch, members)
 			}
 			out[i] = RankItemResult{Results: res, Err: rerr}
 		}

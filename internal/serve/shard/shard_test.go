@@ -221,9 +221,11 @@ func TestStatsAggregation(t *testing.T) {
 
 // TestVocabWriteCostsOneQueryPerShardView: a broadcast assert reaches every
 // replica, and on each the users' next ranks refresh their plans — never
-// recompile — behind exactly one query per view that reads the written table
-// (R1's preference reads r_hasGenre; the TvProgram target does not), however
-// many users the shard serves.
+// recompile — behind no view query at all: exactly one patch per view that
+// reads the written table (R1's preference reads r_hasGenre; the TvProgram
+// target does not), however many users the shard serves. The same tuple
+// written through /v1/exec's SQL is not logged, and costs that view one query
+// and no patch.
 func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
 	c := newTestCoordinator(t, 2)
 	users := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -256,8 +258,20 @@ func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
 		if refreshed != int64(a.Sessions) || misses != refreshed {
 			t.Fatalf("shard %d: %d users, %d plan misses, %d refreshed — want every user's plan refreshed", i, a.Sessions, misses, refreshed)
 		}
-		if q := a.Memberships.Queries - b.Memberships.Queries; q != 1 {
-			t.Fatalf("shard %d: %d view queries behind %d users' ranks, want 1", i, q, a.Sessions)
+		if p, q := a.Memberships.Patched-b.Memberships.Patched, a.Memberships.Queries-b.Memberships.Queries; p != 1 || q != 0 {
+			t.Fatalf("shard %d: %d patches and %d view queries behind %d users' ranks, want 1 and 0", i, p, q, a.Sessions)
+		}
+	}
+	before = after
+	if _, _, err := c.Exec("INSERT INTO r_hasGenre (src, dst, ev) VALUES ('BBCNews', 'ARTS', EV_TRUE())"); err != nil {
+		t.Fatal(err)
+	}
+	rankAll()
+	after = c.Stats()
+	for i := range after.Shards {
+		b, a := before.Shards[i].Memberships, after.Shards[i].Memberships
+		if p, q := a.Patched-b.Patched, a.Queries-b.Queries; p != 0 || q != 1 {
+			t.Fatalf("shard %d after a SQL insert: %d patches and %d view queries, want 0 and 1", i, p, q)
 		}
 	}
 }

@@ -93,8 +93,9 @@ func TestStatsCountersSurviveConcurrency(t *testing.T) {
 		t.Fatalf("latency stats = %+v, want 3 observations", st.Latency)
 	}
 	// The one uncached rank compiled R1 (its preference is TvProgram: one view
-	// query) and resolved the target TvProgram (the same expression: a hit).
-	if want := (contextrank.MembershipStats{Hits: 1, Queries: 1, Entries: 1}); st.Memberships != want {
+	// query) and resolved the target TvProgram (the same expression: a hit);
+	// nothing was written in between, so nothing was patched.
+	if want := (contextrank.MembershipStats{Hits: 1, Patched: 0, Queries: 1, Entries: 1}); st.Memberships != want {
 		t.Fatalf("membership stats = %+v, want %+v", st.Memberships, want)
 	}
 	if err := srv.DropSession("peter"); err != nil {

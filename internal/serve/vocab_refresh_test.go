@@ -59,11 +59,68 @@ func TestSurvivingPlanResolvesFreshCandidates(t *testing.T) {
 	sameResults(t, got, freshRank(t, srv.Facade(), "bob", "CtxB"))
 }
 
+// TestCachedRankFollowsItsTargetsMembers is the rank-cache half of the same
+// leak: carl holds InKitchen and bob's rank of target=InKitchen is cached;
+// ada's apply of InKitchen moves neither the epoch nor bob's fingerprint, so
+// the key still matches — but the entry carries the target's membership
+// handle, which c_InKitchen's write made stale, and bob's next rank (single or
+// batched) is computed, not served.
+func TestCachedRankFollowsItsTargetsMembers(t *testing.T) {
+	srv := NewServer(modelSystem(t), Options{})
+	set := func(user string) {
+		t.Helper()
+		if _, err := srv.SetSession(user, []Measurement{{Concept: "InKitchen", Prob: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rankBob := func(want string, wantCached bool) {
+		t.Helper()
+		res, meta, err := srv.Rank("bob", "InKitchen", contextrank.RankOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, r := range res {
+			ids = append(ids, r.ID)
+		}
+		if got := fmt.Sprint(ids); got != want || meta.Cached != wantCached {
+			t.Fatalf("bob's rank of InKitchen = %s cached=%v, want %s cached=%v", got, meta.Cached, want, wantCached)
+		}
+		sameResults(t, res, freshRank(t, srv.Facade(), "bob", "InKitchen"))
+	}
+	set("carl")
+	rankBob("[carl]", false)
+	rankBob("[carl]", true)
+	epoch := srv.Stats().Epoch
+	set("ada")
+	if got := srv.Stats().Epoch; got != epoch {
+		t.Fatalf("ada's apply bumped the epoch %d -> %d: the key would have changed anyway", epoch, got)
+	}
+	rankBob("[ada carl]", false)
+	rankBob("[ada carl]", true)
+
+	batch := func(wantIDs int, wantCached bool) {
+		t.Helper()
+		out, _, err := srv.RankBatch("bob", "", []RankItem{{Target: "InKitchen"}})
+		if err != nil || out[0].Err != nil {
+			t.Fatal(err, out[0].Err)
+		}
+		if len(out[0].Results) != wantIDs || out[0].Cached != wantCached {
+			t.Fatalf("batched rank of InKitchen: %d results cached=%v, want %d cached=%v", len(out[0].Results), out[0].Cached, wantIDs, wantCached)
+		}
+	}
+	batch(2, true)
+	set("dora")
+	batch(3, false)
+	batch(3, true)
+}
+
 // TestVocabWriteRefreshesPlansAndSharesQueries pins what a vocabulary write
 // costs: every user's next rank refreshes that user's plan — none recompiles —
-// and the view queries behind those refreshes are paid once per written view,
-// not once per user; a write to a table no rule or target reads costs no
-// query at all.
+// and the membership work behind those refreshes is paid once per written
+// view, not once per user: a patch (the written individuals re-read) when the
+// write went through the loader, a view query when SQL made it; a write to a
+// table no rule or target reads costs neither.
 func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	srv := NewServer(modelSystem(t), Options{CacheSize: -1})
 	if _, err := srv.Declare([]string{"Unrelated"}, nil, nil); err != nil {
@@ -96,7 +153,7 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	if st := srv.Stats().Plans; st.Misses != n || st.Refreshed != 0 || st.Size != n {
 		t.Fatalf("after the first ranks: plan cache %+v, want %d compiles", st, n)
 	}
-	step := func(name string, write func() error, wantQueries int64) {
+	step := func(name string, write func() error, wantPatched, wantQueries int64) {
 		t.Helper()
 		before := srv.Stats()
 		if err := write(); err != nil {
@@ -112,8 +169,9 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 			t.Fatalf("%s: %d plan misses, %d refreshed, %d entries — want %d refreshes, no compile, one entry per user",
 				name, misses, refreshed, after.Plans.Size, n)
 		}
-		if q := after.Memberships.Queries - before.Memberships.Queries; q != wantQueries {
-			t.Fatalf("%s: %d view queries for %d users' ranks, want %d", name, q, n, wantQueries)
+		patched, queries := after.Memberships.Patched-before.Memberships.Patched, after.Memberships.Queries-before.Memberships.Queries
+		if patched != wantPatched || queries != wantQueries {
+			t.Fatalf("%s: %d patches and %d view queries for %d users' ranks, want %d and %d", name, patched, queries, n, wantPatched, wantQueries)
 		}
 	}
 	// modelSystem's four rules prefer two distinct expressions (genre g0,
@@ -121,22 +179,22 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	step("role assert", func() error {
 		_, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: "tv03", Dst: "g0", Prob: 0.5}})
 		return err
-	}, 2)
+	}, 2, 0)
 	// A new program: target and both preferences read c_TvProgram, and the
 	// first-seen individual grows dl_domain under the nominals.
 	step("concept assert", func() error {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "TvProgram", ID: "tv10", Prob: 1}}, nil)
 		return err
-	}, 3)
+	}, 3, 0)
 	step("sql delete", func() error {
 		_, _, err := srv.Exec("DELETE FROM r_hasGenre WHERE src = 'tv07'")
 		return err
-	}, 2)
+	}, 0, 2)
 	// tv00 is registered already: only c_Unrelated is written.
 	step("write nothing reads", func() error {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "Unrelated", ID: "tv00", Prob: 1}}, nil)
 		return err
-	}, 0)
+	}, 0, 0)
 	// A rule change is the one vocabulary write a refresh cannot absorb.
 	before := srv.Stats().Plans
 	if _, _, err := srv.AddRules([]string{"RULE extra WHEN CtxA PREFER TvProgram WITH 0.55"}); err != nil {

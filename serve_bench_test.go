@@ -273,8 +273,9 @@ func BenchmarkSessionApply(b *testing.B) {
 // one hasGenre tuple is asserted outside the timer — every bench rule's
 // preference reads r_hasGenre, and the epoch bump voids the rank cache — then
 // each of N users with a warm plan ranks once. ns/op is one such rank. The
-// first user's plan refresh queries the 8 preference views; the others take
-// the memberships from the loader's memo, so users=16 must cost well under
+// first user's plan refresh patches the 8 preference handles (the written
+// program re-read in each view); the others take the memberships, and their
+// block footprints, from the loader's memo, so users=16 must cost well under
 // users=1 per rank: CI's bench-regression job gates it at half, from the same
 // run.
 func BenchmarkVocabWriteRank(b *testing.B) {
