@@ -74,7 +74,7 @@ func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
 			only[id] = true
 		}
 	}
-	plan, err := compilePlan(r.loader, req.User, req.Rules, only)
+	plan, err := compilePlan(r.loader, req.User, req.Rules, only, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -114,20 +114,7 @@ func (p *Plan) scorePerCandidate(id string) (float64, error) {
 // cluster whose probabilities are undefined.
 func clusterRules(space *event.Space, states []*planRule, id string) ([][]*planRule, error) {
 	n := len(states)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
+	sets := newDisjoint(n)
 	joint := make([]*event.Expr, n)
 	for i, st := range states {
 		joint[i] = event.And(st.ctxEv, st.docEv(id))
@@ -140,24 +127,57 @@ func clusterRules(space *event.Space, states []*planRule, id string) ([][]*planR
 					states[i].rule.Name, states[j].rule.Name, err)
 			}
 			if !indep {
-				union(i, j)
+				sets.union(i, j)
 			}
 		}
 	}
-	byRoot := make(map[int][]*planRule)
-	var roots []int
-	for i, st := range states {
-		root := find(i)
-		if _, ok := byRoot[root]; !ok {
-			roots = append(roots, root)
+	var out [][]*planRule
+	for _, members := range sets.components() {
+		cluster := make([]*planRule, len(members))
+		for i, m := range members {
+			cluster[i] = states[m]
 		}
-		byRoot[root] = append(byRoot[root], st)
-	}
-	out := make([][]*planRule, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
+		out = append(out, cluster)
 	}
 	return out, nil
+}
+
+// disjoint is a union-find over 0..n-1.
+type disjoint []int
+
+func newDisjoint(n int) disjoint {
+	d := make(disjoint, n)
+	for i := range d {
+		d[i] = i
+	}
+	return d
+}
+
+func (d disjoint) find(x int) int {
+	for d[x] != x {
+		d[x] = d[d[x]]
+		x = d[x]
+	}
+	return x
+}
+
+func (d disjoint) union(a, b int) { d[d.find(a)] = d.find(b) }
+
+// components returns the sets, each ascending, ordered by their first member.
+func (d disjoint) components() [][]int {
+	byRoot := make(map[int]int) // root -> index into out
+	var out [][]int
+	for x := range d {
+		root := d.find(x)
+		i, ok := byRoot[root]
+		if !ok {
+			i = len(out)
+			byRoot[root] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], x)
+	}
+	return out
 }
 
 // clusterFactor computes the cluster's expected factor product under the
@@ -186,53 +206,50 @@ func clusterFactor(space *event.Space, cluster []*planRule, id string) (float64,
 	// Pre-compute the context-state and document-state distributions.
 	ctxProbs := make([]float64, 1<<m)
 	docProbs := make([]float64, 1<<m)
-	for mask := 0; mask < 1<<m; mask++ {
-		ctxConj := make([]*event.Expr, m)
-		docConj := make([]*event.Expr, m)
-		for i, st := range cluster {
-			if mask&(1<<i) != 0 {
-				ctxConj[i] = st.ctxEv
-				docConj[i] = st.docEv(id)
-			} else {
-				ctxConj[i] = event.Not(st.ctxEv)
-				docConj[i] = event.Not(st.docEv(id))
-			}
-		}
-		p, err := space.Prob(event.And(ctxConj...))
-		if err != nil {
-			return 0, err
-		}
-		ctxProbs[mask] = p
-		p, err = space.Prob(event.And(docConj...))
-		if err != nil {
-			return 0, err
-		}
-		docProbs[mask] = p
+	ctxEvs := make([]*event.Expr, m)
+	docEvs := make([]*event.Expr, m)
+	sigmas := make([]float64, m)
+	for i, st := range cluster {
+		ctxEvs[i], docEvs[i], sigmas[i] = st.ctxEv, st.docEv(id), st.rule.Sigma
 	}
+	if err := space.JointProbs(ctxEvs, ctxProbs); err != nil {
+		return 0, err
+	}
+	if err := space.JointProbs(docEvs, docProbs); err != nil {
+		return 0, err
+	}
+	return expectedFactor(sigmas, ctxProbs, docProbs), nil
+}
+
+// expectedFactor is the §3.3 double sum for one cluster of rules with the
+// given σ: over every context state g and document state f (bit i = rule i's
+// context applies / the document carries rule i's feature), the product over
+// the rules whose context applies of σ or 1−σ, weighted P(g)·P(f).
+func expectedFactor(sigmas, ctxProbs, docProbs []float64) float64 {
 	total := 0.0
-	for g := 0; g < 1<<m; g++ {
+	for g := range ctxProbs {
 		if ctxProbs[g] == 0 {
 			continue
 		}
 		inner := 0.0
-		for f := 0; f < 1<<m; f++ {
+		for f := range docProbs {
 			if docProbs[f] == 0 {
 				continue
 			}
 			prod := 1.0
-			for i, st := range cluster {
+			for i, s := range sigmas {
 				if g&(1<<i) == 0 {
 					continue
 				}
 				if f&(1<<i) != 0 {
-					prod *= st.rule.Sigma
+					prod *= s
 				} else {
-					prod *= 1 - st.rule.Sigma
+					prod *= 1 - s
 				}
 			}
 			inner += docProbs[f] * prod
 		}
 		total += ctxProbs[g] * inner
 	}
-	return total, nil
+	return total
 }

@@ -43,24 +43,26 @@ import (
 // every method works in both modes and returns the same scores — except
 // that a per-candidate plan cannot be refreshed.
 //
-// Score then evaluates only the document-state distribution per candidate,
-// and memoizes it: each candidate's per-cluster document-side distribution
-// is cached inside the plan (keyed by the event space's invalidation
-// generation), so repeat ranks over a stable catalog skip the doc-side
-// Prob calls entirely and reduce to pure float arithmetic.
+// The document side — per candidate, the probability of its membership event
+// under each rule, and the joint document-state distribution of each
+// multi-rule cluster — depends on neither the user nor the context, so the
+// plan does not own it: it reads the loader's shared mapping.DocSide of its
+// rules' membership handles, the same one every other plan over those handles
+// reads. Score is then one row look-up per candidate plus float arithmetic,
+// and a context change — a new plan — derives no document probability at all.
 //
-// A Plan is immutable after compilation apart from its internal caches and
-// safe for concurrent use. What it answers for, and how a holder finds out
-// that it no longer does:
+// A Plan is immutable after compilation and safe for concurrent use. What it
+// answers for, and how a holder finds out that it no longer does:
 //
 //   - The user's context side — each rule's context event and probability —
 //     is frozen at compile time. It moves with the user's own context applies
 //     (and with another user's apply that reaches this user's contexts over a
 //     role edge); nothing in the plan notices, so whoever caches a plan keys
-//     it by the user's applied generation, as internal/serve does. A plan used
-//     after its context events were retired fails with "not declared" — the
-//     cached distributions are invalidated by the space's generation counter,
-//     so retirement surfaces as an error, never as a stale score.
+//     it by the user's applied generation, as internal/serve does.
+//   - The document side is checked against the event space once per rank
+//     (DocSide.Probs): a data event retired under a live plan makes the next
+//     rank of every plan that shares the side fail with "not declared", never
+//     serve a stale score.
 //   - The preference side is a membership handle per rule (mapping.Membership),
 //     valid by the write versions of the tables the preference's view reads.
 //     Current reports whether every handle still is; while it does, no assert,
@@ -78,35 +80,20 @@ type Plan struct {
 
 	rules    []planRule    // every requested rule, in request order
 	clusters []planCluster // active (unpruned) rules only
-	distLen  int           // floats per candidate in the doc-distribution cache
+	multi    []int         // the clusters of more than one rule
 	// perCandidate marks per-candidate mode (see the type comment): clusters
 	// is empty and active lists the unpruned rules scorePerCandidate
 	// partitions for each candidate.
 	perCandidate bool
 	active       []*planRule
 
-	// Incremental-maintenance state (see Refresh). restricted marks a plan
-	// compiled with a candidate restriction, which Refresh refuses to
-	// maintain; docBlocks holds, for the active rules of an unrestricted
-	// plan, the document-side block keys clustering ran on (sorted) — each
-	// the rule's membership handle's own footprint (Membership.Blocks),
-	// shared with every plan that ranks under the same preference.
-	restricted bool
-	docBlocks  [][]string
-
-	// Document-side distribution cache: candidate id -> flat per-cluster
-	// distribution (planCluster.distOff slices it). Entries are valid for
-	// the space generation docGen was stamped with; on an advance
-	// carryDocDist re-stamps or wipes them.
-	docMu   sync.RWMutex
-	docGen  uint64
-	docDist map[string][]float64
+	// docs is the document side the plan scores from, shared with every plan
+	// over the same membership handles. Nil for a plan compiled with a
+	// candidate restriction — it lives for one request, scores each candidate
+	// once and derives its probabilities as it goes — and in per-candidate
+	// mode; Refresh maintains neither.
+	docs *mapping.DocSide
 }
-
-// docCacheMaxEntries bounds the per-plan distribution cache so a plan
-// ranking an unbounded stream of ad-hoc candidate lists cannot grow
-// without limit. Past the bound scoring still works, it just recomputes.
-const docCacheMaxEntries = 1 << 17
 
 // planRule is one rule's candidate-independent compilation product.
 type planRule struct {
@@ -132,13 +119,10 @@ func (pr *planRule) docEv(id string) *event.Expr {
 type planCluster struct {
 	rules []int // indices into Plan.rules, ascending request order
 	// ctxProbs is the precomputed context-state distribution over the
-	// cluster's rules (index = bitmask of "rule context applies"); nil for
-	// singleton clusters, whose factor uses ctxProb directly.
+	// cluster's rules (index = bitmask of "rule context applies") and sigmas
+	// their σ; nil for singleton clusters, whose factor uses the rule's directly.
 	ctxProbs []float64
-	// distOff is the cluster's offset into a candidate's flat document
-	// distribution: 1 slot (P(docEv)) for singletons, 2^m slots (the
-	// document-state table) for an m-rule cluster.
-	distOff int
+	sigmas   []float64
 }
 
 // PlanScratch holds the per-request temporaries of the rank hot path —
@@ -148,8 +132,17 @@ type planCluster struct {
 // for concurrent use). Results returned by RankInto alias the scratch and
 // are valid until its next use.
 type PlanScratch struct {
-	docConj []*event.Expr
 	results []Result
+	// Per multi-rule cluster (parallel to Plan.multi): the rank's joint tables,
+	// and the document-state distribution of the candidate being scored.
+	tabs  []*mapping.DocTable
+	joint [][]float64
+	// What a plan without a shared document side derives per candidate: its
+	// row, and behind joint its distributions (joint itself may point into a
+	// shared side's tables, which are not the scratch's to write).
+	row  []float64
+	dist [][]float64
+	evs  []*event.Expr
 }
 
 // NewPlanScratch returns an empty scratch arena. Plan.Rank and Plan.Score
@@ -164,18 +157,20 @@ var (
 	scratchGets    atomic.Int64
 	scratchNews    atomic.Int64
 	docCacheHits   atomic.Int64
-	docCacheMisses atomic.Int64
+	docCacheMisses atomic.Int64 // the one-shot plans' share; see ReadHotPathStats
 )
 
 // HotPathStats reports how effective the rank hot path's scratch pool and
-// document-distribution caches are, cumulatively for the process.
+// shared document sides are, cumulatively for the process.
 type HotPathStats struct {
 	// ScratchGets counts internal scratch-pool checkouts; ScratchNews the
 	// subset that had to allocate a fresh arena (pool empty / GC'd).
 	ScratchGets int64 `json:"scratch_gets"`
 	ScratchNews int64 `json:"scratch_news"`
-	// DocCacheHits/Misses count candidate scorings served from a plan's
-	// cached document-side distribution vs. recomputed via Space.Prob.
+	// DocCacheHits counts candidate scorings answered from a shared document
+	// side's rows; DocCacheMisses the rows derived through Space.Prob — when
+	// a side is built, rebuilt or carried across a write (once for all its
+	// plans), and per candidate by plans that have no side.
 	DocCacheHits   int64 `json:"doc_cache_hits"`
 	DocCacheMisses int64 `json:"doc_cache_misses"`
 }
@@ -186,7 +181,7 @@ func ReadHotPathStats() HotPathStats {
 		ScratchGets:    scratchGets.Load(),
 		ScratchNews:    scratchNews.Load(),
 		DocCacheHits:   docCacheHits.Load(),
-		DocCacheMisses: docCacheMisses.Load(),
+		DocCacheMisses: docCacheMisses.Load() + mapping.DocRowsComputed(),
 	}
 }
 
@@ -206,7 +201,7 @@ func putScratch(sc *PlanScratch) { scratchPool.Put(sc) }
 // compile cost is paid once per (user, rule set, applied context) instead of
 // once per candidate; see the Plan type comment for what is hoisted.
 func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
-	return compilePlan(l, user, rules, nil)
+	return compilePlan(l, user, rules, nil, nil)
 }
 
 // compilePlan is CompilePlan with an optional candidate restriction: when
@@ -214,13 +209,13 @@ func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 // preference-membership events. A restricted plan is valid only for
 // candidates in the set — the per-request path uses it so a 3-candidate
 // RankQuery over a 100k-member preference does not walk 100k events'
-// blocks; cacheable catalog-wide plans pass nil.
-func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool) (*Plan, error) {
-	p, err := resolvePlan(l, user, rules)
+// blocks; cacheable catalog-wide plans pass nil. old, when non-nil, is a plan
+// over the same rules whose still-current handles are kept (see Refresh).
+func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool, old *Plan) (*Plan, error) {
+	p, err := resolvePlan(l, user, rules, old)
 	if err != nil {
 		return nil, err
 	}
-	p.restricted = only != nil
 	if err := p.compileClusters(only); err != nil {
 		return nil, err
 	}
@@ -233,7 +228,7 @@ func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[st
 // BenchmarkPlanScoreLargeCatalog's baseline use this to hold the mode against
 // the compiled one on rule sets that fit both.
 func perCandidatePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
-	p, err := resolvePlan(l, user, rules)
+	p, err := resolvePlan(l, user, rules, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +239,7 @@ func perCandidatePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan
 // usePerCandidate switches the plan to per-candidate mode, dropping what only
 // the enumerating mode and its Refresh use.
 func (p *Plan) usePerCandidate() {
-	p.perCandidate, p.clusters, p.docBlocks = true, nil, nil
+	p.perCandidate, p.clusters, p.multi, p.docs = true, nil, nil, nil
 	for i := range p.rules {
 		if p.rules[i].ctxProb > 0 {
 			p.active = append(p.active, &p.rules[i])
@@ -254,15 +249,16 @@ func (p *Plan) usePerCandidate() {
 
 // resolvePlan is the mode-independent half of compilation: every rule's
 // context event and probability for the user and its preference's membership
-// events for the whole catalog.
-func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
+// handle. old, when non-nil, is a plan over the same rules: a handle of its
+// that is still current is kept without asking the loader.
+func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule, old *Plan) (*Plan, error) {
 	if user == "" {
 		return nil, fmt.Errorf("core: request without a user")
 	}
 	space := l.DB().Space()
 	p := &Plan{loader: l, space: space, user: user}
 	p.rules = make([]planRule, 0, len(rules))
-	for _, rule := range rules {
+	for i, rule := range rules {
 		if err := rule.Validate(); err != nil {
 			return nil, err
 		}
@@ -274,8 +270,10 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s context: %w", rule.Name, err)
 		}
-		members, err := l.Members(rule.Preference)
-		if err != nil {
+		var members *mapping.Membership
+		if old != nil && old.rules[i].members.Current() {
+			members = old.rules[i].members
+		} else if members, err = l.Members(rule.Preference); err != nil {
 			return nil, fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
 		}
 		p.rules = append(p.rules, planRule{rule: rule, ctxEv: ctxEv, ctxProb: pCtx, members: members})
@@ -288,43 +286,35 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 // tables — or, when the partition produces a cluster past the enumeration
 // bound, switches the plan to per-candidate mode. only, when non-nil,
 // restricts the document-side footprint to those candidates (see
-// compilePlan).
+// compilePlan); otherwise the document side is the loader's shared one and
+// brings every rule's footprint, and which rules' footprints meet, with it.
 func (p *Plan) compileClusters(only map[string]bool) error {
-	gen := p.space.Generation()
-	if only == nil {
-		p.docBlocks = make([][]string, len(p.rules))
-	}
 	var active []int
 	for i := range p.rules {
 		if p.rules[i].ctxProb > 0 {
 			active = append(active, i)
 		}
 	}
+	var docs *mapping.DocProbs
+	if only == nil {
+		handles := make([]*mapping.Membership, len(p.rules))
+		for i := range p.rules {
+			handles[i] = p.rules[i].members
+		}
+		p.docs = p.loader.DocSide(handles)
+		if docs = p.docs.Probs(); docs.Err() != nil {
+			return fmt.Errorf("core: rule preferences: %w", docs.Err())
+		}
+	}
 
-	// Union-find over the active rules, merging rules whose footprints
-	// share a correlated block. blockOwner maps each block key to the
-	// first active rule that mentioned it.
-	parent := make([]int, len(active))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	// Union-find over the active rules, merging rules whose footprints —
+	// context event plus every preference membership event — share a
+	// correlated block. The clusters are the connected components, ordered by
+	// their first rule, whichever way the shared blocks are found.
+	sets := newDisjoint(len(active))
+	// blockOwner maps each block key of a walked footprint to the first active
+	// rule that mentioned it.
 	blockOwner := make(map[string]int)
-	// link merges rule ai with whichever rule mentioned the block first.
-	link := func(ai int, key string) {
-		if owner, ok := blockOwner[key]; ok {
-			parent[find(ai)] = find(owner)
-		} else {
-			blockOwner[key] = ai
-		}
-	}
 	footprint := make(map[string]bool)
 	for ai, ri := range active {
 		clear(footprint)
@@ -332,16 +322,7 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 		if err := p.space.Blocks(st.ctxEv, footprint); err != nil {
 			return fmt.Errorf("core: rule %s context: %w", st.rule.Name, err)
 		}
-		if only == nil {
-			keys, err := st.members.Blocks()
-			if err != nil {
-				return fmt.Errorf("core: rule %s preference: %w", st.rule.Name, err)
-			}
-			p.docBlocks[ri] = keys
-			for _, k := range keys {
-				link(ai, k)
-			}
-		} else {
+		if only != nil {
 			for id := range only {
 				if ev, ok := st.members.Events[id]; ok {
 					if err := p.space.Blocks(ev, footprint); err != nil {
@@ -349,68 +330,56 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 					}
 				}
 			}
+		} else {
+			// Document ∩ document is the side's relation; context ∩ document
+			// looks the few context keys up in the other rules' footprints.
+			for aj, rj := range active {
+				if aj < ai && docs.Shares(ri, rj) {
+					sets.union(ai, aj)
+				}
+				for key := range footprint {
+					if _, hit := slices.BinarySearch(docs.Blocks(rj), key); hit {
+						sets.union(ai, aj)
+					}
+				}
+			}
 		}
 		for key := range footprint {
-			link(ai, key)
+			if owner, ok := blockOwner[key]; ok {
+				sets.union(ai, owner)
+			} else {
+				blockOwner[key] = ai
+			}
 		}
 	}
 
-	byRoot := make(map[int][]int)
-	var roots []int
-	for ai, ri := range active {
-		root := find(ai)
-		if _, ok := byRoot[root]; !ok {
-			roots = append(roots, root)
+	var ctxEvs []*event.Expr
+	for _, members := range sets.components() {
+		cl := planCluster{rules: make([]int, len(members))}
+		for i, ai := range members {
+			cl.rules[i] = active[ai]
 		}
-		byRoot[root] = append(byRoot[root], ri)
-	}
-
-	p.clusters = make([]planCluster, 0, len(roots))
-	for _, root := range roots {
-		cl := planCluster{rules: byRoot[root]}
 		m := len(cl.rules)
 		if m > maxClusterRules {
 			p.usePerCandidate()
 			return nil
 		}
 		if m > 1 {
-			// Precompute the context-state distribution, exactly as the
-			// per-candidate path did — identical expressions, so the event
-			// space's memo keys match too.
-			cl.ctxProbs = make([]float64, 1<<m)
-			for mask := 0; mask < 1<<m; mask++ {
-				ctxConj := make([]*event.Expr, m)
-				for i, ri := range cl.rules {
-					if mask&(1<<i) != 0 {
-						ctxConj[i] = p.rules[ri].ctxEv
-					} else {
-						ctxConj[i] = event.Not(p.rules[ri].ctxEv)
-					}
-				}
-				prob, err := p.space.Prob(event.And(ctxConj...))
-				if err != nil {
-					return err
-				}
-				cl.ctxProbs[mask] = prob
+			// The context-state distribution, over the same expressions the
+			// per-candidate path enumerates — the event space's memo keys match.
+			ctxEvs = ctxEvs[:0]
+			for _, ri := range cl.rules {
+				ctxEvs = append(ctxEvs, p.rules[ri].ctxEv)
+				cl.sigmas = append(cl.sigmas, p.rules[ri].rule.Sigma)
 			}
+			cl.ctxProbs = make([]float64, 1<<m)
+			if err := p.space.JointProbs(ctxEvs, cl.ctxProbs); err != nil {
+				return err
+			}
+			p.multi = append(p.multi, len(p.clusters))
 		}
 		p.clusters = append(p.clusters, cl)
 	}
-
-	// Lay out the flat document-distribution record: 1 slot per singleton,
-	// 2^m per m-rule cluster.
-	off := 0
-	for i := range p.clusters {
-		p.clusters[i].distOff = off
-		if m := len(p.clusters[i].rules); m > 1 {
-			off += 1 << m
-		} else {
-			off++
-		}
-	}
-	p.distLen = off
-	p.docGen = gen
-	p.docDist = make(map[string][]float64)
 	return nil
 }
 
@@ -449,169 +418,26 @@ func (p *Plan) sameRules(rules []prefs.Rule) bool {
 	return true
 }
 
-// Refresh compiles a successor plan against the loader's *current* state,
-// reusing the candidate-independent work that state left intact instead of
-// recompiling from scratch. Anything may have happened since the plan
-// compiled — context applies of any user, asserts and retracts, SQL writes —
-// as long as rules, the rule list to rank under now, is the one the plan
-// compiled from; otherwise it returns ErrPlanNotRefreshable.
+// Refresh compiles a successor plan against the loader's *current* state.
+// Anything may have happened since the plan compiled — context applies of any
+// user, asserts and retracts, SQL writes — as long as rules, the rule list to
+// rank under now, is the one the plan compiled from; otherwise it returns
+// ErrPlanNotRefreshable.
 //
-// What is reused, and why it is exact:
-//
-//   - Preference memberships: a rule whose handle is still current (no table
-//     its view reads was written) keeps it without touching the store. Any
-//     other rule fetches the loader's handle — patched or queried once per
-//     table version, shared by every user's refresh — and asks it which
-//     candidates moved since the old one (Membership.ChangedSince); only
-//     across a view query does it compare the two memberships itself.
-//   - Cluster partition: re-run over fresh context footprints plus the
-//     handles' document footprints, each walked once per handle for all its
-//     plans — the same union-find over the same keys a fresh compile would
-//     walk, so the partition (and hence float association order) is
-//     identical by construction.
-//   - 2^m context-state tables: recomputed through Space.Prob, whose memo
-//     retains entries for expressions that mention no retired event — an
-//     unchanged rule context is a lookup, only genuinely touched clusters
-//     pay an enumeration.
-//   - Document-side distributions: adopted from the predecessor for every
-//     candidate whose membership events are unchanged, provided the cluster
-//     layout is identical and the event space's footprint diff
-//     (ChangedBlocksSince) confirms no document block was retired,
-//     regrouped or re-declared since they were computed. Re-scoring then
-//     touches only candidates the change actually reached.
+// It is a compile that keeps the membership handles that are still current
+// (any other is the loader's — patched or queried once per table version, for
+// every user's refresh). Nothing else needs handing down from the plan: the
+// document side — probabilities, footprints and what the partition needs of
+// them — belongs to the handles, so the successor reads the side this plan
+// reads (or, after a write, the one side carried across it for all plans);
+// and the 2^m context-state tables go through Space.Prob, whose memo keeps
+// every expression that mentions no retired event. The partition is the one a
+// fresh compile computes, by the same code, so scores are bit-identical to it.
 func (p *Plan) Refresh(rules []prefs.Rule) (*Plan, error) {
-	if p.restricted || p.perCandidate || !p.sameRules(rules) {
+	if p.docs == nil || !p.sameRules(rules) {
 		return nil, ErrPlanNotRefreshable
 	}
-	np := &Plan{loader: p.loader, space: p.space, user: p.user}
-	np.rules = make([]planRule, len(p.rules))
-	// changedIDs collects candidates whose membership event differs in any
-	// re-fetched rule; their cached distributions are the ones invalidated.
-	changedIDs := make(map[string]bool)
-	for i := range p.rules {
-		old := &p.rules[i]
-		ctxEv, err := p.loader.MembershipEvent(old.rule.Context, p.user)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %s context: %w", old.rule.Name, err)
-		}
-		pCtx, err := p.space.Prob(ctxEv)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %s context: %w", old.rule.Name, err)
-		}
-		members := old.members
-		if !members.Current() {
-			if members, err = p.loader.Members(old.rule.Preference); err != nil {
-				return nil, fmt.Errorf("core: rule %s preference: %w", old.rule.Name, err)
-			}
-			if ids, tracked := members.ChangedSince(old.members); tracked {
-				for _, id := range ids {
-					changedIDs[id] = true
-				}
-			} else {
-				diffMembers(old.members.Events, members.Events, changedIDs)
-			}
-		}
-		np.rules[i] = planRule{rule: old.rule, ctxEv: ctxEv, ctxProb: pCtx, members: members}
-	}
-	if err := np.compileClusters(nil); err != nil {
-		return nil, err
-	}
-	np.adoptDocDist(p, changedIDs)
-	return np, nil
-}
-
-// diffMembers records into changed every candidate whose membership event
-// differs between old and new: the refresh's fall-back when the new handle
-// cannot name them (Membership.ChangedSince untracked — a view query, or more
-// patches than a handle remembers, lies between the two).
-func diffMembers(old, new map[string]*event.Expr, changed map[string]bool) {
-	for id, ev := range new {
-		if oev, ok := old[id]; !ok || !event.Equal(oev, ev) {
-			changed[id] = true
-		}
-	}
-	for id := range old {
-		if _, ok := new[id]; !ok {
-			changed[id] = true
-		}
-	}
-}
-
-// adoptDocDist carries the predecessor's cached document-side
-// distributions into np for every candidate the context change provably
-// did not reach. Preconditions checked here: the cluster layout (partition,
-// rule order, distribution offsets) is identical, so the flat records have
-// the same shape and association order; and the event space's footprint
-// diff since the entries were computed is disjoint from every active
-// rule's document footprint, so each adopted value is bit-identical to
-// what a fresh computation would produce. On any doubt it adopts nothing —
-// correctness never depends on adoption, only refresh speed does.
-func (np *Plan) adoptDocDist(p *Plan, changedIDs map[string]bool) {
-	if np.distLen != p.distLen || len(np.clusters) != len(p.clusters) {
-		return
-	}
-	for i := range np.clusters {
-		if np.clusters[i].distOff != p.clusters[i].distOff ||
-			!slices.Equal(np.clusters[i].rules, p.clusters[i].rules) {
-			return
-		}
-	}
-	p.docMu.RLock()
-	oldGen := p.docGen
-	n := len(p.docDist)
-	p.docMu.RUnlock()
-	if n == 0 {
-		return
-	}
-	asOf, ok := np.docBlocksUntouchedSince(oldGen)
-	if !ok {
-		return
-	}
-	p.docMu.RLock()
-	if p.docGen != oldGen {
-		p.docMu.RUnlock()
-		return
-	}
-	adopt := make(map[string][]float64, len(p.docDist))
-	for id, d := range p.docDist {
-		if !changedIDs[id] {
-			adopt[id] = d
-		}
-	}
-	p.docMu.RUnlock()
-	np.docMu.Lock()
-	np.docGen = asOf
-	np.docDist = adopt
-	np.docMu.Unlock()
-}
-
-// docBlocksUntouchedSince reports whether every invalidation of the event
-// space after generation gen left the document-side footprint of every
-// active rule alone — none of its blocks retired, regrouped or re-declared —
-// and the generation that answer holds as of: document-side distributions
-// computed at gen are then bit-identical to what a computation at asOf would
-// produce. False when the space's change history no longer reaches back to
-// gen or a rule's footprint is not known (a candidate-restricted compile).
-func (p *Plan) docBlocksUntouchedSince(gen uint64) (asOf uint64, ok bool) {
-	changed, asOf, tracked := p.space.ChangedBlocksSince(gen)
-	if !tracked {
-		return asOf, false
-	}
-	for _, cl := range p.clusters {
-		for _, ri := range cl.rules {
-			if p.docBlocks == nil || p.docBlocks[ri] == nil {
-				return asOf, false
-			}
-			// The changed keys are the few a handful of context applies
-			// touched; the footprint is sorted and may span the catalog.
-			for k := range changed {
-				if _, hit := slices.BinarySearch(p.docBlocks[ri], k); hit {
-					return asOf, false
-				}
-			}
-		}
-	}
-	return asOf, true
+	return compilePlan(p.loader, p.user, rules, nil, p)
 }
 
 // User returns the situated user the plan was compiled for.
@@ -633,8 +459,8 @@ func (p *Plan) ActiveRules() int {
 }
 
 // Score computes the candidate's ideal-document probability under the
-// plan's compiled rule set: only the document-side distribution is
-// evaluated here, the context side was resolved at compile time.
+// plan's compiled rule set: only the document side is read here, the context
+// side was resolved at compile time.
 func (p *Plan) Score(id string) (float64, error) {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -644,164 +470,136 @@ func (p *Plan) Score(id string) (float64, error) {
 // ScoreWith is Score with a caller-owned scratch arena, for scoring loops
 // that must not allocate. The scratch must not be shared across goroutines.
 func (p *Plan) ScoreWith(sc *PlanScratch, id string) (float64, error) {
-	if p.perCandidate {
-		return p.scorePerCandidate(id)
-	}
-	dist, err := p.docDistFor(sc, id)
+	docs, err := p.docProbs(sc, 1)
 	if err != nil {
 		return 0, err
 	}
-	score := 1.0
-	for i := range p.clusters {
-		score *= p.clusterScoreFromDist(&p.clusters[i], dist)
-	}
-	return score, nil
+	return p.score(sc, docs, id)
 }
 
-// docDistFor returns the candidate's flat per-cluster document-state
-// distribution from the plan's cache. A warm hit is one RLock and zero
-// allocations; when the space's generation moved since the cache was stamped
-// carryDocDist decides, once, whether the entries survive; a miss computes
-// via Space.Prob and publishes the record for subsequent ranks.
-func (p *Plan) docDistFor(sc *PlanScratch, id string) ([]float64, error) {
-	gen := p.space.Generation()
-	p.docMu.RLock()
-	current := p.docGen == gen
-	d, ok := p.docDist[id]
-	p.docMu.RUnlock()
-	if !current {
-		if ok = p.carryDocDist(gen); ok {
-			p.docMu.RLock()
-			d, ok = p.docDist[id]
-			p.docMu.RUnlock()
-		}
+// score scores one candidate of a rank docProbs has readied the scratch for.
+func (p *Plan) score(sc *PlanScratch, docs *mapping.DocProbs, id string) (float64, error) {
+	if p.perCandidate {
+		return p.scorePerCandidate(id)
 	}
-	if ok {
-		docCacheHits.Add(1)
-		return d, nil
+	row, err := p.docRow(sc, docs, id)
+	if err != nil {
+		return 0, err
 	}
-	docCacheMisses.Add(1)
+	return p.scoreRow(sc, row), nil
+}
 
-	d = make([]float64, p.distLen)
-	if err := p.computeDocDist(sc, id, d); err != nil {
+// docProbs readies the scratch for scoring n candidates and returns where
+// their document probabilities come from: the shared document side's content,
+// checked against the event space here — once, not per candidate — with the
+// joint table of every multi-rule cluster; or nil for a plan without a side,
+// which derives them per candidate (docRow).
+func (p *Plan) docProbs(sc *PlanScratch, n int) (*mapping.DocProbs, error) {
+	sc.tabs = sc.tabs[:0]
+	if len(sc.joint) < len(p.multi) {
+		sc.joint = make([][]float64, len(p.multi))
+		sc.dist = make([][]float64, len(p.multi))
+	}
+	if p.docs == nil {
+		return nil, nil
+	}
+	docs := p.docs.Probs()
+	if err := docs.Err(); err != nil {
 		return nil, err
 	}
-	p.docMu.Lock()
-	if p.docGen == gen && len(p.docDist) < docCacheMaxEntries {
-		p.docDist[id] = d
-	}
-	p.docMu.Unlock()
-	return d, nil
-}
-
-// carryDocDist brings the distribution cache to the space's generation gen
-// and reports whether its entries are valid there. They are kept and
-// re-stamped when the invalidations since the stamp provably left every
-// active rule's document footprint alone — another user's context apply
-// retires only that user's context events, so a plan that outlives it keeps
-// its warm distributions. Otherwise the map is wiped wholesale, which re-runs
-// Prob and therefore re-surfaces "not declared" for retired document events
-// instead of masking them.
-func (p *Plan) carryDocDist(gen uint64) bool {
-	p.docMu.Lock()
-	defer p.docMu.Unlock()
-	if p.docGen >= gen {
-		return p.docGen == gen
-	}
-	if len(p.docDist) > 0 {
-		if asOf, ok := p.docBlocksUntouchedSince(p.docGen); ok {
-			p.docGen = asOf
-			return asOf == gen
+	for _, ci := range p.multi {
+		tab, err := docs.Joint(p.clusters[ci].rules)
+		if err != nil {
+			return nil, err
 		}
-		clear(p.docDist)
+		sc.tabs = append(sc.tabs, tab)
 	}
-	p.docGen = gen
-	return true
+	docCacheHits.Add(int64(n))
+	return docs, nil
 }
 
-// computeDocDist fills out with the candidate's document-side distribution
-// for every cluster — the only part of scoring that consults the event
-// space. Semantics are identical to the pre-cache clusterScore: the same
-// expressions are built, so the space's memo keys match too.
-func (p *Plan) computeDocDist(sc *PlanScratch, id string, out []float64) error {
-	for ci := range p.clusters {
-		cl := &p.clusters[ci]
+// docRow returns the candidate's probability of membership under each active
+// rule (indexed like Plan.rules) and leaves its joint distribution per
+// multi-rule cluster in sc.joint: looked up in the shared side, or — docs nil —
+// derived through Space.Prob into the scratch, over the expressions the
+// shared side would derive them from.
+func (p *Plan) docRow(sc *PlanScratch, docs *mapping.DocProbs, id string) ([]float64, error) {
+	if docs != nil {
+		for i, tab := range sc.tabs {
+			sc.joint[i] = tab.Row(id)
+		}
+		return docs.Row(id), nil
+	}
+	docCacheMisses.Add(1)
+	if len(sc.row) < len(p.rules) {
+		sc.row = make([]float64, len(p.rules))
+	}
+	for i := range p.rules {
+		if p.rules[i].ctxProb == 0 {
+			continue
+		}
+		pX, err := p.space.Prob(p.rules[i].docEv(id))
+		if err != nil {
+			return nil, err
+		}
+		sc.row[i] = pX
+	}
+	for i, ci := range p.multi {
+		sc.evs = sc.evs[:0]
+		for _, ri := range p.clusters[ci].rules {
+			sc.evs = append(sc.evs, p.rules[ri].docEv(id))
+		}
+		if len(sc.dist[i]) != 1<<len(sc.evs) {
+			sc.dist[i] = make([]float64, 1<<len(sc.evs))
+		}
+		if err := p.space.JointProbs(sc.evs, sc.dist[i]); err != nil {
+			return nil, err
+		}
+		sc.joint[i] = sc.dist[i]
+	}
+	return sc.row, nil
+}
+
+// scoreRow multiplies the clusters' expected factors for the candidate docRow
+// looked up last — the §3.3 semantics as pure float arithmetic.
+func (p *Plan) scoreRow(sc *PlanScratch, row []float64) float64 {
+	score := 1.0
+	next := 0 // the next multi-rule cluster's slot in sc.joint
+	for i := range p.clusters {
+		cl := &p.clusters[i]
 		if len(cl.rules) == 1 {
-			pX, err := p.space.Prob(p.rules[cl.rules[0]].docEv(id))
-			if err != nil {
-				return err
-			}
-			out[cl.distOff] = pX
+			// Singleton fast path: factor = (1−pC) + pC·(σ·pX + (1−σ)(1−pX)).
+			st := &p.rules[cl.rules[0]]
+			pX := row[cl.rules[0]]
+			s := st.rule.Sigma
+			pC := st.ctxProb
+			score *= (1 - pC) + pC*(s*pX+(1-s)*(1-pX))
 			continue
 		}
-		m := len(cl.rules)
-		if cap(sc.docConj) < m {
-			sc.docConj = make([]*event.Expr, m)
-		}
-		docConj := sc.docConj[:m]
-		for mask := 0; mask < 1<<m; mask++ {
-			for i, ri := range cl.rules {
-				if mask&(1<<i) != 0 {
-					docConj[i] = p.rules[ri].docEv(id)
-				} else {
-					docConj[i] = event.Not(p.rules[ri].docEv(id))
-				}
-			}
-			prob, err := p.space.Prob(event.And(docConj...))
-			if err != nil {
-				return err
-			}
-			out[cl.distOff+mask] = prob
-		}
+		score *= expectedFactor(cl.sigmas, cl.ctxProbs, sc.joint[next])
+		next++
 	}
-	return nil
+	return score
 }
 
-// clusterScoreFromDist computes one cluster's expected factor from the
-// candidate's cached document distribution — the same §3.3 semantics as
-// the pre-plan clusterFactor, now pure float arithmetic.
-func (p *Plan) clusterScoreFromDist(cl *planCluster, dist []float64) float64 {
-	if len(cl.rules) == 1 {
-		// Singleton fast path: factor = (1−pC) + pC·(σ·pX + (1−σ)(1−pX)).
-		st := &p.rules[cl.rules[0]]
-		pX := dist[cl.distOff]
-		s := st.rule.Sigma
-		pC := st.ctxProb
-		return (1 - pC) + pC*(s*pX+(1-s)*(1-pX))
-	}
-	m := len(cl.rules)
-	docProbs := dist[cl.distOff : cl.distOff+1<<m]
-	total := 0.0
-	for g := 0; g < 1<<m; g++ {
-		if cl.ctxProbs[g] == 0 {
-			continue
-		}
-		inner := 0.0
-		for f := 0; f < 1<<m; f++ {
-			if docProbs[f] == 0 {
-				continue
-			}
-			prod := 1.0
-			for i, ri := range cl.rules {
-				if g&(1<<i) == 0 {
-					continue
-				}
-				if f&(1<<i) != 0 {
-					prod *= p.rules[ri].rule.Sigma
-				} else {
-					prod *= 1 - p.rules[ri].rule.Sigma
-				}
-			}
-			inner += docProbs[f] * prod
-		}
-		total += cl.ctxProbs[g] * inner
-	}
-	return total
-}
-
-// Explain builds the per-rule contribution trace for one candidate from
-// the compiled context probabilities.
+// Explain builds the per-rule contribution trace for one candidate from the
+// compiled context probabilities and the membership probabilities its score
+// is computed from.
 func (p *Plan) Explain(id string) (*Explanation, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	docs, err := p.docProbs(sc, 1)
+	if err != nil {
+		return nil, err
+	}
+	return p.explain(sc, docs, id)
+}
+
+func (p *Plan) explain(sc *PlanScratch, docs *mapping.DocProbs, id string) (*Explanation, error) {
+	row, err := p.docRow(sc, docs, id)
+	if err != nil {
+		return nil, err
+	}
 	ex := &Explanation{}
 	for i := range p.rules {
 		st := &p.rules[i]
@@ -809,10 +607,7 @@ func (p *Plan) Explain(id string) (*Explanation, error) {
 			ex.Rules = append(ex.Rules, RuleContribution{Rule: st.rule.Name, Sigma: st.rule.Sigma, Pruned: true, Factor: 1})
 			continue
 		}
-		pDoc, err := p.space.Prob(st.docEv(id))
-		if err != nil {
-			return nil, err
-		}
+		pDoc := row[i]
 		s := st.rule.Sigma
 		pCtx := st.ctxProb
 		factor := pCtx*(pDoc*s+(1-pDoc)*(1-s)) + (1 - pCtx)
@@ -884,9 +679,13 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 	}
 	heap := req.TopK > 0
 
+	docs, err := p.docProbs(sc, len(candidates))
+	if err != nil {
+		return nil, err
+	}
 	sc.results = sc.results[:0]
 	for _, id := range candidates {
-		score, err := p.ScoreWith(sc, id)
+		score, err := p.score(sc, docs, id)
 		if err != nil {
 			return nil, err
 		}
@@ -905,7 +704,7 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 	}
 	if req.Explain {
 		for i := range sc.results {
-			ex, err := p.Explain(sc.results[i].ID)
+			ex, err := p.explain(sc, docs, sc.results[i].ID)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -32,6 +33,91 @@ func assertBitIdentical(t *testing.T, label string, got, want []Result) {
 				label, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 		}
 	}
+}
+
+// freshLoader restores a dump of the loader's database into a new engine under
+// a new loader: the same state with none of the first loader's memo, document
+// sides or event-space memo.
+func freshLoader(t *testing.T, l *mapping.Loader) *mapping.Loader {
+	t.Helper()
+	var dump bytes.Buffer
+	if err := l.DB().Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	db := engine.New()
+	if err := db.Restore(&dump); err != nil {
+		t.Fatal(err)
+	}
+	return mapping.NewLoader(db, l.TBox())
+}
+
+// assertRankExact holds a plan's rank of the target against the loader's
+// present state by routes that share nothing with the plan's document side:
+// a compile restricted to every individual there is — which restricts nothing,
+// but walks the footprints itself, key by key through the union-find, and
+// takes every probability straight from Space.Prob — must produce the same
+// clusters in the same order and bit-identical scores; with fresh set, so must
+// a compile on a fresh loader over a restored dump; and with naive set the
+// §3.3 reference agrees within 1e-9. It returns the plan's ranking.
+func assertRankExact(t *testing.T, label string, p *Plan, rules []prefs.Rule, target *dl.Expr, fresh *mapping.Loader, naive bool) []Result {
+	t.Helper()
+	req := PlanRequest{Target: target}
+	got, err := p.Rank(req)
+	if err != nil {
+		t.Fatalf("%s: %s's rank: %v", label, p.user, err)
+	}
+	everyone := map[string]bool{}
+	exprs := []*dl.Expr{target}
+	for _, r := range rules {
+		exprs = append(exprs, r.Preference)
+	}
+	for _, e := range exprs {
+		m, err := p.loader.Members(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range m.IDs {
+			everyone[id] = true
+		}
+	}
+	walked, err := compilePlan(p.loader, p.user, rules, everyone, nil)
+	if err != nil {
+		t.Fatalf("%s: %s's walked compile: %v", label, p.user, err)
+	}
+	if walked.docs != nil || p.docs == nil {
+		t.Fatalf("%s: the walked plan has a document side (%v) or the plan under test has none (%v)", label, walked.docs != nil, p.docs == nil)
+	}
+	if len(walked.clusters) != len(p.clusters) {
+		t.Fatalf("%s: %s: %d clusters, the walked union-find finds %d", label, p.user, len(p.clusters), len(walked.clusters))
+	}
+	for i := range walked.clusters {
+		if !slices.Equal(walked.clusters[i].rules, p.clusters[i].rules) {
+			t.Fatalf("%s: %s: cluster %d holds rules %v, the walked union-find puts %v there", label, p.user, i, p.clusters[i].rules, walked.clusters[i].rules)
+		}
+	}
+	want, err := walked.Rank(req)
+	if err != nil {
+		t.Fatalf("%s: %s's walked rank: %v", label, p.user, err)
+	}
+	assertBitIdentical(t, label+": "+p.user+" vs the walked compile", got, want)
+	if fresh != nil {
+		fp, err := CompilePlan(fresh, p.user, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = fp.Rank(req); err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, label+": "+p.user+" vs a fresh loader", got, want)
+	}
+	if naive {
+		want, err := NewNaiveRanker(p.loader).Rank(Request{User: p.user, Rules: rules, PlanRequest: req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameScores(t, label+": "+p.user+" vs naive", got, want, 1e-9)
+	}
+	return got
 }
 
 // assertHandlesExact holds what a plan ranks by against the store itself,
@@ -97,9 +183,14 @@ func assertHandlesExact(t *testing.T, label string, p *Plan) {
 // asserts, a merge into an existing row, a retract, a new candidate, dl_domain
 // growth on its own, a SQL delete and insert, another user's owner-scoped
 // apply, more patches between two refreshes than a handle remembers — via
-// Refresh, and checks every intermediate ranking bit-identical to a
-// from-scratch CompilePlan of the same state, and every handle it ranks by
-// identical to a query of its view.
+// Refresh, beside two other users' plans whose own contexts rotate through
+// other active rule sets at every step. All three read one document side, and
+// after every step each plan's ranking must be bit-identical to the routes
+// that do not (assertRankExact: the walked compile, a fresh loader, the naive
+// reference), every handle identical to a query of its view — and the side
+// must have derived exactly what the step calls for: nothing across a context
+// change, the individuals a logged write reached, everything when the write
+// cannot be traced.
 func TestRefreshMatchesFreshCompile(t *testing.T) {
 	l, rules := correlatedSetup(t)
 	db := l.DB()
@@ -119,15 +210,47 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		prefs.Rule{Name: "r5", Context: dl.Atom("Weekend"), Preference: dl.Exists("about", dl.Atom("Topic")), Sigma: 0.75},
 		prefs.Rule{Name: "r6", Context: dl.Atom("Kitchen"), Preference: dl.And(dl.Atom("Doc"), dl.Not(dl.Atom("F3"))), Sigma: 0.4},
 	)
-	plan, err := CompilePlan(l, "u", rules)
-	if err != nil {
-		t.Fatal(err)
+	// The other users' contexts at step i: between them they leave r1 ∧ r2
+	// (one exclusive group), r1 alone, r2 ∧ r3 ∧ r5 (independent), r3 ∧ r5 and
+	// nothing at all active — against u's own shapes in the steps below.
+	rotate := func(i int) {
+		v := situation.New("v")
+		switch i % 3 {
+		case 0:
+			v.AddExclusive("location", []string{"Kitchen", "Living"}, []float64{0.3, 0.6})
+		case 1:
+			v.Add("Kitchen", 0.25+0.05*float64(i%7))
+		}
+		w := situation.New("w")
+		if i%4 != 3 {
+			w.Add("Weekend", 0.9-0.1*float64(i%5))
+		}
+		if i%2 == 0 {
+			w.Add("Living", 0.45)
+		}
+		for _, ctx := range []*situation.Context{v, w} {
+			_, err := ctx.ApplyOwned(l)
+			must(err)
+		}
 	}
-	// Warm the doc-distribution cache so the refresh has something to adopt.
-	if _, err := plan.Rank(PlanRequest{Target: dl.Atom("Doc")}); err != nil {
-		t.Fatal(err)
+	rotate(0) // registers v and w in dl_domain, which r6's ¬ reads
+	users := []string{"u", "v", "w"}
+	plans := make([]*Plan, len(users))
+	for i, u := range users {
+		var err error
+		if plans[i], err = CompilePlan(l, u, rules); err != nil {
+			t.Fatal(err)
+		}
+		if plans[i].docs != plans[0].docs {
+			t.Fatalf("%s's plan compiled a document side of its own", u)
+		}
 	}
-	apply := func(ctx *situation.Context) func() { return func() { must(ctx.Apply(l)) } }
+	apply := func(ctx *situation.Context) func() {
+		return func() {
+			_, err := ctx.ApplyOwned(l)
+			must(err)
+		}
+	}
 	declare := func(name string, p float64) *event.Expr {
 		must(db.Space().Declare(name, p))
 		return event.Basic(name)
@@ -199,16 +322,20 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		}},
 		{"context after the writes", apply(situation.New("u").Add("Kitchen", 0.6).Add("Weekend", 0.2))},
 	}
-	for _, s := range steps {
+	rows := func() int64 { return ReadHotPathStats().DocCacheMisses }
+	// The rule tuples whose joint table the document side has filled — itself,
+	// or a side it was carried from.
+	filled := map[string]bool{}
+	for si, s := range steps {
 		s.do()
+		plan := plans[0]
 		// A context apply and a write to Other leave every preference's
 		// tables alone; every other step writes one.
 		if want := strings.HasPrefix(s.name, "context") || s.name == "write no rule reads"; plan.Current() != want {
 			t.Fatalf("%s: plan.Current() = %v, want %v", s.name, plan.Current(), want)
 		}
-		// Which way the refresh learns what moved: from the new handles
-		// themselves, except across a view query (SQL wrote) or a history that
-		// outran them — then it has to compare the memberships.
+		// Whether the new handles can name what moved since the plans': not
+		// across a view query (SQL wrote) or a history that outran them.
 		tracked := true
 		for i, r := range rules {
 			cur, err := l.Members(r.Preference)
@@ -220,28 +347,58 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		if want := !strings.Contains(s.name, "sql") && !strings.HasPrefix(s.name, "more patches"); tracked != want {
 			t.Fatalf("%s: the new handles track the plan's = %v, want %v", s.name, tracked, want)
 		}
-		refreshed, err := plan.Refresh(rules)
-		if err != nil {
-			t.Fatalf("%s: refresh: %v", s.name, err)
+		if !tracked {
+			clear(filled)
 		}
-		if !refreshed.Current() {
-			t.Fatalf("%s: the refreshed plan is not current", s.name)
+		carried, first := len(filled), 0
+		rotate(si + 1)
+		before := rows()
+		for i, p := range plans {
+			refreshed, err := p.Refresh(rules)
+			if err != nil {
+				t.Fatalf("%s: %s's refresh: %v", s.name, users[i], err)
+			}
+			if !refreshed.Current() {
+				t.Fatalf("%s: %s's refreshed plan is not current", s.name, users[i])
+			}
+			if refreshed.docs != p.docs != !plan.Current() {
+				t.Fatalf("%s: %s's refresh changed document sides = %v with the handles current = %v", s.name, users[i], refreshed.docs != p.docs, plan.Current())
+			}
+			if _, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc")}); err != nil {
+				t.Fatalf("%s: %s's rank: %v", s.name, users[i], err)
+			}
+			for _, ci := range refreshed.multi {
+				if tuple := fmt.Sprint(refreshed.clusters[ci].rules); !filled[tuple] {
+					filled[tuple] = true
+					first++
+				}
+			}
+			plans[i] = refreshed
 		}
-		assertHandlesExact(t, s.name, refreshed)
-		fresh, err := CompilePlan(l, "u", rules)
-		if err != nil {
-			t.Fatal(err)
+		if plans[1].docs != plans[0].docs || plans[2].docs != plans[0].docs {
+			t.Fatalf("%s: the three plans no longer read one document side", s.name)
 		}
-		got, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc")})
-		if err != nil {
-			t.Fatalf("%s: refreshed rank: %v", s.name, err)
+		// What the three refreshes and ranks derived, between them. Marginal
+		// rows: none while the handles stand; the one or two individuals a
+		// traced write reached (d3 and d4 in the busiest step), once; the whole
+		// side — every document, and whoever else ¬F3 holds of — when the delta
+		// is untraced. Joint rows: those of the same individuals in every table
+		// carried, and a whole table (at most the 5 documents' rows) the first
+		// time a context puts a tuple of rules into one cluster.
+		derived := rows() - before
+		switch atMost := int64(first * 5); {
+		case plan.Current() && derived > atMost, plan.Current() && first == 0 && derived != 0:
+			t.Fatalf("%s: a step that wrote no preference's table derived %d document rows (%d tuples clustered for the first time)", s.name, derived, first)
+		case tracked && derived > atMost+int64(2*(1+carried)):
+			t.Fatalf("%s: a traced write derived %d document rows (%d joint tables carried, %d new)", s.name, derived, carried, first)
+		case !tracked && derived < 6:
+			t.Fatalf("%s: an untraced write derived %d document rows, not the side", s.name, derived)
 		}
-		want, err := fresh.Rank(PlanRequest{Target: dl.Atom("Doc")})
-		if err != nil {
-			t.Fatalf("%s: fresh rank: %v", s.name, err)
+		fresh := freshLoader(t, l)
+		for _, p := range plans {
+			assertHandlesExact(t, s.name, p)
+			assertRankExact(t, s.name, p, rules, dl.Atom("Doc"), fresh, true)
 		}
-		assertBitIdentical(t, s.name, got, want)
-		plan = refreshed
 	}
 }
 
@@ -292,7 +449,7 @@ func TestRefreshRefusesOtherRules(t *testing.T) {
 // (the per-request path) must refuse incremental maintenance.
 func TestRefreshRestrictedPlanNotRefreshable(t *testing.T) {
 	l, rules := correlatedSetup(t)
-	plan, err := compilePlan(l, "u", rules, map[string]bool{"d1": true})
+	plan, err := compilePlan(l, "u", rules, map[string]bool{"d1": true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +574,10 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 			must(err)
 		}
 	}
-	applyRandomCtx := func() {
-		ctx := situation.New("u")
+	// randomCtx applies a random context for the user — owner-scoped, or when
+	// whole is set the whole-loader apply that retracts every other user's.
+	randomCtx := func(user string, whole bool) {
+		ctx := situation.New(user)
 		if rng.Intn(2) == 0 {
 			probs := []float64{0.3 + 0.3*rng.Float64(), 0.2 * rng.Float64(), 0.1 * rng.Float64()}
 			ctx.AddExclusive("room", []string{"Room1", "Room2", "Room3"}, probs)
@@ -440,23 +599,35 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 			// domain-sensitive rules must notice.
 			ctx.CertainFor(fmt.Sprintf("guest%02d", rng.Intn(50)), "Room1")
 		}
-		must(ctx.Apply(l))
+		if whole {
+			must(ctx.Apply(l))
+			return
+		}
+		_, err := ctx.ApplyOwned(l)
+		must(err)
 	}
 
-	applyRandomCtx()
-	prev, err := CompilePlan(l, "u", rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := PlanRequest{Target: dl.Atom("Doc")}
-	if _, err := prev.Rank(req); err != nil {
-		t.Fatal(err)
+	// Four users hold a plan each, all over one document side; u's context
+	// moves with the history below, the others' in turn, one a round.
+	users := []string{"u", "v0", "v1", "v2"}
+	plans := make([]*Plan, len(users))
+	for i, u := range users {
+		randomCtx(u, false)
+		var err error
+		if plans[i], err = CompilePlan(l, u, rules); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tracked, untracked := 0, 0
+	// Rounds in which a plan clustered several rules, and in which it put r1
+	// and r5 into one cluster over the user's Room1 event alone — r1's context
+	// event, and through r5's preference (F4 ⊔ Room1) in r5's document
+	// footprint — with no document block between the two.
+	coupled, ctxLinked := 0, 0
 	for round := 0; round < 240; round++ {
 		switch rng.Intn(8) {
 		case 0:
-			// A burst the plan sleeps through while other readers keep every
+			// A burst the plans sleep through while other readers keep every
 			// preference looked up: one patch per write, more than a handle
 			// remembers.
 			for i := 0; i < 24; i++ {
@@ -469,10 +640,11 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 		case 1, 2, 3:
 			mutateData()
 		default:
-			applyRandomCtx()
+			randomCtx("u", rng.Intn(4) == 0)
 		}
+		randomCtx(users[1+round%3], false)
 		for i, r := range rules {
-			if old := prev.rules[i].members; !old.Current() {
+			if old := plans[0].rules[i].members; !old.Current() {
 				cur, err := l.Members(r.Preference)
 				must(err)
 				if _, ok := cur.ChangedSince(old); ok {
@@ -482,35 +654,45 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 				}
 			}
 		}
-		refreshed, err := prev.Refresh(rules)
-		if err != nil {
-			t.Fatalf("round %d: refresh: %v", round, err)
+		label := fmt.Sprintf("round %d", round)
+		var fresh *mapping.Loader
+		if round%8 == 0 {
+			fresh = freshLoader(t, l)
 		}
-		assertHandlesExact(t, fmt.Sprintf("round %d", round), refreshed)
-		fresh, err := CompilePlan(l, "u", rules)
-		if err != nil {
-			t.Fatal(err)
+		for i, p := range plans {
+			refreshed, err := p.Refresh(rules)
+			if err != nil {
+				t.Fatalf("%s: %s's refresh: %v", label, users[i], err)
+			}
+			if refreshed.docs != plans[0].docs && i > 0 {
+				t.Fatalf("%s: %s's plan reads a document side of its own", label, users[i])
+			}
+			plans[i] = refreshed
+			if i == 0 {
+				assertHandlesExact(t, label, refreshed)
+			}
+			// The naive reference is Θ(4^k): one user a round, every fourth.
+			want := assertRankExact(t, label, refreshed, rules, dl.Atom("Doc"), fresh, round%4 == 0 && i == round/4%len(users))
+			// Top-k selection must agree too (same total order).
+			gotK, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc"), TopK: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label+" topk", gotK, want[:5])
+			if len(refreshed.multi) > 0 {
+				coupled++
+			}
+			for _, ci := range refreshed.multi {
+				if rs := refreshed.clusters[ci].rules; len(rs) == 2 && rs[0] == 0 && rs[1] == 4 && !refreshed.docs.Probs().Shares(0, 4) {
+					ctxLinked++
+				}
+			}
 		}
-		got, err := refreshed.Rank(req)
-		if err != nil {
-			t.Fatalf("round %d: refreshed rank: %v", round, err)
-		}
-		want, err := fresh.Rank(req)
-		if err != nil {
-			t.Fatalf("round %d: fresh rank: %v", round, err)
-		}
-		assertBitIdentical(t, fmt.Sprintf("round %d", round), got, want)
-		// Top-k selection must agree too (same total order).
-		gotK, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc"), TopK: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, fmt.Sprintf("round %d topk", round), gotK, want[:5])
-		prev = refreshed
 	}
-	// Both ways a refresh learns what moved must have carried their share.
+	// Both ways a document side learns what moved must have carried their
+	// share, and both ways two rules come to share a cluster.
 	st := l.MembershipStats()
-	if tracked < 50 || untracked < 50 || st.Patched < 200 || st.Queries < 100 {
-		t.Fatalf("the history refreshed %d stale rules through ChangedSince and %d by comparison, over %+v: it no longer exercises both", tracked, untracked, st)
+	if tracked < 50 || untracked < 50 || st.Patched < 200 || st.Queries < 100 || coupled < 100 || ctxLinked < 10 {
+		t.Fatalf("the history refreshed %d stale rules with a traced delta and %d without, over %+v, and clustered rules in %d plans, %d times over a context event in a document footprint: it no longer exercises all of them", tracked, untracked, st, coupled, ctxLinked)
 	}
 }

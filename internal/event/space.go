@@ -445,6 +445,29 @@ func (s *Space) Prob(e *Expr) (float64, error) {
 	return p, nil
 }
 
+// JointProbs fills out — 2^len(evs) entries — with the joint distribution of
+// the given events: out[mask] is the probability that exactly the events whose
+// bit is set in mask hold, each computed through Prob as one conjunction of
+// the events and their complements in the order given (so equal event lists
+// share memo entries, wherever they are enumerated from).
+func (s *Space) JointProbs(evs []*Expr, out []float64) error {
+	conj := make([]*Expr, len(evs))
+	for mask := range out {
+		for i, ev := range evs {
+			if mask&(1<<i) == 0 {
+				ev = Not(ev)
+			}
+			conj[i] = ev
+		}
+		p, err := s.Prob(And(conj...))
+		if err != nil {
+			return err
+		}
+		out[mask] = p
+	}
+	return nil
+}
+
 // MustProb is Prob but panics on error; for expressions whose basic events
 // are known to be declared (e.g. internal tests and benchmarks).
 func (s *Space) MustProb(e *Expr) float64 {

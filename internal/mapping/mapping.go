@@ -57,6 +57,11 @@ type Loader struct {
 	logMu  sync.Mutex
 	writes map[*storage.Table][]loggedWrite
 
+	// The document sides (see DocSide): one per ordered handle list plans are
+	// compiled over, oldest first.
+	docMu    sync.Mutex
+	docSides []*DocSide
+
 	// Applied-situation bookkeeping, owned by the situation package: per
 	// owner (a situated user), the assertion rows its last context apply put
 	// into concept tables and the basic events that apply declared. The
