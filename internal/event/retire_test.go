@@ -99,7 +99,7 @@ func TestRetireCompactsGroupSlots(t *testing.T) {
 		if err := s.DeclareExclusive(names, []float64{0.3, 0.3}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.RetireGroup(names[0]); err != nil {
+		if err := s.Retire(names...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,33 +108,6 @@ func TestRetireCompactsGroupSlots(t *testing.T) {
 	s.mu.RUnlock()
 	if slots > 1 {
 		t.Fatalf("group table grew to %d slots under churn, want 1", slots)
-	}
-}
-
-func TestRetireGroup(t *testing.T) {
-	s := NewSpace()
-	s.Declare("solo", 0.2)
-	if err := s.DeclareExclusive([]string{"g1", "g2", "g3"}, []float64{0.2, 0.2, 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	retired, err := s.RetireGroup("g2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(retired) != 3 {
-		t.Fatalf("retired = %v, want all three members", retired)
-	}
-	if s.Len() != 1 || s.Groups() != 0 {
-		t.Fatalf("Len = %d, Groups = %d after group retire", s.Len(), s.Groups())
-	}
-	if _, err := s.RetireGroup("ghost"); err == nil {
-		t.Fatal("RetireGroup of undeclared name accepted")
-	}
-	if _, err := s.RetireGroup("solo"); err == nil {
-		t.Fatal("RetireGroup of an independent event accepted")
-	}
-	if !s.Declared("solo") {
-		t.Fatal("independent event lost")
 	}
 }
 

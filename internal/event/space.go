@@ -21,10 +21,10 @@ type basicInfo struct {
 //
 // # Retirement contract
 //
-// Declarations are not permanent: Retire and RetireGroup remove basic
-// events again, freeing their declaration, compacting their exclusive-group
-// slot for reuse and dropping exactly the memoized probabilities that
-// mention a retired name. The caller owns the obligation that no stored
+// Declarations are not permanent: Retire removes basic events again,
+// freeing their declaration, compacting their exclusive-group slot for
+// reuse and dropping exactly the memoized probabilities that mention a
+// retired name. The caller owns the obligation that no stored
 // event expression still references a retired event — Prob of such an
 // expression fails with "not declared", the same as for a name that never
 // existed. Retiring a member of an exclusive group does not change the
@@ -39,7 +39,7 @@ type Space struct {
 
 	cacheMu sync.Mutex
 	cache   map[string]cacheEntry
-	// gen counts invalidations (Retire, RetireGroup, DeclareExclusive).
+	// gen counts invalidations (Retire, DeclareExclusive).
 	// Prob snapshots it before enumerating and stores its result only if no
 	// invalidation intervened: without the guard, a probability computed
 	// just before a Retire could be memoized just after it, surviving the
@@ -210,31 +210,6 @@ func (s *Space) Retire(names ...string) error {
 	return nil
 }
 
-// RetireGroup retires every member of the exclusive group containing the
-// named event and frees the group's slot, returning the retired names. It
-// is an error if the name is not declared or is an independent event.
-func (s *Space) RetireGroup(member string) ([]string, error) {
-	s.mu.Lock()
-	info, ok := s.basics[member]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("event: cannot retire group of %q: not declared", member)
-	}
-	if info.group < 0 {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("event: %q is independent, not an exclusive-group member", member)
-	}
-	retired := s.groups[info.group]
-	for _, n := range retired {
-		delete(s.basics, n)
-	}
-	s.groups[info.group] = nil
-	s.free = append(s.free, info.group)
-	s.mu.Unlock()
-	s.invalidateMentioning(retired, []string{groupKey(info.group)})
-	return retired, nil
-}
-
 // removeGroupMemberLocked drops one member from its group, freeing the slot
 // when the group empties. Caller holds s.mu.
 func (s *Space) removeGroupMemberLocked(gid int, name string) {
@@ -397,7 +372,7 @@ func (s *Space) ChangedBlocksSince(gen uint64) (keys map[string]bool, asOf uint6
 
 // Generation returns the space's invalidation counter. It advances on
 // every mutation that could change (or invalidate) the probability of an
-// already-held expression — Retire, RetireGroup, DeclareExclusive — and
+// already-held expression — Retire, DeclareExclusive — and
 // stays put on plain Declare, which provably cannot affect existing
 // expressions (see the comment in Declare). Callers that precompute
 // probabilities (the rank plans' document-distribution cache) snapshot the

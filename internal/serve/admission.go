@@ -91,18 +91,12 @@ func NewAdmission(opts AdmissionOptions) *Admission {
 	return a
 }
 
-// Acquire claims an in-flight slot, waiting in the bounded queue if the
-// gate is saturated. ok=false means the queue was full and the request
-// must be shed with 429 and the suggested Retry-After. On ok=true the
-// returned release must be called exactly once when the request
-// finishes.
-func (a *Admission) Acquire() (release func(), ok bool, retryAfter time.Duration) {
-	return a.AcquireCtx(context.Background())
-}
-
-// AcquireCtx is Acquire bounded by a context: a request whose deadline
-// expires (or whose client disconnects) while it waits in the queue is
-// shed instead of holding its queue slot for work nobody will read.
+// AcquireCtx claims an in-flight slot, waiting in the bounded queue if the
+// gate is saturated. ok=false means the request must be shed with 429 and
+// the suggested Retry-After: the queue was full, or ctx ended (its deadline
+// expired or its client disconnected) while it waited — holding a queue
+// slot for work nobody will read helps no one. On ok=true the returned
+// release must be called exactly once when the request finishes.
 func (a *Admission) AcquireCtx(ctx context.Context) (release func(), ok bool, retryAfter time.Duration) {
 	if a == nil || a.sem == nil {
 		return func() {}, true, 0

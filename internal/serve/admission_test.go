@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -76,8 +77,8 @@ func TestPerUserIsolation(t *testing.T) {
 func TestAcquireQueueFull(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{MaxInFlight: 2, MaxQueue: 1})
 
-	rel1, ok, _ := a.Acquire()
-	rel2, ok2, _ := a.Acquire()
+	rel1, ok, _ := a.AcquireCtx(context.Background())
+	rel2, ok2, _ := a.AcquireCtx(context.Background())
 	if !ok || !ok2 {
 		t.Fatal("gate refused below MaxInFlight")
 	}
@@ -85,7 +86,7 @@ func TestAcquireQueueFull(t *testing.T) {
 	// Third request queues (gate full, queue has room).
 	queued := make(chan func(), 1)
 	go func() {
-		rel, ok, _ := a.Acquire()
+		rel, ok, _ := a.AcquireCtx(context.Background())
 		if !ok {
 			t.Error("queued request was shed")
 		}
@@ -94,7 +95,7 @@ func TestAcquireQueueFull(t *testing.T) {
 	waitFor(t, func() bool { return a.Stats().Queued == 1 })
 
 	// Fourth request: queue full — shed, with a positive Retry-After.
-	_, ok, retry := a.Acquire()
+	_, ok, retry := a.AcquireCtx(context.Background())
 	if ok {
 		t.Fatal("request admitted past a full queue")
 	}
@@ -125,7 +126,7 @@ func TestAdmissionDisabled(t *testing.T) {
 		t.Fatal("zero options should build a nil (disabled) controller")
 	}
 	var a *Admission
-	rel, ok, _ := a.Acquire()
+	rel, ok, _ := a.AcquireCtx(context.Background())
 	if !ok {
 		t.Fatal("nil admission refused a request")
 	}

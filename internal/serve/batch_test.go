@@ -137,7 +137,8 @@ func TestRankBatchPerItemErrors(t *testing.T) {
 		t.Fatal("empty item did not fail")
 	}
 
-	// Batch-level failures: no user, no items, unknown algorithm.
+	// Batch-level failures: no user, no items, unknown algorithm. A rejected
+	// batch ranked nothing and counts no rank request.
 	if _, _, err := srv.RankBatch("", "", []RankItem{{Target: "TvProgram"}}); err == nil {
 		t.Fatal("empty user accepted")
 	}
@@ -146,6 +147,9 @@ func TestRankBatchPerItemErrors(t *testing.T) {
 	}
 	if _, _, err := srv.RankBatch(user, "nonsense", []RankItem{{Target: "TvProgram"}}); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+	if got := srv.Stats().Requests; got != 3 {
+		t.Fatalf("rank_requests = %d after one batch of three items and three rejected batches, want 3", got)
 	}
 }
 

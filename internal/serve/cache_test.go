@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	contextrank "repro"
@@ -54,7 +52,7 @@ func TestRankKeyResistsSeparatorInjection(t *testing.T) {
 
 func TestRankCacheLRUEviction(t *testing.T) {
 	c := newRankCache(2)
-	fill := func(key string, ids ...string) { c.put(key, res(ids...), 1, nil) }
+	fill := func(key string, ids ...string) { c.put(key, ranked{res: res(ids...)}) }
 	fill("a", "x")
 	fill("b", "y")
 	if _, ok := c.get("a"); !ok {
@@ -74,103 +72,43 @@ func TestRankCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestRankCacheSingleflightCoalesces(t *testing.T) {
-	c := newRankCache(8)
-	var computes atomic.Int64
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-
-	const waiters = 9
-	var wg sync.WaitGroup
-	results := make([][]contextrank.Result, waiters+1)
-	launch := func(i int) {
-		defer wg.Done()
-		r, epoch, _, err := c.do("k", func() ([]contextrank.Result, int64, error) {
-			computes.Add(1)
-			close(entered)
-			<-gate
-			return res("only"), 42, nil
-		})
-		if epoch != 42 {
-			t.Errorf("caller %d reported epoch %d, want the leader's 42", i, epoch)
-		}
-		if err != nil {
-			t.Error(err)
-		}
-		results[i] = r
-	}
-	wg.Add(1)
-	go launch(0)
-	<-entered // leader is inside compute; everyone else must coalesce
-	for i := 1; i <= waiters; i++ {
-		wg.Add(1)
-		go launch(i)
-	}
-	// Wait until all waiters are registered on the flight before releasing.
-	for c.coalesced.Load() != waiters {
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("compute ran %d times, want 1", got)
-	}
-	for i, r := range results {
-		if len(r) != 1 || r[0].ID != "only" {
-			t.Fatalf("caller %d got %v", i, r)
-		}
-	}
-	st := c.stats()
-	if st.Coalesced != waiters || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
-	// A leader that observes a newer epoch/fingerprint files the result
-	// only under the key it actually computed at — do itself stores
-	// nothing. The requested key must stay empty: fingerprints round-trip,
-	// so an entry under the stale key would later serve a wrong-context
-	// result as a hit.
-	c := newRankCache(8)
-	got, epoch, cached, err := c.do("old", func() ([]contextrank.Result, int64, error) {
-		c.put("new", res("r"), 2, nil)
-		return res("r"), 2, nil
-	})
-	if err != nil || cached || epoch != 2 || len(got) != 1 {
-		t.Fatalf("leader got (%v, epoch %d, cached %v, err %v)", got, epoch, cached, err)
+	// A miss whose caller looked up under a version the state has since left
+	// files the result only under the version it ranked at. The requested
+	// key must stay empty: fingerprints round-trip, so an entry under the
+	// stale key would later serve a wrong-context result as a hit.
+	srv := NewServer(newTestSystem(t), Options{})
+	applyCtx(t, srv, "u", "CtxA", 1)
+	old, _ := srv.version("u")
+	oldKey := rankKey("u", "TvProgram", old, contextrank.RankOptions{})
+	if _, ok := srv.cache.lookup(oldKey, old); ok {
+		t.Fatal("hit in an empty cache")
 	}
-	if _, ok := c.get("old"); ok {
+	applyCtx(t, srv, "u", "CtxB", 1) // lands between the look-up and the rank
+	out := make([]RankItemResult, 1)
+	v, err := srv.rankMisses("u", []rankReq{{target: "TvProgram"}}, out)
+	if err != nil || out[0].Err != nil {
+		t.Fatal(err, out[0].Err)
+	}
+	if now, _ := srv.version("u"); v != now || v == old || out[0].ranked.v != v {
+		t.Fatalf("ranked at %+v (item %+v), state is %+v, looked up at %+v", v, out[0].ranked.v, now, old)
+	}
+	if _, ok := srv.cache.lookup(oldKey, old); ok {
 		t.Fatal("requested (stale) key was cached")
 	}
-	if _, _, cached, _ := c.do("new", nil); !cached {
+	if r, ok := srv.cache.lookup(rankKey("u", "TvProgram", v, contextrank.RankOptions{}), v); !ok || len(r.res) != len(out[0].Results) {
 		t.Fatal("observed key not cached")
 	}
 }
 
 func TestRankCacheErrorsNotCached(t *testing.T) {
-	c := newRankCache(8)
-	calls := 0
-	fail := func() ([]contextrank.Result, int64, error) {
-		calls++
-		return nil, 0, errTest
+	srv := NewServer(newTestSystem(t), Options{})
+	for i := 0; i < 2; i++ {
+		if _, meta, err := srv.Rank("u", "NoSuchConcept", contextrank.RankOptions{}); err == nil || meta.Cached {
+			t.Fatalf("rank %d of an undeclared target: err %v cached %v", i, err, meta.Cached)
+		}
 	}
-	if _, _, _, err := c.do("k", fail); err != errTest {
-		t.Fatalf("err = %v", err)
-	}
-	if _, _, _, err := c.do("k", fail); err != errTest {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("compute ran %d times, want 2 (errors must not cache)", calls)
-	}
-	if st := c.stats(); st.Size != 0 {
+	if st := srv.Stats().Cache; st.Size != 0 || st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("error was cached: %+v", st)
 	}
 }
-
-var errTest = errTestType{}
-
-type errTestType struct{}
-
-func (errTestType) Error() string { return "test error" }

@@ -1,5 +1,5 @@
 // Package metrics is a zero-dependency Prometheus-text-exposition metric
-// registry for the serving layer: counters, gauges and fixed-bucket
+// registry for the serving layer: labeled counters and fixed-bucket
 // histograms, all backed by atomics so observation on the rank hot path is
 // a handful of atomic adds and a scrape never takes a lock that request
 // traffic contends (the same lock-free discipline as the serve stats
@@ -7,9 +7,9 @@
 //
 // Two kinds of series exist:
 //
-//   - Static instruments (Counter, Gauge, Histogram and their label Vec
-//     forms) are registered once at startup and updated by request
-//     middleware; the registry renders them on every scrape.
+//   - Static instruments (CounterVec, HistogramVec) are registered once at
+//     startup and updated by request middleware; the registry renders them
+//     on every scrape.
 //   - Collectors are callbacks invoked per scrape to emit series derived
 //     from existing state — the serve layer uses one to turn a single
 //     Backend.Stats() snapshot into per-shard QPS/cache/journal series
@@ -61,8 +61,8 @@ func NewRegistry() *Registry {
 type family struct {
 	name   string
 	help   string
-	typ    string   // "counter", "gauge", "histogram"
-	labels []string // label names for Vec families; nil for singletons
+	typ    string   // "counter", "histogram"
+	labels []string // label names
 
 	mu       sync.Mutex
 	children map[string]sample // label-values key -> child
@@ -124,15 +124,6 @@ func (c *Counter) write(w *Writer, name string, labels, values []string) {
 	w.sample(name, labels, values, float64(c.n.Load()))
 }
 
-// Counter registers a label-less counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil)
-	c := &Counter{}
-	f.children[""] = c
-	f.order = []string{""}
-	return c
-}
-
 // CounterVec registers a counter family with the given label names.
 type CounterVec struct{ f *family }
 
@@ -148,57 +139,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // on first use.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() sample { return &Counter{} }).(*Counter)
-}
-
-// --- gauge -----------------------------------------------------------------
-
-// Gauge is a float-valued gauge (atomic float64 bits).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (CAS loop over the float bits).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) write(w *Writer, name string, labels, values []string) {
-	w.sample(name, labels, values, g.Value())
-}
-
-// Gauge registers a label-less gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil)
-	g := &Gauge{}
-	f.children[""] = g
-	f.order = []string{""}
-	return g
-}
-
-// gaugeFunc renders a callback's value at scrape time.
-type gaugeFunc func() float64
-
-func (g gaugeFunc) write(w *Writer, name string, labels, values []string) {
-	w.sample(name, labels, values, g())
-}
-
-// GaugeFunc registers a gauge whose value is computed at each scrape.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, "gauge", nil)
-	f.children[""] = gaugeFunc(fn)
-	f.order = []string{""}
 }
 
 // --- histogram -------------------------------------------------------------
@@ -263,16 +203,6 @@ func (h *Histogram) write(w *Writer, name string, labels, values []string) {
 	w.sample(name+"_bucket", ls, append(vs, "+Inf"), float64(cum))
 	w.sample(name+"_sum", labels, values, h.Sum())
 	w.sample(name+"_count", labels, values, float64(cum))
-}
-
-// Histogram registers a label-less histogram over the given bucket upper
-// bounds.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, "histogram", nil)
-	h := newHistogram(buckets)
-	f.children[""] = h
-	f.order = []string{""}
-	return h
 }
 
 // HistogramVec is a labeled histogram family; every child shares the same
@@ -347,11 +277,7 @@ func (r *Registry) WriteTo(out io.Writer) (int64, error) {
 		sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 		w.Family(f.name, f.typ, f.help)
 		for _, i := range idx {
-			var values []string
-			if len(f.labels) > 0 {
-				values = strings.Split(keys[i], "\xff")
-			}
-			children[i].write(w, f.name, f.labels, values)
+			children[i].write(w, f.name, f.labels, strings.Split(keys[i], "\xff"))
 		}
 	}
 	for _, fn := range collectors {

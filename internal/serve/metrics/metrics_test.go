@@ -15,20 +15,11 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 
-	c := r.Counter("test_requests_total", "Requests served.")
-	c.Add(3)
-
 	v := r.CounterVec("test_sheds_total", "Requests shed.", "reason")
 	v.With("queue_full").Add(2)
 	v.With("rate_limit").Inc()
 
-	g := r.Gauge("test_queue_depth", "Waiting requests.")
-	g.Set(4)
-	g.Add(-1.5)
-
-	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
-
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "route").With("rank")
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(0.05)
@@ -46,27 +37,18 @@ func TestExpositionGolden(t *testing.T) {
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP test_requests_total Requests served.
-# TYPE test_requests_total counter
-test_requests_total 3
-# HELP test_sheds_total Requests shed.
+	want := `# HELP test_sheds_total Requests shed.
 # TYPE test_sheds_total counter
 test_sheds_total{reason="queue_full"} 2
 test_sheds_total{reason="rate_limit"} 1
-# HELP test_queue_depth Waiting requests.
-# TYPE test_queue_depth gauge
-test_queue_depth 2.5
-# HELP test_uptime_seconds Uptime.
-# TYPE test_uptime_seconds gauge
-test_uptime_seconds 12.5
 # HELP test_latency_seconds Latency.
 # TYPE test_latency_seconds histogram
-test_latency_seconds_bucket{le="0.01"} 1
-test_latency_seconds_bucket{le="0.1"} 3
-test_latency_seconds_bucket{le="1"} 3
-test_latency_seconds_bucket{le="+Inf"} 4
-test_latency_seconds_sum 5.105
-test_latency_seconds_count 4
+test_latency_seconds_bucket{route="rank",le="0.01"} 1
+test_latency_seconds_bucket{route="rank",le="0.1"} 3
+test_latency_seconds_bucket{route="rank",le="1"} 3
+test_latency_seconds_bucket{route="rank",le="+Inf"} 4
+test_latency_seconds_sum{route="rank"} 5.105
+test_latency_seconds_count{route="rank"} 4
 # HELP test_shard_requests_total Per-shard requests.
 # TYPE test_shard_requests_total counter
 test_shard_requests_total{shard="0"} 7
@@ -91,9 +73,7 @@ func TestExpositionLineFormat(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("fmt_total", "With tricky label values.", "path").
 		With(`a"b\c` + "\nd").Inc()
-	r.Gauge("fmt_negative", "Negative gauge.").Set(-0.25)
-	h := r.Histogram("fmt_hist", "H.", []float64{0.5})
-	h.Observe(0.1)
+	r.HistogramVec("fmt_hist", "H.", []float64{0.5}, "k").With("v").Observe(-0.25)
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
@@ -132,7 +112,7 @@ func TestExpositionLineFormat(t *testing.T) {
 // and everything above the last bound in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("bounds_seconds", "B.", []float64{1, 2, 4})
+	h := r.HistogramVec("bounds_seconds", "B.", []float64{1, 2, 4}, "k").With("v")
 
 	h.Observe(1)             // le="1"
 	h.Observe(1.0000001)     // le="2"
@@ -158,11 +138,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		`bounds_seconds_bucket{le="1"} 3`,
-		`bounds_seconds_bucket{le="2"} 5`,
-		`bounds_seconds_bucket{le="4"} 6`,
-		`bounds_seconds_bucket{le="+Inf"} 8`,
-		`bounds_seconds_count 8`,
+		`bounds_seconds_bucket{k="v",le="1"} 3`,
+		`bounds_seconds_bucket{k="v",le="2"} 5`,
+		`bounds_seconds_bucket{k="v",le="4"} 6`,
+		`bounds_seconds_bucket{k="v",le="+Inf"} 8`,
+		`bounds_seconds_count{k="v"} 8`,
 	} {
 		if !strings.Contains(b.String(), line+"\n") {
 			t.Errorf("missing %q in:\n%s", line, b.String())
@@ -170,15 +150,13 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncrements hammers every instrument type from many
+// TestConcurrentIncrements hammers both instrument types from many
 // goroutines while scrapes run concurrently — run under -race in CI; the
 // final counts must be exact (atomics lose nothing).
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("conc_total", "C.")
 	v := r.CounterVec("conc_labeled_total", "CL.", "k")
-	g := r.Gauge("conc_gauge", "G.")
-	h := r.Histogram("conc_hist", "H.", []float64{0.5})
+	h := r.HistogramVec("conc_hist", "H.", []float64{0.5}, "k").With("a")
 
 	const workers = 8
 	const perWorker = 2000
@@ -189,9 +167,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			key := []string{"a", "b"}[w%2]
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
 				v.With(key).Inc()
-				g.Add(1)
 				h.Observe(float64(i%2) * 0.75)
 			}
 		}(w)
@@ -212,14 +188,8 @@ func TestConcurrentIncrements(t *testing.T) {
 	<-done
 
 	const total = workers * perWorker
-	if c.Value() != total {
-		t.Errorf("counter = %d, want %d", c.Value(), total)
-	}
 	if n := v.With("a").Value() + v.With("b").Value(); n != total {
 		t.Errorf("vec sum = %d, want %d", n, total)
-	}
-	if g.Value() != total {
-		t.Errorf("gauge = %v, want %d", g.Value(), total)
 	}
 	if h.Count() != total {
 		t.Errorf("histogram count = %d, want %d", h.Count(), total)
@@ -230,13 +200,13 @@ func TestConcurrentIncrements(t *testing.T) {
 // type.
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("handler_total", "H.").Add(1)
+	r.CounterVec("handler_total", "H.", "k").With("v").Add(1)
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != ContentType {
 		t.Errorf("content type = %q, want %q", ct, ContentType)
 	}
-	if !strings.Contains(rec.Body.String(), "handler_total 1\n") {
+	if !strings.Contains(rec.Body.String(), `handler_total{k="v"} 1`+"\n") {
 		t.Errorf("body missing series:\n%s", rec.Body.String())
 	}
 }
@@ -245,14 +215,15 @@ func TestHandler(t *testing.T) {
 // and duplicate registrations.
 func TestRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ok_total", "x")
+	r.CounterVec("ok_total", "x", "k")
 	for name, fn := range map[string]func(){
-		"duplicate name":    func() { r.Counter("ok_total", "again") },
-		"bad metric name":   func() { r.Counter("bad-name", "x") },
+		"duplicate name":    func() { r.CounterVec("ok_total", "again", "k") },
+		"bad metric name":   func() { r.CounterVec("bad-name", "x", "k") },
+		"no labels":         func() { r.CounterVec("bare_total", "x") },
 		"bad label name":    func() { r.CounterVec("v_total", "x", "bad-label") },
 		"reserved le label": func() { r.HistogramVec("h_seconds", "x", []float64{1}, "le") },
-		"empty buckets":     func() { r.Histogram("e_seconds", "x", nil) },
-		"descending":        func() { r.Histogram("d_seconds", "x", []float64{2, 1}) },
+		"empty buckets":     func() { r.HistogramVec("e_seconds", "x", nil, "k").With("v") },
+		"descending":        func() { r.HistogramVec("d_seconds", "x", []float64{2, 1}, "k").With("v") },
 	} {
 		func() {
 			defer func() {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -261,7 +262,7 @@ func TestHealthzBypassesAdmission(t *testing.T) {
 	var buf bytes.Buffer
 	ts, _ := newObservedServer(t, adm, &buf)
 
-	rel, ok, _ := adm.Acquire() // saturate the gate out-of-band
+	rel, ok, _ := adm.AcquireCtx(context.Background()) // saturate the gate out-of-band
 	if !ok {
 		t.Fatal("setup acquire failed")
 	}

@@ -156,7 +156,7 @@ func exportHealth(w *metrics.Writer, st Stats, shards []Stats) {
 	}
 }
 
-// exportCache emits one cache's hit/miss/coalesce/evict counters and
+// exportCache emits one cache's hit/miss/evict counters and
 // occupancy + hit-ratio gauges per shard under the given series prefix.
 func exportCache(w *metrics.Writer, prefix, what string, shards []Stats, get func(Stats) CacheStats) {
 	w.Family(prefix+"_hits_total", "counter", "Hits in the "+what+" cache.")

@@ -24,16 +24,10 @@
 //     declared, so session churn (updates and drops) cannot grow the
 //     event space past the live vocabulary.
 //
-//   - Server adds an LRU rank-result cache keyed by (user, target,
-//     options, context fingerprint, epoch) with singleflight coalescing of
-//     identical concurrent misses, plus hit/latency statistics. A data
-//     mutation bumps the epoch and thereby invalidates every cached
-//     ranking; a session context update changes only that user's
-//     fingerprint, so other users' entries stay live — unless the updated
-//     vocabulary appears inside a rule's role-restriction filler or its
-//     preference, where one user's membership reaches other users'
-//     rankings and the update degrades to a full epoch bump (see
-//     Sessions).
+//   - Server adds an LRU rank-result cache, a per-user compiled-plan
+//     cache and hit/latency statistics. What a served ranking stands on —
+//     and so what each kind of write invalidates — is one table in
+//     DESIGN.md §3.
 //
 // Every mutation — context apply, vocabulary write, subscription — is a
 // journal.Record fed to Server.Apply (apply.go), the one place that
@@ -79,7 +73,7 @@ type Facade struct {
 }
 
 // NewFacade wraps the system. The caller must stop touching sys directly;
-// all access should flow through the facade (or WithRead/WithWrite).
+// all access should flow through the facade (or WithRead/WithWriteEpoch).
 func NewFacade(sys *contextrank.System) *Facade {
 	return &Facade{sys: sys}
 }
@@ -95,19 +89,12 @@ func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
 	return fn(f.sys)
 }
 
-// WithWrite runs fn under the exclusive lock and bumps the epoch. It is
-// the raw escape hatch (tests, diagnostics): what fn changes is not
-// journaled, not gated on degraded mode and does not wake the
-// subscription evaluator — use the Server's mutators for anything that
-// must survive a crash.
-func (f *Facade) WithWrite(fn func(sys *contextrank.System) error) error {
-	_, err := f.WithWriteEpoch(fn)
-	return err
-}
-
-// WithWriteEpoch is WithWrite returning the epoch the mutation produced,
-// captured inside the critical section — reading Epoch() after the lock
-// is released could observe a later concurrent mutation's epoch.
+// WithWriteEpoch runs fn under the exclusive lock and bumps the epoch,
+// returning the epoch the mutation produced, captured inside the critical
+// section — reading Epoch() after the lock is released could observe a later
+// concurrent mutation's epoch. Server.Apply is its caller; used directly
+// (tests, diagnostics) what fn changes is not journaled, not gated on
+// degraded mode and does not wake the subscription evaluator.
 func (f *Facade) WithWriteEpoch(fn func(sys *contextrank.System) error) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

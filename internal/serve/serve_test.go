@@ -112,7 +112,7 @@ func TestFacadeEpochDiscipline(t *testing.T) {
 			_, err := srv.Declare(nil, nil, []SubConceptDecl{{Sub: "Documentary", Super: "TvProgram"}})
 			return err
 		},
-		func() error { return f.WithWrite(func(*contextrank.System) error { return nil }) },
+		func() error { _, err := f.WithWriteEpoch(func(*contextrank.System) error { return nil }); return err },
 	}
 	for i, step := range steps {
 		before := f.Epoch()

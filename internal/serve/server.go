@@ -157,35 +157,35 @@ func (s *Server) Journal() *journal.Journal { return s.wal.Load() }
 
 // RankMeta describes how a Rank call was served.
 type RankMeta struct {
-	Cached  bool          // served from cache or coalesced onto another call
+	Cached  bool          // served from the rank cache
 	Epoch   int64         // facade epoch the result corresponds to
 	Shard   int           // shard that served the call (0 for an unsharded Server)
 	Elapsed time.Duration // wall time of this call
 }
 
-// stateVersion is the state a user's ranking is valid for: the facade epoch
-// — bumped by every vocabulary, data and rule write, by a context apply that
-// is role-coupled to other users or fails, and by a checkpoint dump — and the
-// user's own applied session fingerprint. Two ranks of one request at one
-// version return the same scores, so it keys the rank cache and decides
-// whether a subscription needs re-evaluating. It deliberately leaves out the
-// user's applied generation: a re-apply of identical measurements renames
-// the user's context events (which is why a cached plan carries it) but
-// cannot move their scores.
+// stateVersion is the state a user's ranking is valid for — the facade epoch
+// and the user's applied session fingerprint. Two ranks of one request at one
+// version score the same, so it keys the rank cache and is half of what a
+// filed ranking stands on (see ranked; DESIGN §3 "What a served ranking
+// stands on" says who moves each part and what it covers).
 type stateVersion struct {
 	epoch int64
 	fp    string
 }
 
-// version reads the user's current state version — the only place epoch and
-// fingerprint are paired. Both reads are lock-free: AppliedFingerprint
-// because a session apply holds its mutex across the facade write lock, so
-// taking that mutex under the read lock would deadlock. Both only change
-// under the facade write lock, so a version read while holding the read lock
-// is exactly the state being read; one read outside it is a guess the read
-// path re-checks (see rankMisses).
-func (s *Server) version(user string) stateVersion {
-	return stateVersion{epoch: s.facade.Epoch(), fp: s.sessions.AppliedFingerprint(user)}
+// version reads the user's current state version and applied generation — the
+// only place the epoch is paired with what the user's last apply published.
+// The generation is not part of the version: a re-apply of identical
+// measurements renames the user's context events, which a compiled plan holds
+// (see planFor), but cannot move their scores. Both reads are lock-free
+// (a session apply holds its mutex across the facade write lock, so taking
+// that mutex under the read lock would deadlock) and both only change under
+// the facade write lock: read while holding the read lock they are exactly
+// the state being read; read outside it they are a guess the read path
+// re-checks (see rankMisses).
+func (s *Server) version(user string) (v stateVersion, generation int64) {
+	applied := s.sessions.appliedContext(user)
+	return stateVersion{epoch: s.facade.Epoch(), fp: applied.fingerprint}, applied.generation
 }
 
 // rankReq is one ranking task as the read path carries it: a target or a
@@ -197,55 +197,52 @@ type rankReq struct {
 }
 
 // Rank ranks target for user through the cache: a hit under an unchanged
-// version is O(1), identical concurrent misses are coalesced onto one
-// computation, and the leader ranks through rankMisses. Coalescing wraps the
-// compute from outside the facade lock: a waiter parked on a flight while
-// holding the read lock would deadlock as soon as a writer queued (new
-// readers block behind a pending write lock, and the leader needs one).
+// version is O(1), a miss ranks through rankMisses.
 func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error) {
+	r, meta, err := s.rank(user, rankReq{target: target, opts: opts})
+	return r.res, meta, err
+}
+
+// rank is Rank for any one request, returning the ranking with what it
+// stands on (on an error, the version it failed at): the subscription
+// evaluator keeps that to decide its next skip.
+func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 	started := time.Now()
 	s.requests.Add(1)
-	rq := rankReq{target: target, opts: opts}
-	compute := func() ([]contextrank.Result, int64, error) {
-		out := make([]RankItemResult, 1)
-		v, err := s.rankMisses(user, []rankReq{rq}, out)
-		if err == nil {
-			err = out[0].Err
-		}
-		return out[0].Results, v.epoch, err
-	}
 	var (
-		res    []contextrank.Result
-		epoch  int64
+		r      ranked
 		cached bool
 		err    error
 	)
-	if s.cache == nil {
-		res, epoch, err = compute()
-	} else {
-		res, epoch, cached, err = s.cache.do(rankKey(user, target, s.version(user), opts), compute)
+	if s.cache != nil && rq.candidates == nil {
+		now, _ := s.version(user)
+		r, cached = s.cache.lookup(rankKey(user, rq.target, now, rq.opts), now)
+	}
+	if !cached {
+		out := make([]RankItemResult, 1)
+		if r.v, err = s.rankMisses(user, []rankReq{rq}, out); err == nil {
+			r, err = out[0].ranked, out[0].Err
+		}
 	}
 	elapsed := time.Since(started)
 	if err == nil {
 		s.latency.observe(elapsed)
 	}
-	return res, RankMeta{Cached: cached, Epoch: epoch, Elapsed: elapsed}, err
+	return r, RankMeta{Cached: cached, Epoch: r.v.epoch, Elapsed: elapsed}, err
 }
 
-// rankMisses is the one place the server ranks: Rank's singleflight leader,
-// every RankBatch and, through RankBatch, every subscription evaluation end
-// here. Under one facade read-lock hold — one consistent snapshot — it
-// re-reads the user's version, fetches the user's compiled plan once (the
-// factorized algorithm; the others rank through the generic path), ranks
-// every req whose out slot is not already served from the cache, and files
-// each target result in the rank cache under the version observed *here*,
-// never under the caller's pre-read one: fingerprints round-trip (context
-// X → Y → X yields the same key again with no epoch bump), so a Y-context
-// result filed under the stale X key would later be served as a hit for a
-// genuine X request. Each is filed with the target's membership handle it
-// scored, so the entry stops being served the moment anybody's write reaches
-// the target's members. Candidate-list results are not cached (their keys would
-// have unbounded cardinality). All reqs of one call share one algorithm.
+// rankMisses is the one place the server ranks: the misses of Rank, of
+// RankBatch and of a subscription evaluation end here. Under one facade
+// read-lock hold — one consistent snapshot — it re-reads the user's version,
+// fetches the user's compiled plan once (the factorized algorithm; the others
+// rank through the generic path), ranks every req whose out slot is not
+// already served from the cache, and files each target result in the rank
+// cache under the version observed *here*, never under the caller's pre-read
+// one: fingerprints round-trip (context X → Y → X yields the same key again
+// with no epoch bump), so a Y-context result filed under the stale X key
+// would later be served as a hit for a genuine X request. Candidate-list
+// results are not cached (their keys would have unbounded cardinality). All
+// reqs of one call share one algorithm.
 //
 // A failing req fails its own out slot; the returned error is the shared
 // plan failing to compile (e.g. a rule references vocabulary mid-migration),
@@ -253,11 +250,12 @@ func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]cont
 // under the lock — what the results are valid for.
 func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (v stateVersion, err error) {
 	err = s.facade.WithRead(func(sys *contextrank.System) error {
-		v = s.version(user)
+		var generation int64
+		v, generation = s.version(user)
 		var plan *contextrank.RankPlan
 		if alg := reqs[0].opts.Algorithm; alg == "" || alg == contextrank.AlgorithmFactorized {
 			var perr error
-			if plan, perr = s.planFor(sys, user, v.epoch); perr != nil {
+			if plan, perr = s.planFor(sys, user, v.epoch, generation); perr != nil {
 				return perr
 			}
 		}
@@ -265,23 +263,22 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 			if out[i].Cached {
 				continue
 			}
-			var res []contextrank.Result
-			var members *contextrank.Membership
+			r := ranked{v: v}
 			var rerr error
 			switch {
 			case rq.candidates != nil && plan != nil:
-				res, rerr = sys.RankCandidatesWithPlan(plan, rq.candidates, rq.opts)
+				r.res, rerr = sys.RankCandidatesWithPlan(plan, rq.candidates, rq.opts)
 			case rq.candidates != nil:
-				res, rerr = sys.RankCandidates(user, rq.candidates, rq.opts)
+				r.res, rerr = sys.RankCandidates(user, rq.candidates, rq.opts)
 			case rq.target == "":
 				rerr = fmt.Errorf("serve: batch item needs a target or a candidate list")
 			default:
-				res, members, rerr = sys.RankTarget(user, plan, rq.target, rq.opts)
+				r.res, r.members, rerr = sys.RankTarget(user, plan, rq.target, rq.opts)
 			}
 			if rerr == nil && rq.candidates == nil && s.cache != nil {
-				s.cache.put(rankKey(user, rq.target, v, rq.opts), res, v.epoch, members)
+				s.cache.put(rankKey(user, rq.target, v, rq.opts), r)
 			}
-			out[i] = RankItemResult{Results: res, Err: rerr}
+			out[i] = RankItemResult{Results: r.res, Err: rerr, ranked: r}
 		}
 		return nil
 	})
@@ -289,31 +286,24 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 }
 
 // planFor returns the user's compiled rank plan for the state being read.
-// Must run under the facade read lock with epoch the one observed under it:
-// the epoch, the user's applied generation and every table version then all
-// stand still, so a plan found current can never be stale for the snapshot
-// being read. Whether the plan enumerates footprint clusters or scores per
-// candidate (see contextrank.CompileRankPlan) is its own business; both are
-// cached alike.
+// Must run under the facade read lock with the epoch and generation version
+// returned under it: they and every table version then all stand still, so a
+// plan found current can never be stale for the snapshot being read. Whether
+// the plan enumerates footprint clusters or scores per candidate (see
+// contextrank.CompileRankPlan) is its own business; both are cached alike.
 //
-// The cache holds one plan per user. It is a hit while the facade epoch and
-// the user's applied generation are the ones the plan was brought up to date
-// at — other users' applies move neither — and no table a rule's preference
-// reads has been written since (plan.Current: a first-seen user's apply grows
-// dl_domain, which changes ¬/⊤/nominal preference views without an epoch
-// bump). Anything else is a miss served by refreshing that plan instead of
-// recompiling: the refresh re-resolves the context side, keeps every
-// preference membership whose tables stand still and takes the others from
-// the loader's memo — so after a vocabulary write the first user's refresh
-// queries the written views and every other user's shares the answer (see
-// contextrank.RefreshRankPlan). The generation rather than the fingerprint
-// decides, because a re-apply of identical measurements re-declares the
-// user's events under new names, and a per-candidate-mode plan consults them
-// at score time. A plan that cannot be refreshed — the rules changed, or it
-// scores per candidate — is recompiled; correctness never depends on the fast
-// path.
-func (s *Server) planFor(sys *contextrank.System, user string, epoch int64) (*contextrank.RankPlan, error) {
-	generation := s.sessions.appliedContext(user).generation
+// The cache holds one plan per user. It is a hit while the epoch and the
+// user's generation are the ones the plan was brought up to date at — other
+// users' applies move neither — and no table a rule's preference reads has
+// been written since (plan.Current). Anything else is a miss served by
+// refreshing that plan instead of recompiling: the refresh re-resolves the
+// context side, keeps every preference membership whose tables stand still
+// and takes the others from the loader's memo — so after a vocabulary write
+// the first user's refresh queries the written views and every other user's
+// shares the answer (see contextrank.RefreshRankPlan). A plan that cannot be
+// refreshed — the rules changed, or it scores per candidate — is recompiled;
+// correctness never depends on the fast path.
+func (s *Server) planFor(sys *contextrank.System, user string, epoch, generation int64) (*contextrank.RankPlan, error) {
 	prev, ok := s.plans.get(user)
 	if ok && prev.epoch == epoch && prev.generation == generation && prev.plan.Current() {
 		s.plans.hits.Add(1)
@@ -333,7 +323,7 @@ func (s *Server) planFor(sys *contextrank.System, user string, epoch int64) (*co
 			return nil, err
 		}
 	}
-	s.plans.put(planEntry{user: user, epoch: epoch, generation: generation, plan: plan})
+	s.plans.put(user, planEntry{epoch: epoch, generation: generation, plan: plan})
 	return plan, nil
 }
 
@@ -366,6 +356,9 @@ type RankItemResult struct {
 	Results []contextrank.Result
 	Cached  bool
 	Err     error
+	// ranked is Results with what they stand on, as rankMisses ranked or the
+	// cache served them.
+	ranked ranked
 }
 
 // RankBatch ranks every item for one user in a single call. Target items
@@ -374,18 +367,8 @@ type RankItemResult struct {
 // algorithm, one compiled rank plan, so a batch of B targets or candidate
 // lists pays the per-(user, rules, context) compilation once instead of B
 // times. Candidate-list items bypass the result cache and always rank.
-// Identical concurrent batch misses are not singleflight-coalesced; the
-// shared plan already removes the expensive duplicated work.
 func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, error) {
-	out, meta, _, err := s.rankBatch(user, alg, items)
-	return out, meta, err
-}
-
-// rankBatch is RankBatch also returning the version the results are valid
-// for: the one the look-ups hit under, or the one the misses ranked under.
-func (s *Server) rankBatch(user string, alg contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, stateVersion, error) {
 	started := time.Now()
-	s.requests.Add(int64(len(items)))
 	var err error
 	switch {
 	case user == "":
@@ -396,18 +379,19 @@ func (s *Server) rankBatch(user string, alg contextrank.Algorithm, items []RankI
 		err = fmt.Errorf("serve: unknown algorithm %q", alg)
 	}
 	if err != nil {
-		return nil, RankMeta{}, stateVersion{}, err
+		return nil, RankMeta{}, err
 	}
+	s.requests.Add(int64(len(items)))
 
-	v := s.version(user)
+	v, _ := s.version(user)
 	reqs := make([]rankReq, len(items))
 	out := make([]RankItemResult, len(items))
 	misses := 0
 	for i, it := range items {
 		reqs[i] = rankReq{target: it.Target, candidates: it.Candidates, opts: it.options(alg)}
 		if it.Candidates == nil && it.Target != "" && s.cache != nil {
-			if res, ok := s.cache.get(rankKey(user, it.Target, v, reqs[i].opts)); ok {
-				out[i] = RankItemResult{Results: res, Cached: true}
+			if r, ok := s.cache.lookup(rankKey(user, it.Target, v, reqs[i].opts), v); ok {
+				out[i] = RankItemResult{Results: r.res, Cached: true, ranked: r}
 				continue
 			}
 		}
@@ -420,11 +404,11 @@ func (s *Server) rankBatch(user string, alg contextrank.Algorithm, items []RankI
 	}
 	meta.Epoch = v.epoch
 	if err != nil {
-		return nil, meta, v, err
+		return nil, meta, err
 	}
 	meta.Elapsed = time.Since(started)
 	s.latency.observe(meta.Elapsed)
-	return out, meta, v, nil
+	return out, meta, nil
 }
 
 // --- Backend read operations ----------------------------------------------

@@ -290,7 +290,7 @@ func TestSessionGuardDetectsForeignAssertions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Someone injects data into the accepted context concept.
-	if err := srv.Facade().WithWrite(func(sys *contextrank.System) error {
+	if _, err := srv.Facade().WithWriteEpoch(func(sys *contextrank.System) error {
 		return sys.AssertConcept("CtxA", "intruder", 1)
 	}); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestSessionGuardProtectsRetractedConcepts(t *testing.T) {
 	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Facade().WithWrite(func(sys *contextrank.System) error {
+	if _, err := srv.Facade().WithWriteEpoch(func(sys *contextrank.System) error {
 		return sys.AssertConcept("CtxA", "intruder", 1)
 	}); err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestSessionGuardCountsDistinctRows(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Facade().WithWrite(func(sys *contextrank.System) error {
+	if _, err := srv.Facade().WithWriteEpoch(func(sys *contextrank.System) error {
 		return sys.AssertConcept("CtxA", "intruder", 1)
 	}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	contextrank "repro"
 )
@@ -90,27 +91,144 @@ func spaceSize(srv *Server) (events, groups int) {
 	return events, groups
 }
 
-// TestSessionModelChurn holds the per-user apply against its model: after
+// foldedSub is a subscription stream as a client holds it: the opening
+// snapshot with every pushed event folded in.
+type foldedSub struct {
+	item   RankItem
+	stream *SubStream
+	scores map[string]float64
+}
+
+// settle folds pushed events into the client's scores until they are want,
+// bit for bit; every delta must continue from the scores folded so far.
+func (f *foldedSub) settle(t *testing.T, want []contextrank.Result, what string) {
+	t.Helper()
+	same := func() bool {
+		if len(f.scores) != len(want) {
+			return false
+		}
+		for _, r := range want {
+			if got, ok := f.scores[r.ID]; !ok || got != r.Score {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.After(10 * time.Second)
+	for !same() {
+		select {
+		case ev := <-f.stream.Events():
+			switch ev.Type {
+			case "snapshot", "resync":
+				f.scores = subScores(ev.Results)
+			case "delta":
+				for _, ch := range ev.Changes {
+					if prev, ok := f.scores[ch.ID]; ok != (ch.Prev != nil) || (ok && prev != *ch.Prev) {
+						t.Fatalf("%s: delta %d moves %s from %v, client holds %v (present %v)", what, ev.Seq, ch.ID, ch.Prev, prev, ok)
+					}
+					f.scores[ch.ID] = ch.Score
+				}
+				for _, id := range ev.Removed {
+					delete(f.scores, id)
+				}
+			default:
+				t.Fatalf("%s: pushed %+v", what, ev)
+			}
+		case <-deadline:
+			t.Fatalf("%s: folded stream %v never reached the fresh server's rank %v", what, f.scores, want)
+		}
+	}
+}
+
+// TestSessionModelChurn holds the serving layer against its model: after
 // every step of a seeded random history of session sets and drops — shared
 // concepts, certain and uncertain measurements, exclusive groups, empty
-// sessions, a refused write now and then — the server must be
-// indistinguishable from a fresh server fed only the live sessions: same
+// sessions, a refused write now and then — with a hasGenre assert and a rule
+// added or removed in between, the server must be indistinguishable from a
+// fresh server fed only the vocabulary writes and the live sessions: same
 // event-space size, same rows in every context concept, same applied
 // fingerprints, bit-identical uncached ranks (and within 1e-9 of the naive
-// reference). Scores are a function of the live sessions, not of the history.
+// reference) — and every rank it *serves*, cached or not, single or batched,
+// of the catalog and of targets over session vocabulary (whose members move
+// with other users' applies), and every standing subscription's folded
+// stream, must be the fresh server's too. Scores are a function of the live
+// state, not of the history.
 func TestSessionModelChurn(t *testing.T) {
 	steps := 250
 	if testing.Short() {
 		steps = 60
 	}
 	const users = 40
+	const extraRule = "RULE extra WHEN CtxC PREFER TvProgram AND EXISTS hasGenre.{g1} WITH 0.5"
 	rng := rand.New(rand.NewSource(20))
 	srv := NewServer(modelSystem(t), Options{})
-	live := make(map[string][]Measurement)
 	name := func(i int) string { return fmt.Sprintf("user%02d", i) }
 
+	// The model: vocabulary writes in order, and the live sessions.
+	var asserted []RoleAssertion
+	ruled := false
+	live := make(map[string][]Measurement)
+	model := func(step int) *Server {
+		fresh := NewServer(modelSystem(t), Options{})
+		if _, err := fresh.Assert(nil, asserted); err != nil {
+			t.Fatalf("step %d: fresh server refused the asserts: %v", step, err)
+		}
+		if ruled {
+			if _, _, err := fresh.AddRules([]string{extraRule}); err != nil {
+				t.Fatalf("step %d: fresh server refused the rule: %v", step, err)
+			}
+		}
+		liveUsers := make([]string, 0, len(live))
+		for u := range live {
+			liveUsers = append(liveUsers, u)
+		}
+		sort.Strings(liveUsers)
+		for _, u := range liveUsers {
+			if _, err := fresh.SetSession(u, live[u]); err != nil {
+				t.Fatalf("step %d: fresh server refused %s: %v", step, u, err)
+			}
+		}
+		return fresh
+	}
+
+	targets := []string{"TvProgram", "CtxA", "LocK OR LocO"}
+	owner := name(0)
+	var subs []*foldedSub
+	for _, item := range []RankItem{{Target: targets[0]}, {Target: targets[2]}, {Candidates: []string{"tv00", "tv03", "tv06"}}} {
+		info, err := srv.Subscribe("", SubscriptionSpec{User: owner, RankItem: item})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := srv.SubscriptionStream(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, &foldedSub{item: item, stream: stream, scores: subScores(stream.Snapshot().Results)})
+	}
+
 	for step := 0; step < steps; step++ {
+		switch {
+		case step%10 == 5:
+			a := RoleAssertion{Role: "hasGenre", Src: fmt.Sprintf("tv%02d", rng.Intn(10)), Dst: fmt.Sprintf("g%d", rng.Intn(2)), Prob: float64(1+rng.Intn(999)) / 1000}
+			if _, err := srv.Assert(nil, []RoleAssertion{a}); err != nil {
+				t.Fatalf("step %d: assert %+v: %v", step, a, err)
+			}
+			asserted = append(asserted, a)
+		case step%25 == 12 && !ruled:
+			if _, _, err := srv.AddRules([]string{extraRule}); err != nil {
+				t.Fatalf("step %d: add rule: %v", step, err)
+			}
+			ruled = true
+		case step%25 == 12:
+			if _, err := srv.RemoveRule("extra"); err != nil {
+				t.Fatalf("step %d: remove rule: %v", step, err)
+			}
+			ruled = false
+		}
 		user := name(rng.Intn(users))
+		if rng.Intn(5) == 0 {
+			user = owner
+		}
 		switch op := rng.Intn(20); {
 		case op < 13:
 			ms := randomSession(rng, user)
@@ -136,18 +254,7 @@ func TestSessionModelChurn(t *testing.T) {
 			}
 		}
 
-		fresh := NewServer(modelSystem(t), Options{})
-		liveUsers := make([]string, 0, len(live))
-		for u := range live {
-			liveUsers = append(liveUsers, u)
-		}
-		sort.Strings(liveUsers)
-		for _, u := range liveUsers {
-			if _, err := fresh.SetSession(u, live[u]); err != nil {
-				t.Fatalf("step %d: fresh server refused %s: %v", step, u, err)
-			}
-		}
-
+		fresh := model(step)
 		if got, want := srv.Sessions().Count(), len(live); got != want {
 			t.Fatalf("step %d: %d sessions, model %d", step, got, want)
 		}
@@ -169,22 +276,36 @@ func TestSessionModelChurn(t *testing.T) {
 			}
 		}
 		for _, u := range []string{user, name(rng.Intn(users)), name(rng.Intn(users))} {
-			got := freshRank(t, srv.Facade(), u, "TvProgram")
-			want := freshRank(t, fresh.Facade(), u, "TvProgram")
-			if len(got) != len(want) {
-				t.Fatalf("step %d: %s ranks %d results, fresh server %d", step, u, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: %s result %d = %v, fresh server %v (must be bit-identical)", step, u, i, got[i], want[i])
+			for _, target := range targets {
+				got := freshRank(t, srv.Facade(), u, target)
+				want := freshRank(t, fresh.Facade(), u, target)
+				if len(got) != len(want) {
+					t.Fatalf("step %d: %s ranks %d of %s, fresh server %d", step, u, len(got), target, len(want))
 				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("step %d: %s result %d of %s = %v, fresh server %v (must be bit-identical)", step, u, i, target, got[i], want[i])
+					}
+				}
+				// The served paths (plan cache, rank cache) against the same.
+				served, _, err := srv.Rank(u, target, contextrank.RankOptions{})
+				if err != nil {
+					t.Fatalf("step %d: served rank of %s for %s: %v", step, target, u, err)
+				}
+				sameResults(t, served, want)
+				batch, _, err := srv.RankBatch(u, "", []RankItem{{Target: target}})
+				if err != nil || batch[0].Err != nil {
+					t.Fatalf("step %d: batched rank of %s for %s: %v %v", step, target, u, err, batch[0].Err)
+				}
+				sameResults(t, batch[0].Results, want)
 			}
-			// The served path (plan cache, rank cache) against the same.
-			served, _, err := srv.Rank(u, "TvProgram", contextrank.RankOptions{})
-			if err != nil {
-				t.Fatalf("step %d: served rank for %s: %v", step, u, err)
+		}
+		for _, sub := range subs {
+			out, _, err := fresh.RankBatch(owner, "", []RankItem{sub.item})
+			if err != nil || out[0].Err != nil {
+				t.Fatalf("step %d: fresh rank of %+v: %v %v", step, sub.item, err, out[0].Err)
 			}
-			sameResults(t, served, want)
+			sub.settle(t, out[0].Results, fmt.Sprintf("step %d: subscription %+v", step, sub.item))
 		}
 		var naive []contextrank.Result
 		if err := srv.Facade().WithRead(func(sys *contextrank.System) (err error) {

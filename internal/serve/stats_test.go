@@ -41,7 +41,7 @@ func TestStatsIsLockFree(t *testing.T) {
 	// 1. Facade write lock held (a slow mutation in progress).
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	go srv.Facade().WithWrite(func(sys *contextrank.System) error { //nolint:errcheck // error is nil by construction
+	go srv.Facade().WithWriteEpoch(func(sys *contextrank.System) error { //nolint:errcheck // error is nil by construction
 		close(entered)
 		<-release
 		return nil

@@ -8,17 +8,17 @@
 // subscriptions after mutations. It is woken by a buffered poke channel
 // (every mutator pokes on its way out; a poke during a pass stays queued,
 // so the pass after it observes the newest state) and skips any
-// subscription whose owner's state version — (facade epoch, the owner's
-// applied session fingerprint), the same version the rank cache serves
-// hits on (see stateVersion) — has not moved since its last evaluation, so
-// a context apply for user A never pays a re-rank for user B. (A's apply
-// touches nothing of B's, and an apply that could move B's scores —
-// coupled through a rule's role filler or preference, or failed — bumps the
-// epoch; see Sessions.) Evaluation goes through RankBatch like any other
-// rank — and after the owner's own context apply, or a vocabulary write,
-// their plan is *refreshed* incrementally from the cached one rather than
-// recompiled (see planFor),
-// which is what makes push re-ranking affordable at catalog scale.
+// subscription whose last pushed ranking is still current — the question a
+// rank-cache hit asks (see ranked.current): the owner's state version stands
+// and nobody's write reached the target's members — so a context apply for
+// user A never pays a re-rank for user B unless it moved B's scores (coupled
+// through a rule's role filler or preference, or failed: the epoch; see
+// Sessions) or B's candidates (A entered a session concept B's target
+// mentions: the target's handle). Evaluation is a rank like any other
+// (Server.rank) — and after the owner's own context apply, or a vocabulary
+// write, their plan is *refreshed* incrementally from the cached one rather
+// than recompiled (see planFor), which is what makes push re-ranking
+// affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the
@@ -139,10 +139,10 @@ type Subscription struct {
 	// for the next evaluation and the source of snapshot/resync events.
 	scores map[string]float64
 	last   []SubResult
-	// evaluated + the owner's state version at the last evaluation; see
-	// evalSub.
+	// evaluated + the ranking the last evaluation returned, with what it
+	// stands on (on an error, the version it failed at); see evalSub.
 	evaluated bool
-	ver       stateVersion
+	stands    ranked
 	lastErr   string
 	events    chan SubEvent
 }
@@ -216,8 +216,8 @@ type SubscriptionStats struct {
 	// Events counts pushed events (snapshots + deltas + errors).
 	Events int64 `json:"events"`
 	// Evals counts subscription re-rank evaluations; Skipped counts
-	// evaluator passes over a subscription whose owner's state version was
-	// unchanged (the per-user fast path working as intended).
+	// evaluator passes over a subscription whose last ranking was still
+	// current (the per-user fast path working as intended).
 	Evals   int64 `json:"evals"`
 	Skipped int64 `json:"skipped"`
 	// Lagged counts events dropped because the consumer was behind; each
@@ -414,7 +414,7 @@ func (st *SubStream) TakeLagged() bool {
 func (st *SubStream) Resync() SubEvent {
 	st.sub.mu.Lock()
 	defer st.sub.mu.Unlock()
-	return st.sub.snapshotEventLocked("resync", st.sub.ver.epoch)
+	return st.sub.snapshotEventLocked("resync", st.sub.stands.v.epoch)
 }
 
 // Close detaches the consumer.
@@ -458,7 +458,7 @@ func (s *Server) SubscriptionStream(id string) (*SubStream, error) {
 		break
 	}
 	sub.lagged = false
-	snap := sub.snapshotEventLocked("snapshot", sub.ver.epoch)
+	snap := sub.snapshotEventLocked("snapshot", sub.stands.v.epoch)
 	if sub.lastErr != "" {
 		snap = SubEvent{Type: "error", ID: sub.id, Seq: sub.seq, Error: sub.lastErr}
 	}
@@ -493,18 +493,18 @@ func (s *Server) subEvalLoop() {
 	}
 }
 
-// evalSub re-ranks one subscription if its owner's state version moved,
-// and pushes a snapshot (first evaluation), delta (scores moved) or error
-// event. What it stores is the version the ranking reports it ran at — not
-// the one read here to decide the skip — so the stored version always
-// describes the pushed scores: a mutation landing after the rank leaves it
-// stale, and that mutation's own poke re-evaluates; one landing just before
-// the rank is already reflected, and a context that round-trips X → Y → X
-// around a rank that saw Y cannot be mistaken for "still X".
+// evalSub re-ranks one subscription unless the ranking it last pushed is
+// still current, and pushes a snapshot (first evaluation), delta (scores
+// moved) or error event. What it stores is what the ranking reports it
+// stands on — not the version read here to decide the skip — so the stored
+// state always describes the pushed scores: a mutation landing after the rank
+// leaves it stale, and that mutation's own poke re-evaluates; one landing
+// just before the rank is already reflected, and a context that round-trips
+// X → Y → X around a rank that saw Y cannot be mistaken for "still X".
 func (s *Server) evalSub(sub *Subscription) {
-	v := s.version(sub.spec.User)
+	now, _ := s.version(sub.spec.User)
 	sub.mu.Lock()
-	if sub.closed || (sub.evaluated && sub.ver == v) {
+	if sub.closed || (sub.evaluated && sub.stands.current(now)) {
 		sub.mu.Unlock()
 		s.subs.skipped.Add(1)
 		return
@@ -512,17 +512,15 @@ func (s *Server) evalSub(sub *Subscription) {
 	sub.mu.Unlock()
 	s.subs.evals.Add(1)
 
-	res, meta, v, err := s.rankBatch(sub.spec.User, "", []RankItem{sub.spec.RankItem})
-	if err == nil {
-		err = res[0].Err
-	}
+	item := sub.spec.RankItem
+	r, meta, err := s.rank(sub.spec.User, rankReq{target: item.Target, candidates: item.Candidates, opts: item.options("")})
 
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.closed {
 		return
 	}
-	sub.ver = v
+	sub.stands = r
 	first := !sub.evaluated
 	sub.evaluated = true
 	if err != nil {
@@ -539,11 +537,11 @@ func (s *Server) evalSub(sub *Subscription) {
 	recovered := sub.lastErr != ""
 	sub.lastErr = ""
 
-	results := make([]SubResult, len(res[0].Results))
+	results := make([]SubResult, len(r.res))
 	scores := make(map[string]float64, len(results))
-	for i, r := range res[0].Results {
-		results[i] = SubResult{ID: r.ID, Score: r.Score}
-		scores[r.ID] = r.Score
+	for i, res := range r.res {
+		results[i] = SubResult{ID: res.ID, Score: res.Score}
+		scores[res.ID] = res.Score
 	}
 	var changes []SubChange
 	var removed []string

@@ -189,7 +189,7 @@ func TestSubscriptionLifecycle(t *testing.T) {
 // cost user B's subscriptions nothing — no evaluation, no plan refresh for
 // the candidate-list one (which the rank cache does not cover), no event —
 // while B's own apply costs exactly one evaluation and one delta per
-// subscription. Evaluator passes coalesce, so pass counts are not
+// subscription. Evaluator passes merge, so pass counts are not
 // deterministic; evaluation counts are.
 func TestSubscriptionOtherUsersApplyIsSkipped(t *testing.T) {
 	srv := subTestServer(t)

@@ -26,20 +26,6 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
-// MustParseSelect parses a SELECT statement, panicking on failure or on any
-// other statement kind; for statically known query strings.
-func MustParseSelect(src string) *SelectStmt {
-	stmt, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		panic(fmt.Sprintf("sql: %q is not a SELECT", src))
-	}
-	return sel
-}
-
 type parser struct {
 	toks []token
 	pos  int
