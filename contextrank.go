@@ -438,8 +438,8 @@ func (s *System) ranker(alg Algorithm, noView bool) (core.Ranker, error) {
 // compiled (a re-apply retires the old context's events, after which the
 // plan's methods fail rather than misrank) and for the preference
 // memberships it holds, which plan.Current() checks against the tables'
-// write versions; RefreshRankPlan brings a plan that fell behind on either up
-// to date. internal/serve caches one plan per user on exactly those terms.
+// write versions; a plan that fell behind on either is compiled again.
+// internal/serve caches one plan per user on exactly those terms.
 type RankPlan = core.Plan
 
 // CompileRankPlan compiles the repository's rules for one situated user
@@ -451,25 +451,11 @@ func (s *System) CompileRankPlan(user string) (*RankPlan, error) {
 	return core.CompilePlan(s.loader, user, s.repo.Rules())
 }
 
-// RefreshRankPlan incrementally maintains a plan across any change that left
-// the rule list alone — context applies, asserts and retracts, SQL writes: it
-// compiles a successor of plan for the system's *current* state, reusing the
-// candidate-independent work the change left intact — preference memberships
-// whose tables were not written, the document-side block footprints, and the
-// per-candidate document distributions the footprint diff clears as
-// unaffected. Scores from the refreshed plan are bit-identical to a fresh
-// CompileRankPlan of the same state.
-//
-// ErrPlanNotRefreshable marks a plan that cannot be maintained — per-request
-// restricted compiles, per-candidate mode, or a plan compiled from other
-// rules than the repository holds now — fall back to CompileRankPlan.
+// RefreshRankPlan compiles plan's user again. The benchmark harness calls it
+// by name; it goes when the harness stops calling it, like SaveSnapshots.
 func (s *System) RefreshRankPlan(plan *RankPlan) (*RankPlan, error) {
-	return plan.Refresh(s.repo.Rules())
+	return s.CompileRankPlan(plan.User())
 }
-
-// ErrPlanNotRefreshable marks a plan RefreshRankPlan cannot maintain
-// incrementally; callers fall back to CompileRankPlan.
-var ErrPlanNotRefreshable = core.ErrPlanNotRefreshable
 
 // RankWithPlan ranks the members of the target concept expression against
 // an already compiled plan — the factorized algorithm with its compile

@@ -74,7 +74,7 @@ func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
 			only[id] = true
 		}
 	}
-	plan, err := compilePlan(r.loader, req.User, req.Rules, only, nil)
+	plan, err := compilePlan(r.loader, req.User, req.Rules, only)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dl"
 	"repro/internal/event"
 	"repro/internal/mapping"
 	"repro/internal/prefs"
@@ -40,8 +39,7 @@ import (
 // steps 1–2 and scores in per-candidate mode instead: clustering and the
 // state enumeration run per candidate (scorePerCandidate), where the same
 // rules usually fall into small clusters. Callers never see the difference —
-// every method works in both modes and returns the same scores — except
-// that a per-candidate plan cannot be refreshed.
+// every method works in both modes and returns the same scores.
 //
 // The document side — per candidate, the probability of its membership event
 // under each rule, and the joint document-state distribution of each
@@ -73,9 +71,11 @@ import (
 //     valid by the write versions of the tables the preference's view reads.
 //     Current reports whether every handle still is; while it does, no assert,
 //     retract, context row or SQL write has touched anything the plan ranks
-//     by. A stale plan is brought up to date by Refresh, not recompiled.
-//   - The rule list is the caller's: Refresh takes the current rules and
-//     refuses a plan compiled from different ones.
+//     by. A stale plan is compiled again: the handles that are still current
+//     are the loader's memo hits, and the document side is the one the
+//     handles already share (or the one carried across the write for all
+//     plans), so a recompile costs the context side and the partition.
+//   - The rule list is the caller's: a plan knows nothing of rule changes.
 //   - A Target's candidate list is not plan state at all: every rank resolves
 //     it through the loader's membership memo, so it is as fresh as the
 //     tables, whatever the plan's age.
@@ -97,7 +97,7 @@ type Plan struct {
 	// over the same membership handles. Nil for a plan compiled with a
 	// candidate restriction — it lives for one request, scores each candidate
 	// once and derives its probabilities as it goes — and in per-candidate
-	// mode; Refresh maintains neither.
+	// mode.
 	docs *mapping.DocSide
 }
 
@@ -207,7 +207,7 @@ func putScratch(sc *PlanScratch) { scratchPool.Put(sc) }
 // compile cost is paid once per (user, rule set, applied context) instead of
 // once per candidate; see the Plan type comment for what is hoisted.
 func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
-	return compilePlan(l, user, rules, nil, nil)
+	return compilePlan(l, user, rules, nil)
 }
 
 // compilePlan is CompilePlan with an optional candidate restriction: when
@@ -215,10 +215,9 @@ func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 // preference-membership events. A restricted plan is valid only for
 // candidates in the set — the per-request path uses it so a 3-candidate
 // RankQuery over a 100k-member preference does not walk 100k events'
-// blocks; cacheable catalog-wide plans pass nil. old, when non-nil, is a plan
-// over the same rules whose still-current handles are kept (see Refresh).
-func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool, old *Plan) (*Plan, error) {
-	p, err := resolvePlan(l, user, rules, old)
+// blocks; cacheable catalog-wide plans pass nil.
+func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool) (*Plan, error) {
+	p, err := resolvePlan(l, user, rules)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +233,7 @@ func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[st
 // BenchmarkPlanScoreLargeCatalog's baseline use this to hold the mode against
 // the compiled one on rule sets that fit both.
 func perCandidatePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
-	p, err := resolvePlan(l, user, rules, nil)
+	p, err := resolvePlan(l, user, rules)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +242,7 @@ func perCandidatePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan
 }
 
 // usePerCandidate switches the plan to per-candidate mode, dropping what only
-// the enumerating mode and its Refresh use.
+// the enumerating mode uses.
 func (p *Plan) usePerCandidate() {
 	p.perCandidate, p.clusters, p.multi, p.docs = true, nil, nil, nil
 	for i := range p.rules {
@@ -255,16 +254,15 @@ func (p *Plan) usePerCandidate() {
 
 // resolvePlan is the mode-independent half of compilation: every rule's
 // context event and probability for the user and its preference's membership
-// handle. old, when non-nil, is a plan over the same rules: a handle of its
-// that is still current is kept without asking the loader.
-func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule, old *Plan) (*Plan, error) {
+// handle.
+func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
 	if user == "" {
 		return nil, fmt.Errorf("core: request without a user")
 	}
 	space := l.DB().Space()
 	p := &Plan{loader: l, space: space, user: user}
 	p.rules = make([]planRule, 0, len(rules))
-	for i, rule := range rules {
+	for _, rule := range rules {
 		if err := rule.Validate(); err != nil {
 			return nil, err
 		}
@@ -276,10 +274,8 @@ func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule, old *Plan) 
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s context: %w", rule.Name, err)
 		}
-		var members *mapping.Membership
-		if old != nil && old.rules[i].members.Current() {
-			members = old.rules[i].members
-		} else if members, err = l.Members(rule.Preference); err != nil {
+		members, err := l.Members(rule.Preference)
+		if err != nil {
 			return nil, fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
 		}
 		p.rules = append(p.rules, planRule{rule: rule, ctxEv: ctxEv, ctxProb: pCtx, members: members})
@@ -397,13 +393,6 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 	return nil
 }
 
-// ErrPlanNotRefreshable marks a plan Refresh cannot maintain incrementally:
-// a candidate-restricted compile, per-candidate mode (the bound is a property
-// of the footprint partition and a refresh would only rediscover it), or a
-// plan compiled from other rules than the ones to refresh under. Callers fall
-// back to a fresh CompilePlan.
-var ErrPlanNotRefreshable = fmt.Errorf("core: plan cannot be refreshed incrementally")
-
 // Current reports whether every rule's preference membership is still what
 // the plan compiled: no table a preference's view reads has been written
 // since. A handful of atomic loads per rule; it says nothing about the user's
@@ -415,43 +404,6 @@ func (p *Plan) Current() bool {
 		}
 	}
 	return true
-}
-
-// sameRules reports whether rules are the ones the plan compiled, in order.
-func (p *Plan) sameRules(rules []prefs.Rule) bool {
-	if len(rules) != len(p.rules) {
-		return false
-	}
-	for i, r := range rules {
-		old := p.rules[i].rule
-		if r.Name != old.Name || r.Sigma != old.Sigma ||
-			!dl.Equal(r.Context, old.Context) || !dl.Equal(r.Preference, old.Preference) {
-			return false
-		}
-	}
-	return true
-}
-
-// Refresh compiles a successor plan against the loader's *current* state.
-// Anything may have happened since the plan compiled — context applies of any
-// user, asserts and retracts, SQL writes — as long as rules, the rule list to
-// rank under now, is the one the plan compiled from; otherwise it returns
-// ErrPlanNotRefreshable.
-//
-// It is a compile that keeps the membership handles that are still current
-// (any other is the loader's — patched or queried once per table version, for
-// every user's refresh). Nothing else needs handing down from the plan: the
-// document side — probabilities, footprints and what the partition needs of
-// them — belongs to the handles, so the successor reads the side this plan
-// reads (or, after a write, the one side carried across it for all plans);
-// and the 2^m context-state tables go through Space.Prob, whose memo keeps
-// every expression that mentions no retired event. The partition is the one a
-// fresh compile computes, by the same code, so scores are bit-identical to it.
-func (p *Plan) Refresh(rules []prefs.Rule) (*Plan, error) {
-	if p.docs == nil || !p.sameRules(rules) {
-		return nil, ErrPlanNotRefreshable
-	}
-	return compilePlan(p.loader, p.user, rules, nil, p)
 }
 
 // User returns the situated user the plan was compiled for.

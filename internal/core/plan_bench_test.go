@@ -140,81 +140,7 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanIncrementalApply prices the subscription push path: after a
-// context apply shifts one concept's probability (a single-cluster change
-// against the 8-rule plan), re-rank the full 1000-document catalog either by
-// recompiling the plan from scratch or by refreshing the previous epoch's
-// plan. The context apply itself runs outside the timer so the two isolate
-// plan maintenance + rank. With the document side shared by every plan over
-// the same handles the two cost about the same (a refresh saves the memo
-// look-ups of handles that are still current); both stay under CI's > 20 %
-// regression gate, and BenchmarkPlanRankAfterApply carries the same-run gate.
-func BenchmarkPlanIncrementalApply(b *testing.B) {
-	const n, k = 1000, 8
-	// applyShifted re-applies the standard bench context with concept 0's
-	// probability nudged by iteration, so every epoch is a genuine change.
-	applyShifted := func(d *workload.Dataset, i int) {
-		b.Helper()
-		ctx := situation.New(d.User)
-		ctx.Add(workload.BenchContextConcept(0), 0.5+0.4*float64(i%7)/7)
-		for j := 1; j < k; j++ {
-			ctx.Add(workload.BenchContextConcept(j), 0.9)
-		}
-		if err := ctx.Apply(d.Loader); err != nil {
-			b.Fatal(err)
-		}
-	}
-	req := PlanRequest{Target: dl.Atom("TvProgram")}
-	b.Run(fmt.Sprintf("mode=full/candidates=%d", n), func(b *testing.B) {
-		d, rules := planBenchSetup(b, n, k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			applyShifted(d, i)
-			b.StartTimer()
-			plan, err := CompilePlan(d.Loader, d.User, rules)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := plan.Rank(req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res) != n {
-				b.Fatalf("%d results, want %d", len(res), n)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("mode=refresh/candidates=%d", n), func(b *testing.B) {
-		d, rules := planBenchSetup(b, n, k)
-		plan, err := CompilePlan(d.Loader, d.User, rules)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plan.Rank(req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			applyShifted(d, i)
-			b.StartTimer()
-			plan, err = plan.Refresh(rules)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := plan.Rank(req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res) != n {
-				b.Fatalf("%d results, want %d", len(res), n)
-			}
-		}
-	})
-}
-
-// BenchmarkPlanRankAfterApply prices the poll after a context change — refresh
+// BenchmarkPlanRankAfterApply prices the poll after a context change — compile
 // the user's plan, rank the 1000-document catalog — for the two kinds of
 // change there are, five of the eight rules active in both so they price the
 // same arithmetic: mode=same re-applies BenchCtx0..4 with BenchCtx0's
@@ -231,8 +157,9 @@ func BenchmarkPlanRankAfterApply(b *testing.B) {
 	for _, mode := range []string{"same", "rotated"} {
 		b.Run(fmt.Sprintf("%s/candidates=%d", mode, n), func(b *testing.B) {
 			d, rules := planBenchSetup(b, n, k)
-			plan, err := CompilePlan(d.Loader, d.User, rules)
-			if err != nil {
+			// The memberships and the document side the first compile
+			// builds are not the poll's to pay.
+			if _, err := CompilePlan(d.Loader, d.User, rules); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -251,7 +178,8 @@ func BenchmarkPlanRankAfterApply(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if plan, err = plan.Refresh(rules); err != nil {
+				plan, err := CompilePlan(d.Loader, d.User, rules)
+				if err != nil {
 					b.Fatal(err)
 				}
 				res, err := plan.Rank(req)
@@ -266,17 +194,17 @@ func BenchmarkPlanRankAfterApply(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanRefreshAfterApply prices the refresh alone after the user's own
+// BenchmarkPlanCompileAfterApply prices the compile alone after the user's own
 // context apply — the poll's plan work without the rank: eight context
-// look-ups, the document side settled past the retired events, the partition
-// and the context tables. The catalog is DefaultSpec's with 64 other owners'
+// look-ups, eight memo hits for the preference handles, the document side
+// settled past the retired events, the partition and the context tables. The catalog is DefaultSpec's with 64 other owners'
 // contexts applied, so every context concept holds a row per owner; each
 // iteration applies BenchCtx0 plus four of BenchCtx1..7 chosen by iteration
 // (the active set and the cluster layout change every time) off the clock.
 // CI caps programs=300's allocations and holds programs=3000 to 1.25x
 // programs=300 from one head run: neither the settle nor the partition may
 // grow with the catalog's footprint.
-func BenchmarkPlanRefreshAfterApply(b *testing.B) {
+func BenchmarkPlanCompileAfterApply(b *testing.B) {
 	const k, owners = 8, 64
 	for _, programs := range []int{300, 3000} {
 		b.Run(fmt.Sprintf("programs=%d", programs), func(b *testing.B) {
@@ -313,7 +241,7 @@ func BenchmarkPlanRefreshAfterApply(b *testing.B) {
 				b.StopTimer()
 				apply(d.User, i+1)
 				b.StartTimer()
-				if plan, err = plan.Refresh(rules); err != nil {
+				if plan, err = CompilePlan(d.Loader, d.User, rules); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -325,15 +253,15 @@ func BenchmarkPlanRefreshAfterApply(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanRefreshAfterAssert prices what one vocabulary write costs the
+// BenchmarkPlanCompileAfterAssert prices what one vocabulary write costs the
 // first user to rank after it: one hasGenre tuple is asserted outside the
 // timer (every bench rule's preference reads r_hasGenre, so all 8 memberships
-// go stale), then the plan is refreshed — 8 patched handles, the document
+// go stale), then the plan is compiled again — 8 patched handles, the document
 // side carried across the write with the written program's row derived again —
-// and the 1000-document catalog re-ranked. Later users' refreshes find the
+// and the 1000-document catalog re-ranked. Later users' compiles find the
 // handles in the loader's memo and the carried side beside them;
 // BenchmarkVocabWriteRank (root package) prices that.
-func BenchmarkPlanRefreshAfterAssert(b *testing.B) {
+func BenchmarkPlanCompileAfterAssert(b *testing.B) {
 	const n, k = 1000, 8
 	d, rules := planBenchSetup(b, n, k)
 	req := PlanRequest{Target: dl.Atom("TvProgram")}
@@ -352,7 +280,7 @@ func BenchmarkPlanRefreshAfterAssert(b *testing.B) {
 			b.Fatal("the assert left the plan current")
 		}
 		b.StartTimer()
-		if plan, err = plan.Refresh(rules); err != nil {
+		if plan, err = CompilePlan(d.Loader, d.User, rules); err != nil {
 			b.Fatal(err)
 		}
 		res, err := plan.Rank(req)

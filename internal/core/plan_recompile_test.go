@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -19,9 +18,9 @@ import (
 )
 
 // assertBitIdentical fails unless the two result lists agree exactly —
-// same ids, same order, and float64-equal scores. Refresh promises scores
-// bit-identical to a fresh compile (same partition, same association
-// order), so no epsilon is allowed here.
+// same ids, same order, and float64-equal scores. Every compile of one state
+// computes the same partition in the same association order, whatever its
+// memo and document side already held, so no epsilon is allowed here.
 func assertBitIdentical(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -80,7 +79,7 @@ func assertRankExact(t *testing.T, label string, p *Plan, rules []prefs.Rule, ta
 			everyone[id] = true
 		}
 	}
-	walked, err := compilePlan(p.loader, p.user, rules, everyone, nil)
+	walked, err := compilePlan(p.loader, p.user, rules, everyone)
 	if err != nil {
 		t.Fatalf("%s: %s's walked compile: %v", label, p.user, err)
 	}
@@ -122,9 +121,9 @@ func assertRankExact(t *testing.T, label string, p *Plan, rules []prefs.Rule, ta
 
 // assertHandlesExact holds what a plan ranks by against the store itself,
 // rule by rule: the preference's membership handle — patched, queried or
-// carried, whatever the refreshes made of it — equals an un-memoized query of
+// carried, whatever the writes made of it — equals an un-memoized query of
 // the preference's view, event for event, and the handle's block footprint
-// equals a walk over those events. A fresh CompilePlan takes its handles from
+// equals a walk over those events. The walked compile takes its handles from
 // the same memo, so without this the rank comparison would not notice a
 // handle that is wrong for both.
 func assertHandlesExact(t *testing.T, label string, p *Plan) {
@@ -178,21 +177,22 @@ func assertHandlesExact(t *testing.T, label string, p *Plan) {
 	}
 }
 
-// TestRefreshMatchesFreshCompile walks a plan through successive context
-// applies and vocabulary writes — certain and uncertain concept and role
-// asserts, a merge into an existing row, a retract, a new candidate, dl_domain
-// growth on its own, a SQL delete and insert, another user's owner-scoped
-// apply, more patches between two refreshes than a handle remembers — via
-// Refresh, beside two other users' plans whose own contexts rotate through
-// other active rule sets at every step; one rule of u's is joined to another
-// by nothing but its context event, which another rule's preference mentions. All three read one document side, and
-// after every step each plan's ranking must be bit-identical to the routes
+// TestPlanAfterEveryStepMatchesReferences walks a user through successive
+// context applies and vocabulary writes — certain and uncertain concept and
+// role asserts, a merge into an existing row, a retract, a new candidate,
+// dl_domain growth on its own, a SQL delete and insert, another user's
+// owner-scoped apply, more patches between two compiles than a handle
+// remembers — compiling the plan again after each, beside two other users'
+// plans whose own contexts rotate through other active rule sets at every
+// step; one rule of u's is joined to another by nothing but its context event,
+// which another rule's preference mentions. All three read one document side,
+// and after every step each plan's ranking must be bit-identical to the routes
 // that do not (assertRankExact: the walked compile, a fresh loader, the naive
 // reference), every handle identical to a query of its view — and the side
 // must have derived exactly what the step calls for: nothing across a context
 // change, the individuals a logged write reached, everything when the write
 // cannot be traced.
-func TestRefreshMatchesFreshCompile(t *testing.T) {
+func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 	l, rules := correlatedSetup(t)
 	db := l.DB()
 	must := func(err error) {
@@ -316,7 +316,7 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		}},
 		// Each write is looked up, and so patched into a handle of its own,
 		// before the next: the plan's F1 handle falls off the newest one's
-		// history (16 moving patches) and the refresh must compare the
+		// history (16 moving patches) and the document side must compare the
 		// memberships itself.
 		{"more patches than a handle remembers", func() {
 			for i := 0; i < 40; i++ {
@@ -372,31 +372,31 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 		rotate(si + 1)
 		before := rows()
 		for i, p := range plans {
-			refreshed, err := p.Refresh(rules)
+			compiled, err := CompilePlan(l, users[i], rules)
 			if err != nil {
-				t.Fatalf("%s: %s's refresh: %v", s.name, users[i], err)
+				t.Fatalf("%s: %s's compile: %v", s.name, users[i], err)
 			}
-			if !refreshed.Current() {
-				t.Fatalf("%s: %s's refreshed plan is not current", s.name, users[i])
+			if !compiled.Current() {
+				t.Fatalf("%s: %s's compiled plan is not current", s.name, users[i])
 			}
-			if refreshed.docs != p.docs != !plan.Current() {
-				t.Fatalf("%s: %s's refresh changed document sides = %v with the handles current = %v", s.name, users[i], refreshed.docs != p.docs, plan.Current())
+			if compiled.docs != p.docs != !plan.Current() {
+				t.Fatalf("%s: %s's compile changed document sides = %v with the handles current = %v", s.name, users[i], compiled.docs != p.docs, plan.Current())
 			}
-			if _, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc")}); err != nil {
+			if _, err := compiled.Rank(PlanRequest{Target: dl.Atom("Doc")}); err != nil {
 				t.Fatalf("%s: %s's rank: %v", s.name, users[i], err)
 			}
-			for _, ci := range refreshed.multi {
-				if tuple := fmt.Sprint(refreshed.clusters[ci].rules); !filled[tuple] {
+			for _, ci := range compiled.multi {
+				if tuple := fmt.Sprint(compiled.clusters[ci].rules); !filled[tuple] {
 					filled[tuple] = true
 					first++
 				}
 			}
-			plans[i] = refreshed
+			plans[i] = compiled
 		}
 		if plans[1].docs != plans[0].docs || plans[2].docs != plans[0].docs {
 			t.Fatalf("%s: the three plans no longer read one document side", s.name)
 		}
-		// What the three refreshes and ranks derived, between them. Marginal
+		// What the three compiles and ranks derived, between them. Marginal
 		// rows: none while the handles stand; the one or two individuals a
 		// traced write reached (d3 and d4 in the busiest step), once; the whole
 		// side — every document, and whoever else ¬F3 holds of — when the delta
@@ -420,63 +420,7 @@ func TestRefreshMatchesFreshCompile(t *testing.T) {
 	}
 }
 
-// TestRefreshRefusesOtherRules: Refresh maintains a plan under the rule list
-// it compiled from and nothing else — a rule added, removed, reordered or
-// re-scored is ErrPlanNotRefreshable — while the same rules re-parsed into
-// other expression values are still the same rules.
-func TestRefreshRefusesOtherRules(t *testing.T) {
-	l, rules := correlatedSetup(t)
-	plan, err := CompilePlan(l, "u", rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := func(edit func(rs []prefs.Rule) []prefs.Rule) []prefs.Rule {
-		return edit(slices.Clone(rules))
-	}
-	for name, other := range map[string][]prefs.Rule{
-		"rule added": edited(func(rs []prefs.Rule) []prefs.Rule {
-			return append(rs, prefs.Rule{Name: "r9", Context: dl.Atom("Weekend"), Preference: dl.Atom("F2"), Sigma: 0.5})
-		}),
-		"rule removed":   edited(func(rs []prefs.Rule) []prefs.Rule { return rs[:len(rs)-1] }),
-		"rules swapped":  edited(func(rs []prefs.Rule) []prefs.Rule { rs[0], rs[1] = rs[1], rs[0]; return rs }),
-		"sigma edited":   edited(func(rs []prefs.Rule) []prefs.Rule { rs[2].Sigma = 0.66; return rs }),
-		"context edited": edited(func(rs []prefs.Rule) []prefs.Rule { rs[1].Context = dl.Atom("Weekend"); return rs }),
-		"preference edited": edited(func(rs []prefs.Rule) []prefs.Rule {
-			rs[0].Preference = dl.And(dl.Atom("F1"), dl.Atom("F3"))
-			return rs
-		}),
-		"rule renamed": edited(func(rs []prefs.Rule) []prefs.Rule { rs[3].Name = "r4b"; return rs }),
-	} {
-		if _, err := plan.Refresh(other); !errors.Is(err, ErrPlanNotRefreshable) {
-			t.Errorf("%s: refresh err = %v, want ErrPlanNotRefreshable", name, err)
-		}
-	}
-	reparsed := edited(func(rs []prefs.Rule) []prefs.Rule {
-		for i := range rs {
-			rs[i].Context = dl.MustParse(rs[i].Context.String())
-			rs[i].Preference = dl.MustParse(rs[i].Preference.String())
-		}
-		return rs
-	})
-	if _, err := plan.Refresh(reparsed); err != nil {
-		t.Fatalf("refresh under the same rules re-parsed: %v", err)
-	}
-}
-
-// TestRefreshRestrictedPlanNotRefreshable: a candidate-restricted compile
-// (the per-request path) must refuse incremental maintenance.
-func TestRefreshRestrictedPlanNotRefreshable(t *testing.T) {
-	l, rules := correlatedSetup(t)
-	plan, err := compilePlan(l, "u", rules, map[string]bool{"d1": true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Refresh(rules); !errors.Is(err, ErrPlanNotRefreshable) {
-		t.Fatalf("refresh of restricted plan: err = %v, want ErrPlanNotRefreshable", err)
-	}
-}
-
-// TestRefreshChurnSoakEquivalence is the randomized churn soak: a catalog
+// TestPlanChurnSoakEquivalence is the randomized churn soak: a catalog
 // with correlated document events, preferences that reference context
 // concepts, roles and the closed domain (¬/nominal), a context stream that
 // re-shapes the exclusive-group structure, prunes and unprunes rules and
@@ -484,11 +428,12 @@ func TestRefreshRestrictedPlanNotRefreshable(t *testing.T) {
 // into a concept a preference reads, and a data stream beside it — new
 // documents, certain and uncertain feature and role asserts, retracts, SQL
 // inserts and deletes — sometimes in bursts that other readers look up write
-// by write, so the plan's handles fall off the newest ones' history. After
-// every round the delta-maintained plan's scores must be bit-identical to a
-// fresh CompilePlan of the same state and its handles to their views: one
-// plan is refreshed through the whole history and never recompiled.
-func TestRefreshChurnSoakEquivalence(t *testing.T) {
+// by write, so the previous plan's handles fall off the newest ones' history.
+// Every round compiles each user's plan again over the loader that lived
+// through the whole history — its memo, and a document side carried write by
+// write — and its scores must be bit-identical to the routes that share
+// neither (assertRankExact) and its handles to their views.
+func TestPlanChurnSoakEquivalence(t *testing.T) {
 	db := engine.New()
 	l := mapping.NewLoader(db, nil)
 	must := func(err error) {
@@ -677,31 +622,31 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 		if round%8 == 0 {
 			fresh = freshLoader(t, l)
 		}
-		for i, p := range plans {
-			refreshed, err := p.Refresh(rules)
+		for i, u := range users {
+			p, err := CompilePlan(l, u, rules)
 			if err != nil {
-				t.Fatalf("%s: %s's refresh: %v", label, users[i], err)
+				t.Fatalf("%s: %s's compile: %v", label, u, err)
 			}
-			if refreshed.docs != plans[0].docs && i > 0 {
-				t.Fatalf("%s: %s's plan reads a document side of its own", label, users[i])
+			if p.docs != plans[0].docs && i > 0 {
+				t.Fatalf("%s: %s's plan reads a document side of its own", label, u)
 			}
-			plans[i] = refreshed
+			plans[i] = p
 			if i == 0 {
-				assertHandlesExact(t, label, refreshed)
+				assertHandlesExact(t, label, p)
 			}
 			// The naive reference is Θ(4^k): one user a round, every fourth.
-			want := assertRankExact(t, label, refreshed, rules, dl.Atom("Doc"), fresh, round%4 == 0 && i == round/4%len(users))
+			want := assertRankExact(t, label, p, rules, dl.Atom("Doc"), fresh, round%4 == 0 && i == round/4%len(users))
 			// Top-k selection must agree too (same total order).
-			gotK, err := refreshed.Rank(PlanRequest{Target: dl.Atom("Doc"), TopK: 5})
+			gotK, err := p.Rank(PlanRequest{Target: dl.Atom("Doc"), TopK: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, label+" topk", gotK, want[:5])
-			if len(refreshed.multi) > 0 {
+			if len(p.multi) > 0 {
 				coupled++
 			}
-			for _, ci := range refreshed.multi {
-				if rs := refreshed.clusters[ci].rules; len(rs) == 2 && rs[0] == 0 && rs[1] == 4 && !refreshed.docs.Probs().Shares(0, 4) {
+			for _, ci := range p.multi {
+				if rs := p.clusters[ci].rules; len(rs) == 2 && rs[0] == 0 && rs[1] == 4 && !p.docs.Probs().Shares(0, 4) {
 					ctxLinked++
 				}
 			}
@@ -711,6 +656,6 @@ func TestRefreshChurnSoakEquivalence(t *testing.T) {
 	// share, and both ways two rules come to share a cluster.
 	st := l.MembershipStats()
 	if tracked < 50 || untracked < 50 || st.Patched < 200 || st.Queries < 100 || coupled < 100 || ctxLinked < 10 {
-		t.Fatalf("the history refreshed %d stale rules with a traced delta and %d without, over %+v, and clustered rules in %d plans, %d times over a context event in a document footprint: it no longer exercises all of them", tracked, untracked, st, coupled, ctxLinked)
+		t.Fatalf("the history recompiled %d stale rules with a traced delta and %d without, over %+v, and clustered rules in %d plans, %d times over a context event in a document footprint: it no longer exercises all of them", tracked, untracked, st, coupled, ctxLinked)
 	}
 }

@@ -321,9 +321,6 @@ func TestPlanClusterBound(t *testing.T) {
 	if !plan.perCandidate {
 		t.Fatal("oversized footprint cluster compiled into the enumerating mode")
 	}
-	if _, err := plan.Refresh(rules); !errors.Is(err, ErrPlanNotRefreshable) {
-		t.Fatalf("per-candidate plan refresh = %v, want ErrPlanNotRefreshable", err)
-	}
 	if _, err := plan.Score("d"); !errors.Is(err, ErrClusterBound) {
 		t.Fatalf("genuinely oversized cluster scored: err = %v, want ErrClusterBound", err)
 	}

@@ -240,7 +240,7 @@ func TestExplainReportsTheScoredRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []string{"d1", "d2", "d3", "nobody"}
-	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true, "d2": true, "d3": true, "nobody": true}, nil)
+	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true, "d2": true, "d3": true, "nobody": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestScratchNeverWritesTheSharedSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true}, nil)
+	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,16 +459,10 @@ func TestPlanScratchDocCacheSoak(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var plan *Plan
 			rank := func() error {
 				state.RLock()
 				defer state.RUnlock()
-				var err error
-				if plan == nil {
-					plan, err = CompilePlan(d.Loader, user, rules)
-				} else {
-					plan, err = plan.Refresh(rules)
-				}
+				plan, err := CompilePlan(d.Loader, user, rules)
 				if err != nil {
 					return err
 				}

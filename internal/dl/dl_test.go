@@ -3,6 +3,7 @@ package dl
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +80,32 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 		if !Equal(e, back) {
 			t.Fatalf("round trip of %q: %s != %s", in, e, back)
+		}
+	}
+}
+
+// TestStringConcurrentFirstCalls: a shared compound expression is rendered
+// once and kept; goroutines racing to the first call (run under -race) must
+// all read the rendering a freshly parsed copy gives.
+func TestStringConcurrentFirstCalls(t *testing.T) {
+	const text = "TvProgram AND EXISTS hasGenre.{g0} AND NOT (A OR B)"
+	shared := MustParse(text)
+	want := MustParse(text).String()
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				got[i] = shared.String()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if s != want {
+			t.Errorf("goroutine %d read %q, want %q", i, s, want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Op discriminates concept-expression node types.
@@ -35,6 +36,10 @@ type Expr struct {
 	name string   // OpAtom: concept name; OpExists: role name
 	inds []string // OpNominal: individual names (sorted, deduped)
 	args []*Expr  // OpAnd/OpOr (>=2), OpNot (1), OpExists (1: filler)
+	// str is String's rendering of a non-atomic expression, kept by the first
+	// call: the expression cannot change, and the rendering is the memo key
+	// of every membership and view look-up.
+	str atomic.Pointer[string]
 }
 
 var (
@@ -172,9 +177,14 @@ func (e *Expr) String() string {
 	if e.op == OpAtom {
 		return e.name // the common look-up key, rendered without a copy
 	}
+	if s := e.str.Load(); s != nil {
+		return *s
+	}
 	var b strings.Builder
 	e.format(&b)
-	return b.String()
+	s := b.String()
+	e.str.Store(&s) // concurrent first calls store equal strings
+	return s
 }
 
 func (e *Expr) format(b *strings.Builder) {

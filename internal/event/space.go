@@ -67,8 +67,9 @@ type genChange struct {
 
 // maxTrackedChanges bounds the change history. A context apply costs a
 // handful of generations (one retire plus one declare per exclusive
-// group), so the bound covers hundreds of applies between a plan's compile
-// and its refresh; older plans just lose the incremental fast path.
+// group), so the bound covers hundreds of applies between two settles of a
+// stamped reader (a document side, a membership's block footprint); an older
+// stamp just loses the incremental fast path.
 const maxTrackedChanges = 4096
 
 // cacheEntry memoizes one expression's probability together with the basic

@@ -132,7 +132,7 @@ func benchMembersAfterWrite(b *testing.B, write func(*mapping.Loader) error, pat
 }
 
 // BenchmarkMembershipEvent is the per-rule context look-up of every plan
-// compile and refresh — one user's event in a context concept that holds a
+// compile — one user's event in a context concept that holds a
 // row per live session, read through the concept table's id index. It must
 // not grow with the sessions (CI: rows=4096 within 2x rows=64, and an
 // allocation cap). shape=exists is a compound context, ∃watchesWith.Ctx,
@@ -265,6 +265,36 @@ func TestMembershipEventReadsTheIndex(t *testing.T) {
 		}); n > 3 {
 			t.Errorf("an atomic look-up of %s makes %.0f allocations, want at most 3", id, n)
 		}
+	}
+}
+
+// TestMembersHitAllocatesNothing: every plan compile looks up each rule's
+// preference, so a memo hit on a current compound expression must cost a map
+// look-up and the handle's version checks — not a rendering of its key.
+func TestMembersHitAllocatesNothing(t *testing.T) {
+	l := mapping.NewLoader(engine.New(), nil)
+	if err := l.DeclareRole("hasGenre"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AssertRole("hasGenre", "tv0", "g0", nil); err != nil {
+		t.Fatal(err)
+	}
+	pref := dl.Exists("hasGenre", dl.Nominal("g0"))
+	first, err := l.Members(pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := l.MembershipStats().Hits
+	n := testing.AllocsPerRun(100, func() {
+		if m, err := l.Members(pref); err != nil || m != first {
+			t.Fatalf("look-up of %s = %p, %v; want the memoized handle %p", pref, m, err, first)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a memo hit on %s makes %.0f allocations, want none", pref, n)
+	}
+	if hits := l.MembershipStats().Hits - before; hits != 101 {
+		t.Errorf("%d memo hits in 101 look-ups", hits)
 	}
 }
 

@@ -882,9 +882,10 @@ const maxMemberships = 1024
 const maxLoggedWrites = 64
 
 // maxMemberHistory bounds how many moving patches back a handle can name the
-// individuals that changed (Membership.ChangedSince). A plan refreshes on its
-// user's next rank; one that slept through more than this many compares the
-// memberships itself, as it does across a view query.
+// individuals that changed (Membership.ChangedSince). The first plan compiled
+// over the new handles carries the old handles' document side across the
+// writes (Loader.DocSide); a side that slept through more than this many is
+// derived again, as it is across a view query.
 const maxMemberHistory = 16
 
 // Members returns every individual possibly in the concept expression with

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -315,8 +314,7 @@ func TestRankClusterBoundFallback(t *testing.T) {
 	if _, err := srv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	// With the context applied (rules active), the rule set compiles, but
-	// not into a plan that can be refreshed: the mark of per-candidate mode.
+	// With the context applied (rules active), the rule set compiles.
 	err := srv.Facade().WithRead(func(sys *contextrank.System) error {
 		plan, cerr := sys.CompileRankPlan("chainuser")
 		if cerr != nil {
@@ -324,9 +322,6 @@ func TestRankClusterBoundFallback(t *testing.T) {
 		}
 		if plan.ActiveRules() != n {
 			t.Errorf("%d active rules, want %d", plan.ActiveRules(), n)
-		}
-		if _, rerr := sys.RefreshRankPlan(plan); !errors.Is(rerr, contextrank.ErrPlanNotRefreshable) {
-			t.Errorf("refresh of the chained plan = %v, want ErrPlanNotRefreshable", rerr)
 		}
 		return nil
 	})
@@ -377,15 +372,15 @@ func TestRankClusterBoundFallback(t *testing.T) {
 		t.Fatalf("after another user's first apply: plan cache %+v, want a third hit", st)
 	}
 	// A write to a table a preference reads stales the plan (Current); the
-	// per-candidate plan is recompiled, never refreshed.
+	// per-candidate plan is compiled again, in place of the stale entry.
 	if _, err := srv.Assert([]ConceptAssertion{{Concept: "F03", ID: "d09", Prob: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.Rank("chainuser", "Doc", contextrank.RankOptions{Limit: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Stats().Plans; st.Misses != 2 || st.Refreshed != 0 || st.Size != 1 {
-		t.Fatalf("after a data write: plan cache %+v, want a second compile, no refresh, one entry", st)
+	if st := srv.Stats().Plans; st.Misses != 2 || st.Refreshed != 1 || st.Size != 1 {
+		t.Fatalf("after a data write: plan cache %+v, want a second compile replacing the stale entry", st)
 	}
 }
 

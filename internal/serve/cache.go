@@ -183,8 +183,8 @@ type CacheStats struct {
 	Misses   int64   `json:"misses"`
 	Evicted  int64   `json:"evicted"`
 	HitRate  float64 `json:"hit_rate"`
-	// Refreshed counts misses served by incrementally refreshing a
-	// predecessor plan instead of a full recompile (plan cache only).
+	// Refreshed counts the misses that replaced a cached but stale plan,
+	// not a user's first compile (plan cache only).
 	Refreshed int64 `json:"refreshed,omitempty"`
 }
 

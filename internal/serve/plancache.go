@@ -12,7 +12,7 @@ import (
 const planCacheSize = 256
 
 // planEntry is one user's cached compiled plan, with the facade epoch and the
-// user's applied generation it was brought up to date at (see
+// user's applied generation it was compiled at (see
 // Server.planFor, which decides what a look-up counts as).
 type planEntry struct {
 	epoch      int64
@@ -27,8 +27,7 @@ type planEntry struct {
 // lock); the last writer wins and the duplicates are identical.
 type planCache struct {
 	lru[planEntry]
-	// refreshed counts the misses served by refreshing the entry's plan
-	// instead of compiling one.
+	// refreshed counts the misses that replaced a cached but stale plan.
 	refreshed atomic.Int64
 }
 

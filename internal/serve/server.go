@@ -293,16 +293,13 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 // contextrank.CompileRankPlan) is its own business; both are cached alike.
 //
 // The cache holds one plan per user. It is a hit while the epoch and the
-// user's generation are the ones the plan was brought up to date at — other
-// users' applies move neither — and no table a rule's preference reads has
-// been written since (plan.Current). Anything else is a miss served by
-// refreshing that plan instead of recompiling: the refresh re-resolves the
-// context side, keeps every preference membership whose tables stand still
-// and takes the others from the loader's memo — so after a vocabulary write
-// the first user's refresh queries the written views and every other user's
-// shares the answer (see contextrank.RefreshRankPlan). A plan that cannot be
-// refreshed — the rules changed, or it scores per candidate — is recompiled;
-// correctness never depends on the fast path.
+// user's generation are the ones the plan was compiled at — other users'
+// applies move neither — and no table a rule's preference reads has been
+// written since (plan.Current). Anything else is a miss served by compiling
+// the plan again: the compile re-resolves the context side and takes every
+// preference membership from the loader's memo — so after a vocabulary write
+// the first user's compile queries the written views and every other user's
+// shares the answer.
 func (s *Server) planFor(sys *contextrank.System, user string, epoch, generation int64) (*contextrank.RankPlan, error) {
 	prev, ok := s.plans.get(user)
 	if ok && prev.epoch == epoch && prev.generation == generation && prev.plan.Current() {
@@ -310,18 +307,12 @@ func (s *Server) planFor(sys *contextrank.System, user string, epoch, generation
 		return prev.plan, nil
 	}
 	s.plans.misses.Add(1)
-	var plan *contextrank.RankPlan
-	if ok {
-		if refreshed, err := sys.RefreshRankPlan(prev.plan); err == nil {
-			s.plans.refreshed.Add(1)
-			plan = refreshed
-		}
+	plan, err := sys.CompileRankPlan(user)
+	if err != nil {
+		return nil, err
 	}
-	if plan == nil {
-		var err error
-		if plan, err = sys.CompileRankPlan(user); err != nil {
-			return nil, err
-		}
+	if ok {
+		s.plans.refreshed.Add(1)
 	}
 	s.plans.put(user, planEntry{epoch: epoch, generation: generation, plan: plan})
 	return plan, nil
@@ -469,8 +460,8 @@ type Stats struct {
 	Cache  CacheStats `json:"cache"`
 	// Plans is the compiled-rank-plan cache: one entry per user, shared by
 	// every target and batch item that user ranks; Refreshed counts the
-	// misses served by refreshing the entry's plan after the user's context
-	// or the vocabulary moved.
+	// misses that replaced a cached plan gone stale — the user's context, the
+	// vocabulary or the rules moved under it.
 	Plans CacheStats `json:"plan_cache"`
 	// Memberships is the loader's concept-membership memo: view queries run,
 	// look-ups it answered without one, handles held, handles a DDL dropped.

@@ -220,8 +220,8 @@ func TestStatsAggregation(t *testing.T) {
 }
 
 // TestVocabWriteCostsOneQueryPerShardView: a broadcast assert reaches every
-// replica, and on each the users' next ranks refresh their plans — never
-// recompile — behind no view query at all: exactly one patch per view that
+// replica, and on each the users' next ranks compile their stale plans again
+// behind no view query at all: exactly one patch per view that
 // reads the written table (R1's preference reads r_hasGenre; the TvProgram
 // target does not), however many users the shard serves. The same tuple
 // written through /v1/exec's SQL is not logged, and costs that view one query
@@ -256,7 +256,7 @@ func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
 		}
 		refreshed, misses := a.Plans.Refreshed-b.Plans.Refreshed, a.Plans.Misses-b.Plans.Misses
 		if refreshed != int64(a.Sessions) || misses != refreshed {
-			t.Fatalf("shard %d: %d users, %d plan misses, %d refreshed — want every user's plan refreshed", i, a.Sessions, misses, refreshed)
+			t.Fatalf("shard %d: %d users, %d plan misses, %d refreshed — want every user's stale plan replaced", i, a.Sessions, misses, refreshed)
 		}
 		if p, q := a.Memberships.Patched-b.Memberships.Patched, a.Memberships.Queries-b.Memberships.Queries; p != 1 || q != 0 {
 			t.Fatalf("shard %d: %d patches and %d view queries behind %d users' ranks, want 1 and 0", i, p, q, a.Sessions)

@@ -16,9 +16,10 @@
 // Sessions) or B's candidates (A entered a session concept B's target
 // mentions: the target's handle). Evaluation is a rank like any other
 // (Server.rank) — and after the owner's own context apply, or a vocabulary
-// write, their plan is *refreshed* incrementally from the cached one rather
-// than recompiled (see planFor), which is what makes push re-ranking
-// affordable at catalog scale.
+// write, their plan is compiled again (see planFor): the compile pays for the
+// owner's context and the rule partition, while the preference memberships
+// and the document side are shared and carried across writes by the loader,
+// which is what makes push re-ranking affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the

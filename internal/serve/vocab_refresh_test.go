@@ -116,11 +116,11 @@ func TestCachedRankFollowsItsTargetsMembers(t *testing.T) {
 }
 
 // TestVocabWriteRefreshesPlansAndSharesQueries pins what a vocabulary write
-// costs: every user's next rank refreshes that user's plan — none recompiles —
-// and the membership work behind those refreshes is paid once per written
-// view, not once per user: a patch (the written individuals re-read) when the
-// write went through the loader, a view query when SQL made it; a write to a
-// table no rule or target reads costs neither.
+// costs: every user's next rank compiles that user's plan again in place of
+// the stale entry (Refreshed), and the membership work behind those compiles
+// is paid once per written view, not once per user: a patch (the written
+// individuals re-read) when the write went through the loader, a view query
+// when SQL made it; a write to a table no rule or target reads costs neither.
 func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	srv := NewServer(modelSystem(t), Options{CacheSize: -1})
 	if _, err := srv.Declare([]string{"Unrelated"}, nil, nil); err != nil {
@@ -166,7 +166,7 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 		}
 		misses, refreshed := after.Plans.Misses-before.Plans.Misses, after.Plans.Refreshed-before.Plans.Refreshed
 		if misses != n || refreshed != n || after.Plans.Size != n {
-			t.Fatalf("%s: %d plan misses, %d refreshed, %d entries — want %d refreshes, no compile, one entry per user",
+			t.Fatalf("%s: %d plan misses, %d refreshed, %d entries — want %d stale entries replaced, no first compile, one entry per user",
 				name, misses, refreshed, after.Plans.Size, n)
 		}
 		patched, queries := after.Memberships.Patched-before.Memberships.Patched, after.Memberships.Queries-before.Memberships.Queries
@@ -195,13 +195,13 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "Unrelated", ID: "tv00", Prob: 1}}, nil)
 		return err
 	}, 0, 0)
-	// A rule change is the one vocabulary write a refresh cannot absorb.
+	// A rule change stales every plan too, and is served the same way.
 	before := srv.Stats().Plans
 	if _, _, err := srv.AddRules([]string{"RULE extra WHEN CtxA PREFER TvProgram WITH 0.55"}); err != nil {
 		t.Fatal(err)
 	}
 	rankAll()
-	if after := srv.Stats().Plans; after.Misses-before.Misses != n || after.Refreshed != before.Refreshed || after.Size != n {
+	if after := srv.Stats().Plans; after.Misses-before.Misses != n || after.Refreshed-before.Refreshed != n || after.Size != n {
 		t.Fatalf("after a rule add: plan cache %+v -> %+v, want %d compiles replacing the entries in place", before, after, n)
 	}
 }

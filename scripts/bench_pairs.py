@@ -9,8 +9,10 @@ median, the ratio, in how many pairs the change read better, and the verdict
 of the choosing-metrics guide's rule under the bound BENCHMARK.json fixes for
 the metric. A run that crashed or printed no metrics is kept as a failed run
 (exit code and the tail of its stderr); its pair is left out of the medians
-and the failed runs are counted above the table. With --trace-seed it adds one
-`--trace 1` pair and prints the named per-layer metrics of both sides.
+and counts as a pair the change did not win, and the failed runs are counted
+above the table beside each side's failed and attempted operations. With
+--trace-seed it adds one `--trace 1` pair and prints the named per-layer
+metrics of both sides.
 Standard library only; one run at a time (the benchmark pins itself to one
 processor). CI's lint job runs the doctests: python3 -m doctest
 scripts/bench_pairs.py
@@ -140,13 +142,34 @@ def paired(by):
     return sorted(set(by["parent"]) & set(by["change"]))
 
 
-def verdict(parent, change, better, bound):
+def ops(records):
+    """Per side, the operations that failed and those attempted, summed over
+    the side's runs; and whether the change's failed share is the higher.
+
+    >>> run = lambda side, failed: {"side": side, "result": {"failed": failed, "attempted": 1000}}
+    >>> ops([run("parent", 0), run("change", 0), run("parent", 1), run("change", 0)])
+    ({'parent': (1, 2000), 'change': (0, 2000)}, False)
+    >>> ops([run("parent", 0), run("change", 3), run("parent", 0), run("change", 0)])[1]
+    True
+    """
+    sums = {"parent": (0, 0), "change": (0, 0)}
+    for r in records:
+        failed, attempted = sums[r["side"]]
+        sums[r["side"]] = (failed + r["result"].get("failed", 0), attempted + r["result"].get("attempted", 0))
+    share = {side: f / a if a else 0 for side, (f, a) in sums.items()}
+    return sums, share["change"] > share["parent"]
+
+
+def verdict(parent, change, better, bound, pairs=None, more_failed=False):
     """The guide's rule for one metric over the pairs (parent[i] and change[i]
-    are one pair): 'gain' when the change reads better in at least nine pairs
-    in ten and its median is better by more than the parent's q3 - q1;
-    'worse' when its median is worse by more than bound times the parent's;
-    otherwise 'unresolved' when the parent's q3 - q1 alone exceeds the bound
-    (unless every change run beats every parent run), else 'within bound'.
+    are one pair): 'gain' when the change reads better in at least nine tenths
+    of the pairs run — pairs, which counts the ones a failed run left out of
+    parent and change, and defaults to the completed ones — and its median is
+    better by more than the parent's q3 - q1, unless more_failed says a larger
+    share of the change's operations failed; 'worse' when its median is worse
+    by more than bound times the parent's; otherwise 'unresolved' when the
+    parent's q3 - q1 alone exceeds the bound (unless every change run beats
+    every parent run), else 'within bound'.
 
     >>> parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
     >>> verdict(parent, [80, 81, 79, 80, 82, 78, 80, 81, 79, 80], "lower", 0.25)
@@ -159,13 +182,23 @@ def verdict(parent, change, better, bound):
     'unresolved'
     >>> verdict([10, 11, 10, 11, 10, 11, 10, 11, 10, 11], [12] * 10, "higher", 0.25)
     'gain'
+
+    Eight wins of eight completed pairs are not nine tenths of ten run, and a
+    gain does not count when more of the change's operations failed:
+
+    >>> verdict(parent[:8], [80] * 8, "lower", 0.25)
+    'gain'
+    >>> verdict(parent[:8], [80] * 8, "lower", 0.25, pairs=10)
+    'within bound'
+    >>> verdict(parent, [80] * 10, "lower", 0.25, more_failed=True)
+    'within bound'
     """
     sign = 1 if better == "lower" else -1
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     pm, cm = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
     gain = sign * (pm - cm)  # > 0: the change's median is better
-    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+    if wins >= 0.9 * (pairs or len(parent)) and gain > q3 - q1 and not more_failed:
         return "gain"
     if -gain > bound * abs(pm):
         return "worse"
@@ -183,15 +216,14 @@ def report(args):
         records = [json.loads(l) for l in open(path)]
         by, failed = collect(records)
         seeds = paired(by)
-        ops = attempted = bad = 0
-        for r in records:
-            res = r["result"]
-            ops += res.get("failed", 0)
-            attempted += res.get("attempted", 0)
-            bad += 0 if "failed_run" in res or (res.get("correct") and res.get("exit") == 0) else 1
+        pairs_run = len({r["seed"] for r in records})
+        sums, more_failed = ops(records)
+        bad = sum(0 if "failed_run" in r["result"] or (r["result"].get("correct") and r["result"].get("exit") == 0) else 1
+                  for r in records)
         span = f"seeds {seeds[0]}–{seeds[-1]}" if seeds else "none complete"
-        print(f"\n`{w}` — {len(seeds)} pairs ({span}), {len(failed)} failed runs left out, "
-              f"{ops} failed of {attempted} ops, {bad} runs with a check not holding\n")
+        print(f"\n`{w}` — {len(seeds)} of {pairs_run} pairs complete ({span}), {len(failed)} failed runs left out; "
+              f"failed/attempted ops: parent {sums['parent'][0]}/{sums['parent'][1]}, "
+              f"change {sums['change'][0]}/{sums['change'][1]}; {bad} runs with a check not holding\n")
         for f in failed:
             print(f"- failed run: {f}")
         if not seeds:
@@ -207,7 +239,7 @@ def report(args):
             pq, cq = quartiles(p), quartiles(c)
             pm, cm = statistics.median(p), statistics.median(c)
             print(f"| `{m}` | {fmt(pm)} [{fmt(pq[0])} {fmt(pq[1])}] | {fmt(cm)} [{fmt(cq[0])} {fmt(cq[1])}] "
-                  f"| {cm / pm:.3f} | {wins}/{len(seeds)} | {verdict(p, c, better, bound)} (±{bound:.0%}) |")
+                  f"| {cm / pm:.3f} | {wins}/{pairs_run} | {verdict(p, c, better, bound, pairs_run, more_failed)} (±{bound:.0%}) |")
     path = os.path.join(args.out, "trace.jsonl")
     if os.path.exists(path):
         runs = [json.loads(l) for l in open(path)]

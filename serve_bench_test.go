@@ -273,7 +273,7 @@ func BenchmarkSessionApply(b *testing.B) {
 // one hasGenre tuple is asserted outside the timer — every bench rule's
 // preference reads r_hasGenre, and the epoch bump voids the rank cache — then
 // each of N users with a warm plan ranks once. ns/op is one such rank. The
-// first user's plan refresh patches the 8 preference handles (the written
+// first user's plan compile patches the 8 preference handles (the written
 // program re-read in each view); the others take the memberships, and their
 // block footprints, from the loader's memo, so users=16 must cost well under
 // users=1 per rank: CI's bench-regression job gates it at half, from the same
@@ -309,7 +309,7 @@ func BenchmarkVocabWriteRank(b *testing.B) {
 			b.StopTimer()
 			after := srv.Stats().Plans
 			if refreshed := after.Refreshed - before.Refreshed; refreshed != int64(b.N) || after.Misses-before.Misses != refreshed {
-				b.Fatalf("%d ranks after writes: %d plan misses, %d refreshed — want every one a refresh",
+				b.Fatalf("%d ranks after writes: %d plan misses, %d refreshed — want every one to replace a stale plan",
 					b.N, after.Misses-before.Misses, refreshed)
 			}
 		})
