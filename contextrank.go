@@ -131,7 +131,8 @@ type RankOptions struct {
 // concurrent use: the SQL executor guards its view registry with an
 // RWMutex (DDL takes the write lock), the storage tables and catalog are
 // RWMutex-protected, the event space serializes declarations and guards
-// its probability memo cache with its own mutex, the mapping loader locks
+// its change record with its own mutex (it keeps no probabilities; its
+// generation is an atomic counter), the mapping loader locks
 // its vocabulary and compiled-view cache, and the rule repository and
 // history log are RWMutex-protected. The per-System event-name counter
 // (evSeq) is a sync/atomic counter, and the sampled ranker builds a fresh

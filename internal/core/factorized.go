@@ -83,7 +83,7 @@ func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
 
 // scorePerCandidate is the plan's per-candidate scoring mode (and, through
 // perCandidatePlan, the equivalence tests' second executable reference): it
-// re-runs rule clustering over the Space's independence relation and the
+// re-runs rule clustering over this candidate's correlated blocks and the
 // full within-cluster state enumeration for this one candidate. Rules
 // chained together only through different documents' events (doc d couples
 // rules A,B; doc e couples B,C; …) stay in small per-candidate clusters
@@ -107,27 +107,34 @@ func (p *Plan) scorePerCandidate(id string) (float64, error) {
 }
 
 // clusterRules partitions the active rules into groups of mutually
-// dependent rules using union-find over the Space's independence relation.
-// An Independent probe that fails (e.g. a membership event referencing a
-// retired basic) aborts the clustering: treating the error as "dependent"
-// would silently merge clusters and then fail later — or worse, enumerate a
-// cluster whose probabilities are undefined.
+// dependent rules for one candidate: union-find over the correlated blocks
+// of each rule's context event and of the candidate's membership event,
+// merging rules that share a block, like compileClusters does over whole
+// footprints. The two events' blocks are read separately, never off their
+// conjunction: for a candidate outside a preference the conjunction folds to
+// ⊥, which mentions no block and would call a correlated context independent
+// of everything. A block look-up that fails (e.g. a membership event
+// referencing a retired basic) aborts the clustering: treating the error as
+// "dependent" would silently merge clusters and then fail later — or worse,
+// enumerate a cluster whose probabilities are undefined.
 func clusterRules(space *event.Space, states []*planRule, id string) ([][]*planRule, error) {
-	n := len(states)
-	sets := newDisjoint(n)
-	joint := make([]*event.Expr, n)
+	sets := newDisjoint(len(states))
+	// owner maps each block key to the first rule that mentioned it.
+	owner := make(map[string]int)
+	blocks := make(map[string]bool)
 	for i, st := range states {
-		joint[i] = event.And(st.ctxEv, st.docEv(id))
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			indep, err := space.Independent(joint[i], joint[j])
-			if err != nil {
-				return nil, fmt.Errorf("core: clustering rules %s and %s: %w",
-					states[i].rule.Name, states[j].rule.Name, err)
-			}
-			if !indep {
-				sets.union(i, j)
+		clear(blocks)
+		if err := space.Blocks(st.ctxEv, blocks); err != nil {
+			return nil, fmt.Errorf("core: rule %s context: %w", st.rule.Name, err)
+		}
+		if err := space.Blocks(st.docEv(id), blocks); err != nil {
+			return nil, fmt.Errorf("core: rule %s preference: %w", st.rule.Name, err)
+		}
+		for key := range blocks {
+			if o, ok := owner[key]; ok {
+				sets.union(i, o)
+			} else {
+				owner[key] = i
 			}
 		}
 	}

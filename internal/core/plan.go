@@ -26,11 +26,11 @@ import (
 //     their basic-event footprint — the correlated blocks mentioned by the
 //     rule's context event or by any of its preference membership events.
 //     Rules in different clusters touch disjoint blocks for *every*
-//     candidate, so the expectation factorizes across clusters. (This
-//     replaces the per-candidate union-find over Space.Independent probes:
-//     the footprint partition is candidate-independent and may therefore be
-//     slightly coarser than the per-candidate one, which changes only
-//     floating-point association order, never the semantics.)
+//     candidate, so the expectation factorizes across clusters. (The
+//     per-candidate partition, clusterRules, unions on the same block keys
+//     for one candidate's events; the footprint partition is
+//     candidate-independent and may therefore be slightly coarser, which
+//     changes only floating-point association order, never the semantics.)
 //  4. Per multi-rule cluster the 2^m context-state probability table is
 //     precomputed; singleton clusters store the scalar context probability.
 //
@@ -375,7 +375,7 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 		cl := planCluster{rules: members}
 		if m > 1 {
 			// The context-state distribution, over the same expressions the
-			// per-candidate path enumerates — the event space's memo keys match.
+			// per-candidate path enumerates.
 			ctxEvs = ctxEvs[:0]
 			cl.sigmas = make([]float64, m)
 			for i, ri := range cl.rules {

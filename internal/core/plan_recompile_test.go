@@ -36,7 +36,7 @@ func assertBitIdentical(t *testing.T, label string, got, want []Result) {
 
 // freshLoader restores a dump of the loader's database into a new engine under
 // a new loader: the same state with none of the first loader's memo, document
-// sides or event-space memo.
+// sides or event-space change record.
 func freshLoader(t *testing.T, l *mapping.Loader) *mapping.Loader {
 	t.Helper()
 	var dump bytes.Buffer

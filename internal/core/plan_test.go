@@ -121,6 +121,14 @@ func TestPlanMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRanking(t, "factorized vs naive", fact, naive, 1e-9)
+
+	// And in per-candidate mode, where r1's and r2's contexts (one exclusive
+	// group) stay one cluster for d2 and d3, which neither preference holds.
+	perCand, err := perCandidateRank(l, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRanking(t, "per-candidate vs naive", perCand, naive, 1e-9)
 }
 
 // TestPlanMatchesLegacyFactorized compares the compiled plan against the

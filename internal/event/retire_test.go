@@ -26,7 +26,7 @@ func TestRetireIndependent(t *testing.T) {
 		t.Fatal("retired event still has a probability")
 	}
 	// The name is free again — redeclaring with a different probability
-	// must take effect (no stale memo may survive the retire).
+	// must take effect (no stale probability may survive the retire).
 	if err := s.Declare("a", 0.6); err != nil {
 		t.Fatalf("redeclare after retire: %v", err)
 	}
@@ -111,40 +111,6 @@ func TestRetireCompactsGroupSlots(t *testing.T) {
 	}
 }
 
-func TestRetireInvalidatesOnlyMentioningMemos(t *testing.T) {
-	s := NewSpace()
-	s.Declare("a", 0.5)
-	s.Declare("b", 0.4)
-	s.Declare("c", 0.3)
-	s.Declare("d", 0.2)
-	touching := Or(Basic("a"), Basic("b"))
-	disjoint := And(Basic("c"), Basic("d"))
-	s.MustProb(touching)
-	s.MustProb(disjoint)
-	s.cacheMu.Lock()
-	cached := len(s.cache)
-	s.cacheMu.Unlock()
-	if cached != 2 {
-		t.Fatalf("cache holds %d entries, want 2", cached)
-	}
-	if err := s.Retire("a"); err != nil {
-		t.Fatal(err)
-	}
-	s.cacheMu.Lock()
-	_, touchingCached := s.cache[touching.String()]
-	_, disjointCached := s.cache[disjoint.String()]
-	s.cacheMu.Unlock()
-	if touchingCached {
-		t.Fatal("memo mentioning the retired event survived")
-	}
-	if !disjointCached {
-		t.Fatal("memo over disjoint events was invalidated")
-	}
-	if p := s.MustProb(disjoint); !almostEqual(p, 0.06) {
-		t.Fatalf("P(c∧d) = %g, want 0.06", p)
-	}
-}
-
 func TestDeclareExclusiveRejectsDuplicateNames(t *testing.T) {
 	s := NewSpace()
 	if err := s.DeclareExclusive([]string{"p", "p"}, []float64{0.3, 0.3}); err == nil {
@@ -159,30 +125,10 @@ func TestDeclareExclusiveRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
-func TestFreshIndependentDeclareKeepsMemos(t *testing.T) {
-	s := NewSpace()
-	s.Declare("a", 0.5)
-	s.Declare("b", 0.4)
-	e := And(Basic("a"), Basic("b"))
-	s.MustProb(e)
-	s.Declare("fresh", 0.9)
-	s.cacheMu.Lock()
-	_, stillCached := s.cache[e.String()]
-	s.cacheMu.Unlock()
-	if !stillCached {
-		t.Fatal("fresh independent declare wiped an unrelated memo")
-	}
-	// And the cached value is still right.
-	if p := s.MustProb(e); !almostEqual(p, 0.2) {
-		t.Fatalf("P(a∧b) = %g, want 0.2", p)
-	}
-}
-
 // TestProbConcurrentWithRetire hammers Prob from many goroutines while one
 // goroutine retires and redeclares the same names with changing
-// probabilities — the compute-then-store window in Prob must never memoize
-// a value from before an intervening retire (gen guard), and afterwards the
-// cache must agree with the final declarations.
+// probabilities: no probability from before a retire may survive it, so
+// afterwards Prob must agree with the final declarations.
 func TestProbConcurrentWithRetire(t *testing.T) {
 	s := NewSpace()
 	s.Declare("stable", 0.5)
@@ -221,15 +167,15 @@ func TestProbConcurrentWithRetire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The memo must now reflect the final declaration, not any stale value
-	// cached across a retire.
+	// Prob must now reflect the final declaration, not any value from before
+	// a retire.
 	for i := 0; i < 3; i++ {
 		p, err := s.Prob(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !almostEqual(p, 0.5*want) {
-			t.Fatalf("P(stable∧hot) = %g, want %g (stale memo survived a retire)", p, 0.5*want)
+			t.Fatalf("P(stable∧hot) = %g, want %g (a stale value survived a retire)", p, 0.5*want)
 		}
 	}
 }
@@ -280,11 +226,134 @@ func TestSpaceChurnSoak(t *testing.T) {
 	if slots > 2 {
 		t.Fatalf("group slot table grew to %d entries under churn", slots)
 	}
-	// Memos of retired expressions must be dropped too.
-	s.cacheMu.Lock()
-	memos := len(s.cache)
-	s.cacheMu.Unlock()
-	if memos > 4 {
-		t.Fatalf("memo cache grew to %d entries", memos)
+}
+
+// TestChangedBlocksSince pins the change record the stamped readers (the
+// shared document sides, the membership block footprints) validate by: every
+// key recorded in (g, asOf] is returned, asOf never decreases, and a history
+// trimmed past g answers ok=false.
+func TestChangedBlocksSince(t *testing.T) {
+	s := NewSpace()
+	s.Declare("a", 0.5)
+	s.Declare("b", 0.5)
+	g0 := s.Generation()
+	if err := s.DeclareExclusive([]string{"x", "y"}, []float64{0.3, 0.3}); err != nil {
+		t.Fatal(err)
 	}
+	if err := s.Retire("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Declare("c", 0.2); err != nil { // a fresh independent basic changes nothing
+		t.Fatal(err)
+	}
+	if g := s.Generation(); g != g0+2 {
+		t.Fatalf("Generation = %d, want %d", g, g0+2)
+	}
+	var lastAsOf uint64
+	check := func(since uint64, want ...string) {
+		t.Helper()
+		keys, asOf, ok := s.ChangedBlocksSince(since)
+		if !ok {
+			t.Fatalf("since %d: history no longer reaches back", since)
+		}
+		if asOf < lastAsOf || asOf != s.Generation() {
+			t.Fatalf("since %d: asOf = %d after %d, Generation %d", since, asOf, lastAsOf, s.Generation())
+		}
+		lastAsOf = asOf
+		if len(keys) != len(want) {
+			t.Fatalf("since %d: keys %v, want %v", since, keys, want)
+		}
+		for _, k := range want {
+			if !keys[k] {
+				t.Fatalf("since %d: keys %v, want %v", since, keys, want)
+			}
+		}
+	}
+	check(g0, groupKey(0), "b:a")
+	check(g0+1, "b:a")
+	check(g0 + 2)
+
+	// Trim the history past g0: one change per retire, past the bound.
+	for i := 0; i < maxTrackedChanges; i++ {
+		if err := s.Retire("b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Declare("b", 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, asOf, ok := s.ChangedBlocksSince(g0); ok || asOf != s.Generation() {
+		t.Fatalf("trimmed history: ok = %v, asOf = %d, want false at %d", ok, asOf, s.Generation())
+	}
+	check(s.Generation()-1, "b:b")
+}
+
+// TestChangedBlocksSinceConcurrent runs the change record's readers against
+// Retire and DeclareExclusive, for the race detector: a reader that stamped
+// a generation and sees a later asOf is told a key, only keys that were
+// recorded, and asOf never goes back.
+func TestChangedBlocksSinceConcurrent(t *testing.T) {
+	s := NewSpace()
+	s.Declare("hot", 0.5)
+	recorded := map[string]bool{"b:hot": true, groupKey(0): true}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			if err := s.Retire("hot"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Declare("hot", 0.5); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.DeclareExclusive([]string{"k", "l"}, []float64{0.4, 0.4}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Retire("k", "l"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const readers = 4
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			var last uint64
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				g := s.Generation()
+				keys, asOf, ok := s.ChangedBlocksSince(g)
+				switch {
+				case asOf < g || asOf < last:
+					errs <- fmt.Errorf("asOf %d went back (stamp %d, last %d)", asOf, g, last)
+					return
+				case ok && asOf > g && len(keys) == 0:
+					errs <- fmt.Errorf("(%d, %d] reported no change", g, asOf)
+					return
+				}
+				for k := range keys {
+					if !recorded[k] {
+						errs <- fmt.Errorf("unrecorded key %q", k)
+						return
+					}
+				}
+				last = asOf
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	<-done
 }

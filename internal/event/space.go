@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // basicInfo records the declaration of a basic event.
@@ -19,12 +20,15 @@ type basicInfo struct {
 // mutually independent; basic events within one exclusive group are mutually
 // exclusive (at most one is true).
 //
+// A Space remembers declarations and a record of which correlated blocks
+// changed when (Generation, ChangedBlocksSince) — no probability: Prob
+// computes every answer from the declarations it reads.
+//
 // # Retirement contract
 //
 // Declarations are not permanent: Retire removes basic events again,
-// freeing their declaration, compacting their exclusive-group slot for
-// reuse and dropping exactly the memoized probabilities that mention a
-// retired name. The caller owns the obligation that no stored
+// freeing their declaration and compacting their exclusive-group slot for
+// reuse. The caller owns the obligation that no stored
 // event expression still references a retired event — Prob of such an
 // expression fails with "not declared", the same as for a name that never
 // existed. Retiring a member of an exclusive group does not change the
@@ -37,29 +41,22 @@ type Space struct {
 	groups [][]string // group id -> member names; nil = retired slot
 	free   []int      // retired group slots available for reuse
 
-	cacheMu sync.Mutex
-	cache   map[string]cacheEntry
-	// gen counts invalidations (Retire, DeclareExclusive).
-	// Prob snapshots it before enumerating and stores its result only if no
-	// invalidation intervened: without the guard, a probability computed
-	// just before a Retire could be memoized just after it, surviving the
-	// targeted invalidation and serving a stale value forever (e.g. across
-	// a retire/redeclare cycle that changed the probability). Guarded by
-	// cacheMu.
-	gen uint64
-	// changes records, per invalidation generation, the correlated-block
-	// keys (in Blocks' key space) whose probability semantics that
-	// invalidation may have altered — the footprint diff that incremental
-	// plan maintenance intersects against a plan's cached footprints.
-	// Ascending by gen; bounded by maxTrackedChanges, with changeFloor the
-	// highest generation whose changes were trimmed away (callers asking
-	// about older generations must assume everything changed). Guarded by
-	// cacheMu.
+	// gen counts changes (Retire, DeclareExclusive). It advances under
+	// changeMu, together with the change record, and is read without it.
+	gen atomic.Uint64
+	// changes records, per generation, the correlated-block keys (in Blocks'
+	// key space) whose probability semantics that change may have altered —
+	// the footprint diff that stamped readers intersect against their
+	// footprints. Ascending by gen; bounded by maxTrackedChanges, with
+	// changeFloor the highest generation whose changes were trimmed away
+	// (callers asking about older generations must assume everything
+	// changed). Guarded by changeMu.
+	changeMu    sync.Mutex
 	changes     []genChange
 	changeFloor uint64
 }
 
-// genChange is one invalidation's changed-block record.
+// genChange is one generation's changed-block record.
 type genChange struct {
 	gen  uint64
 	keys []string
@@ -72,20 +69,9 @@ type genChange struct {
 // stamp just loses the incremental fast path.
 const maxTrackedChanges = 4096
 
-// cacheEntry memoizes one expression's probability together with the basic
-// events it mentions, so Retire can invalidate exactly the entries that a
-// retired name could affect.
-type cacheEntry struct {
-	p      float64
-	basics []string
-}
-
 // NewSpace returns an empty event space.
 func NewSpace() *Space {
-	return &Space{
-		basics: make(map[string]basicInfo),
-		cache:  make(map[string]cacheEntry),
-	}
+	return &Space{basics: make(map[string]basicInfo)}
 }
 
 // Declare registers an independent basic event with probability p.
@@ -106,12 +92,12 @@ func (s *Space) Declare(name string, p float64) error {
 		return fmt.Errorf("event: basic event %q already declared", name)
 	}
 	s.basics[name] = basicInfo{prob: p, group: -1}
-	// No memo invalidation: a fresh independent basic cannot change any
-	// existing expression's probability — expressions mentioning it errored
-	// before (errors are never cached), and expressions not mentioning it
-	// are unaffected by an independent addition. (Retire invalidated any
-	// older entries when this name was last retired, so a retire/redeclare
-	// cycle with a different probability is covered too.)
+	// No change recorded: a fresh independent basic cannot change any
+	// existing expression's probability — expressions mentioning it failed
+	// with "not declared" before, and expressions not mentioning it are
+	// unaffected by an independent addition. (Retire recorded this name's
+	// block when it was last retired, so a retire/redeclare cycle with a
+	// different probability is covered too.)
 	return nil
 }
 
@@ -169,16 +155,16 @@ func (s *Space) DeclareExclusive(names []string, probs []float64) error {
 	// The group key may be a reused slot id: recording it as changed is what
 	// tells footprint-diffing callers that "g:<gid>" no longer means the
 	// group they saw at compile time.
-	s.invalidate([]string{groupKey(gid)})
+	s.recordChange([]string{groupKey(gid)})
 	return nil
 }
 
 // Retire removes previously declared basic events (independent or exclusive
 // group members). The call is atomic: if any name is not declared, nothing
 // is retired. A group whose last member is retired has its slot freed for
-// reuse by a later DeclareExclusive. Only memoized probabilities that
-// mention a retired name are invalidated; see the retirement contract on
-// Space for the caller's obligations.
+// reuse by a later DeclareExclusive. The retired names' blocks are recorded
+// as changed; see the retirement contract on Space for the caller's
+// obligations.
 func (s *Space) Retire(names ...string) error {
 	if len(names) == 0 {
 		return nil
@@ -207,7 +193,7 @@ func (s *Space) Retire(names ...string) error {
 		}
 	}
 	s.mu.Unlock()
-	s.invalidateMentioning(names, keys)
+	s.recordChange(keys)
 	return nil
 }
 
@@ -300,42 +286,13 @@ func (s *Space) Groups() int {
 	return n
 }
 
-func (s *Space) invalidate(changedKeys []string) {
-	s.cacheMu.Lock()
-	s.cache = make(map[string]cacheEntry)
-	s.gen++
-	s.recordChangeLocked(changedKeys)
-	s.cacheMu.Unlock()
-}
-
-// invalidateMentioning drops exactly the memo entries whose expression
-// mentions one of the given basic names — entries over disjoint names keep
-// their cached probability, which retirement cannot have changed.
-// changedKeys are the names' block keys, recorded for ChangedBlocksSince.
-func (s *Space) invalidateMentioning(names, changedKeys []string) {
-	dead := make(map[string]bool, len(names))
-	for _, n := range names {
-		dead[n] = true
-	}
-	s.cacheMu.Lock()
-	for key, ent := range s.cache {
-		for _, b := range ent.basics {
-			if dead[b] {
-				delete(s.cache, key)
-				break
-			}
-		}
-	}
-	s.gen++
-	s.recordChangeLocked(changedKeys)
-	s.cacheMu.Unlock()
-}
-
-// recordChangeLocked appends one generation's changed-block record,
-// trimming the oldest half past maxTrackedChanges. Caller holds cacheMu,
-// after incrementing gen.
-func (s *Space) recordChangeLocked(keys []string) {
-	s.changes = append(s.changes, genChange{gen: s.gen, keys: keys})
+// recordChange advances the generation by one change of the given block keys
+// and records them, trimming the oldest half of the record past
+// maxTrackedChanges.
+func (s *Space) recordChange(keys []string) {
+	s.changeMu.Lock()
+	defer s.changeMu.Unlock()
+	s.changes = append(s.changes, genChange{gen: s.gen.Add(1), keys: keys})
 	if len(s.changes) > maxTrackedChanges {
 		drop := len(s.changes) / 2
 		s.changeFloor = s.changes[drop-1].gen
@@ -344,53 +301,45 @@ func (s *Space) recordChangeLocked(keys []string) {
 }
 
 // ChangedBlocksSince returns every correlated-block key (in Blocks' key
-// space) whose probability semantics may have changed by an invalidation
-// after generation gen, together with the generation the answer is valid
-// as of. ok is false when the change history no longer reaches back to
-// gen — the caller must then assume every block changed. A plan compiled
-// at generation g whose cached footprint is disjoint from the returned
-// set is guaranteed that none of its footprint blocks were retired,
-// regrouped or re-declared in (g, asOf]: its document-side probabilities
-// are still exact.
+// space) whose probability semantics may have changed after generation gen,
+// together with the generation the answer is valid as of. ok is false when
+// the change history no longer reaches back to gen — the caller must then
+// assume every block changed. A reader that derived probabilities at
+// generation g over a footprint disjoint from the returned set is guaranteed
+// that none of its footprint blocks were retired, regrouped or re-declared
+// in (g, asOf]: its probabilities are still exact.
 func (s *Space) ChangedBlocksSince(gen uint64) (keys map[string]bool, asOf uint64, ok bool) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
+	s.changeMu.Lock()
+	defer s.changeMu.Unlock()
+	asOf = s.gen.Load()
 	if gen < s.changeFloor {
-		return nil, s.gen, false
+		return nil, asOf, false
 	}
 	keys = make(map[string]bool)
-	for i := len(s.changes) - 1; i >= 0; i-- {
-		c := s.changes[i]
-		if c.gen <= gen {
-			break
-		}
-		for _, k := range c.keys {
+	for i := len(s.changes) - 1; i >= 0 && s.changes[i].gen > gen; i-- {
+		for _, k := range s.changes[i].keys {
 			keys[k] = true
 		}
 	}
-	return keys, s.gen, true
+	return keys, asOf, true
 }
 
-// Generation returns the space's invalidation counter. It advances on
-// every mutation that could change (or invalidate) the probability of an
-// already-held expression — Retire, DeclareExclusive — and
-// stays put on plain Declare, which provably cannot affect existing
-// expressions (see the comment in Declare). Callers that precompute
-// probabilities (the rank plans' document-distribution cache) snapshot the
-// generation and treat any advance as "recompute": a recompute over
-// retired events then fails with "not declared" exactly like a fresh Prob,
-// so the retirement contract is preserved rather than masked by a cache.
-func (s *Space) Generation() uint64 {
-	s.cacheMu.Lock()
-	gen := s.gen
-	s.cacheMu.Unlock()
-	return gen
-}
+// Generation returns the space's change counter, one atomic load. It
+// advances on every mutation that could change the probability of an
+// already-held expression — Retire, DeclareExclusive — and stays put on
+// plain Declare, which provably cannot (see the comment in Declare). Callers
+// that hold derived probabilities (the shared document sides, the membership
+// block footprints) stamp them with the generation and treat an advance as
+// "ask ChangedBlocksSince, or derive again": a derivation over retired events
+// then fails with "not declared" exactly like a fresh Prob, so the retirement
+// contract is preserved rather than masked by what the caller holds.
+func (s *Space) Generation() uint64 { return s.gen.Load() }
 
 // Prob computes the exact probability of e. It enumerates joint states of
 // the exclusive groups (and singleton events) that e mentions, so the cost is
 // exponential only in the number of *distinct correlated groups mentioned by
-// e*, never in the size of the space. Results are memoized per expression.
+// e*, never in the size of the space. Nothing is remembered: every call
+// computes its answer from the present declarations.
 func (s *Space) Prob(e *Expr) (float64, error) {
 	switch e.kind {
 	case KindTrue:
@@ -400,32 +349,13 @@ func (s *Space) Prob(e *Expr) (float64, error) {
 	case KindBasic:
 		return s.BasicProb(e.name)
 	}
-	key := e.String()
-	s.cacheMu.Lock()
-	if ent, ok := s.cache[key]; ok {
-		s.cacheMu.Unlock()
-		return ent.p, nil
-	}
-	gen := s.gen
-	s.cacheMu.Unlock()
-
-	p, err := s.enumerate(e)
-	if err != nil {
-		return 0, err
-	}
-	s.cacheMu.Lock()
-	if s.gen == gen {
-		s.cache[key] = cacheEntry{p: p, basics: e.Basics()}
-	}
-	s.cacheMu.Unlock()
-	return p, nil
+	return s.enumerate(e)
 }
 
 // JointProbs fills out — 2^len(evs) entries — with the joint distribution of
 // the given events: out[mask] is the probability that exactly the events whose
 // bit is set in mask hold, each computed through Prob as one conjunction of
-// the events and their complements in the order given (so equal event lists
-// share memo entries, wherever they are enumerated from).
+// the events and their complements in the order given.
 func (s *Space) JointProbs(evs []*Expr, out []float64) error {
 	conj := make([]*Expr, len(evs))
 	for mask := range out {
@@ -564,11 +494,11 @@ func groupKey(gid int) string { return fmt.Sprintf("g:%d", gid) }
 // Blocks adds the canonical correlated-block keys of every basic event
 // mentioned by e into dst: an independent basic contributes its own name,
 // an exclusive-group member contributes its group's key (shared by all
-// members). Two expressions are independent exactly when their block-key
-// sets are disjoint, so callers can partition many expressions into
-// correlation clusters with one pass per expression instead of O(n²)
-// Independent probes. It is an error if e mentions an undeclared basic
-// event (e.g. one that was retired).
+// members). Two expressions are independent — P(a ∧ b) = P(a)·P(b) is
+// guaranteed by the space's structure — exactly when their block-key sets
+// are disjoint, so callers partition many expressions into correlation
+// clusters with one pass per expression. It is an error if e mentions an
+// undeclared basic event (e.g. one that was retired).
 func (s *Space) Blocks(e *Expr, dst map[string]bool) error {
 	names := e.Basics()
 	if len(names) == 0 {
@@ -584,39 +514,4 @@ func (s *Space) Blocks(e *Expr, dst map[string]bool) error {
 		dst[blockKey(n, info.group)] = true
 	}
 	return nil
-}
-
-// Independent reports whether two expressions mention disjoint sets of
-// correlated blocks, i.e. whether P(a ∧ b) = P(a)·P(b) is guaranteed by the
-// independence structure of the space.
-func (s *Space) Independent(a, b *Expr) (bool, error) {
-	fa, err := s.factorsOf(a)
-	if err != nil {
-		return false, err
-	}
-	fb, err := s.factorsOf(b)
-	if err != nil {
-		return false, err
-	}
-	seen := make(map[string]bool)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	mark := func(fs []factor, record bool) bool {
-		for _, f := range fs {
-			for _, n := range f.names {
-				key := n
-				if info := s.basics[n]; info.group != -1 {
-					key = fmt.Sprintf("group:%d", info.group)
-				}
-				if record {
-					seen[key] = true
-				} else if seen[key] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	mark(fa, true)
-	return mark(fb, false), nil
 }

@@ -268,11 +268,14 @@ func TestPlanCacheInvalidation(t *testing.T) {
 }
 
 // chainSystem builds the bound-exceeding rule set: n = maxClusterRules+1
-// rules over one context concept, where document d_i couples rules i and
-// i+1 through one shared event. The candidate-independent footprint
-// partition chains every rule into one oversized cluster, but any single
-// candidate touches at most two rules.
-func chainSystem(t testing.TB) (sys *contextrank.System, n int) {
+// rules over one context concept, ChainCtx — or, ownCtx, rule i over its own
+// ChainCtx<i> — where document d_i couples rules i and i+1 through one shared
+// event. The candidate-independent footprint partition chains every rule into
+// one oversized cluster, but any single candidate's events touch at most two
+// rules: under a certain context, or one context concept per rule, every
+// candidate's clusters stay that small. An uncertain shared ChainCtx joins
+// all n rules for every candidate.
+func chainSystem(t testing.TB, ownCtx bool) (sys *contextrank.System, n int) {
 	t.Helper()
 	sys = contextrank.NewSystem()
 	must := func(err error) {
@@ -298,7 +301,11 @@ func chainSystem(t testing.TB) (sys *contextrank.System, n int) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		_, err := sys.AddRule(fmt.Sprintf("RULE r%02d WHEN ChainCtx PREFER F%02d WITH 0.6", i, i))
+		ctx := "ChainCtx"
+		if ownCtx {
+			ctx = fmt.Sprintf("ChainCtx%02d", i)
+		}
+		_, err := sys.AddRule(fmt.Sprintf("RULE r%02d WHEN %s PREFER F%02d WITH 0.6", i, ctx, i))
 		must(err)
 	}
 	return sys, n
@@ -309,7 +316,7 @@ func chainSystem(t testing.TB) (sys *contextrank.System, n int) {
 // through the serve layer (single and batch) — its plan scores per
 // candidate — and that plan is cached like any other.
 func TestRankClusterBoundFallback(t *testing.T) {
-	sys, n := chainSystem(t)
+	sys, n := chainSystem(t, false)
 	srv := NewServer(sys, Options{})
 	if _, err := srv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // reference NaiveRanker.
 func TestOneRequestEveryEntryPoint(t *testing.T) {
 	paper, paperUser := batchServer(t, 4)
-	chainSys, _ := chainSystem(t)
+	chainSys, _ := chainSystem(t, false)
 	chain := NewServer(chainSys, Options{})
 	if _, err := chain.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
 		t.Fatal(err)

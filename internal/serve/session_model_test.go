@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	contextrank "repro"
+	"repro/internal/core"
 )
 
 // modelSystem is newTestSystem plus two location rules, so an exclusive
@@ -393,11 +395,29 @@ func TestPlanIsolationUnderSessionChurn(t *testing.T) {
 // of identical measurements (same fingerprint, new event names) and a
 // context that comes back (X → Y → X) must each recompile — reusing the
 // earlier plan would fail with "not declared" — and rank like a fresh one.
+// The chain gives every rule its own context concept: under one uncertain
+// context shared by all 17 rules, every candidate's rules are one correlated
+// cluster past the exact-enumeration bound, and the rank says so.
 func TestPlanGenerationOnChainedRules(t *testing.T) {
-	sys, n := chainSystem(t)
+	shared, _ := chainSystem(t, false)
+	sharedSrv := NewServer(shared, Options{CacheSize: -1})
+	if _, err := sharedSrv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 0.7}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sharedSrv.Rank("chainuser", "Doc", contextrank.RankOptions{}); !errors.Is(err, core.ErrClusterBound) {
+		t.Fatalf("17 rules over one uncertain context ranked: err = %v, want ErrClusterBound", err)
+	}
+
+	sys, n := chainSystem(t, true)
 	srv := NewServer(sys, Options{CacheSize: -1})
-	x := []Measurement{{Concept: "ChainCtx", Prob: 0.7}}
-	y := []Measurement{{Concept: "ChainCtx", Prob: 0.4}}
+	context := func(p float64) []Measurement {
+		ms := make([]Measurement, n)
+		for i := range ms {
+			ms[i] = Measurement{Concept: fmt.Sprintf("ChainCtx%02d", i), Prob: p}
+		}
+		return ms
+	}
+	x, y := context(0.7), context(0.4)
 	var lastFP string
 	for i, ms := range [][]Measurement{x, x, y, x} {
 		fp, err := srv.SetSession("chainuser", ms)
