@@ -497,8 +497,8 @@ type HotPathStats = core.HotPathStats
 func ReadHotPathStats() HotPathStats { return core.ReadHotPathStats() }
 
 // MembershipStats counts the work of a System's concept-membership memo
-// (Loader().MembershipStats()): view queries run, look-ups answered without
-// one, handles held, handles a DDL statement dropped.
+// (Loader().MembershipStats()): whole evaluations run, look-ups answered
+// without one, handles held, handles a DDL statement dropped.
 type MembershipStats = mapping.MembershipStats
 
 // RankCandidates scores an explicit candidate list for the user with the

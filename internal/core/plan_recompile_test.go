@@ -353,7 +353,7 @@ func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 			t.Fatalf("%s: plan.Current() = %v, want %v", s.name, plan.Current(), want)
 		}
 		// Whether the new handles can name what moved since the plans': not
-		// across a view query (SQL wrote) or a history that outran them.
+		// across a whole evaluation (SQL wrote) or a history that outran them.
 		tracked := true
 		for i, r := range rules {
 			cur, err := l.Members(r.Preference)

@@ -169,15 +169,16 @@ func subset(small, big []string) bool {
 
 // Validate checks a concept expression against a vocabulary of declared
 // concept and role names, returning an error naming the first undeclared
-// symbol. Nominals are not checked (individuals are data, not terminology).
-func Validate(e *Expr, concepts, roles map[string]bool) error {
+// symbol: a name is declared when it is a key of the map. Nominals are not
+// checked (individuals are data, not terminology).
+func Validate[V any](e *Expr, concepts, roles map[string]V) error {
 	switch e.op {
 	case OpAtom:
-		if !concepts[e.name] {
+		if _, ok := concepts[e.name]; !ok {
 			return fmt.Errorf("dl: undeclared concept %q", e.name)
 		}
 	case OpExists:
-		if !roles[e.name] {
+		if _, ok := roles[e.name]; !ok {
 			return fmt.Errorf("dl: undeclared role %q", e.name)
 		}
 	}

@@ -38,8 +38,9 @@ func rowsRead(l *mapping.Loader, fn func()) (scan, index int64) {
 	return s1 - s0, i1 - i0
 }
 
-// Plan shape by count, not by clock: a point look-up reads the individual's
-// rows through the id index, and the bench preference view walks the indexes
+// Plan shape by count, not by clock: a point query reads the individual's
+// rows through the id index, and the bench preference's view query — the
+// evaluator's reference, and what the view ranker runs — walks the indexes
 // from the one genre outwards instead of scanning the domain, the role and
 // the programs (2 215 rows before the executor used them).
 func TestQueriesReadThroughIndexes(t *testing.T) {
@@ -55,36 +56,27 @@ func TestQueriesReadThroughIndexes(t *testing.T) {
 		t.Errorf("point query read %d rows by scan and %d by index, want 0 and 1", scan, index)
 	}
 
-	var members *mapping.Membership
+	var members map[string]*event.Expr
 	scan, index = rowsRead(l, func() {
 		var err error
-		if members, err = l.Members(pref); err != nil {
+		if members, err = mapping.ViewQuery(l, pref); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if len(members.IDs) == 0 {
+	if len(members) == 0 {
 		t.Fatal("the bench preference has no members")
 	}
 	if scan != 0 || index >= 200 {
 		t.Errorf("preference view read %d rows by scan and %d by index for %d members, want 0 and < 200",
-			scan, index, len(members.IDs))
-	}
-
-	scan, index = rowsRead(l, func() {
-		if _, err := l.MembershipEvent(pref, members.IDs[0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if scan != 0 || index > 8 {
-		t.Errorf("membership event read %d rows by scan and %d by index, want 0 and a handful", scan, index)
+			scan, index, len(members))
 	}
 }
 
-// BenchmarkMembersQuery evaluates the bench preference view on the paper-scale
-// dataset with the memo bypassed: each iteration writes the role table through
-// SQL first, which the loader's write log does not see — what a vocabulary
-// write through /v1/exec costs every view that reads the table, and what every
-// vocabulary write cost before handles were patched.
+// BenchmarkMembersQuery evaluates the bench preference over every individual
+// on the paper-scale dataset with the memo bypassed: each iteration writes the
+// role table through SQL first, which the loader's write log does not see —
+// what a vocabulary write through /v1/exec costs every expression that reads
+// the table, and what every vocabulary write cost before handles were patched.
 func BenchmarkMembersQuery(b *testing.B) {
 	benchMembersAfterWrite(b, func(l *mapping.Loader) error {
 		_, err := l.DB().Exec("UPDATE r_hasGenre SET dst = 'genre00' WHERE src = 'tv000' AND dst = 'genre00'")
@@ -93,7 +85,7 @@ func BenchmarkMembersQuery(b *testing.B) {
 }
 
 // BenchmarkMembersPatch is the same look-up after the same tuple written
-// through the loader: the stale handle is patched by re-reading the one
+// through the loader: the stale handle is patched by evaluating the one
 // program the write touched. CI holds it to a third of BenchmarkMembersQuery.
 func BenchmarkMembersPatch(b *testing.B) {
 	benchMembersAfterWrite(b, func(l *mapping.Loader) error {
@@ -135,8 +127,8 @@ func benchMembersAfterWrite(b *testing.B, write func(*mapping.Loader) error, pat
 // compile — one user's event in a context concept that holds a
 // row per live session, read through the concept table's id index. It must
 // not grow with the sessions (CI: rows=4096 within 2x rows=64, and an
-// allocation cap). shape=exists is a compound context, ∃watchesWith.Ctx,
-// which is the view query: this change must not move it.
+// allocation cap). shape=exists is a compound context, ∃watchesWith.Ctx: the
+// user's tuples through the role's src index, then the concept's id index.
 func BenchmarkMembershipEvent(b *testing.B) {
 	for _, bench := range []struct {
 		name   string
@@ -175,12 +167,13 @@ func BenchmarkMembershipEvent(b *testing.B) {
 }
 
 // TestMembershipEventReadsTheIndex: an atomic concept's look-up reads the
-// concept table's id index — no row through the executor, at most three
-// allocations — and answers exactly what the view query it replaces answers,
-// expression for expression and error for error: for an absent individual,
-// one row, several rows of one individual written by SQL (disjoined in index
-// order), deleted rows, a NULL event and an undeclared concept. A compound
-// context, and a concept table restored without its id index, are the query.
+// concept table's id index — at most three allocations — and answers exactly
+// what the view query answers, expression for expression and error for error:
+// for an absent individual, one row, several rows of one individual written by
+// SQL (disjoined in index order), deleted rows, a NULL event and an
+// undeclared concept. A compound context, and a concept table restored
+// without its id index (scanned), answer what the view query answers too. No
+// look-up reads a row through the SQL executor.
 func TestMembershipEventReadsTheIndex(t *testing.T) {
 	db := engine.New()
 	must := func(err error) {
@@ -224,34 +217,30 @@ func TestMembershipEventReadsTheIndex(t *testing.T) {
 
 	ctx, bare := dl.Atom("Ctx"), dl.Atom("Bare")
 	for _, c := range []struct {
-		expr  *dl.Expr
-		id    string
-		index bool // answered through the id index
+		expr *dl.Expr
+		id   string
 	}{
-		{ctx, "nobody", true},
-		{ctx, "one", true},
-		{ctx, "many", true},
-		{ctx, "gone", true},
-		{ctx, "back", true},
-		{ctx, "null", true},
-		{ctx, "half", true},
-		{dl.Atom("Undeclared"), "one", false},
-		{dl.Exists("watchesWith", ctx), "viewer", false},
-		{bare, "one", false},
-		{bare, "nobody", false},
+		{ctx, "nobody"},
+		{ctx, "one"},
+		{ctx, "many"},
+		{ctx, "gone"},
+		{ctx, "back"},
+		{ctx, "null"},
+		{ctx, "half"},
+		{dl.Atom("Undeclared"), "one"},
+		{dl.Exists("watchesWith", ctx), "viewer"},
+		{bare, "one"},
+		{bare, "nobody"},
 	} {
 		var got *event.Expr
 		var err error
 		scan, index := rowsRead(l, func() { got, err = l.MembershipEvent(c.expr, c.id) })
-		want, wantErr := l.QueryEvent(c.expr, c.id)
+		want, wantErr := mapping.ViewEvent(l, c.expr, c.id)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && got.String() != want.String()) {
 			t.Fatalf("MembershipEvent(%s, %s) = %v, %v; the view query says %v, %v", c.expr, c.id, got, err, want, wantErr)
 		}
-		if c.index && scan+index != 0 {
+		if scan+index != 0 {
 			t.Errorf("MembershipEvent(%s, %s) read %d rows by scan and %d by index through the executor, want none", c.expr, c.id, scan, index)
-		}
-		if c.expr == bare && scan == 0 {
-			t.Errorf("MembershipEvent(Bare, %s) did not fall back to the query's scan", c.id)
 		}
 	}
 	if got, _ := l.MembershipEvent(ctx, "many"); got.String() != "e1 ∨ (e2 ∧ e0) ∨ e2" {
@@ -298,8 +287,8 @@ func TestMembersHitAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMembershipEventMatchesMembers: the point look-up — answered through the
-// id indexes under the view — says what the whole view says, for one
+// TestMembershipEventMatchesMembers: the point look-up — eval over one
+// individual — says what the whole evaluation says, for one
 // expression of every operator and every individual (one that is nowhere
 // included), before and after asserts, retracts and owner-scoped context
 // applies. An individual the view does not list has the impossible event.

@@ -4,11 +4,14 @@
 // concept as a table [with] an ID attribute and an event expression
 // attribute … each role as a table [with] SOURCE, DESTINATION, and an event
 // expression", following Borgida & Brachman's loading scheme, "with added
-// support for the propagation of event expressions".
+// support for the propagation of event expressions". The views are the
+// reference semantics; the memberships the ranker reads are evaluated straight
+// off the base tables (eval), row for row what the views return.
 package mapping
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -17,32 +20,29 @@ import (
 	"repro/internal/dl"
 	"repro/internal/engine"
 	"repro/internal/event"
-	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
-// Loader owns the concept/role tables of one database and compiles concept
-// expressions to views. Safe for concurrent reads; declarations and view
-// compilation are serialized.
+// Loader owns the concept/role tables of one database, evaluates concept
+// expressions over them and compiles them to views. Safe for concurrent
+// reads; declarations and view compilation are serialized.
 type Loader struct {
 	db   *engine.DB
 	tbox *dl.TBox
 
-	mu       sync.Mutex
-	concepts map[string]bool   // declared concept names (original case)
-	roles    map[string]bool   // declared role names
-	views    map[string]string // canonical expr -> view name
-	viewSQL  map[string]string // view name -> defining SQL (traceability)
-	seq      int
-	// tabs remembers the base table of each concept MembershipEvent read,
-	// as of tabsRedefs redefinitions of the engine's schema.
-	tabs       map[string]*storage.Table
-	tabsRedefs uint64
+	// vocab is the declared vocabulary, read without a lock; declarations
+	// swap in a copy under mu.
+	vocab atomic.Pointer[vocabulary]
+
+	mu      sync.Mutex
+	views   map[string]string // canonical expr -> view name
+	viewSQL map[string]string // view name -> defining SQL (traceability)
+	seq     int
 
 	// The membership memo (see Members): canonical expr -> the last handle
 	// computed for it, all of them computed at memoRedefs redefinitions of the
 	// engine's schema. Its own mutex, so a rank's look-up never waits behind a
-	// view compilation. The counters (and the size mirror) are atomics so
+	// declaration. The counters (and the size mirror) are atomics so
 	// MembershipStats never takes memoMu: a stats scrape must not queue behind
 	// rank traffic.
 	memoMu      sync.Mutex
@@ -56,8 +56,8 @@ type Loader struct {
 
 	// The write log (see logWrite): per base table, which individual each of
 	// the loader's own writes touched and the table-version interval it moved.
-	// It is what lets Members patch a stale handle instead of re-running its
-	// view.
+	// It is what lets Members patch a stale handle instead of evaluating the
+	// expression again.
 	logMu  sync.Mutex
 	writes map[*storage.Table][]loggedWrite
 
@@ -80,6 +80,10 @@ type Loader struct {
 	ctxOwners map[string]ownerContext
 	ctxRows   map[string]int
 }
+
+// vocabulary maps the declared concept and role names (original case) to
+// their tables' catalog keys. It is never written once published.
+type vocabulary struct{ concepts, roles map[string]string }
 
 // ContextRow is one assertion row a context apply put into a concept table.
 type ContextRow struct{ Concept, Individual string }
@@ -106,11 +110,8 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 	l := &Loader{
 		db:        db,
 		tbox:      tbox,
-		concepts:  make(map[string]bool),
-		roles:     make(map[string]bool),
 		views:     make(map[string]string),
 		viewSQL:   make(map[string]string),
-		tabs:      make(map[string]*storage.Table),
 		memo:      make(map[string]*Membership),
 		writes:    make(map[*storage.Table][]loggedWrite),
 		ctxOwners: make(map[string]ownerContext),
@@ -122,16 +123,18 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 	db.MustExec("CREATE TABLE IF NOT EXISTS dl_domain (id TEXT, ev EVENT)")
 	db.MustExec("CREATE INDEX ON dl_domain (id)")
 	db.MustExec("CREATE TABLE IF NOT EXISTS dl_vocab (kind TEXT, name TEXT)")
+	v := &vocabulary{concepts: make(map[string]string), roles: make(map[string]string)}
 	if res, err := db.Query("SELECT kind, name FROM dl_vocab"); err == nil {
 		for _, row := range res.Rows {
 			switch row[0].S {
 			case "concept":
-				l.concepts[row[1].S] = true
+				v.concepts[row[1].S] = catalogKey(ConceptTable(row[1].S))
 			case "role":
-				l.roles[row[1].S] = true
+				v.roles[row[1].S] = catalogKey(RoleTable(row[1].S))
 			}
 		}
 	}
+	l.vocab.Store(v)
 	// dl_ctx persists the applied-situation record (which concepts hold
 	// context rows, which basic events the applies declared; written by
 	// PersistContext when a snapshot is dumped), so a system restored from a
@@ -186,67 +189,59 @@ func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") +
 // DeclareConcept creates the backing table for an atomic concept;
 // idempotent.
 func (l *Loader) DeclareConcept(name string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.concepts[name] {
-		return nil
-	}
-	tab := ConceptTable(name)
-	if l.db.HasTable(tab) {
-		return fmt.Errorf("mapping: concept table %q collides with an existing table (name clash after sanitizing %q?)", tab, name)
-	}
-	if _, err := l.db.Exec(fmt.Sprintf("CREATE TABLE %s (id TEXT, ev EVENT)", tab)); err != nil {
-		return err
-	}
-	if _, err := l.db.Exec(fmt.Sprintf("CREATE INDEX ON %s (id)", tab)); err != nil {
-		return err
-	}
-	if err := l.db.InsertRow("dl_vocab", "concept", name); err != nil {
-		return err
-	}
-	l.concepts[name] = true
-	return nil
+	return l.declare("concept", name, ConceptTable(name), "(id TEXT, ev EVENT)", "id")
 }
 
 // DeclareRole creates the backing table for a role; idempotent.
 func (l *Loader) DeclareRole(name string) error {
+	return l.declare("role", name, RoleTable(name), "(src TEXT, dst TEXT, ev EVENT)", "src", "dst")
+}
+
+// declare creates a name's table with an index on each of the indexed
+// columns, records the name in dl_vocab and publishes the vocabulary with it;
+// a declared name is left as it is.
+func (l *Loader) declare(kind, name, tab, cols string, indexed ...string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.roles[name] {
+	v := *l.vocab.Load()
+	names := &v.concepts
+	if kind == "role" {
+		names = &v.roles
+	}
+	if _, ok := (*names)[name]; ok {
 		return nil
 	}
-	tab := RoleTable(name)
 	if l.db.HasTable(tab) {
-		return fmt.Errorf("mapping: role table %q collides with an existing table (name clash after sanitizing %q?)", tab, name)
+		return fmt.Errorf("mapping: %s table %q collides with an existing table (name clash after sanitizing %q?)", kind, tab, name)
 	}
-	if _, err := l.db.Exec(fmt.Sprintf("CREATE TABLE %s (src TEXT, dst TEXT, ev EVENT)", tab)); err != nil {
+	stmts := []string{fmt.Sprintf("CREATE TABLE %s %s", tab, cols)}
+	for _, c := range indexed {
+		stmts = append(stmts, fmt.Sprintf("CREATE INDEX ON %s (%s)", tab, c))
+	}
+	for _, stmt := range stmts {
+		if _, err := l.db.Exec(stmt); err != nil {
+			return err
+		}
+	}
+	if err := l.db.InsertRow("dl_vocab", kind, name); err != nil {
 		return err
 	}
-	if _, err := l.db.Exec(fmt.Sprintf("CREATE INDEX ON %s (src)", tab)); err != nil {
-		return err
-	}
-	if _, err := l.db.Exec(fmt.Sprintf("CREATE INDEX ON %s (dst)", tab)); err != nil {
-		return err
-	}
-	if err := l.db.InsertRow("dl_vocab", "role", name); err != nil {
-		return err
-	}
-	l.roles[name] = true
+	*names = maps.Clone(*names)
+	(*names)[name] = catalogKey(tab)
+	l.vocab.Store(&v)
 	return nil
 }
 
 // HasConcept reports whether the named concept is declared.
 func (l *Loader) HasConcept(name string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.concepts[name]
+	_, ok := l.vocab.Load().concepts[name]
+	return ok
 }
 
 // HasRole returns whether the named role is declared.
 func (l *Loader) HasRole(name string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.roles[name]
+	_, ok := l.vocab.Load().roles[name]
+	return ok
 }
 
 // registerIndividual ensures the individual is in the domain table.
@@ -531,7 +526,7 @@ func (l *Loader) ViewFor(expr *dl.Expr) (string, error) {
 func (l *Loader) viewForLocked(expr *dl.Expr) (string, error) {
 	// Atomic concepts are backed directly by their base tables.
 	if expr.Op() == dl.OpAtom {
-		if err := dl.Validate(expr, l.concepts, l.roles); err != nil {
+		if err := l.validate(expr); err != nil {
 			return "", err
 		}
 		return ConceptTable(expr.Name()), nil
@@ -543,7 +538,7 @@ func (l *Loader) viewForLocked(expr *dl.Expr) (string, error) {
 	if name, ok := l.views[key]; ok {
 		return name, nil
 	}
-	if err := dl.Validate(expr, l.concepts, l.roles); err != nil {
+	if err := l.validate(expr); err != nil {
 		return "", err
 	}
 	l.seq++
@@ -561,16 +556,13 @@ func (l *Loader) viewForLocked(expr *dl.Expr) (string, error) {
 	return name, nil
 }
 
-// viewSQLFor emits the SELECT for one expression node, recursing through
-// viewForLocked so shared subexpressions compile once.
+// viewSQLFor emits the SELECT for one expression node other than an atom or
+// ⊤ (viewForLocked names their tables), recursing through viewForLocked so
+// shared subexpressions compile once.
 func (l *Loader) viewSQLFor(expr *dl.Expr) (string, error) {
 	switch expr.Op() {
-	case dl.OpTop:
-		return "SELECT id, ev FROM dl_domain", nil
 	case dl.OpBottom:
 		return "SELECT id, ev FROM dl_domain WHERE FALSE", nil
-	case dl.OpAtom:
-		return fmt.Sprintf("SELECT id, ev FROM %s", ConceptTable(expr.Name())), nil
 	case dl.OpNominal:
 		quoted := make([]string, len(expr.Individuals()))
 		for i, ind := range expr.Individuals() {
@@ -624,10 +616,11 @@ func (l *Loader) viewSQLFor(expr *dl.Expr) (string, error) {
 			return "", err
 		}
 		// ¬C over the closed domain: every individual, with the complement
-		// of its inclusion event (a LEFT JOIN miss is the impossible event,
-		// so EV_NOT yields ⊤).
+		// of its inclusion event — C's rows of it disjoined first, so two rows
+		// c1, c2 give ¬(c1 ∨ c2), not ¬c1 ∨ ¬c2 (a LEFT JOIN miss is the
+		// impossible event, so EV_NOT yields ⊤).
 		return fmt.Sprintf(
-			"SELECT d.id AS id, EV_AND(d.ev, EV_NOT(c.ev)) AS ev FROM dl_domain d LEFT JOIN %s c ON d.id = c.id",
+			"SELECT d.id AS id, EV_AND(d.ev, EV_NOT(c.ev)) AS ev FROM dl_domain d LEFT JOIN (SELECT id, EV_OR_AGG(ev) AS ev FROM %s GROUP BY id) c ON d.id = c.id",
 			inner), nil
 	}
 	return "", fmt.Errorf("mapping: cannot compile %s", expr)
@@ -642,138 +635,25 @@ func (l *Loader) ViewSQL(viewName string) string {
 }
 
 // MembershipEvent returns the event under which individual id belongs to
-// the concept expression — the impossible event if the individual does not
-// appear in the compiled view. An atomic concept's view is its base table, and
-// it is read the way AssertConcept reads it: the individual's rows through the
-// table's id index, disjoined in index order — the rows, and the order, the
-// view query returns, without planning a query per call. Anything else, and a
-// concept table without an id index, is the view query.
+// the concept expression — the disjunction of the individual's rows of the
+// expression's view, in the view's order, and the impossible event if it has
+// none: eval over the one individual.
 func (l *Loader) MembershipEvent(expr *dl.Expr, id string) (*event.Expr, error) {
-	if expr.Op() != dl.OpAtom {
-		return l.queryEvent(expr, id)
-	}
-	tab, err := l.conceptTable(expr)
-	if err != nil {
+	if err := l.validate(expr); err != nil {
 		return nil, err
 	}
-	if tab != nil {
-		var buf [4]*event.Expr
-		evs := buf[:0]
-		indexed, err := tab.ScanKeys("id", []storage.Value{storage.Text(id)}, func(r storage.Row) error {
-			ev, err := rowEvent(r[1])
-			evs = append(evs, ev)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if indexed {
-			return event.Or(evs...), nil
-		}
-	}
-	return l.queryEvent(expr, id)
-}
-
-// conceptTable validates an atomic concept as ViewFor does and returns its
-// base table — nil when the name resolves to no table of the (id, ev) shape
-// DeclareConcept creates. Tables are remembered per concept for as long as no
-// name has been dropped or redefined, so a look-up formats no table name.
-func (l *Loader) conceptTable(expr *dl.Expr) (*storage.Table, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := dl.Validate(expr, l.concepts, l.roles); err != nil {
+	scope := [1]storage.Value{storage.Text(id)}
+	var buf [1]evalRow
+	rows, err := l.eval(expr, scope[:], buf[:0])
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if redefs := l.db.Redefinitions(); redefs != l.tabsRedefs {
-		clear(l.tabs)
-		l.tabsRedefs = redefs
-	}
-	if tab := l.tabs[expr.Name()]; tab != nil {
-		return tab, nil
-	}
-	tab, err := l.db.Catalog().Get(ConceptTable(expr.Name()))
-	if err != nil || tab.Schema().ColumnIndex("id") != 0 || tab.Schema().ColumnIndex("ev") != 1 {
-		return nil, nil
-	}
-	l.tabs[expr.Name()] = tab
-	return tab, nil
-}
-
-// queryEvent is MembershipEvent through the expression's compiled view.
-func (l *Loader) queryEvent(expr *dl.Expr, id string) (*event.Expr, error) {
-	view, err := l.ViewFor(expr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := l.db.QueryStmt(eventQuery(view, id))
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Rows) == 0 {
+	case len(rows) == 0:
 		return event.False(), nil
+	case len(rows) > 1:
+		rows = disjoined(rows)
 	}
-	evs := make([]*event.Expr, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		ev, err := rowEvent(r[0])
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
-	}
-	return event.Or(evs...), nil
-}
-
-// The two statements the rank path issues against a compiled view, built as
-// syntax trees so that no SQL text is formatted, lexed or parsed per call.
-var (
-	idItem = sql.SelectItem{Expr: &sql.ColumnRef{Column: "id"}}
-	evItem = sql.SelectItem{Expr: &sql.ColumnRef{Column: "ev"}}
-)
-
-// membersQuery is SELECT id, ev FROM view, restricted by WHERE id IN (only…)
-// when only is non-nil; eventQuery is SELECT ev FROM view WHERE id = 'id'.
-// The executor answers both restrictions through the id indexes under the
-// view, and returns the rows the unrestricted query would — the same rows in
-// the same order — for those ids.
-func membersQuery(view string, only []string) *sql.SelectStmt {
-	stmt := &sql.SelectStmt{
-		Items: []sql.SelectItem{idItem, evItem},
-		From:  []sql.TableRef{{Table: view}},
-		Limit: -1,
-	}
-	if only != nil {
-		set := make([]sql.Expr, len(only))
-		for i, id := range only {
-			set[i] = &sql.Literal{Val: storage.Text(id)}
-		}
-		stmt.Where = &sql.InList{X: idItem.Expr, Set: set}
-	}
-	return stmt
-}
-
-// foldRows files (id, ev) rows into events, disjoining the rows of one
-// individual in the order they come.
-func foldRows(events map[string]*event.Expr, rows []storage.Row) error {
-	for _, r := range rows {
-		ev, err := rowEvent(r[1])
-		if err != nil {
-			return err
-		}
-		if old, ok := events[r[0].S]; ok {
-			ev = event.Or(old, ev)
-		}
-		events[r[0].S] = ev
-	}
-	return nil
-}
-
-func eventQuery(view, id string) *sql.SelectStmt {
-	return &sql.SelectStmt{
-		Items: []sql.SelectItem{evItem},
-		From:  []sql.TableRef{{Table: view}},
-		Where: &sql.Binary{Op: "=", L: idItem.Expr, R: &sql.Literal{Val: storage.Text(id)}},
-		Limit: -1,
-	}
+	return rows[0].ev, nil
 }
 
 // Membership is who is in a concept expression: every individual possibly
@@ -793,10 +673,10 @@ type Membership struct {
 	redefs uint64
 	reads  []tableRead
 
-	// Where the handle stands among the handles patched from one view query
-	// (see ChangedSince): the query's lineage, how many patches that moved a
-	// membership lie between it and this handle, and the individuals each of
-	// the last few of them moved, oldest first.
+	// Where the handle stands among the handles patched from one whole
+	// evaluation (see ChangedSince): the evaluation's lineage, how many
+	// patches that moved a membership lie between it and this handle, and
+	// the individuals each of the last few of them moved, oldest first.
 	lineage *byte
 	seq     uint64
 	history [][]string
@@ -813,11 +693,11 @@ type tableRead struct {
 
 // Current reports whether the handle still says who is in the expression:
 // no table it read has been written and no name has been redefined since it
-// was computed. The views are pure functions of their base tables, so a
-// current handle is bit-identical to a fresh query. It costs a handful of
-// atomic loads. Versions only move inside the caller's write section
-// (System's locking contract), so an answer obtained while reading holds for
-// the whole read.
+// was computed. The views, and eval, are pure functions of their base tables,
+// so a current handle is bit-identical to a fresh evaluation. It costs a
+// handful of atomic loads. Versions only move inside the caller's write
+// section (System's locking contract), so an answer obtained while reading
+// holds for the whole read.
 func (m *Membership) Current() bool {
 	if m.db.Redefinitions() != m.redefs {
 		return false
@@ -831,12 +711,13 @@ func (m *Membership) Current() bool {
 }
 
 // MembershipStats counts the membership memo's work. Per loader, so a test
-// can count one system's queries.
+// can count one system's evaluations.
 type MembershipStats struct {
 	// Hits are look-ups answered by a current handle; Patched the look-ups
 	// that brought a stale handle up to date by re-reading the individuals
 	// the loader's logged writes touched; Queries the look-ups that evaluated
-	// the expression's whole view. Every look-up is exactly one of the three.
+	// the expression over every individual. Every look-up is exactly one of
+	// the three.
 	Hits    int64 `json:"hits"`
 	Patched int64 `json:"patched"`
 	Queries int64 `json:"queries"`
@@ -872,32 +753,34 @@ func (l *Loader) MembershipStats() MembershipStats {
 // maxMemberships bounds the memo. Rule preferences and the targets people
 // rank are a few hundred expressions at most; a client streaming distinct
 // ad-hoc targets past the bound pushes out an arbitrary entry per new one,
-// which costs that expression's next look-up a query and nothing else.
+// which costs that expression's next look-up a whole evaluation and nothing
+// else.
 const maxMemberships = 1024
 
 // maxLoggedWrites bounds each base table's write log. A handle is looked up —
 // and patched — by the first rank after a write, so the writes between two
 // look-ups of a live expression are a few; an expression nobody asked for
-// while more than this many went by is queried once and is exact again.
+// while more than this many went by is evaluated whole once and is exact
+// again.
 const maxLoggedWrites = 64
 
 // maxMemberHistory bounds how many moving patches back a handle can name the
 // individuals that changed (Membership.ChangedSince). The first plan compiled
 // over the new handles carries the old handles' document side across the
 // writes (Loader.DocSide); a side that slept through more than this many is
-// derived again, as it is across a view query.
+// derived again, as it is across a whole evaluation.
 const maxMemberHistory = 16
 
 // Members returns every individual possibly in the concept expression with
 // its inclusion event, as a shared read-only handle. The answer is a function
-// of the base tables the expression's view reads, so it is computed once per
+// of the base tables the expression reads, so it is computed once per
 // version of those tables and memoized per canonical expression: every plan,
 // target resolution and user asking while the tables stand still gets the
 // same handle. A memoized handle whose tables moved is patched — only the
 // individuals the writes reached are re-read — when the loader's write log
-// accounts for every step they moved by, and the view is queried otherwise
-// (see patchMembers). Concurrent misses may both patch or query; the last one
-// stays.
+// accounts for every step they moved by, and evaluated over every individual
+// otherwise (see patchMembers). Concurrent misses may both patch or evaluate;
+// the last one stays.
 func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
 	key := expr.String()
 	l.memoMu.Lock()
@@ -923,7 +806,7 @@ func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
 		l.memoPatched.Add(1)
 	} else {
 		var err error
-		if m, err = l.queryMembers(expr, redefs); err != nil {
+		if m, err = l.evalMembers(expr, redefs); err != nil {
 			return nil, err
 		}
 		l.memoQueries.Add(1)
@@ -943,25 +826,20 @@ func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
 	return m, nil
 }
 
-// queryMembers evaluates the expression's view. The read set's versions are
-// taken before the query, so a write racing it (a caller breaking the locking
-// contract) leaves a handle that reads as stale, never one that validates
-// rows it did not see.
-func (l *Loader) queryMembers(expr *dl.Expr, redefs uint64) (*Membership, error) {
-	view, err := l.ViewFor(expr)
-	if err != nil {
+// evalMembers evaluates the expression over every individual. The read set's
+// versions are taken before the rows, so a write racing it (a caller breaking
+// the locking contract) leaves a handle that reads as stale, never one that
+// validates rows it did not see.
+func (l *Loader) evalMembers(expr *dl.Expr, redefs uint64) (*Membership, error) {
+	if err := l.validate(expr); err != nil {
 		return nil, err
 	}
 	m := &Membership{db: l.db, redefs: redefs, lineage: new(byte)}
+	var err error
 	if m.reads, err = l.readSet(expr); err != nil {
 		return nil, err
 	}
-	res, err := l.db.QueryStmt(membersQuery(view, nil))
-	if err != nil {
-		return nil, err
-	}
-	m.Events = make(map[string]*event.Expr, len(res.Rows))
-	if err := foldRows(m.Events, res.Rows); err != nil {
+	if m.Events, err = l.evalEvents(expr, nil); err != nil {
 		return nil, err
 	}
 	m.IDs = make([]string, 0, len(m.Events))

@@ -123,6 +123,61 @@ func TestNegationOverDomain(t *testing.T) {
 	if p := probOf(t, l, noHI, "HUMAN-INTEREST"); p != 0 {
 		t.Fatalf("P = %g, want 0", p)
 	}
+
+	// An individual with two rows of C — a second one written by SQL — is in
+	// ¬C under ¬(c1 ∨ c2), not ¬c1 ∨ ¬c2: the evaluator, the memo and the view
+	// all say what the in-memory oracle says. An individual with one row keeps
+	// its exact event.
+	db := engine.New()
+	l = NewLoader(db, nil)
+	if err := l.DeclareConcept("A"); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []string{"e1", "e2"} {
+		if err := db.Space().Declare(e, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e1, e2 := event.Basic("e1"), event.Basic("e2")
+	for _, id := range []string{"x", "y"} {
+		if err := l.AssertConcept("A", id, e1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Exec("INSERT INTO c_A VALUES ('x', EV_BASIC('e2'))"); err != nil {
+		t.Fatal(err)
+	}
+	oracle := &oracleABox{concepts: map[string]map[string]*event.Expr{"A": {"x": event.Or(e1, e2), "y": e1}}}
+	notA := dl.Not(dl.Atom("A"))
+	members, err := l.Members(notA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		expr *dl.Expr
+		id   string
+		want float64
+	}{{dl.Atom("A"), "x", 0.75}, {notA, "x", 0.25}, {notA, "y", 0.5}} {
+		view, err := ViewEvent(l, c.expr, c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := map[string]*event.Expr{"view": view, "oracle": oracle.membership(c.expr, c.id)}
+		if evs["evaluator"], err = l.MembershipEvent(c.expr, c.id); err != nil {
+			t.Fatal(err)
+		}
+		if c.expr == notA {
+			evs["memo"] = members.Events[c.id]
+		}
+		for path, ev := range evs {
+			if p, err := db.Space().Prob(ev); err != nil || math.Abs(p-c.want) > 1e-9 {
+				t.Errorf("%s: P(%s ∈ %s) = %g (%v), want %g", path, c.id, c.expr, p, err, c.want)
+			}
+		}
+	}
+	if ev, err := l.MembershipEvent(notA, "y"); err != nil || !event.Equal(ev, event.Not(e1)) {
+		t.Errorf("y's one row of A gives ¬A the event %v (%v), want ¬e1", ev, err)
+	}
 }
 
 func TestNominalAndTopBottom(t *testing.T) {

@@ -38,31 +38,6 @@ var memoExprs = []memoExpr{
 	{"B AND EXISTS s.{x2}", []string{"c_B", "r_s", "dl_domain"}},
 }
 
-// freshMembers is the un-memoized reference: the expression's view queried
-// directly, duplicate rows of one individual disjoined.
-func freshMembers(l *mapping.Loader, expr *dl.Expr) (map[string]*event.Expr, error) {
-	view, err := l.ViewFor(expr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := l.DB().Query("SELECT id, ev FROM " + view)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*event.Expr, len(res.Rows))
-	for _, r := range res.Rows {
-		ev := event.False()
-		if r[1].T == storage.TypeEvent {
-			ev = r[1].Ev
-		}
-		if old, ok := out[r[0].S]; ok {
-			ev = event.Or(old, ev)
-		}
-		out[r[0].S] = ev
-	}
-	return out, nil
-}
-
 // sameMembers reports how a handle differs from the reference, or "".
 func sameMembers(m *mapping.Membership, want map[string]*event.Expr) string {
 	if len(m.Events) != len(want) || len(m.IDs) != len(want) {
@@ -187,15 +162,15 @@ func (o *memoOracle) lookup(where string, i int) string {
 	return o.lookupExpr(where, o.exprs[i])
 }
 
-// lookupExpr looks the expression up, holds the answer against the
-// un-memoized query of its view and returns which path answered: "hit",
-// "patch" or "query".
+// lookupExpr looks the expression up, holds the answer against the query of
+// its view (mapping.ViewQuery, the evaluator's reference) and returns which
+// path answered: "hit", "patch" or "query" (a whole evaluation).
 func (o *memoOracle) lookupExpr(where string, expr *dl.Expr) string {
 	o.tb.Helper()
 	st := o.l.MembershipStats()
 	m, err := o.l.Members(expr)
 	o.must(err)
-	want, err := freshMembers(o.l, expr)
+	want, err := mapping.ViewQuery(o.l, expr)
 	o.must(err)
 	if diff := sameMembers(m, want); diff != "" {
 		o.tb.Fatalf("%s: Members(%s): %s", where, expr, diff)
@@ -239,10 +214,12 @@ func (o *memoOracle) want(i int, before, after map[string]tabVersion, dropped bo
 // holds), retracts, owner-scoped context applies, SQL writes to base tables,
 // ClearConcept, a concept table dropped and recreated, a redefining DDL — past
 // a fixed set of expressions covering every operator and both nestings of ∃.
-// After every step each Members(expr) must equal an un-memoized query of the
-// same view, and the memo must have taken exactly the path the step calls
-// for: a hit while the read set stands, one patch and no query after loader
-// writes, one query after anything the loader did not log. Every other step
+// After every step each Members(expr) must equal, event for event, the query
+// of the expression's view through the SQL executor (mapping.ViewQuery) —
+// the reference the evaluator is held to — and the memo must have taken
+// exactly the path the step calls for: a hit while the read set stands, one
+// patch and no whole evaluation after loader writes, one whole evaluation
+// after anything the loader did not log. Every other step
 // looks up from several goroutines at once first, so -race sees concurrent
 // misses patching and filling the memo and would see any holder writing a
 // shared handle.
@@ -389,7 +366,7 @@ func TestMembershipMemoChurnOracle(t *testing.T) {
 							t.Errorf("%s: Members(%s): %v", where, memoExprs[i].text, err)
 							return
 						}
-						want, err := freshMembers(l, e)
+						want, err := mapping.ViewQuery(l, e)
 						if err != nil {
 							t.Errorf("%s: %v", where, err)
 							return
@@ -511,7 +488,7 @@ func TestPatchedHandleSharesWithItsPredecessor(t *testing.T) {
 		t.Fatal("a predecessor claims to know what changed since its successor")
 	}
 
-	// A view query starts a new lineage.
+	// A whole evaluation starts a new lineage.
 	if _, err := o.db.Exec("DELETE FROM c_A WHERE id = 'c'"); err != nil {
 		t.Fatal(err)
 	}

@@ -78,22 +78,22 @@ func (l *Loader) writtenBetween(tab *storage.Table, from, to uint64) ([]string, 
 	return nil, false
 }
 
-// patchMembers brings a stale handle up to date without running its view:
-// when the loader's write log accounts for every version step the handle's
-// tables have moved by, the individuals whose row of the view those writes can
-// have changed follow from the expression (affected); exactly their rows are
-// re-read — the restricted read returns what the full one would for them, in
-// the same order, so the result is bit-identical to a fresh query — and the
-// successor shares everything else with its predecessor. It returns nil on
-// any doubt (an unaccounted step, a role table without its dst index, an
-// error in the read), and the caller queries.
+// patchMembers brings a stale handle up to date without evaluating the whole
+// expression: when the loader's write log accounts for every version step the
+// handle's tables have moved by, the individuals whose row of the view those
+// writes can have changed follow from the expression (affected); exactly their
+// rows are evaluated again — eval over them returns what it returns for them
+// over everyone, in the same order, so the result is bit-identical to a whole
+// evaluation — and the successor shares everything else with its predecessor.
+// It returns nil on any doubt (an unaccounted step, a role table without its
+// dst index, an error in the read), and the caller evaluates the whole.
 func (l *Loader) patchMembers(expr *dl.Expr, old *Membership) *Membership {
 	m := &Membership{
 		Events: old.Events, IDs: old.IDs,
 		db: old.db, redefs: old.redefs, reads: make([]tableRead, len(old.reads)),
 		lineage: old.lineage, seq: old.seq, history: old.history,
 	}
-	// Versions before rows, as in queryMembers.
+	// Versions before rows, as in evalMembers.
 	written := make(map[*storage.Table][]string)
 	for i, r := range old.reads {
 		now := r.tab.Version()
@@ -113,24 +113,17 @@ func (l *Loader) patchMembers(expr *dl.Expr, old *Membership) *Membership {
 	}
 	var moved []string
 	if len(reached) > 0 {
-		view, err := l.ViewFor(expr)
-		if err != nil {
-			return nil
-		}
-		ids := make([]string, 0, len(reached))
+		scope := make([]storage.Value, 0, len(reached))
 		for id := range reached {
-			ids = append(ids, id)
+			scope = append(scope, storage.Text(id))
 		}
-		res, err := l.db.QueryStmt(membersQuery(view, ids))
+		fresh, err := l.evalEvents(expr, scope)
 		if err != nil {
-			return nil
-		}
-		fresh := make(map[string]*event.Expr, len(res.Rows))
-		if err := foldRows(fresh, res.Rows); err != nil {
 			return nil
 		}
 		keysMoved := false
-		for _, id := range ids {
+		for _, v := range scope {
+			id := v.S
 			was, had := old.Events[id]
 			is, has := fresh[id]
 			if had != has {
@@ -244,8 +237,8 @@ func (l *Loader) affected(e *dl.Expr, written map[*storage.Table][]string, out m
 // ChangedSince returns the individuals whose inclusion event differs between
 // old and m — a superset is allowed, a miss is not — when m descends from old
 // by patches the handle still remembers; tracked is false when the two come
-// from different view queries or more than maxMemberHistory moving patches lie
-// between them, and the caller compares the memberships itself.
+// from different whole evaluations or more than maxMemberHistory moving
+// patches lie between them, and the caller compares the memberships itself.
 func (m *Membership) ChangedSince(old *Membership) (ids []string, tracked bool) {
 	if m.lineage != old.lineage || m.seq < old.seq || m.seq-old.seq > uint64(len(m.history)) {
 		return nil, false

@@ -8,8 +8,8 @@ import (
 	"repro/internal/engine"
 )
 
-// TestRestrictedReadErrorTakesTheFullPath: when the patch's restricted read
-// fails, the look-up is not a patch — it falls through to the full query,
+// TestRestrictedReadErrorTakesTheFullPath: when the patch's evaluation fails,
+// the look-up is not a patch — it falls through to the whole evaluation,
 // whose own error is what the caller sees — and the stale handle stays in the
 // memo, to be patched once the read works again.
 func TestRestrictedReadErrorTakesTheFullPath(t *testing.T) {
@@ -29,24 +29,19 @@ func TestRestrictedReadErrorTakesTheFullPath(t *testing.T) {
 	first, err := l.Members(expr)
 	must(err)
 
-	// Point the expression at a view that is not there: every read of it fails.
-	key := expr.String()
-	l.mu.Lock()
-	view := l.views[key]
-	l.views[key] = "v_dl_gone"
-	l.mu.Unlock()
+	// Point the concept at a table that is not there: every read of it fails.
+	declared := l.vocab.Load()
+	l.vocab.Store(&vocabulary{concepts: map[string]string{"A": declared.concepts["A"], "B": "c_gone"}, roles: declared.roles})
 	must(l.AssertConcept("A", "y", nil))
 	before := l.MembershipStats()
 	if _, err := l.Members(expr); err == nil {
-		t.Fatal("Members succeeded against a missing view")
+		t.Fatal("Members succeeded against a missing table")
 	}
 	if got := l.MembershipStats(); got != before {
 		t.Fatalf("a failed look-up moved the counters %+v -> %+v", before, got)
 	}
 
-	l.mu.Lock()
-	l.views[key] = view
-	l.mu.Unlock()
+	l.vocab.Store(declared)
 	m, err := l.Members(expr)
 	must(err)
 	if got := l.MembershipStats(); got.Patched != before.Patched+1 || got.Queries != before.Queries {

@@ -463,8 +463,9 @@ type Stats struct {
 	// misses that replaced a cached plan gone stale — the user's context, the
 	// vocabulary or the rules moved under it.
 	Plans CacheStats `json:"plan_cache"`
-	// Memberships is the loader's concept-membership memo: view queries run,
-	// look-ups it answered without one, handles held, handles a DDL dropped.
+	// Memberships is the loader's concept-membership memo: whole evaluations
+	// run, look-ups it answered without one, handles held, handles a DDL
+	// dropped.
 	Memberships contextrank.MembershipStats `json:"memberships"`
 	Latency     LatencyStats                `json:"latency"`
 	// Health is the failure-domain state: healthy, degraded (journal

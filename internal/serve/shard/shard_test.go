@@ -215,17 +215,17 @@ func TestStatsAggregation(t *testing.T) {
 		memo = memo.Merge(sh.Memberships)
 	}
 	if memo != st.Memberships || memo.Queries == 0 {
-		t.Fatalf("aggregate memberships %+v, per-shard sum %+v — want the sum, with the ranks' view queries in it", st.Memberships, memo)
+		t.Fatalf("aggregate memberships %+v, per-shard sum %+v — want the sum, with the ranks' whole evaluations in it", st.Memberships, memo)
 	}
 }
 
 // TestVocabWriteCostsOneQueryPerShardView: a broadcast assert reaches every
 // replica, and on each the users' next ranks compile their stale plans again
-// behind no view query at all: exactly one patch per view that
+// behind no whole evaluation at all: exactly one patch per view that
 // reads the written table (R1's preference reads r_hasGenre; the TvProgram
 // target does not), however many users the shard serves. The same tuple
-// written through /v1/exec's SQL is not logged, and costs that view one query
-// and no patch.
+// written through /v1/exec's SQL is not logged, and costs that view one whole
+// evaluation and no patch.
 func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
 	c := newTestCoordinator(t, 2)
 	users := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -259,7 +259,7 @@ func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
 			t.Fatalf("shard %d: %d users, %d plan misses, %d refreshed — want every user's stale plan replaced", i, a.Sessions, misses, refreshed)
 		}
 		if p, q := a.Memberships.Patched-b.Memberships.Patched, a.Memberships.Queries-b.Memberships.Queries; p != 1 || q != 0 {
-			t.Fatalf("shard %d: %d patches and %d view queries behind %d users' ranks, want 1 and 0", i, p, q, a.Sessions)
+			t.Fatalf("shard %d: %d patches and %d whole evaluations behind %d users' ranks, want 1 and 0", i, p, q, a.Sessions)
 		}
 	}
 	before = after
@@ -271,7 +271,7 @@ func TestVocabWriteCostsOneQueryPerShardView(t *testing.T) {
 	for i := range after.Shards {
 		b, a := before.Shards[i].Memberships, after.Shards[i].Memberships
 		if p, q := a.Patched-b.Patched, a.Queries-b.Queries; p != 0 || q != 1 {
-			t.Fatalf("shard %d after a SQL insert: %d patches and %d view queries, want 0 and 1", i, p, q)
+			t.Fatalf("shard %d after a SQL insert: %d patches and %d whole evaluations, want 0 and 1", i, p, q)
 		}
 	}
 }

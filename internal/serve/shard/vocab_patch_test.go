@@ -17,9 +17,10 @@ import (
 // over HTTP, with the benchmark's eight rules (eight distinct preferences
 // TvProgram ⊓ ∃hasGenre.{g}, all reading r_hasGenre): after warm-up, one POST
 // /v1/assert of a hasGenre tuple followed by a rank for every user costs each
-// shard no view query and exactly one patch per memoized preference, whether
-// four users rank or sixteen; the same tuple written by /v1/exec's SQL is not
-// logged and costs each shard one query per preference and no patch.
+// shard no whole evaluation and exactly one patch per memoized preference,
+// whether four users rank or sixteen; the same tuple written by /v1/exec's
+// SQL is not logged and costs each shard one whole evaluation per preference
+// and no patch.
 func TestAssertPatchesEachPreferenceOncePerShard(t *testing.T) {
 	const rules = 8
 	spec := workload.SmallSpec()
@@ -93,7 +94,7 @@ func TestAssertPatchesEachPreferenceOncePerShard(t *testing.T) {
 			rankAll()
 			for i, a := range memberships() {
 				if p, q := a.Patched-before[i].Patched, a.Queries-before[i].Queries; p != w.patched || q != w.queries {
-					t.Fatalf("%d users, %s, shard %d: %d patches and %d view queries, want %d and %d", n, w.name, i, p, q, w.patched, w.queries)
+					t.Fatalf("%d users, %s, shard %d: %d patches and %d whole evaluations, want %d and %d", n, w.name, i, p, q, w.patched, w.queries)
 				}
 			}
 		}

@@ -119,8 +119,9 @@ func TestCachedRankFollowsItsTargetsMembers(t *testing.T) {
 // costs: every user's next rank compiles that user's plan again in place of
 // the stale entry (Refreshed), and the membership work behind those compiles
 // is paid once per written view, not once per user: a patch (the written
-// individuals re-read) when the write went through the loader, a view query
-// when SQL made it; a write to a table no rule or target reads costs neither.
+// individuals evaluated again) when the write went through the loader, a whole
+// evaluation when SQL made it; a write to a table no rule or target reads
+// costs neither.
 func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	srv := NewServer(modelSystem(t), Options{CacheSize: -1})
 	if _, err := srv.Declare([]string{"Unrelated"}, nil, nil); err != nil {
@@ -171,7 +172,7 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 		}
 		patched, queries := after.Memberships.Patched-before.Memberships.Patched, after.Memberships.Queries-before.Memberships.Queries
 		if patched != wantPatched || queries != wantQueries {
-			t.Fatalf("%s: %d patches and %d view queries for %d users' ranks, want %d and %d", name, patched, queries, n, wantPatched, wantQueries)
+			t.Fatalf("%s: %d patches and %d whole evaluations for %d users' ranks, want %d and %d", name, patched, queries, n, wantPatched, wantQueries)
 		}
 	}
 	// modelSystem's four rules prefer two distinct expressions (genre g0,

@@ -8,14 +8,14 @@ import (
 )
 
 // Access paths. Before a SELECT reads anything it describes its FROM items
-// (names and static column types, through views and subqueries), derives from
-// its WHERE which columns can only hold one of a few literals, and hands each
-// FROM item the sets that land on it: a base table with a hash index on such a
-// column is read through the index, a view or subquery narrows its own input
-// the same way. The predicates themselves stay where they are, so a set only
-// ever shrinks the input of a filter that runs anyway — and only when every
-// expression the dropped rows would have met is statically unable to raise,
-// so a query errors exactly when it would have without the sets.
+// (column names, and the static types of base-table columns), derives from its
+// WHERE which columns can only hold one of a few literals, and hands each FROM
+// item the sets that land on it: a base table with a hash index on such a
+// column is read through the index; a view or subquery runs whole. The
+// predicates themselves stay where they are, so a set only ever shrinks the
+// input of a filter that runs anyway — and only when every expression the
+// dropped rows would have met is statically unable to raise, so a query
+// errors exactly when it would have without the sets.
 
 // typeAny is the static type of an expression whose values' type is not known
 // before it runs. TypeNull is the static type of an expression that is always
@@ -30,9 +30,6 @@ type fromItem struct {
 	cols []binding
 	off  int // position of cols[0] in the joined row
 }
-
-// has reports whether the joined-row position is one of the item's columns.
-func (it fromItem) has(col int) bool { return col >= it.off && col < it.off+len(it.cols) }
 
 // colSets says, per column position, which values a row must hold there (as
 // = compares) to survive the filters above it. The values are never NULL; an
@@ -93,8 +90,10 @@ func (ex *Executor) describeFrom(refs []TableRef, depth int) ([]fromItem, error)
 	return items, nil
 }
 
-// describe returns the output columns of a SELECT (binding names left empty)
-// with their static types. It fails only where running the SELECT fails too.
+// describe returns the output columns of a SELECT (binding names left empty),
+// typed typeAny: a set never enters a view or subquery, so only the columns a
+// SELECT reads from base tables need a static type. It fails only where
+// running the SELECT fails too.
 func (ex *Executor) describe(sel *SelectStmt, depth int) ([]binding, error) {
 	if depth > maxViewDepth {
 		return nil, fmt.Errorf("sql: view nesting exceeds %d (cycle?)", maxViewDepth)
@@ -103,27 +102,13 @@ func (ex *Executor) describe(sel *SelectStmt, depth int) ([]binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := joinedCols(items)
-	names, exprs, err := expandItems(sel.Items, all)
+	names, _, err := expandItems(sel.Items, joinedCols(items))
 	if err != nil {
 		return nil, err
 	}
-	agg := isAggregated(sel)
 	out := make([]binding, len(names))
 	for i, name := range names {
-		t, _ := staticType(exprs[i], all, agg)
-		out[i] = binding{column: strings.ToLower(name), typ: t}
-	}
-	if sel.Union != nil {
-		rest, err := ex.describe(sel.Union, depth)
-		if err != nil {
-			return nil, err
-		}
-		for i := range out {
-			if i >= len(rest) || rest[i].typ != out[i].typ {
-				out[i].typ = typeAny
-			}
-		}
+		out[i] = binding{column: strings.ToLower(name), typ: typeAny}
 	}
 	return out, nil
 }
@@ -141,13 +126,12 @@ func isAggregated(sel *SelectStmt) bool {
 }
 
 // constrain derives the column sets of one SELECT over its joined row: from
-// its own WHERE conjuncts of the shapes col = literal and col IN (literals),
-// from the sets its consumer pushed onto its output (outer, by output
-// position), and from both closed over the column equalities of its joins and
-// WHERE. It returns nil unless every ON and the WHERE are statically unable to
-// raise: a set drops rows before those expressions see them.
-func constrain(sel *SelectStmt, items []fromItem, outer colSets) colSets {
-	if sel.Where == nil && len(outer) == 0 {
+// its WHERE conjuncts of the shapes col = literal and col IN (literals),
+// closed over the column equalities of its joins and WHERE. It returns nil
+// unless every ON and the WHERE are statically unable to raise: a set drops
+// rows before those expressions see them.
+func constrain(sel *SelectStmt, items []fromItem) colSets {
+	if sel.Where == nil {
 		return nil
 	}
 	all := joinedCols(items)
@@ -155,14 +139,12 @@ func constrain(sel *SelectStmt, items []fromItem, outer colSets) colSets {
 		if it.ref.On == nil {
 			continue
 		}
-		if _, safe := staticType(it.ref.On, all[:it.off+len(it.cols)], false); !safe {
+		if _, safe := staticType(it.ref.On, all[:it.off+len(it.cols)]); !safe {
 			return nil
 		}
 	}
-	if sel.Where != nil {
-		if _, safe := staticType(sel.Where, all, false); !safe {
-			return nil
-		}
+	if _, safe := staticType(sel.Where, all); !safe {
+		return nil
 	}
 	sets := colSets{}
 	var edges [][2]int // directed: a set on [0] is a set on [1]
@@ -173,14 +155,13 @@ func constrain(sel *SelectStmt, items []fromItem, outer colSets) colSets {
 			edges = append(edges, [2]int{a, b}, [2]int{b, a})
 		}
 	}
-	for pos, col := range outputSources(sel, all, outer) {
-		sets.add(col, outer[pos])
-	}
 	if len(sets) == 0 {
 		return nil
 	}
 	for _, it := range items {
-		if it.ref.Join == JoinCross {
+		// A LEFT JOIN's ON narrows nothing: its preserved side must not be
+		// narrowed from its right.
+		if it.ref.Join != JoinInner {
 			continue
 		}
 		end := it.off + len(it.cols)
@@ -189,18 +170,7 @@ func constrain(sel *SelectStmt, items []fromItem, outer colSets) colSets {
 			if !ok {
 				continue
 			}
-			if it.ref.Join == JoinInner {
-				edges = append(edges, [2]int{a, b}, [2]int{b, a})
-				continue
-			}
-			// LEFT JOIN: its right side may be narrowed from the rows it is
-			// joined to, never the preserved side from the right.
-			switch aIn, bIn := it.has(a), it.has(b); {
-			case bIn && !aIn:
-				edges = append(edges, [2]int{a, b})
-			case aIn && !bIn:
-				edges = append(edges, [2]int{b, a})
-			}
+			edges = append(edges, [2]int{a, b}, [2]int{b, a})
 		}
 	}
 	for changed := true; changed; {
@@ -215,50 +185,6 @@ func constrain(sel *SelectStmt, items []fromItem, outer colSets) colSets {
 		}
 	}
 	return sets
-}
-
-// outputSources maps each constrained output position to the input column it
-// is a plain reference to. A set on an output column becomes a set on that
-// input column when dropping input rows cannot change any surviving output
-// row: not under LIMIT or ORDER BY, not past HAVING, for an aggregate only on
-// a GROUP BY key — and only when nothing the SELECT evaluates can raise.
-func outputSources(sel *SelectStmt, all []binding, outer colSets) map[int]int {
-	if len(outer) == 0 || sel.Limit >= 0 || sel.Having != nil || len(sel.OrderBy) > 0 {
-		return nil
-	}
-	_, exprs, err := expandItems(sel.Items, all)
-	if err != nil {
-		return nil
-	}
-	agg := isAggregated(sel)
-	for _, x := range exprs {
-		if _, safe := staticType(x, all, agg); !safe {
-			return nil
-		}
-	}
-	keys := make(map[int]bool, len(sel.GroupBy))
-	for _, g := range sel.GroupBy {
-		if _, safe := staticType(g, all, false); !safe {
-			return nil
-		}
-		if ref, ok := g.(*ColumnRef); ok {
-			keys[findBinding(all, ref)] = true
-		}
-	}
-	src := make(map[int]int, len(outer))
-	for pos := range outer {
-		if pos >= len(exprs) {
-			continue
-		}
-		ref, ok := exprs[pos].(*ColumnRef)
-		if !ok {
-			continue
-		}
-		if col := findBinding(all, ref); col >= 0 && (!agg || keys[col]) {
-			src[pos] = col
-		}
-	}
-	return src
 }
 
 // pointPredicate recognizes col = literal, literal = col and col IN
@@ -336,10 +262,11 @@ func columnEquality(x Expr, cols []binding) (a, b int, ok bool) {
 }
 
 // staticType infers the type of x's values over rows with the given columns
-// and whether evaluating x on any such row is certain not to raise. agg says
-// aggregate calls are legal where x stands. The check is conservative: it does
-// not know that FALSE AND (1/0 = 1) short-circuits.
-func staticType(x Expr, cols []binding, agg bool) (storage.Type, bool) {
+// and whether evaluating x on any such row is certain not to raise. The check
+// is conservative: it does not know that FALSE AND (1/0 = 1) short-circuits,
+// and it takes an aggregate call, which only raises where the rows are not
+// grouped, for one that raises.
+func staticType(x Expr, cols []binding) (storage.Type, bool) {
 	switch x := x.(type) {
 	case *Literal:
 		return x.Val.T, true
@@ -349,14 +276,14 @@ func staticType(x Expr, cols []binding, agg bool) (storage.Type, bool) {
 		}
 		return typeAny, false
 	case *Unary:
-		t, safe := staticType(x.X, cols, agg)
+		t, safe := staticType(x.X, cols)
 		if x.Op == "NOT" {
 			return storage.TypeBool, safe && among(t, storage.TypeBool)
 		}
 		return t, safe && x.Op == "-" && numeric(t)
 	case *Binary:
-		lt, lsafe := staticType(x.L, cols, agg)
-		rt, rsafe := staticType(x.R, cols, agg)
+		lt, lsafe := staticType(x.L, cols)
+		rt, rsafe := staticType(x.R, cols)
 		safe := lsafe && rsafe
 		switch x.Op {
 		case "AND", "OR":
@@ -374,63 +301,45 @@ func staticType(x Expr, cols []binding, agg bool) (storage.Type, bool) {
 		}
 		return typeAny, false
 	case *IsNull:
-		_, safe := staticType(x.X, cols, agg)
+		_, safe := staticType(x.X, cols)
 		return storage.TypeBool, safe
 	case *Like:
-		t, safe := staticType(x.X, cols, agg)
-		pt, psafe := staticType(x.Pattern, cols, agg)
+		t, safe := staticType(x.X, cols)
+		pt, psafe := staticType(x.Pattern, cols)
 		return storage.TypeBool, safe && psafe && among(t, storage.TypeText) && among(pt, storage.TypeText)
 	case *InList:
-		t, safe := staticType(x.X, cols, agg)
+		t, safe := staticType(x.X, cols)
 		for _, s := range x.Set {
-			st, ssafe := staticType(s, cols, agg)
+			st, ssafe := staticType(s, cols)
 			safe = safe && ssafe && comparableTypes(t, st)
 		}
 		return storage.TypeBool, safe
 	case *CaseExpr:
 		t, safe := storage.TypeNull, true
 		for _, w := range x.Whens {
-			_, csafe := staticType(w.Cond, cols, agg)
-			tt, tsafe := staticType(w.Then, cols, agg)
+			_, csafe := staticType(w.Cond, cols)
+			tt, tsafe := staticType(w.Then, cols)
 			t, safe = mergeTypes(t, tt), safe && csafe && tsafe
 		}
 		if x.Else != nil {
-			et, esafe := staticType(x.Else, cols, agg)
+			et, esafe := staticType(x.Else, cols)
 			t, safe = mergeTypes(t, et), safe && esafe
 		}
 		return t, safe
 	case *FuncCall:
-		return staticFuncType(x, cols, agg)
+		return staticFuncType(x, cols)
 	}
 	return typeAny, false
 }
 
-func staticFuncType(x *FuncCall, cols []binding, agg bool) (storage.Type, bool) {
+func staticFuncType(x *FuncCall, cols []binding) (storage.Type, bool) {
 	if aggregateNames[x.Name] {
-		if x.Name == "COUNT" && x.Star {
-			return storage.TypeInt, agg
-		}
-		if len(x.Args) != 1 {
-			return typeAny, false
-		}
-		t, safe := staticType(x.Args[0], cols, false)
-		safe = safe && agg
-		switch x.Name {
-		case "COUNT":
-			return storage.TypeInt, safe
-		case "SUM":
-			return t, safe && numeric(t)
-		case "AVG":
-			return storage.TypeFloat, safe && numeric(t)
-		case "MIN", "MAX":
-			return t, safe && t != typeAny
-		}
-		return storage.TypeEvent, safe && among(t, storage.TypeEvent, storage.TypeBool)
+		return typeAny, false
 	}
 	types := make([]storage.Type, len(x.Args))
 	safe := true
 	for i, a := range x.Args {
-		t, asafe := staticType(a, cols, agg)
+		t, asafe := staticType(a, cols)
 		types[i], safe = t, safe && asafe
 	}
 	one := func(want ...storage.Type) bool { return safe && len(types) == 1 && among(types[0], want...) }

@@ -125,7 +125,7 @@ func (ex *Executor) ExecStmt(stmt Statement) (*Result, error) {
 	case *UpdateStmt:
 		return ex.update(s)
 	case *SelectStmt:
-		return ex.execSelect(s, 0, nil)
+		return ex.execSelect(s, 0)
 	}
 	return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 }
@@ -312,13 +312,12 @@ type relation struct {
 	rows []storage.Row
 }
 
-// execSelect runs one SELECT. outer holds the sets its consumer derived for
-// its output columns, by position (see constrain); nil for a top-level query.
-func (ex *Executor) execSelect(sel *SelectStmt, depth int, outer colSets) (*Result, error) {
+// execSelect runs one SELECT.
+func (ex *Executor) execSelect(sel *SelectStmt, depth int) (*Result, error) {
 	if depth > maxViewDepth {
 		return nil, fmt.Errorf("sql: view nesting exceeds %d (cycle?)", maxViewDepth)
 	}
-	rel, err := ex.buildFrom(sel, depth, outer)
+	rel, err := ex.buildFrom(sel, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -360,9 +359,7 @@ func (ex *Executor) execSelect(sel *SelectStmt, depth int, outer colSets) (*Resu
 		res.Rows = res.Rows[:sel.Limit]
 	}
 	if sel.Union != nil {
-		// The branches line up by position, so the consumer's sets hold for
-		// each of them.
-		rest, err := ex.execSelect(sel.Union, depth, outer)
+		rest, err := ex.execSelect(sel.Union, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +386,7 @@ func itemsHaveAggregate(items []SelectItem) bool {
 // item that nothing joins to simply gets the full scan — and the joins
 // themselves then run on what was read, in FROM order, so the rows and their
 // order are those of scanning everything.
-func (ex *Executor) buildFrom(sel *SelectStmt, depth int, outer colSets) (*relation, error) {
+func (ex *Executor) buildFrom(sel *SelectStmt, depth int) (*relation, error) {
 	if len(sel.From) == 0 {
 		return &relation{rows: []storage.Row{{}}}, nil
 	}
@@ -397,7 +394,7 @@ func (ex *Executor) buildFrom(sel *SelectStmt, depth int, outer colSets) (*relat
 	if err != nil {
 		return nil, err
 	}
-	sets := constrain(sel, items, outer)
+	sets := constrain(sel, items)
 
 	var acc, second *relation
 	if l, r, ok := rightFirst(items, sets); ok {
@@ -440,7 +437,7 @@ func (ex *Executor) buildFrom(sel *SelectStmt, depth int, outer colSets) (*relat
 // touch reports whether any set lands on the item's columns.
 func (s colSets) touch(it fromItem) bool {
 	for col := range s {
-		if it.has(col) {
+		if col >= it.off && col < it.off+len(it.cols) {
 			return true
 		}
 	}
@@ -507,21 +504,12 @@ func (ex *Executor) fetchMatching(it fromItem, col int, from []storage.Row, from
 	return rel
 }
 
-// resolveRef materializes one FROM item. A view or subquery is run with the
-// sets that land on its output; a base table is read through a hash index on
-// a constrained column when it has one, and scanned otherwise.
+// resolveRef materializes one FROM item. A view or subquery is run whole; a
+// base table is read through a hash index on a constrained column when it has
+// one, and scanned otherwise.
 func (ex *Executor) resolveRef(it fromItem, sets colSets, depth int) (*relation, error) {
 	if it.sub != nil {
-		var outer colSets
-		for col, vals := range sets {
-			if it.has(col) {
-				if outer == nil {
-					outer = colSets{}
-				}
-				outer[col-it.off] = vals
-			}
-		}
-		sub, err := ex.execSelect(it.sub, depth+1, outer)
+		sub, err := ex.execSelect(it.sub, depth+1)
 		if err != nil {
 			if it.ref.Subquery == nil {
 				err = fmt.Errorf("sql: view %s: %w", it.ref.Table, err)
