@@ -1,7 +1,10 @@
 package contextrank
 
 import (
+	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/situation"
@@ -37,23 +40,61 @@ func buildTVTouch(t testing.TB) *System {
 	return sys
 }
 
-func TestPublicAPIPaperExample(t *testing.T) {
-	sys := buildTVTouch(t)
+// checkPaperExample ranks peter's programs on the §4.2 example with alg and
+// checks the paper's scores.
+func checkPaperExample(t *testing.T, sys *System, alg Algorithm) {
+	t.Helper()
 	want := map[string]float64{
 		"Channel5News": 0.6006, "BBCNews": 0.18, "Oprah": 0.071, "MPFS": 0.02,
 	}
+	results, err := sys.RankWith("peter", "TvProgram", RankOptions{Algorithm: alg})
+	if err != nil {
+		t.Fatalf("%s: %v", alg, err)
+	}
+	if len(results) != 4 || results[0].ID != "Channel5News" {
+		t.Fatalf("%s: results = %v", alg, results)
+	}
+	for _, r := range results {
+		if math.Abs(r.Score-want[r.ID]) > 1e-9 {
+			t.Fatalf("%s: score(%s) = %g", alg, r.ID, r.Score)
+		}
+	}
+}
+
+func TestPublicAPIPaperExample(t *testing.T) {
+	sys := buildTVTouch(t)
 	for _, alg := range []Algorithm{AlgorithmFactorized, AlgorithmNaive, AlgorithmView} {
-		results, err := sys.RankWith("peter", "TvProgram", RankOptions{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+		checkPaperExample(t, sys, alg)
+	}
+}
+
+// TestViewRankRegistersNoView: a view rank queries the big preference view
+// inline, so ranking again leaves the database's views and its snapshot as
+// the first rank left them (which compiled the rules' expressions once).
+func TestViewRankRegistersNoView(t *testing.T) {
+	sys := buildTVTouch(t)
+	snapshot := func() []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := sys.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
 		}
-		if len(results) != 4 || results[0].ID != "Channel5News" {
-			t.Fatalf("%s: results = %v", alg, results)
-		}
-		for _, r := range results {
-			if math.Abs(r.Score-want[r.ID]) > 1e-9 {
-				t.Fatalf("%s: score(%s) = %g", alg, r.ID, r.Score)
-			}
+		return buf.Bytes()
+	}
+	checkPaperExample(t, sys, AlgorithmView)
+	views, snap := sys.Loader().DB().ViewNames(), snapshot()
+	for i := 0; i < 5; i++ {
+		checkPaperExample(t, sys, AlgorithmView)
+	}
+	if got := sys.Loader().DB().ViewNames(); !slices.Equal(got, views) {
+		t.Errorf("views after five more view ranks: %v, want %v", got, views)
+	}
+	if got := snapshot(); !bytes.Equal(got, snap) {
+		t.Errorf("snapshot grew from %d to %d bytes over five view ranks", len(snap), len(got))
+	}
+	for _, v := range views {
+		if strings.HasPrefix(v, "pref_big") {
+			t.Errorf("a view rank registered %s", v)
 		}
 	}
 }

@@ -36,10 +36,25 @@ const maxViewRules = 10
 
 func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
-// BuildPreferenceView compiles the big preference view for the request and
-// returns its name. Exposed so callers (and benchmarks) can separate view
-// construction from query execution; Rank calls it internally.
+// BuildPreferenceView registers the big preference view for the request and
+// returns its name, so that callers (and benchmarks) can separate view
+// construction from query execution. Each call registers a new view, which
+// stays until dropped; Rank registers none.
 func (r *ViewRanker) BuildPreferenceView(req Request) (string, error) {
+	sel, err := r.preferenceSelect(req)
+	if err != nil {
+		return "", err
+	}
+	name := fmt.Sprintf("pref_big_%d", r.seq.Add(1))
+	if _, err := r.loader.DB().Exec("CREATE OR REPLACE VIEW " + name + " AS " + sel); err != nil {
+		return "", fmt.Errorf("core: building preference view: %w", err)
+	}
+	return name, nil
+}
+
+// preferenceSelect is the defining SELECT of the big preference view: one
+// (id, score) row per candidate.
+func (r *ViewRanker) preferenceSelect(req Request) (string, error) {
 	if req.User == "" {
 		return "", fmt.Errorf("core: request without a user")
 	}
@@ -124,26 +139,21 @@ func (r *ViewRanker) BuildPreferenceView(req Request) (string, error) {
 		}
 	}
 
-	name := fmt.Sprintf("pref_big_%d", r.seq.Add(1))
-	ddl := fmt.Sprintf("CREATE OR REPLACE VIEW %s AS SELECT d.id AS id, (%s) AS score FROM %s",
-		name, score.String(), from.String())
-	if _, err := r.loader.DB().Exec(ddl); err != nil {
-		return "", fmt.Errorf("core: building preference view: %w", err)
-	}
-	return name, nil
+	return fmt.Sprintf("SELECT d.id AS id, (%s) AS score FROM %s", score.String(), from.String()), nil
 }
 
-// Rank implements Ranker: it builds the big preference view and then runs
-// the paper's introductory query shape against it —
+// Rank implements Ranker: it runs the paper's introductory query shape
+// against the big preference view, inlined as a subquery so that a rank
+// registers nothing —
 //
 //	SELECT name, preferencescore FROM Programs
 //	WHERE preferencescore > θ ORDER BY preferencescore DESC.
 func (r *ViewRanker) Rank(req Request) ([]Result, error) {
-	view, err := r.BuildPreferenceView(req)
+	sel, err := r.preferenceSelect(req)
 	if err != nil {
 		return nil, err
 	}
-	q := fmt.Sprintf("SELECT id, score FROM %s WHERE score > %g ORDER BY score DESC, id ASC", view, req.Threshold)
+	q := fmt.Sprintf("SELECT id, score FROM (%s) v WHERE score > %g ORDER BY score DESC, id ASC", sel, req.Threshold)
 	if req.Limit > 0 {
 		q += fmt.Sprintf(" LIMIT %d", req.Limit)
 	}

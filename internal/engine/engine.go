@@ -61,9 +61,9 @@ func (db *DB) Query(stmt string) (*sql.Result, error) {
 	return res, nil
 }
 
-// RowsRead counts the base-table rows SELECTs have read, by full scan and
-// through an index (see sql.Executor.RowsRead).
-func (db *DB) RowsRead() (scan, index int64) { return db.exec.RowsRead() }
+// RowsRead counts the base-table rows SELECTs have read (see
+// sql.Executor.RowsRead).
+func (db *DB) RowsRead() int64 { return db.exec.RowsRead() }
 
 // QueryScalar executes a query expected to return exactly one value.
 func (db *DB) QueryScalar(stmt string) (storage.Value, error) {

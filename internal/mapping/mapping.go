@@ -373,7 +373,7 @@ func (l *Loader) ClearConcept(concept string) error {
 	if err != nil {
 		return err
 	}
-	tab.Delete(func(storage.Row) bool { return true })
+	_, _ = tab.Delete(func(storage.Row) (bool, error) { return true, nil }) // the match never fails
 	return nil
 }
 
@@ -497,7 +497,7 @@ func (l *Loader) PersistContext() error {
 	if err != nil {
 		return err
 	}
-	tab.Delete(func(storage.Row) bool { return true })
+	_, _ = tab.Delete(func(storage.Row) (bool, error) { return true, nil }) // the match never fails
 	for _, c := range concepts {
 		if err := l.db.InsertRow("dl_ctx", "concept", c); err != nil {
 			return err

@@ -129,10 +129,6 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 		})
 	case journal.OpExec:
 		vocab(func(sys *contextrank.System) error {
-			// A failed statement's partial effects (if any) are not
-			// re-created by replay — the one divergence a checkpoint can
-			// capture that the WAL does not, acceptable because the client
-			// was told the statement failed.
 			res, opErr := sys.Exec(rec.Stmt)
 			out.Result = res
 			if opErr != nil {

@@ -1,7 +1,12 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,6 +122,70 @@ func TestRecoverSessionsAfterCrash(t *testing.T) {
 	defer c.CloseJournals()
 	if got := c.Stats().Sessions; got != preCount {
 		t.Fatalf("second recovery: session count = %d, want %d", got, preCount)
+	}
+}
+
+// TestRecoverAfterFailedExec: a /v1/exec statement that fails changes
+// nothing, so the WAL — which journals an exec only once it succeeded — and
+// the live tables agree. The rows are the same before the failed statements,
+// after them and after a crash and replay with no checkpoint between.
+func TestRecoverAfterFailedExec(t *testing.T) {
+	dir := t.TempDir()
+	a := newTestCoordinator(t, 2)
+	if _, err := a.Recover(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.NewHandlerFor(a))
+	defer ts.Close()
+	post := func(ts *httptest.Server, path, sql string, want int) string {
+		t.Helper()
+		body, err := json.Marshal(map[string]string{"sql": sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: %s %s, want %d", path, sql, resp.Status, out, want)
+		}
+		return string(out)
+	}
+	const rows = "SELECT a, b FROM t"
+	post(ts, "/v1/exec", "CREATE TABLE t (a INT, b TEXT)", http.StatusOK)
+	post(ts, "/v1/exec", "INSERT INTO t VALUES (1, 'x'), (0, 'y')", http.StatusOK)
+	before := post(ts, "/v1/query", rows, http.StatusOK)
+	for _, stmt := range []string{
+		"DELETE FROM t WHERE 10 / a > 1",
+		"UPDATE t SET b = 'z' WHERE 10 / a > 1",
+		"INSERT INTO t VALUES (5, 'p'), ('notanint', 'q')",
+	} {
+		post(ts, "/v1/exec", stmt, http.StatusBadRequest)
+	}
+	for i := 0; i < a.N(); i++ { // a query is served by one shard: ask both
+		if after := post(ts, "/v1/query", rows, http.StatusOK); after != before {
+			t.Fatalf("rows after the failed statements: %s, want %s", after, before)
+		}
+	}
+
+	// Crash: no CloseJournals, no checkpoint.
+	b := newTestCoordinator(t, 2)
+	if _, err := b.Recover(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer b.CloseJournals()
+	tb := httptest.NewServer(serve.NewHandlerFor(b))
+	defer tb.Close()
+	for i := 0; i < b.N(); i++ {
+		if recovered := post(tb, "/v1/query", rows, http.StatusOK); recovered != before {
+			t.Fatalf("rows after recovery: %s, want %s", recovered, before)
+		}
 	}
 }
 

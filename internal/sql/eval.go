@@ -19,9 +19,6 @@ type Runtime struct {
 type binding struct {
 	table  string // binding name (alias or table name); lower case
 	column string // lower case
-	// typ is the column's static type (see staticType); the zero value on
-	// bindings nothing type-checks against.
-	typ storage.Type
 }
 
 // env is the evaluation environment: the working row plus its bindings. One

@@ -29,8 +29,8 @@ type Executor struct {
 	// redefs counts the DDL statements that removed or redefined an existing
 	// name; see Redefinitions.
 	redefs atomic.Uint64
-	// Base-table rows handed to SELECTs, by access path; see RowsRead.
-	scanRows, indexRows atomic.Int64
+	// Base-table rows handed to SELECTs; see RowsRead.
+	rowsRead atomic.Int64
 }
 
 // NewExecutor builds an executor over the given catalog and runtime.
@@ -75,11 +75,9 @@ func (ex *Executor) ViewDefinition(name string) (*SelectStmt, bool) {
 // namespace), and row changes are the tables' own versions. Read lock-free.
 func (ex *Executor) Redefinitions() uint64 { return ex.redefs.Load() }
 
-// RowsRead counts the base-table rows SELECTs have read so far: by full scan,
-// and through a hash index. Tests read a query's plan shape off the pair.
-func (ex *Executor) RowsRead() (scan, index int64) {
-	return ex.scanRows.Load(), ex.indexRows.Load()
-}
+// RowsRead counts the base-table rows SELECTs have read so far. Tests read
+// off it whether a code path went through the executor at all.
+func (ex *Executor) RowsRead() int64 { return ex.rowsRead.Load() }
 
 // maxViewDepth bounds view expansion to catch accidental cycles.
 const maxViewDepth = 64
@@ -205,24 +203,24 @@ func (ex *Executor) insert(s *InsertStmt) error {
 			positions = append(positions, idx)
 		}
 	}
+	// Every row is evaluated before the table sees any, and the table inserts
+	// all of them or none.
 	empty := &env{rt: ex.rt}
-	for _, exprRow := range s.Rows {
+	rows := make([]storage.Row, len(s.Rows))
+	for j, exprRow := range s.Rows {
 		if len(exprRow) != len(positions) {
 			return fmt.Errorf("sql: INSERT expects %d values, got %d", len(positions), len(exprRow))
 		}
-		row := make(storage.Row, schema.Arity())
+		rows[j] = make(storage.Row, schema.Arity())
 		for i, x := range exprRow {
 			v, err := empty.eval(x)
 			if err != nil {
 				return err
 			}
-			row[positions[i]] = v
-		}
-		if err := tab.Insert(row); err != nil {
-			return err
+			rows[j][positions[i]] = v
 		}
 	}
-	return nil
+	return tab.Insert(rows...)
 }
 
 func (ex *Executor) delete(s *DeleteStmt) (*Result, error) {
@@ -236,17 +234,10 @@ func (ex *Executor) delete(s *DeleteStmt) (*Result, error) {
 	for i, c := range schema.Columns {
 		cols[i] = binding{table: lname, column: strings.ToLower(c.Name)}
 	}
-	var evalErr error
 	e := &env{cols: cols, rt: ex.rt}
-	n := tab.Delete(func(r storage.Row) bool {
-		ok, err := e.truth(s.Where, r)
-		if err != nil {
-			evalErr = err
-		}
-		return ok
-	})
-	if evalErr != nil {
-		return nil, evalErr
+	n, err := tab.Delete(func(r storage.Row) (bool, error) { return e.truth(s.Where, r) })
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Cols: []string{"deleted"}, Rows: []storage.Row{{storage.Int(int64(n))}}}, nil
 }
@@ -270,15 +261,8 @@ func (ex *Executor) update(s *UpdateStmt) (*Result, error) {
 		}
 		positions[i] = idx
 	}
-	var evalErr error
 	e := &env{cols: cols, rt: ex.rt}
-	match := func(r storage.Row) bool {
-		ok, err := e.truth(s.Where, r)
-		if err != nil {
-			evalErr = err
-		}
-		return ok
-	}
+	match := func(r storage.Row) (bool, error) { return e.truth(s.Where, r) }
 	apply := func(r storage.Row) (storage.Row, error) {
 		e.row = r
 		// Evaluate all right-hand sides against the pre-update row first,
@@ -300,9 +284,6 @@ func (ex *Executor) update(s *UpdateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
 	return &Result{Cols: []string{"updated"}, Rows: []storage.Row{{storage.Int(int64(n))}}}, nil
 }
 
@@ -317,7 +298,7 @@ func (ex *Executor) execSelect(sel *SelectStmt, depth int) (*Result, error) {
 	if depth > maxViewDepth {
 		return nil, fmt.Errorf("sql: view nesting exceeds %d (cycle?)", maxViewDepth)
 	}
-	rel, err := ex.buildFrom(sel, depth)
+	rel, err := ex.buildFrom(sel.From, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -371,6 +352,10 @@ func (ex *Executor) execSelect(sel *SelectStmt, depth int) (*Result, error) {
 	return res, nil
 }
 
+func isAggregated(sel *SelectStmt) bool {
+	return len(sel.GroupBy) > 0 || sel.Having != nil || itemsHaveAggregate(sel.Items)
+}
+
 func itemsHaveAggregate(items []SelectItem) bool {
 	for _, it := range items {
 		if !it.Star && hasAggregate(it.Expr) {
@@ -381,169 +366,75 @@ func itemsHaveAggregate(items []SelectItem) bool {
 }
 
 // buildFrom assembles the working relation of a SELECT's FROM clause; a
-// missing FROM yields a single empty row. Every item is read through the
-// narrowest access path its column sets and its join allow — an unconstrained
-// item that nothing joins to simply gets the full scan — and the joins
-// themselves then run on what was read, in FROM order, so the rows and their
-// order are those of scanning everything.
-func (ex *Executor) buildFrom(sel *SelectStmt, depth int) (*relation, error) {
-	if len(sel.From) == 0 {
+// missing FROM yields a single empty row. Each item is resolved whole, in
+// FROM order, and joined onto the items before it.
+func (ex *Executor) buildFrom(refs []TableRef, depth int) (*relation, error) {
+	if len(refs) == 0 {
 		return &relation{rows: []storage.Row{{}}}, nil
 	}
-	items, err := ex.describeFrom(sel.From, depth)
+	if refs[0].Join != JoinCross || refs[0].On != nil {
+		return nil, fmt.Errorf("sql: first FROM item cannot have a join condition")
+	}
+	acc, err := ex.resolveRef(refs[0], depth)
 	if err != nil {
 		return nil, err
 	}
-	sets := constrain(sel, items)
-
-	var acc, second *relation
-	if l, r, ok := rightFirst(items, sets); ok {
-		// An inner join whose left item is a whole base table with an index on
-		// its join column: evaluate the right item first and fetch only the
-		// left rows it can match.
-		if second, err = ex.resolveRef(items[1], sets, depth); err != nil {
+	for _, ref := range refs[1:] {
+		right, err := ex.resolveRef(ref, depth)
+		if err != nil {
 			return nil, err
 		}
-		acc = ex.fetchMatching(items[0], l, second.rows, r)
-	}
-	if acc == nil {
-		if acc, err = ex.resolveRef(items[0], sets, depth); err != nil {
-			return nil, err
-		}
-	}
-	for i, it := range items[1:] {
-		var right *relation
-		if i == 0 {
-			right = second
-		}
-		// Sideways reduction: a whole base table on the right of an equi-join
-		// is read through its index on the join column when the rows joined
-		// so far are few.
-		if l, r, _, ok := equiJoinColumns(it.ref.On, acc.cols, it.cols); right == nil && ok && it.ref.Join != JoinCross && !sets.touch(it) {
-			right = ex.fetchMatching(it, r, acc.rows, l)
-		}
-		if right == nil {
-			if right, err = ex.resolveRef(it, sets, depth); err != nil {
-				return nil, err
-			}
-		}
-		if acc, err = ex.join(acc, right, it.ref.Join, it.ref.On); err != nil {
+		if acc, err = ex.join(acc, right, ref.Join, ref.On); err != nil {
 			return nil, err
 		}
 	}
 	return acc, nil
 }
 
-// touch reports whether any set lands on the item's columns.
-func (s colSets) touch(it fromItem) bool {
-	for col := range s {
-		if col >= it.off && col < it.off+len(it.cols) {
-			return true
-		}
+// resolveRef materializes one FROM item: a view or subquery is run whole, a
+// base table is scanned.
+func (ex *Executor) resolveRef(ref TableRef, depth int) (*relation, error) {
+	name := strings.ToLower(ref.Name())
+	sub := ref.Subquery
+	if sub == nil {
+		ex.mu.RLock()
+		sub = ex.views[strings.ToLower(ref.Table)]
+		ex.mu.RUnlock()
 	}
-	return false
-}
-
-// rightFirst reports whether the first join should evaluate its right item
-// before its left one, and the join's column on each side: the left item is
-// an unconstrained base table with an index on its join column, the join is
-// an inner one (the preserved side of a LEFT JOIN is never narrowed from its
-// right), and the right item is not just a larger whole table.
-func rightFirst(items []fromItem, sets colSets) (l, r int, ok bool) {
-	if len(items) < 2 || items[1].ref.Join != JoinInner || items[0].tab == nil || sets.touch(items[0]) {
-		return 0, 0, false
-	}
-	left, right := items[0], items[1]
-	l, r, _, ok = equiJoinColumns(right.ref.On, left.cols, right.cols)
-	if !ok || !left.tab.HasIndex(left.cols[l].column) {
-		return 0, 0, false
-	}
-	if right.tab != nil && !sets.touch(right) && right.tab.Len() >= left.tab.Len() {
-		return 0, 0, false
-	}
-	return l, r, true
-}
-
-// sidewaysShare bounds sideways reduction: the index is probed only when the
-// distinct join values are at most this share of the table's rows; past it a
-// scan reads about as much and costs less per row.
-const sidewaysShare = 4
-
-// fetchMatching reads the base-table item through its index on column col,
-// keeping only the rows that equal some from[i][fromCol]. It returns nil when
-// that is not possible or not worth it (a view, no index, too many distinct
-// values), and the caller resolves the item as usual; with nothing to match
-// it reads nothing. The index read may return rows the join then rejects; it
-// never misses one the join would find.
-func (ex *Executor) fetchMatching(it fromItem, col int, from []storage.Row, fromCol int) *relation {
-	if it.tab == nil || !it.tab.HasIndex(it.cols[col].column) {
-		return nil
-	}
-	limit := it.tab.Len() / sidewaysShare
-	seen := make(map[storage.Key]bool, min(len(from), limit))
-	vals := make([]storage.Value, 0, min(len(from), limit))
-	for _, r := range from {
-		v := r[fromCol]
-		if k := v.Key(); !v.IsNull() && !seen[k] {
-			if len(vals) == limit {
-				return nil
-			}
-			seen[k] = true
-			vals = append(vals, v)
-		}
-	}
-	rel := &relation{cols: it.cols}
-	indexed, _ := it.tab.ScanKeys(it.cols[col].column, vals, func(r storage.Row) error {
-		rel.rows = append(rel.rows, r)
-		return nil
-	})
-	if !indexed {
-		return nil
-	}
-	ex.indexRows.Add(int64(len(rel.rows)))
-	return rel
-}
-
-// resolveRef materializes one FROM item. A view or subquery is run whole; a
-// base table is read through a hash index on a constrained column when it has
-// one, and scanned otherwise.
-func (ex *Executor) resolveRef(it fromItem, sets colSets, depth int) (*relation, error) {
-	if it.sub != nil {
-		sub, err := ex.execSelect(it.sub, depth+1)
+	if sub != nil {
+		res, err := ex.execSelect(sub, depth+1)
 		if err != nil {
-			if it.ref.Subquery == nil {
-				err = fmt.Errorf("sql: view %s: %w", it.ref.Table, err)
+			if ref.Subquery == nil {
+				err = fmt.Errorf("sql: view %s: %w", ref.Table, err)
 			}
 			return nil, err
 		}
-		return &relation{cols: it.cols, rows: sub.Rows}, nil
+		rel := &relation{cols: make([]binding, len(res.Cols)), rows: res.Rows}
+		for i, c := range res.Cols {
+			rel.cols[i] = binding{table: name, column: strings.ToLower(c)}
+		}
+		return rel, nil
 	}
-	rel := &relation{cols: it.cols}
-	collect := func(r storage.Row) error {
+	tab, err := ex.catalog.Get(ref.Table)
+	if err != nil {
+		return nil, err
+	}
+	schema := tab.Schema()
+	rel := &relation{cols: make([]binding, schema.Arity())}
+	for i, c := range schema.Columns {
+		rel.cols[i] = binding{table: name, column: strings.ToLower(c.Name)}
+	}
+	_ = tab.Scan(func(r storage.Row) error { // the callback never fails
 		rel.rows = append(rel.rows, r)
 		return nil
-	}
-	for j, b := range it.cols {
-		vals, ok := sets[it.off+j]
-		if !ok {
-			continue
-		}
-		// The callback never fails and the column exists.
-		if indexed, _ := it.tab.ScanKeys(b.column, vals, collect); indexed {
-			ex.indexRows.Add(int64(len(rel.rows)))
-			return rel, nil
-		}
-	}
-	_ = it.tab.Scan(collect) // the callback never fails
-	ex.scanRows.Add(int64(len(rel.rows)))
+	})
+	ex.rowsRead.Add(int64(len(rel.rows)))
 	return rel, nil
 }
 
 // join combines two relations. Equality joins between one column of each
-// side use a hash join over the right rows, probed in left order — so a
-// caller that hands it fewer rows on either side (buildFrom's index reads)
-// gets the same rows in the same order as long as it dropped none that
-// match; everything else is a (filtered) nested loop.
+// side use a hash join over the right rows, probed in left order; everything
+// else is a (filtered) nested loop.
 func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relation, error) {
 	outCols := make([]binding, 0, len(left.cols)+len(right.cols))
 	outCols = append(outCols, left.cols...)

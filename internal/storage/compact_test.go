@@ -29,7 +29,7 @@ func TestDeleteCompactsTombstones(t *testing.T) {
 		if err != nil || len(rows) != 1 {
 			t.Fatalf("round %d: lookup = %v, %v", round, rows, err)
 		}
-		if n := tab.Delete(func(Row) bool { return true }); n != 10 {
+		if n, err := tab.Delete(func(Row) (bool, error) { return true, nil }); err != nil || n != 10 {
 			t.Fatalf("round %d: deleted %d, want 10", round, n)
 		}
 	}
@@ -61,7 +61,10 @@ func TestScanConcurrentWithDelete(t *testing.T) {
 					return
 				}
 			}
-			tab.Delete(func(Row) bool { return true })
+			if _, err := tab.Delete(func(Row) (bool, error) { return true, nil }); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	for {
@@ -98,10 +101,10 @@ func TestPartialDeleteKeepsOrderAcrossCompaction(t *testing.T) {
 	}
 	// Delete the even rows: 50 tombstones vs 50 live triggers no compaction
 	// (dead must exceed live); one more delete tips it over.
-	if n := tab.Delete(func(r Row) bool { return r[0].I%2 == 0 }); n != 50 {
+	if n, err := tab.Delete(func(r Row) (bool, error) { return r[0].I%2 == 0, nil }); err != nil || n != 50 {
 		t.Fatalf("deleted %d, want 50", n)
 	}
-	if n := tab.Delete(func(r Row) bool { return r[0].I == 1 }); n != 1 {
+	if n, err := tab.Delete(func(r Row) (bool, error) { return r[0].I == 1, nil }); err != nil || n != 1 {
 		t.Fatalf("deleted %d, want 1", n)
 	}
 	tab.mu.RLock()

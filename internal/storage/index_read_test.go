@@ -58,13 +58,15 @@ func TestScanKeysMatchesFilteredScan(t *testing.T) {
 			case 3:
 				w := value(schema.Columns[col].Type)
 				if _, err := tab.Update(
-					func(r Row) bool { return Equal(r[col], v) },
+					func(r Row) (bool, error) { return Equal(r[col], v), nil },
 					func(r Row) (Row, error) { r[col] = w; return r, nil },
 				); err != nil {
 					t.Fatal(err)
 				}
 			case 4:
-				tab.Delete(func(r Row) bool { return Equal(r[col], v) })
+				if _, err := tab.Delete(func(r Row) (bool, error) { return Equal(r[col], v), nil }); err != nil {
+					t.Fatal(err)
+				}
 			case 5:
 				if _, err := tab.DeleteKey(name, v); err != nil {
 					t.Fatal(err)

@@ -161,8 +161,8 @@ func TestIndexMaintainedAcrossInsertAndDelete(t *testing.T) {
 	if rows, _ := tab.Lookup("id", Text("a")); len(rows) != 2 {
 		t.Fatalf("found %d rows, want 2", len(rows))
 	}
-	n := tab.Delete(func(r Row) bool { return r[0].S == "a" })
-	if n != 2 {
+	n, err := tab.Delete(func(r Row) (bool, error) { return r[0].S == "a", nil })
+	if err != nil || n != 2 {
 		t.Fatalf("deleted %d, want 2", n)
 	}
 	if rows, _ := tab.Lookup("id", Text("a")); len(rows) != 0 {

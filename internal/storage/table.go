@@ -114,30 +114,50 @@ func (t *Table) Len() int {
 	return t.nLive
 }
 
-// Insert appends a row after coercing each value to its column type.
-func (t *Table) Insert(r Row) error {
+// coerce returns a copy of the row with each value coerced to its column
+// type, or an error if the row does not fit the schema.
+func (t *Table) coerce(r Row) (Row, error) {
 	if len(r) != t.schema.Arity() {
-		return fmt.Errorf("storage: table %s expects %d values, got %d", t.name, t.schema.Arity(), len(r))
+		return nil, fmt.Errorf("storage: table %s expects %d values, got %d", t.name, t.schema.Arity(), len(r))
 	}
 	coerced := make(Row, len(r))
 	for i, v := range r {
 		cv, err := v.CoerceTo(t.schema.Columns[i].Type)
 		if err != nil {
-			return fmt.Errorf("storage: table %s column %s: %w", t.name, t.schema.Columns[i].Name, err)
+			return nil, fmt.Errorf("storage: table %s column %s: %w", t.name, t.schema.Columns[i].Name, err)
 		}
 		coerced[i] = cv
 	}
+	return coerced, nil
+}
+
+// Insert appends rows after coercing each value to its column type. It is
+// all or nothing: if one row does not fit the schema, none is inserted.
+func (t *Table) Insert(rows ...Row) error {
+	coerced := make([]Row, len(rows))
+	for i, r := range rows {
+		c, err := t.coerce(r)
+		if err != nil {
+			return err
+		}
+		coerced[i] = c
+	}
+	if len(coerced) == 0 {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := len(t.rows)
-	t.rows = append(t.rows, coerced)
-	t.deleted = append(t.deleted, atomic.Bool{})
-	t.nLive++
-	t.version.Add(1)
-	for col, idx := range t.indexes {
-		key := coerced[col].Key()
-		idx[key] = append(idx[key], id)
+	for _, r := range coerced {
+		id := len(t.rows)
+		t.rows = append(t.rows, r)
+		t.deleted = append(t.deleted, atomic.Bool{})
+		for col, idx := range t.indexes {
+			key := r[col].Key()
+			idx[key] = append(idx[key], id)
+		}
 	}
+	t.nLive += len(coerced)
+	t.version.Add(1)
 	return nil
 }
 
@@ -258,32 +278,32 @@ func (t *Table) Lookup(column string, v Value) ([]Row, error) {
 
 // Update rewrites every live row for which match returns true by calling
 // apply on a clone; the returned row is coerced to the schema. It reports
-// how many rows changed. It copy-on-writes the row heap: a concurrent
-// lock-free Scan keeps iterating its own consistent snapshot.
-func (t *Table) Update(match func(Row) bool, apply func(Row) (Row, error)) (int, error) {
+// how many rows changed. It is all or nothing: every row is decided before
+// any changes, so an error from match, apply or a coercion leaves the table
+// untouched. It copy-on-writes the row heap: a concurrent lock-free Scan
+// keeps iterating its own consistent snapshot.
+func (t *Table) Update(match func(Row) (bool, error), apply func(Row) (Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	replacement := make(map[int]Row)
 	for id, r := range t.rows {
-		if t.deleted[id].Load() || !match(r) {
+		if t.deleted[id].Load() {
+			continue
+		}
+		ok, err := match(r)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
 			continue
 		}
 		updated, err := apply(r.Clone())
 		if err != nil {
 			return 0, err
 		}
-		if len(updated) != t.schema.Arity() {
-			return 0, fmt.Errorf("storage: update of table %s produced %d values, want %d", t.name, len(updated), t.schema.Arity())
+		if replacement[id], err = t.coerce(updated); err != nil {
+			return 0, err
 		}
-		coerced := make(Row, len(updated))
-		for i, v := range updated {
-			cv, err := v.CoerceTo(t.schema.Columns[i].Type)
-			if err != nil {
-				return 0, fmt.Errorf("storage: table %s column %s: %w", t.name, t.schema.Columns[i].Name, err)
-			}
-			coerced[i] = cv
-		}
-		replacement[id] = coerced
 	}
 	if len(replacement) == 0 {
 		return 0, nil
@@ -300,31 +320,41 @@ func (t *Table) Update(match func(Row) bool, apply func(Row) (Row, error)) (int,
 }
 
 // Delete removes every live row for which match returns true and reports
-// how many were removed. Once tombstones outnumber live rows the heap is
-// compacted, so a table that is repeatedly cleared and refilled stays
-// bounded by its live size instead of accumulating its whole delete history.
-func (t *Table) Delete(match func(Row) bool) int {
+// how many were removed. It is all or nothing: every row is matched before
+// any is removed, so an error from match leaves the table untouched. Once
+// tombstones outnumber live rows the heap is compacted, so a table that is
+// repeatedly cleared and refilled stays bounded by its live size instead of
+// accumulating its whole delete history.
+func (t *Table) Delete(match func(Row) (bool, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
+	var victims []int
 	for id, r := range t.rows {
-		if t.deleted[id].Load() || !match(r) {
+		if t.deleted[id].Load() {
 			continue
 		}
+		ok, err := match(r)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			victims = append(victims, id)
+		}
+	}
+	if len(victims) == 0 {
+		return 0, nil
+	}
+	for _, id := range victims {
 		t.deleted[id].Store(true)
-		n++
 	}
-	if n == 0 {
-		return 0
-	}
-	t.nLive -= n
+	t.nLive -= len(victims)
 	t.version.Add(1)
 	// One rebuild rather than n removals: the heap was scanned anyway, and
 	// removing many ids from one long index list one by one is quadratic.
 	if !t.compactLocked() {
 		t.rebuildIndexesLocked()
 	}
-	return n
+	return len(victims), nil
 }
 
 // DeleteKey removes the live rows whose column equals v and reports how
@@ -350,7 +380,7 @@ func (t *Table) DeleteKeyWhere(column string, v Value, match func(Row) bool) (in
 	key, found := probeKey(t.schema.Columns[col].Type, v)
 	if !ok {
 		t.mu.Unlock()
-		return t.Delete(func(r Row) bool { return Equal(r[col], v) && (match == nil || match(r)) }), nil
+		return t.Delete(func(r Row) (bool, error) { return Equal(r[col], v) && (match == nil || match(r)), nil })
 	}
 	defer t.mu.Unlock()
 	if !found {

@@ -27,8 +27,9 @@ func versionTable(t *testing.T, n int) *Table {
 
 // TestVersionAdvancesWithEveryRowChange: every mutator that changes rows
 // advances the version by one, and one that changes nothing — a delete or an
-// update that matches no row, a failed insert, an index build — leaves it
-// alone, so an unchanged version proves unchanged rows.
+// update that matches no row, a failed insert, update or delete (all or
+// nothing, even when a row before the failing one matched), an index build —
+// leaves it alone, so an unchanged version proves unchanged rows.
 func TestVersionAdvancesWithEveryRowChange(t *testing.T) {
 	tab := versionTable(t, 0)
 	if v := tab.Version(); v != 0 {
@@ -58,6 +59,29 @@ func TestVersionAdvancesWithEveryRowChange(t *testing.T) {
 			t.Fatal("short row accepted")
 		}
 	})
+	step("insert of a good row and a bad one", false, func() {
+		if err := tab.Insert(Row{Text("k9"), Int(9)}, Row{Text("short")}); err == nil || tab.Len() != 6 {
+			t.Fatalf("insert = %v, Len %d: want an error and no row added", err, tab.Len())
+		}
+	})
+	failAt := func(key string) func(Row) (bool, error) {
+		return func(r Row) (bool, error) {
+			if r[0].S == key {
+				return false, fmt.Errorf("no match for %s", key)
+			}
+			return true, nil
+		}
+	}
+	step("update whose match fails on a later row", false, func() {
+		if _, err := tab.Update(failAt("k5"), func(r Row) (Row, error) { r[1] = Int(-1); return r, nil }); err == nil {
+			t.Fatal("match error swallowed")
+		}
+	})
+	step("delete whose match fails on a later row", false, func() {
+		if _, err := tab.Delete(failAt("k5")); err == nil || tab.Len() != 6 {
+			t.Fatalf("delete = %v, Len %d: want an error and no row removed", err, tab.Len())
+		}
+	})
 	step("index build", false, func() {
 		if err := tab.CreateIndex("v"); err != nil {
 			t.Fatal(err)
@@ -65,7 +89,7 @@ func TestVersionAdvancesWithEveryRowChange(t *testing.T) {
 	})
 	step("update", true, func() {
 		n, err := tab.Update(
-			func(r Row) bool { return r[0].S == "k1" },
+			func(r Row) (bool, error) { return r[0].S == "k1", nil },
 			func(r Row) (Row, error) { r[1] = Int(100); return r, nil })
 		if err != nil || n != 1 {
 			t.Fatalf("update = %d, %v", n, err)
@@ -73,19 +97,19 @@ func TestVersionAdvancesWithEveryRowChange(t *testing.T) {
 	})
 	step("update matching nothing", false, func() {
 		n, err := tab.Update(
-			func(r Row) bool { return r[0].S == "absent" },
+			func(r Row) (bool, error) { return r[0].S == "absent", nil },
 			func(r Row) (Row, error) { return r, nil })
 		if err != nil || n != 0 {
 			t.Fatalf("update = %d, %v", n, err)
 		}
 	})
 	step("delete", true, func() {
-		if n := tab.Delete(func(r Row) bool { return r[0].S == "k0" }); n != 1 {
+		if n, err := tab.Delete(func(r Row) (bool, error) { return r[0].S == "k0", nil }); err != nil || n != 1 {
 			t.Fatalf("deleted %d rows, want 1", n)
 		}
 	})
 	step("delete matching nothing", false, func() {
-		if n := tab.Delete(func(r Row) bool { return r[0].S == "k0" }); n != 0 {
+		if n, err := tab.Delete(func(r Row) (bool, error) { return r[0].S == "k0", nil }); err != nil || n != 0 {
 			t.Fatalf("deleted %d rows, want 0", n)
 		}
 	})
@@ -122,7 +146,7 @@ func TestVersionAcrossCompaction(t *testing.T) {
 				if n, err := tab.DeleteKey("k", Text(key)); err != nil || n != 1 {
 					t.Fatalf("DeleteKey(%s) = %d, %v", key, n, err)
 				}
-			} else if n := tab.Delete(func(r Row) bool { return r[0].S == key }); n != 1 {
+			} else if n, err := tab.Delete(func(r Row) (bool, error) { return r[0].S == key, nil }); err != nil || n != 1 {
 				t.Fatalf("Delete(%s) removed %d rows", key, n)
 			}
 			if got := tab.Version(); got != before+1 {
