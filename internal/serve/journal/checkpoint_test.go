@@ -72,10 +72,8 @@ func TestJournalCheckpointTruncates(t *testing.T) {
 	if err := j.Append(Record{Op: OpExec, Stmt: "CREATE TABLE t (a INT)"}); err != nil { // seq 102
 		t.Fatal(err)
 	}
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Logical sizes: the file itself stays one chunk past the last frame.
+	before := j.Stats().Bytes
 
 	// Cover everything up to the session record: the 100 declares die,
 	// the session and the later exec survive.
@@ -92,15 +90,20 @@ func TestJournalCheckpointTruncates(t *testing.T) {
 	if st.Compactions == 0 {
 		t.Fatal("checkpoint did not rewrite the file")
 	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size() {
-		t.Fatalf("file did not shrink: %d -> %d bytes", before.Size(), after.Size())
+	after := st.Bytes
+	if after >= before {
+		t.Fatalf("file did not shrink: %d -> %d bytes", before, after)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Closed, the file ends at its last frame.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != after {
+		t.Fatalf("closed file holds %d bytes, want %d", fi.Size(), after)
 	}
 
 	out, rs := collect(t, path)

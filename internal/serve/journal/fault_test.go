@@ -6,7 +6,9 @@ package journal_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -204,6 +206,60 @@ func TestFsyncErrorOnGroupCommitBarrier(t *testing.T) {
 	// tail it must be gone.
 	if users["user0001"] {
 		t.Fatal("unacked record survived the reset truncation")
+	}
+}
+
+// TestFsyncErrorOnExtend: a batch that crosses the file's end first extends
+// it by a chunk and syncs the new length. A failing sync there degrades the
+// journal exactly as a failed batch fsync does, and the reset re-extends.
+func TestFsyncErrorOnExtend(t *testing.T) {
+	in := faultinject.New(1)
+	j, path := openFaulty(t, in, journal.Options{})
+
+	if err := j.Append(setRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Arm(faultinject.Fault{Point: faultinject.FSSync, Err: "EIO"}); err != nil {
+		t.Fatal(err)
+	}
+	// Larger than the whole chunk of slack, so the batch must extend.
+	big := setRec(1)
+	big.Fingerprint = strings.Repeat("f", 2<<20)
+	err := j.Append(big)
+	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "extend") {
+		t.Fatalf("want the extension's EIO, got %v", err)
+	}
+	if !j.Degraded() {
+		t.Fatal("journal not degraded after the extension's fsync failed")
+	}
+	if err := j.Append(setRec(2)); err == nil {
+		t.Fatal("append succeeded on a sticky-failed journal")
+	}
+	if err := j.Reset(); err == nil {
+		t.Fatal("Reset succeeded while fsync still fails")
+	}
+
+	in.Clear()
+	if err := j.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := j.Stats().Bytes + 1<<20; fi.Size() != want {
+		t.Fatalf("file holds %d bytes after the reset, want the logical %d plus one 1 MiB chunk",
+			fi.Size(), j.Stats().Bytes)
+	}
+	if err := j.Append(setRec(3)); err != nil {
+		t.Fatalf("append after reset: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	users := replayUsers(t, path)
+	if !users["user0000"] || !users["user0003"] || users["user0001"] || users["user0002"] {
+		t.Fatalf("replayed users %v, want exactly the acked user0000 and user0003", users)
 	}
 }
 

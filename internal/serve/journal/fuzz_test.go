@@ -58,6 +58,12 @@ func FuzzJournalReplay(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[len(mutated)/2] ^= 0x42 // corrupt CRC mid-file
 	f.Add(mutated)
+	// A crash leaves the pre-sized file's zero slack past the last frame.
+	slack := make([]byte, 4096)
+	f.Add(append(append([]byte(nil), valid...), slack...))                // zero slack after the last frame
+	f.Add(append(append([]byte(nil), valid[:len(valid)-3]...), slack...)) // a frame torn inside the slack
+	afterZero := append(append([]byte(nil), valid...), make([]byte, frameOverhead)...)
+	f.Add(append(append(afterZero, "junk"...), slack...)) // non-zero bytes after a zero header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
@@ -80,6 +86,21 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if n != rs.Records {
 			t.Fatalf("fn called %d times but stats report %d records", n, rs.Records)
+		}
+		if len(data) >= len(magic) {
+			if rs.Torn != (rs.TornBytes > 0) {
+				t.Fatalf("torn = %v with %d torn bytes", rs.Torn, rs.TornBytes)
+			}
+			// Zeros past the data are slack: no frame ends in them (a JSON
+			// payload holds no NUL byte), so they change nothing replay says.
+			padded := filepath.Join(t.TempDir(), "padded.wal")
+			if err := os.WriteFile(padded, append(data[:len(data):len(data)], make([]byte, 64)...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prs, err := Replay(padded, func(Record) error { return nil })
+			if err != nil || prs != rs {
+				t.Fatalf("with zero slack: %+v, err %v; without: %+v", prs, err, rs)
+			}
 		}
 
 		// Open must agree with Replay on what is recoverable, truncate the

@@ -32,20 +32,33 @@
 //
 // The payload is the JSON encoding of Record. The CRC covers only the
 // payload; the length field is additionally sanity-bounded (maxRecordSize)
-// so a corrupt length cannot force a huge allocation. Replay stops at the
-// first frame that is short, over-long or CRC-mismatched: everything
-// before it is recovered, the tail is reported as torn. A journal opened
-// for appending truncates such a torn tail away first, so a crash mid
-// write never poisons later appends.
+// so a corrupt length cannot force a huge allocation.
+//
+// An open journal keeps its file sized one chunk (1 MiB) past the last
+// frame. The slack is a sparse extension — zero bytes, no blocks allocated
+// — synced once when it is made: at Open, in a compaction, and when a batch
+// would cross the end. A group commit's write then lands inside the file,
+// and its fsync has no new file length to commit. Close trims the slack, so
+// a cleanly closed journal ends at its last frame; a crash leaves it.
+//
+// Replay stops at the first frame header that is all zero (the slack: no
+// writer emits one, a payload being a non-empty JSON object) and at the
+// first frame that is short, over-long or CRC-mismatched; everything
+// before it is recovered. The bytes from there through the file's last
+// non-zero byte are the torn tail (ReplayStats.TornBytes); zeros past them
+// are slack, not tear, so the crash image of a healthy journal replays
+// untorn. A journal opened for appending cuts everything past the
+// recovered prefix away first, so a crash mid write never poisons later
+// appends.
 //
 // # Group commit
 //
 // All appends go through one writer goroutine. Submit enqueues the
 // marshaled record and returns a wait function; the writer drains every
-// queued record, writes them in one buffered pass and calls fsync once,
-// then releases all their waiters. Concurrent session applies on one shard
-// therefore share a single fsync (the dominant cost), and the rank path —
-// which never journals — is untouched.
+// queued record, frames them into one buffer, writes it once and calls
+// fsync once, then releases all their waiters. Concurrent session applies
+// on one shard therefore share a single fsync (the dominant cost), and the
+// rank path — which never journals — is untouched.
 //
 // # Compaction
 //
@@ -56,14 +69,17 @@
 // retained ones — and at least Options.CompactMinRecords in total — the
 // writer rewrites the file from the retained set alone, in original
 // sequence order, to a temporary file that is fsynced and renamed over
-// the journal. A Checkpoint forces this rewrite immediately. Under
-// arbitrary churn with periodic checkpoints the file is therefore bounded
-// by the live session population plus one checkpoint interval's
-// vocabulary writes, and replay cost stays proportional to that state.
+// the journal; later appends go through the temporary file's descriptor,
+// which the rename made the journal's. A Checkpoint forces this rewrite
+// immediately. Under arbitrary churn with periodic checkpoints the file is
+// therefore bounded by the live session population plus one checkpoint
+// interval's vocabulary writes, and replay cost stays proportional to that
+// state.
 package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -88,6 +104,10 @@ const maxRecordSize = 16 << 20
 
 // frameOverhead is the per-record framing cost: length + CRC.
 const frameOverhead = 8
+
+// preallocChunk is how far past the last frame an open journal sizes its
+// file (see File format).
+const preallocChunk = 1 << 20
 
 // castagnoli is the CRC-32C table (the iSCSI polynomial, hardware
 // accelerated on amd64/arm64 — the usual WAL checksum choice).
@@ -293,7 +313,8 @@ type Stats struct {
 	Resets int64 `json:"resets,omitempty"`
 	// TotalRecords is the number of records in the file (live + dead).
 	TotalRecords int `json:"total_records"`
-	// Bytes is the current file size.
+	// Bytes is the logical file size: the header and every frame, not the
+	// slack past the last frame.
 	Bytes int64 `json:"bytes"`
 	// BatchSizes counts group commits per BatchSizeBuckets bucket (raw,
 	// not cumulative; the last slot counts batches above the final
@@ -391,7 +412,9 @@ type Journal struct {
 
 	// Writer-goroutine state (no lock needed beyond the handoff above).
 	f      File
-	size   int64
+	size   int64  // logical end: just past the last acknowledged frame
+	end    int64  // file size: size plus the remaining slack
+	buf    []byte // one batch's frames, reused across batches
 	total  int
 	live   map[string]liveEntry
 	subs   map[string]liveEntry // sub id -> latest Subscribe record
@@ -431,7 +454,8 @@ type Journal struct {
 // Open opens (creating if absent) the journal at path for appending. An
 // existing file is scanned first: its records rebuild the live map and
 // sequence counter, and a torn tail — a crash artifact — is truncated
-// away. The scan's outcome is returned so callers can log what a previous
+// away with any slack. The file is then sized one chunk past its last
+// frame. The scan's outcome is returned so callers can log what a previous
 // incarnation left behind.
 func Open(path string, opts Options) (*Journal, ReplayStats, error) {
 	if opts.CompactMinRecords <= 0 {
@@ -479,8 +503,9 @@ func Open(path string, opts Options) (*Journal, ReplayStats, error) {
 		}
 		rs = stats
 		if valid < info.Size() {
-			// Torn tail from a crash mid-append: cut it off so new frames
-			// start at a clean boundary.
+			// Torn tail from a crash mid-append, or the slack a crash left:
+			// cut it off so new frames start at a clean boundary, with only
+			// zeros past them.
 			if err := f.Truncate(valid); err != nil {
 				f.Close()
 				return nil, rs, fmt.Errorf("journal: truncating torn tail: %w", err)
@@ -503,6 +528,10 @@ func Open(path string, opts Options) (*Journal, ReplayStats, error) {
 			valid = int64(len(magic))
 		}
 		j.size = valid
+	}
+	if j.end, err = extend(f, j.size, !opts.NoSync); err != nil {
+		f.Close()
+		return nil, rs, fmt.Errorf("journal: extend: %w", err)
 	}
 	j.f = f
 	j.publishCounters()
@@ -708,11 +737,11 @@ func (j *Journal) Reset() error { return j.ResetAfter(nil) }
 // then reopens the file, truncates it back to the last *acknowledged*
 // byte — j.size only advances on durable batches, so everything beyond
 // it is a torn or unacknowledged tail whose submitters all saw errors —
-// and fsyncs, proving the disk accepts writes again. The in-memory
-// retained state (live map, vocabulary records, sequence counter)
-// already describes exactly that prefix, so no rescan is needed and no
-// acknowledged record is ever dropped. Returns nil if the journal was
-// not degraded.
+// re-extends it by a chunk of slack and fsyncs, proving the disk accepts
+// writes again. The in-memory retained state (live map, vocabulary
+// records, sequence counter) already describes exactly that prefix, so no
+// rescan is needed and no acknowledged record is ever dropped. Returns nil
+// if the journal was not degraded.
 func (j *Journal) ResetAfter(probe func() error) error {
 	j.mu.Lock()
 	if j.closed {
@@ -753,9 +782,8 @@ func (j *Journal) handleReset(probe func() error) error {
 		return fmt.Errorf("journal: reset reopen: %w", err)
 	}
 	// Cut the file back to the last acknowledged byte (j.size advances
-	// only after a durable batch, and compaction publishes the compacted
-	// size before its reopen attempt), dropping torn frames from the
-	// failed write without dropping anything a caller was told is safe.
+	// only after a durable batch), dropping torn frames from the failed
+	// write without dropping anything a caller was told is safe.
 	if err := f.Truncate(j.size); err != nil {
 		f.Close()
 		return fmt.Errorf("journal: reset truncate: %w", err)
@@ -764,14 +792,16 @@ func (j *Journal) handleReset(probe func() error) error {
 		f.Close()
 		return fmt.Errorf("journal: reset seek: %w", err)
 	}
-	// The fsync doubles as the write probe: a still-broken disk fails
-	// here and the journal stays degraded.
-	if err := f.Sync(); err != nil {
+	// The extension's fsync doubles as the write probe: a still-broken
+	// disk fails here and the journal stays degraded.
+	end, err := extend(f, j.size, true)
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("journal: reset fsync: %w", err)
+		return fmt.Errorf("journal: reset extend: %w", err)
 	}
-	j.f.Close() // old fd may point at a torn tail or an unlinked inode
+	j.f.Close() // old fd may point at a torn tail
 	j.f = f
+	j.end = end
 	j.resets.Add(1)
 	j.setWriteError(nil)
 	return nil
@@ -782,7 +812,7 @@ func waitErr(err error) func() error {
 }
 
 // writer is the single append goroutine: it drains the queue, writes all
-// drained frames in one buffered pass, fsyncs once, releases the waiters,
+// drained frames in one write, fsyncs once, releases the waiters,
 // then considers compaction.
 func (j *Journal) writer() {
 	defer close(j.exited)
@@ -816,9 +846,8 @@ func (j *Journal) writer() {
 		if len(batch) > 0 {
 			// A sticky error fails the whole batch up front — records
 			// queued before the error was set included. Writing them
-			// anyway would append past a torn region (or onto an unlinked
-			// pre-compaction inode) and acknowledge records that replay
-			// can never reach.
+			// anyway would append past a torn region and acknowledge
+			// records that replay can never reach.
 			j.mu.Lock()
 			err := j.werr
 			j.mu.Unlock()
@@ -874,13 +903,12 @@ func (j *Journal) writer() {
 	}
 }
 
-// writeBatch appends every frame of the batch and fsyncs once (the group
-// commit). On error the file may hold a torn tail; Open truncates it on
-// the next boot, and the sticky error fails this incarnation's later
-// submits.
+// writeBatch appends every frame of the batch in one write and fsyncs
+// once (the group commit). On error the file may hold a torn tail; Open
+// truncates it on the next boot, and the sticky error fails this
+// incarnation's later submits.
 func (j *Journal) writeBatch(batch []*pending) error {
-	w := bufio.NewWriter(j.f)
-	var frame [frameOverhead]byte
+	buf := j.buf[:0]
 	records, barriers := 0, 0
 	for _, p := range batch {
 		if p.barrier {
@@ -888,17 +916,24 @@ func (j *Journal) writeBatch(batch []*pending) error {
 			continue
 		}
 		records++
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(p.payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p.payload, castagnoli))
-		if _, err := w.Write(frame[:]); err != nil {
-			return fmt.Errorf("journal: write: %w", err)
-		}
-		if _, err := w.Write(p.payload); err != nil {
-			return fmt.Errorf("journal: write: %w", err)
-		}
+		buf = append(appendFrameHeader(buf, p.payload), p.payload...)
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
+	if cap(buf) <= preallocChunk {
+		j.buf = buf // a rare huge batch is not kept alive
+	}
+	if j.size+int64(len(buf)) > j.end {
+		// Extend before writing, so the group commit's fsync below
+		// commits no new file length.
+		end, err := extend(j.f, j.size+int64(len(buf)), !j.nosync.Load())
+		if err != nil {
+			return fmt.Errorf("journal: extend: %w", err)
+		}
+		j.end = end
+	}
+	if len(buf) > 0 {
+		if _, err := j.f.Write(buf); err != nil {
+			return fmt.Errorf("journal: write: %w", err)
+		}
 	}
 	// A barrier forces the sync even under NoSync: earlier NoSync batches
 	// sit in the page cache of the same fd, so this one fsync makes them
@@ -997,48 +1032,32 @@ func (j *Journal) compact() error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(tmp)
-	size := int64(len(magic))
-	if _, err := w.Write(magic); err != nil {
+	fail := func(err error) error {
 		tmp.Close()
 		j.fs.Remove(tmpPath)
 		return err
 	}
-	var frame [frameOverhead]byte
+	// A bufio.Writer keeps its first write error and returns it from
+	// Flush, so only Flush is checked.
+	w := bufio.NewWriter(tmp)
+	size := int64(len(magic))
+	w.Write(magic)
+	var hdr [frameOverhead]byte
 	for _, e := range entries {
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(e.payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(e.payload, castagnoli))
-		if _, err := w.Write(frame[:]); err != nil {
-			tmp.Close()
-			j.fs.Remove(tmpPath)
-			return err
-		}
-		if _, err := w.Write(e.payload); err != nil {
-			tmp.Close()
-			j.fs.Remove(tmpPath)
-			return err
-		}
+		w.Write(appendFrameHeader(hdr[:0], e.payload))
+		w.Write(e.payload)
 		size += int64(frameOverhead + len(e.payload))
 	}
 	if err := w.Flush(); err != nil {
-		tmp.Close()
-		j.fs.Remove(tmpPath)
-		return err
+		return fail(err)
 	}
-	if !j.nosync.Load() {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			j.fs.Remove(tmpPath)
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		j.fs.Remove(tmpPath)
-		return err
+	// The sync that makes the rewrite durable commits its slack too.
+	end, err := extend(tmp, size, !j.nosync.Load())
+	if err != nil {
+		return fail(err)
 	}
 	if err := j.fs.Rename(tmpPath, j.path); err != nil {
-		j.fs.Remove(tmpPath)
-		return err
+		return fail(err)
 	}
 	if !j.nosync.Load() {
 		// Persist the rename itself; without the directory sync a power
@@ -1046,32 +1065,43 @@ func (j *Journal) compact() error {
 		// file (fine) or, worse, an in-between metadata state.
 		SyncDirFS(j.fs, filepath.Dir(j.path))
 	}
-	// The rename is the commit point: the file at j.path now holds
-	// exactly the compacted entries. Publish size/total before the
-	// reopen attempt so a reopen failure leaves them describing the
-	// renamed file — ResetAfter truncates to j.size and must not extend
-	// the (smaller) compacted file with zeros.
-	j.size = size
-	j.total = len(entries)
-	// The old fd now points at an unlinked inode; reopen the renamed file
-	// for further appends. Failing here is the one compaction error that
-	// cannot be retried — appends through the stale fd would vanish with
-	// the unlinked inode — so it poisons the journal (sticky error) instead
-	// of being swallowed by maybeCompact.
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		err = fmt.Errorf("journal: reopen after compaction: %w", err)
-		j.setWriteError(err)
-		return err
-	}
+	// The rename is the commit point: tmp's descriptor now names the
+	// journal, positioned just past its last frame, and later appends go
+	// through it. The old descriptor names the unlinked pre-compaction
+	// inode.
 	j.f.Close()
-	j.f = f
+	j.f, j.size, j.end, j.total = tmp, size, end, len(entries)
 	return nil
 }
 
-// Close drains the queue, syncs and closes the file. Submits after Close
-// fail. Durability needs no separate Sync call: every Submit's wait
-// function already blocks until its record's group commit is fsynced.
+// extend sizes f one chunk past end — a sparse extension: no blocks are
+// allocated — and, with sync, commits the new length, so the appends that
+// fill the chunk land inside the file and their fsyncs commit no length
+// change. It returns the new file size.
+func extend(f File, end int64, sync bool) (int64, error) {
+	end += preallocChunk
+	if err := f.Truncate(end); err != nil {
+		return 0, err
+	}
+	if sync {
+		if err := f.Sync(); err != nil {
+			return 0, err
+		}
+	}
+	return end, nil
+}
+
+// appendFrameHeader appends payload's frame header — length, then CRC —
+// to dst.
+func appendFrameHeader(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+}
+
+// Close drains the queue, trims the slack (and anything unacknowledged)
+// past the last acknowledged frame, syncs and closes the file. Submits
+// after Close fail. Durability needs no separate Sync call: every Submit's
+// wait function already blocks until its record's group commit is fsynced.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -1083,8 +1113,8 @@ func (j *Journal) Close() error {
 	j.mu.Unlock()
 	j.cond.Signal()
 	<-j.exited
-	var err error
-	if !j.nosync.Load() {
+	err := j.f.Truncate(j.size)
+	if err == nil && !j.nosync.Load() {
 		err = j.f.Sync()
 	}
 	if cerr := j.f.Close(); err == nil {
@@ -1111,7 +1141,9 @@ type ReplayStats struct {
 	Subscribes   int
 	Unsubscribes int
 	// Torn is true when the file ended in an incomplete or corrupt frame;
-	// TornBytes is how many trailing bytes were discarded.
+	// TornBytes is how many bytes past the recovered prefix were
+	// discarded, through the file's last non-zero byte (the zero slack of
+	// a pre-sized file is not torn).
 	Torn      bool
 	TornBytes int64
 }
@@ -1157,11 +1189,12 @@ func Replay(path string, fn func(Record) error) (ReplayStats, error) {
 // journal — treating it as torn would silently "recover" zero records
 // from, or let Open truncate, arbitrary foreign files; boot-level callers
 // that prefer availability handle the error per file, see the BadFiles
-// counter in shard recovery). Any framing violation after a good
-// header ends the scan at the last good frame: corrupt mid-file bytes are
-// indistinguishable from a torn tail without a segment index, so
-// everything after the first bad frame is conservatively treated as lost
-// (and counted in TornBytes).
+// counter in shard recovery). An all-zero frame header — the slack — ends
+// the scan cleanly, and any framing violation after a good header ends it
+// at the last good frame: corrupt mid-file bytes are indistinguishable
+// from a torn tail without a segment index, so everything after the first
+// bad frame is conservatively treated as lost. TornBytes counts the lost
+// bytes through the file's last non-zero byte; trailing zeros are slack.
 func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats ReplayStats, err error) {
 	info, err := f.Stat()
 	if err != nil {
@@ -1185,30 +1218,25 @@ func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats Re
 	var frame [frameOverhead]byte
 	for {
 		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			if !errors.Is(err, io.EOF) {
-				// Partial frame header.
-				stats.Torn = true
-			}
 			break
 		}
 		n := binary.LittleEndian.Uint32(frame[0:4])
 		want := binary.LittleEndian.Uint32(frame[4:8])
+		if n == 0 && want == 0 {
+			break // the slack past the last frame
+		}
 		if n > maxRecordSize {
-			stats.Torn = true
 			break
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			stats.Torn = true
 			break
 		}
 		if crc32.Checksum(payload, castagnoli) != want {
-			stats.Torn = true
 			break
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			stats.Torn = true
 			break
 		}
 		offset += int64(frameOverhead) + int64(n)
@@ -1235,9 +1263,36 @@ func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats Re
 		}
 		fn(rec, payload)
 	}
-	stats.TornBytes = info.Size() - offset
-	if stats.TornBytes > 0 {
-		stats.Torn = true
+	if offset < info.Size() {
+		end, err := dataEnd(f, offset)
+		if err != nil {
+			return 0, stats, fmt.Errorf("journal: reading tail: %w", err)
+		}
+		stats.TornBytes = end - offset
+		stats.Torn = stats.TornBytes > 0
 	}
 	return offset, stats, nil
+}
+
+// dataEnd returns the offset just past f's last non-zero byte at or after
+// off, or off when every byte from there on is zero.
+func dataEnd(f File, off int64) (int64, error) {
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return 0, err
+	}
+	end := off
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := io.ReadFull(f, buf)
+		if data := bytes.TrimRight(buf[:n], "\x00"); len(data) > 0 {
+			end = off + int64(len(data))
+		}
+		off += int64(n)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return end, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -264,6 +265,122 @@ func TestJournalTornTail(t *testing.T) {
 	// The recovered journal continued the sequence, not restarted it.
 	if recs[4].Seq <= recs[3].Seq {
 		t.Fatalf("seq went backwards after recovery: %d then %d", recs[3].Seq, recs[4].Seq)
+	}
+}
+
+// fileSize stats path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestJournalAppendKeepsFileLength: an open journal is sized one chunk past
+// its last frame, so appends within the chunk move the logical size but
+// not the file's — their fsyncs commit no new length.
+func TestJournalAppendKeepsFileLength(t *testing.T) {
+	j, path := tmpJournal(t, Options{})
+	size, logical := fileSize(t, path), j.Stats().Bytes
+	if size != logical+preallocChunk {
+		t.Fatalf("file holds %d bytes, want %d logical + %d slack", size, logical, preallocChunk)
+	}
+	for i := 0; i < 20; i++ {
+		if err := j.Append(setRecord(fmt.Sprintf("user%d", i), 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fileSize(t, path); got != size {
+		t.Fatalf("appends within the chunk moved the file size %d -> %d", size, got)
+	}
+	if got := j.Stats().Bytes; got <= logical {
+		t.Fatalf("logical size did not grow: %d -> %d", logical, got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileSize(t, path), j.Stats().Bytes; got != want {
+		t.Fatalf("closed file holds %d bytes, want its logical %d", got, want)
+	}
+}
+
+// TestJournalCrashImage: a copy of a live journal — what a crash leaves,
+// slack included — replays every acknowledged record untorn, and a journal
+// opened on it continues the sequence at the logical end.
+func TestJournalCrashImage(t *testing.T) {
+	j, path := tmpJournal(t, Options{})
+	const acked = 6
+	for i := 0; i < acked; i++ {
+		if err := j.Append(setRecord(fmt.Sprintf("user%d", i), 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logical := j.Stats().Bytes
+	if int64(len(image)) <= logical {
+		t.Fatalf("image of %d bytes holds no slack past the logical %d", len(image), logical)
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed.wal")
+	if err := os.WriteFile(crashed, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, rs := collect(t, crashed)
+	if len(recs) != acked || rs.Torn || rs.TornBytes != 0 {
+		t.Fatalf("crash image replayed %d records, stats %+v; want %d untorn", len(recs), rs, acked)
+	}
+
+	j2, ors, err := Open(crashed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if ors.Records != acked || ors.Torn || j2.Stats().Bytes != logical {
+		t.Fatalf("open on the image: stats %+v, logical %d; want %d records, logical %d",
+			ors, j2.Stats().Bytes, acked, logical)
+	}
+	if err := j2.Append(setRecord("after-crash", 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Read while still open: a frame written anywhere but the logical end
+	// would sit past zeros that end the replay.
+	recs, rs = collect(t, crashed)
+	if len(recs) != acked+1 || rs.Torn {
+		t.Fatalf("after one append: %d records, stats %+v", len(recs), rs)
+	}
+	if last := recs[acked]; last.User != "after-crash" || last.Seq != acked+1 {
+		t.Fatalf("appended record = %+v, want seq %d", last, acked+1)
+	}
+}
+
+// TestJournalRecordBeyondSlack: a record larger than the remaining slack
+// extends the file past it and round-trips intact.
+func TestJournalRecordBeyondSlack(t *testing.T) {
+	j, path := tmpJournal(t, Options{})
+	if err := j.Append(setRecord("peter", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	stmt := "INSERT INTO t VALUES ('" + strings.Repeat("x", preallocChunk+512) + "')"
+	if err := j.Append(Record{Op: OpExec, Stmt: stmt}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileSize(t, path), j.Stats().Bytes+preallocChunk; got != want {
+		t.Fatalf("file holds %d bytes after the big record, want %d", got, want)
+	}
+	if err := j.Append(setRecord("maria", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, rs := collect(t, path)
+	if len(recs) != 3 || rs.Torn || recs[1].Stmt != stmt || recs[2].User != "maria" {
+		t.Fatalf("replay after the big record: %d records, stats %+v", len(recs), rs)
 	}
 }
 

@@ -211,7 +211,7 @@ func exportJournal(w *metrics.Writer, shards []Stats) {
 	counter("carserve_journal_compact_failures_total", "Failed session-WAL compaction attempts.",
 		func(j journal.Stats) float64 { return float64(j.CompactFailures) })
 
-	w.Family("carserve_journal_bytes", "gauge", "Session-WAL file size.")
+	w.Family("carserve_journal_bytes", "gauge", "Session-WAL logical size (frames, not the pre-sized slack).")
 	for i, s := range shards {
 		if s.Journal != nil {
 			w.Sample("carserve_journal_bytes", float64(s.Journal.Bytes), "shard", strconv.Itoa(i))

@@ -435,27 +435,27 @@ func TestSessionGuardCountsDistinctRows(t *testing.T) {
 func TestAppliedFingerprintPublication(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	s := srv.Sessions()
-	if got := s.AppliedFingerprint("peter"); got != "" {
+	if got := s.appliedContext("peter").fingerprint; got != "" {
 		t.Fatalf("fingerprint before any session = %q", got)
 	}
 	fp, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AppliedFingerprint("peter"); got != fp {
+	if got := s.appliedContext("peter").fingerprint; got != fp {
 		t.Fatalf("applied fingerprint %q != returned %q", got, fp)
 	}
 	// A rejected update leaves the applied fingerprint at the old value.
 	if _, err := srv.SetSession("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
 		t.Fatal("expected rejection")
 	}
-	if got := s.AppliedFingerprint("peter"); got != fp {
+	if got := s.appliedContext("peter").fingerprint; got != fp {
 		t.Fatalf("rejected update changed applied fingerprint to %q", got)
 	}
 	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.AppliedFingerprint("peter"); got != "" {
+	if got := s.appliedContext("peter").fingerprint; got != "" {
 		t.Fatalf("fingerprint survives Drop: %q", got)
 	}
 }

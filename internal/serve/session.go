@@ -276,15 +276,9 @@ func (s *Sessions) Fingerprint(user string) string {
 	return ""
 }
 
-// AppliedFingerprint returns the fingerprint of the user's last
-// successfully applied session context, without taking the session mutex —
-// safe to call while holding the facade lock (either side).
-func (s *Sessions) AppliedFingerprint(user string) string {
-	return s.appliedContext(user).fingerprint
-}
-
 // appliedContext returns what the user's last successful apply published
-// (zero for a user without a session), lock-free like AppliedFingerprint.
+// (zero for a user without a session), without taking the session mutex —
+// safe to call while holding the facade lock (either side).
 func (s *Sessions) appliedContext(user string) appliedContext {
 	if v, ok := s.applied.Load(user); ok {
 		return v.(appliedContext)

@@ -273,7 +273,7 @@ func TestSessionModelChurn(t *testing.T) {
 			}
 		}
 		for i := 0; i < users; i++ {
-			if got, want := srv.Sessions().AppliedFingerprint(name(i)), fresh.Sessions().AppliedFingerprint(name(i)); got != want {
+			if got, want := srv.Sessions().appliedContext(name(i)).fingerprint, fresh.Sessions().appliedContext(name(i)).fingerprint; got != want {
 				t.Fatalf("step %d: %s applied fingerprint %q, fresh server %q", step, name(i), got, want)
 			}
 		}
