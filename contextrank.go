@@ -555,34 +555,28 @@ func (s *System) AnalyzeRules() []prefs.Finding {
 	return s.repo.Analyze(s.loader.TBox())
 }
 
-// SaveSnapshot persists the rule repository and the applied-context record
-// into the database and dumps the whole database (event space, tables,
-// views, indexes) as JSON to w.
+// SaveSnapshot persists the rule repository into the database and dumps
+// the whole database (event space, tables, views, indexes) as JSON to w,
+// minus the applied context: every owner's context rows and the basic
+// events its apply declared are left out, so the snapshot holds what
+// SetContext and SetUserContext did not put there.
 func (s *System) SaveSnapshot(w io.Writer) error {
 	if err := s.repo.Persist(s.db); err != nil {
 		return err
 	}
-	if err := s.loader.PersistContext(); err != nil {
-		return err
-	}
-	return s.db.Dump(w)
+	return s.db.Dump(w, s.loader.ContextOmit())
 }
 
 // RestoreSystem rebuilds a System from a snapshot written by SaveSnapshot:
 // data, event space, views, DL vocabulary and preference rules all survive
 // the round trip. The history log and the current context do not (context
-// is sensed fresh, §5).
+// is sensed fresh, §5): the restored system has no applied context.
 func RestoreSystem(r io.Reader) (*System, error) {
 	db := engine.New()
 	if err := db.Restore(r); err != nil {
 		return nil, err
 	}
 	loader := mapping.NewLoader(db, dl.NewTBox())
-	// A snapshot taken with an applied context carries that context's ctx_*
-	// declarations; the loader adopted the dl_ctx record for them, and this
-	// advances the epoch counter past the restored names so fresh context
-	// events cannot collide with them.
-	situation.AdoptApplied(loader)
 	repo, err := prefs.LoadRepository(db)
 	if err != nil {
 		return nil, err

@@ -6,12 +6,10 @@ import (
 	"testing"
 )
 
-// TestRestoreRetiresSnapshotContext: a snapshot taken with an applied
-// uncertain context carries that context's ctx_* declarations; the first
-// SetContext on the restored system must retract and retire them instead of
-// leaking them (or colliding with their names), keeping the event space
-// bounded across save/restore cycles too.
-func TestRestoreRetiresSnapshotContext(t *testing.T) {
+// snapshotDataSystem is a system with one certain and one uncertain data
+// assertion: one data event.
+func snapshotDataSystem(t *testing.T) *System {
+	t.Helper()
 	sys := NewSystem()
 	if err := sys.DeclareConcept("Doc"); err != nil {
 		t.Fatal(err)
@@ -19,66 +17,104 @@ func TestRestoreRetiresSnapshotContext(t *testing.T) {
 	if err := sys.AssertConcept("Doc", "d1", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.SetContext(NewContext("u").Add("Rainy", 0.7)); err != nil {
+	if err := sys.AssertConcept("Doc", "d2", 0.6); err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+// saveAndRestore round-trips sys through a snapshot, which must name no
+// context event.
+func saveAndRestore(t *testing.T, sys *System) *System {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := sys.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("ctx_")) {
+		t.Fatal("the snapshot names a context event")
 	}
 	restored, err := RestoreSystem(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.DB().Space().Len(); got != 1 {
-		t.Fatalf("restored space holds %d events, want 1 (the snapshot context's)", got)
+	return restored
+}
+
+// TestRestoreRetiresSnapshotContext: context is sensed fresh (§5), so a
+// snapshot taken with an applied uncertain context restores without it —
+// no rows, no events — and re-sensing on the restored system keeps the event
+// space bounded by the live context.
+func TestRestoreRetiresSnapshotContext(t *testing.T) {
+	sys := snapshotDataSystem(t)
+	if err := sys.SetContext(NewContext("u").Add("Rainy", 0.7)); err != nil {
+		t.Fatal(err)
 	}
-	// Re-sensing context on the restored system (fresh per §5) must neither
-	// collide with the restored event names nor leave them behind.
+	restored := saveAndRestore(t, sys)
+	if got := restored.DB().Space().Len(); got != 1 {
+		t.Fatalf("restored space holds %d events, want 1 (the data event)", got)
+	}
+	if total, ctx := restored.Loader().ConceptRows("Rainy"); total != 0 || ctx != 0 {
+		t.Fatalf("restored Rainy holds %d rows, %d of them context", total, ctx)
+	}
 	for i := 0; i < 5; i++ {
 		if err := restored.SetContext(NewContext("u").Add("Rainy", 0.8).Add("Cold", 0.5)); err != nil {
 			t.Fatalf("post-restore apply %d: %v", i, err)
 		}
 	}
-	if got := restored.DB().Space().Len(); got != 2 {
-		t.Fatalf("space holds %d events after post-restore applies, want 2 (snapshot context leaked)", got)
+	if got := restored.DB().Space().Len(); got != 3 {
+		t.Fatalf("space holds %d events after post-restore applies, want 3 (1 data + 2 context)", got)
 	}
 }
 
-// TestRestoreAdoptsUserContexts: contexts applied per user survive a
-// snapshot as one adopted record — certain memberships included, which no
-// event name carries — and the restored system's first SetContext retracts
-// and retires all of it.
+// TestRestoreAdoptsUserContexts: contexts applied whole and per user —
+// certain memberships and exclusive groups included — are all left out of a
+// snapshot; the restored system holds only data, and its first applies,
+// whole or per user, work and stay bounded.
 func TestRestoreAdoptsUserContexts(t *testing.T) {
-	sys := NewSystem()
+	sys := snapshotDataSystem(t)
+	if err := sys.SetContext(NewContext("w").Certain("Sunny").Add("Cold", 0.2)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sys.SetUserContext(NewContext("u").Add("Rainy", 0.7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.SetUserContext(NewContext("v").Certain("Rainy").Add("Cold", 0.5)); err != nil {
+	if _, err := sys.SetUserContext(NewContext("v").Certain("Rainy").
+		AddExclusive("room", []string{"InKitchen", "InLounge"}, []float64{0.6, 0.3})); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sys.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	if got := len(sys.Loader().ContextOwners()); got != 3 {
+		t.Fatalf("%d context owners before the snapshot, want 3", got)
 	}
-	restored, err := RestoreSystem(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	restored := saveAndRestore(t, sys)
+	if got := restored.DB().Space().Len(); got != 1 || restored.DB().Space().Groups() != 0 {
+		t.Fatalf("restored space holds %d events in %d groups, want only the data event", got, restored.DB().Space().Groups())
 	}
-	if got := restored.DB().Space().Len(); got != 2 {
-		t.Fatalf("restored space holds %d events, want 2", got)
+	for _, c := range []string{"Sunny", "Cold", "Rainy", "InKitchen", "InLounge"} {
+		if total, ctx := restored.Loader().ConceptRows(c); total != 0 || ctx != 0 {
+			t.Fatalf("restored %s holds %d rows, %d of them context", c, total, ctx)
+		}
 	}
-	if total, ctx := restored.Loader().ConceptRows("Rainy"); total != 2 || ctx != 2 {
-		t.Fatalf("restored Rainy holds %d rows, %d adopted as context", total, ctx)
+	if total, _ := restored.Loader().ConceptRows("Doc"); total != 2 {
+		t.Fatalf("restored Doc holds %d rows, want 2", total)
+	}
+	if len(restored.Loader().ContextOwners()) != 0 {
+		t.Fatalf("restored system has context owners %v", restored.Loader().ContextOwners())
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := restored.SetUserContext(NewContext("v").Certain("Rainy").
+			AddExclusive("room", []string{"InKitchen", "InLounge"}, []float64{0.5, 0.4})); err != nil {
+			t.Fatalf("post-restore user apply %d: %v", i, err)
+		}
 	}
 	if err := restored.SetContext(NewContext("w").Add("Cold", 0.1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.DB().Space().Len(); got != 1 {
-		t.Fatalf("space holds %d events after the first post-restore apply, want 1", got)
+	if got := restored.DB().Space().Len(); got != 2 {
+		t.Fatalf("space holds %d events after the post-restore applies, want 2 (1 data + 1 context)", got)
 	}
 	if total, _ := restored.Loader().ConceptRows("Rainy"); total != 0 {
-		t.Fatalf("snapshot context left %d rows in Rainy", total)
+		t.Fatalf("post-restore context left %d rows in Rainy", total)
 	}
 }
 

@@ -40,7 +40,7 @@ func assertBitIdentical(t *testing.T, label string, got, want []Result) {
 func freshLoader(t *testing.T, l *mapping.Loader) *mapping.Loader {
 	t.Helper()
 	var dump bytes.Buffer
-	if err := l.DB().Dump(&dump); err != nil {
+	if err := l.DB().Dump(&dump, engine.Omit{}); err != nil {
 		t.Fatal(err)
 	}
 	db := engine.New()

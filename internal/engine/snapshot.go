@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/event"
-	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
 // snapshot is the JSON shape of a dumped database: the event space (basic
 // declarations with exclusive-group structure), every base table with typed
-// rows, and every view as reconstructable SQL text.
+// rows, and every view as the SQL text that defined it.
 type snapshot struct {
 	Version int          `json:"version"`
 	Events  []event.Decl `json:"events,omitempty"`
@@ -51,23 +49,19 @@ type indexDump struct {
 
 const snapshotVersion = 1
 
+// Omit is what Dump leaves out of a database: the rows whose table (by
+// the name the catalog gives it) and first column match an entry of Rows,
+// and the basic events named in Events. The zero value leaves out nothing.
+type Omit struct {
+	Rows   map[string]map[string]bool // table -> first-column values
+	Events map[string]bool
+}
+
 // Dump serializes the whole database (event space, tables, views, indexes)
-// as JSON to w. The format round-trips through Restore.
-//
-// Dead context declarations are not persisted: a `ctx_*` basic event (the
-// situation layer's naming convention for per-apply context events) that
-// no stored event expression and no view definition (EV_BASIC literals)
-// references is a leftover of a cleared context, so dumping it would only
-// carry leaked declarations into the restored space forever. The filter is
-// deliberately scoped to that prefix — a user-declared event is persisted
-// even before anything references it, so the Space round-trips for the
-// ad-hoc Declare/EV_BASIC surface. An exclusive group is kept whole if any
-// member is referenced or non-context — the group declaration is one unit.
-// If a view computes an event name dynamically (EV_BASIC over a
-// non-literal), the filter is disabled and every declaration is persisted.
-func (db *DB) Dump(w io.Writer) error {
+// minus what omit names, as JSON to w. The format round-trips through
+// Restore. A view is written as the SELECT text it was created from.
+func (db *DB) Dump(w io.Writer, omit Omit) error {
 	snap := snapshot{Version: snapshotVersion}
-	referenced := make(map[string]bool)
 	for _, name := range db.catalog.Names() {
 		tab, err := db.catalog.Get(name)
 		if err != nil {
@@ -81,7 +75,11 @@ func (db *DB) Dump(w io.Writer) error {
 				snap.Indexes = append(snap.Indexes, indexDump{Table: name, Column: c.Name})
 			}
 		}
+		skip := omit.Rows[name]
 		err = tab.Scan(func(r storage.Row) error {
+			if skip != nil && skip[r[0].S] {
+				return nil
+			}
 			row := make([]cellDump, len(r))
 			for i, v := range r {
 				c, err := dumpCell(v)
@@ -89,11 +87,6 @@ func (db *DB) Dump(w io.Writer) error {
 					return fmt.Errorf("engine: table %s: %w", name, err)
 				}
 				row[i] = c
-				if v.T == storage.TypeEvent {
-					for _, b := range v.Ev.Basics() {
-						referenced[b] = true
-					}
-				}
 			}
 			td.Rows = append(td.Rows, row)
 			return nil
@@ -103,52 +96,17 @@ func (db *DB) Dump(w io.Writer) error {
 		}
 		snap.Tables = append(snap.Tables, td)
 	}
-	filter := true
 	for _, name := range db.exec.ViewNames() {
-		sel, ok := db.exec.ViewDefinition(name)
-		if !ok {
-			continue
-		}
-		names, complete := sql.ReferencedBasicEvents(sel)
-		for _, n := range names {
-			referenced[n] = true
-		}
-		if !complete {
-			filter = false // a view references events we cannot enumerate
-		}
-		snap.Views = append(snap.Views, viewDump{Name: name, SQL: sql.Format(sel)})
-	}
-	sort.Slice(snap.Views, func(i, j int) bool { return snap.Views[i].Name < snap.Views[j].Name })
-	if filter {
-		snap.Events = liveDecls(db.space.Decls(), referenced)
-	} else {
-		snap.Events = db.space.Decls()
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&snap)
-}
-
-// liveDecls drops dead context declarations: ctx_*-named events that are
-// referenced by no stored event expression. Non-context declarations
-// always persist, and an exclusive group is kept whole if any member
-// survives on its own.
-func liveDecls(decls []event.Decl, referenced map[string]bool) []event.Decl {
-	live := func(d event.Decl) bool {
-		return referenced[d.Name] || !strings.HasPrefix(d.Name, "ctx_")
-	}
-	liveGroups := make(map[int]bool)
-	for _, d := range decls {
-		if d.Group >= 0 && live(d) {
-			liveGroups[d.Group] = true
+		if text, ok := db.exec.ViewText(name); ok {
+			snap.Views = append(snap.Views, viewDump{Name: name, SQL: text})
 		}
 	}
-	var out []event.Decl
-	for _, d := range decls {
-		if live(d) || (d.Group >= 0 && liveGroups[d.Group]) {
-			out = append(out, d)
+	for _, d := range db.space.Decls() {
+		if !omit.Events[d.Name] {
+			snap.Events = append(snap.Events, d)
 		}
 	}
-	return out
+	return json.NewEncoder(w).Encode(&snap)
 }
 
 func dumpCell(v storage.Value) (cellDump, error) {
@@ -282,7 +240,7 @@ func (db *DB) Restore(r io.Reader) error {
 			return err
 		}
 	}
-	// Views (formatted SQL replays through the normal DDL path).
+	// Views (their defining SELECT text replays through the normal DDL path).
 	for _, vd := range snap.Views {
 		if _, err := db.Exec(fmt.Sprintf("CREATE VIEW %s AS %s", vd.Name, vd.SQL)); err != nil {
 			return fmt.Errorf("engine: restoring view %s: %w", vd.Name, err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func buildSnapshotSource(t *testing.T) *DB {
 func TestDumpRestoreRoundTrip(t *testing.T) {
 	src := buildSnapshotSource(t)
 	var buf bytes.Buffer
-	if err := src.Dump(&buf); err != nil {
+	if err := src.Dump(&buf, Omit{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +84,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 func TestRestoreRequiresEmptyDB(t *testing.T) {
 	src := buildSnapshotSource(t)
 	var buf bytes.Buffer
-	if err := src.Dump(&buf); err != nil {
+	if err := src.Dump(&buf, Omit{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Restore(bytes.NewReader(buf.Bytes())); err == nil {
@@ -102,62 +103,79 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestDumpSkipsDeadDeclarations: ctx_*-named declarations no stored event
-// expression references (leaked or cleared context events) are not
-// persisted; a partially referenced exclusive group survives whole, and
-// non-context declarations survive even when unreferenced (the ad-hoc
-// Declare surface must round-trip).
+// TestDumpSkipsDeadDeclarations: the omit set is how a dump tells dead
+// context from data — the events and rows it names are not persisted,
+// whatever their names, and everything it does not name is, ctx_* names
+// included; an exclusive group keeps the members it does not name.
 func TestDumpSkipsDeadDeclarations(t *testing.T) {
 	db := New()
 	if err := db.Space().Declare("live", 0.4); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Space().Declare("adhoc", 0.25); err != nil {
+	if err := db.Space().Declare("ctx_9_0_Kept", 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Space().Declare("ctx_9_0_Dead", 0.7); err != nil {
+	if err := db.Space().Declare("ctx_9_1_Dead", 0.7); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Space().DeclareExclusive([]string{"ctx_9_1_K", "ctx_9_2_O"}, []float64{0.5, 0.3}); err != nil {
+	if err := db.Space().DeclareExclusive([]string{"ctx_9_2_K", "ctx_9_3_O"}, []float64{0.5, 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Space().DeclareExclusive([]string{"ctx_9_3_G", "ctx_9_4_H"}, []float64{0.2, 0.2}); err != nil {
+	if err := db.Space().DeclareExclusive([]string{"g", "h", "ctx_9_4_H"}, []float64{0.2, 0.2, 0.3}); err != nil {
 		t.Fatal(err)
 	}
 	db.MustExec("CREATE TABLE t (id TEXT, ev EVENT)")
-	if err := db.InsertRow("t", "a", event.And(event.Basic("live"), event.Basic("ctx_9_1_K"))); err != nil {
+	for _, r := range []struct {
+		id string
+		ev *event.Expr
+	}{{"a", event.Basic("live")}, {"u", event.Basic("ctx_9_1_Dead")}, {"v", event.Basic("ctx_9_2_K")}} {
+		if err := db.InsertRow("t", r.id, r.ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.MustExec("CREATE TABLE other (id TEXT)")
+	if err := db.InsertRow("other", "u"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
+	omit := Omit{
+		Rows:   map[string]map[string]bool{"t": {"u": true, "v": true}},
+		Events: map[string]bool{"ctx_9_1_Dead": true, "ctx_9_2_K": true, "ctx_9_3_O": true, "ctx_9_4_H": true},
+	}
+	if err := db.Dump(&buf, omit); err != nil {
 		t.Fatal(err)
 	}
 	dst := New()
 	if err := dst.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	// Referenced events, the referenced group (whole), and the unreferenced
-	// non-context declaration survive.
-	for _, want := range []string{"live", "adhoc", "ctx_9_1_K", "ctx_9_2_O"} {
+	for _, want := range []string{"live", "ctx_9_0_Kept", "g", "h"} {
 		if !dst.Space().Declared(want) {
 			t.Fatalf("%s lost in round trip", want)
 		}
 	}
-	// Dead context declarations — unreferenced independent event and fully
-	// unreferenced group — are gone.
-	for _, dead := range []string{"ctx_9_0_Dead", "ctx_9_3_G", "ctx_9_4_H"} {
+	for _, dead := range []string{"ctx_9_1_Dead", "ctx_9_2_K", "ctx_9_3_O", "ctx_9_4_H"} {
 		if dst.Space().Declared(dead) {
-			t.Fatalf("dead declaration %s persisted", dead)
+			t.Fatalf("omitted declaration %s persisted", dead)
 		}
 	}
-	if p, err := dst.Space().Prob(event.And(event.Basic("ctx_9_1_K"), event.Basic("ctx_9_2_O"))); err != nil || p != 0 {
+	if dst.Space().Len() != 4 || dst.Space().Groups() != 1 {
+		t.Fatalf("restored space: Len = %d, Groups = %d; want 4, 1", dst.Space().Len(), dst.Space().Groups())
+	}
+	if p, err := dst.Space().Prob(event.And(event.Basic("g"), event.Basic("h"))); err != nil || p != 0 {
 		t.Fatalf("restored group exclusivity: P = %g, %v", p, err)
+	}
+	// The rows the set names are gone from their table only.
+	for q, want := range map[string]int{"SELECT id FROM t": 1, "SELECT id FROM other": 1} {
+		if res, err := dst.Query(q); err != nil || len(res.Rows) != want {
+			t.Fatalf("%s: %v, %v; want %d rows", q, res, err, want)
+		}
 	}
 }
 
 // TestDumpKeepsViewReferencedDeclarations: an event mentioned only inside a
 // view definition (EV_BASIC literal) has no stored row cell, but dropping
-// it would break the restored view — it must survive the dump filter.
+// it would break the restored view — it survives a dump that omits another.
 func TestDumpKeepsViewReferencedDeclarations(t *testing.T) {
 	db := New()
 	if err := db.Space().Declare("ctx_3_0_Rain", 0.3); err != nil {
@@ -172,7 +190,7 @@ func TestDumpKeepsViewReferencedDeclarations(t *testing.T) {
 	}
 	db.MustExec("CREATE VIEW wet AS SELECT id, PROB(EV_AND(ev, EV_BASIC('ctx_3_0_Rain'))) AS p FROM t")
 	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
+	if err := db.Dump(&buf, Omit{Events: map[string]bool{"ctx_3_1_Orphan": true}}); err != nil {
 		t.Fatal(err)
 	}
 	dst := New()
@@ -183,7 +201,7 @@ func TestDumpKeepsViewReferencedDeclarations(t *testing.T) {
 		t.Fatal("view-referenced declaration dropped")
 	}
 	if dst.Space().Declared("ctx_3_1_Orphan") {
-		t.Fatal("dead declaration persisted")
+		t.Fatal("omitted declaration persisted")
 	}
 	v, err := dst.QueryScalar("SELECT p FROM wet")
 	if err != nil {
@@ -207,7 +225,7 @@ func TestDumpKeepsSubqueryReferencedDeclarations(t *testing.T) {
 	}
 	db.MustExec("CREATE VIEW wet AS SELECT s.p AS p FROM (SELECT PROB(EV_AND(ev, EV_BASIC('ctx_4_0_Rain'))) AS p FROM t) s")
 	var buf bytes.Buffer
-	if err := db.Dump(&buf); err != nil {
+	if err := db.Dump(&buf, Omit{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := New()
@@ -226,13 +244,51 @@ func TestDumpKeepsSubqueryReferencedDeclarations(t *testing.T) {
 func TestDumpIsDeterministic(t *testing.T) {
 	a, b := buildSnapshotSource(t), buildSnapshotSource(t)
 	var ba, bb bytes.Buffer
-	if err := a.Dump(&ba); err != nil {
+	if err := a.Dump(&ba, Omit{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Dump(&bb); err != nil {
+	if err := b.Dump(&bb, Omit{}); err != nil {
 		t.Fatal(err)
 	}
 	if ba.String() != bb.String() {
 		t.Fatal("dumps of identical databases differ")
+	}
+}
+
+// TestDumpKeepsViewTextAsWritten: a view is dumped as the SELECT text it was
+// created from — comment, spacing and all — not re-rendered from its parse,
+// and that text restores to the same rows.
+func TestDumpKeepsViewTextAsWritten(t *testing.T) {
+	db := buildSnapshotSource(t)
+	const text = "SELECT id ,  year\n  FROM progs -- only the rated ones\n  WHERE rating  IS NOT NULL"
+	if _, err := db.Exec("CREATE VIEW rated AS " + text + " ;"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Dump(&buf, Omit{}); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Views) != 2 || snap.Views[0] != (viewDump{Name: "rated", SQL: text}) {
+		t.Fatalf("dumped views = %q", snap.Views)
+	}
+	dst := New()
+	if err := dst.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*DB{db, dst} {
+		res, err := d.Query("SELECT id, year FROM rated")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].S != "a" || res.Rows[0][1].I != 2007 {
+			t.Fatalf("view rows = %v", res.Rows)
+		}
+	}
+	if got, _ := dst.exec.ViewText("rated"); got != text {
+		t.Fatalf("restored view text = %q", got)
 	}
 }

@@ -94,11 +94,6 @@ type ownerContext struct {
 	events []string
 }
 
-// restoredOwner owns the applied context a snapshot carried: dl_ctx does not
-// say which user asserted what, and the first whole-loader apply retracts
-// every owner anyway.
-const restoredOwner = ""
-
 // NewLoader creates a loader over db with the given TBox (may be nil; a
 // fresh one is created). If db already holds a DL vocabulary — e.g. it was
 // restored from an engine snapshot — the declared concepts and roles are
@@ -135,26 +130,10 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 		}
 	}
 	l.vocab.Store(v)
-	// dl_ctx persists the applied-situation record (which concepts hold
-	// context rows, which basic events the applies declared; written by
-	// PersistContext when a snapshot is dumped), so a system restored from a
-	// snapshot retracts and retires the snapshot's context on its first
-	// apply — including concepts asserted with certain measurements, which
-	// declare no events and could not be reconstructed from event names
-	// alone.
-	db.MustExec("CREATE TABLE IF NOT EXISTS dl_ctx (kind TEXT, name TEXT)")
-	if res, err := db.Query("SELECT kind, name FROM dl_ctx"); err == nil {
-		var concepts, events []string
-		for _, row := range res.Rows {
-			switch row[0].S {
-			case "concept":
-				concepts = append(concepts, row[1].S)
-			case "event":
-				events = append(events, row[1].S)
-			}
-		}
-		l.AdoptContext(concepts, events)
-	}
+	// Snapshots leave applied context out, but older ones carry the dl_ctx
+	// table that recorded it; drop it so it shows neither in queries nor in
+	// the next snapshot.
+	db.MustExec("DROP TABLE IF EXISTS dl_ctx")
 	return l
 }
 
@@ -438,18 +417,25 @@ func (l *Loader) ContextConcepts() []string {
 	return concepts
 }
 
-// AppliedContext returns the applied context over all owners: the concepts
-// holding context rows and the basic events context applies declared (both
-// empty for a fresh loader).
-func (l *Loader) AppliedContext() (concepts, events []string) {
-	concepts = l.ContextConcepts()
+// ContextOmit returns what a snapshot leaves out of the database: every
+// owner's context rows and the basic events its apply declared.
+func (l *Loader) ContextOmit() engine.Omit {
+	omit := engine.Omit{Rows: make(map[string]map[string]bool), Events: make(map[string]bool)}
 	l.ctxMu.Lock()
 	defer l.ctxMu.Unlock()
 	for _, oc := range l.ctxOwners {
-		events = append(events, oc.events...)
+		for _, r := range oc.rows {
+			tab := ConceptTable(r.Concept)
+			if omit.Rows[tab] == nil {
+				omit.Rows[tab] = make(map[string]bool)
+			}
+			omit.Rows[tab][r.Individual] = true
+		}
+		for _, e := range oc.events {
+			omit.Events[e] = true
+		}
 	}
-	slices.Sort(events)
-	return concepts, events
+	return omit
 }
 
 // ConceptRows returns how many assertion rows the concept's table holds (0
@@ -467,48 +453,6 @@ func (l *Loader) ConceptRows(concept string) (total, context int) {
 		total = tab.Len()
 	}
 	return total, context
-}
-
-// AdoptContext records an applied context found in a restored database —
-// every row currently in the given concepts' tables and the given events —
-// under one owner of its own, so the first whole-loader apply retracts and
-// retires it. A no-op when both lists are empty.
-func (l *Loader) AdoptContext(concepts, events []string) {
-	var rows []ContextRow
-	for _, c := range concepts {
-		tab, err := l.db.Catalog().Get(ConceptTable(c))
-		if err != nil {
-			continue
-		}
-		_ = tab.Scan(func(r storage.Row) error { // the callback never fails
-			rows = append(rows, ContextRow{Concept: c, Individual: r[0].S})
-			return nil
-		})
-	}
-	l.SetOwnerContext(restoredOwner, rows, events)
-}
-
-// PersistContext writes the applied-context record through to the dl_ctx
-// table so it survives a snapshot round trip. Called when a snapshot is
-// dumped, not on every apply: the table is only ever read by NewLoader.
-func (l *Loader) PersistContext() error {
-	concepts, events := l.AppliedContext()
-	tab, err := l.db.Catalog().Get("dl_ctx")
-	if err != nil {
-		return err
-	}
-	_, _ = tab.Delete(func(storage.Row) (bool, error) { return true, nil }) // the match never fails
-	for _, c := range concepts {
-		if err := l.db.InsertRow("dl_ctx", "concept", c); err != nil {
-			return err
-		}
-	}
-	for _, e := range events {
-		if err := l.db.InsertRow("dl_ctx", "event", e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ViewFor compiles a concept expression into a database view and returns

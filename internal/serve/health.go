@@ -199,7 +199,7 @@ func NotePanic() { panicsTotal.Add(1) }
 func PanicsTotal() int64 { return panicsTotal.Load() }
 
 // ProbeDisk attempts to leave degraded mode: it re-arms the journal
-// (ResetAfter truncates the unacknowledged tail and fsyncs as a write
+// (Reset truncates the unacknowledged tail and fsyncs as a write
 // probe) and re-journals the applied-but-unjournaled records with
 // Preserved set — checkpoint-exempt, exactly like recovery's preserve
 // path — before accepting mutations again. Returns nil when the server
@@ -214,7 +214,7 @@ func (s *Server) ProbeDisk() error {
 		s.health.clear()
 		return nil
 	}
-	if err := j.ResetAfter(nil); err != nil {
+	if err := j.Reset(); err != nil {
 		return err
 	}
 	for {

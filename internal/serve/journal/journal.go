@@ -305,10 +305,10 @@ type Stats struct {
 	// checkpoint this incarnation (0 before the first checkpoint).
 	CheckpointSeq uint64 `json:"checkpoint_seq"`
 	// Degraded reports a sticky writer error: every append fails until
-	// ResetAfter re-arms the journal (or the process restarts). The
+	// Reset re-arms the journal (or the process restarts). The
 	// serving layer maps it to read-only degraded mode.
 	Degraded bool `json:"degraded,omitempty"`
-	// Resets counts successful ResetAfter re-arms — degraded→healthy
+	// Resets counts successful Reset re-arms — degraded→healthy
 	// transitions survived without a restart.
 	Resets int64 `json:"resets,omitempty"`
 	// TotalRecords is the number of records in the file (live + dead).
@@ -387,10 +387,9 @@ type pending struct {
 	barrier    bool
 	checkpoint bool
 	ckptSeq    uint64
-	// reset asks the writer to clear a sticky error after probe (optional)
-	// succeeds; processed before the batch's sticky-error check.
+	// reset asks the writer to clear a sticky error; processed before the
+	// batch's sticky-error check.
 	reset bool
-	probe func() error
 	done  chan error
 }
 
@@ -709,46 +708,26 @@ func (j *Journal) Append(rec Record) error {
 	return j.Submit(rec)()
 }
 
-// Err reports the journal's sticky writer error (nil when healthy). A
-// non-nil value means every Submit/Sync/Checkpoint fails until ResetAfter
-// re-arms the journal.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.werr != nil {
-		return fmt.Errorf("journal: previous write failed: %w", j.werr)
-	}
-	if j.closed {
-		return errors.New("journal: closed")
-	}
-	return nil
-}
-
 // Degraded reports lock-free whether the journal is sticky-failed.
 func (j *Journal) Degraded() bool { return j.degraded.Load() }
 
-// Reset is ResetAfter with no probe.
-func (j *Journal) Reset() error { return j.ResetAfter(nil) }
-
-// ResetAfter attempts to clear a sticky write error and resume appends —
-// the recovery path for a disk that filled up (or errored) and came
-// back. If probe is non-nil it runs first on the writer goroutine; a
-// probe error aborts the reset (the journal stays degraded). The re-arm
-// then reopens the file, truncates it back to the last *acknowledged*
-// byte — j.size only advances on durable batches, so everything beyond
-// it is a torn or unacknowledged tail whose submitters all saw errors —
-// re-extends it by a chunk of slack and fsyncs, proving the disk accepts
-// writes again. The in-memory retained state (live map, vocabulary
+// Reset attempts to clear a sticky write error and resume appends — the
+// recovery path for a disk that filled up (or errored) and came back. The
+// re-arm runs on the writer goroutine: it reopens the file, truncates it
+// back to the last *acknowledged* byte — j.size only advances on durable
+// batches, so everything beyond it is a torn or unacknowledged tail whose
+// submitters all saw errors — re-extends it by a chunk of slack and
+// fsyncs, proving the disk accepts writes again. The in-memory retained state (live map, vocabulary
 // records, sequence counter) already describes exactly that prefix, so no
 // rescan is needed and no acknowledged record is ever dropped. Returns nil
 // if the journal was not degraded.
-func (j *Journal) ResetAfter(probe func() error) error {
+func (j *Journal) Reset() error {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
 		return errors.New("journal: closed")
 	}
-	p := &pending{reset: true, probe: probe, done: make(chan error, 1)}
+	p := &pending{reset: true, done: make(chan error, 1)}
 	j.queue = append(j.queue, p)
 	j.mu.Unlock()
 	j.cond.Signal()
@@ -764,18 +743,13 @@ func (j *Journal) setWriteError(err error) {
 	j.degraded.Store(err != nil)
 }
 
-// handleReset performs a ResetAfter on the writer goroutine.
-func (j *Journal) handleReset(probe func() error) error {
+// handleReset performs a Reset on the writer goroutine.
+func (j *Journal) handleReset() error {
 	j.mu.Lock()
 	werr := j.werr
 	j.mu.Unlock()
 	if werr == nil {
 		return nil
-	}
-	if probe != nil {
-		if err := probe(); err != nil {
-			return fmt.Errorf("journal: reset probe: %w", err)
-		}
 	}
 	f, err := j.fs.OpenFile(j.path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -834,7 +808,7 @@ func (j *Journal) writer() {
 			n := 0
 			for _, p := range batch {
 				if p.reset {
-					p.done <- j.handleReset(p.probe)
+					p.done <- j.handleReset()
 					continue
 				}
 				batch[n] = p
@@ -1146,12 +1120,6 @@ type ReplayStats struct {
 	// a pre-sized file is not torn).
 	Torn      bool
 	TornBytes int64
-}
-
-// Vocab is the number of replayed vocabulary records (everything that is
-// not a session op).
-func (rs ReplayStats) Vocab() int {
-	return rs.Declares + rs.Asserts + rs.RuleAdds + rs.RuleRemoves + rs.Execs
 }
 
 // Replay reads the journal at path and calls fn for every valid record in

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	contextrank "repro"
 	"repro/internal/serve/journal"
 )
 
@@ -103,11 +105,11 @@ func TestJournalReplayIdempotence(t *testing.T) {
 		if st.Rules != wantRules {
 			t.Fatalf("pass %d: %d rules, want %d", pass, st.Rules, wantRules)
 		}
-		if _, ok := dst.Sessions().Measurements("ghost"); ok {
+		if _, _, ok := dst.Sessions().Snapshot("ghost"); ok {
 			t.Fatalf("pass %d: dropped user resurrected", pass)
 		}
 		for u, want := range wantFP {
-			if got := dst.Sessions().Fingerprint(u); got != want {
+			if _, got, _ := dst.Sessions().Snapshot(u); got != want {
 				t.Fatalf("pass %d: fingerprint for %s = %s, want %s", pass, u, got, want)
 			}
 		}
@@ -158,7 +160,7 @@ func TestJournalDropRetryNotResurrected(t *testing.T) {
 	}
 	dst := NewServer(newTestSystem(t), Options{})
 	replayInto(t, dst, path)
-	if _, ok := dst.Sessions().Measurements("peter"); ok {
+	if _, _, ok := dst.Sessions().Snapshot("peter"); ok {
 		t.Fatal("dropped session resurrected after a retried drop")
 	}
 }
@@ -209,8 +211,14 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 	}
 	preSessions := st.Sessions
 	preFP := make(map[string]string)
-	for _, u := range src.Sessions().Users() {
-		preFP[u] = src.Sessions().Fingerprint(u)
+	for u := 0; u < users; u++ {
+		name := fmt.Sprintf("user%03d", u)
+		if _, fp, ok := src.Sessions().Snapshot(name); ok {
+			preFP[name] = fp
+		}
+	}
+	if len(preFP) != preSessions {
+		t.Fatalf("%d sessions hold a fingerprint, want %d", len(preFP), preSessions)
 	}
 
 	// Crash (journal not closed; group commit already fsynced every ack)
@@ -224,7 +232,7 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 		t.Fatalf("recovered %d sessions, want %d", got, preSessions)
 	}
 	for u, want := range preFP {
-		if got := dst.Sessions().Fingerprint(u); got != want {
+		if _, got, _ := dst.Sessions().Snapshot(u); got != want {
 			t.Fatalf("fingerprint for %s = %s, want %s", u, got, want)
 		}
 	}
@@ -289,5 +297,64 @@ func TestJournalSubscriptionReplaceOrder(t *testing.T) {
 		if got, ok := replayed[id]; !ok || got != want {
 			t.Fatalf("subscription %s: replayed limit %d (present %v), live limit %d — journal order != apply order", id, got, ok, want)
 		}
+	}
+}
+
+// TestCheckpointLeavesRankingsCached: a checkpoint dump changes no served
+// state — the snapshot leaves the sessions' context out instead of
+// retracting and re-applying it — so a rank repeated across a checkpoint is
+// a cache hit, and the epoch, the user's applied generation, the plan cache
+// and the subscription evaluator stand still.
+func TestCheckpointLeavesRankingsCached(t *testing.T) {
+	srv := NewServer(newTestSystem(t), Options{})
+	attachTestJournal(t, srv, journal.Options{})
+	applyCtx(t, srv, "peter", "CtxA", 0.7)
+	applyCtx(t, srv, "maria", "CtxB", 1)
+	if _, err := srv.Subscribe("s", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "TvProgram"}}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.SubscriptionStream("s") // returns once the opening snapshot is in
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, gen := srv.Stats(), srv.Sessions().appliedContext("peter").generation
+
+	var snap bytes.Buffer
+	seq, err := srv.CheckpointDump(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != srv.Journal().Seq() {
+		t.Fatalf("checkpoint covers seq %d, journal is at %d", seq, srv.Journal().Seq())
+	}
+	if bytes.Contains(snap.Bytes(), []byte("ctx_")) {
+		t.Fatal("the checkpoint snapshot names a context event")
+	}
+
+	second, meta, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !meta.Cached {
+		t.Fatal("the rank after a checkpoint missed the cache")
+	}
+	sameResults(t, second, first)
+	expectQuiet(t, st.Events())
+	after := srv.Stats()
+	if after.Epoch != before.Epoch {
+		t.Errorf("epoch %d -> %d across a checkpoint", before.Epoch, after.Epoch)
+	}
+	if g := srv.Sessions().appliedContext("peter").generation; g != gen {
+		t.Errorf("peter's applied generation %d -> %d across a checkpoint", gen, g)
+	}
+	if after.Plans.Refreshed != before.Plans.Refreshed || after.Plans.Misses != before.Plans.Misses {
+		t.Errorf("plan cache moved across a checkpoint: %+v -> %+v", before.Plans, after.Plans)
+	}
+	if after.Subs.Evals != before.Subs.Evals {
+		t.Errorf("subscription evals %d -> %d across a checkpoint", before.Subs.Evals, after.Subs.Evals)
 	}
 }

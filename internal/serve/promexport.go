@@ -251,7 +251,7 @@ func exportJournal(w *metrics.Writer, shards []Stats) {
 			w.Sample("carserve_journal_degraded", v, "shard", strconv.Itoa(i))
 		}
 	}
-	counter("carserve_journal_resets_total", "Successful WAL re-arms after a sticky write error (ResetAfter).",
+	counter("carserve_journal_resets_total", "Successful WAL re-arms after a sticky write error (Reset).",
 		func(j journal.Stats) float64 { return float64(j.Resets) })
 
 	bounds := make([]float64, len(journal.BatchSizeBuckets))

@@ -418,28 +418,27 @@ func (s *Server) Query(stmt string) (*contextrank.QueryResult, error) {
 	return s.facade.Query(stmt)
 }
 
-// CheckpointDump dumps the wrapped system as JSON to w with every session's
-// context suspended (see Sessions.SuspendAndDump): the snapshot
-// carries data, vocabulary, views and rules but never session context, so
-// a server restored from it accepts session applies immediately. The dump
-// runs under the write lock — a consistent cut — and bumps the epoch. It
-// returns the journal sequence number the snapshot covers: every record
-// with Seq <= the returned value is reflected in the dump, every later
-// record is not. The capture is exact because SuspendAndDump holds both
-// the session mutex and the facade write lock across fn, and Apply
-// submits every session and vocabulary record under those locks — none
-// can land between the cut and the dump (subscription records can, but
-// checkpoints never truncate them). A server without a journal returns
+// CheckpointDump dumps the wrapped system as JSON to w under the facade
+// write lock — a consistent cut — and returns the journal sequence number
+// the snapshot covers: every vocabulary record with Seq <= the returned
+// value is reflected in the dump, every later one is not. The cut is exact
+// because Apply submits every vocabulary record, and every session record
+// that changes state, inside that lock; session and subscription records
+// are not in the snapshot, and checkpoints keep every live one. It takes no
+// session lock and moves no epoch, fingerprint or applied generation.
+// The snapshot carries data, vocabulary, views and rules but no session
+// context (System.SaveSnapshot leaves it out), so a server restored from it
+// accepts session applies immediately. A server without a journal returns
 // seq 0.
 func (s *Server) CheckpointDump(w io.Writer) (uint64, error) {
+	f := s.facade
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var seq uint64
-	err := s.sessions.SuspendAndDump(func(sys *contextrank.System) error {
-		if j := s.wal.Load(); j != nil {
-			seq = j.Seq()
-		}
-		return sys.SaveSnapshot(w)
-	})
-	return seq, err
+	if j := s.wal.Load(); j != nil {
+		seq = j.Seq()
+	}
+	return seq, f.sys.SaveSnapshot(w)
 }
 
 // --- statistics ------------------------------------------------------------
@@ -522,7 +521,7 @@ type CheckpointStats struct {
 	// seconds; 0 before the first).
 	LastUnix int64 `json:"last_unix,omitempty"`
 	// LastDurationMicros is the wall time of the last successful
-	// checkpoint (suspend + dump + rename + WAL truncation).
+	// checkpoint (dump + rename + WAL truncation).
 	LastDurationMicros float64 `json:"last_duration_us,omitempty"`
 	// LastSeq is the highest per-shard journal sequence the last
 	// checkpoint covered (max across shards).

@@ -133,11 +133,14 @@ func TestSessionFingerprints(t *testing.T) {
 	if fp3 != fp1 {
 		t.Fatal("identical measurements must fingerprint identically")
 	}
-	if got := s.Fingerprint("peter"); got != fp3 {
-		t.Fatalf("Fingerprint = %q, want %q", got, fp3)
+	if _, got, _ := s.Snapshot("peter"); got != fp3 {
+		t.Fatalf("Snapshot fingerprint = %q, want %q", got, fp3)
 	}
-	if got := s.Fingerprint("nobody"); got != "" {
-		t.Fatalf("Fingerprint for unknown user = %q, want empty", got)
+	if got := s.appliedContext("peter").fingerprint; got != fp3 {
+		t.Fatalf("applied fingerprint = %q, want %q", got, fp3)
+	}
+	if _, got, ok := s.Snapshot("nobody"); ok || got != "" {
+		t.Fatalf("Snapshot for unknown user = %q, %v; want empty", got, ok)
 	}
 	// Measurement fields are free-form bytes; crafted separator bytes in
 	// one field must not collide two different lists (which would pin
@@ -152,8 +155,8 @@ func TestSessionFingerprints(t *testing.T) {
 	if a == b {
 		t.Fatal("separator injection collided two measurement lists")
 	}
-	if users := s.Users(); len(users) != 1 || users[0] != "peter" {
-		t.Fatalf("Users = %v", users)
+	if s.Count() != 1 {
+		t.Fatalf("Count = %d, want 1", s.Count())
 	}
 	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)

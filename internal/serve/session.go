@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
-	contextrank "repro"
 	"repro/internal/dl"
 	"repro/internal/situation"
 )
@@ -45,7 +43,10 @@ type Measurement = situation.Measurement
 //   - The apply fails: it is multi-step and may have torn the user's context,
 //     so the previous one is restored and every cached ranking invalidated
 //     (the same over-invalidation policy as the facade's write path).
-//   - SuspendAndDump retracts and re-applies every session.
+//
+// A checkpoint reads no session state: the snapshot leaves every user's
+// context rows and events out (contextrank.System.SaveSnapshot), and the
+// journal re-applies live sessions on recovery.
 //
 // Two restrictions keep the rest sound:
 //
@@ -265,17 +266,6 @@ func (s *Sessions) applyLocked(user string, sess *session, changed []string) err
 	return nil
 }
 
-// Fingerprint returns the user's current context fingerprint, or "" when
-// the user has no session.
-func (s *Sessions) Fingerprint(user string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.users[user]; ok {
-		return sess.fingerprint
-	}
-	return ""
-}
-
 // appliedContext returns what the user's last successful apply published
 // (zero for a user without a session), without taking the session mutex —
 // safe to call while holding the facade lock (either side).
@@ -284,12 +274,6 @@ func (s *Sessions) appliedContext(user string) appliedContext {
 		return v.(appliedContext)
 	}
 	return appliedContext{}
-}
-
-// Measurements returns a copy of the user's session measurements.
-func (s *Sessions) Measurements(user string) ([]Measurement, bool) {
-	ms, _, ok := s.Snapshot(user)
-	return ms, ok
 }
 
 // Snapshot returns the user's measurements together with the matching
@@ -320,69 +304,11 @@ func (s *Sessions) IsSessionConcept(concept string) bool {
 	return ours > 0
 }
 
-// Users returns the sorted users with live sessions.
-func (s *Sessions) Users() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.users))
-	for u := range s.users {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Count returns the number of live sessions. It is lock-free (reading a
 // mirror of len(users) maintained under s.mu), so it never queues behind
 // an in-flight apply — Stats calls it on the scrape path.
 func (s *Sessions) Count() int {
 	return int(s.count.Load())
-}
-
-// SuspendAndDump runs fn (typically a snapshot dump) on the bare system
-// with every session's context *retracted*, then re-applies each live
-// session — all inside one facade write critical section, so no reader ever
-// observes the suspended state. Serving-layer snapshots therefore contain
-// only durable state: session context is never part of a snapshot, and a
-// restored server's session manager starts with clean concept tables instead
-// of refusing its own vocabulary as foreign data. Session persistence is the
-// journal's job (Server.AttachJournal): boot-time replay re-applies the
-// journaled records through Apply, the same path live traffic takes — or,
-// without a journal, context is simply re-sensed after a restart (the
-// paper's §5 position). This is the one O(sessions) operation of the layer,
-// paid once per checkpoint.
-//
-// The epoch is bumped on the way out regardless of outcome: every session's
-// events were re-declared, a failed re-apply leaves that context torn, and
-// conservative invalidation is the established policy for every partial
-// mutation.
-func (s *Sessions) SuspendAndDump(fn func(sys *contextrank.System) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	defer f.epoch.Add(1)
-	if err := f.sys.SetContext(situation.New("_snapshot")); err != nil {
-		return fmt.Errorf("serve: suspending session context: %w", err)
-	}
-	dumpErr := fn(f.sys)
-	users := make([]string, 0, len(s.users))
-	for u := range s.users {
-		users = append(users, u)
-	}
-	sort.Strings(users) // deterministic event numbering
-	for _, u := range users {
-		sess := s.users[u]
-		err := s.guardLocked(sess.concepts())
-		if err == nil {
-			err = s.applyLocked(u, sess, nil)
-		}
-		if err != nil && dumpErr == nil {
-			dumpErr = fmt.Errorf("serve: re-applying session context of %q after dump: %w", u, err)
-		}
-	}
-	return dumpErr
 }
 
 // couplesLocked reports whether a write changing the given concepts can

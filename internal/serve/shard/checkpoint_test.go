@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,6 +139,135 @@ func TestCheckpointSuffixRecoveryMatchesPureReplay(t *testing.T) {
 		if ga, gb := rankScores(t, ra, u), rankScores(t, rb, u); ga != gb {
 			t.Fatalf("rank scores for %s diverged:\ncheckpoint+suffix: %s\npure replay:       %s", u, ga, gb)
 		}
+	}
+}
+
+// TestCheckpointConcurrentSuffixRecoveryMatchesPureReplay is the concurrent
+// form of TestCheckpointSuffixRecoveryMatchesPureReplay: in every round,
+// session applies from several goroutines and the round's vocabulary writes
+// run beside a checkpoint, which takes no session lock. After each round the
+// checkpointed directory is copied as a crash image; recovering it — that
+// round's checkpoint plus its WAL suffix — must give exactly the state a
+// pure replay of the same history gives. Each applier owns its users, so the
+// interleaving cannot change what the history means.
+func TestCheckpointConcurrentSuffixRecoveryMatchesPureReplay(t *testing.T) {
+	dirA := t.TempDir() // checkpointed every round, beside the applies
+	dirB := t.TempDir() // pure WAL, the same history applied sequentially
+	a := newTestCoordinator(t, 2)
+	b := newTestCoordinator(t, 2)
+	for _, c := range []struct {
+		co  *Coordinator
+		dir string
+	}{{a, dirA}, {b, dirB}} {
+		if _, err := c.co.Recover(c.dir, journal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		defer c.co.CloseJournals()
+		if _, err := c.co.Declare([]string{"InKitchen", "InLounge"}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds, appliers, perApplier = 4, 4, 3
+	user := func(w, i int) string { return fmt.Sprintf("user%d-%d", w, i) }
+	// applyRound runs applier w's session writes of the round on c.
+	applyRound := func(c *Coordinator, round, w int) error {
+		for i := 0; i < perApplier; i++ {
+			k := round + i + w
+			if k%4 == 3 {
+				if err := c.DropSession(user(w, i)); err != nil {
+					return err
+				}
+				continue
+			}
+			ms := []serve.Measurement{
+				{Concept: "Weekend", Prob: 0.1 + 0.1*float64(k%9)},
+				{Concept: "InKitchen", Prob: 0.6, Exclusive: "room"},
+				{Concept: "InLounge", Prob: 0.1 * float64(k%4), Exclusive: "room"},
+			}
+			if _, err := c.SetSession(user(w, i), ms); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// image copies a live durability directory, as a crash would leave it.
+	image := func(dir string) string {
+		t.Helper()
+		img := t.TempDir()
+		if err := os.CopyFS(img, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < appliers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := applyRound(a, round, w); err != nil {
+					t.Error(err)
+				}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := a.Checkpoint(dirA); err != nil {
+				t.Error(err)
+			}
+		}()
+		mutateVocab(t, a, round)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for w := 0; w < appliers; w++ {
+			if err := applyRound(b, round, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mutateVocab(t, b, round)
+
+		imgA, imgB := image(dirA), image(dirB)
+		build, _, err := RestoreBuilder(imgA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := New(2, build, serve.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ra.Recover(imgA, journal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		rb := newTestCoordinator(t, 2)
+		if _, err := rb.Recover(imgB, journal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		sa, sb := ra.Stats(), rb.Stats()
+		if sa.Sessions != sb.Sessions || sa.Rules != sb.Rules || sa.Events != sb.Events {
+			t.Fatalf("round %d: checkpoint+suffix %d sessions/%d rules/%d events, pure replay %d/%d/%d",
+				round, sa.Sessions, sa.Rules, sa.Events, sb.Sessions, sb.Rules, sb.Events)
+		}
+		if ga, gb := tableRows(t, ra), tableRows(t, rb); ga != gb || ga != round+1 {
+			t.Fatalf("round %d: SQL rows diverged: checkpoint+suffix %d, pure replay %d", round, ga, gb)
+		}
+		for w := 0; w < appliers; w++ {
+			for i := 0; i < perApplier; i++ {
+				u := user(w, i)
+				_, fa, oka := ra.SessionInfo(u)
+				_, fb, okb := rb.SessionInfo(u)
+				if oka != okb || fa != fb {
+					t.Fatalf("round %d: session %s diverged: %v %s vs %v %s", round, u, oka, fa, okb, fb)
+				}
+				if ga, gb := rankScores(t, ra, u), rankScores(t, rb, u); ga != gb {
+					t.Fatalf("round %d: rank scores for %s diverged:\ncheckpoint+suffix: %s\npure replay:       %s", round, u, ga, gb)
+				}
+			}
+		}
+		ra.CloseJournals()
+		rb.CloseJournals()
 	}
 }
 

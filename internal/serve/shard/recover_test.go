@@ -498,3 +498,102 @@ func TestRecoverParentCommitWAL(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreDlCtxCheckpoint pins cross-version restore of a checkpoint:
+// testdata/ckpt_dl_ctx is a 2-shard checkpoint written by the build whose
+// checkpoints suspended every session and whose snapshots carry a dl_ctx
+// table. It holds the manifest, two shard snapshots (data, vocabulary, rules
+// and a view rendered from its parse) and the WAL generation past the cut:
+// sessions with uncertain and exclusive measurements, a drop, a subscription
+// and an exec-created view whose text has a comment. Restored through
+// RestoreBuilder and Recover at 1 and 2 shards, it must serve the sessions,
+// fingerprints, top-10 scores and view rows that build served (want.json),
+// and dl_ctx must be gone: from queries, and from the next checkpoint.
+func TestRestoreDlCtxCheckpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/ckpt_dl_ctx/want.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Fingerprints, Top10, Views map[string]string
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS("testdata/ckpt_dl_ctx")); err != nil {
+				t.Fatal(err)
+			}
+			build, saved, err := RestoreBuilder(dir)
+			if err != nil || saved != 2 {
+				t.Fatalf("RestoreBuilder: %d shards, %v", saved, err)
+			}
+			c, err := New(n, build, serve.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := c.Recover(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.CloseJournals()
+			wantStats := RecoveryStats{Files: 2, Records: 10, Users: 4, Drops: 1, Execs: 1, SkippedDuplicate: 1, Subscribes: 1}
+			if rs != wantStats {
+				t.Fatalf("recovery stats\n got %+v\nwant %+v", rs, wantStats)
+			}
+			for u, fp := range want.Fingerprints {
+				if _, got, _ := c.SessionInfo(u); got != fp {
+					t.Errorf("session %s fingerprint = %q, want %q", u, got, fp)
+				}
+				res, _, err := c.Rank(u, "TvProgram", contextrank.RankOptions{Limit: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				for _, r := range res {
+					fmt.Fprintf(&sb, "%s=%v;", r.ID, r.Score)
+				}
+				if got := sb.String(); got != want.Top10[u] {
+					t.Errorf("%s top 10 = %s, want %s", u, got, want.Top10[u])
+				}
+			}
+			for v, rows := range want.Views {
+				res, err := c.Query("SELECT id FROM " + v + " ORDER BY id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				for _, r := range res.Rows {
+					sb.WriteString(r[0].S + ";")
+				}
+				if sb.String() != rows {
+					t.Errorf("view %s rows = %s, want %s", v, sb.String(), rows)
+				}
+			}
+			if subs := c.Subscriptions(); len(subs) != 1 || subs[0].ID != "fix-sub" || subs[0].User != "ann" || subs[0].Limit != 3 {
+				t.Errorf("subscriptions = %+v, want only fix-sub", subs)
+			}
+			if _, err := c.Query("SELECT kind FROM dl_ctx"); err == nil {
+				t.Error("dl_ctx survived the restore")
+			}
+			if err := c.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := filepath.Glob(filepath.Join(dir, "shard-*.snapshot.json"))
+			if err != nil || len(snaps) != n {
+				t.Fatalf("%d snapshot files after the checkpoint, want %d (%v)", len(snaps), n, err)
+			}
+			for _, p := range snaps {
+				data, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Contains(data, []byte("dl_ctx")) || bytes.Contains(data, []byte("ctx_")) {
+					t.Errorf("%s carries dl_ctx or a context event", filepath.Base(p))
+				}
+			}
+		})
+	}
+}

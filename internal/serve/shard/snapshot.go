@@ -50,11 +50,10 @@ func snapshotFile(dir, id string, i int) string {
 }
 
 // SaveSnapshots dumps every shard's database (serve.Server.CheckpointDump:
-// engine.Dump plus the persisted rule repository, with session context
-// suspended) into dir, one file per shard plus a manifest, creating dir
-// if needed. Each dump runs under that shard's write lock, so it is a
-// consistent cut of that shard; other shards keep serving while one is
-// dumping.
+// engine.Dump plus the persisted rule repository, minus session context)
+// into dir, one file per shard plus a manifest, creating dir if needed.
+// Each dump runs under that shard's write lock, so it is a consistent cut
+// of that shard; other shards keep serving while one is dumping.
 //
 // The save is atomic as a *set*: every file of a save carries a fresh
 // generation id, and the manifest — renamed into place last — is the only

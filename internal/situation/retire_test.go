@@ -24,7 +24,7 @@ func TestApplyRetiresPreviousEvents(t *testing.T) {
 	if len1 != 3 || groups1 != 1 {
 		t.Fatalf("after first apply: Len = %d, Groups = %d", len1, groups1)
 	}
-	_, events1 := l.AppliedContext()
+	_, events1 := l.OwnerContext("peter")
 	for i := 0; i < 50; i++ {
 		if err := ctx.Apply(l); err != nil {
 			t.Fatal(err)
@@ -78,9 +78,8 @@ func TestApplyEmptyContextRetractsAndRetiresEverything(t *testing.T) {
 	if p != 0 {
 		t.Fatalf("retracted membership still has P = %g", p)
 	}
-	concepts, events := l.AppliedContext()
-	if len(concepts) != 0 || len(events) != 0 {
-		t.Fatalf("applied-context record not empty: %v / %v", concepts, events)
+	if concepts, owners := l.ContextConcepts(), l.ContextOwners(); len(concepts) != 0 || len(owners) != 0 {
+		t.Fatalf("applied-context record not empty: %v / %v", concepts, owners)
 	}
 }
 

@@ -10,7 +10,6 @@ package situation
 import (
 	"fmt"
 	"math/rand"
-	"regexp"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -98,46 +97,6 @@ func (c *Context) ConceptNames() []string {
 // declares carry its number in their names, so names never repeat, and the
 // number doubles as the applied context's generation (see ApplyOwned).
 var epoch atomic.Int64
-
-// ctxEventName parses the basic-event names an apply declares:
-// ctx_<epoch>_<measurement index>_<concept>.
-var ctxEventName = regexp.MustCompile(`^ctx_(\d+)_\d+_(.+)$`)
-
-// AdoptApplied prepares a loader restored from a snapshot for context
-// applies. The applied-context record itself survives the round trip
-// through the dl_ctx table (adopted by mapping.NewLoader); this function
-// advances the process-wide epoch counter past every restored ctx_* epoch
-// so fresh declarations can never collide with restored names, and — for
-// degraded snapshots whose dl_ctx record is missing — reconstructs the
-// record from the ctx_* event names so the events are still retired by the
-// first apply (certain-measurement concepts are not recoverable that way;
-// the dl_ctx record is the authoritative source).
-func AdoptApplied(l *mapping.Loader) {
-	var events, concepts []string
-	seen := make(map[string]bool)
-	for _, d := range l.DB().Space().Decls() {
-		m := ctxEventName.FindStringSubmatch(d.Name)
-		if m == nil {
-			continue
-		}
-		events = append(events, d.Name)
-		if e, err := strconv.ParseInt(m[1], 10, 64); err == nil {
-			for {
-				cur := epoch.Load()
-				if e <= cur || epoch.CompareAndSwap(cur, e) {
-					break
-				}
-			}
-		}
-		if c := m[2]; !seen[c] {
-			seen[c] = true
-			concepts = append(concepts, c)
-		}
-	}
-	if len(l.ContextOwners()) == 0 {
-		l.AdoptContext(concepts, events)
-	}
-}
 
 // Apply makes c the loader's whole context — one situated user per loader,
 // the library's semantics (dynamic context is acquired anew at each query,

@@ -24,11 +24,13 @@ type DropTableStmt struct {
 	IfExists bool
 }
 
-// CreateViewStmt is CREATE [OR REPLACE] VIEW name AS select.
+// CreateViewStmt is CREATE [OR REPLACE] VIEW name AS select. Text is the
+// select as the source spelled it, from SELECT through its last token.
 type CreateViewStmt struct {
 	Name      string
 	OrReplace bool
 	Query     *SelectStmt
+	Text      string
 }
 
 // DropViewStmt is DROP VIEW [IF EXISTS] name.
@@ -196,85 +198,6 @@ type CaseExpr struct {
 type CaseWhen struct {
 	Cond Expr
 	Then Expr
-}
-
-// ReferencedBasicEvents collects the basic-event names a SELECT references
-// through EV_BASIC('name') literals, across the whole statement including
-// UNION branches. complete is false when some EV_BASIC argument is not a
-// text literal (the referenced name is only known at evaluation time), in
-// which case callers must assume the statement may reference any event.
-// Snapshot dumps use this to keep declarations alive that appear only in
-// view definitions, never in stored rows.
-func ReferencedBasicEvents(sel *SelectStmt) (names []string, complete bool) {
-	complete = true
-	var walkExpr func(e Expr)
-	walkExpr = func(e Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *Literal, *ColumnRef:
-		case *Unary:
-			walkExpr(e.X)
-		case *Binary:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *FuncCall:
-			if e.Name == "EV_BASIC" {
-				if len(e.Args) == 1 {
-					if lit, ok := e.Args[0].(*Literal); ok && lit.Val.T == storage.TypeText {
-						names = append(names, lit.Val.S)
-						return
-					}
-				}
-				complete = false
-			}
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *InList:
-			walkExpr(e.X)
-			for _, s := range e.Set {
-				walkExpr(s)
-			}
-		case *IsNull:
-			walkExpr(e.X)
-		case *Like:
-			walkExpr(e.X)
-			walkExpr(e.Pattern)
-		case *CaseExpr:
-			for _, w := range e.Whens {
-				walkExpr(w.Cond)
-				walkExpr(w.Then)
-			}
-			walkExpr(e.Else)
-		default:
-			// Unknown node kinds may hide EV_BASIC calls.
-			complete = false
-		}
-	}
-	var walkSelect func(s *SelectStmt)
-	walkSelect = func(s *SelectStmt) {
-		for ; s != nil; s = s.Union {
-			for _, it := range s.Items {
-				walkExpr(it.Expr)
-			}
-			for _, f := range s.From {
-				if f.Subquery != nil {
-					walkSelect(f.Subquery)
-				}
-				walkExpr(f.On)
-			}
-			walkExpr(s.Where)
-			for _, g := range s.GroupBy {
-				walkExpr(g)
-			}
-			walkExpr(s.Having)
-			for _, o := range s.OrderBy {
-				walkExpr(o.Expr)
-			}
-		}
-	}
-	walkSelect(sel)
-	return names, complete
 }
 
 func (*Literal) isExpr()   {}

@@ -24,8 +24,10 @@ type Executor struct {
 	catalog *storage.Catalog
 	rt      *Runtime
 
-	mu    sync.RWMutex
-	views map[string]*SelectStmt
+	mu sync.RWMutex
+	// views holds each view's defining statement: the parsed query it runs
+	// and the source text a snapshot writes.
+	views map[string]*CreateViewStmt
 	// redefs counts the DDL statements that removed or redefined an existing
 	// name; see Redefinitions.
 	redefs atomic.Uint64
@@ -35,7 +37,7 @@ type Executor struct {
 
 // NewExecutor builds an executor over the given catalog and runtime.
 func NewExecutor(catalog *storage.Catalog, rt *Runtime) *Executor {
-	return &Executor{catalog: catalog, rt: rt, views: make(map[string]*SelectStmt)}
+	return &Executor{catalog: catalog, rt: rt, views: make(map[string]*CreateViewStmt)}
 }
 
 // ViewNames returns the sorted registered view names.
@@ -58,13 +60,16 @@ func (ex *Executor) HasView(name string) bool {
 	return ok
 }
 
-// ViewDefinition returns the parsed defining query of a registered view.
-// The returned statement must not be modified.
-func (ex *Executor) ViewDefinition(name string) (*SelectStmt, bool) {
+// ViewText returns the SELECT text a registered view was created from, as
+// its CREATE VIEW statement spelled it.
+func (ex *Executor) ViewText(name string) (string, bool) {
 	ex.mu.RLock()
 	defer ex.mu.RUnlock()
-	sel, ok := ex.views[strings.ToLower(name)]
-	return sel, ok
+	v, ok := ex.views[strings.ToLower(name)]
+	if !ok {
+		return "", false
+	}
+	return v.Text, true
 }
 
 // Redefinitions counts the DDL statements that took an existing name away
@@ -163,7 +168,7 @@ func (ex *Executor) createView(s *CreateViewStmt) error {
 		}
 		ex.redefs.Add(1)
 	}
-	ex.views[key] = s.Query
+	ex.views[key] = s
 	return nil
 }
 
@@ -398,7 +403,9 @@ func (ex *Executor) resolveRef(ref TableRef, depth int) (*relation, error) {
 	sub := ref.Subquery
 	if sub == nil {
 		ex.mu.RLock()
-		sub = ex.views[strings.ToLower(ref.Table)]
+		if v := ex.views[strings.ToLower(ref.Table)]; v != nil {
+			sub = v.Query
+		}
 		ex.mu.RUnlock()
 	}
 	if sub != nil {

@@ -22,10 +22,11 @@ const (
 	tokSymbol // operators and punctuation
 )
 
+// A token spans the source runes [pos, end): offsets count runes, not bytes.
 type token struct {
-	kind tokenKind
-	text string
-	pos  int
+	kind     tokenKind
+	text     string
+	pos, end int
 }
 
 // lexer tokenizes a SQL statement.
@@ -64,7 +65,7 @@ func lexSQL(src string) ([]token, error) {
 			}
 		}
 	}
-	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
+	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos, end: l.pos})
 	return l.toks, nil
 }
 
@@ -81,7 +82,7 @@ func (l *lexer) lexString() error {
 				continue
 			}
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
+			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start, end: l.pos})
 			return nil
 		}
 		b.WriteRune(r)
@@ -113,7 +114,7 @@ func (l *lexer) lexNumber() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: string(l.src[start:l.pos]), pos: start})
+	l.toks = append(l.toks, token{kind: tokNumber, text: string(l.src[start:l.pos]), pos: start, end: l.pos})
 }
 
 func (l *lexer) lexIdent() {
@@ -126,13 +127,13 @@ func (l *lexer) lexIdent() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: string(l.src[start:l.pos]), pos: start})
+	l.toks = append(l.toks, token{kind: tokIdent, text: string(l.src[start:l.pos]), pos: start, end: l.pos})
 }
 
 func (l *lexer) lexSymbol() bool {
 	for _, s := range symbols {
 		if l.hasPrefix(s) {
-			l.toks = append(l.toks, token{kind: tokSymbol, text: s, pos: l.pos})
+			l.toks = append(l.toks, token{kind: tokSymbol, text: s, pos: l.pos, end: l.pos + len(s)})
 			l.pos += len(s)
 			return true
 		}

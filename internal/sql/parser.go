@@ -186,11 +186,13 @@ func (p *parser) parseCreate() (Statement, error) {
 		if err := p.expectKeyword("AS"); err != nil {
 			return nil, err
 		}
+		from := p.cur().pos
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err
 		}
-		return &CreateViewStmt{Name: name, OrReplace: orReplace, Query: sel}, nil
+		text := string([]rune(p.src)[from:p.toks[p.pos-1].end])
+		return &CreateViewStmt{Name: name, OrReplace: orReplace, Query: sel, Text: text}, nil
 	case p.keyword("INDEX"):
 		if err := p.expectKeyword("ON"); err != nil {
 			return nil, err

@@ -135,23 +135,3 @@ func TestQuickLikeUniversalPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUpdateAndLikeFormatRoundTrip(t *testing.T) {
-	for _, src := range []string{
-		"UPDATE t SET a = (a + 1), b = 'x' WHERE (a LIKE '%y%')",
-		"SELECT (name NOT LIKE 'x_%') FROM t",
-	} {
-		stmt, err := Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := Format(stmt)
-		back, err := Parse(text)
-		if err != nil {
-			t.Fatalf("reparse %q: %v", text, err)
-		}
-		if Format(back) != text {
-			t.Fatalf("not a fixed point: %q vs %q", Format(back), text)
-		}
-	}
-}
