@@ -84,7 +84,8 @@
 // healthy replica's WAL before readmission. Panics in requests or shard
 // applies are recovered and counted (carserve_panics_total). SIGTERM
 // drains new traffic for up to -drain-timeout before the shutdown
-// checkpoint; -request-timeout bounds every request end-to-end. /healthz
+// checkpoint; -request-timeout bounds each request's admission-queue wait
+// and sets its connection deadlines. /healthz
 // reports the aggregate and per-shard failure-domain state (always HTTP
 // 200 — a degraded daemon is alive, and restarting it would destroy the
 // in-memory state repair needs). -chaos arms the /v1/chaos
@@ -136,7 +137,7 @@ func main() {
 		quarAfter     = flag.Int("quarantine-after", 0, "quarantine a shard after this many consecutive broadcast apply failures (or panics): its users are rerouted to healthy replicas and background repair replays the missed writes from the WAL before readmission (0 disables)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "how often the background health probe retries degraded disks and quarantined-shard repair")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, how long to wait for in-flight requests to finish (new requests get 503 + Connection: close immediately) before the shutdown checkpoint")
-		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "per-request deadline, admission queueing included; propagated via the request context and connection deadlines (0 disables)")
+		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "per-request deadline: bounds the admission-queue wait and sets the connection read/write deadlines (0 disables)")
 		chaosOn       = flag.Bool("chaos", false, "arm the fault-injection surface: POST/GET/DELETE /v1/chaos manage runtime faults in the journal filesystem, broadcast and rank paths (testing only — armed faults are real outages)")
 		chaosSeed     = flag.Int64("chaos-seed", 1, "PRNG seed for rate-triggered chaos faults (with -chaos)")
 	)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,15 +93,23 @@ func NewAdmission(opts AdmissionOptions) *Admission {
 	return a
 }
 
-// AcquireCtx claims an in-flight slot, waiting in the bounded queue if the
-// gate is saturated. ok=false means the request must be shed with 429 and
-// the suggested Retry-After: the queue was full, or ctx ended (its deadline
-// expired or its client disconnected) while it waited — holding a queue
-// slot for work nobody will read helps no one. On ok=true the returned
-// release must be called exactly once when the request finishes.
-func (a *Admission) AcquireCtx(ctx context.Context) (release func(), ok bool, retryAfter time.Duration) {
+// The reasons Acquire refuses a request.
+var (
+	errQueueFull     = errors.New("serve: overloaded, request queue full")
+	errQueueDeadline = errors.New("serve: request deadline exceeded while queued")
+)
+
+// Acquire claims an in-flight slot, waiting in the bounded queue if the gate
+// is saturated. A non-nil error means the request must be shed: errQueueFull
+// when the queue was full (429 with Retry-After), errQueueDeadline when the
+// deadline passed while it waited, or ctx's error when its client went away —
+// holding a queue slot for work nobody will read helps no one. A zero
+// deadline waits without one; a timer is armed only when the request
+// actually queues. On success the returned release must be called exactly
+// once when the request finishes.
+func (a *Admission) Acquire(ctx context.Context, deadline time.Time) (release func(), err error) {
 	if a == nil || a.sem == nil {
-		return func() {}, true, 0
+		return func() {}, nil
 	}
 	release = func() {
 		a.inflight.Add(-1)
@@ -109,26 +119,35 @@ func (a *Admission) AcquireCtx(ctx context.Context) (release func(), ok bool, re
 	case a.sem <- struct{}{}:
 		a.inflight.Add(1)
 		a.admitted.Add(1)
-		return release, true, 0
+		return release, nil
 	default:
 	}
 	// Gate saturated: wait only if the queue has room.
 	if a.queued.Add(1) > int64(a.opts.MaxQueue) {
 		a.queued.Add(-1)
 		a.shedQueue.Add(1)
-		return nil, false, time.Second
+		return nil, errQueueFull
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
 	}
 	select {
 	case a.sem <- struct{}{}:
 		a.queued.Add(-1)
 		a.inflight.Add(1)
 		a.admitted.Add(1)
-		return release, true, 0
+		return release, nil
+	case <-expired:
+		err = errQueueDeadline
 	case <-ctx.Done():
-		a.queued.Add(-1)
-		a.shedQueue.Add(1)
-		return nil, false, time.Second
+		err = fmt.Errorf("serve: client gone while queued: %w", ctx.Err())
 	}
+	a.queued.Add(-1)
+	a.shedQueue.Add(1)
+	return nil, err
 }
 
 // AllowUser charges one request against the user's token bucket.

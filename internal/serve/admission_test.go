@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -73,34 +74,30 @@ func TestPerUserIsolation(t *testing.T) {
 }
 
 // TestAcquireQueueFull pins the gate: MaxInFlight requests run, MaxQueue
-// wait, and the next one is shed immediately with a retry hint.
+// wait, and the next one is shed immediately as queue-full.
 func TestAcquireQueueFull(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{MaxInFlight: 2, MaxQueue: 1})
 
-	rel1, ok, _ := a.AcquireCtx(context.Background())
-	rel2, ok2, _ := a.AcquireCtx(context.Background())
-	if !ok || !ok2 {
+	rel1, err := a.Acquire(context.Background(), time.Time{})
+	rel2, err2 := a.Acquire(context.Background(), time.Time{})
+	if err != nil || err2 != nil {
 		t.Fatal("gate refused below MaxInFlight")
 	}
 
 	// Third request queues (gate full, queue has room).
 	queued := make(chan func(), 1)
 	go func() {
-		rel, ok, _ := a.AcquireCtx(context.Background())
-		if !ok {
+		rel, err := a.Acquire(context.Background(), time.Time{})
+		if err != nil {
 			t.Error("queued request was shed")
 		}
 		queued <- rel
 	}()
 	waitFor(t, func() bool { return a.Stats().Queued == 1 })
 
-	// Fourth request: queue full — shed, with a positive Retry-After.
-	_, ok, retry := a.AcquireCtx(context.Background())
-	if ok {
-		t.Fatal("request admitted past a full queue")
-	}
-	if retry <= 0 {
-		t.Fatalf("retryAfter = %v, want > 0", retry)
+	// Fourth request: queue full — shed.
+	if _, err := a.Acquire(context.Background(), time.Time{}); !errors.Is(err, errQueueFull) {
+		t.Fatalf("past a full queue: err = %v, want errQueueFull", err)
 	}
 	if st := a.Stats(); st.ShedQueue != 1 {
 		t.Fatalf("ShedQueue = %d, want 1", st.ShedQueue)
@@ -120,14 +117,31 @@ func TestAcquireQueueFull(t *testing.T) {
 	}
 }
 
+// TestAcquireQueueDeadline: a queued request gives up when its deadline
+// passes, and one that never queues ignores a deadline already past.
+func TestAcquireQueueDeadline(t *testing.T) {
+	a := NewAdmission(AdmissionOptions{MaxInFlight: 1, MaxQueue: 1})
+	rel, err := a.Acquire(context.Background(), time.Now().Add(-time.Second))
+	if err != nil {
+		t.Fatalf("free slot refused for a past deadline: %v", err)
+	}
+	defer rel()
+	if _, err := a.Acquire(context.Background(), time.Now().Add(20*time.Millisecond)); !errors.Is(err, errQueueDeadline) {
+		t.Fatalf("queued past its deadline: err = %v, want errQueueDeadline", err)
+	}
+	if st := a.Stats(); st.Queued != 0 || st.ShedQueue != 1 {
+		t.Fatalf("after the deadline: Queued = %d, ShedQueue = %d, want 0, 1", st.Queued, st.ShedQueue)
+	}
+}
+
 // TestAdmissionDisabled: a nil controller admits everything.
 func TestAdmissionDisabled(t *testing.T) {
 	if NewAdmission(AdmissionOptions{}) != nil {
 		t.Fatal("zero options should build a nil (disabled) controller")
 	}
 	var a *Admission
-	rel, ok, _ := a.AcquireCtx(context.Background())
-	if !ok {
+	rel, err := a.Acquire(context.Background(), time.Time{})
+	if err != nil {
 		t.Fatal("nil admission refused a request")
 	}
 	rel()

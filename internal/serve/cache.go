@@ -56,10 +56,17 @@ func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) 
 // cache files it, rankMisses returns it per item and a subscription keeps the
 // one it last pushed, and all three ask current the same question. The result
 // slice is shared between every reader and must be treated as immutable.
+//
+// enc is the ranking's JSON results array as the handler writes it, made
+// empty when rankMisses files the ranking and filled by its first cache hit
+// (see appendResults); every copy the LRU hands out shares it, so every later
+// hit writes the stored bytes. A ranking that is never hit keeps nothing, and
+// one that is not filed has none.
 type ranked struct {
 	res     []contextrank.Result
 	v       stateVersion
 	members *contextrank.Membership
+	enc     *atomic.Pointer[[]byte]
 }
 
 // current reports whether the ranking is still the one a fresh rank at now

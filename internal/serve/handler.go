@@ -113,9 +113,10 @@ type HandlerOptions struct {
 	// drain: new API requests get 503 + Connection: close while
 	// in-flight ones finish (see DrainGate).
 	Drain *DrainGate
-	// RequestTimeout bounds each API request end to end — admission
-	// queueing included — via the request context plus connection
-	// deadlines. 0 disables.
+	// RequestTimeout bounds each API request: it sets the connection's
+	// read and write deadlines, and a request still waiting in the
+	// admission queue when it passes is shed with 503 (see
+	// requestTimeout). 0 disables.
 	RequestTimeout time.Duration
 	// Chaos, when set, exposes the fault injector at /v1/chaos
 	// (GET = armed faults with counters, POST {"faults":[...]} = arm,
@@ -544,14 +545,63 @@ func (h *Handler) rank(w http.ResponseWriter, r *http.Request, req rankRequest) 
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	out := rankResponse{
-		Results: resultsJSON(results),
-		Cached:  meta.Cached,
-		Epoch:   meta.Epoch,
-		Shard:   meta.Shard,
-		Micros:  meta.Elapsed.Microseconds(),
+	writeBody(w, r, http.StatusOK, func(buf *bytes.Buffer) error {
+		return appendRank(buf, results, meta)
+	})
+}
+
+// appendRank writes the rank response for results served as meta says,
+// byte for byte what json.Encoder renders for the rankResponse of the same
+// results and meta: the results array (see appendResults), then the four
+// numbers.
+func appendRank(buf *bytes.Buffer, results []contextrank.Result, meta RankMeta) error {
+	buf.WriteString(`{"results":`)
+	if err := appendResults(buf, results, meta); err != nil {
+		return err
 	}
-	writeJSON(w, r, http.StatusOK, out)
+	b := append(buf.AvailableBuffer(), `,"cached":`...)
+	b = strconv.AppendBool(b, meta.Cached)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendInt(b, meta.Epoch, 10)
+	b = append(b, `,"shard":`...)
+	b = strconv.AppendInt(b, int64(meta.Shard), 10)
+	b = append(b, `,"micros":`...)
+	b = strconv.AppendInt(b, meta.Elapsed.Microseconds(), 10)
+	b = append(b, "}\n"...)
+	buf.Write(b)
+	return nil
+}
+
+// appendResults writes the JSON results array of a served ranking. A cache
+// hit writes the ranking's stored encoding; the first hit finds none, so it
+// encodes the results and keeps the bytes (concurrent first hits each encode,
+// one keeps its copy). A miss encodes and keeps nothing: a ranking served
+// once stores no bytes.
+func appendResults(buf *bytes.Buffer, results []contextrank.Result, meta RankMeta) error {
+	if !meta.Cached || meta.enc == nil {
+		return encodeResults(buf, results)
+	}
+	if stored := meta.enc.Load(); stored != nil {
+		buf.Write(*stored)
+		return nil
+	}
+	start := buf.Len()
+	if err := encodeResults(buf, results); err != nil {
+		return err
+	}
+	stored := bytes.Clone(buf.Bytes()[start:])
+	meta.enc.CompareAndSwap(nil, &stored)
+	return nil
+}
+
+// encodeResults writes results as the JSON array rankResponse.Results
+// renders to.
+func encodeResults(buf *bytes.Buffer, results []contextrank.Result) error {
+	if err := json.NewEncoder(buf).Encode(resultsJSON(results)); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - 1) // Encode's trailing newline
+	return nil
 }
 
 // resultsJSON renders ranked results for transport; /v1/rank and
@@ -923,9 +973,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// jsonBufPool recycles response-encoding buffers across requests; the
-// rank path allocates nothing else for the response body, so pooling here
-// keeps the whole serve hot path allocation-light.
+// jsonBufPool recycles response-body buffers across requests, so a rank
+// response — a cache hit's stored results bytes plus four numbers — costs
+// its request no body allocation.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBufBytes caps buffers returned to the pool so one oversized
@@ -933,12 +983,19 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // allocation for the life of the process.
 const maxPooledBufBytes = 1 << 20
 
-// writeJSON encodes payload into a pooled buffer *before* writing the
-// header: an encoding failure can still become a clean 500 with the
-// request ID instead of a truncated 200, and both encode and write
-// failures are recorded on the request's reqInfo so the access-log line
-// carries them.
+// writeJSON writes payload's JSON encoding as the response (see writeBody).
 func writeJSON(w http.ResponseWriter, r *http.Request, status int, payload any) {
+	writeBody(w, r, status, func(buf *bytes.Buffer) error {
+		return json.NewEncoder(buf).Encode(payload)
+	})
+}
+
+// writeBody has fill render the response body into a pooled buffer
+// *before* writing the header: an encoding failure can still become a clean
+// 500 with the request ID instead of a truncated 200, and both encode and
+// write failures are recorded on the request's reqInfo so the access-log
+// line carries them.
+func writeBody(w http.ResponseWriter, r *http.Request, status int, fill func(*bytes.Buffer) error) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer func() {
@@ -946,7 +1003,7 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, payload any) 
 			jsonBufPool.Put(buf)
 		}
 	}()
-	if err := json.NewEncoder(buf).Encode(payload); err != nil {
+	if err := fill(buf); err != nil {
 		noteEncodeError(r, fmt.Errorf("encode: %w", err))
 		buf.Reset()
 		resp := errorResponse{Error: "serve: response encoding failed", Code: "internal"}

@@ -230,18 +230,29 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // child returns (creating on first use) the family's child for the label
 // values. The fast path is one map read under the family mutex — a scrape
 // holds the same mutex only long enough to copy the key list, so request
-// traffic never queues behind rendering I/O.
+// traffic never queues behind rendering I/O — and allocates nothing: the
+// key is joined into a stack buffer, and the compiler does not copy a
+// []byte converted to string for a map index. Only a new child's key is
+// made a string.
 func (f *family) child(values []string, make func() sample) sample {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, "\xff")
+	var stack [128]byte
+	key := stack[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	if !ok {
 		c = make()
-		f.children[key] = c
-		f.order = append(f.order, key)
+		k := string(key)
+		f.children[k] = c
+		f.order = append(f.order, k)
 	}
 	f.mu.Unlock()
 	return c

@@ -235,3 +235,24 @@ func TestRegistrationPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestWithExistingChildAllocatesNothing: a request records its series
+// through With on children that already exist; that look-up must not
+// allocate (it once joined the label values into a fresh key string).
+func TestWithExistingChildAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	requests := r.CounterVec("reqs_total", "h", "route", "code")
+	latency := r.HistogramVec("lat_seconds", "h", []float64{0.1, 1}, "route")
+	requests.With("POST /v1/rank", "200").Inc()
+	latency.With("POST /v1/rank").Observe(0.5)
+	allocs := testing.AllocsPerRun(100, func() {
+		requests.With("POST /v1/rank", "200").Inc()
+		latency.With("POST /v1/rank").Observe(0.5)
+	})
+	if allocs != 0 {
+		t.Errorf("With on existing children: %v allocs/op, want 0", allocs)
+	}
+	if got := requests.With("POST /v1/rank", "200").Value(); got != 102 {
+		t.Errorf("counter = %d, want 102", got)
+	}
+}

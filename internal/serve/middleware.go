@@ -28,6 +28,9 @@ type reqInfo struct {
 	user      string
 	shard     int    // -1 until a routed operation reports its shard
 	encodeErr string // first response encode/write failure, for the access log
+	// deadline is when the request times out (see requestTimeout); zero
+	// without a request timeout. Only the admission queue reads it.
+	deadline time.Time
 }
 
 type reqInfoKeyType struct{}
@@ -170,6 +173,23 @@ func newHTTPMetrics(reg *metrics.Registry) *httpMetrics {
 	}
 }
 
+// codeLabels holds the code label of every status from 100 to 599, so
+// labeling a request's status allocates nothing.
+var codeLabels = func() (t [500]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(100 + i)
+	}
+	return t
+}()
+
+// codeLabel is the code label value of an HTTP status: its decimal digits.
+func codeLabel(status int) string {
+	if status >= 100 && status < 600 {
+		return codeLabels[status-100]
+	}
+	return strconv.Itoa(status)
+}
+
 // observe is the outermost middleware: it assigns the request ID
 // (honoring an inbound X-Request-ID), echoes it on the response, and —
 // after the inner handler ran — emits the access-log line and the HTTP
@@ -203,7 +223,7 @@ func observe(next http.Handler, accessLog io.Writer, hm *httpMetrics) http.Handl
 		}
 		elapsed := time.Since(started)
 		if hm != nil {
-			hm.requests.With(route, strconv.Itoa(rec.status)).Inc()
+			hm.requests.With(route, codeLabel(rec.status)).Inc()
 			hm.latency.With(route).Observe(elapsed.Seconds())
 		}
 		if sink != nil {
@@ -246,7 +266,10 @@ func streamingPath(r *http.Request) bool {
 		strings.HasSuffix(r.URL.Path, "/events")
 }
 
-// admissionGate applies the global concurrency gate + bounded queue.
+// admissionGate applies the global concurrency gate + bounded queue. A
+// request shed from a full queue gets 429; one whose wait in the queue ended
+// — its deadline passed or its client went away — gets 503, and both carry
+// Retry-After.
 func admissionGate(next http.Handler, adm *Admission) http.Handler {
 	if adm == nil {
 		return next
@@ -256,17 +279,21 @@ func admissionGate(next http.Handler, adm *Admission) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		release, ok, retry := adm.AcquireCtx(r.Context())
-		if !ok {
-			if r.Context().Err() != nil {
-				// The request's deadline ran out while it queued; 503 so
-				// the client (and the access log) sees a timeout, not an
-				// overload verdict it should back off from forever.
-				writeError(w, r, http.StatusServiceUnavailable,
-					errors.New("serve: request deadline exceeded while queued"))
-				return
-			}
-			writeShed(w, r, retry, errors.New("serve: overloaded, request queue full"))
+		var deadline time.Time
+		if info := requestInfo(r); info != nil {
+			deadline = info.deadline
+		}
+		release, err := adm.Acquire(r.Context(), deadline)
+		switch {
+		case errors.Is(err, errQueueFull):
+			writeShed(w, r, time.Second, err)
+			return
+		case err != nil:
+			// A 503, not a 429: the client (and the access log) sees a
+			// timeout, not an overload verdict it should back off from
+			// forever.
+			w.Header().Set("Retry-After", "1")
+			writeError(w, r, http.StatusServiceUnavailable, err)
 			return
 		}
 		defer release()
@@ -329,15 +356,17 @@ func drainGate(next http.Handler, g *DrainGate) http.Handler {
 	})
 }
 
-// requestTimeout bounds each API request: the deadline rides the request
-// context (the admission queue waits on it; handlers check it after
-// admission) and is mirrored onto the connection's read/write deadlines
-// via ResponseController. Deliberately not http.TimeoutHandler — that
-// clones the request, so the mux-set r.Pattern would never reach the
-// outer observe middleware and every route label would become "other".
-// A rank already executing on the backend is not preempted (the rank
-// path is CPU-bound and lock-scoped); the deadline cuts queue waits and
-// stuck connections, which is where unbounded time actually goes.
+// requestTimeout bounds each API request: it sets the connection's read
+// and write deadlines via ResponseController and records the deadline on
+// the request's reqInfo, where the admission queue reads it — the one place
+// a request waits for something other than its own work. No timer starts
+// unless the request queues (see Admission.Acquire), and the request is not
+// copied, so the mux-set r.Pattern reaches the outer observe middleware.
+// Deliberately not http.TimeoutHandler — that clones the request, and every
+// route label would become "other". A rank already executing on the backend
+// is not preempted (the rank path is CPU-bound and lock-scoped); the
+// deadline cuts queue waits and stuck connections, which is where unbounded
+// time actually goes.
 func requestTimeout(next http.Handler, d time.Duration) http.Handler {
 	if d <= 0 {
 		return next
@@ -347,20 +376,16 @@ func requestTimeout(next http.Handler, d time.Duration) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		rc := http.NewResponseController(w)
 		deadline := time.Now().Add(d)
+		if info := requestInfo(r); info != nil {
+			info.deadline = deadline
+		}
 		// Best-effort: ResponseControllers over non-hijackable writers
-		// (tests, h2c wrappers) report ErrNotSupported; the context
-		// deadline still applies.
+		// (tests, h2c wrappers) report ErrNotSupported; the queue still
+		// honors the deadline.
+		rc := http.NewResponseController(w)
 		_ = rc.SetReadDeadline(deadline)
 		_ = rc.SetWriteDeadline(deadline.Add(time.Second))
-		// WithContext shallow-copies the request, and the inner ServeMux
-		// sets Pattern on that copy — carry it back so the outer observe
-		// middleware labels the route instead of "other".
-		r2 := r.WithContext(ctx)
-		next.ServeHTTP(w, r2)
-		r.Pattern = r2.Pattern
+		next.ServeHTTP(w, r)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -262,8 +263,8 @@ func TestHealthzBypassesAdmission(t *testing.T) {
 	var buf bytes.Buffer
 	ts, _ := newObservedServer(t, adm, &buf)
 
-	rel, ok, _ := adm.AcquireCtx(context.Background()) // saturate the gate out-of-band
-	if !ok {
+	rel, err := adm.Acquire(context.Background(), time.Time{}) // saturate the gate out-of-band
+	if err != nil {
 		t.Fatal("setup acquire failed")
 	}
 	defer rel()
@@ -285,10 +286,10 @@ func TestHealthzBypassesAdmission(t *testing.T) {
 	}
 }
 
-// TestRouteLabelsSurviveRequestTimeout: the request-timeout middleware
-// shallow-copies the request (WithContext), and the mux sets Pattern on
-// that copy — the timeout wrapper must carry it back so metrics and the
-// access log label the route instead of "other".
+// TestRouteLabelsSurviveRequestTimeout: the mux sets Pattern on the request
+// it is handed, so no middleware between observe and the mux may copy the
+// request — a timeout built on WithContext did, and metrics and the access
+// log labeled every timed route "other".
 func TestRouteLabelsSurviveRequestTimeout(t *testing.T) {
 	var buf bytes.Buffer
 	srv := NewServer(contextrank.NewSystem(), Options{})
@@ -323,5 +324,98 @@ func TestRouteLabelsSurviveRequestTimeout(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"route":"POST /v1/rank"`) {
 		t.Errorf("access log lost the route pattern: %s", buf.String())
+	}
+}
+
+// heldGate boots the full middleware stack with a one-slot gate, a one-deep
+// queue and the given request timeout, and takes the slot out-of-band (the
+// returned release frees it).
+func heldGate(t *testing.T, timeout time.Duration) (*httptest.Server, *Admission, func()) {
+	t.Helper()
+	adm := NewAdmission(AdmissionOptions{MaxInFlight: 1, MaxQueue: 1})
+	ts := httptest.NewServer(NewHandlerWith(NewServer(contextrank.NewSystem(), Options{}), HandlerOptions{
+		Admission:      adm,
+		RequestTimeout: timeout,
+	}))
+	t.Cleanup(ts.Close)
+	rel, err := adm.Acquire(context.Background(), time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts, adm, rel
+}
+
+// TestQueueDeadline503RetryAfter: a request whose deadline passes while it
+// waits in the admission queue is shed with the degraded 503, which carries
+// Retry-After like every shed and degraded response (regression: it had
+// none), and leaves the queue.
+func TestQueueDeadline503RetryAfter(t *testing.T) {
+	ts, adm, rel := heldGate(t, 100*time.Millisecond)
+	defer rel()
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/declare", "application/json",
+		strings.NewReader(`{"concepts":["Thing"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != "degraded" {
+		t.Fatalf("queued past the deadline: %d %q, want 503 degraded", resp.StatusCode, e.Code)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
+	}
+	if e.RequestID == "" {
+		t.Error("503 envelope without request_id")
+	}
+	if st := adm.Stats(); st.Queued != 0 || st.ShedQueue != 1 {
+		t.Errorf("Queued = %d, ShedQueue = %d, want 0, 1", st.Queued, st.ShedQueue)
+	}
+}
+
+// TestQueuedClientDisconnectSheds: a client that goes away while its request
+// waits in the queue frees the queue slot at once — the request is shed, not
+// left to hold the slot until the gate opens or the deadline passes.
+func TestQueuedClientDisconnectSheds(t *testing.T) {
+	ts, adm, rel := heldGate(t, time.Minute)
+	var once sync.Once
+	release := func() { once.Do(rel) }
+	defer release()
+
+	// A GET: net/http notices a client gone only once the request body has
+	// been read, and a queued request's body is not read yet.
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	waitFor(t, func() bool { return adm.Stats().Queued == 1 })
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled request got a response")
+	}
+	waitFor(t, func() bool {
+		st := adm.Stats()
+		return st.Queued == 0 && st.ShedQueue == 1
+	})
+
+	// The queue slot is free again: with the gate released, a new request
+	// goes straight through.
+	release()
+	call(t, ts, "GET", "/v1/stats", "", http.StatusOK, nil)
+	if st := adm.Stats(); st.Admitted != 2 || st.InFlight != 0 {
+		t.Errorf("Admitted = %d, InFlight = %d, want 2, 0", st.Admitted, st.InFlight)
 	}
 }

@@ -161,6 +161,10 @@ type RankMeta struct {
 	Epoch   int64         // facade epoch the result corresponds to
 	Shard   int           // shard that served the call (0 for an unsharded Server)
 	Elapsed time.Duration // wall time of this call
+
+	// enc is the served ranking's stored results encoding (see ranked);
+	// nil when the ranking was not filed in the rank cache.
+	enc *atomic.Pointer[[]byte]
 }
 
 // stateVersion is the state a user's ranking is valid for — the facade epoch
@@ -228,7 +232,7 @@ func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 	if err == nil {
 		s.latency.observe(elapsed)
 	}
-	return r, RankMeta{Cached: cached, Epoch: r.v.epoch, Elapsed: elapsed}, err
+	return r, RankMeta{Cached: cached, Epoch: r.v.epoch, Elapsed: elapsed, enc: r.enc}, err
 }
 
 // rankMisses is the one place the server ranks: the misses of Rank, of
@@ -276,6 +280,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				r.res, r.members, rerr = sys.RankTarget(user, plan, rq.target, rq.opts)
 			}
 			if rerr == nil && rq.candidates == nil && s.cache != nil {
+				r.enc = new(atomic.Pointer[[]byte])
 				s.cache.put(rankKey(user, rq.target, v, rq.opts), r)
 			}
 			out[i] = RankItemResult{Results: r.res, Err: rerr, ranked: r}
