@@ -327,7 +327,7 @@ func BenchmarkRulePipeline(b *testing.B) {
 // loading cost).
 func BenchmarkMappingAssert(b *testing.B) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	if err := l.DeclareConcept("C"); err != nil {
 		b.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	carbench [-exp all|e1|e2|e3|a1|a2|a3|a4|serve] [-timeout 30s] [-maxrules 8] [-small]
+//	carbench [-exp all|e1|e2|e3|a1|a2|a3|a4|serve|overload|chaos] [-timeout 30s] [-maxrules 8] [-small]
 //
 // e1: Table 1 worked example          e2: Figure 1 history abstraction
 // e3: §5 scalability (view ranker)    a1: ranker ablation sweep
@@ -24,11 +24,6 @@
 // Not part of -exp all: it is a throughput demonstration, not a paper
 // reproduction.
 //
-// rankbatch: drive POST /v1/rank/batch under per-request session churn and
-// print the batch-size-vs-throughput curve (-batchsizes 1,2,4,8,16): every
-// request invalidates the client's compiled rank plan, so a batch of B
-// items amortizes one plan compile where B single ranks would pay B.
-//
 // overload: the admission-control demonstration — drive offered rank load
 // far past the configured limits (-ratelimit/-maxinflight/-maxqueue for an
 // in-process daemon, or -target for a running carserved) and print goodput,
@@ -36,13 +31,6 @@
 // a paced recovery phase, plus machine-readable OVERLOAD lines consumed by
 // scripts/smoke_overload.sh. Excess load must come back as fast 429s with
 // Retry-After while admitted requests stay at in-SLO latency.
-//
-// journal: the session-durability overhead experiment — the same mixed
-// apply+rank HTTP load twice, without and with the per-shard session WAL
-// (internal/serve/journal, fsync per group commit), printing the req/s
-// delta and the journal's group-commit/compaction counters. Durable
-// sessions should cost a few percent at most: the rank path never touches
-// the journal, and concurrent session applies share one fsync.
 //
 // chaos: the failure-domain demonstration — point the client at a running
 // carserved started with -chaos (-target), arm disk faults (journal writes
@@ -52,15 +40,13 @@
 // the disk probe re-arms the WAL and writes succeed again. Prints
 // machine-readable CHAOS lines consumed by scripts/smoke_chaos.sh.
 //
-// topk: the bounded-heap selection microbenchmark — one compiled plan
-// ranking a 10k-program catalog at each -topk value (0 = full ranking),
-// printing the ns/rank curve and the speedup over the full sort, plus the
-// hot-path scratch-pool and document-distribution-cache counters. CI's
-// bench-rank-regression job runs it under -cpuprofile/-memprofile to
-// archive rank-path profiles per commit.
+// The serving layer's micro-measurements — journal overhead, batch
+// amortization, top-k selection — are `go test -bench` benchmarks that CI
+// gates (BenchmarkServeRankWithJournal, BenchmarkServeRankBatch,
+// BenchmarkPlanRankTopK), not carbench modes.
 //
 // -cpuprofile/-memprofile write pprof profiles for any run, e.g.
-// `carbench -exp rankbatch -cpuprofile cpu.out` then `go tool pprof`.
+// `carbench -exp serve -small -cpuprofile cpu.out` then `go tool pprof`.
 package main
 
 import (
@@ -80,7 +66,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: all, e1, e2, e3, a1, a2, a3, a4, serve, rankbatch, journal, overload, topk, chaos (load generators/microbenchmarks; not in 'all')")
+		exp      = flag.String("exp", "all", "experiment to run: all, e1, e2, e3, a1, a2, a3, a4, serve, overload, chaos (load generators; not in 'all')")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-point budget for sweeps (the paper aborted at 30min)")
 		maxRules = flag.Int("maxrules", 8, "largest rule count in the scalability sweeps")
 		small    = flag.Bool("small", false, "use the scaled-down dataset instead of the paper's ~11k tuples")
@@ -93,8 +79,6 @@ func main() {
 		assertevery = flag.Duration("assertevery", 0, "serve: background fact-assertion interval bumping the epoch (0 = off)")
 		cachesize   = flag.Int("cachesize", 0, "serve: rank cache capacity (0 = default, -1 = disabled)")
 		ctxprob     = flag.Float64("ctxprob", 1, "serve: session measurement probability; < 1 churns basic events through the space on every context update")
-		batchSizes  = flag.String("batchsizes", "1,2,4,8,16", "rankbatch: comma-separated /v1/rank/batch item counts for the amortization curve")
-		topkList    = flag.String("topk", "0,10,100,1000", "topk: comma-separated top-k values for the selection curve (0 = full ranking baseline)")
 
 		target      = flag.String("target", "", "overload/chaos: base URL of a running carserved (overload boots an in-process daemon when empty; chaos requires a target started with -chaos)")
 		users       = flag.Int("users", 8, "overload/chaos: distinct user IDs the clients share (fewer users = harder per-user rate pressure)")
@@ -259,23 +243,6 @@ func main() {
 		}
 	}
 
-	if strings.EqualFold(*exp, "journal") {
-		ran = true
-		counts, err := parseShardList(*shardList)
-		exitOn(err)
-		section("JOURNAL — session WAL overhead: durable vs in-memory sessions under mixed apply+rank load")
-		exitOn(runJournalLoadgen(loadgenConfig{
-			Spec:      spec,
-			Rules:     *maxRules,
-			Shards:    counts[0],
-			Clients:   *clients,
-			Duration:  *benchdur,
-			Churn:     *churn,
-			CacheSize: *cachesize,
-			CtxProb:   *ctxprob,
-		}))
-	}
-
 	if strings.EqualFold(*exp, "overload") {
 		ran = true
 		section("OVERLOAD — admission control: goodput, shed rate and latency under excess offered load")
@@ -303,51 +270,6 @@ func main() {
 			Users:    *users,
 			Duration: *benchdur,
 		}))
-	}
-
-	if strings.EqualFold(*exp, "topk") {
-		ran = true
-		ks, err := parseTopKList(*topkList)
-		exitOn(err)
-		// The selection curve needs a catalog big enough that sorting it
-		// dominates scoring at small k; the default spec's 300 programs
-		// would hide the effect.
-		programs := 10000
-		if *small {
-			programs = 2000
-		}
-		section("TOPK — bounded-heap top-k selection vs full-sort ranking over one compiled plan")
-		exitOn(runTopKCurve(topkConfig{
-			Spec: workload.Spec{
-				Seed:                 *seed,
-				Persons:              50,
-				Programs:             programs,
-				Genres:               12,
-				Subjects:             6,
-				Activities:           4,
-				Rooms:                5,
-				WatchEvents:          programs,
-				UncertainFeatureProb: 0.5,
-			},
-			Rules:    *maxRules,
-			TopKs:    ks,
-			Duration: *benchdur,
-		}))
-	}
-
-	if strings.EqualFold(*exp, "rankbatch") {
-		ran = true
-		sizes, err := parseShardList(*batchSizes)
-		exitOn(err)
-		section("RANKBATCH — /v1/rank/batch amortization: batch size vs items/s under session churn")
-		exitOn(runRankBatchLoadgen(loadgenConfig{
-			Spec:      spec,
-			Rules:     *maxRules,
-			Clients:   *clients,
-			Duration:  *benchdur,
-			CacheSize: *cachesize,
-			CtxProb:   *ctxprob,
-		}, sizes))
 	}
 
 	if !ran {

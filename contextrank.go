@@ -71,8 +71,6 @@ type (
 	IRIndex = ir.Index
 	// IRDocument is one bag-of-features document in an IRIndex.
 	IRDocument = ir.Document
-	// Finding is one rule-analysis diagnostic from AnalyzeRules.
-	Finding = prefs.Finding
 )
 
 // NewContext returns an empty context for the given user individual.
@@ -149,9 +147,9 @@ type RankOptions struct {
 // in-flight ranking. Therefore:
 //
 //   - Concurrent readers are safe: any number of goroutines may call
-//     Rank, RankWith, RankQuery, RankGroup, Query and AnalyzeRules at
-//     once. (Ranking may lazily compile concept views, but view
-//     compilation is internally synchronized and idempotent.)
+//     Rank, RankWith, RankQuery, RankGroup and Query at once. (Ranking may
+//     lazily compile concept views, but view compilation is internally
+//     synchronized and idempotent.)
 //   - Mutators — DeclareConcept, DeclareRole, SubConcept, AssertConcept,
 //     AssertRole, AddRule, SetContext, Exec, RestoreSystem-adjacent setup
 //     — must be externally serialized against all readers.
@@ -175,7 +173,7 @@ type System struct {
 // NewSystem creates an empty system with a fresh database.
 func NewSystem() *System {
 	db := engine.New()
-	loader := mapping.NewLoader(db, dl.NewTBox())
+	loader := mapping.NewLoader(db)
 	return &System{
 		db:         db,
 		loader:     loader,
@@ -220,14 +218,16 @@ func (s *System) DeclareRole(names ...string) error {
 	return nil
 }
 
-// SubConcept records the TBox axiom sub ⊑ super (super in DL syntax).
+// SubConcept checks the axiom sub ⊑ super (super in DL syntax): sub must be
+// a name a rule can mention and super must parse. It records nothing — no
+// ranking, view or query reasons over axioms — so an accepted axiom changes
+// no result; the serving layer journals it as it was sent.
 func (s *System) SubConcept(sub, super string) error {
-	e, err := dl.Parse(super)
-	if err != nil {
+	if err := mapping.CheckName("concept", sub); err != nil {
 		return err
 	}
-	s.loader.TBox().AddSub(sub, e)
-	return nil
+	_, err := dl.Parse(super)
+	return err
 }
 
 // freshEvent declares a new basic event with probability p and returns it.
@@ -548,13 +548,6 @@ func (s *System) RankGroup(users []string, target string, rulesFor map[string][]
 	})
 }
 
-// AnalyzeRules inspects the rule repository for duplicates, σ conflicts,
-// context-subsumption overlaps and disjointness-unsatisfiable preferences
-// under the system's TBox.
-func (s *System) AnalyzeRules() []prefs.Finding {
-	return s.repo.Analyze(s.loader.TBox())
-}
-
 // SaveSnapshot persists the rule repository into the database and dumps
 // the whole database (event space, tables, views, indexes) as JSON to w,
 // minus the applied context: every owner's context rows and the basic
@@ -576,7 +569,7 @@ func RestoreSystem(r io.Reader) (*System, error) {
 	if err := db.Restore(r); err != nil {
 		return nil, err
 	}
-	loader := mapping.NewLoader(db, dl.NewTBox())
+	loader := mapping.NewLoader(db)
 	repo, err := prefs.LoadRepository(db)
 	if err != nil {
 		return nil, err
@@ -639,9 +632,6 @@ func (s *System) RankQuery(user, sqlQuery string, opts RankOptions) ([]Result, e
 
 // Exec runs a SQL statement that may not return rows.
 func (s *System) Exec(stmt string) (*QueryResult, error) { return s.db.Exec(stmt) }
-
-// RecordEpisode appends a choice episode to the history log.
-func (s *System) RecordEpisode(e Episode) error { return s.log.Append(e) }
 
 // MineRules mines σ estimates from the history log (§6 "Mining/learning
 // preferences") and converts each estimate with at least minSupport

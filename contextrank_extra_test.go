@@ -223,17 +223,3 @@ func TestSnapshotRoundTripThroughFacade(t *testing.T) {
 		t.Fatal("garbage snapshot accepted")
 	}
 }
-
-func TestAnalyzeRulesThroughFacade(t *testing.T) {
-	sys := buildTVTouch(t)
-	if fs := sys.AnalyzeRules(); len(fs) != 0 {
-		t.Fatalf("unexpected findings: %v", fs)
-	}
-	if _, err := sys.AddRule("RULE Dup WHEN Weekend PREFER TvProgram AND EXISTS hasGenre.{HUMAN-INTEREST} WITH 0.8"); err != nil {
-		t.Fatal(err)
-	}
-	fs := sys.AnalyzeRules()
-	if len(fs) != 1 || fs[0].Kind != "duplicate" {
-		t.Fatalf("findings = %v", fs)
-	}
-}

@@ -222,7 +222,7 @@ func TestMineRulesFromHistory(t *testing.T) {
 		if i < 8 {
 			ep.Chosen["t"] = true
 		}
-		if err := sys.RecordEpisode(ep); err != nil {
+		if err := sys.History().Append(ep); err != nil {
 			t.Fatal(err)
 		}
 	}

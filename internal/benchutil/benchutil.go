@@ -112,15 +112,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// SeriesTable renders a sweep as a table with the given axis name.
-func SeriesTable(axis string, points []Point) *Table {
-	t := &Table{Header: []string{axis, "time", "note"}}
-	for _, p := range points {
-		t.Add(fmt.Sprintf("%d", p.X), p.Label(), p.Extra)
-	}
-	return t
-}
-
 // GrowthFactors annotates consecutive finished points with their runtime
 // ratio — the "×2 per rule" shape check for the scalability experiment.
 func GrowthFactors(points []Point) []float64 {

@@ -104,3 +104,12 @@ func TestGrowthFactors(t *testing.T) {
 		t.Fatalf("factors = %v", fs)
 	}
 }
+
+// SeriesTable renders a sweep as a table with the given axis name.
+func SeriesTable(axis string, points []Point) *Table {
+	t := &Table{Header: []string{axis, "time", "note"}}
+	for _, p := range points {
+		t.Add(fmt.Sprintf("%d", p.X), p.Label(), p.Extra)
+	}
+	return t
+}

@@ -19,7 +19,7 @@ import (
 func paperSetup(t testing.TB) *mapping.Loader {
 	t.Helper()
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	for _, c := range []string{"TvProgram"} {
 		if err := l.DeclareConcept(c); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestDisjointFeaturesViaExclusiveEvents(t *testing.T) {
 	// bulletin, never both. Model the memberships with one exclusive group
 	// and check the rankers agree and respect the exclusivity.
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	l.DeclareConcept("TvProgram")
 	l.DeclareConcept("Traffic")
 	l.DeclareConcept("Weather")
@@ -317,7 +317,7 @@ func TestRankersAgreeOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		db := engine.New()
-		l := mapping.NewLoader(db, nil)
+		l := mapping.NewLoader(db)
 		l.DeclareConcept("Doc")
 		nFeat := 3
 		feats := []string{"F0", "F1", "F2"}

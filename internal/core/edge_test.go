@@ -18,7 +18,7 @@ import (
 // factorized ranker must still agree exactly.
 func TestCorrelatedPreferencesCluster(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	l.DeclareConcept("Doc")
 	l.DeclareConcept("F1")
 	l.DeclareConcept("F2")
@@ -60,7 +60,7 @@ func TestCorrelatedPreferencesCluster(t *testing.T) {
 // 0.5·(0.5·0.8 + 0.5·0.2) + 0.5·1 = 0.75.
 func TestContextDocCorrelation(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	l.DeclareConcept("Doc")
 	l.DeclareConcept("F")
 	l.DeclareConcept("Ctx")

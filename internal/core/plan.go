@@ -410,7 +410,7 @@ func (p *Plan) Current() bool {
 func (p *Plan) User() string { return p.user }
 
 // Rules returns the number of rules the plan was compiled from (including
-// pruned ones).
+// pruned ones); tests check compilation with it.
 func (p *Plan) Rules() int { return len(p.rules) }
 
 // ActiveRules returns the number of rules whose context can apply.

@@ -47,7 +47,7 @@ func freshLoader(t *testing.T, l *mapping.Loader) *mapping.Loader {
 	if err := db.Restore(&dump); err != nil {
 		t.Fatal(err)
 	}
-	return mapping.NewLoader(db, l.TBox())
+	return mapping.NewLoader(db)
 }
 
 // assertRankExact holds a plan's rank of the target against the loader's
@@ -435,7 +435,7 @@ func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 // neither (assertRankExact) and its handles to their views.
 func TestPlanChurnSoakEquivalence(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

@@ -40,7 +40,7 @@ func assertSameRanking(t *testing.T, label string, got, want []Result, eps float
 func correlatedSetup(t *testing.T) (*mapping.Loader, []prefs.Rule) {
 	t.Helper()
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -297,7 +297,7 @@ func TestPlanAfterRetire(t *testing.T) {
 // ErrClusterBound, like the pre-plan path always did.
 func TestPlanClusterBound(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	if err := l.DeclareConcept("Doc"); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestPlanClusterBound(t *testing.T) {
 // for targets, candidate lists, group members and explanations alike.
 func TestPlanClusterBoundFallback(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	if err := l.DeclareConcept("Doc"); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestPlanClusterBoundFallback(t *testing.T) {
 // clustering and plan compilation — not be silently treated as "dependent".
 func TestClusterRulesPropagatesError(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	for _, c := range []string{"Doc", "F1", "F2"} {
 		if err := l.DeclareConcept(c); err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 func tieSetup(t *testing.T) (*Plan, int) {
 	t.Helper()
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

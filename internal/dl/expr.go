@@ -3,8 +3,8 @@
 // their DEXA'06 context model). It provides concept expressions over atomic
 // concepts, roles and individuals — ⊤, ⊥, atomic concepts, conjunction,
 // disjunction, negation, existential restriction ∃R.C and nominals {a,…} —
-// together with a textual parser, normalization, a TBox with told-subsumer
-// reasoning, and signature extraction.
+// together with a textual parser, vocabulary validation and signature
+// extraction.
 package dl
 
 import (
@@ -83,7 +83,7 @@ func Exists(role string, filler *Expr) *Expr {
 }
 
 // HasValue returns ∃role.{ind}, the common "related to this individual"
-// idiom used by the paper's preference rules.
+// idiom used by the paper's preference rules. Tests build rules with it.
 func HasValue(role, ind string) *Expr { return Exists(role, Nominal(ind)) }
 
 // Not returns ¬c with involution and constant folding.
@@ -238,7 +238,7 @@ func (e *Expr) formatChild(b *strings.Builder) {
 	e.format(b)
 }
 
-// Equal reports structural equality.
+// Equal reports structural equality. Tests compare expressions with it.
 func Equal(a, b *Expr) bool {
 	if a == b {
 		return true
@@ -289,60 +289,4 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NNF returns the negation normal form of e: negations pushed inward to
-// atoms, nominals and existentials via De Morgan's laws.
-func (e *Expr) NNF() *Expr {
-	return nnf(e, false)
-}
-
-func nnf(e *Expr, neg bool) *Expr {
-	switch e.op {
-	case OpTop:
-		if neg {
-			return bottomExpr
-		}
-		return topExpr
-	case OpBottom:
-		if neg {
-			return topExpr
-		}
-		return bottomExpr
-	case OpAtom, OpNominal, OpExists:
-		base := e
-		if e.op == OpExists {
-			base = Exists(e.name, nnf(e.args[0], false))
-		}
-		if neg {
-			return &Expr{op: OpNot, args: []*Expr{base}}
-		}
-		return base
-	case OpNot:
-		return nnf(e.args[0], !neg)
-	case OpAnd, OpOr:
-		args := make([]*Expr, len(e.args))
-		for i, a := range e.args {
-			args[i] = nnf(a, neg)
-		}
-		op := e.op
-		if neg {
-			if op == OpAnd {
-				op = OpOr
-			} else {
-				op = OpAnd
-			}
-		}
-		return nary(op, args)
-	}
-	return e
-}
-
-// Conjuncts returns the top-level conjuncts of e (e itself when the root is
-// not a conjunction).
-func (e *Expr) Conjuncts() []*Expr {
-	if e.op == OpAnd {
-		return e.args
-	}
-	return []*Expr{e}
 }

@@ -32,7 +32,8 @@ func Parse(input string) (*Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse but panics on error; for statically known expressions.
+// MustParse is Parse but panics on error; for statically known expressions
+// in tests.
 func MustParse(input string) *Expr {
 	e, err := Parse(input)
 	if err != nil {
@@ -236,4 +237,27 @@ func (p *parser) parseFactor() (*Expr, error) {
 		return Atom(t.text), nil
 	}
 	return nil, fmt.Errorf("dl: unexpected token %q in %q", t.text, p.input)
+}
+
+// Validate checks a concept expression against a vocabulary of declared
+// concept and role names, returning an error naming the first undeclared
+// symbol: a name is declared when it is a key of the map. Nominals are not
+// checked (individuals are data, not terminology).
+func Validate[V any](e *Expr, concepts, roles map[string]V) error {
+	switch e.op {
+	case OpAtom:
+		if _, ok := concepts[e.name]; !ok {
+			return fmt.Errorf("dl: undeclared concept %q", e.name)
+		}
+	case OpExists:
+		if _, ok := roles[e.name]; !ok {
+			return fmt.Errorf("dl: undeclared role %q", e.name)
+		}
+	}
+	for _, a := range e.args {
+		if err := Validate(a, concepts, roles); err != nil {
+			return err
+		}
+	}
+	return nil
 }

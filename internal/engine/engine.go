@@ -65,7 +65,8 @@ func (db *DB) Query(stmt string) (*sql.Result, error) {
 // sql.Executor.RowsRead).
 func (db *DB) RowsRead() int64 { return db.exec.RowsRead() }
 
-// QueryScalar executes a query expected to return exactly one value.
+// QueryScalar executes a query expected to return exactly one value; tests
+// read counts and single cells with it.
 func (db *DB) QueryScalar(stmt string) (storage.Value, error) {
 	res, err := db.Query(stmt)
 	if err != nil {
@@ -82,7 +83,8 @@ func (db *DB) QueryScalar(stmt string) (storage.Value, error) {
 // still, every name a past query resolved still means the same relation.
 func (db *DB) Redefinitions() uint64 { return db.exec.Redefinitions() }
 
-// HasView reports whether a view with this name exists.
+// HasView reports whether a view with this name exists. Tests check view
+// registration with it.
 func (db *DB) HasView(name string) bool { return db.exec.HasView(name) }
 
 // HasTable reports whether a base table with this name exists.

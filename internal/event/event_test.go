@@ -343,3 +343,13 @@ func TestProbCacheConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// MustProb is Prob but panics on error; for expressions whose basic events
+// are known to be declared (e.g. internal tests and benchmarks).
+func (s *Space) MustProb(e *Expr) float64 {
+	p, err := s.Prob(e)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

@@ -125,22 +125,6 @@ func nary(k Kind, es []*Expr) *Expr {
 	return &Expr{kind: k, args: flat}
 }
 
-// Kind reports the node kind of the expression root.
-func (e *Expr) Kind() Kind { return e.kind }
-
-// BasicName returns the basic-event name for a KindBasic node and "" for all
-// other kinds.
-func (e *Expr) BasicName() string {
-	if e.kind == KindBasic {
-		return e.name
-	}
-	return ""
-}
-
-// Args returns the child expressions (nil for leaves). The returned slice
-// must not be modified.
-func (e *Expr) Args() []*Expr { return e.args }
-
 // String renders the expression in a canonical parenthesized form, suitable
 // both for display (lineage, §5) and as a map key.
 func (e *Expr) String() string {

@@ -23,15 +23,6 @@ func Parse(input string) (*Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse but panics on error.
-func MustParse(input string) *Expr {
-	e, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type eparser struct {
 	src   []rune
 	pos   int

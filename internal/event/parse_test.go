@@ -139,3 +139,12 @@ func TestSamplerUndeclaredEvent(t *testing.T) {
 		t.Fatal("undeclared event accepted")
 	}
 }
+
+// MustParse is Parse but panics on error.
+func MustParse(input string) *Expr {
+	e, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}

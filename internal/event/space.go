@@ -273,7 +273,8 @@ func (s *Space) Len() int {
 	return len(s.basics)
 }
 
-// Groups returns the number of live (non-retired) exclusive groups.
+// Groups returns the number of live (non-retired) exclusive groups; tests
+// check group retirement with it.
 func (s *Space) Groups() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -372,16 +373,6 @@ func (s *Space) JointProbs(evs []*Expr, out []float64) error {
 		out[mask] = p
 	}
 	return nil
-}
-
-// MustProb is Prob but panics on error; for expressions whose basic events
-// are known to be declared (e.g. internal tests and benchmarks).
-func (s *Space) MustProb(e *Expr) float64 {
-	p, err := s.Prob(e)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // factor is one independent block of basic events mentioned by an

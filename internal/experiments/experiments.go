@@ -55,7 +55,7 @@ var paperTable1 = []struct {
 // SetupTable1 loads the §4.2 example into a fresh loader.
 func SetupTable1() (*mapping.Loader, []prefs.Rule, error) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	if err := l.DeclareConcept("TvProgram"); err != nil {
 		return nil, nil, err
 	}
@@ -221,16 +221,6 @@ type E3Config struct {
 	MaxRules int
 	Timeout  time.Duration // per-point budget (the paper cut off at 30 min)
 	Ranker   string        // "view" (paper), "naive" or "factorized"
-}
-
-// DefaultE3Config reproduces the paper's setup with a CI-friendly budget.
-func DefaultE3Config() E3Config {
-	return E3Config{
-		Spec:     workload.DefaultSpec(),
-		MaxRules: 8,
-		Timeout:  30 * time.Second,
-		Ranker:   "view",
-	}
 }
 
 // E3Result is the measured sweep plus the paper's reported buckets.

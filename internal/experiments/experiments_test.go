@@ -188,3 +188,13 @@ func TestKendallTau(t *testing.T) {
 		t.Fatalf("tied tau = %g", tau)
 	}
 }
+
+// DefaultE3Config reproduces the paper's setup with a CI-friendly budget.
+func DefaultE3Config() E3Config {
+	return E3Config{
+		Spec:     workload.DefaultSpec(),
+		MaxRules: 8,
+		Timeout:  30 * time.Second,
+		Ranker:   "view",
+	}
+}

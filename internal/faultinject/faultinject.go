@@ -144,27 +144,6 @@ func (in *Injector) Clear() {
 	in.enabled.Store(false)
 }
 
-// Disarm removes every fault at point, returning how many were removed.
-func (in *Injector) Disarm(p Point) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	kept := in.faults[:0]
-	removed := 0
-	for _, a := range in.faults {
-		if a.f.Point == p {
-			removed++
-			continue
-		}
-		kept = append(kept, a)
-	}
-	in.faults = kept
-	in.enabled.Store(len(kept) > 0)
-	in.mu.Unlock()
-	return removed
-}
-
 // Snapshot returns every armed fault with its counters.
 func (in *Injector) Snapshot() []FaultStatus {
 	if in == nil {
@@ -178,9 +157,6 @@ func (in *Injector) Snapshot() []FaultStatus {
 	}
 	return out
 }
-
-// Enabled reports lock-free whether any fault is armed.
-func (in *Injector) Enabled() bool { return in != nil && in.enabled.Load() }
 
 // Fire evaluates the faults at a shard-selected point (broadcast.apply,
 // rank.serve). shard < 0 matches any selector. A fired panic fault

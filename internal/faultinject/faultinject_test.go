@@ -214,3 +214,27 @@ func TestFirstHitWinsAndCountersAdvanceForAll(t *testing.T) {
 		t.Fatalf("both faults should count the op: %+v", snap)
 	}
 }
+
+// Disarm removes every fault at point, returning how many were removed.
+func (in *Injector) Disarm(p Point) int {
+	if in == nil {
+		return 0
+	}
+	in.mu.Lock()
+	kept := in.faults[:0]
+	removed := 0
+	for _, a := range in.faults {
+		if a.f.Point == p {
+			removed++
+			continue
+		}
+		kept = append(kept, a)
+	}
+	in.faults = kept
+	in.enabled.Store(len(kept) > 0)
+	in.mu.Unlock()
+	return removed
+}
+
+// Enabled reports lock-free whether any fault is armed.
+func (in *Injector) Enabled() bool { return in != nil && in.enabled.Load() }

@@ -71,15 +71,6 @@ func (l *Log) Len() int {
 	return len(l.episodes)
 }
 
-// Episodes returns a snapshot of the episodes.
-func (l *Log) Episodes() []Episode {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]Episode, len(l.episodes))
-	copy(out, l.episodes)
-	return out
-}
-
 // Estimate is one mined σ value with its support.
 type Estimate struct {
 	ContextFeature string

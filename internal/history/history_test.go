@@ -180,3 +180,12 @@ func TestEpisodesSnapshot(t *testing.T) {
 		t.Fatalf("snapshot len %d, log len %d", len(snap), l.Len())
 	}
 }
+
+// Episodes returns a snapshot of the episodes.
+func (l *Log) Episodes() []Episode {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	out := make([]Episode, len(l.episodes))
+	copy(out, l.episodes)
+	return out
+}

@@ -10,7 +10,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -70,13 +69,6 @@ func (ix *Index) Add(d Document) error {
 	return nil
 }
 
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.docs)
-}
-
 // Model scores documents against queries. Lambda is the Jelinek–Mercer
 // mixing weight of the collection model (0 < Lambda < 1 recommended; 0
 // degenerates to maximum likelihood with zero-probability holes).
@@ -113,37 +105,4 @@ func (m Model) Score(docID string, query []string) (float64, error) {
 		score *= (1-m.Lambda)*docPart + m.Lambda*collPart
 	}
 	return score, nil
-}
-
-// Ranked is one ranked document.
-type Ranked struct {
-	ID    string
-	Score float64
-}
-
-// Rank scores every indexed document against the query and returns them in
-// descending score order (ties broken by ID).
-func (m Model) Rank(query []string) ([]Ranked, error) {
-	m.Index.mu.RLock()
-	ids := make([]string, 0, len(m.Index.docs))
-	for id := range m.Index.docs {
-		ids = append(ids, id)
-	}
-	m.Index.mu.RUnlock()
-	sort.Strings(ids)
-	out := make([]Ranked, 0, len(ids))
-	for _, id := range ids {
-		s, err := m.Score(id, query)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Ranked{ID: id, Score: s})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
 }

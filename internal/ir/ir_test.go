@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -148,4 +149,44 @@ func TestQuickScoreIsProbability(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Len returns the number of indexed documents.
+func (ix *Index) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.docs)
+}
+
+// Ranked is one ranked document.
+type Ranked struct {
+	ID    string
+	Score float64
+}
+
+// Rank scores every indexed document against the query and returns them in
+// descending score order (ties broken by ID).
+func (m Model) Rank(query []string) ([]Ranked, error) {
+	m.Index.mu.RLock()
+	ids := make([]string, 0, len(m.Index.docs))
+	for id := range m.Index.docs {
+		ids = append(ids, id)
+	}
+	m.Index.mu.RUnlock()
+	sort.Strings(ids)
+	out := make([]Ranked, 0, len(ids))
+	for _, id := range ids {
+		s, err := m.Score(id, query)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Ranked{ID: id, Score: s})
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out, nil
 }

@@ -101,7 +101,7 @@ func BenchmarkMembershipEvent(b *testing.B) {
 		exists bool
 	}{{"rows=64", 64, false}, {"rows=4096", 4096, false}, {"shape=exists", 64, true}} {
 		b.Run(bench.name, func(b *testing.B) {
-			l := mapping.NewLoader(engine.New(), nil)
+			l := mapping.NewLoader(engine.New())
 			if err := l.DeclareConcept("Ctx"); err != nil {
 				b.Fatal(err)
 			}
@@ -154,10 +154,10 @@ func TestMembershipEventReadsTheIndex(t *testing.T) {
 	}
 	// c_Bare is a concept table the way an image without an indexes entry
 	// restores it: declared in dl_vocab, no index on id.
-	mapping.NewLoader(db, nil)
+	mapping.NewLoader(db)
 	exec("CREATE TABLE c_Bare (id TEXT, ev EVENT)")
 	must(db.InsertRow("dl_vocab", "concept", "Bare"))
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	must(l.DeclareConcept("Ctx"))
 	must(l.DeclareRole("watchesWith"))
 	for i, p := range []float64{0.3, 0.5, 0.7} {
@@ -226,7 +226,7 @@ func TestMembershipEventReadsTheIndex(t *testing.T) {
 // preference, so a memo hit on a current compound expression must cost a map
 // look-up and the handle's version checks — not a rendering of its key.
 func TestMembersHitAllocatesNothing(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	if err := l.DeclareRole("hasGenre"); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestMembersHitAllocatesNothing(t *testing.T) {
 // applies. An individual the view does not list has the impossible event.
 func TestMembershipEventMatchesMembers(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -329,7 +329,7 @@ func TestMembershipEventMatchesMembers(t *testing.T) {
 // the heap scan's index rebuild made proportional to the table.
 func TestDuplicateAssertRoleCostsItsSourceNotTheRole(t *testing.T) {
 	allocs := func(tuples int) float64 {
-		l := mapping.NewLoader(engine.New(), nil)
+		l := mapping.NewLoader(engine.New())
 		if err := l.DeclareRole("r"); err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // d0 shares — and returns their expressions.
 func docSideSetup(t *testing.T) (*Loader, []*dl.Expr) {
 	t.Helper()
-	l := NewLoader(engine.New(), nil)
+	l := NewLoader(engine.New())
 	space := l.DB().Space()
 	for _, c := range []string{"A", "B", "C"} {
 		if err := l.DeclareConcept(c); err != nil {
@@ -109,7 +109,7 @@ func TestDocSideContent(t *testing.T) {
 	// key, and Shares(a, b) holds exactly when two footprints intersect.
 	rng := rand.New(rand.NewSource(29))
 	for round := 0; round < 40; round++ {
-		l := NewLoader(engine.New(), nil)
+		l := NewLoader(engine.New())
 		space := l.DB().Space()
 		if err := space.DeclareExclusive([]string{"s0", "s1", "s2"}, []float64{0.2, 0.3, 0.4}); err != nil {
 			t.Fatal(err)

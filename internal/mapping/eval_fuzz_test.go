@@ -93,7 +93,7 @@ func FuzzMembershipEval(f *testing.F) {
 		in := fuzzBytes(exprIn)
 		expr := decodeExpr(&in, 4)
 		db := engine.New()
-		l := NewLoader(db, nil)
+		l := NewLoader(db)
 		must := func(err error) {
 			t.Helper()
 			if err != nil {

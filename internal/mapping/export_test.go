@@ -65,3 +65,11 @@ func ViewEvent(l *Loader, expr *dl.Expr, id string) (*event.Expr, error) {
 	}
 	return event.False(), nil
 }
+
+// ViewSQL returns the DDL that defined a compiled view (data lineage for
+// traceability, §5) or "" if unknown.
+func (l *Loader) ViewSQL(viewName string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.viewSQL[viewName]
+}

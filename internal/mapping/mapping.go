@@ -27,8 +27,7 @@ import (
 // expressions over them and compiles them to views. Safe for concurrent
 // reads; declarations and view compilation are serialized.
 type Loader struct {
-	db   *engine.DB
-	tbox *dl.TBox
+	db *engine.DB
 
 	// vocab is the declared vocabulary, read without a lock; declarations
 	// swap in a copy under mu.
@@ -94,17 +93,12 @@ type ownerContext struct {
 	events []string
 }
 
-// NewLoader creates a loader over db with the given TBox (may be nil; a
-// fresh one is created). If db already holds a DL vocabulary — e.g. it was
-// restored from an engine snapshot — the declared concepts and roles are
-// adopted from the dl_vocab table.
-func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
-	if tbox == nil {
-		tbox = dl.NewTBox()
-	}
+// NewLoader creates a loader over db. If db already holds a DL vocabulary —
+// e.g. it was restored from an engine snapshot — the declared concepts and
+// roles are adopted from the dl_vocab table.
+func NewLoader(db *engine.DB) *Loader {
 	l := &Loader{
 		db:        db,
-		tbox:      tbox,
 		views:     make(map[string]string),
 		viewSQL:   make(map[string]string),
 		memo:      make(map[string]*Membership),
@@ -140,9 +134,6 @@ func NewLoader(db *engine.DB, tbox *dl.TBox) *Loader {
 // DB returns the underlying database handle.
 func (l *Loader) DB() *engine.DB { return l.db }
 
-// TBox returns the loader's terminology.
-func (l *Loader) TBox() *dl.TBox { return l.tbox }
-
 // sanitize turns a DL name into a SQL identifier fragment.
 func sanitize(name string) string {
 	var b strings.Builder
@@ -176,9 +167,20 @@ func (l *Loader) DeclareRole(name string) error {
 	return l.declare("role", name, RoleTable(name), "(src TEXT, dst TEXT, ev EVENT)", "src", "dst")
 }
 
-// declare creates a name's table with an index on each of the indexed
-// columns, records the name in dl_vocab and publishes the vocabulary with it;
-// a declared name is left as it is.
+// CheckName refuses a concept or role name no rule can mention: the
+// expression parser must read the name back as that same atom. Anything else
+// ("", "a b", "TOP") could never be ranked on, yet would take a table — and,
+// after sanitizing, the table a legal name needs ("a b" takes "a_b"'s).
+func CheckName(kind, name string) error {
+	if e, err := dl.Parse(name); err != nil || e.Op() != dl.OpAtom || e.Name() != name {
+		return fmt.Errorf("mapping: %s name %q is not a name a rule can mention", kind, name)
+	}
+	return nil
+}
+
+// declare checks a new name, creates its table with an index on each of the
+// indexed columns, records the name in dl_vocab and publishes the vocabulary
+// with it; a declared name is left as it is.
 func (l *Loader) declare(kind, name, tab, cols string, indexed ...string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -189,6 +191,9 @@ func (l *Loader) declare(kind, name, tab, cols string, indexed ...string) error 
 	}
 	if _, ok := (*names)[name]; ok {
 		return nil
+	}
+	if err := CheckName(kind, name); err != nil {
+		return err
 	}
 	if l.db.HasTable(tab) {
 		return fmt.Errorf("mapping: %s table %q collides with an existing table (name clash after sanitizing %q?)", kind, tab, name)
@@ -570,14 +575,6 @@ func (l *Loader) viewSQLFor(expr *dl.Expr) (string, error) {
 	return "", fmt.Errorf("mapping: cannot compile %s", expr)
 }
 
-// ViewSQL returns the DDL that defined a compiled view (data lineage for
-// traceability, §5) or "" if unknown.
-func (l *Loader) ViewSQL(viewName string) string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.viewSQL[viewName]
-}
-
 // MembershipEvent returns the event under which individual id belongs to
 // the concept expression — the disjunction of the individual's rows of the
 // expression's view, in the view's order, and the impossible event if it has
@@ -796,8 +793,7 @@ func (l *Loader) evalMembers(expr *dl.Expr, redefs uint64) (*Membership, error) 
 
 // readSet resolves the base tables the expression's view reads — its
 // signature's concept and role tables, and dl_domain when the view compiles
-// against the closed domain — each at its current version. The TBox is not
-// in it: the views are structural and never consult the terminology.
+// against the closed domain — each at its current version.
 func (l *Loader) readSet(expr *dl.Expr) ([]tableRead, error) {
 	sig := expr.Signature()
 	names := make([]string, 0, len(sig.Concepts)+len(sig.Roles)+1)

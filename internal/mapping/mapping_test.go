@@ -16,7 +16,7 @@ import (
 func newTVLoader(t *testing.T) *Loader {
 	t.Helper()
 	db := engine.New()
-	l := NewLoader(db, nil)
+	l := NewLoader(db)
 	for _, c := range []string{"TvProgram", "Person", "Weekend", "Breakfast"} {
 		if err := l.DeclareConcept(c); err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestNegationOverDomain(t *testing.T) {
 	// all say what the in-memory oracle says. An individual with one row keeps
 	// its exact event.
 	db := engine.New()
-	l = NewLoader(db, nil)
+	l = NewLoader(db)
 	if err := l.DeclareConcept("A"); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestMembershipStatsIsLockFree(t *testing.T) {
 
 func TestRepeatedAssertionMergesByDisjunction(t *testing.T) {
 	db := engine.New()
-	l := NewLoader(db, nil)
+	l := NewLoader(db)
 	l.DeclareConcept("C")
 	db.Space().Declare("a", 0.5)
 	db.Space().Declare("b", 0.5)
@@ -257,7 +257,7 @@ func TestSharedLineageAcrossConceptAndRole(t *testing.T) {
 	// A membership that depends on the same basic event twice must not
 	// double-count: P(C ⊓ D) where both carry event e is P(e), not P(e)².
 	db := engine.New()
-	l := NewLoader(db, nil)
+	l := NewLoader(db)
 	l.DeclareConcept("C")
 	l.DeclareConcept("D")
 	db.Space().Declare("e", 0.5)
@@ -332,7 +332,7 @@ func TestClearConcept(t *testing.T) {
 
 func TestDeclareIdempotentAndCollisions(t *testing.T) {
 	db := engine.New()
-	l := NewLoader(db, nil)
+	l := NewLoader(db)
 	if err := l.DeclareConcept("A"); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestExclusiveContextGroups(t *testing.T) {
 	// "A person can only be at a single place at one moment" (§4.1): model
 	// location memberships with an exclusive group and check negation math.
 	db := engine.New()
-	l := NewLoader(db, nil)
+	l := NewLoader(db)
 	l.DeclareConcept("InKitchen")
 	l.DeclareConcept("InOffice")
 	db.Space().DeclareExclusive([]string{"loc_k", "loc_o"}, []float64{0.6, 0.3})

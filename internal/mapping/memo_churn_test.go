@@ -84,7 +84,7 @@ type tabVersion struct {
 
 func newMemoOracle(tb testing.TB) *memoOracle {
 	db := engine.New()
-	o := &memoOracle{tb: tb, db: db, l: mapping.NewLoader(db, nil), tables: map[string]bool{}}
+	o := &memoOracle{tb: tb, db: db, l: mapping.NewLoader(db), tables: map[string]bool{}}
 	for _, c := range []string{"A", "B", "C", "Ctx"} {
 		o.must(o.l.DeclareConcept(c))
 	}
@@ -545,7 +545,7 @@ func TestPatchGivesWayToAQuery(t *testing.T) {
 // queried again.
 func TestMembershipMemoBounded(t *testing.T) {
 	db := engine.New()
-	l := mapping.NewLoader(db, nil)
+	l := mapping.NewLoader(db)
 	if err := l.DeclareConcept("A"); err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestViewSemanticsMatchOracle(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		r := rand.New(rand.NewSource(int64(trial) + 100))
 		db := engine.New()
-		l := NewLoader(db, nil)
+		l := NewLoader(db)
 		oracle := &oracleABox{
 			concepts: make(map[string]map[string]*event.Expr),
 			roles:    make(map[string]map[string]map[string]*event.Expr),

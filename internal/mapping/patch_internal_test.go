@@ -13,7 +13,7 @@ import (
 // whose own error is what the caller sees — and the stale handle stays in the
 // memo, to be patched once the read works again.
 func TestRestrictedReadErrorTakesTheFullPath(t *testing.T) {
-	l := NewLoader(engine.New(), nil)
+	l := NewLoader(engine.New())
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -61,7 +61,7 @@ func TestRestrictedReadErrorTakesTheFullPath(t *testing.T) {
 // leave a log behind per incarnation.
 func TestWriteLogBounded(t *testing.T) {
 	db := engine.New()
-	l := NewLoader(db, nil)
+	l := NewLoader(db)
 	for _, c := range []string{"A", "B"} {
 		if err := l.DeclareConcept(c); err != nil {
 			t.Fatal(err)

@@ -44,10 +44,6 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// IsDefault reports whether the rule applies in any context (§4.1:
-// "'default' preference rules, which are valid in any context").
-func (r Rule) IsDefault() bool { return r.Context.Op() == dl.OpTop }
-
 // String renders the rule in the parsable WHEN/PREFER/WITH syntax.
 func (r Rule) String() string {
 	return fmt.Sprintf("WHEN %s PREFER %s WITH %g", r.Context, r.Preference, r.Sigma)
@@ -189,15 +185,6 @@ func (r *Repository) Add(rule Rule) error {
 	return nil
 }
 
-// AddText parses and adds a rule in the textual syntax.
-func (r *Repository) AddText(input string) (Rule, error) {
-	rule, err := ParseRule(input)
-	if err != nil {
-		return Rule{}, err
-	}
-	return rule, r.Add(rule)
-}
-
 // Remove deletes a rule by name.
 func (r *Repository) Remove(name string) error {
 	r.mu.Lock()
@@ -214,17 +201,6 @@ func (r *Repository) Remove(name string) error {
 	return nil
 }
 
-// Get returns a rule by name.
-func (r *Repository) Get(name string) (Rule, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	idx, ok := r.byKey[name]
-	if !ok {
-		return Rule{}, false
-	}
-	return r.rules[idx], true
-}
-
 // Rules returns the rules in insertion order.
 func (r *Repository) Rules() []Rule {
 	r.mu.RLock()
@@ -239,17 +215,6 @@ func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.rules)
-}
-
-// Defaults returns only the default (context-free) rules.
-func (r *Repository) Defaults() []Rule {
-	var out []Rule
-	for _, rule := range r.Rules() {
-		if rule.IsDefault() {
-			out = append(out, rule)
-		}
-	}
-	return out
 }
 
 // repoTable is the SQL repository table name (§5).

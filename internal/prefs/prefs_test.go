@@ -219,3 +219,38 @@ func TestRuleStringMentionsAllParts(t *testing.T) {
 		}
 	}
 }
+
+// IsDefault reports whether the rule applies in any context (§4.1:
+// "'default' preference rules, which are valid in any context").
+func (r Rule) IsDefault() bool { return r.Context.Op() == dl.OpTop }
+
+// AddText parses and adds a rule in the textual syntax.
+func (r *Repository) AddText(input string) (Rule, error) {
+	rule, err := ParseRule(input)
+	if err != nil {
+		return Rule{}, err
+	}
+	return rule, r.Add(rule)
+}
+
+// Get returns a rule by name.
+func (r *Repository) Get(name string) (Rule, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	idx, ok := r.byKey[name]
+	if !ok {
+		return Rule{}, false
+	}
+	return r.rules[idx], true
+}
+
+// Defaults returns only the default (context-free) rules.
+func (r *Repository) Defaults() []Rule {
+	var out []Rule
+	for _, rule := range r.Rules() {
+		if rule.IsDefault() {
+			out = append(out, rule)
+		}
+	}
+	return out
+}

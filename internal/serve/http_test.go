@@ -228,3 +228,54 @@ func TestHTTPErrors(t *testing.T) {
 	// GET rank with a bad limit.
 	call(t, ts, "GET", "/v1/rank?user=p&target=T&limit=x", "", http.StatusBadRequest, nil)
 }
+
+// TestDeclareRefusesNamesNoRuleCanMention: a concept or role name the rule
+// parser does not read back as that same atom is a 400 and declares nothing
+// — it would take a table no rule can reach, and after sanitizing the table
+// of a legal name ("x y" would take "x_y"'s).
+func TestDeclareRefusesNamesNoRuleCanMention(t *testing.T) {
+	srv := NewServer(contextrank.NewSystem(), Options{})
+	ts := httptest.NewServer(NewHandlerFor(srv))
+	defer ts.Close()
+
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"empty concept", `{"concepts":[""]}`, http.StatusBadRequest},
+		{"two words", `{"concepts":["a b"]}`, http.StatusBadRequest},
+		{"keyword", `{"concepts":["TOP"]}`, http.StatusBadRequest},
+		{"keyword lower case", `{"concepts":["exists"]}`, http.StatusBadRequest},
+		{"padded", `{"concepts":[" Padded"]}`, http.StatusBadRequest},
+		{"dot", `{"concepts":["p.q"]}`, http.StatusBadRequest},
+		{"empty role", `{"roles":[""]}`, http.StatusBadRequest},
+		{"two-word role", `{"roles":["has genre"]}`, http.StatusBadRequest},
+		{"empty sub", `{"subconcepts":[{"sub":"","super":"TvProgram"}]}`, http.StatusBadRequest},
+		{"keyword sub", `{"subconcepts":[{"sub":"Bottom","super":"TvProgram"}]}`, http.StatusBadRequest},
+		{"bad super", `{"subconcepts":[{"sub":"News","super":"TvProgram AND"}]}`, http.StatusBadRequest},
+		{"x y before x_y", `{"concepts":["x y"]}`, http.StatusBadRequest},
+		{"legal names", `{"concepts":["x_y","TvProgram","HUMAN-INTEREST"],"roles":["hasGenre"]}`, http.StatusOK},
+		{"legal axiom", `{"subconcepts":[{"sub":"News","super":"TvProgram AND EXISTS hasGenre.TOP"}]}`, http.StatusOK},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			call(t, ts, "POST", "/v1/declare", c.body, c.status, nil)
+		})
+	}
+
+	var vocab sqlResponse
+	call(t, ts, "POST", "/v1/query", `{"sql":"SELECT kind, name FROM dl_vocab"}`, http.StatusOK, &vocab)
+	got := fmt.Sprint(vocab.Rows)
+	if want := "[[concept x_y] [concept TvProgram] [concept HUMAN-INTEREST] [role hasGenre]]"; got != want {
+		t.Fatalf("declared vocabulary = %s, want %s", got, want)
+	}
+
+	// A session's context concepts are declared the same way: the refused
+	// apply leaves the previous context in place.
+	call(t, ts, "PUT", "/v1/sessions/p/context", `{"measurements":[{"concept":"Ctx","prob":0.9}]}`, http.StatusOK, nil)
+	call(t, ts, "PUT", "/v1/sessions/p/context", `{"measurements":[{"concept":"a b","prob":0.9}]}`, http.StatusBadRequest, nil)
+	var rows sqlResponse
+	call(t, ts, "POST", "/v1/query", `{"sql":"SELECT id FROM c_Ctx"}`, http.StatusOK, &rows)
+	if got := fmt.Sprint(rows.Rows); got != "[[p]]" {
+		t.Fatalf("Ctx members after the refused apply = %s, want [[p]]", got)
+	}
+}

@@ -84,7 +84,8 @@ type Backend interface {
 // is the command, so the typed mutators pass their arguments through
 // without a conversion loop.
 type (
-	// SubConceptDecl is one TBox axiom sub ⊑ super in a Declare call.
+	// SubConceptDecl is one axiom sub ⊑ super in a Declare call: checked and
+	// journaled, and reasoned over by nothing.
 	SubConceptDecl = journal.SubDecl
 	// ConceptAssertion is one concept-membership assertion in an Assert call.
 	ConceptAssertion = journal.ConceptAssert

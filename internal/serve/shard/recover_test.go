@@ -358,6 +358,50 @@ func TestRecoverSessionsPreservesFailedRecords(t *testing.T) {
 	}
 }
 
+// TestRecoverPreservesDeclareOfUnmentionableName: an older build journaled a
+// declare of a name no rule can mention ("x y"). Replay refuses it like a
+// live declare, counts it Failed and carries it into the new generation.
+func TestRecoverPreservesDeclareOfUnmentionableName(t *testing.T) {
+	dir := t.TempDir()
+	a := newTestCoordinator(t, 1)
+	if _, err := a.Recover(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	a.CloseJournals()
+	j, _, err := journal.Open(journalFile(dir, a.journalGen, 0), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(journal.Record{Op: journal.OpDeclare, Concepts: []string{"x y"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newTestCoordinator(t, 1)
+	rs, err := c.Recover(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseJournals()
+	if rs.Failed != 1 || rs.Declares != 0 {
+		t.Fatalf("recovery stats %+v, want the declare failed", rs)
+	}
+	var preserved []journal.Record
+	if _, err := journal.Replay(journalFile(dir, c.journalGen, 0), func(rec journal.Record) error {
+		if rec.Preserved {
+			preserved = append(preserved, rec)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(preserved) != 1 || preserved[0].Op != journal.OpDeclare || len(preserved[0].Concepts) != 1 || preserved[0].Concepts[0] != "x y" {
+		t.Fatalf("preserved records = %+v, want the declare of \"x y\"", preserved)
+	}
+}
+
 // TestRecoverSessionsBadFile: a previous-generation file with an
 // overwritten header is unsalvageable, but it must not brick the boot —
 // the other shards' journals still replay.

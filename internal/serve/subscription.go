@@ -383,9 +383,6 @@ type SubStream struct {
 	snapshot SubEvent
 }
 
-// ID returns the subscription id.
-func (st *SubStream) ID() string { return st.sub.id }
-
 // User returns the subscription's owner.
 func (st *SubStream) User() string { return st.sub.spec.User }
 

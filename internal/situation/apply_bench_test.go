@@ -8,7 +8,7 @@ import (
 )
 
 func BenchmarkApplyChurn(b *testing.B) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	ctx := New("peter").
 		Add("Breakfast", 0.9).
 		AddExclusive("location", []string{"InKitchen", "InOffice", "InHall"}, []float64{0.6, 0.3, 0.1})

@@ -12,7 +12,7 @@ import (
 // TestApplyRetiresPreviousEvents: reacquiring context (§5) must not leave
 // the previous epoch's basic events behind in the event space.
 func TestApplyRetiresPreviousEvents(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	space := l.DB().Space()
 	ctx := New("peter").
 		Add("Breakfast", 0.9).
@@ -57,7 +57,7 @@ func TestApplyRetiresPreviousEvents(t *testing.T) {
 // TestApplyEmptyContextRetractsAndRetiresEverything: the "no context"
 // snapshot is the full-retraction case (e.g. the last session dropping).
 func TestApplyEmptyContextRetractsAndRetiresEverything(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	space := l.DB().Space()
 	ctx := New("peter").
 		Add("Breakfast", 0.9).
@@ -86,7 +86,7 @@ func TestApplyEmptyContextRetractsAndRetiresEverything(t *testing.T) {
 // TestApplyRejectsNaNProbability: NaN fails every comparison, so only the
 // positive-form validation catches it before it poisons the event space.
 func TestApplyRejectsNaNProbability(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	if err := New("u").Add("C", math.NaN()).Apply(l); err == nil {
 		t.Fatal("NaN probability accepted")
 	}
@@ -107,7 +107,7 @@ func prob2(l *mapping.Loader, concept, ind string) (float64, error) {
 // partial declarations; the next successful apply must retract and retire
 // them, so failures do not leak either.
 func TestApplyFailureIsCleanedUpByNextApply(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	space := l.DB().Space()
 	good := New("peter").Add("Breakfast", 0.9)
 	if err := good.Apply(l); err != nil {
@@ -143,7 +143,7 @@ func TestApplyChurnSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn soak skipped in -short mode")
 	}
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	space := l.DB().Space()
 	contexts := []*Context{
 		New("peter").
@@ -197,7 +197,7 @@ func TestApplyChurnSoak(t *testing.T) {
 // that owner's rows and events and nobody else's, whatever the interleaving;
 // a whole-loader Apply then retracts every owner.
 func TestApplyOwnedChurnTouchesOnlyItsOwner(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	space := l.DB().Space()
 	maria := New("maria").Add("Breakfast", 0.4).
 		AddExclusive("location", []string{"InKitchen", "InOffice"}, []float64{0.5, 0.5})
@@ -279,7 +279,7 @@ func TestApplyOwnedChurnTouchesOnlyItsOwner(t *testing.T) {
 // TestApplyOwnedFailureIsCleanedUpByNextApply: a mid-apply failure records
 // exactly what is still asserted and declared, for that owner alone.
 func TestApplyOwnedFailureIsCleanedUpByNextApply(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	space := l.DB().Space()
 	if _, err := New("maria").Add("Breakfast", 0.4).ApplyOwned(l); err != nil {
 		t.Fatal(err)

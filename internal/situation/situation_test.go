@@ -24,7 +24,7 @@ func prob(t *testing.T, l *mapping.Loader, concept, ind string) float64 {
 }
 
 func TestApplyCertainAndUncertain(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	ctx := New("peter").Certain("Weekend").Add("Breakfast", 0.9)
 	if err := ctx.Apply(l); err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestApplyCertainAndUncertain(t *testing.T) {
 }
 
 func TestApplyReplacesPreviousContext(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	if err := New("peter").Certain("Weekend").Apply(l); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestApplyReplacesPreviousContext(t *testing.T) {
 }
 
 func TestExclusiveGroupSemantics(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	ctx := New("peter").AddExclusive("location",
 		[]string{"InKitchen", "InOffice", "InHall"},
 		[]float64{0.6, 0.3, 0.1})
@@ -80,7 +80,7 @@ func TestExclusiveGroupSemantics(t *testing.T) {
 }
 
 func TestApplyValidation(t *testing.T) {
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	if err := New("u").Add("C", 1.5).Apply(l); err == nil {
 		t.Fatal("invalid probability accepted")
 	}
@@ -182,7 +182,7 @@ func TestActivitySensor(t *testing.T) {
 		}
 	}
 	// End to end: apply and check exclusivity in the event space.
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	if err := ctx.Apply(l); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSenseAllComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := mapping.NewLoader(engine.New(), nil)
+	l := mapping.NewLoader(engine.New())
 	if err := ctx.Apply(l); err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ type Dataset struct {
 
 // Generate builds the dataset on a fresh database.
 func Generate(spec Spec) (*Dataset, error) {
-	return GenerateInto(mapping.NewLoader(engine.New(), nil), spec)
+	return GenerateInto(mapping.NewLoader(engine.New()), spec)
 }
 
 // GenerateInto builds the dataset through an existing loader — e.g. a
