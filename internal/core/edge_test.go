@@ -153,3 +153,29 @@ func TestCandidatesOutsideEveryPreference(t *testing.T) {
 		t.Fatalf("score = %g", results[0].Score)
 	}
 }
+
+// TestZeroScoresKeptByEveryRanker: Threshold 0 keeps all, so a document that
+// scores 0 is ranked by the view ranker too, as by the naive and factorized
+// ones. Rule Ctx → F with σ = 1 under a certain context scores a ∈ F 1 and
+// b ∉ F 0.
+func TestZeroScoresKeptByEveryRanker(t *testing.T) {
+	db := engine.New()
+	l := mapping.NewLoader(db)
+	l.DeclareConcept("Doc")
+	l.DeclareConcept("F")
+	l.AssertConcept("Doc", "a", nil)
+	l.AssertConcept("Doc", "b", nil)
+	l.AssertConcept("F", "a", nil)
+	situation.New("u").Certain("Ctx").Apply(l)
+	rules := []prefs.Rule{{Name: "r", Context: dl.Atom("Ctx"), Preference: dl.Atom("F"), Sigma: 1}}
+	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
+	for _, r := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l), NewViewRanker(l)} {
+		got, err := r.Rank(req)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Name(), err)
+		}
+		if len(got) != 2 || got[0].ID != "a" || got[0].Score != 1 || got[1].ID != "b" || got[1].Score != 0 {
+			t.Errorf("%s = %+v, want [a 1, b 0]", r.Name(), got)
+		}
+	}
+}

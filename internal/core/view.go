@@ -147,13 +147,19 @@ func (r *ViewRanker) preferenceSelect(req Request) (string, error) {
 // registers nothing —
 //
 //	SELECT name, preferencescore FROM Programs
-//	WHERE preferencescore > θ ORDER BY preferencescore DESC.
+//	WHERE preferencescore > θ ORDER BY preferencescore DESC
+//
+// — with the WHERE only for θ > 0: like every ranker, θ = 0 keeps all.
 func (r *ViewRanker) Rank(req Request) ([]Result, error) {
 	sel, err := r.preferenceSelect(req)
 	if err != nil {
 		return nil, err
 	}
-	q := fmt.Sprintf("SELECT id, score FROM (%s) v WHERE score > %g ORDER BY score DESC, id ASC", sel, req.Threshold)
+	q := fmt.Sprintf("SELECT id, score FROM (%s) v", sel)
+	if req.Threshold > 0 {
+		q += fmt.Sprintf(" WHERE score > %g", req.Threshold)
+	}
+	q += " ORDER BY score DESC, id ASC"
 	if req.Limit > 0 {
 		q += fmt.Sprintf(" LIMIT %d", req.Limit)
 	}

@@ -6,6 +6,7 @@ import (
 
 	contextrank "repro"
 	"repro/internal/serve/journal"
+	"repro/internal/sql"
 )
 
 // ErrUnknownOp marks a record whose op this build does not know (a newer
@@ -285,8 +286,13 @@ func (m Mutators) RemoveRule(name string) (int64, error) {
 	return out.Epoch, err
 }
 
-// Exec runs a mutating SQL statement, returning the new epoch.
+// Exec runs a mutating SQL statement, returning the new epoch. A statement
+// outside the SQL dialect is refused before any shard sees it: it moves no
+// epoch and journals nothing.
 func (m Mutators) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
+	if _, err := sql.Parse(stmt); err != nil {
+		return nil, 0, err
+	}
 	out, err := m.to.Apply(journal.Record{Op: journal.OpExec, Stmt: stmt})
 	return out.Result, out.Epoch, err
 }

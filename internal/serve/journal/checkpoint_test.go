@@ -29,9 +29,9 @@ func TestJournalMixedRecordRoundTrip(t *testing.T) {
 	}
 
 	out, rs := collect(t, path)
-	if rs.Records != 7 || rs.Sets != 1 || rs.Drops != 1 || rs.Declares != 1 ||
-		rs.Asserts != 1 || rs.RuleAdds != 1 || rs.RuleRemoves != 1 || rs.Execs != 1 {
-		t.Fatalf("replay stats %+v", rs)
+	if ops := opCounts(out); rs.Records != 7 || ops[OpSet] != 1 || ops[OpDrop] != 1 || ops[OpDeclare] != 1 ||
+		ops[OpAssert] != 1 || ops[OpAddRules] != 1 || ops[OpRemoveRule] != 1 || ops[OpExec] != 1 {
+		t.Fatalf("replay stats %+v, ops %v", rs, ops)
 	}
 	d := out[0]
 	if d.BID != 9 || len(d.Concepts) != 2 || d.Subs[0] != (SubDecl{Sub: "B", Super: "A"}) {
@@ -104,8 +104,8 @@ func TestJournalCheckpointTruncates(t *testing.T) {
 	}
 
 	out, rs := collect(t, path)
-	if rs.Sets != 1 || rs.Declares != 0 || rs.Execs != 1 || rs.Records != 2 {
-		t.Fatalf("post-checkpoint replay stats %+v", rs)
+	if ops := opCounts(out); ops[OpSet] != 1 || ops[OpDeclare] != 0 || ops[OpExec] != 1 || rs.Records != 2 {
+		t.Fatalf("post-checkpoint replay stats %+v, ops %v", rs, ops)
 	}
 	// Sequence numbers survive the rewrite: recovery still orders the
 	// suffix against the manifest's covered sequence.
@@ -131,9 +131,9 @@ func TestJournalCheckpointKeepsPreserved(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, rs := collect(t, path)
-	if rs.Declares != 1 || len(out) != 1 || !out[0].Preserved || out[0].Concepts[0] != "Kept" {
-		t.Fatalf("after checkpoint: %d records, stats %+v", len(out), rs)
+	out, _ := collect(t, path)
+	if ops := opCounts(out); ops[OpDeclare] != 1 || len(out) != 1 || !out[0].Preserved || out[0].Concepts[0] != "Kept" {
+		t.Fatalf("after checkpoint: %d records, ops %v", len(out), ops)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestJournalCheckpointIsDurabilityBarrier(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rs := collect(t, path)
-	if rs.Declares != 5 || rs.Torn {
-		t.Fatalf("after barrier checkpoint: stats %+v, want the 5 uncovered declares intact", rs)
+	out, rs := collect(t, path)
+	if ops := opCounts(out); ops[OpDeclare] != 5 || rs.Torn {
+		t.Fatalf("after barrier checkpoint: stats %+v, ops %v, want the 5 uncovered declares intact", rs, ops)
 	}
 }

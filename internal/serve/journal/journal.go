@@ -1103,17 +1103,6 @@ func (j *Journal) Close() error {
 type ReplayStats struct {
 	// Records is how many valid records were read.
 	Records int
-	// Sets / Drops / Declares / Asserts / RuleAdds / RuleRemoves / Execs
-	// break Records down by operation (unknown ops count only in Records).
-	Sets         int
-	Drops        int
-	Declares     int
-	Asserts      int
-	RuleAdds     int
-	RuleRemoves  int
-	Execs        int
-	Subscribes   int
-	Unsubscribes int
 	// Torn is true when the file ended in an incomplete or corrupt frame;
 	// TornBytes is how many bytes past the recovered prefix were
 	// discarded, through the file's last non-zero byte (the zero slack of
@@ -1209,26 +1198,6 @@ func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats Re
 		}
 		offset += int64(frameOverhead) + int64(n)
 		stats.Records++
-		switch rec.Op {
-		case OpSet:
-			stats.Sets++
-		case OpDrop:
-			stats.Drops++
-		case OpDeclare:
-			stats.Declares++
-		case OpAssert:
-			stats.Asserts++
-		case OpAddRules:
-			stats.RuleAdds++
-		case OpRemoveRule:
-			stats.RuleRemoves++
-		case OpExec:
-			stats.Execs++
-		case OpSubscribe:
-			stats.Subscribes++
-		case OpUnsubscribe:
-			stats.Unsubscribes++
-		}
 		fn(rec, payload)
 	}
 	if offset < info.Size() {

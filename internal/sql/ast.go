@@ -71,33 +71,21 @@ type UpdateStmt struct {
 	Where Expr
 }
 
-// SelectItem is one projection item; Star means "*" or "alias.*".
+// SelectItem is one projection item: an expression and its optional alias.
 type SelectItem struct {
 	Expr  Expr
 	Alias string
-	Star  bool
-	Table string // qualifier for "table.*"; empty for bare "*"
 }
 
-// JoinKind distinguishes FROM-clause join operators.
-type JoinKind uint8
-
-// Join kinds.
-const (
-	JoinCross JoinKind = iota // comma or first table
-	JoinInner
-	JoinLeft
-)
-
 // TableRef is one FROM-clause source: a base table, a view, or a derived
-// subquery, with an optional alias and the join operator connecting it to
-// the sources before it.
+// subquery, with an optional alias. Every source after the first is joined
+// onto the ones before it by [LEFT] JOIN … ON; the first has no On.
 type TableRef struct {
 	Table    string
 	Subquery *SelectStmt
 	Alias    string
-	Join     JoinKind
-	On       Expr // nil for cross joins
+	Left     bool // LEFT JOIN
+	On       Expr
 }
 
 // Name returns the binding name of the reference (alias, else table name).
@@ -121,7 +109,6 @@ type SelectStmt struct {
 	From     []TableRef
 	Where    Expr
 	GroupBy  []Expr
-	Having   Expr
 	OrderBy  []OrderItem
 	Limit    int // -1 when absent
 	Union    *SelectStmt
@@ -149,13 +136,10 @@ type ColumnRef struct {
 	Column string
 }
 
-// Unary is -x or NOT x.
-type Unary struct {
-	Op string // "-", "NOT"
-	X  Expr
-}
+// Unary is -x.
+type Unary struct{ X Expr }
 
-// Binary is a binary operation; Op one of + - * / % = <> < <= > >= AND OR.
+// Binary is a binary operation; Op one of + * / = <> < <= > >= AND.
 type Binary struct {
 	Op   string
 	L, R Expr
@@ -168,10 +152,9 @@ type FuncCall struct {
 	Star bool
 }
 
-// InList is x IN (e1, …) or x NOT IN (…).
+// InList is x IN (e1, …).
 type InList struct {
 	X   Expr
-	Not bool
 	Set []Expr
 }
 
@@ -181,25 +164,6 @@ type IsNull struct {
 	Not bool
 }
 
-// Like is x [NOT] LIKE 'pattern' with % (any run) and _ (any one char).
-type Like struct {
-	X       Expr
-	Not     bool
-	Pattern Expr
-}
-
-// CaseExpr is CASE WHEN c THEN v … [ELSE e] END.
-type CaseExpr struct {
-	Whens []CaseWhen
-	Else  Expr
-}
-
-// CaseWhen is one WHEN/THEN arm.
-type CaseWhen struct {
-	Cond Expr
-	Then Expr
-}
-
 func (*Literal) isExpr()   {}
 func (*ColumnRef) isExpr() {}
 func (*Unary) isExpr()     {}
@@ -207,5 +171,3 @@ func (*Binary) isExpr()    {}
 func (*FuncCall) isExpr()  {}
 func (*InList) isExpr()    {}
 func (*IsNull) isExpr()    {}
-func (*Like) isExpr()      {}
-func (*CaseExpr) isExpr()  {}

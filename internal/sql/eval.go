@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/event"
@@ -76,7 +75,7 @@ func (e *env) lookup(table, column string) (storage.Value, error) {
 }
 
 // eval evaluates a scalar expression under SQL three-valued logic: NULL
-// propagates through arithmetic and comparisons; AND/OR use Kleene logic.
+// propagates through arithmetic and comparisons; AND uses Kleene logic.
 func (e *env) eval(x Expr) (storage.Value, error) {
 	switch x := x.(type) {
 	case *Literal:
@@ -84,7 +83,7 @@ func (e *env) eval(x Expr) (storage.Value, error) {
 	case *ColumnRef:
 		return e.lookup(x.Table, x.Column)
 	case *Unary:
-		return e.evalUnary(x)
+		return e.evalNeg(x)
 	case *Binary:
 		return e.evalBinary(x)
 	case *FuncCall:
@@ -97,69 +96,29 @@ func (e *env) eval(x Expr) (storage.Value, error) {
 			return storage.Value{}, err
 		}
 		return storage.Bool(v.IsNull() != x.Not), nil
-	case *Like:
-		v, err := e.eval(x.X)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		pat, err := e.eval(x.Pattern)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return storage.Null(), nil
-		}
-		if v.T != storage.TypeText || pat.T != storage.TypeText {
-			return storage.Value{}, fmt.Errorf("sql: LIKE requires TEXT operands")
-		}
-		return storage.Bool(likeMatch(v.S, pat.S) != x.Not), nil
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			c, err := e.eval(w.Cond)
-			if err != nil {
-				return storage.Value{}, err
-			}
-			if truth, _ := c.Truth(); truth {
-				return e.eval(w.Then)
-			}
-		}
-		if x.Else != nil {
-			return e.eval(x.Else)
-		}
-		return storage.Null(), nil
 	}
 	return storage.Value{}, fmt.Errorf("sql: cannot evaluate %T", x)
 }
 
-func (e *env) evalUnary(x *Unary) (storage.Value, error) {
+func (e *env) evalNeg(x *Unary) (storage.Value, error) {
 	v, err := e.eval(x.X)
 	if err != nil {
 		return storage.Value{}, err
 	}
-	if v.IsNull() {
+	switch v.T {
+	case storage.TypeNull:
 		return storage.Null(), nil
+	case storage.TypeInt:
+		return storage.Int(-v.I), nil
+	case storage.TypeFloat:
+		return storage.Float(-v.F), nil
 	}
-	switch x.Op {
-	case "-":
-		switch v.T {
-		case storage.TypeInt:
-			return storage.Int(-v.I), nil
-		case storage.TypeFloat:
-			return storage.Float(-v.F), nil
-		}
-		return storage.Value{}, fmt.Errorf("sql: cannot negate %s", v.T)
-	case "NOT":
-		if v.T != storage.TypeBool {
-			return storage.Value{}, fmt.Errorf("sql: NOT requires BOOL, got %s", v.T)
-		}
-		return storage.Bool(!v.B), nil
-	}
-	return storage.Value{}, fmt.Errorf("sql: unknown unary op %q", x.Op)
+	return storage.Value{}, fmt.Errorf("sql: cannot negate %s", v.T)
 }
 
 func (e *env) evalBinary(x *Binary) (storage.Value, error) {
-	if x.Op == "AND" || x.Op == "OR" {
-		return e.evalLogical(x)
+	if x.Op == "AND" {
+		return e.evalAnd(x)
 	}
 	l, err := e.eval(x.L)
 	if err != nil {
@@ -173,7 +132,7 @@ func (e *env) evalBinary(x *Binary) (storage.Value, error) {
 		return storage.Null(), nil
 	}
 	switch x.Op {
-	case "+", "-", "*", "/", "%":
+	case "+", "*", "/":
 		return arith(x.Op, l, r)
 	case "=", "<>", "<", "<=", ">", ">=":
 		c, err := storage.Compare(l, r)
@@ -198,52 +157,35 @@ func (e *env) evalBinary(x *Binary) (storage.Value, error) {
 	return storage.Value{}, fmt.Errorf("sql: unknown operator %q", x.Op)
 }
 
-// evalLogical applies Kleene three-valued AND/OR.
-func (e *env) evalLogical(x *Binary) (storage.Value, error) {
+// evalAnd applies Kleene three-valued AND.
+func (e *env) evalAnd(x *Binary) (storage.Value, error) {
 	l, err := e.eval(x.L)
 	if err != nil {
 		return storage.Value{}, err
 	}
 	lVal, lKnown := l.Truth()
 	if l.T != storage.TypeNull && l.T != storage.TypeBool {
-		return storage.Value{}, fmt.Errorf("sql: %s requires BOOL operands, got %s", x.Op, l.T)
+		return storage.Value{}, fmt.Errorf("sql: AND requires BOOL operands, got %s", l.T)
 	}
 	// Short circuit where the result is determined.
-	if x.Op == "AND" && lKnown && !lVal {
+	if lKnown && !lVal {
 		return storage.Bool(false), nil
-	}
-	if x.Op == "OR" && lKnown && lVal {
-		return storage.Bool(true), nil
 	}
 	r, err := e.eval(x.R)
 	if err != nil {
 		return storage.Value{}, err
 	}
 	if r.T != storage.TypeNull && r.T != storage.TypeBool {
-		return storage.Value{}, fmt.Errorf("sql: %s requires BOOL operands, got %s", x.Op, r.T)
+		return storage.Value{}, fmt.Errorf("sql: AND requires BOOL operands, got %s", r.T)
 	}
 	rVal, rKnown := r.Truth()
-	switch x.Op {
-	case "AND":
-		switch {
-		case rKnown && !rVal:
-			return storage.Bool(false), nil
-		case lKnown && rKnown:
-			return storage.Bool(lVal && rVal), nil
-		default:
-			return storage.Null(), nil
-		}
-	case "OR":
-		switch {
-		case rKnown && rVal:
-			return storage.Bool(true), nil
-		case lKnown && rKnown:
-			return storage.Bool(lVal || rVal), nil
-		default:
-			return storage.Null(), nil
-		}
+	switch {
+	case rKnown && !rVal:
+		return storage.Bool(false), nil
+	case lKnown && rKnown:
+		return storage.Bool(true), nil
 	}
-	return storage.Value{}, fmt.Errorf("sql: unknown logical op %q", x.Op)
+	return storage.Null(), nil
 }
 
 func arith(op string, l, r storage.Value) (storage.Value, error) {
@@ -251,8 +193,6 @@ func arith(op string, l, r storage.Value) (storage.Value, error) {
 		switch op {
 		case "+":
 			return storage.Int(l.I + r.I), nil
-		case "-":
-			return storage.Int(l.I - r.I), nil
 		case "*":
 			return storage.Int(l.I * r.I), nil
 		case "/":
@@ -260,11 +200,6 @@ func arith(op string, l, r storage.Value) (storage.Value, error) {
 				return storage.Value{}, fmt.Errorf("sql: division by zero")
 			}
 			return storage.Int(l.I / r.I), nil
-		case "%":
-			if r.I == 0 {
-				return storage.Value{}, fmt.Errorf("sql: division by zero")
-			}
-			return storage.Int(l.I % r.I), nil
 		}
 	}
 	lf, err := l.AsFloat()
@@ -278,8 +213,6 @@ func arith(op string, l, r storage.Value) (storage.Value, error) {
 	switch op {
 	case "+":
 		return storage.Float(lf + rf), nil
-	case "-":
-		return storage.Float(lf - rf), nil
 	case "*":
 		return storage.Float(lf * rf), nil
 	case "/":
@@ -287,11 +220,6 @@ func arith(op string, l, r storage.Value) (storage.Value, error) {
 			return storage.Value{}, fmt.Errorf("sql: division by zero")
 		}
 		return storage.Float(lf / rf), nil
-	case "%":
-		if rf == 0 {
-			return storage.Value{}, fmt.Errorf("sql: division by zero")
-		}
-		return storage.Float(math.Mod(lf, rf)), nil
 	}
 	return storage.Value{}, fmt.Errorf("sql: unknown arithmetic op %q", op)
 }
@@ -319,19 +247,19 @@ func (e *env) evalIn(x *InList) (storage.Value, error) {
 			return storage.Value{}, err
 		}
 		if c == 0 {
-			return storage.Bool(!x.Not), nil
+			return storage.Bool(true), nil
 		}
 	}
 	if sawNull {
 		return storage.Null(), nil
 	}
-	return storage.Bool(x.Not), nil
+	return storage.Bool(false), nil
 }
 
 // evalFunc dispatches scalar builtins, and aggregates in an aggregate
 // context; anywhere else an aggregate is an unknown function.
 func (e *env) evalFunc(x *FuncCall) (storage.Value, error) {
-	if e.agg && aggregateNames[x.Name] {
+	if e.agg && builtins[x.Name] {
 		return e.aggregate(x)
 	}
 	// callScalar keeps no reference to args, so the usual few live on the stack.
@@ -355,78 +283,6 @@ func callScalar(rt *Runtime, name string, args []storage.Value) (storage.Value, 
 		return nil
 	}
 	switch name {
-	case "ABS":
-		if err := argn(1); err != nil {
-			return storage.Value{}, err
-		}
-		v := args[0]
-		switch v.T {
-		case storage.TypeNull:
-			return storage.Null(), nil
-		case storage.TypeInt:
-			if v.I < 0 {
-				return storage.Int(-v.I), nil
-			}
-			return v, nil
-		case storage.TypeFloat:
-			return storage.Float(math.Abs(v.F)), nil
-		}
-		return storage.Value{}, fmt.Errorf("sql: ABS requires a number")
-	case "LOWER", "UPPER":
-		if err := argn(1); err != nil {
-			return storage.Value{}, err
-		}
-		v := args[0]
-		if v.IsNull() {
-			return storage.Null(), nil
-		}
-		if v.T != storage.TypeText {
-			return storage.Value{}, fmt.Errorf("sql: %s requires TEXT", name)
-		}
-		if name == "LOWER" {
-			return storage.Text(strings.ToLower(v.S)), nil
-		}
-		return storage.Text(strings.ToUpper(v.S)), nil
-	case "LENGTH":
-		if err := argn(1); err != nil {
-			return storage.Value{}, err
-		}
-		if args[0].IsNull() {
-			return storage.Null(), nil
-		}
-		if args[0].T != storage.TypeText {
-			return storage.Value{}, fmt.Errorf("sql: LENGTH requires TEXT")
-		}
-		return storage.Int(int64(len(args[0].S))), nil
-	case "COALESCE":
-		for _, v := range args {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return storage.Null(), nil
-	case "ROUND":
-		if len(args) != 1 && len(args) != 2 {
-			return storage.Value{}, fmt.Errorf("sql: ROUND expects 1 or 2 arguments")
-		}
-		if args[0].IsNull() {
-			return storage.Null(), nil
-		}
-		f, err := args[0].AsFloat()
-		if err != nil {
-			return storage.Value{}, err
-		}
-		digits := 0
-		if len(args) == 2 {
-			if args[1].T != storage.TypeInt {
-				return storage.Value{}, fmt.Errorf("sql: ROUND digits must be INT")
-			}
-			digits = int(args[1].I)
-		}
-		scale := math.Pow(10, float64(digits))
-		return storage.Float(math.Round(f*scale) / scale), nil
-
-	// EVENT builtins — the paper's datatype extension (§5).
 	case "EV_TRUE":
 		if err := argn(0); err != nil {
 			return storage.Value{}, err
@@ -505,40 +361,13 @@ func asEvent(v storage.Value, fn string) (*event.Expr, error) {
 	return nil, fmt.Errorf("sql: %s requires EVENT arguments, got %s", fn, v.T)
 }
 
-// likeMatch implements SQL LIKE: '%' matches any run (including empty),
-// '_' matches exactly one character. Matching is over runes and
-// case-sensitive, with an iterative two-pointer backtracking algorithm.
-func likeMatch(s, pattern string) bool {
-	str, pat := []rune(s), []rune(pattern)
-	si, pi := 0, 0
-	starSi, starPi := -1, -1
-	for si < len(str) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == str[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			starPi = pi
-			starSi = si
-			pi++
-		case starPi >= 0:
-			starSi++
-			si = starSi
-			pi = starPi + 1
-		default:
-			return false
-		}
-	}
-	for pi < len(pat) && pat[pi] == '%' {
-		pi++
-	}
-	return pi == len(pat)
-}
-
-// aggregateNames lists functions the executor treats as aggregates.
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"EV_OR_AGG": true, "EV_AND_AGG": true,
+// builtins maps every function the dialect has to whether it is an
+// aggregate: the EVENT builtins the paper added to PostgreSQL (§5) and
+// COUNT and SUM. The parser refuses any other name.
+var builtins = map[string]bool{
+	"EV_TRUE": false, "EV_FALSE": false, "EV_BASIC": false, "EV_AND": false,
+	"EV_OR": false, "EV_NOT": false, "PROB": false,
+	"EV_OR_AGG": true, "EV_AND_AGG": true, "COUNT": true, "SUM": true,
 }
 
 // hasAggregate reports whether x contains an aggregate call.
@@ -551,7 +380,7 @@ func hasAggregate(x Expr) bool {
 	case *Binary:
 		return hasAggregate(x.L) || hasAggregate(x.R)
 	case *FuncCall:
-		if aggregateNames[x.Name] {
+		if builtins[x.Name] {
 			return true
 		}
 		for _, a := range x.Args {
@@ -572,15 +401,6 @@ func hasAggregate(x Expr) bool {
 		return false
 	case *IsNull:
 		return hasAggregate(x.X)
-	case *Like:
-		return hasAggregate(x.X) || hasAggregate(x.Pattern)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			if hasAggregate(w.Cond) || hasAggregate(w.Then) {
-				return true
-			}
-		}
-		return x.Else != nil && hasAggregate(x.Else)
 	}
 	return false
 }

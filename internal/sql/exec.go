@@ -358,12 +358,11 @@ func (ex *Executor) execSelect(sel *SelectStmt, depth int) (*Result, error) {
 }
 
 func isAggregated(sel *SelectStmt) bool {
-	return len(sel.GroupBy) > 0 || sel.Having != nil || itemsHaveAggregate(sel.Items)
-}
-
-func itemsHaveAggregate(items []SelectItem) bool {
-	for _, it := range items {
-		if !it.Star && hasAggregate(it.Expr) {
+	if len(sel.GroupBy) > 0 {
+		return true
+	}
+	for _, it := range sel.Items {
+		if hasAggregate(it.Expr) {
 			return true
 		}
 	}
@@ -377,9 +376,6 @@ func (ex *Executor) buildFrom(refs []TableRef, depth int) (*relation, error) {
 	if len(refs) == 0 {
 		return &relation{rows: []storage.Row{{}}}, nil
 	}
-	if refs[0].Join != JoinCross || refs[0].On != nil {
-		return nil, fmt.Errorf("sql: first FROM item cannot have a join condition")
-	}
 	acc, err := ex.resolveRef(refs[0], depth)
 	if err != nil {
 		return nil, err
@@ -389,7 +385,7 @@ func (ex *Executor) buildFrom(refs []TableRef, depth int) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		if acc, err = ex.join(acc, right, ref.Join, ref.On); err != nil {
+		if acc, err = ex.join(acc, right, ref.Left, ref.On); err != nil {
 			return nil, err
 		}
 	}
@@ -439,23 +435,15 @@ func (ex *Executor) resolveRef(ref TableRef, depth int) (*relation, error) {
 	return rel, nil
 }
 
-// join combines two relations. Equality joins between one column of each
-// side use a hash join over the right rows, probed in left order; everything
-// else is a (filtered) nested loop.
-func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relation, error) {
+// join combines two relations, keeping each left row without a match,
+// padded with NULLs, for a LEFT JOIN. Equality joins between one column of
+// each side use a hash join over the right rows, probed in left order;
+// everything else is a (filtered) nested loop.
+func (ex *Executor) join(left, right *relation, leftJoin bool, on Expr) (*relation, error) {
 	outCols := make([]binding, 0, len(left.cols)+len(right.cols))
 	outCols = append(outCols, left.cols...)
 	outCols = append(outCols, right.cols...)
 	out := &relation{cols: outCols}
-
-	if kind == JoinCross {
-		for _, lr := range left.rows {
-			for _, rr := range right.rows {
-				out.rows = append(out.rows, concatRows(lr, rr))
-			}
-		}
-		return out, nil
-	}
 
 	e := &env{cols: out.cols, rt: ex.rt}
 	// Try to extract an equi-join pair for hashing.
@@ -483,7 +471,7 @@ func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relati
 					}
 				}
 			}
-			if kind == JoinLeft && !matched {
+			if leftJoin && !matched {
 				out.rows = append(out.rows, padRight(lr, len(right.cols)))
 			}
 		}
@@ -504,7 +492,7 @@ func (ex *Executor) join(left, right *relation, kind JoinKind, on Expr) (*relati
 				matched = true
 			}
 		}
-		if kind == JoinLeft && !matched {
+		if leftJoin && !matched {
 			out.rows = append(out.rows, padRight(lr, len(right.cols)))
 		}
 	}
@@ -600,17 +588,13 @@ func findBinding(cols []binding, ref *ColumnRef) int {
 // returned result rows correspond 1:1 to rel.rows (before DISTINCT/ORDER),
 // which orderRows exploits.
 func (ex *Executor) execProject(sel *SelectStmt, rel *relation) (*Result, error) {
-	outCols, exprs, err := expandItems(sel.Items, rel.cols)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Cols: outCols, Rows: make([]storage.Row, 0, len(rel.rows))}
+	res := &Result{Cols: outputColumns(sel.Items), Rows: make([]storage.Row, 0, len(rel.rows))}
 	e := &env{cols: rel.cols, rt: ex.rt}
 	for _, r := range rel.rows {
 		e.row = r
-		out := make(storage.Row, len(exprs))
-		for i, x := range exprs {
-			v, err := e.eval(x)
+		out := make(storage.Row, len(sel.Items))
+		for i, it := range sel.Items {
+			v, err := e.eval(it.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -621,39 +605,21 @@ func (ex *Executor) execProject(sel *SelectStmt, rel *relation) (*Result, error)
 	return res, nil
 }
 
-// expandItems resolves stars and names output columns.
-func expandItems(items []SelectItem, cols []binding) ([]string, []Expr, error) {
-	var outCols []string
-	var exprs []Expr
-	for _, it := range items {
-		if it.Star {
-			qual := strings.ToLower(it.Table)
-			matched := false
-			for _, b := range cols {
-				if qual != "" && b.table != qual {
-					continue
-				}
-				matched = true
-				outCols = append(outCols, b.column)
-				exprs = append(exprs, &ColumnRef{Table: b.table, Column: b.column})
-			}
-			if !matched {
-				return nil, nil, fmt.Errorf("sql: %s.* matches no columns", it.Table)
-			}
-			continue
+// outputColumns names the output columns: an item's alias, else the column
+// it references, else colN for the Nth item.
+func outputColumns(items []SelectItem) []string {
+	names := make([]string, len(items))
+	for i, it := range items {
+		switch cr, ok := it.Expr.(*ColumnRef); {
+		case it.Alias != "":
+			names[i] = it.Alias
+		case ok:
+			names[i] = cr.Column
+		default:
+			names[i] = fmt.Sprintf("col%d", i+1)
 		}
-		name := it.Alias
-		if name == "" {
-			if cr, ok := it.Expr.(*ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = fmt.Sprintf("col%d", len(outCols)+1)
-			}
-		}
-		outCols = append(outCols, name)
-		exprs = append(exprs, it.Expr)
 	}
-	return outCols, exprs, nil
+	return names
 }
 
 func dedupeRows(rows []storage.Row) []storage.Row {
@@ -761,29 +727,16 @@ func (ex *Executor) execAggregate(sel *SelectStmt, rel *relation) (*Result, erro
 		order = append(order, nil)
 	}
 
-	outCols, exprs, err := expandItems(sel.Items, rel.cols)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Cols: outCols, Rows: make([]storage.Row, 0, len(order))}
+	res := &Result{Cols: outputColumns(sel.Items), Rows: make([]storage.Row, 0, len(order))}
 	e.agg = true
 	for _, rows := range order {
 		e.row, e.group = nil, rows
 		if len(rows) > 0 {
 			e.row = rows[0]
 		}
-		if sel.Having != nil {
-			hv, err := e.eval(sel.Having)
-			if err != nil {
-				return nil, err
-			}
-			if truth, _ := hv.Truth(); !truth {
-				continue
-			}
-		}
-		out := make(storage.Row, len(exprs))
-		for i, x := range exprs {
-			v, err := e.eval(x)
+		out := make(storage.Row, len(sel.Items))
+		for i, it := range sel.Items {
+			v, err := e.eval(it.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -818,7 +771,7 @@ func (e *env) aggregate(x *FuncCall) (storage.Value, error) {
 	switch x.Name {
 	case "COUNT":
 		return storage.Int(int64(len(vals))), nil
-	case "SUM", "AVG":
+	case "SUM":
 		if len(vals) == 0 {
 			return storage.Null(), nil
 		}
@@ -834,28 +787,10 @@ func (e *env) aggregate(x *FuncCall) (storage.Value, error) {
 			}
 			sum += f
 		}
-		if x.Name == "AVG" {
-			return storage.Float(sum / float64(len(vals))), nil
-		}
 		if allInt {
 			return storage.Int(int64(sum)), nil
 		}
 		return storage.Float(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return storage.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, err := storage.Compare(v, best)
-			if err != nil {
-				return storage.Value{}, err
-			}
-			if (x.Name == "MIN" && c < 0) || (x.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
 	case "EV_OR_AGG", "EV_AND_AGG":
 		exprs := make([]*event.Expr, 0, len(vals))
 		for _, v := range vals {

@@ -1,8 +1,12 @@
-// Package sql implements the SQL subset of the embedded relational engine:
-// lexer, parser, expression evaluator with three-valued logic, and a
-// planner/executor with nested-loop and hash joins, grouping, ordering,
-// views, and the EVENT-expression builtins the paper added to PostgreSQL
-// (§5): EV_AND, EV_OR, EV_NOT, EV_OR_AGG, EV_AND_AGG and PROB.
+// Package sql is the SQL dialect of the embedded relational engine: what
+// the paper's §5 needs to keep concepts and roles as tables and rank
+// through views over them, and nothing more. Its one extension is the EVENT
+// datatype the paper added to PostgreSQL (§5), with the builtins PROB,
+// EV_TRUE, EV_FALSE, EV_BASIC, EV_AND, EV_OR and EV_NOT and the aggregates
+// EV_OR_AGG and EV_AND_AGG; beside them it has COUNT and SUM. The package
+// holds the lexer, the parser (Parse documents the grammar), an expression
+// evaluator with three-valued logic, and an executor that scans base tables,
+// runs views whole, hash-joins, groups, orders and unions.
 package sql
 
 import (
@@ -37,7 +41,7 @@ type lexer struct {
 }
 
 var symbols = []string{
-	"<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*", "+", "-", "/", "%", ";",
+	"<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", "*", "+", "-", "/", ";",
 }
 
 func lexSQL(src string) ([]token, error) {

@@ -9,6 +9,27 @@ import (
 )
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
+// The dialect, keywords in any case, [x] optional and {x} repeated:
+//
+//	CREATE TABLE [IF NOT EXISTS] name ( col type {, col type} )
+//	DROP TABLE [IF EXISTS] name
+//	CREATE [OR REPLACE] VIEW name AS select
+//	DROP VIEW [IF EXISTS] name
+//	CREATE INDEX ON table ( col )
+//	INSERT INTO table [( col {, col} )] VALUES ( expr {, expr} ) {, ( … )}
+//	UPDATE table SET col = expr {, col = expr} [WHERE expr]
+//	DELETE FROM table [WHERE expr]
+//	select
+//
+//	select := SELECT [DISTINCT | ALL] expr [[AS] alias] {, expr [[AS] alias]}
+//	          [FROM source {[INNER | LEFT [OUTER]] JOIN source ON expr}]
+//	          [WHERE expr] [GROUP BY expr {, expr}]
+//	          ( UNION ALL select | [ORDER BY expr [ASC | DESC] {, …}] [LIMIT n] )
+//	source := name [[AS] alias] | ( select ) [AS] alias
+//
+// type is INT, FLOAT, TEXT, BOOL or EVENT (or a synonym storage.TypeFromName
+// reads); parseExpr gives expr. A select list has no *, a FROM list no
+// commas, and there is no HAVING: anything else is a parse error.
 func Parse(src string) (Statement, error) {
 	toks, err := lexSQL(src)
 	if err != nil {
@@ -88,6 +109,10 @@ func (p *parser) ident() (string, error) {
 	return t.text, nil
 }
 
+// reservedWords are never an alias or a column name. The keywords of forms
+// the dialect does not have (OR, NOT as an operator, HAVING, CASE…END, LIKE)
+// stay here, so such a statement fails to parse instead of reading the
+// keyword as an alias.
 var reservedWords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "HAVING": true,
 	"ORDER": true, "LIMIT": true, "UNION": true, "JOIN": true, "LEFT": true,
@@ -411,13 +436,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			break
 		}
 	}
-	if p.keyword("HAVING") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = h
-	}
 	if p.keyword("UNION") {
 		if err := p.expectKeyword("ALL"); err != nil {
 			return nil, p.errf("only UNION ALL is supported")
@@ -467,19 +485,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
-	// "*"
-	if p.accept("*") {
-		return SelectItem{Star: true}, nil
-	}
-	// "alias.*"
-	if t := p.cur(); t.kind == tokIdent && !reservedWords[strings.ToUpper(t.text)] {
-		if p.pos+2 < len(p.toks) &&
-			p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "." &&
-			p.toks[p.pos+2].kind == tokSymbol && p.toks[p.pos+2].text == "*" {
-			p.pos += 3
-			return SelectItem{Star: true, Table: t.text}, nil
-		}
-	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return SelectItem{}, err
@@ -498,51 +503,39 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 }
 
 func (p *parser) parseFrom() ([]TableRef, error) {
-	first, err := p.parseTableRef(JoinCross)
+	first, err := p.parseTableRef()
 	if err != nil {
 		return nil, err
 	}
 	refs := []TableRef{first}
-	for {
-		switch {
-		case p.accept(","):
-			r, err := p.parseTableRef(JoinCross)
-			if err != nil {
-				return nil, err
-			}
-			refs = append(refs, r)
-		case p.peekKeyword("JOIN"), p.peekKeyword("INNER"), p.peekKeyword("LEFT"):
-			kind := JoinInner
-			if p.keyword("LEFT") {
-				p.keyword("OUTER")
-				kind = JoinLeft
-			} else {
-				p.keyword("INNER")
-			}
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			r, err := p.parseTableRef(kind)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			r.On = on
-			refs = append(refs, r)
-		default:
-			return refs, nil
+	for p.peekKeyword("JOIN") || p.peekKeyword("INNER") || p.peekKeyword("LEFT") {
+		left := p.keyword("LEFT")
+		if left {
+			p.keyword("OUTER")
+		} else {
+			p.keyword("INNER")
 		}
+		if err := p.expectKeyword("JOIN"); err != nil {
+			return nil, err
+		}
+		r, err := p.parseTableRef()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectKeyword("ON"); err != nil {
+			return nil, err
+		}
+		if r.On, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+		r.Left = left
+		refs = append(refs, r)
 	}
+	return refs, nil
 }
 
-func (p *parser) parseTableRef(kind JoinKind) (TableRef, error) {
-	ref := TableRef{Join: kind}
+func (p *parser) parseTableRef() (TableRef, error) {
+	var ref TableRef
 	if p.accept("(") {
 		sub, err := p.parseSelect()
 		if err != nil {
@@ -576,56 +569,30 @@ func (p *parser) parseTableRef(kind JoinKind) (TableRef, error) {
 
 // Expression grammar, loosest to tightest:
 //
-//	expr    := orExpr
-//	orExpr  := andExpr { OR andExpr }
-//	andExpr := notExpr { AND notExpr }
-//	notExpr := NOT notExpr | predicate
-//	predicate := additive [ cmpOp additive | IS [NOT] NULL | [NOT] IN (list) ]
-//	additive := multiplicative { (+|-) multiplicative }
-//	multiplicative := unary { (*|/|%) unary }
-//	unary   := - unary | primary
-//	primary := literal | funcCall | columnRef | ( expr ) | CASE …
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.keyword("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: "OR", L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
+//	expr      := predicate { AND predicate }
+//	predicate := additive [ cmpOp additive | IS [NOT] NULL | IN ( expr {, expr} ) ]
+//	additive  := multiplicative { + multiplicative }
+//	multiplicative := unary { (*|/) unary }
+//	unary     := - unary | primary
+//	primary   := literal | builtin ( [* | expr {, expr}] ) | [name .] name | ( expr )
+//
+// cmpOp is one of = <> != < <= > >=; a literal is a number, a 'string',
+// NULL, TRUE or FALSE; builtin is a name in builtins. There is no OR, NOT,
+// LIKE, CASE, binary - or %: a disjunction of events is UNION ALL +
+// EV_OR_AGG, a negation EV_NOT; a minus sign only negates.
+func (p *parser) parseExpr() (Expr, error) {
+	left, err := p.parsePredicate()
 	if err != nil {
 		return nil, err
 	}
 	for p.keyword("AND") {
-		right, err := p.parseNot()
+		right, err := p.parsePredicate()
 		if err != nil {
 			return nil, err
 		}
 		left = &Binary{Op: "AND", L: left, R: right}
 	}
 	return left, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.keyword("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", X: x}, nil
-	}
-	return p.parsePredicate()
 }
 
 func (p *parser) parsePredicate() (Expr, error) {
@@ -652,35 +619,9 @@ func (p *parser) parsePredicate() (Expr, error) {
 		}
 		return &IsNull{X: left, Not: not}, nil
 	}
-	// Lookahead for NOT IN / NOT LIKE without consuming a logical NOT.
-	if p.peekKeyword("NOT") && p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokIdent {
-		switch strings.ToUpper(p.toks[p.pos+1].text) {
-		case "IN":
-			p.pos += 2
-			return p.finishInList(left, true)
-		case "LIKE":
-			p.pos += 2
-			return p.finishLike(left, true)
-		}
+	if !p.keyword("IN") {
+		return left, nil
 	}
-	if p.keyword("IN") {
-		return p.finishInList(left, false)
-	}
-	if p.keyword("LIKE") {
-		return p.finishLike(left, false)
-	}
-	return left, nil
-}
-
-func (p *parser) finishLike(left Expr, not bool) (Expr, error) {
-	pat, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	return &Like{X: left, Not: not, Pattern: pat}, nil
-}
-
-func (p *parser) finishInList(left Expr, not bool) (Expr, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
@@ -699,7 +640,7 @@ func (p *parser) finishInList(left Expr, not bool) (Expr, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	return &InList{X: left, Not: not, Set: set}, nil
+	return &InList{X: left, Set: set}, nil
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
@@ -707,24 +648,14 @@ func (p *parser) parseAdditive() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept("+"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &Binary{Op: "+", L: left, R: r}
-		case p.accept("-"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = &Binary{Op: "-", L: left, R: r}
-		default:
-			return left, nil
+	for p.accept("+") {
+		r, err := p.parseMultiplicative()
+		if err != nil {
+			return nil, err
 		}
+		left = &Binary{Op: "+", L: left, R: r}
 	}
+	return left, nil
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
@@ -746,12 +677,6 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 				return nil, err
 			}
 			left = &Binary{Op: "/", L: left, R: r}
-		case p.accept("%"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			left = &Binary{Op: "%", L: left, R: r}
 		default:
 			return left, nil
 		}
@@ -764,7 +689,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: "-", X: x}, nil
+		return &Unary{X: x}, nil
 	}
 	return p.parsePrimary()
 }
@@ -813,11 +738,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "FALSE":
 			p.pos++
 			return &Literal{Val: storage.Bool(false)}, nil
-		case "CASE":
-			return p.parseCase()
+		}
+		if reservedWords[upper] {
+			return nil, p.errf("unexpected keyword %q in expression", t.text)
 		}
 		// Function call?
 		if p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
+			if _, ok := builtins[upper]; !ok {
+				return nil, p.errf("unknown function %s", t.text)
+			}
 			p.pos += 2
 			fc := &FuncCall{Name: upper}
 			if p.accept("*") {
@@ -847,9 +776,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return fc, nil
 		}
 		// Column reference, possibly qualified.
-		if reservedWords[upper] {
-			return nil, p.errf("unexpected keyword %q in expression", t.text)
-		}
 		p.pos++
 		if p.accept(".") {
 			col, err := p.ident()
@@ -861,37 +787,4 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &ColumnRef{Column: t.text}, nil
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)
-}
-
-func (p *parser) parseCase() (Expr, error) {
-	p.keyword("CASE")
-	ce := &CaseExpr{}
-	for p.keyword("WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("THEN"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Whens = append(ce.Whens, CaseWhen{Cond: cond, Then: then})
-	}
-	if len(ce.Whens) == 0 {
-		return nil, p.errf("CASE requires at least one WHEN arm")
-	}
-	if p.keyword("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Else = e
-	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return ce, nil
 }

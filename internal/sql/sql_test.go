@@ -37,6 +37,16 @@ func query(t *testing.T, ex *Executor, q string) *Result {
 	return res
 }
 
+// mustNotParse fails the test for each statement Parse accepts.
+func mustNotParse(t *testing.T, stmts ...string) {
+	t.Helper()
+	for _, s := range stmts {
+		if _, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) succeeded, want a parse error", s)
+		}
+	}
+}
+
 func seedPrograms(t *testing.T, ex *Executor) {
 	t.Helper()
 	mustExec(t, ex,
@@ -59,23 +69,21 @@ func TestCreateInsertSelect(t *testing.T) {
 	}
 }
 
+// TestSelectStar: a select list names its columns; * and alias.* are not in
+// the dialect. COUNT(*) is.
 func TestSelectStar(t *testing.T) {
+	mustNotParse(t, "SELECT * FROM programs", "SELECT p.* FROM programs p", "SELECT id, * FROM programs")
 	ex, _ := newTestExec(t)
 	seedPrograms(t, ex)
-	res := query(t, ex, "SELECT * FROM programs")
-	if len(res.Cols) != 4 || len(res.Rows) != 4 {
-		t.Fatalf("cols=%v rows=%d", res.Cols, len(res.Rows))
-	}
-	res = query(t, ex, "SELECT p.* FROM programs p WHERE p.id = 'p1'")
-	if len(res.Rows) != 1 || res.Rows[0][1].S != "Oprah" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res := query(t, ex, "SELECT COUNT(*) FROM programs"); res.Rows[0][0].I != 4 {
+		t.Fatalf("count = %v", res.Rows[0][0])
 	}
 }
 
 func TestProjectionExpressionsAndAliases(t *testing.T) {
 	ex, _ := newTestExec(t)
 	seedPrograms(t, ex)
-	res := query(t, ex, "SELECT name, rating * 10 AS pct, year - 2000 delta FROM programs WHERE id = 'p2'")
+	res := query(t, ex, "SELECT name, rating * 10 AS pct, year + -2000 delta FROM programs WHERE id = 'p2'")
 	if res.Cols[1] != "pct" || res.Cols[2] != "delta" {
 		t.Fatalf("cols = %v", res.Cols)
 	}
@@ -137,17 +145,20 @@ func TestJoinReversedOrientationAndResidual(t *testing.T) {
 	}
 }
 
+// TestCrossJoinComma: a FROM list has no commas; the cross product is
+// JOIN … ON TRUE.
 func TestCrossJoinComma(t *testing.T) {
+	mustNotParse(t, "SELECT x, y FROM a, b", "SELECT x FROM (SELECT x FROM a, b) s")
 	ex, _ := newTestExec(t)
 	mustExec(t, ex,
 		"CREATE TABLE a (x INT)", "INSERT INTO a VALUES (1), (2)",
 		"CREATE TABLE b (y INT)", "INSERT INTO b VALUES (10), (20), (30)",
 	)
-	res := query(t, ex, "SELECT x, y FROM a, b")
+	res := query(t, ex, "SELECT x, y FROM a JOIN b ON TRUE")
 	if len(res.Rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(res.Rows))
 	}
-	res = query(t, ex, "SELECT x, y FROM a, b WHERE x = 1 AND y > 10 ORDER BY y")
+	res = query(t, ex, "SELECT x, y FROM a JOIN b ON TRUE WHERE x = 1 AND y > 10 ORDER BY y")
 	if len(res.Rows) != 2 || res.Rows[0][1].I != 20 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -168,13 +179,13 @@ func TestNestedLoopJoinNonEqui(t *testing.T) {
 func TestGroupByAggregates(t *testing.T) {
 	ex, _ := newTestExec(t)
 	seedPrograms(t, ex)
-	res := query(t, ex, `SELECT year, COUNT(*) AS n, AVG(rating) AS avg FROM programs GROUP BY year ORDER BY year`)
+	res := query(t, ex, `SELECT year, COUNT(*) AS n, SUM(rating) AS total FROM programs GROUP BY year ORDER BY year`)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	// year 2007: two programs, avg 7.5.
+	// year 2007: two programs, ratings summing to 15.
 	last := res.Rows[2]
-	if last[0].I != 2007 || last[1].I != 2 || math.Abs(last[2].F-7.5) > 1e-9 {
+	if last[0].I != 2007 || last[1].I != 2 || math.Abs(last[2].F-15) > 1e-9 {
 		t.Fatalf("2007 row = %v", last)
 	}
 }
@@ -188,21 +199,26 @@ func TestGlobalAggregateOnEmptyTable(t *testing.T) {
 	}
 }
 
+// TestHaving: there is no HAVING, and the keyword is never an alias; a
+// WHERE over the grouped subquery filters groups.
 func TestHaving(t *testing.T) {
+	mustNotParse(t, "SELECT year FROM programs GROUP BY year HAVING COUNT(*) > 1",
+		"SELECT year FROM programs HAVING")
 	ex, _ := newTestExec(t)
 	seedPrograms(t, ex)
-	res := query(t, ex, `SELECT year FROM programs GROUP BY year HAVING COUNT(*) > 1`)
+	res := query(t, ex, `SELECT year FROM (SELECT year, COUNT(*) AS n FROM programs GROUP BY year) g WHERE n > 1`)
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 2007 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
+// TestMinMaxSum: SUM is an aggregate of the dialect, MIN and MAX are not.
 func TestMinMaxSum(t *testing.T) {
+	mustNotParse(t, "SELECT MIN(year) FROM programs", "SELECT MAX(year) FROM programs", "SELECT AVG(year) FROM programs")
 	ex, _ := newTestExec(t)
 	seedPrograms(t, ex)
-	res := query(t, ex, "SELECT MIN(year), MAX(year), SUM(year) FROM programs")
-	r := res.Rows[0]
-	if r[0].I != 1970 || r[1].I != 2007 || r[2].I != 1970+2006+2007+2007 {
+	res := query(t, ex, "SELECT SUM(year) FROM programs")
+	if r := res.Rows[0]; r[0].I != 1970+2006+2007+2007 {
 		t.Fatalf("row = %v", r)
 	}
 }
@@ -264,7 +280,7 @@ func TestViews(t *testing.T) {
 		t.Fatal("duplicate view accepted without OR REPLACE")
 	}
 	mustExec(t, ex, "DROP VIEW recent_hi")
-	if _, err := ex.Exec("SELECT * FROM recent_hi"); err == nil {
+	if _, err := ex.Exec("SELECT id FROM recent_hi"); err == nil {
 		t.Fatal("dropped view still queryable")
 	}
 	mustExec(t, ex, "DROP VIEW IF EXISTS recent_hi")
@@ -277,7 +293,7 @@ func TestSubqueryInFrom(t *testing.T) {
 	if res.Rows[0][0].S != "MPFS" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if _, err := ex.Exec("SELECT * FROM (SELECT 1)"); err == nil {
+	if _, err := ex.Exec("SELECT x FROM (SELECT 1 AS x)"); err == nil {
 		t.Fatal("derived table without alias accepted")
 	}
 }
@@ -288,10 +304,14 @@ func TestThreeValuedLogic(t *testing.T) {
 		"CREATE TABLE t (x INT)",
 		"INSERT INTO t VALUES (1), (NULL)",
 	)
-	// NULL comparisons never match.
-	res := query(t, ex, "SELECT COUNT(*) FROM t WHERE x = 1 OR x <> 1")
+	// NULL comparisons never match, and NULL AND TRUE is unknown.
+	res := query(t, ex, "SELECT COUNT(*) FROM t WHERE x = x AND TRUE")
 	if res.Rows[0][0].I != 1 {
 		t.Fatalf("3VL filter kept %v rows", res.Rows[0][0])
+	}
+	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE (x = 1 AND TRUE) IS NULL")
+	if res.Rows[0][0].I != 1 {
+		t.Fatalf("NULL AND TRUE count = %v", res.Rows[0][0])
 	}
 	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE x IS NULL")
 	if res.Rows[0][0].I != 1 {
@@ -310,10 +330,11 @@ func TestInListSemantics(t *testing.T) {
 	if res.Rows[0][0].I != 1 {
 		t.Fatalf("IN count = %v", res.Rows[0][0])
 	}
-	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE x NOT IN (1, 3)")
+	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE (x IN (1, 3)) = FALSE")
 	if res.Rows[0][0].I != 1 {
-		t.Fatalf("NOT IN count = %v", res.Rows[0][0])
+		t.Fatalf("IN = FALSE count = %v", res.Rows[0][0])
 	}
+	mustNotParse(t, "SELECT COUNT(*) FROM t WHERE x NOT IN (1, 3)")
 	// NULL in the list makes a non-matching IN unknown.
 	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE x IN (3, NULL)")
 	if res.Rows[0][0].I != 0 {
@@ -321,38 +342,36 @@ func TestInListSemantics(t *testing.T) {
 	}
 }
 
+// TestCaseExpr: there is no CASE, and none of its keywords is read as an
+// alias or a column.
 func TestCaseExpr(t *testing.T) {
-	ex, _ := newTestExec(t)
-	seedPrograms(t, ex)
-	res := query(t, ex, `SELECT name, CASE WHEN rating >= 9 THEN 'great' WHEN rating >= 7 THEN 'good' ELSE 'ok' END AS verdict FROM programs ORDER BY name`)
-	got := map[string]string{}
-	for _, r := range res.Rows {
-		got[r[0].S] = r[1].S
-	}
-	want := map[string]string{"Oprah": "ok", "BBC news": "good", "Channel 5 news": "good", "MPFS": "great"}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("verdict[%s] = %q, want %q", k, got[k], v)
-		}
-	}
+	mustNotParse(t,
+		"SELECT name, CASE WHEN rating >= 9 THEN 'great' ELSE 'ok' END AS verdict FROM programs",
+		"SELECT name case FROM programs",
+		"SELECT end FROM programs",
+		"SELECT CASE(1)")
 }
 
+// TestScalarFunctions: the dialect's scalar builtins are the EVENT family;
+// any other function name is a parse error.
 func TestScalarFunctions(t *testing.T) {
+	mustNotParse(t, "SELECT ABS(-3)", "SELECT LOWER('AbC')", "SELECT UPPER('x')",
+		"SELECT LENGTH('abcd')", "SELECT COALESCE(NULL, 7)", "SELECT ROUND(3.14159, 2)")
 	ex, _ := newTestExec(t)
-	res := query(t, ex, "SELECT ABS(-3), LOWER('AbC'), UPPER('x'), LENGTH('abcd'), COALESCE(NULL, NULL, 7), ROUND(3.14159, 2)")
-	r := res.Rows[0]
-	if r[0].I != 3 || r[1].S != "abc" || r[2].S != "X" || r[3].I != 4 || r[4].I != 7 || math.Abs(r[5].F-3.14) > 1e-9 {
+	res := query(t, ex, "SELECT PROB(EV_TRUE()), PROB(EV_FALSE()), prob(ev_not(ev_false()))")
+	if r := res.Rows[0]; r[0].F != 1 || r[1].F != 0 || r[2].F != 1 {
 		t.Fatalf("row = %v", r)
 	}
 }
 
 func TestArithmetic(t *testing.T) {
 	ex, _ := newTestExec(t)
-	res := query(t, ex, "SELECT 7 / 2, 7.0 / 2, 7 % 3, -(3 + 4) * 2")
+	res := query(t, ex, "SELECT 7 / 2, 7.0 / 2, 7 + -3, -(3 + 4) * 2")
 	r := res.Rows[0]
-	if r[0].I != 3 || r[1].F != 3.5 || r[2].I != 1 || r[3].I != -14 {
+	if r[0].I != 3 || r[1].F != 3.5 || r[2].I != 4 || r[3].I != -14 {
 		t.Fatalf("row = %v", r)
 	}
+	mustNotParse(t, "SELECT 7 % 3", "SELECT 7 - 3")
 	if _, err := ex.Exec("SELECT 1 / 0"); err == nil {
 		t.Fatal("division by zero accepted")
 	}
@@ -452,10 +471,10 @@ func TestAmbiguousColumn(t *testing.T) {
 		"CREATE TABLE a (id INT)", "INSERT INTO a VALUES (1)",
 		"CREATE TABLE b (id INT)", "INSERT INTO b VALUES (1)",
 	)
-	if _, err := ex.Exec("SELECT id FROM a, b"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+	if _, err := ex.Exec("SELECT id FROM a JOIN b ON TRUE"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("ambiguous column not rejected: %v", err)
 	}
-	res := query(t, ex, "SELECT a.id FROM a, b")
+	res := query(t, ex, "SELECT a.id FROM a JOIN b ON TRUE")
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -466,7 +485,7 @@ func TestErrorCases(t *testing.T) {
 	seedPrograms(t, ex)
 	bad := []string{
 		"SELECT nope FROM programs",
-		"SELECT * FROM nope",
+		"SELECT x FROM nope",
 		"SELECT name FROM programs WHERE name + 1 = 2", // type error
 		"FROBNICATE",
 		"SELECT FROM programs",
@@ -508,10 +527,11 @@ func TestBoolLiterals(t *testing.T) {
 	if res.Rows[0][0].I != 1 {
 		t.Fatalf("count = %v", res.Rows[0][0])
 	}
-	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE NOT b")
+	res = query(t, ex, "SELECT COUNT(*) FROM t WHERE b = FALSE")
 	if res.Rows[0][0].I != 1 {
 		t.Fatalf("count = %v", res.Rows[0][0])
 	}
+	mustNotParse(t, "SELECT COUNT(*) FROM t WHERE NOT b", "SELECT COUNT(*) FROM t WHERE b OR b")
 }
 
 func TestDropTable(t *testing.T) {
@@ -553,8 +573,8 @@ func TestSelectWithoutFrom(t *testing.T) {
 func TestAggregateInsideExpression(t *testing.T) {
 	ex, _ := newTestExec(t)
 	seedPrograms(t, ex)
-	res := query(t, ex, "SELECT MAX(rating) - MIN(rating) AS spread FROM programs")
-	if math.Abs(res.Rows[0][0].F-3.0) > 1e-9 {
-		t.Fatalf("spread = %v", res.Rows[0][0])
+	res := query(t, ex, "SELECT SUM(rating) / COUNT(*) AS mean FROM programs")
+	if math.Abs(res.Rows[0][0].F-7.75) > 1e-9 {
+		t.Fatalf("mean = %v", res.Rows[0][0])
 	}
 }

@@ -1,9 +1,6 @@
 package sql
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestUpdateBasic(t *testing.T) {
 	ex, _ := newTestExec(t)
@@ -71,67 +68,10 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestLikeOperator: there is no LIKE, and the keyword is never an alias.
 func TestLikeOperator(t *testing.T) {
-	ex, _ := newTestExec(t)
-	seedPrograms(t, ex)
-	res := query(t, ex, "SELECT name FROM programs WHERE name LIKE '%news%' ORDER BY name")
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	res = query(t, ex, "SELECT name FROM programs WHERE name LIKE '_prah'")
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "Oprah" {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	res = query(t, ex, "SELECT COUNT(*) FROM programs WHERE name NOT LIKE '%news%'")
-	if res.Rows[0][0].I != 2 {
-		t.Fatalf("count = %v", res.Rows[0][0])
-	}
-	// NULL propagates.
-	mustExec(t, ex, "CREATE TABLE n (s TEXT)", "INSERT INTO n VALUES (NULL)")
-	res = query(t, ex, "SELECT COUNT(*) FROM n WHERE s LIKE '%'")
-	if res.Rows[0][0].I != 0 {
-		t.Fatalf("count = %v", res.Rows[0][0])
-	}
-	if _, err := ex.Exec("SELECT 1 LIKE 'x'"); err == nil {
-		t.Fatal("non-text LIKE accepted")
-	}
-}
-
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		s, pat string
-		want   bool
-	}{
-		{"abc", "abc", true},
-		{"abc", "a%", true},
-		{"abc", "%c", true},
-		{"abc", "%b%", true},
-		{"abc", "a_c", true},
-		{"abc", "a_b", false},
-		{"abc", "", false},
-		{"", "", true},
-		{"", "%", true},
-		{"abc", "%%", true},
-		{"abc", "____", false},
-		{"abc", "___", true},
-		{"aXbXc", "a%b%c", true},
-		{"mississippi", "m%iss%pi", true},
-		{"mississippi", "m%issx%pi", false},
-		{"日本語", "日_語", true},
-		{"abc", "ABC", false}, // case-sensitive
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.s, c.pat); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
-		}
-	}
-}
-
-func TestQuickLikeUniversalPatterns(t *testing.T) {
-	f := func(s string) bool {
-		return likeMatch(s, "%") && likeMatch(s, s) && likeMatch(s, "%"+s) && likeMatch(s, s+"%")
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	mustNotParse(t,
+		"SELECT name FROM programs WHERE name LIKE '%news%'",
+		"SELECT COUNT(*) FROM programs WHERE name NOT LIKE '%news%'",
+		"SELECT name LIKE FROM programs")
 }
