@@ -11,8 +11,8 @@
 // event expressions.
 //
 // A System bundles the embedded probabilistic relational engine, the
-// DL-to-SQL mapping layer, the rule repository and four interchangeable
-// rankers (factorized, naive, view, sampled):
+// DL-to-SQL mapping layer and the rule repository, and ranks with the
+// factorized ranker or its naive reference:
 //
 //	sys := contextrank.NewSystem()
 //	sys.DeclareConcept("TvProgram")
@@ -94,17 +94,15 @@ const (
 	// linear in the number of independent rules. The default.
 	AlgorithmFactorized Algorithm = "factorized"
 	// AlgorithmNaive is the literal §3.3 double sum — the reference
-	// semantics, exponential in the number of rules.
+	// semantics, exponential in the number of rules. A rank whose
+	// 2^rules × (candidates+1) states exceed 2^20 is refused before it
+	// enumerates.
 	AlgorithmNaive Algorithm = "naive"
-	// AlgorithmView is the paper's §5 implementation through a database
-	// "big preference view" — exponential, reproduces the paper's
-	// bottleneck.
-	AlgorithmView Algorithm = "view"
-	// AlgorithmSampled is the Monte Carlo approximation: O(samples·rules)
-	// per candidate regardless of correlation structure, with
-	// O(1/√samples) standard error. Deterministic per System (fixed seed).
-	AlgorithmSampled Algorithm = "sampled"
 )
+
+// naiveStateBudget bounds the states one naive rank may enumerate. It admits
+// 8 rules × 300 candidates and 17 rules × 2 candidates, not 17 rules × 17.
+const naiveStateBudget = 1 << 20
 
 // RankOptions tune a Rank call.
 type RankOptions struct {
@@ -114,14 +112,14 @@ type RankOptions struct {
 	// TopK, when positive, asks for only the best k results — exactly the
 	// first k of the full ranking (identical order and tie-breaking). The
 	// compiled-plan path selects them with a bounded heap instead of
-	// sorting the whole catalog; other algorithms truncate. 0 disables,
+	// sorting the whole catalog; the naive ranker truncates. 0 disables,
 	// negative is an error.
 	TopK    int
 	Explain bool // attach per-rule explanations
 }
 
-// System bundles the engine, the DL mapping, the rule repository and the
-// rankers. Create with NewSystem.
+// System bundles the engine, the DL mapping and the rule repository. Create
+// with NewSystem.
 //
 // # Locking contract
 //
@@ -133,9 +131,8 @@ type RankOptions struct {
 // generation is an atomic counter), the mapping loader locks
 // its vocabulary and compiled-view cache, and the rule repository and
 // history log are RWMutex-protected. The per-System event-name counter
-// (evSeq) is a sync/atomic counter, and the sampled ranker builds a fresh
-// deterministic generator per Rank call, so none of these race at the
-// memory level.
+// (evSeq) is a sync/atomic counter, so none of these race at the memory
+// level.
 //
 // What the components cannot provide is cross-call atomicity: a mutator
 // such as SetContext is a multi-step transaction (clear the previous
@@ -163,27 +160,12 @@ type System struct {
 	repo   *prefs.Repository
 	log    *history.Log
 	evSeq  atomic.Int64
-
-	naive      *core.NaiveRanker
-	factorized *core.FactorizedRanker
-	view       *core.ViewRanker
-	sampled    *core.SampledRanker
 }
 
 // NewSystem creates an empty system with a fresh database.
 func NewSystem() *System {
 	db := engine.New()
-	loader := mapping.NewLoader(db)
-	return &System{
-		db:         db,
-		loader:     loader,
-		repo:       prefs.NewRepository(),
-		log:        history.NewLog(),
-		naive:      core.NewNaiveRanker(loader),
-		factorized: core.NewFactorizedRanker(loader),
-		view:       core.NewViewRanker(loader),
-		sampled:    core.NewSampledRanker(loader, 0, 1),
-	}
+	return &System{db: db, loader: mapping.NewLoader(db), repo: prefs.NewRepository(), log: history.NewLog()}
 }
 
 // DB exposes the embedded database for direct SQL (SELECT/CREATE/INSERT…).
@@ -349,16 +331,6 @@ type Membership = mapping.Membership
 // target's members, which is what lets the serving layer keep a ranking whose
 // target mentions other users' session vocabulary only as long as it is true.
 func (s *System) RankTarget(user string, plan *RankPlan, target string, opts RankOptions) ([]Result, *Membership, error) {
-	var ranker core.Ranker
-	var err error
-	if plan != nil {
-		err = planOptsOK(opts)
-	} else {
-		ranker, err = s.ranker(opts.Algorithm, false)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
 	targetExpr, err := dl.Parse(target)
 	if err != nil {
 		return nil, nil, err
@@ -369,13 +341,17 @@ func (s *System) RankTarget(user string, plan *RankPlan, target string, opts Ran
 	}
 	req := opts.planRequest(targetExpr, nil)
 	req.Members = members
-	var res []Result
-	if plan != nil {
-		res, err = plan.Rank(req)
-	} else {
-		res, err = ranker.Rank(s.request(user, req))
-	}
+	res, err := s.rank(user, plan, opts, req)
 	return res, members, err
+}
+
+// RankCandidates scores an explicit candidate list for the user with the
+// repository's rules — RankQuery without the query, for callers that
+// already hold the candidate ids (e.g. the serving layer's batch
+// endpoint). Given a plan compiled for user it ranks against the plan, as
+// RankTarget does.
+func (s *System) RankCandidates(user string, plan *RankPlan, candidates []string, opts RankOptions) ([]Result, error) {
+	return s.rank(user, plan, opts, opts.planRequest(nil, candidates))
 }
 
 // planRequest shapes the options as the core request for one target or
@@ -392,42 +368,39 @@ func (o RankOptions) planRequest(target *dl.Expr, candidates []string) core.Plan
 	}
 }
 
-// request completes a plan request with what a Ranker needs beside it: the
-// user and the repository's current rules.
-func (s *System) request(user string, req core.PlanRequest) core.Request {
-	return core.Request{User: user, Rules: s.repo.Rules(), PlanRequest: req}
-}
-
 // KnownAlgorithm reports whether alg names a ranking implementation (the
 // empty string counts: it is the factorized default). The serving layer
 // validates batch requests against this so the accepted set cannot drift
 // from the ranker selector below.
 func KnownAlgorithm(alg Algorithm) bool {
 	switch alg {
-	case "", AlgorithmFactorized, AlgorithmNaive, AlgorithmView, AlgorithmSampled:
+	case "", AlgorithmFactorized, AlgorithmNaive:
 		return true
 	}
 	return false
 }
 
-// ranker selects the implementation behind an Algorithm. The view ranker
-// ranks whole concepts only; candidate-list paths pass noView to reject it.
-func (s *System) ranker(alg Algorithm, noView bool) (core.Ranker, error) {
-	switch alg {
-	case "", AlgorithmFactorized:
-		return s.factorized, nil
-	case AlgorithmNaive:
-		return s.naive, nil
-	case AlgorithmView:
-		if noView {
-			return nil, fmt.Errorf("contextrank: the view algorithm ranks whole concepts, not candidate lists; use factorized, naive or sampled")
+// rank ranks req for user against plan when one is given, otherwise with
+// the ranker opts.Algorithm names over the repository's current rules.
+func (s *System) rank(user string, plan *RankPlan, opts RankOptions, req core.PlanRequest) ([]Result, error) {
+	if plan != nil {
+		if err := planOptsOK(opts); err != nil {
+			return nil, err
 		}
-		return s.view, nil
-	case AlgorithmSampled:
-		return s.sampled, nil
-	default:
-		return nil, fmt.Errorf("contextrank: unknown algorithm %q", alg)
+		return plan.Rank(req)
 	}
+	var ranker core.Ranker
+	switch opts.Algorithm {
+	case "", AlgorithmFactorized:
+		ranker = core.NewFactorizedRanker(s.loader)
+	case AlgorithmNaive:
+		naive := core.NewNaiveRanker(s.loader)
+		naive.StateBudget = naiveStateBudget
+		ranker = naive
+	default:
+		return nil, fmt.Errorf("contextrank: unknown algorithm %q", opts.Algorithm)
+	}
+	return ranker.Rank(core.Request{User: user, Rules: s.repo.Rules(), PlanRequest: req})
 }
 
 // RankPlan is a compiled, reusable ranking plan: the per-(user, rule set,
@@ -466,16 +439,6 @@ func (s *System) RankWithPlan(plan *RankPlan, target string, opts RankOptions) (
 	return res, err
 }
 
-// RankCandidatesWithPlan ranks an explicit candidate list against an
-// already compiled plan (the §5 query-integration shape: the candidates
-// typically come from the user's own query).
-func (s *System) RankCandidatesWithPlan(plan *RankPlan, candidates []string, opts RankOptions) ([]Result, error) {
-	if err := planOptsOK(opts); err != nil {
-		return nil, err
-	}
-	return plan.Rank(opts.planRequest(nil, candidates))
-}
-
 // planOptsOK rejects options that name a non-factorized algorithm: a plan
 // is a compiled factorized ranker, silently ignoring the algorithm would
 // rank with a different implementation than requested.
@@ -500,19 +463,6 @@ func ReadHotPathStats() HotPathStats { return core.ReadHotPathStats() }
 // (Loader().MembershipStats()): whole evaluations run, look-ups answered
 // without one, handles held, handles a DDL statement dropped.
 type MembershipStats = mapping.MembershipStats
-
-// RankCandidates scores an explicit candidate list for the user with the
-// repository's rules — RankQuery without the query, for callers that
-// already hold the candidate ids (e.g. the serving layer's batch
-// endpoint). The view algorithm is not supported (it ranks whole
-// concepts).
-func (s *System) RankCandidates(user string, candidates []string, opts RankOptions) ([]Result, error) {
-	ranker, err := s.ranker(opts.Algorithm, true)
-	if err != nil {
-		return nil, err
-	}
-	return ranker.Rank(s.request(user, opts.planRequest(nil, candidates)))
-}
 
 // GroupPolicy selects how member scores combine in RankGroup.
 type GroupPolicy = core.GroupPolicy
@@ -540,7 +490,7 @@ func (s *System) RankGroup(users []string, target string, rulesFor map[string][]
 	if err != nil {
 		return nil, err
 	}
-	return core.GroupRank(s.factorized, core.GroupRequest{
+	return core.GroupRank(s.loader, core.GroupRequest{
 		Users:    users,
 		Target:   targetExpr,
 		RulesFor: rulesFor,
@@ -574,16 +524,7 @@ func RestoreSystem(r io.Reader) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
-		db:         db,
-		loader:     loader,
-		repo:       repo,
-		log:        history.NewLog(),
-		naive:      core.NewNaiveRanker(loader),
-		factorized: core.NewFactorizedRanker(loader),
-		view:       core.NewViewRanker(loader),
-		sampled:    core.NewSampledRanker(loader, 0, 1),
-	}
+	sys := &System{db: db, loader: loader, repo: repo, log: history.NewLog()}
 	// Seed the assertion-event counter past every restored c_<n>/r_<n>
 	// name: a fresh counter would regenerate those names, failing on a
 	// different probability — or, worse, silently aliasing two logically
@@ -627,7 +568,7 @@ func (s *System) RankQuery(user, sqlQuery string, opts RankOptions) ([]Result, e
 		}
 		candidates = append(candidates, row[0].S)
 	}
-	return s.RankCandidates(user, candidates, opts)
+	return s.RankCandidates(user, nil, candidates, opts)
 }
 
 // Exec runs a SQL statement that may not return rows.

@@ -118,33 +118,6 @@ func TestRestoreAdoptsUserContexts(t *testing.T) {
 	}
 }
 
-func TestAlgorithmSampledApproximates(t *testing.T) {
-	sys := buildTVTouch(t)
-	exact, err := sys.Rank("peter", "TvProgram")
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := sys.RankWith("peter", "TvProgram", RankOptions{Algorithm: AlgorithmSampled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(approx) != len(exact) {
-		t.Fatalf("sizes: %d vs %d", len(approx), len(exact))
-	}
-	byID := map[string]float64{}
-	for _, r := range exact {
-		byID[r.ID] = r.Score
-	}
-	for _, r := range approx {
-		if math.Abs(r.Score-byID[r.ID]) > 0.05 {
-			t.Fatalf("sampled score(%s) = %g, exact %g", r.ID, r.Score, byID[r.ID])
-		}
-	}
-	if approx[0].ID != "Channel5News" {
-		t.Fatalf("order = %v", approx)
-	}
-}
-
 func TestRankGroup(t *testing.T) {
 	sys := buildTVTouch(t)
 	// One context snapshot covering both users.

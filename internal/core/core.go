@@ -215,14 +215,20 @@ func finalize(req Request, results []Result) []Result {
 		}
 		results = kept
 	}
-	limit := req.Limit
-	if req.TopK > 0 && (limit == 0 || req.TopK < limit) {
-		limit = req.TopK
-	}
-	if limit > 0 && len(results) > limit {
-		results = results[:limit]
+	if k := req.keep(); k > 0 && len(results) > k {
+		results = results[:k]
 	}
 	return results
+}
+
+// keep is how many results a request keeps: the smaller positive bound of
+// Limit and TopK, 0 for all.
+func (req PlanRequest) keep() int {
+	k := req.TopK
+	if req.Limit > 0 && (k <= 0 || req.Limit < k) {
+		k = req.Limit
+	}
+	return max(k, 0)
 }
 
 // explain builds the per-rule contribution trace for one candidate.

@@ -132,7 +132,13 @@ func TestCandidatesOverrideTarget(t *testing.T) {
 			t.Fatalf("%s: results = %v", r.Name(), results)
 		}
 	}
-	req.Candidates = nil
+	// The view ranks the target concept's view; a candidate list it would
+	// ignore is refused, with or without a target beside it.
+	req.Target = dl.Atom("TvProgram")
+	if _, err := NewViewRanker(l).Rank(req); err == nil {
+		t.Fatal("view ranker accepted a candidate list")
+	}
+	req.Target, req.Candidates = nil, nil
 	if _, err := NewNaiveRanker(l).Rank(req); err == nil {
 		t.Fatal("request without target or candidates accepted")
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/dl"
+	"repro/internal/mapping"
 	"repro/internal/prefs"
 )
 
@@ -48,9 +49,10 @@ type GroupResult struct {
 	PerMember map[string]float64
 }
 
-// GroupRank scores every candidate for every member using the given
-// per-user ranker and combines the scores under the request's policy.
-func GroupRank(ranker Ranker, req GroupRequest) ([]GroupResult, error) {
+// GroupRank scores every member of the target for every user with a plan
+// compiled from that user's rules and combines the scores under the
+// request's policy. The target is resolved once for the whole group.
+func GroupRank(l *mapping.Loader, req GroupRequest) ([]GroupResult, error) {
 	if len(req.Users) == 0 {
 		return nil, fmt.Errorf("core: group request without users")
 	}
@@ -61,49 +63,27 @@ func GroupRank(ranker Ranker, req GroupRequest) ([]GroupResult, error) {
 	if policy == "" {
 		policy = PolicyConsensus
 	}
-	perDoc := make(map[string]map[string]float64)
-	record := func(id, user string, score float64) {
-		if perDoc[id] == nil {
-			perDoc[id] = make(map[string]float64, len(req.Users))
-		}
-		perDoc[id][user] = score
+	candidates, err := resolveCandidates(l, req.Users[0], PlanRequest{Target: req.Target})
+	if err != nil {
+		return nil, err
 	}
-	if fr, ok := ranker.(*FactorizedRanker); ok {
-		// Plan fast path: resolve the target's members once for the whole
-		// group, then compile one plan per member instead of re-resolving
-		// target and rules user by user.
-		candidates, err := resolveCandidates(fr.loader, req.Users[0], PlanRequest{Target: req.Target})
+	perDoc := make(map[string]map[string]float64, len(candidates))
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, user := range req.Users {
+		plan, err := CompilePlan(l, user, req.RulesFor[user])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: group member %s: %w", user, err)
 		}
-		sc := getScratch()
-		defer putScratch(sc)
-		for _, user := range req.Users {
-			plan, err := CompilePlan(fr.loader, user, req.RulesFor[user])
+		for _, id := range candidates {
+			score, err := plan.ScoreWith(sc, id)
 			if err != nil {
 				return nil, fmt.Errorf("core: group member %s: %w", user, err)
 			}
-			for _, id := range candidates {
-				score, err := plan.ScoreWith(sc, id)
-				if err != nil {
-					return nil, fmt.Errorf("core: group member %s: %w", user, err)
-				}
-				record(id, user, score)
+			if perDoc[id] == nil {
+				perDoc[id] = make(map[string]float64, len(req.Users))
 			}
-		}
-	} else {
-		for _, user := range req.Users {
-			results, err := ranker.Rank(Request{
-				User:        user,
-				Rules:       req.RulesFor[user],
-				PlanRequest: PlanRequest{Target: req.Target},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: group member %s: %w", user, err)
-			}
-			for _, r := range results {
-				record(r.ID, user, r.Score)
-			}
+			perDoc[id][user] = score
 		}
 	}
 	out := make([]GroupResult, 0, len(perDoc))

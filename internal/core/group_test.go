@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/dl"
+	"repro/internal/mapping"
 	"repro/internal/prefs"
 	"repro/internal/situation"
 )
 
 // buildGroupRequest extends the paper example with a second user, Mary,
 // who likes news less and human interest not at all.
-func buildGroupRequest(t *testing.T) (GroupRequest, Ranker) {
+func buildGroupRequest(t *testing.T) (GroupRequest, *mapping.Loader) {
 	t.Helper()
 	l := paperSetup(t)
 	// One context snapshot covering both users: they share the weekend
@@ -34,12 +35,12 @@ func buildGroupRequest(t *testing.T) (GroupRequest, Ranker) {
 			"mary":  maryRules,
 		},
 	}
-	return req, NewFactorizedRanker(l)
+	return req, l
 }
 
 func TestGroupRankConsensus(t *testing.T) {
-	req, ranker := buildGroupRequest(t)
-	results, err := GroupRank(ranker, req)
+	req, l := buildGroupRequest(t)
+	results, err := GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +68,15 @@ func TestGroupRankConsensus(t *testing.T) {
 }
 
 func TestGroupRankPolicies(t *testing.T) {
-	req, ranker := buildGroupRequest(t)
+	req, l := buildGroupRequest(t)
 
 	req.Policy = PolicyAverage
-	avg, err := GroupRank(ranker, req)
+	avg, err := GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Policy = PolicyLeastMisery
-	lm, err := GroupRank(ranker, req)
+	lm, err := GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +100,9 @@ func TestGroupRankPolicies(t *testing.T) {
 }
 
 func TestGroupRankThresholdLimitAndValidation(t *testing.T) {
-	req, ranker := buildGroupRequest(t)
+	req, l := buildGroupRequest(t)
 	req.Limit = 2
-	results, err := GroupRank(ranker, req)
+	results, err := GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestGroupRankThresholdLimitAndValidation(t *testing.T) {
 	}
 	req.Limit = 0
 	req.Threshold = 0.2
-	results, err = GroupRank(ranker, req)
+	results, err = GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +120,22 @@ func TestGroupRankThresholdLimitAndValidation(t *testing.T) {
 			t.Fatalf("threshold ignored: %v", r)
 		}
 	}
-	if _, err := GroupRank(ranker, GroupRequest{Target: dl.Atom("TvProgram")}); err == nil {
+	if _, err := GroupRank(l, GroupRequest{Target: dl.Atom("TvProgram")}); err == nil {
 		t.Fatal("no users accepted")
 	}
-	if _, err := GroupRank(ranker, GroupRequest{Users: []string{"peter"}}); err == nil {
+	if _, err := GroupRank(l, GroupRequest{Users: []string{"peter"}}); err == nil {
 		t.Fatal("no target accepted")
 	}
 	req.Policy = "dictatorship"
-	if _, err := GroupRank(ranker, req); err == nil {
+	if _, err := GroupRank(l, req); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
 func TestGroupRankMemberWithoutRules(t *testing.T) {
-	req, ranker := buildGroupRequest(t)
+	req, l := buildGroupRequest(t)
 	delete(req.RulesFor, "mary") // mary has no rules: every doc scores 1
-	results, err := GroupRank(ranker, req)
+	results, err := GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}

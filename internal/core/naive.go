@@ -19,9 +19,13 @@ import (
 // lineage and exclusive sensor groups are honoured.
 type NaiveRanker struct {
 	loader *mapping.Loader
+	// StateBudget bounds the work of one rank: a request whose
+	// 2^rules × (candidates+1) context and document states exceed it is
+	// refused before any probability is computed. 0 means unbounded.
+	StateBudget int
 }
 
-// NewNaiveRanker builds a reference ranker over the loader.
+// NewNaiveRanker builds an unbounded reference ranker over the loader.
 func NewNaiveRanker(l *mapping.Loader) *NaiveRanker { return &NaiveRanker{loader: l} }
 
 // Name implements Ranker.
@@ -37,6 +41,9 @@ func (r *NaiveRanker) Rank(req Request) ([]Result, error) {
 	k := len(states)
 	if k > 20 {
 		return nil, fmt.Errorf("core: naive ranker limited to 20 rules (Θ(4^k) double enumeration of context- and document-feature states), got %d", k)
+	}
+	if n := (1 << k) * (len(candidates) + 1); r.StateBudget > 0 && n > r.StateBudget {
+		return nil, fmt.Errorf("core: naive ranker over %d rules and %d candidates enumerates %d states, past its budget of %d", k, len(candidates), n, r.StateBudget)
 	}
 
 	// Pre-compute the probability of every context-feature state g ⊆ rules.

@@ -639,10 +639,7 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 
 	// Limit and TopK truncate to the same prefix of the sorted order; the
 	// smaller positive one bounds the heap.
-	k := req.TopK
-	if req.Limit > 0 && (k == 0 || req.Limit < k) {
-		k = req.Limit
-	}
+	k := req.keep()
 	heap := req.TopK > 0
 
 	docs, err := p.docProbs(sc, len(candidates))
@@ -665,8 +662,8 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 		}
 	}
 	slices.SortFunc(sc.results, compareResults)
-	if !heap && req.Limit > 0 && len(sc.results) > req.Limit {
-		sc.results = sc.results[:req.Limit]
+	if !heap && k > 0 && len(sc.results) > k {
+		sc.results = sc.results[:k]
 	}
 	if req.Explain {
 		for i := range sc.results {

@@ -421,7 +421,7 @@ func TestPlanClusterBoundFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRanking(t, "candidate list: per-candidate vs restricted compile", got, restricted, 1e-12)
-	group, err := GroupRank(NewFactorizedRanker(l), GroupRequest{
+	group, err := GroupRank(l, GroupRequest{
 		Users: []string{"u"}, Target: dl.Atom("Doc"), RulesFor: map[string][]prefs.Rule{"u": rules},
 	})
 	if err != nil {
@@ -475,7 +475,7 @@ func TestClusterRulesPropagatesError(t *testing.T) {
 	}
 }
 
-// TestPlanGroupRank: the group ranker's plan fast path must agree with
+// TestPlanGroupRank: the group ranker's per-member plans must agree with
 // ranking each member separately.
 func TestPlanGroupRank(t *testing.T) {
 	l, rules := correlatedSetup(t)
@@ -494,7 +494,7 @@ func TestPlanGroupRank(t *testing.T) {
 		RulesFor: map[string][]prefs.Rule{"u": rules, "v": rules[2:3]},
 		Policy:   PolicyAverage,
 	}
-	got, err := GroupRank(ranker, req)
+	got, err := GroupRank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,13 +142,17 @@ func TestTopKRejected(t *testing.T) {
 }
 
 // TestRequestTopKAcrossRankers: Request.TopK must mean "first k of the
-// full result" for every ranker, not just the plan path.
+// full result" for every ranker, not just the plan path, and a negative one
+// is refused by all of them.
 func TestRequestTopKAcrossRankers(t *testing.T) {
 	l, rules := correlatedSetup(t)
-	for _, ranker := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l)} {
+	for _, ranker := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l), NewViewRanker(l), NewSampledRanker(l, 500, 3)} {
 		full, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: -1}}); err == nil {
+			t.Fatalf("%s accepted top-k -1", ranker.Name())
 		}
 		for k := 1; k <= len(full)+1; k++ {
 			got, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: k}})

@@ -58,8 +58,11 @@ func (r *ViewRanker) preferenceSelect(req Request) (string, error) {
 	if req.User == "" {
 		return "", fmt.Errorf("core: request without a user")
 	}
-	if req.Target == nil {
-		return "", fmt.Errorf("core: request without a target concept")
+	if req.Target == nil || req.Candidates != nil {
+		return "", fmt.Errorf("core: the view ranker ranks a target concept, not a candidate list")
+	}
+	if req.TopK < 0 {
+		return "", fmt.Errorf("core: top-k must be positive (got %d)", req.TopK)
 	}
 	k := len(req.Rules)
 	if k > maxViewRules {
@@ -160,8 +163,8 @@ func (r *ViewRanker) Rank(req Request) ([]Result, error) {
 		q += fmt.Sprintf(" WHERE score > %g", req.Threshold)
 	}
 	q += " ORDER BY score DESC, id ASC"
-	if req.Limit > 0 {
-		q += fmt.Sprintf(" LIMIT %d", req.Limit)
+	if k := req.keep(); k > 0 {
+		q += fmt.Sprintf(" LIMIT %d", k)
 	}
 	res, err := r.loader.DB().Query(q)
 	if err != nil {

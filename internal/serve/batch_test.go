@@ -5,8 +5,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	contextrank "repro"
 	"repro/internal/event"
@@ -77,7 +79,7 @@ func TestRankBatchMatchesSingleRanks(t *testing.T) {
 	}
 	var viaFacade []contextrank.Result
 	err = srv.Facade().WithRead(func(sys *contextrank.System) error {
-		r, rerr := sys.RankCandidates(user, []string{"tv000", "tv001", "tv002"}, contextrank.RankOptions{})
+		r, rerr := sys.RankCandidates(user, nil, []string{"tv000", "tv001", "tv002"}, contextrank.RankOptions{})
 		viaFacade = r
 		return rerr
 	})
@@ -153,7 +155,8 @@ func TestRankBatchPerItemErrors(t *testing.T) {
 }
 
 // TestRankBatchAlgorithms: naive batches agree with factorized batches
-// (same semantics), and the view algorithm fails candidate items only.
+// (same semantics), and a batch under view or sampled — experiment rankers
+// the server does not serve — is refused whole.
 func TestRankBatchAlgorithms(t *testing.T) {
 	srv, user := batchServer(t, 3)
 	items := []RankItem{{Target: "TvProgram"}, {Candidates: []string{"tv000", "tv001"}}}
@@ -179,15 +182,10 @@ func TestRankBatchAlgorithms(t *testing.T) {
 			}
 		}
 	}
-	view, _, err := srv.RankBatch(user, contextrank.AlgorithmView, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view[0].Err != nil {
-		t.Fatalf("view target item failed: %v", view[0].Err)
-	}
-	if view[1].Err == nil {
-		t.Fatal("view candidate item did not fail")
+	for _, alg := range []contextrank.Algorithm{"view", "sampled"} {
+		if _, _, err := srv.RankBatch(user, alg, items); err == nil {
+			t.Fatalf("batch under %s accepted", alg)
+		}
 	}
 }
 
@@ -388,6 +386,37 @@ func TestRankClusterBoundFallback(t *testing.T) {
 	}
 	if st := srv.Stats().Plans; st.Misses != 2 || st.Refreshed != 1 || st.Size != 1 {
 		t.Fatalf("after a data write: plan cache %+v, want a second compile replacing the stale entry", st)
+	}
+}
+
+// TestNaiveRankRefusedPastStateBudget: the naive reference over the 17-rule
+// chain with its context certain would enumerate 2^17 × 18 states for
+// seconds under the facade read lock. It is refused before it enumerates,
+// with a 400 that names the rules, the candidates and the budget, and the
+// factorized rank of the same target still returns every document.
+func TestNaiveRankRefusedPastStateBudget(t *testing.T) {
+	sys, n := chainSystem(t, false)
+	srv := NewServer(sys, Options{})
+	if _, err := srv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandlerFor(srv))
+	defer ts.Close()
+	var refused errorResponse
+	started := time.Now()
+	call(t, ts, "POST", "/v1/rank", `{"user":"chainuser","target":"Doc","algorithm":"naive"}`, http.StatusBadRequest, &refused)
+	if took := time.Since(started); took > 500*time.Millisecond {
+		t.Errorf("the refusal took %v, want under 500ms", took)
+	}
+	for _, want := range []string{"17 rules", "17 candidates", "budget of 1048576"} {
+		if refused.Code != "bad_request" || !strings.Contains(refused.Error, want) {
+			t.Fatalf("refusal = %+v, want bad_request naming %q", refused, want)
+		}
+	}
+	var ranked rankResponse
+	call(t, ts, "POST", "/v1/rank", `{"user":"chainuser","target":"Doc"}`, http.StatusOK, &ranked)
+	if len(ranked.Results) != n {
+		t.Fatalf("factorized rank returned %d results, want %d", len(ranked.Results), n)
 	}
 }
 

@@ -78,8 +78,8 @@ func TestOneRequestEveryEntryPoint(t *testing.T) {
 						opts := item.options(contextrank.AlgorithmNaive)
 						unbounded := contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}
 						if item.Candidates != nil {
-							if want, err = sys.RankCandidates(user, item.Candidates, opts); err == nil {
-								all, err = sys.RankCandidates(user, item.Candidates, unbounded)
+							if want, err = sys.RankCandidates(user, nil, item.Candidates, opts); err == nil {
+								all, err = sys.RankCandidates(user, nil, item.Candidates, unbounded)
 							}
 						} else if want, err = sys.RankWith(user, item.Target, opts); err == nil {
 							all, err = sys.RankWith(user, item.Target, unbounded)

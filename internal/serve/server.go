@@ -239,8 +239,8 @@ func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 // rankMisses is the one place the server ranks: the misses of Rank, of
 // RankBatch and of a subscription evaluation end here. Under one facade
 // read-lock hold — one consistent snapshot — it re-reads the user's version,
-// fetches the user's compiled plan once (the factorized algorithm; the others
-// rank through the generic path), ranks every req whose out slot is not
+// fetches the user's compiled plan once (the factorized algorithm; naive
+// ranks without one), ranks every req whose out slot is not
 // already served from the cache, and files each target result in the rank
 // cache under the version observed *here*, never under the caller's pre-read
 // one: fingerprints round-trip (context X → Y → X yields the same key again
@@ -271,10 +271,8 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 			r := ranked{v: v}
 			var rerr error
 			switch {
-			case rq.candidates != nil && plan != nil:
-				r.res, rerr = sys.RankCandidatesWithPlan(plan, rq.candidates, rq.opts)
 			case rq.candidates != nil:
-				r.res, rerr = sys.RankCandidates(user, rq.candidates, rq.opts)
+				r.res, rerr = sys.RankCandidates(user, plan, rq.candidates, rq.opts)
 			case rq.target == "":
 				rerr = fmt.Errorf("serve: batch item needs a target or a candidate list")
 			default:

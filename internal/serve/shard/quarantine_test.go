@@ -99,7 +99,7 @@ func testQuarantineRepairReadmit(t *testing.T, bad int) {
 	if !listed {
 		t.Fatal("Rules() read the fenced replica: QFENCE missing")
 	}
-	for i := 0; i < 2*n; i++ { // every round-robin position
+	for i := 0; i < 2*n; i++ { // repeated: no call reads the fenced replica
 		res, err := c.Query("SELECT id FROM c_TvProgram")
 		if err != nil {
 			t.Fatal(err)

@@ -19,10 +19,11 @@ import (
 // TestServedPathReadsNoExecutorRows: over HTTP on two shards with the
 // benchmark's rules, nothing the ranker serves reads a row through the SQL
 // executor — ranks, batches, context PUTs and the poll after them, a
-// subscription's folded delta, a logged /v1/assert, and a rule added with a
-// compound context and removed again. Memberships are evaluated off the
-// tables' indexes (mapping's eval); the executor reads rows for /v1/query
-// and /v1/exec only.
+// subscription's folded delta, a logged /v1/assert, a rule added with a
+// compound context and removed again, and the naive reference on a target
+// and in a batch. Memberships are evaluated off the tables' indexes
+// (mapping's eval); the executor reads rows for /v1/query and /v1/exec only.
+// The view and sampled rankers are not served: every rank route refuses them.
 func TestServedPathReadsNoExecutorRows(t *testing.T) {
 	const rules = 4
 	spec := workload.SmallSpec()
@@ -38,7 +39,7 @@ func TestServedPathReadsNoExecutorRows(t *testing.T) {
 	}
 	ts := httptest.NewServer(serve.NewHandlerFor(c))
 	defer ts.Close()
-	call := func(method, path, body string) {
+	send := func(method, path, body string) (int, string) {
 		t.Helper()
 		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 		if err != nil {
@@ -49,9 +50,13 @@ func TestServedPathReadsNoExecutorRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			msg, _ := io.ReadAll(resp.Body)
-			t.Fatalf("%s %s: %s %s", method, path, resp.Status, msg)
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	call := func(method, path, body string) {
+		t.Helper()
+		if code, msg := send(method, path, body); code/100 != 2 {
+			t.Fatalf("%s %s: %d %s", method, path, code, msg)
 		}
 	}
 	rowsRead := func() []int64 {
@@ -139,6 +144,23 @@ func TestServedPathReadsNoExecutorRows(t *testing.T) {
 			call("DELETE", "/v1/rules/compound", "")
 			for _, u := range users {
 				rank(u)
+			}
+		}},
+		{"naive", func() {
+			call("POST", "/v1/rank", `{"user":"person0003","target":"TvProgram","top_k":5,"algorithm":"naive"}`)
+			call("POST", "/v1/rank/batch", `{"user":"person0004","algorithm":"naive","items":[{"target":"TvProgram","top_k":3},{"candidates":["tv000","tv001","tv002"]}]}`)
+		}},
+		{"view and sampled refused", func() {
+			for _, alg := range []string{"view", "sampled"} {
+				for _, r := range []struct{ method, path, body string }{
+					{"POST", "/v1/rank", `{"user":"person0005","target":"TvProgram","algorithm":"` + alg + `"}`},
+					{"GET", "/v1/rank?user=person0005&target=TvProgram&algorithm=" + alg, ""},
+					{"POST", "/v1/rank/batch", `{"user":"person0005","algorithm":"` + alg + `","items":[{"target":"TvProgram"}]}`},
+				} {
+					if code, msg := send(r.method, r.path, r.body); code != http.StatusBadRequest || !strings.Contains(msg, `"bad_request"`) {
+						t.Fatalf("%s %s with %s: %d %s, want 400 bad_request", r.method, r.path, alg, code, msg)
+					}
+				}
 			}
 		}},
 	}

@@ -17,7 +17,6 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,11 +42,11 @@ import (
 //     broadcast of the same fact (all broadcast operations are
 //     assert-style and idempotent at the vocabulary level) or a restore
 //     from snapshot. The first error is returned to the caller.
-//   - Read-only SQL queries are served by one non-quarantined shard
-//     chosen round-robin. Replicated data is identical everywhere, but
-//     session-context assertions are shard-local: a query over context
-//     concepts sees only the chosen shard's sessions. Use per-user
-//     endpoints for session-coupled reads.
+//   - Read-only SQL queries are served by the lowest non-quarantined
+//     shard. Replicated data is identical everywhere, but session-context
+//     assertions are shard-local: a query over context concepts sees only
+//     that shard's sessions. Use per-user endpoints for session-coupled
+//     reads.
 type Coordinator struct {
 	// Mutators are serve.Backend's typed write methods, record builders
 	// over Apply — the same ones serve.Server embeds.
@@ -55,7 +54,6 @@ type Coordinator struct {
 
 	shards []*serve.Server
 	start  time.Time
-	rr     atomic.Int64 // round-robin cursor for shard-agnostic reads
 
 	// journals are the per-shard WALs opened by Recover (index = shard
 	// id; nil when the coordinator runs without durability). Owned here
@@ -428,15 +426,13 @@ func (c *Coordinator) Rules() []contextrank.Rule {
 	return c.shards[nthHealthy(0, c.quar.mask.Load(), len(c.shards))].Rules()
 }
 
-// Query serves a read-only SELECT from one non-quarantined shard, chosen
-// round-robin. Replicated data is identical on every healthy shard;
-// session-context assertions are shard-local (see the Coordinator
-// consistency notes).
+// Query serves a read-only SELECT from the lowest non-quarantined replica,
+// as Rules does, so the same query answers the same rows until a write or a
+// quarantine changes them. Replicated data is identical on every healthy
+// shard; session-context assertions are shard-local, so a query over them
+// sees that one shard's sessions (see the Coordinator consistency notes).
 func (c *Coordinator) Query(stmt string) (*contextrank.QueryResult, error) {
-	mask := c.quar.mask.Load()
-	healthy := len(c.shards) - bits.OnesCount64(mask)
-	k := int(uint64(c.rr.Add(1)-1) % uint64(healthy))
-	return c.shards[nthHealthy(k, mask, len(c.shards))].Query(stmt)
+	return c.shards[nthHealthy(0, c.quar.mask.Load(), len(c.shards))].Query(stmt)
 }
 
 // Stats aggregates every shard's counters (the Shards field carries the

@@ -173,6 +173,27 @@ func TestSessionsAreShardLocal(t *testing.T) {
 	}
 }
 
+// TestQueryReadsOneReplica: a query reads the lowest healthy replica, so
+// the same SELECT over a session concept answers the same rows each time it
+// is sent, although only the session's home shard holds its row.
+func TestQueryReadsOneReplica(t *testing.T) {
+	c := newTestCoordinator(t, 2)
+	if _, err := c.SetSession(userOnShard(t, 2, 1), []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for range 2 {
+		res, err := c.Query("SELECT id FROM c_Weekend")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, fmt.Sprint(res.Rows))
+	}
+	if rows[0] != rows[1] {
+		t.Fatalf("the same query answered %s, then %s", rows[0], rows[1])
+	}
+}
+
 func TestStatsAggregation(t *testing.T) {
 	c := newTestCoordinator(t, 3)
 	users := []string{"a", "b", "c", "d", "e", "f"}

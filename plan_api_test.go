@@ -66,11 +66,11 @@ func TestCompileRankPlanAPI(t *testing.T) {
 	}
 
 	ids := []string{"tv00", "tv01", "tv05"}
-	wantC, err := sys.RankCandidates("peter", ids, contextrank.RankOptions{})
+	wantC, err := sys.RankCandidates("peter", nil, ids, contextrank.RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotC, err := sys.RankCandidatesWithPlan(plan, ids, contextrank.RankOptions{})
+	gotC, err := sys.RankCandidates("peter", plan, ids, contextrank.RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,12 @@ func TestCompileRankPlanAPI(t *testing.T) {
 	if _, err := sys.RankWithPlan(plan, "TvProgram", contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}); err == nil {
 		t.Fatal("plan accepted the naive algorithm")
 	}
-	if _, err := sys.RankCandidatesWithPlan(plan, ids, contextrank.RankOptions{Algorithm: contextrank.AlgorithmView}); err == nil {
-		t.Fatal("plan accepted the view algorithm")
+	for _, alg := range []contextrank.Algorithm{"view", "sampled"} {
+		if _, err := sys.RankCandidates("peter", plan, ids, contextrank.RankOptions{Algorithm: alg}); err == nil {
+			t.Fatalf("plan accepted the %s algorithm", alg)
+		}
+		if _, err := sys.RankCandidates("peter", nil, ids, contextrank.RankOptions{Algorithm: alg}); err == nil {
+			t.Fatalf("candidate rank accepted the %s algorithm", alg)
+		}
 	}
 }
