@@ -246,7 +246,7 @@ func (l *Loader) readMembers(table string, scope []storage.Value, out []evalRow)
 // scope — every row when scope is nil: through the column's index, or by a
 // scan when it has none.
 func (l *Loader) readTable(table string, cols []string, col int, scope []storage.Value, fn func(storage.Row) error) error {
-	tab, err := l.db.Catalog().Get(table)
+	tab, err := l.db.Catalog().ByKey(table)
 	if err != nil {
 		return err
 	}

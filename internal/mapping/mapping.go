@@ -58,7 +58,7 @@ type Loader struct {
 	// It is what lets Members patch a stale handle instead of evaluating the
 	// expression again.
 	logMu  sync.Mutex
-	writes map[*storage.Table][]loggedWrite
+	writes map[*storage.Table]*writeLog
 
 	// The document sides (see DocSide): one per ordered handle list plans are
 	// compiled over, oldest first.
@@ -102,7 +102,7 @@ func NewLoader(db *engine.DB) *Loader {
 		views:     make(map[string]string),
 		viewSQL:   make(map[string]string),
 		memo:      make(map[string]*Membership),
-		writes:    make(map[*storage.Table][]loggedWrite),
+		writes:    make(map[*storage.Table]*writeLog),
 		ctxOwners: make(map[string]ownerContext),
 		ctxRows:   make(map[string]int),
 	}
@@ -157,13 +157,20 @@ func RoleTable(name string) string { return "r_" + sanitize(name) }
 func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
 // DeclareConcept creates the backing table for an atomic concept;
-// idempotent.
+// idempotent, and a declared name costs one map read.
 func (l *Loader) DeclareConcept(name string) error {
+	if l.HasConcept(name) {
+		return nil
+	}
 	return l.declare("concept", name, ConceptTable(name), "(id TEXT, ev EVENT)", "id")
 }
 
-// DeclareRole creates the backing table for a role; idempotent.
+// DeclareRole creates the backing table for a role; idempotent, and a
+// declared name costs one map read.
 func (l *Loader) DeclareRole(name string) error {
+	if l.HasRole(name) {
+		return nil
+	}
 	return l.declare("role", name, RoleTable(name), "(src TEXT, dst TEXT, ev EVENT)", "src", "dst")
 }
 
@@ -228,21 +235,35 @@ func (l *Loader) HasRole(name string) bool {
 	return ok
 }
 
-// registerIndividual ensures the individual is in the domain table.
-func (l *Loader) registerIndividual(id string) error {
-	tab, err := l.db.Catalog().Get("dl_domain")
+// declared returns the table of a declared concept or role — names is the
+// published vocabulary's concepts or roles — and whether the name is
+// declared. The table is found through the catalog key the vocabulary stores,
+// on every call: it is never remembered, so after SQL drops a loader table
+// and creates it again the next write lands in the live one.
+func (l *Loader) declared(names map[string]string, name string) (*storage.Table, bool, error) {
+	key, ok := names[name]
+	if !ok {
+		return nil, false, nil
+	}
+	tab, err := l.db.Catalog().ByKey(key)
+	return tab, true, err
+}
+
+// RegisterIndividual puts the individual into the domain table unless it is
+// there already. AssertConcept and AssertRole register the individuals they
+// assert; a caller asserting one individual many times registers it once and
+// asserts with AssertRegistered.
+func (l *Loader) RegisterIndividual(id string) error {
+	tab, err := l.db.Catalog().ByKey("dl_domain")
 	if err != nil {
 		return err
 	}
-	rows, err := tab.Lookup("id", storage.Text(id))
-	if err != nil {
+	key, known := storage.Text(id), false
+	if err := tab.ScanKey("id", key, func(storage.Row) error { known = true; return nil }); err != nil || known {
 		return err
-	}
-	if len(rows) > 0 {
-		return nil
 	}
 	defer l.logWrite(tab, tab.Version(), id)
-	return l.db.InsertRow("dl_domain", id, event.True())
+	return tab.Insert(storage.Row{key, storage.Event(event.True())})
 }
 
 // AssertConcept asserts id ∈ concept with the given assertion event (nil
@@ -252,44 +273,48 @@ func (l *Loader) AssertConcept(concept, id string, ev *event.Expr) error {
 	if !l.HasConcept(concept) {
 		return fmt.Errorf("mapping: concept %q not declared", concept)
 	}
+	if err := l.RegisterIndividual(id); err != nil {
+		return err
+	}
+	return l.AssertRegistered(concept, id, ev)
+}
+
+// AssertRegistered is AssertConcept for an individual RegisterIndividual has
+// put into the domain: it asserts the membership and leaves the domain alone.
+func (l *Loader) AssertRegistered(concept, id string, ev *event.Expr) error {
+	tab, ok, err := l.declared(l.vocab.Load().concepts, concept)
+	if !ok {
+		return fmt.Errorf("mapping: concept %q not declared", concept)
+	}
+	if err != nil {
+		return err
+	}
 	if ev == nil {
 		ev = event.True()
 	}
-	if err := l.registerIndividual(id); err != nil {
-		return err
-	}
-	tab, err := l.db.Catalog().Get(ConceptTable(concept))
-	if err != nil {
-		return err
-	}
 	defer l.logWrite(tab, tab.Version(), id)
-	key := storage.Text(id)
-	existing, err := tab.Lookup("id", key)
-	if err != nil {
+	key, existing := storage.Text(id), 0
+	if err := tab.ScanKey("id", key, func(r storage.Row) error {
+		ev = event.Or(ev, r[1].Ev)
+		existing++
+		return nil
+	}); err != nil {
 		return err
 	}
-	if len(existing) > 0 {
-		merged := ev
-		for _, r := range existing {
-			merged = event.Or(merged, r[1].Ev)
-		}
-		ev = merged
+	if existing > 0 {
 		if _, err := tab.DeleteKey("id", key); err != nil {
 			return err
 		}
 	}
-	return l.db.InsertRow(ConceptTable(concept), id, ev)
+	return tab.Insert(storage.Row{key, storage.Event(ev)})
 }
 
 // RetractConcept removes the assertion of id ∈ concept, touching only that
 // individual's row. Retracting from an undeclared concept is a no-op: it
 // holds no assertions.
 func (l *Loader) RetractConcept(concept, id string) error {
-	if !l.HasConcept(concept) {
-		return nil
-	}
-	tab, err := l.db.Catalog().Get(ConceptTable(concept))
-	if err != nil {
+	tab, ok, err := l.declared(l.vocab.Load().concepts, concept)
+	if !ok || err != nil {
 		return err
 	}
 	defer l.logWrite(tab, tab.Version(), id)
@@ -307,34 +332,28 @@ func (l *Loader) AssertRole(role, src, dst string, ev *event.Expr) error {
 	if ev == nil {
 		ev = event.True()
 	}
-	if err := l.registerIndividual(src); err != nil {
+	if err := l.RegisterIndividual(src); err != nil {
 		return err
 	}
-	if err := l.registerIndividual(dst); err != nil {
+	if err := l.RegisterIndividual(dst); err != nil {
 		return err
 	}
-	tab, err := l.db.Catalog().Get(RoleTable(role))
+	tab, _, err := l.declared(l.vocab.Load().roles, role)
 	if err != nil {
 		return err
 	}
 	defer l.logWrite(tab, tab.Version(), src)
-	srcKey, dstKey := storage.Text(src), storage.Text(dst)
-	rows, err := tab.Lookup("src", srcKey)
-	if err != nil {
+	srcKey, dstKey, dups := storage.Text(src), storage.Text(dst), 0
+	if err := tab.ScanKey("src", srcKey, func(r storage.Row) error {
+		if storage.Equal(r[1], dstKey) {
+			ev = event.Or(ev, r[2].Ev)
+			dups++
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
-	var dup []*event.Expr
-	for _, r := range rows {
-		if storage.Equal(r[1], dstKey) {
-			dup = append(dup, r[2].Ev)
-		}
-	}
-	if len(dup) > 0 {
-		merged := ev
-		for _, d := range dup {
-			merged = event.Or(merged, d)
-		}
-		ev = merged
+	if dups > 0 {
 		// Through the src index, with the dst test as the residual: replacing
 		// one pair costs that source's tuples, not the role's.
 		if _, err := tab.DeleteKeyWhere("src", srcKey, func(r storage.Row) bool {
@@ -343,17 +362,17 @@ func (l *Loader) AssertRole(role, src, dst string, ev *event.Expr) error {
 			return err
 		}
 	}
-	return l.db.InsertRow(RoleTable(role), src, dst, ev)
+	return tab.Insert(storage.Row{srcKey, dstKey, storage.Event(ev)})
 }
 
 // ClearConcept removes all assertions of a concept — used to refresh
 // dynamic context concepts between queries (§5: dynamic contexts "must be
 // acquired real-time").
 func (l *Loader) ClearConcept(concept string) error {
-	if !l.HasConcept(concept) {
+	tab, ok, err := l.declared(l.vocab.Load().concepts, concept)
+	if !ok {
 		return fmt.Errorf("mapping: concept %q not declared", concept)
 	}
-	tab, err := l.db.Catalog().Get(ConceptTable(concept))
 	if err != nil {
 		return err
 	}
@@ -451,10 +470,7 @@ func (l *Loader) ConceptRows(concept string) (total, context int) {
 	l.ctxMu.Lock()
 	context = l.ctxRows[concept]
 	l.ctxMu.Unlock()
-	if !l.HasConcept(concept) {
-		return 0, context
-	}
-	if tab, err := l.db.Catalog().Get(ConceptTable(concept)); err == nil {
+	if tab, ok, err := l.declared(l.vocab.Load().concepts, concept); ok && err == nil {
 		total = tab.Len()
 	}
 	return total, context

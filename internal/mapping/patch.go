@@ -21,6 +21,29 @@ type loggedWrite struct {
 	id            string // the concept member, role source or domain individual written
 }
 
+// writeLog is one table's chain of logged writes, the last maxLoggedWrites
+// of them: a ring, so a write past the bound overwrites the oldest entry in
+// place and moves nothing else.
+type writeLog struct {
+	ring   [maxLoggedWrites]loggedWrite
+	oldest int // the slot of the oldest entry
+	n      int // how many entries the chain holds
+}
+
+// at returns the chain's i-th entry, oldest first.
+func (w *writeLog) at(i int) *loggedWrite { return &w.ring[(w.oldest+i)%maxLoggedWrites] }
+
+// push appends an entry to the chain, dropping the oldest at the bound.
+func (w *writeLog) push(e loggedWrite) {
+	if w.n < maxLoggedWrites {
+		*w.at(w.n) = e
+		w.n++
+		return
+	}
+	w.ring[w.oldest] = e
+	w.oldest = (w.oldest + 1) % maxLoggedWrites
+}
+
 // logWrite records that the mutator which saw tab at version before has since
 // moved it, touching only id's rows (a role's rows are its source's). The
 // mutators defer it, so a write that failed half-way is logged with what it
@@ -34,9 +57,9 @@ func (l *Loader) logWrite(tab *storage.Table, before uint64, id string) {
 	}
 	l.logMu.Lock()
 	defer l.logMu.Unlock()
-	log, ok := l.writes[tab]
+	log := l.writes[tab]
 	switch {
-	case !ok:
+	case log == nil:
 		// The first write to a table is when the logs of tables dropped since
 		// the last one are let go: logs are kept by table identity, so there
 		// are never more of them than live tables plus one.
@@ -45,13 +68,12 @@ func (l *Loader) logWrite(tab *storage.Table, before uint64, id string) {
 				delete(l.writes, t)
 			}
 		}
-		log = make([]loggedWrite, 0, maxLoggedWrites)
-	case log[len(log)-1].after != before:
-		log = log[:0]
-	case len(log) == maxLoggedWrites:
-		log = log[:copy(log, log[1:])]
+		log = new(writeLog)
+		l.writes[tab] = log
+	case log.at(log.n-1).after != before:
+		log.n = 0
 	}
-	l.writes[tab] = append(log, loggedWrite{before: before, after: after, id: id})
+	log.push(loggedWrite{before: before, after: after, id: id})
 }
 
 // writtenBetween returns the individuals whose rows the loader wrote while
@@ -63,14 +85,14 @@ func (l *Loader) writtenBetween(tab *storage.Table, from, to uint64) ([]string, 
 	l.logMu.Lock()
 	defer l.logMu.Unlock()
 	log := l.writes[tab]
-	if len(log) == 0 || log[len(log)-1].after != to {
+	if log == nil || log.at(log.n-1).after != to {
 		return nil, false
 	}
-	for i := len(log) - 1; i >= 0 && log[i].before >= from; i-- {
-		if log[i].before == from {
-			ids := make([]string, 0, len(log)-i)
-			for _, w := range log[i:] {
-				ids = append(ids, w.id)
+	for i := log.n - 1; i >= 0 && log.at(i).before >= from; i-- {
+		if log.at(i).before == from {
+			ids := make([]string, 0, log.n-i)
+			for ; i < log.n; i++ {
+				ids = append(ids, log.at(i).id)
 			}
 			return ids, true
 		}

@@ -89,8 +89,68 @@ func TestWriteLogBounded(t *testing.T) {
 		t.Fatalf("%d write logs after 50 incarnations of one table", len(l.writes))
 	}
 	for tab, log := range l.writes {
-		if len(log) > maxLoggedWrites {
-			t.Fatalf("%s: %d logged writes, bound %d", tab.Name(), len(log), maxLoggedWrites)
+		if log.n > maxLoggedWrites {
+			t.Fatalf("%s: %d logged writes, bound %d", tab.Name(), log.n, maxLoggedWrites)
 		}
+	}
+}
+
+// TestWriteLogRing: past its bound the write log keeps answering for the
+// last maxLoggedWrites writes exactly as an unbounded log cut to them would —
+// the individuals in write order for any interval they cover, no answer for
+// one reaching further back — and a write the loader did not make starts
+// the chain again.
+func TestWriteLogRing(t *testing.T) {
+	db := engine.New()
+	l := NewLoader(db)
+	if err := l.DeclareConcept("A"); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.Catalog().Get("c_A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// versions[i] is the table's version after i writes; ids[i] the
+	// individual the i-th write (0-based) touched. Every seventh write
+	// repeats an individual: a merge, which moves the version by two.
+	versions, ids := []uint64{tab.Version()}, []string(nil)
+	check := func() {
+		t.Helper()
+		now := versions[len(versions)-1]
+		for from := 0; from < len(versions)-1; from++ {
+			got, ok := l.writtenBetween(tab, versions[from], now)
+			want := len(ids)-from <= maxLoggedWrites
+			if ok != want {
+				t.Fatalf("after %d writes, from write %d: tracked %v, want %v", len(ids), from, ok, want)
+			}
+			if ok && fmt.Sprint(got) != fmt.Sprint(ids[from:]) {
+				t.Fatalf("after %d writes, from write %d: %v, want %v", len(ids), from, got, ids[from:])
+			}
+		}
+	}
+	for i := 0; i < 3*maxLoggedWrites+5; i++ {
+		id := fmt.Sprintf("x%d", i)
+		if i%7 == 6 {
+			id = ids[i-3]
+		}
+		if err := l.AssertConcept("A", id, nil); err != nil {
+			t.Fatal(err)
+		}
+		versions, ids = append(versions, tab.Version()), append(ids, id)
+		if i%29 == 0 || i > 2*maxLoggedWrites {
+			check()
+		}
+	}
+	// An unlogged write: nothing before it can be accounted for.
+	if _, err := db.Exec("INSERT INTO c_A VALUES ('sql', NULL)"); err != nil {
+		t.Fatal(err)
+	}
+	versions, ids = []uint64{tab.Version()}, nil
+	for i := 0; i < 5; i++ {
+		if err := l.AssertConcept("A", fmt.Sprintf("y%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+		versions, ids = append(versions, tab.Version()), append(ids, fmt.Sprintf("y%d", i))
+		check()
 	}
 }

@@ -210,6 +210,20 @@ func (r *Repository) Rules() []Rule {
 	return out
 }
 
+// Any reports whether match accepts one of the rules, asked in insertion
+// order under the read lock — Rules without the copy. match must not call
+// back into the repository.
+func (r *Repository) Any(match func(Rule) bool) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, rule := range r.rules {
+		if match(rule) {
+			return true
+		}
+	}
+	return false
+}
+
 // Len returns the number of rules.
 func (r *Repository) Len() int {
 	r.mu.RLock()

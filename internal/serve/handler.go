@@ -963,10 +963,19 @@ func writeMutationError(w http.ResponseWriter, r *http.Request, fallback int, er
 	writeError(w, r, fallback, err)
 }
 
+// decodeBody reads the request body as exactly one JSON value into into:
+// unknown fields and anything but white space after the value are refused
+// with 400, so a body that is two documents is never half applied.
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 		return false
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	contextrank "repro"
@@ -227,6 +228,71 @@ func TestHTTPErrors(t *testing.T) {
 	call(t, ts, "POST", "/v1/query", `{"sql":"CREATE TABLE x (id TEXT)"}`, http.StatusBadRequest, nil)
 	// GET rank with a bad limit.
 	call(t, ts, "GET", "/v1/rank?user=p&target=T&limit=x", "", http.StatusBadRequest, nil)
+}
+
+// TestBodyRefusesTrailingData: a request body is one JSON value. On every
+// body route a second value (or a stray delimiter) after it is a 400, and the
+// first value is not applied; trailing white space is fine.
+func TestBodyRefusesTrailingData(t *testing.T) {
+	srv := NewServer(contextrank.NewSystem(), Options{})
+	ts := httptest.NewServer(NewHandlerFor(srv))
+	defer ts.Close()
+	call(t, ts, "POST", "/v1/declare", `{"concepts":["TvProgram"]}`+"\n\t ", http.StatusOK, nil)
+
+	routes := []struct{ method, path, body string }{
+		{"POST", "/v1/declare", `{"concepts":["Movie"]}`},
+		{"POST", "/v1/assert", `{"concepts":[{"concept":"TvProgram","id":"tv1","prob":1}]}`},
+		{"POST", "/v1/rules", `{"rules":["RULE r WHEN TOP PREFER TvProgram WITH 0.5"]}`},
+		{"PUT", "/v1/sessions/p/context", `{"measurements":[{"concept":"Ctx","prob":0.9}]}`},
+		{"POST", "/v1/rank", `{"user":"p","target":"TvProgram"}`},
+		{"POST", "/v1/rank/batch", `{"user":"p","items":[{"target":"TvProgram"}]}`},
+		{"POST", "/v1/subscriptions", `{"user":"p","target":"TvProgram","id":"s"}`},
+		{"POST", "/v1/query", `{"sql":"SELECT id FROM dl_domain"}`},
+		{"POST", "/v1/exec", `{"sql":"CREATE TABLE notes (id TEXT)"}`},
+	}
+	for _, c := range routes {
+		for _, trail := range []string{`{"x":1}`, ` {}`, `}`, `1`, `[`} {
+			t.Run(c.path+trail, func(t *testing.T) {
+				call(t, ts, c.method, c.path, c.body+trail, http.StatusBadRequest, nil)
+			})
+		}
+	}
+
+	// Nothing of a refused body took effect.
+	call(t, ts, "GET", "/v1/sessions/p", "", http.StatusNotFound, nil)
+	var rows sqlResponse
+	call(t, ts, "POST", "/v1/query", `{"sql":"SELECT kind, name FROM dl_vocab"}`, http.StatusOK, &rows)
+	if got := fmt.Sprint(rows.Rows); got != "[[concept TvProgram]]" {
+		t.Fatalf("declared vocabulary = %s, want [[concept TvProgram]]", got)
+	}
+	call(t, ts, "POST", "/v1/query", `{"sql":"SELECT id FROM c_TvProgram"}`, http.StatusOK, &rows)
+	if len(rows.Rows) != 0 {
+		t.Fatalf("TvProgram members = %v, want none", rows.Rows)
+	}
+	var rules struct {
+		Rules []json.RawMessage `json:"rules"`
+	}
+	call(t, ts, "GET", "/v1/rules", "", http.StatusOK, &rules)
+	if len(rules.Rules) != 0 {
+		t.Fatalf("rules = %s, want none", rules.Rules)
+	}
+	call(t, ts, "GET", "/v1/subscriptions/s", "", http.StatusNotFound, nil)
+
+	// Each body alone is accepted: the trailing data was what got refused.
+	for _, c := range routes {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s %s alone: status %d", c.method, c.path, c.body, resp.StatusCode)
+		}
+	}
 }
 
 // TestDeclareRefusesNamesNoRuleCanMention: a concept or role name the rule

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/dl"
+	"repro/internal/prefs"
 	"repro/internal/situation"
 )
 
@@ -181,10 +181,15 @@ func (s *Sessions) replaceLocked(user string, next *session, commit func()) erro
 	prev := s.users[user]
 	// The concepts whose assertions this write adds, alters or retracts: the
 	// user's previous and new vocabulary. No other is touched.
-	changed := prev.concepts()
-	for _, c := range next.concepts() {
-		if !slices.Contains(changed, c) {
-			changed = append(changed, c)
+	changed := make([]string, 0, 16)
+	for _, sess := range [2]*session{prev, next} {
+		if sess == nil {
+			continue
+		}
+		for _, m := range sess.measurements {
+			if !slices.Contains(changed, m.Concept) {
+				changed = append(changed, m.Concept)
+			}
 		}
 	}
 	f := s.f
@@ -211,14 +216,6 @@ func (s *Sessions) replaceLocked(user string, next *session, commit func()) erro
 	s.count.Store(int64(len(s.users)))
 	commit()
 	return nil
-}
-
-// concepts lists the session's context vocabulary (nil for no session).
-func (sess *session) concepts() []string {
-	if sess == nil {
-		return nil
-	}
-	return (&situation.Context{Measurements: sess.measurements}).ConceptNames()
 }
 
 // guardLocked refuses a write that would touch a concept holding assertions
@@ -321,12 +318,9 @@ func (s *Sessions) couplesLocked(changed []string) bool {
 	if len(changed) == 0 {
 		return false
 	}
-	for _, rule := range s.f.sys.Rules().Rules() {
-		if mentions(rule.Context, false, changed) || mentions(rule.Preference, true, changed) {
-			return true
-		}
-	}
-	return false
+	return s.f.sys.Rules().Any(func(rule prefs.Rule) bool {
+		return mentions(rule.Context, false, changed) || mentions(rule.Preference, true, changed)
+	})
 }
 
 // mentions reports whether one of the concepts occurs in expr inside a
@@ -355,19 +349,35 @@ func mentions(e *dl.Expr, inFiller bool, concepts []string) bool {
 // bytes, and bare separators would let crafted values collide two
 // semantically different measurement lists into one fingerprint —
 // silently disabling that user's cache invalidation.
+//
+// The hash is hash/fnv's New64a, inlined over the bytes so a field costs no
+// allocation; WAL records carry the result, so it must not change by a bit.
 func fingerprint(user string, ms []Measurement) string {
-	h := fnv.New64a()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	write := func(b []byte) {
+		for _, c := range b {
+			h ^= uint64(c)
+			h *= prime64
+		}
+	}
+	var num, prob [32]byte
+	prefix := func(n int) { write(append(strconv.AppendInt(num[:0], int64(n), 10), ':')) }
 	field := func(s string) {
-		h.Write([]byte(strconv.Itoa(len(s))))
-		h.Write([]byte{':'})
-		h.Write([]byte(s))
+		prefix(len(s))
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime64
+		}
 	}
 	field(user)
 	for _, m := range ms {
 		field(m.Concept)
 		field(m.Individual)
-		field(strconv.FormatFloat(m.Prob, 'g', -1, 64))
+		p := strconv.AppendFloat(prob[:0], m.Prob, 'g', -1, 64)
+		prefix(len(p))
+		write(p)
 		field(m.Exclusive)
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	return strconv.FormatUint(h, 16)
 }

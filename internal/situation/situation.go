@@ -82,11 +82,9 @@ func (c *Context) AddExclusive(group string, concepts []string, probs []float64)
 // ConceptNames returns the distinct context concepts mentioned, in first-
 // appearance order.
 func (c *Context) ConceptNames() []string {
-	seen := make(map[string]bool)
 	var out []string
 	for _, m := range c.Measurements {
-		if !seen[m.Concept] {
-			seen[m.Concept] = true
+		if !slices.Contains(out, m.Concept) {
 			out = append(out, m.Concept)
 		}
 	}
@@ -195,27 +193,41 @@ func retract(l *mapping.Loader, owner string) error {
 // assert declares the context concepts and one basic event per uncertain
 // measurement — all named after the apply's generation — asserts the
 // memberships and records events and rows as c.User's applied context,
-// whether or not it gets to the end. c.User has nothing applied.
+// whether or not it gets to the end. c.User has nothing applied. Each
+// individual asserted is registered in the domain once.
 func (c *Context) assert(l *mapping.Loader, generation int64) error {
-	for _, name := range c.ConceptNames() {
-		if err := l.DeclareConcept(name); err != nil {
+	for _, m := range c.Measurements {
+		if err := l.DeclareConcept(m.Concept); err != nil {
 			return err
 		}
 	}
 	space := l.DB().Space()
-	var rows []mapping.ContextRow
-	var declared []string
+	rows := make([]mapping.ContextRow, 0, len(c.Measurements))
+	declared := make([]string, 0, len(c.Measurements))
 	defer func() { l.SetOwnerContext(c.User, rows, declared) }()
 	eventName := func(i int) string {
-		return "ctx_" + strconv.FormatInt(generation, 10) + "_" + strconv.Itoa(i) + "_" + c.Measurements[i].Concept
+		name := make([]byte, 0, 64)
+		name = append(name, "ctx_"...)
+		name = strconv.AppendInt(name, generation, 10)
+		name = append(name, '_')
+		name = strconv.AppendInt(name, int64(i), 10)
+		name = append(name, '_')
+		return string(append(name, c.Measurements[i].Concept...))
 	}
+	registered := make([]string, 0, 4)
 	assert := func(i int, ev *event.Expr) error {
 		m := c.Measurements[i]
 		row := mapping.ContextRow{Concept: m.Concept, Individual: m.Individual}
 		if row.Individual == "" {
 			row.Individual = c.User
 		}
-		if err := l.AssertConcept(row.Concept, row.Individual, ev); err != nil {
+		if !slices.Contains(registered, row.Individual) {
+			if err := l.RegisterIndividual(row.Individual); err != nil {
+				return err
+			}
+			registered = append(registered, row.Individual)
+		}
+		if err := l.AssertRegistered(row.Concept, row.Individual, ev); err != nil {
 			return err
 		}
 		// Repeated measurements of one membership merge into one row.
@@ -224,18 +236,11 @@ func (c *Context) assert(l *mapping.Loader, generation int64) error {
 		}
 		return nil
 	}
-	// Group measurements by exclusivity label.
-	groups := make(map[string][]int)
-	var order []string
-	for i, m := range c.Measurements {
-		groups[m.Exclusive] = append(groups[m.Exclusive], i)
-		if len(groups[m.Exclusive]) == 1 && m.Exclusive != "" {
-			order = append(order, m.Exclusive)
-		}
-	}
 	// Independent measurements.
-	for _, i := range groups[""] {
-		m := c.Measurements[i]
+	for i, m := range c.Measurements {
+		if m.Exclusive != "" {
+			continue
+		}
 		if m.Prob == 1 {
 			if err := assert(i, event.True()); err != nil {
 				return err
@@ -251,9 +256,18 @@ func (c *Context) assert(l *mapping.Loader, generation int64) error {
 			return err
 		}
 	}
-	// Exclusive groups.
-	for _, g := range order {
-		idxs := groups[g]
+	// Exclusive groups, in order of first appearance.
+	for first, m := range c.Measurements {
+		g := m.Exclusive
+		if g == "" || slices.ContainsFunc(c.Measurements[:first], func(o Measurement) bool { return o.Exclusive == g }) {
+			continue
+		}
+		var idxs []int
+		for i := first; i < len(c.Measurements); i++ {
+			if c.Measurements[i].Exclusive == g {
+				idxs = append(idxs, i)
+			}
+		}
 		names := make([]string, len(idxs))
 		probs := make([]float64, len(idxs))
 		for j, i := range idxs {

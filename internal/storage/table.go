@@ -134,16 +134,20 @@ func (t *Table) coerce(r Row) (Row, error) {
 // Insert appends rows after coercing each value to its column type. It is
 // all or nothing: if one row does not fit the schema, none is inserted.
 func (t *Table) Insert(rows ...Row) error {
-	coerced := make([]Row, len(rows))
-	for i, r := range rows {
+	if len(rows) == 0 {
+		return nil
+	}
+	var one [1]Row // a single row, the common case, allocates no slice
+	coerced := one[:0]
+	if len(rows) > 1 {
+		coerced = make([]Row, 0, len(rows))
+	}
+	for _, r := range rows {
 		c, err := t.coerce(r)
 		if err != nil {
 			return err
 		}
-		coerced[i] = c
-	}
-	if len(coerced) == 0 {
-		return nil
+		coerced = append(coerced, c)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -255,22 +259,27 @@ func (t *Table) ScanKeys(column string, vals []Value, fn func(Row) error) (index
 	return true, nil
 }
 
-// Lookup returns the live rows whose column equals v, using the hash index
-// if present and a scan otherwise. Returned rows are clones.
-func (t *Table) Lookup(column string, v Value) ([]Row, error) {
-	var out []Row
-	indexed, err := t.ScanKeys(column, []Value{v}, func(r Row) error {
-		out = append(out, r.Clone())
-		return nil
-	})
-	if indexed || err != nil {
-		return out, err
+// ScanKey calls fn, in heap order, for the live rows whose column equals v:
+// through the hash index if present and by a scan otherwise. Like Scan it
+// passes rows without cloning.
+func (t *Table) ScanKey(column string, v Value, fn func(Row) error) error {
+	if indexed, err := t.ScanKeys(column, []Value{v}, fn); indexed || err != nil {
+		return err
 	}
 	col := t.schema.ColumnIndex(column)
-	err = t.Scan(func(r Row) error {
+	return t.Scan(func(r Row) error {
 		if Equal(r[col], v) {
-			out = append(out, r.Clone())
+			return fn(r)
 		}
+		return nil
+	})
+}
+
+// Lookup returns the live rows whose column equals v (see ScanKey) as clones.
+func (t *Table) Lookup(column string, v Value) ([]Row, error) {
+	var out []Row
+	err := t.ScanKey(column, v, func(r Row) error {
+		out = append(out, r.Clone())
 		return nil
 	})
 	return out, err
@@ -493,11 +502,21 @@ func (c *Catalog) Create(name string, schema Schema) (*Table, error) {
 
 // Get returns the named table or an error.
 func (c *Catalog) Get(name string) (*Table, error) {
+	if t, err := c.ByKey(strings.ToLower(name)); err == nil {
+		return t, nil
+	}
+	return nil, fmt.Errorf("storage: no table %q", name)
+}
+
+// ByKey is Get for a name already in the catalog's key form, lower case: a
+// caller that resolves one name often formats the key once and looks up with
+// it, so a look-up formats nothing.
+func (c *Catalog) ByKey(key string) (*Table, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[strings.ToLower(name)]
+	t, ok := c.tables[key]
+	c.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("storage: no table %q", name)
+		return nil, fmt.Errorf("storage: no table %q", key)
 	}
 	return t, nil
 }
