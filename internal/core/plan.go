@@ -46,8 +46,11 @@ import (
 // multi-rule cluster — depends on neither the user nor the context, so the
 // plan does not own it: it reads the loader's shared mapping.DocSide of its
 // rules' membership handles, the same one every other plan over those handles
-// reads. Score is then one row look-up per candidate plus float arithmetic,
-// and a context change — a new plan — derives no document probability at all.
+// reads. A rank then finds its candidates' rows by position — the side's
+// tables are sorted by individual, and one galloping cursor walks each for the
+// ascending candidate list (mapping.DocTable.Gather) — and multiplies the
+// clusters' factors in, the singletons' terms hoisted at compile time: float
+// arithmetic. A context change — a new plan — derives no document probability.
 // What it does cost is the user's context, and nothing that grows with the
 // catalog: one look-up per rule of the user's row in the rule's context
 // (through the concept table's id index when the context is atomic), the
@@ -124,9 +127,11 @@ func (pr *planRule) docEv(id string) *event.Expr {
 // planCluster is one correlation cluster of active rules.
 type planCluster struct {
 	rules []int // indices into Plan.rules, ascending request order
-	// ctxProbs is the precomputed context-state distribution over the
+	// A singleton's factor terms, hoisted from its rule: 1−pC, pC, σ and 1−σ.
+	notC, pC, sigma, notSigma float64
+	// ctxProbs is the precomputed context-state distribution over a multi-rule
 	// cluster's rules (index = bitmask of "rule context applies") and sigmas
-	// their σ; nil for singleton clusters, whose factor uses the rule's directly.
+	// their σ; nil for singleton clusters.
 	ctxProbs []float64
 	sigmas   []float64
 }
@@ -139,16 +144,20 @@ type planCluster struct {
 // are valid until its next use.
 type PlanScratch struct {
 	results []Result
-	// Per multi-rule cluster (parallel to Plan.multi): the rank's joint tables,
-	// and the document-state distribution of the candidate being scored.
-	tabs  []*mapping.DocTable
-	joint [][]float64
-	// What a plan without a shared document side derives per candidate: its
-	// row, and behind joint its distributions (joint itself may point into a
-	// shared side's tables, which are not the scratch's to write).
-	row  []float64
-	dist [][]float64
-	evs  []*event.Expr
+	// Per multi-rule cluster (parallel to Plan.multi): the rank's joint tables.
+	tabs []*mapping.DocTable
+	// The gather: per candidate its marginal row, and per multi-rule cluster
+	// (cluster-major, a run of candidates each) its joint row; then the
+	// candidates' scores.
+	rows   [][]float64
+	joint  [][]float64
+	scores []float64
+	one    [1]string // the candidate list of ScoreWith and Explain
+	// What a plan without a shared document side derives: every candidate's
+	// row and joint rows, which rows and joint then point into (a shared
+	// side's rows are not the scratch's to write).
+	derived []float64
+	evs     []*event.Expr
 }
 
 // NewPlanScratch returns an empty scratch arena. Plan.Rank and Plan.Score
@@ -373,7 +382,10 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 			members[i] = active[ai]
 		}
 		cl := planCluster{rules: members}
-		if m > 1 {
+		if m == 1 {
+			st := &p.rules[members[0]]
+			cl.notC, cl.pC, cl.sigma, cl.notSigma = 1-st.ctxProb, st.ctxProb, st.rule.Sigma, 1-st.rule.Sigma
+		} else {
 			// The context-state distribution, over the same expressions the
 			// per-candidate path enumerates.
 			ctxEvs = ctxEvs[:0]
@@ -440,32 +452,21 @@ func (p *Plan) ScoreWith(sc *PlanScratch, id string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.score(sc, docs, id)
-}
-
-// score scores one candidate of a rank docProbs has readied the scratch for.
-func (p *Plan) score(sc *PlanScratch, docs *mapping.DocProbs, id string) (float64, error) {
-	if p.perCandidate {
-		return p.scorePerCandidate(id)
-	}
-	row, err := p.docRow(sc, docs, id)
+	sc.one[0] = id
+	scores, err := p.scoreAll(sc, docs, sc.one[:])
 	if err != nil {
 		return 0, err
 	}
-	return p.scoreRow(sc, row), nil
+	return scores[0], nil
 }
 
 // docProbs readies the scratch for scoring n candidates and returns where
 // their document probabilities come from: the shared document side's content,
 // checked against the event space here — once, not per candidate — with the
 // joint table of every multi-rule cluster; or nil for a plan without a side,
-// which derives them per candidate (docRow).
+// which derives them per candidate (gather).
 func (p *Plan) docProbs(sc *PlanScratch, n int) (*mapping.DocProbs, error) {
 	sc.tabs = sc.tabs[:0]
-	if len(sc.joint) < len(p.multi) {
-		sc.joint = make([][]float64, len(p.multi))
-		sc.dist = make([][]float64, len(p.multi))
-	}
 	if p.docs == nil {
 		return nil, nil
 	}
@@ -484,68 +485,117 @@ func (p *Plan) docProbs(sc *PlanScratch, n int) (*mapping.DocProbs, error) {
 	return docs, nil
 }
 
-// docRow returns the candidate's probability of membership under each active
-// rule (indexed like Plan.rules) and leaves its joint distribution per
-// multi-rule cluster in sc.joint: looked up in the shared side, or — docs nil —
-// derived through Space.Prob into the scratch, over the expressions the
-// shared side would derive them from.
-func (p *Plan) docRow(sc *PlanScratch, docs *mapping.DocProbs, id string) ([]float64, error) {
-	if docs != nil {
-		for i, tab := range sc.tabs {
-			sc.joint[i] = tab.Row(id)
-		}
-		return docs.Row(id), nil
+// scoreAll scores the candidates of a rank docProbs has readied the scratch
+// for, into sc.scores: it gathers every candidate's rows, then multiplies the
+// clusters' expected factors in, cluster by cluster — the §3.3 semantics as
+// pure float arithmetic, each candidate's product the same operations in the
+// same cluster order as one candidate scored alone. Per-candidate mode scores
+// candidate by candidate.
+func (p *Plan) scoreAll(sc *PlanScratch, docs *mapping.DocProbs, ids []string) ([]float64, error) {
+	n := len(ids)
+	if cap(sc.scores) < n {
+		sc.scores = make([]float64, n)
 	}
-	docCacheMisses.Add(1)
-	if len(sc.row) < len(p.rules) {
-		sc.row = make([]float64, len(p.rules))
+	scores := sc.scores[:n]
+	if p.perCandidate {
+		for i, id := range ids {
+			score, err := p.scorePerCandidate(id)
+			if err != nil {
+				return nil, err
+			}
+			scores[i] = score
+		}
+		return scores, nil
 	}
-	for i := range p.rules {
-		if p.rules[i].ctxProb == 0 {
-			continue
-		}
-		pX, err := p.space.Prob(p.rules[i].docEv(id))
-		if err != nil {
-			return nil, err
-		}
-		sc.row[i] = pX
+	if err := p.gather(sc, docs, ids); err != nil {
+		return nil, err
 	}
-	for i, ci := range p.multi {
-		sc.evs = sc.evs[:0]
-		for _, ri := range p.clusters[ci].rules {
-			sc.evs = append(sc.evs, p.rules[ri].docEv(id))
-		}
-		if len(sc.dist[i]) != 1<<len(sc.evs) {
-			sc.dist[i] = make([]float64, 1<<len(sc.evs))
-		}
-		if err := p.space.JointProbs(sc.evs, sc.dist[i]); err != nil {
-			return nil, err
-		}
-		sc.joint[i] = sc.dist[i]
+	for i := range scores {
+		scores[i] = 1
 	}
-	return sc.row, nil
-}
-
-// scoreRow multiplies the clusters' expected factors for the candidate docRow
-// looked up last — the §3.3 semantics as pure float arithmetic.
-func (p *Plan) scoreRow(sc *PlanScratch, row []float64) float64 {
-	score := 1.0
-	next := 0 // the next multi-rule cluster's slot in sc.joint
+	next := 0 // the next multi-rule cluster's run in sc.joint
 	for i := range p.clusters {
 		cl := &p.clusters[i]
-		if len(cl.rules) == 1 {
-			// Singleton fast path: factor = (1−pC) + pC·(σ·pX + (1−σ)(1−pX)).
-			st := &p.rules[cl.rules[0]]
-			pX := row[cl.rules[0]]
-			s := st.rule.Sigma
-			pC := st.ctxProb
-			score *= (1 - pC) + pC*(s*pX+(1-s)*(1-pX))
+		if cl.ctxProbs == nil {
+			// Singleton: factor = (1−pC) + pC·(σ·pX + (1−σ)(1−pX)), the terms
+			// hoisted but the expression's operations as written out per rule,
+			// so no fused multiply-add can form that the unhoisted form lacks.
+			r, notC, pC, s, notS := cl.rules[0], cl.notC, cl.pC, cl.sigma, cl.notSigma
+			for c, row := range sc.rows[:n] {
+				pX := row[r]
+				scores[c] *= notC + pC*(s*pX+notS*(1-pX))
+			}
 			continue
 		}
-		score *= expectedFactor(cl.sigmas, cl.ctxProbs, sc.joint[next])
+		for c, dist := range sc.joint[next*n : (next+1)*n] {
+			scores[c] *= expectedFactor(cl.sigmas, cl.ctxProbs, dist)
+		}
 		next++
 	}
-	return score
+	return scores, nil
+}
+
+// gather points sc.rows at every candidate's probabilities of membership under
+// each rule (indexed like Plan.rules) and sc.joint at its joint distribution
+// per multi-rule cluster: found by position in the shared side's tables, or —
+// docs nil — derived through Space.Prob into the scratch, over the
+// expressions the shared side would derive them from.
+func (p *Plan) gather(sc *PlanScratch, docs *mapping.DocProbs, ids []string) error {
+	n, m := len(ids), len(p.multi)
+	if cap(sc.rows) < n {
+		sc.rows = make([][]float64, n)
+	}
+	if cap(sc.joint) < n*m {
+		sc.joint = make([][]float64, n*m)
+	}
+	rows, joint := sc.rows[:n], sc.joint[:n*m]
+	if docs != nil {
+		docs.Gather(ids, rows)
+		for j, tab := range sc.tabs {
+			tab.Gather(ids, joint[j*n:(j+1)*n])
+		}
+		return nil
+	}
+	docCacheMisses.Add(int64(n))
+	width := len(p.rules)
+	for _, ci := range p.multi {
+		width += 1 << len(p.clusters[ci].rules)
+	}
+	if cap(sc.derived) < n*width {
+		sc.derived = make([]float64, n*width)
+	}
+	free := sc.derived[:n*width]
+	// take cuts the next w floats off free.
+	take := func(w int) []float64 {
+		out := free[:w:w]
+		free = free[w:]
+		return out
+	}
+	for c, id := range ids {
+		rows[c] = take(len(p.rules))
+		for r := range p.rules {
+			if p.rules[r].ctxProb == 0 {
+				continue
+			}
+			pX, err := p.space.Prob(p.rules[r].docEv(id))
+			if err != nil {
+				return err
+			}
+			rows[c][r] = pX
+		}
+		for j, ci := range p.multi {
+			sc.evs = sc.evs[:0]
+			for _, r := range p.clusters[ci].rules {
+				sc.evs = append(sc.evs, p.rules[r].docEv(id))
+			}
+			dist := take(1 << len(sc.evs))
+			if err := p.space.JointProbs(sc.evs, dist); err != nil {
+				return err
+			}
+			joint[j*n+c] = dist
+		}
+	}
+	return nil
 }
 
 // Explain builds the per-rule contribution trace for one candidate from the
@@ -562,10 +612,11 @@ func (p *Plan) Explain(id string) (*Explanation, error) {
 }
 
 func (p *Plan) explain(sc *PlanScratch, docs *mapping.DocProbs, id string) (*Explanation, error) {
-	row, err := p.docRow(sc, docs, id)
-	if err != nil {
+	sc.one[0] = id
+	if err := p.gather(sc, docs, sc.one[:]); err != nil {
 		return nil, err
 	}
+	row := sc.rows[0]
 	ex := &Explanation{}
 	for i := range p.rules {
 		st := &p.rules[i]
@@ -646,19 +697,23 @@ func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	scores, err := p.scoreAll(sc, docs, candidates)
+	if err != nil {
+		return nil, err
+	}
 	sc.results = sc.results[:0]
-	for _, id := range candidates {
-		score, err := p.score(sc, docs, id)
-		if err != nil {
-			return nil, err
-		}
+	for i, score := range scores {
 		if req.Threshold > 0 && score <= req.Threshold {
 			continue
 		}
-		if heap {
-			sc.pushTopK(k, Result{ID: id, Score: score})
-		} else {
-			sc.results = append(sc.results, Result{ID: id, Score: score})
+		switch {
+		case !heap:
+			sc.results = append(sc.results, Result{ID: candidates[i], Score: score})
+		case len(sc.results) < k || score >= sc.results[0].Score:
+			// A full heap's root is its worst result: a lower score cannot
+			// enter, and only an entrant or a tie, which the ids decide, is
+			// offered.
+			sc.pushTopK(k, Result{ID: candidates[i], Score: score})
 		}
 	}
 	slices.SortFunc(sc.results, compareResults)

@@ -122,6 +122,42 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 			}
 		})
 	}
+	for _, tc := range []struct{ name, target string }{
+		{"", "TvProgram"},
+		{"/target=genre", "TvProgram AND EXISTS hasGenre.{genre00}"},
+	} {
+		b.Run("warm/candidates=300"+tc.name, func(b *testing.B) {
+			// The end-to-end benchmark's uncached rank: a 300-program catalog,
+			// 8 rules, top 10 — of the whole catalog, or of one genre's
+			// programs (cold-rank's narrow targets). Capped at 0 allocs/op
+			// like the other warm sub-benchmarks.
+			d, rules := planBenchSetup(b, 300, 8)
+			plan, err := CompilePlan(d.Loader, d.User, rules)
+			if err != nil {
+				b.Fatal(err)
+			}
+			target, err := dl.Parse(tc.target)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc := NewPlanScratch()
+			req := PlanRequest{Target: target, TopK: 10}
+			if _, err := plan.RankInto(sc, req); err != nil {
+				b.Fatal(err) // size the scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := plan.RankInto(sc, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res) != 10 {
+					b.Fatalf("%d results, want 10", len(res))
+				}
+			}
+		})
+	}
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("legacy/candidates=%d", n), func(b *testing.B) {
 			d, rules := planBenchSetup(b, n, 8)

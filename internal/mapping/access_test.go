@@ -350,9 +350,10 @@ func TestDuplicateAssertRoleCostsItsSourceNotTheRole(t *testing.T) {
 		if tab.Len() != tuples {
 			t.Fatalf("%d tuples after re-asserting one of %d", tab.Len(), tuples)
 		}
-		rows, err := tab.Lookup("dst", storage.Text("d007"))
-		if err != nil || len(rows) != tuples/100 {
-			t.Fatalf("dst index lists %d tuples for d007 (%v), want %d", len(rows), err, tuples/100)
+		rows := 0
+		err = tab.ScanKey("dst", storage.Text("d007"), func(storage.Row) error { rows++; return nil })
+		if err != nil || rows != tuples/100 {
+			t.Fatalf("dst index lists %d tuples for d007 (%v), want %d", rows, err, tuples/100)
 		}
 		return n
 	}

@@ -1,7 +1,9 @@
 package mapping
 
 import (
+	"encoding/binary"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,21 +59,104 @@ type DocProbs struct {
 // its rules contains. The marginal table's row has one entry per rule, the
 // probability of the individual's membership event; a joint table's has 2^m,
 // the individual's joint document-state distribution over the tuple's m rules,
-// bit i of the index saying whether it is in the i-th rule's preference.
+// bit i of the index saying whether it is in the i-th rule's preference. The
+// rows are found by position: ids ascends, rows[i] is ids[i]'s row, so a rank
+// gathers a sorted candidate list's rows with one forward cursor (Gather) and
+// a write's successor merges its changed individuals into the order (carried).
 type DocTable struct {
-	rules  []int
-	joint  bool
-	rows   map[string][]float64
+	rules []int
+	joint bool
+	ids   []string
+	// keys[i] is prefixKey(ids[i]): the cursor compares two ids by their keys
+	// and only the ids that share a key as strings.
+	keys   []uint64
+	rows   [][]float64
 	absent []float64 // an individual in none of the preferences
+}
+
+// prefixKey returns the id's first eight bytes, zero-padded, as a big-endian
+// number. Two ids order as their keys do wherever the keys differ.
+func prefixKey(id string) uint64 {
+	var b [8]byte
+	copy(b[:], id)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// add appends one individual's row.
+func (t *DocTable) add(id string, row []float64) {
+	t.ids, t.keys, t.rows = append(t.ids, id), append(t.keys, prefixKey(id)), append(t.rows, row)
 }
 
 // Row returns the individual's row. The caller must not modify it.
 func (t *DocTable) Row(id string) []float64 {
-	if row, ok := t.rows[id]; ok {
-		return row
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		return t.rows[i]
 	}
 	return t.absent
 }
+
+// Gather sets rows[i] to ids[i]'s row, for every i; rows must be as long as
+// ids. One cursor walks the table forward. An id at the cursor is a hit;
+// otherwise the cursor steps up to gatherWalk places comparing keys alone and,
+// past them, gallops on the keys — 1, 2, 4, … places — to the first key not
+// below the id's, halving the last stride without a branch on the probes; ids
+// that share the id's key are then binary-searched as strings. An ascending
+// list of m ids costs O(m·log(n/m)) comparisons where keys differ, and an id
+// below the last one found starts the walk over from the table's head, which
+// keeps any order correct. The caller must not modify the rows.
+func (t *DocTable) Gather(ids []string, rows [][]float64) {
+	tids, keys, n := t.ids, t.keys, len(t.ids)
+	keys = keys[:n]
+	lo := 0 // tids[:lo] sorts at or below the last id looked up
+	for i, id := range ids {
+		if lo < n && tids[lo] == id {
+			rows[i] = t.rows[lo]
+			lo++
+			continue
+		}
+		k := prefixKey(id)
+		// below reports whether the table's j-th id sorts below id.
+		below := func(j int) bool { return keys[j] < k || keys[j] == k && tids[j] < id }
+		if lo > 0 && !below(lo-1) {
+			lo = 0
+		}
+		// Walk while the keys alone say the cursor is below id; past the
+		// walk, gallop on the keys and halve the last stride without a
+		// branch on the probes.
+		hi := min(lo+gatherWalk, n)
+		for lo < hi && keys[lo] < k {
+			lo++
+		}
+		if lo == hi && lo < n {
+			for step := 1; hi < n && keys[hi] < k; step <<= 1 {
+				lo, hi = hi+1, hi+step
+			}
+			for size := min(hi+1, n) - lo; size > 1; size -= size >> 1 {
+				if keys[lo+size>>1] < k {
+					lo += size >> 1
+				}
+			}
+			if lo < n && keys[lo] < k {
+				lo++
+			}
+		}
+		if lo < n && keys[lo] == k && tids[lo] != id {
+			// Among ids that share id's key: search them as strings.
+			lo += sort.Search(n-lo, func(j int) bool { return !below(lo + j) })
+		}
+		if lo < n && tids[lo] == id {
+			rows[i] = t.rows[lo]
+			lo++
+		} else {
+			rows[i] = t.absent
+		}
+	}
+}
+
+// gatherWalk is how many places Gather's cursor steps one by one before it
+// gallops: a narrow target's candidates lie a few places apart in the table,
+// and a step is one predictable comparison of two keys.
+const gatherWalk = 8
 
 // docRowsComputed counts the rows — marginal or joint — derived through
 // Space.Prob, process-wide like the rank hot path's other counters.
@@ -177,16 +262,16 @@ func (d *DocSide) carry(old *DocSide) *DocProbs {
 	if len(old.handles) != len(d.handles) {
 		return nil
 	}
-	changed := make(map[string]bool)
+	var changed []string
 	for i, h := range d.handles {
 		ids, tracked := h.ChangedSince(old.handles[i])
 		if !tracked {
 			return nil
 		}
-		for _, id := range ids {
-			changed[id] = true
-		}
+		changed = append(changed, ids...)
 	}
+	slices.Sort(changed)
+	changed = slices.Compact(changed)
 	// The generation before the look at old: what is carried stands as of a
 	// later one, so the stamp errs on the side of looking again.
 	gen := d.space.Generation()
@@ -202,9 +287,10 @@ func (d *DocSide) carry(old *DocSide) *DocProbs {
 // build derives the side's content, stamped gen: footprints, the block → rules
 // index and the share relation from the handles — the index and the relation
 // prev's when no footprint moved — and the marginal table through Space.Prob:
-// all of it, or with prev only the changed individuals' rows of the marginal
-// table and of every joint table prev has filled, the other rows being prev's.
-func (d *DocSide) build(gen uint64, prev *DocProbs, changed map[string]bool) *DocProbs {
+// all of it, or with prev only the changed individuals' (ascending) rows of
+// the marginal table and of every joint table prev has filled, the other rows
+// being prev's.
+func (d *DocSide) build(gen uint64, prev *DocProbs, changed []string) *DocProbs {
 	n := len(d.handles)
 	p := &DocProbs{blocks: make([][]string, n), side: d}
 	p.gen.Store(gen)
@@ -219,7 +305,7 @@ func (d *DocSide) build(gen uint64, prev *DocProbs, changed map[string]bool) *Do
 		p.index()
 	}
 	if prev == nil {
-		p.marginal = &DocTable{rules: make([]int, n), rows: make(map[string][]float64), absent: make([]float64, n)}
+		p.marginal = &DocTable{rules: make([]int, n), absent: make([]float64, n)}
 		for r := range p.marginal.rules {
 			p.marginal.rules[r] = r
 		}
@@ -229,17 +315,9 @@ func (d *DocSide) build(gen uint64, prev *DocProbs, changed map[string]bool) *Do
 	prev.jointMu.Lock()
 	defer prev.jointMu.Unlock()
 	for _, old := range append([]*DocTable{prev.marginal}, prev.joint...) {
-		t := &DocTable{rules: old.rules, joint: old.joint, rows: old.rows, absent: old.absent}
+		t := &DocTable{rules: old.rules, joint: old.joint, ids: old.ids, keys: old.keys, rows: old.rows, absent: old.absent}
 		if len(changed) > 0 { // else nobody's row moved: a published table is never written again
-			t.rows = make(map[string][]float64, len(old.rows))
-			for id, row := range old.rows {
-				if !changed[id] {
-					t.rows[id] = row
-				}
-			}
-			for id := range changed {
-				p.fail(d.fill(t, id))
-			}
+			p.fail(d.carried(t, changed))
 		}
 		if !t.joint {
 			p.marginal = t
@@ -248,6 +326,33 @@ func (d *DocSide) build(gen uint64, prev *DocProbs, changed map[string]bool) *Do
 		}
 	}
 	return p
+}
+
+// carried re-lays t — a copy of a published table, or an empty one — for the
+// changed individuals (ascending): one merge of its ids with them, in which an
+// unchanged row is the published one and a changed individual's row is
+// derived again — never a sort of the whole table.
+func (d *DocSide) carried(t *DocTable, changed []string) (err error) {
+	ids, keys, rows := t.ids, t.keys, t.rows
+	size := len(ids) + len(changed)
+	t.ids, t.keys, t.rows = make([]string, 0, size), make([]uint64, 0, size), make([][]float64, 0, size)
+	for _, id := range changed {
+		j, found := slices.BinarySearch(ids, id)
+		t.ids, t.keys, t.rows = append(t.ids, ids[:j]...), append(t.keys, keys[:j]...), append(t.rows, rows[:j]...)
+		if found {
+			j++
+		}
+		ids, keys, rows = ids[j:], keys[j:], rows[j:]
+		row, rowErr := d.row(t, id)
+		if err == nil {
+			err = rowErr
+		}
+		if row != nil {
+			t.add(id, row)
+		}
+	}
+	t.ids, t.keys, t.rows = append(t.ids, ids...), append(t.keys, keys...), append(t.rows, rows...)
+	return err
 }
 
 // fail keeps the first error met while deriving the content.
@@ -272,9 +377,9 @@ func (p *DocProbs) index() {
 	}
 }
 
-// fill derives one individual's row of a table, if a preference of the
+// row derives one individual's row of a table, nil if no preference of the
 // table's rules contains it.
-func (d *DocSide) fill(t *DocTable, id string) (err error) {
+func (d *DocSide) row(t *DocTable, id string) (row []float64, err error) {
 	evs := make([]*event.Expr, len(t.rules))
 	member := false
 	for i, r := range t.rules {
@@ -285,9 +390,9 @@ func (d *DocSide) fill(t *DocTable, id string) (err error) {
 		evs[i], member = ev, member || ok
 	}
 	if !member {
-		return nil
+		return nil, nil
 	}
-	row := make([]float64, len(t.absent))
+	row = make([]float64, len(t.absent))
 	if t.joint {
 		err = d.space.JointProbs(evs, row)
 	} else {
@@ -297,24 +402,19 @@ func (d *DocSide) fill(t *DocTable, id string) (err error) {
 			}
 		}
 	}
-	t.rows[id] = row
 	docRowsComputed.Add(1)
-	return err
+	return row, err
 }
 
 // fillAll derives the row of every individual a preference of the table's
-// rules contains.
+// rules contains, into an empty table.
 func (d *DocSide) fillAll(t *DocTable) error {
+	var ids []string
 	for _, r := range t.rules {
-		for _, id := range d.handles[r].IDs {
-			if _, done := t.rows[id]; !done {
-				if err := d.fill(t, id); err != nil {
-					return err
-				}
-			}
-		}
+		ids = append(ids, d.handles[r].IDs...)
 	}
-	return nil
+	slices.Sort(ids)
+	return d.carried(t, slices.Compact(ids))
 }
 
 // Err returns why the content could not be derived, if it could not: every
@@ -324,6 +424,9 @@ func (p *DocProbs) Err() error { return p.err }
 // Row returns the individual's probabilities of membership, one per rule of
 // the handle list. The caller must not modify it.
 func (p *DocProbs) Row(id string) []float64 { return p.marginal.Row(id) }
+
+// Gather is Row for every id, by the marginal table's Gather.
+func (p *DocProbs) Gather(ids []string, rows [][]float64) { p.marginal.Gather(ids, rows) }
 
 // RulesOf returns the ascending rules whose footprint holds the block key, nil
 // when none does. The caller must not modify it.
@@ -343,7 +446,7 @@ func (p *DocProbs) Joint(rules []int) (*DocTable, error) {
 			return t, nil
 		}
 	}
-	t := &DocTable{rules: slices.Clone(rules), joint: true, rows: make(map[string][]float64), absent: make([]float64, 1<<len(rules))}
+	t := &DocTable{rules: slices.Clone(rules), joint: true, absent: make([]float64, 1<<len(rules))}
 	t.absent[0] = 1
 	if err := p.side.fillAll(t); err != nil {
 		return nil, err

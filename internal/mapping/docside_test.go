@@ -385,3 +385,68 @@ func TestDocSidesBounded(t *testing.T) {
 		t.Fatalf("%d sides kept after A was written, want those that do not read A, and the new one", len(l.docSides))
 	}
 }
+
+// TestDocTableGather holds the gather cursor to Row, and Row to the rows the
+// table was built from, over seeded tables and candidate lists: ascending,
+// descending and shuffled, with repeats, ids the table lacks, ids past its end
+// and ids that share their first eight bytes (the cursor's key) or differ only
+// past them, and over an empty table.
+func TestDocTableGather(t *testing.T) {
+	var universe []string
+	for i := 0; i < 60; i++ {
+		universe = append(universe, fmt.Sprintf("tv%03d", i), fmt.Sprintf("person%06d", i), fmt.Sprintf("p%d", i))
+	}
+	universe = append(universe, "", "a", "a\x00", "a\x00\x01", "ab", "abcdefgh", "abcdefgh\x00", "abcdefghi")
+	same := func(a, b []float64) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+	rng := rand.New(rand.NewSource(46))
+	for round := 0; round < 300; round++ {
+		tab := &DocTable{absent: make([]float64, 1)}
+		want := make(map[string][]float64)
+		var members []string
+		if round%10 != 0 { // every tenth table is empty
+			members = slices.Clone(universe)
+			rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+			members = members[:rng.Intn(len(members))]
+			slices.Sort(members)
+		}
+		for _, id := range members {
+			row := []float64{rng.Float64()}
+			tab.add(id, row)
+			want[id] = row
+		}
+		var ids []string
+		for n := rng.Intn(80); len(ids) < n; {
+			switch rng.Intn(12) {
+			case 0:
+				ids = append(ids, "zz"+fmt.Sprint(rng.Intn(5))) // past the table's end
+			case 1:
+				if len(ids) > 0 {
+					ids = append(ids, ids[rng.Intn(len(ids))]) // a repeat
+				}
+			default:
+				ids = append(ids, universe[rng.Intn(len(universe))])
+			}
+		}
+		switch round % 3 {
+		case 0:
+			slices.Sort(ids)
+		case 1:
+			slices.Sort(ids)
+			slices.Reverse(ids)
+		}
+		rows := make([][]float64, len(ids))
+		tab.Gather(ids, rows)
+		for i, id := range ids {
+			row, ok := want[id]
+			if !ok {
+				row = tab.absent
+			}
+			if !same(tab.Row(id), row) {
+				t.Fatalf("round %d: Row(%q) = %v, the table was built with %v", round, id, tab.Row(id), row)
+			}
+			if !same(rows[i], row) {
+				t.Fatalf("round %d: Gather's row %d (%q) = %v, Row says %v; ids %q, table %q", round, i, id, rows[i], row, ids, members)
+			}
+		}
+	}
+}

@@ -9,6 +9,17 @@ import (
 	"repro/internal/event"
 )
 
+// Lookup returns the live rows whose column equals v (see ScanKey) as clones:
+// the tests' way to read what a table holds under a key.
+func (t *Table) Lookup(column string, v Value) ([]Row, error) {
+	var out []Row
+	err := t.ScanKey(column, v, func(r Row) error {
+		out = append(out, r.Clone())
+		return nil
+	})
+	return out, err
+}
+
 func mustSchema(t *testing.T, cols ...Column) Schema {
 	t.Helper()
 	s, err := NewSchema(cols...)

@@ -275,16 +275,6 @@ func (t *Table) ScanKey(column string, v Value, fn func(Row) error) error {
 	})
 }
 
-// Lookup returns the live rows whose column equals v (see ScanKey) as clones.
-func (t *Table) Lookup(column string, v Value) ([]Row, error) {
-	var out []Row
-	err := t.ScanKey(column, v, func(r Row) error {
-		out = append(out, r.Clone())
-		return nil
-	})
-	return out, err
-}
-
 // Update rewrites every live row for which match returns true by calling
 // apply on a clone; the returned row is coerced to the schema. It reports
 // how many rows changed. It is all or nothing: every row is decided before
