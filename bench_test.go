@@ -32,12 +32,11 @@ func BenchmarkE1Table1(b *testing.B) {
 		b.Fatal(err)
 	}
 	req := core.Request{User: "peter", Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
-	for _, r := range []core.Ranker{
-		core.NewNaiveRanker(l), core.NewViewRanker(l), core.NewFactorizedRanker(l),
-	} {
-		b.Run(r.Name(), func(b *testing.B) {
+	for _, name := range []string{"naive", "view", "factorized"} {
+		rank := experiments.Rankers[name](l)
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := r.Rank(req)
+				results, err := rank(req)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,7 +81,7 @@ func benchDataset(b *testing.B, k int) *workload.Dataset {
 func BenchmarkE3RuleScaling(b *testing.B) {
 	const maxK = 4
 	d := benchDataset(b, maxK)
-	ranker := core.NewViewRanker(d.Loader)
+	ranker := experiments.NewViewRanker(d.Loader)
 	for k := 1; k <= maxK; k++ {
 		rules, err := d.Rules(k)
 		if err != nil {
@@ -112,14 +111,11 @@ func BenchmarkA1Ablation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, r := range []core.Ranker{
-		core.NewViewRanker(d.Loader),
-		core.NewNaiveRanker(d.Loader),
-		core.NewFactorizedRanker(d.Loader),
-	} {
-		b.Run(r.Name(), func(b *testing.B) {
+	for _, name := range []string{"view", "naive", "factorized"} {
+		rank := experiments.Rankers[name](d.Loader)
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Rank(core.Request{
+				if _, err := rank(core.Request{
 					User:        d.User,
 					Rules:       rules,
 					PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
@@ -141,10 +137,9 @@ func BenchmarkA1FactorizedManyRules(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ranker := core.NewFactorizedRanker(d.Loader)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ranker.Rank(core.Request{
+				if _, err := core.Rank(d.Loader, core.Request{
 					User:        d.User,
 					Rules:       rules,
 					PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
@@ -168,7 +163,7 @@ func BenchmarkA4Sampled(b *testing.B) {
 	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
-			ranker := core.NewSampledRanker(d.Loader, n, 1)
+			ranker := experiments.NewSampledRanker(d.Loader, n, 1)
 			for i := 0; i < b.N; i++ {
 				if _, err := ranker.Rank(req); err != nil {
 					b.Fatal(err)
@@ -358,7 +353,7 @@ func BenchmarkViewBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vr := core.NewViewRanker(d.Loader)
+	vr := experiments.NewViewRanker(d.Loader)
 	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

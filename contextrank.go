@@ -389,18 +389,16 @@ func (s *System) rank(user string, plan *RankPlan, opts RankOptions, req core.Pl
 		}
 		return plan.Rank(req)
 	}
-	var ranker core.Ranker
+	full := core.Request{User: user, Rules: s.repo.Rules(), PlanRequest: req}
 	switch opts.Algorithm {
 	case "", AlgorithmFactorized:
-		ranker = core.NewFactorizedRanker(s.loader)
+		return core.Rank(s.loader, full)
 	case AlgorithmNaive:
 		naive := core.NewNaiveRanker(s.loader)
 		naive.StateBudget = naiveStateBudget
-		ranker = naive
-	default:
-		return nil, fmt.Errorf("contextrank: unknown algorithm %q", opts.Algorithm)
+		return naive.Rank(full)
 	}
-	return ranker.Rank(core.Request{User: user, Rules: s.repo.Rules(), PlanRequest: req})
+	return nil, fmt.Errorf("contextrank: unknown algorithm %q", opts.Algorithm)
 }
 
 // RankPlan is a compiled, reusable ranking plan: the per-(user, rule set,

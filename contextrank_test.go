@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dl"
+	"repro/internal/experiments"
 	"repro/internal/situation"
 )
 
@@ -82,12 +83,12 @@ func TestPublicAPIPaperExample(t *testing.T) {
 // the first rank left them (which compiled the rules' expressions once).
 func TestViewRankRegistersNoView(t *testing.T) {
 	sys := buildTVTouch(t)
-	view := core.NewViewRanker(sys.Loader())
+	view := experiments.NewViewRanker(sys.Loader())
 	req := core.Request{User: "peter", Rules: sys.Rules().Rules(), PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
 	rank := func() {
 		t.Helper()
 		results, err := view.Rank(req)
-		checkPaperScores(t, view.Name(), results, err)
+		checkPaperScores(t, "view", results, err)
 	}
 	snapshot := func() []byte {
 		t.Helper()

@@ -1,23 +1,23 @@
 // Package core implements the paper's primary contribution: scoring query
 // results by the probability that each tuple is the "ideal document" for
-// the situated user (van Bunningen et al., ICDE 2007, §3). Three rankers
-// share the same semantics:
+// the situated user (van Bunningen et al., ICDE 2007, §3). It holds the
+// semantics and its compiled form:
 //
 //   - NaiveRanker evaluates the §3.3 formula literally — a double sum over
 //     all combinations of context-feature and document-feature states —
 //     and serves as the executable reference semantics (exponential in the
 //     number of rules by construction).
-//   - ViewRanker is the paper's §5 implementation: it compiles a "big
-//     preference view" into the embedded SQL engine, whose defining
-//     expression doubles in size with every rule, and answers the user
-//     query by joining against that view. This is the ranker whose
-//     exponential query time reproduces the paper's bottleneck.
-//   - FactorizedRanker is the §6 "Performance" extension: it prunes rules
-//     whose context cannot apply, partitions the remaining rules into
-//     correlation clusters via the event space's independence structure,
-//     enumerates states only within clusters, and multiplies cluster
-//     factors — linear in the number of mutually independent rules while
-//     returning exactly the same scores.
+//   - Plan is the §6 "Performance" extension, compiled once per user, rule
+//     set and context: it prunes rules whose context cannot apply,
+//     partitions the remaining rules into correlation clusters via the
+//     event space's independence structure, enumerates states only within
+//     clusters, and multiplies cluster factors — linear in the number of
+//     mutually independent rules while returning exactly the same scores.
+//     Rank compiles one for a single request.
+//
+// GroupRank and SmoothedScore are the §6 features built on those scores.
+// The §5 "big preference view" the paper measures lives with the
+// experiments (internal/experiments), not here: core reaches no SQL.
 package core
 
 import (
@@ -104,54 +104,44 @@ func (rc RuleContribution) String() string {
 		rc.Rule, rc.ContextProb, rc.MemberProb, rc.Sigma, rc.Factor)
 }
 
-// Ranker scores candidates for a situated user.
-type Ranker interface {
-	// Rank returns candidates ordered by descending score (ties broken by
-	// ID for determinism), filtered by the request's threshold and limit.
-	Rank(req Request) ([]Result, error)
-	// Name identifies the ranker in benchmarks and explanations.
-	Name() string
-}
-
-// ruleState carries the per-request resolved events for one rule.
-type ruleState struct {
-	rule   prefs.Rule
-	ctxEv  *event.Expr // event "rule context applies to the user"
-	docEvs map[string]*event.Expr
-}
-
-// resolve compiles every rule's context and preference views and fetches
-// the relevant events: the user's membership event in each context and
-// every candidate's membership event in each preference.
-func resolve(l *mapping.Loader, req Request) (candidates []string, states []*ruleState, err error) {
+// Resolve fetches the events a state-enumerating rank needs — the naive
+// reference here, the Monte Carlo ranker of the experiments: the sorted
+// candidates, every rule's context event for the user (ctxEvs[i] for rule
+// i) and every candidate's membership event in every rule's preference
+// (docEvs[c][i] for candidate c), ⊥ outside it. Each rule is validated on
+// the way.
+func Resolve(l *mapping.Loader, req Request) (candidates []string, ctxEvs []*event.Expr, docEvs [][]*event.Expr, err error) {
 	candidates, err = resolveCandidates(l, req.User, req.PlanRequest)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	states = make([]*ruleState, 0, len(req.Rules))
-	for _, rule := range req.Rules {
+	k := len(req.Rules)
+	ctxEvs = make([]*event.Expr, k)
+	docEvs = make([][]*event.Expr, len(candidates))
+	all := make([]*event.Expr, len(candidates)*k)
+	for c := range docEvs {
+		docEvs[c] = all[c*k : (c+1)*k : (c+1)*k]
+	}
+	for i, rule := range req.Rules {
 		if err := rule.Validate(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		ctxEv, err := l.MembershipEvent(rule.Context, req.User)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: rule %s context: %w", rule.Name, err)
+		if ctxEvs[i], err = l.MembershipEvent(rule.Context, req.User); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: rule %s context: %w", rule.Name, err)
 		}
 		prefMembers, err := l.Members(rule.Preference)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
+			return nil, nil, nil, fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
 		}
-		docEvs := make(map[string]*event.Expr, len(candidates))
-		for _, id := range candidates {
-			if ev, ok := prefMembers.Events[id]; ok {
-				docEvs[id] = ev
-			} else {
-				docEvs[id] = event.False()
+		for c, id := range candidates {
+			ev, ok := prefMembers.Events[id]
+			if !ok {
+				ev = event.False()
 			}
+			docEvs[c][i] = ev
 		}
-		states = append(states, &ruleState{rule: rule, ctxEv: ctxEv, docEvs: docEvs})
 	}
-	return candidates, states, nil
+	return candidates, ctxEvs, docEvs, nil
 }
 
 // resolveCandidates determines the sorted, deduplicated candidate ids of a
@@ -200,11 +190,12 @@ func ResolveTarget(l *mapping.Loader, target *dl.Expr) (*mapping.Membership, err
 	return m, nil
 }
 
-// finalize sorts, thresholds and truncates results. TopK and Limit both
-// keep a prefix of the sorted order, so here they collapse to the smaller
-// positive bound — the plan path gets the same semantics from its bounded
-// heap without sorting the whole catalog.
-func finalize(req Request, results []Result) []Result {
+// Finalize sorts, thresholds and truncates the results of a rank that
+// scored every candidate. TopK and Limit both keep a prefix of the sorted
+// order, so here they collapse to the smaller positive bound — the plan path
+// gets the same semantics from its bounded heap without sorting the whole
+// catalog.
+func Finalize(req Request, results []Result) []Result {
 	slices.SortFunc(results, compareResults)
 	if req.Threshold > 0 {
 		kept := results[:0]
@@ -231,26 +222,27 @@ func (req PlanRequest) keep() int {
 	return max(k, 0)
 }
 
-// explain builds the per-rule contribution trace for one candidate.
-func explain(space *event.Space, states []*ruleState, id string) (*Explanation, error) {
+// explain builds the per-rule contribution trace for one candidate from
+// the rules' context events and the candidate's membership events.
+func explain(space *event.Space, rules []prefs.Rule, ctxEvs, docEvs []*event.Expr) (*Explanation, error) {
 	ex := &Explanation{}
-	for _, st := range states {
-		pCtx, err := space.Prob(st.ctxEv)
+	for i, rule := range rules {
+		pCtx, err := space.Prob(ctxEvs[i])
 		if err != nil {
 			return nil, err
 		}
 		if pCtx == 0 {
-			ex.Rules = append(ex.Rules, RuleContribution{Rule: st.rule.Name, Sigma: st.rule.Sigma, Pruned: true, Factor: 1})
+			ex.Rules = append(ex.Rules, RuleContribution{Rule: rule.Name, Sigma: rule.Sigma, Pruned: true, Factor: 1})
 			continue
 		}
-		pDoc, err := space.Prob(st.docEvs[id])
+		pDoc, err := space.Prob(docEvs[i])
 		if err != nil {
 			return nil, err
 		}
-		s := st.rule.Sigma
+		s := rule.Sigma
 		factor := pCtx*(pDoc*s+(1-pDoc)*(1-s)) + (1 - pCtx)
 		ex.Rules = append(ex.Rules, RuleContribution{
-			Rule:        st.rule.Name,
+			Rule:        rule.Name,
 			ContextProb: pCtx,
 			MemberProb:  pDoc,
 			Sigma:       s,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,28 +74,38 @@ var wantTable1 = map[string]float64{
 	"MPFS":         0.02,
 }
 
-func rankers(l *mapping.Loader) []Ranker {
-	return []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l), NewViewRanker(l)}
+// namedRanker is one of core's two rankers under the name a failure
+// reports: the naive reference and the compiled plan (Rank).
+type namedRanker struct {
+	name string
+	rank func(Request) ([]Result, error)
+}
+
+func rankers(l *mapping.Loader) []namedRanker {
+	return []namedRanker{
+		{"naive", NewNaiveRanker(l).Rank},
+		{"factorized", func(req Request) ([]Result, error) { return Rank(l, req) }},
+	}
 }
 
 func TestPaperWorkedExampleAllRankers(t *testing.T) {
 	l := paperSetup(t)
 	for _, r := range rankers(l) {
-		results, err := r.Rank(paperRequest(t))
+		results, err := r.rank(paperRequest(t))
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if len(results) != 4 {
-			t.Fatalf("%s: got %d results", r.Name(), len(results))
+			t.Fatalf("%s: got %d results", r.name, len(results))
 		}
 		// Ranking order matches the paper.
 		wantOrder := []string{"Channel5News", "BBCNews", "Oprah", "MPFS"}
 		for i, id := range wantOrder {
 			if results[i].ID != id {
-				t.Fatalf("%s: rank %d = %s, want %s", r.Name(), i, results[i].ID, id)
+				t.Fatalf("%s: rank %d = %s, want %s", r.name, i, results[i].ID, id)
 			}
 			if math.Abs(results[i].Score-wantTable1[id]) > 1e-9 {
-				t.Fatalf("%s: score(%s) = %.6f, want %.4f", r.Name(), id, results[i].Score, wantTable1[id])
+				t.Fatalf("%s: score(%s) = %.6f, want %.4f", r.name, id, results[i].Score, wantTable1[id])
 			}
 		}
 	}
@@ -106,12 +117,12 @@ func TestThresholdMatchesIntroQuery(t *testing.T) {
 	for _, r := range rankers(l) {
 		req := paperRequest(t)
 		req.Threshold = 0.5
-		results, err := r.Rank(req)
+		results, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if len(results) != 1 || results[0].ID != "Channel5News" {
-			t.Fatalf("%s: results = %v", r.Name(), results)
+			t.Fatalf("%s: results = %v", r.name, results)
 		}
 	}
 }
@@ -121,12 +132,12 @@ func TestLimit(t *testing.T) {
 	for _, r := range rankers(l) {
 		req := paperRequest(t)
 		req.Limit = 2
-		results, err := r.Rank(req)
+		results, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if len(results) != 2 || results[0].ID != "Channel5News" || results[1].ID != "BBCNews" {
-			t.Fatalf("%s: results = %v", r.Name(), results)
+			t.Fatalf("%s: results = %v", r.name, results)
 		}
 	}
 }
@@ -136,13 +147,13 @@ func TestNoRulesScoresOne(t *testing.T) {
 	// "ideal" with probability 1 — the degenerate case §4.1 warns about.
 	l := paperSetup(t)
 	for _, r := range rankers(l) {
-		results, err := r.Rank(Request{User: "peter", PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
+		results, err := r.rank(Request{User: "peter", PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		for _, res := range results {
 			if math.Abs(res.Score-1) > 1e-9 {
-				t.Fatalf("%s: score = %v", r.Name(), res)
+				t.Fatalf("%s: score = %v", r.name, res)
 			}
 		}
 	}
@@ -158,13 +169,13 @@ func TestInapplicableRulePrunedToFactorOne(t *testing.T) {
 	rules := append(paperRules(t),
 		prefs.MustParseRule("RULE R3 WHEN Workday PREFER TvProgram WITH 0.99"))
 	for _, r := range rankers(l) {
-		results, err := r.Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
+		results, err := r.rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		for _, res := range results {
 			if math.Abs(res.Score-wantTable1[res.ID]) > 1e-9 {
-				t.Fatalf("%s: score(%s) = %g, want %g", r.Name(), res.ID, res.Score, wantTable1[res.ID])
+				t.Fatalf("%s: score(%s) = %g, want %g", r.name, res.ID, res.Score, wantTable1[res.ID])
 			}
 		}
 	}
@@ -174,23 +185,23 @@ func TestDefaultRuleAppliesAlways(t *testing.T) {
 	l := paperSetup(t)
 	rules := []prefs.Rule{prefs.MustParseRule("RULE D WHEN TOP PREFER TvProgram AND EXISTS hasSubject.{News} WITH 0.9")}
 	for _, r := range rankers(l) {
-		results, err := r.Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
+		results, err := r.rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		scores := map[string]float64{}
 		for _, res := range results {
 			scores[res.ID] = res.Score
 		}
 		if math.Abs(scores["BBCNews"]-0.9) > 1e-9 {
-			t.Fatalf("%s: BBCNews = %g, want 0.9", r.Name(), scores["BBCNews"])
+			t.Fatalf("%s: BBCNews = %g, want 0.9", r.name, scores["BBCNews"])
 		}
 		if math.Abs(scores["MPFS"]-0.1) > 1e-9 {
-			t.Fatalf("%s: MPFS = %g, want 0.1", r.Name(), scores["MPFS"])
+			t.Fatalf("%s: MPFS = %g, want 0.1", r.name, scores["MPFS"])
 		}
 		// Channel5News: 0.85·0.9 + 0.15·0.1 = 0.78.
 		if math.Abs(scores["Channel5News"]-0.78) > 1e-9 {
-			t.Fatalf("%s: Channel5News = %g, want 0.78", r.Name(), scores["Channel5News"])
+			t.Fatalf("%s: Channel5News = %g, want 0.78", r.name, scores["Channel5News"])
 		}
 	}
 }
@@ -205,9 +216,9 @@ func TestUncertainContextConsistency(t *testing.T) {
 	req := paperRequest(t)
 	var base []Result
 	for i, r := range rankers(l) {
-		results, err := r.Rank(req)
+		results, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if i == 0 {
 			base = results
@@ -215,7 +226,7 @@ func TestUncertainContextConsistency(t *testing.T) {
 		}
 		for j := range results {
 			if results[j].ID != base[j].ID || math.Abs(results[j].Score-base[j].Score) > 1e-9 {
-				t.Fatalf("%s disagrees with %s: %v vs %v", r.Name(), rankers(l)[0].Name(), results[j], base[j])
+				t.Fatalf("%s disagrees with %s: %v vs %v", r.name, rankers(l)[0].name, results[j], base[j])
 			}
 		}
 	}
@@ -253,12 +264,12 @@ func TestDisjointFeaturesViaExclusiveEvents(t *testing.T) {
 	// neither (0.1): 0.2·0.4.
 	want := 0.5*0.8*0.4 + 0.4*0.2*0.6 + 0.1*0.2*0.4
 	for _, r := range rankers(l) {
-		results, err := r.Rank(req)
+		results, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if len(results) != 1 || math.Abs(results[0].Score-want) > 1e-9 {
-			t.Fatalf("%s: results = %v, want score %g", r.Name(), results, want)
+			t.Fatalf("%s: results = %v, want score %g", r.name, results, want)
 		}
 	}
 }
@@ -268,13 +279,13 @@ func TestExplanations(t *testing.T) {
 	for _, r := range rankers(l) {
 		req := paperRequest(t)
 		req.Explain = true
-		results, err := r.Rank(req)
+		results, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		for _, res := range results {
 			if res.Explanation == nil || len(res.Explanation.Rules) != 2 {
-				t.Fatalf("%s: explanation missing on %v", r.Name(), res)
+				t.Fatalf("%s: explanation missing on %v", r.name, res)
 			}
 		}
 		// Channel5News contributions: R1 factor 0.95·0.8+0.05·0.2 = 0.77,
@@ -282,10 +293,10 @@ func TestExplanations(t *testing.T) {
 		top := results[0]
 		f1, f2 := top.Explanation.Rules[0].Factor, top.Explanation.Rules[1].Factor
 		if math.Abs(f1*f2-0.6006) > 1e-9 {
-			t.Fatalf("%s: factors %g·%g != 0.6006", r.Name(), f1, f2)
+			t.Fatalf("%s: factors %g·%g != 0.6006", r.name, f1, f2)
 		}
 		if top.Explanation.Rules[0].String() == "" {
-			t.Fatalf("%s: empty contribution string", r.Name())
+			t.Fatalf("%s: empty contribution string", r.name)
 		}
 	}
 }
@@ -293,24 +304,24 @@ func TestExplanations(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	l := paperSetup(t)
 	for _, r := range rankers(l) {
-		if _, err := r.Rank(Request{PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
-			t.Fatalf("%s: missing user accepted", r.Name())
+		if _, err := r.rank(Request{PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
+			t.Fatalf("%s: missing user accepted", r.name)
 		}
-		if _, err := r.Rank(Request{User: "peter"}); err == nil {
-			t.Fatalf("%s: missing target accepted", r.Name())
+		if _, err := r.rank(Request{User: "peter"}); err == nil {
+			t.Fatalf("%s: missing target accepted", r.name)
 		}
 		bad := Request{
 			User:        "peter",
 			Rules:       []prefs.Rule{{Name: "bad", Context: dl.Top(), Preference: dl.Atom("TvProgram"), Sigma: 2}},
 			PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")},
 		}
-		if _, err := r.Rank(bad); err == nil {
-			t.Fatalf("%s: invalid sigma accepted", r.Name())
+		if _, err := r.rank(bad); err == nil {
+			t.Fatalf("%s: invalid sigma accepted", r.name)
 		}
 	}
 }
 
-// TestRankersAgreeOnRandomInstances cross-validates the three rankers on
+// TestRankersAgreeOnRandomInstances cross-validates the two rankers on
 // randomized small instances: random feature probabilities, random σ,
 // uncertain context.
 func TestRankersAgreeOnRandomInstances(t *testing.T) {
@@ -354,9 +365,9 @@ func TestRankersAgreeOnRandomInstances(t *testing.T) {
 		req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
 		var base []Result
 		for i, r := range rankers(l) {
-			results, err := r.Rank(req)
+			results, err := r.rank(req)
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, r.Name(), err)
+				t.Fatalf("trial %d %s: %v", trial, r.name, err)
 			}
 			if i == 0 {
 				base = results
@@ -365,7 +376,7 @@ func TestRankersAgreeOnRandomInstances(t *testing.T) {
 			for j := range results {
 				if results[j].ID != base[j].ID || math.Abs(results[j].Score-base[j].Score) > 1e-9 {
 					t.Fatalf("trial %d: %s disagrees at %d: %v vs %v",
-						trial, r.Name(), j, results[j], base[j])
+						trial, r.name, j, results[j], base[j])
 				}
 			}
 		}
@@ -408,26 +419,9 @@ func TestNaiveRankerRuleCap(t *testing.T) {
 			Preference: dl.Atom("TvProgram"), Sigma: 0.5,
 		})
 	}
-	if _, err := NewNaiveRanker(l).Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
-		t.Fatal("rule cap not enforced")
-	}
-}
-
-func TestViewRankerBuildSeparately(t *testing.T) {
-	l := paperSetup(t)
-	vr := NewViewRanker(l)
-	name, err := vr.BuildPreferenceView(paperRequest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.DB().HasView(name) {
-		t.Fatalf("view %s not registered", name)
-	}
-	res, err := l.DB().Query("SELECT id, score FROM " + name + " ORDER BY score DESC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 || math.Abs(res.Rows[0][1].F-0.6006) > 1e-9 {
-		t.Fatalf("rows = %v", res.Rows)
+	_, err := NewNaiveRanker(l).Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}})
+	var costly *TooCostlyError
+	if !errors.As(err, &costly) {
+		t.Fatalf("rule cap not enforced as too costly: %v", err)
 	}
 }

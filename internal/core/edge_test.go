@@ -37,7 +37,7 @@ func TestCorrelatedPreferencesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fact, err := NewFactorizedRanker(l).Rank(req)
+	fact, err := Rank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCorrelatedPreferencesCluster(t *testing.T) {
 // event coincide. The paper's formula treats the context-state and
 // document-state distributions as independent (P(g)·P(f), §3.3) — document
 // features doubling as context features is explicitly out of scope (§3.2)
-// — so every ranker must marginalize the shared event and produce
+// — so both rankers must marginalize the shared event and produce
 // 0.5·(0.5·0.8 + 0.5·0.2) + 0.5·1 = 0.75.
 func TestContextDocCorrelation(t *testing.T) {
 	db := engine.New()
@@ -80,41 +80,12 @@ func TestContextDocCorrelation(t *testing.T) {
 	if math.Abs(naive[0].Score-0.75) > 1e-9 {
 		t.Fatalf("naive = %g, want 0.75", naive[0].Score)
 	}
-	fact, err := NewFactorizedRanker(l).Rank(req)
+	fact, err := Rank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(fact[0].Score-0.75) > 1e-9 {
 		t.Fatalf("factorized = %g, want 0.75", fact[0].Score)
-	}
-	view, err := NewViewRanker(l).Rank(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(view[0].Score-0.75) > 1e-9 {
-		t.Fatalf("view = %g, want 0.75", view[0].Score)
-	}
-	sampled, err := NewSampledRanker(l, 50000, 3).Rank(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sampled[0].Score-0.75) > 0.01 {
-		t.Fatalf("sampled = %g, want ≈0.75", sampled[0].Score)
-	}
-}
-
-func TestViewRankerRuleCap(t *testing.T) {
-	l := paperSetup(t)
-	var rules []prefs.Rule
-	for i := 0; i < 11; i++ {
-		rules = append(rules, prefs.Rule{
-			Name: "R" + string(rune('a'+i)), Context: dl.Top(),
-			Preference: dl.Atom("TvProgram"), Sigma: 0.5,
-		})
-	}
-	vr := NewViewRanker(l)
-	if _, err := vr.Rank(Request{User: "peter", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
-		t.Fatal("view rule cap not enforced")
 	}
 }
 
@@ -123,20 +94,14 @@ func TestCandidatesOverrideTarget(t *testing.T) {
 	req := paperRequest(t)
 	req.Target = nil
 	req.Candidates = []string{"BBCNews", "MPFS", "BBCNews"} // dup removed
-	for _, r := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l), NewSampledRanker(l, 2000, 1)} {
-		results, err := r.Rank(req)
+	for _, r := range rankers(l) {
+		results, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if len(results) != 2 || results[0].ID != "BBCNews" {
-			t.Fatalf("%s: results = %v", r.Name(), results)
+			t.Fatalf("%s: results = %v", r.name, results)
 		}
-	}
-	// The view ranks the target concept's view; a candidate list it would
-	// ignore is refused, with or without a target beside it.
-	req.Target = dl.Atom("TvProgram")
-	if _, err := NewViewRanker(l).Rank(req); err == nil {
-		t.Fatal("view ranker accepted a candidate list")
 	}
 	req.Target, req.Candidates = nil, nil
 	if _, err := NewNaiveRanker(l).Rank(req); err == nil {
@@ -150,7 +115,7 @@ func TestCandidatesOutsideEveryPreference(t *testing.T) {
 	req := paperRequest(t)
 	req.Target = nil
 	req.Candidates = []string{"martian"}
-	results, err := NewFactorizedRanker(l).Rank(req)
+	results, err := Rank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +126,7 @@ func TestCandidatesOutsideEveryPreference(t *testing.T) {
 }
 
 // TestZeroScoresKeptByEveryRanker: Threshold 0 keeps all, so a document that
-// scores 0 is ranked by the view ranker too, as by the naive and factorized
-// ones. Rule Ctx → F with σ = 1 under a certain context scores a ∈ F 1 and
+// scores 0 is ranked by the naive and the factorized ranker. Rule Ctx → F with σ = 1 under a certain context scores a ∈ F 1 and
 // b ∉ F 0.
 func TestZeroScoresKeptByEveryRanker(t *testing.T) {
 	db := engine.New()
@@ -175,13 +139,13 @@ func TestZeroScoresKeptByEveryRanker(t *testing.T) {
 	situation.New("u").Certain("Ctx").Apply(l)
 	rules := []prefs.Rule{{Name: "r", Context: dl.Atom("Ctx"), Preference: dl.Atom("F"), Sigma: 1}}
 	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}
-	for _, r := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l), NewViewRanker(l)} {
-		got, err := r.Rank(req)
+	for _, r := range rankers(l) {
+		got, err := r.rank(req)
 		if err != nil {
-			t.Fatalf("%s: %v", r.Name(), err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if len(got) != 2 || got[0].ID != "a" || got[0].Score != 1 || got[1].ID != "b" || got[1].Score != 0 {
-			t.Errorf("%s = %+v, want [a 1, b 0]", r.Name(), got)
+			t.Errorf("%s = %+v, want [a 1, b 0]", r.name, got)
 		}
 	}
 }

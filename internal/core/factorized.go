@@ -8,8 +8,8 @@ import (
 	"repro/internal/mapping"
 )
 
-// FactorizedRanker is the §6 "Performance" extension. It computes the same
-// expectation as NaiveRanker,
+// Rank is the §6 "Performance" extension for one request. It computes the
+// same expectation as NaiveRanker,
 //
 //	score(d) = E[ Π_i ((1−C_i) + C_i · (σ_i X_i + (1−σ_i)(1−X_i))) ],
 //
@@ -26,8 +26,8 @@ import (
 //     cluster of m rules); a fully independent rule forms a singleton
 //     cluster whose factor costs O(1).
 //
-// Since the 2007 reproduction's first serving PRs, Rank is implemented by
-// compiling a Plan (see plan.go): pruning, clustering and the context-state
+// It compiles a Plan (see plan.go) for the request's user and rules and
+// ranks the request against it: pruning, clustering and the context-state
 // distributions depend only on the user's context and the rule set, so they
 // are resolved once per request instead of once per candidate, and only the
 // document-side distribution is evaluated per candidate. With mutually
@@ -35,34 +35,7 @@ import (
 // are distinct — the per-candidate cost is linear in the number of rules
 // while the scores are bit-identical to the reference semantics up to
 // floating-point association order.
-type FactorizedRanker struct {
-	loader *mapping.Loader
-}
-
-// NewFactorizedRanker builds the optimized ranker over the loader.
-func NewFactorizedRanker(l *mapping.Loader) *FactorizedRanker {
-	return &FactorizedRanker{loader: l}
-}
-
-// Name implements Ranker.
-func (r *FactorizedRanker) Name() string { return "factorized" }
-
-// maxClusterRules bounds exact within-cluster enumeration. Plan compilation
-// applies the bound to the footprint (candidate-independent) partition,
-// which can be coarser than the per-candidate one: two rules whose
-// preferences share an event for *any* document land in one cluster for
-// every document.
-const maxClusterRules = 16
-
-// ErrClusterBound marks a correlation cluster too large to enumerate
-// exactly. Only a *single candidate's* cluster past the bound fails with it:
-// when the coarse footprint partition exceeds the bound, the plan scores in
-// per-candidate mode instead (see Plan).
-var ErrClusterBound = errors.New("exceeds the exact-enumeration bound")
-
-// Rank implements Ranker by compiling a Plan for the request's user and
-// rules and ranking the request against it.
-func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
+func Rank(l *mapping.Loader, req Request) ([]Result, error) {
 	// An explicit candidate list restricts the footprint partition to those
 	// candidates' events: the plan lives for this request only, and walking
 	// the whole catalog's membership events to rank three candidates would
@@ -74,12 +47,38 @@ func (r *FactorizedRanker) Rank(req Request) ([]Result, error) {
 			only[id] = true
 		}
 	}
-	plan, err := compilePlan(r.loader, req.User, req.Rules, only)
+	plan, err := compilePlan(l, req.User, req.Rules, only)
 	if err != nil {
 		return nil, err
 	}
 	return plan.Rank(req.PlanRequest)
 }
+
+// maxClusterRules bounds exact within-cluster enumeration. Plan compilation
+// applies the bound to the footprint (candidate-independent) partition,
+// which can be coarser than the per-candidate one: two rules whose
+// preferences share an event for *any* document land in one cluster for
+// every document.
+const maxClusterRules = 16
+
+// ErrClusterBound marks a correlation cluster too large to enumerate
+// exactly. Only a *single candidate's* cluster past the bound fails with it:
+// when the coarse footprint partition exceeds the bound, the plan scores in
+// per-candidate mode instead (see Plan). It reaches the caller inside a
+// TooCostlyError.
+var ErrClusterBound = errors.New("exceeds the exact-enumeration bound")
+
+// TooCostlyError refuses a valid request that core will not compute
+// exactly, because the work it needs is past a bound: a candidate's
+// correlation cluster past maxClusterRules (Err wraps ErrClusterBound), or
+// a naive rank past its rule cap or state budget. Err says which bound.
+type TooCostlyError struct {
+	Err error
+}
+
+func (e *TooCostlyError) Error() string { return "core: " + e.Err.Error() }
+
+func (e *TooCostlyError) Unwrap() error { return e.Err }
 
 // scorePerCandidate is the plan's per-candidate scoring mode (and, through
 // perCandidatePlan, the equivalence tests' second executable reference): it
@@ -217,7 +216,7 @@ func clusterFactor(space *event.Space, cluster []*planRule, id string) (float64,
 		return (1 - pC) + pC*(s*pX+(1-s)*(1-pX)), nil
 	}
 	if m > maxClusterRules {
-		return 0, fmt.Errorf("core: correlation cluster of %d rules %w %d", m, ErrClusterBound, maxClusterRules)
+		return 0, &TooCostlyError{Err: fmt.Errorf("correlation cluster of %d rules %w %d", m, ErrClusterBound, maxClusterRules)}
 	}
 	// Pre-compute the context-state and document-state distributions.
 	ctxProbs := make([]float64, 1<<m)

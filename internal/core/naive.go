@@ -28,33 +28,33 @@ type NaiveRanker struct {
 // NewNaiveRanker builds an unbounded reference ranker over the loader.
 func NewNaiveRanker(l *mapping.Loader) *NaiveRanker { return &NaiveRanker{loader: l} }
 
-// Name implements Ranker.
-func (r *NaiveRanker) Name() string { return "naive" }
-
-// Rank implements Ranker.
+// Rank returns the request's candidates ordered by descending score (ties
+// broken by ID), filtered by its threshold and limit. A rank past 20 rules
+// or past the state budget fails with a TooCostlyError before any
+// probability is computed.
 func (r *NaiveRanker) Rank(req Request) ([]Result, error) {
-	candidates, states, err := resolve(r.loader, req)
+	candidates, ctxEvs, docEvs, err := Resolve(r.loader, req)
 	if err != nil {
 		return nil, err
 	}
 	space := r.loader.DB().Space()
-	k := len(states)
+	k := len(ctxEvs)
 	if k > 20 {
-		return nil, fmt.Errorf("core: naive ranker limited to 20 rules (Θ(4^k) double enumeration of context- and document-feature states), got %d", k)
+		return nil, &TooCostlyError{Err: fmt.Errorf("naive ranker limited to 20 rules (Θ(4^k) double enumeration of context- and document-feature states), got %d", k)}
 	}
 	if n := (1 << k) * (len(candidates) + 1); r.StateBudget > 0 && n > r.StateBudget {
-		return nil, fmt.Errorf("core: naive ranker over %d rules and %d candidates enumerates %d states, past its budget of %d", k, len(candidates), n, r.StateBudget)
+		return nil, &TooCostlyError{Err: fmt.Errorf("naive ranker over %d rules and %d candidates enumerates %d states, past its budget of %d", k, len(candidates), n, r.StateBudget)}
 	}
 
 	// Pre-compute the probability of every context-feature state g ⊆ rules.
 	ctxProbs := make([]float64, 1<<k)
 	for mask := 0; mask < 1<<k; mask++ {
 		conj := make([]*event.Expr, k)
-		for i, st := range states {
+		for i, ev := range ctxEvs {
 			if mask&(1<<i) != 0 {
-				conj[i] = st.ctxEv
+				conj[i] = ev
 			} else {
-				conj[i] = event.Not(st.ctxEv)
+				conj[i] = event.Not(ev)
 			}
 		}
 		p, err := space.Prob(event.And(conj...))
@@ -65,16 +65,16 @@ func (r *NaiveRanker) Rank(req Request) ([]Result, error) {
 	}
 
 	results := make([]Result, 0, len(candidates))
-	for _, id := range candidates {
+	for c, id := range candidates {
 		// Probability of every document-feature state f ⊆ rules for d.
 		docProbs := make([]float64, 1<<k)
 		for mask := 0; mask < 1<<k; mask++ {
 			conj := make([]*event.Expr, k)
-			for i, st := range states {
+			for i, ev := range docEvs[c] {
 				if mask&(1<<i) != 0 {
-					conj[i] = st.docEvs[id]
+					conj[i] = ev
 				} else {
-					conj[i] = event.Not(st.docEvs[id])
+					conj[i] = event.Not(ev)
 				}
 			}
 			p, err := space.Prob(event.And(conj...))
@@ -95,14 +95,14 @@ func (r *NaiveRanker) Rank(req Request) ([]Result, error) {
 					continue
 				}
 				prod := 1.0
-				for i, st := range states {
+				for i, rule := range req.Rules {
 					if g&(1<<i) == 0 {
 						continue // g ∉ g: factor 1
 					}
 					if f&(1<<i) != 0 {
-						prod *= st.rule.Sigma
+						prod *= rule.Sigma
 					} else {
-						prod *= 1 - st.rule.Sigma
+						prod *= 1 - rule.Sigma
 					}
 				}
 				inner += docProbs[f] * prod
@@ -112,12 +112,12 @@ func (r *NaiveRanker) Rank(req Request) ([]Result, error) {
 
 		res := Result{ID: id, Score: score}
 		if req.Explain {
-			res.Explanation, err = explain(space, states, id)
+			res.Explanation, err = explain(space, req.Rules, ctxEvs, docEvs[c])
 			if err != nil {
 				return nil, err
 			}
 		}
 		results = append(results, res)
 	}
-	return finalize(req, results), nil
+	return Finalize(req, results), nil
 }

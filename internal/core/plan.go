@@ -140,8 +140,8 @@ type planCluster struct {
 // conjunction buffers, the result accumulator, the top-k heap — so a
 // caller ranking in a loop allocates nothing per call. A scratch is
 // single-goroutine state: use one per goroutine (Plan itself stays safe
-// for concurrent use). Results returned by RankInto alias the scratch and
-// are valid until its next use.
+// for concurrent use). Plan.Rank and Plan.Explain draw one from an internal
+// pool; ScoreWith takes the caller's, whose zero value is ready to use.
 type PlanScratch struct {
 	results []Result
 	// Per multi-rule cluster (parallel to Plan.multi): the rank's joint tables.
@@ -159,11 +159,6 @@ type PlanScratch struct {
 	derived []float64
 	evs     []*event.Expr
 }
-
-// NewPlanScratch returns an empty scratch arena. Plan.Rank and Plan.Score
-// draw from an internal pool automatically; allocate explicitly only for
-// the zero-allocation RankInto path.
-func NewPlanScratch() *PlanScratch { return &PlanScratch{} }
 
 // Hot-path effectiveness counters, process-global like runtime metrics:
 // plans come and go through caches, so per-plan counts cannot be
@@ -436,17 +431,11 @@ func (p *Plan) ActiveRules() int {
 	return n
 }
 
-// Score computes the candidate's ideal-document probability under the
-// plan's compiled rule set: only the document side is read here, the context
-// side was resolved at compile time.
-func (p *Plan) Score(id string) (float64, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return p.ScoreWith(sc, id)
-}
-
-// ScoreWith is Score with a caller-owned scratch arena, for scoring loops
-// that must not allocate. The scratch must not be shared across goroutines.
+// ScoreWith computes the candidate's ideal-document probability under the
+// plan's compiled rule set, in a caller-owned scratch arena, for scoring
+// loops that must not allocate: only the document side is read here, the
+// context side was resolved at compile time. The scratch must not be shared
+// across goroutines.
 func (p *Plan) ScoreWith(sc *PlanScratch, id string) (float64, error) {
 	docs, err := p.docProbs(sc, 1)
 	if err != nil {
@@ -653,9 +642,8 @@ func compareResults(a, b Result) int {
 }
 
 // Rank scores the request's candidates with the compiled plan and returns
-// them ordered, thresholded and truncated exactly like Ranker.Rank. The
-// returned slice is freshly allocated and owned by the caller; loops that
-// must not allocate use RankInto.
+// them ordered, thresholded and truncated exactly like NaiveRanker.Rank. The
+// returned slice is freshly allocated and owned by the caller.
 func (p *Plan) Rank(req PlanRequest) ([]Result, error) {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -668,17 +656,9 @@ func (p *Plan) Rank(req PlanRequest) ([]Result, error) {
 	return out, nil
 }
 
-// RankInto is Rank with a caller-owned scratch arena: with a warm
-// document-distribution cache the whole call performs zero allocations.
-// The returned results alias the scratch and are valid until its next
-// use; the scratch must not be shared across goroutines.
-func (p *Plan) RankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
-	if sc == nil {
-		return nil, fmt.Errorf("core: rank with a nil scratch")
-	}
-	return p.rankInto(sc, req)
-}
-
+// rankInto is Rank in the caller's scratch arena: with a warm document side
+// the whole call performs zero allocations. The returned results alias the
+// scratch and are valid until its next use.
 func (p *Plan) rankInto(sc *PlanScratch, req PlanRequest) ([]Result, error) {
 	if req.TopK < 0 {
 		return nil, fmt.Errorf("core: top-k must be positive (got %d)", req.TopK)

@@ -104,15 +104,15 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc := NewPlanScratch()
+			sc := &PlanScratch{}
 			req := PlanRequest{Target: dl.Atom("TvProgram")}
-			if _, err := plan.RankInto(sc, req); err != nil {
+			if _, err := plan.rankInto(sc, req); err != nil {
 				b.Fatal(err) // size the scratch
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := plan.RankInto(sc, req)
+				res, err := plan.rankInto(sc, req)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -140,15 +140,15 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc := NewPlanScratch()
+			sc := &PlanScratch{}
 			req := PlanRequest{Target: target, TopK: 10}
-			if _, err := plan.RankInto(sc, req); err != nil {
+			if _, err := plan.rankInto(sc, req); err != nil {
 				b.Fatal(err) // size the scratch
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := plan.RankInto(sc, req)
+				res, err := plan.rankInto(sc, req)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -341,8 +341,8 @@ func BenchmarkPlanRankTopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := NewPlanScratch()
-	if _, err := plan.RankInto(sc, PlanRequest{Target: dl.Atom("TvProgram")}); err != nil {
+	sc := &PlanScratch{}
+	if _, err := plan.rankInto(sc, PlanRequest{Target: dl.Atom("TvProgram")}); err != nil {
 		b.Fatal(err) // size the scratch
 	}
 	for _, bench := range []struct {
@@ -358,7 +358,7 @@ func BenchmarkPlanRankTopK(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := plan.RankInto(sc, req)
+				res, err := plan.rankInto(sc, req)
 				if err != nil {
 					b.Fatal(err)
 				}

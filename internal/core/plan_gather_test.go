@@ -77,13 +77,13 @@ func rowByRowRank(t *testing.T, p *Plan, req PlanRequest) []Result {
 	return out
 }
 
-// assertRowByRow ranks req against the plan — RankInto with a reused scratch,
+// assertRowByRow ranks req against the plan — rankInto with a reused scratch,
 // and ScoreWith per candidate — and fails unless every result is the
 // reference's, score for score with !=.
 func assertRowByRow(t *testing.T, label string, p *Plan, sc *PlanScratch, req PlanRequest) {
 	t.Helper()
 	want := rowByRowRank(t, p, req)
-	got, err := p.RankInto(sc, req)
+	got, err := p.rankInto(sc, req)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -123,7 +123,7 @@ func rankShapes(target *dl.Expr, candidates []string, threshold float64) []PlanR
 // and on a catalog of feature-identical documents whose equal scores straddle
 // the top-k boundary.
 func TestRankMatchesRowByRowReference(t *testing.T) {
-	sc := NewPlanScratch()
+	sc := &PlanScratch{}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -208,7 +208,7 @@ func TestRankMatchesRowByRowReference(t *testing.T) {
 			}
 			for _, req := range rankShapes(nil, subset, 0.3) {
 				assertRowByRow(t, fmt.Sprintf("seed %d restricted %+v", seed, req), restricted, sc, req)
-				viaRanker, err := NewFactorizedRanker(l).Rank(Request{User: "u", Rules: rules, PlanRequest: req})
+				viaRanker, err := Rank(l, Request{User: "u", Rules: rules, PlanRequest: req})
 				must(err)
 				if want := rowByRowRank(t, restricted, req); !slices.Equal(viaRanker, want) {
 					t.Fatalf("seed %d: the factorized ranker's restricted rank %v, the reference's %v", seed, viaRanker, want)

@@ -115,8 +115,8 @@ func TestPlanMatchesNaive(t *testing.T) {
 		}
 	}
 
-	// The same request through the (now plan-backed) factorized ranker.
-	fact, err := NewFactorizedRanker(l).Rank(req)
+	// The same request through Rank, which compiles a plan of its own.
+	fact, err := Rank(l, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +148,12 @@ func TestPlanMatchesLegacyFactorized(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{User: d.User, Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("TvProgram"), Explain: true}}
-	ranker := NewFactorizedRanker(d.Loader)
 
 	legacy, err := perCandidateRank(d.Loader, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := ranker.Rank(req)
+	planned, err := Rank(d.Loader, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +328,10 @@ func TestPlanClusterBound(t *testing.T) {
 	if !plan.perCandidate {
 		t.Fatal("oversized footprint cluster compiled into the enumerating mode")
 	}
-	if _, err := plan.Score("d"); !errors.Is(err, ErrClusterBound) {
+	if _, err := plan.ScoreWith(&PlanScratch{}, "d"); !errors.Is(err, ErrClusterBound) {
 		t.Fatalf("genuinely oversized cluster scored: err = %v, want ErrClusterBound", err)
 	}
-	if _, err := NewFactorizedRanker(l).Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}); !errors.Is(err, ErrClusterBound) {
+	if _, err := Rank(l, Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}}); !errors.Is(err, ErrClusterBound) {
 		t.Fatalf("genuinely oversized cluster ranked: err = %v, want ErrClusterBound", err)
 	}
 }
@@ -391,7 +390,7 @@ func TestPlanClusterBoundFallback(t *testing.T) {
 		t.Fatalf("chained plan: perCandidate=%v, %d active rules; want per-candidate mode over %d", plan.perCandidate, plan.ActiveRules(), n)
 	}
 	req := Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), Explain: true}}
-	results, err := NewFactorizedRanker(l).Rank(req)
+	results, err := Rank(l, req)
 	if err != nil {
 		t.Fatalf("per-candidate rank failed: %v", err)
 	}
@@ -416,7 +415,7 @@ func TestPlanClusterBoundFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := NewFactorizedRanker(l).Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Candidates: ids, TopK: 2}})
+	restricted, err := Rank(l, Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Candidates: ids, TopK: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +486,6 @@ func TestPlanGroupRank(t *testing.T) {
 	if err := ctx.Apply(l); err != nil {
 		t.Fatal(err)
 	}
-	ranker := NewFactorizedRanker(l)
 	req := GroupRequest{
 		Users:    []string{"u", "v"},
 		Target:   dl.Atom("Doc"),
@@ -499,7 +497,7 @@ func TestPlanGroupRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, user := range req.Users {
-		solo, err := ranker.Rank(Request{User: user, Rules: req.RulesFor[user], PlanRequest: PlanRequest{Target: req.Target}})
+		solo, err := Rank(l, Request{User: user, Rules: req.RulesFor[user], PlanRequest: PlanRequest{Target: req.Target}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,8 +121,7 @@ func TestTopKWithLimitAndThreshold(t *testing.T) {
 	assertSameRanking(t, "threshold+topk", got, fullCut[:min(2, len(fullCut))], 0)
 }
 
-// TestTopKRejected: negative TopK errors on every entry point; a nil
-// scratch errors on RankInto.
+// TestTopKRejected: negative TopK errors on every entry point.
 func TestTopKRejected(t *testing.T) {
 	plan, _ := tieSetup(t)
 	if _, err := plan.Rank(PlanRequest{Target: dl.Atom("Doc"), TopK: -1}); err == nil {
@@ -130,13 +129,10 @@ func TestTopKRejected(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "top-k must be positive") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := plan.RankInto(nil, PlanRequest{Target: dl.Atom("Doc")}); err == nil {
-		t.Fatal("nil scratch accepted by RankInto")
-	}
 	l, rules := correlatedSetup(t)
-	for _, ranker := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l)} {
-		if _, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: -2}}); err == nil {
-			t.Fatalf("negative TopK accepted by %s", ranker.Name())
+	for _, r := range rankers(l) {
+		if _, err := r.rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: -2}}); err == nil {
+			t.Fatalf("negative TopK accepted by %s", r.name)
 		}
 	}
 }
@@ -146,20 +142,20 @@ func TestTopKRejected(t *testing.T) {
 // is refused by all of them.
 func TestRequestTopKAcrossRankers(t *testing.T) {
 	l, rules := correlatedSetup(t)
-	for _, ranker := range []Ranker{NewNaiveRanker(l), NewFactorizedRanker(l), NewViewRanker(l), NewSampledRanker(l, 500, 3)} {
-		full, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}})
+	for _, r := range rankers(l) {
+		full, err := r.rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc")}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: -1}}); err == nil {
-			t.Fatalf("%s accepted top-k -1", ranker.Name())
+		if _, err := r.rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: -1}}); err == nil {
+			t.Fatalf("%s accepted top-k -1", r.name)
 		}
 		for k := 1; k <= len(full)+1; k++ {
-			got, err := ranker.Rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: k}})
+			got, err := r.rank(Request{User: "u", Rules: rules, PlanRequest: PlanRequest{Target: dl.Atom("Doc"), TopK: k}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRanking(t, fmt.Sprintf("%s top-%d", ranker.Name(), k), got, full[:min(k, len(full))], 0)
+			assertSameRanking(t, fmt.Sprintf("%s top-%d", r.name, k), got, full[:min(k, len(full))], 0)
 		}
 	}
 }
@@ -292,19 +288,19 @@ func TestScratchNeverWritesTheSharedSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewPlanScratch()
+	sc := &PlanScratch{}
 	all := PlanRequest{Target: dl.Atom("Doc")}
-	first, err := shared.RankInto(sc, all)
+	first, err := shared.rankInto(sc, all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]Result(nil), first...)
 	// The arena now points at the row of the candidate scored last; d1's
 	// distribution over r1 and r2 is another.
-	if _, err := oneShot.RankInto(sc, PlanRequest{Candidates: []string{"d1"}}); err != nil {
+	if _, err := oneShot.rankInto(sc, PlanRequest{Candidates: []string{"d1"}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := shared.RankInto(sc, all)
+	got, err := shared.rankInto(sc, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +355,7 @@ func TestDocCacheSurvivesUnrelatedRetire(t *testing.T) {
 
 // TestPlanScratchDocCacheSoak hammers one plan from concurrent rankers —
 // some through the pooled-scratch Rank, some through caller-owned
-// RankInto arenas — while the session context churns underneath it,
+// rankInto arenas — while the session context churns underneath it,
 // retiring the old epoch's ctx_* events and bumping the space generation
 // on every apply. Every rank must keep returning the plan's compile-time
 // ranking bit-for-bit (the context side is frozen; the document side is
@@ -396,7 +392,7 @@ func TestPlanScratchDocCacheSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := NewPlanScratch()
+			sc := &PlanScratch{}
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -408,7 +404,7 @@ func TestPlanScratchDocCacheSoak(t *testing.T) {
 				if w%2 == 0 {
 					got, err = plan.Rank(PlanRequest{Target: dl.Atom("TvProgram")})
 				} else {
-					got, err = plan.RankInto(sc, PlanRequest{Target: dl.Atom("TvProgram"), TopK: 5})
+					got, err = plan.rankInto(sc, PlanRequest{Target: dl.Atom("TvProgram"), TopK: 5})
 				}
 				if err != nil {
 					errs <- fmt.Errorf("worker %d rank %d: %w", w, i, err)

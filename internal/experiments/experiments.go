@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,6 +25,28 @@ import (
 	"repro/internal/situation"
 	"repro/internal/workload"
 )
+
+// ---------------------------------------------------------------------------
+// The rankers the experiments compare.
+
+// Ranker ranks one request: candidates by descending score, ties broken by
+// ID, filtered by the request's threshold and limit.
+type Ranker func(core.Request) ([]core.Result, error)
+
+// Rankers builds each exact ranker the experiments compare, by the name
+// their tables and the benchmarks print: the paper's reference semantics,
+// its §5 big preference view, and the §6 factorization core serves with.
+var Rankers = map[string]func(*mapping.Loader) Ranker{
+	"naive": func(l *mapping.Loader) Ranker { return core.NewNaiveRanker(l).Rank },
+	"view":  func(l *mapping.Loader) Ranker { return NewViewRanker(l).Rank },
+	"factorized": func(l *mapping.Loader) Ranker {
+		return func(req core.Request) ([]core.Result, error) { return core.Rank(l, req) }
+	},
+}
+
+// errNoExplain refuses an explanation from an experiment ranker: the
+// paper's traceability (§6) is served by core's rankers.
+var errNoExplain = errors.New("experiments: the experiment rankers do not explain; rank with core for explanations")
 
 // ---------------------------------------------------------------------------
 // E1 — Table 1 + §4.2 worked example.
@@ -99,22 +122,18 @@ func RunE1() (*E1Result, error) {
 		return nil, err
 	}
 	req := core.Request{User: "peter", Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
-	rankers := []core.Ranker{
-		core.NewNaiveRanker(l), core.NewViewRanker(l), core.NewFactorizedRanker(l),
-	}
-	res := &E1Result{}
+	res := &E1Result{Rankers: []string{"naive", "view", "factorized"}}
 	byProgram := make(map[string]map[string]float64)
-	for _, r := range rankers {
-		res.Rankers = append(res.Rankers, r.Name())
-		results, err := r.Rank(req)
+	for _, name := range res.Rankers {
+		results, err := Rankers[name](l)(req)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: e1 %s: %w", r.Name(), err)
+			return nil, fmt.Errorf("experiments: e1 %s: %w", name, err)
 		}
 		for _, out := range results {
 			if byProgram[out.ID] == nil {
 				byProgram[out.ID] = make(map[string]float64)
 			}
-			byProgram[out.ID][r.Name()] = out.Score
+			byProgram[out.ID][name] = out.Score
 		}
 	}
 	for _, want := range paperTable1 {
@@ -245,17 +264,11 @@ func RunE3(cfg E3Config) (*E3Result, error) {
 	if err := d.ApplyBenchContext(cfg.MaxRules, false); err != nil {
 		return nil, err
 	}
-	var ranker core.Ranker
-	switch cfg.Ranker {
-	case "view":
-		ranker = core.NewViewRanker(d.Loader)
-	case "naive":
-		ranker = core.NewNaiveRanker(d.Loader)
-	case "factorized":
-		ranker = core.NewFactorizedRanker(d.Loader)
-	default:
+	newRanker, ok := Rankers[cfg.Ranker]
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown ranker %q", cfg.Ranker)
 	}
+	rank := newRanker(d.Loader)
 	xs := make([]int, cfg.MaxRules)
 	for i := range xs {
 		xs[i] = i + 1
@@ -265,7 +278,7 @@ func RunE3(cfg E3Config) (*E3Result, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := ranker.Rank(core.Request{
+		res, err := rank(core.Request{
 			User:        d.User,
 			Rules:       rules,
 			PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")},
@@ -317,15 +330,7 @@ func RunA1(spec workload.Spec, maxRules int, timeout time.Duration) (*A1Result, 
 	}
 	out := &A1Result{Series: make(map[string][]benchutil.Point)}
 	for _, name := range []string{"view", "naive", "factorized"} {
-		var ranker core.Ranker
-		switch name {
-		case "view":
-			ranker = core.NewViewRanker(d.Loader)
-		case "naive":
-			ranker = core.NewNaiveRanker(d.Loader)
-		default:
-			ranker = core.NewFactorizedRanker(d.Loader)
-		}
+		rank := Rankers[name](d.Loader)
 		xs := make([]int, maxRules)
 		for i := range xs {
 			xs[i] = i + 1
@@ -336,7 +341,7 @@ func RunA1(spec workload.Spec, maxRules int, timeout time.Duration) (*A1Result, 
 			if err != nil {
 				return "", err
 			}
-			_, err = ranker.Rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}})
+			_, err = rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}})
 			return "", err
 		})
 	}
@@ -400,14 +405,13 @@ func RunA2(seed int64) (*A2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranker := core.NewFactorizedRanker(d.Loader)
 	target := dl.Atom("TvProgram")
 
 	// Ground truth: certain context.
 	if err := d.ApplyBenchContext(3, true); err != nil {
 		return nil, err
 	}
-	truthCtx, err := ranker.Rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: target}})
+	truthCtx, err := core.Rank(d.Loader, core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: target}})
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +470,7 @@ func RunA2(seed int64) (*A2Result, error) {
 	if err := ctxNoisy.Apply(d.Loader); err != nil {
 		return nil, err
 	}
-	observed, err := ranker.Rank(core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: target}})
+	observed, err := core.Rank(d.Loader, core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: target}})
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +562,7 @@ func RunA4(spec workload.Spec, k int, budgets []int, seed int64) (*A4Result, err
 		return nil, err
 	}
 	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
-	exact, err := core.NewFactorizedRanker(d.Loader).Rank(req)
+	exact, err := core.Rank(d.Loader, req)
 	if err != nil {
 		return nil, err
 	}
@@ -572,7 +576,7 @@ func RunA4(spec workload.Spec, k int, budgets []int, seed int64) (*A4Result, err
 
 	out := &A4Result{Rules: k}
 	for _, n := range budgets {
-		ranker := core.NewSampledRanker(d.Loader, n, seed)
+		ranker := NewSampledRanker(d.Loader, n, seed)
 		start := time.Now()
 		approx, err := ranker.Rank(req)
 		if err != nil {

@@ -1,10 +1,10 @@
-package core
+package experiments
 
 import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/event"
+	"repro/internal/core"
 	"repro/internal/mapping"
 )
 
@@ -19,7 +19,8 @@ import (
 // The cost is O(samples · rules) per candidate regardless of correlation
 // structure — an anytime alternative the paper's §6 performance discussion
 // invites, trading a O(1/√samples) standard error for immunity to the
-// exponential blow-up. Deterministic per Seed.
+// exponential blow-up (ablation A4). Deterministic per Seed. It does not
+// explain its scores.
 type SampledRanker struct {
 	loader *mapping.Loader
 	// Samples per candidate; 0 means DefaultSamples.
@@ -36,12 +37,13 @@ func NewSampledRanker(l *mapping.Loader, samples int, seed int64) *SampledRanker
 	return &SampledRanker{loader: l, Samples: samples, Seed: seed}
 }
 
-// Name implements Ranker.
-func (r *SampledRanker) Name() string { return "sampled" }
-
-// Rank implements Ranker.
-func (r *SampledRanker) Rank(req Request) ([]Result, error) {
-	candidates, states, err := resolve(r.loader, req)
+// Rank scores every candidate by its sample mean and orders the results
+// like every ranker (core.Finalize).
+func (r *SampledRanker) Rank(req core.Request) ([]core.Result, error) {
+	if req.Explain {
+		return nil, errNoExplain
+	}
+	candidates, ctxEvs, docEvs, err := core.Resolve(r.loader, req)
 	if err != nil {
 		return nil, err
 	}
@@ -52,59 +54,43 @@ func (r *SampledRanker) Rank(req Request) ([]Result, error) {
 	space := r.loader.DB().Space()
 	rng := rand.New(rand.NewSource(r.Seed))
 
-	// Context events are shared across candidates: sample their worlds once
-	// per iteration round by folding them into each candidate's sampler.
-	ctxExprs := make([]*event.Expr, len(states))
-	for i, st := range states {
-		ctxExprs[i] = st.ctxEv
-	}
-
-	ctxSampler, err := space.NewSampler(ctxExprs...)
+	// Context events are shared across candidates: one sampler serves every
+	// candidate's rounds.
+	ctxSampler, err := space.NewSampler(ctxEvs...)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampled ranker: %w", err)
+		return nil, fmt.Errorf("experiments: sampled ranker: %w", err)
 	}
 
-	results := make([]Result, 0, len(candidates))
+	results := make([]core.Result, 0, len(candidates))
 	// Separate assignments for the context world and the document world:
 	// the paper's formula treats the two distributions as independent
 	// (P(g)·P(f), §3.3), so they are sampled independently even if they
 	// happen to share basic events.
 	ctxAssign := make(map[string]bool, 32)
 	docAssign := make(map[string]bool, 32)
-	for _, id := range candidates {
-		docExprs := make([]*event.Expr, 0, len(states))
-		for _, st := range states {
-			docExprs = append(docExprs, st.docEvs[id])
-		}
-		docSampler, err := space.NewSampler(docExprs...)
+	for c, id := range candidates {
+		docSampler, err := space.NewSampler(docEvs[c]...)
 		if err != nil {
-			return nil, fmt.Errorf("core: sampled ranker: %w", err)
+			return nil, fmt.Errorf("experiments: sampled ranker: %w", err)
 		}
 		total := 0.0
 		for it := 0; it < n; it++ {
 			ctxSampler.Sample(rng, ctxAssign)
 			docSampler.Sample(rng, docAssign)
 			prod := 1.0
-			for i, st := range states {
-				if !ctxExprs[i].Eval(ctxAssign) {
+			for i, rule := range req.Rules {
+				if !ctxEvs[i].Eval(ctxAssign) {
 					continue // context does not apply in this world
 				}
-				if st.docEvs[id].Eval(docAssign) {
-					prod *= st.rule.Sigma
+				if docEvs[c][i].Eval(docAssign) {
+					prod *= rule.Sigma
 				} else {
-					prod *= 1 - st.rule.Sigma
+					prod *= 1 - rule.Sigma
 				}
 			}
 			total += prod
 		}
-		res := Result{ID: id, Score: total / float64(n)}
-		if req.Explain {
-			res.Explanation, err = explain(space, states, id)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results = append(results, res)
+		results = append(results, core.Result{ID: id, Score: total / float64(n)})
 	}
-	return finalize(req, results), nil
+	return core.Finalize(req, results), nil
 }

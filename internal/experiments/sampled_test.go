@@ -1,16 +1,17 @@
-package core
+package experiments
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dl"
 )
 
 func TestSampledRankerApproximatesTable1(t *testing.T) {
-	l := paperSetup(t)
-	r := NewSampledRanker(l, 60000, 1)
-	results, err := r.Rank(paperRequest(t))
+	l, req := table1(t)
+	results, err := NewSampledRanker(l, 60000, 1).Rank(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +31,12 @@ func TestSampledRankerApproximatesTable1(t *testing.T) {
 }
 
 func TestSampledRankerDeterministicPerSeed(t *testing.T) {
-	l := paperSetup(t)
-	a, err := NewSampledRanker(l, 2000, 7).Rank(paperRequest(t))
+	l, req := table1(t)
+	a, err := NewSampledRanker(l, 2000, 7).Rank(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSampledRanker(l, 2000, 7).Rank(paperRequest(t))
+	b, err := NewSampledRanker(l, 2000, 7).Rank(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,7 @@ func TestSampledRankerDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSampledRankerErrorShrinksWithSamples(t *testing.T) {
-	l := paperSetup(t)
-	req := paperRequest(t)
+	l, req := table1(t)
 	errAt := func(samples int) float64 {
 		res, err := NewSampledRanker(l, samples, 11).Rank(req)
 		if err != nil {
@@ -69,26 +69,27 @@ func TestSampledRankerErrorShrinksWithSamples(t *testing.T) {
 	}
 }
 
+// TestSampledRankerDefaultsAndExplain: 0 samples means DefaultSamples, and
+// an explanation is refused.
 func TestSampledRankerDefaultsAndExplain(t *testing.T) {
-	l := paperSetup(t)
-	req := paperRequest(t)
-	req.Explain = true
+	l, req := table1(t)
 	r := NewSampledRanker(l, 0, 3) // 0 → DefaultSamples
 	results, err := r.Rank(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Explanation == nil || len(results[0].Explanation.Rules) != 2 {
-		t.Fatalf("explanation missing: %v", results[0])
+	if len(results) != 4 || math.Abs(results[0].Score-wantTable1[results[0].ID]) > 0.05 {
+		t.Fatalf("results = %v", results)
 	}
-	if r.Name() != "sampled" {
-		t.Fatalf("name = %q", r.Name())
+	req.Explain = true
+	if _, err := r.Rank(req); !errors.Is(err, errNoExplain) {
+		t.Fatalf("explain request answered: err = %v", err)
 	}
 }
 
 func TestSampledRankerValidation(t *testing.T) {
-	l := paperSetup(t)
-	if _, err := NewSampledRanker(l, 100, 1).Rank(Request{PlanRequest: PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
+	l, _ := table1(t)
+	if _, err := NewSampledRanker(l, 100, 1).Rank(core.Request{PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}); err == nil {
 		t.Fatal("missing user accepted")
 	}
 }

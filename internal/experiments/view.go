@@ -1,10 +1,11 @@
-package core
+package experiments
 
 import (
 	"fmt"
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/mapping"
 )
 
@@ -19,7 +20,8 @@ import (
 // amount of possible combination of tuple features … are doubled, [which]
 // leads to highly exponential query times" — so both the view text and its
 // evaluation grow as Θ(4^k) in the number of rules k, reproducing the
-// paper's bottleneck measurement (experiment E3).
+// paper's bottleneck measurement (experiment E3). It is the bottleneck the
+// paper measures, not a way to serve, so it does not explain its scores.
 type ViewRanker struct {
 	loader *mapping.Loader
 	seq    atomic.Int64
@@ -27,9 +29,6 @@ type ViewRanker struct {
 
 // NewViewRanker builds the view-based ranker over the loader.
 func NewViewRanker(l *mapping.Loader) *ViewRanker { return &ViewRanker{loader: l} }
-
-// Name implements Ranker.
-func (r *ViewRanker) Name() string { return "view" }
 
 // maxViewRules caps the size of the generated view text (4^k terms).
 const maxViewRules = 10
@@ -40,33 +39,32 @@ func sqlQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") +
 // returns its name, so that callers (and benchmarks) can separate view
 // construction from query execution. Each call registers a new view, which
 // stays until dropped; Rank registers none.
-func (r *ViewRanker) BuildPreferenceView(req Request) (string, error) {
+func (r *ViewRanker) BuildPreferenceView(req core.Request) (string, error) {
 	sel, err := r.preferenceSelect(req)
 	if err != nil {
 		return "", err
 	}
 	name := fmt.Sprintf("pref_big_%d", r.seq.Add(1))
 	if _, err := r.loader.DB().Exec("CREATE OR REPLACE VIEW " + name + " AS " + sel); err != nil {
-		return "", fmt.Errorf("core: building preference view: %w", err)
+		return "", fmt.Errorf("experiments: building preference view: %w", err)
 	}
 	return name, nil
 }
 
 // preferenceSelect is the defining SELECT of the big preference view: one
 // (id, score) row per candidate.
-func (r *ViewRanker) preferenceSelect(req Request) (string, error) {
-	if req.User == "" {
-		return "", fmt.Errorf("core: request without a user")
-	}
-	if req.Target == nil || req.Candidates != nil {
-		return "", fmt.Errorf("core: the view ranker ranks a target concept, not a candidate list")
-	}
-	if req.TopK < 0 {
-		return "", fmt.Errorf("core: top-k must be positive (got %d)", req.TopK)
+func (r *ViewRanker) preferenceSelect(req core.Request) (string, error) {
+	switch {
+	case req.User == "":
+		return "", fmt.Errorf("experiments: request without a user")
+	case req.Target == nil || req.Candidates != nil:
+		return "", fmt.Errorf("experiments: the view ranker ranks a target concept, not a candidate list")
+	case req.TopK < 0:
+		return "", fmt.Errorf("experiments: top-k must be positive (got %d)", req.TopK)
 	}
 	k := len(req.Rules)
 	if k > maxViewRules {
-		return "", fmt.Errorf("core: view ranker limited to %d rules (the view doubles per rule), got %d", maxViewRules, k)
+		return "", fmt.Errorf("experiments: view ranker limited to %d rules (the view doubles per rule), got %d", maxViewRules, k)
 	}
 	targetView, err := r.loader.ViewFor(req.Target)
 	if err != nil {
@@ -81,11 +79,11 @@ func (r *ViewRanker) preferenceSelect(req Request) (string, error) {
 		}
 		pv, err := r.loader.ViewFor(rule.Preference)
 		if err != nil {
-			return "", fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
+			return "", fmt.Errorf("experiments: rule %s preference: %w", rule.Name, err)
 		}
 		cv, err := r.loader.ViewFor(rule.Context)
 		if err != nil {
-			return "", fmt.Errorf("core: rule %s context: %w", rule.Name, err)
+			return "", fmt.Errorf("experiments: rule %s context: %w", rule.Name, err)
 		}
 		prefViews[i] = pv
 		ctxViews[i] = cv
@@ -145,15 +143,18 @@ func (r *ViewRanker) preferenceSelect(req Request) (string, error) {
 	return fmt.Sprintf("SELECT d.id AS id, (%s) AS score FROM %s", score.String(), from.String()), nil
 }
 
-// Rank implements Ranker: it runs the paper's introductory query shape
-// against the big preference view, inlined as a subquery so that a rank
-// registers nothing —
+// Rank runs the paper's introductory query shape against the big preference
+// view, inlined as a subquery so that a rank registers nothing —
 //
 //	SELECT name, preferencescore FROM Programs
 //	WHERE preferencescore > θ ORDER BY preferencescore DESC
 //
 // — with the WHERE only for θ > 0: like every ranker, θ = 0 keeps all.
-func (r *ViewRanker) Rank(req Request) ([]Result, error) {
+// core.Finalize then cuts the request's Limit or TopK off the view's order.
+func (r *ViewRanker) Rank(req core.Request) ([]core.Result, error) {
+	if req.Explain {
+		return nil, errNoExplain
+	}
 	sel, err := r.preferenceSelect(req)
 	if err != nil {
 		return nil, err
@@ -162,38 +163,13 @@ func (r *ViewRanker) Rank(req Request) ([]Result, error) {
 	if req.Threshold > 0 {
 		q += fmt.Sprintf(" WHERE score > %g", req.Threshold)
 	}
-	q += " ORDER BY score DESC, id ASC"
-	if k := req.keep(); k > 0 {
-		q += fmt.Sprintf(" LIMIT %d", k)
-	}
-	res, err := r.loader.DB().Query(q)
+	res, err := r.loader.DB().Query(q + " ORDER BY score DESC, id ASC")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(res.Rows))
-	_, states, rerr := resolveForExplain(r.loader, req)
-	for _, row := range res.Rows {
-		result := Result{ID: row[0].S, Score: row[1].F}
-		if req.Explain {
-			if rerr != nil {
-				return nil, rerr
-			}
-			exp, err := explain(r.loader.DB().Space(), states, result.ID)
-			if err != nil {
-				return nil, err
-			}
-			result.Explanation = exp
-		}
-		out = append(out, result)
+	out := make([]core.Result, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = core.Result{ID: row[0].S, Score: row[1].F}
 	}
-	return out, nil
-}
-
-// resolveForExplain defers the (comparatively cheap) event resolution until
-// an explanation is actually requested.
-func resolveForExplain(l *mapping.Loader, req Request) ([]string, []*ruleState, error) {
-	if !req.Explain {
-		return nil, nil, nil
-	}
-	return resolve(l, req)
+	return core.Finalize(req, out), nil
 }

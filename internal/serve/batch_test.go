@@ -392,8 +392,9 @@ func TestRankClusterBoundFallback(t *testing.T) {
 // TestNaiveRankRefusedPastStateBudget: the naive reference over the 17-rule
 // chain with its context certain would enumerate 2^17 × 18 states for
 // seconds under the facade read lock. It is refused before it enumerates,
-// with a 400 that names the rules, the candidates and the budget, and the
-// factorized rank of the same target still returns every document.
+// with a 422 too_costly that names the rules, the candidates and the
+// budget, and the factorized rank of the same target still returns every
+// document.
 func TestNaiveRankRefusedPastStateBudget(t *testing.T) {
 	sys, n := chainSystem(t, false)
 	srv := NewServer(sys, Options{})
@@ -404,19 +405,53 @@ func TestNaiveRankRefusedPastStateBudget(t *testing.T) {
 	defer ts.Close()
 	var refused errorResponse
 	started := time.Now()
-	call(t, ts, "POST", "/v1/rank", `{"user":"chainuser","target":"Doc","algorithm":"naive"}`, http.StatusBadRequest, &refused)
+	call(t, ts, "POST", "/v1/rank", `{"user":"chainuser","target":"Doc","algorithm":"naive"}`, http.StatusUnprocessableEntity, &refused)
 	if took := time.Since(started); took > 500*time.Millisecond {
 		t.Errorf("the refusal took %v, want under 500ms", took)
 	}
 	for _, want := range []string{"17 rules", "17 candidates", "budget of 1048576"} {
-		if refused.Code != "bad_request" || !strings.Contains(refused.Error, want) {
-			t.Fatalf("refusal = %+v, want bad_request naming %q", refused, want)
+		if refused.Code != "too_costly" || !strings.Contains(refused.Error, want) {
+			t.Fatalf("refusal = %+v, want too_costly naming %q", refused, want)
 		}
 	}
 	var ranked rankResponse
 	call(t, ts, "POST", "/v1/rank", `{"user":"chainuser","target":"Doc"}`, http.StatusOK, &ranked)
 	if len(ranked.Results) != n {
 		t.Fatalf("factorized rank returned %d results, want %d", len(ranked.Results), n)
+	}
+}
+
+// TestRankPastClusterBoundIsTooCostly: under one uncertain context shared
+// by the 17 chained rules, every candidate's rules form one correlation
+// cluster past the exact-enumeration bound. The request is valid, so both
+// single-rank routes answer 422 too_costly, not a malformed request's 400;
+// a batch item keeps its error string.
+func TestRankPastClusterBoundIsTooCostly(t *testing.T) {
+	sys, _ := chainSystem(t, false)
+	srv := NewServer(sys, Options{})
+	if _, err := srv.SetSession("chainuser", []Measurement{{Concept: "ChainCtx", Prob: 0.7}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandlerFor(srv))
+	defer ts.Close()
+	for _, route := range []struct{ method, path, body string }{
+		{"POST", "/v1/rank", `{"user":"chainuser","target":"Doc"}`},
+		{"GET", "/v1/rank?user=chainuser&target=Doc", ""},
+	} {
+		var refused errorResponse
+		call(t, ts, route.method, route.path, route.body, http.StatusUnprocessableEntity, &refused)
+		if refused.Code != "too_costly" || !strings.Contains(refused.Error, "exact-enumeration bound") {
+			t.Fatalf("%s %s: refusal = %+v, want too_costly naming the bound", route.method, route.path, refused)
+		}
+	}
+	var batch struct {
+		Items []struct {
+			Error string `json:"error"`
+		} `json:"items"`
+	}
+	call(t, ts, "POST", "/v1/rank/batch", `{"user":"chainuser","items":[{"target":"Doc"}]}`, http.StatusOK, &batch)
+	if len(batch.Items) != 1 || !strings.Contains(batch.Items[0].Error, "exact-enumeration bound") {
+		t.Fatalf("batch = %+v, want one item naming the bound", batch)
 	}
 }
 

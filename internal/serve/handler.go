@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/serve/metrics"
 	"repro/internal/sql"
@@ -57,7 +58,7 @@ const maxBodyBytes = 1 << 20
 // cannot drift between them. Every non-2xx response body is the
 // canonical error envelope: {"error", "code", "request_id"} with a
 // machine-readable code (bad_request, unknown_user, not_found, conflict,
-// rate_limited, degraded, quarantined, internal).
+// too_costly, rate_limited, degraded, quarantined, internal).
 type Handler struct {
 	srv       Backend
 	mux       *http.ServeMux
@@ -178,8 +179,8 @@ func (h *Handler) admitUser(w http.ResponseWriter, r *http.Request, user string)
 type errorResponse struct {
 	Error string `json:"error"`
 	// Code is the machine-readable error class — bad_request,
-	// unknown_user, not_found, conflict, rate_limited, degraded,
-	// quarantined or internal — stable across message-text changes, so
+	// unknown_user, not_found, conflict, too_costly, rate_limited,
+	// degraded, quarantined or internal — stable across message-text changes, so
 	// clients branch on it instead of parsing Error.
 	Code string `json:"code"`
 	// RequestID ties the error to its access-log line and X-Request-ID
@@ -542,7 +543,14 @@ func (h *Handler) rank(w http.ResponseWriter, r *http.Request, req rankRequest) 
 	results, meta, err := h.srv.Rank(req.User, req.Target, item.options(contextrank.Algorithm(req.Algorithm)))
 	annotate(r, req.User, meta.Shard)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		// A valid request past a ranker's exact-computation bound is not
+		// the client's mistake to fix: 422 too_costly, not 400.
+		status := http.StatusBadRequest
+		var costly *core.TooCostlyError
+		if errors.As(err, &costly) {
+			status = http.StatusUnprocessableEntity
+		}
+		writeError(w, r, status, err)
 		return
 	}
 	writeBody(w, r, http.StatusOK, func(buf *bytes.Buffer) error {
@@ -1049,6 +1057,8 @@ func errorCode(status int, err error) string {
 		return "not_found"
 	case status == http.StatusConflict:
 		return "conflict"
+	case status == http.StatusUnprocessableEntity:
+		return "too_costly"
 	case status == http.StatusTooManyRequests:
 		return "rate_limited"
 	case status == http.StatusServiceUnavailable:

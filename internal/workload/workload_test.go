@@ -124,13 +124,11 @@ func TestEndToEndRankingOnGeneratedData(t *testing.T) {
 	}
 	rules, _ := d.Rules(3)
 	req := core.Request{User: d.User, Rules: rules, PlanRequest: core.PlanRequest{Target: dl.Atom("TvProgram")}}
-	naive := core.NewNaiveRanker(d.Loader)
-	fact := core.NewFactorizedRanker(d.Loader)
-	rn, err := naive.Rank(req)
+	rn, err := core.NewNaiveRanker(d.Loader).Rank(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := fact.Rank(req)
+	rf, err := core.Rank(d.Loader, req)
 	if err != nil {
 		t.Fatal(err)
 	}
