@@ -330,18 +330,14 @@ type Membership = mapping.Membership
 // ranking scored. While the handle is Current() no write has reached the
 // target's members, which is what lets the serving layer keep a ranking whose
 // target mentions other users' session vocabulary only as long as it is true.
+// The target resolves through the loader's memo by its text, so a text ranked
+// before is not parsed again.
 func (s *System) RankTarget(user string, plan *RankPlan, target string, opts RankOptions) ([]Result, *Membership, error) {
-	targetExpr, err := dl.Parse(target)
+	members, err := s.loader.MembersOf(target)
 	if err != nil {
 		return nil, nil, err
 	}
-	members, err := core.ResolveTarget(s.loader, targetExpr)
-	if err != nil {
-		return nil, nil, err
-	}
-	req := opts.planRequest(targetExpr, nil)
-	req.Members = members
-	res, err := s.rank(user, plan, opts, req)
+	res, err := s.rank(user, plan, opts, opts.planRequest(members, nil))
 	return res, members, err
 }
 
@@ -354,12 +350,12 @@ func (s *System) RankCandidates(user string, plan *RankPlan, candidates []string
 	return s.rank(user, plan, opts, opts.planRequest(nil, candidates))
 }
 
-// planRequest shapes the options as the core request for one target or
-// candidate list — the one place the root package's request shape becomes
+// planRequest shapes the options as the core request for one resolved target
+// or candidate list — the one place the root package's request shape becomes
 // core's.
-func (o RankOptions) planRequest(target *dl.Expr, candidates []string) core.PlanRequest {
+func (o RankOptions) planRequest(members *Membership, candidates []string) core.PlanRequest {
 	return core.PlanRequest{
-		Target:     target,
+		Members:    members,
 		Candidates: candidates,
 		Threshold:  o.Threshold,
 		Limit:      o.Limit,

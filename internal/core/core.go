@@ -46,14 +46,14 @@ type Request struct {
 // PlanRequest is what to rank and how to shape the result: a Request minus
 // the user and rules, which a compiled Plan owns.
 type PlanRequest struct {
-	Target *dl.Expr // candidate concept, e.g. TvProgram; may be nil when Candidates is set
+	Target *dl.Expr // candidate concept, e.g. TvProgram; may be nil when Candidates or Members is set
 	// Candidates, when non-nil, restricts scoring to exactly these
 	// individuals instead of the members of Target — the §5 integration
 	// with the user's query, where "the probability of the query-dependent
 	// part is either 1, if the tuple was contained in the user query, or 0
 	// if it was not".
 	Candidates []string
-	// Members, when non-nil, is Target already resolved (ResolveTarget): its
+	// Members, when non-nil, is a target already resolved (Loader.Members): its
 	// ids are the candidates and the rank does not look the target up again —
 	// for a caller that keeps the handle to ask later whether the candidate
 	// list it ranked still stands.
@@ -168,9 +168,9 @@ func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]strin
 	case req.Members != nil:
 		return req.Members.IDs, nil
 	case req.Target != nil:
-		targetMembers, err := ResolveTarget(l, req.Target)
+		targetMembers, err := l.Members(req.Target)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: target: %w", err)
 		}
 		return targetMembers.IDs, nil
 	default:
@@ -178,16 +178,6 @@ func resolveCandidates(l *mapping.Loader, user string, req PlanRequest) ([]strin
 	}
 	sort.Strings(candidates)
 	return candidates, nil
-}
-
-// ResolveTarget returns the membership handle of a target concept: who the
-// candidates are, through the loader's memo.
-func ResolveTarget(l *mapping.Loader, target *dl.Expr) (*mapping.Membership, error) {
-	m, err := l.Members(target)
-	if err != nil {
-		return nil, fmt.Errorf("core: target: %w", err)
-	}
-	return m, nil
 }
 
 // Finalize sorts, thresholds and truncates the results of a rank that

@@ -125,6 +125,11 @@ func TestParseErrors(t *testing.T) {
 		"A B",
 		"A ??",
 		"NOT",
+		// A stray character is no name.
+		"@",
+		"A AND ?",
+		"EXISTS r.#",
+		"{%}",
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

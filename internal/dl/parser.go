@@ -21,7 +21,11 @@ import (
 // Names may contain letters, digits, '_' and '-', so the paper's rule
 // "TvProgram AND EXISTS hasGenre.{HUMAN-INTEREST}" parses as written.
 func Parse(input string) (*Expr, error) {
-	p := &parser{toks: lex(input), input: input}
+	toks, err := lex(input)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks, input: input}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -63,7 +67,9 @@ func isNameRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
 }
 
-func lex(input string) []token {
+// lex splits the input into tokens; a rune that starts none is an error, so
+// no stray character can pass for a name.
+func lex(input string) ([]token, error) {
 	var toks []token
 	rs := []rune(input)
 	for i := 0; i < len(rs); {
@@ -97,11 +103,10 @@ func lex(input string) []token {
 			toks = append(toks, token{tokName, string(rs[i:j])})
 			i = j
 		default:
-			toks = append(toks, token{tokName, string(r)}) // surfaced as a parse error later
-			i++
+			return nil, fmt.Errorf("dl: unexpected character %q in %q", r, input)
 		}
 	}
-	return toks
+	return toks, nil
 }
 
 type parser struct {

@@ -10,9 +10,17 @@ import (
 
 // The memo's bounds, for the tests that drive a history past them.
 const (
+	MaxMemberships   = maxMemberships
 	MaxLoggedWrites  = maxLoggedWrites
 	MaxMemberHistory = maxMemberHistory
 )
+
+// TextIndexLen is how many target texts the memo's text index holds.
+func (l *Loader) TextIndexLen() int {
+	l.memoMu.Lock()
+	defer l.memoMu.Unlock()
+	return len(l.texts)
+}
 
 // ViewQuery is the reference the evaluator is held to: the expression's
 // compiled view queried through the SQL executor — restricted to the given

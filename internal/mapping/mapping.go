@@ -40,12 +40,16 @@ type Loader struct {
 
 	// The membership memo (see Members): canonical expr -> the last handle
 	// computed for it, all of them computed at memoRedefs redefinitions of the
-	// engine's schema. Its own mutex, so a rank's look-up never waits behind a
-	// declaration. The counters (and the size mirror) are atomics so
-	// MembershipStats never takes memoMu: a stats scrape must not queue behind
-	// rank traffic.
+	// engine's schema. texts is the memo's index by the text a target was
+	// sent as (see MembersOf): each text's parsed expression and its
+	// canonical key, so a repeated text reaches its handle without parsing.
+	// Both maps share the bound and are emptied together. Its own mutex, so a
+	// rank's look-up never waits behind a declaration. The counters (and the
+	// size mirror) are atomics so MembershipStats never takes memoMu: a stats
+	// scrape must not queue behind rank traffic.
 	memoMu      sync.Mutex
 	memo        map[string]*Membership
+	texts       map[string]parsedText
 	memoRedefs  uint64
 	memoEntries atomic.Int64 // mirrors len(memo), maintained under memoMu
 	memoHits    atomic.Int64
@@ -102,6 +106,7 @@ func NewLoader(db *engine.DB) *Loader {
 		views:     make(map[string]string),
 		viewSQL:   make(map[string]string),
 		memo:      make(map[string]*Membership),
+		texts:     make(map[string]parsedText),
 		writes:    make(map[*storage.Table]*writeLog),
 		ctxOwners: make(map[string]ownerContext),
 		ctxRows:   make(map[string]int),
@@ -707,11 +712,11 @@ func (l *Loader) MembershipStats() MembershipStats {
 	}
 }
 
-// maxMemberships bounds the memo. Rule preferences and the targets people
-// rank are a few hundred expressions at most; a client streaming distinct
-// ad-hoc targets past the bound pushes out an arbitrary entry per new one,
-// which costs that expression's next look-up a whole evaluation and nothing
-// else.
+// maxMemberships bounds the memo, and its text index apart. Rule preferences
+// and the targets people rank are a few hundred expressions at most; a client
+// streaming distinct ad-hoc targets past the bound pushes out an arbitrary
+// entry per new one, which costs that expression's next look-up a whole
+// evaluation (and that text's a parse) and nothing else.
 const maxMemberships = 1024
 
 // maxLoggedWrites bounds each base table's write log. A handle is looked up —
@@ -728,6 +733,12 @@ const maxLoggedWrites = 64
 // derived again, as it is across a whole evaluation.
 const maxMemberHistory = 16
 
+// parsedText is what the memo's text index keeps for one target text.
+type parsedText struct {
+	expr *dl.Expr
+	key  string // expr.String(), the memo key
+}
+
 // Members returns every individual possibly in the concept expression with
 // its inclusion event, as a shared read-only handle. The answer is a function
 // of the base tables the expression reads, so it is computed once per
@@ -739,48 +750,109 @@ const maxMemberHistory = 16
 // otherwise (see patchMembers). Concurrent misses may both patch or evaluate;
 // the last one stays.
 func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
-	key := expr.String()
+	t := parsedText{expr: expr, key: expr.String()}
 	l.memoMu.Lock()
+	redefs := l.syncMemo()
+	m := l.memo[t.key]
+	l.memoMu.Unlock()
+	return l.resolve(t, m, redefs, "")
+}
+
+// MembersOf is Members for the expression a target text parses to, found
+// through the memo's text index: a text looked up before is neither parsed
+// nor rendered again. A text that does not parse returns dl.Parse's error and
+// is not remembered; nor is one whose look-up fails.
+func (l *Loader) MembersOf(text string) (*Membership, error) {
+	l.memoMu.Lock()
+	redefs := l.syncMemo()
+	t, seen := l.texts[text]
+	newText := ""
+	if !seen {
+		l.memoMu.Unlock()
+		expr, err := dl.Parse(text)
+		if err != nil {
+			return nil, err
+		}
+		t, newText = parsedText{expr: expr, key: expr.String()}, text
+		l.memoMu.Lock()
+		redefs = l.syncMemo()
+	}
+	m := l.memo[t.key]
+	l.memoMu.Unlock()
+	return l.resolve(t, m, redefs, newText)
+}
+
+// syncMemo empties the memo and its text index once a name was dropped or
+// redefined — no handle can be current again — and returns the redefinition
+// count the memo now stands at. Called with memoMu held.
+func (l *Loader) syncMemo() uint64 {
 	redefs := l.db.Redefinitions()
 	if redefs != l.memoRedefs {
-		// A name was dropped or redefined: no handle can be current again.
 		l.memoDropped.Add(int64(len(l.memo)))
 		clear(l.memo)
+		clear(l.texts)
 		l.memoEntries.Store(0)
 		l.memoRedefs = redefs
 	}
-	m := l.memo[key]
-	l.memoMu.Unlock()
+	return redefs
+}
+
+// resolve ends a look-up that found m (nil for none) under t's key at redefs
+// redefinitions: a current handle is a hit, a stale one is patched or, failing
+// that, evaluated again, and the new handle is memoized. A newText is indexed
+// once the look-up succeeds.
+func (l *Loader) resolve(t parsedText, m *Membership, redefs uint64, newText string) (*Membership, error) {
 	if m != nil && m.Current() {
 		l.memoHits.Add(1)
+		if newText != "" {
+			l.store(t, nil, redefs, newText)
+		}
 		return m, nil
 	}
 
 	if m != nil {
-		m = l.patchMembers(expr, m)
+		m = l.patchMembers(t.expr, m)
 	}
 	if m != nil {
 		l.memoPatched.Add(1)
 	} else {
 		var err error
-		if m, err = l.evalMembers(expr, redefs); err != nil {
+		if m, err = l.evalMembers(t.expr, redefs); err != nil {
 			return nil, err
 		}
 		l.memoQueries.Add(1)
 	}
+	l.store(t, m, redefs, newText)
+	return m, nil
+}
+
+// store memoizes m (when not nil) under t's key and indexes text (when not
+// empty), unless the memo moved past redefs meanwhile.
+func (l *Loader) store(t parsedText, m *Membership, redefs uint64, text string) {
 	l.memoMu.Lock()
-	if redefs == l.memoRedefs {
-		if _, ok := l.memo[key]; !ok && len(l.memo) >= maxMemberships {
-			for evict := range l.memo {
-				delete(l.memo, evict)
-				break
-			}
-		}
-		l.memo[key] = m
+	defer l.memoMu.Unlock()
+	if redefs != l.memoRedefs {
+		return
+	}
+	if m != nil {
+		boundedPut(l.memo, t.key, m)
 		l.memoEntries.Store(int64(len(l.memo)))
 	}
-	l.memoMu.Unlock()
-	return m, nil
+	if text != "" {
+		boundedPut(l.texts, text, t)
+	}
+}
+
+// boundedPut sets m[k], first evicting an arbitrary entry when k is new and m
+// already holds maxMemberships.
+func boundedPut[V any](m map[string]V, k string, v V) {
+	if _, ok := m[k]; !ok && len(m) >= maxMemberships {
+		for evict := range m {
+			delete(m, evict)
+			break
+		}
+	}
+	m[k] = v
 }
 
 // evalMembers evaluates the expression over every individual. The read set's

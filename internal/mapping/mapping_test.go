@@ -348,6 +348,30 @@ func TestDeclareIdempotentAndCollisions(t *testing.T) {
 	}
 }
 
+// TestCheckName: a name is declarable exactly when the rule parser reads it
+// back as that same atom — a stray character is no name, so it cannot take
+// the sanitized table ("c__") a legal name would later clash on.
+func TestCheckName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"TvProgram", true},
+		{"HUMAN-INTEREST", true},
+		{"x_y", true},
+		{"", false},
+		{"a b", false},
+		{"TOP", false},
+		{"p.q", false},
+		{"@", false},
+		{"a#", false},
+	} {
+		if err := CheckName("concept", c.name); (err == nil) != c.ok {
+			t.Errorf("CheckName(%q) = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestExclusiveContextGroups(t *testing.T) {
 	// "A person can only be at a single place at one moment" (§4.1): model
 	// location memberships with an exclusive group and check negation math.

@@ -576,3 +576,136 @@ func TestMembershipMemoBounded(t *testing.T) {
 		t.Fatalf("memo grew from %d to %d entries past its bound", bound, got)
 	}
 }
+
+// TestMembersOfTextIndexBounded streams 2 × MaxMemberships distinct target
+// texts — most of them new expressions, every fourth one an earlier
+// expression spelled differently — with a look-up of an older text and now
+// and then a write in between. Every text's handle is the one a fresh
+// dl.Parse + Members finds, and neither the memo nor its text index grows
+// past the bound. A sample is held against the view query as well.
+func TestMembersOfTextIndexBounded(t *testing.T) {
+	l := mapping.NewLoader(engine.New())
+	for _, err := range []error{l.DeclareConcept("A"), l.DeclareRole("r")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 50; j++ {
+		x := fmt.Sprintf("x%d", j)
+		if err := l.AssertConcept("A", x, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AssertRole("r", x, fmt.Sprintf("y%d", j%10), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := func(i int) string {
+		if i%4 == 3 {
+			return fmt.Sprintf("exists r.{z%d,y%d} and A", i-1, (i-1)%10)
+		}
+		return fmt.Sprintf("A AND EXISTS r.{y%d, z%d}", i%10, i)
+	}
+	lookup := func(i int) {
+		t.Helper()
+		got, err := l.MembersOf(text(i))
+		if err != nil {
+			t.Fatalf("MembersOf(%q): %v", text(i), err)
+		}
+		expr := dl.MustParse(text(i))
+		want, err := l.Members(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("MembersOf(%q) is not the handle Members finds for %s", text(i), expr)
+		}
+		if i%16 == 0 {
+			ref, err := mapping.ViewQuery(l, expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameMembers(got, ref); diff != "" {
+				t.Fatalf("MembersOf(%q): %s", text(i), diff)
+			}
+		}
+	}
+	// A text that does not parse is dl.Parse's error, and neither it nor a
+	// text over an undeclared concept is remembered.
+	if _, err := l.MembersOf("A AND @"); err == nil || err.Error() != `dl: unexpected character '@' in "A AND @"` {
+		t.Fatalf("MembersOf of a text that does not parse: %v", err)
+	}
+	if _, err := l.MembersOf("A AND B"); err == nil {
+		t.Fatal("MembersOf over an undeclared concept succeeded")
+	}
+	if n := l.TextIndexLen(); n != 0 {
+		t.Fatalf("failed look-ups indexed %d texts", n)
+	}
+	const stream = 2 * mapping.MaxMemberships
+	for i := 0; i < stream; i++ {
+		lookup(i)
+		lookup(i / 2)
+		if i%97 == 0 {
+			x, y := fmt.Sprintf("x%d", i%50), fmt.Sprintf("y%d", i%10)
+			if err := l.AssertRole("r", x, y, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, m := l.TextIndexLen(), l.MembershipStats().Entries; n > mapping.MaxMemberships || m > mapping.MaxMemberships {
+			t.Fatalf("after %d texts: %d texts indexed and %d handles memoized, bound %d", i+1, n, m, mapping.MaxMemberships)
+		}
+	}
+
+	// A redefinition empties the text index with the memo: the next look-up
+	// finds one text indexed and one handle.
+	for _, stmt := range []string{"CREATE TABLE memo_scratch (k TEXT)", "DROP TABLE memo_scratch"} {
+		if _, err := l.DB().Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup(1)
+	if n, m := l.TextIndexLen(), l.MembershipStats().Entries; n != 1 || m != 1 {
+		t.Fatalf("after a redefinition and one look-up: %d texts indexed and %d handles memoized, want 1 and 1", n, m)
+	}
+}
+
+// TestMembersOfConcurrent: goroutines looking up, spelling differently and
+// pushing out target texts at once (run under -race) each get the members of
+// the text they asked for, and the bound holds.
+func TestMembersOfConcurrent(t *testing.T) {
+	l := mapping.NewLoader(engine.New())
+	if err := l.DeclareConcept("A"); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 20; j++ {
+		if err := l.AssertConcept("A", fmt.Sprintf("x%d", j), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2*mapping.MaxMemberships; i++ {
+				n := (i*7 + g) % (mapping.MaxMemberships + 64)
+				text := fmt.Sprintf("A AND {x%d, y%d}", n%20, n)
+				if g%2 == 1 {
+					text = fmt.Sprintf("{y%d,x%d} and A", n, n%20)
+				}
+				got, err := l.MembersOf(text)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got.IDs) != 1 || got.IDs[0] != fmt.Sprintf("x%d", n%20) {
+					t.Errorf("MembersOf(%q) = %v", text, got.IDs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n, m := l.TextIndexLen(), l.MembershipStats().Entries; n > mapping.MaxMemberships || m > mapping.MaxMemberships {
+		t.Fatalf("%d texts indexed and %d handles memoized, bound %d", n, m, mapping.MaxMemberships)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -603,13 +604,110 @@ func appendResults(buf *bytes.Buffer, results []contextrank.Result, meta RankMet
 }
 
 // encodeResults writes results as the JSON array rankResponse.Results
-// renders to.
+// renders to — byte for byte what json.Encoder writes for resultsJSON(results)
+// (without its newline), appended by hand: no reflection and no intermediate
+// slice. A score json cannot represent (NaN, ±Inf) is the encoder's error,
+// and nothing is written.
 func encodeResults(buf *bytes.Buffer, results []contextrank.Result) error {
-	if err := json.NewEncoder(buf).Encode(resultsJSON(results)); err != nil {
-		return err
+	b := append(buf.AvailableBuffer(), '[')
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"id":`...)
+		b = appendJSONString(b, res.ID)
+		b = append(b, `,"score":`...)
+		var err error
+		if b, err = appendJSONFloat(b, res.Score); err != nil {
+			return err
+		}
+		if res.Explanation != nil && len(res.Explanation.Rules) > 0 {
+			b = append(b, `,"explanation":[`...)
+			for j, rc := range res.Explanation.Rules {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendJSONString(b, rc.String())
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
 	}
-	buf.Truncate(buf.Len() - 1) // Encode's trailing newline
+	buf.Write(append(b, ']'))
 	return nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// 'f' form, or the 'e' form below 1e-6 and from 1e21 up with a two-digit
+// negative exponent cut to one digit (e-09 → e-9).
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// appendJSONString appends s quoted as json.Encoder quotes it with its default
+// HTML escaping: '"', '\\' and the control bytes escaped (\b \f \n \r \t by
+// name), '<', '>' and '&' as \u00XX, U+2028 and U+2029 escaped, and each byte
+// of invalid UTF-8 replaced by \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // resultsJSON renders ranked results for transport; /v1/rank and

@@ -314,6 +314,7 @@ func TestDeclareRefusesNamesNoRuleCanMention(t *testing.T) {
 		{"keyword lower case", `{"concepts":["exists"]}`, http.StatusBadRequest},
 		{"padded", `{"concepts":[" Padded"]}`, http.StatusBadRequest},
 		{"dot", `{"concepts":["p.q"]}`, http.StatusBadRequest},
+		{"stray character", `{"concepts":["@"]}`, http.StatusBadRequest},
 		{"empty role", `{"roles":[""]}`, http.StatusBadRequest},
 		{"two-word role", `{"roles":["has genre"]}`, http.StatusBadRequest},
 		{"empty sub", `{"subconcepts":[{"sub":"","super":"TvProgram"}]}`, http.StatusBadRequest},

@@ -115,6 +115,53 @@ func BenchmarkServeRankCached(b *testing.B) {
 	})
 }
 
+// BenchmarkServeRankMiss is the served cold rank: a rank-cache miss that
+// hits the plan cache. Two users take turns on a one-entry rank cache, so
+// every rank misses it while both plans stay cached. repeated ranks one
+// 3-conjunct target text, which the membership memo finds by its text;
+// distinct ranks a target text never sent before on every call, which is
+// parsed and evaluated each time.
+func BenchmarkServeRankMiss(b *testing.B) {
+	const target = "TvProgram AND EXISTS hasGenre.{genre03} AND EXISTS hasSubject.{subject2"
+	opts := contextrank.RankOptions{TopK: 10}
+	for _, c := range []struct {
+		name string
+		text func(i int) string
+	}{
+		{"repeated", func(int) string { return target + "}" }},
+		{"distinct", func(i int) string { return fmt.Sprintf("%s, n%d}", target, i) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sys := contextrank.NewSystem()
+			if _, err := workload.LoadBench(sys.Loader(), sys.Rules(), workload.SmallSpec(), 8); err != nil {
+				b.Fatal(err)
+			}
+			srv := serve.NewServer(sys, serve.Options{CacheSize: 1})
+			users := []string{"person0000", "person0001"}
+			for u, user := range users {
+				ms := []serve.Measurement{{Concept: workload.BenchContextConcept(0), Prob: 0.9}, {Concept: workload.BenchContextConcept(u + 1), Prob: 0.7}}
+				if _, err := srv.SetSession(user, ms); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := srv.Rank(user, c.text(-1-u), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			texts := make([]string, b.N)
+			for i := range texts {
+				texts[i] = c.text(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, text := range texts {
+				if _, meta, err := srv.Rank(users[i%2], text, opts); err != nil || meta.Cached {
+					b.Fatalf("iteration %d: cached=%v, %v", i, meta.Cached, err)
+				}
+			}
+		})
+	}
+}
+
 // rankClient is one keep-alive loopback connection that sends a pre-rendered
 // rank request and reads the whole response before the next — the closed
 // loop of the repository's end-to-end benchmark client.
