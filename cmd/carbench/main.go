@@ -15,13 +15,9 @@
 // serve: load-generate the internal/serve layer over HTTP — N goroutine
 // clients with per-user session contexts ranking the TV-watcher dataset
 // against cmd/carserved's stack in-process (-clients, -benchdur, -churn,
-// -assertevery, -cachesize, -ctxprob, -shards). Reports a memory column
-// (heap and event-space size before/after) — with -churn and -ctxprob < 1
-// it shows event retirement holding the space bounded. With a
-// comma-separated -shards list (e.g. -shards 1,2,4,8) it runs the sharded
-// coordinator at each count under a mixed apply+rank workload and prints
-// the req/s scaling curve with a cross-shard-broadcast latency column.
-// Not part of -exp all: it is a throughput demonstration, not a paper
+// -assertevery, -cachesize, -ctxprob). Reports a memory column (heap and
+// event-space size before/after) — with -churn and -ctxprob < 1 it shows
+// event retirement holding the space bounded. Not part of -exp all: it is a throughput demonstration, not a paper
 // reproduction.
 //
 // overload: the admission-control demonstration — drive offered rank load
@@ -55,7 +51,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -73,7 +68,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "random seed for synthetic histories")
 
 		clients     = flag.Int("clients", 16, "serve: concurrent goroutine clients")
-		shardList   = flag.String("shards", "1", "serve: shard count, or comma-separated counts (1,2,4,8) for the scaling curve")
 		benchdur    = flag.Duration("benchdur", 5*time.Second, "serve: load-generation duration")
 		churn       = flag.Int("churn", 0, "serve: session context update every N ranks per client (0 = never)")
 		assertevery = flag.Duration("assertevery", 0, "serve: background fact-assertion interval bumping the epoch (0 = off)")
@@ -213,9 +207,8 @@ func main() {
 
 	if strings.EqualFold(*exp, "serve") {
 		ran = true
-		counts, err := parseShardList(*shardList)
-		exitOn(err)
-		cfg := loadgenConfig{
+		section("SERVE — internal/serve concurrent ranking service under HTTP load")
+		exitOn(runServeLoadgen(loadgenConfig{
 			Spec:        spec,
 			Rules:       *maxRules,
 			Clients:     *clients,
@@ -224,23 +217,7 @@ func main() {
 			AssertEvery: *assertevery,
 			CacheSize:   *cachesize,
 			CtxProb:     *ctxprob,
-		}
-		if len(counts) > 1 {
-			// The curve needs enough concurrent sessions to expose apply
-			// contention; raise the client default unless set explicitly.
-			explicit := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-			if !explicit["clients"] {
-				cfg.Clients = 128
-			}
-			section("SERVE — shard scaling curve under mixed apply+rank HTTP load")
-			exitOn(runServeShardCurve(cfg, counts))
-		} else {
-			section("SERVE — internal/serve concurrent ranking service under HTTP load")
-			cfg.Shards = counts[0]
-			_, err := runServeLoadgen(cfg)
-			exitOn(err)
-		}
+		}))
 	}
 
 	if strings.EqualFold(*exp, "overload") {
@@ -284,21 +261,6 @@ func main() {
 // no-op until main arms it. Exit paths must call it because os.Exit skips
 // deferred functions.
 var flushProfiles = func() {}
-
-// parseShardList parses the -shards value: one count, or a comma list for
-// the scaling curve.
-func parseShardList(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards value %q (want a positive count or a comma list like 1,2,4,8)", s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
 
 func section(title string) {
 	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("=", len(title)))

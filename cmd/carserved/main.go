@@ -1,46 +1,45 @@
-// Command carserved is the context-aware ranking daemon: it wraps N shard
-// replicas of a contextrank.System in the internal/serve + serve/shard
-// layers (per-shard locking facade, per-user sessions, epoch-invalidated
-// rank caches, consistent-hash routing) and exposes the HTTP/JSON API
-// documented on serve.Handler.
+// Command carserved is the context-aware ranking daemon: it wraps one
+// contextrank.System in the internal/serve + serve/shard layers (locking
+// facade, per-user sessions, epoch-invalidated rank caches, journal and
+// checkpoints) and exposes the HTTP/JSON API documented on serve.Handler.
 //
 // Usage:
 //
-//	carserved [-addr :8372] [-shards 4] [-cache 1024] [-snapdir dir]
+//	carserved [-addr :8372] [-cache 1024] [-snapdir dir]
 //	          [-checkpoint-interval 5m] [-checkpoint-bytes 67108864]
 //	          [-preload none|small|paper] [-rules 4]
 //	          [-metrics] [-ratelimit R] [-burst B]
 //	          [-maxinflight N] [-maxqueue Q] [-accesslog path|-]
-//	          [-degraded-on-disk-error] [-quarantine-after N]
-//	          [-probe-interval 1s] [-drain-timeout 10s]
-//	          [-request-timeout 30s] [-chaos] [-chaos-seed S]
+//	          [-degraded-on-disk-error] [-probe-interval 1s]
+//	          [-drain-timeout 10s] [-request-timeout 30s]
+//	          [-chaos] [-chaos-seed S]
 //
 // Observability and admission control (serve.NewHandlerWith): -metrics
-// serves Prometheus text exposition at GET /metrics (per-shard QPS, rank
-// latency histograms, cache hit rates, journal group-commit sizes, shed
-// counts); -accesslog emits one JSON line per request with a request ID
+// serves Prometheus text exposition at GET /metrics (QPS, rank latency
+// histograms, cache hit rates, journal group-commit sizes, shed counts);
+// -accesslog emits one JSON line per request with a request ID
 // (X-Request-ID honored and echoed); -ratelimit/-burst bound each user's
 // request rate and -maxinflight/-maxqueue bound global concurrency —
 // excess load is shed with 429 + Retry-After instead of queueing without
 // bound.
 //
-// With -shards N every per-user operation (session applies, ranks) is
-// served by the user's shard alone — one user's context apply never
-// blocks another user's rank on a different shard — while vocabulary
-// writes (declare/assert/rules/exec) are broadcast to all shards.
+// The daemon holds one replica of the vocabulary and every session, so a
+// rule whose context reads another user's session through a role sees it.
+// -shards is still accepted, for scripts written against builds that kept
+// one replica per shard; it is ignored, with one log line.
 //
 // With -snapdir the daemon is crash-safe, not merely restartable:
 //
 //   - Every acknowledged mutation — session update/drop, declare, assert,
-//     rule add/remove, SQL exec — rides a per-shard full-state
-//     write-ahead journal (internal/serve/journal): the record is fsynced
-//     (group commit) before the HTTP response, in apply order.
+//     rule add/remove, SQL exec — rides a full-state write-ahead journal
+//     (internal/serve/journal): the record is fsynced (group commit)
+//     before the HTTP response, in apply order.
 //   - A background checkpointer (-checkpoint-interval /
-//     -checkpoint-bytes) periodically snapshots every shard and truncates
-//     the WALs down to live sessions, so the journal stays bounded and
-//     recovery stays fast. SIGTERM/SIGINT takes a final checkpoint; when
-//     the directory holds no snapshot yet, one is also taken at boot
-//     right after preloading.
+//     -checkpoint-bytes) periodically snapshots the database and
+//     truncates the WAL down to live sessions, so the journal stays
+//     bounded and recovery stays fast. SIGTERM/SIGINT takes a final
+//     checkpoint; when the directory holds no snapshot yet, one is also
+//     taken at boot right after preloading.
 //   - Boot restores the latest snapshot and replays the WAL suffix on
 //     top, re-applying each record through the ordinary serving path so
 //     context fingerprints, ctx_* events and rank scores come back
@@ -49,20 +48,17 @@
 //
 // On kill -9, OOM or node loss the next boot therefore recovers to the
 // exact acknowledged state: snapshot + WAL suffix covers sessions and
-// durable data alike, to a single consistent point. (Earlier versions
-// journaled only sessions; durable writes between snapshots were lost on
-// crash.)
-// The shard count may change between runs: broadcast replication makes
-// any shard's snapshot a full copy of the durable state, so a reboot with
-// a different -shards value is an online reshard — journal replay routes
-// every session to its new owning shard.
+// durable data alike, to a single consistent point. A -snapdir written by
+// a build that kept one replica per shard is read the same way: its
+// per-shard WAL files are merged into the one journal (each vocabulary
+// write applied once) and shard 0's snapshot is restored.
 //
 // With -preload the daemon starts already loaded with the paper's §5
 // TV-watcher database (small = scaled-down test sizes, paper = ~11k
 // tuples) and the scalability rule series, so a load generator — e.g.
 // `carbench -exp serve` — can rank immediately:
 //
-//	carserved -preload small -rules 4 -shards 4 &
+//	carserved -preload small -rules 4 &
 //	curl -X PUT localhost:8372/v1/sessions/person0000/context \
 //	     -d '{"measurements":[{"concept":"BenchCtx0","prob":1}]}'
 //	curl 'localhost:8372/v1/rank?user=person0000&target=TvProgram&limit=3'
@@ -70,27 +66,22 @@
 // Session updates whose measurements carry uncertainty (prob < 1, or
 // exclusive groups) declare fresh basic events on every apply; each apply
 // also retires the previous snapshot's events (event.Space.Retire), so the
-// event space — observable as "events" on /v1/stats, summed across shards
-// — stays bounded by the live session vocabulary under arbitrary churn.
+// event space — observable as "events" on /v1/stats — stays bounded by the
+// live session vocabulary under arbitrary churn.
 //
 // The daemon degrades instead of dying (DESIGN.md §3.9). On a persistent
 // journal disk error it enters read-only degraded mode
 // (-degraded-on-disk-error, default on): mutations shed 503 + Retry-After
 // while ranks keep serving from memory, and a background probe
-// (-probe-interval) re-arms the WAL when the disk recovers. With
-// -quarantine-after N, a shard whose broadcast applies fail or panic N
-// times consecutively is fenced off, its users rerouted to healthy
-// replicas, and background repair replays the missed writes from a
-// healthy replica's WAL before readmission. Panics in requests or shard
-// applies are recovered and counted (carserve_panics_total). SIGTERM
+// (-probe-interval) re-arms the WAL when the disk recovers. A panic in a
+// request is recovered and counted (carserve_panics_total). SIGTERM
 // drains new traffic for up to -drain-timeout before the shutdown
 // checkpoint; -request-timeout bounds each request's admission-queue wait
-// and sets its connection deadlines. /healthz
-// reports the aggregate and per-shard failure-domain state (always HTTP
-// 200 — a degraded daemon is alive, and restarting it would destroy the
-// in-memory state repair needs). -chaos arms the /v1/chaos
-// fault-injection surface (testing only; see carbench -exp chaos and
-// scripts/smoke_chaos.sh).
+// and sets its connection deadlines. /healthz reports the failure-domain
+// state (always HTTP 200 — a degraded daemon is alive, and restarting it
+// would destroy the in-memory state the probe re-journals). -chaos arms
+// the /v1/chaos fault-injection surface (testing only; see carbench -exp
+// chaos and scripts/smoke_chaos.sh).
 package main
 
 import (
@@ -117,12 +108,12 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8372", "listen address")
-		shards  = flag.Int("shards", 1, "shard replicas; per-user traffic is routed by consistent hash of the user ID")
-		cache   = flag.Int("cache", serve.DefaultCacheSize, "per-shard rank cache capacity in entries (-1 disables caching)")
-		snapdir = flag.String("snapdir", "", "durability directory: per-shard snapshots (restored on boot, saved at first boot, by the background checkpointer and on shutdown) plus the full-state write-ahead journal (replayed on boot) — makes the daemon crash-safe")
+		shards  = flag.Int("shards", 1, "ignored: the daemon holds one replica (accepted for older scripts)")
+		cache   = flag.Int("cache", serve.DefaultCacheSize, "rank cache capacity in entries (-1 disables caching)")
+		snapdir = flag.String("snapdir", "", "durability directory: snapshots (restored on boot, saved at first boot, by the background checkpointer and on shutdown) plus the full-state write-ahead journal (replayed on boot) — makes the daemon crash-safe")
 
-		ckptInterval = flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -snapdir: snapshot all shards and truncate the WALs (0 disables the time trigger)")
-		ckptBytes    = flag.Int64("checkpoint-bytes", 64<<20, "background checkpoint size trigger with -snapdir: checkpoint once the WALs hold this many bytes of vocabulary records, summed across shards (0 disables the size trigger)")
+		ckptInterval = flag.Duration("checkpoint-interval", 5*time.Minute, "background checkpoint period with -snapdir: snapshot the database and truncate the WAL (0 disables the time trigger)")
+		ckptBytes    = flag.Int64("checkpoint-bytes", 64<<20, "background checkpoint size trigger with -snapdir: checkpoint once the WAL holds this many bytes of vocabulary records (0 disables the size trigger)")
 		preload      = flag.String("preload", "none", "preload dataset: none, small or paper (ignored when restoring from -snapdir)")
 		rules        = flag.Int("rules", 4, "preference rules to register with -preload")
 
@@ -134,14 +125,16 @@ func main() {
 		accesslog   = flag.String("accesslog", "", "JSON-lines request log destination: a file path, or '-' for stderr (empty disables)")
 
 		degradeOnErr  = flag.Bool("degraded-on-disk-error", true, "on a persistent journal write/fsync error, enter read-only degraded mode (mutations 503 + Retry-After, ranks keep serving) instead of failing every mutation until restart; a background probe re-arms the WAL when the disk recovers")
-		quarAfter     = flag.Int("quarantine-after", 0, "quarantine a shard after this many consecutive broadcast apply failures (or panics): its users are rerouted to healthy replicas and background repair replays the missed writes from the WAL before readmission (0 disables)")
-		probeInterval = flag.Duration("probe-interval", time.Second, "how often the background health probe retries degraded disks and quarantined-shard repair")
+		probeInterval = flag.Duration("probe-interval", time.Second, "how often the background health probe retries a degraded journal disk")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, how long to wait for in-flight requests to finish (new requests get 503 + Connection: close immediately) before the shutdown checkpoint")
 		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "per-request deadline: bounds the admission-queue wait and sets the connection read/write deadlines (0 disables)")
-		chaosOn       = flag.Bool("chaos", false, "arm the fault-injection surface: POST/GET/DELETE /v1/chaos manage runtime faults in the journal filesystem, broadcast and rank paths (testing only — armed faults are real outages)")
+		chaosOn       = flag.Bool("chaos", false, "arm the fault-injection surface: POST/GET/DELETE /v1/chaos manage runtime faults in the journal filesystem and rank path (testing only — armed faults are real outages)")
 		chaosSeed     = flag.Int64("chaos-seed", 1, "PRNG seed for rate-triggered chaos faults (with -chaos)")
 	)
 	flag.Parse()
+	if *shards != 1 {
+		log.Printf("carserved: -shards %d ignored: the daemon holds one replica", *shards)
+	}
 
 	build, source, restored, err := buildFunc(*snapdir, *preload, *rules)
 	if err != nil {
@@ -151,7 +144,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("carserved: %v", err)
 	}
-	coord.SetQuarantineAfter(*quarAfter)
 
 	var chaos *faultinject.Injector
 	jopts := journal.Options{}
@@ -164,9 +156,8 @@ func main() {
 
 	if *snapdir != "" {
 		// Full-state durability: journal from here on, replaying whatever
-		// a previous incarnation journaled (session records are routed, so
-		// a changed -shards value reassigns users correctly; vocabulary
-		// records are re-broadcast and deduplicated by broadcast id).
+		// a previous incarnation journaled (a per-shard generation's
+		// vocabulary copies are deduplicated by broadcast id).
 		rs, err := coord.Recover(*snapdir, jopts)
 		if err != nil {
 			log.Fatalf("carserved: recovering journal: %v", err)
@@ -191,7 +182,7 @@ func main() {
 			if err := coord.SaveSnapshots(*snapdir); err != nil {
 				log.Fatalf("carserved: saving boot snapshot: %v", err)
 			}
-			log.Printf("carserved: saved boot snapshot (%d shard(s)) to %s", coord.N(), *snapdir)
+			log.Printf("carserved: saved boot snapshot to %s", *snapdir)
 		}
 	}
 
@@ -206,7 +197,7 @@ func main() {
 	}
 
 	var stopProbe func()
-	if *degradeOnErr || *quarAfter > 0 {
+	if *degradeOnErr {
 		stopProbe = coord.StartHealthProbe(*probeInterval, func(line string) {
 			log.Printf("carserved: %s", line)
 		})
@@ -249,8 +240,8 @@ func main() {
 	}
 
 	go func() {
-		log.Printf("carserved: listening on %s (shards=%d %s cache=%d metrics=%v ratelimit=%g maxinflight=%d maxqueue=%d)",
-			*addr, *shards, source, *cache, *metricsOn, *ratelimit, *maxinflight, *maxqueue)
+		log.Printf("carserved: listening on %s (%s cache=%d metrics=%v ratelimit=%g maxinflight=%d maxqueue=%d)",
+			*addr, source, *cache, *metricsOn, *ratelimit, *maxinflight, *maxqueue)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("carserved: %v", err)
 		}
@@ -281,12 +272,11 @@ func main() {
 	}
 	if *snapdir != "" {
 		if err := coord.SaveSnapshots(*snapdir); err != nil {
-			// Not fatal: a quarantined shard refuses the checkpoint, and
-			// the journal already holds everything — the next boot replays
-			// it on top of the previous snapshot.
+			// Not fatal: the journal already holds everything — the next
+			// boot replays it on top of the previous snapshot.
 			log.Printf("carserved: saving snapshots: %v (journal retains full state)", err)
 		} else {
-			log.Printf("carserved: saved %d shard snapshot(s) to %s", coord.N(), *snapdir)
+			log.Printf("carserved: saved snapshot to %s", *snapdir)
 		}
 		// Closed after the snapshot: the journal outlives the dump, so a
 		// crash during SaveSnapshots still recovers sessions on reboot.
@@ -295,15 +285,11 @@ func main() {
 		}
 	}
 	st := coord.Stats()
-	log.Printf("carserved: served %d rank requests across %d shards, cache %s, epoch %d",
-		st.Requests, coord.N(), st.Cache, st.Epoch)
-	for i, sh := range st.Shards {
-		log.Printf("carserved: shard %d: %d requests, %d sessions, %d events, epoch %d",
-			i, sh.Requests, sh.Sessions, sh.Events, sh.Epoch)
-	}
+	log.Printf("carserved: served %d rank requests, %d sessions, %d events, cache %s, epoch %d",
+		st.Requests, st.Sessions, st.Events, st.Cache, st.Epoch)
 }
 
-// buildFunc picks the per-shard System source: a snapshot restore when
+// buildFunc picks the System source: a snapshot restore when
 // snapdir holds one, the preloaded dataset otherwise. source describes the
 // choice for the startup log line; restored reports whether a snapshot
 // was found (when false and snapdir is set, main persists a boot
@@ -327,16 +313,14 @@ func buildFunc(snapdir, preload string, rules int) (build func(int) (*contextran
 	default:
 		return nil, "", false, fmt.Errorf("unknown -preload %q (want none, small or paper)", preload)
 	}
-	build = func(i int) (*contextrank.System, error) {
+	build = func(int) (*contextrank.System, error) {
 		sys := contextrank.NewSystem()
 		d, err := workload.LoadBench(sys.Loader(), sys.Rules(), spec, rules)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			log.Printf("carserved: preloading %d tuples (%d persons, %d programs), %d rules per shard",
-				d.TupleCount, spec.Persons, spec.Programs, rules)
-		}
+		log.Printf("carserved: preloading %d tuples (%d persons, %d programs), %d rules",
+			d.TupleCount, spec.Persons, spec.Programs, rules)
 		return sys, nil
 	}
 	return build, "preload=" + preload, false, nil

@@ -2,7 +2,7 @@
 // the serving stack's failure-domain tests and the chaos smoke. Faults
 // are armed at runtime (no build tags): an Injector holds a list of
 // armed Faults, each naming an injection Point (a filesystem operation
-// of the journal's FS seam, a shard broadcast apply, the rank path) and
+// of the journal's FS seam, the rank path) and
 // a trigger — every op, every nth op, after a warmup, a seeded random
 // rate, a bounded fire count. A fired fault injects a delay, an error
 // (ENOSPC/EIO/... mapped to real syscall errors so errors.Is works), a
@@ -40,11 +40,8 @@ const (
 	FSSync   Point = "fs.sync"
 	FSRename Point = "fs.rename"
 	FSRemove Point = "fs.remove"
-	// BroadcastApply fires inside the per-shard broadcast fan-out
-	// goroutine, before the shard applies the vocabulary write. Shard
-	// selects the replica.
-	BroadcastApply Point = "broadcast.apply"
-	// RankServe fires at the top of the coordinator's rank path.
+	// RankServe fires at the top of the coordinator's rank path, as
+	// shard 0.
 	RankServe Point = "rank.serve"
 )
 
@@ -73,7 +70,7 @@ type Fault struct {
 	After int `json:"after,omitempty"`
 	// Count disarms the fault after this many fires (0 = unlimited).
 	Count int `json:"count,omitempty"`
-	// Shard restricts broadcast.apply / rank.serve faults to one shard.
+	// Shard restricts rank.serve faults to one shard.
 	Shard *int `json:"shard,omitempty"`
 	// Match restricts fs.* faults to paths containing this substring
 	// (e.g. "-001.wal" for shard 1's journal, ".compact" for the
@@ -158,8 +155,8 @@ func (in *Injector) Snapshot() []FaultStatus {
 	return out
 }
 
-// Fire evaluates the faults at a shard-selected point (broadcast.apply,
-// rank.serve). shard < 0 matches any selector. A fired panic fault
+// Fire evaluates the faults at a shard-selected point (rank.serve).
+// shard < 0 matches any selector. A fired panic fault
 // panics; a fired error fault returns the mapped error; a delay-only
 // fault sleeps and returns nil.
 func (in *Injector) Fire(p Point, shard int) error {

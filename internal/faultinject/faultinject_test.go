@@ -77,12 +77,12 @@ func TestNthAfterCountTriggers(t *testing.T) {
 func TestRateIsDeterministicPerSeed(t *testing.T) {
 	run := func() []int {
 		in := New(42)
-		if err := in.Arm(Fault{Point: BroadcastApply, Rate: 0.5}); err != nil {
+		if err := in.Arm(Fault{Point: RankServe, Rate: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 		var fired []int
 		for op := 0; op < 32; op++ {
-			if err := in.Fire(BroadcastApply, 1); err != nil {
+			if err := in.Fire(RankServe, 1); err != nil {
 				fired = append(fired, op)
 			}
 		}
@@ -102,13 +102,13 @@ func TestRateIsDeterministicPerSeed(t *testing.T) {
 func TestShardAndMatchSelectors(t *testing.T) {
 	in := New(1)
 	shard := 2
-	if err := in.Arm(Fault{Point: BroadcastApply, Shard: &shard}); err != nil {
+	if err := in.Arm(Fault{Point: RankServe, Shard: &shard}); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Fire(BroadcastApply, 1); err != nil {
+	if err := in.Fire(RankServe, 1); err != nil {
 		t.Fatalf("wrong shard fired: %v", err)
 	}
-	if err := in.Fire(BroadcastApply, 2); err == nil {
+	if err := in.Fire(RankServe, 2); err == nil {
 		t.Fatal("selected shard did not fire")
 	}
 

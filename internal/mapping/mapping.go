@@ -690,17 +690,6 @@ type MembershipStats struct {
 	DroppedByDDL int64 `json:"dropped_by_ddl"`
 }
 
-// Merge sums two loaders' counters (the shard coordinator's aggregate).
-func (s MembershipStats) Merge(o MembershipStats) MembershipStats {
-	return MembershipStats{
-		Hits:         s.Hits + o.Hits,
-		Patched:      s.Patched + o.Patched,
-		Queries:      s.Queries + o.Queries,
-		Entries:      s.Entries + o.Entries,
-		DroppedByDDL: s.DroppedByDDL + o.DroppedByDDL,
-	}
-}
-
 // MembershipStats snapshots the memo's counters, lock-free.
 func (l *Loader) MembershipStats() MembershipStats {
 	return MembershipStats{

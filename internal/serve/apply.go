@@ -38,14 +38,14 @@ type Applied struct {
 }
 
 // Apply is the server's one mutation entry: the journal record is the
-// command. Live traffic (the typed Mutators build records), broadcast
-// fan-out, boot replay and quarantine repair all feed it, so they cannot
-// diverge. For every op it gates on degraded mode, applies inside the
-// op's critical section, submits exactly the applied record to the WAL
-// inside that same section (journal order = apply order, which
-// CheckpointDump's sequence cut depends on), waits for the group-commit
-// fsync outside it (concurrent applies share one sync), feeds a journal
-// failure to the disk-health domain and pokes the subscription evaluator.
+// command. Live traffic (the typed Mutators build records) and boot
+// replay both feed it, so they cannot diverge. For every op it gates on
+// degraded mode, applies inside the op's critical section, submits
+// exactly the applied record to the WAL inside that same section (journal
+// order = apply order, which CheckpointDump's sequence cut depends on),
+// waits for the group-commit fsync outside it (concurrent applies share
+// one sync), feeds a journal failure to the disk-health domain and pokes
+// the subscription evaluator.
 //
 // What is journaled: Declare/Assert/AddRules apply item by item and
 // journal exactly the applied prefix — on a mid-list error the earlier
@@ -57,17 +57,9 @@ type Applied struct {
 // may have applied and then failed its journal write, and without the
 // record the WAL would hold a live Set/Subscribe whose replay resurrects
 // state the client was told is gone.
-//
-// A record carrying a broadcast id bypasses the degraded gate: the
-// coordinator pre-checked every shard before assigning the BID, and a
-// shard that degrades mid-flight must still apply in memory and put the
-// record on its unjournaled tail, or it would silently miss a write its
-// replicas hold.
 func (s *Server) Apply(rec journal.Record) (Applied, error) {
-	if rec.BID == 0 {
-		if err := s.health.checkWritable(); err != nil {
-			return Applied{}, err
-		}
+	if err := s.health.checkWritable(); err != nil {
+		return Applied{}, err
 	}
 	// A replayed record was preserved because it had not applied; the
 	// copy journaled here has.
@@ -247,7 +239,7 @@ func addRulesPrefix(sys *contextrank.System, rec *journal.Record, out *Applied) 
 }
 
 // Applier is the mutation entry a backend provides: Server.Apply executes
-// the record, shard.Coordinator.Apply routes it to the Server(s) that do.
+// the record, shard.Coordinator.Apply times it on its way to the Server.
 type Applier interface {
 	Apply(rec journal.Record) (Applied, error)
 }
@@ -287,7 +279,7 @@ func (m Mutators) RemoveRule(name string) (int64, error) {
 }
 
 // Exec runs a mutating SQL statement, returning the new epoch. A statement
-// outside the SQL dialect is refused before any shard sees it: it moves no
+// outside the SQL dialect is refused before the backend sees it: it moves no
 // epoch and journals nothing.
 func (m Mutators) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
 	if _, err := sql.Parse(stmt); err != nil {

@@ -203,21 +203,6 @@ func hitRate(hits, misses int64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// Merge sums two caches' counters — the shard coordinator uses it to
-// aggregate per-shard caches — and recomputes the combined hit rate.
-func (s CacheStats) Merge(o CacheStats) CacheStats {
-	out := CacheStats{
-		Size:      s.Size + o.Size,
-		Capacity:  s.Capacity + o.Capacity,
-		Hits:      s.Hits + o.Hits,
-		Misses:    s.Misses + o.Misses,
-		Evicted:   s.Evicted + o.Evicted,
-		Refreshed: s.Refreshed + o.Refreshed,
-	}
-	out.HitRate = hitRate(out.Hits, out.Misses)
-	return out
-}
-
 func (s CacheStats) String() string {
 	return fmt.Sprintf("size=%d/%d hits=%d misses=%d evicted=%d hit-rate=%.1f%%",
 		s.Size, s.Capacity, s.Hits, s.Misses, s.Evicted, 100*s.HitRate)

@@ -28,7 +28,7 @@ import (
 const maxBodyBytes = 1 << 20
 
 // Handler is the HTTP/JSON front-end over a serving Backend — a single
-// *Server or a sharded shard.Coordinator (net/http only).
+// *Server or a shard.Coordinator (net/http only).
 //
 // Endpoints:
 //
@@ -59,7 +59,7 @@ const maxBodyBytes = 1 << 20
 // cannot drift between them. Every non-2xx response body is the
 // canonical error envelope: {"error", "code", "request_id"} with a
 // machine-readable code (bad_request, unknown_user, not_found, conflict,
-// too_costly, rate_limited, degraded, quarantined, internal).
+// too_costly, rate_limited, degraded, internal).
 type Handler struct {
 	srv       Backend
 	mux       *http.ServeMux
@@ -123,8 +123,7 @@ type HandlerOptions struct {
 	// Chaos, when set, exposes the fault injector at /v1/chaos
 	// (GET = armed faults with counters, POST {"faults":[...]} = arm,
 	// DELETE = disarm all). Serving-side injection points (rank,
-	// broadcast, journal FS) must be wired to the same injector by the
-	// daemon. Never set it in production without authentication in
+	// journal FS) must be wired to the same injector by the daemon. Never set it in production without authentication in
 	// front: armed faults are real outages.
 	Chaos *faultinject.Injector
 }
@@ -181,8 +180,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 	// Code is the machine-readable error class — bad_request,
 	// unknown_user, not_found, conflict, too_costly, rate_limited,
-	// degraded, quarantined or internal — stable across message-text changes, so
-	// clients branch on it instead of parsing Error.
+	// degraded or internal — stable across message-text changes, so clients
+	// branch on it instead of parsing Error.
 	Code string `json:"code"`
 	// RequestID ties the error to its access-log line and X-Request-ID
 	// header; empty when the handler runs without the middleware.
@@ -986,9 +985,9 @@ type healthzShard struct {
 }
 
 // healthz reports liveness plus the failure-domain state. The status is
-// always 200 — a degraded or quarantined daemon is alive and serving
-// reads; restarting it (what orchestrators do with failing liveness
-// probes) would only destroy the in-memory state repair needs. The body
+// always 200 — a degraded daemon is alive and serving reads; restarting
+// it (what orchestrators do with failing liveness probes) would only
+// destroy the in-memory state the disk probe re-journals. The body
 // carries the aggregate state and per-shard detail for operators.
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	st := h.srv.Stats()
@@ -1138,14 +1137,11 @@ func writeBody(w http.ResponseWriter, r *http.Request, status int, fill func(*by
 }
 
 // errorCode maps a response status + error to the envelope's machine
-// code. Sentinel errors win over the status (a 503 caused by a
-// quarantined shard reports "quarantined", not the generic "degraded")
-// so clients can branch on the cause, not the transport code.
+// code. Sentinel errors win over the status (a write refused or left
+// unjournaled by a degraded journal reports "degraded" whatever status
+// carried it) so clients can branch on the cause, not the transport code.
 func errorCode(status int, err error) string {
-	switch {
-	case err != nil && errors.Is(err, ErrQuarantined):
-		return "quarantined"
-	case err != nil && (errors.Is(err, ErrDegraded) || errors.Is(err, ErrNotJournaled)):
+	if err != nil && (errors.Is(err, ErrDegraded) || errors.Is(err, ErrNotJournaled)) {
 		return "degraded"
 	}
 	switch {

@@ -12,26 +12,15 @@ import (
 // Health states, as reported in Stats.Health and /healthz. A server is
 // degraded when its WAL is sticky-failed: it keeps serving ranks from
 // memory but rejects mutations (503 + Retry-After) until a disk probe
-// re-arms the journal. Quarantined is a coordinator-level state: the
-// shard failed a broadcast apply (or panicked) and its users are
-// rerouted to healthy replicas until background repair replays the
-// missed records and readmits it.
+// re-arms the journal.
 const (
-	StateHealthy     = "healthy"
-	StateDegraded    = "degraded"
-	StateQuarantined = "quarantined"
+	StateHealthy  = "healthy"
+	StateDegraded = "degraded"
 )
 
 // ErrDegraded marks a mutation rejected while the backend's journal is
 // degraded. The handler maps it to 503 with a Retry-After.
 var ErrDegraded = errors.New("serve: journal degraded; mutations temporarily rejected (reads still served)")
-
-// ErrQuarantined marks an operation refused because a shard is
-// quarantined and its repair has not completed yet. It originates in the
-// shard coordinator (which aliases this sentinel — serve cannot import
-// shard); it lives here so the error envelope can map it to the
-// "quarantined" code.
-var ErrQuarantined = errors.New("shard: quarantined shard pending repair")
 
 // ErrNotJournaled marks the in-flight mutations that hit the disk fault
 // itself: applied in memory, never acknowledged as durable. The handler
@@ -142,7 +131,7 @@ func (h *diskHealth) clear() {
 // HealthInfo is the health block of Stats: one server's (or, on the
 // aggregate, a whole coordinator's) failure-domain state.
 type HealthInfo struct {
-	// State is healthy, degraded or quarantined.
+	// State is healthy or degraded.
 	State string `json:"state"`
 	// Reason is the error that caused a non-healthy state.
 	Reason string `json:"reason,omitempty"`
@@ -155,14 +144,8 @@ type HealthInfo struct {
 	TailDropped     int64 `json:"tail_dropped,omitempty"`
 	// Recoveries counts degraded→healthy transitions (disk came back).
 	Recoveries int64 `json:"recoveries,omitempty"`
-	// DegradedShards / QuarantinedShards list non-healthy shard indexes
-	// (aggregate only).
-	DegradedShards    []int `json:"degraded_shards,omitempty"`
-	QuarantinedShards []int `json:"quarantined_shards,omitempty"`
-	// Quarantines / Repairs count shards quarantined and repaired+
-	// readmitted since boot (aggregate only).
-	Quarantines int64 `json:"quarantines,omitempty"`
-	Repairs     int64 `json:"repairs,omitempty"`
+	// DegradedShards lists degraded shard indexes (aggregate only).
+	DegradedShards []int `json:"degraded_shards,omitempty"`
 	// Panics is the process-wide recovered-panic count (aggregate only).
 	Panics int64 `json:"panics,omitempty"`
 }
@@ -186,10 +169,9 @@ func (h *diskHealth) healthInfo() *HealthInfo {
 	return info
 }
 
-// panicsTotal counts panics recovered anywhere in the serving stack —
-// per-request recovery in the HTTP handler, per-shard isolation in the
-// broadcast fan-out — instead of killing the daemon. Process-global so
-// every layer feeds one carserve_panics_total.
+// panicsTotal counts panics the HTTP handler's per-request recovery
+// caught instead of letting them kill the daemon. Process-global so every
+// handler feeds one carserve_panics_total.
 var panicsTotal atomic.Int64
 
 // NotePanic records one recovered panic.
@@ -224,9 +206,7 @@ func (s *Server) ProbeDisk() error {
 		}
 		for k, rec := range tail {
 			// Preserved = checkpoint-exempt, exactly like recovery's
-			// preserve path. The record keeps its BID: on a later replay
-			// the healthy shards' WALs carry the same broadcast record,
-			// and the shared BID is what deduplicates them.
+			// preserve path.
 			rec.Preserved = true
 			if err := j.Append(rec); err != nil {
 				s.health.pushBack(tail[k:])

@@ -198,11 +198,10 @@ type SubSpec struct {
 type Record struct {
 	Op  Op     `json:"op"`
 	Seq uint64 `json:"seq"`
-	// BID tags a broadcast vocabulary write with a coordinator-wide id.
-	// Every shard journals the same record with the same BID, so recovery
-	// — which replays every shard's WAL through the broadcast apply path —
-	// can apply each broadcast write exactly once. Zero means untagged
-	// (unsharded server, or legacy records).
+	// BID tags a vocabulary write journaled by a build that kept one
+	// replica per shard: every shard's WAL holds the same record under the
+	// same BID, so recovery, reading such a generation, applies each write
+	// exactly once. Writes journaled now carry none (zero).
 	BID uint64 `json:"bid,omitempty"`
 	// User is the session owner (OpSet/OpDrop only).
 	User         string        `json:"user,omitempty"`
@@ -227,13 +226,12 @@ type Record struct {
 	// Stmt is the OpExec SQL statement.
 	Stmt string `json:"stmt,omitempty"`
 	// SubID identifies a standing subscription (OpSubscribe/OpUnsubscribe).
-	// User carries the subscription owner on both ops, so routed replay can
-	// shard subscription records exactly like session records.
+	// User carries the subscription owner on both ops.
 	SubID string `json:"sid,omitempty"`
 	// Subscription is the OpSubscribe payload.
 	Subscription *SubSpec `json:"subn,omitempty"`
 	// Preserved marks a record re-journaled by recovery after its apply
-	// failed (schema drift, reshard edge cases). Preserved records are
+	// failed (schema drift, an op from a newer build). Preserved records are
 	// exempt from checkpoint truncation — the snapshot does not contain
 	// their effect, so the journal is their only copy.
 	Preserved bool `json:"preserved,omitempty"`
@@ -321,39 +319,6 @@ type Stats struct {
 	// bound). sum(BatchSizes) == Batches and the record-weighted total is
 	// Appends.
 	BatchSizes []int64 `json:"batch_sizes,omitempty"`
-}
-
-// Merge folds another journal's stats into a combined view — the shard
-// coordinator aggregates per-shard journals with it.
-func (s Stats) Merge(o Stats) Stats {
-	merged := Stats{
-		Appends:         s.Appends + o.Appends,
-		Batches:         s.Batches + o.Batches,
-		Fsyncs:          s.Fsyncs + o.Fsyncs,
-		Compactions:     s.Compactions + o.Compactions,
-		CompactFailures: s.CompactFailures + o.CompactFailures,
-		LiveRecords:     s.LiveRecords + o.LiveRecords,
-		SubRecords:      s.SubRecords + o.SubRecords,
-		VocabRecords:    s.VocabRecords + o.VocabRecords,
-		VocabBytes:      s.VocabBytes + o.VocabBytes,
-		CheckpointSeq:   max(s.CheckpointSeq, o.CheckpointSeq),
-		Degraded:        s.Degraded || o.Degraded,
-		Resets:          s.Resets + o.Resets,
-		TotalRecords:    s.TotalRecords + o.TotalRecords,
-		Bytes:           s.Bytes + o.Bytes,
-	}
-	switch {
-	case len(s.BatchSizes) == 0:
-		merged.BatchSizes = append([]int64(nil), o.BatchSizes...)
-	case len(o.BatchSizes) == 0:
-		merged.BatchSizes = append([]int64(nil), s.BatchSizes...)
-	default:
-		merged.BatchSizes = append([]int64(nil), s.BatchSizes...)
-		for i, v := range o.BatchSizes {
-			merged.BatchSizes[i] += v
-		}
-	}
-	return merged
 }
 
 // liveEntry is the latest Set frame for one user, kept for compaction.

@@ -1,26 +1,25 @@
 package serve
 
 import (
-	"strconv"
-
 	"repro/internal/serve/journal"
 	"repro/internal/serve/metrics"
 )
 
 // RegisterBackendMetrics exposes a serving backend's counters as
-// carserve_* Prometheus series. Per-shard series are derived from
-// Stats.Shards when the backend is sharded; an unsharded Server is
-// exported as shard "0", so dashboards are identical either way. The
-// whole export is one lock-free Stats() call per scrape — no second
-// bookkeeping layer that could drift from /v1/stats, and no scrape-time
-// contention with rank traffic (the PR-3 discipline).
+// carserve_* Prometheus series. The per-shard series carry shard "0": a
+// backend holds one replica, and its Stats.Shards entry (or, on a bare
+// Server, its own counters) is that shard. The whole export is one
+// lock-free Stats() call per scrape — no second bookkeeping layer that
+// could drift from /v1/stats, and no scrape-time contention with rank
+// traffic (the PR-3 discipline).
 func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 	reg.Collect(func(w *metrics.Writer) {
 		st := b.Stats()
-		shards := st.Shards
-		if len(shards) == 0 {
-			shards = []Stats{st}
+		one := st
+		if len(st.Shards) > 0 {
+			one = st.Shards[0]
 		}
+		shard := func(name string, v float64) { w.Sample(name, v, "shard", "0") }
 
 		w.Family("carserve_uptime_seconds", "gauge", "Seconds since the backend started.")
 		w.Sample("carserve_uptime_seconds", st.UptimeSeconds)
@@ -30,34 +29,27 @@ func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 		w.Sample("carserve_rules", float64(st.Rules))
 
 		w.Family("carserve_sessions", "gauge", "Live sessions per shard.")
-		for i, s := range shards {
-			w.Sample("carserve_sessions", float64(s.Sessions), "shard", strconv.Itoa(i))
-		}
+		shard("carserve_sessions", float64(one.Sessions))
 		w.Family("carserve_events", "gauge", "Declared basic events per shard (growth = event leak).")
-		for i, s := range shards {
-			w.Sample("carserve_events", float64(s.Events), "shard", strconv.Itoa(i))
-		}
+		shard("carserve_events", float64(one.Events))
 		w.Family("carserve_rank_requests_total", "counter", "Rank requests (single + batch items) per shard.")
-		for i, s := range shards {
-			w.Sample("carserve_rank_requests_total", float64(s.Requests), "shard", strconv.Itoa(i))
-		}
+		shard("carserve_rank_requests_total", float64(one.Requests))
 
 		w.Family("carserve_rank_latency_seconds", "histogram", "Rank call latency per shard.")
-		for i, s := range shards {
-			if len(s.Latency.Buckets) == 0 {
-				continue
-			}
+		if len(one.Latency.Buckets) > 0 {
 			// The recorder tracks an exact all-time sum in microseconds via
 			// the mean; reconstruct seconds for the histogram _sum line.
-			sum := s.Latency.MeanMicros * float64(s.Latency.Count) / 1e6
+			sum := one.Latency.MeanMicros * float64(one.Latency.Count) / 1e6
 			w.Histogram("carserve_rank_latency_seconds", RankLatencyBuckets,
-				s.Latency.Buckets, sum, "shard", strconv.Itoa(i))
+				one.Latency.Buckets, sum, "shard", "0")
 		}
 
-		exportCache(w, "carserve_rank_cache", "rank-result", shards, func(s Stats) CacheStats { return s.Cache })
-		exportCache(w, "carserve_plan_cache", "compiled-rank-plan", shards, func(s Stats) CacheStats { return s.Plans })
+		exportCache(w, "carserve_rank_cache", "rank-result", one.Cache)
+		exportCache(w, "carserve_plan_cache", "compiled-rank-plan", one.Plans)
 
-		exportJournal(w, shards)
+		if one.Journal != nil {
+			exportJournal(w, *one.Journal)
+		}
 
 		if st.Checkpoints != nil {
 			w.Family("carserve_checkpoints_total", "counter", "Completed background checkpoints.")
@@ -86,9 +78,7 @@ func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 		}
 
 		if st.HotPath != nil {
-			// Process-global rank hot-path counters (see core.HotPathStats):
-			// not per-shard, because every shard shares one scratch pool and
-			// one set of atomics.
+			// Process-global rank hot-path counters (see core.HotPathStats).
 			hp := st.HotPath
 			w.Family("carserve_rank_scratch_total", "counter", "Rank scratch-arena acquisitions, by provenance (fresh = pool had to allocate).")
 			w.Sample("carserve_rank_scratch_total", float64(hp.ScratchGets-hp.ScratchNews), "result", "pooled")
@@ -99,11 +89,11 @@ func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 		}
 
 		if st.Broadcast != nil {
-			w.Family("carserve_broadcast_writes_total", "counter", "Cross-shard vocabulary broadcasts.")
+			w.Family("carserve_broadcast_writes_total", "counter", "Vocabulary writes (declare, assert, rules, exec).")
 			w.Sample("carserve_broadcast_writes_total", float64(st.Broadcast.Writes))
-			w.Family("carserve_broadcast_mean_seconds", "gauge", "Mean broadcast wall time (slowest shard).")
+			w.Family("carserve_broadcast_mean_seconds", "gauge", "Mean vocabulary-write wall time, apply to ack.")
 			w.Sample("carserve_broadcast_mean_seconds", st.Broadcast.MeanMicros/1e6)
-			w.Family("carserve_broadcast_max_seconds", "gauge", "Worst broadcast wall time since start.")
+			w.Family("carserve_broadcast_max_seconds", "gauge", "Worst vocabulary-write wall time since start.")
 			w.Sample("carserve_broadcast_max_seconds", st.Broadcast.MaxMicros/1e6)
 		}
 
@@ -119,29 +109,27 @@ func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 			w.Sample("carserve_subscription_lag_events_total", float64(st.Subs.Lagged))
 		}
 
-		exportHealth(w, st, shards)
+		exportHealth(w, st, one)
 	})
 }
 
-// exportHealth emits the failure-domain series: per-shard state gauges,
-// the recovered-panic counter, and quarantine/repair totals.
-func exportHealth(w *metrics.Writer, st Stats, shards []Stats) {
-	w.Family("carserve_panics_total", "counter", "Panics recovered by the serving stack (per-request and per-shard isolation) instead of killing the daemon.")
+// exportHealth emits the failure-domain series: the shard's state gauge,
+// the recovered-panic counter and the degraded-mode counters.
+func exportHealth(w *metrics.Writer, st, one Stats) {
+	w.Family("carserve_panics_total", "counter", "Panics recovered by the serving stack (per-request isolation) instead of killing the daemon.")
 	w.Sample("carserve_panics_total", float64(PanicsTotal()))
 
 	w.Family("carserve_shard_health", "gauge", "Shard health by state (1 = the shard is in that state).")
-	for i, s := range shards {
-		state := StateHealthy
-		if s.Health != nil && s.Health.State != "" {
-			state = s.Health.State
+	state := StateHealthy
+	if one.Health != nil && one.Health.State != "" {
+		state = one.Health.State
+	}
+	for _, candidate := range []string{StateHealthy, StateDegraded} {
+		v := 0.0
+		if state == candidate {
+			v = 1.0
 		}
-		for _, candidate := range []string{StateHealthy, StateDegraded, StateQuarantined} {
-			v := 0.0
-			if state == candidate {
-				v = 1.0
-			}
-			w.Sample("carserve_shard_health", v, "shard", strconv.Itoa(i), "state", candidate)
-		}
+		w.Sample("carserve_shard_health", v, "shard", "0", "state", candidate)
 	}
 
 	if st.Health != nil {
@@ -149,110 +137,46 @@ func exportHealth(w *metrics.Writer, st Stats, shards []Stats) {
 		w.Sample("carserve_degraded_recoveries_total", float64(st.Health.Recoveries))
 		w.Family("carserve_unjournaled_tail_records", "gauge", "Applied-but-unjournaled records awaiting re-journal on disk recovery.")
 		w.Sample("carserve_unjournaled_tail_records", float64(st.Health.UnjournaledTail))
-		w.Family("carserve_quarantines_total", "counter", "Shards quarantined after repeated broadcast failures.")
-		w.Sample("carserve_quarantines_total", float64(st.Health.Quarantines))
-		w.Family("carserve_repairs_total", "counter", "Quarantined shards repaired from the WAL and readmitted.")
-		w.Sample("carserve_repairs_total", float64(st.Health.Repairs))
 	}
 }
 
-// exportCache emits one cache's hit/miss/evict counters and
-// occupancy + hit-ratio gauges per shard under the given series prefix.
-func exportCache(w *metrics.Writer, prefix, what string, shards []Stats, get func(Stats) CacheStats) {
+// exportCache emits one cache's hit/miss/evict counters and occupancy +
+// hit-ratio gauges under the given series prefix.
+func exportCache(w *metrics.Writer, prefix, what string, c CacheStats) {
 	w.Family(prefix+"_hits_total", "counter", "Hits in the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_hits_total", float64(get(s).Hits), "shard", strconv.Itoa(i))
-	}
+	w.Sample(prefix+"_hits_total", float64(c.Hits), "shard", "0")
 	w.Family(prefix+"_misses_total", "counter", "Misses in the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_misses_total", float64(get(s).Misses), "shard", strconv.Itoa(i))
-	}
+	w.Sample(prefix+"_misses_total", float64(c.Misses), "shard", "0")
 	w.Family(prefix+"_evicted_total", "counter", "Evictions from the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_evicted_total", float64(get(s).Evicted), "shard", strconv.Itoa(i))
-	}
+	w.Sample(prefix+"_evicted_total", float64(c.Evicted), "shard", "0")
 	w.Family(prefix+"_size", "gauge", "Entries in the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_size", float64(get(s).Size), "shard", strconv.Itoa(i))
-	}
+	w.Sample(prefix+"_size", float64(c.Size), "shard", "0")
 	w.Family(prefix+"_hit_ratio", "gauge", "Hit fraction of the "+what+" cache since start.")
-	for i, s := range shards {
-		w.Sample(prefix+"_hit_ratio", get(s).HitRate, "shard", strconv.Itoa(i))
-	}
+	w.Sample(prefix+"_hit_ratio", c.HitRate, "shard", "0")
 }
 
-// exportJournal emits the session-WAL counters and the group-commit
-// batch-size histogram for every shard that runs with a journal.
-func exportJournal(w *metrics.Writer, shards []Stats) {
-	any := false
-	for _, s := range shards {
-		if s.Journal != nil {
-			any = true
-			break
-		}
+// exportJournal emits the WAL counters and the group-commit batch-size
+// histogram.
+func exportJournal(w *metrics.Writer, j journal.Stats) {
+	metric := func(name, typ, help string, v float64) {
+		w.Family(name, typ, help)
+		w.Sample(name, v, "shard", "0")
 	}
-	if !any {
-		return
+	metric("carserve_journal_appends_total", "counter", "Acknowledged session-WAL records.", float64(j.Appends))
+	metric("carserve_journal_fsyncs_total", "counter", "Session-WAL file syncs.", float64(j.Fsyncs))
+	metric("carserve_journal_compactions_total", "counter", "Session-WAL live-record rewrites.", float64(j.Compactions))
+	metric("carserve_journal_compact_failures_total", "counter", "Failed session-WAL compaction attempts.", float64(j.CompactFailures))
+	metric("carserve_journal_bytes", "gauge", "Session-WAL logical size (frames, not the pre-sized slack).", float64(j.Bytes))
+	metric("carserve_journal_live_records", "gauge", "Users with a live WAL record.", float64(j.LiveRecords))
+	metric("carserve_journal_vocab_records", "gauge", "Vocabulary records awaiting a checkpoint.", float64(j.VocabRecords))
+	metric("carserve_journal_vocab_bytes", "gauge", "WAL bytes of vocabulary records since the last checkpoint (the size trigger's input).", float64(j.VocabBytes))
+	metric("carserve_journal_checkpoint_seq", "gauge", "Highest journal sequence covered by a checkpoint.", float64(j.CheckpointSeq))
+	degraded := 0.0
+	if j.Degraded {
+		degraded = 1.0
 	}
-	counter := func(name, help string, get func(journal.Stats) float64) {
-		w.Family(name, "counter", help)
-		for i, s := range shards {
-			if s.Journal != nil {
-				w.Sample(name, get(*s.Journal), "shard", strconv.Itoa(i))
-			}
-		}
-	}
-	counter("carserve_journal_appends_total", "Acknowledged session-WAL records.",
-		func(j journal.Stats) float64 { return float64(j.Appends) })
-	counter("carserve_journal_fsyncs_total", "Session-WAL file syncs.",
-		func(j journal.Stats) float64 { return float64(j.Fsyncs) })
-	counter("carserve_journal_compactions_total", "Session-WAL live-record rewrites.",
-		func(j journal.Stats) float64 { return float64(j.Compactions) })
-	counter("carserve_journal_compact_failures_total", "Failed session-WAL compaction attempts.",
-		func(j journal.Stats) float64 { return float64(j.CompactFailures) })
-
-	w.Family("carserve_journal_bytes", "gauge", "Session-WAL logical size (frames, not the pre-sized slack).")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_bytes", float64(s.Journal.Bytes), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_live_records", "gauge", "Users with a live WAL record.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_live_records", float64(s.Journal.LiveRecords), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_vocab_records", "gauge", "Vocabulary records awaiting a checkpoint.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_vocab_records", float64(s.Journal.VocabRecords), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_vocab_bytes", "gauge", "WAL bytes of vocabulary records since the last checkpoint (the size trigger's input).")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_vocab_bytes", float64(s.Journal.VocabBytes), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_checkpoint_seq", "gauge", "Highest journal sequence covered by a checkpoint.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_checkpoint_seq", float64(s.Journal.CheckpointSeq), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_degraded", "gauge", "1 while the shard's WAL is sticky-failed and mutations are rejected.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			v := 0.0
-			if s.Journal.Degraded {
-				v = 1.0
-			}
-			w.Sample("carserve_journal_degraded", v, "shard", strconv.Itoa(i))
-		}
-	}
-	counter("carserve_journal_resets_total", "Successful WAL re-arms after a sticky write error (Reset).",
-		func(j journal.Stats) float64 { return float64(j.Resets) })
+	metric("carserve_journal_degraded", "gauge", "1 while the shard's WAL is sticky-failed and mutations are rejected.", degraded)
+	metric("carserve_journal_resets_total", "counter", "Successful WAL re-arms after a sticky write error (Reset).", float64(j.Resets))
 
 	bounds := make([]float64, len(journal.BatchSizeBuckets))
 	for i, b := range journal.BatchSizeBuckets {
@@ -260,13 +184,9 @@ func exportJournal(w *metrics.Writer, shards []Stats) {
 	}
 	w.Family("carserve_journal_batch_records", "histogram",
 		"Records per group commit: mass above 1 means concurrent applies share fsyncs.")
-	for i, s := range shards {
-		if s.Journal == nil || len(s.Journal.BatchSizes) == 0 {
-			continue
-		}
+	if len(j.BatchSizes) > 0 {
 		// _sum is total records = Appends; _count is Batches.
-		w.Histogram("carserve_journal_batch_records", bounds,
-			s.Journal.BatchSizes, float64(s.Journal.Appends), "shard", strconv.Itoa(i))
+		w.Histogram("carserve_journal_batch_records", bounds, j.BatchSizes, float64(j.Appends), "shard", "0")
 	}
 }
 

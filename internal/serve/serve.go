@@ -36,9 +36,9 @@
 //
 // Handler exposes the whole thing over HTTP/JSON through the Backend
 // interface (cmd/carserved is the daemon around it). The shard subpackage
-// scales the layer horizontally: a shard.Coordinator owns N Servers,
-// routes per-user records by consistent hash and broadcasts vocabulary
-// records, behind the same Backend interface. The journal subpackage makes
+// composes the durable daemon: a shard.Coordinator wraps one Server with
+// its journal, checkpoints and recovery, behind the same Backend
+// interface. The journal subpackage makes
 // state crash-durable: with a WAL attached (AttachJournal), every
 // acknowledged mutation is fsynced before the acknowledgement and boot
 // replays the records through the same Apply. See DESIGN.md §3/§3.5/§3.6

@@ -26,9 +26,8 @@ type Options struct {
 
 // Backend is the serving surface the HTTP handler (and the load
 // generators) speak to. Two implementations exist: *Server — one System
-// behind one facade — and shard.Coordinator, which routes per-user
-// operations to one of N Servers by consistent hash and broadcasts
-// vocabulary writes to all of them. The handler is written against this
+// behind one facade — and shard.Coordinator, which wraps one Server with
+// its journal, checkpoints and recovery. The handler is written against this
 // interface so both serve the identical HTTP API. Both get the mutating
 // methods from the embedded Mutators — record builders over their Apply —
 // and implement only Apply and the reads themselves.
@@ -36,10 +35,10 @@ type Backend interface {
 	// Rank ranks target for user through the backend's cache(s).
 	Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error)
 	// Declare registers concepts, roles and subconcept axioms (a
-	// vocabulary write: sharded backends broadcast it to every shard).
+	// vocabulary write).
 	Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error)
 	// Assert adds (possibly uncertain) concept/role assertions (also a
-	// broadcast write under sharding).
+	// vocabulary write).
 	Assert(concepts []ConceptAssertion, roles []RoleAssertion) (int64, error)
 	// Rules snapshots the registered preference rules.
 	Rules() []contextrank.Rule
@@ -50,8 +49,7 @@ type Backend interface {
 	RemoveRule(name string) (int64, error)
 	// RankBatch ranks several targets/candidate lists for one user in a
 	// single call: one consistent snapshot, one compiled rank plan (for
-	// the factorized algorithm) shared by every item, and — under
-	// sharding — one hop to the user's owning shard.
+	// the factorized algorithm) shared by every item.
 	RankBatch(user string, algorithm contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, error)
 	// SetSession replaces the user's session context.
 	SetSession(user string, ms []Measurement) (string, error)
@@ -160,7 +158,7 @@ func (s *Server) Journal() *journal.Journal { return s.wal.Load() }
 type RankMeta struct {
 	Cached  bool          // served from the rank cache
 	Epoch   int64         // facade epoch the result corresponds to
-	Shard   int           // shard that served the call (0 for an unsharded Server)
+	Shard   int           // shard that served the call: always 0, the one replica
 	Elapsed time.Duration // wall time of this call
 
 	// enc is the served ranking's stored results encoding (see ranked);
@@ -471,9 +469,8 @@ type Stats struct {
 	// dropped.
 	Memberships contextrank.MembershipStats `json:"memberships"`
 	Latency     LatencyStats                `json:"latency"`
-	// Health is the failure-domain state: healthy, degraded (journal
-	// down, mutations rejected) or quarantined (coordinator rerouting
-	// around the shard), plus the counters behind it.
+	// Health is the failure-domain state: healthy or degraded (journal
+	// down, mutations rejected), plus the counters behind it.
 	Health *HealthInfo `json:"health,omitempty"`
 	// Journal is the write-ahead log (appends, group-commit batches,
 	// fsyncs, compactions, live/vocab/total records, bytes since the last
@@ -486,29 +483,27 @@ type Stats struct {
 	// Recovery describes what boot-time WAL replay restored; filled once
 	// at boot by shard.Coordinator.Recover (aggregate only).
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
-	// Broadcast describes cross-shard vocabulary writes; only a sharded
-	// backend fills it.
+	// Broadcast describes vocabulary writes; only shard.Coordinator fills
+	// it.
 	Broadcast *BroadcastStats `json:"broadcast,omitempty"`
 	// Subs is the standing-subscription subsystem: registered
 	// subscriptions, pushed events, evaluator work and skip counts.
 	Subs *SubscriptionStats `json:"subscriptions,omitempty"`
 	// HotPath is the rank hot path's scratch-pool and document-
 	// distribution-cache effectiveness. The counters are process-global
-	// (see contextrank.HotPathStats), so a sharded backend reports them
-	// once on the aggregate and leaves per-shard entries nil.
+	// (see contextrank.HotPathStats), so shard.Coordinator reports them
+	// once on the aggregate and leaves its shard entry's nil.
 	HotPath *contextrank.HotPathStats `json:"hot_path,omitempty"`
-	// Shards is the per-shard breakdown (index = shard id); only a
-	// sharded backend fills it, and the outer struct is then the
-	// aggregate: requests/sessions/events sum, epoch/rules take the
-	// maximum (vocabulary is replicated), and latency percentiles take
-	// the worst shard.
+	// Shards is the per-shard breakdown (index = shard id); only
+	// shard.Coordinator fills it, with one entry: its replica, whose
+	// counters the outer struct also carries.
 	Shards []Stats `json:"shards,omitempty"`
 }
 
-// BroadcastStats describes the cross-shard write path of a sharded
-// backend: every vocabulary mutation (declare, assert, rules, exec) is
-// applied to all shards, and its latency is the wall time of the slowest
-// shard's apply.
+// BroadcastStats describes the vocabulary-write path (declare, assert,
+// rules, exec): how many writes were applied and their apply-to-ack wall
+// time. The name is kept from builds that applied each write to one
+// replica per shard.
 type BroadcastStats struct {
 	Writes     int64   `json:"writes"`
 	MeanMicros float64 `json:"mean_us"`
@@ -527,15 +522,16 @@ type CheckpointStats struct {
 	// LastDurationMicros is the wall time of the last successful
 	// checkpoint (dump + rename + WAL truncation).
 	LastDurationMicros float64 `json:"last_duration_us,omitempty"`
-	// LastSeq is the highest per-shard journal sequence the last
-	// checkpoint covered (max across shards).
+	// LastSeq is the highest journal sequence the last checkpoint
+	// covered.
 	LastSeq uint64 `json:"last_seq,omitempty"`
 }
 
 // RecoveryStats describes what a boot-time WAL replay restored. The
 // per-op counts are applied records; Skipped* are records correctly not
-// applied (already covered by the restored checkpoint, or a broadcast
-// duplicate of a record another shard's WAL already replayed).
+// applied (already covered by the restored checkpoint, or a copy of a
+// vocabulary write another file of a per-shard generation already
+// replayed).
 type RecoveryStats struct {
 	// Files is how many journal files were replayed.
 	Files int `json:"files"`
@@ -546,7 +542,7 @@ type RecoveryStats struct {
 	Users int `json:"users"`
 	Drops int `json:"drops"`
 	// Declares/Asserts/RuleAdds/RuleRemoves/Execs count vocabulary
-	// records applied through the broadcast path.
+	// records applied.
 	Declares    int `json:"declares"`
 	Asserts     int `json:"asserts"`
 	RuleAdds    int `json:"rule_adds"`
@@ -554,10 +550,11 @@ type RecoveryStats struct {
 	Execs       int `json:"execs"`
 	// SkippedCheckpoint counts vocabulary records whose effect the
 	// restored snapshot already contained (Seq <= the manifest's
-	// checkpoint_seq for that shard, same journal generation).
+	// checkpoint_seq for that file, same journal generation).
 	SkippedCheckpoint int `json:"skipped_checkpoint"`
-	// SkippedDuplicate counts broadcast records deduplicated by BID —
-	// every shard's WAL holds a copy; exactly one is applied.
+	// SkippedDuplicate counts vocabulary records deduplicated by BID: a
+	// generation written with one replica per shard holds a copy in every
+	// shard's WAL, and exactly one is applied.
 	SkippedDuplicate int `json:"skipped_duplicate"`
 	// Subscribes/Unsubscribes count standing-subscription records
 	// replayed: journaled subscriptions re-register at boot, so a client's

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -10,9 +11,9 @@ type CheckpointerOptions struct {
 	// Interval triggers a checkpoint when this much time has passed since
 	// the last one (or since start). Zero disables the time trigger.
 	Interval time.Duration
-	// Bytes triggers a checkpoint when the WALs hold at least this many
-	// bytes of vocabulary records not yet covered by a checkpoint, summed
-	// across shards. Zero disables the size trigger.
+	// Bytes triggers a checkpoint when the WAL holds at least this many
+	// bytes of vocabulary records not yet covered by a checkpoint. Zero
+	// disables the size trigger.
 	Bytes int64
 	// Poll is how often the triggers are evaluated. Defaults to 1s (or
 	// Interval, if smaller).
@@ -55,7 +56,7 @@ func (c *Coordinator) StartCheckpointer(dir string, opts CheckpointerOptions) (s
 			case <-ticker.C:
 			}
 			due := opts.Interval > 0 && time.Since(last) >= opts.Interval
-			if !due && opts.Bytes > 0 && c.vocabWALBytes() >= opts.Bytes {
+			if !due && opts.Bytes > 0 && c.wal != nil && c.wal.Stats().VocabBytes >= opts.Bytes {
 				due = true
 			}
 			if !due {
@@ -69,18 +70,6 @@ func (c *Coordinator) StartCheckpointer(dir string, opts CheckpointerOptions) (s
 		close(done)
 		wg.Wait()
 	}
-}
-
-// vocabWALBytes sums the framed bytes of checkpointable vocabulary
-// records currently retained across all shard WALs.
-func (c *Coordinator) vocabWALBytes() int64 {
-	var total int64
-	for _, j := range c.journals {
-		if j != nil {
-			total += j.Stats().VocabBytes
-		}
-	}
-	return total
 }
 
 // checkpointTimed runs one checkpoint and records its outcome in the
@@ -98,13 +87,49 @@ func (c *Coordinator) checkpointTimed(dir string, onError func(error)) {
 	c.ckptCount.Add(1)
 	c.ckptLastUnix.Store(time.Now().Unix())
 	c.ckptLastDurUs.Store(time.Since(start).Microseconds())
-	var maxSeq uint64
-	for _, j := range c.journals {
-		if j != nil {
-			if s := j.Stats().CheckpointSeq; s > maxSeq {
-				maxSeq = s
+	if c.wal != nil {
+		c.ckptLastSeq.Store(c.wal.Stats().CheckpointSeq)
+	}
+}
+
+// StartHealthProbe runs the degraded-mode probe every interval until the
+// returned stop function is called: while the replica's journal is
+// degraded, each tick tries serve.Server.ProbeDisk, which re-arms the WAL
+// and re-journals the unjournaled tail once the disk takes writes again.
+// onEvent (optional) receives one line per failed attempt and one on
+// recovery — wire it to the daemon log.
+func (c *Coordinator) StartHealthProbe(interval time.Duration, onEvent func(string)) (stop func()) {
+	if interval <= 0 {
+		interval = time.Second
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+			}
+			if !c.srv.Degraded() {
+				continue
+			}
+			err := c.srv.ProbeDisk()
+			switch {
+			case onEvent == nil:
+			case err != nil:
+				onEvent(fmt.Sprintf("health probe: journal still degraded: %v", err))
+			default:
+				onEvent("health probe: journal recovered from degraded mode")
 			}
 		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
 	}
-	c.ckptLastSeq.Store(maxSeq)
 }

@@ -291,11 +291,11 @@ func TestCheckpointCoveredRecordReplayIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stash the pre-checkpoint WALs, checkpoint (snapshot + truncate),
-	// then write the stale WALs back: exactly the on-disk state a crash
+	// Stash the pre-checkpoint WAL, checkpoint (snapshot + truncate),
+	// then write the stale WAL back: exactly the on-disk state a crash
 	// after the manifest rename but before truncation leaves behind.
 	wals, err := filepath.Glob(filepath.Join(dir, "sessions-*.wal"))
-	if err != nil || len(wals) != 2 {
+	if err != nil || len(wals) != 1 {
 		t.Fatalf("glob: %v (%d files)", err, len(wals))
 	}
 	saved := make(map[string][]byte)

@@ -28,7 +28,7 @@ func TestServedPathReadsNoExecutorRows(t *testing.T) {
 	const rules = 4
 	spec := workload.SmallSpec()
 	spec.Genres = rules
-	systems := make([]*contextrank.System, 2)
+	systems := make([]*contextrank.System, 1)
 	c, err := New(len(systems), func(i int) (*contextrank.System, error) {
 		systems[i] = contextrank.NewSystem()
 		_, err := workload.LoadBench(systems[i].Loader(), systems[i].Rules(), spec, rules)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 
@@ -14,9 +15,9 @@ func freshSystems(int) (*contextrank.System, error) {
 	return contextrank.NewSystem(), nil
 }
 
-// newTestCoordinator builds an n-shard coordinator preloaded (via
-// broadcast) with the worked-example vocabulary, data and one rule, so
-// any user on any shard can rank TvProgram.
+// newTestCoordinator builds a coordinator (New(n, …)) preloaded with the
+// worked-example vocabulary, data and one rule, so any user can rank
+// TvProgram.
 func newTestCoordinator(t *testing.T, n int) *Coordinator {
 	t.Helper()
 	c, err := New(n, freshSystems, serve.Options{})
@@ -42,6 +43,41 @@ func newTestCoordinator(t *testing.T, n int) *Coordinator {
 	return c
 }
 
+// ShardIndex is the routing function of the builds that kept one replica
+// per shard: FNV-64a of the user ID fed through Lamping–Veach jump
+// consistent hashing. The tests use it to pick users such a build would
+// have served from different replicas.
+func ShardIndex(user string, shards int) int {
+	h := fnv.New64a()
+	h.Write([]byte(user))
+	return jumpHash(h.Sum64(), shards)
+}
+
+// jumpHash is Lamping & Veach's jump consistent hash ("A Fast, Minimal
+// Memory, Consistent Hash Algorithm", 2014).
+func jumpHash(key uint64, buckets int) int {
+	var b, j int64 = -1, 0
+	for j < int64(buckets) {
+		b = j
+		key = key*2862933555777941757 + 1
+		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
+	}
+	return int(b)
+}
+
+// userOnShard finds a user name that jump-hashes to shard want of n.
+func userOnShard(t *testing.T, n, want int) string {
+	t.Helper()
+	for i := 0; i < 10*n*n+100; i++ {
+		u := fmt.Sprintf("quser%04d", i)
+		if ShardIndex(u, n) == want {
+			return u
+		}
+	}
+	t.Fatalf("no user found for shard %d/%d", want, n)
+	return ""
+}
+
 func TestShardIndexStableAndBalanced(t *testing.T) {
 	const users, shards = 10000, 8
 	counts := make([]int, shards)
@@ -65,20 +101,21 @@ func TestShardIndexStableAndBalanced(t *testing.T) {
 	}
 }
 
+// TestShardIndexMatchesCoordinatorRouting: whatever ShardIndex would have
+// picked, the coordinator serves every user from its one replica, shard 0.
 func TestShardIndexMatchesCoordinatorRouting(t *testing.T) {
 	c := newTestCoordinator(t, 4)
 	for i := 0; i < 64; i++ {
 		u := fmt.Sprintf("user%d", i)
-		want := ShardIndex(u, 4)
-		if got := c.ShardFor(u); got != want {
-			t.Fatalf("ShardFor(%q) = %d, want %d", u, got, want)
+		if got := c.ShardFor(u); got != 0 {
+			t.Fatalf("ShardFor(%q) = %d (ShardIndex %d), want 0", u, got, ShardIndex(u, 4))
 		}
 		_, meta, err := c.Rank(u, "TvProgram", contextrank.RankOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Shard != want {
-			t.Fatalf("rank for %q served by shard %d, want %d", u, meta.Shard, want)
+		if meta.Shard != 0 {
+			t.Fatalf("rank for %q served by shard %d, want 0", u, meta.Shard)
 		}
 	}
 }
@@ -102,65 +139,54 @@ func TestJumpHashMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestBroadcastConsistency checks the replication invariant: vocabulary,
-// data and rules declared once through the coordinator are visible on
-// every shard, so every shard ranks identically for session-less users.
+// TestBroadcastConsistency: vocabulary, data and rules written through the
+// coordinator are on its replica, and a rule removal leaves it.
 func TestBroadcastConsistency(t *testing.T) {
 	c := newTestCoordinator(t, 4)
-	for i := 0; i < c.N(); i++ {
-		s := c.Shard(i)
-		rules := s.Rules()
-		if len(rules) != 1 || rules[0].Name != "R1" {
-			t.Fatalf("shard %d rules = %+v, want [R1]", i, rules)
-		}
-		res, err := s.Query("SELECT id FROM c_TvProgram ORDER BY id")
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if len(res.Rows) != 2 {
-			t.Fatalf("shard %d holds %d TvProgram rows, want 2", i, len(res.Rows))
-		}
-		// Neutral ranking (no session context) must agree across shards.
-		out, _, err := s.Rank("nobody", "TvProgram", contextrank.RankOptions{})
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if len(out) != 2 {
-			t.Fatalf("shard %d ranked %d candidates, want 2", i, len(out))
-		}
+	s := c.Shard(0)
+	rules := s.Rules()
+	if len(rules) != 1 || rules[0].Name != "R1" {
+		t.Fatalf("rules = %+v, want [R1]", rules)
 	}
-	// RemoveRule must broadcast too.
+	res, err := s.Query("SELECT id FROM c_TvProgram ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("%d TvProgram rows, want 2", len(res.Rows))
+	}
+	out, _, err := s.Rank("nobody", "TvProgram", contextrank.RankOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 2 {
+		t.Fatalf("ranked %d candidates, want 2", len(out))
+	}
 	if _, err := c.RemoveRule("R1"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.N(); i++ {
-		if got := len(c.Shard(i).Rules()); got != 0 {
-			t.Fatalf("shard %d still holds %d rules after broadcast removal", i, got)
-		}
+	if got := len(s.Rules()); got != 0 {
+		t.Fatalf("%d rules after the removal, want 0", got)
 	}
 }
 
-// TestSessionsAreShardLocal checks that a session apply lands only on the
-// user's shard and that the user's ranking reflects it.
+// TestSessionsAreShardLocal checks that a session apply lands on the
+// replica, that the user's ranking reflects it and that a drop ends it.
 func TestSessionsAreShardLocal(t *testing.T) {
 	c := newTestCoordinator(t, 4)
 	user := "peter"
-	home := c.ShardFor(user)
 	if _, err := c.SetSession(user, []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.N(); i++ {
-		_, _, ok := c.Shard(i).SessionInfo(user)
-		if want := i == home; ok != want {
-			t.Fatalf("shard %d has session=%v, want %v (home shard %d)", i, ok, want, home)
-		}
+	if _, _, ok := c.Shard(c.ShardFor(user)).SessionInfo(user); !ok {
+		t.Fatal("the replica holds no session")
 	}
 	res, meta, err := c.Rank(user, "TvProgram", contextrank.RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Shard != home {
-		t.Fatalf("rank served by shard %d, want home shard %d", meta.Shard, home)
+	if meta.Shard != 0 {
+		t.Fatalf("rank served by shard %d, want 0", meta.Shard)
 	}
 	if res[0].ID != "Oprah" {
 		t.Fatalf("weekend winner = %s, want Oprah (session context not applied?)", res[0].ID)
@@ -173,24 +199,22 @@ func TestSessionsAreShardLocal(t *testing.T) {
 	}
 }
 
-// TestQueryReadsOneReplica: a query reads the lowest healthy replica, so
-// the same SELECT over a session concept answers the same rows each time it
-// is sent, although only the session's home shard holds its row.
+// TestQueryReadsOneReplica: a SELECT over a session concept answers the
+// same rows each time it is sent, the session's row among them.
 func TestQueryReadsOneReplica(t *testing.T) {
 	c := newTestCoordinator(t, 2)
-	if _, err := c.SetSession(userOnShard(t, 2, 1), []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
+	user := userOnShard(t, 2, 1)
+	if _, err := c.SetSession(user, []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	var rows []string
 	for range 2 {
 		res, err := c.Query("SELECT id FROM c_Weekend")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, fmt.Sprint(res.Rows))
-	}
-	if rows[0] != rows[1] {
-		t.Fatalf("the same query answered %s, then %s", rows[0], rows[1])
+		if len(res.Rows) != 1 || res.Rows[0][0].S != user {
+			t.Fatalf("the query answered %v, want %s's row", res.Rows, user)
+		}
 	}
 }
 
@@ -206,8 +230,8 @@ func TestStatsAggregation(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if len(st.Shards) != 3 {
-		t.Fatalf("per-shard breakdown has %d entries, want 3", len(st.Shards))
+	if len(st.Shards) != 1 {
+		t.Fatalf("per-shard breakdown has %d entries, want 1", len(st.Shards))
 	}
 	if st.Sessions != len(users) {
 		t.Fatalf("aggregate sessions = %d, want %d", st.Sessions, len(users))
@@ -231,12 +255,8 @@ func TestStatsAggregation(t *testing.T) {
 	if st.Broadcast.MeanMicros <= 0 || st.Broadcast.MaxMicros < st.Broadcast.MeanMicros {
 		t.Fatalf("broadcast latency not recorded: %+v", st.Broadcast)
 	}
-	var memo contextrank.MembershipStats
-	for _, sh := range st.Shards {
-		memo = memo.Merge(sh.Memberships)
-	}
-	if memo != st.Memberships || memo.Queries == 0 {
-		t.Fatalf("aggregate memberships %+v, per-shard sum %+v — want the sum, with the ranks' whole evaluations in it", st.Memberships, memo)
+	if memo := st.Shards[0].Memberships; memo != st.Memberships || memo.Queries == 0 {
+		t.Fatalf("aggregate memberships %+v, shard entry %+v — want the same, with the ranks' whole evaluations in it", st.Memberships, memo)
 	}
 }
 
@@ -344,9 +364,7 @@ func TestShardSoakConcurrentAppliesAndRanks(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.N(); i++ {
-		if got := len(c.Shard(i).Rules()); got != 1 {
-			t.Fatalf("shard %d rules = %d after soak, want 1", i, got)
-		}
+	if got := len(c.Rules()); got != 1 {
+		t.Fatalf("rules = %d after soak, want 1", got)
 	}
 }

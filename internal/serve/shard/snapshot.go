@@ -21,6 +21,10 @@ const manifestName = "manifest.json"
 // format (engine.Dump carries its own version).
 const manifestVersion = 1
 
+// manifest is the snapshot directory's pointer. A save writes one shard
+// file (Shards = 1); a checkpoint saved by a build that kept one replica
+// per shard holds Shards files, every one a full copy of the durable
+// state, and carries CheckpointBID.
 type manifest struct {
 	Version int    `json:"version"`
 	Shards  int    `json:"shards"`
@@ -30,17 +34,15 @@ type manifest struct {
 	// against that generation's files: after a boot creates a fresh
 	// generation, an old snapshot's coverage says nothing about the new
 	// files, and recovery ignores the fields rather than wrongly skipping
-	// records. Empty when the save ran without journals (JSON-additive:
-	// older manifests simply lack these fields, manifestVersion stays 1).
+	// records. Empty when the save ran without journals.
 	JournalGen string `json:"journal_gen,omitempty"`
-	// CheckpointSeqs[i] is shard i's journal sequence at the snapshot
-	// cut: every vocabulary record with Seq <= CheckpointSeqs[i] in shard
-	// i's WAL (of generation JournalGen) is reflected in the snapshot.
+	// CheckpointSeqs[i] is WAL file i's journal sequence at the snapshot
+	// cut: every vocabulary record with Seq <= CheckpointSeqs[i] in file i
+	// (of generation JournalGen) is reflected in the snapshot.
 	CheckpointSeqs []uint64 `json:"checkpoint_seqs,omitempty"`
-	// CheckpointBID is the broadcast-id frontier of the cut: the
-	// broadcast gate is held across all shards' dumps, so every broadcast
-	// write with BID <= CheckpointBID is in every shard's file and none
-	// above it is in any.
+	// CheckpointBID is the broadcast-id frontier of a per-shard-replica
+	// cut: every vocabulary record with a BID <= CheckpointBID is in the
+	// snapshot. Read only; a save of one replica writes none.
 	CheckpointBID uint64 `json:"checkpoint_bid,omitempty"`
 }
 
@@ -49,49 +51,39 @@ func snapshotFile(dir, id string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%s-%03d.snapshot.json", id, i))
 }
 
-// SaveSnapshots dumps every shard's database (serve.Server.CheckpointDump:
+// SaveSnapshots dumps the replica's database (serve.Server.CheckpointDump:
 // engine.Dump plus the persisted rule repository, minus session context)
-// into dir, one file per shard plus a manifest, creating dir if needed.
-// Each dump runs under that shard's write lock, so it is a consistent cut
-// of that shard; other shards keep serving while one is dumping.
+// into dir as shard file 0 plus a manifest, creating dir if needed. The
+// dump runs under the facade write lock, so it is a consistent cut.
 //
-// The save is atomic as a *set*: every file of a save carries a fresh
-// generation id, and the manifest — renamed into place last — is the only
-// pointer to a generation. A crash at any instant leaves the manifest
-// referencing a complete generation (the previous one until the final
-// rename, the new one after), never a mix; overwriting an older save with
-// a different shard count can therefore never splice stale replicas into
-// a restore. Files of superseded generations are removed best-effort
+// The save is atomic: every file of a save carries a fresh generation id,
+// and the manifest — renamed into place last — is the only pointer to a
+// generation. A crash at any instant leaves the manifest referencing a
+// complete generation (the previous one until the final rename, the new
+// one after). Files of superseded generations are removed best-effort
 // after the manifest switch.
 //
 // Sessions are not part of snapshots: they are journaled continuously by
 // the WAL instead (see Recover), which a boot replays on top of the
-// restored snapshot. A coordinator without journals simply starts
+// restored snapshot. A coordinator without a journal simply starts
 // sessionless, context being re-sensed (the paper's §5 position).
 //
-// With journals attached a save IS a checkpoint: the manifest records the
-// journal generation and each shard's covered sequence, and every WAL is
+// With a journal attached a save IS a checkpoint: the manifest records
+// the journal generation and the covered sequence, and the WAL is
 // truncated down to its live sessions (plus any checkpoint-exempt
 // records) once the manifest switch makes the snapshot authoritative.
 // Checkpoint is the same operation under its own name; SIGTERM's final
 // save and the background checkpointer share this path.
 func (c *Coordinator) SaveSnapshots(dir string) error { return c.Checkpoint(dir) }
 
-// Checkpoint snapshots every shard and truncates the WALs. The broadcast
-// gate is held across all shards' dumps so the cuts share one broadcast
-// frontier (see Coordinator.bcastGate); per-shard session/rank traffic is
-// blocked only while its own shard is dumping. WAL truncation happens
+// Checkpoint snapshots the replica and truncates the WAL. The journal
+// submit of every mutation happens inside the critical section that
+// applied it, so the sequence CheckpointDump returns under the facade
+// write lock is exactly the dump's frontier. WAL truncation happens
 // strictly after the manifest rename — a crash in between leaves extra
 // records in the WAL whose replay is skipped via the manifest's coverage
 // fields, never a manifest that over-promises coverage.
 func (c *Coordinator) Checkpoint(dir string) error {
-	// A checkpoint while a shard is quarantined would snapshot diverged
-	// replicas and truncate the very WAL records repair needs. Refuse —
-	// the caller (background checkpointer, shutdown save) retries or
-	// logs, and the WAL keeps everything until the shard is readmitted.
-	if c.quar.mask.Load() != 0 {
-		return ErrQuarantined
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: snapshot dir: %w", err)
 	}
@@ -100,49 +92,27 @@ func (c *Coordinator) Checkpoint(dir string) error {
 		return fmt.Errorf("shard: save id: %w", err)
 	}
 	id := hex.EncodeToString(idBytes[:])
-	seqs := make([]uint64, len(c.shards))
-	var ckptBID uint64
-	err := func() error {
-		c.bcastGate.Lock()
-		defer c.bcastGate.Unlock()
-		// Re-check under the gate: RepairShard holds the gate's write
-		// side too, so a quarantine can engage while this call waited.
-		if c.quar.mask.Load() != 0 {
-			return ErrQuarantined
-		}
-		// Captured under the gate: no broadcast can be in flight, so this
-		// is exactly the frontier every shard's dump reflects.
-		ckptBID = c.bid.Load()
-		for i, s := range c.shards {
-			path := snapshotFile(dir, id, i)
-			f, err := os.Create(path)
-			if err != nil {
-				return fmt.Errorf("shard: snapshot %d: %w", i, err)
-			}
-			seqs[i], err = s.CheckpointDump(f)
-			if err == nil {
-				// The manifest switch below makes this file authoritative;
-				// its data must hit the disk first or a crash could leave
-				// the manifest pointing at a hollow snapshot.
-				err = f.Sync()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("shard: snapshot %d: %w", i, err)
-			}
-		}
-		return nil
-	}()
+	f, err := os.Create(snapshotFile(dir, id, 0))
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: snapshot: %w", err)
 	}
-	m := manifest{Version: manifestVersion, Shards: len(c.shards), Save: id}
-	if c.journals != nil {
+	seq, err := c.srv.CheckpointDump(f)
+	if err == nil {
+		// The manifest switch below makes this file authoritative; its
+		// data must hit the disk first or a crash could leave the
+		// manifest pointing at a hollow snapshot.
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("shard: snapshot: %w", err)
+	}
+	m := manifest{Version: manifestVersion, Shards: 1, Save: id}
+	if c.wal != nil {
 		m.JournalGen = c.journalGen
-		m.CheckpointSeqs = seqs
-		m.CheckpointBID = ckptBID
+		m.CheckpointSeqs = []uint64{seq}
 	}
 	mf, err := json.Marshal(m)
 	if err != nil {
@@ -159,12 +129,9 @@ func (c *Coordinator) Checkpoint(dir string) error {
 	}
 	journal.SyncDirFS(fsys, dir)
 	removeStaleSaves(dir, id)
-	for i, j := range c.journals {
-		if j == nil {
-			continue
-		}
-		if err := j.Checkpoint(seqs[i]); err != nil {
-			return fmt.Errorf("shard: truncating journal %d after checkpoint: %w", i, err)
+	if c.wal != nil {
+		if err := c.wal.Checkpoint(seq); err != nil {
+			return fmt.Errorf("shard: truncating journal after checkpoint: %w", err)
 		}
 	}
 	return nil
@@ -225,20 +192,18 @@ func readSnapshotManifest(dir string) (*manifest, error) {
 }
 
 // RestoreBuilder returns a New-compatible build function that restores
-// shard i from the snapshot set in dir, plus the shard count the set was
-// saved with. The target shard count may differ from the saved one:
-// because every broadcast write is replicated, any saved shard holds the
-// full non-session state, so shard i restores from file i mod saved —
-// resharding (1→8, 8→4, …) is just a restore at the new count. Caches
-// start cold either way; sessions live in the journal, whose replay
-// (Recover) routes each user to its new shard.
+// the replica from the snapshot set in dir, plus the shard count the set
+// was saved with. A set saved by a build that kept one replica per shard
+// holds that many full copies of the durable state; the replica restores
+// from shard 0's. Caches start cold; sessions live in the journal, whose
+// replay (Recover) brings them back.
 func RestoreBuilder(dir string) (build func(shard int) (*contextrank.System, error), saved int, err error) {
 	m, err := readSnapshotManifest(dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	build = func(i int) (*contextrank.System, error) {
-		f, err := os.Open(snapshotFile(dir, m.Save, i%m.Shards))
+	build = func(int) (*contextrank.System, error) {
+		f, err := os.Open(snapshotFile(dir, m.Save, 0))
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,8 @@ import (
 
 // TestSnapshotRoundTrip saves a loaded coordinator and restores it at the
 // same and at a different shard count, checking that vocabulary, data and
-// rules survive on every shard and that sessions (deliberately) do not.
+// rules survive in the one shard file and that sessions (deliberately) do
+// not.
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCoordinator(t, 2)
@@ -24,16 +25,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !HasSnapshots(dir) {
 		t.Fatal("HasSnapshots = false after save")
 	}
-	if n := countShardFiles(t, dir); n != 2 {
-		t.Fatalf("found %d shard snapshot files, want 2", n)
+	if n := countShardFiles(t, dir); n != 1 {
+		t.Fatalf("found %d shard snapshot files, want 1", n)
 	}
 	// A second save supersedes the first generation atomically (manifest
 	// swap) and garbage-collects its files.
 	if err := c.SaveSnapshots(dir); err != nil {
 		t.Fatal(err)
 	}
-	if n := countShardFiles(t, dir); n != 2 {
-		t.Fatalf("stale generation not cleaned up: %d shard files, want 2", n)
+	if n := countShardFiles(t, dir); n != 1 {
+		t.Fatalf("stale generation not cleaned up: %d shard files, want 1", n)
 	}
 
 	for _, n := range []int{2, 4, 1} {
@@ -41,26 +42,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if saved != 2 {
-			t.Fatalf("manifest reports %d saved shards, want 2", saved)
+		if saved != 1 {
+			t.Fatalf("manifest reports %d saved shards, want 1", saved)
 		}
 		rc, err := New(n, build, serve.Options{})
 		if err != nil {
 			t.Fatalf("restore at %d shards: %v", n, err)
 		}
-		for i := 0; i < rc.N(); i++ {
-			s := rc.Shard(i)
-			rules := s.Rules()
-			if len(rules) != 1 || rules[0].Name != "R1" {
-				t.Fatalf("restore@%d shard %d rules = %+v", n, i, rules)
-			}
-			res, err := s.Query("SELECT id FROM c_TvProgram ORDER BY id")
-			if err != nil {
-				t.Fatalf("restore@%d shard %d: %v", n, i, err)
-			}
-			if len(res.Rows) != 2 {
-				t.Fatalf("restore@%d shard %d holds %d rows, want 2", n, i, len(res.Rows))
-			}
+		rules := rc.Rules()
+		if len(rules) != 1 || rules[0].Name != "R1" {
+			t.Fatalf("restore@%d rules = %+v", n, rules)
+		}
+		res, err := rc.Query("SELECT id FROM c_TvProgram ORDER BY id")
+		if err != nil {
+			t.Fatalf("restore@%d: %v", n, err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("restore@%d holds %d rows, want 2", n, len(res.Rows))
 		}
 		// Sessions are never persisted: context is sensed fresh (§5).
 		if _, _, ok := rc.SessionInfo("peter"); ok {
@@ -70,12 +68,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if _, err := rc.SetSession("peter", []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
 			t.Fatalf("restore@%d: %v", n, err)
 		}
-		res, _, err := rc.Rank("peter", "TvProgram", contextrank.RankOptions{})
+		ranked, _, err := rc.Rank("peter", "TvProgram", contextrank.RankOptions{})
 		if err != nil {
 			t.Fatalf("restore@%d: %v", n, err)
 		}
-		if len(res) == 0 || res[0].ID != "Oprah" {
-			t.Fatalf("restore@%d ranked %v, want Oprah first", n, res)
+		if len(ranked) == 0 || ranked[0].ID != "Oprah" {
+			t.Fatalf("restore@%d ranked %v, want Oprah first", n, ranked)
 		}
 	}
 }

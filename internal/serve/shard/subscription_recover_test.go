@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/serve"
 	"repro/internal/serve/journal"
 )
@@ -198,76 +197,5 @@ func TestSubscriptionSurvivesCheckpoint(t *testing.T) {
 	}
 	if got := streamScores(t, b, "stand"); got != pre {
 		t.Fatalf("stand snapshot diverged across checkpointed recovery:\npre:  %s\npost: %s", pre, got)
-	}
-}
-
-// TestSubscriptionQuarantineRerouteAndMigration: a subscription created
-// while its home shard is quarantined lands on the reroute replica (same
-// jump-hash reroute sessions use), keeps serving streams from there, and
-// migrates home when repair readmits the shard.
-func TestSubscriptionQuarantineRerouteAndMigration(t *testing.T) {
-	const n = 3
-	dir := t.TempDir()
-	c := newTestCoordinator(t, n)
-	if _, err := c.Recover(dir, journal.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	defer c.CloseJournals()
-
-	const bad = 1
-	c.SetQuarantineAfter(2)
-	in := faultinject.New(1)
-	c.SetFaultInjector(in)
-	shardSel := bad
-	if err := in.Arm(faultinject.Fault{Point: faultinject.BroadcastApply, Shard: &shardSel, Err: "EIO"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ { // cross the quarantine threshold
-		_, _ = c.Assert([]serve.ConceptAssertion{
-			{Concept: "TvProgram", ID: fmt.Sprintf("Filler%d", i), Prob: 1},
-		}, nil)
-	}
-	if q := c.Quarantined(); len(q) != 1 || q[0] != bad {
-		t.Fatalf("quarantined = %v, want [%d]", q, bad)
-	}
-
-	u := userOnShard(t, n, bad)
-	if _, err := c.SetSession(u, sessionFor(1)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.Subscribe("standby", serve.SubscriptionSpec{User: u, RankItem: serve.RankItem{Target: "TvProgram"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shard == bad {
-		t.Fatalf("subscription landed on the quarantined shard %d", bad)
-	}
-	alt := info.Shard
-	if len(c.shards[alt].Subscriptions()) != 1 {
-		t.Fatalf("subscription not registered on reroute replica %d", alt)
-	}
-	pre := streamScores(t, c, "standby")
-
-	// Repair readmits the shard; the sweep must carry the subscription
-	// home alongside the rerouted session.
-	in.Clear()
-	if err := c.ProbeHealth(); err != nil {
-		t.Fatal(err)
-	}
-	if q := c.Quarantined(); len(q) != 0 {
-		t.Fatalf("still quarantined after repair: %v", q)
-	}
-	if got := len(c.shards[bad].Subscriptions()); got != 1 {
-		t.Fatalf("repaired home shard holds %d subscriptions, want 1", got)
-	}
-	if got := len(c.shards[alt].Subscriptions()); got != 0 {
-		t.Fatalf("stale subscription left on replica %d after migration", alt)
-	}
-	subs := c.Subscriptions()
-	if len(subs) != 1 || subs[0].ID != "standby" || subs[0].Shard != bad {
-		t.Fatalf("after migration: %+v, want standby on shard %d", subs, bad)
-	}
-	if got := streamScores(t, c, "standby"); got != pre {
-		t.Fatalf("snapshot diverged across migration:\npre:  %s\npost: %s", pre, got)
 	}
 }

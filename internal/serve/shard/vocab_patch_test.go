@@ -102,7 +102,7 @@ func TestAssertPatchesEachPreferenceOncePerShard(t *testing.T) {
 }
 
 // TestDocumentRowsAreDerivedOncePerShard counts, over HTTP with the
-// benchmark's eight rules on two shards, the document-side rows derived
+// benchmark's eight rules on the one replica, the document-side rows derived
 // through Space.Prob (hot_path.doc_cache_misses): building a shard's document
 // side costs one row per program, once, however many users rank; after that a
 // context PUT — whichever concepts it adds, drops or re-weights — followed by
@@ -112,7 +112,7 @@ func TestAssertPatchesEachPreferenceOncePerShard(t *testing.T) {
 // written by /v1/exec's SQL, which no handle can name the delta of, derives
 // each shard's side again once.
 func TestDocumentRowsAreDerivedOncePerShard(t *testing.T) {
-	const rules, shards = 8, 2
+	const rules, shards = 8, 1
 	spec := workload.SmallSpec()
 	spec.Genres = rules
 	c, err := New(shards, func(int) (*contextrank.System, error) {

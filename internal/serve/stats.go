@@ -102,52 +102,3 @@ func (r *latencyRecorder) snapshot() LatencyStats {
 	st.P99Micros = quantile(0.99)
 	return st
 }
-
-// Merge folds other into a combined view of several recorders' stats —
-// the shard coordinator uses it to aggregate per-shard latency: counts
-// add, the mean is count-weighted, and each percentile takes the worst
-// (largest) shard's value — an upper bound, since exact percentile
-// merging would need the raw windows.
-func (s LatencyStats) Merge(other LatencyStats) LatencyStats {
-	out := LatencyStats{
-		Count:  s.Count + other.Count,
-		Window: s.Window + other.Window,
-	}
-	if out.Count > 0 {
-		out.MeanMicros = (s.MeanMicros*float64(s.Count) + other.MeanMicros*float64(other.Count)) / float64(out.Count)
-	}
-	out.P50Micros = maxFloat(s.P50Micros, other.P50Micros)
-	out.P95Micros = maxFloat(s.P95Micros, other.P95Micros)
-	out.P99Micros = maxFloat(s.P99Micros, other.P99Micros)
-	out.Buckets = mergeBuckets(s.Buckets, other.Buckets)
-	return out
-}
-
-// mergeBuckets adds two raw bucket-count vectors elementwise; fixed
-// bounds make the histogram the one latency statistic that merges
-// exactly across shards.
-func mergeBuckets(a, b []int64) []int64 {
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	if len(b) == 0 {
-		return append([]int64(nil), a...)
-	}
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]int64, n)
-	copy(out, a)
-	for i, v := range b {
-		out[i] += v
-	}
-	return out
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

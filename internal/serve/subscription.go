@@ -226,17 +226,6 @@ type SubscriptionStats struct {
 	Lagged int64 `json:"lagged"`
 }
 
-// Merge sums two stat blocks (coordinator aggregation).
-func (a SubscriptionStats) Merge(b SubscriptionStats) SubscriptionStats {
-	return SubscriptionStats{
-		Active:  a.Active + b.Active,
-		Events:  a.Events + b.Events,
-		Evals:   a.Evals + b.Evals,
-		Skipped: a.Skipped + b.Skipped,
-		Lagged:  a.Lagged + b.Lagged,
-	}
-}
-
 // subRegistry is a server's standing-subscription set plus the evaluator
 // wake-up machinery.
 type subRegistry struct {

@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -18,17 +17,9 @@ import (
 // membership handle, which c_InKitchen's write made stale, so the stream
 // grows, and shrinks again when ada leaves. A candidate-list subscription
 // beside it involves no handle and stays quiet throughout. Holds with the rank
-// cache, without it, and on the owning shard of a sharded backend (sessions
-// are shard-local, so the three users share one ShardIndex).
+// cache, without it, and behind the durable coordinator.
 func TestSubscriptionFollowsItsTargetsMembers(t *testing.T) {
-	// Three names of one shard at two shards.
-	var users []string
-	for i := 0; len(users) < 3; i++ {
-		if u := fmt.Sprintf("user%02d", i); shard.ShardIndex(u, 2) == 0 {
-			users = append(users, u)
-		}
-	}
-	carl, bob, ada := users[0], users[1], users[2]
+	carl, bob, ada := "user00", "user01", "user02"
 
 	for name, backend := range map[string]func() (serve.Backend, error){
 		"cache": func() (serve.Backend, error) {

@@ -14,7 +14,9 @@ above the table beside each side's failed and attempted operations. With
 --trace-seed it adds one `--trace 1` pair and prints the named per-layer
 metrics of both sides. With --record it also writes the runs it keeps as
 BENCH_PR<NN>.json, the repo's perf trajectory (see record for its fields);
---backfill writes such a record from an EXPERIMENTS.md section's tables.
+--backfill writes such a record from an EXPERIMENTS.md section's tables, and
+--trajectory chains the committed records' in-pair ratios into each metric's
+running product since the first record.
 Standard library only; one run at a time (the benchmark pins itself to one
 processor). CI's lint job runs the doctests: python3 -m doctest
 scripts/bench_pairs.py
@@ -27,6 +29,8 @@ scripts/bench_pairs.py
     python3 scripts/bench_pairs.py --out /tmp/runs --report-only
 
     python3 scripts/bench_pairs.py --backfill ROWS --record BENCH_PR45.json
+
+    python3 scripts/bench_pairs.py --trajectory
 """
 import argparse
 import json
@@ -405,7 +409,7 @@ def record(args, summary, seed, layers):
             "metrics": s["metrics"],
         }
     sides = {"parent": args.parent, "change": args.change}
-    return {
+    rec = {
         "schema": 1, "pr": pr_number(args.record), "backfilled": False,
         "commits": {side: git_commit(d) for side, d in sides.items()},
         "host": host(args.change),
@@ -413,6 +417,9 @@ def record(args, summary, seed, layers):
         "workloads": workloads,
         "trace": {"seed": seed, "workloads": layers} if layers else None,
     }
+    if getattr(args, "claim", None):
+        rec["claims"] = args.claim
+    return rec
 
 
 def split_pair(tokens, median):
@@ -502,7 +509,12 @@ def main():
     ap.add_argument("--report-only", action="store_true")
     ap.add_argument("--record", help="write the runs' record here (BENCH_PR<NN>.json)")
     ap.add_argument("--backfill", metavar="HEADING", help="write --record from the EXPERIMENTS.md section instead")
+    ap.add_argument("--claim", action="append", metavar="WORKLOAD:METRIC", help="name a metric the record claims (repeatable)")
+    ap.add_argument("--trajectory", action="store_true", help="print the committed records' chained ratios and exit")
     args = ap.parse_args()
+    if args.trajectory:
+        print(trajectory(committed_records()))
+        return
     if args.backfill:
         if not args.record:
             ap.error("--backfill needs --record")
@@ -521,6 +533,56 @@ def main():
     if args.record:
         seed, layers = trace_layers(args)
         write_record(args.record, record(args, summarize(args), seed, layers))
+
+
+def trajectory(records, workloads=WORKLOADS):
+    """Per workload and end-to-end metric, the running product of the
+    records' in-pair change/parent ratios in PR order: a record's absolute
+    medians do not compare with another's (each pair shares its host's state),
+    its ratios chain. A cell is marked * when the record claims the metric
+    ("claims": ["workload:metric", ...]), + when its verdict was a gain it
+    did not claim; - when the record lacks the metric.
+
+    >>> m = lambda ratio, verdict="within bound": {"ratio": ratio, "verdict": verdict}
+    >>> r1 = {"pr": 7, "workloads": {"hot-read": {"metrics": {"rss_mb": m(0.8, "gain"), "setup_s": m(1.1)}}}}
+    >>> r2 = {"pr": 8, "claims": ["hot-read:rss_mb"], "workloads": {"hot-read": {"metrics": {"rss_mb": m(0.5, "gain")}}}}
+    >>> print(trajectory([r2, r1]))
+    <BLANKLINE>
+    `hot-read` — running product of change/parent ratios (* claimed, + unclaimed gain)
+    <BLANKLINE>
+    | metric | PR7 | PR8 |
+    | --- | ---: | ---: |
+    | `setup_s` | 1.100 | - |
+    | `rss_mb` | 0.800+ | 0.400* |
+    """
+    records = sorted(records, key=lambda r: r["pr"])
+    order = list(load_bench())
+    out = []
+    for w in workloads:
+        names = {m for r in records for m in r["workloads"].get(w, {}).get("metrics", {})}
+        if not names:
+            continue
+        out += ["", f"`{w}` — running product of change/parent ratios (* claimed, + unclaimed gain)", "",
+                "| metric | " + " | ".join(f"PR{r['pr']}" for r in records) + " |",
+                "| --- |" + " ---: |" * len(records)]
+        for name in sorted(names, key=lambda n: order.index(n) if n in order else len(order)):
+            product, cells = 1.0, []
+            for r in records:
+                got = r["workloads"].get(w, {}).get("metrics", {}).get(name)
+                if got is None:
+                    cells.append("-")
+                    continue
+                product *= got["ratio"]
+                mark = "*" if f"{w}:{name}" in r.get("claims", []) else "+" if got["verdict"] == "gain" else ""
+                cells.append(f"{product:.3f}{mark}")
+            out.append(f"| `{name}` | " + " | ".join(cells) + " |")
+    return "\n".join(out)
+
+
+def committed_records(root=os.path.dirname(BENCHMARK)):
+    """The BENCH_PR<NN>.json records at the repo root."""
+    paths = [os.path.join(root, n) for n in os.listdir(root) if pr_number(n) is not None]
+    return [json.load(open(p)) for p in paths]
 
 
 def write_record(path, rec):

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke test for cmd/carserved: the CI proof that the
-# full-state write-ahead journal makes the daemon crash-safe. It boots 4
-# shards with -snapdir, applies per-user session contexts over HTTP AND
-# mutates the vocabulary mid-traffic (declare, assert, rule add, SQL
-# exec), records every user's context fingerprint, full rank scores, the
-# rule set and SQL row contents, then kill -9s the daemon mid-traffic (a
-# rank loop is running; no SIGTERM, no snapshot-on-shutdown) and reboots.
-# Recovery must be bit-identical across every dimension. The whole check
-# then repeats across a second kill -9 with a *different* -shards count,
-# proving journal replay reroutes sessions and deduplicates broadcast
-# records on reshard. A final leg runs the background checkpointer at a
+# full-state write-ahead journal makes the daemon crash-safe. It boots
+# with -shards 4 (accepted and ignored: one replica) and -snapdir, applies
+# per-user session contexts over HTTP AND mutates the vocabulary
+# mid-traffic (declare, assert, rule add, SQL exec), records every user's
+# context fingerprint, full rank scores, the rule set and SQL row
+# contents, then kill -9s the daemon mid-traffic (a rank loop is running;
+# no SIGTERM, no snapshot-on-shutdown) and reboots. Recovery must be
+# bit-identical across every dimension. The whole check then repeats
+# across a second kill -9 with a *different* -shards count, which must
+# change nothing. A final leg runs the background checkpointer at a
 # 1s interval, proves the WAL's vocabulary backlog is truncated to zero,
 # crashes once more, and shows snapshot + WAL-suffix recovery lands on
 # the same consistent point.
@@ -177,14 +177,14 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/sessions/ghost")
 JLIVE=$(jget "$BASE/v1/stats" '.journal.live_records')
 [ "$JLIVE" -eq "$NUSERS" ] || fail "journal live records = $JLIVE, want $NUSERS"
 
-echo "=== kill -9 again, reboot at -shards 2: replay reroutes sessions ==="
+echo "=== kill -9 again, reboot at -shards 2: still one replica, same state ==="
 start_traffic
 sleep 0.3
 crash
 stop_traffic
 boot 2
 GOT_SHARDS=$(jget "$BASE/v1/stats" '.shards | length')
-[ "$GOT_SHARDS" -eq 2 ] || fail "resharded daemon reports $GOT_SHARDS shards, want 2"
+[ "$GOT_SHARDS" -eq 1 ] || fail "resharded daemon reports $GOT_SHARDS shards, want 1"
 snapshot_state post2
 assert_state pre post2
 

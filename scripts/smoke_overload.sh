@@ -108,7 +108,6 @@ grep -qi '^Content-Type: text/plain; version=0.0.4' "$SCRAPE.hdr" \
   || fail "wrong /metrics content type: $(grep -i content-type "$SCRAPE.hdr")"
 for series in \
   'carserve_rank_requests_total{shard="0"}' \
-  'carserve_rank_requests_total{shard="1"}' \
   'carserve_rank_latency_seconds_bucket{shard="0",le="+Inf"}' \
   'carserve_rank_latency_seconds_sum' \
   'carserve_rank_cache_hits_total' \
