@@ -406,8 +406,10 @@ func (s *System) rank(user string, plan *RankPlan, opts RankOptions, req core.Pl
 // compiled (a re-apply retires the old context's events, after which the
 // plan's methods fail rather than misrank) and for the preference
 // memberships it holds, which plan.Current() checks against the tables'
-// write versions; a plan that fell behind on either is compiled again.
-// internal/serve caches one plan per user on exactly those terms.
+// write versions; a plan that fell behind on the context is compiled again
+// (CompileRankPlan), one that fell behind only on the memberships is
+// refreshed (RefreshRankPlan). internal/serve caches one plan per user on
+// exactly those terms.
 type RankPlan = core.Plan
 
 // CompileRankPlan compiles the repository's rules for one situated user
@@ -416,13 +418,17 @@ type RankPlan = core.Plan
 // then clusters per candidate (slower, same scores), and callers need not
 // care which mode they got.
 func (s *System) CompileRankPlan(user string) (*RankPlan, error) {
-	return core.CompilePlan(s.loader, user, s.repo.Rules())
+	return core.CompilePlan(s.loader, user, s.repo.Rules(), nil)
 }
 
-// RefreshRankPlan compiles plan's user again. The benchmark harness calls it
-// by name; it goes when the harness stops calling it, like SaveSnapshots.
+// RefreshRankPlan compiles plan's user again, keeping plan's context half —
+// each rule's context event, probability and block keys — and resolving the
+// preference half afresh: the compile for a plan whose preference handles
+// went stale (plan.Current() false) while the user's context and everything a
+// rule's context reads stood still, which the caller vouches for. A plan
+// compiled under another rule list is compiled in full.
 func (s *System) RefreshRankPlan(plan *RankPlan) (*RankPlan, error) {
-	return s.CompileRankPlan(plan.User())
+	return core.CompilePlan(s.loader, plan.User(), s.repo.Rules(), plan)
 }
 
 // RankWithPlan ranks the members of the target concept expression against

@@ -47,7 +47,7 @@ func Rank(l *mapping.Loader, req Request) ([]Result, error) {
 			only[id] = true
 		}
 	}
-	plan, err := compilePlan(l, req.User, req.Rules, only)
+	plan, err := compilePlan(l, req.User, req.Rules, only, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,7 @@ func GroupRank(l *mapping.Loader, req GroupRequest) ([]GroupResult, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	for _, user := range req.Users {
-		plan, err := CompilePlan(l, user, req.RulesFor[user])
+		plan, err := CompilePlan(l, user, req.RulesFor[user], nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: group member %s: %w", user, err)
 		}

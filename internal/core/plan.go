@@ -61,11 +61,13 @@ import (
 // A Plan is immutable after compilation and safe for concurrent use. What it
 // answers for, and how a holder finds out that it no longer does:
 //
-//   - The user's context side — each rule's context event and probability —
-//     is frozen at compile time. It moves with the user's own context applies
-//     (and with another user's apply that reaches this user's contexts over a
-//     role edge); nothing in the plan notices, so whoever caches a plan keys
-//     it by the user's applied generation, as internal/serve does.
+//   - The user's context side — each rule's context event, probability and
+//     block keys, the context half — is frozen at compile time. It moves with
+//     the user's own context applies, with another user's apply that reaches
+//     this user's contexts over a role edge, and with any write to a table a
+//     rule's context reads; nothing in the plan notices, so whoever caches a
+//     plan keys it by the user's applied generation and by what those writes
+//     move, as internal/serve does with its context generation.
 //   - The document side is checked against the event space once per rank
 //     (DocSide.Probs): a data event retired under a live plan makes the next
 //     rank of every plan that shares the side fail with "not declared", never
@@ -77,7 +79,9 @@ import (
 //     by. A stale plan is compiled again: the handles that are still current
 //     are the loader's memo hits, and the document side is the one the
 //     handles already share (or the one carried across the write for all
-//     plans), so a recompile costs the context side and the partition.
+//     plans), so a recompile costs the context side and the partition — and,
+//     handed the stale plan while its context half still holds (CompilePlan's
+//     keep), the partition only.
 //   - The rule list is the caller's: a plan knows nothing of rule changes.
 //   - A Target's candidate list is not plan state at all: every rank resolves
 //     it through the loader's membership memo, so it is as fresh as the
@@ -106,9 +110,14 @@ type Plan struct {
 
 // planRule is one rule's candidate-independent compilation product.
 type planRule struct {
-	rule    prefs.Rule
+	rule prefs.Rule
+	// The context half: the rule's context event for the user, its
+	// probability and the event's block keys (none for a pruned rule). One
+	// compile's rules share the keys' backing array, and so does every plan
+	// that keeps this context half.
 	ctxEv   *event.Expr
 	ctxProb float64
+	ctxKeys []string
 	// members is the preference's membership handle: candidate id ->
 	// membership event for every individual the preference view contains;
 	// absent ids are non-members (event.False()). Shared with every other
@@ -210,8 +219,17 @@ func putScratch(sc *PlanScratch) { scratchPool.Put(sc) }
 // CompilePlan resolves and compiles the rules for one situated user. The
 // compile cost is paid once per (user, rule set, applied context) instead of
 // once per candidate; see the Plan type comment for what is hoisted.
-func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
-	return compilePlan(l, user, rules, nil)
+//
+// keep, when non-nil, is a plan compiled earlier for the same user and rules
+// whose context half the caller knows to be still exact: the user's context
+// has not been applied again and nothing written since reaches a table a
+// rule's context reads (internal/serve decides that with its context
+// generation). The compile then takes each rule's context event, probability
+// and block keys from keep and resolves only the preference half — the memo's
+// handles, the shared document side and the partition. A keep compiled for
+// another user, loader or rule list is ignored.
+func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule, keep *Plan) (*Plan, error) {
+	return compilePlan(l, user, rules, nil, keep)
 }
 
 // compilePlan is CompilePlan with an optional candidate restriction: when
@@ -220,8 +238,8 @@ func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, err
 // candidates in the set — the per-request path uses it so a 3-candidate
 // RankQuery over a 100k-member preference does not walk 100k events'
 // blocks; cacheable catalog-wide plans pass nil.
-func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool) (*Plan, error) {
-	p, err := resolvePlan(l, user, rules)
+func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[string]bool, keep *Plan) (*Plan, error) {
+	p, err := resolvePlan(l, user, rules, keep)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +255,7 @@ func compilePlan(l *mapping.Loader, user string, rules []prefs.Rule, only map[st
 // BenchmarkPlanScoreLargeCatalog's baseline use this to hold the mode against
 // the compiled one on rule sets that fit both.
 func perCandidatePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
-	p, err := resolvePlan(l, user, rules)
+	p, err := resolvePlan(l, user, rules, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -256,35 +274,87 @@ func (p *Plan) usePerCandidate() {
 	}
 }
 
-// resolvePlan is the mode-independent half of compilation: every rule's
-// context event and probability for the user and its preference's membership
-// handle.
-func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule) (*Plan, error) {
+// contextsResolved counts the rule contexts compiles have resolved (the
+// context half's look-ups), process-wide; a compile that keeps a plan's
+// context half adds nothing. Tests read it.
+var contextsResolved atomic.Int64
+
+// resolvePlan is the mode-independent half of compilation: the context half —
+// every rule's context event, probability and block keys for the user, taken
+// from keep when it matches (see CompilePlan) — and the preference half, every
+// rule's membership handle.
+func resolvePlan(l *mapping.Loader, user string, rules []prefs.Rule, keep *Plan) (*Plan, error) {
 	if user == "" {
 		return nil, fmt.Errorf("core: request without a user")
 	}
-	space := l.DB().Space()
-	p := &Plan{loader: l, space: space, user: user}
-	p.rules = make([]planRule, 0, len(rules))
-	for _, rule := range rules {
-		if err := rule.Validate(); err != nil {
-			return nil, err
+	p := &Plan{loader: l, space: l.DB().Space(), user: user}
+	if keep.keepsContext(l, user, rules) {
+		p.rules = slices.Clone(keep.rules)
+		for i := range p.rules {
+			p.rules[i].rule = rules[i]
 		}
-		ctxEv, err := l.MembershipEvent(rule.Context, user)
+	} else if err := p.resolveContext(rules); err != nil {
+		return nil, err
+	}
+	for i := range p.rules {
+		pr := &p.rules[i]
+		members, err := l.Members(pr.rule.Preference)
 		if err != nil {
-			return nil, fmt.Errorf("core: rule %s context: %w", rule.Name, err)
+			return nil, fmt.Errorf("core: rule %s preference: %w", pr.rule.Name, err)
 		}
-		pCtx, err := space.Prob(ctxEv)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %s context: %w", rule.Name, err)
-		}
-		members, err := l.Members(rule.Preference)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %s preference: %w", rule.Name, err)
-		}
-		p.rules = append(p.rules, planRule{rule: rule, ctxEv: ctxEv, ctxProb: pCtx, members: members})
+		pr.members = members
 	}
 	return p, nil
+}
+
+// keepsContext reports whether a compile of rules for user over l may take
+// p's context half: p is non-nil and was compiled for that user and loader
+// from rules with the same contexts, in the same order.
+func (p *Plan) keepsContext(l *mapping.Loader, user string, rules []prefs.Rule) bool {
+	if p == nil || p.loader != l || p.user != user || len(p.rules) != len(rules) {
+		return false
+	}
+	for i := range rules {
+		if p.rules[i].rule.Context != rules[i].Context {
+			return false
+		}
+	}
+	return true
+}
+
+// resolveContext resolves the context half: per rule its context event for
+// the plan's user, the event's probability and — for a rule whose context can
+// apply — the event's block keys, all rules' in one array. The keys stay exact
+// while the context half does: an independent basic's key is its name, and a
+// live exclusive group keeps its id (the event space frees a group's slot
+// only once the group is empty, which retires the events the context names).
+func (p *Plan) resolveContext(rules []prefs.Rule) error {
+	contextsResolved.Add(int64(len(rules)))
+	p.rules = make([]planRule, len(rules))
+	keys := make([]string, 0, len(rules))
+	for i, rule := range rules {
+		if err := rule.Validate(); err != nil {
+			return err
+		}
+		ctxEv, err := p.loader.MembershipEvent(rule.Context, p.user)
+		if err != nil {
+			return fmt.Errorf("core: rule %s context: %w", rule.Name, err)
+		}
+		pCtx, err := p.space.Prob(ctxEv)
+		if err != nil {
+			return fmt.Errorf("core: rule %s context: %w", rule.Name, err)
+		}
+		start := len(keys)
+		if pCtx > 0 {
+			// An append that moves the array leaves the earlier rules' keys
+			// where they were, still theirs.
+			if keys, err = p.space.AppendBlocks(keys, ctxEv); err != nil {
+				return fmt.Errorf("core: rule %s context: %w", rule.Name, err)
+			}
+		}
+		p.rules[i] = planRule{rule: rule, ctxEv: ctxEv, ctxProb: pCtx, ctxKeys: keys[start:len(keys):len(keys)]}
+	}
+	return nil
 }
 
 // compileClusters prunes impossible contexts, partitions the active rules
@@ -325,20 +395,28 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 	// blockOwner maps each block key of a walked footprint to the first active
 	// rule that mentioned it.
 	blockOwner := make(map[string]int)
-	footprint := make(map[string]bool)
-	for ai, ri := range active {
-		clear(footprint)
-		st := &p.rules[ri]
-		if err := p.space.Blocks(st.ctxEv, footprint); err != nil {
-			return fmt.Errorf("core: rule %s context: %w", st.rule.Name, err)
-		}
-		for id := range only {
-			if ev, ok := st.members.Events[id]; ok {
-				if err := p.space.Blocks(ev, footprint); err != nil {
-					return fmt.Errorf("core: rule %s preference: %w", st.rule.Name, err)
+	// visit joins active rule ai to every rule whose footprint holds key. A
+	// key visited twice for one rule joins nothing new.
+	visit := func(ai int, key string) {
+		if docs != nil {
+			// Context ∩ document: the rules whose footprint holds the key.
+			for _, rj := range docs.RulesOf(key) {
+				if aj := pos[rj]; aj >= 0 {
+					sets.union(ai, aj)
 				}
 			}
 		}
+		if owner, ok := blockOwner[key]; ok {
+			sets.union(ai, owner)
+		} else {
+			blockOwner[key] = ai
+		}
+	}
+	var footprint map[string]bool // the restricted candidates' preference blocks
+	if only != nil {
+		footprint = make(map[string]bool)
+	}
+	for ai, ri := range active {
 		if docs != nil {
 			// Document ∩ document is the side's relation.
 			for aj, rj := range active[:ai] {
@@ -347,20 +425,23 @@ func (p *Plan) compileClusters(only map[string]bool) error {
 				}
 			}
 		}
-		for key := range footprint {
-			if docs != nil {
-				// Context ∩ document: the rules whose footprint holds the key.
-				for _, rj := range docs.RulesOf(key) {
-					if aj := pos[rj]; aj >= 0 {
-						sets.union(ai, aj)
-					}
+		for _, key := range p.rules[ri].ctxKeys {
+			visit(ai, key)
+		}
+		if only == nil {
+			continue
+		}
+		clear(footprint)
+		st := &p.rules[ri]
+		for id := range only {
+			if ev, ok := st.members.Events[id]; ok {
+				if err := p.space.Blocks(ev, footprint); err != nil {
+					return fmt.Errorf("core: rule %s preference: %w", st.rule.Name, err)
 				}
 			}
-			if owner, ok := blockOwner[key]; ok {
-				sets.union(ai, owner)
-			} else {
-				blockOwner[key] = ai
-			}
+		}
+		for key := range footprint {
+			visit(ai, key)
 		}
 	}
 
@@ -415,21 +496,6 @@ func (p *Plan) Current() bool {
 
 // User returns the situated user the plan was compiled for.
 func (p *Plan) User() string { return p.user }
-
-// Rules returns the number of rules the plan was compiled from (including
-// pruned ones); tests check compilation with it.
-func (p *Plan) Rules() int { return len(p.rules) }
-
-// ActiveRules returns the number of rules whose context can apply.
-func (p *Plan) ActiveRules() int {
-	n := 0
-	for i := range p.rules {
-		if p.rules[i].ctxProb > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // ScoreWith computes the candidate's ideal-document probability under the
 // plan's compiled rule set, in a caller-owned scratch arena, for scoring
@@ -587,19 +653,9 @@ func (p *Plan) gather(sc *PlanScratch, docs *mapping.DocProbs, ids []string) err
 	return nil
 }
 
-// Explain builds the per-rule contribution trace for one candidate from the
+// explain builds the per-rule contribution trace for one candidate from the
 // compiled context probabilities and the membership probabilities its score
 // is computed from.
-func (p *Plan) Explain(id string) (*Explanation, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	docs, err := p.docProbs(sc, 1)
-	if err != nil {
-		return nil, err
-	}
-	return p.explain(sc, docs, id)
-}
-
 func (p *Plan) explain(sc *PlanScratch, docs *mapping.DocProbs, id string) (*Explanation, error) {
 	sc.one[0] = id
 	if err := p.gather(sc, docs, sc.one[:]); err != nil {

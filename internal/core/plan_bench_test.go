@@ -52,7 +52,7 @@ func BenchmarkFactorizedPlanCompile(b *testing.B) {
 	d, rules := planBenchSetup(b, 1000, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := CompilePlan(d.Loader, d.User, rules)
+		plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 			// state, where the plan cache hands every uncached rank the
 			// compiled plan (BenchmarkFactorizedPlanCompile prices the
 			// compile itself).
-			plan, err := CompilePlan(d.Loader, d.User, rules)
+			plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 			// CI caps this at 0 allocs/op (benchcheck -max-allocs); any
 			// new allocation on the cached-plan score path fails the gate.
 			d, rules := planBenchSetup(b, n, 8)
-			plan, err := CompilePlan(d.Loader, d.User, rules)
+			plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 			// programs (cold-rank's narrow targets). Capped at 0 allocs/op
 			// like the other warm sub-benchmarks.
 			d, rules := planBenchSetup(b, 300, 8)
-			plan, err := CompilePlan(d.Loader, d.User, rules)
+			plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func BenchmarkPlanRankAfterApply(b *testing.B) {
 			d, rules := planBenchSetup(b, n, k)
 			// The memberships and the document side the first compile
 			// builds are not the poll's to pay.
-			if _, err := CompilePlan(d.Loader, d.User, rules); err != nil {
+			if _, err := CompilePlan(d.Loader, d.User, rules, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -214,7 +214,7 @@ func BenchmarkPlanRankAfterApply(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				plan, err := CompilePlan(d.Loader, d.User, rules)
+				plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -267,7 +267,7 @@ func BenchmarkPlanCompileAfterApply(b *testing.B) {
 				apply(fmt.Sprintf("owner%02d", o), o)
 			}
 			apply(d.User, 0)
-			plan, err := CompilePlan(d.Loader, d.User, rules)
+			plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func BenchmarkPlanCompileAfterApply(b *testing.B) {
 				b.StopTimer()
 				apply(d.User, i+1)
 				b.StartTimer()
-				if plan, err = CompilePlan(d.Loader, d.User, rules); err != nil {
+				if plan, err = CompilePlan(d.Loader, d.User, rules, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -301,7 +301,7 @@ func BenchmarkPlanCompileAfterAssert(b *testing.B) {
 	const n, k = 1000, 8
 	d, rules := planBenchSetup(b, n, k)
 	req := PlanRequest{Target: dl.Atom("TvProgram")}
-	plan, err := CompilePlan(d.Loader, d.User, rules)
+	plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func BenchmarkPlanCompileAfterAssert(b *testing.B) {
 			b.Fatal("the assert left the plan current")
 		}
 		b.StartTimer()
-		if plan, err = CompilePlan(d.Loader, d.User, rules); err != nil {
+		if plan, err = CompilePlan(d.Loader, d.User, rules, nil); err != nil {
 			b.Fatal(err)
 		}
 		res, err := plan.Rank(req)
@@ -337,7 +337,7 @@ func BenchmarkPlanCompileAfterAssert(b *testing.B) {
 func BenchmarkPlanRankTopK(b *testing.B) {
 	const n = 10000
 	d, rules := planBenchSetup(b, n, 8)
-	plan, err := CompilePlan(d.Loader, d.User, rules)
+	plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestRankMatchesRowByRowReference(t *testing.T) {
 				// After a write the compile carries the side across it: one
 				// merge, deriving the written programs' rows alone.
 				before := mapping.DocRowsComputed()
-				p, err := CompilePlan(d.Loader, d.User, rules)
+				p, err := CompilePlan(d.Loader, d.User, rules, nil)
 				must(err)
 				if n := mapping.DocRowsComputed() - before; step > 0 && n > 4 {
 					t.Fatalf("seed %d step %d: the compile derived %d rows: the side was not carried", seed, step, n)
@@ -180,7 +180,7 @@ func TestRankMatchesRowByRowReference(t *testing.T) {
 		for seed := int64(1); seed <= 12; seed++ {
 			l, rules, ids := clusteredSetup(t, seed)
 			rng := rand.New(rand.NewSource(seed))
-			p, err := CompilePlan(l, "u", rules)
+			p, err := CompilePlan(l, "u", rules, nil)
 			must(err)
 			var sizes []int
 			for _, cl := range p.clusters {
@@ -201,7 +201,7 @@ func TestRankMatchesRowByRowReference(t *testing.T) {
 			for _, id := range subset {
 				only[id] = true
 			}
-			restricted, err := compilePlan(l, "u", rules, only)
+			restricted, err := compilePlan(l, "u", rules, only, nil)
 			must(err)
 			if restricted.docs != nil {
 				t.Fatal("a restricted plan has a document side")
@@ -240,7 +240,7 @@ func TestRankMatchesRowByRowReference(t *testing.T) {
 			{Name: "ra", Context: dl.Atom("Ctx"), Preference: dl.Atom("FA"), Sigma: 0.9},
 			{Name: "rb", Context: dl.Atom("Ctx"), Preference: dl.Atom("FB"), Sigma: 0.7},
 		}
-		p, err := CompilePlan(l, "u", rules)
+		p, err := CompilePlan(l, "u", rules, nil)
 		must(err)
 		for k := 1; k <= 31; k++ {
 			for _, req := range []PlanRequest{{Target: dl.Atom("Doc"), TopK: k}, {Candidates: ids, TopK: k}, {Target: dl.Atom("Doc"), Limit: k}} {

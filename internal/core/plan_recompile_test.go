@@ -79,7 +79,7 @@ func assertRankExact(t *testing.T, label string, p *Plan, rules []prefs.Rule, ta
 			everyone[id] = true
 		}
 	}
-	walked, err := compilePlan(p.loader, p.user, rules, everyone)
+	walked, err := compilePlan(p.loader, p.user, rules, everyone, nil)
 	if err != nil {
 		t.Fatalf("%s: %s's walked compile: %v", label, p.user, err)
 	}
@@ -100,7 +100,7 @@ func assertRankExact(t *testing.T, label string, p *Plan, rules []prefs.Rule, ta
 	}
 	assertBitIdentical(t, label+": "+p.user+" vs the walked compile", got, want)
 	if fresh != nil {
-		fp, err := CompilePlan(fresh, p.user, rules)
+		fp, err := CompilePlan(fresh, p.user, rules, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,9 @@ func assertHandlesExact(t *testing.T, label string, p *Plan) {
 // reference), every handle identical to a query of its view — and the side
 // must have derived exactly what the step calls for: nothing across a context
 // change, the individuals a logged write reached, everything when the write
-// cannot be traced.
+// cannot be traced. After every step that writes nothing a rule's context
+// reads, u's plan is also compiled keeping the previous step's context half,
+// and must hold against the same references and the fresh compile.
 func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 	l, rules := correlatedSetup(t)
 	db := l.DB()
@@ -245,7 +247,7 @@ func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 	plans := make([]*Plan, len(users))
 	for i, u := range users {
 		var err error
-		if plans[i], err = CompilePlan(l, u, rules); err != nil {
+		if plans[i], err = CompilePlan(l, u, rules, nil); err != nil {
 			t.Fatal(err)
 		}
 		if plans[i].docs != plans[0].docs {
@@ -288,6 +290,10 @@ func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 			AddExclusive("location", []string{"Kitchen", "Living"}, []float64{0.5, 0.4}).
 			Add("Weekend", 0.8))},
 		{"certain concept assert", func() { must(l.AssertConcept("F3", "d3", nil)) }},
+		// r3's document footprint gains a block: the document side and the
+		// partition change, and u's kept context key b:solo_b must still find
+		// r3 there, the only edge joining it to r7.
+		{"write moving r3's footprint", func() { must(l.AssertConcept("F3", "d1", declare("drizzle", 0.5))) }},
 		{"uncertain concept assert", func() { must(l.AssertConcept("F2", "d2", declare("late", 0.3))) }},
 		// d1's F1 becomes shared ∨ solo_b: r1 now correlates with r3 over d2.
 		{"assert merging into a row", func() { must(l.AssertConcept("F1", "d1", event.Basic("solo_b"))) }},
@@ -369,10 +375,11 @@ func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 			clear(filled)
 		}
 		carried, first := len(filled), 0
+		prev := plans[0]
 		rotate(si + 1)
 		before := rows()
 		for i, p := range plans {
-			compiled, err := CompilePlan(l, users[i], rules)
+			compiled, err := CompilePlan(l, users[i], rules, nil)
 			if err != nil {
 				t.Fatalf("%s: %s's compile: %v", s.name, users[i], err)
 			}
@@ -416,6 +423,32 @@ func TestPlanAfterEveryStepMatchesReferences(t *testing.T) {
 		for _, p := range plans {
 			assertHandlesExact(t, s.name, p)
 			assertRankExact(t, s.name, p, rules, dl.Atom("Doc"), fresh, true)
+		}
+		// The kept-context compile, on the steps whose write reaches no
+		// context: u's own applies and the visitor's Weekend row are the
+		// others (rotate moves only v's and w's contexts).
+		if strings.HasPrefix(s.name, "context") || s.name == "another user's apply" {
+			continue
+		}
+		resolved := contextsResolved.Load()
+		kept, err := CompilePlan(l, "u", rules, prev)
+		if err != nil {
+			t.Fatalf("%s: u's kept-context compile: %v", s.name, err)
+		}
+		if got := contextsResolved.Load() - resolved; got != 0 {
+			t.Fatalf("%s: the kept-context compile resolved %d contexts", s.name, got)
+		}
+		if !kept.Current() || kept.docs != plans[0].docs {
+			t.Fatalf("%s: the kept-context plan is not current (%v) or reads another document side", s.name, kept.Current())
+		}
+		want, err := plans[0].Rank(PlanRequest{Target: dl.Atom("Doc")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, s.name+": kept context vs the fresh compile", assertRankExact(t, s.name+" (kept context)", kept, rules, dl.Atom("Doc"), fresh, true), want)
+		if s.name == "write moving r3's footprint" && (!slices.Contains(kept.docs.Probs().RulesOf("b:drizzle"), 2) ||
+			!slices.ContainsFunc(kept.clusters, func(cl planCluster) bool { return slices.Contains(cl.rules, 2) && slices.Contains(cl.rules, 6) })) {
+			t.Fatalf("%s: r3's footprint %v or u's clusters %v lost the join of r3 and r7", s.name, kept.docs.Probs().RulesOf("b:drizzle"), kept.clusters)
 		}
 	}
 }
@@ -577,7 +610,7 @@ func TestPlanChurnSoakEquivalence(t *testing.T) {
 	for i, u := range users {
 		randomCtx(u, false)
 		var err error
-		if plans[i], err = CompilePlan(l, u, rules); err != nil {
+		if plans[i], err = CompilePlan(l, u, rules, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -623,7 +656,7 @@ func TestPlanChurnSoakEquivalence(t *testing.T) {
 			fresh = freshLoader(t, l)
 		}
 		for i, u := range users {
-			p, err := CompilePlan(l, u, rules)
+			p, err := CompilePlan(l, u, rules, nil)
 			if err != nil {
 				t.Fatalf("%s: %s's compile: %v", label, u, err)
 			}

@@ -33,6 +33,28 @@ func assertSameRanking(t *testing.T, label string, got, want []Result, eps float
 	}
 }
 
+// Explain is explain in a pooled scratch.
+func (p *Plan) Explain(id string) (*Explanation, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	docs, err := p.docProbs(sc, 1)
+	if err != nil {
+		return nil, err
+	}
+	return p.explain(sc, docs, id)
+}
+
+// ActiveRules returns the number of rules whose context can apply.
+func (p *Plan) ActiveRules() int {
+	n := 0
+	for i := range p.rules {
+		if p.rules[i].ctxProb > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // correlatedSetup builds a small space exercising every structure the plan
 // compiler must honour: an exclusive sensor group in the context, two rules
 // whose preferences share a basic event (a correlated doc cluster), an
@@ -89,7 +111,7 @@ func TestPlanMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := CompilePlan(l, "u", rules)
+	plan, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +206,7 @@ func TestPlanMatchesLegacyFactorized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := CompilePlan(d.Loader, d.User, rules)
+	plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +265,7 @@ func TestPlanAfterRetire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := CompilePlan(d.Loader, d.User, rules)
+	stale, err := CompilePlan(d.Loader, d.User, rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +285,7 @@ func TestPlanAfterRetire(t *testing.T) {
 	}
 	assertSameRanking(t, "stale plan drifted from its compile-time context", after, before, 0)
 
-	fresh, err := CompilePlan(d.Loader, d.User, rules)
+	fresh, err := CompilePlan(d.Loader, d.User, rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +343,7 @@ func TestPlanClusterBound(t *testing.T) {
 		}
 		rules = append(rules, prefs.Rule{Name: "r" + c, Context: dl.Atom("Ctx"), Preference: dl.Atom("F" + c), Sigma: 0.6})
 	}
-	plan, err := CompilePlan(l, "u", rules)
+	plan, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatalf("oversized footprint cluster did not compile into per-candidate mode: %v", err)
 	}
@@ -382,7 +404,7 @@ func TestPlanClusterBoundFallback(t *testing.T) {
 			}
 		}
 	}
-	plan, err := CompilePlan(l, "u", rules)
+	plan, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatalf("chained footprint cluster did not compile: %v", err)
 	}
@@ -461,7 +483,7 @@ func TestClusterRulesPropagatesError(t *testing.T) {
 		{Name: "r1", Context: dl.Atom("Ctx"), Preference: dl.Atom("F1"), Sigma: 0.8},
 		{Name: "r2", Context: dl.Atom("Ctx"), Preference: dl.Atom("F2"), Sigma: 0.7},
 	}
-	if _, err := CompilePlan(l, "u", rules); err == nil {
+	if _, err := CompilePlan(l, "u", rules, nil); err == nil {
 		t.Fatal("plan compiled over an undeclared basic event")
 	} else if !strings.Contains(err.Error(), "not declared") {
 		t.Fatalf("compile error = %v, want 'not declared'", err)

@@ -49,7 +49,7 @@ func tieSetup(t *testing.T) (*Plan, int) {
 		{Name: "ra", Context: dl.Atom("Ctx"), Preference: dl.Atom("FA"), Sigma: 0.9},
 		{Name: "rb", Context: dl.Atom("Ctx"), Preference: dl.Atom("FB"), Sigma: 0.7},
 	}
-	plan, err := CompilePlan(l, "u", rules)
+	plan, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDocCacheInvalidatesOnRetire(t *testing.T) {
 	}
 	var plans []*Plan
 	for _, user := range []string{"u", "v"} {
-		plan, err := CompilePlan(l, user, rules)
+		plan, err := CompilePlan(l, user, rules, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestDocCacheInvalidatesOnRetire(t *testing.T) {
 			t.Fatalf("%s's explanation read a stale row across a retirement: %v", plan.user, err)
 		}
 	}
-	if _, err := CompilePlan(l, "u", rules); err == nil || !strings.Contains(err.Error(), "not declared") {
+	if _, err := CompilePlan(l, "u", rules, nil); err == nil || !strings.Contains(err.Error(), "not declared") {
 		t.Fatalf("compile over the retired event: %v", err)
 	}
 	if err := space.Declare("solo_a", 0.25); err != nil {
@@ -235,12 +235,12 @@ func TestDocCacheInvalidatesOnRetire(t *testing.T) {
 // plan without a shared side, what it derives per candidate is the same value.
 func TestExplainReportsTheScoredRow(t *testing.T) {
 	l, rules := correlatedSetup(t)
-	plan, err := CompilePlan(l, "u", rules)
+	plan, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []string{"d1", "d2", "d3", "nobody"}
-	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true, "d2": true, "d3": true, "nobody": true})
+	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true, "d2": true, "d3": true, "nobody": true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +280,11 @@ func TestExplainReportsTheScoredRow(t *testing.T) {
 // without, which derive theirs into the arena — never into what it points at.
 func TestScratchNeverWritesTheSharedSide(t *testing.T) {
 	l, rules := correlatedSetup(t)
-	shared, err := CompilePlan(l, "u", rules)
+	shared, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true})
+	oneShot, err := compilePlan(l, "u", rules, map[string]bool{"d1": true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestScratchNeverWritesTheSharedSide(t *testing.T) {
 func TestDocCacheSurvivesUnrelatedRetire(t *testing.T) {
 	l, rules := correlatedSetup(t)
 	space := l.DB().Space()
-	plan, err := CompilePlan(l, "u", rules)
+	plan, err := CompilePlan(l, "u", rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestPlanScratchDocCacheSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := CompilePlan(d.Loader, d.User, rules)
+	plan, err := CompilePlan(d.Loader, d.User, rules, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestPlanScratchDocCacheSoak(t *testing.T) {
 			rank := func() error {
 				state.RLock()
 				defer state.RUnlock()
-				plan, err := CompilePlan(d.Loader, user, rules)
+				plan, err := CompilePlan(d.Loader, user, rules, nil)
 				if err != nil {
 					return err
 				}

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -505,4 +506,36 @@ func (s *Space) Blocks(e *Expr, dst map[string]bool) error {
 		dst[blockKey(n, info.group)] = true
 	}
 	return nil
+}
+
+// AppendBlocks is Blocks into a slice: it appends to dst the block key of
+// every basic event e mentions that the keys appended by this call do not
+// already hold, and returns the extended slice. A caller keeping many
+// expressions' keys in one slice runs it once per expression.
+func (s *Space) AppendBlocks(dst []string, e *Expr) ([]string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.appendBlocksLocked(dst, len(dst), e)
+}
+
+// appendBlocksLocked walks e for AppendBlocks; the keys from dst[from:] on
+// are this call's. Caller holds s.mu.
+func (s *Space) appendBlocksLocked(dst []string, from int, e *Expr) ([]string, error) {
+	if e.kind != KindBasic {
+		var err error
+		for _, a := range e.args {
+			if dst, err = s.appendBlocksLocked(dst, from, a); err != nil {
+				return dst, err
+			}
+		}
+		return dst, nil
+	}
+	info, ok := s.basics[e.name]
+	if !ok {
+		return dst, fmt.Errorf("event: basic event %q not declared", e.name)
+	}
+	if key := blockKey(e.name, info.group); !slices.Contains(dst[from:], key) {
+		dst = append(dst, key)
+	}
+	return dst, nil
 }

@@ -880,7 +880,7 @@ func (l *Loader) readSet(expr *dl.Expr) ([]tableRead, error) {
 	for _, r := range sig.Roles {
 		names = append(names, RoleTable(r))
 	}
-	if readsDomain(expr) {
+	if ReadsDomain(expr) {
 		names = append(names, "dl_domain")
 	}
 	reads := make([]tableRead, len(names))
@@ -894,17 +894,17 @@ func (l *Loader) readSet(expr *dl.Expr) ([]tableRead, error) {
 	return reads, nil
 }
 
-// readsDomain reports whether the expression's compiled view reads dl_domain
+// ReadsDomain reports whether the expression's compiled view reads dl_domain
 // (¬, ⊤ and nominals do), i.e. whether registering a new individual — which
 // a context apply for a first-seen user does — can change who is in it even
 // though no concept or role table changed.
-func readsDomain(e *dl.Expr) bool {
+func ReadsDomain(e *dl.Expr) bool {
 	switch e.Op() {
 	case dl.OpTop, dl.OpNot, dl.OpNominal:
 		return true
 	}
 	for _, a := range e.Args() {
-		if readsDomain(a) {
+		if ReadsDomain(a) {
 			return true
 		}
 	}

@@ -3,8 +3,11 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	contextrank "repro"
+	"repro/internal/dl"
+	"repro/internal/mapping"
 	"repro/internal/serve/journal"
 	"repro/internal/sql"
 )
@@ -97,12 +100,14 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 			return opErr
 		})
 	case journal.OpAssert:
-		vocab(func(sys *contextrank.System) error {
+		// The one write that may leave the context generation alone.
+		out.Epoch, err = s.facade.write(func(sys *contextrank.System) (bool, error) {
+			reaches := assertReachesContext(sys, &rec)
 			opErr := s.assertPrefix(sys, &rec)
 			if len(rec.ConceptAsserts)+len(rec.RoleAsserts) > 0 {
 				submit()
 			}
-			return opErr
+			return reaches, opErr
 		})
 	case journal.OpAddRules:
 		vocab(func(sys *contextrank.System) error {
@@ -193,6 +198,36 @@ func declarePrefix(sys *contextrank.System, rec *journal.Record) error {
 		rec.Subs = subs[:i+1]
 	}
 	return nil
+}
+
+// assertReachesContext reports whether an assert record can move a rule
+// context's membership for some user, and so the context generation: whether
+// a registered rule's context reads a table the record writes. A context's
+// membership reads only the tables of the concepts and roles it names, and
+// dl_domain when it holds ¬, ⊤ or a nominal — which an assert grows by every
+// individual it names first. Caller holds the facade write lock.
+func assertReachesContext(sys *contextrank.System, rec *journal.Record) bool {
+	return sys.Rules().Any(func(rule contextrank.Rule) bool {
+		return mapping.ReadsDomain(rule.Context) || namesAsserted(rule.Context, rec)
+	})
+}
+
+// namesAsserted reports whether e names a concept or role rec asserts.
+func namesAsserted(e *dl.Expr, rec *journal.Record) bool {
+	switch e.Op() {
+	case dl.OpAtom:
+		return slices.ContainsFunc(rec.ConceptAsserts, func(a journal.ConceptAssert) bool { return a.Concept == e.Name() })
+	case dl.OpExists:
+		if slices.ContainsFunc(rec.RoleAsserts, func(a journal.RoleAssert) bool { return a.Role == e.Name() }) {
+			return true
+		}
+	}
+	for _, a := range e.Args() {
+		if namesAsserted(a, rec) {
+			return true
+		}
+	}
+	return false
 }
 
 // assertPrefix is declarePrefix for an assert record. Concepts that are

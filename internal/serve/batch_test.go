@@ -190,8 +190,10 @@ func TestRankBatchAlgorithms(t *testing.T) {
 }
 
 // TestPlanCacheInvalidation: the user's own session applies (applied
-// generation), rule changes and data writes (facade epoch) must each
-// invalidate the user's cached plan — and another user's apply must not.
+// generation), rule changes (context generation) and data writes a
+// preference reads (the plan's handles) must each invalidate the user's
+// cached plan — and another user's apply, or a data write no rule reads, must
+// not.
 func TestPlanCacheInvalidation(t *testing.T) {
 	srv, user := batchServer(t, 4)
 	// Every probe uses a fresh limit so it always misses the rank-result
@@ -255,8 +257,19 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 	misses = srv.plans.misses.Load()
 
-	// A data write bumps the facade epoch.
+	// A data write bumps the facade epoch, but one that no rule reads moves
+	// nothing the plan stands on: neither the context generation nor a table
+	// a preference reads.
+	epoch := srv.facade.Epoch()
 	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "watched", Src: user, Dst: "tv001", Prob: 0.9}}); err != nil {
+		t.Fatal(err)
+	}
+	rank()
+	if got := srv.plans.misses.Load(); got != misses || srv.facade.Epoch() == epoch {
+		t.Fatalf("a data write no rule reads: epoch %d -> %d, plan misses %d -> %d; want an epoch bump and the plan kept", epoch, srv.facade.Epoch(), misses, got)
+	}
+	// One a preference reads invalidates the plan.
+	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: "tv001", Dst: "genre00", Prob: 0.9}}); err != nil {
 		t.Fatal(err)
 	}
 	rank()
@@ -325,8 +338,18 @@ func TestRankClusterBoundFallback(t *testing.T) {
 		if cerr != nil {
 			return cerr
 		}
-		if plan.ActiveRules() != n {
-			t.Errorf("%d active rules, want %d", plan.ActiveRules(), n)
+		res, cerr := sys.RankWithPlan(plan, "Doc", contextrank.RankOptions{Limit: 1, Explain: true})
+		if cerr != nil {
+			return cerr
+		}
+		active := 0
+		for _, rc := range res[0].Explanation.Rules {
+			if !rc.Pruned {
+				active++
+			}
+		}
+		if active != n {
+			t.Errorf("%d active rules, want %d", active, n)
 		}
 		return nil
 	})

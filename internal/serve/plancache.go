@@ -11,11 +11,11 @@ import (
 // than the same number of rank-result entries.
 const planCacheSize = 256
 
-// planEntry is one user's cached compiled plan, with the facade epoch and the
-// user's applied generation it was compiled at (see
-// Server.planFor, which decides what a look-up counts as).
+// planEntry is one user's cached compiled plan, with the facade's context
+// generation and the user's applied generation its context half was resolved
+// at (see Server.planFor, which decides what a look-up counts as).
 type planEntry struct {
-	epoch      int64
+	contextGen int64
 	generation int64
 	plan       *contextrank.RankPlan
 }

@@ -66,10 +66,15 @@ import (
 // auto-declares context concepts before validating the preference
 // vocabulary). Epoch over-invalidation is harmless — it can never serve a
 // stale ranking.
+//
+// The context generation is the part of the epoch a compiled plan's context
+// half stands on (see Server.planFor): every epoch bump moves it too, except
+// an assert whose concepts and roles no registered rule's context reads.
 type Facade struct {
-	mu    sync.RWMutex
-	sys   *contextrank.System
-	epoch atomic.Int64
+	mu         sync.RWMutex
+	sys        *contextrank.System
+	epoch      atomic.Int64
+	contextGen atomic.Int64
 }
 
 // NewFacade wraps the system. The caller must stop touching sys directly;
@@ -81,6 +86,9 @@ func NewFacade(sys *contextrank.System) *Facade {
 // Epoch returns the current mutation epoch. It increases monotonically;
 // two Rank calls observing the same epoch saw the same data and rules.
 func (f *Facade) Epoch() int64 { return f.epoch.Load() }
+
+// contextGeneration returns the context generation (see the type comment).
+func (f *Facade) contextGeneration() int64 { return f.contextGen.Load() }
 
 // WithRead runs fn under the shared lock. fn must not mutate the system.
 func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
@@ -96,10 +104,27 @@ func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
 // (tests, diagnostics) what fn changes is not journaled, not gated on
 // degraded mode and does not wake the subscription evaluator.
 func (f *Facade) WithWriteEpoch(fn func(sys *contextrank.System) error) (int64, error) {
+	return f.write(func(sys *contextrank.System) (bool, error) { return true, fn(sys) })
+}
+
+// write is WithWriteEpoch for a write that reports, decided under the lock,
+// whether it can reach a rule's context: the context generation moves only
+// when it can (see Server.Apply).
+func (f *Facade) write(fn func(sys *contextrank.System) (reachesContext bool, err error)) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	err := fn(f.sys)
-	return f.epoch.Add(1), err
+	reaches, err := fn(f.sys)
+	if !reaches {
+		return f.epoch.Add(1), err
+	}
+	return f.bumpLocked(), err
+}
+
+// bumpLocked moves the epoch and the context generation, returning the new
+// epoch. Caller holds the write lock.
+func (f *Facade) bumpLocked() int64 {
+	f.contextGen.Add(1)
+	return f.epoch.Add(1)
 }
 
 // --- Read operations -------------------------------------------------------

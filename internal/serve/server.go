@@ -139,10 +139,6 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 // Facade returns the locking facade for direct (uncached) operations.
 func (s *Server) Facade() *Facade { return s.facade }
 
-// Sessions returns the per-user session manager (read helpers; session
-// writes go through SetSession/DropSession).
-func (s *Server) Sessions() *Sessions { return s.sessions }
-
 // AttachJournal arms the write-ahead log: from now on every mutation
 // Apply acknowledges — session, vocabulary/data and subscription writes
 // alike — is durable (fsynced via group commit) first. Attach before
@@ -150,9 +146,6 @@ func (s *Server) Sessions() *Sessions { return s.sessions }
 // closing it. The server does not own the journal's lifecycle; the
 // caller (shard.Coordinator.Recover, or a test) closes it.
 func (s *Server) AttachJournal(j *journal.Journal) { s.wal.Store(j) }
-
-// Journal returns the attached WAL, or nil.
-func (s *Server) Journal() *journal.Journal { return s.wal.Load() }
 
 // RankMeta describes how a Rank call was served.
 type RankMeta struct {
@@ -258,7 +251,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 		var plan *contextrank.RankPlan
 		if alg := reqs[0].opts.Algorithm; alg == "" || alg == contextrank.AlgorithmFactorized {
 			var perr error
-			if plan, perr = s.planFor(sys, user, v.epoch, generation); perr != nil {
+			if plan, perr = s.planFor(sys, user, generation); perr != nil {
 				return perr
 			}
 		}
@@ -288,35 +281,49 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 }
 
 // planFor returns the user's compiled rank plan for the state being read.
-// Must run under the facade read lock with the epoch and generation version
-// returned under it: they and every table version then all stand still, so a
-// plan found current can never be stale for the snapshot being read. Whether
-// the plan enumerates footprint clusters or scores per candidate (see
-// contextrank.CompileRankPlan) is its own business; both are cached alike.
+// Must run under the facade read lock with the generation version returned
+// under it: it, the context generation and every table version then all stand
+// still, so a plan found current can never be stale for the snapshot being
+// read. Whether the plan enumerates footprint clusters or scores per candidate
+// (see contextrank.CompileRankPlan) is its own business; both are cached
+// alike.
 //
-// The cache holds one plan per user. It is a hit while the epoch and the
-// user's generation are the ones the plan was compiled at — other users'
-// applies move neither — and no table a rule's preference reads has been
-// written since (plan.Current). Anything else is a miss served by compiling
-// the plan again: the compile re-resolves the context side and takes every
-// preference membership from the loader's memo — so after a vocabulary write
-// the first user's compile queries the written views and every other user's
-// shares the answer.
-func (s *Server) planFor(sys *contextrank.System, user string, epoch, generation int64) (*contextrank.RankPlan, error) {
+// The cache holds one plan per user, filed under the context generation and
+// the user's generation its context half was resolved at. It is a hit while
+// both still hold — other users' uncoupled applies and the asserts no rule's
+// context reads move neither — and no table a rule's preference reads has
+// been written since (plan.Current). Anything else is a miss served by a
+// compile that takes every preference membership from the loader's memo, so
+// after a vocabulary write the first user's compile queries the written views
+// and every other user's shares the answer. A miss whose two generations
+// still hold keeps the plan's context half (contextrank.RefreshRankPlan): it
+// resolves none of the user's rule contexts, and pays only for the handles,
+// the shared document side and the partition.
+func (s *Server) planFor(sys *contextrank.System, user string, generation int64) (*contextrank.RankPlan, error) {
+	contextGen := s.facade.contextGeneration()
 	prev, ok := s.plans.get(user)
-	if ok && prev.epoch == epoch && prev.generation == generation && prev.plan.Current() {
+	keep := ok && prev.contextGen == contextGen && prev.generation == generation
+	if keep && prev.plan.Current() {
 		s.plans.hits.Add(1)
 		return prev.plan, nil
 	}
 	s.plans.misses.Add(1)
-	plan, err := sys.CompileRankPlan(user)
+	var (
+		plan *contextrank.RankPlan
+		err  error
+	)
+	if keep {
+		plan, err = sys.RefreshRankPlan(prev.plan)
+	} else {
+		plan, err = sys.CompileRankPlan(user)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if ok {
 		s.plans.refreshed.Add(1)
 	}
-	s.plans.put(user, planEntry{epoch: epoch, generation: generation, plan: plan})
+	s.plans.put(user, planEntry{contextGen: contextGen, generation: generation, plan: plan})
 	return plan, nil
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	contextrank "repro"
@@ -506,4 +507,54 @@ func TestServerStats(t *testing.T) {
 	if st.Sessions != 1 || st.Rules != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestDropAfterFirstApplyServesNoStaleRanking: a user dropped before ranking
+// again reads as one that never applied — no fingerprint, generation 0 — but
+// the first apply registered them, and a ¬ context reads the closed domain.
+// Neither the ranking nor the plan cached before the first apply may serve
+// after the drop: not straight away (the rank cache), and not once a
+// first-seen user's apply has staled the plan's preference handles, which
+// read the domain too, for a rank the rank cache does not hold (the plan's
+// context half).
+func TestDropAfterFirstApplyServesNoStaleRanking(t *testing.T) {
+	sys := newTestSystem(t)
+	if _, err := sys.AddRule("RULE notA WHEN NOT CtxA PREFER TvProgram AND EXISTS hasGenre.{g0} WITH 0.9"); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sys, Options{})
+	check := func(user, label string, limit int) {
+		t.Helper()
+		opts := contextrank.RankOptions{Limit: limit}
+		got, _, err := srv.Rank(user, "TvProgram", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []contextrank.Result
+		if err := srv.Facade().WithRead(func(sys *contextrank.System) (err error) {
+			want, err = sys.RankWith(user, "TvProgram", opts)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %s served %v, a fresh rank gives %v", label, user, got, want)
+		}
+	}
+	// Neither user is in the domain yet, so notA cannot apply to them.
+	check("zed", "before any apply", 0)
+	check("yan", "before any apply", 0)
+	for _, user := range []string{"zed", "yan"} {
+		if _, err := srv.SetSession(user, []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.DropSession(user); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("zed", "after the drop", 0)
+	if _, err := srv.SetSession("newbie", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	check("yan", "after the drop and a first-seen user's apply", 5)
 }

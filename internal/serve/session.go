@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dl"
+	"repro/internal/mapping"
 	"repro/internal/prefs"
 	"repro/internal/situation"
 )
@@ -30,7 +31,8 @@ type Measurement = situation.Measurement
 // and the generation of the apply — which the user's compiled rank plan is
 // valid for — so only that user's cached state is invalidated. Every way one
 // user's write can reach another user's ranking is therefore named here, and
-// each degrades to a full epoch bump:
+// each degrades to a full epoch bump, which moves the context generation too
+// (every user's compiled plan resolves its contexts again):
 //
 //   - A concept the write changes occurs inside a role-restriction filler of
 //     a registered rule (e.g. WHEN ∃watchesWith.InKitchen): the user's own
@@ -40,6 +42,9 @@ type Measurement = situation.Measurement
 //     document side of every user's score. (A compiled plan would notice by
 //     itself — its membership handle reads the concept's table — but cached
 //     rank results are keyed by epoch and fingerprint alone.)
+//   - A drop while a rule's context reads the closed domain (¬, ⊤, a
+//     nominal): the dropped user reads as one never applied, but the first
+//     apply registered them, and such a context reads that.
 //   - The apply fails: it is multi-step and may have torn the user's context,
 //     so the previous one is restored and every cached ranking invalidated
 //     (the same over-invalidation policy as the facade's write path).
@@ -205,7 +210,7 @@ func (s *Sessions) replaceLocked(user string, next *session, commit func()) erro
 		// torn-context result under the new epoch — bump once more after the
 		// restore so nothing cached inside the window survives.
 		_ = s.applyLocked(user, prev, changed)
-		f.epoch.Add(1)
+		f.bumpLocked()
 		return err
 	}
 	if next != nil {
@@ -240,7 +245,7 @@ func (s *Sessions) guardLocked(concepts []string) error {
 func (s *Sessions) applyLocked(user string, sess *session, changed []string) error {
 	f := s.f
 	if s.couplesLocked(changed) {
-		f.epoch.Add(1)
+		f.bumpLocked()
 	}
 	ctx := situation.Context{User: user}
 	if sess != nil {
@@ -250,15 +255,21 @@ func (s *Sessions) applyLocked(user string, sess *session, changed []string) err
 	if err != nil {
 		// The user's context may be half-applied; invalidate every cached
 		// ranking, mirroring the facade's mutator-error policy.
-		f.epoch.Add(1)
+		f.bumpLocked()
 		return err
 	}
 	// Published inside the write critical section: a reader holding the
 	// facade read lock sees exactly the context it is ranking under.
 	if sess != nil {
 		s.applied.Store(user, appliedContext{fingerprint: sess.fingerprint, generation: generation})
-	} else {
-		s.applied.Delete(user)
+		return nil
+	}
+	s.applied.Delete(user)
+	// A dropped user reads as one never applied — no fingerprint, generation
+	// 0 — yet stays in dl_domain, which a ¬, ⊤ or nominal context reads: a
+	// ranking or plan cached before the user's first apply must not come back.
+	if s.f.sys.Rules().Any(func(rule prefs.Rule) bool { return mapping.ReadsDomain(rule.Context) }) {
+		f.bumpLocked()
 	}
 	return nil
 }

@@ -248,7 +248,7 @@ func TestRecoverSessionsTornTail(t *testing.T) {
 	}
 	// Tear the single shard's WAL inside its last frame: below the logical
 	// end, since the bytes past it are only the pre-sized file's slack.
-	logical := a.Shard(0).Journal().Stats().Bytes
+	logical := a.Shard(0).Stats().Journal.Bytes
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,10 @@
 // mentions: the target's handle). Evaluation is a rank like any other
 // (Server.rank) — and after the owner's own context apply, or a vocabulary
 // write, their plan is compiled again (see planFor): the compile pays for the
-// owner's context and the rule partition, while the preference memberships
-// and the document side are shared and carried across writes by the loader,
-// which is what makes push re-ranking affordable at catalog scale.
+// owner's context — unless the write reached no rule's context — and the
+// rule partition, while the preference memberships and the document side are
+// shared and carried across writes by the loader, which is what makes push
+// re-ranking affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the

@@ -121,7 +121,7 @@ func TestCachedRankFollowsItsTargetsMembers(t *testing.T) {
 // is paid once per written view, not once per user: a patch (the written
 // individuals evaluated again) when the write went through the loader, a whole
 // evaluation when SQL made it; a write to a table no rule or target reads
-// costs neither.
+// costs neither, and leaves every user's plan standing.
 func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	srv := NewServer(modelSystem(t), Options{CacheSize: -1})
 	if _, err := srv.Declare([]string{"Unrelated"}, nil, nil); err != nil {
@@ -154,7 +154,9 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	if st := srv.Stats().Plans; st.Misses != n || st.Refreshed != 0 || st.Size != n {
 		t.Fatalf("after the first ranks: plan cache %+v, want %d compiles", st, n)
 	}
-	step := func(name string, write func() error, wantPatched, wantQueries int64) {
+	// step writes, ranks every user and wants each user's plan replaced —
+	// or, stale false, served from the plan cache.
+	step := func(name string, write func() error, stale bool, wantPatched, wantQueries int64) {
 		t.Helper()
 		before := srv.Stats()
 		if err := write(); err != nil {
@@ -166,7 +168,11 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 			t.Fatalf("%s: no epoch bump", name)
 		}
 		misses, refreshed := after.Plans.Misses-before.Plans.Misses, after.Plans.Refreshed-before.Plans.Refreshed
-		if misses != n || refreshed != n || after.Plans.Size != n {
+		if !stale {
+			if misses != 0 || after.Plans.Size != n {
+				t.Fatalf("%s: %d plan misses, %d entries — want every user's plan kept", name, misses, after.Plans.Size)
+			}
+		} else if misses != n || refreshed != n || after.Plans.Size != n {
 			t.Fatalf("%s: %d plan misses, %d refreshed, %d entries — want %d stale entries replaced, no first compile, one entry per user",
 				name, misses, refreshed, after.Plans.Size, n)
 		}
@@ -180,22 +186,23 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	step("role assert", func() error {
 		_, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: "tv03", Dst: "g0", Prob: 0.5}})
 		return err
-	}, 2, 0)
+	}, true, 2, 0)
 	// A new program: target and both preferences read c_TvProgram, and the
 	// first-seen individual grows dl_domain under the nominals.
 	step("concept assert", func() error {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "TvProgram", ID: "tv10", Prob: 1}}, nil)
 		return err
-	}, 3, 0)
+	}, true, 3, 0)
 	step("sql delete", func() error {
 		_, _, err := srv.Exec("DELETE FROM r_hasGenre WHERE src = 'tv07'")
 		return err
-	}, 0, 2)
-	// tv00 is registered already: only c_Unrelated is written.
+	}, true, 0, 2)
+	// tv00 is registered already: only c_Unrelated is written, which no
+	// rule's context or preference reads, so every plan stands.
 	step("write nothing reads", func() error {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "Unrelated", ID: "tv00", Prob: 1}}, nil)
 		return err
-	}, 0, 0)
+	}, false, 0, 0)
 	// A rule change stales every plan too, and is served the same way.
 	before := srv.Stats().Plans
 	if _, _, err := srv.AddRules([]string{"RULE extra WHEN CtxA PREFER TvProgram WITH 0.55"}); err != nil {

@@ -412,12 +412,14 @@ func BenchmarkSessionApply(b *testing.B) {
 // BenchmarkVocabWriteRank prices the ranks that follow a vocabulary write:
 // one hasGenre tuple is asserted outside the timer — every bench rule's
 // preference reads r_hasGenre, and the epoch bump voids the rank cache — then
-// each of N users with a warm plan ranks once. ns/op is one such rank. The
-// first user's plan compile patches the 8 preference handles (the written
-// program re-read in each view); the others take the memberships, and their
-// block footprints, from the loader's memo, so users=16 must cost well under
-// users=1 per rank: CI's bench-regression job gates it at half, from the same
-// run.
+// each of N users with a warm plan ranks once. ns/op is one such rank. No
+// rule's context reads r_hasGenre, so every compile keeps its plan's context
+// half and resolves no context. The first user's compile patches the 8
+// preference handles (the written program re-read in each view); the others
+// take the memberships, their block footprints and the document side carried
+// across the write from the loader, and pay only the partition, so users=16
+// must cost well under users=1 per rank: CI's bench-regression job gates it
+// at half, from the same run.
 func BenchmarkVocabWriteRank(b *testing.B) {
 	const k = 8
 	opts := contextrank.RankOptions{Limit: 10}
