@@ -15,28 +15,45 @@ import (
 //	BenchmarkServeRankCached/cached-8   1964382   610.8 ns/op   96 B/op   3 allocs/op
 //
 // The B/op + allocs/op tail is present only under -benchmem; the alloc
-// gates silently skip benchmarks that lack it, so the ns/op gate keeps
-// working against old baselines taken without -benchmem.
-// The trailing -N is the GOMAXPROCS suffix; both files come from the same
-// machine in CI, so names compare equal including it.
+// gates skip benchmarks that lack it, so the ns/op gate keeps working
+// against old baselines taken without -benchmem.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+(?:e[+-]?[0-9]+)?) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
-// Report is the JSON shape of one comparison (the BENCH_serve.json /
-// BENCH_allocs.json artifacts).
+// procSuffix is the -N GOMAXPROCS suffix go test appends to a benchmark's
+// name when GOMAXPROCS > 1. Names are compared without it, so a row naming
+// BenchmarkVocabWriteRank/users=1 matches the same line under -cpu 1 (no
+// suffix) and -cpu 8, and never users=16.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// Report is the JSON shape of one gates run (the BENCH_gates.json
+// artifact): one verdict per row of the table, in table order.
 type Report struct {
-	Threshold float64 `json:"threshold"`
-	// AllocThreshold mirrors -alloc-threshold; negative when the
-	// fractional allocs/op gate is disabled.
-	AllocThreshold float64  `json:"alloc_threshold"`
-	Benchmarks     []Result `json:"benchmarks"`
-	// OnlyOld / OnlyNew list benchmarks without a counterpart; they are
-	// informational and never fail the check.
-	OnlyOld     []string `json:"only_old,omitempty"`
-	OnlyNew     []string `json:"only_new,omitempty"`
-	Regressions []string `json:"regressions"`
-	// AllocCaps records the -max-allocs absolute checks against the
-	// candidate medians; violations also land in Regressions.
-	AllocCaps []CapResult `json:"alloc_caps,omitempty"`
+	Gates  []Verdict `json:"gates"`
+	Failed int       `json:"failed"`
+}
+
+// Verdict is one row of the table and what the two runs made of it.
+type Verdict struct {
+	Gate
+	// Regression rows: every benchmark the pattern matches in both runs,
+	// and those it matches in only one, which never fail the row (a new
+	// benchmark has no baseline; a deleted one has no new value).
+	Benchmarks []Result `json:"benchmarks,omitempty"`
+	OnlyOld    []string `json:"only_old,omitempty"`
+	OnlyNew    []string `json:"only_new,omitempty"`
+	// AllocsOp is a cap row's candidate median allocs/op.
+	AllocsOp *float64 `json:"allocs_op,omitempty"`
+	// NumNsOp and DenNsOp are a ratio row's candidate medians; Delta is
+	// num/den − 1, held to the row's bound.
+	NumNsOp float64 `json:"num_ns_op,omitempty"`
+	DenNsOp float64 `json:"den_ns_op,omitempty"`
+	Delta   float64 `json:"delta,omitempty"`
+	// Missing names what the row needed and the runs did not carry: a
+	// capped benchmark without a -benchmem sample, a ratio side without a
+	// sample, or a regression pattern that matched nothing in either run.
+	// A silently skipped gate is not a gate, so a missing name fails the row.
+	Missing []string `json:"missing,omitempty"`
+	Fail    bool     `json:"fail"`
 }
 
 // Result compares one benchmark's median ns/op — and, when both runs
@@ -60,16 +77,6 @@ type Result struct {
 	AllocRegression bool    `json:"alloc_regression,omitempty"`
 }
 
-// CapResult is one -max-allocs absolute check: the candidate's median
-// allocs/op against a hard cap, no baseline needed.
-type CapResult struct {
-	Name      string  `json:"name"`
-	Cap       float64 `json:"cap"`
-	AllocsOp  float64 `json:"allocs_op"`
-	Missing   bool    `json:"missing,omitempty"` // no -benchmem sample matched the cap name
-	Violation bool    `json:"violation"`
-}
-
 // metrics holds one benchmark's medians over its -count repetitions.
 type metrics struct {
 	ns     float64
@@ -78,99 +85,113 @@ type metrics struct {
 	hasMem bool
 }
 
-// Compare parses the two bench outputs and flags every benchmark whose
-// median ns/op grew by more than threshold, or — when allocThreshold is
-// non-negative and both runs carry -benchmem columns — whose median
-// allocs/op grew by more than allocThreshold. caps maps benchmark names
-// (GOMAXPROCS suffix optional) to hard allocs/op ceilings checked against
-// the candidate alone; with caps, oldData may be nil and the comparison
-// section is skipped.
-func Compare(oldData, newData []byte, threshold, allocThreshold float64, caps map[string]float64) (Report, error) {
+// Compare parses the baseline and candidate bench outputs and holds them to
+// every row of gates: regression rows compare the two runs, cap and ratio
+// rows read the candidate alone.
+func Compare(oldData, newData []byte, gates []Gate) (Report, error) {
 	newMed, err := medians(newData)
 	if err != nil {
 		return Report{}, fmt.Errorf("candidate: %w", err)
 	}
-	rep := Report{Threshold: threshold, AllocThreshold: allocThreshold, Regressions: []string{}}
-
-	if oldData != nil {
-		oldMed, err := medians(oldData)
-		if err != nil {
-			return Report{}, fmt.Errorf("baseline: %w", err)
-		}
-		if len(oldMed) == 0 && len(newMed) == 0 {
-			return Report{}, fmt.Errorf("no benchmark results in either file")
-		}
-		for _, name := range sortedKeys(oldMed) {
-			if _, ok := newMed[name]; !ok {
-				rep.OnlyOld = append(rep.OnlyOld, name)
-			}
-		}
-		for _, name := range sortedKeys(newMed) {
-			old, ok := oldMed[name]
-			if !ok {
-				rep.OnlyNew = append(rep.OnlyNew, name)
-				continue
-			}
-			nw := newMed[name]
-			r := Result{Name: name, OldNsOp: old.ns, NewNsOp: nw.ns}
-			if old.ns > 0 {
-				r.Delta = (r.NewNsOp - old.ns) / old.ns
-			}
-			r.Regression = r.Delta > threshold
-			if old.hasMem && nw.hasMem {
-				oa, na, ob, nb := old.allocs, nw.allocs, old.bytes, nw.bytes
-				r.OldAllocsOp, r.NewAllocsOp = &oa, &na
-				r.OldBytesOp, r.NewBytesOp = &ob, &nb
-				if oa > 0 {
-					r.AllocDelta = (na - oa) / oa
-				} else if na > 0 {
-					r.AllocDelta = na
-				}
-				if allocThreshold >= 0 {
-					r.AllocRegression = r.AllocDelta > allocThreshold
-				}
-			}
-			if r.Regression || r.AllocRegression {
-				rep.Regressions = append(rep.Regressions, name)
-			}
-			rep.Benchmarks = append(rep.Benchmarks, r)
-		}
-	} else if len(newMed) == 0 {
+	if len(newMed) == 0 {
 		return Report{}, fmt.Errorf("no benchmark results in the candidate file")
 	}
-
-	for _, name := range sortedCapKeys(caps) {
-		cr := CapResult{Name: name, Cap: caps[name], Missing: true}
-		for _, have := range sortedKeys(newMed) {
-			// Cap names may omit the -N GOMAXPROCS suffix.
-			if have != name && !strings.HasPrefix(have, name+"-") {
-				continue
+	oldMed, err := medians(oldData)
+	if err != nil {
+		return Report{}, fmt.Errorf("baseline: %w", err)
+	}
+	var rep Report
+	for _, g := range gates {
+		v := Verdict{Gate: g}
+		switch g.Kind {
+		case kindRegression:
+			compareRuns(&v, oldMed, newMed)
+		case kindCap:
+			if m, ok := newMed[g.Name]; !ok || !m.hasMem {
+				v.Missing = []string{g.Name}
+			} else {
+				v.AllocsOp = &m.allocs
+				v.Fail = m.allocs > *g.MaxAllocs
 			}
-			m := newMed[have]
-			if !m.hasMem {
-				continue
+		case kindRatio:
+			num, okNum := newMed[g.Num]
+			den, okDen := newMed[g.Den]
+			if !okNum {
+				v.Missing = append(v.Missing, g.Num)
 			}
-			cr.Missing = false
-			if m.allocs > cr.AllocsOp {
-				cr.AllocsOp = m.allocs
+			if !okDen {
+				v.Missing = append(v.Missing, g.Den)
 			}
-			if m.allocs > cr.Cap {
-				cr.Violation = true
+			if okNum && okDen {
+				v.NumNsOp, v.DenNsOp = num.ns, den.ns
+				if den.ns > 0 {
+					v.Delta = (num.ns - den.ns) / den.ns
+				}
+				v.Fail = v.Delta > *g.Bound
 			}
 		}
-		if cr.Violation || cr.Missing {
-			// A cap whose benchmark vanished (or ran without -benchmem)
-			// must fail too: a silently skipped gate is not a gate.
-			rep.Regressions = append(rep.Regressions, name)
+		if len(v.Missing) > 0 {
+			v.Fail = true
 		}
-		rep.AllocCaps = append(rep.AllocCaps, cr)
+		if v.Fail {
+			rep.Failed++
+		}
+		rep.Gates = append(rep.Gates, v)
 	}
 	return rep, nil
 }
 
+// compareRuns fills a regression row's verdict: every benchmark whose
+// top-level name the row's pattern matches, as go test -bench matches it.
+func compareRuns(v *Verdict, oldMed, newMed map[string]metrics) {
+	matches := func(name string) bool {
+		top, _, _ := strings.Cut(name, "/")
+		return v.re.MatchString(top)
+	}
+	for _, name := range sortedKeys(oldMed) {
+		if _, ok := newMed[name]; !ok && matches(name) {
+			v.OnlyOld = append(v.OnlyOld, name)
+		}
+	}
+	for _, name := range sortedKeys(newMed) {
+		if !matches(name) {
+			continue
+		}
+		old, ok := oldMed[name]
+		if !ok {
+			v.OnlyNew = append(v.OnlyNew, name)
+			continue
+		}
+		nw := newMed[name]
+		r := Result{Name: name, OldNsOp: old.ns, NewNsOp: nw.ns}
+		if old.ns > 0 {
+			r.Delta = (r.NewNsOp - old.ns) / old.ns
+		}
+		r.Regression = r.Delta > *v.Ns
+		if old.hasMem && nw.hasMem {
+			oa, na, ob, nb := old.allocs, nw.allocs, old.bytes, nw.bytes
+			r.OldAllocsOp, r.NewAllocsOp = &oa, &na
+			r.OldBytesOp, r.NewBytesOp = &ob, &nb
+			if oa > 0 {
+				r.AllocDelta = (na - oa) / oa
+			} else if na > 0 {
+				r.AllocDelta = na
+			}
+			if v.Allocs != nil {
+				r.AllocRegression = r.AllocDelta > *v.Allocs
+			}
+		}
+		v.Fail = v.Fail || r.Regression || r.AllocRegression
+		v.Benchmarks = append(v.Benchmarks, r)
+	}
+	if len(v.Benchmarks)+len(v.OnlyOld)+len(v.OnlyNew) == 0 {
+		v.Missing = []string{v.Pattern}
+	}
+}
+
 // medians collects each benchmark's median ns/op (and allocs/B per op
 // when every sample carries -benchmem columns) over its -count
-// repetitions.
+// repetitions, keyed by name without the GOMAXPROCS suffix.
 func medians(data []byte) (map[string]metrics, error) {
 	type sample struct{ ns, bytes, allocs []float64 }
 	samples := make(map[string]*sample)
@@ -184,10 +205,11 @@ func medians(data []byte) (map[string]metrics, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
 		}
-		s := samples[m[1]]
+		name := procSuffix.ReplaceAllString(m[1], "")
+		s := samples[name]
 		if s == nil {
 			s = &sample{}
-			samples[m[1]] = s
+			samples[name] = s
 		}
 		s.ns = append(s.ns, ns)
 		if m[3] != "" {
@@ -233,15 +255,6 @@ func median(xs []float64) float64 {
 }
 
 func sortedKeys(m map[string]metrics) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedCapKeys(m map[string]float64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -1,28 +1,21 @@
-// Command benchcheck compares two `go test -bench` output files and fails
-// (exit 1) when any benchmark regressed beyond a threshold. CI's
-// bench-regression jobs run it next to benchstat: benchstat renders the
+// Command benchcheck holds two `go test -bench` output files to the table of
+// micro-gates in gates.json and fails (exit 1) when any row fails. CI's
+// bench-gates job runs it once, next to benchstat: benchstat renders the
 // human-readable comparison, benchcheck is the machine gate — it takes the
 // per-benchmark median over the -count repetitions (robust against one
 // noisy run, no statistics dependency) and emits a JSON report that the
-// workflow uploads as the BENCH_*.json artifacts.
+// workflow uploads with the raw outputs.
 //
 // Usage:
 //
-//	benchcheck -old main.txt -new pr.txt [-threshold 0.20] [-json out.json]
-//	benchcheck -old main.txt -new pr.txt -alloc-threshold 0
-//	benchcheck -new pr.txt -max-allocs 'BenchmarkPlanScoreLargeCatalog/warm/candidates=1000=0'
+//	benchcheck -old base.txt -new head.txt [-json BENCH_gates.json]
 //
-// With -benchmem output on both sides, -alloc-threshold gates the median
-// allocs/op growth the same way -threshold gates ns/op (negative, the
-// default, disables it; benchmarks lacking memory columns on either side
-// are skipped). -max-allocs imposes absolute allocs/op ceilings on the
-// candidate alone — 'name=cap,name=cap', names may omit the -N GOMAXPROCS
-// suffix — so a zero-allocation contract holds even with no baseline;
-// with -max-allocs, -old is optional. A cap whose benchmark is missing
-// (or ran without -benchmem) fails the check.
-//
-// Benchmarks present in only one file are reported but never fail the
-// check (new benchmarks have no baseline; deleted ones have no new value).
+// -old is the merge base's run and -new the pull request's, both of the same
+// benchmarks. A row is one of three kinds (see Gate): a regression gate
+// against the baseline, an absolute allocs/op cap on the candidate, or a
+// ratio of two candidate benchmarks from the same run. A row whose
+// benchmarks are missing from the candidate fails; a benchmark missing from
+// only one side of a regression row is reported and never fails it.
 package main
 
 import (
@@ -30,111 +23,110 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 )
 
 func main() {
 	var (
-		oldPath        = flag.String("old", "", "baseline bench output (main branch); optional with -max-allocs")
-		newPath        = flag.String("new", "", "candidate bench output (PR branch)")
-		threshold      = flag.Float64("threshold", 0.20, "maximum tolerated fractional ns/op increase")
-		allocThreshold = flag.Float64("alloc-threshold", -1, "maximum tolerated fractional allocs/op increase (negative disables)")
-		maxAllocs      = flag.String("max-allocs", "", "absolute allocs/op ceilings on the candidate: 'name=cap,name=cap'")
-		jsonPath       = flag.String("json", "", "write the JSON report here (default stdout)")
+		oldPath  = flag.String("old", "", "baseline bench output (merge base)")
+		newPath  = flag.String("new", "", "candidate bench output (pull request)")
+		jsonPath = flag.String("json", "", "write the JSON report here (default stdout)")
 	)
 	flag.Parse()
-	if *newPath == "" || (*oldPath == "" && *maxAllocs == "") {
-		fmt.Fprintln(os.Stderr, "benchcheck: need -new, and -old unless -max-allocs is given")
+	if *oldPath == "" || *newPath == "" {
+		fmt.Fprintln(os.Stderr, "benchcheck: need -old and -new")
 		os.Exit(2)
 	}
-	caps, err := parseCaps(*maxAllocs)
+	report, err := run(*oldPath, *newPath, *jsonPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		os.Exit(2)
 	}
-	var oldData []byte
-	if *oldPath != "" {
-		oldData, err = os.ReadFile(*oldPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-			os.Exit(2)
-		}
+	for _, v := range report.Gates {
+		printVerdict(v)
 	}
-	newData, err := os.ReadFile(*newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
+	if report.Failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchcheck: %d of %d gate(s) failed\n", report.Failed, len(report.Gates))
+		os.Exit(1)
 	}
-	report, err := Compare(oldData, newData, *threshold, *allocThreshold, caps)
+	fmt.Fprintf(os.Stderr, "benchcheck: %d gate(s) held\n", len(report.Gates))
+}
+
+// run holds the two files to the embedded table and writes the JSON report.
+func run(oldPath, newPath, jsonPath string) (Report, error) {
+	gates, err := parseGates(gatesJSON)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
+		return Report{}, err
+	}
+	oldData, err := os.ReadFile(oldPath)
+	if err != nil {
+		return Report{}, err
+	}
+	newData, err := os.ReadFile(newPath)
+	if err != nil {
+		return Report{}, err
+	}
+	report, err := Compare(oldData, newData, gates)
+	if err != nil {
+		return Report{}, err
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-		os.Exit(2)
+		return Report{}, err
 	}
 	out = append(out, '\n')
-	if *jsonPath != "" {
-		if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
-			os.Exit(2)
-		}
+	if jsonPath == "" {
+		_, err = os.Stdout.Write(out)
 	} else {
-		os.Stdout.Write(out)
+		err = os.WriteFile(jsonPath, out, 0o644)
 	}
-	for _, b := range report.Benchmarks {
-		mark := " "
-		if b.Regression || b.AllocRegression {
-			mark = "!"
-		}
-		line := fmt.Sprintf("%s %-60s %12.0f → %12.0f ns/op (%+.1f%%)",
-			mark, b.Name, b.OldNsOp, b.NewNsOp, 100*b.Delta)
-		if b.OldAllocsOp != nil && b.NewAllocsOp != nil {
-			line += fmt.Sprintf("   %.0f → %.0f allocs/op", *b.OldAllocsOp, *b.NewAllocsOp)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
-	for _, c := range report.AllocCaps {
-		switch {
-		case c.Missing:
-			fmt.Fprintf(os.Stderr, "! %-60s no -benchmem sample for cap %.0f allocs/op\n", c.Name, c.Cap)
-		case c.Violation:
-			fmt.Fprintf(os.Stderr, "! %-60s %.0f allocs/op exceeds cap %.0f\n", c.Name, c.AllocsOp, c.Cap)
-		default:
-			fmt.Fprintf(os.Stderr, "  %-60s %.0f allocs/op within cap %.0f\n", c.Name, c.AllocsOp, c.Cap)
-		}
-	}
-	if n := len(report.Regressions); n > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d benchmark(s) regressed or broke an alloc cap: %v\n",
-			n, report.Regressions)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchcheck: %d benchmark(s) within budget (%d alloc cap(s) held)\n",
-		len(report.Benchmarks), len(report.AllocCaps))
+	return report, err
 }
 
-// parseCaps parses the -max-allocs value: comma-separated name=cap pairs.
-func parseCaps(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
+// printVerdict writes one row's outcome to standard error, with its reason
+// when it failed.
+func printVerdict(v Verdict) {
+	mark := "ok  "
+	if v.Fail {
+		mark = "FAIL"
 	}
-	out := make(map[string]float64)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		// The cap value follows the *last* '=': benchmark names carry
-		// '=' themselves (sub-bench labels like candidates=1000).
-		i := strings.LastIndexByte(part, '=')
-		if i <= 0 || i == len(part)-1 {
-			return nil, fmt.Errorf("bad -max-allocs entry %q (want name=cap)", part)
+	switch v.Kind {
+	case kindRegression:
+		fmt.Fprintf(os.Stderr, "%s regression %s (ns/op ≤ %+.0f%%", mark, v.Pattern, 100**v.Ns)
+		if v.Allocs != nil {
+			fmt.Fprintf(os.Stderr, ", allocs/op ≤ %+.0f%%", 100**v.Allocs)
 		}
-		ceiling, err := strconv.ParseFloat(part[i+1:], 64)
-		if err != nil || ceiling < 0 {
-			return nil, fmt.Errorf("bad -max-allocs cap in %q", part)
+		fmt.Fprintln(os.Stderr, ")")
+		for _, b := range v.Benchmarks {
+			m := " "
+			if b.Regression || b.AllocRegression {
+				m = "!"
+			}
+			line := fmt.Sprintf("   %s %-60s %12.0f → %12.0f ns/op (%+.1f%%)", m, b.Name, b.OldNsOp, b.NewNsOp, 100*b.Delta)
+			if b.OldAllocsOp != nil {
+				line += fmt.Sprintf("   %.0f → %.0f allocs/op", *b.OldAllocsOp, *b.NewAllocsOp)
+			}
+			fmt.Fprintln(os.Stderr, line)
 		}
-		out[part[:i]] = ceiling
+		for _, name := range v.OnlyNew {
+			fmt.Fprintf(os.Stderr, "     %-60s no baseline\n", name)
+		}
+		for _, name := range v.OnlyOld {
+			fmt.Fprintf(os.Stderr, "     %-60s gone from the candidate\n", name)
+		}
+	case kindCap:
+		fmt.Fprintf(os.Stderr, "%s cap %s ≤ %.0f allocs/op", mark, v.Name, *v.MaxAllocs)
+		if v.AllocsOp != nil {
+			fmt.Fprintf(os.Stderr, ": %.0f", *v.AllocsOp)
+		}
+		fmt.Fprintln(os.Stderr)
+	case kindRatio:
+		fmt.Fprintf(os.Stderr, "%s ratio %s / %s: %.0f / %.0f ns/op (%+.1f%%, bound %+.0f%%)\n",
+			mark, v.Num, v.Den, v.NumNsOp, v.DenNsOp, 100*v.Delta, 100**v.Bound)
 	}
-	return out, nil
+	for _, name := range v.Missing {
+		fmt.Fprintf(os.Stderr, "     missing: %s\n", name)
+	}
+	if v.Fail {
+		fmt.Fprintf(os.Stderr, "     why this gate: %s\n", v.Reason)
+	}
 }

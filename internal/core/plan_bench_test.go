@@ -1,8 +1,8 @@
 // Benchmarks for compiled rank plans: the compile cost paid once per
 // (user, rule set, context epoch), and the per-candidate scoring cost of
 // the plan path versus the retained pre-plan factorized implementation.
-// CI gates these through internal/ci/benchcheck (BENCH_rank.json) next to
-// the serving benchmarks.
+// CI gates these next to the serving benchmarks: each bound is a row of
+// internal/ci/benchcheck/gates.json.
 package core
 
 import (
@@ -97,7 +97,7 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 		b.Run(fmt.Sprintf("warm/candidates=%d", n), func(b *testing.B) {
 			// The steady-state hot path: reused scratch, the shared document
 			// side's rows, results aliased into the scratch arena.
-			// CI caps this at 0 allocs/op (benchcheck -max-allocs); any
+			// CI caps this at 0 allocs/op (a cap row of gates.json); any
 			// new allocation on the cached-plan score path fails the gate.
 			d, rules := planBenchSetup(b, n, 8)
 			plan, err := CompilePlan(d.Loader, d.User, rules, nil)
@@ -186,7 +186,7 @@ func BenchmarkPlanScoreLargeCatalog(b *testing.B) {
 // end-to-end benchmark's context churn). The document side belongs to the
 // rules' membership handles, which neither kind of change touches, so the two
 // must cost about the same (the rotated scores sort differently, some 5 %):
-// CI gates rotated <= 1.25x same from one head run (BENCH_subscribe.json).
+// CI gates rotated <= 1.25x same from one head run (a ratio row of gates.json).
 func BenchmarkPlanRankAfterApply(b *testing.B) {
 	const n, k = 1000, 8
 	req := PlanRequest{Target: dl.Atom("TvProgram")}
@@ -238,8 +238,8 @@ func BenchmarkPlanRankAfterApply(b *testing.B) {
 // iteration applies BenchCtx0 plus four of BenchCtx1..7 chosen by iteration
 // (the active set and the cluster layout change every time) off the clock.
 // CI caps programs=300's allocations and holds programs=3000 to 1.25x
-// programs=300 from one head run: neither the settle nor the partition may
-// grow with the catalog's footprint.
+// programs=300 from one head run (a cap and a ratio row of gates.json):
+// neither the settle nor the partition may grow with the catalog's footprint.
 func BenchmarkPlanCompileAfterApply(b *testing.B) {
 	const k, owners = 8, 64
 	for _, programs := range []int{300, 3000} {
@@ -331,9 +331,9 @@ func BenchmarkPlanCompileAfterAssert(b *testing.B) {
 
 // BenchmarkPlanRankTopK prices top-k selection against the full sort over
 // a 10k-candidate catalog with a warm plan: the scoring work is identical,
-// so the whole delta is sort-and-copy vs the bounded heap. CI renames the
-// two sub-benchmarks to a common name and runs benchcheck with a negative
-// threshold, turning "top10 is at least 2× faster than full" into a gate.
+// so the whole delta is sort-and-copy vs the bounded heap. A ratio row of
+// CI's gates.json, top10 over full from one run with bound -0.5, turns
+// "top10 is at least 2× faster than full" into a gate.
 func BenchmarkPlanRankTopK(b *testing.B) {
 	const n = 10000
 	d, rules := planBenchSetup(b, n, 8)

@@ -51,7 +51,8 @@ func BenchmarkMembersQuery(b *testing.B) {
 
 // BenchmarkMembersPatch is the same look-up after the same tuple written
 // through the loader: the stale handle is patched by evaluating the one
-// program the write touched. CI holds it to a third of BenchmarkMembersQuery.
+// program the write touched. CI holds it to a third of BenchmarkMembersQuery
+// (a ratio row of internal/ci/benchcheck/gates.json).
 func BenchmarkMembersPatch(b *testing.B) {
 	benchMembersAfterWrite(b, func(l *mapping.Loader) error {
 		return l.AssertRole("hasGenre", "tv000", "genre00", nil)

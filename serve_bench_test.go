@@ -229,9 +229,9 @@ func (c *rankClient) rank(b *testing.B) []byte {
 // session write-ahead log attached (real fsync on every session apply):
 // the rank path never touches the journal, so sub-benchmark for
 // sub-benchmark the numbers must track BenchmarkServeRankCached within
-// noise. CI's bench-journal job enforces exactly that (<5% delta) by
-// renaming this benchmark's output and diffing it against
-// BenchmarkServeRankCached with benchcheck — the proof that session
+// noise. CI enforces exactly that (<5% delta) with two ratio rows of
+// gates.json, this benchmark's uncached and cached sub-benchmarks over
+// BenchmarkServeRankCached's from the same run — the proof that session
 // durability is free on the serving hot path.
 func BenchmarkServeRankWithJournal(b *testing.B) {
 	const k = 4
@@ -367,8 +367,8 @@ func BenchmarkServeRankBatch(b *testing.B) {
 // measurements each, timing one user's SetSession with a context that never
 // repeats (as in bench/: BenchCtx0 plus four of BenchCtx1..7, fresh
 // probabilities). An apply costs its user's rows and events, not the
-// sessions beside it, so the curve must be flat: CI's bench-regression job
-// gates sessions=4096 at no more than 2x sessions=64 from the same run. On a
+// sessions beside it, so the curve must be flat: a ratio row of CI's
+// gates.json holds sessions=4096 to 2x sessions=64 from the same run. On a
 // 2-vCPU Xeon it reads about 11-12 µs and 51-53 allocs/op at every count:
 // the loader resolves each table through its vocabulary's catalog key and
 // logs writes in a fixed ring, so nothing per row formats a name or shifts a
@@ -418,8 +418,8 @@ func BenchmarkSessionApply(b *testing.B) {
 // preference handles (the written program re-read in each view); the others
 // take the memberships, their block footprints and the document side carried
 // across the write from the loader, and pay only the partition, so users=16
-// must cost well under users=1 per rank: CI's bench-regression job gates it
-// at half, from the same run.
+// must cost well under users=1 per rank: a ratio row of CI's gates.json
+// holds it to half, from the same run.
 func BenchmarkVocabWriteRank(b *testing.B) {
 	const k = 8
 	opts := contextrank.RankOptions{Limit: 10}

@@ -1,6 +1,6 @@
 // Coordinator serving-layer benchmark: aggregate throughput of the
 // shard.Coordinator under a mixed apply+rank workload. CI's
-// bench-regression job tracks it (with the serve benchmarks) against the
+// bench-gates job tracks it (with the serve benchmarks) against the
 // main-branch baseline — a contention regression in the coordinator or the
 // serve stack under it shows up here before a load test would catch it.
 package contextrank_test
