@@ -5,20 +5,12 @@
 //
 // Usage:
 //
-//	carbench [-exp all|e1|e2|e3|a1|a2|a3|a4|serve|overload|chaos] [-timeout 30s] [-maxrules 8] [-small]
+//	carbench [-exp all|e1|e2|e3|a1|a2|a3|a4|overload|chaos] [-timeout 30s] [-maxrules 8] [-small]
 //
 // e1: Table 1 worked example          e2: Figure 1 history abstraction
 // e3: §5 scalability (view ranker)    a1: ranker ablation sweep
 // a2: §6 λ-weighting sweep            a3: σ-miner convergence
 // a4: Monte Carlo accuracy vs budget
-//
-// serve: load-generate the internal/serve layer over HTTP — N goroutine
-// clients with per-user session contexts ranking the TV-watcher dataset
-// against cmd/carserved's stack in-process (-clients, -benchdur, -churn,
-// -assertevery, -cachesize, -ctxprob). Reports a memory column (heap and
-// event-space size before/after) — with -churn and -ctxprob < 1 it shows
-// event retirement holding the space bounded. Not part of -exp all: it is a throughput demonstration, not a paper
-// reproduction.
 //
 // overload: the admission-control demonstration — drive offered rank load
 // far past the configured limits (-ratelimit/-maxinflight/-maxqueue for an
@@ -42,7 +34,8 @@
 // BenchmarkPlanRankTopK), not carbench modes.
 //
 // -cpuprofile/-memprofile write pprof profiles for any run, e.g.
-// `carbench -exp serve -small -cpuprofile cpu.out` then `go tool pprof`.
+// `carbench -exp overload -small -cpuprofile cpu.out` then `go tool pprof`.
+// The daemon's end-to-end throughput is bench/'s (`sh bench/run.sh`).
 package main
 
 import (
@@ -61,19 +54,15 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: all, e1, e2, e3, a1, a2, a3, a4, serve, overload, chaos (load generators; not in 'all')")
+		exp      = flag.String("exp", "all", "experiment to run: all, e1, e2, e3, a1, a2, a3, a4, overload, chaos (load generators; not in 'all')")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-point budget for sweeps (the paper aborted at 30min)")
 		maxRules = flag.Int("maxrules", 8, "largest rule count in the scalability sweeps")
 		small    = flag.Bool("small", false, "use the scaled-down dataset instead of the paper's ~11k tuples")
 		seed     = flag.Int64("seed", 42, "random seed for synthetic histories")
 
-		clients     = flag.Int("clients", 16, "serve: concurrent goroutine clients")
-		benchdur    = flag.Duration("benchdur", 5*time.Second, "serve: load-generation duration")
-		churn       = flag.Int("churn", 0, "serve: session context update every N ranks per client (0 = never)")
-		assertevery = flag.Duration("assertevery", 0, "serve: background fact-assertion interval bumping the epoch (0 = off)")
-		cachesize   = flag.Int("cachesize", 0, "serve: rank cache capacity (0 = default, -1 = disabled)")
-		ctxprob     = flag.Float64("ctxprob", 1, "serve: session measurement probability; < 1 churns basic events through the space on every context update")
-
+		clients     = flag.Int("clients", 16, "overload/chaos: concurrent goroutine clients")
+		benchdur    = flag.Duration("benchdur", 5*time.Second, "overload/chaos: load-generation duration (per phase)")
+		cachesize   = flag.Int("cachesize", 0, "overload: rank cache capacity of the in-process daemon (0 = default, -1 = disabled)")
 		target      = flag.String("target", "", "overload/chaos: base URL of a running carserved (overload boots an in-process daemon when empty; chaos requires a target started with -chaos)")
 		users       = flag.Int("users", 8, "overload/chaos: distinct user IDs the clients share (fewer users = harder per-user rate pressure)")
 		lowclients  = flag.Int("lowclients", 2, "overload: paced clients in the recovery phase")
@@ -125,9 +114,9 @@ func main() {
 		defer flushProfiles()
 	}
 
-	spec := workload.DefaultSpec()
+	spec, preload := workload.DefaultSpec(), "paper"
 	if *small {
-		spec = workload.SmallSpec()
+		spec, preload = workload.SmallSpec(), "small"
 	}
 
 	run := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
@@ -205,26 +194,12 @@ func main() {
 		res.Table().Write(os.Stdout)
 	}
 
-	if strings.EqualFold(*exp, "serve") {
-		ran = true
-		section("SERVE — internal/serve concurrent ranking service under HTTP load")
-		exitOn(runServeLoadgen(loadgenConfig{
-			Spec:        spec,
-			Rules:       *maxRules,
-			Clients:     *clients,
-			Duration:    *benchdur,
-			Churn:       *churn,
-			AssertEvery: *assertevery,
-			CacheSize:   *cachesize,
-			CtxProb:     *ctxprob,
-		}))
-	}
-
 	if strings.EqualFold(*exp, "overload") {
 		ran = true
 		section("OVERLOAD — admission control: goodput, shed rate and latency under excess offered load")
 		exitOn(runOverloadLoadgen(overloadConfig{
 			Target:      *target,
+			Preload:     preload,
 			Spec:        spec,
 			Rules:       *maxRules,
 			Clients:     *clients,

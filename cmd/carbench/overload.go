@@ -11,9 +11,7 @@ import (
 	"sync"
 	"time"
 
-	contextrank "repro"
-	"repro/internal/serve"
-	"repro/internal/serve/metrics"
+	"repro/internal/daemon"
 	"repro/internal/workload"
 )
 
@@ -23,6 +21,7 @@ type overloadConfig struct {
 	// boots carserved and points carbench at it). Empty boots an
 	// in-process stack with the admission limits below.
 	Target     string
+	Preload    string // Spec as the in-process daemon's -preload: small or paper
 	Spec       workload.Spec
 	Rules      int
 	Clients    int           // overload-phase concurrent clients
@@ -62,26 +61,24 @@ func (p *phaseResult) percentile(q float64) time.Duration {
 func runOverloadLoadgen(cfg overloadConfig) error {
 	base := cfg.Target
 	if base == "" {
-		sys := contextrank.NewSystem()
-		if _, err := workload.LoadBench(sys.Loader(), sys.Rules(), cfg.Spec, cfg.Rules); err != nil {
+		d, err := daemon.Start(daemon.Config{
+			Preload:     cfg.Preload,
+			Rules:       cfg.Rules,
+			Cache:       cfg.CacheSize,
+			Metrics:     true,
+			RateLimit:   cfg.RateLimit,
+			MaxInFlight: cfg.MaxInFlight,
+			MaxQueue:    cfg.MaxQueue,
+		})
+		if err != nil {
 			return err
 		}
-		backend := serve.NewServer(sys, serve.Options{CacheSize: cfg.CacheSize})
-		handler := serve.NewHandlerWith(backend, serve.HandlerOptions{
-			Admission: serve.NewAdmission(serve.AdmissionOptions{
-				MaxInFlight: cfg.MaxInFlight,
-				MaxQueue:    cfg.MaxQueue,
-				PerUserRate: cfg.RateLimit,
-			}),
-			Metrics: metrics.NewRegistry(),
-		})
+		defer d.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
-		httpSrv := &http.Server{Handler: handler}
-		go httpSrv.Serve(ln) //nolint:errcheck // closed via ln.Close at the end
-		defer ln.Close()
+		go d.Serve(ln) //nolint:errcheck // ends with ErrServerClosed when d closes
 		base = "http://" + ln.Addr().String()
 		fmt.Printf("in-process daemon at %s (ratelimit=%g/s/user maxinflight=%d maxqueue=%d)\n",
 			base, cfg.RateLimit, cfg.MaxInFlight, cfg.MaxQueue)

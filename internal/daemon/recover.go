@@ -1,13 +1,11 @@
-package shard
+package daemon
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/serve"
 	"repro/internal/serve/journal"
@@ -26,9 +24,8 @@ const journalManifestName = "journal.manifest.json"
 const journalManifestVersion = 1
 
 type journalManifest struct {
-	Version int    `json:"version"`
-	Shards  int    `json:"shards"`
-	Gen     string `json:"gen"`
+	header
+	Gen string `json:"gen"`
 }
 
 // journalFile names WAL file i within journal generation gen. A
@@ -43,7 +40,7 @@ func journalFile(dir, gen string, i int) string {
 // the stats/metrics layer can reference it without an import cycle.
 type RecoveryStats = serve.RecoveryStats
 
-// Recover makes the coordinator's state crash-durable against dir, in
+// Recover makes the daemon's state crash-durable against dir, in
 // three steps:
 //
 //  1. A fresh journal generation is created and attached to the
@@ -73,49 +70,36 @@ type RecoveryStats = serve.RecoveryStats
 // new-generation file is cleaned up as stale.
 //
 // Call once, after construction (and snapshot restore) but before serving
-// traffic. Pair with CloseJournals on shutdown.
-func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, error) {
+// traffic. Close closes the journal it opens.
+func (d *Daemon) Recover(dir string, opts journal.Options) (RecoveryStats, error) {
 	var stats RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return stats, fmt.Errorf("shard: journal dir: %w", err)
+		return stats, fmt.Errorf("daemon: journal dir: %w", err)
 	}
 
 	var prev *journalManifest
-	raw, err := os.ReadFile(filepath.Join(dir, journalManifestName))
-	switch {
+	var m journalManifest
+	switch err := readManifest(dir, journalManifestName, journalManifestVersion, &m, &m.header); {
 	case err == nil:
-		var m journalManifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return stats, fmt.Errorf("shard: parsing journal manifest: %w", err)
-		}
-		if m.Version != journalManifestVersion {
-			return stats, fmt.Errorf("shard: journal manifest version %d unsupported (want %d)", m.Version, journalManifestVersion)
-		}
-		if m.Shards <= 0 {
-			return stats, fmt.Errorf("shard: journal manifest reports %d shards", m.Shards)
-		}
 		prev = &m
-	case os.IsNotExist(err):
-		// First boot with journaling: nothing to replay.
-	default:
-		return stats, fmt.Errorf("shard: reading journal manifest: %w", err)
+	case !errors.Is(err, fs.ErrNotExist): // none: first boot with journaling, nothing to replay
+		return stats, err
 	}
 
-	var genBytes [8]byte
-	if _, err := rand.Read(genBytes[:]); err != nil {
-		return stats, fmt.Errorf("shard: journal gen id: %w", err)
+	gen, err := newGen()
+	if err != nil {
+		return stats, err
 	}
-	gen := hex.EncodeToString(genBytes[:])
 	j, _, err := journal.Open(journalFile(dir, gen, 0), opts)
 	if err != nil {
-		return stats, fmt.Errorf("shard: opening journal: %w", err)
+		return stats, fmt.Errorf("daemon: opening journal: %w", err)
 	}
-	c.srv.AttachJournal(j)
-	c.wal = j
-	c.journalGen = gen
-	c.fs = opts.FS
-	if c.fs == nil {
-		c.fs = journal.OSFS{}
+	d.Server.AttachJournal(j)
+	d.wal = j
+	d.journalGen = gen
+	d.fs = opts.FS
+	if d.fs == nil {
+		d.fs = journal.OSFS{}
 	}
 
 	if prev != nil {
@@ -130,46 +114,32 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 		if !opts.NoSync {
 			j.SetNoSync(true)
 		}
-		if err := c.replay(dir, prev, &stats); err != nil {
+		if err := d.replay(dir, prev, &stats); err != nil {
 			return stats, err
 		}
 		if !opts.NoSync {
 			j.SetNoSync(false)
 			if err := j.Sync(); err != nil {
-				return stats, fmt.Errorf("shard: syncing replayed journal: %w", err)
+				return stats, fmt.Errorf("daemon: syncing replayed journal: %w", err)
 			}
 		}
 	}
 
-	// Publish the new generation durably: WAL file data is already
-	// fsynced (per batch, or by the barrier above), so what remains is
-	// metadata — the WAL directory entry, the manifest's *content*
-	// (WriteFileSyncFS; a bare os.WriteFile could leave a zero-length
-	// manifest after a power cut, bricking every subsequent boot), and
-	// the rename itself. Only after all of that is the old generation
-	// eligible for deletion.
-	journal.SyncDirFS(c.fs, dir)
-	mf, err := json.Marshal(journalManifest{Version: journalManifestVersion, Shards: 1, Gen: gen})
-	if err != nil {
+	// Publish the new generation: WAL file data is already fsynced (per
+	// batch, or by the barrier above). Only after the manifest switch is
+	// the old generation eligible for deletion.
+	if err := d.publish(dir, journalManifestName, journalManifest{header{journalManifestVersion, 1}, gen}); err != nil {
 		return stats, err
 	}
-	tmp := filepath.Join(dir, journalManifestName+".tmp")
-	if err := journal.WriteFileSyncFS(c.fs, tmp, mf, 0o644); err != nil {
-		return stats, fmt.Errorf("shard: journal manifest: %w", err)
-	}
-	if err := c.fs.Rename(tmp, filepath.Join(dir, journalManifestName)); err != nil {
-		return stats, fmt.Errorf("shard: journal manifest: %w", err)
-	}
-	journal.SyncDirFS(c.fs, dir)
-	removeStaleJournals(dir, gen)
+	removeStale(dir, "sessions-", ".wal", gen)
 	published := stats
-	c.recovery.Store(&published)
+	d.recovery.Store(&published)
 	return stats, nil
 }
 
 // replay applies the previous generation's files onto the replica (see
 // Recover), counting into stats.
-func (c *Coordinator) replay(dir string, prev *journalManifest, stats *RecoveryStats) error {
+func (d *Daemon) replay(dir string, prev *journalManifest, stats *RecoveryStats) error {
 	// Checkpoint pairing: the snapshot manifest (same dir) names the
 	// journal generation its checkpoint fields cover. Only when that
 	// matches the generation being replayed may coverage be used to skip
@@ -178,7 +148,8 @@ func (c *Coordinator) replay(dir string, prev *journalManifest, stats *RecoveryS
 	var ckptSeqs []uint64
 	var ckptBID uint64
 	paired := false
-	if sm, err := readSnapshotManifest(dir); err == nil && sm.JournalGen != "" && sm.JournalGen == prev.Gen {
+	var sm manifest
+	if err := readManifest(dir, manifestName, manifestVersion, &sm, &sm.header); err == nil && sm.JournalGen != "" && sm.JournalGen == prev.Gen {
 		paired = true
 		ckptSeqs = sm.CheckpointSeqs
 		ckptBID = sm.CheckpointBID
@@ -195,7 +166,7 @@ func (c *Coordinator) replay(dir string, prev *journalManifest, stats *RecoveryS
 	preserve := func(rec journal.Record) {
 		stats.Failed++
 		rec.Preserved = true
-		if err := c.wal.Append(rec); err != nil && preserveErr == nil {
+		if err := d.wal.Append(rec); err != nil && preserveErr == nil {
 			preserveErr = err
 		}
 	}
@@ -234,7 +205,7 @@ func (c *Coordinator) replay(dir string, prev *journalManifest, stats *RecoveryS
 			// cycle keeps the data.
 			applied := rec
 			applied.BID = 0
-			out, err := c.srv.Apply(applied)
+			out, err := d.Server.Apply(applied)
 			if err != nil {
 				preserve(rec)
 				return nil
@@ -278,44 +249,14 @@ func (c *Coordinator) replay(dir string, prev *journalManifest, stats *RecoveryS
 			stats.TornFiles++
 		}
 	}
-	stats.Users = c.srv.Stats().Sessions
+	stats.Users = d.Server.Stats().Sessions
 	if preserveErr != nil {
 		// A failed-replay record could not be written into the new
 		// generation: abort *before* the manifest switch, so the old
 		// generation — the only copy — stays authoritative and the next
 		// boot retries. Proceeding would let the stale-file cleanup
 		// delete the record while stats call it preserved.
-		return fmt.Errorf("shard: preserving failed records in new journal generation: %w", preserveErr)
+		return fmt.Errorf("daemon: preserving failed records in new journal generation: %w", preserveErr)
 	}
 	return nil
-}
-
-// removeStaleJournals best-effort deletes WAL files from generations other
-// than keep — superseded generations, or leftovers of a boot that crashed
-// before its manifest switch.
-func removeStaleJournals(dir, keep string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "sessions-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		if !strings.HasPrefix(name, "sessions-"+keep+"-") {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// CloseJournals drains and closes the journal opened by Recover (the
-// server keeps its reference). Call after HTTP shutdown: a Set racing
-// Close gets an explicit journal-closed error instead of a silent
-// durability gap.
-func (c *Coordinator) CloseJournals() error {
-	if c.wal == nil {
-		return nil
-	}
-	return c.wal.Close()
 }

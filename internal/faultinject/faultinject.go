@@ -40,8 +40,8 @@ const (
 	FSSync   Point = "fs.sync"
 	FSRename Point = "fs.rename"
 	FSRemove Point = "fs.remove"
-	// RankServe fires at the top of the coordinator's rank path, as
-	// shard 0.
+	// RankServe fires at the top of serve.Server's Rank and RankBatch
+	// (never on a subscription's re-rank), as shard 0.
 	RankServe Point = "rank.serve"
 )
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	contextrank "repro"
 	"repro/internal/dl"
@@ -60,7 +61,14 @@ type Applied struct {
 // may have applied and then failed its journal write, and without the
 // record the WAL would hold a live Set/Subscribe whose replay resurrects
 // state the client was told is gone.
+//
+// A vocabulary write's apply-to-ack wall time is recorded for
+// VocabWrites. A record read back from a journal already carries its
+// sequence number and acknowledges no client, so boot replay is not timed.
 func (s *Server) Apply(rec journal.Record) (Applied, error) {
+	if rec.Op.IsVocab() && rec.Seq == 0 {
+		defer s.vocab.since(time.Now())
+	}
 	if err := s.health.checkWritable(); err != nil {
 		return Applied{}, err
 	}
@@ -273,71 +281,60 @@ func addRulesPrefix(sys *contextrank.System, rec *journal.Record, out *Applied) 
 	return nil
 }
 
-// Applier is the mutation entry a backend provides: Server.Apply executes
-// the record, shard.Coordinator.Apply times it on its way to the Server.
-type Applier interface {
-	Apply(rec journal.Record) (Applied, error)
-}
-
-// Mutators implements Backend's typed mutators once, as record builders
-// over an Applier. Server and shard.Coordinator both embed it, so neither
-// mirrors the other's write methods. Backend stays typed (rather than
-// exposing Apply) because instrumentation wraps these methods by name.
-type Mutators struct{ to Applier }
-
-// MutatorsOver returns the typed mutators over a.
-func MutatorsOver(a Applier) Mutators { return Mutators{to: a} }
+// The typed mutators below are Backend's write half: record builders over
+// Apply. Backend stays typed (rather than exposing Apply) because
+// instrumentation wraps these methods by name.
 
 // Declare registers concepts, roles and subconcept axioms in one epoch.
-func (m Mutators) Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error) {
-	out, err := m.to.Apply(journal.Record{Op: journal.OpDeclare, Concepts: concepts, Roles: roles, Subs: subs})
+func (s *Server) Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error) {
+	out, err := s.Apply(journal.Record{Op: journal.OpDeclare, Concepts: concepts, Roles: roles, Subs: subs})
 	return out.Epoch, err
 }
 
 // Assert adds concept and role assertions in one epoch.
-func (m Mutators) Assert(concepts []ConceptAssertion, roles []RoleAssertion) (int64, error) {
-	out, err := m.to.Apply(journal.Record{Op: journal.OpAssert, ConceptAsserts: concepts, RoleAsserts: roles})
+func (s *Server) Assert(concepts []ConceptAssertion, roles []RoleAssertion) (int64, error) {
+	out, err := s.Apply(journal.Record{Op: journal.OpAssert, ConceptAsserts: concepts, RoleAsserts: roles})
 	return out.Epoch, err
 }
 
 // AddRules parses and registers rules, returning the added names. On
 // error the names added before the failure stay registered.
-func (m Mutators) AddRules(texts []string) ([]string, int64, error) {
-	out, err := m.to.Apply(journal.Record{Op: journal.OpAddRules, Rules: texts})
+func (s *Server) AddRules(texts []string) ([]string, int64, error) {
+	out, err := s.Apply(journal.Record{Op: journal.OpAddRules, Rules: texts})
 	return out.Added, out.Epoch, err
 }
 
 // RemoveRule deletes a rule by name.
-func (m Mutators) RemoveRule(name string) (int64, error) {
-	out, err := m.to.Apply(journal.Record{Op: journal.OpRemoveRule, Rule: name})
+func (s *Server) RemoveRule(name string) (int64, error) {
+	out, err := s.Apply(journal.Record{Op: journal.OpRemoveRule, Rule: name})
 	return out.Epoch, err
 }
 
 // Exec runs a mutating SQL statement, returning the new epoch. A statement
 // outside the SQL dialect is refused before the backend sees it: it moves no
 // epoch and journals nothing.
-func (m Mutators) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
+func (s *Server) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
 	if _, err := sql.Parse(stmt); err != nil {
 		return nil, 0, err
 	}
-	out, err := m.to.Apply(journal.Record{Op: journal.OpExec, Stmt: stmt})
+	out, err := s.Apply(journal.Record{Op: journal.OpExec, Stmt: stmt})
 	return out.Result, out.Epoch, err
 }
 
 // SetSession replaces the user's session context and returns its new
 // fingerprint. An empty measurement list is a valid "no context" session.
-func (m Mutators) SetSession(user string, ms []Measurement) (string, error) {
+func (s *Server) SetSession(user string, ms []Measurement) (string, error) {
 	wire := make([]journal.Measurement, len(ms))
 	for i, x := range ms {
 		wire[i] = journal.Measurement(x)
 	}
-	out, err := m.to.Apply(journal.Record{Op: journal.OpSet, User: user, Measurements: wire})
+	out, err := s.Apply(journal.Record{Op: journal.OpSet, User: user, Measurements: wire})
 	return out.Fingerprint, err
 }
 
 // DropSession ends the user's session.
-func (m Mutators) DropSession(user string) error {
-	_, err := m.to.Apply(journal.Record{Op: journal.OpDrop, User: user})
+func (s *Server) DropSession(user string) error {
+	_, err := s.Apply(journal.Record{Op: journal.OpDrop, User: user})
 	return err
 }
 
@@ -346,19 +343,19 @@ func (m Mutators) DropSession(user string) error {
 // without error survives a crash, and its first evaluation is kicked off
 // immediately, so an SSE attach right after the create normally finds its
 // snapshot already queued.
-func (m Mutators) Subscribe(id string, spec SubscriptionSpec) (SubscriptionInfo, error) {
+func (s *Server) Subscribe(id string, spec SubscriptionSpec) (SubscriptionInfo, error) {
 	wire := &journal.SubSpec{Target: spec.Target, Candidates: spec.Candidates, TopK: spec.TopK, Limit: spec.Limit}
 	if spec.Threshold != 0 {
 		wire.Threshold = &spec.Threshold
 	}
-	out, err := m.to.Apply(journal.Record{Op: journal.OpSubscribe, SubID: id, User: spec.User, Subscription: wire})
+	out, err := s.Apply(journal.Record{Op: journal.OpSubscribe, SubID: id, User: spec.User, Subscription: wire})
 	return out.Sub, err
 }
 
 // Unsubscribe removes a subscription, ending its event stream, and
 // reports whether it existed.
-func (m Mutators) Unsubscribe(id string) (bool, error) {
-	out, err := m.to.Apply(journal.Record{Op: journal.OpUnsubscribe, SubID: id})
+func (s *Server) Unsubscribe(id string) (bool, error) {
+	out, err := s.Apply(journal.Record{Op: journal.OpUnsubscribe, SubID: id})
 	return out.Found, err
 }
 

@@ -28,7 +28,7 @@ import (
 const maxBodyBytes = 1 << 20
 
 // Handler is the HTTP/JSON front-end over a serving Backend — a single
-// *Server or a shard.Coordinator (net/http only).
+// *Server or a daemon.Daemon, which embeds one (net/http only).
 //
 // Endpoints:
 //

@@ -129,7 +129,7 @@ func (h *diskHealth) clear() {
 }
 
 // HealthInfo is the health block of Stats: one server's (or, on the
-// aggregate, a whole coordinator's) failure-domain state.
+// aggregate, a whole daemon's) failure-domain state.
 type HealthInfo struct {
 	// State is healthy or degraded.
 	State string `json:"state"`

@@ -7,8 +7,10 @@ import (
 
 // RegisterBackendMetrics exposes a serving backend's counters as
 // carserve_* Prometheus series. The per-shard series carry shard "0": a
-// backend holds one replica, and its Stats.Shards entry (or, on a bare
-// Server, its own counters) is that shard. The whole export is one
+// backend holds one replica, and its Stats.Shards entry (a daemon.Daemon's)
+// or, on a bare Server, its own counters are that shard; the durable
+// series (checkpoints, recovery, broadcast) come from the blocks only the
+// daemon's Stats fills. The whole export is one
 // lock-free Stats() call per scrape — no second bookkeeping layer that
 // could drift from /v1/stats, and no scrape-time contention with rank
 // traffic (the PR-3 discipline).

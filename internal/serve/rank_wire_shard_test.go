@@ -10,11 +10,11 @@ import (
 	"testing"
 
 	contextrank "repro"
+	"repro/internal/daemon"
 	"repro/internal/serve"
-	"repro/internal/serve/shard"
 )
 
-// shardRecorder remembers what the coordinator's last Rank returned.
+// shardRecorder remembers what the daemon's last Rank returned.
 type shardRecorder struct {
 	serve.Backend
 	results []contextrank.Result
@@ -27,14 +27,11 @@ func (b *shardRecorder) Rank(user, target string, opts contextrank.RankOptions) 
 	return res, meta, err
 }
 
-// TestRankWireBytesSharded: behind the coordinator the rank response — its
+// TestRankWireBytesSharded: behind the daemon the rank response — its
 // miss and its hits — is byte for byte the json.Encoder rendering, shard
 // field included.
 func TestRankWireBytesSharded(t *testing.T) {
-	coord, err := shard.New(2, func(int) (*contextrank.System, error) { return contextrank.NewSystem(), nil }, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := daemon.New(contextrank.NewSystem(), serve.Options{})
 	if _, err := coord.Declare([]string{"Thing", "Ctx"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,10 @@
 // Backend mutators are record builders over it.
 //
 // Handler exposes the whole thing over HTTP/JSON through the Backend
-// interface (cmd/carserved is the daemon around it). The shard subpackage
-// composes the durable daemon: a shard.Coordinator wraps one Server with
-// its journal, checkpoints and recovery, behind the same Backend
-// interface. The journal subpackage makes
+// interface. internal/daemon composes the durable daemon that
+// cmd/carserved runs: a daemon.Daemon embeds one Server and adds its
+// journal, checkpoints, recovery, background loops and HTTP server; Close
+// on either stops what it started. The journal subpackage makes
 // state crash-durable: with a WAL attached (AttachJournal), every
 // acknowledged mutation is fsynced before the acknowledgement and boot
 // replays the records through the same Apply. See DESIGN.md §3/§3.5/§3.6

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	contextrank "repro"
+	"repro/internal/faultinject"
 	"repro/internal/serve/journal"
 )
 
@@ -25,12 +26,10 @@ type Options struct {
 }
 
 // Backend is the serving surface the HTTP handler (and the load
-// generators) speak to. Two implementations exist: *Server — one System
-// behind one facade — and shard.Coordinator, which wraps one Server with
-// its journal, checkpoints and recovery. The handler is written against this
-// interface so both serve the identical HTTP API. Both get the mutating
-// methods from the embedded Mutators — record builders over their Apply —
-// and implement only Apply and the reads themselves.
+// generators) speak to. *Server implements it; daemon.Daemon embeds a
+// Server with its journal, checkpoints and recovery and overrides only
+// Stats, to add the durable blocks. The handler is written against this
+// interface so both serve the identical HTTP API.
 type Backend interface {
 	// Rank ranks target for user through the backend's cache(s).
 	Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error)
@@ -94,10 +93,6 @@ type (
 // Server is the complete serving layer: facade + sessions + rank cache +
 // statistics. It is safe for concurrent use by any number of goroutines.
 type Server struct {
-	// Mutators are Backend's typed write methods, record builders over
-	// Apply (the server's one mutation path).
-	Mutators
-
 	facade   *Facade
 	sessions *Sessions
 	cache    *rankCache // nil when caching is disabled
@@ -113,6 +108,12 @@ type Server struct {
 	// The rank path never touches it. Atomic so the lock-free Stats scrape
 	// can read it.
 	wal atomic.Pointer[journal.Journal]
+	// chaos is the optional fault injector of the rank path (point
+	// rank.serve, fired by Rank and RankBatch); nil = disabled, one atomic
+	// load per rank.
+	chaos atomic.Pointer[faultinject.Injector]
+	// vocab is the vocabulary writes' apply-to-ack latency (see Apply).
+	vocab vocabTimer
 }
 
 var _ Backend = (*Server)(nil)
@@ -128,7 +129,6 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 		subs:    newSubRegistry(),
 		start:   time.Now(),
 	}
-	srv.Mutators = MutatorsOver(srv)
 	srv.sessions = newSessions(srv.facade)
 	if opts.CacheSize >= 0 {
 		srv.cache = newRankCache(opts.CacheSize)
@@ -144,8 +144,33 @@ func (s *Server) Facade() *Facade { return s.facade }
 // alike — is durable (fsynced via group commit) first. Attach before
 // serving traffic; attaching replaces any previous journal without
 // closing it. The server does not own the journal's lifecycle; the
-// caller (shard.Coordinator.Recover, or a test) closes it.
+// caller (daemon.Daemon.Recover, or a test) closes it.
 func (s *Server) AttachJournal(j *journal.Journal) { s.wal.Store(j) }
+
+// SetFaultInjector attaches a fault injector to the rank path: point
+// rank.serve fails a Rank or RankBatch call before it ranks. The
+// subscription evaluator's re-ranks never fire it. Nil detaches.
+func (s *Server) SetFaultInjector(in *faultinject.Injector) { s.chaos.Store(in) }
+
+// rankFault fires the rank.serve fault point.
+func (s *Server) rankFault() error {
+	if in := s.chaos.Load(); in != nil {
+		return in.Fire(faultinject.RankServe, 0)
+	}
+	return nil
+}
+
+// Close stops the server's background work — the subscription evaluator
+// — and waits for it to exit. It is idempotent. Calls made after Close
+// are still served, but no subscription is re-evaluated; the attached
+// journal is the caller's to close.
+func (s *Server) Close() {
+	// Spending the once first means no evaluator starts after this, and
+	// one starting now has done its running.Add before Do returns.
+	s.subs.once.Do(func() {})
+	s.subs.closeOnce.Do(func() { close(s.subs.done) })
+	s.subs.running.Wait()
+}
 
 // RankMeta describes how a Rank call was served.
 type RankMeta struct {
@@ -195,6 +220,9 @@ type rankReq struct {
 // Rank ranks target for user through the cache: a hit under an unchanged
 // version is O(1), a miss ranks through rankMisses.
 func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error) {
+	if err := s.rankFault(); err != nil {
+		return nil, RankMeta{}, err
+	}
 	r, meta, err := s.rank(user, rankReq{target: target, opts: opts})
 	return r.res, meta, err
 }
@@ -369,8 +397,9 @@ type RankItemResult struct {
 // times. Candidate-list items bypass the result cache and always rank.
 func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, error) {
 	started := time.Now()
-	var err error
+	err := s.rankFault()
 	switch {
+	case err != nil:
 	case user == "":
 		err = fmt.Errorf("serve: batch rank needs a user")
 	case len(items) == 0:
@@ -412,7 +441,7 @@ func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankI
 }
 
 // --- Backend read operations ----------------------------------------------
-// (The write half of Backend is the embedded Mutators over Apply.)
+// (The write half of Backend is the typed mutators over Apply.)
 
 // Rules snapshots the registered preference rules.
 func (s *Server) Rules() []contextrank.Rule { return s.facade.Rules() }
@@ -484,26 +513,26 @@ type Stats struct {
 	// checkpoint); nil when the server runs without durability.
 	Journal *journal.Stats `json:"journal,omitempty"`
 	// Checkpoints describes background checkpoint activity; only a
-	// backend with a checkpointer running fills it (aggregate only, not
-	// per shard).
+	// daemon.Daemon with a journal fills it (aggregate only, not per
+	// shard).
 	Checkpoints *CheckpointStats `json:"checkpoints,omitempty"`
 	// Recovery describes what boot-time WAL replay restored; filled once
-	// at boot by shard.Coordinator.Recover (aggregate only).
+	// at boot by daemon.Daemon.Recover (aggregate only).
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
-	// Broadcast describes vocabulary writes; only shard.Coordinator fills
-	// it.
+	// Broadcast describes vocabulary writes; only daemon.Daemon fills it,
+	// from VocabWrites.
 	Broadcast *BroadcastStats `json:"broadcast,omitempty"`
 	// Subs is the standing-subscription subsystem: registered
 	// subscriptions, pushed events, evaluator work and skip counts.
 	Subs *SubscriptionStats `json:"subscriptions,omitempty"`
 	// HotPath is the rank hot path's scratch-pool and document-
 	// distribution-cache effectiveness. The counters are process-global
-	// (see contextrank.HotPathStats), so shard.Coordinator reports them
-	// once on the aggregate and leaves its shard entry's nil.
+	// (see contextrank.HotPathStats), so daemon.Daemon reports them once
+	// on the aggregate and leaves its shard entry's nil.
 	HotPath *contextrank.HotPathStats `json:"hot_path,omitempty"`
 	// Shards is the per-shard breakdown (index = shard id); only
-	// shard.Coordinator fills it, with one entry: its replica, whose
-	// counters the outer struct also carries.
+	// daemon.Daemon fills it, with one entry: its replica, whose counters
+	// the outer struct also carries.
 	Shards []Stats `json:"shards,omitempty"`
 }
 
@@ -517,8 +546,34 @@ type BroadcastStats struct {
 	MaxMicros  float64 `json:"max_us"`
 }
 
+// vocabTimer accumulates vocabulary-write latencies, lock-free.
+type vocabTimer struct {
+	writes, sumNs, maxNs atomic.Int64
+}
+
+// since records one write that started at started.
+func (t *vocabTimer) since(started time.Time) {
+	ns := int64(time.Since(started))
+	t.writes.Add(1)
+	t.sumNs.Add(ns)
+	for cur := t.maxNs.Load(); ns > cur && !t.maxNs.CompareAndSwap(cur, ns); cur = t.maxNs.Load() {
+	}
+}
+
+// VocabWrites reports the live vocabulary writes Apply has handled,
+// refused ones included, and their apply-to-ack wall time (the Broadcast
+// block of a daemon's Stats).
+func (s *Server) VocabWrites() *BroadcastStats {
+	b := &BroadcastStats{Writes: s.vocab.writes.Load()}
+	if b.Writes > 0 {
+		b.MeanMicros = float64(s.vocab.sumNs.Load()) / 1e3 / float64(b.Writes)
+		b.MaxMicros = float64(s.vocab.maxNs.Load()) / 1e3
+	}
+	return b
+}
+
 // CheckpointStats describes background checkpoint activity: full-state
-// snapshots that truncate the WAL (see shard.Coordinator.Checkpoint).
+// snapshots that truncate the WAL (see daemon.Daemon.Checkpoint).
 type CheckpointStats struct {
 	// Count / Failures count completed and failed checkpoint attempts.
 	Count    int64 `json:"count"`

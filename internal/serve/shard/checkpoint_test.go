@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/serve"
 	"repro/internal/serve/journal"
 )
@@ -410,16 +411,15 @@ func TestCheckpointBoundsWALChurnSoak(t *testing.T) {
 // count into Stats().Checkpoints, and truncate the WAL backlog.
 func TestBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	c := newTestCoordinator(t, 2)
-	if _, err := c.Recover(dir, journal.Options{}); err != nil {
+	d, err := daemon.Start(daemon.Config{
+		SnapDir:         dir,
+		CheckpointBytes: 1, // any vocabulary backlog at all triggers
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	c := &Coordinator{d}
 	defer c.CloseJournals()
-	stop := c.StartCheckpointer(dir, CheckpointerOptions{
-		Bytes:   1, // any vocabulary backlog at all triggers
-		Poll:    5 * time.Millisecond,
-		OnError: func(err error) { t.Errorf("background checkpoint: %v", err) },
-	})
 	if _, _, err := c.Exec("CREATE TABLE ckpt_t (n INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +434,7 @@ func TestBackgroundCheckpointer(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	stop()
-	if !HasSnapshots(dir) {
+	if !daemon.HasSnapshots(dir) {
 		t.Fatal("background checkpoint left no snapshot manifest")
 	}
 	st := c.Stats()

@@ -354,7 +354,7 @@ func TestRecoverPreservesDeclareOfUnmentionableName(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.CloseJournals()
-	j, _, err := journal.Open(journalFile(dir, a.journalGen, 0), journal.Options{})
+	j, _, err := journal.Open(journalFile(dir, currentGen(t, dir), 0), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestRecoverPreservesDeclareOfUnmentionableName(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want the declare failed", rs)
 	}
 	var preserved []journal.Record
-	if _, err := journal.Replay(journalFile(dir, c.journalGen, 0), func(rec journal.Record) error {
+	if _, err := journal.Replay(journalFile(dir, currentGen(t, dir), 0), func(rec journal.Record) error {
 		if rec.Preserved {
 			preserved = append(preserved, rec)
 		}
@@ -512,7 +512,7 @@ func TestRecoverParentCommitWAL(t *testing.T) {
 			// The two records that could not apply are carried verbatim
 			// into the new generation, marked checkpoint-exempt.
 			preserved := make(map[journal.Op]journal.Record)
-			if _, err := journal.Replay(journalFile(dir, c.journalGen, 0), func(rec journal.Record) error {
+			if _, err := journal.Replay(journalFile(dir, currentGen(t, dir), 0), func(rec journal.Record) error {
 				if rec.Preserved {
 					preserved[rec.Op] = rec
 				}

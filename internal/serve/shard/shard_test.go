@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -13,6 +16,31 @@ import (
 // freshSystems is the trivial build function: every shard starts empty.
 func freshSystems(int) (*contextrank.System, error) {
 	return contextrank.NewSystem(), nil
+}
+
+// The daemon's on-disk layout, as the tests write and read it.
+const (
+	manifestName        = "manifest.json"
+	journalManifestName = "journal.manifest.json"
+)
+
+// journalFile names WAL file i of journal generation gen in dir.
+func journalFile(dir, gen string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("sessions-%s-%03d.wal", gen, i))
+}
+
+// currentGen is the journal generation dir's journal manifest names.
+func currentGen(t *testing.T, dir string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, journalManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Gen string }
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Gen
 }
 
 // newTestCoordinator builds a coordinator (New(n, …)) preloaded with the

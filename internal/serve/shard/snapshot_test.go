@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	contextrank "repro"
+	"repro/internal/daemon"
 	"repro/internal/serve"
 )
 
@@ -22,7 +23,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := c.SaveSnapshots(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !HasSnapshots(dir) {
+	if !daemon.HasSnapshots(dir) {
 		t.Fatal("HasSnapshots = false after save")
 	}
 	if n := countShardFiles(t, dir); n != 1 {
@@ -88,7 +89,7 @@ func countShardFiles(t *testing.T, dir string) int {
 }
 
 func TestRestoreBuilderRejectsBadManifests(t *testing.T) {
-	if HasSnapshots(t.TempDir()) {
+	if daemon.HasSnapshots(t.TempDir()) {
 		t.Fatal("empty dir claims snapshots")
 	}
 	if _, _, err := RestoreBuilder(t.TempDir()); err == nil {

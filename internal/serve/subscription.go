@@ -4,8 +4,9 @@
 // drop, vocabulary write or rule change moves that user's scores —
 // instead of polling /v1/rank after every sensor update.
 //
-// One evaluator goroutine per Server re-ranks the registered
-// subscriptions after mutations. It is woken by a buffered poke channel
+// One evaluator goroutine per Server (started by the first subscription,
+// stopped by Server.Close) re-ranks the registered subscriptions after
+// mutations. It is woken by a buffered poke channel
 // (every mutator pokes on its way out; a poke during a pass stays queued,
 // so the pass after it observes the newest state) and skips any
 // subscription whose last pushed ranking is still current — the question a
@@ -77,8 +78,8 @@ type SubscriptionInfo struct {
 	Events int64  `json:"events"`
 	// Attached reports whether an SSE consumer is currently connected.
 	Attached bool `json:"attached"`
-	// Shard is the shard currently holding the subscription (0 on an
-	// unsharded server; filled by the coordinator).
+	// Shard is the shard holding the subscription: always 0, the one
+	// replica.
 	Shard int `json:"shard"`
 }
 
@@ -240,6 +241,11 @@ type subRegistry struct {
 	// exactly one follow-up pass.
 	poke chan struct{}
 	once sync.Once
+	// done stops the evaluator (closed once, by Server.Close); running
+	// counts it.
+	done      chan struct{}
+	closeOnce sync.Once
+	running   sync.WaitGroup
 
 	evals   atomic.Int64
 	skipped atomic.Int64
@@ -248,7 +254,7 @@ type subRegistry struct {
 }
 
 func newSubRegistry() *subRegistry {
-	return &subRegistry{subs: make(map[string]*Subscription), poke: make(chan struct{}, 1)}
+	return &subRegistry{subs: make(map[string]*Subscription), poke: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 // snapshot lists the registered subscriptions (order unspecified).
@@ -454,10 +460,12 @@ func (s *Server) SubscriptionStream(id string) (*SubStream, error) {
 }
 
 // ensureEvaluator starts the evaluator goroutine once. It parks on the
-// poke channel for the server's lifetime (a Server has no Close; one
-// parked goroutine costs nothing).
+// poke channel until Close.
 func (s *Server) ensureEvaluator() {
-	s.subs.once.Do(func() { go s.subEvalLoop() })
+	s.subs.once.Do(func() {
+		s.subs.running.Add(1)
+		go s.subEvalLoop()
+	})
 }
 
 // pokeSubs wakes the evaluator after a mutation. Non-blocking and O(1);
@@ -472,9 +480,16 @@ func (s *Server) pokeSubs() {
 	}
 }
 
-// subEvalLoop is the evaluator: one pass over the registry per wake-up.
+// subEvalLoop is the evaluator: one pass over the registry per wake-up,
+// until Close.
 func (s *Server) subEvalLoop() {
-	for range s.subs.poke {
+	defer s.subs.running.Done()
+	for {
+		select {
+		case <-s.subs.done:
+			return
+		case <-s.subs.poke:
+		}
 		for _, sub := range s.subs.snapshot() {
 			s.evalSub(sub)
 		}

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	contextrank "repro"
+	"repro/internal/daemon"
 	"repro/internal/serve"
-	"repro/internal/serve/shard"
 )
 
 // TestSubscriptionFollowsItsTargetsMembers: a standing subscription whose
@@ -17,7 +17,7 @@ import (
 // membership handle, which c_InKitchen's write made stale, so the stream
 // grows, and shrinks again when ada leaves. A candidate-list subscription
 // beside it involves no handle and stays quiet throughout. Holds with the rank
-// cache, without it, and behind the durable coordinator.
+// cache, without it, and behind the daemon.
 func TestSubscriptionFollowsItsTargetsMembers(t *testing.T) {
 	carl, bob, ada := "user00", "user01", "user02"
 
@@ -29,7 +29,7 @@ func TestSubscriptionFollowsItsTargetsMembers(t *testing.T) {
 			return serve.NewServer(contextrank.NewSystem(), serve.Options{CacheSize: -1}), nil
 		},
 		"sharded": func() (serve.Backend, error) {
-			return shard.New(2, func(int) (*contextrank.System, error) { return contextrank.NewSystem(), nil }, serve.Options{})
+			return daemon.New(contextrank.NewSystem(), serve.Options{}), nil
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -1,8 +1,8 @@
-// Coordinator serving-layer benchmark: aggregate throughput of the
-// shard.Coordinator under a mixed apply+rank workload. CI's
-// bench-gates job tracks it (with the serve benchmarks) against the
-// main-branch baseline — a contention regression in the coordinator or the
-// serve stack under it shows up here before a load test would catch it.
+// Daemon serving-layer benchmark: aggregate throughput of a daemon.Daemon
+// under a mixed apply+rank workload. CI's bench-gates job tracks it (with
+// the serve benchmarks) against the main-branch baseline — a contention
+// regression in the daemon or the serve stack under it shows up here
+// before a load test would catch it.
 package contextrank_test
 
 import (
@@ -11,25 +11,20 @@ import (
 	"testing"
 
 	contextrank "repro"
+	"repro/internal/daemon"
 	"repro/internal/serve"
-	"repro/internal/serve/shard"
 	"repro/internal/workload"
 )
 
-// benchCoordinator builds a coordinator over the scaled-down TV-watcher
+// benchCoordinator builds a daemon over the scaled-down TV-watcher
 // dataset with k rules and one session per user.
-func benchCoordinator(b *testing.B, k, sessions int) (*shard.Coordinator, []string) {
+func benchCoordinator(b *testing.B, k, sessions int) (*daemon.Daemon, []string) {
 	b.Helper()
-	coord, err := shard.New(1, func(int) (*contextrank.System, error) {
-		sys := contextrank.NewSystem()
-		if _, err := workload.LoadBench(sys.Loader(), sys.Rules(), workload.SmallSpec(), k); err != nil {
-			return nil, err
-		}
-		return sys, nil
-	}, serve.Options{})
-	if err != nil {
+	sys := contextrank.NewSystem()
+	if _, err := workload.LoadBench(sys.Loader(), sys.Rules(), workload.SmallSpec(), k); err != nil {
 		b.Fatal(err)
 	}
+	coord := daemon.New(sys, serve.Options{})
 	users := make([]string, sessions)
 	for u := 0; u < sessions; u++ {
 		users[u] = fmt.Sprintf("person%04d", u%workload.SmallSpec().Persons)
@@ -53,9 +48,9 @@ func benchMeasurements(k, u, phase int) []serve.Measurement {
 }
 
 // BenchmarkServeRankSharded measures mixed apply+rank throughput through
-// the coordinator: one op in eight is a session context rotation, the rest
+// the daemon: one op in eight is a session context rotation, the rest
 // are ranks — CI fails if it regresses >20% against main. The arm keeps
-// the name it had when the coordinator kept one replica per shard and the
+// the name it had when the daemon kept one replica per shard and the
 // benchmark ran 1, 2, 4 and 8 of them, so the baseline still pairs.
 func BenchmarkServeRankSharded(b *testing.B) {
 	const k, sessions = 4, 16
