@@ -494,6 +494,51 @@ func (p *Plan) Current() bool {
 	return true
 }
 
+// ScoresLike reports whether p scores every candidate whose preference
+// memberships did not move since o exactly as o does: both enumerate
+// catalog-wide clusters, over the same rules with the same context half, in
+// identical clusters. The score is then a function of the candidate's
+// document rows alone, and those move only with its membership events
+// (MovedSince).
+func (p *Plan) ScoresLike(o *Plan) bool {
+	if p.perCandidate || o.perCandidate || p.docs == nil || o.docs == nil || p.loader != o.loader ||
+		p.user != o.user || len(p.rules) != len(o.rules) || len(p.clusters) != len(o.clusters) {
+		return false
+	}
+	for i := range p.rules {
+		a, b := &p.rules[i], &o.rules[i]
+		if a.rule != b.rule || a.ctxEv != b.ctxEv || a.ctxProb != b.ctxProb {
+			return false
+		}
+	}
+	for i := range p.clusters {
+		a, b := &p.clusters[i], &o.clusters[i]
+		if !slices.Equal(a.rules, b.rules) || !slices.Equal(a.ctxProbs, b.ctxProbs) {
+			return false
+		}
+	}
+	return true
+}
+
+// MovedSince returns, sorted, the individuals whose membership event in some
+// rule's preference may differ between o and p — a superset is allowed, a
+// miss is not — or tracked false when a handle of p cannot name them against
+// o's (mapping.Membership.ChangedSince).
+func (p *Plan) MovedSince(o *Plan) (ids []string, tracked bool) {
+	if len(p.rules) != len(o.rules) {
+		return nil, false
+	}
+	for i := range p.rules {
+		moved, ok := p.rules[i].members.ChangedSince(o.rules[i].members)
+		if !ok {
+			return nil, false
+		}
+		ids = append(ids, moved...)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids), true
+}
+
 // User returns the situated user the plan was compiled for.
 func (p *Plan) User() string { return p.user }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,19 +16,21 @@ import (
 // DefaultCacheSize is the rank cache capacity when Options leaves it zero.
 const DefaultCacheSize = 1024
 
-// rankKey builds the cache key for one ranking request at one state
-// version: entries filed at a version the state has left are never looked up
-// again and age out of the LRU. The empty algorithm is normalized to the
-// default so both spellings share one entry. Free-form fields are
-// length-prefixed: a bare separator byte would let
+// rankKey builds the cache key for one ranking request of a user whose
+// applied context has fingerprint fp. The epoch is not part of it: a
+// vocabulary write leaves the key where it was, and the entry filed under it
+// is either served again — revalidated (see Server.revalidate) and filed anew
+// in place — or replaced by the rank that follows. The empty algorithm is
+// normalized to the default so both spellings share one entry. Free-form
+// fields are length-prefixed: a bare separator byte would let
 // values containing that byte collide across fields (JSON strings can
 // carry any byte, including NUL).
-func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) string {
+func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
 	if opts.Algorithm == "" {
 		opts.Algorithm = contextrank.AlgorithmFactorized
 	}
 	var b strings.Builder
-	b.Grow(len(user) + len(target) + len(v.fp) + 64)
+	b.Grow(len(user) + len(target) + len(fp) + 48)
 	field := func(s string) {
 		b.WriteString(strconv.Itoa(len(s)))
 		b.WriteByte(':')
@@ -35,7 +39,7 @@ func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) 
 	field(user)
 	field(target)
 	field(string(opts.Algorithm))
-	field(v.fp)
+	field(fp)
 	b.WriteString(strconv.FormatFloat(opts.Threshold, 'g', -1, 64))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(opts.Limit))
@@ -45,8 +49,6 @@ func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) 
 	if opts.Explain {
 		b.WriteByte('e')
 	}
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(v.epoch, 10))
 	return b.String()
 }
 
@@ -57,16 +59,25 @@ func rankKey(user, target string, v stateVersion, opts contextrank.RankOptions) 
 // one it last pushed, and all three ask current the same question. The result
 // slice is shared between every reader and must be treated as immutable.
 //
+// A factorized target ranking also keeps the number of the plan it was scored
+// with (planEntry) and the context generation and applied generation that
+// plan's context half was resolved at: after a write that moved only the
+// epoch they let rankMisses re-score the few candidates the write moved
+// instead of all of them (see Server.revalidate).
+//
 // enc is the ranking's JSON results array as the handler writes it, made
 // empty when rankMisses files the ranking and filled by its first cache hit
 // (see appendResults); every copy the LRU hands out shares it, so every later
 // hit writes the stored bytes. A ranking that is never hit keeps nothing, and
 // one that is not filed has none.
 type ranked struct {
-	res     []contextrank.Result
-	v       stateVersion
-	members *contextrank.Membership
-	enc     *atomic.Pointer[[]byte]
+	res        []contextrank.Result
+	v          stateVersion
+	members    *contextrank.Membership
+	enc        *atomic.Pointer[[]byte]
+	planSeq    uint64
+	contextGen int64
+	generation int64
 }
 
 // current reports whether the ranking is still the one a fresh rank at now
@@ -76,6 +87,41 @@ type ranked struct {
 // A few atomic loads.
 func (r ranked) current(now stateVersion) bool {
 	return r.v == now && (r.members == nil || r.members.Current())
+}
+
+// checkReuse re-ranks rq for user from scratch under the facade read lock and
+// panics unless r, the ranking a cache hit or the subscription evaluator
+// reused, is the same bit for bit — the carverify build's check (verifyReuse),
+// which every test then runs at every reuse. It compares nothing when what r
+// stands on has moved by the time the lock is held.
+func (s *Server) checkReuse(site, user string, rq rankReq, r ranked) {
+	_ = s.facade.WithRead(func(sys *contextrank.System) error {
+		if now, _ := s.version(user); r.current(now) {
+			s.checkReuseLocked(sys, site, user, rq, r)
+		}
+		return nil
+	})
+}
+
+// checkReuseLocked is checkReuse for a caller holding the read lock, with r
+// current.
+func (s *Server) checkReuseLocked(sys *contextrank.System, site, user string, rq rankReq, r ranked) {
+	var (
+		fresh []contextrank.Result
+		err   error
+	)
+	if rq.candidates != nil {
+		fresh, err = sys.RankCandidates(user, nil, rq.candidates, rq.opts)
+	} else {
+		fresh, _, err = sys.RankTarget(user, nil, rq.target, rq.opts)
+	}
+	if err == nil && slices.EqualFunc(fresh, r.res, func(a, b contextrank.Result) bool {
+		return a.ID == b.ID && math.Float64bits(a.Score) == math.Float64bits(b.Score)
+	}) {
+		return
+	}
+	panic(fmt.Sprintf("serve: %s for %s (target %q, %+v) served %v, a fresh rank gives %v (err %v)",
+		site, user, rq.target, rq.opts, r.res, fresh, err))
 }
 
 // lru is a mutex-guarded least-recently-used map from string keys to V, the
@@ -158,7 +204,12 @@ func (c *lru[V]) stats() CacheStats {
 }
 
 // rankCache is the LRU of served rankings, keyed by rankKey.
-type rankCache struct{ lru[ranked] }
+type rankCache struct {
+	lru[ranked]
+	// revalidated counts the hits that rankMisses served by re-scoring only
+	// what a write moved (see Server.revalidate).
+	revalidated atomic.Int64
+}
 
 func newRankCache(capacity int) *rankCache {
 	if capacity <= 0 {
@@ -169,17 +220,29 @@ func newRankCache(capacity int) *rankCache {
 	return c
 }
 
-// lookup returns the ranking filed under key if it is current at now — the
-// version the key was built from — counting the outcome. The read path
-// (Server.rankMisses) files under the key it observed, which need not be the
-// key anyone looked up.
+// lookup returns the ranking filed under key and whether it is a hit: current
+// at now, the version the key was built from. A ranking scored with a plan at
+// an epoch the state has left is returned as no hit and not counted — the
+// caller hands it to rankMisses, which counts it when it revalidates it or
+// ranks again. The read path files under the key it observed, which need not
+// be the key anyone looked up.
 func (c *rankCache) lookup(key string, now stateVersion) (ranked, bool) {
-	if r, ok := c.get(key); ok && r.current(now) {
+	r, ok := c.get(key)
+	switch {
+	case ok && r.current(now):
 		c.hits.Add(1)
 		return r, true
+	case ok && r.planSeq != 0 && r.v.epoch != now.epoch:
+		return r, false
 	}
 	c.misses.Add(1)
 	return ranked{}, false
+}
+
+func (c *rankCache) stats() CacheStats {
+	s := c.lru.stats()
+	s.Revalidated = c.revalidated.Load()
+	return s
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -193,6 +256,9 @@ type CacheStats struct {
 	// Refreshed counts the misses that replaced a cached but stale plan,
 	// not a user's first compile (plan cache only).
 	Refreshed int64 `json:"refreshed,omitempty"`
+	// Revalidated counts the hits served after a write moved the epoch, by
+	// re-scoring only the candidates the write moved (rank cache only).
+	Revalidated int64 `json:"revalidated,omitempty"`
 }
 
 // hitRate is the share of counted look-ups that hit.

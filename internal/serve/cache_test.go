@@ -15,16 +15,15 @@ func res(ids ...string) []contextrank.Result {
 }
 
 func TestRankKeyDistinguishesEveryDimension(t *testing.T) {
-	base := rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{})
+	base := rankKey("u", "T", "fp", contextrank.RankOptions{})
 	variants := []string{
-		rankKey("v", "T", stateVersion{1, "fp"}, contextrank.RankOptions{}),
-		rankKey("u", "S", stateVersion{1, "fp"}, contextrank.RankOptions{}),
-		rankKey("u", "T", stateVersion{1, "fq"}, contextrank.RankOptions{}),
-		rankKey("u", "T", stateVersion{2, "fp"}, contextrank.RankOptions{}),
-		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}),
-		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Threshold: 0.1}),
-		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Limit: 5}),
-		rankKey("u", "T", stateVersion{1, "fp"}, contextrank.RankOptions{Explain: true}),
+		rankKey("v", "T", "fp", contextrank.RankOptions{}),
+		rankKey("u", "S", "fp", contextrank.RankOptions{}),
+		rankKey("u", "T", "fq", contextrank.RankOptions{}),
+		rankKey("u", "T", "fp", contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}),
+		rankKey("u", "T", "fp", contextrank.RankOptions{Threshold: 0.1}),
+		rankKey("u", "T", "fp", contextrank.RankOptions{Limit: 5}),
+		rankKey("u", "T", "fp", contextrank.RankOptions{Explain: true}),
 	}
 	seen := map[string]bool{base: true}
 	for i, v := range variants {
@@ -38,13 +37,13 @@ func TestRankKeyDistinguishesEveryDimension(t *testing.T) {
 func TestRankKeyResistsSeparatorInjection(t *testing.T) {
 	// JSON strings may contain any byte; values must not be able to
 	// shift bytes between fields and collide.
-	a := rankKey("a\x00b", "c", stateVersion{1, ""}, contextrank.RankOptions{})
-	b := rankKey("a", "b\x00c", stateVersion{1, ""}, contextrank.RankOptions{})
+	a := rankKey("a\x00b", "c", "", contextrank.RankOptions{})
+	b := rankKey("a", "b\x00c", "", contextrank.RankOptions{})
 	if a == b {
 		t.Fatalf("cross-field collision: %q", a)
 	}
-	c := rankKey("u", "T\x001", stateVersion{1, ""}, contextrank.RankOptions{})
-	d := rankKey("u", "T", stateVersion{1, "\x001"}, contextrank.RankOptions{})
+	c := rankKey("u", "T\x001", "", contextrank.RankOptions{})
+	d := rankKey("u", "T", "\x001", contextrank.RankOptions{})
 	if c == d {
 		t.Fatalf("target/fingerprint collision: %q", c)
 	}
@@ -80,7 +79,7 @@ func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	applyCtx(t, srv, "u", "CtxA", 1)
 	old, _ := srv.version("u")
-	oldKey := rankKey("u", "TvProgram", old, contextrank.RankOptions{})
+	oldKey := rankKey("u", "TvProgram", old.fp, contextrank.RankOptions{})
 	if _, ok := srv.cache.lookup(oldKey, old); ok {
 		t.Fatal("hit in an empty cache")
 	}
@@ -96,7 +95,7 @@ func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
 	if _, ok := srv.cache.lookup(oldKey, old); ok {
 		t.Fatal("requested (stale) key was cached")
 	}
-	if r, ok := srv.cache.lookup(rankKey("u", "TvProgram", v, contextrank.RankOptions{}), v); !ok || len(r.res) != len(out[0].Results) {
+	if r, ok := srv.cache.lookup(rankKey("u", "TvProgram", v.fp, contextrank.RankOptions{}), v); !ok || len(r.res) != len(out[0].Results) {
 		t.Fatal("observed key not cached")
 	}
 }

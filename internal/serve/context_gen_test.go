@@ -245,7 +245,9 @@ func TestContextGenerationChurn(t *testing.T) {
 		resolved, after := contextsResolved.Load()-before, srv.Stats().Plans
 		rules := int64(len(srv.Facade().Rules()))
 		want := map[string]int64{"none": 0, "one": rules, "all": n * rules}[reach]
-		if resolved != want {
+		// A carverify build ranks every reused ranking again from scratch,
+		// which resolves contexts of its own: the count is the default build's.
+		if resolved != want && !verifyReuse {
 			t.Fatalf("%s: the served ranks resolved %d rule contexts, want %d (%s of %d users × %d rules)", label, resolved, want, reach, n, rules)
 		}
 		if s.name == "hasGenre assert" && (after.Misses-plans.Misses != n || after.Refreshed-plans.Refreshed != n) {

@@ -72,6 +72,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`carserve_shed_total{reason="rate_limit"} 0`,
 		"# TYPE carserve_rank_latency_seconds histogram",
 		"# TYPE carserve_plan_cache_hit_ratio gauge",
+		"# TYPE carserve_rank_cache_revalidated_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

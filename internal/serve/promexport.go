@@ -47,6 +47,8 @@ func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 		}
 
 		exportCache(w, "carserve_rank_cache", "rank-result", one.Cache)
+		w.Family("carserve_rank_cache_revalidated_total", "counter", "Rank-cache hits served after a write by re-scoring only the candidates it moved.")
+		w.Sample("carserve_rank_cache_revalidated_total", float64(one.Cache.Revalidated), "shard", "0")
 		exportCache(w, "carserve_plan_cache", "compiled-rank-plan", one.Plans)
 
 		if one.Journal != nil {

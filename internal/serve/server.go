@@ -3,10 +3,12 @@ package serve
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	contextrank "repro"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/serve/journal"
 )
@@ -186,9 +188,10 @@ type RankMeta struct {
 
 // stateVersion is the state a user's ranking is valid for — the facade epoch
 // and the user's applied session fingerprint. Two ranks of one request at one
-// version score the same, so it keys the rank cache and is half of what a
-// filed ranking stands on (see ranked; DESIGN §3 "What a served ranking
-// stands on" says who moves each part and what it covers).
+// version score the same, so a filed ranking at an unchanged version is a hit;
+// the fingerprint keys the rank cache, and the epoch says whether a write
+// landed since (see ranked; DESIGN §3 "What a served ranking stands on" says
+// who moves each part and what it covers).
 type stateVersion struct {
 	epoch int64
 	fp    string
@@ -210,15 +213,19 @@ func (s *Server) version(user string) (v stateVersion, generation int64) {
 }
 
 // rankReq is one ranking task as the read path carries it: a target or a
-// candidate list, and the options it ranks under.
+// candidate list, the options it ranks under and, when the rank cache holds
+// one filed at an epoch the state has left, that ranking for rankMisses to
+// revalidate.
 type rankReq struct {
 	target     string
 	candidates []string
 	opts       contextrank.RankOptions
+	prior      ranked
 }
 
 // Rank ranks target for user through the cache: a hit under an unchanged
-// version is O(1), a miss ranks through rankMisses.
+// version is O(1), a miss — or a ranking a write may have moved — ranks
+// through rankMisses.
 func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error) {
 	if err := s.rankFault(); err != nil {
 		return nil, RankMeta{}, err
@@ -240,12 +247,17 @@ func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 	)
 	if s.cache != nil && rq.candidates == nil {
 		now, _ := s.version(user)
-		r, cached = s.cache.lookup(rankKey(user, rq.target, now, rq.opts), now)
+		if rq.prior, cached = s.cache.lookup(rankKey(user, rq.target, now.fp, rq.opts), now); cached {
+			r = rq.prior
+			if verifyReuse {
+				s.checkReuse("rank-cache hit", user, rq, r)
+			}
+		}
 	}
 	if !cached {
 		out := make([]RankItemResult, 1)
 		if r.v, err = s.rankMisses(user, []rankReq{rq}, out); err == nil {
-			r, err = out[0].ranked, out[0].Err
+			r, cached, err = out[0].ranked, out[0].Cached, out[0].Err
 		}
 	}
 	elapsed := time.Since(started)
@@ -259,14 +271,15 @@ func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 // RankBatch and of a subscription evaluation end here. Under one facade
 // read-lock hold — one consistent snapshot — it re-reads the user's version,
 // fetches the user's compiled plan once (the factorized algorithm; naive
-// ranks without one), ranks every req whose out slot is not
-// already served from the cache, and files each target result in the rank
-// cache under the version observed *here*, never under the caller's pre-read
-// one: fingerprints round-trip (context X → Y → X yields the same key again
-// with no epoch bump), so a Y-context result filed under the stale X key
-// would later be served as a hit for a genuine X request. Candidate-list
-// results are not cached (their keys would have unbounded cardinality). All
-// reqs of one call share one algorithm.
+// ranks without one), serves every req that carries a prior ranking the
+// writes since have not moved (revalidate) and ranks every other req whose
+// out slot is not already served from the cache, and files each target
+// result in the rank cache under the version observed *here*, never under the
+// caller's pre-read one: fingerprints round-trip (context X → Y → X yields
+// the same key again with no epoch bump), so a Y-context result filed under
+// the stale X key would later be served as a hit for a genuine X request.
+// Candidate-list results are not cached (their keys would have unbounded
+// cardinality). All reqs of one call share one algorithm.
 //
 // A failing req fails its own out slot; the returned error is the shared
 // plan failing to compile (e.g. a rule references vocabulary mid-migration),
@@ -276,18 +289,30 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 	err = s.facade.WithRead(func(sys *contextrank.System) error {
 		var generation int64
 		v, generation = s.version(user)
-		var plan *contextrank.RankPlan
+		contextGen := s.facade.contextGeneration()
+		var pe planEntry
 		if alg := reqs[0].opts.Algorithm; alg == "" || alg == contextrank.AlgorithmFactorized {
 			var perr error
-			if plan, perr = s.planFor(sys, user, generation); perr != nil {
+			if pe, perr = s.planFor(sys, user, contextGen, generation); perr != nil {
 				return perr
 			}
 		}
+		plan := pe.plan
 		for i, rq := range reqs {
 			if out[i].Cached {
 				continue
 			}
-			r := ranked{v: v}
+			if rq.prior.planSeq != 0 {
+				if r, ok := s.revalidate(user, rq, pe, v, contextGen, generation); ok {
+					if verifyReuse {
+						s.checkReuseLocked(sys, "revalidated ranking", user, rq, r)
+					}
+					out[i] = RankItemResult{Results: r.res, Cached: true, ranked: r}
+					continue
+				}
+				s.cache.misses.Add(1)
+			}
+			r := ranked{v: v, planSeq: pe.seq, contextGen: contextGen, generation: generation}
 			var rerr error
 			switch {
 			case rq.candidates != nil:
@@ -299,7 +324,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 			}
 			if rerr == nil && rq.candidates == nil && s.cache != nil {
 				r.enc = new(atomic.Pointer[[]byte])
-				s.cache.put(rankKey(user, rq.target, v, rq.opts), r)
+				s.cache.put(rankKey(user, rq.target, v.fp, rq.opts), r)
 			}
 			out[i] = RankItemResult{Results: r.res, Err: rerr, ranked: r}
 		}
@@ -308,9 +333,69 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 	return v, err
 }
 
+// revalidate serves rq's prior ranking — filed at an epoch the state has
+// since left — once more, filed anew at v, when the writes in between moved no
+// candidate into it. The paper scores every candidate on its own (DESIGN §1),
+// so a write moves only the scores of the candidates whose preference
+// memberships it moved, the ids plan.MovedSince names, as long as the plan
+// around them scores as the prior's did: the user's context generation and
+// applied generation are still the ranking's, its target's members stand, and
+// pe's plan ScoresLike the one the ranking was scored with — pe's own or the
+// one it replaced, found by its number. The ranking then stands when it
+// was cut to its k results and every moved candidate of the target is out of
+// it and orders after its last result, or falls at or below the threshold;
+// each is scored through ScoreWith. An explained or uncut ranking is ranked
+// again, as is one the plan cannot vouch for. Caller holds the facade read
+// lock, with v, contextGen and generation read under it.
+func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersion, contextGen, generation int64) (ranked, bool) {
+	r, opts, plan := rq.prior, rq.opts, pe.plan
+	scored := pe.prev
+	if r.planSeq == pe.seq {
+		scored = plan
+	} else if r.planSeq != pe.prevSeq {
+		scored = nil
+	}
+	k := opts.TopK
+	if opts.Limit > 0 && (k <= 0 || opts.Limit < k) {
+		k = opts.Limit
+	}
+	if scored == nil || opts.Explain || k <= 0 || len(r.res) != k || r.v.fp != v.fp || r.contextGen != contextGen ||
+		r.generation != generation || !r.members.Current() || !plan.ScoresLike(scored) {
+		return ranked{}, false
+	}
+	moved, tracked := plan.MovedSince(scored)
+	if !tracked {
+		return ranked{}, false
+	}
+	last := r.res[k-1]
+	var sc core.PlanScratch
+	for _, id := range moved {
+		if _, candidate := r.members.Events[id]; !candidate {
+			continue
+		}
+		if slices.ContainsFunc(r.res, func(res contextrank.Result) bool { return res.ID == id }) {
+			return ranked{}, false
+		}
+		score, err := plan.ScoreWith(&sc, id)
+		if err != nil {
+			return ranked{}, false
+		}
+		// After last in the rank order (score descending, then id ascending).
+		after := score < last.Score || score == last.Score && id > last.ID
+		if !after && !(opts.Threshold > 0 && score <= opts.Threshold) {
+			return ranked{}, false
+		}
+	}
+	r.v, r.planSeq = v, pe.seq
+	s.cache.put(rankKey(user, rq.target, v.fp, opts), r)
+	s.cache.hits.Add(1)
+	s.cache.revalidated.Add(1)
+	return r, true
+}
+
 // planFor returns the user's compiled rank plan for the state being read.
-// Must run under the facade read lock with the generation version returned
-// under it: it, the context generation and every table version then all stand
+// Must run under the facade read lock with the context generation and the
+// generation read under it: they and every table version then all stand
 // still, so a plan found current can never be stale for the snapshot being
 // read. Whether the plan enumerates footprint clusters or scores per candidate
 // (see contextrank.CompileRankPlan) is its own business; both are cached
@@ -326,33 +411,32 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 // and every other user's shares the answer. A miss whose two generations
 // still hold keeps the plan's context half (contextrank.RefreshRankPlan): it
 // resolves none of the user's rule contexts, and pays only for the handles,
-// the shared document side and the partition.
-func (s *Server) planFor(sys *contextrank.System, user string, generation int64) (*contextrank.RankPlan, error) {
-	contextGen := s.facade.contextGeneration()
+// the shared document side and the partition; its entry keeps the plan it
+// replaced, which the rankings scored with it are revalidated against.
+func (s *Server) planFor(sys *contextrank.System, user string, contextGen, generation int64) (planEntry, error) {
 	prev, ok := s.plans.get(user)
 	keep := ok && prev.contextGen == contextGen && prev.generation == generation
 	if keep && prev.plan.Current() {
 		s.plans.hits.Add(1)
-		return prev.plan, nil
+		return prev, nil
 	}
 	s.plans.misses.Add(1)
-	var (
-		plan *contextrank.RankPlan
-		err  error
-	)
+	e := planEntry{contextGen: contextGen, generation: generation, seq: s.plans.seq.Add(1)}
+	var err error
 	if keep {
-		plan, err = sys.RefreshRankPlan(prev.plan)
+		e.plan, err = sys.RefreshRankPlan(prev.plan)
+		e.prev, e.prevSeq = prev.plan, prev.seq
 	} else {
-		plan, err = sys.CompileRankPlan(user)
+		e.plan, err = sys.CompileRankPlan(user)
 	}
 	if err != nil {
-		return nil, err
+		return planEntry{}, err
 	}
 	if ok {
 		s.plans.refreshed.Add(1)
 	}
-	s.plans.put(user, planEntry{contextGen: contextGen, generation: generation, plan: plan})
-	return plan, nil
+	s.plans.put(user, e)
+	return e, nil
 }
 
 // RankItem is one ranking task inside a RankBatch call or a subscription:
@@ -419,18 +503,24 @@ func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankI
 	for i, it := range items {
 		reqs[i] = rankReq{target: it.Target, candidates: it.Candidates, opts: it.options(alg)}
 		if it.Candidates == nil && it.Target != "" && s.cache != nil {
-			if r, ok := s.cache.lookup(rankKey(user, it.Target, v, reqs[i].opts), v); ok {
+			r, ok := s.cache.lookup(rankKey(user, it.Target, v.fp, reqs[i].opts), v)
+			if ok {
+				if verifyReuse {
+					s.checkReuse("rank-cache hit", user, reqs[i], r)
+				}
 				out[i] = RankItemResult{Results: r.res, Cached: true, ranked: r}
 				continue
 			}
+			reqs[i].prior = r
 		}
 		misses++
 	}
 
-	meta := RankMeta{Cached: misses == 0}
+	var meta RankMeta
 	if misses > 0 {
 		v, err = s.rankMisses(user, reqs, out)
 	}
+	meta.Cached = !slices.ContainsFunc(out, func(it RankItemResult) bool { return !it.Cached })
 	meta.Epoch = v.epoch
 	if err != nil {
 		return nil, meta, err

@@ -40,8 +40,8 @@ type Measurement = situation.Measurement
 //   - A concept the write changes occurs anywhere in a registered rule's
 //     preference (PREFER Person AND InKitchen): membership in it is the
 //     document side of every user's score. (A compiled plan would notice by
-//     itself — its membership handle reads the concept's table — but cached
-//     rank results are keyed by epoch and fingerprint alone.)
+//     itself — its membership handle reads the concept's table — but a
+//     cached ranking at an unchanged epoch and fingerprint is a hit.)
 //   - A drop while a rule's context reads the closed domain (¬, ⊤, a
 //     nominal): the dropped user reads as one never applied, but the first
 //     apply registered them, and such a context reads that.

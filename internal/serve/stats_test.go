@@ -94,8 +94,9 @@ func TestStatsCountersSurviveConcurrency(t *testing.T) {
 	}
 	// The one uncached rank compiled R1 (its preference is TvProgram: one view
 	// query) and resolved the target TvProgram (the same expression: a hit);
-	// nothing was written in between, so nothing was patched.
-	if want := (contextrank.MembershipStats{Hits: 1, Patched: 0, Queries: 1, Entries: 1}); st.Memberships != want {
+	// nothing was written in between, so nothing was patched. (A carverify
+	// build ranks both cache hits again, through the memo.)
+	if want := (contextrank.MembershipStats{Hits: 1, Patched: 0, Queries: 1, Entries: 1}); st.Memberships != want && !verifyReuse {
 		t.Fatalf("membership stats = %+v, want %+v", st.Memberships, want)
 	}
 	if err := srv.DropSession("peter"); err != nil {

@@ -21,7 +21,10 @@
 // owner's context — unless the write reached no rule's context — and the
 // rule partition, while the preference memberships and the document side are
 // shared and carried across writes by the loader, which is what makes push
-// re-ranking affordable at catalog scale.
+// re-ranking affordable at catalog scale. After a write that moved none of a
+// cut ranking's candidates into it, the rank revalidates the cached ranking
+// (Server.revalidate) and hands back the very result slice the subscription
+// stands on, which evalSub takes as it is: no diff, no event.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the
@@ -506,23 +509,29 @@ func (s *Server) subEvalLoop() {
 // X → Y → X around a rank that saw Y cannot be mistaken for "still X".
 func (s *Server) evalSub(sub *Subscription) {
 	now, _ := s.version(sub.spec.User)
+	item := sub.spec.RankItem
+	rq := rankReq{target: item.Target, candidates: item.Candidates, opts: item.options("")}
 	sub.mu.Lock()
 	if sub.closed || (sub.evaluated && sub.stands.current(now)) {
+		stands, check := sub.stands, !sub.closed && sub.lastErr == ""
 		sub.mu.Unlock()
 		s.subs.skipped.Add(1)
+		if verifyReuse && check {
+			s.checkReuse("subscription skip", sub.spec.User, rq, stands)
+		}
 		return
 	}
 	sub.mu.Unlock()
 	s.subs.evals.Add(1)
 
-	item := sub.spec.RankItem
-	r, meta, err := s.rank(sub.spec.User, rankReq{target: item.Target, candidates: item.Candidates, opts: item.options("")})
+	r, meta, err := s.rank(sub.spec.User, rq)
 
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.closed {
 		return
 	}
+	prev := sub.stands.res
 	sub.stands = r
 	first := !sub.evaluated
 	sub.evaluated = true
@@ -538,6 +547,9 @@ func (s *Server) evalSub(sub *Subscription) {
 		return
 	}
 	recovered := sub.lastErr != ""
+	if !first && !recovered && len(r.res) == len(prev) && (len(prev) == 0 || &r.res[0] == &prev[0]) {
+		return // the ranking it already stands on, served again: nothing moved
+	}
 	sub.lastErr = ""
 
 	results := make([]SubResult, len(r.res))

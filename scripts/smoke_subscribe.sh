@@ -28,6 +28,7 @@ BASE="http://127.0.0.1:${PORT}"
 SNAP=$(mktemp -d)
 LOG=$(mktemp)
 SSEOUT=$(mktemp)
+SCRAPE=$(mktemp)
 PID=
 SSEPID=
 
@@ -42,7 +43,7 @@ cleanup() {
   cat "$LOG"
   echo "--- SSE stream ---"
   cat "$SSEOUT"
-  rm -rf "$SNAP" "$LOG" "$SSEOUT"
+  rm -rf "$SNAP" "$LOG" "$SSEOUT" "$SCRAPE"
 }
 trap cleanup EXIT
 
@@ -127,7 +128,10 @@ echo "delta: $NCH changes, patch matches fresh rank"
 
 ACTIVE=$(jget "$BASE/v1/stats" '.subscriptions.active')
 [ "$ACTIVE" -eq 1 ] || fail "stats report $ACTIVE active subscriptions, want 1"
-curl -fsS "$BASE/metrics" | grep -q '^carserve_subscriptions_active 1' \
+# Scrape to a file, then grep it: grep -q exits at its first match, and under
+# pipefail the curl it leaves writing into a closed pipe fails the check.
+curl -fsS "$BASE/metrics" >"$SCRAPE" || fail "/metrics scrape failed"
+grep -q '^carserve_subscriptions_active 1' "$SCRAPE" \
   || fail "/metrics missing carserve_subscriptions_active 1"
 
 echo "=== kill -9: the journaled subscription survives the crash ==="
