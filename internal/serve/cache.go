@@ -60,10 +60,9 @@ func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
 // slice is shared between every reader and must be treated as immutable.
 //
 // A factorized target ranking also keeps the number of the plan it was scored
-// with (planEntry) and the context generation and applied generation that
-// plan's context half was resolved at: after a write that moved only the
-// epoch they let rankMisses re-score the few candidates the write moved
-// instead of all of them (see Server.revalidate).
+// with (planEntry): after a write that moved only the epoch it lets
+// rankMisses re-score the few candidates the write moved instead of all of
+// them (see Server.revalidate).
 //
 // enc is the ranking's JSON results array as the handler writes it, made
 // empty when rankMisses files the ranking and filled by its first cache hit
@@ -71,13 +70,11 @@ func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
 // hit writes the stored bytes. A ranking that is never hit keeps nothing, and
 // one that is not filed has none.
 type ranked struct {
-	res        []contextrank.Result
-	v          stateVersion
-	members    *contextrank.Membership
-	enc        *atomic.Pointer[[]byte]
-	planSeq    uint64
-	contextGen int64
-	generation int64
+	res     []contextrank.Result
+	v       stateVersion
+	members *contextrank.Membership
+	enc     *atomic.Pointer[[]byte]
+	planSeq uint64
 }
 
 // current reports whether the ranking is still the one a fresh rank at now
@@ -173,6 +170,11 @@ func (c *lru[V]) get(key string) (val V, ok bool) {
 func (c *lru[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.store(key, val)
+}
+
+// store is put for a caller holding mu.
+func (c *lru[V]) store(key string, val V) {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)

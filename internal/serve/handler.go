@@ -138,9 +138,10 @@ func NewHandlerWith(srv Backend, opts HandlerOptions) http.Handler {
 	h.chaos = opts.Chaos
 	var hm *httpMetrics
 	if opts.Metrics != nil {
+		hm = newHTTPMetrics()
+		opts.Metrics.Collect(hm.collect)
 		RegisterBackendMetrics(opts.Metrics, srv)
 		RegisterAdmissionMetrics(opts.Metrics, opts.Admission)
-		hm = newHTTPMetrics(opts.Metrics)
 		h.mux.Handle("GET /metrics", opts.Metrics.Handler())
 	}
 	if opts.Chaos != nil {

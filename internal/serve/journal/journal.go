@@ -91,6 +91,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/serve/metrics"
 )
 
 // magic identifies a journal file (and its framing version). Bump the
@@ -263,18 +265,14 @@ const DefaultCompactMinRecords = 512
 // group-commit effectiveness: all mass at 1 means every append pays its
 // own fsync; mass in the higher buckets means concurrent session applies
 // are sharing syncs as designed.
-var batchSizeBounds = [...]int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// BatchSizeBuckets is the bounds slice callers (the metrics exporter)
-// read; it aliases the fixed backing array.
-var BatchSizeBuckets = batchSizeBounds[:]
+var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Stats is a journal's observable state, shaped for /v1/stats.
 type Stats struct {
 	// Appends counts acknowledged records since open.
 	Appends int64 `json:"appends"`
-	// Batches counts group commits; Appends/Batches is the achieved
-	// group-commit factor.
+	// Batches counts group commits, sum(BatchSizes); Appends/Batches is the
+	// achieved group-commit factor.
 	Batches int64 `json:"batches"`
 	// Fsyncs counts file syncs (one per batch unless NoSync).
 	Fsyncs int64 `json:"fsyncs"`
@@ -393,12 +391,11 @@ type Journal struct {
 	// replay suspends fsync through it.
 	nosync atomic.Bool
 
-	// degraded mirrors werr != nil for lock-free Stats/Degraded reads.
+	// degraded mirrors werr != nil for lock-free Stats reads.
 	degraded atomic.Bool
 	resets   atomic.Int64
 
 	appends         atomic.Int64
-	batches         atomic.Int64
 	fsyncs          atomic.Int64
 	compactions     atomic.Int64
 	compactFailures atomic.Int64
@@ -411,8 +408,8 @@ type Journal struct {
 	bytes           atomic.Int64
 
 	// batchHist counts group commits by record count, bucketed per
-	// BatchSizeBuckets (last slot = overflow).
-	batchHist [len(batchSizeBounds) + 1]atomic.Int64
+	// BatchSizeBuckets; its sum is the records appended.
+	batchHist *metrics.Histogram
 }
 
 // Open opens (creating if absent) the journal at path for appending. An
@@ -426,11 +423,12 @@ func Open(path string, opts Options) (*Journal, ReplayStats, error) {
 		opts.CompactMinRecords = DefaultCompactMinRecords
 	}
 	j := &Journal{
-		path: path,
-		opts: opts,
-		fs:   fsOrOS(opts.FS),
-		live: make(map[string]liveEntry),
-		subs: make(map[string]liveEntry),
+		path:      path,
+		opts:      opts,
+		fs:        fsOrOS(opts.FS),
+		live:      make(map[string]liveEntry),
+		subs:      make(map[string]liveEntry),
+		batchHist: metrics.NewHistogram(BatchSizeBuckets),
 	}
 	j.nosync.Store(opts.NoSync)
 	j.cond = sync.NewCond(&j.mu)
@@ -544,7 +542,6 @@ func (j *Journal) Path() string { return j.path }
 func (j *Journal) Stats() Stats {
 	st := Stats{
 		Appends:         j.appends.Load(),
-		Batches:         j.batches.Load(),
 		Fsyncs:          j.fsyncs.Load(),
 		Compactions:     j.compactions.Load(),
 		CompactFailures: j.compactFailures.Load(),
@@ -558,9 +555,9 @@ func (j *Journal) Stats() Stats {
 		TotalRecords:    int(j.totalCount.Load()),
 		Bytes:           j.bytes.Load(),
 	}
-	st.BatchSizes = make([]int64, len(j.batchHist))
-	for i := range j.batchHist {
-		st.BatchSizes[i] = j.batchHist[i].Load()
+	st.BatchSizes = j.batchHist.Counts()
+	for _, n := range st.BatchSizes {
+		st.Batches += n
 	}
 	return st
 }
@@ -672,9 +669,6 @@ func (j *Journal) Checkpoint(seq uint64) error {
 func (j *Journal) Append(rec Record) error {
 	return j.Submit(rec)()
 }
-
-// Degraded reports lock-free whether the journal is sticky-failed.
-func (j *Journal) Degraded() bool { return j.degraded.Load() }
 
 // Reset attempts to clear a sticky write error and resume appends — the
 // recovery path for a disk that filled up (or errored) and came back. The
@@ -893,11 +887,7 @@ func (j *Journal) writeBatch(batch []*pending) error {
 	}
 	if records > 0 {
 		j.appends.Add(int64(records))
-		j.batches.Add(1)
-		i := sort.Search(len(BatchSizeBuckets), func(i int) bool {
-			return BatchSizeBuckets[i] >= int64(records)
-		})
-		j.batchHist[i].Add(1)
+		j.batchHist.Observe(float64(records))
 	}
 	j.publishCounters()
 	return nil

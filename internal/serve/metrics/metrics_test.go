@@ -10,21 +10,24 @@ import (
 )
 
 // TestExpositionGolden locks the text exposition format: family headers,
-// label rendering and escaping, histogram cumulative buckets, collector
-// output, deterministic ordering.
+// label rendering, histogram cumulative buckets from a Histogram and from
+// raw counts, and collectors rendering in registration order.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 
-	v := r.CounterVec("test_sheds_total", "Requests shed.", "reason")
-	v.With("queue_full").Add(2)
-	v.With("rate_limit").Inc()
-
-	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "route").With("rank")
+	h := NewHistogram([]float64{0.01, 0.1, 1})
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(0.05)
 	h.Observe(5)
 
+	r.Collect(func(w *Writer) {
+		w.Family("test_sheds_total", "counter", "Requests shed.")
+		w.Sample("test_sheds_total", 2, "reason", "queue_full")
+		w.Sample("test_sheds_total", 1, "reason", "rate_limit")
+		w.Family("test_latency_seconds", "histogram", "Latency.")
+		w.Histogram("test_latency_seconds", []float64{0.01, 0.1, 1}, h.Counts(), h.Sum(), "route", "rank")
+	})
 	r.Collect(func(w *Writer) {
 		w.Family("test_shard_requests_total", "counter", "Per-shard requests.")
 		w.Sample("test_shard_requests_total", 7, "shard", "0")
@@ -71,9 +74,14 @@ test_batch_records_count{shard="0"} 9
 // applies to a live scrape.
 func TestExpositionLineFormat(t *testing.T) {
 	r := NewRegistry()
-	r.CounterVec("fmt_total", "With tricky label values.", "path").
-		With(`a"b\c` + "\nd").Inc()
-	r.HistogramVec("fmt_hist", "H.", []float64{0.5}, "k").With("v").Observe(-0.25)
+	h := NewHistogram([]float64{0.5})
+	h.Observe(-0.25)
+	r.Collect(func(w *Writer) {
+		w.Family("fmt_total", "counter", "With tricky label values.")
+		w.Sample("fmt_total", 1, "path", `a"b\c`+"\nd")
+		w.Family("fmt_hist", "histogram", "H.")
+		w.Histogram("fmt_hist", []float64{0.5}, h.Counts(), h.Sum(), "k", "v")
+	})
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
@@ -111,8 +119,8 @@ func TestExpositionLineFormat(t *testing.T) {
 // equal to an upper bound lands in that bucket, just above it in the next,
 // and everything above the last bound in +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramVec("bounds_seconds", "B.", []float64{1, 2, 4}, "k").With("v")
+	bounds := []float64{1, 2, 4}
+	h := NewHistogram(bounds)
 
 	h.Observe(1)             // le="1"
 	h.Observe(1.0000001)     // le="2"
@@ -123,16 +131,21 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	h.Observe(0)             // le="1"
 	h.Observe(-1)            // le="1" (below the first bound still counts)
 
-	want := []uint64{3, 2, 1, 2} // raw per-bucket: le1, le2, le4, +Inf
+	want := []int64{3, 2, 1, 2} // raw per-bucket: le1, le2, le4, +Inf
+	got := h.Counts()
 	for i, n := range want {
-		if got := h.buckets[i].Load(); got != n {
-			t.Errorf("bucket %d = %d, want %d", i, got, n)
+		if got[i] != n {
+			t.Errorf("bucket %d = %d, want %d", i, got[i], n)
 		}
 	}
-	if h.Count() != 8 {
-		t.Errorf("count = %d, want 8", h.Count())
+	if len(got) != len(want) {
+		t.Errorf("%d buckets, want %d", len(got), len(want))
 	}
 
+	r := NewRegistry()
+	r.Collect(func(w *Writer) {
+		w.Histogram("bounds_seconds", bounds, h.Counts(), h.Sum(), "k", "v")
+	})
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
@@ -150,27 +163,29 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestConcurrentIncrements hammers both instrument types from many
-// goroutines while scrapes run concurrently — run under -race in CI; the
-// final counts must be exact (atomics lose nothing).
+// TestConcurrentIncrements hammers one histogram from many goroutines while
+// scrapes render it concurrently — run under -race in CI; the final counts
+// and the sum must be exact (atomics and the sum's CAS loop lose nothing).
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("conc_labeled_total", "CL.", "k")
-	h := r.HistogramVec("conc_hist", "H.", []float64{0.5}, "k").With("a")
+	bounds := []float64{0.5}
+	h := NewHistogram(bounds)
+	r.Collect(func(w *Writer) {
+		w.Family("conc_hist", "histogram", "H.")
+		w.Histogram("conc_hist", bounds, h.Counts(), h.Sum(), "k", "a")
+	})
 
 	const workers = 8
 	const perWorker = 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			key := []string{"a", "b"}[w%2]
 			for i := 0; i < perWorker; i++ {
-				v.With(key).Inc()
 				h.Observe(float64(i%2) * 0.75)
 			}
-		}(w)
+		}()
 	}
 	// Concurrent scrapes must not race observation.
 	done := make(chan struct{})
@@ -188,11 +203,12 @@ func TestConcurrentIncrements(t *testing.T) {
 	<-done
 
 	const total = workers * perWorker
-	if n := v.With("a").Value() + v.With("b").Value(); n != total {
-		t.Errorf("vec sum = %d, want %d", n, total)
+	counts := h.Counts()
+	if counts[0] != total/2 || counts[1] != total/2 {
+		t.Errorf("bucket counts = %v, want %d in each", counts, total/2)
 	}
-	if h.Count() != total {
-		t.Errorf("histogram count = %d, want %d", h.Count(), total)
+	if want := 0.75 * total / 2; h.Sum() != want {
+		t.Errorf("histogram sum = %v, want %v", h.Sum(), want)
 	}
 }
 
@@ -200,7 +216,10 @@ func TestConcurrentIncrements(t *testing.T) {
 // type.
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.CounterVec("handler_total", "H.", "k").With("v").Add(1)
+	r.Collect(func(w *Writer) {
+		w.Family("handler_total", "counter", "H.")
+		w.Sample("handler_total", 1, "k", "v")
+	})
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != ContentType {
@@ -211,19 +230,17 @@ func TestHandler(t *testing.T) {
 	}
 }
 
-// TestRegistrationPanics pins the startup-time failure mode for invalid
-// and duplicate registrations.
+// TestRegistrationPanics pins the declaration-time failure modes that
+// remain: histogram bounds that are empty or not strictly ascending, and
+// label lists that are not key/value pairs.
 func TestRegistrationPanics(t *testing.T) {
-	r := NewRegistry()
-	r.CounterVec("ok_total", "x", "k")
+	w := &Writer{out: &strings.Builder{}}
 	for name, fn := range map[string]func(){
-		"duplicate name":    func() { r.CounterVec("ok_total", "again", "k") },
-		"bad metric name":   func() { r.CounterVec("bad-name", "x", "k") },
-		"no labels":         func() { r.CounterVec("bare_total", "x") },
-		"bad label name":    func() { r.CounterVec("v_total", "x", "bad-label") },
-		"reserved le label": func() { r.HistogramVec("h_seconds", "x", []float64{1}, "le") },
-		"empty buckets":     func() { r.HistogramVec("e_seconds", "x", nil, "k").With("v") },
-		"descending":        func() { r.HistogramVec("d_seconds", "x", []float64{2, 1}, "k").With("v") },
+		"empty buckets":       func() { NewHistogram(nil) },
+		"descending":          func() { NewHistogram([]float64{2, 1}) },
+		"repeated bound":      func() { NewHistogram([]float64{1, 1}) },
+		"odd sample labels":   func() { w.Sample("s_total", 1, "k") },
+		"odd histogram label": func() { w.Histogram("h_seconds", []float64{1}, nil, 0, "k") },
 	} {
 		func() {
 			defer func() {
@@ -236,23 +253,20 @@ func TestRegistrationPanics(t *testing.T) {
 	}
 }
 
-// TestWithExistingChildAllocatesNothing: a request records its series
-// through With on children that already exist; that look-up must not
-// allocate (it once joined the label values into a fresh key string).
+// TestWithExistingChildAllocatesNothing: a request records its latency
+// through Observe on a histogram that already exists; that must not
+// allocate. (The per-route look-up in front of it is pinned by the serve
+// package's TestRecordRequestAllocatesNothing.)
 func TestWithExistingChildAllocatesNothing(t *testing.T) {
-	r := NewRegistry()
-	requests := r.CounterVec("reqs_total", "h", "route", "code")
-	latency := r.HistogramVec("lat_seconds", "h", []float64{0.1, 1}, "route")
-	requests.With("POST /v1/rank", "200").Inc()
-	latency.With("POST /v1/rank").Observe(0.5)
+	h := NewHistogram([]float64{0.1, 1})
+	h.Observe(0.5)
 	allocs := testing.AllocsPerRun(100, func() {
-		requests.With("POST /v1/rank", "200").Inc()
-		latency.With("POST /v1/rank").Observe(0.5)
+		h.Observe(0.5)
 	})
 	if allocs != 0 {
-		t.Errorf("With on existing children: %v allocs/op, want 0", allocs)
+		t.Errorf("Observe: %v allocs/op, want 0", allocs)
 	}
-	if got := requests.With("POST /v1/rank", "200").Value(); got != 102 {
-		t.Errorf("counter = %d, want 102", got)
+	if got := h.Counts()[1]; got != 102 {
+		t.Errorf("bucket le=1 = %d, want 102", got)
 	}
 }

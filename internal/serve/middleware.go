@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,38 +158,79 @@ func (s *logSink) write(line accessLine) {
 	s.mu.Unlock()
 }
 
-// httpMetrics are the HTTP-surface series, labeled by mux route (bounded
-// cardinality: the route pattern, never the raw path).
+// httpMetrics is the HTTP surface's table: per mux route (bounded
+// cardinality: the route pattern, never the raw path), its requests by
+// response status and its latency. The middleware records into it and
+// collect renders it per scrape. The route map is copied on write: a
+// request on a route already seen loads it with one atomic read, takes no
+// lock and allocates nothing; only a route's first request copies the map.
 type httpMetrics struct {
-	requests *metrics.CounterVec
-	latency  *metrics.HistogramVec
+	mu     sync.Mutex // serializes route inserts
+	routes atomic.Pointer[map[string]*routeMetrics]
 }
 
-func newHTTPMetrics(reg *metrics.Registry) *httpMetrics {
-	return &httpMetrics{
-		requests: reg.CounterVec("carserve_http_requests_total",
-			"HTTP requests by mux route and response status.", "route", "code"),
-		latency: reg.HistogramVec("carserve_http_request_seconds",
-			"End-to-end HTTP request latency by route, including admission queueing.",
-			RankLatencyBuckets, "route"),
-	}
+// routeMetrics is one route's row: request counts by status (net/http
+// writes 100–999) and the latency histogram.
+type routeMetrics struct {
+	codes   [900]atomic.Int64
+	latency *metrics.Histogram
 }
 
-// codeLabels holds the code label of every status from 100 to 599, so
-// labeling a request's status allocates nothing.
-var codeLabels = func() (t [500]string) {
-	for i := range t {
-		t[i] = strconv.Itoa(100 + i)
-	}
-	return t
-}()
+func newHTTPMetrics() *httpMetrics {
+	m := &httpMetrics{}
+	m.routes.Store(&map[string]*routeMetrics{})
+	return m
+}
 
-// codeLabel is the code label value of an HTTP status: its decimal digits.
-func codeLabel(status int) string {
-	if status >= 100 && status < 600 {
-		return codeLabels[status-100]
+// route returns name's row, adding it on the route's first request.
+func (m *httpMetrics) route(name string) *routeMetrics {
+	if rm := (*m.routes.Load())[name]; rm != nil {
+		return rm
 	}
-	return strconv.Itoa(status)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := *m.routes.Load()
+	if rm := old[name]; rm != nil {
+		return rm
+	}
+	next := maps.Clone(old)
+	rm := &routeMetrics{latency: metrics.NewHistogram(RankLatencyBuckets)}
+	next[name] = rm
+	m.routes.Store(&next)
+	return rm
+}
+
+// record counts one request on route. A status net/http refuses (outside
+// 100–999) made its WriteHeader panic, and the client got the 500
+// recoverPanics wrote instead: it is counted as that.
+func (m *httpMetrics) record(route string, status int, elapsed time.Duration) {
+	if status < 100 || status > 999 {
+		status = http.StatusInternalServerError
+	}
+	rm := m.route(route)
+	rm.codes[status-100].Add(1)
+	rm.latency.Observe(elapsed.Seconds())
+}
+
+// collect renders the table: carserve_http_requests_total{route,code} and
+// carserve_http_request_seconds{route}, routes in sorted order.
+func (m *httpMetrics) collect(w *metrics.Writer) {
+	routes := *m.routes.Load()
+	names := slices.Sorted(maps.Keys(routes))
+	w.Family("carserve_http_requests_total", "counter", "HTTP requests by mux route and response status.")
+	for _, name := range names {
+		for i := range routes[name].codes {
+			if n := routes[name].codes[i].Load(); n > 0 {
+				w.Sample("carserve_http_requests_total", float64(n), "route", name, "code", strconv.Itoa(100+i))
+			}
+		}
+	}
+	w.Family("carserve_http_request_seconds", "histogram",
+		"End-to-end HTTP request latency by route, including admission queueing.")
+	for _, name := range names {
+		h := routes[name].latency
+		w.Histogram("carserve_http_request_seconds", RankLatencyBuckets, h.Counts(), h.Sum(), "route", name)
+	}
 }
 
 // observe is the outermost middleware: it assigns the request ID
@@ -223,8 +266,7 @@ func observe(next http.Handler, accessLog io.Writer, hm *httpMetrics) http.Handl
 		}
 		elapsed := time.Since(started)
 		if hm != nil {
-			hm.requests.With(route, codeLabel(rec.status)).Inc()
-			hm.latency.With(route).Observe(elapsed.Seconds())
+			hm.record(route, rec.status, elapsed)
 		}
 		if sink != nil {
 			sink.write(accessLine{

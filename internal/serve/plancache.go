@@ -32,7 +32,8 @@ type planEntry struct {
 // entries are 256 users, whatever the write or apply rate. Compiled plans are
 // immutable and safe to share between concurrent rankers. Concurrent compiles
 // for one user are not serialized (the compile runs under the facade read
-// lock); the last writer wins and the duplicates are identical.
+// lock); the first to file wins (see file), so every ranking scored with a
+// plan of that snapshot names the one plan the cache holds.
 type planCache struct {
 	lru[planEntry]
 	// refreshed counts the misses that replaced a cached but stale plan.
@@ -45,6 +46,21 @@ func newPlanCache() *planCache {
 	c := &planCache{}
 	c.init(planCacheSize)
 	return c
+}
+
+// file files e under user when the entry there is still the one the caller
+// read — its number read, 0 when there was none — and returns e; otherwise a
+// concurrent compile filed first, and it returns that entry, unchanged.
+func (c *planCache) file(user string, read uint64, e planEntry) planEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[user]; ok {
+		if cur := el.Value.(*lruEntry[planEntry]).val; cur.seq != read {
+			return cur
+		}
+	}
+	c.store(user, e)
+	return e
 }
 
 func (c *planCache) stats() CacheStats {

@@ -182,15 +182,11 @@ func exportJournal(w *metrics.Writer, j journal.Stats) {
 	metric("carserve_journal_degraded", "gauge", "1 while the shard's WAL is sticky-failed and mutations are rejected.", degraded)
 	metric("carserve_journal_resets_total", "counter", "Successful WAL re-arms after a sticky write error (Reset).", float64(j.Resets))
 
-	bounds := make([]float64, len(journal.BatchSizeBuckets))
-	for i, b := range journal.BatchSizeBuckets {
-		bounds[i] = float64(b)
-	}
 	w.Family("carserve_journal_batch_records", "histogram",
 		"Records per group commit: mass above 1 means concurrent applies share fsyncs.")
 	if len(j.BatchSizes) > 0 {
 		// _sum is total records = Appends; _count is Batches.
-		w.Histogram("carserve_journal_batch_records", bounds, j.BatchSizes, float64(j.Appends), "shard", "0")
+		w.Histogram("carserve_journal_batch_records", journal.BatchSizeBuckets, j.BatchSizes, float64(j.Appends), "shard", "0")
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +11,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	contextrank "repro"
+	"repro/internal/serve/metrics"
 )
 
 // recordingBackend remembers what its last Rank returned, so a test can
@@ -252,12 +255,39 @@ func TestRankEncodeFailureIs500(t *testing.T) {
 	}
 }
 
-// TestCodeLabel: the code label is the status's decimal digits, from the
-// table and past it.
+// TestCodeLabel: the code label is the status's decimal digits, across
+// every status net/http writes, and a status it refuses counts as the 500
+// the client got.
 func TestCodeLabel(t *testing.T) {
-	for status, want := range map[int]string{100: "100", 200: "200", 429: "429", 599: "599", 600: "600", 999: "999"} {
-		if got := codeLabel(status); got != want {
-			t.Errorf("codeLabel(%d) = %q, want %q", status, got, want)
+	hm := newHTTPMetrics()
+	for _, status := range []int{100, 200, 429, 599, 600, 999, 42, 1000} {
+		hm.record("GET /x", status, time.Millisecond)
+	}
+	reg := metrics.NewRegistry()
+	reg.Collect(hm.collect)
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for code, n := range map[string]int{"100": 1, "200": 1, "429": 1, "599": 1, "600": 1, "999": 1, "500": 2} {
+		if want := fmt.Sprintf(`carserve_http_requests_total{route="GET /x",code="%s"} %d`+"\n", code, n); !strings.Contains(b.String(), want) {
+			t.Errorf("scrape missing %q:\n%s", want, b.String())
 		}
+	}
+	if want := `carserve_http_request_seconds_count{route="GET /x"} 8`; !strings.Contains(b.String(), want) {
+		t.Errorf("scrape missing %q:\n%s", want, b.String())
+	}
+}
+
+// TestRecordRequestAllocatesNothing: the middleware records every request
+// into the per-route table; on a route already seen that allocates nothing.
+func TestRecordRequestAllocatesNothing(t *testing.T) {
+	hm := newHTTPMetrics()
+	route := strings.Clone("POST /v1/rank")
+	hm.record(route, http.StatusOK, time.Millisecond)
+	if allocs := testing.AllocsPerRun(100, func() {
+		hm.record(route, http.StatusOK, time.Millisecond)
+	}); allocs != 0 {
+		t.Errorf("recording a request on a seen route: %v allocs/op, want 0", allocs)
 	}
 }

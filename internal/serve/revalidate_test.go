@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	contextrank "repro"
 	"repro/internal/workload"
@@ -460,4 +462,61 @@ func TestRevalidationMatchesUncachedServer(t *testing.T) {
 		t.Fatalf("only %d of %d hits were revalidations: the history no longer exercises them", st.Revalidated, st.Hits)
 	}
 	t.Logf("rank cache: %v, %d revalidated", st, st.Revalidated)
+}
+
+// TestConcurrentCompilesKeepRankingsRevalidatable: n ranks of one user that
+// all find its plan stale at once compile concurrently, and every ranking
+// they file names the plan the cache keeps — so after the next assert
+// outside their top k all n are revalidated, not only the last compile's: a
+// compile filed over a concurrent one would leave the rankings scored with
+// the other naming a plan nobody holds, and they would rank again. Each round
+// releases the n ranks together from behind the facade write lock; its
+// asserts give genres to programs outside the target, which moves every
+// rule's preference table and no candidate.
+func TestConcurrentCompilesKeepRankingsRevalidatable(t *testing.T) {
+	const n = 8
+	srv := revalServer(t, Options{})
+	// One rank first: the n compiles then patch the rule preferences' memoized
+	// handles instead of each evaluating its own.
+	if _, _, err := srv.Rank(revalUser, "TvProgram", contextrank.RankOptions{TopK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	write := func() {
+		writes++
+		assertGenre(t, srv, fmt.Sprintf("notaprogram%02d", writes), "genre01", 1)
+	}
+	for round := range 10 {
+		write()
+		started := srv.requests.Load()
+		srv.facade.mu.Lock()
+		var wg sync.WaitGroup
+		for i := range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := srv.Rank(revalUser, "TvProgram", contextrank.RankOptions{TopK: 3 + i}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		for srv.requests.Load() < started+n {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(5 * time.Millisecond) // every rank parks on the read lock
+		srv.facade.mu.Unlock()
+		wg.Wait()
+
+		write()
+		before := srv.Stats().Cache
+		for i := range n {
+			if _, _, err := srv.Rank(revalUser, "TvProgram", contextrank.RankOptions{TopK: 3 + i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := srv.Stats().Cache; after.Revalidated-before.Revalidated != n {
+			t.Fatalf("round %d: %d of %d rankings revalidated after the assert (rank cache %+v -> %+v)",
+				round, after.Revalidated-before.Revalidated, n, before, after)
+		}
+	}
 }

@@ -126,7 +126,7 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 	srv := &Server{
 		facade:  NewFacade(sys),
 		plans:   newPlanCache(),
-		latency: &latencyRecorder{},
+		latency: newLatencyRecorder(),
 		health:  &diskHealth{enabled: opts.DegradeOnDiskError},
 		subs:    newSubRegistry(),
 		start:   time.Now(),
@@ -303,7 +303,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				continue
 			}
 			if rq.prior.planSeq != 0 {
-				if r, ok := s.revalidate(user, rq, pe, v, contextGen, generation); ok {
+				if r, ok := s.revalidate(user, rq, pe, v); ok {
 					if verifyReuse {
 						s.checkReuseLocked(sys, "revalidated ranking", user, rq, r)
 					}
@@ -312,7 +312,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				}
 				s.cache.misses.Add(1)
 			}
-			r := ranked{v: v, planSeq: pe.seq, contextGen: contextGen, generation: generation}
+			r := ranked{v: v, planSeq: pe.seq}
 			var rerr error
 			switch {
 			case rq.candidates != nil:
@@ -338,16 +338,20 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 // candidate into it. The paper scores every candidate on its own (DESIGN §1),
 // so a write moves only the scores of the candidates whose preference
 // memberships it moved, the ids plan.MovedSince names, as long as the plan
-// around them scores as the prior's did: the user's context generation and
-// applied generation are still the ranking's, its target's members stand, and
-// pe's plan ScoresLike the one the ranking was scored with — pe's own or the
-// one it replaced, found by its number. The ranking then stands when it
-// was cut to its k results and every moved candidate of the target is out of
-// it and orders after its last result, or falls at or below the threshold;
-// each is scored through ScoreWith. An explained or uncut ranking is ranked
-// again, as is one the plan cannot vouch for. Caller holds the facade read
-// lock, with v, contextGen and generation read under it.
-func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersion, contextGen, generation int64) (ranked, bool) {
+// around them scores as the prior's did: the ranking was scored with pe's
+// plan or the one it replaced, found by its number, its target's members
+// stand, and pe's plan ScoresLike that one. The number carries the rest:
+// plan numbers are unique, planFor files (and serves) an entry only under
+// the context generation and applied generation its context half was
+// resolved at, and a kept context half keeps both, so a ranking that names
+// pe or its predecessor stands on the user's current context and
+// fingerprint. The ranking then stands when it was cut to its k results and
+// every moved candidate of the target is out of it and orders after its last
+// result, or falls at or below the threshold; each is scored through
+// ScoreWith. An explained or uncut ranking is ranked again, as is one the
+// plan cannot vouch for. Caller holds the facade read lock, with v read
+// under it.
+func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersion) (ranked, bool) {
 	r, opts, plan := rq.prior, rq.opts, pe.plan
 	scored := pe.prev
 	if r.planSeq == pe.seq {
@@ -359,8 +363,7 @@ func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersio
 	if opts.Limit > 0 && (k <= 0 || opts.Limit < k) {
 		k = opts.Limit
 	}
-	if scored == nil || opts.Explain || k <= 0 || len(r.res) != k || r.v.fp != v.fp || r.contextGen != contextGen ||
-		r.generation != generation || !r.members.Current() || !plan.ScoresLike(scored) {
+	if scored == nil || opts.Explain || k <= 0 || len(r.res) != k || !r.members.Current() || !plan.ScoresLike(scored) {
 		return ranked{}, false
 	}
 	moved, tracked := plan.MovedSince(scored)
@@ -413,6 +416,11 @@ func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersio
 // resolves none of the user's rule contexts, and pays only for the handles,
 // the shared document side and the partition; its entry keeps the plan it
 // replaced, which the rankings scored with it are revalidated against.
+//
+// A compile is filed only over the entry it read. One that lost the race to
+// a concurrent compile of the same snapshot serves the entry filed first
+// instead of its own, so the rankings of both name the one plan the cache
+// keeps and stay revalidatable.
 func (s *Server) planFor(sys *contextrank.System, user string, contextGen, generation int64) (planEntry, error) {
 	prev, ok := s.plans.get(user)
 	keep := ok && prev.contextGen == contextGen && prev.generation == generation
@@ -435,7 +443,9 @@ func (s *Server) planFor(sys *contextrank.System, user string, contextGen, gener
 	if ok {
 		s.plans.refreshed.Add(1)
 	}
-	s.plans.put(user, e)
+	if w := s.plans.file(user, prev.seq, e); w.contextGen == contextGen && w.generation == generation {
+		return w, nil
+	}
 	return e, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve/metrics"
 )
 
 // latencyWindow is how many recent observations the percentile estimator
@@ -12,23 +14,19 @@ import (
 const latencyWindow = 4096
 
 // RankLatencyBuckets are the fixed histogram bounds (seconds) the latency
-// recorder counts into, alongside the percentile ring. They cover the
-// rank path's realistic range — a cache hit lands in the first buckets, a
-// cold factorized rank in the middle, and anything past 2.5s is tail
-// trouble — and being fixed they merge across shards by simple addition,
-// which the percentile ring cannot.
-var rankLatencyBounds = [...]float64{
+// recorder counts into, alongside the percentile ring; the HTTP request
+// latency uses them too. They cover the rank path's realistic range — a
+// cache hit lands in the first buckets, a cold factorized rank in the
+// middle, and anything past 2.5s is tail trouble — and being fixed they
+// merge across shards by simple addition, which the percentile ring cannot.
+var RankLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// RankLatencyBuckets is the bounds slice callers (the metrics exporter)
-// read; it aliases the fixed backing array.
-var RankLatencyBuckets = rankLatencyBounds[:]
-
 // latencyRecorder tracks request latencies in a fixed-size ring. It is
-// fully lock-free: observe is two atomic stores on the rank hot path, and
-// snapshot reads the ring without excluding writers — a stats scrape can
+// fully lock-free: observe is a few atomic operations on the rank hot path,
+// and snapshot reads the ring without excluding writers — a stats scrape can
 // never add tail latency to rank traffic. The price is that a snapshot is
 // not a consistent point-in-time cut: a slot may be observed mid-update
 // (still holding the previous observation, or zero before the first lap
@@ -37,21 +35,21 @@ var RankLatencyBuckets = rankLatencyBounds[:]
 type latencyRecorder struct {
 	ring [latencyWindow]atomic.Int64 // nanoseconds per slot
 	next atomic.Int64                // total observations ever; slot = (n-1) % window
-	sum  atomic.Int64                // nanoseconds, all-time
 
-	// hist counts all-time observations per RankLatencyBuckets bucket
-	// (last slot = +Inf overflow); unlike the ring it never forgets, so
-	// /metrics can expose a cumulative Prometheus histogram.
-	hist [len(rankLatencyBounds) + 1]atomic.Int64
+	// hist counts all-time observations in seconds per RankLatencyBuckets
+	// bucket, with their sum; unlike the ring it never forgets, so /metrics
+	// can expose a cumulative Prometheus histogram.
+	hist *metrics.Histogram
+}
+
+func newLatencyRecorder() *latencyRecorder {
+	return &latencyRecorder{hist: metrics.NewHistogram(RankLatencyBuckets)}
 }
 
 func (r *latencyRecorder) observe(d time.Duration) {
 	n := r.next.Add(1)
 	r.ring[(n-1)%latencyWindow].Store(int64(d))
-	r.sum.Add(int64(d))
-	secs := d.Seconds()
-	i := sort.SearchFloat64s(RankLatencyBuckets, secs)
-	r.hist[i].Add(1)
+	r.hist.Observe(d.Seconds())
 }
 
 // LatencyStats summarizes the recent latency distribution. Quantiles are
@@ -79,12 +77,9 @@ func (r *latencyRecorder) snapshot() LatencyStats {
 	}
 	st := LatencyStats{Count: count, Window: n}
 	if count > 0 {
-		st.MeanMicros = float64(r.sum.Load()) / 1e3 / float64(count)
+		st.MeanMicros = r.hist.Sum() * 1e6 / float64(count)
 	}
-	st.Buckets = make([]int64, len(r.hist))
-	for i := range r.hist {
-		st.Buckets[i] = r.hist[i].Load()
-	}
+	st.Buckets = r.hist.Counts()
 	if n == 0 {
 		return st
 	}

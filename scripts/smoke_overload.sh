@@ -114,8 +114,10 @@ for series in \
   'carserve_plan_cache_hit_ratio' \
   'carserve_journal_appends_total' \
   'carserve_journal_batch_records_bucket' \
+  'carserve_journal_batch_records_sum' \
   'carserve_http_requests_total{route="POST /v1/rank",code="200"}' \
   'carserve_http_requests_total{route="POST /v1/rank",code="429"}' \
+  'carserve_http_request_seconds_bucket{route="POST /v1/rank",le="+Inf"}' \
   'carserve_admitted_total' \
   'carserve_inflight_requests' \
   'carserve_sessions' \
