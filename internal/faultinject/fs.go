@@ -80,8 +80,6 @@ func (w *faultFile) Sync() error {
 	return w.f.Sync()
 }
 
-func (w *faultFile) Read(p []byte) (int, error)                { return w.f.Read(p) }
 func (w *faultFile) Close() error                              { return w.f.Close() }
 func (w *faultFile) Seek(off int64, whence int) (int64, error) { return w.f.Seek(off, whence) }
 func (w *faultFile) Truncate(size int64) error                 { return w.f.Truncate(size) }
-func (w *faultFile) Stat() (os.FileInfo, error)                { return w.f.Stat() }

@@ -737,7 +737,7 @@ type parsedText struct {
 // individuals the writes reached are re-read — when the loader's write log
 // accounts for every step they moved by, and evaluated over every individual
 // otherwise (see patchMembers). Concurrent misses may both patch or evaluate;
-// the last one stays.
+// the first one filed is the handle they all return.
 func (l *Loader) Members(expr *dl.Expr) (*Membership, error) {
 	t := parsedText{expr: expr, key: expr.String()}
 	l.memoMu.Lock()
@@ -788,17 +788,18 @@ func (l *Loader) syncMemo() uint64 {
 
 // resolve ends a look-up that found m (nil for none) under t's key at redefs
 // redefinitions: a current handle is a hit, a stale one is patched or, failing
-// that, evaluated again, and the new handle is memoized. A newText is indexed
+// that, evaluated again, and the new handle is filed. A newText is indexed
 // once the look-up succeeds.
 func (l *Loader) resolve(t parsedText, m *Membership, redefs uint64, newText string) (*Membership, error) {
 	if m != nil && m.Current() {
 		l.memoHits.Add(1)
 		if newText != "" {
-			l.store(t, nil, redefs, newText)
+			return l.file(t, m, m, redefs, newText), nil
 		}
 		return m, nil
 	}
 
+	read := m
 	if m != nil {
 		m = l.patchMembers(t.expr, m)
 	}
@@ -811,25 +812,30 @@ func (l *Loader) resolve(t parsedText, m *Membership, redefs uint64, newText str
 		}
 		l.memoQueries.Add(1)
 	}
-	l.store(t, m, redefs, newText)
-	return m, nil
+	return l.file(t, read, m, redefs, newText), nil
 }
 
-// store memoizes m (when not nil) under t's key and indexes text (when not
-// empty), unless the memo moved past redefs meanwhile.
-func (l *Loader) store(t parsedText, m *Membership, redefs uint64, text string) {
+// file memoizes m under t's key when the memo still holds read — the entry
+// the look-up started from, nil for none — and returns m. Otherwise a
+// concurrent look-up filed first: its handle is returned when it is current,
+// so concurrent first look-ups of one expression all return one handle, and
+// m replaces it when it is not. A text (when not empty) is indexed either
+// way. Nothing is filed once the memo moved past redefs.
+func (l *Loader) file(t parsedText, read, m *Membership, redefs uint64, text string) *Membership {
 	l.memoMu.Lock()
 	defer l.memoMu.Unlock()
 	if redefs != l.memoRedefs {
-		return
-	}
-	if m != nil {
-		boundedPut(l.memo, t.key, m)
-		l.memoEntries.Store(int64(len(l.memo)))
+		return m
 	}
 	if text != "" {
 		boundedPut(l.texts, text, t)
 	}
+	if cur := l.memo[t.key]; cur != read && cur != nil && cur.Current() {
+		return cur
+	}
+	boundedPut(l.memo, t.key, m)
+	l.memoEntries.Store(int64(len(l.memo)))
+	return m
 }
 
 // boundedPut sets m[k], first evicting an arbitrary entry when k is new and m

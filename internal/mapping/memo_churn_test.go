@@ -709,3 +709,57 @@ func TestMembersOfConcurrent(t *testing.T) {
 		t.Fatalf("%d texts indexed and %d handles memoized, bound %d", n, m, mapping.MaxMemberships)
 	}
 }
+
+// TestMembersConcurrentFirstLookupsShareOneHandle: look-ups of a never-seen
+// expression released together may each evaluate it, but they all return
+// the one handle filed first — a plan compiled over any of them follows the
+// memo's lineage (Membership.ChangedSince) — and each counts as one query or
+// hit.
+func TestMembersConcurrentFirstLookupsShareOneHandle(t *testing.T) {
+	l := mapping.NewLoader(engine.New())
+	const trials, lookups, individuals = 8, 8, 2000
+	for k := 0; k < trials; k++ {
+		c := fmt.Sprintf("A%d", k)
+		if err := l.DeclareConcept(c); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < individuals; j++ {
+			if err := l.AssertConcept(c, fmt.Sprintf("x%d", j), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k := 0; k < trials; k++ {
+		expr := dl.Atom(fmt.Sprintf("A%d", k))
+		before := l.MembershipStats()
+		start := make(chan struct{})
+		got := make([]*mapping.Membership, lookups)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				m, err := l.Members(expr)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = m
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, m := range got {
+			if m != got[0] {
+				t.Fatalf("%s: look-up %d returned handle %p, look-up 0 %p", expr, g, m, got[0])
+			}
+		}
+		if m, err := l.Members(expr); err != nil || m != got[0] {
+			t.Fatalf("%s: the memo holds %p, the concurrent look-ups returned %p (%v)", expr, m, got[0], err)
+		}
+		after := l.MembershipStats()
+		if n := (after.Hits - before.Hits) + (after.Queries - before.Queries) + (after.Patched - before.Patched); n != lookups+1 {
+			t.Fatalf("%s: %d look-ups counted %d times", expr, lookups+1, n)
+		}
+	}
+}

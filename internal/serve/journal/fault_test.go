@@ -319,3 +319,55 @@ func TestOpenFailureSurfaces(t *testing.T) {
 		t.Fatalf("want EACCES, got %v", err)
 	}
 }
+
+// TestJournalSubmitAfterClose: every request passes one admission check. A
+// closed journal refuses Submit, Sync, Checkpoint and Reset alike, instead
+// of hanging; a sticky write error refuses the first three and admits
+// Reset, which re-arms the journal once the disk is back.
+func TestJournalSubmitAfterClose(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		do   func(*journal.Journal) error
+	}{
+		{"Submit", func(j *journal.Journal) error { return j.Submit(setRec(1))() }},
+		{"Sync", (*journal.Journal).Sync},
+		{"Checkpoint", func(j *journal.Journal) error { return j.Checkpoint(j.Seq()) }},
+		{"Reset", (*journal.Journal).Reset},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			closed, _ := openFaulty(t, faultinject.New(1), journal.Options{})
+			if err := closed.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.do(closed); err == nil || err.Error() != "journal: closed" {
+				t.Fatalf("after Close: %v, want journal: closed", err)
+			}
+
+			in := faultinject.New(1)
+			j, _ := openFaulty(t, in, journal.Options{})
+			if err := in.Arm(faultinject.Fault{Point: faultinject.FSWrite, Err: "EIO", Count: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(setRec(0)); err == nil {
+				t.Fatal("append acked through a failed write")
+			}
+			in.Clear()
+			err := r.do(j)
+			if r.name != "Reset" {
+				if err == nil || !strings.HasPrefix(err.Error(), "journal: previous write failed: ") || !errors.Is(err, syscall.EIO) {
+					t.Fatalf("with a sticky write error: %v, want journal: previous write failed: …EIO", err)
+				}
+				if !j.Degraded() {
+					t.Fatal("a refused request cleared the sticky error")
+				}
+				return
+			}
+			if err != nil || j.Degraded() {
+				t.Fatalf("Reset with the fault cleared: %v, degraded %v", err, j.Degraded())
+			}
+			if err := j.Append(setRec(2)); err != nil {
+				t.Fatalf("append after reset: %v", err)
+			}
+		})
+	}
+}

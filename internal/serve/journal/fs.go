@@ -6,19 +6,18 @@ import (
 )
 
 // File is the slice of *os.File the journal writes through. Everything
-// the WAL does to its file — append, fsync, torn-tail truncation, the
-// open-time scan — goes through this interface, so a test (or the
-// fault-injection layer) can interpose disk failures byte-for-byte:
-// ENOSPC mid-batch, a failing fsync on the group-commit barrier, a torn
-// short-write.
+// the WAL does to a file it appends to — write, fsync, pre-size, Reset's
+// cut back to the last acknowledged byte — goes through this interface, so
+// a test (or the fault-injection layer) can interpose disk failures
+// byte-for-byte: ENOSPC mid-batch, a failing fsync on the group-commit
+// barrier, a torn short-write. Nothing reads through it: Replay reads an
+// old generation straight from the real filesystem.
 type File interface {
-	io.Reader
 	io.Writer
 	io.Closer
 	io.Seeker
 	Sync() error
 	Truncate(size int64) error
-	Stat() (os.FileInfo, error)
 }
 
 // FS is the filesystem seam the journal opens, renames and removes files

@@ -71,13 +71,9 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		var n int
-		rs, err := Replay(path, func(rec Record) error {
-			if rec.Op != OpSet && rec.Op != OpDrop {
-				// Unknown ops decode (the frame was CRC-valid) but must
-				// still be surfaced consistently — count them like any
-				// record; callers skip ops they do not know.
-				_ = rec
-			}
+		// Every CRC-valid frame is surfaced, unknown ops included: callers
+		// skip the ops they do not know.
+		rs, err := Replay(path, func(Record) error {
 			n++
 			return nil
 		})
@@ -101,29 +97,6 @@ func FuzzJournalReplay(f *testing.F) {
 			if err != nil || prs != rs {
 				t.Fatalf("with zero slack: %+v, err %v; without: %+v", prs, err, rs)
 			}
-		}
-
-		// Open must agree with Replay on what is recoverable, truncate the
-		// torn tail, and leave a journal that appends cleanly.
-		j, ors, err := Open(path, Options{})
-		if err != nil {
-			return
-		}
-		if ors.Records != rs.Records {
-			t.Fatalf("open recovered %d records, replay %d", ors.Records, rs.Records)
-		}
-		if err := j.Append(Record{Op: OpSet, User: "post-fuzz", Measurements: []Measurement{{Concept: "C", Prob: 1}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after, err := Replay(path, func(Record) error { return nil })
-		if err != nil {
-			t.Fatalf("replay after recovery+append: %v", err)
-		}
-		if after.Torn || after.Records != rs.Records+1 {
-			t.Fatalf("after recovery+append: %+v, want %d clean records", after, rs.Records+1)
 		}
 	})
 }

@@ -47,18 +47,21 @@
 // before it is recovered. The bytes from there through the file's last
 // non-zero byte are the torn tail (ReplayStats.TornBytes); zeros past them
 // are slack, not tear, so the crash image of a healthy journal replays
-// untorn. A journal opened for appending cuts everything past the
-// recovered prefix away first, so a crash mid write never poisons later
-// appends.
+// untorn. Nothing appends after a torn tail: Open only creates a file,
+// recovery reads the previous generation through Replay and re-applies it
+// into a new one, and Reset — the in-process re-arm after a write error —
+// cuts its own file back to the last acknowledged byte.
 //
 // # Group commit
 //
 // All appends go through one writer goroutine. Submit enqueues the
 // marshaled record and returns a wait function; the writer drains every
 // queued record, frames them into one buffer, writes it once and calls
-// fsync once, then releases all their waiters. Concurrent session applies
-// on one shard therefore share a single fsync (the dominant cost), and the
-// rank path — which never journals — is untouched.
+// fsync once, then releases all their waiters. Concurrent mutations
+// therefore share a single fsync (the dominant cost), and the rank path —
+// which never journals — is untouched. Submit, Sync, Checkpoint and Reset
+// pass one admission check first: a closed journal refuses them all, and
+// a sticky write error all but Reset.
 //
 // # Compaction
 //
@@ -412,12 +415,12 @@ type Journal struct {
 	batchHist *metrics.Histogram
 }
 
-// Open opens (creating if absent) the journal at path for appending. An
-// existing file is scanned first: its records rebuild the live map and
-// sequence counter, and a torn tail — a crash artifact — is truncated
-// away with any slack. The file is then sized one chunk past its last
-// frame. The scan's outcome is returned so callers can log what a previous
-// incarnation left behind.
+// Open creates the journal file at path and opens it for appending. The
+// path must not exist (os.O_EXCL): a journal never adopts a file an
+// earlier incarnation left behind — Replay reads that one, and recovery
+// re-applies it into a fresh generation. The new file is the header plus
+// one chunk of slack. The ReplayStats result is always zero: nothing was
+// read.
 func Open(path string, opts Options) (*Journal, ReplayStats, error) {
 	if opts.CompactMinRecords <= 0 {
 		opts.CompactMinRecords = DefaultCompactMinRecords
@@ -434,95 +437,45 @@ func Open(path string, opts Options) (*Journal, ReplayStats, error) {
 	j.cond = sync.NewCond(&j.mu)
 	j.exited = make(chan struct{})
 
-	var rs ReplayStats
-	f, err := j.fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := j.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, rs, fmt.Errorf("journal: open: %w", err)
+		return nil, ReplayStats{}, fmt.Errorf("journal: open: %w", err)
 	}
-	info, err := f.Stat()
-	if err != nil {
+	if _, err := f.Write(magic); err != nil {
 		f.Close()
-		return nil, rs, fmt.Errorf("journal: stat: %w", err)
+		return nil, ReplayStats{}, fmt.Errorf("journal: writing header: %w", err)
 	}
-	if info.Size() == 0 {
-		if _, err := f.Write(magic); err != nil {
-			f.Close()
-			return nil, rs, fmt.Errorf("journal: writing header: %w", err)
-		}
-		j.size = int64(len(magic))
-	} else {
-		// Recover the valid prefix of an existing file.
-		valid, stats, err := scan(f, func(rec Record, payload []byte) {
-			j.applyLive(rec, payload)
-			if rec.Seq > j.seq {
-				j.seq = rec.Seq
-			}
-			j.total++
-		})
-		if err != nil {
-			f.Close()
-			return nil, stats, err
-		}
-		rs = stats
-		if valid < info.Size() {
-			// Torn tail from a crash mid-append, or the slack a crash left:
-			// cut it off so new frames start at a clean boundary, with only
-			// zeros past them.
-			if err := f.Truncate(valid); err != nil {
-				f.Close()
-				return nil, rs, fmt.Errorf("journal: truncating torn tail: %w", err)
-			}
-		}
-		if _, err := f.Seek(valid, io.SeekStart); err != nil {
-			f.Close()
-			return nil, rs, fmt.Errorf("journal: seek: %w", err)
-		}
-		if valid == 0 {
-			// The magic header itself was torn (a crash during the very
-			// first write left fewer than 8 bytes). Rewrite it — appending
-			// frames at offset 0 without a header would make every later
-			// Replay reject the whole file as bad magic, losing records
-			// that were acknowledged as durable.
-			if _, err := f.Write(magic); err != nil {
-				f.Close()
-				return nil, rs, fmt.Errorf("journal: rewriting header: %w", err)
-			}
-			valid = int64(len(magic))
-		}
-		j.size = valid
-	}
+	j.size = int64(len(magic))
 	if j.end, err = extend(f, j.size, !opts.NoSync); err != nil {
 		f.Close()
-		return nil, rs, fmt.Errorf("journal: extend: %w", err)
+		return nil, ReplayStats{}, fmt.Errorf("journal: extend: %w", err)
 	}
 	j.f = f
 	j.publishCounters()
 	go j.writer()
-	return j, rs, nil
+	return j, ReplayStats{}, nil
 }
 
-// applyLive folds one record into the retained-record state (writer
-// goroutine / open scan only). Session ops maintain the per-user live
-// map; everything else is a vocabulary record retained until a
-// checkpoint covers it. Unknown ops (a newer version's records) are
-// retained as checkpoint-exempt: this incarnation's snapshots cannot
-// contain their effect.
-func (j *Journal) applyLive(rec Record, payload []byte) {
-	switch rec.Op {
+// retain folds one durable record into the retained-record state (writer
+// goroutine only). Session ops maintain the per-user live map;
+// everything else is a vocabulary record retained until a checkpoint
+// covers it. Unknown ops (a newer version's records, preserved by
+// recovery) are retained as checkpoint-exempt: this incarnation's
+// snapshots cannot contain their effect.
+func (j *Journal) retain(p *pending) {
+	switch p.op {
 	case OpSet:
-		j.live[rec.User] = liveEntry{seq: rec.Seq, payload: payload}
+		j.live[p.user] = liveEntry{seq: p.seq, payload: p.payload}
 	case OpDrop:
-		delete(j.live, rec.User)
+		delete(j.live, p.user)
 	case OpSubscribe:
-		j.subs[rec.SubID] = liveEntry{seq: rec.Seq, payload: payload}
+		j.subs[p.subID] = liveEntry{seq: p.seq, payload: p.payload}
 	case OpUnsubscribe:
-		delete(j.subs, rec.SubID)
-	case OpDeclare, OpAssert, OpAddRules, OpRemoveRule, OpExec:
-		j.vocab = append(j.vocab, vocabEntry{seq: rec.Seq, payload: payload, exempt: rec.Preserved})
-		j.vbytes += int64(frameOverhead + len(payload))
+		delete(j.subs, p.subID)
 	default:
-		j.vocab = append(j.vocab, vocabEntry{seq: rec.Seq, payload: payload, exempt: true})
-		j.vbytes += int64(frameOverhead + len(payload))
+		exempt := p.preserved || !p.op.IsVocab()
+		j.vocab = append(j.vocab, vocabEntry{seq: p.seq, payload: p.payload, exempt: exempt})
+		j.vbytes += int64(frameOverhead + len(p.payload))
 	}
 }
 
@@ -572,21 +525,7 @@ func (j *Journal) SetNoSync(v bool) { j.nosync.Store(v) }
 // Sync is an fsync barrier: it returns once everything submitted before
 // the call is durable, forcing a file sync even when NoSync is set.
 func (j *Journal) Sync() error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return errors.New("journal: closed")
-	}
-	if j.werr != nil {
-		err := j.werr
-		j.mu.Unlock()
-		return fmt.Errorf("journal: previous write failed: %w", err)
-	}
-	p := &pending{barrier: true, done: make(chan error, 1)}
-	j.queue = append(j.queue, p)
-	j.mu.Unlock()
-	j.cond.Signal()
-	return <-p.done
+	return j.request(&pending{barrier: true})
 }
 
 // Submit enqueues the record for the next group commit and returns a wait
@@ -598,14 +537,9 @@ func (j *Journal) Sync() error {
 // successive applies share one fsync.
 func (j *Journal) Submit(rec Record) func() error {
 	j.mu.Lock()
-	if j.closed {
+	if err := j.admit(false); err != nil {
 		j.mu.Unlock()
-		return waitErr(errors.New("journal: closed"))
-	}
-	if j.werr != nil {
-		err := j.werr
-		j.mu.Unlock()
-		return waitErr(fmt.Errorf("journal: previous write failed: %w", err))
+		return waitErr(err)
 	}
 	j.seq++
 	rec.Seq = j.seq
@@ -647,21 +581,7 @@ func (j *Journal) Seq() uint64 {
 // authority for what may be dropped, and the next successful compaction
 // reclaims the space.
 func (j *Journal) Checkpoint(seq uint64) error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return errors.New("journal: closed")
-	}
-	if j.werr != nil {
-		err := j.werr
-		j.mu.Unlock()
-		return fmt.Errorf("journal: previous write failed: %w", err)
-	}
-	p := &pending{barrier: true, checkpoint: true, ckptSeq: seq, done: make(chan error, 1)}
-	j.queue = append(j.queue, p)
-	j.mu.Unlock()
-	j.cond.Signal()
-	return <-p.done
+	return j.request(&pending{barrier: true, checkpoint: true, ckptSeq: seq})
 }
 
 // Append submits the record and waits for durability — the convenience
@@ -676,17 +596,40 @@ func (j *Journal) Append(rec Record) error {
 // back to the last *acknowledged* byte — j.size only advances on durable
 // batches, so everything beyond it is a torn or unacknowledged tail whose
 // submitters all saw errors — re-extends it by a chunk of slack and
-// fsyncs, proving the disk accepts writes again. The in-memory retained state (live map, vocabulary
-// records, sequence counter) already describes exactly that prefix, so no
-// rescan is needed and no acknowledged record is ever dropped. Returns nil
-// if the journal was not degraded.
+// fsyncs, proving the disk accepts writes again. The in-memory retained
+// state (live map, vocabulary records, sequence counter) already describes
+// exactly that prefix, so no rescan is needed and no acknowledged record
+// is ever dropped. Reset is the one request a sticky error admits. Returns
+// nil if the journal was not degraded.
 func (j *Journal) Reset() error {
-	j.mu.Lock()
+	return j.request(&pending{reset: true})
+}
+
+// errClosed answers every request made of a closed journal.
+var errClosed = errors.New("journal: closed")
+
+// admit is the one admission check every request passes (j.mu held): a
+// closed journal refuses everything, and a sticky write error refuses
+// everything but a reset, which exists to clear it.
+func (j *Journal) admit(reset bool) error {
 	if j.closed {
-		j.mu.Unlock()
-		return errors.New("journal: closed")
+		return errClosed
 	}
-	p := &pending{reset: true, done: make(chan error, 1)}
+	if j.werr != nil && !reset {
+		return fmt.Errorf("journal: previous write failed: %w", j.werr)
+	}
+	return nil
+}
+
+// request admits p — a barrier, checkpoint or reset, which carries no
+// record — queues it for the writer and waits for the writer's answer.
+func (j *Journal) request(p *pending) error {
+	p.done = make(chan error, 1)
+	j.mu.Lock()
+	if err := j.admit(p.reset); err != nil {
+		j.mu.Unlock()
+		return err
+	}
 	j.queue = append(j.queue, p)
 	j.mu.Unlock()
 	j.cond.Signal()
@@ -710,7 +653,7 @@ func (j *Journal) handleReset() error {
 	if werr == nil {
 		return nil
 	}
-	f, err := j.fs.OpenFile(j.path, os.O_RDWR, 0o644)
+	f, err := j.fs.OpenFile(j.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: reset reopen: %w", err)
 	}
@@ -829,7 +772,7 @@ func (j *Journal) writer() {
 			j.queue = nil
 			j.mu.Unlock()
 			for _, p := range remaining {
-				p.done <- errors.New("journal: closed")
+				p.done <- errClosed
 			}
 			return
 		}
@@ -837,9 +780,9 @@ func (j *Journal) writer() {
 }
 
 // writeBatch appends every frame of the batch in one write and fsyncs
-// once (the group commit). On error the file may hold a torn tail; Open
-// truncates it on the next boot, and the sticky error fails this
-// incarnation's later submits.
+// once (the group commit). On error the file may hold a torn tail: Reset
+// cuts it off, the next boot's Replay stops before it, and until then the
+// sticky error fails this incarnation's later submits.
 func (j *Journal) writeBatch(batch []*pending) error {
 	buf := j.buf[:0]
 	records, barriers := 0, 0
@@ -883,7 +826,7 @@ func (j *Journal) writeBatch(batch []*pending) error {
 		}
 		j.size += int64(frameOverhead + len(p.payload))
 		j.total++
-		j.applyLive(Record{Op: p.op, Seq: p.seq, User: p.user, SubID: p.subID, Preserved: p.preserved}, p.payload)
+		j.retain(p)
 	}
 	if records > 0 {
 		j.appends.Add(int64(records))
@@ -1054,7 +997,7 @@ func (j *Journal) Close() error {
 
 // --- replay ----------------------------------------------------------------
 
-// ReplayStats describes what a replay (or open-scan) recovered.
+// ReplayStats describes what a replay recovered.
 type ReplayStats struct {
 	// Records is how many valid records were read.
 	Records int
@@ -1079,41 +1022,25 @@ func Replay(path string, fn func(Record) error) (ReplayStats, error) {
 		return ReplayStats{}, fmt.Errorf("journal: open for replay: %w", err)
 	}
 	defer f.Close()
-	var ferr error
-	_, stats, err := scan(f, func(rec Record, _ []byte) {
-		if ferr == nil {
-			ferr = fn(rec)
-		}
-	})
-	if err != nil {
-		return stats, err
-	}
-	if ferr != nil {
-		return stats, ferr
-	}
-	return stats, nil
+	return scan(f, fn)
 }
 
-// scan reads frames from the start of f, calling fn for each valid record
-// with its payload bytes, and returns the byte offset of the end of the
-// valid prefix. A *truncated* header yields zero records with the whole
-// file torn; a present-but-wrong magic is a hard error (the file is not a
-// journal — treating it as torn would silently "recover" zero records
-// from, or let Open truncate, arbitrary foreign files; boot-level callers
-// that prefer availability handle the error per file, see the BadFiles
-// counter in shard recovery). An all-zero frame header — the slack — ends
-// the scan cleanly, and any framing violation after a good header ends it
-// at the last good frame: corrupt mid-file bytes are indistinguishable
-// from a torn tail without a segment index, so everything after the first
-// bad frame is conservatively treated as lost. TornBytes counts the lost
-// bytes through the file's last non-zero byte; trailing zeros are slack.
-func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats ReplayStats, err error) {
+// scan reads frames from the start of f, calling fn for each valid record.
+// A *truncated* header yields zero records with the whole file torn; a
+// present-but-wrong magic is a hard error (the file is not a journal —
+// treating it as torn would silently "recover" zero records from an
+// arbitrary foreign file; boot-level callers that prefer availability
+// handle the error per file, see the BadFiles counter in recovery). An
+// all-zero frame header — the slack — ends the scan cleanly, and any
+// framing violation after a good header ends it at the last good frame:
+// corrupt mid-file bytes are indistinguishable from a torn tail without a
+// segment index, so everything after the first bad frame is
+// conservatively treated as lost. TornBytes counts the lost bytes through
+// the file's last non-zero byte; trailing zeros are slack.
+func scan(f *os.File, fn func(Record) error) (stats ReplayStats, err error) {
 	info, err := f.Stat()
 	if err != nil {
-		return 0, stats, fmt.Errorf("journal: stat: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, stats, fmt.Errorf("journal: seek: %w", err)
+		return stats, fmt.Errorf("journal: stat: %w", err)
 	}
 	r := bufio.NewReader(f)
 	hdr := make([]byte, len(magic))
@@ -1121,10 +1048,10 @@ func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats Re
 		// Shorter than a header: the whole file is torn.
 		stats.Torn = true
 		stats.TornBytes = info.Size()
-		return 0, stats, nil
+		return stats, nil
 	}
 	if string(hdr) != string(magic) {
-		return 0, stats, fmt.Errorf("journal: bad magic %q (not a journal file?)", hdr)
+		return stats, fmt.Errorf("journal: bad magic %q (not a journal file?)", hdr)
 	}
 	offset := int64(len(magic))
 	var frame [frameOverhead]byte
@@ -1153,22 +1080,24 @@ func scan(f File, fn func(rec Record, payload []byte)) (validEnd int64, stats Re
 		}
 		offset += int64(frameOverhead) + int64(n)
 		stats.Records++
-		fn(rec, payload)
+		if err := fn(rec); err != nil {
+			return stats, err
+		}
 	}
 	if offset < info.Size() {
 		end, err := dataEnd(f, offset)
 		if err != nil {
-			return 0, stats, fmt.Errorf("journal: reading tail: %w", err)
+			return stats, fmt.Errorf("journal: reading tail: %w", err)
 		}
 		stats.TornBytes = end - offset
 		stats.Torn = stats.TornBytes > 0
 	}
-	return offset, stats, nil
+	return stats, nil
 }
 
 // dataEnd returns the offset just past f's last non-zero byte at or after
 // off, or off when every byte from there on is zero.
-func dataEnd(f File, off int64) (int64, error) {
+func dataEnd(f *os.File, off int64) (int64, error) {
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return 0, err
 	}

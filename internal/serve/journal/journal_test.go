@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -144,7 +146,8 @@ func TestJournalGroupCommit(t *testing.T) {
 }
 
 // TestJournalCompaction: churning one user must trigger a live-record
-// rewrite and leave a file that replays to just the live state.
+// rewrite and leave a file that replays to just the live state, and a
+// dropped user must vanish from the file at the next rewrite.
 func TestJournalCompaction(t *testing.T) {
 	j, path := tmpJournal(t, Options{CompactMinRecords: 64})
 	for i := 0; i < 500; i++ {
@@ -165,13 +168,11 @@ func TestJournalCompaction(t *testing.T) {
 	if st.LiveRecords != 2 {
 		t.Fatalf("live records = %d, want 2", st.LiveRecords)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 
+	// Read while still open: the file the rewrites left behind.
 	recs, rs := collect(t, path)
-	if rs.Torn {
-		t.Fatalf("compacted file torn: %+v", rs)
+	if rs.Torn || len(recs) != st.TotalRecords {
+		t.Fatalf("compacted file: %d records, stats %+v; want %d untorn", len(recs), rs, st.TotalRecords)
 	}
 	last := map[string]Record{}
 	var seqs []uint64
@@ -188,20 +189,20 @@ func TestJournalCompaction(t *testing.T) {
 		}
 	}
 
-	// A dropped user must vanish entirely after the next compaction.
-	j2, _, err := Open(path, Options{CompactMinRecords: 4})
-	if err != nil {
+	// Enough further records after the drop to cross the compaction floor
+	// again, so a rewrite runs with the churner gone from the live map.
+	if err := j.Append(Record{Op: OpDrop, User: "churner"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(Record{Op: OpDrop, User: "churner"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if err := j2.Append(setRecord("stable", 0.9)); err != nil {
+	for i := 0; i < 80; i++ {
+		if err := j.Append(setRecord("stable", 0.9)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j2.Close(); err != nil {
+	if got := j.Stats().Compactions; got <= st.Compactions {
+		t.Fatalf("no compaction after the drop: %d, %d before", got, st.Compactions)
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ = collect(t, path)
@@ -213,8 +214,7 @@ func TestJournalCompaction(t *testing.T) {
 }
 
 // TestJournalTornTail: truncating the file inside the last frame must
-// recover every earlier record, both via Replay and via Open (which also
-// truncates the torn bytes so appending continues cleanly).
+// recover every earlier record through Replay.
 func TestJournalTornTail(t *testing.T) {
 	j, path := tmpJournal(t, Options{})
 	for i := 0; i < 5; i++ {
@@ -249,32 +249,6 @@ func TestJournalTornTail(t *testing.T) {
 			}
 		}
 	}
-
-	// Open on a torn file: truncate, then append and verify integrity.
-	if err := os.WriteFile(path, whole[:len(whole)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j2, rs, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.Torn || rs.Records != 4 {
-		t.Fatalf("open-recovery stats %+v, want 4 records torn", rs)
-	}
-	if err := j2.Append(setRecord("after-crash", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, rs := collect(t, path)
-	if rs.Torn || len(recs) != 5 || recs[4].User != "after-crash" {
-		t.Fatalf("post-recovery replay: %d records, stats %+v", len(recs), rs)
-	}
-	// The recovered journal continued the sequence, not restarted it.
-	if recs[4].Seq <= recs[3].Seq {
-		t.Fatalf("seq went backwards after recovery: %d then %d", recs[3].Seq, recs[4].Seq)
-	}
 }
 
 // fileSize stats path.
@@ -287,14 +261,19 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestJournalAppendKeepsFileLength: an open journal is sized one chunk past
-// its last frame, so appends within the chunk move the logical size but
+// TestJournalAppendKeepsFileLength: a new journal is the header plus one
+// chunk of zero slack, and an open journal stays sized one chunk past its
+// last frame, so appends within the chunk move the logical size but
 // not the file's — their fsyncs commit no new length.
 func TestJournalAppendKeepsFileLength(t *testing.T) {
 	j, path := tmpJournal(t, Options{})
 	size, logical := fileSize(t, path), j.Stats().Bytes
-	if size != logical+preallocChunk {
-		t.Fatalf("file holds %d bytes, want %d logical + %d slack", size, logical, preallocChunk)
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh, append(bytes.Clone(magic), make([]byte, preallocChunk)...)) || logical != int64(len(magic)) {
+		t.Fatalf("a new journal holds %d bytes, logical %d; want the header plus %d zero bytes", size, logical, preallocChunk)
 	}
 	for i := 0; i < 20; i++ {
 		if err := j.Append(setRecord(fmt.Sprintf("user%d", i), 0.5)); err != nil {
@@ -316,8 +295,8 @@ func TestJournalAppendKeepsFileLength(t *testing.T) {
 }
 
 // TestJournalCrashImage: a copy of a live journal — what a crash leaves,
-// slack included — replays every acknowledged record untorn, and a journal
-// opened on it continues the sequence at the logical end.
+// slack included — replays every acknowledged record untorn, and the live
+// journal's next append lands at the logical end, not past the slack.
 func TestJournalCrashImage(t *testing.T) {
 	j, path := tmpJournal(t, Options{})
 	const acked = 6
@@ -344,21 +323,12 @@ func TestJournalCrashImage(t *testing.T) {
 		t.Fatalf("crash image replayed %d records, stats %+v; want %d untorn", len(recs), rs, acked)
 	}
 
-	j2, ors, err := Open(crashed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if ors.Records != acked || ors.Torn || j2.Stats().Bytes != logical {
-		t.Fatalf("open on the image: stats %+v, logical %d; want %d records, logical %d",
-			ors, j2.Stats().Bytes, acked, logical)
-	}
-	if err := j2.Append(setRecord("after-crash", 1)); err != nil {
+	if err := j.Append(setRecord("after-crash", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Read while still open: a frame written anywhere but the logical end
 	// would sit past zeros that end the replay.
-	recs, rs = collect(t, crashed)
+	recs, rs = collect(t, path)
 	if len(recs) != acked+1 || rs.Torn {
 		t.Fatalf("after one append: %d records, stats %+v", len(recs), rs)
 	}
@@ -393,32 +363,39 @@ func TestJournalRecordBeyondSlack(t *testing.T) {
 	}
 }
 
+// openRefuses checks that Open will not adopt the existing file at path:
+// the error is fs.ErrExist and the file keeps every byte.
+func openRefuses(t *testing.T, path string) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _, err := Open(path, Options{}); !errors.Is(err, fs.ErrExist) {
+		if err == nil {
+			j.Close()
+		}
+		t.Fatalf("open on an existing file: %v, want fs.ErrExist", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused open changed the file: %q -> %q (%v)", before, after, err)
+	}
+}
+
 // TestJournalTornHeader: a crash during the very first header write
-// leaves fewer than 8 bytes; Open must rewrite the magic so appends made
-// afterwards are replayable (frames at offset 0 without a header would
-// read back as bad magic, losing acknowledged records).
+// leaves fewer than 8 bytes. Replay reads that as a torn file with no
+// records, and Open refuses the path: the next boot creates a fresh
+// generation instead of appending to it.
 func TestJournalTornHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn-header.wal")
 	if err := os.WriteFile(path, magic[:5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, rs, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.Torn || rs.Records != 0 {
-		t.Fatalf("torn-header open stats %+v", rs)
-	}
-	if err := j.Append(setRecord("survivor", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 	recs, rs := collect(t, path)
-	if rs.Torn || len(recs) != 1 || recs[0].User != "survivor" {
-		t.Fatalf("replay after torn-header recovery: %d records, stats %+v", len(recs), rs)
+	if !rs.Torn || rs.TornBytes != 5 || rs.Records != 0 || len(recs) != 0 {
+		t.Fatalf("torn-header replay: %d records, stats %+v", len(recs), rs)
 	}
+	openRefuses(t, path)
 }
 
 // TestJournalCorruptCRC: a flipped byte mid-file stops replay at the last
@@ -457,18 +434,18 @@ func TestJournalCorruptCRC(t *testing.T) {
 	}
 }
 
-// TestJournalBadMagic: a non-journal file is rejected, not replayed.
+// TestJournalBadMagic: a non-journal file is rejected, not replayed, and
+// Open leaves it alone.
 func TestJournalBadMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not.wal")
 	if err := os.WriteFile(path, []byte("definitely not a journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(path, func(Record) error { return nil }); err == nil {
-		t.Fatal("replay accepted a file with bad magic")
+	_, err := Replay(path, func(Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "journal: bad magic") {
+		t.Fatalf("replay of a file with bad magic: %v", err)
 	}
-	if _, _, err := Open(path, Options{}); err == nil {
-		t.Fatal("open accepted a file with bad magic")
-	}
+	openRefuses(t, path)
 }
 
 // TestJournalSyncBarrier: under NoSync no batch fsyncs, but a Sync
@@ -512,17 +489,6 @@ func TestJournalSyncBarrier(t *testing.T) {
 	}
 }
 
-// TestJournalSubmitAfterClose: late submits fail instead of hanging.
-func TestJournalSubmitAfterClose(t *testing.T) {
-	j, _ := tmpJournal(t, Options{})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(setRecord("late", 1)); err == nil {
-		t.Fatal("append after close succeeded")
-	}
-}
-
 // subRecord builds an OpSubscribe record for tests.
 func subRecord(id, user string) Record {
 	th := 0.25
@@ -541,7 +507,8 @@ func subRecord(id, user string) Record {
 
 // TestJournalSubscriptionLifecycle: Subscribe records round-trip with their
 // spec, are retired by Unsubscribe (not by checkpoints), survive compaction
-// alongside live sessions, and rebuild the retained set on reopen.
+// alongside live sessions, and the journal's retained set matches the file
+// a replay reads.
 func TestJournalSubscriptionLifecycle(t *testing.T) {
 	j, path := tmpJournal(t, Options{CompactMinRecords: 8})
 	if err := j.Append(setRecord("peter", 0.8)); err != nil {
@@ -577,13 +544,13 @@ func TestJournalSubscriptionLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	// Read while still open: the rewrite carried the subscription through.
 	recs, _ := collect(t, path)
 	if ops := opCounts(recs); ops[OpSubscribe] != 1 || ops[OpUnsubscribe] != 0 {
 		t.Fatalf("replay ops after compaction: %v", ops)
+	}
+	if st := j.Stats(); st.SubRecords != 1 || st.TotalRecords != len(recs) {
+		t.Fatalf("stats %+v over a file of %d records, want 1 subscription", st, len(recs))
 	}
 	var got *Record
 	for i := range recs {
@@ -600,20 +567,10 @@ func TestJournalSubscriptionLifecycle(t *testing.T) {
 		t.Fatalf("subscription spec did not round-trip: %+v", sp)
 	}
 
-	// Reopen: the scan must rebuild the retained subscription set.
-	j2, rs2, err := Open(path, Options{})
-	if err != nil {
+	if err := j.Append(Record{Op: OpUnsubscribe, SubID: "sub-1", User: "peter"}); err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	// The scan read the records replayed above, the one subscribe among them.
-	if rs2.Records != len(recs) || j2.Stats().SubRecords != 1 {
-		t.Fatalf("reopen: stats %+v over %d records, sub_records %d", rs2, len(recs), j2.Stats().SubRecords)
-	}
-	if err := j2.Append(Record{Op: OpUnsubscribe, SubID: "sub-1", User: "peter"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := j2.Stats().SubRecords; got != 0 {
+	if got := j.Stats().SubRecords; got != 0 {
 		t.Fatalf("sub_records after final unsubscribe = %d, want 0", got)
 	}
 }

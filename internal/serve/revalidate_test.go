@@ -474,12 +474,27 @@ func TestRevalidationMatchesUncachedServer(t *testing.T) {
 // asserts give genres to programs outside the target, which moves every
 // rule's preference table and no candidate.
 func TestConcurrentCompilesKeepRankingsRevalidatable(t *testing.T) {
-	const n = 8
-	srv := revalServer(t, Options{})
 	// One rank first: the n compiles then patch the rule preferences' memoized
 	// handles instead of each evaluating its own.
-	if _, _, err := srv.Rank(revalUser, "TvProgram", contextrank.RankOptions{TopK: 3}); err != nil {
-		t.Fatal(err)
+	concurrentCompilesRevalidate(t, true)
+}
+
+// TestConcurrentFirstCompilesKeepRankingsRevalidatable is the same rounds
+// without the warm-up rank: the first round's compiles are the first
+// look-ups of the rule preferences, which may each evaluate them, and every
+// one must still come back with the handle the membership memo keeps — a
+// plan over a handle the memo lost cannot say what the next assert moved.
+func TestConcurrentFirstCompilesKeepRankingsRevalidatable(t *testing.T) {
+	concurrentCompilesRevalidate(t, false)
+}
+
+func concurrentCompilesRevalidate(t *testing.T, warm bool) {
+	const n = 8
+	srv := revalServer(t, Options{})
+	if warm {
+		if _, _, err := srv.Rank(revalUser, "TvProgram", contextrank.RankOptions{TopK: 3}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	writes := 0
 	write := func() {

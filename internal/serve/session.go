@@ -67,36 +67,35 @@ type Measurement = situation.Measurement
 //     Context vocabulary must be dedicated concepts, as in the paper's
 //     Weekend/Morning/InKitchen.
 //
-// The lock order is always s.mu before the facade lock, and the rank path
-// never takes s.mu: it reads the lock-free applied map.
+// The lock order is always s.mu before the facade lock, and no read takes
+// s.mu: the rank path and Snapshot read the lock-free applied map.
 //
 // Sessions has no exported mutators: set and drop are reached only
 // through Server.Apply, which journals and pokes around them.
 type Sessions struct {
 	f *Facade
 
-	mu    sync.Mutex
-	users map[string]*session
-	// count mirrors len(users) so Count is lock-free: s.mu is held across
-	// the facade write lock during applies, and a stats scrape must not
-	// queue behind an apply just to read the session count.
+	// mu serializes session writes, each held across the facade write lock
+	// and the journal submit.
+	mu sync.Mutex
+	// count is the number of live sessions, moved on insert and delete under
+	// s.mu, so a stats scrape does not queue behind an apply to read it.
 	count atomic.Int64
 
-	// applied maps user -> appliedContext for every user whose session is
-	// applied. It is written only while holding the facade write lock and
-	// read lock-free (notably under the facade read lock inside the rank
-	// path, where taking s.mu would deadlock against set), so a reader
-	// holding the read lock sees exactly the state it is ranking under.
+	// applied maps user -> appliedContext, one immutable record for every
+	// user whose session is applied. It is written only while holding s.mu
+	// and the facade write lock and read lock-free (notably under the facade
+	// read lock inside the rank path, where taking s.mu would deadlock
+	// against set), so a reader holding the read lock sees exactly the state
+	// it is ranking under, and a session read waits for nobody's apply.
 	applied sync.Map
 }
 
-type session struct {
-	measurements []Measurement
-	fingerprint  string
-}
-
-// appliedContext is what Sessions publishes about a user's applied session.
+// appliedContext is what Sessions publishes about a user's applied session,
+// replaced whole by the user's next apply.
 type appliedContext struct {
+	// measurements are the applied measurements; nobody writes them.
+	measurements []Measurement
 	// fingerprint hashes the applied measurements: two applies of the same
 	// measurements rank the same, so it keys the user's cached rankings.
 	fingerprint string
@@ -109,7 +108,7 @@ type appliedContext struct {
 
 // newSessions builds an empty session manager over the facade.
 func newSessions(f *Facade) *Sessions {
-	return &Sessions{f: f, users: make(map[string]*session)}
+	return &Sessions{f: f}
 }
 
 // validateSession checks a session update before any lock is taken.
@@ -157,11 +156,11 @@ func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (s
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess := &session{measurements: ms, fingerprint: fingerprint(user, ms)}
-	if err := s.replaceLocked(user, sess, func() { commit(sess.fingerprint) }); err != nil {
+	next := &appliedContext{measurements: ms, fingerprint: fingerprint(user, ms)}
+	if err := s.replaceLocked(user, next, func() { commit(next.fingerprint) }); err != nil {
 		return "", err
 	}
-	return sess.fingerprint, nil
+	return next.fingerprint, nil
 }
 
 // drop ends the user's session, retracting its rows and retiring its basic
@@ -171,7 +170,7 @@ func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (s
 func (s *Sessions) drop(user string, commit func()) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.users[user] == nil {
+	if _, ok := s.applied.Load(user); !ok {
 		commit()
 		return nil
 	}
@@ -180,14 +179,18 @@ func (s *Sessions) drop(user string, commit func()) error {
 
 // replaceLocked makes next (nil: none) the user's session: inside one facade
 // write section it checks the guard, applies next in place of the user's
-// previous context, settles the session map and runs commit. Caller holds
-// s.mu.
-func (s *Sessions) replaceLocked(user string, next *session, commit func()) error {
-	prev := s.users[user]
+// previous context, counts an inserted or deleted session and runs commit.
+// Caller holds s.mu.
+func (s *Sessions) replaceLocked(user string, next *appliedContext, commit func()) error {
+	var prev *appliedContext
+	if a, ok := s.applied.Load(user); ok {
+		a := a.(appliedContext)
+		prev = &a
+	}
 	// The concepts whose assertions this write adds, alters or retracts: the
 	// user's previous and new vocabulary. No other is touched.
 	changed := make([]string, 0, 16)
-	for _, sess := range [2]*session{prev, next} {
+	for _, sess := range [2]*appliedContext{prev, next} {
 		if sess == nil {
 			continue
 		}
@@ -213,12 +216,12 @@ func (s *Sessions) replaceLocked(user string, next *session, commit func()) erro
 		f.bumpLocked()
 		return err
 	}
-	if next != nil {
-		s.users[user] = next
-	} else {
-		delete(s.users, user)
+	switch {
+	case prev == nil && next != nil:
+		s.count.Add(1)
+	case prev != nil && next == nil:
+		s.count.Add(-1)
 	}
-	s.count.Store(int64(len(s.users)))
 	commit()
 	return nil
 }
@@ -240,9 +243,10 @@ func (s *Sessions) guardLocked(concepts []string) error {
 }
 
 // applyLocked applies sess (nil: nothing) as the user's whole context and
-// publishes the result. changed names the concepts the write touches, for
-// the cross-user coupling check. Caller holds s.mu and the facade write lock.
-func (s *Sessions) applyLocked(user string, sess *session, changed []string) error {
+// publishes the result under the apply's generation. changed names the
+// concepts the write touches, for the cross-user coupling check. Caller
+// holds s.mu and the facade write lock.
+func (s *Sessions) applyLocked(user string, sess *appliedContext, changed []string) error {
 	f := s.f
 	if s.couplesLocked(changed) {
 		f.bumpLocked()
@@ -261,7 +265,9 @@ func (s *Sessions) applyLocked(user string, sess *session, changed []string) err
 	// Published inside the write critical section: a reader holding the
 	// facade read lock sees exactly the context it is ranking under.
 	if sess != nil {
-		s.applied.Store(user, appliedContext{fingerprint: sess.fingerprint, generation: generation})
+		rec := *sess
+		rec.generation = generation
+		s.applied.Store(user, rec)
 		return nil
 	}
 	s.applied.Delete(user)
@@ -285,18 +291,17 @@ func (s *Sessions) appliedContext(user string) appliedContext {
 }
 
 // Snapshot returns the user's measurements together with the matching
-// fingerprint under a single lock hold, so the pair is consistent even
-// while concurrent Sets replace the session.
+// fingerprint from one published record, so the pair is consistent even
+// while concurrent Sets replace the session, and it waits for no apply.
 func (s *Sessions) Snapshot(user string) ([]Measurement, string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.users[user]
+	v, ok := s.applied.Load(user)
 	if !ok {
 		return nil, "", false
 	}
-	out := make([]Measurement, len(sess.measurements))
-	copy(out, sess.measurements)
-	return out, sess.fingerprint, true
+	a := v.(appliedContext)
+	out := make([]Measurement, len(a.measurements))
+	copy(out, a.measurements)
+	return out, a.fingerprint, true
 }
 
 // IsSessionConcept reports whether the concept is part of the currently
@@ -312,9 +317,8 @@ func (s *Sessions) IsSessionConcept(concept string) bool {
 	return ours > 0
 }
 
-// Count returns the number of live sessions. It is lock-free (reading a
-// mirror of len(users) maintained under s.mu), so it never queues behind
-// an in-flight apply — Stats calls it on the scrape path.
+// Count returns the number of live sessions. It is lock-free, so it never
+// queues behind an in-flight apply — Stats calls it on the scrape path.
 func (s *Sessions) Count() int {
 	return int(s.count.Load())
 }

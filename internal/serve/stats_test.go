@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -104,5 +105,68 @@ func TestStatsCountersSurviveConcurrency(t *testing.T) {
 	}
 	if got := srv.Stats().Sessions; got != 0 {
 		t.Fatalf("sessions after drop = %d, want 0", got)
+	}
+}
+
+// TestSessionInfoWaitsForNoApply: reading one user's session returns while
+// another user's apply is parked inside its write section — it holds the
+// session mutex and waits for the facade write lock — instead of queueing
+// behind every write in the server.
+func TestSessionInfoWaitsForNoApply(t *testing.T) {
+	srv := NewServer(contextrank.NewSystem(), Options{})
+	if _, err := srv.Declare([]string{"CtxA"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	ms := []Measurement{{Concept: "CtxA", Prob: 0.5}}
+	fp, err := srv.SetSession("b", ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 1. Facade write lock held.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	go srv.Facade().WithWriteEpoch(func(sys *contextrank.System) error { //nolint:errcheck // error is nil by construction
+		close(entered)
+		<-release
+		return nil
+	})
+	<-entered
+	// 2. User a's apply parks behind it, holding the session mutex.
+	applied := make(chan error, 1)
+	go func() {
+		_, err := srv.SetSession("a", []Measurement{{Concept: "CtxA", Prob: 1}})
+		applied <- err
+	}()
+	for srv.sessions.mu.TryLock() {
+		srv.sessions.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+
+	// 3. User b's session reads back at once.
+	type info struct {
+		ms []Measurement
+		fp string
+		ok bool
+	}
+	done := make(chan info, 1)
+	go func() {
+		ms, fp, ok := srv.SessionInfo("b")
+		done <- info{ms, fp, ok}
+	}()
+	select {
+	case got := <-done:
+		if !got.ok || got.fp != fp || !slices.Equal(got.ms, ms) {
+			t.Errorf("SessionInfo(b) = %+v, want %v with fingerprint %s", got, ms, fp)
+		}
+	case <-time.After(time.Second):
+		t.Error("SessionInfo(b) blocked behind user a's apply")
+	}
+	close(release)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if _, got, ok := srv.SessionInfo("a"); !ok || got == "" {
+		t.Fatalf("user a's session after its apply: %q, %v", got, ok)
 	}
 }

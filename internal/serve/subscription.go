@@ -345,8 +345,8 @@ func (s *Server) subscribe(rec *journal.Record, submit func()) (SubscriptionInfo
 
 // unsubscribe is Apply's OpUnsubscribe body, reporting whether the id
 // existed; an unknown id still submits (see Apply on the resurrection
-// guard). rec.User is filled with the owner so routed replay can shard
-// the record like a session record.
+// guard). rec.User is filled with the owner, so the journaled record names
+// whose subscription it retires.
 func (s *Server) unsubscribe(rec *journal.Record, submit func()) bool {
 	s.subs.mu.Lock()
 	sub, found := s.subs.subs[rec.SubID]

@@ -1,8 +1,10 @@
 #!/bin/sh
 # unreached.sh — functions no binary reaches: every non-test top-level func
 # of the module (and of bench/) that the linker keeps out of every main
-# package, built with inlining off. It prints one candidate a line —
-# file:line, length in lines, linker symbol — and then their count.
+# package, built with inlining off, both plain and with -tags carverify (a
+# function only the verification build calls is reached). It prints one
+# candidate a line — file:line, length in lines, linker symbol — and then
+# their count.
 #
 # Not a gate: a call through an interface is no edge in the linker's
 # dependency dump, so a method reached only that way is listed too. Confirm
@@ -20,13 +22,14 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# dump DIR PKG...: build each main package under module DIR and append the
-# symbols its dependency dump names to $tmp/reached.
+# dump TAGS DIR PKG...: build each main package under module DIR with build
+# tags TAGS and append the symbols its dependency dump names to $tmp/reached.
 dump() {
-	dir=$1
-	shift
+	tags=$1
+	dir=$2
+	shift 2
 	for pkg in "$@"; do
-		(cd "$dir" && go build -gcflags=all=-l -ldflags=-dumpdep -o /dev/null "$pkg" 2>&1) |
+		(cd "$dir" && go build -tags "$tags" -gcflags=all=-l -ldflags=-dumpdep -o /dev/null "$pkg" 2>&1) |
 			awk -F ' -> ' -v pkg="$pkg" 'NF == 2 {
 				for (i = 1; i <= 2; i++) {
 					s = $i
@@ -39,10 +42,12 @@ dump() {
 	done
 }
 
-# shellcheck disable=SC2046 # one argument per package path
-dump . $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
-# shellcheck disable=SC2046
-dump bench $(cd bench && go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+for tags in '' carverify; do
+	# shellcheck disable=SC2046 # one argument per package path
+	dump "$tags" . $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+	# shellcheck disable=SC2046
+	dump "$tags" bench $(cd bench && go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+done
 sort -u "$tmp/reached" -o "$tmp/reached"
 
 # Every top-level func of the non-test files, as "symbol file:line length".
