@@ -56,8 +56,9 @@ type Applied struct {
 // items stay applied and durable, the failed item is neither, and an
 // empty prefix journals nothing, so replay never re-fails.
 // RemoveRule/Exec journal on success only. A Set is stamped with the
-// fingerprint its apply produced. A Drop of an absent user and an
-// Unsubscribe of an unknown id are still journaled: an earlier attempt
+// fingerprint its apply produced; one repeating the applied measurements
+// applies and journals nothing (see Sessions.set). A Drop of an absent user
+// and an Unsubscribe of an unknown id are still journaled: an earlier attempt
 // may have applied and then failed its journal write, and without the
 // record the WAL would hold a live Set/Subscribe whose replay resurrects
 // state the client was told is gone.
@@ -76,9 +77,10 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	// copy journaled here has.
 	rec.Preserved = false
 	var (
-		out  Applied
-		err  error
-		wait func() error
+		out    Applied
+		err    error
+		wait   func() error
+		repeat bool
 	)
 	// submit journals rec as it stands; each op calls it inside its own
 	// critical section once rec holds exactly what was applied.
@@ -93,10 +95,16 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	}
 	switch rec.Op {
 	case journal.OpSet:
-		out.Fingerprint, err = s.sessions.set(rec.User, measurementsFromWire(rec.Measurements), func(fp string) {
+		out.Fingerprint, repeat, err = s.sessions.set(rec.User, measurementsFromWire(rec.Measurements), func(fp string) {
 			rec.Fingerprint = fp
 			submit()
 		})
+		// A repeat of the applied measurements applied nothing: it journals
+		// nothing and pokes nothing, and its ack waits only until the PUT
+		// it repeats is durable.
+		if j := s.wal.Load(); repeat && j != nil {
+			wait = j.Sync
+		}
 	case journal.OpDrop:
 		err = s.sessions.drop(rec.User, submit)
 	case journal.OpDeclare:
@@ -165,7 +173,7 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	if wait != nil {
 		jerr = wait()
 	}
-	if !pokeFirst {
+	if !pokeFirst && !repeat {
 		s.pokeSubs()
 	}
 	// An apply error wins: the client saw no acknowledgement, so the
@@ -177,8 +185,15 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	// write as acknowledged (a retry re-applies idempotently); with
 	// degraded mode armed the record joins the unjournaled tail so
 	// ProbeDisk re-journals it when the disk recovers — the WAL must end
-	// up agreeing with the in-memory state it missed.
-	s.health.noteJournalError(rec, jerr)
+	// up agreeing with the in-memory state it missed. A repeat applied
+	// nothing to re-journal — the PUT it repeats, if it is not durable
+	// either, was noted by its own Apply — but its failed sync still
+	// engages degraded mode, whose probe resets the journal.
+	noted := &rec
+	if repeat {
+		noted = nil
+	}
+	s.health.noteJournalError(noted, jerr)
 	return out, fmt.Errorf("serve: %s applied but not journaled: %w", opNames[rec.Op], notJournaled{jerr})
 }
 

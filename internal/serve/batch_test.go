@@ -155,8 +155,9 @@ func TestRankBatchPerItemErrors(t *testing.T) {
 }
 
 // TestRankBatchAlgorithms: naive batches agree with factorized batches
-// (same semantics), and a batch under view or sampled — experiment rankers
-// the server does not serve — is refused whole.
+// (same semantics), a naive target item is never cached and counts a
+// rank-cache miss, and a batch under view or sampled — experiment rankers the
+// server does not serve — is refused whole.
 func TestRankBatchAlgorithms(t *testing.T) {
 	srv, user := batchServer(t, 3)
 	items := []RankItem{{Target: "TvProgram"}, {Candidates: []string{"tv000", "tv001"}}}
@@ -164,9 +165,14 @@ func TestRankBatchAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := srv.Stats().Cache
 	naive, _, err := srv.RankBatch(user, contextrank.AlgorithmNaive, items)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after := srv.Stats().Cache; naive[0].Cached || after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("naive target item: cached %v, rank-cache hits +%d misses +%d; want a counted miss",
+			naive[0].Cached, after.Hits-before.Hits, after.Misses-before.Misses)
 	}
 	for i := range fact {
 		if fact[i].Err != nil || naive[i].Err != nil {
@@ -226,9 +232,11 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("another user's session apply invalidated the plan (misses %d -> %d)", misses, got)
 	}
 
-	// The user's own session update moves their applied generation, even
-	// when the measurements (and so the fingerprint) stay the same.
+	// The user's own session update moves their applied generation (a
+	// repeat of the applied measurements is no update; see
+	// TestIdenticalPutIsANoOp).
 	ms, _, _ := srv.SessionInfo(user)
+	ms[0].Prob /= 2
 	if _, err := srv.SetSession(user, ms); err != nil {
 		t.Fatal(err)
 	}

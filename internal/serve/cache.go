@@ -16,21 +16,18 @@ import (
 // DefaultCacheSize is the rank cache capacity when Options leaves it zero.
 const DefaultCacheSize = 1024
 
-// rankKey builds the cache key for one ranking request of a user whose
-// applied context has fingerprint fp. The epoch is not part of it: a
-// vocabulary write leaves the key where it was, and the entry filed under it
-// is either served again — revalidated (see Server.revalidate) and filed anew
-// in place — or replaced by the rank that follows. The empty algorithm is
-// normalized to the default so both spellings share one entry. Free-form
-// fields are length-prefixed: a bare separator byte would let
-// values containing that byte collide across fields (JSON strings can
-// carry any byte, including NUL).
-func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
-	if opts.Algorithm == "" {
-		opts.Algorithm = contextrank.AlgorithmFactorized
-	}
+// rankKey builds the cache key for one factorized ranking request: the user,
+// the target and the result shaping. Nothing of the state is in it — what a
+// filed ranking stands on is its plan number (see Server.stands) — so a write
+// leaves the key where it was, and the entry filed under it is either served
+// again, as it stands or revalidated (see Server.revalidate), or replaced by
+// the rank that follows. Only factorized rankings are filed, so the algorithm
+// is not part of it either. Free-form fields are length-prefixed: a bare
+// separator byte would let values containing that byte collide across fields
+// (JSON strings can carry any byte, including NUL).
+func rankKey(user, target string, opts contextrank.RankOptions) string {
 	var b strings.Builder
-	b.Grow(len(user) + len(target) + len(fp) + 48)
+	b.Grow(len(user) + len(target) + 40)
 	field := func(s string) {
 		b.WriteString(strconv.Itoa(len(s)))
 		b.WriteByte(':')
@@ -38,8 +35,6 @@ func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
 	}
 	field(user)
 	field(target)
-	field(string(opts.Algorithm))
-	field(fp)
 	b.WriteString(strconv.FormatFloat(opts.Threshold, 'g', -1, 64))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(opts.Limit))
@@ -52,17 +47,15 @@ func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
 	return b.String()
 }
 
-// ranked is one served ranking together with what it stands on: the owner's
-// state version it was ranked at and, for a target, the membership handle of
+// ranked is one served ranking together with what it stands on: the number of
+// the plan it was scored with (planEntry; 0 when it stands on nothing — a
+// naive rank, or a failed one) and, for a target, the membership handle of
 // the candidates it scored (nil for an explicit candidate list). The rank
 // cache files it, rankMisses returns it per item and a subscription keeps the
-// one it last pushed, and all three ask current the same question. The result
-// slice is shared between every reader and must be treated as immutable.
-//
-// A factorized target ranking also keeps the number of the plan it was scored
-// with (planEntry): after a write that moved only the epoch it lets
-// rankMisses re-score the few candidates the write moved instead of all of
-// them (see Server.revalidate).
+// one it last pushed, and all three ask Server.stands the same question. The
+// result slice is shared between every reader and must be treated as
+// immutable. epoch is the facade epoch it was served at, only ever reported
+// (RankMeta, subscription events).
 //
 // enc is the ranking's JSON results array as the handler writes it, made
 // empty when rankMisses files the ranking and filled by its first cache hit
@@ -71,29 +64,41 @@ func rankKey(user, target, fp string, opts contextrank.RankOptions) string {
 // one that is not filed has none.
 type ranked struct {
 	res     []contextrank.Result
-	v       stateVersion
 	members *contextrank.Membership
 	enc     *atomic.Pointer[[]byte]
 	planSeq uint64
+	epoch   int64
 }
 
-// current reports whether the ranking is still the one a fresh rank at now
-// would return: the owner's version stands, and nobody's write has reached
-// the target's members — which any user's apply to session vocabulary the
-// target mentions does without moving the epoch or the owner's fingerprint.
-// A few atomic loads.
-func (r ranked) current(now stateVersion) bool {
-	return r.v == now && (r.members == nil || r.members.Current())
+// stands reports whether r is still the ranking a fresh rank of its request
+// for user would return. The paper scores each candidate on its own, as a
+// function of the user's rules, context and the candidate's preference
+// memberships (DESIGN §1), and a compiled plan is that function, so r stands
+// while its plan does: the user's plan-cache entry is the one r was scored
+// with, that entry holds for the context generation and the user's applied
+// generation now (planEntry.holds), and nobody's write has reached the
+// target's members — which any user's apply to session vocabulary the target
+// mentions does without moving either generation. A rank-cache hit, a
+// subscription skip and checkReuse all ask it. Lock-free: atomic loads and
+// the plan LRU's mutex. Each part is a counter that only moves forward or a
+// plan number never reused (a drop returns the applied generation to 0, which
+// reads as a user never applied), so parts read at different instants that
+// all still hold held together at the first of them.
+func (s *Server) stands(user string, r ranked) bool {
+	e, ok := s.plans.get(user)
+	return ok && e.seq == r.planSeq &&
+		e.holds(s.facade.contextGeneration(), s.sessions.appliedContext(user).generation) &&
+		(r.members == nil || r.members.Current())
 }
 
 // checkReuse re-ranks rq for user from scratch under the facade read lock and
 // panics unless r, the ranking a cache hit or the subscription evaluator
 // reused, is the same bit for bit — the carverify build's check (verifyReuse),
-// which every test then runs at every reuse. It compares nothing when what r
-// stands on has moved by the time the lock is held.
+// which every test then runs at every reuse. It compares nothing when r no
+// longer stands by the time the lock is held.
 func (s *Server) checkReuse(site, user string, rq rankReq, r ranked) {
 	_ = s.facade.WithRead(func(sys *contextrank.System) error {
-		if now, _ := s.version(user); r.current(now) {
+		if s.stands(user, r) {
 			s.checkReuseLocked(sys, site, user, rq, r)
 		}
 		return nil
@@ -101,7 +106,7 @@ func (s *Server) checkReuse(site, user string, rq rankReq, r ranked) {
 }
 
 // checkReuseLocked is checkReuse for a caller holding the read lock, with r
-// current.
+// standing.
 func (s *Server) checkReuseLocked(sys *contextrank.System, site, user string, rq rankReq, r ranked) {
 	var (
 		fresh []contextrank.Result
@@ -222,25 +227,6 @@ func newRankCache(capacity int) *rankCache {
 	return c
 }
 
-// lookup returns the ranking filed under key and whether it is a hit: current
-// at now, the version the key was built from. A ranking scored with a plan at
-// an epoch the state has left is returned as no hit and not counted — the
-// caller hands it to rankMisses, which counts it when it revalidates it or
-// ranks again. The read path files under the key it observed, which need not
-// be the key anyone looked up.
-func (c *rankCache) lookup(key string, now stateVersion) (ranked, bool) {
-	r, ok := c.get(key)
-	switch {
-	case ok && r.current(now):
-		c.hits.Add(1)
-		return r, true
-	case ok && r.planSeq != 0 && r.v.epoch != now.epoch:
-		return r, false
-	}
-	c.misses.Add(1)
-	return ranked{}, false
-}
-
 func (c *rankCache) stats() CacheStats {
 	s := c.lru.stats()
 	s.Revalidated = c.revalidated.Load()
@@ -258,8 +244,9 @@ type CacheStats struct {
 	// Refreshed counts the misses that replaced a cached but stale plan,
 	// not a user's first compile (plan cache only).
 	Refreshed int64 `json:"refreshed,omitempty"`
-	// Revalidated counts the hits served after a write moved the epoch, by
-	// re-scoring only the candidates the write moved (rank cache only).
+	// Revalidated counts the hits served against the plan a refresh
+	// replaced, by re-scoring only the candidates the write moved (rank
+	// cache only).
 	Revalidated int64 `json:"revalidated,omitempty"`
 }
 

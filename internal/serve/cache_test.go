@@ -15,15 +15,14 @@ func res(ids ...string) []contextrank.Result {
 }
 
 func TestRankKeyDistinguishesEveryDimension(t *testing.T) {
-	base := rankKey("u", "T", "fp", contextrank.RankOptions{})
+	base := rankKey("u", "T", contextrank.RankOptions{})
 	variants := []string{
-		rankKey("v", "T", "fp", contextrank.RankOptions{}),
-		rankKey("u", "S", "fp", contextrank.RankOptions{}),
-		rankKey("u", "T", "fq", contextrank.RankOptions{}),
-		rankKey("u", "T", "fp", contextrank.RankOptions{Algorithm: contextrank.AlgorithmNaive}),
-		rankKey("u", "T", "fp", contextrank.RankOptions{Threshold: 0.1}),
-		rankKey("u", "T", "fp", contextrank.RankOptions{Limit: 5}),
-		rankKey("u", "T", "fp", contextrank.RankOptions{Explain: true}),
+		rankKey("v", "T", contextrank.RankOptions{}),
+		rankKey("u", "S", contextrank.RankOptions{}),
+		rankKey("u", "T", contextrank.RankOptions{Threshold: 0.1}),
+		rankKey("u", "T", contextrank.RankOptions{Limit: 5}),
+		rankKey("u", "T", contextrank.RankOptions{TopK: 5}),
+		rankKey("u", "T", contextrank.RankOptions{Explain: true}),
 	}
 	seen := map[string]bool{base: true}
 	for i, v := range variants {
@@ -37,15 +36,10 @@ func TestRankKeyDistinguishesEveryDimension(t *testing.T) {
 func TestRankKeyResistsSeparatorInjection(t *testing.T) {
 	// JSON strings may contain any byte; values must not be able to
 	// shift bytes between fields and collide.
-	a := rankKey("a\x00b", "c", "", contextrank.RankOptions{})
-	b := rankKey("a", "b\x00c", "", contextrank.RankOptions{})
+	a := rankKey("a\x00b", "c", contextrank.RankOptions{})
+	b := rankKey("a", "b\x00c", contextrank.RankOptions{})
 	if a == b {
 		t.Fatalf("cross-field collision: %q", a)
-	}
-	c := rankKey("u", "T\x001", "", contextrank.RankOptions{})
-	d := rankKey("u", "T", "\x001", contextrank.RankOptions{})
-	if c == d {
-		t.Fatalf("target/fingerprint collision: %q", c)
 	}
 }
 
@@ -72,31 +66,35 @@ func TestRankCacheLRUEviction(t *testing.T) {
 }
 
 func TestRankCacheStoresOnlyUnderObservedKey(t *testing.T) {
-	// A miss whose caller looked up under a version the state has since left
-	// files the result only under the version it ranked at. The requested
-	// key must stay empty: fingerprints round-trip, so an entry under the
-	// stale key would later serve a wrong-context result as a hit.
+	// A miss is stamped with the number of the plan it was ranked with under
+	// the lock, never with anything its caller read before: an apply landing
+	// between the look-up and the rank leaves the filed ranking standing and
+	// the one ranked before the apply not.
 	srv := NewServer(newTestSystem(t), Options{})
 	applyCtx(t, srv, "u", "CtxA", 1)
-	old, _ := srv.version("u")
-	oldKey := rankKey("u", "TvProgram", old.fp, contextrank.RankOptions{})
-	if _, ok := srv.cache.lookup(oldKey, old); ok {
-		t.Fatal("hit in an empty cache")
+	before, _, err := srv.rank("u", rankReq{target: "TvProgram", opts: contextrank.RankOptions{Limit: 3}})
+	if err != nil || !srv.stands("u", before) {
+		t.Fatalf("ranking just filed does not stand (err %v)", err)
+	}
+	rq := rankReq{target: "TvProgram"}
+	if _, hit := srv.cached("u", &rq); hit {
+		t.Fatal("hit on a request never ranked")
 	}
 	applyCtx(t, srv, "u", "CtxB", 1) // lands between the look-up and the rank
+	if srv.stands("u", before) {
+		t.Fatal("a ranking from before the apply still stands")
+	}
 	out := make([]RankItemResult, 1)
-	v, err := srv.rankMisses("u", []rankReq{{target: "TvProgram"}}, out)
-	if err != nil || out[0].Err != nil {
+	if _, err := srv.rankMisses("u", []rankReq{rq}, out); err != nil || out[0].Err != nil {
 		t.Fatal(err, out[0].Err)
 	}
-	if now, _ := srv.version("u"); v != now || v == old || out[0].ranked.v != v {
-		t.Fatalf("ranked at %+v (item %+v), state is %+v, looked up at %+v", v, out[0].ranked.v, now, old)
+	e, ok := srv.plans.get("u")
+	if !ok || out[0].ranked.planSeq != e.seq || e.seq == before.planSeq {
+		t.Fatalf("ranked with plan %d, the cache holds %d (ok %v), before the apply %d", out[0].ranked.planSeq, e.seq, ok, before.planSeq)
 	}
-	if _, ok := srv.cache.lookup(oldKey, old); ok {
-		t.Fatal("requested (stale) key was cached")
-	}
-	if r, ok := srv.cache.lookup(rankKey("u", "TvProgram", v.fp, contextrank.RankOptions{}), v); !ok || len(r.res) != len(out[0].Results) {
-		t.Fatal("observed key not cached")
+	filed, ok := srv.cache.get(rankKey("u", "TvProgram", contextrank.RankOptions{}))
+	if !ok || filed.planSeq != e.seq || !srv.stands("u", filed) || len(filed.res) != len(out[0].Results) {
+		t.Fatalf("filed ranking (ok %v, plan %d) does not stand on plan %d", ok, filed.planSeq, e.seq)
 	}
 }
 

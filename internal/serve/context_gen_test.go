@@ -50,9 +50,8 @@ func settleSubs(t *testing.T, srv *Server) {
 	for {
 		settled := len(srv.subs.poke) == 0
 		for _, sub := range srv.subs.snapshot() {
-			now, _ := srv.version(sub.spec.User)
 			sub.mu.Lock()
-			settled = settled && sub.evaluated && sub.stands.current(now)
+			settled = settled && sub.evaluated && srv.stands(sub.spec.User, sub.ranking)
 			sub.mu.Unlock()
 		}
 		if settled {

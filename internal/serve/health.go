@@ -77,20 +77,24 @@ func (h *diskHealth) checkWritable() error {
 // degradedNow reports whether degraded mode is engaged.
 func (h *diskHealth) degradedNow() bool { return h != nil && h.degraded.Load() }
 
-// noteJournalError records an applied-but-unjournaled mutation and, when
-// the policy is armed, engages degraded mode.
-func (h *diskHealth) noteJournalError(rec journal.Record, err error) {
+// noteJournalError records an applied-but-unjournaled mutation — none when
+// rec is nil: a repeat PUT applied nothing, yet its failed sync left the
+// journal refusing writes until a probe resets it — and, when the policy is
+// armed, engages degraded mode.
+func (h *diskHealth) noteJournalError(rec *journal.Record, err error) {
 	if h == nil || !h.enabled {
 		return
 	}
-	h.mu.Lock()
-	if len(h.tail) < maxUnjournaledTail {
-		h.tail = append(h.tail, rec)
-		h.tailLen.Store(int64(len(h.tail)))
-	} else {
-		h.dropped.Add(1)
+	if rec != nil {
+		h.mu.Lock()
+		if len(h.tail) < maxUnjournaledTail {
+			h.tail = append(h.tail, *rec)
+			h.tailLen.Store(int64(len(h.tail)))
+		} else {
+			h.dropped.Add(1)
+		}
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
 	if h.degraded.CompareAndSwap(false, true) {
 		reason := err.Error()
 		h.reason.Store(&reason)

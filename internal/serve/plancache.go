@@ -6,9 +6,9 @@ import (
 	contextrank "repro"
 )
 
-// planCacheSize is the compiled-plan LRU capacity. Plans are per-user (not
-// per-target), so a modest capacity covers many more distinct rank requests
-// than the same number of rank-result entries.
+// planCacheSize is the least compiled-plan LRU capacity, and its capacity
+// when the rank cache is disabled; otherwise it holds as many users as the
+// rank cache holds rankings (see NewServer).
 const planCacheSize = 256
 
 // planEntry is one user's cached compiled plan, with the facade's context
@@ -28,8 +28,22 @@ type planEntry struct {
 	prevSeq    uint64
 }
 
-// planCache is the LRU of compiled rank plans, one entry per user: 256
-// entries are 256 users, whatever the write or apply rate. Compiled plans are
+// resolvedAt reports whether e's context half was resolved at the context
+// generation and applied generation given.
+func (e planEntry) resolvedAt(contextGen, generation int64) bool {
+	return e.contextGen == contextGen && e.generation == generation
+}
+
+// holds reports whether e's plan scores the state at the context generation
+// and applied generation given: its context half was resolved at both, and no
+// table a rule's preference reads has been written since (Plan.Current).
+// planFor serves the plan on it, and Server.stands a ranking scored with it.
+func (e planEntry) holds(contextGen, generation int64) bool {
+	return e.resolvedAt(contextGen, generation) && e.plan.Current()
+}
+
+// planCache is the LRU of compiled rank plans, one entry per user: n entries
+// are n users, whatever the write or apply rate. Compiled plans are
 // immutable and safe to share between concurrent rankers. Concurrent compiles
 // for one user are not serialized (the compile runs under the facade read
 // lock); the first to file wins (see file), so every ranking scored with a
@@ -40,12 +54,6 @@ type planCache struct {
 	refreshed atomic.Int64
 	// seq numbers the compiled plans, from 1.
 	seq atomic.Uint64
-}
-
-func newPlanCache() *planCache {
-	c := &planCache{}
-	c.init(planCacheSize)
-	return c
 }
 
 // file files e under user when the entry there is still the one the caller

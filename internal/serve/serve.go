@@ -18,16 +18,18 @@
 //   - Sessions keeps one context per user and applies each update as an
 //     owner-scoped apply that replaces that user's rows and basic events
 //     and nobody else's, so many situated users share one System at a
-//     cost per update that does not grow with their number. Each session
-//     carries a fingerprint of its measurements which keys that user's
-//     cache entries. An update retires the events the user's previous one
-//     declared, so session churn (updates and drops) cannot grow the
-//     event space past the live vocabulary.
+//     cost per update that does not grow with their number. Each apply
+//     publishes its generation, which the user's compiled plan stands on;
+//     a repeat of the applied measurements applies nothing. An update
+//     retires the events the user's previous one declared, so session
+//     churn (updates and drops) cannot grow the event space past the live
+//     vocabulary.
 //
 //   - Server adds an LRU rank-result cache, a per-user compiled-plan
-//     cache and hit/latency statistics. What a served ranking stands on —
-//     and so what each kind of write invalidates — is one table in
-//     DESIGN.md §3.
+//     cache and hit/latency statistics. A served ranking stands on the
+//     plan that scored it (Server.stands); what that plan stands on — and
+//     so what each kind of write invalidates — is one table in DESIGN.md
+//     §3.
 //
 // Every mutation — context apply, vocabulary write, subscription — is a
 // journal.Record fed to Server.Apply (apply.go), the one place that
@@ -61,15 +63,15 @@ import (
 // server is mutated through Server.Apply, which takes the write side via
 // WithWriteEpoch.
 //
-// The epoch is bumped even when a write returns an error, because several
-// System mutators apply partially before failing (e.g. AddRule
-// auto-declares context concepts before validating the preference
-// vocabulary). Epoch over-invalidation is harmless — it can never serve a
-// stale ranking.
-//
-// The context generation is the part of the epoch a compiled plan's context
-// half stands on (see Server.planFor): every epoch bump moves it too, except
-// an assert whose concepts and roles no registered rule's context reads.
+// The epoch numbers the writes; the read path reports it (RankMeta,
+// subscription events) and decides nothing by it. The context generation is
+// the part of it a compiled plan's context half stands on (see
+// Server.planFor): every epoch bump moves it too, except an assert whose
+// concepts and roles no registered rule's context reads. Both move even
+// when a write returns an error, because several System mutators apply
+// partially before failing (e.g. AddRule auto-declares context concepts
+// before validating the preference vocabulary); over-invalidation is
+// harmless — it can never serve a stale ranking.
 type Facade struct {
 	mu         sync.RWMutex
 	sys        *contextrank.System

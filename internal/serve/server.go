@@ -125,16 +125,25 @@ var _ Backend = (*Server)(nil)
 func NewServer(sys *contextrank.System, opts Options) *Server {
 	srv := &Server{
 		facade:  NewFacade(sys),
-		plans:   newPlanCache(),
 		latency: newLatencyRecorder(),
 		health:  &diskHealth{enabled: opts.DegradeOnDiskError},
 		subs:    newSubRegistry(),
 		start:   time.Now(),
 	}
 	srv.sessions = newSessions(srv.facade)
+	// A filed ranking stands only while its user's plan entry is cached
+	// (Server.stands), so the plan LRU holds as many users as the rank cache
+	// holds rankings: a ranking whose key the rank LRU holds then finds its
+	// user among as many users whose plans were looked up since — every rank
+	// and every hit looks its user's plan up — unless subscriptions of users
+	// who do not rank took some of those places.
+	plans := planCacheSize
 	if opts.CacheSize >= 0 {
 		srv.cache = newRankCache(opts.CacheSize)
+		plans = max(plans, srv.cache.capacity)
 	}
+	srv.plans = &planCache{}
+	srv.plans.init(plans)
 	return srv
 }
 
@@ -177,7 +186,7 @@ func (s *Server) Close() {
 // RankMeta describes how a Rank call was served.
 type RankMeta struct {
 	Cached  bool          // served from the rank cache
-	Epoch   int64         // facade epoch the result corresponds to
+	Epoch   int64         // facade epoch read before a hit's check, or under the lock it ranked under; reported only
 	Shard   int           // shard that served the call: always 0, the one replica
 	Elapsed time.Duration // wall time of this call
 
@@ -186,36 +195,9 @@ type RankMeta struct {
 	enc *atomic.Pointer[[]byte]
 }
 
-// stateVersion is the state a user's ranking is valid for — the facade epoch
-// and the user's applied session fingerprint. Two ranks of one request at one
-// version score the same, so a filed ranking at an unchanged version is a hit;
-// the fingerprint keys the rank cache, and the epoch says whether a write
-// landed since (see ranked; DESIGN §3 "What a served ranking stands on" says
-// who moves each part and what it covers).
-type stateVersion struct {
-	epoch int64
-	fp    string
-}
-
-// version reads the user's current state version and applied generation — the
-// only place the epoch is paired with what the user's last apply published.
-// The generation is not part of the version: a re-apply of identical
-// measurements renames the user's context events, which a compiled plan holds
-// (see planFor), but cannot move their scores. Both reads are lock-free
-// (a session apply holds its mutex across the facade write lock, so taking
-// that mutex under the read lock would deadlock) and both only change under
-// the facade write lock: read while holding the read lock they are exactly
-// the state being read; read outside it they are a guess the read path
-// re-checks (see rankMisses).
-func (s *Server) version(user string) (v stateVersion, generation int64) {
-	applied := s.sessions.appliedContext(user)
-	return stateVersion{epoch: s.facade.Epoch(), fp: applied.fingerprint}, applied.generation
-}
-
 // rankReq is one ranking task as the read path carries it: a target or a
 // candidate list, the options it ranks under and, when the rank cache holds
-// one filed at an epoch the state has left, that ranking for rankMisses to
-// revalidate.
+// one that no longer stands, that ranking for rankMisses to revalidate.
 type rankReq struct {
 	target     string
 	candidates []string
@@ -223,8 +205,8 @@ type rankReq struct {
 	prior      ranked
 }
 
-// Rank ranks target for user through the cache: a hit under an unchanged
-// version is O(1), a miss — or a ranking a write may have moved — ranks
+// Rank ranks target for user through the cache: a ranking that stands is
+// served in O(1), a miss — or a ranking a write may have moved — ranks
 // through rankMisses.
 func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error) {
 	if err := s.rankFault(); err != nil {
@@ -235,28 +217,15 @@ func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]cont
 }
 
 // rank is Rank for any one request, returning the ranking with what it
-// stands on (on an error, the version it failed at): the subscription
-// evaluator keeps that to decide its next skip.
+// stands on: the subscription evaluator keeps that to decide its next skip.
 func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 	started := time.Now()
 	s.requests.Add(1)
-	var (
-		r      ranked
-		cached bool
-		err    error
-	)
-	if s.cache != nil && rq.candidates == nil {
-		now, _ := s.version(user)
-		if rq.prior, cached = s.cache.lookup(rankKey(user, rq.target, now.fp, rq.opts), now); cached {
-			r = rq.prior
-			if verifyReuse {
-				s.checkReuse("rank-cache hit", user, rq, r)
-			}
-		}
-	}
+	r, cached := s.cached(user, &rq)
+	var err error
 	if !cached {
 		out := make([]RankItemResult, 1)
-		if r.v, err = s.rankMisses(user, []rankReq{rq}, out); err == nil {
+		if _, err = s.rankMisses(user, []rankReq{rq}, out); err == nil {
 			r, cached, err = out[0].ranked, out[0].Cached, out[0].Err
 		}
 	}
@@ -264,36 +233,77 @@ func (s *Server) rank(user string, rq rankReq) (ranked, RankMeta, error) {
 	if err == nil {
 		s.latency.observe(elapsed)
 	}
-	return r, RankMeta{Cached: cached, Epoch: r.v.epoch, Elapsed: elapsed, enc: r.enc}, err
+	return r, RankMeta{Cached: cached, Epoch: r.epoch, Elapsed: elapsed, enc: r.enc}, err
+}
+
+// cached serves rq's target ranking from the rank cache when the one filed
+// there stands, reporting the epoch read just before the question; one that
+// no longer stands becomes rq's prior, for rankMisses to revalidate. Only
+// factorized target rankings are filed: a naive one has no plan to stand on,
+// so it is ranked every time and counted a miss.
+func (s *Server) cached(user string, rq *rankReq) (ranked, bool) {
+	if s.cache == nil || rq.candidates != nil || rq.target == "" {
+		return ranked{}, false
+	}
+	epoch := s.facade.Epoch()
+	r, ok := ranked{}, false
+	if factorized(rq.opts.Algorithm) {
+		r, ok = s.cache.get(rankKey(user, rq.target, rq.opts))
+	}
+	if ok && s.stands(user, r) {
+		s.cache.hits.Add(1)
+		if verifyReuse {
+			s.checkReuse("rank-cache hit", user, *rq, r)
+		}
+		r.epoch = epoch
+		return r, true
+	}
+	if !ok {
+		s.cache.misses.Add(1)
+	}
+	rq.prior = r
+	return ranked{}, false
+}
+
+// reusedPlanCheckPaused, set only by a test, turns off rankMisses' check of
+// the rankings scored with a reused plan, so that an allocation count in the
+// carverify build measures the served rank and not the from-scratch rank the
+// check compares it with.
+var reusedPlanCheckPaused atomic.Bool
+
+// factorized reports whether alg ranks through the user's compiled plan.
+func factorized(alg contextrank.Algorithm) bool {
+	return alg == "" || alg == contextrank.AlgorithmFactorized
 }
 
 // rankMisses is the one place the server ranks: the misses of Rank, of
 // RankBatch and of a subscription evaluation end here. Under one facade
-// read-lock hold — one consistent snapshot — it re-reads the user's version,
-// fetches the user's compiled plan once (the factorized algorithm; naive
-// ranks without one), serves every req that carries a prior ranking the
-// writes since have not moved (revalidate) and ranks every other req whose
-// out slot is not already served from the cache, and files each target
-// result in the rank cache under the version observed *here*, never under the
-// caller's pre-read one: fingerprints round-trip (context X → Y → X yields
-// the same key again with no epoch bump), so a Y-context result filed under
-// the stale X key would later be served as a hit for a genuine X request.
-// Candidate-list results are not cached (their keys would have unbounded
-// cardinality). All reqs of one call share one algorithm.
+// read-lock hold — one consistent snapshot — it reads the user's applied
+// generation and the context generation, fetches the user's compiled plan
+// once (the factorized algorithm; naive ranks without one), serves every req
+// that carries a prior ranking the writes since have not moved (revalidate)
+// and ranks every other req whose out slot is not already served from the
+// cache, and files each factorized target result in the rank cache stamped
+// with the number of the plan observed *here*: that plan, not whatever the
+// caller looked up against, is what the result stands on. Candidate-list
+// results are not cached (their keys would have unbounded cardinality). All
+// reqs of one call share one algorithm.
 //
-// A failing req fails its own out slot; the returned error is the shared
-// plan failing to compile (e.g. a rule references vocabulary mid-migration),
-// which no req could have survived. The returned version is the one observed
-// under the lock — what the results are valid for.
-func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (v stateVersion, err error) {
+// A failing req fails its own out slot, and its ranking stands on nothing;
+// the returned error is the shared plan failing to compile (e.g. a rule
+// references vocabulary mid-migration), which no req could have survived.
+// The returned epoch is the one read under the lock.
+func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (epoch int64, err error) {
 	err = s.facade.WithRead(func(sys *contextrank.System) error {
-		var generation int64
-		v, generation = s.version(user)
-		contextGen := s.facade.contextGeneration()
-		var pe planEntry
-		if alg := reqs[0].opts.Algorithm; alg == "" || alg == contextrank.AlgorithmFactorized {
+		epoch = s.facade.Epoch()
+		var (
+			pe     planEntry
+			reused bool
+		)
+		if factorized(reqs[0].opts.Algorithm) {
 			var perr error
-			if pe, perr = s.planFor(sys, user, contextGen, generation); perr != nil {
+			generation := s.sessions.appliedContext(user).generation
+			if pe, reused, perr = s.planFor(sys, user, s.facade.contextGeneration(), generation); perr != nil {
 				return perr
 			}
 		}
@@ -303,7 +313,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				continue
 			}
 			if rq.prior.planSeq != 0 {
-				if r, ok := s.revalidate(user, rq, pe, v); ok {
+				if r, ok := s.revalidate(user, rq, pe, epoch); ok {
 					if verifyReuse {
 						s.checkReuseLocked(sys, "revalidated ranking", user, rq, r)
 					}
@@ -312,7 +322,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 				}
 				s.cache.misses.Add(1)
 			}
-			r := ranked{v: v, planSeq: pe.seq}
+			r := ranked{epoch: epoch}
 			var rerr error
 			switch {
 			case rq.candidates != nil:
@@ -322,20 +332,26 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 			default:
 				r.res, r.members, rerr = sys.RankTarget(user, plan, rq.target, rq.opts)
 			}
-			if rerr == nil && rq.candidates == nil && s.cache != nil {
-				r.enc = new(atomic.Pointer[[]byte])
-				s.cache.put(rankKey(user, rq.target, v.fp, rq.opts), r)
+			if rerr == nil {
+				if verifyReuse && reused && !reusedPlanCheckPaused.Load() {
+					s.checkReuseLocked(sys, "ranking with a reused plan", user, rq, r)
+				}
+				r.planSeq = pe.seq
+				if rq.candidates == nil && s.cache != nil && plan != nil {
+					r.enc = new(atomic.Pointer[[]byte])
+					s.cache.put(rankKey(user, rq.target, rq.opts), r)
+				}
 			}
 			out[i] = RankItemResult{Results: r.res, Err: rerr, ranked: r}
 		}
 		return nil
 	})
-	return v, err
+	return epoch, err
 }
 
-// revalidate serves rq's prior ranking — filed at an epoch the state has
-// since left — once more, filed anew at v, when the writes in between moved no
-// candidate into it. The paper scores every candidate on its own (DESIGN §1),
+// revalidate serves rq's prior ranking — filed, and no longer standing — once
+// more, filed anew with pe's number, when the writes since moved no candidate
+// into it. The paper scores every candidate on its own (DESIGN §1),
 // so a write moves only the scores of the candidates whose preference
 // memberships it moved, the ids plan.MovedSince names, as long as the plan
 // around them scores as the prior's did: the ranking was scored with pe's
@@ -344,14 +360,13 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 // plan numbers are unique, planFor files (and serves) an entry only under
 // the context generation and applied generation its context half was
 // resolved at, and a kept context half keeps both, so a ranking that names
-// pe or its predecessor stands on the user's current context and
-// fingerprint. The ranking then stands when it was cut to its k results and
+// pe or its predecessor stands on the user's current context. The ranking then stands when it was cut to its k results and
 // every moved candidate of the target is out of it and orders after its last
 // result, or falls at or below the threshold; each is scored through
 // ScoreWith. An explained or uncut ranking is ranked again, as is one the
-// plan cannot vouch for. Caller holds the facade read lock, with v read
+// plan cannot vouch for. Caller holds the facade read lock, with epoch read
 // under it.
-func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersion) (ranked, bool) {
+func (s *Server) revalidate(user string, rq rankReq, pe planEntry, epoch int64) (ranked, bool) {
 	r, opts, plan := rq.prior, rq.opts, pe.plan
 	scored := pe.prev
 	if r.planSeq == pe.seq {
@@ -389,8 +404,8 @@ func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersio
 			return ranked{}, false
 		}
 	}
-	r.v, r.planSeq = v, pe.seq
-	s.cache.put(rankKey(user, rq.target, v.fp, opts), r)
+	r.epoch, r.planSeq = epoch, pe.seq
+	s.cache.put(rankKey(user, rq.target, opts), r)
 	s.cache.hits.Add(1)
 	s.cache.revalidated.Add(1)
 	return r, true
@@ -420,17 +435,18 @@ func (s *Server) revalidate(user string, rq rankReq, pe planEntry, v stateVersio
 // A compile is filed only over the entry it read. One that lost the race to
 // a concurrent compile of the same snapshot serves the entry filed first
 // instead of its own, so the rankings of both name the one plan the cache
-// keeps and stay revalidatable.
-func (s *Server) planFor(sys *contextrank.System, user string, contextGen, generation int64) (planEntry, error) {
+// keeps and stay revalidatable. reused reports a plan not compiled from
+// scratch here — a hit, a refresh keeping the context half, or the entry a
+// concurrent compile filed — whose rankings the carverify build checks.
+func (s *Server) planFor(sys *contextrank.System, user string, contextGen, generation int64) (e planEntry, reused bool, err error) {
 	prev, ok := s.plans.get(user)
-	keep := ok && prev.contextGen == contextGen && prev.generation == generation
-	if keep && prev.plan.Current() {
+	if ok && prev.holds(contextGen, generation) {
 		s.plans.hits.Add(1)
-		return prev, nil
+		return prev, true, nil
 	}
+	keep := ok && prev.resolvedAt(contextGen, generation)
 	s.plans.misses.Add(1)
-	e := planEntry{contextGen: contextGen, generation: generation, seq: s.plans.seq.Add(1)}
-	var err error
+	e = planEntry{contextGen: contextGen, generation: generation, seq: s.plans.seq.Add(1)}
 	if keep {
 		e.plan, err = sys.RefreshRankPlan(prev.plan)
 		e.prev, e.prevSeq = prev.plan, prev.seq
@@ -438,15 +454,15 @@ func (s *Server) planFor(sys *contextrank.System, user string, contextGen, gener
 		e.plan, err = sys.CompileRankPlan(user)
 	}
 	if err != nil {
-		return planEntry{}, err
+		return planEntry{}, false, err
 	}
 	if ok {
 		s.plans.refreshed.Add(1)
 	}
-	if w := s.plans.file(user, prev.seq, e); w.contextGen == contextGen && w.generation == generation {
-		return w, nil
+	if w := s.plans.file(user, prev.seq, e); w.resolvedAt(contextGen, generation) {
+		return w, keep || w.seq != e.seq, nil
 	}
-	return e, nil
+	return e, keep, nil
 }
 
 // RankItem is one ranking task inside a RankBatch call or a subscription:
@@ -506,32 +522,24 @@ func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankI
 	}
 	s.requests.Add(int64(len(items)))
 
-	v, _ := s.version(user)
 	reqs := make([]rankReq, len(items))
 	out := make([]RankItemResult, len(items))
+	var meta RankMeta
 	misses := 0
 	for i, it := range items {
 		reqs[i] = rankReq{target: it.Target, candidates: it.Candidates, opts: it.options(alg)}
-		if it.Candidates == nil && it.Target != "" && s.cache != nil {
-			r, ok := s.cache.lookup(rankKey(user, it.Target, v.fp, reqs[i].opts), v)
-			if ok {
-				if verifyReuse {
-					s.checkReuse("rank-cache hit", user, reqs[i], r)
-				}
-				out[i] = RankItemResult{Results: r.res, Cached: true, ranked: r}
-				continue
-			}
-			reqs[i].prior = r
+		if r, ok := s.cached(user, &reqs[i]); ok {
+			out[i] = RankItemResult{Results: r.res, Cached: true, ranked: r}
+			meta.Epoch = r.epoch
+			continue
 		}
 		misses++
 	}
 
-	var meta RankMeta
 	if misses > 0 {
-		v, err = s.rankMisses(user, reqs, out)
+		meta.Epoch, err = s.rankMisses(user, reqs, out)
 	}
 	meta.Cached = !slices.ContainsFunc(out, func(it RankItemResult) bool { return !it.Cached })
-	meta.Epoch = v.epoch
 	if err != nil {
 		return nil, meta, err
 	}

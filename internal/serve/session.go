@@ -27,21 +27,23 @@ type Measurement = situation.Measurement
 // under arbitrary churn (a drop retires exactly the dropped user's events).
 //
 // A successful session write does not bump the facade epoch: it publishes the
-// user's new context fingerprint — which keys that user's cached rankings —
-// and the generation of the apply — which the user's compiled rank plan is
-// valid for — so only that user's cached state is invalidated. Every way one
-// user's write can reach another user's ranking is therefore named here, and
-// each degrades to a full epoch bump, which moves the context generation too
-// (every user's compiled plan resolves its contexts again):
+// generation of the apply, which the user's compiled rank plan — and so every
+// ranking scored with it — is valid for, so only that user's cached state is
+// invalidated. A repeat of the applied measurements applies nothing and
+// publishes nothing. Every way one user's write can reach another user's
+// ranking is therefore named here, and each degrades to a full epoch bump,
+// which moves the context generation too (every user's compiled plan
+// resolves its contexts again):
 //
 //   - A concept the write changes occurs inside a role-restriction filler of
 //     a registered rule (e.g. WHEN ∃watchesWith.InKitchen): the user's own
 //     membership flips the rule for users reachable over the role edge.
 //   - A concept the write changes occurs anywhere in a registered rule's
 //     preference (PREFER Person AND InKitchen): membership in it is the
-//     document side of every user's score. (A compiled plan would notice by
-//     itself — its membership handle reads the concept's table — but a
-//     cached ranking at an unchanged epoch and fingerprint is a hit.)
+//     document side of every user's score. (A compiled plan notices by
+//     itself — its membership handle reads the concept's table — so this
+//     half of the bump only costs every user a context recompile the write
+//     did not need; the epoch it moves is reported, not asked.)
 //   - A drop while a rule's context reads the closed domain (¬, ⊤, a
 //     nominal): the dropped user reads as one never applied, but the first
 //     apply registered them, and such a context reads that.
@@ -96,13 +98,13 @@ type Sessions struct {
 type appliedContext struct {
 	// measurements are the applied measurements; nobody writes them.
 	measurements []Measurement
-	// fingerprint hashes the applied measurements: two applies of the same
-	// measurements rank the same, so it keys the user's cached rankings.
+	// fingerprint hashes the applied measurements: the journal carries it,
+	// and set compares it to tell a repeat PUT.
 	fingerprint string
 	// generation is the apply's own number (the epoch in the user's context
-	// event names). A re-apply of identical measurements re-declares the
-	// events under new names, so anything holding them — a compiled rank plan
-	// — is valid for one generation, not for one fingerprint.
+	// event names). A context that comes back (X → Y → X) is declared under
+	// new names, so anything holding them — a compiled rank plan — is valid
+	// for one generation, not for one fingerprint.
 	generation int64
 }
 
@@ -144,23 +146,29 @@ func validateSession(user string, measurements []Measurement) error {
 
 // set replaces the user's session context with ms (which it takes
 // ownership of; empty is a valid "no context" session), applies it and
-// returns the new context fingerprint. commit is Server.Apply's journal
+// returns the new context fingerprint, and whether ms repeats the applied
+// measurements. commit is Server.Apply's journal
 // submit: it runs with the fingerprint after a successful apply, while s.mu
 // and the facade write lock are still held, so the journal's total order is
 // exactly the apply order across session and vocabulary writes. A refused or
 // failed apply commits nothing: the journal records only state that actually
-// took effect.
-func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (string, error) {
+// took effect. Nor does a repeat, which applies nothing: it would only rename
+// the user's context events, and with them move the generation every ranking
+// of the user stands on.
+func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (fp string, repeat bool, err error) {
 	if err := validateSession(user, ms); err != nil {
-		return "", err
+		return "", false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	next := &appliedContext{measurements: ms, fingerprint: fingerprint(user, ms)}
-	if err := s.replaceLocked(user, next, func() { commit(next.fingerprint) }); err != nil {
-		return "", err
+	if cur := s.appliedContext(user); cur.fingerprint == next.fingerprint && slices.Equal(cur.measurements, ms) {
+		return next.fingerprint, true, nil
 	}
-	return next.fingerprint, nil
+	if err := s.replaceLocked(user, next, func() { commit(next.fingerprint) }); err != nil {
+		return "", false, err
+	}
+	return next.fingerprint, false, nil
 }
 
 // drop ends the user's session, retracting its rows and retiring its basic

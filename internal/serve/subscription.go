@@ -9,12 +9,13 @@
 // mutations. It is woken by a buffered poke channel
 // (every mutator pokes on its way out; a poke during a pass stays queued,
 // so the pass after it observes the newest state) and skips any
-// subscription whose last pushed ranking is still current — the question a
-// rank-cache hit asks (see ranked.current): the owner's state version stands
-// and nobody's write reached the target's members — so a context apply for
-// user A never pays a re-rank for user B unless it moved B's scores (coupled
-// through a rule's role filler or preference, or failed: the epoch; see
-// Sessions) or B's candidates (A entered a session concept B's target
+// subscription whose last pushed ranking still stands — the question a
+// rank-cache hit asks (Server.stands): the owner's plan still holds and
+// nobody's write reached the target's members — so a write never pays a
+// re-rank for user B unless it moved B's scores (B's own apply, an apply
+// coupled through a rule's role filler or preference, or a failed one: the
+// context generation, see Sessions; a write to a table B's rules read: the
+// plan's handles) or B's candidates (A entered a session concept B's target
 // mentions: the target's handle). Evaluation is a rank like any other
 // (Server.rank) — and after the owner's own context apply, or a vocabulary
 // write, their plan is compiled again (see planFor): the compile pays for the
@@ -146,9 +147,9 @@ type Subscription struct {
 	scores map[string]float64
 	last   []SubResult
 	// evaluated + the ranking the last evaluation returned, with what it
-	// stands on (on an error, the version it failed at); see evalSub.
+	// stands on (on an error, nothing); see evalSub.
 	evaluated bool
-	stands    ranked
+	ranking   ranked
 	lastErr   string
 	events    chan SubEvent
 }
@@ -411,7 +412,7 @@ func (st *SubStream) TakeLagged() bool {
 func (st *SubStream) Resync() SubEvent {
 	st.sub.mu.Lock()
 	defer st.sub.mu.Unlock()
-	return st.sub.snapshotEventLocked("resync", st.sub.stands.v.epoch)
+	return st.sub.snapshotEventLocked("resync", st.sub.ranking.epoch)
 }
 
 // Close detaches the consumer.
@@ -455,7 +456,7 @@ func (s *Server) SubscriptionStream(id string) (*SubStream, error) {
 		break
 	}
 	sub.lagged = false
-	snap := sub.snapshotEventLocked("snapshot", sub.stands.v.epoch)
+	snap := sub.snapshotEventLocked("snapshot", sub.ranking.epoch)
 	if sub.lastErr != "" {
 		snap = SubEvent{Type: "error", ID: sub.id, Seq: sub.seq, Error: sub.lastErr}
 	}
@@ -499,25 +500,24 @@ func (s *Server) subEvalLoop() {
 	}
 }
 
-// evalSub re-ranks one subscription unless the ranking it last pushed is
-// still current, and pushes a snapshot (first evaluation), delta (scores
-// moved) or error event. What it stores is what the ranking reports it
-// stands on — not the version read here to decide the skip — so the stored
-// state always describes the pushed scores: a mutation landing after the rank
-// leaves it stale, and that mutation's own poke re-evaluates; one landing
-// just before the rank is already reflected, and a context that round-trips
-// X → Y → X around a rank that saw Y cannot be mistaken for "still X".
+// evalSub re-ranks one subscription unless the ranking it last pushed still
+// stands (Server.stands, the question a rank-cache hit asks), and pushes a
+// snapshot (first evaluation), delta (scores moved) or error event. What it
+// keeps is the ranking the rank returned, with the plan it stands on, so a
+// mutation landing after the rank leaves it standing on nothing, and that
+// mutation's own poke re-evaluates; a failed rank stands on nothing, so an
+// erroring subscription is evaluated on every pass and pushes nothing while
+// its error text is unchanged.
 func (s *Server) evalSub(sub *Subscription) {
-	now, _ := s.version(sub.spec.User)
 	item := sub.spec.RankItem
 	rq := rankReq{target: item.Target, candidates: item.Candidates, opts: item.options("")}
 	sub.mu.Lock()
-	if sub.closed || (sub.evaluated && sub.stands.current(now)) {
-		stands, check := sub.stands, !sub.closed && sub.lastErr == ""
+	if sub.closed || (sub.evaluated && s.stands(sub.spec.User, sub.ranking)) {
+		ranking, check := sub.ranking, !sub.closed
 		sub.mu.Unlock()
 		s.subs.skipped.Add(1)
 		if verifyReuse && check {
-			s.checkReuse("subscription skip", sub.spec.User, rq, stands)
+			s.checkReuse("subscription skip", sub.spec.User, rq, ranking)
 		}
 		return
 	}
@@ -531,8 +531,8 @@ func (s *Server) evalSub(sub *Subscription) {
 	if sub.closed {
 		return
 	}
-	prev := sub.stands.res
-	sub.stands = r
+	prev := sub.ranking.res
+	sub.ranking = r
 	first := !sub.evaluated
 	sub.evaluated = true
 	if err != nil {

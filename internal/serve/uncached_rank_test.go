@@ -26,6 +26,8 @@ func TestUncachedRankAllocs(t *testing.T) {
 	}
 	before := srv.Stats()
 	next := 0
+	reusedPlanCheckPaused.Store(true)
+	defer reusedPlanCheckPaused.Store(false)
 	allocs := testing.AllocsPerRun(runs, func() {
 		_, meta, err := srv.Rank(users[next%2], target, opts)
 		if err != nil {
