@@ -66,8 +66,8 @@ import (
 //     the user's own context applies, with another user's apply that reaches
 //     this user's contexts over a role edge, and with any write to a table a
 //     rule's context reads; nothing in the plan notices, so whoever caches a
-//     plan keys it by the user's applied generation and by what those writes
-//     move, as internal/serve does with its context generation.
+//     plan drops it on such a write, as internal/serve's writes forget the
+//     plan-cache entries they reach.
 //   - The document side is checked against the event space once per rank
 //     (DocSide.Probs): a data event retired under a live plan makes the next
 //     rank of every plan that shares the side fail with "not declared", never
@@ -223,11 +223,12 @@ func putScratch(sc *PlanScratch) { scratchPool.Put(sc) }
 // keep, when non-nil, is a plan compiled earlier for the same user and rules
 // whose context half the caller knows to be still exact: the user's context
 // has not been applied again and nothing written since reaches a table a
-// rule's context reads (internal/serve decides that with its context
-// generation). The compile then takes each rule's context event, probability
-// and block keys from keep and resolves only the preference half — the memo's
-// handles, the shared document side and the partition. A keep compiled for
-// another user, loader or rule list is ignored.
+// rule's context reads (internal/serve knows it by the entry still being
+// cached: a write forgets the entries whose context half it reaches). The
+// compile then takes each rule's context event, probability and block keys
+// from keep and resolves only the preference half — the memo's handles, the
+// shared document side and the partition. A keep compiled for another user,
+// loader or rule list is ignored.
 func CompilePlan(l *mapping.Loader, user string, rules []prefs.Rule, keep *Plan) (*Plan, error) {
 	return compilePlan(l, user, rules, nil, keep)
 }

@@ -90,8 +90,13 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 			wait = j.Submit(rec)
 		}
 	}
+	// vocab runs a vocabulary write that may reach any user's context, so it
+	// forgets every plan.
 	vocab := func(op func(sys *contextrank.System) error) {
-		out.Epoch, err = s.facade.WithWriteEpoch(op)
+		out.Epoch, err = s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
+			s.plans.forget()
+			return op(sys)
+		})
 	}
 	switch rec.Op {
 	case journal.OpSet:
@@ -116,14 +121,14 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 			return opErr
 		})
 	case journal.OpAssert:
-		// The one write that may leave the context generation alone.
-		out.Epoch, err = s.facade.write(func(sys *contextrank.System) (bool, error) {
-			reaches := assertReachesContext(sys, &rec)
+		// The one vocabulary write that forgets only the plans it reaches.
+		out.Epoch, err = s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
+			s.forgetAsserted(sys, &rec)
 			opErr := s.assertPrefix(sys, &rec)
 			if len(rec.ConceptAsserts)+len(rec.RoleAsserts) > 0 {
 				submit()
 			}
-			return reaches, opErr
+			return opErr
 		})
 	case journal.OpAddRules:
 		vocab(func(sys *contextrank.System) error {
@@ -223,34 +228,49 @@ func declarePrefix(sys *contextrank.System, rec *journal.Record) error {
 	return nil
 }
 
-// assertReachesContext reports whether an assert record can move a rule
-// context's membership for some user, and so the context generation: whether
-// a registered rule's context reads a table the record writes. A context's
-// membership reads only the tables of the concepts and roles it names, and
-// dl_domain when it holds ¬, ⊤ or a nominal — which an assert grows by every
-// individual it names first. Caller holds the facade write lock.
-func assertReachesContext(sys *contextrank.System, rec *journal.Record) bool {
-	return sys.Rules().Any(func(rule contextrank.Rule) bool {
-		return mapping.ReadsDomain(rule.Context) || namesAsserted(rule.Context, rec)
+// forgetAsserted forgets the plans whose context half an assert record can
+// reach, before any of it applies. A context's membership reads only the
+// tables of the concepts and roles it names, and dl_domain when it holds ¬, ⊤
+// or a nominal — which an assert grows by every individual it names first.
+// Outside every role filler, such a table decides only the membership of the
+// individual a row names (a concept's id, a role's source), so the plans of
+// the individuals the record names are forgotten; inside a filler it decides
+// that of anyone with an edge to them, so every plan is. Caller holds the
+// facade write lock.
+func (s *Server) forgetAsserted(sys *contextrank.System, rec *journal.Record) {
+	var concepts, roles, named []string
+	for _, a := range rec.ConceptAsserts {
+		concepts, named = append(concepts, a.Concept), append(named, a.ID)
+	}
+	for _, a := range rec.RoleAsserts {
+		roles, named = append(roles, a.Role), append(named, a.Src, a.Dst)
+	}
+	var near, far bool
+	sys.Rules().Any(func(rule contextrank.Rule) bool {
+		n, f := reach(rule.Context, concepts, roles, false)
+		near, far = near || n || mapping.ReadsDomain(rule.Context), far || f
+		return far
 	})
+	switch {
+	case far:
+		s.plans.forget()
+	case near && named != nil:
+		s.plans.forget(named...)
+	}
 }
 
-// namesAsserted reports whether e names a concept or role rec asserts.
-func namesAsserted(e *dl.Expr, rec *journal.Record) bool {
-	switch e.Op() {
-	case dl.OpAtom:
-		return slices.ContainsFunc(rec.ConceptAsserts, func(a journal.ConceptAssert) bool { return a.Concept == e.Name() })
-	case dl.OpExists:
-		if slices.ContainsFunc(rec.RoleAsserts, func(a journal.RoleAssert) bool { return a.Role == e.Name() }) {
-			return true
-		}
-	}
+// reach reports whether one of the concepts or roles occurs in e outside
+// every role-restriction filler (near) or inside one (far); e itself counts
+// as inside one when inFiller is set.
+func reach(e *dl.Expr, concepts, roles []string, inFiller bool) (near, far bool) {
+	named := e.Op() == dl.OpAtom && slices.Contains(concepts, e.Name()) ||
+		e.Op() == dl.OpExists && slices.Contains(roles, e.Name())
+	near, far = named && !inFiller, named && inFiller
 	for _, a := range e.Args() {
-		if namesAsserted(a, rec) {
-			return true
-		}
+		n, f := reach(a, concepts, roles, inFiller || e.Op() == dl.OpExists)
+		near, far = near || n, far || f
 	}
-	return false
+	return near, far
 }
 
 // assertPrefix is declarePrefix for an assert record. Concepts that are

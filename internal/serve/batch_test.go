@@ -195,11 +195,10 @@ func TestRankBatchAlgorithms(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation: the user's own session applies (applied
-// generation), rule changes (context generation) and data writes a
-// preference reads (the plan's handles) must each invalidate the user's
-// cached plan — and another user's apply, or a data write no rule reads, must
-// not.
+// TestPlanCacheInvalidation: the user's own session applies and rule changes
+// (each forgets the user's plan entry) and data writes a preference reads
+// (the plan's handles) must each invalidate the user's cached plan — and
+// another user's apply, or a data write no rule reads, must not.
 func TestPlanCacheInvalidation(t *testing.T) {
 	srv, user := batchServer(t, 4)
 	// Every probe uses a fresh limit so it always misses the rank-result
@@ -232,9 +231,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("another user's session apply invalidated the plan (misses %d -> %d)", misses, got)
 	}
 
-	// The user's own session update moves their applied generation (a
-	// repeat of the applied measurements is no update; see
-	// TestIdenticalPutIsANoOp).
+	// The user's own session update forgets their plan (a repeat of the
+	// applied measurements is no update; see TestIdenticalPutIsANoOp).
 	ms, _, _ := srv.SessionInfo(user)
 	ms[0].Prob /= 2
 	if _, err := srv.SetSession(user, ms); err != nil {
@@ -266,8 +264,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	misses = srv.plans.misses.Load()
 
 	// A data write bumps the facade epoch, but one that no rule reads moves
-	// nothing the plan stands on: neither the context generation nor a table
-	// a preference reads.
+	// nothing the plan stands on: it forgets no plan and writes no table a
+	// preference reads.
 	epoch := srv.facade.Epoch()
 	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "watched", Src: user, Dst: "tv001", Prob: 0.9}}); err != nil {
 		t.Fatal(err)

@@ -75,19 +75,19 @@ type ranked struct {
 // function of the user's rules, context and the candidate's preference
 // memberships (DESIGN §1), and a compiled plan is that function, so r stands
 // while its plan does: the user's plan-cache entry is the one r was scored
-// with, that entry holds for the context generation and the user's applied
-// generation now (planEntry.holds), and nobody's write has reached the
-// target's members — which any user's apply to session vocabulary the target
-// mentions does without moving either generation. A rank-cache hit, a
+// with — a write that reaches the user's context forgets the entry, so a
+// cached entry's context half is exact — no table a rule's preference reads
+// has been written since (Plan.Current), and nobody's write has reached the
+// target's members, which any user's apply to session vocabulary the target
+// mentions does without reaching this user's context. A rank-cache hit, a
 // subscription skip and checkReuse all ask it. Lock-free: atomic loads and
-// the plan LRU's mutex. Each part is a counter that only moves forward or a
-// plan number never reused (a drop returns the applied generation to 0, which
-// reads as a user never applied), so parts read at different instants that
-// all still hold held together at the first of them.
+// the plan LRU's mutex. An entry, once forgotten, never comes back — plan
+// numbers are never reused — and table versions only move forward, so parts
+// read at different instants that all still hold held together at the first
+// of them.
 func (s *Server) stands(user string, r ranked) bool {
 	e, ok := s.plans.get(user)
-	return ok && e.seq == r.planSeq &&
-		e.holds(s.facade.contextGeneration(), s.sessions.appliedContext(user).generation) &&
+	return ok && e.seq == r.planSeq && e.plan.Current() &&
 		(r.members == nil || r.members.Current())
 }
 
@@ -241,8 +241,9 @@ type CacheStats struct {
 	Misses   int64   `json:"misses"`
 	Evicted  int64   `json:"evicted"`
 	HitRate  float64 `json:"hit_rate"`
-	// Refreshed counts the misses that replaced a cached but stale plan,
-	// not a user's first compile (plan cache only).
+	// Refreshed counts the misses that kept the user's cached context half
+	// and compiled only the preference half again, not a first compile
+	// (plan cache only).
 	Refreshed int64 `json:"refreshed,omitempty"`
 	// Revalidated counts the hits served against the plan a refresh
 	// replaced, by re-scoring only the candidates the write moved (rank

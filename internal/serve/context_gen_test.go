@@ -12,9 +12,9 @@ import (
 
 // contextGenSystem is newTestSystem with eight rules whose contexts read
 // every kind of table a write can reach: session concepts (CtxA–C, the LocK/
-// LocO exclusive pair), a session concept inside a role filler (InKitchen,
-// coupled over watchesWith) and a data concept (Subscriber). No context
-// reads hasGenre or Unrelated. Ctx_X is declared so a session on Ctx-X fails
+// LocO exclusive pair), a session concept and a data concept inside a role
+// filler (InKitchen and Premium, coupled over watchesWith) and a data concept
+// outside every filler (Subscriber). No context reads hasGenre or Unrelated. Ctx_X is declared so a session on Ctx-X fails
 // inside the apply (the two names share a table).
 func contextGenSystem(t *testing.T) *contextrank.System {
 	t.Helper()
@@ -25,10 +25,10 @@ func contextGenSystem(t *testing.T) *contextrank.System {
 			t.Fatal(err)
 		}
 	}
-	must(sys.DeclareConcept("InKitchen", "Subscriber", "Unrelated", "CtxC", "LocK", "LocO", "Ctx_X"))
+	must(sys.DeclareConcept("InKitchen", "Premium", "Subscriber", "Unrelated", "CtxC", "LocK", "LocO", "Ctx_X"))
 	must(sys.DeclareRole("watchesWith"))
 	for _, rule := range []string{
-		"RULE rc WHEN EXISTS watchesWith.InKitchen PREFER TvProgram AND EXISTS hasGenre.{g0} WITH 0.7",
+		"RULE rc WHEN EXISTS watchesWith.(InKitchen OR Premium) PREFER TvProgram AND EXISTS hasGenre.{g0} WITH 0.7",
 		"RULE rs WHEN Subscriber PREFER TvProgram AND EXISTS hasGenre.{g1} WITH 0.65",
 		"RULE r4 WHEN CtxC PREFER TvProgram AND EXISTS hasGenre.{g2} WITH 0.75",
 		"RULE r5 WHEN CtxA AND CtxC PREFER TvProgram WITH 0.55",
@@ -67,15 +67,16 @@ func settleSubs(t *testing.T, srv *Server) {
 // TestContextGenerationChurn drives Server.Apply through a seeded history of
 // every kind of write — asserts outside every rule context (hasGenre, which
 // the preferences read, and Unrelated, which nothing reads), a role assert
-// inside a coupled context (watchesWith), a data concept a context names
-// (Subscriber), Exec, Declare, AddRules and RemoveRule, coupled, uncoupled
-// and failing session applies, subscriptions — and after each step ranks
-// every user. Every served ranking must equal a fresh CompileRankPlan
-// ranking bit for bit, and the rule contexts the served ranks resolved must
-// be exactly what the write reached: none after a write no context reads (a
-// plan compiled against the epoch alone would resolve all 8 per user), the
-// applying user's after an uncoupled apply, every user's after anything
-// else.
+// of a coupled context (watchesWith), a data concept a context reads outside
+// every role filler (Subscriber) and one it reads inside a filler (Premium),
+// Exec, Declare, AddRules and RemoveRule, coupled, uncoupled and failing
+// session applies, subscriptions — and after each step ranks every user.
+// Every served ranking must equal a fresh CompileRankPlan ranking bit for
+// bit, and the rule contexts the served ranks resolved must be exactly what
+// the write reached: none after a write no context reads (a plan compiled
+// against the epoch alone would resolve all 8 per user), one user's after an
+// uncoupled apply, the named individuals' after a Subscriber or watchesWith
+// assert, every user's after anything else.
 func TestContextGenerationChurn(t *testing.T) {
 	srv := NewServer(contextGenSystem(t), Options{})
 	users := []string{"u0", "u1", "u2", "u3"}
@@ -121,73 +122,82 @@ func TestContextGenerationChurn(t *testing.T) {
 	user := func() string { return users[rng.Intn(len(users))] }
 	tv := func() string { return fmt.Sprintf("tv%02d", rng.Intn(10)) }
 
-	// Each step writes and says which users' context halves it reaches:
-	// "none", "one" (the applying user's) or "all".
+	// Each step writes and says how many users' context halves it reaches:
+	// the applying user's, the individuals an assert names, or all n.
 	var subs, extraRules, declared int
 	type step struct {
 		name string
-		do   func() (reach string)
+		do   func() (reached int64)
 	}
 	kinds := []step{
-		{"hasGenre assert", func() string {
+		{"hasGenre assert", func() int64 {
 			_, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: tv(), Dst: fmt.Sprintf("g%d", rng.Intn(3)), Prob: prob()}})
 			must(err)
-			return "none"
+			return 0
 		}},
-		{"Unrelated assert", func() string {
+		{"Unrelated assert", func() int64 {
 			id := tv()
 			if rng.Intn(2) == 0 {
 				id = fmt.Sprintf("stranger%d", rng.Intn(1000)) // grows dl_domain
 			}
 			_, err := srv.Assert([]ConceptAssertion{{Concept: "Unrelated", ID: id, Prob: prob()}}, nil)
 			must(err)
-			return "none"
+			return 0
 		}},
-		{"watchesWith assert", func() string {
-			_, err := srv.Assert(nil, []RoleAssertion{{Role: "watchesWith", Src: user(), Dst: user(), Prob: prob()}})
+		{"watchesWith assert", func() int64 {
+			src, dst := user(), user()
+			_, err := srv.Assert(nil, []RoleAssertion{{Role: "watchesWith", Src: src, Dst: dst, Prob: prob()}})
 			must(err)
-			return "all"
+			if src == dst {
+				return 1
+			}
+			return 2
 		}},
-		{"Subscriber assert", func() string {
+		{"Subscriber assert", func() int64 {
 			_, err := srv.Assert([]ConceptAssertion{{Concept: "Subscriber", ID: user(), Prob: prob()}}, nil)
 			must(err)
-			return "all"
+			return 1
 		}},
-		{"exec", func() string {
+		{"Premium assert", func() int64 {
+			_, err := srv.Assert([]ConceptAssertion{{Concept: "Premium", ID: user(), Prob: prob()}}, nil)
+			must(err)
+			return n
+		}},
+		{"exec", func() int64 {
 			stmt := fmt.Sprintf("DELETE FROM r_hasGenre WHERE src = '%s'", tv())
 			if rng.Intn(2) == 0 {
 				stmt = fmt.Sprintf("INSERT INTO c_TvProgram (id, ev) VALUES ('tv%02d', EV_TRUE())", 10+rng.Intn(5))
 			}
 			_, _, err := srv.Exec(stmt)
 			must(err)
-			return "all"
+			return n
 		}},
-		{"declare", func() string {
+		{"declare", func() int64 {
 			declared++
 			_, err := srv.Declare([]string{fmt.Sprintf("Extra%d", declared)}, nil, nil)
 			must(err)
-			return "all"
+			return n
 		}},
-		{"rule change", func() string {
+		{"rule change", func() int64 {
 			if extraRules > 0 {
 				_, err := srv.RemoveRule(fmt.Sprintf("extra%d", extraRules))
 				must(err)
 				extraRules--
-				return "all"
+				return n
 			}
 			extraRules++
 			_, _, err := srv.AddRules([]string{fmt.Sprintf("RULE extra%d WHEN CtxB PREFER TvProgram AND EXISTS hasGenre.{g2} WITH 0.5", extraRules)})
 			must(err)
-			return "all"
+			return n
 		}},
-		{"coupled apply", func() string {
+		{"coupled apply", func() int64 {
 			u := user()
 			sessions[u] = session(true)
 			_, err := srv.SetSession(u, sessions[u])
 			must(err)
-			return "all"
+			return n
 		}},
-		{"apply", func() string {
+		{"apply", func() int64 {
 			u := user()
 			next := session(false)
 			coupled := hasKitchen(sessions[u]) // leaving InKitchen couples too
@@ -195,17 +205,17 @@ func TestContextGenerationChurn(t *testing.T) {
 			_, err := srv.SetSession(u, next)
 			must(err)
 			if coupled {
-				return "all"
+				return n
 			}
-			return "one"
+			return 1
 		}},
-		{"failed apply", func() string {
+		{"failed apply", func() int64 {
 			if _, err := srv.SetSession(user(), []Measurement{{Concept: "Ctx-X", Prob: 1}}); err == nil {
 				t.Fatal("a session on Ctx-X applied")
 			}
-			return "all"
+			return n
 		}},
-		{"subscription", func() string {
+		{"subscription", func() int64 {
 			if subs > 0 && rng.Intn(2) == 0 {
 				found, err := srv.Unsubscribe(fmt.Sprintf("sub%d", subs))
 				must(err)
@@ -213,12 +223,12 @@ func TestContextGenerationChurn(t *testing.T) {
 					t.Fatalf("sub%d was not registered", subs)
 				}
 				subs--
-				return "none"
+				return 0
 			}
 			subs++
 			_, err := srv.Subscribe(fmt.Sprintf("sub%d", subs), SubscriptionSpec{User: user(), RankItem: RankItem{Target: "TvProgram", TopK: 3}})
 			must(err)
-			return "none"
+			return 0
 		}},
 	}
 	var history []step
@@ -234,7 +244,7 @@ func TestContextGenerationChurn(t *testing.T) {
 	for si, s := range history {
 		label := fmt.Sprintf("step %d (%s)", si, s.name)
 		before, plans := contextsResolved.Load(), srv.Stats().Plans
-		reach := s.do()
+		reached := s.do()
 		settleSubs(t, srv)
 		served := make([][]contextrank.Result, len(users))
 		for i, u := range users {
@@ -243,11 +253,11 @@ func TestContextGenerationChurn(t *testing.T) {
 		}
 		resolved, after := contextsResolved.Load()-before, srv.Stats().Plans
 		rules := int64(len(srv.Facade().Rules()))
-		want := map[string]int64{"none": 0, "one": rules, "all": n * rules}[reach]
+		want := reached * rules
 		// A carverify build ranks every reused ranking again from scratch,
 		// which resolves contexts of its own: the count is the default build's.
 		if resolved != want && !verifyReuse {
-			t.Fatalf("%s: the served ranks resolved %d rule contexts, want %d (%s of %d users × %d rules)", label, resolved, want, reach, n, rules)
+			t.Fatalf("%s: the served ranks resolved %d rule contexts, want %d (%d of %d users × %d rules)", label, resolved, want, reached, n, rules)
 		}
 		if s.name == "hasGenre assert" && (after.Misses-plans.Misses != n || after.Refreshed-plans.Refreshed != n) {
 			t.Fatalf("%s: plan cache %+v -> %+v, want every user's stale plan recompiled keeping its context", label, plans, after)

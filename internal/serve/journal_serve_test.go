@@ -311,7 +311,7 @@ func TestJournalSubscriptionReplaceOrder(t *testing.T) {
 // TestCheckpointLeavesRankingsCached: a checkpoint dump changes no served
 // state — the snapshot leaves the sessions' context out instead of
 // retracting and re-applying it — so a rank repeated across a checkpoint is
-// a cache hit, and the epoch, the user's applied generation, the plan cache
+// a cache hit, and the epoch, the user's plan-cache entry, the plan cache
 // and the subscription evaluator stand still.
 func TestCheckpointLeavesRankingsCached(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
@@ -329,7 +329,8 @@ func TestCheckpointLeavesRankingsCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, gen := srv.Stats(), srv.Sessions().appliedContext("peter").generation
+	before := srv.Stats()
+	plan, _ := srv.plans.get("peter")
 
 	var snap bytes.Buffer
 	seq, err := srv.CheckpointDump(&snap)
@@ -356,8 +357,8 @@ func TestCheckpointLeavesRankingsCached(t *testing.T) {
 	if after.Epoch != before.Epoch {
 		t.Errorf("epoch %d -> %d across a checkpoint", before.Epoch, after.Epoch)
 	}
-	if g := srv.Sessions().appliedContext("peter").generation; g != gen {
-		t.Errorf("peter's applied generation %d -> %d across a checkpoint", gen, g)
+	if e, ok := srv.plans.get("peter"); !ok || e.seq != plan.seq {
+		t.Errorf("peter's plan %d -> %d (cached %v) across a checkpoint", plan.seq, e.seq, ok)
 	}
 	if after.Plans.Refreshed != before.Plans.Refreshed || after.Plans.Misses != before.Plans.Misses {
 		t.Errorf("plan cache moved across a checkpoint: %+v -> %+v", before.Plans, after.Plans)

@@ -11,35 +11,19 @@ import (
 // rank cache holds rankings (see NewServer).
 const planCacheSize = 256
 
-// planEntry is one user's cached compiled plan, with the facade's context
-// generation and the user's applied generation its context half was resolved
-// at (see Server.planFor, which decides what a look-up counts as), and its
-// number, by which a ranking names the plan it was scored with. A plan
-// compiled keeping its predecessor's context half keeps the predecessor and
-// its number too: the rankings scored with it are revalidated against it
-// (Server.revalidate). A ranking holds only the number, so a filed ranking
-// nobody asks for again keeps no plan alive.
+// planEntry is one user's cached compiled plan and its number, by which a
+// ranking names the plan it was scored with. Its context half is exact while
+// it is cached: a write that can reach the user's context rows forgets the
+// entry (planCache.forget) inside its write section. A plan compiled keeping
+// its predecessor's context half keeps the predecessor and its number too:
+// the rankings scored with it are revalidated against it (Server.revalidate).
+// A ranking holds only the number, so a filed ranking nobody asks for again
+// keeps no plan alive.
 type planEntry struct {
-	contextGen int64
-	generation int64
-	plan       *contextrank.RankPlan
-	seq        uint64
-	prev       *contextrank.RankPlan
-	prevSeq    uint64
-}
-
-// resolvedAt reports whether e's context half was resolved at the context
-// generation and applied generation given.
-func (e planEntry) resolvedAt(contextGen, generation int64) bool {
-	return e.contextGen == contextGen && e.generation == generation
-}
-
-// holds reports whether e's plan scores the state at the context generation
-// and applied generation given: its context half was resolved at both, and no
-// table a rule's preference reads has been written since (Plan.Current).
-// planFor serves the plan on it, and Server.stands a ranking scored with it.
-func (e planEntry) holds(contextGen, generation int64) bool {
-	return e.resolvedAt(contextGen, generation) && e.plan.Current()
+	plan    *contextrank.RankPlan
+	seq     uint64
+	prev    *contextrank.RankPlan
+	prevSeq uint64
 }
 
 // planCache is the LRU of compiled rank plans, one entry per user: n entries
@@ -50,10 +34,30 @@ func (e planEntry) holds(contextGen, generation int64) bool {
 // plan of that snapshot names the one plan the cache holds.
 type planCache struct {
 	lru[planEntry]
-	// refreshed counts the misses that replaced a cached but stale plan.
+	// refreshed counts the misses that kept the user's context half: the
+	// entry was cached, but a table a rule's preference reads was written.
 	refreshed atomic.Int64
-	// seq numbers the compiled plans, from 1.
+	// seq numbers the compiled plans, from 1; a number is never reused.
 	seq atomic.Uint64
+}
+
+// forget removes the users' entries, or every entry when users is nil. A
+// write calls it under the facade write lock for the plans whose context half
+// it can reach, so the next look-up of such a user is a first compile.
+func (c *planCache) forget(users ...string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if users == nil {
+		c.ll.Init()
+		clear(c.items)
+	}
+	for _, user := range users {
+		if el, ok := c.items[user]; ok {
+			c.ll.Remove(el)
+			delete(c.items, user)
+		}
+	}
+	c.size.Store(int64(c.ll.Len()))
 }
 
 // file files e under user when the entry there is still the one the caller

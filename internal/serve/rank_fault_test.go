@@ -47,14 +47,21 @@ func TestRankFaultPointOnTheServer(t *testing.T) {
 
 	// A subscription is evaluated on create and after every write; none of
 	// those re-ranks fires the point.
-	call(t, ts, "POST", "/v1/subscriptions", `{"user":"peter","target":"TvProgram","id":"s"}`, http.StatusCreated, nil)
-	call(t, ts, "PUT", "/v1/sessions/peter/context", `{"measurements":[{"concept":"Weekend","prob":0.5}]}`, http.StatusOK, nil)
-	for deadline := time.Now().Add(5 * time.Second); srv.Subscriptions()[0].Events < 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("the subscription pushed %+v, want a snapshot and a delta", srv.Subscriptions()[0])
+	// The PUT waits for the snapshot: an evaluation that starts after it
+	// would find nothing left to push as a delta.
+	waitEvents := func(n int64, want string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); srv.Subscriptions()[0].Events < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("the subscription pushed %+v, want %s", srv.Subscriptions()[0], want)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	call(t, ts, "POST", "/v1/subscriptions", `{"user":"peter","target":"TvProgram","id":"s"}`, http.StatusCreated, nil)
+	waitEvents(1, "a snapshot")
+	call(t, ts, "PUT", "/v1/sessions/peter/context", `{"measurements":[{"concept":"Weekend","prob":0.5}]}`, http.StatusOK, nil)
+	waitEvents(2, "a snapshot and a delta")
 	if st := srv.Stats().Subs; st.Evals < 2 {
 		t.Fatalf("subscription evaluations %+v, want at least 2", st)
 	}

@@ -341,11 +341,18 @@ func TestAssertIntoTopKReRanks(t *testing.T) {
 // TestRevalidationMatchesUncachedServer drives two identical servers, one
 // without a rank cache, through a seeded history of certain and uncertain
 // hasGenre and hasSubject asserts — on programs a user lists and on others —
-// context applies, rule adds and removes and SQL writes, and ranks after every
-// step through Rank and RankBatch with top_k 0, 3 or 10, a limit and a
-// threshold. Every ranking the cached server serves, revalidated or not, must
-// be the uncached server's bit for bit. Uncertain genre asserts join the rules
-// that read one tuple into a cluster, which a revalidation must see.
+// context applies and drops, rule adds and removes, SQL writes and asserts
+// that reach rule contexts, and ranks after every step through Rank and
+// RankBatch with top_k 0, 3 or 10, a limit and a threshold. Every ranking the
+// cached server serves, revalidated or not, must be the uncached server's bit
+// for bit. Uncertain genre asserts join the rules that read one tuple into a
+// cluster, which a revalidation must see. Four rules reach every way a write
+// can reach a context: a data concept asserted per user (Member), one read
+// inside a role filler together with a session concept (Vip, BenchCtx7 over
+// knows), a session concept in a preference (BenchCtx3, scored over the
+// Person target) and a ¬ context, which reads dl_domain. A concurrent step
+// releases several ranks together right after a write and holds each against
+// the uncached server once all are back.
 func TestRevalidationMatchesUncachedServer(t *testing.T) {
 	cached, plain := revalServer(t, Options{}), revalServer(t, Options{CacheSize: -1})
 	both := func(fn func(srv *Server) error) {
@@ -355,33 +362,52 @@ func TestRevalidationMatchesUncachedServer(t *testing.T) {
 			t.Fatalf("the servers disagree on a write: %v / %v", errA, errB)
 		}
 	}
-	rng := rand.New(rand.NewSource(59))
+	// rng draws the genre history and ctx the second phase's writes that
+	// reach a rule's context, each from its own sequence.
+	rng, ctx := rand.New(rand.NewSource(59)), rand.New(rand.NewSource(65))
 	users := []string{revalUser, "person0001", "person0002"}
 	targets := []string{"TvProgram", "TvProgram AND EXISTS hasSubject.{subject0}"}
-	options := func() contextrank.RankOptions {
-		o := contextrank.RankOptions{TopK: []int{0, 3, 10}[rng.Intn(3)]}
-		if rng.Intn(3) == 0 {
+	user := func(r *rand.Rand) string { return users[r.Intn(len(users))] }
+	options := func(r *rand.Rand) contextrank.RankOptions {
+		o := contextrank.RankOptions{TopK: []int{0, 3, 10}[r.Intn(3)]}
+		if r.Intn(3) == 0 {
 			o.Limit = 5
 		}
-		if rng.Intn(3) == 0 {
+		if r.Intn(3) == 0 {
 			o.Threshold = 0.02
 		}
 		return o
 	}
-	prob := func() float64 {
-		if rng.Intn(2) == 0 {
+	prob := func(r *rand.Rand) float64 {
+		if r.Intn(2) == 0 {
 			return 1
 		}
-		return float64(1+rng.Intn(99)) / 100
+		return float64(1+r.Intn(99)) / 100
 	}
 	// listed is each user's last served TvProgram ranking, for asserts on
 	// programs a user lists.
 	listed := map[string][]contextrank.Result{}
 	program := func() string {
-		if l := listed[users[rng.Intn(len(users))]]; len(l) > 0 && rng.Intn(2) == 0 {
+		if l := listed[user(rng)]; len(l) > 0 && rng.Intn(2) == 0 {
 			return l[rng.Intn(len(l))].ID
 		}
 		return fmt.Sprintf("tv%03d", rng.Intn(15))
+	}
+	// cooking is set once the cook rule, whose preference reads the session
+	// concept Cooking, is registered; from then on a context may hold it.
+	cooking := false
+	// apply puts a context for u drawn from r, and Cooking from ctx.
+	apply := func(r *rand.Rand, u string) {
+		var ms []Measurement
+		for i := 0; i < 8; i++ {
+			if r.Intn(2) == 0 {
+				ms = append(ms, Measurement{Concept: workload.BenchContextConcept(i), Prob: float64(1+r.Intn(99)) / 100})
+			}
+		}
+		if cooking && ctx.Intn(3) == 0 {
+			ms = append(ms, Measurement{Concept: "Cooking", Prob: prob(ctx)})
+		}
+		both(func(srv *Server) error { _, err := srv.SetSession(u, ms); return err })
 	}
 	extra := 0
 	rankBoth := func(step int, user, target string, opts contextrank.RankOptions) {
@@ -395,24 +421,20 @@ func TestRevalidationMatchesUncachedServer(t *testing.T) {
 			listed[user] = got
 		}
 	}
-	for step := range 2000 {
+	// step is one step of the genre history, ranked after: each user's top
+	// 10, so a write is revalidated against the plan just before it, and one
+	// more request.
+	step := func(step int) {
 		switch k := rng.Intn(20); {
 		case k < 8:
 			role, dst := "hasGenre", fmt.Sprintf("genre%02d", rng.Intn(5))
 			if rng.Intn(4) == 0 {
 				role, dst = "hasSubject", fmt.Sprintf("subject%d", rng.Intn(3))
 			}
-			ra := []RoleAssertion{{Role: role, Src: program(), Dst: dst, Prob: prob()}}
+			ra := []RoleAssertion{{Role: role, Src: program(), Dst: dst, Prob: prob(rng)}}
 			both(func(srv *Server) error { _, err := srv.Assert(nil, ra); return err })
 		case k < 10:
-			u := users[rng.Intn(len(users))]
-			var ms []Measurement
-			for i := 0; i < 8; i++ {
-				if rng.Intn(2) == 0 {
-					ms = append(ms, Measurement{Concept: workload.BenchContextConcept(i), Prob: float64(1+rng.Intn(99)) / 100})
-				}
-			}
-			both(func(srv *Server) error { _, err := srv.SetSession(u, ms); return err })
+			apply(rng, user(rng))
 		case k == 10:
 			if extra > 0 && rng.Intn(2) == 0 {
 				name := fmt.Sprintf("extra%d", extra)
@@ -433,10 +455,10 @@ func TestRevalidationMatchesUncachedServer(t *testing.T) {
 		case k < 16:
 			// Ranks and batches only: the writes' epochs stay put.
 		default:
-			u := users[rng.Intn(len(users))]
+			u := user(rng)
 			items := make([]RankItem, 1+rng.Intn(3))
 			for i := range items {
-				o := options()
+				o := options(rng)
 				items[i] = RankItem{Target: targets[rng.Intn(len(targets))], TopK: o.TopK, Limit: o.Limit, Threshold: o.Threshold}
 			}
 			got, _, errA := cached.RankBatch(u, "", items)
@@ -450,18 +472,124 @@ func TestRevalidationMatchesUncachedServer(t *testing.T) {
 				}
 			}
 		}
-		// Each user's top 10 every step, so a write is revalidated against
-		// the plan just before it, and one more request.
 		for _, u := range users {
 			rankBoth(step, u, "TvProgram", contextrank.RankOptions{TopK: 10})
-			rankBoth(step, u, targets[rng.Intn(len(targets))], options())
+			rankBoth(step, u, targets[rng.Intn(len(targets))], options(rng))
 		}
+	}
+	for i := range 2000 {
+		step(i)
 	}
 	st := cached.Stats().Cache
 	if st.Revalidated < 1500 {
 		t.Fatalf("only %d of %d hits were revalidations: the history no longer exercises them", st.Revalidated, st.Hits)
 	}
 	t.Logf("rank cache: %v, %d revalidated", st, st.Revalidated)
+
+	// The second phase starts over on two new servers, adds a rule for every
+	// way a write reaches a context and interleaves such writes, drops and
+	// concurrent ranks with the genre history. The context rules prefer
+	// programs by nominal, certain, so they join no genre cluster; the ¬
+	// context reads dl_domain.
+	cached, plain = revalServer(t, Options{}), revalServer(t, Options{CacheSize: -1})
+	clear(listed)
+	extra = 0
+	both(func(srv *Server) error {
+		if _, err := srv.Declare([]string{"Member", "Vip", "Cooking"}, []string{"knows"}, nil); err != nil {
+			return err
+		}
+		if _, _, err := srv.AddRules([]string{
+			"RULE member WHEN Member PREFER TvProgram AND {tv001, tv004, tv007} WITH 0.65",
+			"RULE vip WHEN EXISTS knows.(Vip OR BenchCtx7) PREFER TvProgram AND {tv002, tv004, tv008} WITH 0.3",
+			"RULE cook WHEN BenchCtx2 PREFER Person AND Cooking WITH 0.8",
+			"RULE away WHEN NOT Member PREFER TvProgram AND {tv000, tv003} WITH 0.4",
+		}); err != nil {
+			return err
+		}
+		_, err := srv.Assert(nil, []RoleAssertion{
+			{Role: "knows", Src: users[0], Dst: users[1], Prob: 1},
+			{Role: "knows", Src: users[1], Dst: users[2], Prob: 1},
+		})
+		return err
+	})
+	cooking = true
+	// asserted holds the context assertions made and not yet taken back by
+	// an SQL delete, which comes before the next assert of the same tuple:
+	// no membership gathers the basic events of repeated uncertain asserts.
+	asserted := map[string]bool{"knows " + users[0] + " " + users[1]: true, "knows " + users[1] + " " + users[2]: true}
+	// write is a write that reaches a rule's context: a context apply, or an
+	// assert of a concept or role a context reads — outside every role
+	// filler (Member, knows) or inside one (Vip) — or the delete taking it
+	// back.
+	write := func() {
+		u := user(ctx)
+		if ctx.Intn(3) == 0 {
+			apply(ctx, u)
+			return
+		}
+		var (
+			ca        []ConceptAssertion
+			ra        []RoleAssertion
+			stmt, key string
+		)
+		if c := []string{"Member", "Vip", "knows"}[ctx.Intn(3)]; c != "knows" {
+			ca = []ConceptAssertion{{Concept: c, ID: u, Prob: prob(ctx)}}
+			stmt, key = fmt.Sprintf("DELETE FROM c_%s WHERE id = '%s'", c, u), c+" "+u
+		} else {
+			v := user(ctx)
+			ra = []RoleAssertion{{Role: c, Src: u, Dst: v, Prob: prob(ctx)}}
+			stmt, key = fmt.Sprintf("DELETE FROM r_knows WHERE src = '%s' AND dst = '%s'", u, v), c+" "+u+" "+v
+		}
+		if asserted[key] {
+			both(func(srv *Server) error { _, _, err := srv.Exec(stmt); return err })
+		} else {
+			both(func(srv *Server) error { _, err := srv.Assert(ca, ra); return err })
+		}
+		asserted[key] = !asserted[key]
+	}
+	for i := 2000; i < 2600; i++ {
+		switch ctx.Intn(6) {
+		case 0, 1:
+			write()
+		case 2:
+			u := user(ctx)
+			both(func(srv *Server) error { return srv.DropSession(u) })
+		case 3:
+			// Ranks released together right after a write, each held against
+			// the uncached server once all are back.
+			write()
+			tasks := make([]struct {
+				user, target string
+				opts         contextrank.RankOptions
+				got          []contextrank.Result
+				err          error
+			}, 4)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range tasks {
+				task := &tasks[i]
+				task.user, task.target, task.opts = user(ctx), append(targets, "Person")[ctx.Intn(len(targets)+1)], options(ctx)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					task.got, _, task.err = cached.Rank(task.user, task.target, task.opts)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for _, task := range tasks {
+				want, _, err := plain.Rank(task.user, task.target, task.opts)
+				if (task.err == nil) != (err == nil) || !slices.Equal(task.got, want) {
+					t.Fatalf("step %d: concurrent rank of %q for %s %+v: served %v (%v), uncached %v (%v)",
+						i, task.target, task.user, task.opts, task.got, task.err, want, err)
+				}
+			}
+		}
+		step(i)
+		// One user's Person ranking, which the cook rule scores.
+		rankBoth(i, user(ctx), "Person", options(ctx))
+	}
 }
 
 // TestConcurrentCompilesKeepRankingsRevalidatable: n ranks of one user that

@@ -19,11 +19,11 @@
 //     owner-scoped apply that replaces that user's rows and basic events
 //     and nobody else's, so many situated users share one System at a
 //     cost per update that does not grow with their number. Each apply
-//     publishes its generation, which the user's compiled plan stands on;
-//     a repeat of the applied measurements applies nothing. An update
-//     retires the events the user's previous one declared, so session
-//     churn (updates and drops) cannot grow the event space past the live
-//     vocabulary.
+//     forgets the user's compiled plan, and only theirs unless a rule
+//     couples users; a repeat of the applied measurements applies nothing.
+//     An update retires the events the user's previous one declared, so
+//     session churn (updates and drops) cannot grow the event space past
+//     the live vocabulary.
 //
 //   - Server adds an LRU rank-result cache, a per-user compiled-plan
 //     cache and hit/latency statistics. A served ranking stands on the
@@ -61,22 +61,18 @@ import (
 // (schema, assertions, rules, context, DML) run exclusively and advance
 // the epoch. It is the lock, the epoch and the read helpers; a live
 // server is mutated through Server.Apply, which takes the write side via
-// WithWriteEpoch.
+// WithWriteEpoch and, inside it, forgets the compiled plans the write can
+// reach (see Server.planFor).
 //
 // The epoch numbers the writes; the read path reports it (RankMeta,
-// subscription events) and decides nothing by it. The context generation is
-// the part of it a compiled plan's context half stands on (see
-// Server.planFor): every epoch bump moves it too, except an assert whose
-// concepts and roles no registered rule's context reads. Both move even
-// when a write returns an error, because several System mutators apply
-// partially before failing (e.g. AddRule auto-declares context concepts
-// before validating the preference vocabulary); over-invalidation is
-// harmless — it can never serve a stale ranking.
+// subscription events) and decides nothing by it. It moves even when a
+// write returns an error, because several System mutators apply partially
+// before failing (e.g. AddRule auto-declares context concepts before
+// validating the preference vocabulary).
 type Facade struct {
-	mu         sync.RWMutex
-	sys        *contextrank.System
-	epoch      atomic.Int64
-	contextGen atomic.Int64
+	mu    sync.RWMutex
+	sys   *contextrank.System
+	epoch atomic.Int64
 }
 
 // NewFacade wraps the system. The caller must stop touching sys directly;
@@ -88,9 +84,6 @@ func NewFacade(sys *contextrank.System) *Facade {
 // Epoch returns the current mutation epoch. It increases monotonically;
 // two Rank calls observing the same epoch saw the same data and rules.
 func (f *Facade) Epoch() int64 { return f.epoch.Load() }
-
-// contextGeneration returns the context generation (see the type comment).
-func (f *Facade) contextGeneration() int64 { return f.contextGen.Load() }
 
 // WithRead runs fn under the shared lock. fn must not mutate the system.
 func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
@@ -104,29 +97,13 @@ func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
 // section — reading Epoch() after the lock is released could observe a later
 // concurrent mutation's epoch. Server.Apply is its caller; used directly
 // (tests, diagnostics) what fn changes is not journaled, not gated on
-// degraded mode and does not wake the subscription evaluator.
+// degraded mode, forgets no compiled plan and does not wake the subscription
+// evaluator.
 func (f *Facade) WithWriteEpoch(fn func(sys *contextrank.System) error) (int64, error) {
-	return f.write(func(sys *contextrank.System) (bool, error) { return true, fn(sys) })
-}
-
-// write is WithWriteEpoch for a write that reports, decided under the lock,
-// whether it can reach a rule's context: the context generation moves only
-// when it can (see Server.Apply).
-func (f *Facade) write(fn func(sys *contextrank.System) (reachesContext bool, err error)) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	reaches, err := fn(f.sys)
-	if !reaches {
-		return f.epoch.Add(1), err
-	}
-	return f.bumpLocked(), err
-}
-
-// bumpLocked moves the epoch and the context generation, returning the new
-// epoch. Caller holds the write lock.
-func (f *Facade) bumpLocked() int64 {
-	f.contextGen.Add(1)
-	return f.epoch.Add(1)
+	err := fn(f.sys)
+	return f.epoch.Add(1), err
 }
 
 // --- Read operations -------------------------------------------------------

@@ -130,7 +130,6 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 		subs:    newSubRegistry(),
 		start:   time.Now(),
 	}
-	srv.sessions = newSessions(srv.facade)
 	// A filed ranking stands only while its user's plan entry is cached
 	// (Server.stands), so the plan LRU holds as many users as the rank cache
 	// holds rankings: a ranking whose key the rank LRU holds then finds its
@@ -144,6 +143,7 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 	}
 	srv.plans = &planCache{}
 	srv.plans.init(plans)
+	srv.sessions = newSessions(srv.facade, srv.plans)
 	return srv
 }
 
@@ -278,16 +278,15 @@ func factorized(alg contextrank.Algorithm) bool {
 
 // rankMisses is the one place the server ranks: the misses of Rank, of
 // RankBatch and of a subscription evaluation end here. Under one facade
-// read-lock hold — one consistent snapshot — it reads the user's applied
-// generation and the context generation, fetches the user's compiled plan
-// once (the factorized algorithm; naive ranks without one), serves every req
-// that carries a prior ranking the writes since have not moved (revalidate)
-// and ranks every other req whose out slot is not already served from the
-// cache, and files each factorized target result in the rank cache stamped
-// with the number of the plan observed *here*: that plan, not whatever the
-// caller looked up against, is what the result stands on. Candidate-list
-// results are not cached (their keys would have unbounded cardinality). All
-// reqs of one call share one algorithm.
+// read-lock hold — one consistent snapshot — it fetches the user's compiled
+// plan once (the factorized algorithm; naive ranks without one), serves
+// every req that carries a prior ranking the writes since have not moved
+// (revalidate) and ranks every other req whose out slot is not already
+// served from the cache, and files each factorized target result in the rank
+// cache stamped with the number of the plan observed *here*: that plan, not
+// whatever the caller looked up against, is what the result stands on.
+// Candidate-list results are not cached (their keys would have unbounded
+// cardinality). All reqs of one call share one algorithm.
 //
 // A failing req fails its own out slot, and its ranking stands on nothing;
 // the returned error is the shared plan failing to compile (e.g. a rule
@@ -302,8 +301,7 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 		)
 		if factorized(reqs[0].opts.Algorithm) {
 			var perr error
-			generation := s.sessions.appliedContext(user).generation
-			if pe, reused, perr = s.planFor(sys, user, s.facade.contextGeneration(), generation); perr != nil {
+			if pe, reused, perr = s.planFor(sys, user); perr != nil {
 				return perr
 			}
 		}
@@ -357,13 +355,13 @@ func (s *Server) rankMisses(user string, reqs []rankReq, out []RankItemResult) (
 // around them scores as the prior's did: the ranking was scored with pe's
 // plan or the one it replaced, found by its number, its target's members
 // stand, and pe's plan ScoresLike that one. The number carries the rest:
-// plan numbers are unique, planFor files (and serves) an entry only under
-// the context generation and applied generation its context half was
-// resolved at, and a kept context half keeps both, so a ranking that names
-// pe or its predecessor stands on the user's current context. The ranking then stands when it was cut to its k results and
-// every moved candidate of the target is out of it and orders after its last
-// result, or falls at or below the threshold; each is scored through
-// ScoreWith. An explained or uncut ranking is ranked again, as is one the
+// plan numbers are never reused, a write that reaches the user's context
+// forgets the entry, and a compile keeps its predecessor only over an entry
+// that was still cached, so a ranking that names pe or its predecessor
+// stands on the user's current context. The ranking then stands when it was
+// cut to its k results and every moved candidate of the target is out of it
+// and orders after its last result, or falls at or below the threshold; each
+// is scored through ScoreWith. An explained or uncut ranking is ranked again, as is one the
 // plan cannot vouch for. Caller holds the facade read lock, with epoch read
 // under it.
 func (s *Server) revalidate(user string, rq rankReq, pe planEntry, epoch int64) (ranked, bool) {
@@ -412,25 +410,24 @@ func (s *Server) revalidate(user string, rq rankReq, pe planEntry, epoch int64) 
 }
 
 // planFor returns the user's compiled rank plan for the state being read.
-// Must run under the facade read lock with the context generation and the
-// generation read under it: they and every table version then all stand
-// still, so a plan found current can never be stale for the snapshot being
-// read. Whether the plan enumerates footprint clusters or scores per candidate
-// (see contextrank.CompileRankPlan) is its own business; both are cached
-// alike.
+// Must run under the facade read lock: no write can forget an entry or move
+// a table version while it runs, so a plan found current can never be stale
+// for the snapshot being read. Whether the plan enumerates footprint clusters
+// or scores per candidate (see contextrank.CompileRankPlan) is its own
+// business; both are cached alike.
 //
-// The cache holds one plan per user, filed under the context generation and
-// the user's generation its context half was resolved at. It is a hit while
-// both still hold — other users' uncoupled applies and the asserts no rule's
-// context reads move neither — and no table a rule's preference reads has
-// been written since (plan.Current). Anything else is a miss served by a
-// compile that takes every preference membership from the loader's memo, so
-// after a vocabulary write the first user's compile queries the written views
-// and every other user's shares the answer. A miss whose two generations
-// still hold keeps the plan's context half (contextrank.RefreshRankPlan): it
-// resolves none of the user's rule contexts, and pays only for the handles,
+// The cache holds one plan per user, and a cached entry's context half is
+// exact: every write that can reach the user's context rows forgets it (see
+// Server.Apply and Sessions). A look-up is a hit while no table a rule's
+// preference reads has been written since (plan.Current). A present but
+// stale entry keeps its context half (contextrank.RefreshRankPlan): the miss
+// resolves none of the user's rule contexts and pays only for the handles,
 // the shared document side and the partition; its entry keeps the plan it
-// replaced, which the rankings scored with it are revalidated against.
+// replaced, which the rankings scored with it are revalidated against. An
+// absent entry is a first compile. Either compile takes every preference
+// membership from the loader's memo, so after a vocabulary write the first
+// user's compile queries the written views and every other user's shares the
+// answer.
 //
 // A compile is filed only over the entry it read. One that lost the race to
 // a concurrent compile of the same snapshot serves the entry filed first
@@ -438,16 +435,16 @@ func (s *Server) revalidate(user string, rq rankReq, pe planEntry, epoch int64) 
 // keeps and stay revalidatable. reused reports a plan not compiled from
 // scratch here — a hit, a refresh keeping the context half, or the entry a
 // concurrent compile filed — whose rankings the carverify build checks.
-func (s *Server) planFor(sys *contextrank.System, user string, contextGen, generation int64) (e planEntry, reused bool, err error) {
-	prev, ok := s.plans.get(user)
-	if ok && prev.holds(contextGen, generation) {
+func (s *Server) planFor(sys *contextrank.System, user string) (e planEntry, reused bool, err error) {
+	prev, kept := s.plans.get(user)
+	if kept && prev.plan.Current() {
 		s.plans.hits.Add(1)
 		return prev, true, nil
 	}
-	keep := ok && prev.resolvedAt(contextGen, generation)
 	s.plans.misses.Add(1)
-	e = planEntry{contextGen: contextGen, generation: generation, seq: s.plans.seq.Add(1)}
-	if keep {
+	e = planEntry{seq: s.plans.seq.Add(1)}
+	if kept {
+		s.plans.refreshed.Add(1)
 		e.plan, err = sys.RefreshRankPlan(prev.plan)
 		e.prev, e.prevSeq = prev.plan, prev.seq
 	} else {
@@ -456,13 +453,8 @@ func (s *Server) planFor(sys *contextrank.System, user string, contextGen, gener
 	if err != nil {
 		return planEntry{}, false, err
 	}
-	if ok {
-		s.plans.refreshed.Add(1)
-	}
-	if w := s.plans.file(user, prev.seq, e); w.resolvedAt(contextGen, generation) {
-		return w, keep || w.seq != e.seq, nil
-	}
-	return e, keep, nil
+	w := s.plans.file(user, prev.seq, e)
+	return w, kept || w.seq != e.seq, nil
 }
 
 // RankItem is one ranking task inside a RankBatch call or a subscription:
@@ -571,7 +563,7 @@ func (s *Server) Query(stmt string) (*contextrank.QueryResult, error) {
 // because Apply submits every vocabulary record, and every session record
 // that changes state, inside that lock; session and subscription records
 // are not in the snapshot, and checkpoints keep every live one. It takes no
-// session lock and moves no epoch, fingerprint or applied generation.
+// session lock and moves no epoch or fingerprint, and forgets no plan.
 // The snapshot carries data, vocabulary, views and rules but no session
 // context (System.SaveSnapshot leaves it out), so a server restored from it
 // accepts session applies immediately. A server without a journal returns

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dl"
-	"repro/internal/mapping"
 	"repro/internal/prefs"
 	"repro/internal/situation"
 )
@@ -26,30 +24,29 @@ type Measurement = situation.Measurement
 // are live, and the event space stays bounded by the live session vocabulary
 // under arbitrary churn (a drop retires exactly the dropped user's events).
 //
-// A successful session write does not bump the facade epoch: it publishes the
-// generation of the apply, which the user's compiled rank plan — and so every
-// ranking scored with it — is valid for, so only that user's cached state is
-// invalidated. A repeat of the applied measurements applies nothing and
-// publishes nothing. Every way one user's write can reach another user's
-// ranking is therefore named here, and each degrades to a full epoch bump,
-// which moves the context generation too (every user's compiled plan
-// resolves its contexts again):
+// A successful session write does not bump the facade epoch: it forgets the
+// user's compiled rank plan, whose context half it changed, so only that
+// user's cached state is invalidated. A repeat of the applied measurements
+// applies nothing and forgets nothing. Every way one user's write can reach
+// another user's ranking is therefore named here:
 //
 //   - A concept the write changes occurs inside a role-restriction filler of
-//     a registered rule (e.g. WHEN ∃watchesWith.InKitchen): the user's own
-//     membership flips the rule for users reachable over the role edge.
+//     a registered rule's context (e.g. WHEN ∃watchesWith.InKitchen): the
+//     user's own membership flips the rule for users reachable over the role
+//     edge. The write forgets every user's plan and moves the epoch.
 //   - A concept the write changes occurs anywhere in a registered rule's
 //     preference (PREFER Person AND InKitchen): membership in it is the
-//     document side of every user's score. (A compiled plan notices by
-//     itself — its membership handle reads the concept's table — so this
-//     half of the bump only costs every user a context recompile the write
-//     did not need; the epoch it moves is reported, not asked.)
-//   - A drop while a rule's context reads the closed domain (¬, ⊤, a
-//     nominal): the dropped user reads as one never applied, but the first
-//     apply registered them, and such a context reads that.
+//     document side of every user's score. A compiled plan notices by
+//     itself — its membership handle reads the concept's table — so the
+//     write forgets no other plan, and every other user's next look-up keeps
+//     its context half; it moves the epoch, which is reported, not asked.
 //   - The apply fails: it is multi-step and may have torn the user's context,
-//     so the previous one is restored and every cached ranking invalidated
-//     (the same over-invalidation policy as the facade's write path).
+//     so the previous one is restored, every plan forgotten and the epoch
+//     moved (the same over-invalidation policy as a failing vocabulary
+//     write).
+//
+// A drop forgets the dropped user's plan like any apply: the user stays in
+// dl_domain, so a ¬, ⊤ or nominal context reads nobody else differently.
 //
 // A checkpoint reads no session state: the snapshot leaves every user's
 // context rows and events out (contextrank.System.SaveSnapshot), and the
@@ -76,6 +73,8 @@ type Measurement = situation.Measurement
 // through Server.Apply, which journals and pokes around them.
 type Sessions struct {
 	f *Facade
+	// plans is the server's plan cache, whose entries the writes forget.
+	plans *planCache
 
 	// mu serializes session writes, each held across the facade write lock
 	// and the journal submit.
@@ -101,16 +100,12 @@ type appliedContext struct {
 	// fingerprint hashes the applied measurements: the journal carries it,
 	// and set compares it to tell a repeat PUT.
 	fingerprint string
-	// generation is the apply's own number (the epoch in the user's context
-	// event names). A context that comes back (X → Y → X) is declared under
-	// new names, so anything holding them — a compiled rank plan — is valid
-	// for one generation, not for one fingerprint.
-	generation int64
 }
 
-// newSessions builds an empty session manager over the facade.
-func newSessions(f *Facade) *Sessions {
-	return &Sessions{f: f}
+// newSessions builds an empty session manager over the facade and the plan
+// cache its writes forget from.
+func newSessions(f *Facade, plans *planCache) *Sessions {
+	return &Sessions{f: f, plans: plans}
 }
 
 // validateSession checks a session update before any lock is taken.
@@ -153,8 +148,8 @@ func validateSession(user string, measurements []Measurement) error {
 // exactly the apply order across session and vocabulary writes. A refused or
 // failed apply commits nothing: the journal records only state that actually
 // took effect. Nor does a repeat, which applies nothing: it would only rename
-// the user's context events, and with them move the generation every ranking
-// of the user stands on.
+// the user's context events, and with them forget the plan every ranking of
+// the user stands on.
 func (s *Sessions) set(user string, ms []Measurement, commit func(fp string)) (fp string, repeat bool, err error) {
 	if err := validateSession(user, ms); err != nil {
 		return "", false, err
@@ -216,12 +211,10 @@ func (s *Sessions) replaceLocked(user string, next *appliedContext, commit func(
 	}
 	if err := s.applyLocked(user, next, changed); err != nil {
 		// Best-effort restore of the previous context: the failed apply has
-		// retracted it. The failed apply bumped the epoch, but a ranking
-		// landing between that bump and the restore can still cache a
-		// torn-context result under the new epoch — bump once more after the
-		// restore so nothing cached inside the window survives.
+		// retracted it, and forgotten every plan. The epoch reports two
+		// writes, the torn one and its repair.
 		_ = s.applyLocked(user, prev, changed)
-		f.bumpLocked()
+		f.epoch.Add(1)
 		return err
 	}
 	switch {
@@ -250,40 +243,38 @@ func (s *Sessions) guardLocked(concepts []string) error {
 	return nil
 }
 
-// applyLocked applies sess (nil: nothing) as the user's whole context and
-// publishes the result under the apply's generation. changed names the
-// concepts the write touches, for the cross-user coupling check. Caller
-// holds s.mu and the facade write lock.
+// applyLocked applies sess (nil: nothing) as the user's whole context,
+// publishes it and forgets the plans the write reaches (see the type
+// comment). changed names the concepts the write touches, for the cross-user
+// coupling check. Caller holds s.mu and the facade write lock.
 func (s *Sessions) applyLocked(user string, sess *appliedContext, changed []string) error {
 	f := s.f
-	if s.couplesLocked(changed) {
-		f.bumpLocked()
+	filler, pref := s.couplingLocked(changed)
+	if filler || pref {
+		f.epoch.Add(1)
 	}
 	ctx := situation.Context{User: user}
 	if sess != nil {
 		ctx.Measurements = sess.measurements
 	}
-	generation, err := f.sys.SetUserContext(&ctx)
-	if err != nil {
-		// The user's context may be half-applied; invalidate every cached
-		// ranking, mirroring the facade's mutator-error policy.
-		f.bumpLocked()
+	if _, err := f.sys.SetUserContext(&ctx); err != nil {
+		// The user's context may be half-applied; forget every plan,
+		// mirroring the facade's mutator-error policy.
+		f.epoch.Add(1)
+		s.plans.forget()
 		return err
+	}
+	if filler {
+		s.plans.forget()
+	} else {
+		s.plans.forget(user)
 	}
 	// Published inside the write critical section: a reader holding the
 	// facade read lock sees exactly the context it is ranking under.
 	if sess != nil {
-		rec := *sess
-		rec.generation = generation
-		s.applied.Store(user, rec)
-		return nil
-	}
-	s.applied.Delete(user)
-	// A dropped user reads as one never applied — no fingerprint, generation
-	// 0 — yet stays in dl_domain, which a ¬, ⊤ or nominal context reads: a
-	// ranking or plan cached before the user's first apply must not come back.
-	if s.f.sys.Rules().Any(func(rule prefs.Rule) bool { return mapping.ReadsDomain(rule.Context) }) {
-		f.bumpLocked()
+		s.applied.Store(user, *sess)
+	} else {
+		s.applied.Delete(user)
 	}
 	return nil
 }
@@ -331,38 +322,22 @@ func (s *Sessions) Count() int {
 	return int(s.count.Load())
 }
 
-// couplesLocked reports whether a write changing the given concepts can
-// change another user's ranking: a changed concept occurs inside a
-// role-restriction filler of a registered rule's context — membership in it
-// propagates across role edges — or anywhere in a rule's preference, which
-// is every user's document side. Per-user invalidation is then insufficient.
-// Caller holds f.mu.
-func (s *Sessions) couplesLocked(changed []string) bool {
+// couplingLocked reports how a write changing the given concepts can reach
+// another user's ranking: a changed concept occurs inside a role-restriction
+// filler of a registered rule's context (filler) — membership in it
+// propagates across role edges — or anywhere in a rule's preference (pref),
+// which is every user's document side. Caller holds f.mu.
+func (s *Sessions) couplingLocked(changed []string) (filler, pref bool) {
 	if len(changed) == 0 {
-		return false
+		return false, false
 	}
-	return s.f.sys.Rules().Any(func(rule prefs.Rule) bool {
-		return mentions(rule.Context, false, changed) || mentions(rule.Preference, true, changed)
+	s.f.sys.Rules().Any(func(rule prefs.Rule) bool {
+		_, far := reach(rule.Context, changed, nil, false)
+		_, inPref := reach(rule.Preference, changed, nil, true)
+		filler, pref = filler || far, pref || inPref
+		return filler
 	})
-}
-
-// mentions reports whether one of the concepts occurs in expr inside a
-// role-restriction filler — or anywhere in it, when expr itself counts as
-// being inside one (inFiller).
-func mentions(e *dl.Expr, inFiller bool, concepts []string) bool {
-	if e == nil {
-		return false
-	}
-	if e.Op() == dl.OpAtom {
-		return inFiller && slices.Contains(concepts, e.Name())
-	}
-	inside := inFiller || e.Op() == dl.OpExists
-	for _, a := range e.Args() {
-		if mentions(a, inside, concepts) {
-			return true
-		}
-	}
-	return false
+	return filler, pref
 }
 
 // fingerprint hashes a session's measurements (FNV-64a). The user is mixed

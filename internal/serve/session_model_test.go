@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -437,8 +438,8 @@ func TestPlanGenerationOnChainedRules(t *testing.T) {
 			t.Fatalf("apply %d: %d results, want %d", i, len(res), n)
 		}
 		sameResults(t, res, freshRank(t, srv.Facade(), "chainuser", "Doc"))
-		if st := srv.Stats().Plans; st.Misses != wantMisses[i] || st.Refreshed != wantMisses[i]-1 || st.Hits != wantHits[i] || st.Size != 1 {
-			t.Fatalf("after apply %d: plan cache %+v, want %d compiles of the one entry (each later one replacing it) and %d reuses", i, st, wantMisses[i], wantHits[i])
+		if st := srv.Stats().Plans; st.Misses != wantMisses[i] || st.Refreshed != 0 || st.Hits != wantHits[i] || st.Size != 1 {
+			t.Fatalf("after apply %d: plan cache %+v, want %d first compiles (each apply forgets the entry) and %d reuses", i, st, wantMisses[i], wantHits[i])
 		}
 	}
 	// Without an apply in between the plan is reused.
@@ -518,6 +519,72 @@ func TestPreferenceCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, r3, r1)
+}
+
+// TestPreferenceCoupledApplyKeepsOtherContexts: a PUT into a concept a
+// rule's preference names moves every user's document side, which each plan
+// notices through its membership handles (Plan.Current), and no other
+// user's context. Every other user's next rank compiles once keeping the
+// context half — one refresh, no rule context resolved — and ranks as a
+// fresh compile does; the writer's own plan is compiled from scratch.
+func TestPreferenceCoupledApplyKeepsOtherContexts(t *testing.T) {
+	sys := newTestSystem(t)
+	if err := sys.DeclareConcept("Person", "InKitchen"); err != nil {
+		t.Fatal(err)
+	}
+	users := []string{"ada", "bob", "carl", "dora"}
+	for _, u := range users {
+		if err := sys.AssertConcept("Person", u, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.AddRule("RULE pk WHEN CtxA PREFER Person AND InKitchen WITH 0.9"); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sys, Options{})
+	for i, u := range users {
+		if _, err := srv.SetSession(u, []Measurement{{Concept: "CtxA", Prob: 0.5 + 0.1*float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := map[string][]contextrank.Result{}
+	for _, u := range users {
+		res, _, err := srv.Rank(u, "Person", contextrank.RankOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[u] = res
+	}
+	rules := int64(len(srv.Facade().Rules()))
+	if _, err := srv.SetSession("ada", []Measurement{{Concept: "CtxA", Prob: 0.5}, {Concept: "InKitchen", Prob: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range users {
+		resolved, plans := contextsResolved.Load(), srv.Stats().Plans
+		got, meta, err := srv.Rank(u, "Person", contextrank.RankOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolved, after := contextsResolved.Load()-resolved, srv.Stats().Plans
+		wantResolved, wantRefreshed := int64(0), int64(1)
+		if u == "ada" {
+			wantResolved, wantRefreshed = rules, 0
+		}
+		// A carverify build ranks every reused ranking again from scratch,
+		// which resolves contexts of its own: the count is the default build's.
+		if resolved != wantResolved && !verifyReuse {
+			t.Errorf("%s: the rank resolved %d rule contexts, want %d", u, resolved, wantResolved)
+		}
+		if meta.Cached || after.Misses-plans.Misses != 1 || after.Refreshed-plans.Refreshed != wantRefreshed {
+			t.Errorf("%s: cached %v, plan cache %+v -> %+v, want one compile, %d keeping the context half", u, meta.Cached, plans, after, wantRefreshed)
+		}
+		if want := freshRankWith(t, srv, u, "Person", contextrank.RankOptions{}); !slices.Equal(got, want) {
+			t.Errorf("%s: served %v, a fresh rank gives %v", u, got, want)
+		}
+		if slices.Equal(got, before[u]) {
+			t.Errorf("%s: ranking unchanged by ada entering the kitchen — the test is vacuous", u)
+		}
+	}
 }
 
 // TestPlanNoticesDomainGrowth: a never-seen user's first apply registers an

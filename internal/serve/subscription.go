@@ -13,10 +13,11 @@
 // rank-cache hit asks (Server.stands): the owner's plan still holds and
 // nobody's write reached the target's members — so a write never pays a
 // re-rank for user B unless it moved B's scores (B's own apply, an apply
-// coupled through a rule's role filler or preference, or a failed one: the
-// context generation, see Sessions; a write to a table B's rules read: the
-// plan's handles) or B's candidates (A entered a session concept B's target
-// mentions: the target's handle). Evaluation is a rank like any other
+// coupled through a rule's role filler, a failed one or an assert reaching
+// B's context: the write forgot B's plan, see Sessions and Server.Apply; a
+// write to a table B's rules' preferences read: the plan's handles) or B's
+// candidates (A entered a session concept B's target mentions: the target's
+// handle). Evaluation is a rank like any other
 // (Server.rank) — and after the owner's own context apply, or a vocabulary
 // write, their plan is compiled again (see planFor): the compile pays for the
 // owner's context — unless the write reached no rule's context — and the
@@ -142,12 +143,9 @@ type Subscription struct {
 	lagged   bool
 	seq      uint64
 	pushes   int64
-	// scores/last are the most recently pushed ranking: the diff baseline
-	// for the next evaluation and the source of snapshot/resync events.
-	scores map[string]float64
-	last   []SubResult
 	// evaluated + the ranking the last evaluation returned, with what it
-	// stands on (on an error, nothing); see evalSub.
+	// stands on (on an error, nothing; see evalSub): the diff baseline for
+	// the next evaluation and the source of snapshot and resync events.
 	evaluated bool
 	ranking   ranked
 	lastErr   string
@@ -158,7 +156,6 @@ func newSubscription(id string, spec SubscriptionSpec) *Subscription {
 	return &Subscription{
 		id:     id,
 		spec:   spec,
-		scores: make(map[string]float64),
 		events: make(chan SubEvent, subEventBuffer),
 	}
 }
@@ -196,11 +193,17 @@ func (sub *Subscription) push(ev SubEvent) bool {
 }
 
 // snapshotEventLocked builds a snapshot/resync event from the last
-// evaluated ranking. Caller holds sub.mu.
-func (sub *Subscription) snapshotEventLocked(typ string, epoch int64) SubEvent {
-	results := make([]SubResult, len(sub.last))
-	copy(results, sub.last)
-	return SubEvent{Type: typ, ID: sub.id, Seq: sub.seq, Epoch: epoch, Results: results}
+// evaluated ranking — or, while the standing rank fails, the error event.
+// Caller holds sub.mu.
+func (sub *Subscription) snapshotEventLocked(typ string) SubEvent {
+	if sub.lastErr != "" {
+		return SubEvent{Type: "error", ID: sub.id, Seq: sub.seq, Error: sub.lastErr}
+	}
+	results := make([]SubResult, len(sub.ranking.res))
+	for i, r := range sub.ranking.res {
+		results[i] = SubResult{ID: r.ID, Score: r.Score}
+	}
+	return SubEvent{Type: typ, ID: sub.id, Seq: sub.seq, Epoch: sub.ranking.epoch, Results: results}
 }
 
 // close marks the subscription dead and closes its event channel exactly
@@ -408,11 +411,12 @@ func (st *SubStream) TakeLagged() bool {
 	return lagged
 }
 
-// Resync builds a fresh snapshot event from the last evaluated ranking.
+// Resync builds a fresh snapshot event from the last evaluated ranking, or
+// the standing error event while its rank fails.
 func (st *SubStream) Resync() SubEvent {
 	st.sub.mu.Lock()
 	defer st.sub.mu.Unlock()
-	return st.sub.snapshotEventLocked("resync", st.sub.ranking.epoch)
+	return st.sub.snapshotEventLocked("resync")
 }
 
 // Close detaches the consumer.
@@ -456,11 +460,7 @@ func (s *Server) SubscriptionStream(id string) (*SubStream, error) {
 		break
 	}
 	sub.lagged = false
-	snap := sub.snapshotEventLocked("snapshot", sub.ranking.epoch)
-	if sub.lastErr != "" {
-		snap = SubEvent{Type: "error", ID: sub.id, Seq: sub.seq, Error: sub.lastErr}
-	}
-	return &SubStream{sub: sub, reg: s.subs, snapshot: snap}, nil
+	return &SubStream{sub: sub, reg: s.subs, snapshot: sub.snapshotEventLocked("snapshot")}, nil
 }
 
 // ensureEvaluator starts the evaluator goroutine once. It parks on the
@@ -524,7 +524,7 @@ func (s *Server) evalSub(sub *Subscription) {
 	sub.mu.Unlock()
 	s.subs.evals.Add(1)
 
-	r, meta, err := s.rank(sub.spec.User, rq)
+	r, _, err := s.rank(sub.spec.User, rq)
 
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
@@ -541,51 +541,46 @@ func (s *Server) evalSub(sub *Subscription) {
 		}
 		sub.lastErr = err.Error()
 		sub.seq++
-		if sub.push(SubEvent{Type: "error", ID: sub.id, Seq: sub.seq, Error: sub.lastErr}) {
+		if sub.push(sub.snapshotEventLocked("error")) {
 			s.subs.events.Add(1)
 		}
 		return
 	}
 	recovered := sub.lastErr != ""
-	if !first && !recovered && len(r.res) == len(prev) && (len(prev) == 0 || &r.res[0] == &prev[0]) {
-		return // the ranking it already stands on, served again: nothing moved
-	}
 	sub.lastErr = ""
-
-	results := make([]SubResult, len(r.res))
-	scores := make(map[string]float64, len(results))
-	for i, res := range r.res {
-		results[i] = SubResult{ID: res.ID, Score: res.Score}
-		scores[res.ID] = res.Score
-	}
-	var changes []SubChange
-	var removed []string
-	for _, r := range results {
-		if prev, ok := sub.scores[r.ID]; !ok {
-			changes = append(changes, SubChange{ID: r.ID, Score: r.Score})
-		} else if prev != r.Score {
-			p := prev
-			changes = append(changes, SubChange{ID: r.ID, Score: r.Score, Prev: &p})
-		}
-	}
-	for id := range sub.scores {
-		if _, ok := scores[id]; !ok {
-			removed = append(removed, id)
-		}
-	}
-	sub.scores = scores
-	sub.last = results
-
-	switch {
-	case first || recovered:
+	if first || recovered {
 		sub.seq++
-		if sub.push(sub.snapshotEventLocked("snapshot", meta.Epoch)) {
+		if sub.push(sub.snapshotEventLocked("snapshot")) {
 			s.subs.events.Add(1)
 		}
-	case len(changes)+len(removed) > 0:
+		return
+	}
+	if len(r.res) == len(prev) && (len(prev) == 0 || &r.res[0] == &prev[0]) {
+		return // the ranking it already stands on, served again: nothing moved
+	}
+	before := make(map[string]float64, len(prev))
+	for _, p := range prev {
+		before[p.ID] = p.Score
+	}
+	var changes []SubChange
+	for _, res := range r.res {
+		if p, ok := before[res.ID]; !ok {
+			changes = append(changes, SubChange{ID: res.ID, Score: res.Score})
+		} else if p != res.Score {
+			changes = append(changes, SubChange{ID: res.ID, Score: res.Score, Prev: &p})
+		}
+		delete(before, res.ID)
+	}
+	var removed []string
+	for _, p := range prev {
+		if _, gone := before[p.ID]; gone {
+			removed = append(removed, p.ID)
+		}
+	}
+	if len(changes)+len(removed) > 0 {
 		sub.seq++
 		if sub.push(SubEvent{
-			Type: "delta", ID: sub.id, Seq: sub.seq, Epoch: meta.Epoch,
+			Type: "delta", ID: sub.id, Seq: sub.seq, Epoch: r.epoch,
 			Changes: changes, Removed: removed,
 		}) {
 			s.subs.events.Add(1)

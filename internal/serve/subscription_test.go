@@ -390,6 +390,49 @@ func TestSubscriptionErrorAndRecovery(t *testing.T) {
 	}
 }
 
+// TestSubscriptionResyncWhileFailing: while the standing rank fails, a
+// resync is the error event, as a fresh attach's opening event is — not the
+// last ranking that succeeded, which no longer stands.
+func TestSubscriptionResyncWhileFailing(t *testing.T) {
+	srv := subTestServer(t)
+	applyCtx(t, srv, "peter", "CtxA", 1)
+	if _, err := srv.Declare([]string{"Podcast"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Assert([]ConceptAssertion{{Concept: "Podcast", ID: "p1", Prob: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Subscribe("pods", SubscriptionSpec{User: "peter", RankItem: RankItem{Target: "Podcast"}}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.SubscriptionStream("pods")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := st.Snapshot(); snap.Type != "snapshot" || len(snap.Results) != 1 {
+		t.Fatalf("opening event = %+v, want a snapshot of p1", snap)
+	}
+	if _, _, err := srv.Exec("DROP TABLE c_Podcast"); err != nil {
+		t.Fatal(err)
+	}
+	srv.subs.mu.Lock()
+	sub := srv.subs.subs["pods"]
+	srv.subs.mu.Unlock()
+	srv.evalSub(sub)
+	if ev := st.Resync(); ev.Type != "error" || ev.Error == "" || len(ev.Results) != 0 {
+		t.Fatalf("resync while the rank fails = %+v, want the error event", ev)
+	}
+	st.Close()
+	again, err := srv.SubscriptionStream("pods")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if snap := again.Snapshot(); snap.Type != "error" || snap.Error == "" {
+		t.Fatalf("re-attach while the rank fails = %+v, want the error event", snap)
+	}
+}
+
 // TestSubscriptionLaggedResync: when the consumer falls further behind
 // than the event buffer, deltas are dropped, the lagged flag trips, and
 // Resync rebuilds a full snapshot equal to the current ranking.

@@ -116,8 +116,9 @@ func TestCachedRankFollowsItsTargetsMembers(t *testing.T) {
 }
 
 // TestVocabWriteRefreshesPlansAndSharesQueries pins what a vocabulary write
-// costs: every user's next rank compiles that user's plan again in place of
-// the stale entry (Refreshed), and the membership work behind those compiles
+// costs: every user's next rank compiles that user's plan again — keeping its
+// context half (Refreshed) when the write reached no rule's context, from
+// scratch after SQL or a rule change — and the membership work behind those compiles
 // is paid once per written view, not once per user: a patch (the written
 // individuals evaluated again) when the write went through the loader, a whole
 // evaluation when SQL made it; a write to a table no rule or target reads
@@ -154,9 +155,10 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	if st := srv.Stats().Plans; st.Misses != n || st.Refreshed != 0 || st.Size != n {
 		t.Fatalf("after the first ranks: plan cache %+v, want %d compiles", st, n)
 	}
-	// step writes, ranks every user and wants each user's plan replaced —
-	// or, stale false, served from the plan cache.
-	step := func(name string, write func() error, stale bool, wantPatched, wantQueries int64) {
+	// step writes, ranks every user and wants each user's plan compiled
+	// again, wantRefreshed of them keeping their context half — or, stale
+	// false, served from the plan cache.
+	step := func(name string, write func() error, stale bool, wantRefreshed, wantPatched, wantQueries int64) {
 		t.Helper()
 		before := srv.Stats()
 		if err := write(); err != nil {
@@ -172,9 +174,9 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 			if misses != 0 || after.Plans.Size != n {
 				t.Fatalf("%s: %d plan misses, %d entries — want every user's plan kept", name, misses, after.Plans.Size)
 			}
-		} else if misses != n || refreshed != n || after.Plans.Size != n {
-			t.Fatalf("%s: %d plan misses, %d refreshed, %d entries — want %d stale entries replaced, no first compile, one entry per user",
-				name, misses, refreshed, after.Plans.Size, n)
+		} else if misses != n || refreshed != wantRefreshed || after.Plans.Size != n {
+			t.Fatalf("%s: %d plan misses, %d refreshed, %d entries — want %d compiles, %d keeping the context half, one entry per user",
+				name, misses, refreshed, after.Plans.Size, n, wantRefreshed)
 		}
 		patched, queries := after.Memberships.Patched-before.Memberships.Patched, after.Memberships.Queries-before.Memberships.Queries
 		if patched != wantPatched || queries != wantQueries {
@@ -186,31 +188,31 @@ func TestVocabWriteRefreshesPlansAndSharesQueries(t *testing.T) {
 	step("role assert", func() error {
 		_, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: "tv03", Dst: "g0", Prob: 0.5}})
 		return err
-	}, true, 2, 0)
+	}, true, n, 2, 0)
 	// A new program: target and both preferences read c_TvProgram, and the
 	// first-seen individual grows dl_domain under the nominals.
 	step("concept assert", func() error {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "TvProgram", ID: "tv10", Prob: 1}}, nil)
 		return err
-	}, true, 3, 0)
+	}, true, n, 3, 0)
 	step("sql delete", func() error {
 		_, _, err := srv.Exec("DELETE FROM r_hasGenre WHERE src = 'tv07'")
 		return err
-	}, true, 0, 2)
+	}, true, 0, 0, 2)
 	// tv00 is registered already: only c_Unrelated is written, which no
 	// rule's context or preference reads, so every plan stands.
 	step("write nothing reads", func() error {
 		_, err := srv.Assert([]ConceptAssertion{{Concept: "Unrelated", ID: "tv00", Prob: 1}}, nil)
 		return err
-	}, false, 0, 0)
-	// A rule change stales every plan too, and is served the same way.
+	}, false, 0, 0, 0)
+	// A rule change forgets every plan, as SQL does.
 	before := srv.Stats().Plans
 	if _, _, err := srv.AddRules([]string{"RULE extra WHEN CtxA PREFER TvProgram WITH 0.55"}); err != nil {
 		t.Fatal(err)
 	}
 	rankAll()
-	if after := srv.Stats().Plans; after.Misses-before.Misses != n || after.Refreshed-before.Refreshed != n || after.Size != n {
-		t.Fatalf("after a rule add: plan cache %+v -> %+v, want %d compiles replacing the entries in place", before, after, n)
+	if after := srv.Stats().Plans; after.Misses-before.Misses != n || after.Refreshed != before.Refreshed || after.Size != n {
+		t.Fatalf("after a rule add: plan cache %+v -> %+v, want %d first compiles", before, after, n)
 	}
 }
 
