@@ -302,11 +302,10 @@ func (s *System) SetContext(ctx *Context) error { return ctx.Apply(s.loader) }
 // every other user's applied context in place, at a cost independent of how
 // many users have one — the entry point for a system shared by many situated
 // users (internal/serve's sessions). Users must assert disjoint memberships
-// into dedicated context concepts; see situation.Context.ApplyOwned. It
-// returns the apply's generation: a RankPlan compiled for ctx.User is valid
-// until that user's next apply, which returns a different one.
-func (s *System) SetUserContext(ctx *Context) (generation int64, err error) {
-	return ctx.ApplyOwned(s.loader)
+// into dedicated context concepts; see situation.Context.ApplyOwned.
+func (s *System) SetUserContext(ctx *Context) error {
+	_, err := ctx.ApplyOwned(s.loader)
+	return err
 }
 
 // Rank scores the members of the target concept expression (DL syntax) for

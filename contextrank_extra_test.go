@@ -76,10 +76,10 @@ func TestRestoreAdoptsUserContexts(t *testing.T) {
 	if err := sys.SetContext(NewContext("w").Certain("Sunny").Add("Cold", 0.2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.SetUserContext(NewContext("u").Add("Rainy", 0.7)); err != nil {
+	if err := sys.SetUserContext(NewContext("u").Add("Rainy", 0.7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.SetUserContext(NewContext("v").Certain("Rainy").
+	if err := sys.SetUserContext(NewContext("v").Certain("Rainy").
 		AddExclusive("room", []string{"InKitchen", "InLounge"}, []float64{0.6, 0.3})); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRestoreAdoptsUserContexts(t *testing.T) {
 		t.Fatalf("restored system has context owners %v", restored.Loader().ContextOwners())
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := restored.SetUserContext(NewContext("v").Certain("Rainy").
+		if err := restored.SetUserContext(NewContext("v").Certain("Rainy").
 			AddExclusive("room", []string{"InKitchen", "InLounge"}, []float64{0.5, 0.4})); err != nil {
 			t.Fatalf("post-restore user apply %d: %v", i, err)
 		}

@@ -62,7 +62,7 @@ func TestGatesTable(t *testing.T) {
 		"regression BenchmarkFactorizedPlanCompile|BenchmarkPlanScoreLargeCatalog|BenchmarkPlanRankTopK|BenchmarkPlanRankAfterApply|BenchmarkPlanCompileAfterApply|BenchmarkPlanCompileAfterAssert|BenchmarkServeRankBatch|BenchmarkMembersQuery|BenchmarkMembersPatch|BenchmarkMembershipEvent ns +0.2",
 		"regression BenchmarkJournalAppend$|BenchmarkJournalDeclareAssert|BenchmarkJournalReplay|BenchmarkServeRankWithJournal|BenchmarkServeRankCached ns +0.2",
 		"cap BenchmarkServeRankCached/cached 2",
-		"cap BenchmarkServeRankCached/http 60",
+		"cap BenchmarkServeRankCached/http 51",
 		"cap BenchmarkPlanScoreLargeCatalog/warm/candidates=100 0",
 		"cap BenchmarkPlanScoreLargeCatalog/warm/candidates=1000 0",
 		"cap BenchmarkPlanScoreLargeCatalog/warm/candidates=300 0",

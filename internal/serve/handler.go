@@ -189,27 +189,37 @@ type errorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
+// A request type names its fields for the body reader in its field method
+// (body.go); the json tags name the same fields for encoding/json, the
+// reader's reference in FuzzRequestBody.
+
 type declareRequest struct {
-	Concepts    []string `json:"concepts"`
-	Roles       []string `json:"roles"`
-	Subconcepts []struct {
-		Sub   string `json:"sub"`
-		Super string `json:"super"`
-	} `json:"subconcepts"`
+	Concepts    []string         `json:"concepts"`
+	Roles       []string         `json:"roles"`
+	Subconcepts []subconceptJSON `json:"subconcepts"`
+}
+
+type subconceptJSON struct {
+	Sub   string `json:"sub"`
+	Super string `json:"super"`
 }
 
 type assertRequest struct {
-	Concepts []struct {
-		Concept string  `json:"concept"`
-		ID      string  `json:"id"`
-		Prob    float64 `json:"prob"`
-	} `json:"concepts"`
-	Roles []struct {
-		Role string  `json:"role"`
-		Src  string  `json:"src"`
-		Dst  string  `json:"dst"`
-		Prob float64 `json:"prob"`
-	} `json:"roles"`
+	Concepts []conceptAssertionJSON `json:"concepts"`
+	Roles    []roleAssertionJSON    `json:"roles"`
+}
+
+type conceptAssertionJSON struct {
+	Concept string  `json:"concept"`
+	ID      string  `json:"id"`
+	Prob    float64 `json:"prob"`
+}
+
+type roleAssertionJSON struct {
+	Role string  `json:"role"`
+	Src  string  `json:"src"`
+	Dst  string  `json:"dst"`
+	Prob float64 `json:"prob"`
 }
 
 type rulesRequest struct {
@@ -1016,8 +1026,10 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 // --- chaos endpoints (wired only when HandlerOptions.Chaos is set) ---------
 
 type chaosArmRequest struct {
-	Faults []faultinject.Fault `json:"faults"`
+	Faults []faultJSON `json:"faults"`
 }
+
+type faultJSON faultinject.Fault
 
 func (h *Handler) chaosList(w http.ResponseWriter, r *http.Request) {
 	faults := h.chaos.Snapshot()
@@ -1037,7 +1049,7 @@ func (h *Handler) chaosArm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, f := range req.Faults {
-		if err := h.chaos.Arm(f); err != nil {
+		if err := h.chaos.Arm(faultinject.Fault(f)); err != nil {
 			writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
@@ -1067,25 +1079,6 @@ func writeMutationError(w http.ResponseWriter, r *http.Request, fallback int, er
 		return
 	}
 	writeError(w, r, fallback, err)
-}
-
-// decodeBody reads the request body as exactly one JSON value into into:
-// unknown fields and anything but white space after the value are refused
-// with 400, so a body that is two documents is never half applied.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(into)
-	if err == nil {
-		if _, next := dec.Token(); next != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
-		return false
-	}
-	return true
 }
 
 // jsonBufPool recycles response-body buffers across requests, so a rank

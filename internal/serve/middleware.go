@@ -246,13 +246,15 @@ func observe(next http.Handler, accessLog io.Writer, hm *httpMetrics) http.Handl
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		started := time.Now()
-		id := r.Header.Get("X-Request-ID")
+		// The header key in canonical form, which Get and Set find already
+		// canonical and so do not rewrite; inbound keys arrive canonical.
+		id := r.Header.Get("X-Request-Id")
 		if id == "" || len(id) > 128 {
 			id = newRequestID()
 		}
 		info := &reqInfo{id: id, shard: -1}
 		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey, info))
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-Id", id)
 		rec := &statusRecorder{ResponseWriter: w}
 
 		next.ServeHTTP(rec, r)

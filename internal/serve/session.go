@@ -257,7 +257,7 @@ func (s *Sessions) applyLocked(user string, sess *appliedContext, changed []stri
 	if sess != nil {
 		ctx.Measurements = sess.measurements
 	}
-	if _, err := f.sys.SetUserContext(&ctx); err != nil {
+	if err := f.sys.SetUserContext(&ctx); err != nil {
 		// The user's context may be half-applied; forget every plan,
 		// mirroring the facade's mutator-error policy.
 		f.epoch.Add(1)

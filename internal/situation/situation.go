@@ -136,9 +136,8 @@ func (c *Context) Apply(l *mapping.Loader) error {
 // dedicated context vocabulary, since nothing is cleared wholesale.
 //
 // It returns the apply's generation: the epoch number in the names of the
-// events it declared. Anything that holds c.User's context events (a compiled
-// rank plan) is valid exactly until c.User's next apply, whose generation
-// differs even when the measurements do not.
+// events it declared, different on every apply even when the measurements
+// are not.
 //
 // On a mid-apply failure the owner's record holds exactly what is still
 // asserted and declared; the owner's next apply finishes the cleanup.
